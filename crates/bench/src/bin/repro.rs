@@ -20,8 +20,9 @@
 //! `--seed`, `--index flat|hnsw|ivf|pq` (vector-store backend; default
 //! `flat`, the exact baseline), `--models sim` (model backend behind the
 //! `ModelEndpoint` trait; only the behavioural simulator exists offline),
-//! plus the `--serve-*` knobs `serve-bench` reads. An unknown flag or a
-//! malformed value exits 2 with the full flag list.
+//! plus the `--serve-*` knobs `serve-bench` reads. An unknown command, an
+//! unknown flag or a malformed or out-of-range value exits 2 with the usage
+//! table — before any pipeline is built; `repro help` prints it and exits 0.
 
 use mcqa_core::{Pipeline, PipelineConfig};
 use mcqa_eval::results::{render_fig, render_table2, render_table3, render_table4, FigureSeries};
@@ -94,21 +95,61 @@ impl Default for ServeArgs {
     }
 }
 
-const USAGE: &str =
-    "valid flags: --scale <f64> --seed <u64> --index flat|hnsw|ivf|pq --models sim \
+/// Every subcommand. `parse_args` rejects anything else before a pipeline
+/// is built.
+const COMMANDS: &[&str] = &[
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "rates",
+    "residuals",
+    "recall",
+    "models",
+    "serve-bench",
+    "ingest",
+    "ablate-topk",
+    "ablate-context",
+    "ablate-filter",
+];
+
+const FLAGS: &str =
+    "valid flags: --scale <f64 in (0, 1]> --seed <u64> --index flat|hnsw|ivf|pq --models sim \
      --retrieval dense|lexical|hybrid|hybrid-rerank --fuse-depth <n> --edits <n> \
      --serve-requests <n> --serve-concurrency <n,n,...> --serve-batch <n> \
      --serve-deadline-us <us> --serve-queue <n> --serve-rate <q/s> --sweep \
      --cache-budget <bytes>";
 
+fn usage() -> String {
+    format!(
+        "usage: repro [command] [flags]   (no command = all; `repro help` prints this table)\n\
+         commands: {}\n{FLAGS}",
+        COMMANDS.join(" ")
+    )
+}
+
 fn usage_exit(problem: &str) -> ! {
-    eprintln!("{problem}\n{USAGE}");
+    eprintln!("{problem}\n{}", usage());
     std::process::exit(2);
 }
 
 fn parse_args() -> RunArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let command = argv.first().cloned().unwrap_or_else(|| "all".to_string());
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        std::process::exit(0);
+    }
+    if !COMMANDS.contains(&command.as_str()) {
+        usage_exit(&format!("unknown command '{command}'"));
+    }
     let mut args = RunArgs {
         command,
         scale: 0.1,
@@ -138,7 +179,14 @@ fn parse_args() -> RunArgs {
             raw.parse().unwrap_or_else(|_| usage_exit(&format!("bad value '{raw}' for {flag}")))
         }
         match flag {
-            "--scale" => args.scale = val(flag, raw),
+            "--scale" => {
+                args.scale = val(flag, raw);
+                // `PipelineConfig::at_scale` asserts this range; NaN fails
+                // both comparisons.
+                if !(args.scale > 0.0 && args.scale <= 1.0) {
+                    usage_exit(&format!("bad value '{raw}' for {flag} (expected 0 < scale <= 1)"));
+                }
+            }
             "--seed" => args.seed = val(flag, raw),
             "--index" => {
                 args.index = IndexSpec::parse(raw).unwrap_or_else(|| {
@@ -244,6 +292,16 @@ fn main() {
                 output.chunk_store().payload_bytes() / 1024,
                 output.items.len()
             );
+            // FNV-1a of the serialised artifacts: what `tests/golden.rs`
+            // pins at the tiny config, greppable at any scale.
+            let questions = serde_json::to_string(&output.questions).expect("serialises");
+            let traces = serde_json::to_string(&output.traces).expect("serialises");
+            println!(
+                "[golden] q_hash={:#018x} t_hash={:#018x} registry_hash={:#018x}",
+                mcqa_util::fnv1a(questions.as_bytes()),
+                mcqa_util::fnv1a(traces.as_bytes()),
+                mcqa_util::fnv1a(&output.indexes.to_bytes())
+            );
             return;
         }
         "recall" => {
@@ -311,10 +369,7 @@ fn main() {
         "ablate-topk" => ablate_topk(&output, args.seed),
         "ablate-context" => ablate_context(&output, args.seed),
         "ablate-filter" => ablate_filter(args.scale, args.seed),
-        other => {
-            eprintln!("unknown command {other}");
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args admitted '{other}', which no arm handles"),
     }
 }
 

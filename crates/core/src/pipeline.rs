@@ -242,8 +242,10 @@ impl Pipeline {
         report.add(parse_metrics);
 
         // Stage 3: semantic chunking with provenance mapping, fanned out one
-        // task per re-parsed document on the work-stealing pool. The stage's
-        // metrics keep both rates observable: `throughput()` is docs/s,
+        // task per re-parsed document on the work-stealing pool. Each chunk
+        // leaves the chunker with its embedding, composed from the sentence
+        // postings the drift test already hashed. The stage's metrics keep
+        // both rates observable: `throughput()` is docs/s,
         // `output_throughput()` is chunks/s.
         let encoder = BioEncoder::new(config.embed.clone());
         let chunker_cfg = config.chunker.clone();
@@ -252,11 +254,11 @@ impl Pipeline {
             let doc_id = DocId(id);
             let truth = library.document(doc_id);
             let text = pdoc.full_text();
-            let records: Vec<ChunkRecord> = chunker
-                .chunk(&text)
+            let records: Vec<(ChunkRecord, Vec<f32>)> = chunker
+                .chunk_embedded(&text)
                 .into_iter()
                 .enumerate()
-                .map(|(ci, c)| {
+                .map(|(ci, (c, vector))| {
                     // Provenance oracle: which fact mentions landed in
                     // this chunk (verbatim sentence containment).
                     let mut facts: Vec<mcqa_ontology::FactId> = truth
@@ -270,21 +272,29 @@ impl Pipeline {
                         .unwrap_or_default();
                     facts.sort_unstable();
                     facts.dedup();
-                    ChunkRecord {
+                    let record = ChunkRecord {
                         chunk_id: ChunkRecord::make_id(doc_id, ci as u32),
                         doc: doc_id,
                         index_in_doc: ci as u32,
                         text: c.text,
                         tokens: c.tokens,
                         facts,
-                    }
+                    };
+                    (record, vector)
                 })
                 .collect();
             Ok::<_, String>(records)
         });
-        let mut fresh_chunks: Vec<ChunkRecord> =
+        let mut fresh: Vec<(ChunkRecord, Vec<f32>)> =
             chunk_results.into_iter().filter_map(Result::ok).flatten().collect();
-        fresh_chunks.sort_by_key(|c| c.chunk_id);
+        fresh.sort_by_key(|(c, _)| c.chunk_id);
+        let (mut fresh_chunks, chunk_vectors): (Vec<ChunkRecord>, Vec<(u64, Vec<f32>)>) = fresh
+            .into_iter()
+            .map(|(c, vector)| {
+                let id = c.chunk_id;
+                (c, (id, vector))
+            })
+            .unzip();
         chunk_metrics.produced = fresh_chunks.len();
         report.add(chunk_metrics);
 
@@ -310,23 +320,20 @@ impl Pipeline {
             t.elapsed_secs(),
         ));
 
-        // Stage 4: embed the re-run chunks (batched submission — the
-        // per-item cost is one hash-encode, so chunked tasks amortise
-        // scheduling overhead). Unchanged chunks keep their rows in the
-        // previous run's stores, so they are never re-embedded.
+        // Stage 4: the re-run chunks' embeddings. The chunk stage already
+        // produced them (`chunk_vectors`), so all this row still does is
+        // pick the re-run chunks out of the merged list. Unchanged chunks
+        // keep their rows in the previous run's stores, so they are never
+        // re-embedded.
+        let t = ScopeTimer::start("embed-chunks");
         let gen_chunks: Vec<&ChunkRecord> =
             chunks.iter().filter(|c| fresh_ids.contains(&c.chunk_id)).collect();
-        let (embed_results, embed_metrics) =
-            run_stage_batched(&exec, "embed-chunks", (0..gen_chunks.len()).collect(), 0, |i| {
-                let c = gen_chunks[i];
-                Ok::<_, String>((c.chunk_id, encoder.encode(&c.text)))
-            });
-        // The embed closure is infallible, so an Err slot can only be a
-        // panic; a silently missing vector would skew retrieval, so fail
-        // loudly instead.
-        let chunk_vectors: Vec<(u64, Vec<f32>)> =
-            embed_results.into_iter().map(|r| r.expect("embed-chunks task cannot fail")).collect();
-        report.add(embed_metrics);
+        report.add(StageMetrics::single(
+            "embed-chunks",
+            gen_chunks.len(),
+            chunk_vectors.len(),
+            t.elapsed_secs(),
+        ));
 
         // Chunk DB: cold build bulk-loads the configured backend; an
         // incremental run decodes the previous registry, tombstones the

@@ -1,8 +1,8 @@
 //! The `BioEncoder`: signed feature-hashing text encoder.
 
 use mcqa_runtime::{run_stage_batched, Executor};
-use mcqa_text::content_tokens;
-use mcqa_util::StableHasher;
+use mcqa_text::for_each_content_token;
+use mcqa_util::{PairedHasher, StableHasher};
 use serde::{Deserialize, Serialize};
 
 /// Encoder configuration.
@@ -26,17 +26,45 @@ impl Default for EmbedConfig {
     }
 }
 
+/// Visit every content token of `text` together with the content token
+/// before it (the word-bigram context). Returns the last one, if any.
+fn for_each_content_token_with_prev(
+    text: &str,
+    mut visit: impl FnMut(&str, Option<&str>),
+) -> Option<String> {
+    // The tokeniser's `&str` dies with each visit; one reused buffer keeps
+    // the previous token (tokens are never empty, so empty = none yet).
+    let mut prev = String::new();
+    for_each_content_token(text, |tok| {
+        visit(tok, (!prev.is_empty()).then_some(prev.as_str()));
+        prev.clear();
+        prev.push_str(tok);
+    });
+    (!prev.is_empty()).then_some(prev)
+}
+
 /// Deterministic semantic text encoder (PubMedBERT stand-in).
 #[derive(Debug, Clone)]
 pub struct BioEncoder {
     config: EmbedConfig,
+    /// The two hash lanes every feature is scattered through, each already
+    /// past its seed-and-lane-number prefix
+    /// (`StableHasher::with_seed(seed)` then `write_u32(lane)`): a feature
+    /// forks this state and only absorbs its own bytes.
+    lanes: PairedHasher,
 }
 
 impl BioEncoder {
     /// Create an encoder.
     pub fn new(config: EmbedConfig) -> Self {
         assert!(config.dim >= 8, "dim must be at least 8");
-        Self { config }
+        let lane = |r: u32| {
+            let mut h = StableHasher::with_seed(config.seed);
+            h.write_u32(r);
+            h
+        };
+        let lanes = PairedHasher::new(&lane(0), &lane(1));
+        Self { config, lanes }
     }
 
     /// The encoder's configuration.
@@ -44,68 +72,67 @@ impl BioEncoder {
         &self.config
     }
 
-    /// The two `(index, signed weight)` postings of one hashed feature.
+    /// Emit the two `(index, signed weight)` postings of one hashed
+    /// feature, given as the pieces its string is the concatenation of.
     /// Each feature is scattered to two positions with independent signs,
     /// halving sketch variance vs a single position.
     #[inline]
-    fn feature_postings(&self, feature: &str, weight: f32) -> [(u32, f32); 2] {
-        let mut out = [(0u32, 0.0f32); 2];
-        for (r, slot) in out.iter_mut().enumerate() {
-            let mut h = StableHasher::with_seed(self.config.seed);
-            h.write_u32(r as u32);
-            h.write_str(feature);
-            let bits = h.finish();
+    fn feature_postings(&self, pieces: &[&[u8]], weight: f32, emit: &mut impl FnMut(u32, f32)) {
+        let mut h = self.lanes;
+        h.write_len(pieces.iter().map(|p| p.len()).sum());
+        for piece in pieces {
+            h.write(piece);
+        }
+        for bits in h.finish() {
             let idx = (bits % self.config.dim as u64) as u32;
             let sign = if bits & (1 << 63) != 0 { -1.0 } else { 1.0 };
-            *slot = (idx, sign * weight);
+            emit(idx, sign * weight);
         }
-        out
     }
 
-    /// Emit one content token's features (unigram, subword trigrams, and
-    /// the bigram joining it to `prev`) in the exact order [`encode`]
-    /// accumulates them. `emit` receives each posting.
+    /// Emit one content token's features (unigram, `#`-prefixed subword
+    /// trigrams, and the `prev_tok` bigram joining it to `prev`) in the
+    /// exact order [`encode`] accumulates them. `emit` receives each
+    /// posting.
+    ///
+    /// Unigrams carry the bulk of the signal. Entity-like symbols
+    /// (digit-bearing gene/cell-line names) are the discriminative keys of
+    /// biomedical retrieval — a contextual encoder like PubMedBERT weights
+    /// them heavily, so do we.
+    ///
+    /// [`encode`]: BioEncoder::encode
     #[inline]
     fn token_features(&self, tok: &str, prev: Option<&str>, mut emit: impl FnMut(u32, f32)) {
-        let entity_like = tok.chars().any(|c| c.is_ascii_digit());
-        let w = if entity_like { 2.5 } else { 1.0 };
-        for (idx, pw) in self.feature_postings(tok, w) {
-            emit(idx, pw);
-        }
-        if self.config.char_trigrams && tok.len() >= 5 {
-            let chars: Vec<char> = tok.chars().collect();
-            for win in chars.windows(3) {
-                let tri: String = win.iter().collect();
-                for (idx, pw) in self.feature_postings(&format!("#{tri}"), 0.25) {
-                    emit(idx, pw);
+        let bytes = tok.as_bytes();
+        let entity_like = bytes.iter().any(u8::is_ascii_digit);
+        self.feature_postings(&[bytes], if entity_like { 2.5 } else { 1.0 }, &mut emit);
+        if self.config.char_trigrams && bytes.len() >= 5 {
+            // Every window of three chars, cut at the token's own char
+            // boundaries: `starts` holds where the two chars before the
+            // current one begin.
+            let mut starts = [0usize; 2];
+            for (n, (at, c)) in tok.char_indices().enumerate() {
+                if n >= 2 {
+                    let window = &bytes[starts[0]..at + c.len_utf8()];
+                    self.feature_postings(&[b"#", window], 0.25, &mut emit);
                 }
+                starts = [starts[1], at];
             }
         }
         if self.config.word_bigrams {
             if let Some(p) = prev {
-                for (idx, pw) in self.feature_postings(&format!("{p}_{tok}"), 0.5) {
-                    emit(idx, pw);
-                }
+                self.feature_postings(&[p.as_bytes(), b"_", bytes], 0.5, &mut emit);
             }
         }
     }
 
     /// Encode one text into a unit-norm `dim`-vector (zero vector for
-    /// featureless input).
-    ///
-    /// Unigrams carry the bulk of the signal. Entity-like symbols
-    /// (digit-bearing gene/cell-line names) are the discriminative keys of
-    /// biomedical retrieval — a contextual encoder like PubMedBERT weights
-    /// them heavily, so do we (see `token_features`).
+    /// featureless input). See `token_features` for the feature family.
     pub fn encode(&self, text: &str) -> Vec<f32> {
         let mut acc = vec![0.0f32; self.config.dim];
-        let tokens = content_tokens(text);
-
-        let mut prev_content: Option<&str> = None;
-        for tok in &tokens {
-            self.token_features(tok, prev_content, |idx, w| acc[idx as usize] += w);
-            prev_content = Some(tok);
-        }
+        for_each_content_token_with_prev(text, |tok, prev| {
+            self.token_features(tok, prev, |idx, w| acc[idx as usize] += w);
+        });
 
         let norm: f32 = acc.iter().map(|x| x * x).sum::<f32>().sqrt();
         if norm > 0.0 {
@@ -147,38 +174,32 @@ impl mcqa_text::Encoder for BioEncoder {
     /// first content token's head at each sentence join — reproduces the
     /// joined encode bit for bit.
     fn sentence_postings(&self, text: &str) -> Option<mcqa_text::SentencePostings> {
-        let tokens = content_tokens(text);
-        let mut postings: Vec<(u32, f32)> = Vec::new();
+        let mut postings = Vec::new();
         let mut head_len = 0usize;
-        let mut first_content: Option<&str> = None;
-        let mut prev_content: Option<&str> = None;
-        for tok in &tokens {
-            self.token_features(tok, prev_content, |idx, w| postings.push((idx, w)));
+        let mut first_content: Option<String> = None;
+        let last_content = for_each_content_token_with_prev(text, |tok, prev| {
+            self.token_features(tok, prev, |idx, w| postings.push((idx, w)));
             if first_content.is_none() {
-                first_content = Some(tok);
+                first_content = Some(tok.to_string());
                 // The first content token has no in-sentence bigram: its
                 // postings are exactly the head a cross-sentence bridge
                 // splices after.
                 head_len = postings.len();
             }
-            prev_content = Some(tok);
-        }
-        Some(mcqa_text::SentencePostings {
-            postings,
-            head_len,
-            first_content: first_content.map(str::to_string),
-            last_content: prev_content.map(str::to_string),
-        })
+        });
+        Some(mcqa_text::SentencePostings { postings, head_len, first_content, last_content })
     }
 
     /// The word bigram joining two sentences' adjacent content tokens —
     /// the only feature of [`BioEncoder::encode`] that spans a sentence
     /// boundary.
     fn bridge_postings(&self, prev: &str, next: &str) -> Vec<(u32, f32)> {
-        if !self.config.word_bigrams {
-            return Vec::new();
+        let mut out = Vec::new();
+        if self.config.word_bigrams {
+            let pieces = [prev.as_bytes(), b"_", next.as_bytes()];
+            self.feature_postings(&pieces, 0.5, &mut |idx, w| out.push((idx, w)));
         }
-        self.feature_postings(&format!("{prev}_{next}"), 0.5).to_vec()
+        out
     }
 }
 
@@ -301,6 +322,7 @@ mod tests {
             "",                                              // empty sentence
             "Clustered lesions resist non-homologous end-joining repair.", // trigram-length tokens
             "Budget revenue reports shaped hospital billing.",
+            "Überleben in İstanbul fiel bei 5µm Straßenstaub.", // multi-byte trigram windows
         ]
     }
 
@@ -310,12 +332,13 @@ mod tests {
         // approximation — across entity weighting, char trigrams, word
         // bigrams (including the cross-sentence bridge), and stopword-only
         // sentences that carry bigram state through.
-        for cfg in [
-            EmbedConfig::default(),
-            EmbedConfig { word_bigrams: false, ..Default::default() },
-            EmbedConfig { char_trigrams: false, ..Default::default() },
-            EmbedConfig { seed: 7, dim: 64, ..Default::default() },
-        ] {
+        let mut configs = vec![EmbedConfig { seed: 7, dim: 64, ..Default::default() }];
+        for (word_bigrams, char_trigrams) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            configs.push(EmbedConfig { word_bigrams, char_trigrams, ..Default::default() });
+        }
+        for cfg in configs {
             let e = BioEncoder::new(cfg);
             let sentences = awkward_sentences();
             for start in 0..sentences.len() {

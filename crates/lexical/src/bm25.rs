@@ -1,8 +1,8 @@
 //! An Okapi BM25 inverted index over the workspace's shared tokenisation.
 //!
-//! Documents are tokenised with [`content_tokens`] — the same helper the
-//! vocabulary and the hash embeddings use, so the corpus side and the
-//! query side can never disagree — and interned into a
+//! Documents are tokenised with [`for_each_content_token`] — the same
+//! helper the vocabulary and the hash embeddings use, so the corpus side
+//! and the query side can never disagree — and interned into a
 //! [`Vocabulary`], which carries the term ↔ id tables and document
 //! frequencies. Per-term postings record `(doc index, term frequency)`
 //! in insertion order, which keeps doc indices strictly increasing per
@@ -27,10 +27,11 @@
 //! wire format is always tombstone-free) rewrites postings without the
 //! dead documents.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use mcqa_runtime::{run_stage_batched, Executor};
-use mcqa_text::{content_tokens, TermId, Vocabulary};
+use mcqa_text::{for_each_content_token, TermId, Vocabulary};
 use mcqa_util::codec::{put_u32, put_varint, unzigzag, zigzag, Reader};
 use mcqa_util::{SearchResult, TopK};
 
@@ -96,20 +97,28 @@ pub struct LexicalIndex {
 type TokenCounts = (Vec<(String, u32)>, u32);
 
 fn count_tokens(text: &str) -> TokenCounts {
-    let toks = content_tokens(text);
-    let len = toks.len() as u32;
+    // Every content token back to back in one buffer: the map can then key
+    // on borrowed slices, and only a distinct term is ever allocated.
+    let mut arena = String::new();
+    let mut ends: Vec<usize> = Vec::new();
+    for_each_content_token(text, |tok| {
+        arena.push_str(tok);
+        ends.push(arena.len());
+    });
     let mut order: Vec<(String, u32)> = Vec::new();
-    let mut at: HashMap<String, usize> = HashMap::new();
-    for tok in toks {
-        match at.get(&tok) {
-            Some(&i) => order[i].1 += 1,
-            None => {
-                at.insert(tok.clone(), order.len());
-                order.push((tok, 1));
+    let mut at: HashMap<&str, usize> = HashMap::new();
+    let mut start = 0usize;
+    for &end in &ends {
+        match at.entry(&arena[start..end]) {
+            Entry::Occupied(e) => order[*e.get()].1 += 1,
+            Entry::Vacant(e) => {
+                order.push((e.key().to_string(), 1));
+                e.insert(order.len() - 1);
             }
         }
+        start = end;
     }
-    (order, len)
+    (order, ends.len() as u32)
 }
 
 impl Default for LexicalIndex {
@@ -303,10 +312,12 @@ impl LexicalIndex {
         // query spelled them, and — unlike id order — is independent of
         // interning history, so a tombstoned index scores bit-identically
         // to one rebuilt from scratch over its live documents.
-        let mut qterms: Vec<(String, TermId)> = content_tokens(query)
-            .into_iter()
-            .filter_map(|t| self.vocab.id(&t).map(|id| (t, id)))
-            .collect();
+        let mut qterms: Vec<(String, TermId)> = Vec::new();
+        for_each_content_token(query, |t| {
+            if let Some(id) = self.vocab.id(t) {
+                qterms.push((t.to_string(), id));
+            }
+        });
         qterms.sort_by(|a, b| a.0.cmp(&b.0));
         qterms.dedup_by(|a, b| a.0 == b.0);
         if qterms.is_empty() {

@@ -6,11 +6,13 @@
 //! boundary is emitted where similarity drops (topic shift) or where the
 //! token budget would overflow. The encoder is pluggable via [`Encoder`].
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::sentence::split_sentences;
 use crate::similarity::dense_cosine;
-use crate::token::token_count;
+use crate::token::{for_each_content_token, token_count};
 
 /// Pre-hashed accumulator postings for one sentence, composable into
 /// multi-sentence window encodings without re-tokenising or re-hashing.
@@ -82,6 +84,11 @@ impl TfEncoder {
         assert!(dim > 0);
         Self { dim }
     }
+
+    /// The accumulator slot a token hashes to.
+    fn slot(&self, tok: &str) -> u32 {
+        (mcqa_util::fnv1a(tok.as_bytes()) % self.dim as u64) as u32
+    }
 }
 
 impl Encoder for TfEncoder {
@@ -91,10 +98,7 @@ impl Encoder for TfEncoder {
 
     fn encode(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
-        for tok in crate::token::content_tokens(text) {
-            let h = mcqa_util::fnv1a(tok.as_bytes());
-            v[(h % self.dim as u64) as usize] += 1.0;
-        }
+        for_each_content_token(text, |tok| v[self.slot(tok) as usize] += 1.0);
         let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
         if norm > 0.0 {
             for x in &mut v {
@@ -108,10 +112,8 @@ impl Encoder for TfEncoder {
         // Pure bag-of-words: no cross-sentence features, so no head/bridge
         // bookkeeping is needed — replaying all postings in order matches
         // the joined encode exactly.
-        let postings = crate::token::content_tokens(text)
-            .into_iter()
-            .map(|tok| ((mcqa_util::fnv1a(tok.as_bytes()) % self.dim as u64) as u32, 1.0))
-            .collect();
+        let mut postings = Vec::new();
+        for_each_content_token(text, |tok| postings.push((self.slot(tok), 1.0)));
         Some(SentencePostings { postings, head_len: 0, first_content: None, last_content: None })
     }
 }
@@ -195,6 +197,14 @@ pub fn compose_encode<E: Encoder + ?Sized>(encoder: &E, sentences: &[&str]) -> O
     Some(replay_postings(encoder, feats?.iter()))
 }
 
+/// Per-document memo of sentence postings. `compose` latches off for good
+/// the first time the encoder declines (an encoder either supports
+/// composition for every sentence or for none).
+struct SentenceMemo {
+    postings: Vec<Option<SentencePostings>>,
+    compose: bool,
+}
+
 /// The semantic chunker.
 pub struct Chunker<'e, E: Encoder> {
     config: ChunkerConfig,
@@ -209,21 +219,47 @@ impl<'e, E: Encoder> Chunker<'e, E> {
         Self { config, encoder }
     }
 
-    /// Encode the space-join of `sentences[range]` by replaying memoised
-    /// per-sentence postings (bit-identical to `encode` on the joined
-    /// text), or `None` when the encoder opts out of composition.
-    fn composed_window(
+    /// Embed the space-join of `sentences[range]`: a replay of memoised
+    /// per-sentence postings (each sentence tokenised and hashed at most
+    /// once per document), or — once the encoder has declined composition
+    /// — a plain `encode` of the joined text. Bit-identical either way.
+    fn embed_range(
         &self,
         sentences: &[&str],
-        memo: &mut [Option<SentencePostings>],
-        range: std::ops::Range<usize>,
-    ) -> Option<Vec<f32>> {
-        for i in range.clone() {
-            if memo[i].is_none() {
-                memo[i] = Some(self.encoder.sentence_postings(sentences[i])?);
+        memo: &mut SentenceMemo,
+        range: Range<usize>,
+    ) -> Vec<f32> {
+        if memo.compose {
+            memo.compose = range.clone().all(|i| {
+                if memo.postings[i].is_none() {
+                    memo.postings[i] = self.encoder.sentence_postings(sentences[i]);
+                }
+                memo.postings[i].is_some()
+            });
+            if memo.compose {
+                return replay_postings(self.encoder, memo.postings[range].iter().flatten());
             }
         }
-        Some(replay_postings(self.encoder, range.map(|i| memo[i].as_ref().expect("filled above"))))
+        self.encoder.encode(&sentences[range].join(" "))
+    }
+
+    /// The drift test at sentence `i`, a candidate boundary of the chunk
+    /// running since sentence `first`: compare a trailing window of the
+    /// running chunk with a look-ahead window starting at the candidate.
+    /// Windowing on both sides smooths out single-sentence vocabulary
+    /// noise, which a contextual encoder would absorb.
+    fn drifts_at(
+        &self,
+        sentences: &[&str],
+        memo: &mut SentenceMemo,
+        first: usize,
+        i: usize,
+    ) -> bool {
+        let w = self.config.window_sentences.min(i - first);
+        let ahead_end = (i + self.config.window_sentences).min(sentences.len());
+        let behind = self.embed_range(sentences, memo, i - w..i);
+        let ahead = self.embed_range(sentences, memo, i..ahead_end);
+        dense_cosine(&behind, &ahead) < self.config.drift_threshold
     }
 
     /// Chunk a document.
@@ -233,106 +269,59 @@ impl<'e, E: Encoder> Chunker<'e, E> {
     /// * every chunk except possibly one holding a single oversized
     ///   sentence respects `max_tokens`;
     /// * chunk sentence ranges are contiguous and non-overlapping.
-    ///
-    /// Drift detection memoises per-sentence encoder work: with a
-    /// compositional encoder each sentence is tokenised and hashed at most
-    /// once per document, and every candidate-boundary window embedding is
-    /// a cheap posting replay — the chunk boundaries are bit-identical to
-    /// the re-encoding path either way.
     pub fn chunk(&self, text: &str) -> Vec<Chunk> {
+        self.chunk_embedded(text).into_iter().map(|(chunk, _)| chunk).collect()
+    }
+
+    /// Chunk a document and embed every chunk in the same pass: each
+    /// vector is bit-identical to `encoder.encode(&chunk.text)`.
+    ///
+    /// With a compositional encoder each sentence is tokenised and hashed
+    /// at most once per document: the drift test's window embeddings and
+    /// the chunk embeddings are all cheap replays of the same memoised
+    /// postings. An encoder that declines composition is re-encoded from
+    /// text instead — the boundaries and vectors are the same either way.
+    pub fn chunk_embedded(&self, text: &str) -> Vec<(Chunk, Vec<f32>)> {
         let sentences = split_sentences(text);
         if sentences.is_empty() {
             return Vec::new();
         }
-        // Per-document memo; `compose` latches off permanently if the
-        // encoder ever declines (an encoder either supports composition
-        // for every sentence or for none).
-        let mut memo: Vec<Option<SentencePostings>> = vec![None; sentences.len()];
-        let mut compose = true;
+        let mut memo = SentenceMemo { postings: vec![None; sentences.len()], compose: true };
 
-        let mut chunks: Vec<Chunk> = Vec::new();
-        let mut cur_sents: Vec<&str> = Vec::new();
-        let mut cur_tokens = 0usize;
-        let mut cur_first = 0usize;
-
-        let flush = |chunks: &mut Vec<Chunk>,
-                     cur: &mut Vec<&str>,
-                     first: usize,
-                     last: usize,
-                     tokens: usize| {
-            if cur.is_empty() {
-                return;
-            }
-            chunks.push(Chunk {
-                text: cur.join(" "),
-                first_sentence: first,
-                last_sentence: last,
-                tokens,
-            });
-            cur.clear();
-        };
-
+        // Sentence range and token count of every chunk.
+        let mut spans: Vec<(Range<usize>, usize)> = Vec::new();
+        let mut first = 0usize;
+        let mut tokens = 0usize;
         for (i, sent) in sentences.iter().enumerate() {
             let stoks = token_count(sent);
-            if cur_sents.is_empty() {
-                cur_first = i;
-                cur_sents.push(sent);
-                cur_tokens = stoks;
-                continue;
+            // A boundary goes where the token budget would overflow, else
+            // (once the chunk is long enough) where the embedding drifts.
+            let boundary = i > first
+                && (tokens + stoks > self.config.max_tokens
+                    || (tokens >= self.config.min_tokens
+                        && self.drifts_at(&sentences, &mut memo, first, i)));
+            if boundary {
+                spans.push((first..i, tokens));
+                first = i;
+                tokens = 0;
             }
-
-            // Budget boundary.
-            if cur_tokens + stoks > self.config.max_tokens {
-                flush(&mut chunks, &mut cur_sents, cur_first, i - 1, cur_tokens);
-                cur_first = i;
-                cur_sents.push(sent);
-                cur_tokens = stoks;
-                continue;
-            }
-
-            // Drift boundary: compare a trailing window of the running
-            // chunk with a look-ahead window starting at the candidate
-            // sentence. Windowing on both sides smooths out single-sentence
-            // vocabulary noise, which a contextual encoder would absorb.
-            if cur_tokens >= self.config.min_tokens {
-                let w = self.config.window_sentences.min(cur_sents.len());
-                let ahead_end = (i + self.config.window_sentences).min(sentences.len());
-                let composed = if compose {
-                    // Trailing window = the last `w` running-chunk
-                    // sentences, i.e. global indices `i-w..i`.
-                    match (
-                        self.composed_window(&sentences, &mut memo, i - w..i),
-                        self.composed_window(&sentences, &mut memo, i..ahead_end),
-                    ) {
-                        (Some(a), Some(b)) => Some((a, b)),
-                        _ => {
-                            compose = false;
-                            None
-                        }
-                    }
-                } else {
-                    None
-                };
-                let (a, b) = composed.unwrap_or_else(|| {
-                    let window_text = cur_sents[cur_sents.len() - w..].join(" ");
-                    let ahead_text = sentences[i..ahead_end].join(" ");
-                    (self.encoder.encode(&window_text), self.encoder.encode(&ahead_text))
-                });
-                if dense_cosine(&a, &b) < self.config.drift_threshold {
-                    flush(&mut chunks, &mut cur_sents, cur_first, i - 1, cur_tokens);
-                    cur_first = i;
-                    cur_sents.push(sent);
-                    cur_tokens = stoks;
-                    continue;
-                }
-            }
-
-            cur_sents.push(sent);
-            cur_tokens += stoks;
+            tokens += stoks;
         }
-        let last = sentences.len() - 1;
-        flush(&mut chunks, &mut cur_sents, cur_first, last, cur_tokens);
-        chunks
+        spans.push((first..sentences.len(), tokens));
+
+        spans
+            .into_iter()
+            .map(|(range, tokens)| {
+                let vector = self.embed_range(&sentences, &mut memo, range.clone());
+                let chunk = Chunk {
+                    text: sentences[range.clone()].join(" "),
+                    first_sentence: range.start,
+                    last_sentence: range.end - 1,
+                    tokens,
+                };
+                (chunk, vector)
+            })
+            .collect()
     }
 }
 

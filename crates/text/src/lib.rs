@@ -28,5 +28,5 @@ pub use chunk::{
     compose_encode, Chunk, Chunker, ChunkerConfig, Encoder, SentencePostings, TfEncoder,
 };
 pub use sentence::split_sentences;
-pub use token::{content_tokens, token_count, tokenize};
+pub use token::{content_tokens, for_each_content_token, for_each_token, token_count, tokenize};
 pub use vocab::{TermId, Vocabulary};

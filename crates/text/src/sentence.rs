@@ -11,6 +11,24 @@ const ABBREVIATIONS: &[&str] = &[
     "no", "nos", "vol", "dr", "prof", "inc", "etc",
 ];
 
+/// `word` lowercased char by char, without allocating.
+fn lower_chars(word: &str) -> impl DoubleEndedIterator<Item = char> + '_ {
+    word.chars().flat_map(char::to_lowercase)
+}
+
+/// True when `word` lowercases to a single one-byte letter.
+fn is_initial(word: &str) -> bool {
+    let mut chars = lower_chars(word);
+    matches!((chars.next(), chars.next()), (Some(c), None) if c.is_ascii_alphabetic())
+}
+
+/// True when `word`, ignoring case, is `abbrev` or ends in `.abbrev`
+/// (`"Fig"`, `"Suppl.Fig"`).
+fn ends_with_abbreviation(word: &str, abbrev: &str) -> bool {
+    let mut tail = lower_chars(word).rev();
+    abbrev.chars().rev().all(|c| tail.next() == Some(c)) && matches!(tail.next(), None | Some('.'))
+}
+
 /// Split `text` into sentences. Whitespace is trimmed from each sentence;
 /// empty sentences are dropped.
 pub fn split_sentences(text: &str) -> Vec<&str> {
@@ -50,11 +68,11 @@ pub fn split_sentences(text: &str) -> Vec<&str> {
                     .rsplit(|ch: char| ch.is_whitespace() || ch == '(' || ch == ',')
                     .next()
                     .unwrap_or("");
-                let lw = last_word.trim_end_matches('.').to_lowercase();
+                let word = last_word.trim_end_matches('.');
                 // Single letters are initials ("J. Smith"); known
                 // abbreviations and decimal contexts also block splits.
-                lw.len() == 1 && lw.chars().all(|c| c.is_alphabetic())
-                    || ABBREVIATIONS.iter().any(|a| lw == *a || lw.ends_with(&format!(".{a}")))
+                is_initial(word)
+                    || ABBREVIATIONS.iter().any(|a| ends_with_abbreviation(word, a))
                     || (i + 1 < bytes.len() && (bytes[i + 1] as char).is_numeric())
             };
 
@@ -95,6 +113,52 @@ mod tests {
         assert_eq!(parts.len(), 2, "{parts:?}");
         assert!(parts[0].ends_with("hypoxia."));
         assert!(parts[1].starts_with("See Fig. 3"));
+    }
+
+    #[test]
+    fn abbreviation_checks_match_the_lowercased_formulation() {
+        // The allocation-free checks against what they replaced:
+        // `to_lowercase()` the word, then compare / `ends_with(".{a}")`.
+        let words = [
+            "",
+            "J",
+            "j",
+            "\u{212A}",
+            "İ",
+            "ß",
+            "9",
+            "Fig",
+            "FIG",
+            "figs",
+            "xfig",
+            "Suppl.Fig",
+            "suppl.figs",
+            "e.g",
+            "E.G",
+            "i.e",
+            "al",
+            "et al",
+            ".vs",
+            "Σ",
+            "approx",
+            "Dr",
+            "no.no",
+        ];
+        for w in words {
+            let lw = w.to_lowercase();
+            assert_eq!(
+                is_initial(w),
+                lw.len() == 1 && lw.chars().all(|c| c.is_alphabetic()),
+                "initial {w:?}"
+            );
+            for a in ABBREVIATIONS {
+                assert_eq!(
+                    ends_with_abbreviation(w, a),
+                    lw == *a || lw.ends_with(&format!(".{a}")),
+                    "{w:?} vs {a:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,38 @@ pub const STOPWORDS: &[&str] = &[
     "who", "whom", "why", "will", "with", "would", "you", "your", "yours",
 ];
 
+/// No stopword is longer than this many bytes.
+const MAX_LEN: usize = 7;
+
+/// A word of at most [`MAX_LEN`] bytes as one integer — its bytes, most
+/// significant first and zero-padded, then its length — so that integer
+/// order is the words' lexicographic order and a lookup compares seven
+/// integers instead of seven strings.
+const fn pack(word: &[u8]) -> u64 {
+    let mut packed = 0u64;
+    let mut i = 0;
+    while i < MAX_LEN {
+        packed = packed << 8 | if i < word.len() { word[i] as u64 } else { 0 };
+        i += 1;
+    }
+    packed << 8 | word.len() as u64
+}
+
+/// [`STOPWORDS`], packed (and therefore still sorted).
+const PACKED: [u64; STOPWORDS.len()] = {
+    let mut table = [0u64; STOPWORDS.len()];
+    let mut i = 0;
+    while i < STOPWORDS.len() {
+        assert!(STOPWORDS[i].len() <= MAX_LEN);
+        table[i] = pack(STOPWORDS[i].as_bytes());
+        i += 1;
+    }
+    table
+};
+
 /// True when `word` (already lowercase) is a stopword.
 pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.binary_search(&word).is_ok()
+    word.len() <= MAX_LEN && PACKED.binary_search(&pack(word.as_bytes())).is_ok()
 }
 
 #[cfg(test)]
@@ -27,6 +56,15 @@ mod tests {
     fn list_is_sorted_and_unique() {
         for w in STOPWORDS.windows(2) {
             assert!(w[0] < w[1], "{:?} >= {:?}", w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn packed_lookup_agrees_with_the_string_table() {
+        assert!(PACKED.windows(2).all(|w| w[0] < w[1]), "packing must keep the order");
+        let probes = ["", "a", "a\0", "ab", "th", "thee", "these", "through", "throughs", "Über"];
+        for w in STOPWORDS.iter().chain(&probes) {
+            assert_eq!(is_stopword(w), STOPWORDS.binary_search(w).is_ok(), "{w:?}");
         }
     }
 

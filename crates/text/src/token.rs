@@ -4,68 +4,168 @@
 //! truncation, embedding features — so token counts are comparable across
 //! the whole pipeline (the paper's stages share PubMedBERT's tokeniser in
 //! the same way).
+//!
+//! Tokenisation rules:
+//! * split on any char that is not alphanumeric or `-`,
+//! * drop pure `-` strings,
+//! * lowercase everything.
+//!
+//! The rules live in exactly one place: the `TokenRuns` scanner finds the
+//! runs, [`for_each_token`] lowercases them, and every other entry point
+//! ([`tokenize`], [`content_tokens`], [`token_count`], [`truncate_tokens`])
+//! is a thin user of those two.
 
-/// A token: lowercase alphanumeric word, keeping internal hyphens and
-/// Greek-free alphanumerics (`"non-homologous"`, `"eqd2"`, `"t1/2"` splits
-/// at the slash).
-///
-/// Tokenisation rules:
-/// * split on any char that is not alphanumeric or `-`,
-/// * drop pure `-` strings,
-/// * lowercase everything.
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    for c in text.chars() {
-        if c.is_alphanumeric() || c == '-' {
-            for lc in c.to_lowercase() {
-                cur.push(lc);
-            }
-        } else if !cur.is_empty() {
-            if cur.chars().any(|c| c.is_alphanumeric()) {
-                out.push(std::mem::take(&mut cur));
-            } else {
-                cur.clear();
-            }
-        }
-    }
-    if !cur.is_empty() && cur.chars().any(|c| c.is_alphanumeric()) {
-        out.push(cur);
-    }
-    out
+use std::ops::Range;
+
+/// One maximal run of token characters (alphanumerics and `-`) in a text.
+struct Run {
+    /// Byte range of the run in the scanned text.
+    span: Range<usize>,
+    /// False for a pure-dash run, which is not a token.
+    has_alnum: bool,
+    /// True when lowercasing is the identity (ASCII, no uppercase), so the
+    /// token is the source slice itself.
+    verbatim: bool,
 }
 
-/// The content tokens of `text`: [`tokenize`] minus stopwords.
+/// Char class bit: part of a run.
+const IN_RUN: u8 = 1;
+/// Char class bit: alphanumeric (every run char but `-`).
+const ALNUM: u8 = 2;
+/// Char class bit: lowercasing may change it.
+const FOLDS: u8 = 4;
+
+/// Class bits of every ASCII byte.
+const ASCII_CLASS: [u8; 128] = {
+    let mut table = [0u8; 128];
+    let mut b = 0u8;
+    while b < 128 {
+        table[b as usize] = if b.is_ascii_uppercase() {
+            IN_RUN | ALNUM | FOLDS
+        } else if b.is_ascii_alphanumeric() {
+            IN_RUN | ALNUM
+        } else if b == b'-' {
+            IN_RUN
+        } else {
+            0
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The tokeniser's state machine: an iterator over the [`Run`]s of a text.
+struct TokenRuns<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl TokenRuns<'_> {
+    /// Class bits and byte width of the char starting at byte `at`. ASCII
+    /// is a table lookup; anything else is decoded and asked.
+    #[inline]
+    fn classify(&self, at: usize) -> (u8, usize) {
+        let b = self.text.as_bytes()[at];
+        if b.is_ascii() {
+            return (ASCII_CLASS[b as usize], 1);
+        }
+        let c = self.text[at..].chars().next().expect("`at` is a char boundary");
+        (if c.is_alphanumeric() { IN_RUN | ALNUM | FOLDS } else { 0 }, c.len_utf8())
+    }
+}
+
+impl Iterator for TokenRuns<'_> {
+    type Item = Run;
+
+    fn next(&mut self) -> Option<Run> {
+        let len = self.text.len();
+        let mut i = self.pos;
+        while i < len {
+            let (class, width) = self.classify(i);
+            if class & IN_RUN != 0 {
+                break;
+            }
+            i += width;
+        }
+        let start = i;
+        let mut seen = 0u8;
+        while i < len {
+            let (class, width) = self.classify(i);
+            if class & IN_RUN == 0 {
+                break;
+            }
+            seen |= class;
+            i += width;
+        }
+        self.pos = i;
+        (i > start).then_some(Run {
+            span: start..i,
+            has_alnum: seen & ALNUM != 0,
+            verbatim: seen & FOLDS == 0,
+        })
+    }
+}
+
+fn runs(text: &str) -> TokenRuns<'_> {
+    TokenRuns { text, pos: 0 }
+}
+
+/// Visit every token of `text` in order: lowercase alphanumeric words,
+/// keeping internal hyphens (`"non-homologous"`, `"eqd2"`; `"t1/2"` splits
+/// at the slash).
+///
+/// The `&str` handed to `visit` is only valid for that call: a token that
+/// is already lowercase ASCII is a slice of `text`, anything else is
+/// lowercased into one scratch buffer reused across tokens — so a pass
+/// over a text allocates at most once, not once per token.
+pub fn for_each_token(text: &str, mut visit: impl FnMut(&str)) {
+    let mut scratch = String::new();
+    for run in runs(text).filter(|r| r.has_alnum) {
+        let raw = &text[run.span];
+        if run.verbatim {
+            visit(raw);
+            continue;
+        }
+        // Per-char mapping (not `str::to_lowercase`, whose final-sigma rule
+        // depends on the neighbouring chars).
+        scratch.clear();
+        scratch.extend(raw.chars().flat_map(char::to_lowercase));
+        visit(&scratch);
+    }
+}
+
+/// Visit the content tokens of `text`: [`for_each_token`] minus stopwords.
 ///
 /// This is the **one** corpus-side *and* query-side tokenisation every
 /// retrieval channel uses — the vocabulary, the hash embeddings, the BM25
-/// lexical index, and the simulated reranker all call through here, so a
+/// lexical index, and the simulated reranker all come through here, so a
 /// query can never tokenise differently from the corpus it searches.
+pub fn for_each_content_token(text: &str, mut visit: impl FnMut(&str)) {
+    for_each_token(text, |tok| {
+        if !crate::stopwords::is_stopword(tok) {
+            visit(tok);
+        }
+    });
+}
+
+/// The tokens of `text` as owned strings (see [`for_each_token`]).
+pub fn tokenize(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for_each_token(text, |tok| out.push(tok.to_string()));
+    out
+}
+
+/// The content tokens of `text` as owned strings (see
+/// [`for_each_content_token`]).
 pub fn content_tokens(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().filter(|t| !crate::stopwords::is_stopword(t)).collect()
+    let mut out = Vec::new();
+    for_each_content_token(text, |tok| out.push(tok.to_string()));
+    out
 }
 
 /// Number of tokens in `text` without materialising them.
 pub fn token_count(text: &str) -> usize {
-    let mut count = 0usize;
-    let mut in_tok = false;
-    let mut has_alnum = false;
-    for c in text.chars() {
-        if c.is_alphanumeric() || c == '-' {
-            in_tok = true;
-            has_alnum |= c.is_alphanumeric();
-        } else {
-            if in_tok && has_alnum {
-                count += 1;
-            }
-            in_tok = false;
-            has_alnum = false;
-        }
-    }
-    if in_tok && has_alnum {
-        count += 1;
-    }
-    count
+    runs(text).filter(|r| r.has_alnum).count()
 }
 
 /// Truncate `text` to at most `max_tokens` tokens, preserving the original
@@ -79,26 +179,13 @@ pub fn truncate_tokens(text: &str, max_tokens: usize) -> &str {
         return "";
     }
     let mut count = 0usize;
-    let mut in_tok = false;
-    let mut has_alnum = false;
-    for (i, c) in text.char_indices() {
-        if c.is_alphanumeric() || c == '-' {
-            if !in_tok {
-                // A new token starts here; if we already have the budget
-                // filled, cut before it.
-                if count == max_tokens {
-                    return &text[..i];
-                }
-            }
-            in_tok = true;
-            has_alnum |= c.is_alphanumeric();
-        } else {
-            if in_tok && has_alnum {
-                count += 1;
-            }
-            in_tok = false;
-            has_alnum = false;
+    for run in runs(text) {
+        // Cut before whatever starts once the budget is filled — a stray
+        // dash run included.
+        if count == max_tokens {
+            return &text[..run.span.start];
         }
+        count += usize::from(run.has_alnum);
     }
     text
 }

@@ -174,6 +174,71 @@ impl StableHasher {
     }
 }
 
+/// `FNV_PRIME⁷`: absorbing seven zero bytes is seven bare multiplications.
+const FNV_PRIME_POW7: u64 = {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < 7 {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// Two [`StableHasher`] streams fed the same bytes in lock step.
+///
+/// Feature hashing derives two independent hashes of every feature from
+/// two differently prefixed hashers. Forking both prefix states once and
+/// advancing them together turns that into a single pass over the feature
+/// bytes with two independent multiply chains per byte — and lets the
+/// feature be streamed in pieces instead of being formatted into a
+/// `String` first. `finish` equals what two [`StableHasher`]s forked from
+/// the same prefixes and fed the same calls would return.
+#[derive(Debug, Clone, Copy)]
+pub struct PairedHasher {
+    lanes: [u64; 2],
+}
+
+impl PairedHasher {
+    /// Continue from the current states of `a` and `b`.
+    #[inline]
+    pub fn new(a: &StableHasher, b: &StableHasher) -> Self {
+        Self { lanes: [a.state, b.state] }
+    }
+
+    /// Absorb raw bytes into both streams ([`StableHasher::write`]).
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        let [mut a, mut b] = self.lanes;
+        for &byte in bytes {
+            a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+            b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+        self.lanes = [a, b];
+    }
+
+    /// Absorb the length prefix [`StableHasher::write_str`] puts before a
+    /// string's bytes, so a string can then be streamed in pieces with
+    /// [`PairedHasher::write`].
+    #[inline]
+    pub fn write_len(&mut self, len: usize) {
+        if len < 256 {
+            // One significant little-endian byte, then seven zero bytes.
+            for lane in &mut self.lanes {
+                *lane = (*lane ^ len as u64).wrapping_mul(FNV_PRIME).wrapping_mul(FNV_PRIME_POW7);
+            }
+        } else {
+            self.write(&(len as u64).to_le_bytes());
+        }
+    }
+
+    /// Both streams' [`StableHasher::finish`].
+    #[inline]
+    pub fn finish(&self) -> [u64; 2] {
+        self.lanes.map(splitmix64)
+    }
+}
+
 /// Convenience: hash a sequence of string parts with domain separation.
 ///
 /// This is the workhorse for keyed model decisions, e.g.
@@ -243,6 +308,28 @@ mod tests {
         a.write_str("x");
         b.write_str("x");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn paired_hasher_matches_two_stable_hashers() {
+        let (mut a, mut b) = (StableHasher::with_seed(7), StableHasher::with_seed(7));
+        a.write_u32(0);
+        b.write_u32(1);
+        let long = "x".repeat(300);
+        for parts in
+            [vec![""], vec!["a"], vec!["#", "αβγ"], vec!["hx-29", "_", "cell"], vec![&long]]
+        {
+            let whole = parts.concat();
+            let mut paired = PairedHasher::new(&a, &b);
+            paired.write_len(whole.len());
+            for part in &parts {
+                paired.write(part.as_bytes());
+            }
+            let (mut ha, mut hb) = (a.clone(), b.clone());
+            ha.write_str(&whole);
+            hb.write_str(&whole);
+            assert_eq!(paired.finish(), [ha.finish(), hb.finish()], "{parts:?}");
+        }
     }
 
     #[test]

@@ -62,6 +62,28 @@ if grep -n 'permutation' crates/index/src/ivf.rs; then
     exit 1
 fi
 
+echo "== repro smoke: bad arguments are refused before any pipeline runs =="
+# A typo, an unknown flag, or a --scale outside (0, 1] (NaN included) must
+# take the usage + exit 2 path at parse time — never build the pipeline
+# first, never reach the at_scale assert (exit 101). `help` exits 0.
+for bad in "tabel2" "--scale 0.1" "all --scale 0" "all --scale 1.5" "all --scale nan" "fig1 --bogus 1"; do
+    RC=0
+    # shellcheck disable=SC2086
+    BAD_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- ${bad} 2>&1)" || RC=$?
+    if [[ "${RC}" -ne 2 ]] || ! grep -qF 'valid flags:' <<<"${BAD_OUT}" ||
+        grep -qF '[repro] building pipeline' <<<"${BAD_OUT}"; then
+        echo "repro smoke FAILED: 'repro ${bad}' exited ${RC} (want 2, usage table, no pipeline run)" >&2
+        exit 1
+    fi
+done
+for help in help --help; do
+    HELP_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- "${help}")"
+    if ! grep -qF 'commands: all table1' <<<"${HELP_OUT}"; then
+        echo "repro smoke FAILED: 'repro ${help}' does not print the usage table" >&2
+        exit 1
+    fi
+done
+
 echo "== repro smoke: scale=${SCALE} seed=${SEED} =="
 ALL_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- all --scale "${SCALE}" --seed "${SEED}")"
 echo "${ALL_OUT}"
@@ -359,14 +381,22 @@ fi
 
 echo "== repro smoke: golden artifact census (scale 0.02, seed 42) =="
 # The golden determinism bar: the sim-backend generation artifacts at the
-# pinned (scale, seed) must stay byte-identical across refactors. Captured
-# from the pre-ModelEndpoint pipeline; the full-artifact hashes behind the
-# same run are pinned in tests/golden.rs at the tiny config.
+# pinned (scale, seed) must stay byte-identical across refactors. Census
+# and question/trace hashes captured from the pre-ModelEndpoint pipeline,
+# the registry hash (every stored vector and lexical sibling) from the
+# commit before featurisation went single-pass; tests/golden.rs pins the
+# same three hashes at the tiny config.
 GOLDEN_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- fig1 --scale 0.02 --seed 42 2>&1)"
 GOLDEN_CENSUS="451 docs → 3760 chunks → 3760 candidates → 430 accepted"
 if ! grep -qF "${GOLDEN_CENSUS}" <<<"${GOLDEN_OUT}"; then
     echo "repro smoke FAILED: scale-0.02 census drifted from the golden run (${GOLDEN_CENSUS})" >&2
     grep -oE '[0-9]+ docs → [0-9]+ chunks → [0-9]+ candidates → [0-9]+ accepted' <<<"${GOLDEN_OUT}" >&2 || true
+    exit 1
+fi
+GOLDEN_HASHES="[golden] q_hash=0xb5f207d6fa4a7c92 t_hash=0xfa0e82468acfb54c registry_hash=0x7cf1025c90e0e835"
+if ! grep -qF "${GOLDEN_HASHES}" <<<"${GOLDEN_OUT}"; then
+    echo "repro smoke FAILED: scale-0.02 artifacts are no longer byte-identical to the golden run (${GOLDEN_HASHES})" >&2
+    grep -F '[golden]' <<<"${GOLDEN_OUT}" >&2 || true
     exit 1
 fi
 

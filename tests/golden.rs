@@ -8,10 +8,17 @@
 //! chunk boundary, reorders an id, or changes a simulator's output trips
 //! this test — the same bar the vector-store redesign cleared.
 //!
+//! The serialised index registry is pinned as well (captured on the commit
+//! before featurisation went single-pass and chunk→embed was fused): it
+//! holds every chunk vector, every trace vector and all four lexical
+//! siblings, so a change that flips one bit of one stored embedding, or
+//! interns one term in a different order, trips it even when the
+//! question/trace JSON stays the same.
+//!
 //! (The release-build census at scale 0.02 — 451 docs → 3760 chunks →
 //! 3760 candidates → 430 accepted, q_hash 0xb5f207d6fa4a7c92, t_hash
-//! 0xfa0e82468acfb54c — is pinned in `scripts/repro-smoke.sh`, where the
-//! optimized binary makes it cheap.)
+//! 0xfa0e82468acfb54c, registry_hash 0x7cf1025c90e0e835 — is pinned in
+//! `scripts/repro-smoke.sh`, where the optimized binary makes it cheap.)
 
 use distllm::prelude::*;
 
@@ -33,5 +40,11 @@ fn tiny_seed42_artifacts_are_byte_identical_to_the_pre_redesign_pipeline() {
         distllm::util::fnv1a(t_json.as_bytes()),
         0xe2a1_2236_fb88_ef06,
         "trace artifacts are no longer byte-identical to the golden run"
+    );
+    assert_eq!(
+        distllm::util::fnv1a(&out.indexes.to_bytes()),
+        0xd918_903b_0efc_8360,
+        "the index registry (chunk/trace vectors, lexical siblings) is no longer \
+         byte-identical to the golden run"
     );
 }

@@ -8,6 +8,76 @@ use distllm::text::{split_sentences, token_count, tokenize};
 use distllm::util::f16::{decode_f16_bytes, encode_f16_bytes};
 use distllm::util::F16;
 
+/// The tokeniser as it was before the single state machine: collect
+/// lowercased chars into a `String` per token. Kept as the oracle the
+/// streaming tokeniser is checked against.
+fn reference_tokenize(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut cur = String::new();
+    for c in text.chars().chain(std::iter::once(' ')) {
+        if c.is_alphanumeric() || c == '-' {
+            cur.extend(c.to_lowercase());
+        } else if !cur.is_empty() {
+            if cur.chars().any(|c| c.is_alphanumeric()) {
+                out.push(std::mem::take(&mut cur));
+            } else {
+                cur.clear();
+            }
+        }
+    }
+    out
+}
+
+/// `truncate_tokens` as it was before the single state machine.
+fn reference_truncate(text: &str, max_tokens: usize) -> &str {
+    if max_tokens == 0 {
+        return "";
+    }
+    let (mut count, mut in_tok, mut has_alnum) = (0usize, false, false);
+    for (i, c) in text.char_indices() {
+        if c.is_alphanumeric() || c == '-' {
+            if !in_tok && count == max_tokens {
+                return &text[..i];
+            }
+            in_tok = true;
+            has_alnum |= c.is_alphanumeric();
+        } else {
+            count += usize::from(in_tok && has_alnum);
+            in_tok = false;
+            has_alnum = false;
+        }
+    }
+    text
+}
+
+fn streamed_tokens(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    distllm::text::for_each_token(text, |t| out.push(t.to_string()));
+    out
+}
+
+#[test]
+fn streaming_tokeniser_matches_reference_on_awkward_unicode() {
+    // Lowercase expansions that change length (`İ` → `i̇`, two chars),
+    // chars with no case (`ß`, `µ`, `樹`), final-sigma context, pure-dash
+    // runs, dashes at token edges, and delimiters of every byte width.
+    let samples = [
+        "İstanbul DİYARBAKIR ıI",
+        "Straße STRASSE ß µm 5µM ΜΈΓΑΣ ΟΔΟΣ",
+        "- -- --- a-b -a- --x-- x---y",
+        "HX-29—TRK2…樹木 non-Homologous/END-joining",
+        "É\u{301}cole ǅ ǆ Ǆ \u{212A}elvin",
+        "",
+        "-",
+        "—",
+        "A",
+    ];
+    for s in samples {
+        assert_eq!(streamed_tokens(s), reference_tokenize(s), "{s:?}");
+        assert_eq!(tokenize(s), reference_tokenize(s), "{s:?}");
+    }
+}
+
 proptest! {
     // ---- SPZ codec ------------------------------------------------------
 
@@ -73,8 +143,29 @@ proptest! {
     }
 
     #[test]
+    fn streaming_tokeniser_matches_reference(
+        text in "[a-cX-Z0-2İßµΣσΜé樹 ,.;/—-]{0,120}",
+        noise in ".{0,200}",
+    ) {
+        for t in [&text, &noise] {
+            let reference = reference_tokenize(t);
+            prop_assert_eq!(&streamed_tokens(t), &reference);
+            prop_assert_eq!(&tokenize(t), &reference);
+            let content: Vec<String> = reference
+                .into_iter()
+                .filter(|t| !distllm::text::stopwords::is_stopword(t))
+                .collect();
+            prop_assert_eq!(&distllm::text::content_tokens(t), &content);
+            let mut streamed_content = Vec::new();
+            distllm::text::for_each_content_token(t, |t| streamed_content.push(t.to_string()));
+            prop_assert_eq!(&streamed_content, &content);
+        }
+    }
+
+    #[test]
     fn truncate_is_prefix_and_respects_budget(text in ".{0,400}", k in 0usize..60) {
         let t = distllm::text::token::truncate_tokens(&text, k);
+        prop_assert_eq!(t, reference_truncate(&text, k));
         prop_assert!(text.starts_with(t));
         prop_assert!(token_count(t) <= k);
     }
