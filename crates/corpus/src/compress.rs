@@ -15,6 +15,8 @@
 //! Greedy matcher with a 3-byte hash-chain over a sliding window. Window
 //! 8 KiB, min match 4, max match 1 KiB.
 
+use mcqa_util::codec::{put_varint, Reader};
+
 /// Maximum look-back distance.
 const WINDOW: usize = 8 * 1024;
 /// Minimum match length worth encoding.
@@ -53,40 +55,11 @@ impl std::fmt::Display for SpzError {
 
 impl std::error::Error for SpzError {}
 
-/// Append a LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Read a LEB128 varint.
-fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, SpzError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&b) = data.get(*pos) else {
-            return Err(SpzError::Truncated);
-        };
-        *pos += 1;
-        if shift >= 63 && (b & 0x7f) > 1 {
-            return Err(SpzError::BadVarint);
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(SpzError::BadVarint);
-        }
-    }
+/// A varint off the cursor. `Reader::varint` fails on a stream that ends
+/// inside the varint and on one that runs past 64 bits; bytes left over
+/// tell the two apart.
+fn get_varint(r: &mut Reader<'_>) -> Result<u64, SpzError> {
+    r.varint().ok_or(if r.exhausted() { SpzError::Truncated } else { SpzError::BadVarint })
 }
 
 /// Compress `input` into a fresh buffer.
@@ -181,25 +154,20 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// (guards against decompression bombs from corrupt inputs).
 pub fn decompress(data: &[u8], cap: usize) -> Result<Vec<u8>, SpzError> {
     let mut out: Vec<u8> = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let tag = data[pos];
-        pos += 1;
+    let mut r = Reader::new(data);
+    while let Some(tag) = r.u8() {
         match tag {
             0x00 => {
-                let len = get_varint(data, &mut pos)? as usize;
-                if pos + len > data.len() {
-                    return Err(SpzError::Truncated);
-                }
+                let len = get_varint(&mut r)? as usize;
+                let literal = r.take(len).ok_or(SpzError::Truncated)?;
                 if out.len() + len > cap {
                     return Err(SpzError::TooLong { cap });
                 }
-                out.extend_from_slice(&data[pos..pos + len]);
-                pos += len;
+                out.extend_from_slice(literal);
             }
             0x01 => {
-                let dist = get_varint(data, &mut pos)? as usize;
-                let len = get_varint(data, &mut pos)? as usize;
+                let dist = get_varint(&mut r)? as usize;
+                let len = get_varint(&mut r)? as usize;
                 if dist == 0 || dist > out.len() {
                     return Err(SpzError::BadDistance { distance: dist, available: out.len() });
                 }
@@ -322,12 +290,13 @@ mod tests {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
             buf.clear();
             put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+            let mut r = Reader::new(&buf);
+            assert_eq!(get_varint(&mut r).unwrap(), v);
+            assert!(r.exhausted());
         }
         // Unterminated varint
-        let mut pos = 0;
-        assert_eq!(get_varint(&[0x80, 0x80], &mut pos), Err(SpzError::Truncated));
+        assert_eq!(get_varint(&mut Reader::new(&[0x80, 0x80])), Err(SpzError::Truncated));
+        // Eleven continuation bytes run past 64 bits with data left over.
+        assert_eq!(get_varint(&mut Reader::new(&[0xff; 12])), Err(SpzError::BadVarint));
     }
 }

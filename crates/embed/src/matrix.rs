@@ -319,13 +319,20 @@ impl EmbeddingMatrix {
         out
     }
 
-    /// Deserialise from bytes produced by [`EmbeddingMatrix::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    /// `(dim, rows)` from the header of [`EmbeddingMatrix::to_bytes`]
+    /// output, without touching row data.
+    pub fn peek_shape(bytes: &[u8]) -> Option<(usize, usize)> {
         if bytes.len() < 13 || &bytes[..4] != b"EMBX" {
             return None;
         }
         let dim = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
         let rows = u32::from_le_bytes(bytes[8..12].try_into().ok()?) as usize;
+        Some((dim, rows))
+    }
+
+    /// Deserialise from bytes produced by [`EmbeddingMatrix::to_bytes`].
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        let (dim, rows) = Self::peek_shape(bytes)?;
         let precision = match bytes[12] {
             0 => Precision::F32,
             1 => Precision::F16,

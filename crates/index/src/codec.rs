@@ -11,18 +11,6 @@ pub(crate) use mcqa_util::codec::{
 
 use crate::metric::Metric;
 
-/// Read a metric byte off a [`Reader`]: keeps decode call sites on the
-/// `r.metric()` idiom now that the cursor itself is metric-agnostic.
-pub(crate) trait ReadMetricExt {
-    fn metric(&mut self) -> Option<Metric>;
-}
-
-impl ReadMetricExt for Reader<'_> {
-    fn metric(&mut self) -> Option<Metric> {
-        decode_metric(self.u8()?)
-    }
-}
-
 pub(crate) fn encode_metric(m: Metric) -> u8 {
     match m {
         Metric::Cosine => 0,
@@ -50,13 +38,5 @@ mod tests {
             assert_eq!(decode_metric(encode_metric(m)), Some(m));
         }
         assert_eq!(decode_metric(9), None);
-    }
-
-    #[test]
-    fn reader_metric_extension() {
-        let bytes = [encode_metric(Metric::L2), 9];
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.metric(), Some(Metric::L2));
-        assert_eq!(r.metric(), None, "unknown metric byte rejected");
     }
 }

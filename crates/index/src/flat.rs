@@ -18,9 +18,11 @@ use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
 use mcqa_runtime::{run_stage, Executor};
 use mcqa_util::kernel;
 
-use crate::codec::{encode_metric, put_u64, ReadMetricExt, Reader};
+use crate::codec::{decode_metric, encode_metric, put_u64, Reader};
+use crate::lazy::StoreHeader;
 use crate::metric::Metric;
-use crate::{SearchResult, TopK, VectorStore};
+use crate::tombstones::Tombstones;
+use crate::{panel_rows, SearchResult, TopK, VectorStore};
 
 /// An exact (non-approximate) vector index. Ground truth for recall tests
 /// and the right default below ~10⁵ vectors.
@@ -29,11 +31,10 @@ pub struct FlatIndex {
     matrix: EmbeddingMatrix,
     ids: Vec<u64>,
     metric: Metric,
-    /// Tombstone bitmap by row position; tombstoned rows stay resident
-    /// (and scored — their hits are filtered at the top-k push) until
+    /// Tombstones by row position; tombstoned rows stay resident (and
+    /// scored — their hits are filtered at the top-k push) until
     /// [`VectorStore::compact`] rewrites the matrix.
-    dead: Vec<bool>,
-    dead_count: usize,
+    dead: Tombstones,
     /// Resident decoded panels for F16 matrices (a `Clone` starts cold, so
     /// derived `Clone` stays correct for independently-mutating copies).
     /// Invalidated whenever the matrix bytes change; `remove` only
@@ -51,8 +52,7 @@ impl FlatIndex {
             matrix: EmbeddingMatrix::new(dim, precision),
             ids: Vec::new(),
             metric,
-            dead: Vec::new(),
-            dead_count: 0,
+            dead: Tombstones::default(),
             cache: PanelCache::default(),
         }
     }
@@ -60,20 +60,34 @@ impl FlatIndex {
     /// Deserialise from [`VectorStore::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        r.expect_magic(Self::MAGIC)?;
-        let metric = r.metric()?;
-        let mlen = r.u64()? as usize;
-        let matrix = EmbeddingMatrix::from_bytes(r.take(mlen)?)?;
+        let (metric, matrix) = Self::read_prefix(&mut r)?;
+        let matrix = EmbeddingMatrix::from_bytes(matrix)?;
         let n = matrix.len();
         let ids: Vec<u64> = (0..n).map(|_| r.u64()).collect::<Option<_>>()?;
         r.exhausted().then_some(Self {
             matrix,
             ids,
             metric,
-            dead: vec![false; n],
-            dead_count: 0,
+            dead: Tombstones::all_live(n),
             cache: PanelCache::default(),
         })
+    }
+
+    /// Magic tag, metric and the length-framed matrix blob: everything
+    /// ahead of the id column.
+    fn read_prefix<'a>(r: &mut Reader<'a>) -> Option<(Metric, &'a [u8])> {
+        r.expect_magic(Self::MAGIC)?;
+        let metric = decode_metric(r.u8()?)?;
+        let mlen = r.u64()? as usize;
+        Some((metric, r.take(mlen)?))
+    }
+
+    /// The header facts of [`VectorStore::to_bytes`] output, read without
+    /// decoding a row.
+    pub(crate) fn peek_header(bytes: &[u8]) -> Option<StoreHeader> {
+        let (metric, matrix) = Self::read_prefix(&mut Reader::new(bytes))?;
+        let (dim, len) = EmbeddingMatrix::peek_shape(matrix)?;
+        Some(StoreHeader { backend: "flat", metric, dim, len, needs_training: false })
     }
 
     /// The resident panel cache (hit/miss counters, budget, residency) —
@@ -89,8 +103,8 @@ impl FlatIndex {
     fn live_clone(&self) -> Self {
         let mut out = Self::new(self.matrix.dim(), self.metric, self.matrix.precision());
         out.cache = self.cache.clone(); // cold, but keeps the budget policy
-        for (i, &id) in self.ids.iter().enumerate() {
-            if !self.dead[i] {
+        for (i, (&id, &dead)) in self.ids.iter().zip(self.dead.flags()).enumerate() {
+            if !dead {
                 out.add(id, &self.matrix.row(i).expect("row in range"));
             }
         }
@@ -109,12 +123,6 @@ impl FlatIndex {
         self.matrix.row(position).expect("position out of range")
     }
 
-    /// Default rows per decoded panel: sized so an f32 panel stays around
-    /// 64 KiB (L2-resident) at any dimensionality.
-    fn default_block_rows(&self) -> usize {
-        (16_384 / self.dim().max(1)).clamp(8, 4096)
-    }
-
     /// [`VectorStore::search`] with an explicit panel height. Exposed so
     /// the property suite and benches can sweep block sizes (including
     /// ragged tails, `len % block_rows != 0`); results are independent of
@@ -128,12 +136,13 @@ impl FlatIndex {
         let mut topk = TopK::new(k);
         let mut scores = vec![0.0f32; block_rows];
         let norms = self.matrix.row_sq_norms();
+        let dead = self.dead.flags();
         self.matrix.for_each_panel(&self.cache, 0, block_rows, |start, panel| {
             let rows = panel.len() / self.dim();
             let out = &mut scores[..rows];
             self.metric.score_block(query, q_sq, panel, &norms[start..start + rows], out);
             for (j, &score) in out.iter().enumerate() {
-                if !self.dead[start + j] {
+                if !dead[start + j] {
                     topk.push(SearchResult { id: self.ids[start + j], score });
                 }
             }
@@ -184,6 +193,7 @@ impl FlatIndex {
             let mut topks: Vec<TopK> = (0..block_queries.len()).map(|_| TopK::new(k)).collect();
             let mut scores = vec![0.0f32; block_rows];
             let norms = self.matrix.row_sq_norms();
+            let dead = self.dead.flags();
             self.matrix.for_each_panel(&self.cache, 0, block_rows, |start, panel| {
                 let rows = panel.len() / self.dim();
                 let row_norms = &norms[start..start + rows];
@@ -191,7 +201,7 @@ impl FlatIndex {
                     let out = &mut scores[..rows];
                     self.metric.score_block(q, q_sq, panel, row_norms, out);
                     for (j, &score) in out.iter().enumerate() {
-                        if !self.dead[start + j] {
+                        if !dead[start + j] {
                             topk.push(SearchResult { id: self.ids[start + j], score });
                         }
                     }
@@ -207,7 +217,7 @@ impl VectorStore for FlatIndex {
     fn add(&mut self, id: u64, vector: &[f32]) {
         self.matrix.push(vector);
         self.ids.push(id);
-        self.dead.push(false);
+        self.dead.grow_to(self.ids.len());
         // The tail panel's row count changed; resident copies are stale.
         self.cache.invalidate();
     }
@@ -218,35 +228,26 @@ impl VectorStore for FlatIndex {
         let rows: Vec<&[f32]> = items.iter().map(|(_, v)| v.as_slice()).collect();
         self.matrix.extend_parallel(exec, &rows);
         self.ids.extend(items.iter().map(|(id, _)| *id));
-        self.dead.resize(self.ids.len(), false);
+        self.dead.grow_to(self.ids.len());
         self.cache.invalidate();
     }
 
     fn remove(&mut self, ids: &[u64]) -> usize {
-        let targets: std::collections::HashSet<u64> = ids.iter().copied().collect();
-        let mut newly = 0;
-        for (i, id) in self.ids.iter().enumerate() {
-            if !self.dead[i] && targets.contains(id) {
-                self.dead[i] = true;
-                newly += 1;
-            }
-        }
-        self.dead_count += newly;
-        newly
+        self.dead.kill(self.ids.iter().copied(), &ids.iter().copied().collect())
     }
 
     fn tombstones(&self) -> usize {
-        self.dead_count
+        self.dead.count()
     }
 
     fn compact(&mut self, _exec: &Executor) {
-        if self.dead_count > 0 {
+        if self.dead.count() > 0 {
             *self = self.live_clone();
         }
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
-        self.search_blocked(query, k, self.default_block_rows())
+        self.search_blocked(query, k, panel_rows(self.dim()))
     }
 
     fn search_batch(
@@ -255,11 +256,11 @@ impl VectorStore for FlatIndex {
         queries: &[Vec<f32>],
         k: usize,
     ) -> Vec<Vec<SearchResult>> {
-        self.search_batch_blocked(exec, queries, k, self.default_block_rows(), 0)
+        self.search_batch_blocked(exec, queries, k, panel_rows(self.dim()), 0)
     }
 
     fn len(&self) -> usize {
-        self.ids.len() - self.dead_count
+        self.ids.len() - self.dead.count()
     }
 
     fn metric(&self) -> Metric {
@@ -283,7 +284,7 @@ impl VectorStore for FlatIndex {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        if self.dead_count > 0 {
+        if self.dead.count() > 0 {
             // The wire format is tombstone-free: serialise the live view.
             return self.live_clone().to_bytes();
         }

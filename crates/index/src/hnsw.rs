@@ -25,8 +25,10 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::codec::{encode_metric, put_f32s, put_u32, put_u64, ReadMetricExt, Reader};
+use crate::codec::{decode_metric, encode_metric, put_f32s, put_u32, put_u64, Reader};
+use crate::lazy::StoreHeader;
 use crate::metric::Metric;
+use crate::tombstones::Tombstones;
 use crate::{sort_hits, SearchResult, VectorStore};
 
 /// HNSW parameters.
@@ -67,11 +69,8 @@ pub struct HnswIndex {
     dim: usize,
     metric: Metric,
     nodes: Vec<Node>,
-    /// Per-node tombstones, parallel to `nodes`. Per node rather than per
-    /// id so an upsert (tombstone + re-insert the same id) never masks
-    /// the newly inserted node.
-    dead: Vec<bool>,
-    dead_count: usize,
+    /// Per-node tombstones, parallel to `nodes`.
+    dead: Tombstones,
     entry: Option<usize>,
     max_layer: usize,
 }
@@ -114,8 +113,7 @@ impl HnswIndex {
             dim,
             metric,
             nodes: Vec::new(),
-            dead: Vec::new(),
-            dead_count: 0,
+            dead: Tombstones::default(),
             entry: None,
             max_layer: 0,
         }
@@ -126,7 +124,7 @@ impl HnswIndex {
     /// HNSW rebuilds rather than rewriting in place.
     fn rebuild_live(&self) -> Self {
         let mut out = Self::new(self.dim, self.metric, self.config.clone());
-        for (node, &dead) in self.nodes.iter().zip(&self.dead) {
+        for (node, &dead) in self.nodes.iter().zip(self.dead.flags()) {
             if !dead {
                 out.add(node.id, &node.vector);
             }
@@ -137,19 +135,10 @@ impl HnswIndex {
     /// Deserialise from [`VectorStore::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        r.expect_magic(Self::MAGIC)?;
-        let metric = r.metric()?;
-        let dim = r.u32()? as usize;
-        let config = HnswConfig {
-            m: r.u32()? as usize,
-            ef_construction: r.u32()? as usize,
-            ef_search: r.u32()? as usize,
-            seed: r.u64()?,
-        };
+        let (metric, dim, config, n) = Self::read_prefix(&mut r)?;
         if config.m < 2 || config.ef_construction < config.m || config.ef_search == 0 {
             return None;
         }
-        let n = r.count(8 + dim * 4)?;
         let entry_raw = r.u32()?;
         let entry = if entry_raw == u32::MAX {
             None
@@ -198,17 +187,38 @@ impl HnswIndex {
         if n > 0 && max_layer + 1 != tallest {
             return None;
         }
-        let n_nodes = nodes.len();
         r.exhausted().then_some(Self {
             config,
             dim,
             metric,
+            dead: Tombstones::all_live(nodes.len()),
             nodes,
-            dead: vec![false; n_nodes],
-            dead_count: 0,
             entry,
             max_layer,
         })
+    }
+
+    /// Magic tag, metric, dimensionality, config and node count:
+    /// everything ahead of the graph.
+    fn read_prefix(r: &mut Reader<'_>) -> Option<(Metric, usize, HnswConfig, usize)> {
+        r.expect_magic(Self::MAGIC)?;
+        let metric = decode_metric(r.u8()?)?;
+        let dim = r.u32()? as usize;
+        let config = HnswConfig {
+            m: r.u32()? as usize,
+            ef_construction: r.u32()? as usize,
+            ef_search: r.u32()? as usize,
+            seed: r.u64()?,
+        };
+        let n = r.count(8 + dim * 4)?;
+        Some((metric, dim, config, n))
+    }
+
+    /// The header facts of [`VectorStore::to_bytes`] output, read without
+    /// decoding a node.
+    pub(crate) fn peek_header(bytes: &[u8]) -> Option<StoreHeader> {
+        let (metric, dim, _, len) = Self::read_prefix(&mut Reader::new(bytes))?;
+        Some(StoreHeader { backend: "hnsw", metric, dim, len, needs_training: false })
     }
 
     /// Geometric level draw, deterministic per id.
@@ -310,7 +320,7 @@ impl VectorStore for HnswIndex {
             vector: vector.to_vec(),
             neighbours: vec![Vec::new(); level + 1],
         });
-        self.dead.push(false);
+        self.dead.grow_to(self.nodes.len());
 
         let Some(mut entry) = self.entry else {
             self.entry = Some(new_idx);
@@ -401,11 +411,11 @@ impl VectorStore for HnswIndex {
         // stay in the beam) but are filtered from the results; widening
         // the beam by the tombstone count keeps up to `k` live hits
         // reachable.
-        let ef = self.config.ef_search.max(k).saturating_add(self.dead_count);
+        let ef = self.config.ef_search.max(k).saturating_add(self.dead.count());
         let found = self.search_layer(query, &[entry], ef, 0);
         let mut hits: Vec<SearchResult> = found
             .into_iter()
-            .filter(|s| !self.dead[s.node])
+            .filter(|s| !self.dead.flags()[s.node])
             .map(|s| SearchResult { id: self.nodes[s.node].id, score: s.score })
             .collect();
         sort_hits(&mut hits);
@@ -414,30 +424,21 @@ impl VectorStore for HnswIndex {
     }
 
     fn remove(&mut self, ids: &[u64]) -> usize {
-        let targets: std::collections::HashSet<u64> = ids.iter().copied().collect();
-        let mut removed = 0usize;
-        for (node, dead) in self.nodes.iter().zip(self.dead.iter_mut()) {
-            if !*dead && targets.contains(&node.id) {
-                *dead = true;
-                removed += 1;
-            }
-        }
-        self.dead_count += removed;
-        removed
+        self.dead.kill(self.nodes.iter().map(|n| n.id), &ids.iter().copied().collect())
     }
 
     fn tombstones(&self) -> usize {
-        self.dead_count
+        self.dead.count()
     }
 
     fn compact(&mut self, _exec: &Executor) {
-        if self.dead_count > 0 {
+        if self.dead.count() > 0 {
             *self = self.rebuild_live();
         }
     }
 
     fn len(&self) -> usize {
-        self.nodes.len() - self.dead_count
+        self.nodes.len() - self.dead.count()
     }
 
     fn metric(&self) -> Metric {
@@ -458,7 +459,7 @@ impl VectorStore for HnswIndex {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        if self.dead_count > 0 {
+        if self.dead.count() > 0 {
             return self.rebuild_live().to_bytes();
         }
         let mut out = Vec::with_capacity(self.payload_bytes() + 64);

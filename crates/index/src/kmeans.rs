@@ -1,9 +1,10 @@
 //! Shared k-means trainer: k-means++ seeding plus Lloyd iterations fanned
 //! out over the runtime pool.
 //!
-//! Both coarse quantisers ([`crate::IvfIndex`] and [`crate::PqIndex`])
-//! train through this module, so seeding improvements land in every
-//! trainable backend at once. Seeding is k-means++ (D² sampling): each new
+//! The inverted-list store ([`crate::ListStore`], i.e. both
+//! [`crate::IvfIndex`] and [`crate::PqIndex`]) trains through this
+//! module, and the module is private to the crate, so there is exactly
+//! one caller and no second trainer to drift from. Seeding is k-means++ (D² sampling): each new
 //! centre is drawn with probability proportional to its squared L2
 //! distance to the nearest centre chosen so far, which bounds the expected
 //! quantisation error within O(log k) of optimal (Arthur & Vassilvitskii
@@ -51,7 +52,7 @@ pub(crate) fn nearest(metric: Metric, centroids: &[Vec<f32>], v: &[f32]) -> usiz
 /// so centroids settle under the same similarity that search will use.
 /// Empty clusters keep their previous position. Panics on an empty sample
 /// or mismatched vector dimensions.
-pub fn train_centroids(
+pub(crate) fn train_centroids(
     exec: &Executor,
     metric: Metric,
     training: &[Vec<f32>],

@@ -16,7 +16,6 @@ use std::sync::OnceLock;
 use mcqa_embed::PanelBudget;
 use mcqa_runtime::Executor;
 
-use crate::codec::{ReadMetricExt, Reader};
 use crate::metric::Metric;
 use crate::{decode_store, FlatIndex, HnswIndex, IvfIndex, PqIndex, SearchResult, VectorStore};
 
@@ -32,89 +31,20 @@ pub struct StoreHeader {
     pub dim: usize,
     /// Stored vector count.
     pub len: usize,
+    /// Whether the backend must be trained before it accepts vectors.
+    pub needs_training: bool,
 }
 
 /// Decode the header of a store serialised by
 /// [`VectorStore::to_bytes`], walking length framing but never row
-/// payloads. `None` on unknown magic or a malformed header.
+/// payloads — each format's own walk sits beside its decoder. `None` on
+/// unknown magic or a malformed header.
 pub fn peek_store_header(bytes: &[u8]) -> Option<StoreHeader> {
-    let mut r = Reader::new(bytes);
     match bytes.get(..4)? {
-        m if m == FlatIndex::MAGIC => {
-            r.expect_magic(FlatIndex::MAGIC)?;
-            let metric = r.metric()?;
-            let mlen = r.u64()? as usize;
-            // The matrix's own EMBX header: magic, u32 dim, u32 rows.
-            let matrix = r.take(mlen)?;
-            let mut m = Reader::new(matrix);
-            m.expect_magic(b"EMBX")?;
-            let dim = m.u32()? as usize;
-            let len = m.u32()? as usize;
-            Some(StoreHeader { backend: "flat", metric, dim, len })
-        }
-        m if m == HnswIndex::MAGIC => {
-            r.expect_magic(HnswIndex::MAGIC)?;
-            let metric = r.metric()?;
-            let dim = r.u32()? as usize;
-            let _m = r.u32()?;
-            let _ef_construction = r.u32()?;
-            let _ef_search = r.u32()?;
-            let _seed = r.u64()?;
-            let len = r.count(8 + dim * 4)?;
-            Some(StoreHeader { backend: "hnsw", metric, dim, len })
-        }
-        m if m == IvfIndex::MAGIC => {
-            r.expect_magic(IvfIndex::MAGIC)?;
-            let metric = r.metric()?;
-            let dim = r.u32()? as usize;
-            let _nlist = r.u32()?;
-            let _nprobe = r.u32()?;
-            let _train_iters = r.u32()?;
-            let _seed = r.u64()?;
-            let _trained = r.u8()?;
-            let n_centroids = r.count(dim * 4)?;
-            r.take(n_centroids.checked_mul(dim.checked_mul(4)?)?)?;
-            // Total length lives in the per-list entry counts; walk the
-            // framing (4 bytes per list) and skip the entry payloads.
-            let n_lists = r.count(4)?;
-            let entry_size = 8usize.checked_add(dim.checked_mul(4)?)?;
-            let mut len = 0usize;
-            for _ in 0..n_lists {
-                let entries = r.count(entry_size)?;
-                r.take(entries.checked_mul(entry_size)?)?;
-                len = len.checked_add(entries)?;
-            }
-            Some(StoreHeader { backend: "ivf", metric, dim, len })
-        }
-        m if m == PqIndex::MAGIC => {
-            r.expect_magic(PqIndex::MAGIC)?;
-            let metric = r.metric()?;
-            let dim = r.u32()? as usize;
-            let _nlist = r.u32()?;
-            let _nprobe = r.u32()?;
-            let _train_iters = r.u32()?;
-            let bits = r.u8()? as usize;
-            let _sub_dim = r.u32()?;
-            let _seed = r.u64()?;
-            let _trained = r.u8()?;
-            let n_sub = r.count(8)?;
-            r.take(n_sub.checked_mul(8)?)?; // scale + bias
-            let n_centroids = r.count(dim * 4)?;
-            r.take(n_centroids.checked_mul(dim.checked_mul(4)?)?)?;
-            // Total length lives in the per-list entry counts; each list
-            // frames its delta-varint ids + packed codes behind an
-            // explicit payload length, so the walk skips blobs whole.
-            let n_lists = r.count(4)?;
-            let code_bytes = dim.checked_mul(bits)?.checked_add(7)? / 8;
-            let mut len = 0usize;
-            for _ in 0..n_lists {
-                let entries = r.count(code_bytes.max(1))?;
-                let payload_len = r.count(1)?;
-                r.take(payload_len)?;
-                len = len.checked_add(entries)?;
-            }
-            Some(StoreHeader { backend: "pq", metric, dim, len })
-        }
+        m if m == FlatIndex::MAGIC => FlatIndex::peek_header(bytes),
+        m if m == HnswIndex::MAGIC => HnswIndex::peek_header(bytes),
+        m if m == IvfIndex::MAGIC => IvfIndex::peek_header(bytes),
+        m if m == PqIndex::MAGIC => PqIndex::peek_header(bytes),
         _ => None,
     }
 }
@@ -220,7 +150,7 @@ impl VectorStore for LazyStore {
     fn needs_training(&self) -> bool {
         match self.inner.get() {
             Some(inner) => inner.needs_training(),
-            None => matches!(self.header.backend, "ivf" | "pq"),
+            None => self.header.needs_training,
         }
     }
 
@@ -321,6 +251,7 @@ mod tests {
             assert_eq!(header.metric, store.metric(), "{}", spec.label());
             assert_eq!(header.dim, store.dim(), "{}", spec.label());
             assert_eq!(header.len, store.len(), "{}", spec.label());
+            assert_eq!(header.needs_training, store.needs_training(), "{}", spec.label());
         }
         assert!(peek_store_header(b"????rest").is_none());
         assert!(peek_store_header(b"FLAT").is_none(), "truncated header rejected");

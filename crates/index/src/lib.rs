@@ -1,19 +1,22 @@
 //! `mcqa-index` — vector stores standing in for FAISS.
 //!
 //! The paper keeps four FAISS databases: one over paper chunks and one per
-//! reasoning-trace mode. This crate supplies the same capability with four
-//! index families behind **one backend-agnostic trait**, [`VectorStore`]:
+//! reasoning-trace mode. This crate supplies the same capability with
+//! three index structures — four backends — behind **one
+//! backend-agnostic trait**, [`VectorStore`]:
 //!
 //! * [`flat`] — exact brute-force search (ground truth; what the paper's
 //!   small FP16 databases effectively use).
-//! * [`ivf`] — inverted-file index with a k-means coarse quantiser and
-//!   `nprobe` search, trading recall for speed on large corpora.
-//! * [`pq`] — quantized IVF: coarse centroids plus 4–8-bit residual codes,
-//!   holding large corpora in a fraction of the flat matrix's memory.
+//! * [`list`] — one inverted-list store ([`ListStore`]: k-means coarse
+//!   quantiser, `nprobe` search, trading recall for speed on large
+//!   corpora) with the row codec as its parameter. Two codecs, two
+//!   backends: [`IvfIndex`] keeps rows as packed F32; [`PqIndex`] keeps
+//!   4–8-bit residual codes against the coarse centroid, holding large
+//!   corpora in a fraction of the flat matrix's memory. Both fit their
+//!   centroids through the crate-private k-means++ trainer (Lloyd fanned
+//!   out on the [`Executor`]).
 //! * [`hnsw`] — a hierarchical navigable-small-world graph for logarithmic
 //!   search, the standard high-recall ANN structure.
-//! * [`kmeans`] — the shared k-means++ trainer both coarse quantisers
-//!   fit their centroids through (Lloyd fanned out on the [`Executor`]).
 //! * [`metric`] — cosine / dot / L2 metrics shared by all indexes.
 //! * [`spec`] — [`IndexSpec`] (the *configuration* of a backend) plus the
 //!   [`build_store`] factory and the [`decode_store`] codec, so consumers
@@ -22,7 +25,10 @@
 //!   modes, like the paper's four FAISS stores), round-trippable to bytes.
 //! * [`lazy`] — the serving-grade open path: [`IndexRegistry::open_bytes`]
 //!   validates headers now and defers row decoding to first search, so
-//!   startup cost is a header walk instead of a full-corpus decode.
+//!   startup cost is a header walk instead of a full-corpus decode. Each
+//!   wire format's layout — header walk included — is known only to the
+//!   module that writes it; [`decode_store`] and [`peek_store_header`]
+//!   just dispatch on the magic tag.
 //!
 //! The trait surface covers the whole store lifecycle: [`VectorStore::train`]
 //! (a no-op for everything but the coarse quantisers), [`VectorStore::add`] /
@@ -46,27 +52,28 @@
 //! top-k heap, and blocks batched search over queries as well as rows
 //! (one panel decode per query block). The blocked paths are
 //! property-tested bit-identical to a per-row scalar oracle
-//! (`tests/kernel.rs`); IVF's in-list scan reuses the same kernels.
+//! (`tests/kernel.rs`); the list store's in-list scan reuses the same
+//! kernels.
 
 pub mod flat;
 pub mod hnsw;
-pub mod ivf;
-pub mod kmeans;
 pub mod lazy;
+pub mod list;
 pub mod metric;
-pub mod pq;
 pub mod registry;
 pub mod spec;
 
 pub(crate) mod codec;
+pub(crate) mod kmeans;
+pub(crate) mod tombstones;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use ivf::{IvfConfig, IvfIndex};
-pub use kmeans::train_centroids;
 pub use lazy::{peek_store_header, LazyStore, StoreHeader};
+pub use list::{
+    F32Rows, IvfConfig, IvfIndex, ListStore, PqConfig, PqIndex, ResidualCodec, RowCodec,
+};
 pub use metric::Metric;
-pub use pq::{PqConfig, PqIndex, ResidualCodec};
 pub use registry::IndexRegistry;
 pub use spec::{build_store, build_store_from_vectors, decode_store, IndexSpec};
 
@@ -78,6 +85,12 @@ use mcqa_runtime::{run_stage_batched, Executor};
 /// unchanged.
 pub use mcqa_util::hits::SearchResult;
 pub(crate) use mcqa_util::hits::{sort_hits, TopK};
+
+/// Rows per scored panel: sized so an f32 panel (and the scores buffer
+/// beside it) stays around 64 KiB — L2-resident — at any dimensionality.
+pub(crate) fn panel_rows(dim: usize) -> usize {
+    (16_384 / dim.max(1)).clamp(8, 4096)
+}
 
 /// The common vector-store interface. Everything downstream of this crate
 /// (the pipeline, the evaluator, the `repro` binary) programs against

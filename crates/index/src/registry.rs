@@ -227,71 +227,48 @@ impl IndexRegistry {
     /// Serialise every store (name-tagged, in name order), then the
     /// lexical siblings as a trailing section in the same framing.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(Self::MAGIC);
-        put_u32(&mut out, self.stores.len());
-        for (name, store) in &self.stores {
-            let b = store.to_bytes();
-            put_u32(&mut out, name.len());
-            out.extend_from_slice(name.as_bytes());
-            put_u32(&mut out, b.len());
-            out.extend_from_slice(&b);
-        }
-        put_u32(&mut out, self.lexical.len());
-        for (name, slot) in &self.lexical {
-            let b = slot.to_bytes();
-            put_u32(&mut out, name.len());
-            out.extend_from_slice(name.as_bytes());
-            put_u32(&mut out, b.len());
-            out.extend_from_slice(&b);
-        }
+        let mut out = Self::MAGIC.to_vec();
+        put_section(&mut out, self.stores.iter().map(|(n, s)| (n, s.to_bytes())));
+        put_section(&mut out, self.lexical.iter().map(|(n, s)| (n, s.to_bytes())));
         out
     }
 
-    /// Decode the trailing lexical section. An exhausted cursor means a
-    /// pre-section artifact (zero siblings) — accepted for back-compat.
-    /// `validate_eagerly` decides whether each sibling's payload is
-    /// decoded now (`from_bytes`) or kept as raw bytes until first touch
-    /// (`open_bytes` — only the `LEXI` magic is checked upfront).
-    fn decode_lexical_section(&mut self, r: &mut Reader<'_>, validate_eagerly: bool) -> Option<()> {
-        if r.exhausted() {
-            return Some(());
-        }
-        let n = r.count(8)?;
-        for _ in 0..n {
-            let name_len = r.count(1)?;
-            let name = std::str::from_utf8(r.take(name_len)?).ok()?.to_string();
-            let blob_len = r.count(1)?;
-            let blob = r.take(blob_len)?;
-            let slot = if validate_eagerly {
-                LexicalSlot::eager(LexicalIndex::from_bytes(blob)?)
+    /// Decode a registry; `lazy` decides whether each payload is decoded
+    /// now or validated by header (dense stores) / `LEXI` magic (lexical
+    /// siblings) and kept as raw bytes until first touch.
+    fn decode(bytes: &[u8], lazy: bool) -> Option<Self> {
+        let mut r = Reader::new(bytes);
+        r.expect_magic(Self::MAGIC)?;
+        let mut reg = Self::new();
+        for (name, blob) in read_section(&mut r)? {
+            let store: Box<dyn VectorStore> = if lazy {
+                Box::new(crate::lazy::LazyStore::open(blob.to_vec())?)
             } else {
-                if !blob.starts_with(LexicalIndex::MAGIC) {
-                    return None;
-                }
-                LexicalSlot::lazy(blob.to_vec())
+                decode_store(blob)?
             };
-            self.lexical.insert(name, slot);
+            reg.stores.insert(name, store);
         }
-        Some(())
+        // An exhausted cursor here means a pre-section artifact (zero
+        // siblings) — accepted for back-compat.
+        if !r.exhausted() {
+            for (name, blob) in read_section(&mut r)? {
+                let slot = if !lazy {
+                    LexicalSlot::eager(LexicalIndex::from_bytes(blob)?)
+                } else if blob.starts_with(LexicalIndex::MAGIC) {
+                    LexicalSlot::lazy(blob.to_vec())
+                } else {
+                    return None;
+                };
+                reg.lexical.insert(name, slot);
+            }
+        }
+        r.exhausted().then_some(reg)
     }
 
     /// Deserialise a registry written by [`IndexRegistry::to_bytes`].
     /// `None` on any corruption (unknown store tag, truncation, garbage).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        r.expect_magic(Self::MAGIC)?;
-        let n = r.count(8)?;
-        let mut reg = Self::new();
-        for _ in 0..n {
-            let name_len = r.count(1)?;
-            let name = std::str::from_utf8(r.take(name_len)?).ok()?.to_string();
-            let store_len = r.count(1)?;
-            let store = decode_store(r.take(store_len)?)?;
-            reg.stores.insert(name, store);
-        }
-        reg.decode_lexical_section(&mut r, true)?;
-        r.exhausted().then_some(reg)
+        Self::decode(bytes, false)
     }
 
     /// Open a registry written by [`IndexRegistry::to_bytes`] **lazily**:
@@ -305,20 +282,35 @@ impl IndexRegistry {
     /// corruption beyond the headers is only discovered (as a panic) at
     /// the first use of the affected store.
     pub fn open_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        r.expect_magic(Self::MAGIC)?;
-        let n = r.count(8)?;
-        let mut reg = Self::new();
-        for _ in 0..n {
+        Self::decode(bytes, true)
+    }
+}
+
+/// Write one registry section: `u32 count`, then per entry a
+/// length-prefixed name and a length-prefixed blob.
+fn put_section<'a>(
+    out: &mut Vec<u8>,
+    entries: impl ExactSizeIterator<Item = (&'a String, Vec<u8>)>,
+) {
+    put_u32(out, entries.len());
+    for (name, blob) in entries {
+        put_u32(out, name.len());
+        out.extend_from_slice(name.as_bytes());
+        put_u32(out, blob.len());
+        out.extend_from_slice(&blob);
+    }
+}
+
+/// Read what [`put_section`] wrote, blobs undecoded.
+fn read_section<'a>(r: &mut Reader<'a>) -> Option<Vec<(String, &'a [u8])>> {
+    (0..r.count(8)?)
+        .map(|_| {
             let name_len = r.count(1)?;
             let name = std::str::from_utf8(r.take(name_len)?).ok()?.to_string();
-            let store_len = r.count(1)?;
-            let store = crate::lazy::LazyStore::open(r.take(store_len)?.to_vec())?;
-            reg.stores.insert(name, Box::new(store));
-        }
-        reg.decode_lexical_section(&mut r, false)?;
-        r.exhausted().then_some(reg)
-    }
+            let blob_len = r.count(1)?;
+            Some((name, r.take(blob_len)?))
+        })
+        .collect()
 }
 
 impl std::fmt::Debug for IndexRegistry {

@@ -260,6 +260,11 @@ fn worker_loop(wid: usize, local: Worker<Job>, shared: Arc<Shared>) {
         match job {
             Some(job) => {
                 backoff.reset();
+                // Counted before the job runs, so anything a job makes
+                // observable (a channel send, a stage result) comes after
+                // its own count: a caller that has seen N jobs' effects
+                // reads `total_executed() >= N`. `try_execute_one` keeps
+                // the same order for assisted jobs.
                 shared.executed[wid].fetch_add(1, Ordering::Relaxed);
                 // Panic isolation: a panicking task must not kill the worker.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));

@@ -1,9 +1,8 @@
 //! `mcqa-runtime` — a Parsl-style workflow runtime at node scale.
 //!
 //! The paper's pipeline runs on ALCF supercomputers under Parsl: stages are
-//! fleets of independent tasks, dynamically load-balanced, with retries and
-//! per-stage accounting. This crate reproduces those semantics for a single
-//! node:
+//! fleets of independent tasks, dynamically load-balanced, with per-stage
+//! accounting. This crate reproduces those semantics for a single node:
 //!
 //! * [`executor`] — a persistent work-stealing thread pool
 //!   (crossbeam-deque): per-worker deques + a global injector, task panics
@@ -18,8 +17,6 @@
 //!   submits chunks of items per pool task (granularity picked by
 //!   [`scaling::auto_batch_size`]), the perf lever for high-item-count
 //!   stages.
-//! * [`retry`] — bounded-attempt retry with injectable backoff (Parsl's
-//!   retry handler).
 //! * [`scaling`] — an elastic worker-count policy driven by queue depth
 //!   (Parsl's elastic blocks), exercised by the `runtime_scaling` bench.
 //! * [`metrics`] — stage metrics and the run report printed by the
@@ -27,12 +24,10 @@
 
 pub mod executor;
 pub mod metrics;
-pub mod retry;
 pub mod scaling;
 pub mod stage;
 
 pub use executor::{Executor, PoolStats, WorkStealingPool};
 pub use metrics::{RunReport, StageMetrics};
-pub use retry::{RetryOutcome, RetryPolicy};
 pub use scaling::{auto_batch_size, ScalingDecision, ScalingPolicy};
 pub use stage::{run_stage, run_stage_batched, TaskError};

@@ -73,12 +73,15 @@ fn mid_batch_panic_isolates_to_that_item_only() {
 /// without losing items or order.
 #[test]
 fn oversized_batch_is_one_task() {
-    let before = exec().stats().total_executed();
+    // A private pool: the shared one's counter also moves with whatever
+    // tests run beside this one.
+    let exec = Executor::new(2);
+    let before = exec.stats().total_executed();
     let (results, metrics) =
-        run_stage_batched(exec(), "one-task", (0..10u64).collect(), 1_000_000, |x| {
+        run_stage_batched(&exec, "one-task", (0..10u64).collect(), 1_000_000, |x| {
             Ok::<u64, String>(x)
         });
     assert_eq!(metrics.ok, 10);
     assert_eq!(results.len(), 10);
-    assert_eq!(exec().stats().total_executed(), before + 1, "all items in one pool task");
+    assert_eq!(exec.stats().total_executed(), before + 1, "all items in one pool task");
 }

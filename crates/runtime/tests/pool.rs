@@ -47,8 +47,13 @@ fn panicking_jobs_do_not_kill_workers() {
     let pool = WorkStealingPool::new(2);
     // More panics than workers: if a panic killed a worker the pool would
     // deadlock on the follow-up batch.
+    let (started_tx, started_rx) = crossbeam_channel::bounded(8);
     for _ in 0..8 {
-        pool.submit(|| panic!("induced task failure"));
+        let started_tx = started_tx.clone();
+        pool.submit(move || {
+            started_tx.send(()).unwrap();
+            panic!("induced task failure")
+        });
     }
     let (tx, rx) = crossbeam_channel::bounded(100);
     for i in 0..100u32 {
@@ -59,7 +64,14 @@ fn panicking_jobs_do_not_kill_workers() {
         (0..100).map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap()).collect();
     got.sort_unstable();
     assert_eq!(got, (0..100).collect::<Vec<_>>());
-    assert!(pool.stats().total_executed() >= 108, "panicked jobs still count as executed");
+    // The follow-ups finishing does not mean the panicking jobs ran first:
+    // a worker batch-steals them into its LIFO deque and pops the
+    // follow-ups above them. A job is counted before it runs, so once all
+    // eight have announced themselves the counter has reached 108.
+    for _ in 0..8 {
+        started_rx.recv_timeout(Duration::from_secs(30)).expect("panicking job ran");
+    }
+    assert_eq!(pool.stats().total_executed(), 108, "panicked jobs still count as executed");
 }
 
 /// The same isolation, observed through `run_stage`: panics land in their

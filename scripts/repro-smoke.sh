@@ -53,15 +53,6 @@ if grep -rn 'LexicalIndex\|expect_lexical\|lexical_sibling\|\.lexical(' crates/e
     exit 1
 fi
 
-echo "== repro smoke: one k-means trainer =="
-# Coarse-quantiser training lives in crates/index/src/kmeans.rs (k-means++
-# seeding shared by IVF and PQ). The old ad-hoc permutation seeding
-# reappearing in ivf.rs would fork the trainers again.
-if grep -n 'permutation' crates/index/src/ivf.rs; then
-    echo "repro smoke FAILED: ivf.rs regained an ad-hoc seeding path (permutation)" >&2
-    exit 1
-fi
-
 echo "== repro smoke: bad arguments are refused before any pipeline runs =="
 # A typo, an unknown flag, or a --scale outside (0, 1] (NaN included) must
 # take the usage + exit 2 path at parse time — never build the pipeline

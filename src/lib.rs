@@ -14,7 +14,7 @@
 //! | [`parse`] | AdaParse-style adaptive parallel parsing |
 //! | [`text`] | tokenisation, sentence splitting, semantic chunking |
 //! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage |
-//! | [`index`] | FAISS-style vector stores (Flat / IVF / HNSW) |
+//! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
 //! | [`lexical`] | the BM25 keyword channel + dense/lexical fusion (RRF, weighted) |
 //! | [`runtime`] | Parsl-style work-stealing workflow runtime |
 //! | [`llm`] | every model role behind one `ModelEndpoint` trait (batched completions, response cache, call ledger); the sim backend plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
