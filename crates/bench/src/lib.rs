@@ -1,4 +1,15 @@
-//! Shared fixtures for the criterion benches and the `repro` binary.
+//! What the `repro` binary computes — argument parsing ([`cli`]), the
+//! retrieval-quality tables ([`recall`]), the incremental-vs-cold verdict
+//! ([`ingest`]), the model-ledger census ([`models`]), the ablation series
+//! ([`ablate`]) — as functions returning typed rows, plus the fixtures the
+//! criterion benches share. Nothing here reads a clock or writes a file:
+//! speed is measured by `perfbench/`.
+
+pub mod ablate;
+pub mod cli;
+pub mod ingest;
+pub mod models;
+pub mod recall;
 
 use mcqa_core::{Pipeline, PipelineConfig, PipelineOutput};
 

@@ -20,8 +20,8 @@
 //!   ([`QueryTicket`]), and graceful shutdown that drains every admitted
 //!   request exactly once.
 //! * [`stats`] — the [`ServiceStats`] ledger: admitted/rejected/served
-//!   counters, a batch-size histogram, per-stage (queue/encode/search)
-//!   time accounting, and greppable `[serve] key=value` report lines.
+//!   counters, a batch-size histogram and per-stage (queue/encode/search)
+//!   time accounting.
 //!
 //! [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
 
@@ -31,4 +31,4 @@ pub mod stats;
 
 pub use envelope::{QueryInput, QueryMode, QueryRequest, QueryResponse, QueryTiming, ServeError};
 pub use service::{PassageStore, QueryService, QueryTicket, ServeConfig};
-pub use stats::{ServiceSnapshot, ServiceStats, BATCH_BUCKETS, BATCH_BUCKET_LABELS};
+pub use stats::{ServiceSnapshot, ServiceStats, BATCH_BUCKETS};

@@ -80,8 +80,8 @@ pub struct ServeConfig {
     /// [`ServeError::Saturated`] instead of blocking.
     pub queue_capacity: usize,
     /// Micro-batch watermark: the dispatcher flushes as soon as this many
-    /// requests are in hand. `1` disables coalescing (the one-request-at-
-    /// a-time baseline `repro serve-bench` compares against).
+    /// requests are in hand. `1` disables coalescing (one request at a
+    /// time).
     pub max_batch: usize,
     /// How long the dispatcher waits for the batch to fill before
     /// flushing what it has. Bounds the latency cost of coalescing.

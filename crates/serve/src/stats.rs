@@ -10,11 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// Batch-size histogram buckets: `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+`.
 pub const BATCH_BUCKETS: usize = 8;
 
-/// Human labels for the histogram buckets, index-aligned with
-/// [`ServiceSnapshot::batch_hist`].
-pub const BATCH_BUCKET_LABELS: [&str; BATCH_BUCKETS] =
-    ["1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"];
-
 fn bucket_of(batch: usize) -> usize {
     match batch {
         0 | 1 => 0,
@@ -120,7 +115,7 @@ pub struct ServiceSnapshot {
     /// arrived on an empty queue, so the dispatcher skipped the
     /// flush-deadline wait entirely (see [`crate::ServeConfig::fast_path`]).
     pub fast_path_hits: u64,
-    /// Batch-size histogram (see [`BATCH_BUCKET_LABELS`]).
+    /// Batch-size histogram (bucket bounds: see [`BATCH_BUCKETS`]).
     pub batch_hist: [u64; BATCH_BUCKETS],
     /// Summed per-request queue wait.
     pub queue_secs: f64,
@@ -153,35 +148,6 @@ impl ServiceSnapshot {
         } else {
             self.rejected as f64 / offered as f64
         }
-    }
-
-    /// Greppable `[serve] key=value` ledger lines, mirroring the model
-    /// ledger's `[models]` surface.
-    pub fn lines(&self) -> Vec<String> {
-        let hist: Vec<String> = BATCH_BUCKET_LABELS
-            .iter()
-            .zip(&self.batch_hist)
-            .map(|(label, n)| format!("b{label}={n}"))
-            .collect();
-        vec![
-            format!(
-                "[serve] ledger admitted={} rejected={} served_ok={} served_err={} \
-                 batches={} fast_path_hits={} mean_batch={:.1} saturation={:.3}",
-                self.admitted,
-                self.rejected,
-                self.served_ok,
-                self.served_err,
-                self.batches,
-                self.fast_path_hits,
-                self.mean_batch(),
-                self.saturation()
-            ),
-            format!(
-                "[serve] stages queue_secs={:.3} encode_secs={:.3} search_secs={:.3}",
-                self.queue_secs, self.encode_secs, self.search_secs
-            ),
-            format!("[serve] batch_hist {}", hist.join(" ")),
-        ]
     }
 }
 
@@ -228,12 +194,6 @@ mod tests {
         assert!((snap.mean_batch() - 5.0).abs() < 1e-12);
         assert!((snap.saturation() - 1.0 / 11.0).abs() < 1e-12);
         assert!((snap.queue_secs - 0.5).abs() < 1e-6);
-        let lines = snap.lines();
-        assert_eq!(lines.len(), 3);
-        assert!(lines.iter().all(|l| l.starts_with("[serve] ")));
-        assert!(lines[0].contains("admitted=10"));
-        assert!(lines[0].contains("fast_path_hits=1"));
-        assert!(lines[2].contains("b3-4=1"));
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub mod timer;
 pub use f16::F16;
 pub use hash::{fnv1a, splitmix64, Fnv1aWriter, PairedHasher, StableHasher};
 pub use hits::{cmp_hits, sort_hits, SearchResult, TopK};
-pub use stats::{percentile, Accuracy, OnlineStats, WilsonInterval};
+pub use stats::{Accuracy, OnlineStats, WilsonInterval};
 pub use stochastic::KeyedStochastic;
 pub use timer::ScopeTimer;

@@ -180,23 +180,6 @@ impl Accuracy {
     }
 }
 
-/// Nearest-rank percentile over **sorted ascending** samples.
-///
-/// `q` is in percent (`50.0` = median, `99.0` = p99). Uses the
-/// nearest-rank definition (`ceil(q/100 · n)`-th smallest), so the result
-/// is always an observed sample — the right convention for latency
-/// reporting, where interpolated values between observations are fiction.
-/// Returns 0.0 on an empty slice.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "samples must be sorted");
-    let q = q.clamp(0.0, 100.0);
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 /// Relative improvement of `new` over `old`, in percent.
 ///
 /// This is the quantity plotted in the paper's Figures 4–6
@@ -308,25 +291,6 @@ mod tests {
         acc.merge(&other);
         assert_eq!(acc.total, 101);
         assert_eq!(acc.correct, 76);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&xs, 50.0), 50.0);
-        assert_eq!(percentile(&xs, 95.0), 95.0);
-        assert_eq!(percentile(&xs, 99.0), 99.0);
-        assert_eq!(percentile(&xs, 100.0), 100.0);
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        // Small samples: nearest rank, never interpolated.
-        assert_eq!(percentile(&[3.0], 99.0), 3.0);
-        assert_eq!(percentile(&[1.0, 10.0], 50.0), 1.0);
-        assert_eq!(percentile(&[1.0, 10.0], 51.0), 10.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        // Percentiles are monotone in q.
-        for (lo, hi) in [(10.0, 50.0), (50.0, 95.0), (95.0, 99.0)] {
-            assert!(percentile(&xs, lo) <= percentile(&xs, hi));
-        }
     }
 
     #[test]
