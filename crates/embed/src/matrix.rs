@@ -5,7 +5,7 @@
 //! the cosine error the compression introduces (property-tested to stay
 //! within half-precision bounds).
 
-use mcqa_util::f16::{decode_f16_bytes, encode_f16_bytes};
+use mcqa_util::f16::{decode_f16_bytes, decode_f16_into, encode_f16_bytes};
 use serde::{Deserialize, Serialize};
 
 use crate::panels::PanelCache;
@@ -186,13 +186,8 @@ impl EmbeddingMatrix {
             }
             Precision::F16 => {
                 let mut buf = vec![0.0f32; self.dim];
-                for i in 0..self.rows {
-                    let start = i * self.dim * 2;
-                    for (j, c) in
-                        self.data_f16[start..start + self.dim * 2].chunks_exact(2).enumerate()
-                    {
-                        buf[j] = mcqa_util::F16(u16::from_le_bytes([c[0], c[1]])).to_f32();
-                    }
+                for (i, row) in self.data_f16.chunks_exact(self.dim * 2).enumerate() {
+                    decode_f16_into(row, &mut buf);
                     f(i, &buf);
                 }
             }
@@ -245,11 +240,7 @@ impl EmbeddingMatrix {
     /// here, which is what makes cached and uncached scoring bit-identical
     /// by construction.
     fn decode_panel_into(&self, start: usize, end: usize, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), (end - start) * self.dim);
-        let bytes = &self.data_f16[start * self.dim * 2..end * self.dim * 2];
-        for (dst, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-            *dst = mcqa_util::F16(u16::from_le_bytes([c[0], c[1]])).to_f32();
-        }
+        decode_f16_into(&self.data_f16[start * self.dim * 2..end * self.dim * 2], out);
     }
 
     /// Cache-aware panel iteration: like [`EmbeddingMatrix::for_each_block`]
@@ -320,13 +311,19 @@ impl EmbeddingMatrix {
     }
 
     /// `(dim, rows)` from the header of [`EmbeddingMatrix::to_bytes`]
-    /// output, without touching row data.
+    /// output, without touching row data. `None` for a header no matrix
+    /// can have: `dim == 0` (which [`EmbeddingMatrix::new`] refuses), or a
+    /// shape whose decoded size overflows `usize`.
     pub fn peek_shape(bytes: &[u8]) -> Option<(usize, usize)> {
         if bytes.len() < 13 || &bytes[..4] != b"EMBX" {
             return None;
         }
         let dim = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
         let rows = u32::from_le_bytes(bytes[8..12].try_into().ok()?) as usize;
+        if dim == 0 {
+            return None;
+        }
+        dim.checked_mul(rows)?.checked_mul(4)?;
         Some((dim, rows))
     }
 
@@ -339,6 +336,7 @@ impl EmbeddingMatrix {
             _ => return None,
         };
         let payload = &bytes[13..];
+        // `peek_shape` vouched for `dim * rows * 4`.
         let mut m = match precision {
             Precision::F32 => {
                 if payload.len() != dim * rows * 4 {
@@ -491,6 +489,37 @@ mod tests {
         assert!(EmbeddingMatrix::from_bytes(&b).is_none(), "length mismatch rejected");
         b[0] = b'X';
         assert!(EmbeddingMatrix::from_bytes(&b).is_none());
+    }
+
+    #[test]
+    fn bytes_rejects_hostile_shapes() {
+        let header = |dim: u32, rows: u32, precision: u8| {
+            let mut b = b"EMBX".to_vec();
+            b.extend_from_slice(&dim.to_le_bytes());
+            b.extend_from_slice(&rows.to_le_bytes());
+            b.push(precision);
+            b
+        };
+        for precision in [0u8, 1] {
+            // dim 0: an empty payload "matches" any row count.
+            for rows in [0, 5, u32::MAX] {
+                let b = header(0, rows, precision);
+                assert!(EmbeddingMatrix::peek_shape(&b).is_none(), "dim 0, rows {rows}");
+                assert!(EmbeddingMatrix::from_bytes(&b).is_none(), "dim 0, rows {rows}");
+            }
+            // Shapes whose decoded size overflows 64 bits. 2³¹ · 2³¹ · 4
+            // wraps to exactly 0, which an unchecked product would accept
+            // against an empty payload — and then walk 2³¹ rows.
+            for (dim, rows) in [(u32::MAX, u32::MAX), (1 << 31, 1 << 31)] {
+                let b = header(dim, rows, precision);
+                assert!(EmbeddingMatrix::peek_shape(&b).is_none(), "{dim} × {rows}");
+                assert!(EmbeddingMatrix::from_bytes(&b).is_none(), "{dim} × {rows}");
+            }
+        }
+        // The smallest legal header still decodes.
+        let empty = header(3, 0, 1);
+        assert_eq!(EmbeddingMatrix::peek_shape(&empty), Some((3, 0)));
+        assert!(EmbeddingMatrix::from_bytes(&empty).unwrap().is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! a zero budget that disables caching and a budget larger than the
 //! whole decoded matrix), on cold and warm passes alike, with eviction
 //! churning in between. Downstream, that makes cached scoring through
-//! [`mcqa_index::Metric::score_block`] bit-identical to uncached
+//! [`mcqa_index::Metric::score_panel`] bit-identical to uncached
 //! scoring, which is the identity flat/PQ search relies on.
 
 use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
@@ -70,7 +70,7 @@ fn scores_via<F: FnMut(&mut dyn FnMut(usize, &[f32]))>(
     iterate(&mut |start, panel: &[f32]| {
         let rows = panel.len() / m.dim();
         let mut out = vec![0.0f32; rows];
-        metric.score_block(query, q_sq, panel, &norms[start..start + rows], &mut out);
+        metric.score_panel(&[query], &[q_sq], panel, &norms[start..start + rows], &mut out);
         for (j, s) in out.iter().enumerate() {
             scores[start + j] = s.to_bits();
         }

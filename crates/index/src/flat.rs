@@ -3,26 +3,27 @@
 //!
 //! Search never materialises the full hit list: rows arrive in panels
 //! through the cache-aware accessor ([`EmbeddingMatrix::for_each_panel`],
-//! backed by the index's resident [`PanelCache`]), scored by
-//! [`Metric::score_block`] against the matrix's build-time-cached row
-//! norms, and fed into a bounded top-k heap. Batched search additionally
-//! blocks over *queries*, so one F16 panel fetch is amortised across a
-//! whole block of queries instead of being repeated per query; the panel
-//! cache removes the remaining per-search decode for batch-of-1 traffic —
-//! after the first search the decoded panels are resident and a lone
-//! query runs at F32 speed. Results are bit-identical to scoring each row
-//! with [`Metric::score`] and fully sorting (the property suite in
+//! backed by the index's resident [`PanelCache`]), and each panel is
+//! scored against the task's whole block of queries by
+//! [`Metric::score_panel`] — tiles of queries × rows, against the matrix's
+//! build-time-cached row norms — and fed into bounded top-k heaps. One
+//! panel fetch is thus amortised across every query of a task instead of
+//! being repeated per query; the panel cache removes the remaining
+//! per-search decode for batch-of-1 traffic — after the first search the
+//! decoded panels are resident and a lone query (the one-query block)
+//! runs at F32 speed. Results are bit-identical to scoring each row with
+//! [`Metric::score`] and fully sorting (the property suite in
 //! `tests/kernel.rs` holds every path to that oracle).
 
 use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
 use mcqa_runtime::{run_stage, Executor};
-use mcqa_util::kernel;
 
 use crate::codec::{decode_metric, encode_metric, put_u64, Reader};
 use crate::lazy::StoreHeader;
 use crate::metric::Metric;
+use crate::scan::QueryBlock;
 use crate::tombstones::Tombstones;
-use crate::{panel_rows, SearchResult, TopK, VectorStore};
+use crate::{panel_rows, SearchResult, VectorStore};
 
 /// An exact (non-approximate) vector index. Ground truth for recall tests
 /// and the right default below ~10⁵ vectors.
@@ -123,6 +124,29 @@ impl FlatIndex {
         self.matrix.row(position).expect("position out of range")
     }
 
+    /// Scan the whole matrix for one block of queries: every panel is
+    /// fetched once and scored against all of them.
+    fn scan<'q>(
+        &self,
+        queries: impl IntoIterator<Item = &'q [f32]>,
+        k: usize,
+        block_rows: usize,
+    ) -> Vec<Vec<SearchResult>> {
+        let mut block = QueryBlock::new(queries, k);
+        let (norms, dead) = (self.matrix.row_sq_norms(), self.dead.flags());
+        self.matrix.for_each_panel(&self.cache, 0, block_rows, |start, panel| {
+            let rows = start..start + panel.len() / self.dim();
+            block.scan(
+                self.metric,
+                panel,
+                &norms[rows.clone()],
+                &self.ids[rows.clone()],
+                &dead[rows],
+            );
+        });
+        block.into_sorted()
+    }
+
     /// [`VectorStore::search`] with an explicit panel height. Exposed so
     /// the property suite and benches can sweep block sizes (including
     /// ragged tails, `len % block_rows != 0`); results are independent of
@@ -132,22 +156,7 @@ impl FlatIndex {
         if k == 0 || self.is_empty() {
             return Vec::new();
         }
-        let q_sq = kernel::sq_norm(query);
-        let mut topk = TopK::new(k);
-        let mut scores = vec![0.0f32; block_rows];
-        let norms = self.matrix.row_sq_norms();
-        let dead = self.dead.flags();
-        self.matrix.for_each_panel(&self.cache, 0, block_rows, |start, panel| {
-            let rows = panel.len() / self.dim();
-            let out = &mut scores[..rows];
-            self.metric.score_block(query, q_sq, panel, &norms[start..start + rows], out);
-            for (j, &score) in out.iter().enumerate() {
-                if !dead[start + j] {
-                    topk.push(SearchResult { id: self.ids[start + j], score });
-                }
-            }
-        });
-        topk.into_sorted()
+        self.scan([query], k, block_rows).pop().expect("one query, one hit list")
     }
 
     /// [`VectorStore::search_batch`] with explicit panel height and
@@ -172,7 +181,7 @@ impl FlatIndex {
             // One query block per worker, not `auto_batch_size`'s 8 tasks
             // per worker: search tasks are uniform, so nothing is gained
             // from finer load balancing, while every extra query in a
-            // block is one less full-matrix panel decode — on few workers
+            // block is one less full-matrix panel fetch — on few workers
             // (or a micro-batch from the serving dispatcher) the widest
             // block is the whole speedup.
             queries.len().div_ceil(exec.workers().max(1)).max(1)
@@ -180,36 +189,15 @@ impl FlatIndex {
             query_block
         };
         // One pool task per *query block*: inside a task every panel is
-        // decoded once and scored against the whole block of queries, so
+        // fetched once and scored against the whole block of queries, so
         // the number of full-matrix decodes is `ceil(queries / block)`
-        // rather than `queries`.
-        let ranges: Vec<std::ops::Range<usize>> = (0..queries.len())
-            .step_by(query_block)
-            .map(|s| s..(s + query_block).min(queries.len()))
-            .collect();
-        let (blocks, _metrics) = run_stage(exec, "search-batch", ranges, |range| {
-            let block_queries = &queries[range.start..range.end];
-            let q_sqs: Vec<f32> = block_queries.iter().map(|q| kernel::sq_norm(q)).collect();
-            let mut topks: Vec<TopK> = (0..block_queries.len()).map(|_| TopK::new(k)).collect();
-            let mut scores = vec![0.0f32; block_rows];
-            let norms = self.matrix.row_sq_norms();
-            let dead = self.dead.flags();
-            self.matrix.for_each_panel(&self.cache, 0, block_rows, |start, panel| {
-                let rows = panel.len() / self.dim();
-                let row_norms = &norms[start..start + rows];
-                for ((q, &q_sq), topk) in block_queries.iter().zip(&q_sqs).zip(topks.iter_mut()) {
-                    let out = &mut scores[..rows];
-                    self.metric.score_block(q, q_sq, panel, row_norms, out);
-                    for (j, &score) in out.iter().enumerate() {
-                        if !dead[start + j] {
-                            topk.push(SearchResult { id: self.ids[start + j], score });
-                        }
-                    }
-                }
-            });
-            Ok::<_, String>(topks.into_iter().map(TopK::into_sorted).collect::<Vec<_>>())
+        // rather than `queries`, whatever the block's size (the score
+        // scratch is bounded inside `QueryBlock`, not by the block).
+        let blocks: Vec<&[Vec<f32>]> = queries.chunks(query_block).collect();
+        let (hits, _metrics) = run_stage(exec, "search-batch", blocks, |block| {
+            Ok::<_, String>(self.scan(block.iter().map(Vec::as_slice), k, block_rows))
         });
-        blocks.into_iter().flat_map(|b| b.expect("search cannot fail")).collect()
+        hits.into_iter().flat_map(|b| b.expect("search cannot fail")).collect()
     }
 }
 

@@ -46,14 +46,14 @@
 //! counterparts at any worker count — and IVF/HNSW recall is
 //! property-tested against the flat ground truth.
 //!
-//! Exact scoring bottoms out in the fixed-order multi-accumulator kernels
-//! of [`mcqa_util::kernel`]: flat search decodes rows in panels, reuses
-//! build-time-cached row norms, streams candidates through a bounded
-//! top-k heap, and blocks batched search over queries as well as rows
-//! (one panel decode per query block). The blocked paths are
-//! property-tested bit-identical to a per-row scalar oracle
-//! (`tests/kernel.rs`); the list store's in-list scan reuses the same
-//! kernels.
+//! Exact scoring bottoms out in the fixed-order kernels of
+//! [`mcqa_util::kernel`]: every exhaustive scan — flat over its matrix,
+//! the list store over a probed list — fetches rows in panels, scores
+//! each panel against its task's whole block of queries in register
+//! tiles ([`Metric::score_panel`]) with build-time-cached row norms, and
+//! streams candidates through bounded top-k heaps (one panel fetch per
+//! query block). The blocked paths are property-tested bit-identical to a
+//! per-row scalar oracle (`tests/kernel.rs`).
 
 pub mod flat;
 pub mod hnsw;
@@ -65,6 +65,7 @@ pub mod spec;
 
 pub(crate) mod codec;
 pub(crate) mod kmeans;
+pub(crate) mod scan;
 pub(crate) mod tombstones;
 
 pub use flat::FlatIndex;

@@ -13,7 +13,7 @@
 //! [`RowCodec`] owns only what differs:
 //!
 //! * [`F32Rows`] ([`IvfIndex`], wire tag `IVF0`) keeps each row as packed
-//!   F32 — already the panel shape [`Metric::score_block`] scans, so
+//!   F32 — already the panel shape [`Metric::score_panel`] scans, so
 //!   there is nothing to decode or cache.
 //! * [`ResidualCodec`] ([`PqIndex`], wire tag `PQIV`, the PLAID/IVF-SQ
 //!   family) keeps `row − centroid` quantized at 4–8 bits per dimension
@@ -46,6 +46,7 @@ use crate::codec::{
 use crate::kmeans;
 use crate::lazy::StoreHeader;
 use crate::metric::Metric;
+use crate::scan::QueryBlock;
 use crate::tombstones::Tombstones;
 use crate::{panel_rows, SearchResult, TopK, VectorStore};
 
@@ -109,7 +110,7 @@ impl Default for PqConfig {
 
 /// How a [`ListStore`] stores a row: the configuration, the packed row
 /// representation, how rows become F32 panel rows for
-/// [`Metric::score_block`], any training beyond the coarse centroids,
+/// [`Metric::score_panel`], any training beyond the coarse centroids,
 /// and the codec-specific parts of the wire format.
 pub trait RowCodec: Clone + Send + Sync + Sized {
     /// The backend's configuration (its serde shape is part of
@@ -321,60 +322,41 @@ impl<C: RowCodec> ListStore<C> {
         ranked.into_iter().map(|(i, _)| i).collect()
     }
 
-    /// Scan one inverted list for a set of queries: fetch each block of
+    /// Scan one inverted list for a block of queries: fetch each block of
     /// rows as a panel **once** — in place when rows are stored as panel
     /// rows, else through the resident [`PanelCache`], which replays the
     /// same [`RowCodec::decode`] output a miss produces, so residency
-    /// never changes a bit — score it against every probing query with
-    /// [`Metric::score_block`] (the same fixed-order kernel as flat
-    /// search, bit-identical to per-row [`Metric::score`]), and feed the
-    /// per-query `TopK`s. The single-query and batched paths both come
+    /// never changes a bit — and score it against every probing query
+    /// with [`Metric::score_panel`] (the same fixed-order kernel as flat
+    /// search, bit-identical to per-row [`Metric::score`]), feeding the
+    /// per-query top-k sets. The single-query and batched paths both come
     /// through here, so their per-row math (and therefore their results)
     /// is identical.
-    fn scan_list(
-        &self,
-        li: usize,
-        queries: &[&[f32]],
-        q_sqs: &[f32],
-        topks: &mut [TopK],
-        scratch: &mut Vec<f32>,
-        scores: &mut [f32],
-    ) {
+    fn scan_list(&self, li: usize, queries: &mut QueryBlock<'_>, scratch: &mut Vec<f32>) {
         let list = &self.lists[li];
         let codec = self.trained_codec("scan");
-        let row_len = codec.row_len();
-        let dead = list.dead.flags();
+        let (row_len, block_rows) = (codec.row_len(), panel_rows(self.dim));
         // Budget `Auto` resolves to the whole decoded store.
         let auto_cap = self.len * self.dim * 4;
-        let mut start = 0usize;
-        while start < list.ids.len() {
-            let rows = scores.len().min(list.ids.len() - start);
-            let block = &list.rows[start * row_len..(start + rows) * row_len];
+        for start in (0..list.ids.len()).step_by(block_rows) {
+            let rows = start..(start + block_rows).min(list.ids.len());
+            let block = &list.rows[rows.start * row_len..rows.end * row_len];
             let mut scan = |panel: &[f32]| {
-                let row_norms = &list.norms[start..start + rows];
-                for ((q, &q_sq), topk) in queries.iter().zip(q_sqs).zip(topks.iter_mut()) {
-                    let out = &mut scores[..rows];
-                    self.metric.score_block(q, q_sq, panel, row_norms, out);
-                    for (j, &score) in out.iter().enumerate() {
-                        if !dead[start + j] {
-                            topk.push(SearchResult { id: list.ids[start + j], score });
-                        }
-                    }
-                }
+                let (norms, ids) = (&list.norms[rows.clone()], &list.ids[rows.clone()]);
+                queries.scan(self.metric, panel, norms, ids, &list.dead.flags()[rows.clone()]);
             };
             match C::as_panel(block) {
                 Some(panel) => scan(panel),
                 None => self.cache.with_panel(
                     li as u64,
                     start,
-                    rows * self.dim,
+                    rows.len() * self.dim,
                     auto_cap,
                     scratch,
                     |buf| codec.decode(block, &self.centroids[li], buf),
-                    |panel| scan(&panel[..rows * self.dim]),
+                    scan,
                 ),
             }
-            start += rows;
         }
     }
 
@@ -535,15 +517,12 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         if k == 0 || self.len() == 0 {
             return Vec::new();
         }
-        let q_sq = kernel::sq_norm(query);
-        let mut topk = [TopK::new(k)];
+        let mut block = QueryBlock::new([query], k);
         let mut scratch = Vec::new();
-        let mut scores = vec![0.0f32; panel_rows(self.dim)];
         for li in self.ranked_lists(query) {
-            self.scan_list(li, &[query], &[q_sq], &mut topk, &mut scratch, &mut scores);
+            self.scan_list(li, &mut block, &mut scratch);
         }
-        let [topk] = topk;
-        topk.into_sorted()
+        block.into_sorted().pop().expect("one query, one hit list")
     }
 
     fn search_batch(
@@ -578,14 +557,10 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         // query, and returns per-(list, query) partial top-k sets.
         let (partials, _) = run_stage_batched(exec, "list-scan", work, 0, |li| {
             let qis = &by_list[li];
-            let qrefs: Vec<&[f32]> = qis.iter().map(|&qi| queries[qi].as_slice()).collect();
-            let q_sqs: Vec<f32> = qrefs.iter().map(|q| kernel::sq_norm(q)).collect();
-            let mut topks: Vec<TopK> = (0..qis.len()).map(|_| TopK::new(k)).collect();
-            let mut scratch = Vec::new();
-            let mut scores = vec![0.0f32; panel_rows(self.dim)];
-            self.scan_list(li, &qrefs, &q_sqs, &mut topks, &mut scratch, &mut scores);
+            let mut block = QueryBlock::new(qis.iter().map(|&qi| queries[qi].as_slice()), k);
+            self.scan_list(li, &mut block, &mut Vec::new());
             let out: Vec<(usize, Vec<SearchResult>)> =
-                qis.iter().copied().zip(topks.into_iter().map(TopK::into_sorted)).collect();
+                qis.iter().copied().zip(block.into_sorted()).collect();
             Ok::<_, String>(out)
         });
         // Stage 3: merge. The global top-k of a union equals the top-k of

@@ -1,11 +1,13 @@
 //! Similarity metrics shared by all index families.
 //!
-//! Scoring is built on the fixed-order multi-accumulator kernels in
-//! [`mcqa_util::kernel`]: [`Metric::score`] composes them per pair, and
-//! [`Metric::score_block`] sweeps one query across a decoded row panel
-//! using build-time-cached row norms. Both paths call the identical
-//! per-row math, so blocked search is bit-identical to a per-row scalar
-//! oracle (property-tested in `tests/kernel.rs`).
+//! Scoring is built on the fixed-order kernels in [`mcqa_util::kernel`]:
+//! [`Metric::score`] composes the per-pair kernels, and
+//! [`Metric::score_panel`] scores a block of queries against a decoded row
+//! panel through the register-blocked panel kernels, using
+//! build-time-cached row norms. The panel kernels perform, per (query,
+//! row) pair, exactly the per-pair kernels' operations in the same order,
+//! so every blocked scan is bit-identical to a per-row scalar oracle
+//! (property-tested in `tests/kernel.rs`).
 
 use mcqa_util::kernel;
 use serde::{Deserialize, Serialize};
@@ -43,48 +45,44 @@ impl Metric {
         }
     }
 
-    /// Score `query` against every row of a dense row-major `panel`,
-    /// writing one score per row into `out` (`panel.len() == out.len() *
-    /// query.len()`).
+    /// Score every query of a block against every row of a dense
+    /// row-major `panel`: `out[q * rows + r]` is the score of `queries[q]`
+    /// and row `r`, where `rows = out.len() / queries.len()` and
+    /// `panel.len() == rows * dim`. A lone query is the one-query block.
     ///
-    /// `query_sq_norm` must be `kernel::sq_norm(query)` and `row_sq_norms`
-    /// the rows' cached squared norms (both consulted for Cosine only, so
-    /// Dot/L2 callers may pass `0.0` / `&[]`). Hoisting the query norm and
-    /// caching the row norms turns Cosine into a dot product per row
-    /// without changing a single bit: the expression evaluated here is the
-    /// one [`Metric::score`] evaluates, with the same kernel accumulation
-    /// order.
-    pub fn score_block(
+    /// `query_sq_norms[q]` must be `kernel::sq_norm(queries[q])` and
+    /// `row_sq_norms` the rows' cached squared norms (both consulted for
+    /// Cosine only, so Dot/L2 callers may pass `&[]`). Hoisting the query
+    /// norms and caching the row norms turns Cosine into a dot product per
+    /// pair without changing a single bit: the expression evaluated here
+    /// is the one [`Metric::score`] evaluates, over a kernel with the same
+    /// accumulation order.
+    pub fn score_panel(
         self,
-        query: &[f32],
-        query_sq_norm: f32,
+        queries: &[&[f32]],
+        query_sq_norms: &[f32],
         panel: &[f32],
         row_sq_norms: &[f32],
         out: &mut [f32],
     ) {
-        let dim = query.len();
-        debug_assert_eq!(panel.len(), out.len() * dim);
-        let rows = panel.chunks_exact(dim);
         match self {
             Metric::Cosine => {
-                debug_assert_eq!(row_sq_norms.len(), out.len());
-                let qn = query_sq_norm.sqrt();
-                for ((row, s), &nb) in rows.zip(out.iter_mut()).zip(row_sq_norms) {
-                    *s = if query_sq_norm == 0.0 || nb == 0.0 {
-                        0.0
-                    } else {
-                        kernel::dot(query, row) / (qn * nb.sqrt())
-                    };
+                kernel::dot_panel(queries, panel, out);
+                let rows = row_sq_norms.len();
+                assert_eq!(query_sq_norms.len(), queries.len(), "one norm per query");
+                assert_eq!(rows * queries.len(), out.len(), "one norm per row");
+                for (q, &q_sq) in query_sq_norms.iter().enumerate() {
+                    let qn = q_sq.sqrt();
+                    for (s, &nb) in out[q * rows..(q + 1) * rows].iter_mut().zip(row_sq_norms) {
+                        *s = if q_sq == 0.0 || nb == 0.0 { 0.0 } else { *s / (qn * nb.sqrt()) };
+                    }
                 }
             }
-            Metric::Dot => {
-                for (row, s) in rows.zip(out.iter_mut()) {
-                    *s = kernel::dot(query, row);
-                }
-            }
+            Metric::Dot => kernel::dot_panel(queries, panel, out),
             Metric::L2 => {
-                for (row, s) in rows.zip(out.iter_mut()) {
-                    *s = -kernel::l2_sq(query, row);
+                kernel::l2_sq_panel(queries, panel, out);
+                for s in out.iter_mut() {
+                    *s = -*s;
                 }
             }
         }
@@ -138,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn score_block_matches_per_row_score_bitwise() {
+    fn score_panel_matches_per_row_score_bitwise() {
         let dim = 19; // ragged vs the kernel lane width
         let mk = |seed: u64| -> Vec<f32> {
             (0..dim)
@@ -147,29 +145,38 @@ mod tests {
                 })
                 .collect()
         };
-        let query = mk(1000);
-        let rows: Vec<Vec<f32>> = (0..7).map(&mk).collect();
-        let mut panel = Vec::new();
-        for r in &rows {
-            panel.extend_from_slice(r);
-        }
-        let norms: Vec<f32> = rows.iter().map(|r| mcqa_util::kernel::sq_norm(r)).collect();
-        let qsq = mcqa_util::kernel::sq_norm(&query);
+        // Seven rows and three queries: a row tail and an odd query, so
+        // every tile shape of the kernel takes part. Row 3 and query 1 are
+        // zero vectors (Cosine's defined-as-0 arm).
+        let mut rows: Vec<Vec<f32>> = (0..7).map(&mk).collect();
+        rows[3] = vec![0.0; dim];
+        let queries = [mk(1000), vec![0.0; dim], mk(1002)];
+        let panel: Vec<f32> = rows.concat();
+        let norms: Vec<f32> = rows.iter().map(|r| kernel::sq_norm(r)).collect();
+        let q_sqs: Vec<f32> = queries.iter().map(|q| kernel::sq_norm(q)).collect();
+        let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         for m in [Metric::Cosine, Metric::Dot, Metric::L2] {
-            let mut out = vec![0.0f32; rows.len()];
-            m.score_block(&query, qsq, &panel, &norms, &mut out);
-            for (row, got) in rows.iter().zip(&out) {
-                assert_eq!(got.to_bits(), m.score(&query, row).to_bits(), "{m:?}");
+            for n_queries in 0..=queries.len() {
+                let mut out = vec![f32::NAN; n_queries * rows.len()];
+                m.score_panel(&qrefs[..n_queries], &q_sqs[..n_queries], &panel, &norms, &mut out);
+                for (q, scores) in out.chunks_exact(rows.len()).enumerate() {
+                    for (row, got) in rows.iter().zip(scores) {
+                        let expect = m.score(&queries[q], row);
+                        assert_eq!(got.to_bits(), expect.to_bits(), "{m:?} query {q}");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn score_block_zero_vectors_are_defined() {
+    fn score_panel_zero_vectors_are_defined() {
         let query = vec![0.0f32; 8];
         let panel = vec![0.0f32; 16];
         let mut out = vec![1.0f32; 2];
-        Metric::Cosine.score_block(&query, 0.0, &panel, &[0.0, 0.0], &mut out);
+        Metric::Cosine.score_panel(&[&query], &[0.0], &panel, &[0.0, 0.0], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
+        // No rows: nothing to score, nothing to divide.
+        Metric::Cosine.score_panel(&[&query], &[0.0], &[], &[], &mut []);
     }
 }

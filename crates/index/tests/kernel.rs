@@ -127,6 +127,31 @@ proptest! {
     }
 }
 
+/// A task's queries are scored in fixed sub-blocks (the score scratch is
+/// bounded however many queries a task holds): a block several sub-blocks
+/// wide, with a ragged last one, still equals the oracle query by query —
+/// every metric and precision, one task or split across workers.
+#[test]
+fn query_blocks_wider_than_the_score_sub_block_match_the_oracle() {
+    let (dim, n, n_queries) = (24, 45, 75);
+    let rows = vectors(n, dim, 5);
+    let queries = vectors(n_queries, dim, 6);
+    for metric in METRICS {
+        for precision in [Precision::F32, Precision::F16] {
+            let idx = build(metric, precision, dim, &rows, 4);
+            let expect: Vec<Vec<SearchResult>> =
+                queries.iter().map(|q| oracle(&idx, q, 5)).collect();
+            for (block_rows, query_block) in [(7, n_queries), (64, 0), (16, 33)] {
+                let got = idx.search_batch_blocked(exec(), &queries, 5, block_rows, query_block);
+                assert_eq!(
+                    got, expect,
+                    "{metric:?}/{precision:?} rb={block_rows} qb={query_block}"
+                );
+            }
+        }
+    }
+}
+
 /// All-identical rows: every score ties, so the returned ids must be the k
 /// smallest ids in order — for every metric, precision, and path.
 #[test]

@@ -76,26 +76,24 @@ impl F16 {
     }
 
     /// Decode to `f32` (exact: every binary16 value is representable).
+    ///
+    /// Branch-free, so a decode loop over a panel vectorises: the 15
+    /// exponent + mantissa bits are shifted into `f32` position, where they
+    /// read as the same value scaled by 2⁻¹¹² (the two formats' exponent
+    /// biases differ by 127 − 15), and one multiply by 2¹¹² undoes the
+    /// scale. The multiply is exact for every finite half — a subnormal
+    /// half lands on a subnormal `f32` and the product normalises it — and
+    /// only the all-ones exponent (±∞, NaN and its payload) needs its own
+    /// arm, taken by a select rather than a branch.
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & 0x8000) as u32) << 16;
-        let exp = ((self.0 >> 10) & 0x1f) as u32;
-        let mantissa = (self.0 & 0x03ff) as u32;
-
-        let bits = match (exp, mantissa) {
-            (0, 0) => sign, // signed zero
-            (0, m) => {
-                // Subnormal: value = m * 2^-24. Normalise so bit 10 is the
-                // implicit leading one, giving value = 1.f * 2^(-14 - shift).
-                let shift = m.leading_zeros() - 21;
-                let m2 = (m << shift) & 0x03ff;
-                let exp_field = 113 - shift; // (-14 - shift) + 127
-                sign | (exp_field << 23) | (m2 << 13)
-            }
-            (0x1f, 0) => sign | 0x7f80_0000,             // infinity
-            (0x1f, m) => sign | 0x7f80_0000 | (m << 13), // NaN
-            (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
-        };
-        f32::from_bits(bits)
+        let bits = self.0 as u32;
+        let sign = (bits & 0x8000) << 16;
+        let magnitude = (bits & 0x7fff) << 13;
+        let finite = f32::from_bits(magnitude) * f32::from_bits((127 + 112) << 23);
+        let is_inf_or_nan = bits & 0x7c00 == 0x7c00;
+        let magnitude = if is_inf_or_nan { magnitude | 0x7f80_0000 } else { finite.to_bits() };
+        f32::from_bits(sign | magnitude)
     }
 
     /// True when the value encodes NaN.
@@ -132,6 +130,18 @@ pub fn encode_f16_bytes(values: &[f32]) -> Vec<u8> {
     out
 }
 
+/// Decode raw little-endian half-precision bytes into `out`, one `f32`
+/// per byte pair. This is **the** bulk F16 decode: the byte codec below
+/// and every `EmbeddingMatrix` row, panel and whole-matrix read bottom out
+/// here. Panics unless `bytes.len() == 2 * out.len()`.
+pub fn decode_f16_into(bytes: &[u8], out: &mut [f32]) {
+    let (pairs, odd) = bytes.as_chunks::<2>();
+    assert!(odd.is_empty() && pairs.len() == out.len(), "one byte pair per decoded f32");
+    for (dst, &pair) in out.iter_mut().zip(pairs) {
+        *dst = F16(u16::from_le_bytes(pair)).to_f32();
+    }
+}
+
 /// Decode raw little-endian half-precision bytes into `f32`s.
 ///
 /// Returns `None` when the byte length is odd.
@@ -139,7 +149,9 @@ pub fn decode_f16_bytes(bytes: &[u8]) -> Option<Vec<f32>> {
     if !bytes.len().is_multiple_of(2) {
         return None;
     }
-    Some(bytes.chunks_exact(2).map(|c| F16(u16::from_le_bytes([c[0], c[1]])).to_f32()).collect())
+    let mut out = vec![0.0; bytes.len() / 2];
+    decode_f16_into(bytes, &mut out);
+    Some(out)
 }
 
 #[cfg(test)]
@@ -164,6 +176,49 @@ mod tests {
         assert_eq!(F16(0x7bff).to_f32(), 65504.0);
         assert_eq!(F16(0x0001).to_f32(), 5.9604645e-8); // smallest subnormal
         assert_eq!(F16(0x0400).to_f32(), 6.103_515_6e-5); // smallest normal
+    }
+
+    /// The decode `to_f32` replaced: one arm per class of half. Kept as
+    /// the oracle the branch-free form is held to on every bit pattern.
+    fn branchy_to_f32(h: F16) -> f32 {
+        let sign = ((h.0 & 0x8000) as u32) << 16;
+        let exp = ((h.0 >> 10) & 0x1f) as u32;
+        let mantissa = (h.0 & 0x03ff) as u32;
+        let bits = match (exp, mantissa) {
+            (0, 0) => sign, // signed zero
+            (0, m) => {
+                // Subnormal: value = m * 2^-24. Normalise so bit 10 is the
+                // implicit leading one, giving value = 1.f * 2^(-14 - shift).
+                let shift = m.leading_zeros() - 21;
+                let m2 = (m << shift) & 0x03ff;
+                let exp_field = 113 - shift; // (-14 - shift) + 127
+                sign | (exp_field << 23) | (m2 << 13)
+            }
+            (0x1f, 0) => sign | 0x7f80_0000,             // infinity
+            (0x1f, m) => sign | 0x7f80_0000 | (m << 13), // NaN
+            (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+        };
+        f32::from_bits(bits)
+    }
+
+    #[test]
+    fn branch_free_decode_matches_the_branchy_one_on_every_half() {
+        // All 65 536 patterns, compared as bits: subnormals, ±0, ±∞ and
+        // every NaN payload included. The bulk decode sees the same bytes.
+        let bytes: Vec<u8> = (0..=0xffffu16).flat_map(u16::to_le_bytes).collect();
+        let mut bulk = vec![0.0f32; 1 << 16];
+        decode_f16_into(&bytes, &mut bulk);
+        for bits in 0..=0xffffu16 {
+            let expect = branchy_to_f32(F16(bits)).to_bits();
+            assert_eq!(F16(bits).to_f32().to_bits(), expect, "bits {bits:#06x}");
+            assert_eq!(bulk[bits as usize].to_bits(), expect, "bulk, bits {bits:#06x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one byte pair per decoded f32")]
+    fn bulk_decode_refuses_mismatched_lengths() {
+        decode_f16_into(&[0, 0, 0], &mut [0.0; 2]);
     }
 
     #[test]
