@@ -15,8 +15,6 @@
 //!   `1 − dense_weight`. Sensitive to score shape but lets a caller dial
 //!   channel trust.
 
-use std::collections::HashMap;
-
 use mcqa_util::{cmp_hits, SearchResult};
 use serde::{Deserialize, Serialize};
 
@@ -82,25 +80,14 @@ pub fn fuse_depth(k: usize, depth: usize) -> usize {
     k.saturating_mul(d)
 }
 
-/// Reciprocal rank fusion over any number of ranked lists.
-///
-/// Per-id contributions `1/(k0 + rank)` are collected from every list,
-/// then summed in ascending-denominator order — a canonical order, which
-/// makes the result (bitwise, not just semantically) invariant under
-/// permutation of `lists`.
-pub fn rrf(lists: &[&[SearchResult]], k0: u32, k: usize) -> Vec<SearchResult> {
-    let mut ranks: HashMap<u64, Vec<u64>> = HashMap::new();
-    for list in lists {
-        for (rank, hit) in list.iter().enumerate() {
-            ranks.entry(hit.id).or_default().push(u64::from(k0) + rank as u64 + 1);
-        }
-    }
-    let mut fused: Vec<SearchResult> = ranks
-        .into_iter()
-        .map(|(id, mut denoms)| {
-            denoms.sort_unstable();
-            let score: f64 = denoms.iter().map(|&d| 1.0 / d as f64).sum();
-            SearchResult { id, score: score as f32 }
+/// Collapse id-sorted `(id, term)` pairs into one hit per id — a run's
+/// terms are summed left to right — ranked by [`cmp_hits`], top `k`.
+fn sum_runs<T>(pairs: &[(u64, T)], term: impl Fn(&T) -> f64, k: usize) -> Vec<SearchResult> {
+    let mut fused: Vec<SearchResult> = pairs
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let score = run.iter().fold(0.0, |sum, (_, t)| sum + term(t));
+            SearchResult { id: run[0].0, score: score as f32 }
         })
         .collect();
     fused.sort_by(cmp_hits);
@@ -108,22 +95,39 @@ pub fn rrf(lists: &[&[SearchResult]], k0: u32, k: usize) -> Vec<SearchResult> {
     fused
 }
 
-/// Min-max normalise a list's scores to `[0, 1]` (a degenerate list —
-/// empty or constant-score — normalises to all-ones: every member is its
-/// channel's best evidence).
-fn min_max(list: &[SearchResult]) -> Vec<(u64, f64)> {
+/// Reciprocal rank fusion over any number of ranked lists.
+///
+/// Per-id contributions `1/(k0 + rank)` are collected from every list as
+/// `(id, denominator)` pairs and sorted, so each id's run is summed in
+/// ascending-denominator order — a canonical order, which makes the
+/// result (bitwise, not just semantically) invariant under permutation of
+/// `lists`.
+pub fn rrf(lists: &[&[SearchResult]], k0: u32, k: usize) -> Vec<SearchResult> {
+    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
+    for list in lists {
+        for (rank, hit) in list.iter().enumerate() {
+            pairs.push((hit.id, u64::from(k0) + rank as u64 + 1));
+        }
+    }
+    pairs.sort_unstable();
+    sum_runs(&pairs, |&d| 1.0 / d as f64, k)
+}
+
+/// Push `(id, weight · norm)` for every member of `list`, `norm` being its
+/// score min-max normalised to `[0, 1]` (a degenerate list — empty or
+/// constant-score — normalises to all-ones: every member is its channel's
+/// best evidence).
+fn push_min_max(list: &[SearchResult], weight: f64, pairs: &mut Vec<(u64, f64)>) {
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for h in list {
         lo = lo.min(f64::from(h.score));
         hi = hi.max(f64::from(h.score));
     }
     let span = hi - lo;
-    list.iter()
-        .map(|h| {
-            let s = if span > 0.0 { (f64::from(h.score) - lo) / span } else { 1.0 };
-            (h.id, s)
-        })
-        .collect()
+    pairs.extend(list.iter().map(|h| {
+        let s = if span > 0.0 { (f64::from(h.score) - lo) / span } else { 1.0 };
+        (h.id, weight * s)
+    }));
 }
 
 /// Weighted-score fusion of one dense and one lexical list: each list is
@@ -137,18 +141,12 @@ pub fn weighted(
     k: usize,
 ) -> Vec<SearchResult> {
     let w = f64::from(dense_weight).clamp(0.0, 1.0);
-    let mut scores: HashMap<u64, f64> = HashMap::new();
-    for (id, s) in min_max(dense) {
-        *scores.entry(id).or_insert(0.0) += w * s;
-    }
-    for (id, s) in min_max(lexical) {
-        *scores.entry(id).or_insert(0.0) += (1.0 - w) * s;
-    }
-    let mut fused: Vec<SearchResult> =
-        scores.into_iter().map(|(id, s)| SearchResult { id, score: s as f32 }).collect();
-    fused.sort_by(cmp_hits);
-    fused.truncate(k);
-    fused
+    let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(dense.len() + lexical.len());
+    push_min_max(dense, w, &mut pairs);
+    push_min_max(lexical, 1.0 - w, &mut pairs);
+    // Stable: an id's dense term is added before its lexical one.
+    pairs.sort_by_key(|&(id, _)| id);
+    sum_runs(&pairs, |&s| s, k)
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //!
 //! The batch pipeline builds the retrieval databases; this crate is the
 //! query-time front door over them. No network, no serialisation — just a
-//! bounded admission queue in front of a dispatcher thread that coalesces
-//! concurrent requests into dynamic micro-batches and drives them through
-//! the same [`VectorStore::search_batch`] kernels the evaluator uses, so
-//! serving amortises panel decodes exactly like batch eval does while
-//! every response stays **bit-identical** to a direct per-query search.
+//! bounded admission queue in front of a dispatcher thread that takes
+//! whatever is queued each time it comes free (continuous batching: no
+//! timer, batch size tracks load) and drives it through the same
+//! [`VectorStore::search_batch`] kernels the evaluator uses, so a batch
+//! shares one scan of each store like batch eval does while every
+//! response stays **bit-identical** to a direct per-query search.
 //!
 //! Three pieces:
 //!
@@ -15,10 +16,10 @@
 //!   [`ServeError`] taxonomy, mirroring the model layer's
 //!   `ModelRequest`/`ModelResponse` redesign.
 //! * [`service`] — [`QueryService`]: non-blocking admission with defined
-//!   backpressure ([`ServeError::Saturated`]), watermark-or-deadline
-//!   micro-batch flushing ([`ServeConfig`]), per-request oneshot replies
-//!   ([`QueryTicket`]), and graceful shutdown that drains every admitted
-//!   request exactly once.
+//!   backpressure ([`ServeError::Saturated`]), deadline-free dispatch of
+//!   at most [`ServeConfig::max_batch`] queued requests, per-request
+//!   oneshot replies ([`QueryTicket`]), and graceful shutdown that drains
+//!   every admitted request exactly once.
 //! * [`stats`] — the [`ServiceStats`] ledger: admitted/rejected/served
 //!   counters, a batch-size histogram and per-stage (queue/encode/search)
 //!   time accounting.

@@ -1,28 +1,30 @@
-//! The query service: bounded admission → micro-batching dispatcher →
-//! per-request oneshot replies.
+//! The query service: bounded admission → continuous-batching dispatcher
+//! → per-request oneshot replies.
 //!
 //! ```text
 //!  callers ──try_send──▶ [bounded queue] ──▶ dispatcher thread
-//!     ▲                     (reject when        │  coalesce ≤ max_batch
-//!     │                      full: defined      │  (flush on watermark or
-//!     │                      backpressure)      │   flush_deadline)
-//!     └───── oneshot ◀── reply per request ◀────┘  group by (source, k)
+//!     ▲                     (reject when        │  block for one request,
+//!     │                      full: defined      │  take what else is queued
+//!     │                      backpressure)      │  (≤ max_batch), dispatch
+//!     └───── oneshot ◀── reply per request ◀────┘  group by (source, k, mode)
 //!                                                  encode → search_batch
 //! ```
 //!
 //! The dispatcher is one thread; parallelism comes from the [`Executor`]
 //! it drives [`VectorStore::search_batch`] on, exactly like the batch
-//! pipeline. Coalescing exists to feed that kernel: the flat backend
-//! decodes each row panel once per *query block*, so a micro-batch of 64
-//! amortises the decode the way `index_bench` measured (~4× at batch 64).
-//! Results are bit-identical to direct per-query searches — batching
-//! changes the schedule, never the answer.
+//! pipeline. It never waits for a batch to fill: batches form because
+//! arrivals queue while the previous batch is in service, so batch size
+//! tracks load by itself and a lone request is a batch of one. Coalescing
+//! exists to feed that kernel — a group's queries share one pass over the
+//! store's row panels instead of one pass each. Results are bit-identical
+//! to direct per-query searches — batching changes the schedule, never the
+//! answer.
 //!
 //! [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use mcqa_embed::{BioEncoder, EmbeddingCache};
@@ -79,30 +81,14 @@ pub struct ServeConfig {
     /// Admission queue capacity; submissions beyond it fail with
     /// [`ServeError::Saturated`] instead of blocking.
     pub queue_capacity: usize,
-    /// Micro-batch watermark: the dispatcher flushes as soon as this many
-    /// requests are in hand. `1` disables coalescing (one request at a
-    /// time).
+    /// Micro-batch ceiling: the most already-queued requests one dispatch
+    /// takes. `1` disables coalescing (one request at a time).
     pub max_batch: usize,
-    /// How long the dispatcher waits for the batch to fill before
-    /// flushing what it has. Bounds the latency cost of coalescing.
-    pub flush_deadline: Duration,
-    /// Single-request fast path: when a request arrives on an otherwise
-    /// empty queue, dispatch it immediately instead of waiting out the
-    /// flush deadline. Coalescing only pays when there is something to
-    /// coalesce *with*, so at low load this removes the deadline from the
-    /// latency floor without changing any answer — the dispatched
-    /// singleton runs the same grouped search path as a batch of one.
-    pub fast_path: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            queue_capacity: 256,
-            max_batch: 64,
-            flush_deadline: Duration::from_micros(500),
-            fast_path: true,
-        }
+        Self { queue_capacity: 256, max_batch: 64 }
     }
 }
 
@@ -173,7 +159,7 @@ impl QueryService {
         config: ServeConfig,
     ) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
-        assert!(config.max_batch > 0, "batch watermark must be nonzero");
+        assert!(config.max_batch > 0, "batch ceiling must be nonzero");
         let (tx, rx) = bounded::<Pending>(config.queue_capacity);
         let stats = Arc::new(ServiceStats::new());
         let dispatcher = Dispatcher {
@@ -334,50 +320,13 @@ impl Dispatcher {
         // The dispatcher's own query-encode cache: repeated text queries
         // (hot questions, replayed benchmarks) skip the encoder entirely.
         let cache = self.encoder.as_ref().map(EmbeddingCache::new);
-        loop {
-            // Block for the batch's first request; a disconnected, empty
-            // queue is the drain-complete signal.
-            let first = match rx.recv() {
-                Ok(p) => p,
-                Err(_) => break,
-            };
+        // Continuous batching: block for the batch's first request (a
+        // disconnected, empty queue is the drain-complete signal), take
+        // whatever else is already queued, dispatch. No timer — the next
+        // batch forms in the queue while this one is in service.
+        while let Ok(first) = rx.recv() {
             let mut batch = vec![first];
-            // Single-request fast path: drain whatever is already queued
-            // without waiting. If the first request arrived alone, there
-            // is nothing to coalesce with — dispatch it now rather than
-            // paying the flush deadline for a batch that will stay at 1.
-            if self.config.fast_path {
-                while batch.len() < self.config.max_batch {
-                    match rx.try_recv() {
-                        Ok(p) => batch.push(p),
-                        // Empty or disconnected; disconnect is settled by
-                        // the outer recv after this batch drains.
-                        Err(_) => break,
-                    }
-                }
-                if batch.len() == 1 {
-                    self.stats.fast_path_hit();
-                    self.process(batch, cache.as_ref());
-                    continue;
-                }
-            }
-            // Dynamic micro-batching: keep pulling until the watermark or
-            // the flush deadline, whichever comes first. The deadline is
-            // measured from the first dequeue, so a lone request is never
-            // delayed by more than `flush_deadline`.
-            let deadline = Instant::now() + self.config.flush_deadline;
-            while batch.len() < self.config.max_batch {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                match rx.recv_timeout(left) {
-                    Ok(p) => batch.push(p),
-                    // Timeout flushes the partial batch; disconnect is
-                    // settled by the outer recv after this batch drains.
-                    Err(_) => break,
-                }
-            }
+            batch.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(self.config.max_batch - 1));
             self.process(batch, cache.as_ref());
         }
     }
@@ -400,7 +349,7 @@ impl Dispatcher {
 
         // Group member slots by (source, k, mode): one store search per
         // group keeps results bit-identical to per-query search (the
-        // batched kernels guarantee it) while amortising panel decodes.
+        // batched kernels guarantee it) while sharing one scan of the store.
         let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
         for (i, p) in batch.iter().enumerate() {
             groups

@@ -31,7 +31,6 @@ pub struct ServiceStats {
     served_ok: AtomicU64,
     served_err: AtomicU64,
     batches: AtomicU64,
-    fast_path_hits: AtomicU64,
     batch_hist: [AtomicU64; BATCH_BUCKETS],
     queue_nanos: AtomicU64,
     encode_nanos: AtomicU64,
@@ -56,10 +55,6 @@ impl ServiceStats {
         self.batch_hist[bucket_of(size)].fetch_add(1, Relaxed);
     }
 
-    pub(crate) fn fast_path_hit(&self) {
-        self.fast_path_hits.fetch_add(1, Relaxed);
-    }
-
     pub(crate) fn record_served(&self, ok: bool) {
         if ok {
             self.served_ok.fetch_add(1, Relaxed);
@@ -82,14 +77,17 @@ impl ServiceStats {
 
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> ServiceSnapshot {
+        let batch_hist: [u64; BATCH_BUCKETS] =
+            std::array::from_fn(|i| self.batch_hist[i].load(Relaxed));
         ServiceSnapshot {
             admitted: self.admitted.load(Relaxed),
             rejected: self.rejected.load(Relaxed),
             served_ok: self.served_ok.load(Relaxed),
             served_err: self.served_err.load(Relaxed),
             batches: self.batches.load(Relaxed),
-            fast_path_hits: self.fast_path_hits.load(Relaxed),
-            batch_hist: std::array::from_fn(|i| self.batch_hist[i].load(Relaxed)),
+            // The size-1 bucket; an empty batch is never recorded.
+            fast_path_hits: batch_hist[0],
+            batch_hist,
             queue_secs: self.queue_nanos.load(Relaxed) as f64 / 1e9,
             encode_secs: self.encode_nanos.load(Relaxed) as f64 / 1e9,
             search_secs: self.search_nanos.load(Relaxed) as f64 / 1e9,
@@ -111,9 +109,8 @@ pub struct ServiceSnapshot {
     pub served_err: u64,
     /// Micro-batches dispatched.
     pub batches: u64,
-    /// Dispatches that took the single-request fast path: the request
-    /// arrived on an empty queue, so the dispatcher skipped the
-    /// flush-deadline wait entirely (see [`crate::ServeConfig::fast_path`]).
+    /// Dispatches that carried one request: it arrived on an empty queue,
+    /// so there was nothing to coalesce it with (`batch_hist[0]`).
     pub fast_path_hits: u64,
     /// Batch-size histogram (bucket bounds: see [`BATCH_BUCKETS`]).
     pub batch_hist: [u64; BATCH_BUCKETS],
@@ -177,7 +174,7 @@ mod tests {
         s.reject();
         s.record_batch(4);
         s.record_batch(6);
-        s.fast_path_hit();
+        s.record_batch(1);
         for i in 0..10 {
             s.record_served(i > 0); // one error, nine ok
         }
@@ -187,11 +184,11 @@ mod tests {
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.served(), 10);
         assert_eq!(snap.served_err, 1);
-        assert_eq!(snap.batches, 2);
-        assert_eq!(snap.fast_path_hits, 1);
+        assert_eq!(snap.batches, 3);
+        assert_eq!(snap.fast_path_hits, 1, "the size-1 bucket");
         assert_eq!(snap.batch_hist[2], 1, "4 lands in 3-4");
         assert_eq!(snap.batch_hist[3], 1, "6 lands in 5-8");
-        assert!((snap.mean_batch() - 5.0).abs() < 1e-12);
+        assert!((snap.mean_batch() - 10.0 / 3.0).abs() < 1e-12);
         assert!((snap.saturation() - 1.0 / 11.0).abs() < 1e-12);
         assert!((snap.queue_secs - 0.5).abs() < 1e-6);
     }

@@ -124,12 +124,7 @@ fn start_service(workers: usize, max_batch: usize) -> QueryService {
         Some(fix.passages.clone()),
         Some(Reranker::new(fix.endpoint.clone(), 42)),
         Executor::new(workers),
-        ServeConfig {
-            queue_capacity: 64,
-            max_batch,
-            flush_deadline: std::time::Duration::from_micros(200),
-            ..ServeConfig::default()
-        },
+        ServeConfig { queue_capacity: 64, max_batch },
     )
 }
 

@@ -9,10 +9,10 @@
 //! * **Graceful drain** — shutdown answers every already-admitted request
 //!   exactly once, then refuses new work with `ShuttingDown`.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 
 use mcqa_embed::Precision;
-use mcqa_index::{FlatIndex, IndexRegistry, Metric, VectorStore};
+use mcqa_index::{FlatIndex, IndexRegistry, Metric, SearchResult, VectorStore};
 use mcqa_runtime::Executor;
 use mcqa_serve::{QueryRequest, QueryService, ServeConfig, ServeError};
 use proptest::prelude::*;
@@ -31,21 +31,24 @@ fn vector(seed: u64) -> Vec<f32> {
     (0..DIM).map(|j| (splitmix(seed ^ (j as u64) << 17) % 1000) as f32 / 500.0 - 1.0).collect()
 }
 
-/// One registry shared by every test: two flat stores with distinct
-/// contents, built once (the tests never mutate it).
+/// Two flat stores with distinct contents, one per source.
+fn stores() -> IndexRegistry {
+    let mut reg = IndexRegistry::new();
+    for (s, name) in SOURCES.iter().enumerate() {
+        let mut store = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
+        for i in 0..60u64 {
+            store.add(i, &vector(splitmix(1000 * (s as u64 + 1) + i)));
+        }
+        reg.insert(name, Box::new(store));
+    }
+    reg
+}
+
+/// One registry shared by every test, built once (the tests never mutate
+/// it).
 fn registry() -> &'static Arc<IndexRegistry> {
     static REG: OnceLock<Arc<IndexRegistry>> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut reg = IndexRegistry::new();
-        for (s, name) in SOURCES.iter().enumerate() {
-            let mut store = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
-            for i in 0..60u64 {
-                store.add(i, &vector(splitmix(1000 * (s as u64 + 1) + i)));
-            }
-            reg.insert(name, Box::new(store));
-        }
-        Arc::new(reg)
-    })
+    REG.get_or_init(|| Arc::new(stores()))
 }
 
 /// A deterministic request stream: query vectors, sources, and depths all
@@ -61,7 +64,7 @@ fn requests(n: usize, seed: u64, k: usize) -> Vec<QueryRequest> {
 }
 
 /// What a direct, unbatched call on the store itself returns.
-fn direct_hits(req: &QueryRequest) -> Vec<mcqa_index::SearchResult> {
+fn direct_hits(req: &QueryRequest) -> Vec<SearchResult> {
     let q = match &req.input {
         mcqa_serve::QueryInput::Vector(v) => v.clone(),
         _ => unreachable!("fixture uses vector inputs"),
@@ -81,10 +84,8 @@ proptest! {
         k in 1usize..9,
         workers_pick in 0usize..2,
         batch_pick in 0usize..3,
-        fast_pick in 0usize..2,
         shuffle in 0u64..1000,
     ) {
-        let fast_path = fast_pick == 1;
         let workers = [1usize, 4][workers_pick];
         let max_batch = [1usize, 4, 64][batch_pick];
         let reqs = requests(n, seed, k);
@@ -99,12 +100,7 @@ proptest! {
             registry().clone(),
             None,
             Executor::new(workers),
-            ServeConfig {
-                queue_capacity: 64,
-                max_batch,
-                flush_deadline: std::time::Duration::from_micros(200),
-                fast_path,
-            },
+            ServeConfig { queue_capacity: 64, max_batch },
         );
         let mut tickets: Vec<Option<mcqa_serve::QueryTicket>> =
             std::iter::repeat_with(|| None).take(n).collect();
@@ -123,12 +119,9 @@ proptest! {
         prop_assert_eq!(snap.served_ok, n as u64);
         prop_assert_eq!(snap.rejected, 0);
         prop_assert_eq!(snap.batch_hist.iter().copied().sum::<u64>(), snap.batches);
-        // A fast-path dispatch is still a dispatch: the counter can never
-        // outrun the batch ledger, and with the path disabled it stays 0.
+        // A singleton dispatch is still a dispatch: the counter can never
+        // outrun the batch ledger.
         prop_assert!(snap.fast_path_hits <= snap.batches);
-        if !fast_path {
-            prop_assert_eq!(snap.fast_path_hits, 0);
-        }
     }
 
     /// `query_batch` returns index-aligned results with per-request errors
@@ -155,12 +148,7 @@ proptest! {
             None,
             Executor::new(2),
             // Capacity below n: exercises the flow-controlled retry path.
-            ServeConfig {
-                queue_capacity: 4,
-                max_batch: 4,
-                flush_deadline: std::time::Duration::from_micros(100),
-                ..ServeConfig::default()
-            },
+            ServeConfig { queue_capacity: 4, max_batch: 4 },
         );
         let results = service.query_batch(reqs.clone());
         prop_assert_eq!(results.len(), n);
@@ -205,12 +193,7 @@ proptest! {
             registry().clone(),
             None,
             Executor::new(2),
-            ServeConfig {
-                queue_capacity: 64,
-                max_batch,
-                flush_deadline: std::time::Duration::from_micros(200),
-                ..ServeConfig::default()
-            },
+            ServeConfig { queue_capacity: 64, max_batch },
         );
         let tickets: Vec<_> =
             reqs.iter().map(|r| service.submit(r.clone()).expect("admitted")).collect();
@@ -231,51 +214,128 @@ proptest! {
         prop_assert_eq!(again.served(), n as u64);
     }
 
-    /// The single-request fast path is an optimisation of the schedule,
-    /// never the answer: a sequential (queue-always-empty) workload takes
-    /// the fast path on every dispatch, returns hits bit-identical to the
-    /// batched dispatcher serving the same requests, and the admission
-    /// ledger still conserves (admitted + rejected == submitted).
+    /// A sequential (queue-always-empty) workload has nothing to coalesce:
+    /// every dispatch carries exactly one request, returns hits
+    /// bit-identical to direct search, and the admission ledger still
+    /// conserves (admitted + rejected == submitted).
     #[test]
-    fn fast_path_is_bit_identical_to_batched_dispatch(
+    fn sequential_requests_dispatch_as_singletons(
         n in 1usize..16,
         seed in 0u64..1000,
         k in 1usize..9,
     ) {
         let reqs = requests(n, seed, k);
-        let fast = QueryService::start(
+        let service = QueryService::start(
             registry().clone(),
             None,
             Executor::new(2),
             ServeConfig::default(),
         );
         // Wait out each ticket before the next submit: the queue is empty
-        // at every arrival, so every dispatch must be a fast-path hit.
-        let fast_hits: Vec<_> = reqs
+        // at every arrival, so every dispatch must be a singleton.
+        let hits: Vec<_> = reqs
             .iter()
-            .map(|r| fast.submit(r.clone()).expect("admitted").wait().expect("served").hits)
+            .map(|r| service.submit(r.clone()).expect("admitted").wait().expect("served").hits)
             .collect();
-        let snap = fast.shutdown();
+        let snap = service.shutdown();
         prop_assert_eq!(snap.admitted + snap.rejected, n as u64, "conservation");
         prop_assert_eq!(snap.served_ok, n as u64);
         prop_assert_eq!(snap.fast_path_hits, n as u64, "every dispatch was a singleton");
         prop_assert_eq!(snap.batches, n as u64);
+        for (i, h) in hits.iter().enumerate() {
+            prop_assert_eq!(h, &direct_hits(&reqs[i]), "request {}", i);
+        }
+    }
+}
 
-        let batched = QueryService::start(
-            registry().clone(),
+/// A store whose batched search meets the test at a barrier on the way in
+/// and again on the way out: the test decides how long the dispatcher
+/// stays inside one dispatch, so a backlog of known size forms behind it.
+struct GatedStore {
+    inner: FlatIndex,
+    gate: Arc<Barrier>,
+}
+
+impl VectorStore for GatedStore {
+    fn add(&mut self, id: u64, vector: &[f32]) {
+        self.inner.add(id, vector);
+    }
+    fn search(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
+        self.inner.search(query, k)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn metric(&self) -> Metric {
+        self.inner.metric()
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn remove(&mut self, ids: &[u64]) -> usize {
+        self.inner.remove(ids)
+    }
+    fn search_batch(
+        &self,
+        exec: &Executor,
+        queries: &[Vec<f32>],
+        k: usize,
+    ) -> Vec<Vec<SearchResult>> {
+        self.gate.wait(); // the dispatcher is in service
+        self.gate.wait(); // the test has queued its backlog
+        self.inner.search_batch(exec, queries, k)
+    }
+    fn payload_bytes(&self) -> usize {
+        self.inner.payload_bytes()
+    }
+    fn to_bytes(&self) -> Vec<u8> {
+        self.inner.to_bytes()
+    }
+}
+
+/// Batches form in the queue while a dispatch is in service: requests
+/// that arrive behind a held dispatch leave together, `max_batch` at a
+/// time, without any of them waiting for a timer or for company.
+#[test]
+fn backlog_rides_the_next_dispatch_together() {
+    const MAX_BATCH: usize = 4;
+    let gate = Arc::new(Barrier::new(2));
+    let mut reg = stores();
+    let mut held = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
+    held.add(0, &vector(1));
+    reg.insert("held", Box::new(GatedStore { inner: held, gate: gate.clone() }));
+    let reg = Arc::new(reg);
+
+    // Every backlog size whose last dispatch is not a lone leftover.
+    for m in [2usize, 3, 4, 6, 7, 8, 11] {
+        let service = QueryService::start(
+            reg.clone(),
             None,
             Executor::new(2),
-            ServeConfig { fast_path: false, ..ServeConfig::default() },
+            ServeConfig { queue_capacity: 64, max_batch: MAX_BATCH },
         );
-        let batched_hits: Vec<_> = reqs
-            .iter()
-            .map(|r| batched.submit(r.clone()).expect("admitted").wait().expect("served").hits)
-            .collect();
-        prop_assert_eq!(batched.shutdown().fast_path_hits, 0);
-        for (i, (f, b)) in fast_hits.iter().zip(&batched_hits).enumerate() {
-            prop_assert_eq!(f, b, "request {}", i);
-            prop_assert_eq!(f, &direct_hits(&reqs[i]), "request {}", i);
+        let holder = service.submit(QueryRequest::vector("held", vector(2), 1)).expect("admitted");
+        gate.wait(); // the dispatcher took the holder alone and is inside its search
+        let reqs = requests(m, 77 + m as u64, 5);
+        let tickets: Vec<_> =
+            reqs.iter().map(|r| service.submit(r.clone()).expect("admitted")).collect();
+        gate.wait(); // release it: all m are queued behind the dispatch
+
+        assert_eq!(holder.wait().expect("served").batch, 1);
+        for (req, t) in reqs.iter().zip(tickets) {
+            let resp = t.wait().expect("served");
+            assert!(
+                (2..=MAX_BATCH).contains(&resp.batch),
+                "m = {m}: a queued request left in a batch of {}",
+                resp.batch
+            );
+            assert_eq!(resp.hits, direct_hits(req), "m = {m}");
         }
+        let snap = service.shutdown();
+        assert_eq!(snap.served_ok, 1 + m as u64);
+        assert_eq!(snap.batches, 1 + m.div_ceil(MAX_BATCH) as u64, "m = {m}");
+        assert_eq!(snap.fast_path_hits, 1, "only the holder travelled alone");
+        assert_eq!(snap.batch_hist.iter().copied().sum::<u64>(), snap.batches);
     }
 }
 
@@ -299,12 +359,7 @@ fn bounded_queue_rejects_without_losing_admitted_work() {
         reg.clone(),
         None,
         Executor::new(2),
-        ServeConfig {
-            queue_capacity: 1,
-            max_batch: 1,
-            flush_deadline: std::time::Duration::from_micros(50),
-            ..ServeConfig::default()
-        },
+        ServeConfig { queue_capacity: 1, max_batch: 1 },
     );
     let total = 64;
     let mut tickets = Vec::new();
