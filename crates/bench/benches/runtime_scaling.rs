@@ -2,7 +2,7 @@
 //! analogue of the paper's Parsl scaling on ALCF machines).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcqa_runtime::{run_stage, run_stage_batched, WorkStealingPool};
+use mcqa_runtime::{run_stage, run_stage_batched, Executor};
 
 /// A CPU-bound task roughly the cost of judging one candidate question.
 fn work_unit(x: u64) -> Result<u64, String> {
@@ -25,7 +25,7 @@ fn bench_scaling(c: &mut Criterion) {
     worker_counts.dedup();
     for workers in worker_counts {
         group.bench_with_input(BenchmarkId::new("stage_2k_tasks", workers), &workers, |b, &w| {
-            let pool = WorkStealingPool::new(w);
+            let pool = Executor::new(w);
             b.iter(|| {
                 let items: Vec<u64> = (0..n_tasks).collect();
                 let (results, _) = run_stage(&pool, "bench", items, work_unit);
@@ -43,7 +43,7 @@ fn bench_scaling(c: &mut Criterion) {
 fn bench_submission_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime_overhead");
     group.sample_size(20);
-    let pool = WorkStealingPool::new(4);
+    let pool = Executor::new(4);
     for n in [10_000u64, 100_000] {
         group.throughput(Throughput::Elements(n));
         group.bench_with_input(BenchmarkId::new("per_item", n), &n, |b, &n| {

@@ -242,7 +242,7 @@ impl Pipeline {
         report.add(parse_metrics);
 
         // Stage 3: semantic chunking with provenance mapping, fanned out one
-        // task per re-parsed document on the work-stealing pool. Each chunk
+        // task per re-parsed document on the executor. Each chunk
         // leaves the chunker with its embedding, composed from the sentence
         // postings the drift test already hashed. The stage's metrics keep
         // both rates observable: `throughput()` is docs/s,

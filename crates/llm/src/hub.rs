@@ -182,16 +182,37 @@ mod tests {
         let exec = Executor::global();
 
         let batched = hub.complete_batch(exec, &reqs);
+        let cold = hub.ledger().role(crate::Role::Judge);
+        assert_eq!(cold.calls, 20);
+        assert_eq!(cold.batches, 1);
+        assert_eq!(cold.batched_calls, 20);
+        // Only two distinct completions exist and each is stored once. How
+        // many of the *cold* batch's items reached the backend is the
+        // schedule's call — items running side by side can each miss a key
+        // before the first insert lands — but at least one per key did.
+        assert_eq!(hub.cache().len(), 2);
+        assert!(cold.backend_calls() >= 2);
+
+        // With both keys stored, the batch path is exact on any schedule:
+        // every item of a second batch reads the cache, none reaches the
+        // backend.
+        let warm_batched = hub.complete_batch(exec, &reqs);
+        assert_eq!(warm_batched, batched);
+        let warm = hub.ledger().role(crate::Role::Judge);
+        assert_eq!(warm.calls, 40);
+        assert_eq!(warm.batches, 2);
+        assert_eq!(warm.batched_calls, 40);
+        assert_eq!(warm.cache_hits, cold.cache_hits + 20);
+        assert_eq!(warm.backend_calls(), cold.backend_calls());
+
+        // And so is the serial path, with the same completions.
         let serial: Vec<ModelResponse> = reqs.iter().map(|r| hub.complete(r)).collect();
         assert_eq!(batched, serial);
-
         let judge = hub.ledger().role(crate::Role::Judge);
-        assert_eq!(judge.calls, 40, "20 batched + 20 serial");
-        assert_eq!(judge.batches, 1);
-        assert_eq!(judge.batched_calls, 20);
-        // Only two distinct completions exist; everything else hit the cache.
+        assert_eq!(judge.calls, 60, "40 batched + 20 serial");
+        assert_eq!(judge.batched_calls, 40);
+        assert_eq!(judge.cache_hits, warm.cache_hits + 20);
+        assert_eq!(judge.backend_calls(), cold.backend_calls());
         assert_eq!(hub.cache().len(), 2);
-        assert_eq!(judge.backend_calls(), 2);
-        assert_eq!(judge.cache_hits, 38);
     }
 }

@@ -119,18 +119,21 @@ impl RunReport {
         self.stages.iter().map(|s| s.elapsed_secs).sum()
     }
 
-    /// Render a fixed-width text table.
+    /// Render a fixed-width text table. The name column is as wide as the
+    /// longest stage name (at least 22), so every row lines up under the
+    /// header whatever the stages are called.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>11}\n",
+        let name_w = self.stages.iter().map(|s| s.name.chars().count()).max().unwrap_or(0).max(22);
+        let mut out = format!(
+            "{:<name_w$} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>11}\n",
             "stage", "items", "ok", "errors", "out", "secs", "items/s", "out/s"
-        ));
-        out.push_str(&"-".repeat(95));
+        );
+        // The rule spans the header, which is ASCII: bytes are columns.
+        out.push_str(&"-".repeat(out.len() - 1));
         out.push('\n');
         for s in &self.stages {
             out.push_str(&format!(
-                "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10.3} {:>11.1} {:>11.1}\n",
+                "{:<name_w$} {:>9} {:>9} {:>7} {:>9} {:>10.3} {:>11.1} {:>11.1}\n",
                 s.name,
                 s.items,
                 s.ok,
@@ -179,13 +182,24 @@ mod tests {
         r.add(m("acquire", 2255, 2255, 1.2));
         r.add(m("parse", 2255, 2230, 3.4));
         r.add(m("chunk", 2230, 2230, 0.8));
+        // The pipeline's longest stage name: 26 characters.
+        r.add(m("index-lex-traces-efficient", 451, 451, 0.1));
         let text = r.render();
-        for name in ["acquire", "parse", "chunk"] {
+        for name in ["acquire", "parse", "chunk", "index-lex-traces-efficient"] {
             assert!(text.contains(name), "{text}");
         }
         assert!(text.contains("items/s"));
-        assert!((r.total_secs() - 5.4).abs() < 1e-9);
-        assert_eq!(r.stages().len(), 3);
+        assert!((r.total_secs() - 5.5).abs() < 1e-9);
+        assert_eq!(r.stages().len(), 4);
+        // Header, rule, one row per stage, total: every line of the table
+        // proper is as wide as the header.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2 + 4 + 1);
+        assert!(lines[6].starts_with("total wall-clock"));
+        assert!(lines[1].chars().all(|c| c == '-'));
+        for line in &lines[1..6] {
+            assert_eq!(line.chars().count(), lines[0].chars().count(), "{text}");
+        }
     }
 
     #[test]

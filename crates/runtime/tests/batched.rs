@@ -1,6 +1,9 @@
 //! Property tests for the batched scheduler surface: `run_stage_batched`
 //! must be observationally identical to `run_stage` — bit-identical ordered
-//! results and identical ok/error/panic counts — for every batch size.
+//! results and identical ok/error/panic counts — for every batch size —
+//! plus the scoped core's own promises: a one-batch stage stays on the
+//! caller, and borrowed data survives nested, panicking, oversubscribed
+//! stages.
 
 use std::sync::OnceLock;
 
@@ -69,19 +72,67 @@ fn mid_batch_panic_isolates_to_that_item_only() {
     }
 }
 
-/// Batch sizes far larger than the item count degenerate to a single task
-/// without losing items or order.
+/// A stage that is one batch — here a batch size far larger than the item
+/// count — never leaves the calling thread: the caller keeps a stage's last
+/// batch, so no job is queued, no worker is woken, and no item is lost or
+/// reordered.
 #[test]
-fn oversized_batch_is_one_task() {
+fn one_batch_stage_runs_on_the_caller() {
     // A private pool: the shared one's counter also moves with whatever
     // tests run beside this one.
     let exec = Executor::new(2);
+    let caller = std::thread::current().id();
     let before = exec.stats().total_executed();
     let (results, metrics) =
-        run_stage_batched(&exec, "one-task", (0..10u64).collect(), 1_000_000, |x| {
-            Ok::<u64, String>(x)
+        run_stage_batched(&exec, "one-batch", (0..10u64).collect(), 1_000_000, |x| {
+            Ok::<_, String>((x, std::thread::current().id()))
         });
     assert_eq!(metrics.ok, 10);
     assert_eq!(results.len(), 10);
-    assert_eq!(exec.stats().total_executed(), before + 1, "all items in one pool task");
+    for (i, r) in results.iter().enumerate() {
+        assert_eq!(*r, Ok((i as u64, caller)), "item {i} ran in order on the calling thread");
+    }
+    assert_eq!(exec.stats().total_executed(), before, "nothing went through the queue");
+}
+
+/// The scoped core under contention: more workers than CPUs, closures that
+/// borrow the caller's stack, a nested stage on the same executor inside
+/// every item, and seeded panics. Every slot must hold exactly its item's
+/// result, and the borrowed data must be untouched once the stage returns —
+/// what the lifetime-erasing `transmute` in `stage_core` promises.
+#[test]
+fn scoped_core_stress() {
+    let exec = Executor::new(8);
+    const ROWS: usize = 96;
+    let data: Vec<u64> = (0..ROWS as u64).map(mcqa_util::splitmix64).collect();
+    let pristine = data.clone();
+    for round in 0..200u64 {
+        let poisoned = |i: usize| mcqa_util::splitmix64(round << 32 | i as u64) % 7 == 3;
+        // The nested stage reads a window of the same borrowed `data`.
+        let window = |i: usize| (0..=i % 8).map(move |j| (i + j) % ROWS);
+        let batch_size = 1 + round as usize % 5;
+        let (results, metrics) =
+            run_stage_batched(&exec, "outer", (0..ROWS).collect(), batch_size, |i| {
+                if poisoned(i) {
+                    panic!("seeded panic: round {round} item {i}");
+                }
+                let (inner, _) = run_stage(&exec, "inner", window(i).collect(), |at| {
+                    Ok::<u64, String>(data[at])
+                });
+                Ok::<u64, String>(inner.into_iter().map(Result::unwrap).fold(0, u64::wrapping_add))
+            });
+        let mut panics = 0;
+        for (i, r) in results.iter().enumerate() {
+            if poisoned(i) {
+                panics += 1;
+                assert_eq!(*r, Err(TaskError::Panicked), "round {round} slot {i}");
+            } else {
+                let want = window(i).map(|at| pristine[at]).fold(0, u64::wrapping_add);
+                assert_eq!(*r, Ok(want), "round {round} slot {i}");
+            }
+        }
+        assert_eq!(metrics.panics, panics, "round {round}");
+        assert_eq!(metrics.ok, ROWS - panics, "round {round}");
+    }
+    assert_eq!(data, pristine, "borrowed data intact after every stage");
 }

@@ -1,30 +1,49 @@
-//! Integration tests for [`mcqa_runtime::WorkStealingPool`] through the
-//! crate's public API: Parsl-style task-level fault isolation and genuine
-//! multi-worker execution.
+//! Integration tests for [`mcqa_runtime::Executor`] through the crate's
+//! public API: Parsl-style task-level fault isolation, genuine multi-worker
+//! execution, and the two things a sleeping pool has to get right — every
+//! submission wakes someone, and shutdown drains the queue.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Duration;
 
-use mcqa_runtime::{run_stage, TaskError, WorkStealingPool};
+use mcqa_runtime::{run_stage, Executor, TaskError};
 
-/// Every submitted job runs, and the work is spread across at least two
-/// workers (the whole point of a work-stealing pool).
+/// Every worker runs jobs, and every submitted job runs. Four jobs that each
+/// hold their thread until released can all have started only if four
+/// distinct workers are inside a job at once — however quick one worker
+/// is, it cannot take them all.
 #[test]
 fn all_jobs_execute_across_multiple_workers() {
-    let pool = WorkStealingPool::new(4);
+    let pool = Executor::new(4);
+    let (started_tx, started_rx) = sync_channel(4);
+    let releases: Vec<_> = (0..4)
+        .map(|_| {
+            let (release_tx, release_rx) = sync_channel::<()>(0);
+            let started_tx = started_tx.clone();
+            pool.submit(move || {
+                started_tx.send(std::thread::current().id()).unwrap();
+                // Returns when the test drops its end, pass or fail.
+                let _ = release_rx.recv();
+            });
+            release_tx
+        })
+        .collect();
+    let holders: HashSet<ThreadId> = (0..4)
+        .map(|_| started_rx.recv_timeout(Duration::from_secs(30)).expect("a worker took the job"))
+        .collect();
+    assert_eq!(holders.len(), 4, "four jobs in flight on four distinct threads");
+    drop(releases);
+
     let executed = Arc::new(AtomicUsize::new(0));
-    let (tx, rx) = crossbeam_channel::bounded(2_000);
-    for i in 0..2_000u64 {
+    let (tx, rx) = sync_channel(2_000);
+    for _ in 0..2_000 {
         let executed = Arc::clone(&executed);
         let tx = tx.clone();
         pool.submit(move || {
-            // Non-trivial work so no single worker can drain the queue alone.
-            let mut acc = 0u64;
-            for k in 0..300 {
-                acc = acc.wrapping_add(mcqa_util::splitmix64(i ^ k));
-            }
-            std::hint::black_box(acc);
             executed.fetch_add(1, Ordering::Relaxed);
             tx.send(()).unwrap();
         });
@@ -35,19 +54,19 @@ fn all_jobs_execute_across_multiple_workers() {
     assert_eq!(executed.load(Ordering::Relaxed), 2_000);
 
     let stats = pool.stats();
-    assert_eq!(stats.total_executed(), 2_000, "pool accounts for every job");
-    let busy = stats.executed_per_worker.iter().filter(|&&n| n > 0).count();
-    assert!(busy >= 2, "work must spread across ≥2 workers: {stats:?}");
+    assert_eq!(stats.total_executed(), 2_004, "pool accounts for every job");
+    assert!(stats.executed_per_worker.iter().all(|&n| n > 0), "every worker ran a job: {stats:?}");
+    assert_eq!(stats.assisted, 0, "nobody was blocked on a stage");
 }
 
 /// A panicking job must not take down its worker: all jobs submitted after
 /// the panic still complete, on a pool no wider than the panic count.
 #[test]
 fn panicking_jobs_do_not_kill_workers() {
-    let pool = WorkStealingPool::new(2);
+    let pool = Executor::new(2);
     // More panics than workers: if a panic killed a worker the pool would
     // deadlock on the follow-up batch.
-    let (started_tx, started_rx) = crossbeam_channel::bounded(8);
+    let (started_tx, started_rx) = sync_channel(8);
     for _ in 0..8 {
         let started_tx = started_tx.clone();
         pool.submit(move || {
@@ -55,7 +74,7 @@ fn panicking_jobs_do_not_kill_workers() {
             panic!("induced task failure")
         });
     }
-    let (tx, rx) = crossbeam_channel::bounded(100);
+    let (tx, rx) = sync_channel(100);
     for i in 0..100u32 {
         let tx = tx.clone();
         pool.submit(move || tx.send(i).unwrap());
@@ -64,10 +83,11 @@ fn panicking_jobs_do_not_kill_workers() {
         (0..100).map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap()).collect();
     got.sort_unstable();
     assert_eq!(got, (0..100).collect::<Vec<_>>());
-    // The follow-ups finishing does not mean the panicking jobs ran first:
-    // a worker batch-steals them into its LIFO deque and pops the
-    // follow-ups above them. A job is counted before it runs, so once all
-    // eight have announced themselves the counter has reached 108.
+    // The queue is FIFO, so every panicking job was popped before the last
+    // follow-up — but popped is not counted: the worker that took the
+    // eighth may not have reached its increment yet. A job is counted
+    // before it runs, so once all eight have announced themselves the
+    // counter has reached 108.
     for _ in 0..8 {
         started_rx.recv_timeout(Duration::from_secs(30)).expect("panicking job ran");
     }
@@ -78,7 +98,7 @@ fn panicking_jobs_do_not_kill_workers() {
 /// own result slot and the stage metrics census them.
 #[test]
 fn run_stage_isolates_panics_per_slot() {
-    let pool = WorkStealingPool::new(3);
+    let pool = Executor::new(3);
     let items: Vec<u32> = (0..50).collect();
     let (results, metrics) = run_stage(&pool, "mixed", items, |x| {
         if x % 10 == 7 {
@@ -96,4 +116,38 @@ fn run_stage_isolates_panics_per_slot() {
             assert_eq!(*r, Ok(i as u32 * 2), "order preserved around panics");
         }
     }
+}
+
+/// Workers sleep on a condvar with no timeout, so a submission whose
+/// wake-up got lost would never run: each round hands one job to a pool
+/// that has (most likely) gone back to sleep and blocks on its reply.
+#[test]
+fn no_lost_wakeups() {
+    for workers in [1, 4] {
+        let pool = Executor::new(workers);
+        let (tx, rx) = sync_channel(1);
+        for round in 0..10_000u32 {
+            let tx = tx.clone();
+            pool.submit(move || tx.send(round).unwrap());
+            let got = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("round {round} on {workers} workers never ran"));
+            assert_eq!(got, round);
+        }
+    }
+}
+
+/// Dropping the last handle runs what is still queued before joining.
+#[test]
+fn drop_drains_queued_jobs() {
+    let pool = Executor::new(3);
+    let ran = Arc::new(AtomicUsize::new(0));
+    for _ in 0..50 {
+        let ran = Arc::clone(&ran);
+        pool.submit(move || {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+    drop(pool);
+    assert_eq!(ran.load(Ordering::Relaxed), 50, "every queued job ran before the join returned");
 }

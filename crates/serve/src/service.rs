@@ -23,10 +23,10 @@
 //! [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use mcqa_embed::{BioEncoder, EmbeddingCache};
 use mcqa_index::IndexRegistry;
 use mcqa_lexical::{fuse_depth, Fusion};
@@ -97,7 +97,7 @@ impl Default for ServeConfig {
 struct Pending {
     req: QueryRequest,
     admitted: Instant,
-    reply: Sender<Result<QueryResponse, ServeError>>,
+    reply: SyncSender<Result<QueryResponse, ServeError>>,
 }
 
 /// A claim on a submitted request's eventual response.
@@ -126,7 +126,7 @@ impl QueryTicket {
 /// (or drop) stops admitting, drains every already-admitted request, and
 /// joins the thread — in-flight work is never abandoned.
 pub struct QueryService {
-    tx: RwLock<Option<Sender<Pending>>>,
+    tx: RwLock<Option<SyncSender<Pending>>>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     stats: Arc<ServiceStats>,
     config: ServeConfig,
@@ -160,7 +160,7 @@ impl QueryService {
     ) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
         assert!(config.max_batch > 0, "batch ceiling must be nonzero");
-        let (tx, rx) = bounded::<Pending>(config.queue_capacity);
+        let (tx, rx) = sync_channel::<Pending>(config.queue_capacity);
         let stats = Arc::new(ServiceStats::new());
         let dispatcher = Dispatcher {
             registry,
@@ -198,7 +198,7 @@ impl QueryService {
         let Some(tx) = guard.as_ref() else {
             return Err((ServeError::ShuttingDown, req));
         };
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         match tx.try_send(Pending { req, admitted: Instant::now(), reply }) {
             Ok(()) => {
                 self.stats.admit();

@@ -14,9 +14,9 @@ fail() {
 }
 
 # One scheduler everywhere: the whole workspace runs on mcqa-runtime's
-# work-stealing pool. A rayon dependency or import reappearing would split
-# the pipeline across two schedulers and hide stages from the metrics
-# surface.
+# Executor (one job queue, one pool). A rayon dependency or import
+# reappearing would split the pipeline across two schedulers and hide
+# stages from the metrics surface.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'rayon' . ||
     grep -rn --exclude-dir=target 'use rayon' crates src tests examples; then
     fail "rayon reappeared in the workspace"

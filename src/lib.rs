@@ -16,7 +16,7 @@
 //! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage |
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
 //! | [`lexical`] | the BM25 keyword channel + dense/lexical fusion (RRF, weighted) |
-//! | [`runtime`] | Parsl-style work-stealing workflow runtime |
+//! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped fault-isolated stages, stage metrics |
 //! | [`llm`] | every model role behind one `ModelEndpoint` trait (batched completions, response cache, call ledger); the sim backend plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
 //! | [`serve`] | the in-process query service (admission control, dynamic micro-batching) |
 //! | [`core`] | the end-to-end benchmark-generation pipeline (the paper's contribution) |
