@@ -13,11 +13,11 @@ pub mod recall;
 
 use mcqa_core::{Pipeline, PipelineConfig, PipelineOutput};
 
-/// Scale used by the criterion benches (kept small so `cargo bench`
-/// finishes quickly; the `repro` binary takes `--scale` for real runs).
+/// Scale of the shared test fixture (kept small so the row tests finish
+/// quickly; the `repro` binary takes `--scale` for real runs).
 pub const BENCH_SCALE: f64 = 0.01;
 
-/// Build (once per process) a small pipeline output for benches.
+/// Build (once per process) a small pipeline output for the row tests.
 pub fn bench_output() -> &'static PipelineOutput {
     static OUT: std::sync::OnceLock<PipelineOutput> = std::sync::OnceLock::new();
     OUT.get_or_init(|| Pipeline::run(&PipelineConfig::at_scale(BENCH_SCALE, 42)))

@@ -1,8 +1,9 @@
 //! Rendering the paper's tables and figures from an [`EvalRun`].
 //!
 //! Every renderer prints the *measured* values in the paper's layout plus
-//! a paper-target column block and the per-cell delta, so EXPERIMENTS.md
-//! can quote the output directly.
+//! a paper-target column block and the per-cell delta, so a write-up can
+//! quote the output directly (`repro residuals` prints the calibration
+//! residual census).
 
 use mcqa_llm::answer::Condition;
 use mcqa_llm::{TraceMode, GPT4_ASTRO_REFERENCE, MODEL_CARDS};

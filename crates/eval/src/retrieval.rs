@@ -69,11 +69,16 @@ pub fn passage_store(output: &PipelineOutput) -> PassageStore {
 }
 
 /// Precomputed retrieval results for a set of questions: for every
-/// (question, source) the top-k passages with oracle relevance labels and
-/// precomputed token counts (so window assembly is cheap per model).
+/// (question, source) the top-k passages with oracle relevance labels, each
+/// carrying its own token count ([`Passage::tokens`]), and for every
+/// question the token count of its rendered prompt text — so assembling a
+/// window for one more model card tokenises nothing.
 pub struct RetrievalBundle {
     /// `passages[q][source-index]` = retrieved passages for question `q`.
     passages: Vec<[Vec<Passage>; 4]>,
+    /// `question_tokens[q]` = [`mcqa_llm::context::question_tokens`] of
+    /// question `q`.
+    question_tokens: Vec<usize>,
 }
 
 impl RetrievalBundle {
@@ -215,12 +220,12 @@ impl RetrievalBundle {
                 for hit in &hits_per_source[Source::Chunks.index()][qi] {
                     let Some(&pos) = chunk_pos.get(&hit.id) else { continue };
                     let chunk = &output.chunks[pos];
-                    per_source[Source::Chunks.index()].push(Passage {
-                        text: chunk.text.clone(),
-                        source: PassageSource::Chunk,
-                        supports: chunk.facts.contains(&item.fact).then_some(item.fact),
-                        score: hit.score,
-                    });
+                    per_source[Source::Chunks.index()].push(Passage::new(
+                        chunk.text.clone(),
+                        PassageSource::Chunk,
+                        chunk.facts.contains(&item.fact).then_some(item.fact),
+                        hit.score,
+                    ));
                 }
 
                 let item_subject = subject_of(item.fact.0);
@@ -235,19 +240,19 @@ impl RetrievalBundle {
                                     || (item_subject.is_some() && subject_of(**f) == item_subject)
                             })
                             .map(|_| item.fact);
-                        per_source[source.index()].push(Passage {
-                            text: (*text).to_string(),
-                            source: PassageSource::Trace(mode),
+                        per_source[source.index()].push(Passage::new(
+                            (*text).to_string(),
+                            PassageSource::Trace(mode),
                             supports,
-                            score: hit.score,
-                        });
+                            hit.score,
+                        ));
                     }
                 }
-                Ok::<_, String>(per_source)
+                Ok::<_, String>((per_source, mcqa_llm::context::question_tokens(item)))
             },
         );
-        let passages: Vec<[Vec<Passage>; 4]> =
-            labelled.into_iter().map(|r| r.expect("labelling cannot fail")).collect();
+        let (passages, question_tokens): (Vec<[Vec<Passage>; 4]>, Vec<usize>) =
+            labelled.into_iter().map(|r| r.expect("labelling cannot fail")).unzip();
 
         // One stage row spanning encode + search + label, so the report's
         // `eval-retrieve` line reports end-to-end questions/s (`items/s`)
@@ -260,12 +265,17 @@ impl RetrievalBundle {
             retrieve_timer.elapsed_secs(),
         );
 
-        (Self { passages }, metrics)
+        (Self { passages, question_tokens }, metrics)
     }
 
     /// Retrieved passages for question index `q` from `source`.
     pub fn passages(&self, q: usize, source: Source) -> &[Passage] {
         &self.passages[q][source.index()]
+    }
+
+    /// Tokens question index `q`'s rendered prompt text costs.
+    pub fn question_tokens(&self, q: usize) -> usize {
+        self.question_tokens[q]
     }
 
     /// Number of questions covered.
@@ -312,6 +322,11 @@ mod tests {
                 assert!(ps.len() <= 5);
                 assert!(!ps.is_empty(), "q{q} {s:?} returned nothing");
             }
+            assert_eq!(
+                bundle.question_tokens(q),
+                mcqa_llm::context::question_tokens(&out.items[q]),
+                "q{q} is counted as it renders"
+            );
         }
     }
 
@@ -349,7 +364,7 @@ mod tests {
                     // Find the chunk by text and confirm the oracle.
                     let supporting = chunk_by_id
                         .values()
-                        .any(|c| c.text == p.text && c.facts.contains(&item.fact));
+                        .any(|c| c.text == p.text() && c.facts.contains(&item.fact));
                     assert!(supporting, "labelled passage lacks oracle support");
                 }
             }

@@ -274,7 +274,7 @@ impl Reranker {
 #[derive(Clone)]
 pub struct Answerer {
     endpoint: Arc<dyn ModelEndpoint>,
-    model: ResolvedModel,
+    model: Arc<ResolvedModel>,
     seed: u64,
 }
 
@@ -286,7 +286,7 @@ impl Answerer {
         calibration: Calibration,
         seed: u64,
     ) -> Self {
-        Self { endpoint, model: ResolvedModel { card, cal: calibration }, seed }
+        Self { endpoint, model: Arc::new(ResolvedModel::new(card, calibration)), seed }
     }
 
     /// The behaviour card this adapter answers as.
@@ -306,7 +306,7 @@ impl Answerer {
                 PromptPart::user(item.render()),
             ],
             RequestPayload::Answer {
-                model: self.model.clone(),
+                model: Arc::clone(&self.model),
                 item: item.clone(),
                 condition,
                 context: context.cloned(),
@@ -399,7 +399,7 @@ mod tests {
         let (_, ep) = setup();
         let card = MODEL_CARDS[3].clone();
         let cal = resolve(&card, &PipelineRates::nominal());
-        let direct = ResolvedModel { card: card.clone(), cal: cal.clone() };
+        let direct = ResolvedModel::new(card.clone(), cal.clone());
         let answerer = Answerer::new(ep, card, cal, 42);
         let item = crate::mcq::test_item();
         let via = answerer.answer(&item, Condition::Baseline, None);

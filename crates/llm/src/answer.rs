@@ -1,6 +1,6 @@
 //! The forward answer cascade: a calibrated model answering one MCQ.
 
-use mcqa_util::KeyedStochastic;
+use mcqa_util::{KeyedStochastic, StableHasher};
 use serde::{Deserialize, Serialize};
 
 use crate::cards::ModelCard;
@@ -57,15 +57,44 @@ pub struct AnswerOutcome {
 }
 
 /// A model card joined with its calibration — ready to answer questions.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// The pair is digested once, at construction, and is read-only afterwards
+/// (crate-private fields, no setter), so [`ResolvedModel::key`] always
+/// describes the card and calibration it sits beside. A request carries the
+/// model behind an `Arc` and is addressed by that digest
+/// ([`crate::ModelRequest::cache_key`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedModel {
     /// The behaviour card.
-    pub card: ModelCard,
+    pub(crate) card: ModelCard,
     /// Calibrated forward parameters.
-    pub cal: Calibration,
+    pub(crate) cal: Calibration,
+    /// Digest of `card` and `cal`.
+    key: u64,
 }
 
 impl ResolvedModel {
+    /// Join `card` with `cal` and digest the pair.
+    ///
+    /// The digest hashes the derive-generated JSON of both halves, which
+    /// covers every field by construction — a field added to a card or a
+    /// calibration is part of the identity without anyone remembering to
+    /// hash it. That costs a few microseconds and runs once per evaluated
+    /// card, not once per request.
+    pub fn new(card: ModelCard, cal: Calibration) -> Self {
+        let mut h = StableHasher::new();
+        h.write_str(&serde_json::to_string(&card).expect("model cards serialise"));
+        h.write_str(&serde_json::to_string(&cal).expect("calibrations serialise"));
+        Self { card, cal, key: h.finish() }
+    }
+
+    /// The digest of this model's card and calibration: equal for equal
+    /// (card, calibration) pairs, distinct otherwise (up to a 64-bit
+    /// collision).
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
     /// P(model knows the fact behind `item`), difficulty-modulated.
     fn p_know(&self, item: &McqItem) -> f64 {
         let k = match item.bench {
@@ -237,7 +266,7 @@ mod tests {
     fn model(i: usize) -> ResolvedModel {
         let card = MODEL_CARDS[i].clone();
         let cal = resolve(&card, &PipelineRates::nominal());
-        ResolvedModel { card, cal }
+        ResolvedModel::new(card, cal)
     }
 
     fn item(qid: u64, bench: BenchKind, difficulty: f64) -> McqItem {

@@ -22,10 +22,17 @@ pub enum PassageSource {
 }
 
 /// One retrieved passage handed to a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A passage counts its own tokens once, where it is built
+/// ([`Passage::new`]); text and count are private so the two cannot drift
+/// apart, and [`assemble`] reads the count for every model card instead of
+/// tokenising the same text again.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Passage {
     /// Passage text (injected into the prompt).
-    pub text: String,
+    text: String,
+    /// `token_count(text)`.
+    tokens: usize,
     /// Source type.
     pub source: PassageSource,
     /// Ground truth: the fact this passage states/supports, if any.
@@ -35,6 +42,24 @@ pub struct Passage {
     pub supports: Option<FactId>,
     /// Retrieval score (for ordering diagnostics).
     pub score: f32,
+}
+
+impl Passage {
+    /// A passage over `text`, tokenised here.
+    pub fn new(text: String, source: PassageSource, supports: Option<FactId>, score: f32) -> Self {
+        let tokens = mcqa_text::token_count(&text);
+        Self { text, tokens, source, supports, score }
+    }
+
+    /// Passage text (injected into the prompt).
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Tokens the passage costs in a prompt.
+    pub fn tokens(&self) -> usize {
+        self.tokens
+    }
 }
 
 /// The context actually visible to the model after truncation.
@@ -58,16 +83,29 @@ pub struct AssembledContext {
 /// Fixed prompt-scaffold overhead (instructions, separators) in tokens.
 const SCAFFOLD_TOKENS: usize = 48;
 
-/// Assemble a prompt for `item` from retrieved `passages` under a
-/// `context_window` budget.
+/// Tokens the rendered question (stem + lettered options) costs in a
+/// prompt — the `question_tokens` [`assemble`] takes. It depends on the
+/// item alone, so a caller assembling one item for many models or sources
+/// counts it once.
+pub fn question_tokens(item: &McqItem) -> usize {
+    mcqa_text::token_count(&item.render())
+}
+
+/// Assemble a prompt for a question about `fact`, costing
+/// [`question_tokens`], from retrieved `passages` under a `context_window`
+/// budget.
 ///
 /// Layout mirrors the usual RAG prompt: scaffold + passages (retrieval
 /// order) + question + options. Passages that do not fit *entirely* are
 /// dropped (partial evidence is useless for MCQ extraction); the question
 /// itself is always kept (models see the question even when context must
 /// be truncated away).
-pub fn assemble(item: &McqItem, passages: &[Passage], context_window: usize) -> AssembledContext {
-    let question_tokens = mcqa_text::token_count(&item.render());
+pub fn assemble(
+    fact: FactId,
+    question_tokens: usize,
+    passages: &[Passage],
+    context_window: usize,
+) -> AssembledContext {
     let budget = context_window.saturating_sub(question_tokens + SCAFFOLD_TOKENS);
 
     let mut used = 0usize;
@@ -75,11 +113,10 @@ pub fn assemble(item: &McqItem, passages: &[Passage], context_window: usize) -> 
     let mut relevant_in_window = false;
     let mut relevant_retrieved = false;
     for p in passages {
-        let is_relevant = p.supports == Some(item.fact);
+        let is_relevant = p.supports == Some(fact);
         relevant_retrieved |= is_relevant;
-        let t = mcqa_text::token_count(&p.text);
-        if used + t <= budget {
-            used += t;
+        if used + p.tokens <= budget {
+            used += p.tokens;
             in_window += 1;
             relevant_in_window |= is_relevant;
         }
@@ -115,18 +152,30 @@ mod tests {
     }
 
     fn passage(words: usize, supports: Option<FactId>) -> Passage {
-        Passage {
-            text: (0..words).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" "),
-            source: PassageSource::Chunk,
+        Passage::new(
+            (0..words).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" "),
+            PassageSource::Chunk,
             supports,
-            score: 0.9,
-        }
+            0.9,
+        )
+    }
+
+    /// [`assemble`] for the fixture item.
+    fn assemble_item(passages: &[Passage], window: usize) -> AssembledContext {
+        assemble(item().fact, question_tokens(&item()), passages, window)
+    }
+
+    #[test]
+    fn passage_counts_its_own_tokens() {
+        let p = passage(37, None);
+        assert_eq!(p.tokens(), mcqa_text::token_count(p.text()));
+        assert_eq!(p.tokens(), 37);
     }
 
     #[test]
     fn everything_fits_in_large_window() {
         let ps = vec![passage(200, Some(FactId(42))), passage(200, None)];
-        let ctx = assemble(&item(), &ps, 32_768);
+        let ctx = assemble_item(&ps, 32_768);
         assert_eq!(ctx.passages_in_window, 2);
         assert!(ctx.relevant_in_window);
         assert!(ctx.relevant_retrieved);
@@ -142,7 +191,7 @@ mod tests {
             passage(200, None),             // rank 1: fits
             passage(200, Some(FactId(42))), // rank 2: dropped → hit lost to truncation
         ];
-        let ctx = assemble(&item(), &ps, window);
+        let ctx = assemble_item(&ps, window);
         assert_eq!(ctx.passages_in_window, 1);
         assert!(ctx.relevant_retrieved, "retrieval found it");
         assert!(!ctx.relevant_in_window, "but the window lost it");
@@ -154,18 +203,20 @@ mod tests {
         let window = q_tokens + 48 + 300;
         // Five 250-token chunks: only the first fits.
         let chunks: Vec<Passage> = (0..5).map(|_| passage(250, None)).collect();
-        let c1 = assemble(&item(), &chunks, window);
+        let c1 = assemble_item(&chunks, window);
         assert_eq!(c1.passages_in_window, 1);
         // Five 50-token traces: all fit... budget 300 → 6 × 50 = 300 fits 5.
         let traces: Vec<Passage> = (0..5)
-            .map(|i| Passage {
-                text: (0..50).map(|j| format!("t{j}")).collect::<Vec<_>>().join(" "),
-                source: PassageSource::Trace(TraceMode::Efficient),
-                supports: if i == 4 { Some(FactId(42)) } else { None },
-                score: 0.8,
+            .map(|i| {
+                Passage::new(
+                    (0..50).map(|j| format!("t{j}")).collect::<Vec<_>>().join(" "),
+                    PassageSource::Trace(TraceMode::Efficient),
+                    if i == 4 { Some(FactId(42)) } else { None },
+                    0.8,
+                )
             })
             .collect();
-        let c2 = assemble(&item(), &traces, window);
+        let c2 = assemble_item(&traces, window);
         assert_eq!(c2.passages_in_window, 5);
         assert!(c2.relevant_in_window, "trace at rank 5 still usable");
     }
@@ -175,14 +226,14 @@ mod tests {
         let q_tokens = mcqa_text::token_count(&item().render());
         let window = q_tokens + 48 + 100;
         let ps = vec![passage(200, None), passage(80, Some(FactId(42)))];
-        let ctx = assemble(&item(), &ps, window);
+        let ctx = assemble_item(&ps, window);
         assert_eq!(ctx.passages_in_window, 1, "the shorter rank-2 passage fits");
         assert!(ctx.relevant_in_window);
     }
 
     #[test]
     fn zero_passages() {
-        let ctx = assemble(&item(), &[], 2048);
+        let ctx = assemble_item(&[], 2048);
         assert_eq!(ctx.passages_total, 0);
         assert!(!ctx.relevant_retrieved);
         assert!(!ctx.relevant_in_window);
@@ -191,7 +242,7 @@ mod tests {
     #[test]
     fn tiny_window_keeps_question_only() {
         let ps = vec![passage(100, Some(FactId(42)))];
-        let ctx = assemble(&item(), &ps, 10);
+        let ctx = assemble_item(&ps, 10);
         assert_eq!(ctx.passages_in_window, 0);
         assert!(!ctx.relevant_in_window);
     }
@@ -199,7 +250,7 @@ mod tests {
     #[test]
     fn irrelevant_passage_supporting_other_fact() {
         let ps = vec![passage(50, Some(FactId(7)))];
-        let ctx = assemble(&item(), &ps, 4096);
+        let ctx = assemble_item(&ps, 4096);
         assert!(!ctx.relevant_retrieved, "supports a different fact");
         assert_eq!(ctx.passages_in_window, 1);
     }

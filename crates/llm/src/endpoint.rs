@@ -19,19 +19,22 @@
 //! never see a backend type: they hold `Arc<dyn ModelEndpoint>` and go
 //! through the thin role adapters in [`crate::adapters`].
 
+use std::sync::Arc;
+
 use mcqa_ontology::FactId;
 use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_util::StableHasher;
 use serde::Serialize;
 
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::context::AssembledContext;
 use crate::judge::{GradeResult, QualityJudgment};
-use crate::mcq::McqItem;
-use crate::teacher::GeneratedQuestion;
+use crate::mcq::{BenchKind, McqItem};
+use crate::teacher::{GeneratedQuestion, QuestionDefect};
 use crate::trace::TraceMode;
 
 /// The model roles the paper's workflow employs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// GPT-4.1: question generation and reasoning-trace distillation.
     Teacher,
@@ -75,7 +78,7 @@ impl Role {
 
 /// What a prompt part is for (system scaffold, retrieved context, or the
 /// user turn).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartKind {
     /// Instructions / scaffold.
     System,
@@ -86,7 +89,7 @@ pub enum PartKind {
 }
 
 /// One part of the prompt a backend would assemble.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PromptPart {
     /// What the part is.
     pub kind: PartKind,
@@ -113,7 +116,7 @@ impl PromptPart {
 
 /// Decoding parameters (part of the request identity: a different
 /// temperature is a different completion).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeParams {
     /// Sampling temperature (the whole reproduction decodes greedily).
     pub temperature: f64,
@@ -131,11 +134,7 @@ impl Default for DecodeParams {
 /// render this into prompt text; the simulator interprets it directly —
 /// either way the payload *is* the request's semantic identity, which is
 /// what makes content-addressed caching sound.
-// The Answer variant dominates the size (card + calibration travel in the
-// request); boxing it would complicate the serde-shim derive for no win on
-// this hot path, where requests are built once and moved.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RequestPayload {
     /// Teacher: generate one 7-option MCQ grounded in `fact`.
     GenerateQuestion {
@@ -181,8 +180,9 @@ pub enum RequestPayload {
     },
     /// Answerer: one calibrated SLM answers one MCQ.
     Answer {
-        /// The behaviour card joined with its calibration.
-        model: ResolvedModel,
+        /// The behaviour card joined with its calibration, shared by every
+        /// request of one evaluated card.
+        model: Arc<ResolvedModel>,
         /// The question.
         item: McqItem,
         /// The retrieval condition.
@@ -227,7 +227,7 @@ impl RequestPayload {
 }
 
 /// One completion request.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelRequest {
     /// Which model role the request addresses.
     pub role: Role,
@@ -248,27 +248,42 @@ impl ModelRequest {
         Self { role: payload.role(), parts, payload, seed, params: DecodeParams::default() }
     }
 
-    /// The canonical encoding of the request — every field that affects
-    /// the completion, serialised deterministically. Content-addressed
-    /// caching hashes this.
-    pub fn canonical_encoding(&self) -> String {
-        serde_json::to_string(self).expect("model requests serialise")
-    }
-
-    /// Content address: fnv1a over [`ModelRequest::canonical_encoding`]
-    /// (same shape as the embedding cache's key; a 64-bit collision would
-    /// alias two requests — probability ~2⁻⁶⁴ per pair, negligible at any
-    /// realistic call volume).
+    /// Content address: every field that affects the completion, walked
+    /// straight into a [`StableHasher`] — role, each prompt part, the
+    /// payload behind a per-variant tag, seed, decode params. Strings,
+    /// `Vec`s and `Option`s carry a length / presence prefix, floats go in
+    /// as their bits, and an answer request's model goes in as the digest
+    /// it computed at construction ([`ResolvedModel::key`]). Nothing is
+    /// serialised and nothing is allocated. (A 64-bit collision would alias
+    /// two requests — probability ~2⁻⁶⁴ per pair, negligible at any
+    /// realistic call volume.)
     ///
-    /// The encoding is streamed straight into the hasher
-    /// ([`serde_json::to_writer`] over [`mcqa_util::Fnv1aWriter`]), so the
-    /// eval loop's ~270k cache-key computations per run never materialise
-    /// the transient JSON string — the key is bit-identical to hashing
-    /// [`ModelRequest::canonical_encoding`].
+    /// Keys are process-local: the [`crate::ResponseCache`] is never
+    /// persisted, so this is not a wire format and may change freely.
+    ///
+    /// Completeness is the compiler's job. Every struct on the path is
+    /// destructured without `..` and every enum matched without `_`, so a
+    /// field or variant added later does not compile until the walk covers
+    /// it.
     pub fn cache_key(&self) -> u64 {
-        let mut hasher = mcqa_util::Fnv1aWriter::new();
-        serde_json::to_writer(&mut hasher, self).expect("model requests serialise");
-        hasher.finish()
+        let ModelRequest { role, parts, payload, seed, params } = self;
+        let mut h = StableHasher::new();
+        h.write_u32(role.index() as u32);
+        h.write_u64(parts.len() as u64);
+        for PromptPart { kind, text } in parts {
+            h.write_u32(match kind {
+                PartKind::System => 0,
+                PartKind::Context => 1,
+                PartKind::User => 2,
+            });
+            h.write_str(text);
+        }
+        walk_payload(&mut h, payload);
+        h.write_u64(*seed);
+        let DecodeParams { temperature, max_tokens } = params;
+        h.write_u64(temperature.to_bits());
+        h.write_u64(*max_tokens as u64);
+        h.finish()
     }
 
     /// Prompt-token estimate. For an answer request with an assembled
@@ -283,6 +298,129 @@ impl ModelRequest {
         }
         self.parts.iter().map(|p| mcqa_text::token_count(&p.text)).sum()
     }
+}
+
+/// [`ModelRequest::cache_key`]'s payload step.
+fn walk_payload(h: &mut StableHasher, payload: &RequestPayload) {
+    match payload {
+        RequestPayload::GenerateQuestion { fact: FactId(fact), salt } => {
+            h.write_u32(0);
+            h.write_u64(*fact);
+            h.write_str(salt);
+        }
+        RequestPayload::DistillTrace { question, mode } => {
+            h.write_u32(1);
+            walk_question(h, question);
+            h.write_u32(mode_tag(*mode));
+        }
+        RequestPayload::ScoreQuestion { question, salience } => {
+            h.write_u32(2);
+            walk_question(h, question);
+            h.write_u64(salience.to_bits());
+        }
+        RequestPayload::GradeAnswer { completion, correct, n_options } => {
+            h.write_u32(3);
+            h.write_str(completion);
+            h.write_u64(*correct as u64);
+            h.write_u64(*n_options as u64);
+        }
+        RequestPayload::ClassifyMath { item } => {
+            h.write_u32(4);
+            walk_item(h, item);
+        }
+        RequestPayload::Rerank { query, passages } => {
+            h.write_u32(5);
+            h.write_str(query);
+            walk_strs(h, passages);
+        }
+        RequestPayload::Answer { model, item, condition, context } => {
+            h.write_u32(6);
+            h.write_u64(model.key());
+            walk_item(h, item);
+            match condition {
+                Condition::Baseline => h.write_u32(0),
+                Condition::RagChunks => h.write_u32(1),
+                Condition::RagTraces(mode) => {
+                    h.write_u32(2);
+                    h.write_u32(mode_tag(*mode));
+                }
+            }
+            match context {
+                None => h.write_u32(0),
+                Some(AssembledContext {
+                    passages_in_window,
+                    passages_total,
+                    relevant_in_window,
+                    relevant_retrieved,
+                    prompt_tokens,
+                }) => {
+                    h.write_u32(1);
+                    h.write_u64(*passages_in_window as u64);
+                    h.write_u64(*passages_total as u64);
+                    h.write_u32(*relevant_in_window as u32);
+                    h.write_u32(*relevant_retrieved as u32);
+                    h.write_u64(*prompt_tokens as u64);
+                }
+            }
+        }
+    }
+}
+
+fn walk_strs(h: &mut StableHasher, strs: &[String]) {
+    h.write_u64(strs.len() as u64);
+    for s in strs {
+        h.write_str(s);
+    }
+}
+
+fn mode_tag(mode: TraceMode) -> u32 {
+    match mode {
+        TraceMode::Detailed => 0,
+        TraceMode::Focused => 1,
+        TraceMode::Efficient => 2,
+    }
+}
+
+fn walk_question(h: &mut StableHasher, question: &GeneratedQuestion) {
+    let GeneratedQuestion {
+        fact: FactId(fact),
+        stem,
+        options,
+        recorded_key,
+        true_key,
+        defects,
+        distractor_plausibility,
+    } = question;
+    h.write_u64(*fact);
+    h.write_str(stem);
+    walk_strs(h, options);
+    h.write_u64(*recorded_key as u64);
+    h.write_u64(*true_key as u64);
+    h.write_u64(defects.len() as u64);
+    for defect in defects {
+        h.write_u32(match defect {
+            QuestionDefect::ContextReference => 0,
+            QuestionDefect::AmbiguousStem => 1,
+            QuestionDefect::WrongKey => 2,
+        });
+    }
+    h.write_u64(distractor_plausibility.to_bits());
+}
+
+fn walk_item(h: &mut StableHasher, item: &McqItem) {
+    let McqItem { qid, bench, fact: FactId(fact), stem, options, correct, difficulty, is_math } =
+        item;
+    h.write_u64(*qid);
+    h.write_u32(match bench {
+        BenchKind::Synthetic => 0,
+        BenchKind::AstroExam => 1,
+    });
+    h.write_u64(*fact);
+    h.write_str(stem);
+    walk_strs(h, options);
+    h.write_u64(*correct as u64);
+    h.write_u64(difficulty.to_bits());
+    h.write_u32(*is_math as u32);
 }
 
 /// The structured result of one completion, by role.
@@ -460,15 +598,198 @@ mod tests {
         assert_ne!(req(1).cache_key(), hotter.cache_key(), "params are part of the identity");
     }
 
-    #[test]
-    fn cache_key_streams_the_canonical_encoding() {
-        // The streamed key must equal hashing the materialised canonical
-        // encoding — the content address is unchanged by the zero-alloc
-        // path (the ledger census depends on that).
-        for seed in [1u64, 42, 999] {
-            let r = req(seed);
-            assert_eq!(r.cache_key(), mcqa_util::fnv1a(r.canonical_encoding().as_bytes()));
+    fn question() -> GeneratedQuestion {
+        GeneratedQuestion {
+            fact: FactId(7),
+            stem: "Which kinase?".into(),
+            options: vec!["TRK2".into(), "ab".into(), "c".into()],
+            recorded_key: 0,
+            true_key: 1,
+            defects: vec![QuestionDefect::AmbiguousStem],
+            distractor_plausibility: 0.5,
         }
+    }
+
+    /// One request of every payload kind, under one envelope.
+    fn one_of_each() -> Vec<ModelRequest> {
+        let context = AssembledContext {
+            passages_in_window: 2,
+            passages_total: 5,
+            relevant_in_window: false,
+            relevant_retrieved: false,
+            prompt_tokens: 500,
+        };
+        [
+            RequestPayload::GenerateQuestion { fact: FactId(7), salt: "s".into() },
+            RequestPayload::DistillTrace { question: question(), mode: TraceMode::Focused },
+            RequestPayload::ScoreQuestion { question: question(), salience: 0.5 },
+            RequestPayload::GradeAnswer {
+                completion: "Answer: C".into(),
+                correct: 2,
+                n_options: 7,
+            },
+            RequestPayload::ClassifyMath { item: crate::mcq::test_item() },
+            RequestPayload::Rerank {
+                query: "q".into(),
+                passages: vec!["p".into(), "ab".into(), "c".into()],
+            },
+            RequestPayload::Answer {
+                model: crate::solver::test_resolved_model(0),
+                item: crate::mcq::test_item(),
+                condition: Condition::RagTraces(TraceMode::Focused),
+                context: Some(context),
+            },
+        ]
+        .into_iter()
+        .map(|p| ModelRequest::new(vec![PromptPart::system("s"), PromptPart::user("u")], p, 1))
+        .collect()
+    }
+
+    /// A named single-field edit of a request.
+    type Edit = (&'static str, fn(&mut ModelRequest));
+
+    /// An [`Edit`] of one field of one payload variant: `$field` is bound
+    /// to `&mut` that field inside `$edit`.
+    macro_rules! edit {
+        ($variant:ident . $field:ident => $edit:expr) => {{
+            fn apply(r: &mut ModelRequest) {
+                let RequestPayload::$variant { $field, .. } = &mut r.payload else {
+                    panic!("not a {} request", stringify!($variant));
+                };
+                $edit;
+            }
+            (concat!(stringify!($variant), ".", stringify!($field), ": ", stringify!($edit)), apply)
+        }};
+    }
+
+    /// Every field a request of `payload`'s kind carries, changed alone.
+    /// The match is exhaustive: a new payload variant does not compile
+    /// until it lists its fields here.
+    fn payload_edits(payload: &RequestPayload) -> Vec<Edit> {
+        match payload {
+            RequestPayload::GenerateQuestion { .. } => vec![
+                edit!(GenerateQuestion.fact => fact.0 += 1),
+                edit!(GenerateQuestion.salt => salt.push('x')),
+            ],
+            RequestPayload::DistillTrace { .. } => vec![
+                edit!(DistillTrace.question => question.fact.0 += 1),
+                edit!(DistillTrace.question => question.stem.push('x')),
+                edit!(DistillTrace.question => question.options[2].push('x')),
+                edit!(DistillTrace.question => question.options.truncate(2)),
+                edit!(DistillTrace.question => question.recorded_key += 1),
+                edit!(DistillTrace.question => question.true_key += 1),
+                edit!(DistillTrace.question => question.defects[0] = QuestionDefect::WrongKey),
+                edit!(DistillTrace.question => question.defects.clear()),
+                edit!(DistillTrace.question => question.distractor_plausibility = 0.25),
+                edit!(DistillTrace.mode => *mode = TraceMode::Detailed),
+            ],
+            RequestPayload::ScoreQuestion { .. } => vec![
+                edit!(ScoreQuestion.question => question.stem.push('x')),
+                edit!(ScoreQuestion.question => question.defects[0] = QuestionDefect::ContextReference),
+                edit!(ScoreQuestion.salience => *salience = 0.25),
+            ],
+            RequestPayload::GradeAnswer { .. } => vec![
+                edit!(GradeAnswer.completion => completion.push('x')),
+                edit!(GradeAnswer.correct => *correct += 1),
+                edit!(GradeAnswer.n_options => *n_options -= 2),
+            ],
+            RequestPayload::ClassifyMath { .. } => vec![
+                edit!(ClassifyMath.item => item.qid += 1),
+                edit!(ClassifyMath.item => item.bench = BenchKind::AstroExam),
+                edit!(ClassifyMath.item => item.fact.0 += 1),
+                edit!(ClassifyMath.item => item.stem.push('x')),
+                edit!(ClassifyMath.item => item.options[6].push('x')),
+                edit!(ClassifyMath.item => item.options.truncate(6)),
+                edit!(ClassifyMath.item => item.correct += 1),
+                edit!(ClassifyMath.item => item.difficulty = 0.5),
+                edit!(ClassifyMath.item => item.is_math = true),
+            ],
+            RequestPayload::Rerank { .. } => vec![
+                edit!(Rerank.query => query.push('x')),
+                edit!(Rerank.passages => passages[0].push('x')),
+                edit!(Rerank.passages => passages.truncate(2)),
+            ],
+            RequestPayload::Answer { .. } => vec![
+                edit!(Answer.model => *model = crate::solver::test_resolved_model(1)),
+                edit!(Answer.item => item.qid += 1),
+                edit!(Answer.item => item.options[0].push('x')),
+                edit!(Answer.item => item.is_math = true),
+                edit!(Answer.condition => *condition = Condition::Baseline),
+                edit!(Answer.condition => *condition = Condition::RagChunks),
+                edit!(Answer.condition => *condition = Condition::RagTraces(TraceMode::Efficient)),
+                edit!(Answer.context => *context = None),
+                edit!(Answer.context => context.as_mut().unwrap().passages_in_window += 1),
+                edit!(Answer.context => context.as_mut().unwrap().passages_total += 1),
+                edit!(Answer.context => context.as_mut().unwrap().relevant_in_window = true),
+                edit!(Answer.context => context.as_mut().unwrap().relevant_retrieved = true),
+                edit!(Answer.context => context.as_mut().unwrap().prompt_tokens += 1),
+            ],
+        }
+    }
+
+    #[test]
+    fn cache_key_moves_with_every_single_field() {
+        let envelope: [Edit; 9] = [
+            ("role", |r| r.role = Role::ALL[(r.role.index() + 1) % Role::ALL.len()]),
+            ("parts[0].kind", |r| r.parts[0].kind = PartKind::Context),
+            ("parts[0].text", |r| r.parts[0].text.push('x')),
+            ("parts[1].kind", |r| r.parts[1].kind = PartKind::Context),
+            ("parts[1].text", |r| r.parts[1].text.push('x')),
+            ("parts.len()", |r| r.parts.truncate(1)),
+            ("seed", |r| r.seed += 1),
+            ("params.temperature", |r| r.params.temperature = 0.7),
+            ("params.max_tokens", |r| r.params.max_tokens += 1),
+        ];
+        let bases = one_of_each();
+        assert_eq!(bases.len(), 7);
+        for (base, rebuilt) in bases.iter().zip(one_of_each()) {
+            let key = base.cache_key();
+            assert_eq!(key, rebuilt.cache_key(), "rebuilding {:?} reproduces its key", base.role);
+            for (what, apply) in envelope.iter().chain(&payload_edits(&base.payload)) {
+                let mut edited = base.clone();
+                apply(&mut edited);
+                assert_ne!(&edited, base, "`{what}` edits nothing");
+                assert_ne!(edited.cache_key(), key, "`{what}` is not part of the identity");
+            }
+        }
+        // The payload kind itself is part of the identity, role aside.
+        let mut keys: Vec<u64> = bases
+            .into_iter()
+            .map(|mut r| {
+                r.role = Role::Teacher;
+                r.cache_key()
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 7);
+    }
+
+    #[test]
+    fn cache_key_delimits_adjacent_strings() {
+        // ("ab", "c") against ("a", "bc"): the same bytes in a row, split
+        // elsewhere, are different requests.
+        let resplit = |strs: &mut Vec<String>| {
+            assert_eq!(strs[1..], ["ab", "c"]);
+            strs[1] = "a".into();
+            strs[2] = "bc".into();
+        };
+        for base in one_of_each() {
+            let mut edited = base.clone();
+            match &mut edited.payload {
+                RequestPayload::DistillTrace { question, .. }
+                | RequestPayload::ScoreQuestion { question, .. } => resplit(&mut question.options),
+                RequestPayload::Rerank { passages, .. } => resplit(passages),
+                _ => continue,
+            }
+            assert_ne!(edited.cache_key(), base.cache_key(), "{:?}", base.role);
+        }
+        let parts = |a: &str, b: &str| {
+            let mut r = req(1);
+            r.parts = vec![PromptPart::user(a), PromptPart::user(b)];
+            r.cache_key()
+        };
+        assert_ne!(parts("ab", "c"), parts("a", "bc"));
     }
 
     #[test]
@@ -501,7 +822,7 @@ mod tests {
         let with_ctx = ModelRequest::new(
             vec![PromptPart::system("answer the question")],
             RequestPayload::Answer {
-                model: crate::solver::test_resolved_model(),
+                model: crate::solver::test_resolved_model(0),
                 item: crate::mcq::test_item(),
                 condition: Condition::Baseline,
                 context: Some(AssembledContext {

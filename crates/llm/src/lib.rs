@@ -35,7 +35,7 @@
 //! to find the per-model extraction skills that reproduce the targets
 //! under those measured rates. If a target is unreachable given what
 //! retrieval actually delivers, the skill clamps to `[0, 1]` and the
-//! residual shows up in EXPERIMENTS.md — that is the honest boundary
+//! residual shows up in `repro residuals` — that is the honest boundary
 //! between *calibrated behaviour* (model cards) and *emergent mechanism*
 //! (retrieval, truncation, filtering).
 

@@ -1,12 +1,14 @@
 //! A concurrent content-addressed completion cache.
 //!
-//! Keys are [`crate::ModelRequest::cache_key`] — fnv1a over the canonical
-//! request encoding, the same shape as the embedding cache in
-//! `mcqa-embed`. Because every backend is a deterministic function of the
-//! request, a cached response is indistinguishable from a fresh one; the
-//! cache exists so repeated evaluation passes (the no-math subset re-answers
-//! the full set's items, ablations re-run conditions, repeated `run_cards`
-//! calls) skip regeneration entirely.
+//! Keys are [`crate::ModelRequest::cache_key`] — a walk of every field
+//! that affects the completion into a stable hasher, with an answer
+//! request's model standing in as the digest it computed at construction.
+//! Keys live and die with the process: the cache is never persisted, so
+//! the key is not a wire format. Because every backend is a deterministic
+//! function of the request, a cached response is indistinguishable from a
+//! fresh one; the cache exists so repeated evaluation passes (the no-math
+//! subset re-answers the full set's items, ablations re-run conditions,
+//! repeated `run_cards` calls) skip regeneration entirely.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

@@ -17,8 +17,8 @@
 //! susceptibility, `h` = *measured* usable-hit rate and `E` = extraction
 //! skill. Baselines give `K` (set `h = 0, D = 0`); each RAG target then
 //! gives `E` under the measured `h`. Values clamp to `[0, 1]`; residuals
-//! are reported so EXPERIMENTS.md can show where the mechanism could not
-//! reach the paper's number.
+//! are reported so `repro residuals` can show where the mechanism could
+//! not reach the paper's number.
 
 use serde::{Deserialize, Serialize};
 
@@ -197,12 +197,12 @@ pub fn resolve(card: &ModelCard, rates: &PipelineRates) -> Calibration {
     }
 }
 
-/// A nominally-calibrated model for this crate's unit tests.
+/// `MODEL_CARDS[i]`, nominally calibrated, for this crate's unit tests.
 #[cfg(test)]
-pub(crate) fn test_resolved_model() -> crate::answer::ResolvedModel {
-    let card = crate::cards::MODEL_CARDS[0].clone();
+pub(crate) fn test_resolved_model(i: usize) -> std::sync::Arc<crate::answer::ResolvedModel> {
+    let card = crate::cards::MODEL_CARDS[i].clone();
     let cal = resolve(&card, &PipelineRates::nominal());
-    crate::answer::ResolvedModel { card, cal }
+    std::sync::Arc::new(crate::answer::ResolvedModel::new(card, cal))
 }
 
 #[cfg(test)]

@@ -31,10 +31,10 @@ fn endpoint() -> &'static dyn ModelEndpoint {
     &**EP.get_or_init(|| build_endpoint(&ModelSpec::Sim, 42, Arc::clone(ontology())))
 }
 
-fn resolved(i: usize) -> ResolvedModel {
+fn resolved(i: usize) -> Arc<ResolvedModel> {
     let card = MODEL_CARDS[i % MODEL_CARDS.len()].clone();
     let cal = resolve(&card, &PipelineRates::nominal());
-    ResolvedModel { card, cal }
+    Arc::new(ResolvedModel::new(card, cal))
 }
 
 fn item(x: u64) -> McqItem {
@@ -203,4 +203,20 @@ fn token_estimates_are_request_deterministic() {
         assert_eq!(a.tokens_in, r.prompt_tokens());
         assert_eq!(a.tokens_out, mcqa_text::token_count(&a.text));
     }
+}
+
+#[test]
+fn a_model_is_digested_from_its_card_and_its_calibration() {
+    // One calibration source, eight cards: eight digests, reproducibly.
+    let digests: std::collections::HashSet<u64> =
+        (0..MODEL_CARDS.len()).map(|i| resolved(i).key()).collect();
+    assert_eq!(digests.len(), MODEL_CARDS.len());
+    assert_eq!(resolved(3).key(), resolved(3).key());
+    // One card, two calibrations: the solver's output is part of the
+    // identity, down to one perturbed measured rate.
+    let card = &MODEL_CARDS[3];
+    let nominal = PipelineRates::nominal();
+    let perturbed = PipelineRates { synth_chunk: nominal.synth_chunk - 0.01, ..nominal };
+    let key = |rates| ResolvedModel::new(card.clone(), resolve(card, rates)).key();
+    assert_ne!(key(&nominal), key(&perturbed));
 }

@@ -12,6 +12,9 @@
 //!    same text forever.
 //!
 //! We provide FNV-1a for byte streams plus SplitMix64 as a finaliser/mixer.
+//! [`StableHasher`] is also what the model layer walks a request's fields
+//! into to address its response cache; those keys are process-local, so
+//! that use needs determinism within a run, not stability across releases.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -30,53 +33,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// An [`std::io::Write`] sink that FNV-1a-hashes every byte written to it.
-///
-/// Streaming counterpart of [`fnv1a`]: writing a byte stream and calling
-/// [`Fnv1aWriter::finish`] yields exactly `fnv1a(&all_bytes)` without ever
-/// materialising the stream. This is what lets serializers hash a canonical
-/// encoding (e.g. the model layer's ~270k-per-run request cache keys)
-/// allocation-free.
-#[derive(Debug, Clone)]
-pub struct Fnv1aWriter(u64);
-
-impl Default for Fnv1aWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1aWriter {
-    /// A writer starting from the canonical FNV offset basis.
-    #[inline]
-    pub fn new() -> Self {
-        Self(FNV_OFFSET)
-    }
-
-    /// The hash of everything written so far (equals [`fnv1a`] over the
-    /// concatenated bytes).
-    #[inline]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl std::io::Write for Fnv1aWriter {
-    #[inline]
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        for &b in buf {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        Ok(buf.len())
-    }
-
-    #[inline]
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 /// SplitMix64 mixing step: a bijective avalanche function on `u64`.
@@ -262,20 +218,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn writer_matches_one_shot_fnv_at_any_chunking() {
-        use std::io::Write;
-        let data = b"the canonical encoding of a model request";
-        for chunk in [1usize, 3, 7, data.len()] {
-            let mut w = Fnv1aWriter::new();
-            for c in data.chunks(chunk) {
-                w.write_all(c).unwrap();
-            }
-            assert_eq!(w.finish(), fnv1a(data), "chunk={chunk}");
-        }
-        assert_eq!(Fnv1aWriter::new().finish(), fnv1a(b""));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod stochastic;
 pub mod timer;
 
 pub use f16::F16;
-pub use hash::{fnv1a, splitmix64, Fnv1aWriter, PairedHasher, StableHasher};
+pub use hash::{fnv1a, splitmix64, PairedHasher, StableHasher};
 pub use hits::{cmp_hits, sort_hits, SearchResult, TopK};
 pub use stats::{Accuracy, OnlineStats, WilsonInterval};
 pub use stochastic::KeyedStochastic;

@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_distillation
 //! ```
 
-use distllm::llm::context::assemble;
+use distllm::llm::context::{assemble, question_tokens};
 use distllm::llm::{Passage, PassageSource};
 use distllm::prelude::*;
 
@@ -37,32 +37,21 @@ fn main() {
         .iter()
         .find(|c| c.chunk_id == record.provenance.chunk_id)
         .expect("source chunk exists");
-    let mk_chunk_passages = |n: usize| -> Vec<Passage> {
-        (0..n)
-            .map(|_| Passage {
-                text: source_chunk.text.clone(),
-                source: PassageSource::Chunk,
-                supports: Some(item.fact),
-                score: 1.0,
-            })
-            .collect()
-    };
+    let chunk_passage =
+        Passage::new(source_chunk.text.clone(), PassageSource::Chunk, Some(item.fact), 1.0);
     let trace_text = &output
         .traces
         .iter()
         .find(|t| t.question_id == item.qid && t.mode == TraceMode::Efficient)
         .expect("trace exists")
         .trace;
-    let mk_trace_passages = |n: usize| -> Vec<Passage> {
-        (0..n)
-            .map(|_| Passage {
-                text: trace_text.clone(),
-                source: PassageSource::Trace(TraceMode::Efficient),
-                supports: Some(item.fact),
-                score: 1.0,
-            })
-            .collect()
-    };
+    let trace_passage = Passage::new(
+        trace_text.clone(),
+        PassageSource::Trace(TraceMode::Efficient),
+        Some(item.fact),
+        1.0,
+    );
+    let q_tokens = question_tokens(item);
 
     println!("\n== context-window truncation (the small-model mechanism) ==");
     println!(
@@ -70,8 +59,8 @@ fn main() {
         "window", "chunk passages", "trace passages", "prompt tokens(ch)"
     );
     for window in [2048usize, 4096, 8192, 32_768] {
-        let c = assemble(item, &mk_chunk_passages(5), window);
-        let t = assemble(item, &mk_trace_passages(5), window);
+        let c = assemble(item.fact, q_tokens, &vec![chunk_passage.clone(); 5], window);
+        let t = assemble(item.fact, q_tokens, &vec![trace_passage.clone(); 5], window);
         println!(
             "{:<22} {:>10}/5 in {:>12}/5 in {:>18}",
             window, c.passages_in_window, t.passages_in_window, c.prompt_tokens
@@ -80,7 +69,7 @@ fn main() {
     println!(
         "\nchunk ≈ {} tokens, trace ≈ {} tokens: five chunks overflow a 2k window, \
          five traces never do.",
-        distllm::text::token_count(&source_chunk.text),
-        distllm::text::token_count(trace_text)
+        chunk_passage.tokens(),
+        trace_passage.tokens()
     );
 }

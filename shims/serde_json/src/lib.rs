@@ -1,6 +1,8 @@
 //! Offline stand-in for `serde_json`: a compact JSON writer and a
 //! recursive-descent parser over the serde shim's [`Content`] data model.
 
+use std::fmt::Write;
+
 use serde::{Content, Deserialize, Serialize};
 
 /// JSON value — the serde shim's content tree doubles as the value type.
@@ -26,12 +28,10 @@ impl From<serde::DeError> for Error {
 
 // ---- serialization ---------------------------------------------------------
 
-// The writer is generic over `fmt::Write` so the same code path backs both
-// string serialization and [`to_writer`]'s streaming `io::Write` sinks (a
-// hasher, a file): whatever bytes `to_string` would produce are exactly the
-// bytes a sink receives.
+// Everything is written into a `String`: the workspace has no streaming
+// consumer (artifacts are JSONL lines and hashed strings).
 
-fn escape_into<W: std::fmt::Write>(s: &str, out: &mut W) -> std::fmt::Result {
+fn escape_into(s: &str, out: &mut String) -> std::fmt::Result {
     out.write_char('"')?;
     for ch in s.chars() {
         match ch {
@@ -47,7 +47,7 @@ fn escape_into<W: std::fmt::Write>(s: &str, out: &mut W) -> std::fmt::Result {
     out.write_char('"')
 }
 
-fn write_f64<W: std::fmt::Write>(x: f64, out: &mut W) -> std::fmt::Result {
+fn write_f64(x: f64, out: &mut String) -> std::fmt::Result {
     if x.is_finite() {
         // Rust's shortest-roundtrip formatting keeps values exact on re-parse.
         write!(out, "{x}")
@@ -56,7 +56,7 @@ fn write_f64<W: std::fmt::Write>(x: f64, out: &mut W) -> std::fmt::Result {
     }
 }
 
-fn write_indent<W: std::fmt::Write>(out: &mut W, level: usize) -> std::fmt::Result {
+fn write_indent(out: &mut String, level: usize) -> std::fmt::Result {
     out.write_char('\n')?;
     for _ in 0..level {
         out.write_str("  ")?;
@@ -64,11 +64,7 @@ fn write_indent<W: std::fmt::Write>(out: &mut W, level: usize) -> std::fmt::Resu
     Ok(())
 }
 
-fn write_content<W: std::fmt::Write>(
-    c: &Content,
-    out: &mut W,
-    indent: Option<usize>,
-) -> std::fmt::Result {
+fn write_content(c: &Content, out: &mut String, indent: Option<usize>) -> std::fmt::Result {
     match c {
         Content::Null => out.write_str("null"),
         Content::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
@@ -137,35 +133,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// Serialize to JSON bytes.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
     to_string(value).map(String::into_bytes)
-}
-
-/// Serialize compact JSON straight into an [`std::io::Write`] sink.
-///
-/// The bytes streamed are exactly [`to_string`]'s output, without ever
-/// materialising that string — the entry point for hot paths that hash or
-/// persist a canonical encoding (e.g. the model layer's content-addressed
-/// cache keys, computed ~270k times per evaluation run).
-pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
-    writer: W,
-    value: &T,
-) -> Result<(), Error> {
-    struct IoFmt<W: std::io::Write> {
-        inner: W,
-        error: Option<std::io::Error>,
-    }
-    impl<W: std::io::Write> std::fmt::Write for IoFmt<W> {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.inner.write_all(s.as_bytes()).map_err(|e| {
-                self.error = Some(e);
-                std::fmt::Error
-            })
-        }
-    }
-    let mut out = IoFmt { inner: writer, error: None };
-    write_content(&value.to_content(), &mut out, None).map_err(|_| {
-        let io = out.error.take().expect("fmt failure carries the io error");
-        Error(format!("io error: {io}"))
-    })
 }
 
 // ---- parsing ---------------------------------------------------------------
@@ -453,31 +420,6 @@ mod tests {
         let v: Value = from_str(r#"{"a": 1, "b": [true, null]}"#).unwrap();
         assert!(v.get("a").is_some());
         assert!(v.get("missing").is_none());
-    }
-
-    #[test]
-    fn to_writer_streams_to_string_bytes_exactly() {
-        let v: Value =
-            from_str(r#"{"a": 1, "esc": "q\"\\\n\tz", "xs": [1.5, null, true], "neg": -3}"#)
-                .unwrap();
-        let mut streamed = Vec::new();
-        to_writer(&mut streamed, &v).unwrap();
-        assert_eq!(streamed, to_string(&v).unwrap().into_bytes());
-    }
-
-    #[test]
-    fn to_writer_surfaces_io_errors() {
-        struct Broken;
-        impl std::io::Write for Broken {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("sink closed"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let err = to_writer(Broken, &42u32).unwrap_err();
-        assert!(err.to_string().contains("sink closed"), "{err}");
     }
 
     #[test]

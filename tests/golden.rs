@@ -48,3 +48,24 @@ fn tiny_seed42_artifacts_are_byte_identical_to_the_pre_redesign_pipeline() {
          byte-identical to the golden run"
     );
 }
+
+/// The evaluation on top of that run: every model's rates, calibration and
+/// accuracy tables, plus the two call counts no schedule can move. The
+/// distinct-key count is the direct evidence that the response cache's
+/// equivalence classes are where they were — a key that aliased two
+/// requests would lower it, one that split a request would raise it.
+/// (`backend_calls` and `cache_hits` are not pinned: concurrent first
+/// touches of one grading key may both miss.) Captured on 357d4b4.
+#[test]
+fn tiny_seed42_eval_tables_are_pinned() {
+    let out = Pipeline::run(&PipelineConfig::tiny(42));
+    let run = Evaluator::new(&out, EvalConfig::default()).run();
+    let models_json = serde_json::to_string(&run.models).expect("serialises");
+    assert_eq!(
+        distllm::util::fnv1a(models_json.as_bytes()),
+        0xadb5_c551_f639_4348,
+        "the evaluation tables are no longer byte-identical to the golden run"
+    );
+    assert_eq!(out.models.ledger().total().calls, 62_747, "model-call census moved");
+    assert_eq!(out.models.cache().len(), 22_032, "distinct cached requests moved");
+}
