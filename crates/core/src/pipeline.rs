@@ -242,10 +242,10 @@ impl Pipeline {
         report.add(parse_metrics);
 
         // Stage 3: semantic chunking with provenance mapping, fanned out one
-        // task per re-parsed document on the executor. Each chunk
-        // leaves the chunker with its embedding, composed from the sentence
-        // postings the drift test already hashed. The stage's metrics keep
-        // both rates observable: `throughput()` is docs/s,
+        // task per re-parsed document on the executor. Each chunk leaves
+        // the chunker with its embedding, read off the same per-document
+        // prefix sums as the drift test's windows. The stage's metrics
+        // keep both rates observable: `throughput()` is docs/s,
         // `output_throughput()` is chunks/s.
         let encoder = BioEncoder::new(config.embed.clone());
         let chunker_cfg = config.chunker.clone();
@@ -924,6 +924,18 @@ mod tests {
             assert_eq!(q.options[idx], q.answer_text);
             // Item validates structurally.
             item.validate().unwrap_or_else(|e| panic!("qid {}: {e}", item.qid));
+        }
+    }
+
+    #[test]
+    fn chunk_records_carry_their_token_count() {
+        // The chunker sums per-sentence counts; tokens never span the
+        // single space sentences are joined by, so the sum is the count of
+        // the chunk text — which lets a consumer (the evaluator's passage
+        // budget) read the record instead of tokenising the text again.
+        let out = tiny_output();
+        for c in &out.chunks {
+            assert_eq!(c.tokens, mcqa_text::token_count(&c.text), "chunk {}", c.chunk_id);
         }
     }
 

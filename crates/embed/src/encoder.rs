@@ -1,7 +1,7 @@
 //! The `BioEncoder`: signed feature-hashing text encoder.
 
 use mcqa_runtime::{run_stage_batched, Executor};
-use mcqa_text::for_each_content_token;
+use mcqa_text::{for_each_content_token, Bridge};
 use mcqa_util::{PairedHasher, StableHasher};
 use serde::{Deserialize, Serialize};
 
@@ -24,23 +24,6 @@ impl Default for EmbedConfig {
     fn default() -> Self {
         Self { dim: 256, seed: 42, word_bigrams: true, char_trigrams: true }
     }
-}
-
-/// Visit every content token of `text` together with the content token
-/// before it (the word-bigram context). Returns the last one, if any.
-fn for_each_content_token_with_prev(
-    text: &str,
-    mut visit: impl FnMut(&str, Option<&str>),
-) -> Option<String> {
-    // The tokeniser's `&str` dies with each visit; one reused buffer keeps
-    // the previous token (tokens are never empty, so empty = none yet).
-    let mut prev = String::new();
-    for_each_content_token(text, |tok| {
-        visit(tok, (!prev.is_empty()).then_some(prev.as_str()));
-        prev.clear();
-        prev.push_str(tok);
-    });
-    (!prev.is_empty()).then_some(prev)
 }
 
 /// Deterministic semantic text encoder (PubMedBERT stand-in).
@@ -90,22 +73,18 @@ impl BioEncoder {
         }
     }
 
-    /// Emit one content token's features (unigram, `#`-prefixed subword
-    /// trigrams, and the `prev_tok` bigram joining it to `prev`) in the
-    /// exact order [`encode`] accumulates them. `emit` receives each
-    /// posting.
+    /// Emit one content token's own features (unigram and `#`-prefixed
+    /// subword trigrams). `emit` receives each posting.
     ///
     /// Unigrams carry the bulk of the signal. Entity-like symbols
     /// (digit-bearing gene/cell-line names) are the discriminative keys of
     /// biomedical retrieval — a contextual encoder like PubMedBERT weights
     /// them heavily, so do we.
-    ///
-    /// [`encode`]: BioEncoder::encode
     #[inline]
-    fn token_features(&self, tok: &str, prev: Option<&str>, mut emit: impl FnMut(u32, f32)) {
+    fn token_features(&self, tok: &str, emit: &mut impl FnMut(u32, f32)) {
         let bytes = tok.as_bytes();
         let entity_like = bytes.iter().any(u8::is_ascii_digit);
-        self.feature_postings(&[bytes], if entity_like { 2.5 } else { 1.0 }, &mut emit);
+        self.feature_postings(&[bytes], if entity_like { 2.5 } else { 1.0 }, emit);
         if self.config.char_trigrams && bytes.len() >= 5 {
             // Every window of three chars, cut at the token's own char
             // boundaries: `starts` holds where the two chars before the
@@ -114,32 +93,50 @@ impl BioEncoder {
             for (n, (at, c)) in tok.char_indices().enumerate() {
                 if n >= 2 {
                     let window = &bytes[starts[0]..at + c.len_utf8()];
-                    self.feature_postings(&[b"#", window], 0.25, &mut emit);
+                    self.feature_postings(&[b"#", window], 0.25, emit);
                 }
                 starts = [starts[1], at];
             }
         }
-        if self.config.word_bigrams {
-            if let Some(p) = prev {
-                self.feature_postings(&[p.as_bytes(), b"_", bytes], 0.5, &mut emit);
+    }
+
+    /// Continue a running encode over `text`: add every feature of its
+    /// content tokens to `acc` — each token's own, then the `prev_tok` word
+    /// bigram joining it to the content token before it — with `prev`
+    /// carrying that context in and out (empty: no content token yet).
+    /// `None` for a text without content tokens, else the postings of the
+    /// bigram that read the incoming `prev` (empty when there was none) —
+    /// the only feature that spans a sentence boundary.
+    fn accumulate(&self, text: &str, prev: &mut String, acc: &mut [f32]) -> Option<Bridge> {
+        let mut bridge: Option<Bridge> = None;
+        for_each_content_token(text, |tok| {
+            self.token_features(tok, &mut |idx, w| acc[idx as usize] += w);
+            // The bigram of the text's first content token is the bridge.
+            let first = bridge.is_none();
+            let bridge = bridge.get_or_insert_with(Bridge::new);
+            if self.config.word_bigrams && !prev.is_empty() {
+                let pieces = [prev.as_bytes(), b"_", tok.as_bytes()];
+                self.feature_postings(&pieces, 0.5, &mut |idx, w| {
+                    acc[idx as usize] += w;
+                    if first {
+                        bridge.push((idx, w));
+                    }
+                });
             }
-        }
+            // The tokeniser's `&str` dies with this visit; one reused
+            // buffer keeps it for the next.
+            prev.clear();
+            prev.push_str(tok);
+        });
+        bridge
     }
 
     /// Encode one text into a unit-norm `dim`-vector (zero vector for
-    /// featureless input). See `token_features` for the feature family.
+    /// featureless input). See `accumulate` for the feature family.
     pub fn encode(&self, text: &str) -> Vec<f32> {
         let mut acc = vec![0.0f32; self.config.dim];
-        for_each_content_token_with_prev(text, |tok, prev| {
-            self.token_features(tok, prev, |idx, w| acc[idx as usize] += w);
-        });
-
-        let norm: f32 = acc.iter().map(|x| x * x).sum::<f32>().sqrt();
-        if norm > 0.0 {
-            for x in &mut acc {
-                *x /= norm;
-            }
-        }
+        self.accumulate(text, &mut String::new(), &mut acc);
+        mcqa_text::similarity::normalise(&mut acc);
         acc
     }
 
@@ -158,6 +155,8 @@ impl BioEncoder {
     }
 }
 
+/// Composes: the chunker sums each sentence of a document once and reads
+/// every window and chunk embedding off differences of those sums.
 impl mcqa_text::Encoder for BioEncoder {
     fn dim(&self) -> usize {
         self.config.dim
@@ -167,39 +166,20 @@ impl mcqa_text::Encoder for BioEncoder {
         BioEncoder::encode(self, text)
     }
 
-    /// Pre-hash one sentence for the chunker's compositional window
-    /// encoding. Postings are recorded in the exact order
-    /// [`BioEncoder::encode`] would accumulate them, so replaying them —
-    /// with [`mcqa_text::Encoder::bridge_postings`] spliced in after the
-    /// first content token's head at each sentence join — reproduces the
-    /// joined encode bit for bit.
-    fn sentence_postings(&self, text: &str) -> Option<mcqa_text::SentencePostings> {
-        let mut postings = Vec::new();
-        let mut head_len = 0usize;
-        let mut first_content: Option<String> = None;
-        let last_content = for_each_content_token_with_prev(text, |tok, prev| {
-            self.token_features(tok, prev, |idx, w| postings.push((idx, w)));
-            if first_content.is_none() {
-                first_content = Some(tok.to_string());
-                // The first content token has no in-sentence bigram: its
-                // postings are exactly the head a cross-sentence bridge
-                // splices after.
-                head_len = postings.len();
-            }
-        });
-        Some(mcqa_text::SentencePostings { postings, head_len, first_content, last_content })
+    /// Every weight is ± 0.25, 0.5, 1 or 2.5, a multiple of
+    /// [`mcqa_text::WEIGHT_QUANTUM`], and a feature is two postings. A
+    /// content token of `c` chars (never more than the bytes it was read
+    /// from) emits a unigram (≤ 2 × 2.5), `c − 2` trigrams (2 × 0.25 each)
+    /// and, behind another token and the ≥ 1 byte that separates them, a
+    /// bigram (2 × 0.5): at most `5 c` alone and `5 (c + 1)` with its
+    /// separator, so a text's weights total at most 5 × its bytes.
+    fn exact_sum_bytes(&self) -> usize {
+        mcqa_text::EXACT_SUM_MASS / 5
     }
 
-    /// The word bigram joining two sentences' adjacent content tokens —
-    /// the only feature of [`BioEncoder::encode`] that spans a sentence
-    /// boundary.
-    fn bridge_postings(&self, prev: &str, next: &str) -> Vec<(u32, f32)> {
-        let mut out = Vec::new();
-        if self.config.word_bigrams {
-            let pieces = [prev.as_bytes(), b"_", next.as_bytes()];
-            self.feature_postings(&pieces, 0.5, &mut |idx, w| out.push((idx, w)));
-        }
-        out
+    /// The accumulation [`BioEncoder::encode`] itself runs, resumed.
+    fn add_sentence(&self, sentence: &str, prev: &mut String, row: &mut [f32]) -> Option<Bridge> {
+        self.accumulate(sentence, prev, row)
     }
 }
 
@@ -328,10 +308,12 @@ mod tests {
 
     #[test]
     fn compose_encode_matches_joined_encode_bitwise() {
-        // The memoisation contract: composition must be *identity*, not
-        // approximation — across entity weighting, char trigrams, word
-        // bigrams (including the cross-sentence bridge), and stopword-only
-        // sentences that carry bigram state through.
+        // The prefix-sum contract: a difference of the document's rows must
+        // be *identity*, not approximation — across entity weighting, char
+        // trigrams, word bigrams (including the cross-sentence bridge a
+        // window leaves behind), and stopword-only sentences that carry
+        // bigram state through. Bits, not `==`: −0.0 == 0.0.
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
         let mut configs = vec![EmbedConfig { seed: 7, dim: 64, ..Default::default() }];
         for (word_bigrams, char_trigrams) in
             [(true, true), (true, false), (false, true), (false, false)]
@@ -341,14 +323,13 @@ mod tests {
         for cfg in configs {
             let e = BioEncoder::new(cfg);
             let sentences = awkward_sentences();
-            for start in 0..sentences.len() {
+            for start in 0..=sentences.len() {
                 for end in start..=sentences.len() {
-                    let slice = &sentences[start..end];
-                    let composed =
-                        mcqa_text::compose_encode(&e, slice).expect("BioEncoder composes");
+                    let composed = mcqa_text::compose_encode(&e, &sentences, start..end)
+                        .expect("BioEncoder composes");
                     assert_eq!(
-                        composed,
-                        e.encode(&slice.join(" ")),
+                        bits(composed),
+                        bits(e.encode(&sentences[start..end].join(" "))),
                         "window {start}..{end} must be bit-identical"
                     );
                 }

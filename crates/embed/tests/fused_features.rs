@@ -5,8 +5,11 @@
 //! `String` per token, every feature `format!`ed, and each of a feature's
 //! two hashes taken by a fresh `StableHasher::with_seed(seed)` →
 //! `write_u32(lane)` → `write_str(feature)`. The encoder must reproduce it
-//! posting for posting, in order — sums of `f32` are order-sensitive, so
-//! nothing weaker keeps stored vectors byte-identical.
+//! feature for feature: the same postings make the same exact sums (every
+//! weight is a multiple of 2⁻², far below the mass where an `f32` would
+//! round), and nothing weaker keeps stored vectors byte-identical. Vectors
+//! are compared as bits — `==` on floats cannot tell −0.0 from +0.0, the
+//! F16 store and the golden registry hash can.
 
 use mcqa_embed::{BioEncoder, EmbedConfig};
 use mcqa_text::{content_tokens, Chunk, Chunker, ChunkerConfig, Encoder, TfEncoder};
@@ -48,11 +51,17 @@ fn oracle_postings(cfg: &EmbedConfig, text: &str) -> Vec<(u32, f32)> {
     out
 }
 
-fn oracle_encode(cfg: &EmbedConfig, text: &str) -> Vec<f32> {
+/// The oracle's postings accumulated in order, not yet normalised.
+fn oracle_row(cfg: &EmbedConfig, text: &str) -> Vec<f32> {
     let mut acc = vec![0.0f32; cfg.dim];
     for (idx, w) in oracle_postings(cfg, text) {
         acc[idx as usize] += w;
     }
+    acc
+}
+
+fn oracle_encode(cfg: &EmbedConfig, text: &str) -> Vec<f32> {
+    let mut acc = oracle_row(cfg, text);
     let norm: f32 = acc.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
         for x in &mut acc {
@@ -133,11 +142,15 @@ fn document(n: usize, mut x: u64) -> String {
     text
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn assert_fused<E: Encoder>(encoder: &E, cfg: &ChunkerConfig, text: &str) -> Vec<Chunk> {
     let chunker = Chunker::new(encoder, cfg.clone());
     let embedded = chunker.chunk_embedded(text);
     for (chunk, vector) in &embedded {
-        assert_eq!(vector, &encoder.encode(&chunk.text), "chunk {chunk:?}");
+        assert_eq!(bits(vector), bits(&encoder.encode(&chunk.text)), "chunk {chunk:?}");
     }
     let chunks: Vec<Chunk> = embedded.into_iter().map(|(c, _)| c).collect();
     assert_eq!(chunks, chunker.chunk(text));
@@ -153,9 +166,15 @@ proptest! {
         let text = format!("{text} {long_token} {text}");
         for cfg in configs() {
             let e = BioEncoder::new(cfg.clone());
-            let postings = e.sentence_postings(&text).expect("BioEncoder composes");
-            prop_assert_eq!(&postings.postings, &oracle_postings(&cfg, &text));
-            prop_assert_eq!(e.encode(&text), oracle_encode(&cfg, &text));
+            // The sentence row the chunker's prefix table is summed from.
+            let mut row = vec![0.0f32; cfg.dim];
+            let bridge = e.add_sentence(&text, &mut String::new(), &mut row);
+            prop_assert_eq!(bridge, Some(Vec::new()), "content, and nothing before it to bridge");
+            prop_assert_eq!(bits(&row), bits(&oracle_row(&cfg, &text)));
+            prop_assert_eq!(bits(&e.encode(&text)), bits(&oracle_encode(&cfg, &text)));
+            // The exactness limit's premise: at most 5 units of weight a byte.
+            let mass: f32 = oracle_postings(&cfg, &text).iter().map(|(_, w)| w.abs()).sum();
+            prop_assert!(mass <= 5.0 * text.len() as f32, "{mass} over {} bytes", text.len());
         }
     }
 
@@ -192,5 +211,21 @@ fn degenerate_documents_embed_to_the_zero_vector_or_nothing() {
     assert!(chunker.chunk_embedded(" \n ").is_empty());
     let stopwords_only = chunker.chunk_embedded("The of and. Of the and the.");
     assert_eq!(stopwords_only.len(), 1);
-    assert_eq!(stopwords_only[0].1, vec![0.0; 256]);
+    assert_eq!(bits(&stopwords_only[0].1), vec![0; 256], "+0.0 in every slot");
+}
+
+#[test]
+fn the_exactness_limit_is_derived_and_enforced() {
+    let bio = BioEncoder::new(EmbedConfig::default());
+    let limit = bio.exact_sum_bytes();
+    assert_eq!(limit, (1 << 22) / 5, "2²² quanta-safe mass at ≤ 5 per byte");
+    // The chunker measures the joined text plus one byte; past the limit it
+    // gets no table (and re-encodes from text) before anything is hashed.
+    let word = "radiation ";
+    let long = word.repeat(limit / word.len() + 1);
+    assert!(long.len() > limit);
+    assert_eq!(mcqa_text::compose_encode(&bio, &[long.as_str()], 0..1), None);
+    let fits = &long[..limit - 1];
+    let composed = mcqa_text::compose_encode(&bio, &[fits], 0..1).expect("within the limit");
+    assert_eq!(bits(&composed), bits(&bio.encode(fits)));
 }

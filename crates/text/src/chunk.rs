@@ -5,69 +5,70 @@
 //! are grouped while consecutive sentence-window embeddings stay similar; a
 //! boundary is emitted where similarity drops (topic shift) or where the
 //! token budget would overflow. The encoder is pluggable via [`Encoder`].
+//!
+//! With an encoder that composes (see [`Encoder`]) every sentence is
+//! tokenised and hashed once per document, into a table of per-document
+//! prefix sums; a window or chunk embedding is the difference of two of
+//! its rows. The sums are exact, so that difference has the bits of
+//! encoding the window's text directly.
 
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use crate::sentence::split_sentences;
-use crate::similarity::dense_cosine;
+use crate::similarity::{dense_cosine, normalise};
 use crate::token::{for_each_content_token, token_count};
 
-/// Pre-hashed accumulator postings for one sentence, composable into
-/// multi-sentence window encodings without re-tokenising or re-hashing.
-///
-/// The contract (property-tested against `encode`): replaying every
-/// sentence's postings in order into a zero accumulator — inserting the
-/// encoder's [`Encoder::bridge_postings`] between each adjacent pair of
-/// content-bearing sentences, right after the head postings of the later
-/// sentence — then normalising, is **bit-identical** to encoding the
-/// space-joined sentence text directly. Identity (not just approximation)
-/// is what lets the chunker memoise per-sentence work without moving a
-/// single chunk boundary.
-#[derive(Debug, Clone)]
-pub struct SentencePostings {
-    /// `(accumulator index, signed weight)` pairs in emission order.
-    pub postings: Vec<(u32, f32)>,
-    /// How many leading postings belong to the first content token (its
-    /// unigram + subword features). A cross-sentence bridge feature is
-    /// replayed immediately after them — exactly where the joined encode
-    /// would emit it.
-    pub head_len: usize,
-    /// The first non-stopword token, if any.
-    pub first_content: Option<String>,
-    /// The last non-stopword token, if any (carried across stopword-only
-    /// sentences, as a running encode's bigram state would be).
-    pub last_content: Option<String>,
-}
+/// Every feature weight of a composing [`Encoder`] is a whole multiple of
+/// this (2⁻²).
+pub const WEIGHT_QUANTUM: f32 = 0.25;
+
+/// The absolute weight up to which sums of such weights are exact: an
+/// `f32` holds every multiple of 2⁻² up to 2²² (24 significand bits), so
+/// below it every partial sum, in any order, and every difference of two
+/// partial sums is exact — and exact addition is associative.
+pub const EXACT_SUM_MASS: usize = 1 << 22;
+
+/// `(accumulator slot, signed weight)` postings of the features that span
+/// a sentence join — see [`Encoder::add_sentence`].
+pub type Bridge = Vec<(u32, f32)>;
 
 /// Anything that can embed a piece of text into a dense vector.
 ///
 /// `mcqa-embed`'s `BioEncoder` (the PubMedBERT stand-in) implements this;
 /// tests use the lexical [`TfEncoder`].
 ///
-/// Encoders may additionally implement the compositional API
-/// ([`Encoder::sentence_postings`] / [`Encoder::bridge_postings`]): the
-/// chunker then hashes each sentence once per document and replays cheap
-/// `+=` postings per candidate boundary instead of re-encoding every
-/// window. The default implementation opts out (`None`), which keeps the
-/// trait trivially implementable.
+/// An encoder whose `encode` sums signed feature weights and normalises
+/// the sum may also *compose* ([`Encoder::exact_sum_bytes`] and
+/// [`Encoder::add_sentence`]): the chunker then hashes each sentence once
+/// per document and embeds a window as a difference of prefix sums. The
+/// defaults decline, and every window is encoded from its text.
 pub trait Encoder {
     /// Embedding dimensionality.
     fn dim(&self) -> usize;
     /// Encode one text into a dense `dim()`-length vector.
     fn encode(&self, text: &str) -> Vec<f32>;
-    /// Pre-hash one sentence for compositional window encoding, or `None`
-    /// when the encoder does not support it.
-    fn sentence_postings(&self, text: &str) -> Option<SentencePostings> {
-        let _ = text;
-        None
+    /// A composing encoder's promise: every weight it adds is a whole
+    /// multiple of [`WEIGHT_QUANTUM`], and a text of at most this many
+    /// bytes carries at most [`EXACT_SUM_MASS`] of absolute weight — so
+    /// its sums are exact, and a difference of two has the bits `encode`
+    /// of the text between them accumulates. A longer document is encoded
+    /// from text; 0 declines composition altogether.
+    fn exact_sum_bytes(&self) -> usize {
+        0
     }
-    /// Postings for features spanning a sentence boundary (e.g. the word
-    /// bigram joining `prev`'s last content token to `next`'s first).
-    fn bridge_postings(&self, prev: &str, next: &str) -> Vec<(u32, f32)> {
-        let _ = (prev, next);
-        Vec::new()
+    /// Add to `row` (`dim()` long) every un-normalised weight `encode`
+    /// would accumulate for `sentence` as the continuation of a text whose
+    /// last content token is `prev` (empty: none yet), and leave the
+    /// sentence's own last content token in `prev`. `None` when the
+    /// sentence has no content token (nothing added, `prev` untouched);
+    /// otherwise its [`Bridge`]: the postings, among those added, of the
+    /// features that read the incoming `prev`, which a window starting at
+    /// this sentence must take back out (empty if there are none).
+    fn add_sentence(&self, sentence: &str, prev: &mut String, row: &mut [f32]) -> Option<Bridge> {
+        let _ = (sentence, prev, row);
+        None
     }
 }
 
@@ -84,11 +85,6 @@ impl TfEncoder {
         assert!(dim > 0);
         Self { dim }
     }
-
-    /// The accumulator slot a token hashes to.
-    fn slot(&self, tok: &str) -> u32 {
-        (mcqa_util::fnv1a(tok.as_bytes()) % self.dim as u64) as u32
-    }
 }
 
 impl Encoder for TfEncoder {
@@ -98,23 +94,25 @@ impl Encoder for TfEncoder {
 
     fn encode(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0.0f32; self.dim];
-        for_each_content_token(text, |tok| v[self.slot(tok) as usize] += 1.0);
-        let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-        if norm > 0.0 {
-            for x in &mut v {
-                *x /= norm;
-            }
-        }
+        self.add_sentence(text, &mut String::new(), &mut v);
+        normalise(&mut v);
         v
     }
 
-    fn sentence_postings(&self, text: &str) -> Option<SentencePostings> {
-        // Pure bag-of-words: no cross-sentence features, so no head/bridge
-        // bookkeeping is needed — replaying all postings in order matches
-        // the joined encode exactly.
-        let mut postings = Vec::new();
-        for_each_content_token(text, |tok| postings.push((self.slot(tok), 1.0)));
-        Some(SentencePostings { postings, head_len: 0, first_content: None, last_content: None })
+    /// One unit of weight per content token, a token at least one byte.
+    fn exact_sum_bytes(&self) -> usize {
+        EXACT_SUM_MASS
+    }
+
+    /// Pure bag-of-words: no feature spans a sentence join, so no bridge
+    /// and no use for `prev`.
+    fn add_sentence(&self, sentence: &str, _: &mut String, row: &mut [f32]) -> Option<Bridge> {
+        let mut any = false;
+        for_each_content_token(sentence, |tok| {
+            row[(mcqa_util::fnv1a(tok.as_bytes()) % self.dim as u64) as usize] += 1.0;
+            any = true;
+        });
+        any.then(Bridge::new)
     }
 }
 
@@ -151,58 +149,83 @@ pub struct Chunk {
     pub tokens: usize,
 }
 
-/// Replay per-sentence postings into one window embedding, splicing the
-/// encoder's bridge features at each join — the accumulation-order clone
-/// of encoding the space-joined text directly.
-fn replay_postings<'f, E: Encoder + ?Sized>(
+/// One document's exact prefix sums: `row(i)` holds the un-normalised
+/// feature weights of sentences `..i` as one running encode of their
+/// space-join accumulates them, bridges included.
+struct PrefixRows {
+    dim: usize,
+    /// `(sentences + 1) × dim`, row 0 all zero.
+    rows: Vec<f32>,
+    /// Per sentence, what [`Encoder::add_sentence`] returned: `None` for a
+    /// sentence without content.
+    bridges: Vec<Option<Bridge>>,
+}
+
+impl PrefixRows {
+    /// Sum `sentences` through `encoder`, or `None` when it promises no
+    /// exact sums for a text this long (the space-join, one byte over).
+    fn build<E: Encoder + ?Sized>(encoder: &E, sentences: &[&str]) -> Option<Self> {
+        let bytes: usize = sentences.iter().map(|s| s.len() + 1).sum();
+        if bytes > encoder.exact_sum_bytes() {
+            return None;
+        }
+        let dim = encoder.dim();
+        let mut rows = Vec::with_capacity((sentences.len() + 1) * dim);
+        rows.resize(dim, 0.0f32);
+        let mut prev = String::new();
+        let mut bridges = Vec::with_capacity(sentences.len());
+        for (i, sentence) in sentences.iter().enumerate() {
+            // The next row starts as a copy of the last.
+            rows.extend_from_within(i * dim..);
+            let row = &mut rows[(i + 1) * dim..];
+            bridges.push(encoder.add_sentence(sentence, &mut prev, row));
+            // The exactness the differences in `embed` rest on.
+            debug_assert!(
+                row.iter().all(
+                    |x| (x / WEIGHT_QUANTUM).fract() == 0.0 && x.abs() <= EXACT_SUM_MASS as f32
+                ),
+                "sentence {i}: a prefix sum is not an exact multiple of the weight quantum"
+            );
+        }
+        Some(Self { dim, rows, bridges })
+    }
+
+    fn row(&self, i: usize) -> &[f32] {
+        &self.rows[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// The embedding of the space-join of sentences `range`: the
+    /// difference of its two boundary rows, minus the bridge of the
+    /// range's first content-bearing sentence (it joins that sentence to a
+    /// predecessor outside the range; every later bridge lies inside),
+    /// normalised. Being exact, the difference is the accumulator `encode`
+    /// reaches in order, +0.0 where weights cancel: rows never hold −0.0,
+    /// and `x − x` is +0.0.
+    fn embed(&self, range: Range<usize>) -> Vec<f32> {
+        let mut acc: Vec<f32> =
+            self.row(range.end).iter().zip(self.row(range.start)).map(|(hi, lo)| hi - lo).collect();
+        if let Some(bridge) = self.bridges[range].iter().flatten().next() {
+            for &(idx, w) in bridge {
+                acc[idx as usize] -= w;
+            }
+        }
+        normalise(&mut acc);
+        acc
+    }
+}
+
+/// Embed the space-join of `sentences[range]` the way the chunker does —
+/// out of the prefix sums of all of `sentences` — or `None` when the
+/// encoder declines composition for a text this long. Exposed so encoders
+/// can pin the bit-identity contract
+/// (`compose_encode(e, s, r) == e.encode(s[r].join(" "))`, bit for bit) in
+/// their own test suites.
+pub fn compose_encode<E: Encoder + ?Sized>(
     encoder: &E,
-    feats: impl Iterator<Item = &'f SentencePostings>,
-) -> Vec<f32> {
-    let mut acc = vec![0.0f32; encoder.dim()];
-    let mut prev: Option<&str> = None;
-    for f in feats {
-        let mut start = 0;
-        if let (Some(p), Some(first)) = (prev, f.first_content.as_deref()) {
-            for &(idx, w) in &f.postings[..f.head_len] {
-                acc[idx as usize] += w;
-            }
-            for (idx, w) in encoder.bridge_postings(p, first) {
-                acc[idx as usize] += w;
-            }
-            start = f.head_len;
-        }
-        for &(idx, w) in &f.postings[start..] {
-            acc[idx as usize] += w;
-        }
-        if f.last_content.is_some() {
-            prev = f.last_content.as_deref();
-        }
-    }
-    let norm: f32 = acc.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if norm > 0.0 {
-        for x in &mut acc {
-            *x /= norm;
-        }
-    }
-    acc
-}
-
-/// Encode the space-join of `sentences` through the compositional API, or
-/// `None` when the encoder opts out. Exposed so encoders can pin the
-/// bit-identity contract (`compose_encode(e, s) == e.encode(s.join(" "))`)
-/// in their own test suites.
-pub fn compose_encode<E: Encoder + ?Sized>(encoder: &E, sentences: &[&str]) -> Option<Vec<f32>> {
-    let feats: Option<Vec<SentencePostings>> =
-        sentences.iter().map(|s| encoder.sentence_postings(s)).collect();
-    Some(replay_postings(encoder, feats?.iter()))
-}
-
-/// Per-document memo of sentence postings. `compose` latches off for good
-/// the first time the encoder declines (an encoder either supports
-/// composition for every sentence or for none).
-struct SentenceMemo {
-    postings: Vec<Option<SentencePostings>>,
-    compose: bool,
+    sentences: &[&str],
+    range: Range<usize>,
+) -> Option<Vec<f32>> {
+    Some(PrefixRows::build(encoder, sentences)?.embed(range))
 }
 
 /// The semantic chunker.
@@ -219,49 +242,6 @@ impl<'e, E: Encoder> Chunker<'e, E> {
         Self { config, encoder }
     }
 
-    /// Embed the space-join of `sentences[range]`: a replay of memoised
-    /// per-sentence postings (each sentence tokenised and hashed at most
-    /// once per document), or — once the encoder has declined composition
-    /// — a plain `encode` of the joined text. Bit-identical either way.
-    fn embed_range(
-        &self,
-        sentences: &[&str],
-        memo: &mut SentenceMemo,
-        range: Range<usize>,
-    ) -> Vec<f32> {
-        if memo.compose {
-            memo.compose = range.clone().all(|i| {
-                if memo.postings[i].is_none() {
-                    memo.postings[i] = self.encoder.sentence_postings(sentences[i]);
-                }
-                memo.postings[i].is_some()
-            });
-            if memo.compose {
-                return replay_postings(self.encoder, memo.postings[range].iter().flatten());
-            }
-        }
-        self.encoder.encode(&sentences[range].join(" "))
-    }
-
-    /// The drift test at sentence `i`, a candidate boundary of the chunk
-    /// running since sentence `first`: compare a trailing window of the
-    /// running chunk with a look-ahead window starting at the candidate.
-    /// Windowing on both sides smooths out single-sentence vocabulary
-    /// noise, which a contextual encoder would absorb.
-    fn drifts_at(
-        &self,
-        sentences: &[&str],
-        memo: &mut SentenceMemo,
-        first: usize,
-        i: usize,
-    ) -> bool {
-        let w = self.config.window_sentences.min(i - first);
-        let ahead_end = (i + self.config.window_sentences).min(sentences.len());
-        let behind = self.embed_range(sentences, memo, i - w..i);
-        let ahead = self.embed_range(sentences, memo, i..ahead_end);
-        dense_cosine(&behind, &ahead) < self.config.drift_threshold
-    }
-
     /// Chunk a document.
     ///
     /// Invariants (property-tested):
@@ -276,17 +256,36 @@ impl<'e, E: Encoder> Chunker<'e, E> {
     /// Chunk a document and embed every chunk in the same pass: each
     /// vector is bit-identical to `encoder.encode(&chunk.text)`.
     ///
-    /// With a compositional encoder each sentence is tokenised and hashed
-    /// at most once per document: the drift test's window embeddings and
-    /// the chunk embeddings are all cheap replays of the same memoised
-    /// postings. An encoder that declines composition is re-encoded from
-    /// text instead — the boundaries and vectors are the same either way.
+    /// With a composing encoder each sentence is tokenised and hashed once
+    /// per document: the drift test's window embeddings and the chunk
+    /// embeddings are all differences of the same prefix rows. Past the
+    /// encoder's exactness limit, or with an encoder that declines
+    /// composition, they are encoded from text instead — the boundaries
+    /// and vectors are the same either way.
     pub fn chunk_embedded(&self, text: &str) -> Vec<(Chunk, Vec<f32>)> {
         let sentences = split_sentences(text);
         if sentences.is_empty() {
             return Vec::new();
         }
-        let mut memo = SentenceMemo { postings: vec![None; sentences.len()], compose: true };
+        // The embedding of the space-join of `sentences[range]`: out of the
+        // document's prefix rows, or — without them — by encoding the
+        // joined text. Bit-identical either way.
+        let rows = PrefixRows::build(self.encoder, &sentences);
+        let embed_range = |range: Range<usize>| match &rows {
+            Some(rows) => rows.embed(range),
+            None => self.encoder.encode(&sentences[range].join(" ")),
+        };
+        // The drift test at sentence `i`, a candidate boundary of the chunk
+        // running since sentence `first`: compare a trailing window of the
+        // running chunk with a look-ahead window starting at the candidate.
+        // Windowing on both sides smooths out single-sentence vocabulary
+        // noise, which a contextual encoder would absorb.
+        let drifts_at = |first: usize, i: usize| {
+            let w = self.config.window_sentences.min(i - first);
+            let ahead_end = (i + self.config.window_sentences).min(sentences.len());
+            let (behind, ahead) = (embed_range(i - w..i), embed_range(i..ahead_end));
+            dense_cosine(&behind, &ahead) < self.config.drift_threshold
+        };
 
         // Sentence range and token count of every chunk.
         let mut spans: Vec<(Range<usize>, usize)> = Vec::new();
@@ -298,8 +297,7 @@ impl<'e, E: Encoder> Chunker<'e, E> {
             // (once the chunk is long enough) where the embedding drifts.
             let boundary = i > first
                 && (tokens + stoks > self.config.max_tokens
-                    || (tokens >= self.config.min_tokens
-                        && self.drifts_at(&sentences, &mut memo, first, i)));
+                    || (tokens >= self.config.min_tokens && drifts_at(first, i)));
             if boundary {
                 spans.push((first..i, tokens));
                 first = i;
@@ -312,7 +310,7 @@ impl<'e, E: Encoder> Chunker<'e, E> {
         spans
             .into_iter()
             .map(|(range, tokens)| {
-                let vector = self.embed_range(&sentences, &mut memo, range.clone());
+                let vector = embed_range(range.clone());
                 let chunk = Chunk {
                     text: sentences[range.clone()].join(" "),
                     first_sentence: range.start,
@@ -473,9 +471,104 @@ mod tests {
         }
     }
 
+    /// A composing encoder built to find the edges of the prefix-sum
+    /// formulation: `antiX` lands in `X`'s slot with the opposite sign
+    /// (weights that cancel to zero), and every pair of adjacent content
+    /// tokens adds a signed quarter-weight bigram (a bridge, across
+    /// sentences). `encode` is written as the plain in-order pass — the
+    /// reference, not a user of `add_sentence` — and counts its calls.
+    struct Signed {
+        limit: usize,
+        encodes: std::cell::Cell<usize>,
+    }
+
+    impl Signed {
+        const DIM: usize = 16;
+
+        fn new(limit: usize) -> Self {
+            Self { limit, encodes: std::cell::Cell::new(0) }
+        }
+
+        fn unigram(tok: &str) -> (u32, f32) {
+            let (stem, w) = match tok.strip_prefix("anti") {
+                Some(stem) => (stem, -1.0),
+                None => (tok, 1.0),
+            };
+            ((mcqa_util::fnv1a(stem.as_bytes()) % Self::DIM as u64) as u32, w)
+        }
+
+        fn bigram(prev: &str, tok: &str) -> (u32, f32) {
+            let bits = mcqa_util::fnv1a(format!("{prev}_{tok}").as_bytes());
+            ((bits % Self::DIM as u64) as u32, if bits & 16 == 0 { 0.25 } else { -0.25 })
+        }
+    }
+
+    impl Encoder for Signed {
+        fn dim(&self) -> usize {
+            Self::DIM
+        }
+
+        fn encode(&self, text: &str) -> Vec<f32> {
+            self.encodes.set(self.encodes.get() + 1);
+            let mut acc = vec![0.0f32; Self::DIM];
+            let mut prev = String::new();
+            for_each_content_token(text, |tok| {
+                let (idx, w) = Self::unigram(tok);
+                acc[idx as usize] += w;
+                if !prev.is_empty() {
+                    let (idx, w) = Self::bigram(&prev, tok);
+                    acc[idx as usize] += w;
+                }
+                prev = tok.to_string();
+            });
+            normalise(&mut acc);
+            acc
+        }
+
+        fn exact_sum_bytes(&self) -> usize {
+            self.limit
+        }
+
+        fn add_sentence(
+            &self,
+            sentence: &str,
+            prev: &mut String,
+            row: &mut [f32],
+        ) -> Option<Vec<(u32, f32)>> {
+            let mut bridge = None;
+            for_each_content_token(sentence, |tok| {
+                let (idx, w) = Self::unigram(tok);
+                row[idx as usize] += w;
+                let joined = (!prev.is_empty()).then(|| Self::bigram(prev, tok));
+                if let Some((idx, w)) = joined {
+                    row[idx as usize] += w;
+                }
+                bridge.get_or_insert_with(|| joined.into_iter().collect());
+                *prev = tok.to_string();
+            });
+            bridge
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every window `start..end` of `sentences`, embedded out of the prefix
+    /// rows of the whole list, has the bits of encoding its joined text —
+    /// `==` on floats would let a −0.0 through.
+    fn assert_every_window_composes<E: Encoder>(enc: &E, sentences: &[&str]) {
+        for start in 0..=sentences.len() {
+            for end in start..=sentences.len() {
+                let composed = compose_encode(enc, sentences, start..end).expect("composes");
+                let direct = enc.encode(&sentences[start..end].join(" "));
+                assert_eq!(bits(&composed), bits(&direct), "window {start}..{end}");
+            }
+        }
+    }
+
     #[test]
     fn compose_encode_matches_joined_encode() {
-        let enc = TfEncoder::new(64);
         let sentences = [
             "Radiation induces breaks in tumour DNA strands.",
             "the of and", // stopword-only: contributes nothing, breaks no state
@@ -483,28 +576,131 @@ mod tests {
             "",
             "Billing budgets changed hospital revenue processing.",
         ];
-        for n in 0..=sentences.len() {
-            let slice = &sentences[..n];
-            let composed = compose_encode(&enc, slice).expect("TfEncoder composes");
-            assert_eq!(composed, enc.encode(&slice.join(" ")), "first {n} sentences");
+        assert_every_window_composes(&TfEncoder::new(64), &sentences);
+        assert_every_window_composes(&Signed::new(usize::MAX), &sentences);
+        assert_eq!(compose_encode(&Opaque(&TfEncoder::new(64)), &sentences, 0..2), None);
+    }
+
+    #[test]
+    fn cancelling_weights_compose_to_positive_zero() {
+        let enc = Signed::new(usize::MAX);
+        // Slot sums that return to zero inside a sentence, across a join,
+        // from a negative prefix, and over a whole window.
+        let sentences = [
+            "antimatter antidose",
+            "matter antimatter",
+            "dose matter",
+            "antirepair",
+            "repair antidose dose",
+        ];
+        assert_every_window_composes(&enc, &sentences);
+        // `matter antimatter`: the slot both unigrams share ends on zero,
+        // and the window's only other feature, their bigram, is elsewhere.
+        let slot = Signed::unigram("matter").0;
+        assert_ne!(slot, Signed::bigram("matter", "antimatter").0, "fixture: slots collide");
+        let cancelled = compose_encode(&enc, &sentences, 1..2).expect("composes");
+        assert_eq!(cancelled[slot as usize].to_bits(), 0, "+0.0, not −0.0");
+    }
+
+    #[test]
+    fn bridge_belongs_to_the_first_content_bearing_sentence_of_the_window() {
+        let enc = Signed::new(usize::MAX);
+        // Windows that start on stopword-only and empty sentences: the
+        // bridge to take back out is two sentences further on.
+        assert_every_window_composes(
+            &enc,
+            &["tumour repair", "the of and", "", "of the", "dose kinase", "and", "billing"],
+        );
+        // The only content sentence is the last one (it has no bridge), and
+        // a document without any.
+        assert_every_window_composes(&enc, &["the of", "", "and the", "radiation dose"]);
+        assert_every_window_composes(&enc, &["the of", "", "and"]);
+        assert_every_window_composes(&enc, &[]);
+    }
+
+    /// Same chunks, same vector bits.
+    fn assert_same_embedded(fast: &[(Chunk, Vec<f32>)], reference: &[(Chunk, Vec<f32>)]) {
+        assert_eq!(fast.len(), reference.len());
+        for ((chunk, vector), (ref_chunk, ref_vector)) in fast.iter().zip(reference) {
+            assert_eq!(chunk, ref_chunk, "composition must not move a single boundary");
+            assert_eq!(bits(vector), bits(ref_vector), "chunk {chunk:?}");
         }
+    }
+
+    /// Chunk `text` through the prefix rows and through the re-encoding
+    /// fallback, which encodes every chunk's text.
+    fn assert_table_matches_fallback<E: Encoder>(enc: &E, cfg: &ChunkerConfig, text: &str) {
+        let fast = Chunker::new(enc, cfg.clone()).chunk_embedded(text);
+        let reference = Chunker::new(&Opaque(enc), cfg.clone()).chunk_embedded(text);
+        assert_same_embedded(&fast, &reference);
     }
 
     #[test]
     fn memoised_chunking_is_bit_identical_to_reencoding() {
-        let enc = TfEncoder::new(128);
-        let opaque = Opaque(&enc);
+        // Leading and trailing sentences without content, and look-ahead
+        // windows clipped at the end of the document, at every window width.
+        let text = format!("Of the and. {} The of. And the.", themed_text());
+        let mut boundaries = 0;
+        for window_sentences in 1..=3 {
+            let cfg = ChunkerConfig {
+                max_tokens: 30,
+                min_tokens: 8,
+                drift_threshold: 0.15,
+                window_sentences,
+            };
+            assert_table_matches_fallback(&TfEncoder::new(128), &cfg, &text);
+            assert_table_matches_fallback(&Signed::new(usize::MAX), &cfg, &text);
+            boundaries += Chunker::new(&TfEncoder::new(128), cfg).chunk(&text).len() - 1;
+        }
+        assert!(boundaries >= 3, "fixture must actually exercise boundaries");
+    }
+
+    #[test]
+    fn past_the_exactness_limit_the_chunker_reencodes_to_the_same_bits() {
+        let text = themed_text();
+        // What `PrefixRows::build` measures: the joined text, one byte over.
+        let bytes: usize = split_sentences(&text).iter().map(|s| s.len() + 1).sum();
         let cfg = ChunkerConfig {
             max_tokens: 30,
             min_tokens: 8,
             drift_threshold: 0.15,
             window_sentences: 2,
         };
-        let text = themed_text();
-        let fast = Chunker::new(&enc, cfg.clone()).chunk(&text);
-        let reference = Chunker::new(&opaque, cfg).chunk(&text);
-        assert_eq!(fast, reference, "memoisation must not move a single boundary");
-        assert!(fast.len() >= 2, "fixture must actually exercise boundaries");
+        let (at, over) = (Signed::new(bytes), Signed::new(bytes - 1));
+        let table = Chunker::new(&at, cfg.clone()).chunk_embedded(&text);
+        assert_eq!(at.encodes.get(), 0, "at the limit every vector comes out of the table");
+        let fallback = Chunker::new(&over, cfg).chunk_embedded(&text);
+        assert!(over.encodes.get() > fallback.len(), "one byte over: windows and chunks encoded");
+        assert!(table.len() >= 2, "fixture must actually exercise boundaries");
+        assert_same_embedded(&table, &fallback);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "weight quantum")]
+    fn a_weight_off_the_quantum_is_caught_in_debug_builds() {
+        struct Thirds;
+        impl Encoder for Thirds {
+            fn dim(&self) -> usize {
+                4
+            }
+            fn encode(&self, _: &str) -> Vec<f32> {
+                vec![0.0; 4]
+            }
+            fn exact_sum_bytes(&self) -> usize {
+                usize::MAX
+            }
+            fn add_sentence(
+                &self,
+                _: &str,
+                _: &mut String,
+                row: &mut [f32],
+            ) -> Option<Vec<(u32, f32)>> {
+                row[0] += 0.3;
+                Some(Vec::new())
+            }
+        }
+        let _ = compose_encode(&Thirds, &["anything"], 0..1);
     }
 
     #[test]

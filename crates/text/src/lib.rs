@@ -15,7 +15,9 @@
 //!   (topic shift) or the token budget fills up. The embedding function is
 //!   abstracted behind [`chunk::Encoder`] so the chunker works with the
 //!   lexical [`chunk::TfEncoder`] (tests) or `mcqa-embed`'s `BioEncoder`
-//!   (production, the PubMedBERT stand-in).
+//!   (production, the PubMedBERT stand-in); an encoder whose feature sums
+//!   are exact lets it embed every window as a difference of per-document
+//!   prefix sums instead of encoding it again.
 
 pub mod chunk;
 pub mod sentence;
@@ -25,7 +27,8 @@ pub mod token;
 pub mod vocab;
 
 pub use chunk::{
-    compose_encode, Chunk, Chunker, ChunkerConfig, Encoder, SentencePostings, TfEncoder,
+    compose_encode, Bridge, Chunk, Chunker, ChunkerConfig, Encoder, TfEncoder, EXACT_SUM_MASS,
+    WEIGHT_QUANTUM,
 };
 pub use sentence::split_sentences;
 pub use token::{content_tokens, for_each_content_token, for_each_token, token_count, tokenize};

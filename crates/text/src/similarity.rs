@@ -38,6 +38,18 @@ pub fn dense_cosine(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Scale `v` to unit Euclidean length in place (a zero vector stays zero).
+/// The one normalisation behind every encoder and the chunker's window
+/// embeddings: the same accumulator must come out as the same bits.
+pub fn normalise(v: &mut [f32]) {
+    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+    if norm > 0.0 {
+        for x in v {
+            *x /= norm;
+        }
+    }
+}
+
 /// Jaccard similarity of two sets.
 pub fn jaccard<K: Eq + Hash>(a: &HashSet<K>, b: &HashSet<K>) -> f64 {
     if a.is_empty() && b.is_empty() {
