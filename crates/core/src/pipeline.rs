@@ -23,7 +23,7 @@ use mcqa_llm::{
     TraceMode, OPTION_LETTERS,
 };
 use mcqa_ontology::Ontology;
-use mcqa_parse::{AdaptiveParser, ParsedDocument, ParserConfig};
+use mcqa_parse::{AdaptiveParser, ParseOutcome, ParsedDocument, ParserConfig};
 use mcqa_runtime::{run_stage, run_stage_batched, Executor, RunReport, StageMetrics};
 use mcqa_util::{KeyedStochastic, ScopeTimer};
 
@@ -232,9 +232,9 @@ impl Pipeline {
         let parser = AdaptiveParser::new(ParserConfig::default());
         let (parse_results, parse_metrics) = run_stage(&exec, "parse", parse_ids, |id| {
             let blob = library.download(DocId(id)).ok_or_else(|| format!("doc {id} missing"))?;
-            match parser.parse(blob).document() {
-                Some(doc) => Ok((id, doc.clone())),
-                None => Err(format!("doc {id} unparseable")),
+            match parser.parse(blob) {
+                ParseOutcome::Parsed { doc, .. } => Ok((id, doc)),
+                ParseOutcome::Failed { .. } => Err(format!("doc {id} unparseable")),
             }
         });
         let parsed: Vec<(u32, ParsedDocument)> =

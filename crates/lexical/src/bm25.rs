@@ -1,18 +1,34 @@
 //! An Okapi BM25 inverted index over the workspace's shared tokenisation.
 //!
 //! Documents are tokenised with [`for_each_content_token`] — the same
-//! helper the vocabulary and the hash embeddings use, so the corpus side
+//! visitor the vocabulary and the hash embeddings use, so the corpus side
 //! and the query side can never disagree — and interned into a
 //! [`Vocabulary`], which carries the term ↔ id tables and document
 //! frequencies. Per-term postings record `(doc index, term frequency)`
 //! in insertion order, which keeps doc indices strictly increasing per
 //! list and makes the serialised form delta-varint friendly.
 //!
-//! Determinism contract (property-tested in `tests/bm25.rs`):
+//! Insertion is one path in two steps. *Counting* (`count_batch`) walks a
+//! run of consecutive documents with one term dictionary for the run: one
+//! map lookup per content token, one `String` per term the run has not
+//! seen, and per document its `(local term, tf)` pairs in first-occurrence
+//! order. It reads nothing of the index, so [`LexicalIndex::add_batch`]
+//! fans the runs out on the executor. *Merging* (`merge_batch`) is serial
+//! and in document order: it interns a run's dictionary once and then
+//! posts every pair by array lookup — no string is hashed, allocated or
+//! freed per posting. [`LexicalIndex::add`] is a run of one document
+//! through the same two functions.
+//!
+//! Determinism contract (property-tested in `tests/bm25.rs` and in this
+//! module): a run's dictionary lists its terms in first-occurrence order
+//! and runs merge in item order, so a term new to the index is interned
+//! exactly when sequential insertion would have met it. Term ids, posting
+//! order, document frequencies — and therefore [`LexicalIndex::to_bytes`]
+//! — do not depend on where the runs are cut or on the worker count:
 //! [`LexicalIndex::add_batch`] produces a store bit-identical to serial
 //! [`LexicalIndex::add`] calls in item order, and
 //! [`LexicalIndex::search_batch`] is bit-identical to per-query
-//! [`LexicalIndex::search`], at any worker count. Scoring accumulates
+//! [`LexicalIndex::search`]. Scoring accumulates
 //! per-document sums in sorted term-**string** order, so the
 //! floating-point addition order is fixed *and* independent of interning
 //! order — a mutated index (whose vocabulary still holds terms the live
@@ -27,10 +43,9 @@
 //! wire format is always tombstone-free) rewrites postings without the
 //! dead documents.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, run_stage_batched, Executor};
 use mcqa_text::{for_each_content_token, TermId, Vocabulary};
 use mcqa_util::codec::{put_u32, put_varint, unzigzag, zigzag, Reader};
 use mcqa_util::{SearchResult, TopK};
@@ -91,34 +106,58 @@ pub struct LexicalIndex {
     dead_tokens: u64,
 }
 
-/// The per-item tokenisation product `add_batch` fans out: distinct terms
-/// in first-occurrence order with their frequencies, plus the content
-/// length.
-type TokenCounts = (Vec<(String, u32)>, u32);
+/// Documents per counting run in [`LexicalIndex::add_batch`]. Large enough
+/// that a run's dictionary already holds nearly every term its later
+/// documents use, small enough that a few hundred documents still spread
+/// over the workers. The built index does not depend on it.
+const RUN_DOCS: usize = 64;
 
-fn count_tokens(text: &str) -> TokenCounts {
-    // Every content token back to back in one buffer: the map can then key
-    // on borrowed slices, and only a distinct term is ever allocated.
-    let mut arena = String::new();
-    let mut ends: Vec<usize> = Vec::new();
-    for_each_content_token(text, |tok| {
-        arena.push_str(tok);
-        ends.push(arena.len());
-    });
-    let mut order: Vec<(String, u32)> = Vec::new();
-    let mut at: HashMap<&str, usize> = HashMap::new();
-    let mut start = 0usize;
-    for &end in &ends {
-        match at.entry(&arena[start..end]) {
-            Entry::Occupied(e) => order[*e.get()].1 += 1,
-            Entry::Vacant(e) => {
-                order.push((e.key().to_string(), 1));
-                e.insert(order.len() - 1);
+/// What counting a run of documents produces, and all `merge_batch` reads.
+struct BatchCounts {
+    /// The run's distinct content terms, in first-occurrence order.
+    terms: Vec<String>,
+    /// Every document's `(index into terms, tf)` pairs back to back; one
+    /// document's pairs are in its own first-occurrence order.
+    pairs: Vec<(u32, u32)>,
+    /// Per document: where its pairs end in `pairs`, and its content length.
+    docs: Vec<(usize, u32)>,
+}
+
+/// Count the content tokens of a run of documents against one dictionary.
+fn count_batch<'a>(texts: impl IntoIterator<Item = &'a str>) -> BatchCounts {
+    // Term → (its index in `terms`, the index of its latest pair). The
+    // second is the stamp of the document that last touched the term: that
+    // pair is the current document's iff it sits at or past the document's
+    // first pair, so no per-document map (or reset between documents) is
+    // needed.
+    let mut seen: HashMap<String, (u32, usize)> = HashMap::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut docs = Vec::new();
+    for text in texts {
+        let first = pairs.len();
+        let mut len = 0u32;
+        for_each_content_token(text, |tok| {
+            len += 1;
+            match seen.get_mut(tok) {
+                Some(&mut (_, latest)) if latest >= first => pairs[latest].1 += 1,
+                Some((term, latest)) => {
+                    *latest = pairs.len();
+                    pairs.push((*term, 1));
+                }
+                None => {
+                    let term = seen.len() as u32;
+                    seen.insert(tok.to_string(), (term, pairs.len()));
+                    pairs.push((term, 1));
+                }
             }
-        }
-        start = end;
+        });
+        docs.push((pairs.len(), len));
     }
-    (order, ends.len() as u32)
+    let mut terms = vec![String::new(); seen.len()];
+    for (term, (t, _)) in seen {
+        terms[t as usize] = term;
+    }
+    BatchCounts { terms, pairs, docs }
 }
 
 impl Default for LexicalIndex {
@@ -165,33 +204,38 @@ impl LexicalIndex {
         self.vocab.len()
     }
 
-    /// Index one document under an external id. Stopword-only and empty
-    /// documents are recorded (they count toward length statistics) but
-    /// post nothing.
+    /// Index one document under an external id: a run of one through the
+    /// same counting and merging [`LexicalIndex::add_batch`] uses.
+    /// Stopword-only and empty documents are recorded (they count toward
+    /// length statistics) but post nothing.
     pub fn add(&mut self, id: u64, text: &str) {
-        let (counts, len) = count_tokens(text);
-        self.merge(id, counts, len);
+        self.merge_batch([id], count_batch([text]));
     }
 
-    /// Fold one document's pre-tokenised counts into the index. The
-    /// serial tail of both `add` and `add_batch` — interning happens here,
-    /// in document order, so term ids are identical however the
-    /// tokenisation was produced.
-    fn merge(&mut self, id: u64, counts: Vec<(String, u32)>, len: u32) {
-        let doc = u32::try_from(self.docs.len()).expect("doc count fits u32");
-        let mut distinct = Vec::with_capacity(counts.len());
-        for (term, tf) in counts {
-            let tid = self.vocab.intern(&term);
-            if tid.0 as usize == self.postings.len() {
-                self.postings.push(Vec::new());
+    /// Fold one counted run into the index, `ids` naming its documents in
+    /// order. The serial tail of every insertion: the run's dictionary is
+    /// interned here, in first-occurrence order and after every earlier
+    /// run's, so a term gets the id sequential insertion would give it
+    /// however the documents were cut into runs.
+    fn merge_batch(&mut self, ids: impl IntoIterator<Item = u64>, counts: BatchCounts) {
+        let tids: Vec<TermId> = counts.terms.iter().map(|t| self.vocab.intern(t)).collect();
+        self.postings.resize_with(self.vocab.len(), Vec::new);
+        let mut distinct: Vec<TermId> = Vec::new();
+        let mut first = 0usize;
+        for (id, (end, len)) in ids.into_iter().zip(counts.docs) {
+            let doc = u32::try_from(self.docs.len()).expect("doc count fits u32");
+            distinct.clear();
+            for &(t, tf) in &counts.pairs[first..end] {
+                let tid = tids[t as usize];
+                self.postings[tid.0 as usize].push(Posting { doc, tf });
+                distinct.push(tid);
             }
-            self.postings[tid.0 as usize].push(Posting { doc, tf });
-            distinct.push(tid);
+            self.vocab.record_document(&distinct);
+            self.docs.push(DocEntry { id, len });
+            self.dead.push(false);
+            self.total_tokens += u64::from(len);
+            first = end;
         }
-        self.vocab.record_document(&distinct);
-        self.docs.push(DocEntry { id, len });
-        self.dead.push(false);
-        self.total_tokens += u64::from(len);
     }
 
     /// Tombstone the documents stored under `ids`: they stop appearing in
@@ -282,18 +326,31 @@ impl LexicalIndex {
         }
     }
 
-    /// Bulk insertion: tokenisation and counting fan out on `exec`'s
-    /// pool; interning and posting stay serial in `items` order, so the
-    /// result is **bit-identical** to sequential [`LexicalIndex::add`]
-    /// calls at any worker count.
+    /// Bulk insertion. Tokenising and counting fan out on `exec`'s pool,
+    /// one task per run of `RUN_DOCS` consecutive items with one term
+    /// dictionary each; interning those dictionaries and posting stay
+    /// serial, in `items` order. A dictionary lists its terms in
+    /// first-occurrence order, so ids are assigned exactly as sequential
+    /// insertion assigns them: the result is **bit-identical** to
+    /// [`LexicalIndex::add`] calls in item order at any worker count.
     pub fn add_batch<S: AsRef<str> + Sync>(&mut self, exec: &Executor, items: &[(u64, S)]) {
-        let (counted, _) =
-            run_stage_batched(exec, "lex-tokenize", (0..items.len()).collect(), 0, |i| {
-                Ok::<_, String>(count_tokens(items[i].1.as_ref()))
-            });
-        for ((id, _), c) in items.iter().zip(counted) {
-            let (counts, len) = c.expect("tokenisation cannot fail");
-            self.merge(*id, counts, len);
+        self.add_runs(exec, items, RUN_DOCS);
+    }
+
+    /// [`LexicalIndex::add_batch`] with the run length spelled out (the
+    /// tests cut the same items at several lengths; `run_docs ≥ 1`).
+    fn add_runs<S: AsRef<str> + Sync>(
+        &mut self,
+        exec: &Executor,
+        items: &[(u64, S)],
+        run_docs: usize,
+    ) {
+        let runs: Vec<&[(u64, S)]> = items.chunks(run_docs).collect();
+        let (counted, _) = run_stage(exec, "lex-tokenize", runs, |run| {
+            Ok::<_, String>(count_batch(run.iter().map(|(_, text)| text.as_ref())))
+        });
+        for (run, counts) in items.chunks(run_docs).zip(counted) {
+            self.merge_batch(run.iter().map(|(id, _)| *id), counts.expect("counting cannot fail"));
         }
     }
 
@@ -471,6 +528,12 @@ impl LexicalIndex {
                     return None;
                 }
                 let tf = u32::try_from(r.varint()?).ok()?;
+                // A term occurs in a document it is posted for, and no
+                // more often than the document is long (which also keeps
+                // `avgdl` non-zero whenever anything can score).
+                if tf == 0 || tf > docs[doc as usize].len {
+                    return None;
+                }
                 list.push(Posting { doc: doc as u32, tf });
             }
             dfs.push(list.len() as u32);
@@ -556,6 +619,98 @@ mod tests {
         }
     }
 
+    /// A corpus several counting runs long whose vocabulary keeps growing
+    /// (`late{i / 5}` first appears at document `i`) while `shared` and the
+    /// `cycle*` terms recur in every run. On either side of every multiple
+    /// of 7 and of `RUN_DOCS` sits a document a run boundary could
+    /// mishandle: an empty one, a stopword-only one, or — astride the third
+    /// `RUN_DOCS` boundary — one whose only term (`anchor`) was last seen
+    /// in document 0, three runs earlier.
+    fn long_corpus() -> Vec<(u64, String)> {
+        let edge = |i: usize| {
+            [7, RUN_DOCS].iter().any(|&run| i.is_multiple_of(run) || (i + 1).is_multiple_of(run))
+        };
+        (0..3 * RUN_DOCS + 9)
+            .map(|i| {
+                let text = match i {
+                    0 => "anchor shared cycle0 anchor".to_string(),
+                    _ if i + 1 == 3 * RUN_DOCS || i == 3 * RUN_DOCS => "anchor".to_string(),
+                    _ if edge(i) && i % 3 == 0 => String::new(),
+                    _ if edge(i) => "the of and".to_string(),
+                    _ => format!(
+                        "cycle{0} shared late{1} cycle{2} the cycle{0}",
+                        i % 11,
+                        i / 5,
+                        i % 4
+                    ),
+                };
+                (1000 + 3 * i as u64, text)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_length_never_shows_in_the_bytes() {
+        let docs = long_corpus();
+        let mut serial = LexicalIndex::default();
+        for (id, text) in &docs {
+            serial.add(*id, text);
+        }
+        let bytes = serial.to_bytes();
+        for exec in [Executor::new(1), Executor::new(4)] {
+            for run_docs in [1, 2, 7, RUN_DOCS, docs.len()] {
+                let mut idx = LexicalIndex::default();
+                idx.add_runs(&exec, &docs, run_docs);
+                assert_eq!(idx, serial, "runs of {run_docs}");
+                assert_eq!(idx.to_bytes(), bytes, "runs of {run_docs}");
+            }
+        }
+        // Two bulk inserts continue one another: the second meets a
+        // vocabulary the first already interned.
+        let (head, tail) = docs.split_at(RUN_DOCS + 5);
+        let mut resumed = LexicalIndex::default();
+        resumed.add_batch(Executor::global(), head);
+        resumed.add_batch(Executor::global(), tail);
+        assert_eq!(resumed.to_bytes(), bytes);
+        // The edge documents are all there: `anchor` finds document 0 and
+        // the two astride the third run boundary, and the empty and
+        // stopword-only ones are counted.
+        let mut anchored: Vec<u64> =
+            serial.search("anchor", docs.len()).iter().map(|h| h.id).collect();
+        anchored.sort_unstable();
+        assert_eq!(anchored, [0, 3 * RUN_DOCS - 1, 3 * RUN_DOCS].map(|i| docs[i].0));
+        assert_eq!(serial.len(), docs.len());
+    }
+
+    #[test]
+    fn decode_rejects_postings_the_builder_cannot_produce() {
+        // `LEXI`, k1, b; ndocs = 1: (id Δ0, len 0); nterms = 1: "xenon",
+        // n = 1, (Δ0, tf 7). A zero-length document with a posting:
+        // `avgdl` would be 0 / 1 and the document's length norm 0 / 0 — a
+        // NaN score.
+        let mut hostile = LexicalIndex::default().to_bytes()[..12].to_vec();
+        hostile.extend_from_slice(&[1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 5]);
+        hostile.extend_from_slice(b"xenon");
+        hostile.extend_from_slice(&[1, 0, 7]);
+        assert!(LexicalIndex::from_bytes(&hostile).is_none(), "tf 7 in a document of length 0");
+        // The same blob with len 7 is what `add(0, "xenon ×7")` writes.
+        let mut honest = hostile.clone();
+        honest[17] = 7;
+        let idx = LexicalIndex::from_bytes(&honest).expect("tf = len decodes");
+        let mut built = LexicalIndex::default();
+        built.add(0, "xenon xenon xenon xenon xenon xenon xenon");
+        assert_eq!(idx, built);
+        assert!(idx.search("xenon", 3)[0].score.is_finite());
+        // tf = 0: a posting for a term the document does not contain.
+        let mut zero_tf = honest.clone();
+        *zero_tf.last_mut().expect("non-empty") = 0;
+        assert!(LexicalIndex::from_bytes(&zero_tf).is_none(), "tf 0");
+        // tf one past the document's length.
+        let mut long_tf = honest;
+        *long_tf.last_mut().expect("non-empty") = 8;
+        assert!(LexicalIndex::from_bytes(&long_tf).is_none(), "tf 8 in a document of length 7");
+    }
+
     #[test]
     fn codec_roundtrip_is_bit_identical() {
         let idx = build();
@@ -622,6 +777,53 @@ mod tests {
         // The decoded live view keeps matching too.
         let back = LexicalIndex::from_bytes(&wire).expect("decodes");
         assert_eq!(back.search("radiation tumour", 6), rebuilt.search("radiation tumour", 6));
+
+        // The same on a corpus several counting runs long: an upsert that
+        // itself spans two runs lands on a batch-built, tombstoned index
+        // (its terms already interned, some only by documents now dead),
+        // and compaction must not move a search bit.
+        let docs = long_corpus();
+        let mut idx = LexicalIndex::default();
+        idx.add_batch(exec, &docs);
+        let fresh: Vec<(u64, String)> = (0..RUN_DOCS + 3)
+            .map(|i| {
+                // Every third document of the first run and a half is
+                // replaced; the rest of the batch is new ids.
+                let id = if i < RUN_DOCS / 2 { docs[3 * i].0 } else { 9000 + i as u64 };
+                (id, format!("proton{} shared late{} proton{0} brandnew{}", i % 5, i / 2, i / 9))
+            })
+            .collect();
+        let gone: Vec<u64> = docs[RUN_DOCS - 2..RUN_DOCS + 2].iter().map(|(id, _)| *id).collect();
+        assert_eq!(idx.remove(&gone), 4, "four documents astride the first run boundary");
+        idx.upsert(exec, &fresh);
+        assert_eq!(
+            idx.tombstones(),
+            4 + RUN_DOCS / 2 - 1,
+            "document 63 was removed first and comes back under its old id"
+        );
+        let replaced: std::collections::HashSet<u64> =
+            gone.iter().copied().chain(fresh.iter().map(|(id, _)| *id)).collect();
+        let mut rebuilt = LexicalIndex::default();
+        for (id, text) in docs.iter().filter(|(id, _)| !replaced.contains(id)).chain(&fresh) {
+            rebuilt.add(*id, text);
+        }
+        assert_eq!(idx.len(), rebuilt.len());
+        let queries =
+            ["anchor", "shared late3 cycle2", "proton1 brandnew0 late40", "late12 cycle7"];
+        let before: Vec<_> = queries.iter().map(|q| idx.search(q, 12)).collect();
+        for (q, hits) in queries.iter().zip(&before) {
+            assert!(!hits.is_empty(), "query {q:?} matches something");
+            assert_eq!(hits, &rebuilt.search(q, 12), "long corpus, query {q:?}");
+        }
+        let wire = idx.to_bytes();
+        idx.compact();
+        assert_eq!(idx.tombstones(), 0);
+        assert_eq!(idx.to_bytes(), wire, "long corpus: compaction writes the live view");
+        let back = LexicalIndex::from_bytes(&wire).expect("decodes");
+        for (q, hits) in queries.iter().zip(&before) {
+            assert_eq!(&idx.search(q, 12), hits, "long corpus, compacted, query {q:?}");
+            assert_eq!(&back.search(q, 12), hits, "long corpus, decoded, query {q:?}");
+        }
 
         // Degenerate: removing everything empties the index (the
         // vocabulary survives with zero-df terms, invisible to search).

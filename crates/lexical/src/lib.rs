@@ -6,8 +6,9 @@
 //! the two channels:
 //!
 //! * [`bm25`] — [`LexicalIndex`], an Okapi BM25 inverted index built on
-//!   `mcqa-text`'s **shared** tokenisation ([`mcqa_text::content_tokens`]
-//!   — there is exactly one tokeniser in this workspace) and
+//!   `mcqa-text`'s **shared** tokenisation
+//!   ([`mcqa_text::for_each_content_token`] — there is exactly one
+//!   tokeniser in this workspace) and
 //!   [`mcqa_text::Vocabulary`] for the term ↔ id tables and document
 //!   frequencies. Postings serialise with the delta-varint codec
 //!   primitives of [`mcqa_util::codec`] under the `LEXI` magic tag;
