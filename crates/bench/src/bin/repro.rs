@@ -18,9 +18,8 @@
 //! This file is `main`, command dispatch and printing; everything that
 //! computes a row lives in the `mcqa_bench` library, where `cargo test`
 //! asserts it. [`mcqa_bench::cli::parse`] is the one flag parser: `--scale`,
-//! `--seed`, `--models sim` everywhere, `--index flat|hnsw|ivf|pq`,
-//! `--retrieval …`, `--fuse-depth`, `--edits` on the commands that read
-//! them. An unknown command or flag, a flag the command does not read, or a
+//! `--seed` everywhere, `--index flat|hnsw|ivf|pq`, `--retrieval …`,
+//! `--fuse-depth`, `--edits` on the commands that read them. An unknown command or flag, a flag the command does not read, or a
 //! malformed or out-of-range value exits 2 with the usage table — before
 //! any pipeline is built; `repro help` prints it and exits 0. Nothing here
 //! measures speed: that is `perfbench/`.
@@ -49,7 +48,6 @@ fn main() {
     // Commands that need no pipeline of the caller's, or build their own.
     let mut config = PipelineConfig::at_scale(args.scale, args.seed);
     config.index = args.index;
-    config.models = args.models;
     match args.command {
         "table1" => {
             println!("{}", cards::render_table1());
@@ -71,11 +69,10 @@ fn main() {
     }
 
     eprintln!(
-        "[repro] building pipeline at scale {} (seed {}, index {}, models {}) ...",
+        "[repro] building pipeline at scale {} (seed {}, index {}) ...",
         args.scale,
         args.seed,
-        config.index.label(),
-        config.models.label()
+        config.index.label()
     );
     let output = Pipeline::run(&config);
     eprintln!(

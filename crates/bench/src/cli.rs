@@ -3,7 +3,6 @@
 //! [`Usage`] costs.
 
 use mcqa_index::IndexSpec;
-use mcqa_llm::ModelSpec;
 use mcqa_serve::QueryMode;
 
 /// What one `repro` invocation asks for.
@@ -14,7 +13,6 @@ pub struct RunArgs {
     pub scale: f64,
     pub seed: u64,
     pub index: IndexSpec,
-    pub models: ModelSpec,
     /// `--retrieval`, with `--fuse-depth` already threaded into a hybrid
     /// mode (0 = [`mcqa_lexical::DEFAULT_FUSE_DEPTH`]).
     pub retrieval: QueryMode,
@@ -32,18 +30,18 @@ pub enum Usage {
     Bad(String),
 }
 
-/// Every flag, each taking exactly one value. The first three are read by
+/// Every flag, each taking exactly one value. The first two are read by
 /// every command.
-pub const FLAGS: [&str; 7] =
-    ["--scale", "--seed", "--models", "--index", "--retrieval", "--fuse-depth", "--edits"];
-const EVERYWHERE: usize = 3;
+pub const FLAGS: [&str; 6] =
+    ["--scale", "--seed", "--index", "--retrieval", "--fuse-depth", "--edits"];
+const EVERYWHERE: usize = 2;
 
 /// Commands that build the pipeline under `--index` and stop there.
 const BUILD: &[&str] = &["--index"];
 /// Commands that also run the evaluator under `--retrieval`.
 const EVAL: &[&str] = &["--index", "--retrieval", "--fuse-depth"];
 
-/// Every command with the flags it reads beyond the universal three.
+/// Every command with the flags it reads beyond the universal two.
 /// `table1` prints a schema and `ablate-filter` sweeps its own pipelines;
 /// `recall` builds every backend itself over the exact flat pipeline.
 pub const COMMANDS: [(&str, &[&str]); 19] = [
@@ -80,7 +78,7 @@ pub fn usage() -> String {
     format!(
         "usage: repro [command] [flags]   (no command = all; `repro help` prints this table)\n\
          commands: {}\n\
-         valid flags: --scale <f64 in (0, 1]> --seed <u64> --index flat|hnsw|ivf|pq --models sim \
+         valid flags: --scale <f64 in (0, 1]> --seed <u64> --index flat|hnsw|ivf|pq \
          --retrieval dense|lexical|hybrid|hybrid-rerank --fuse-depth <n> --edits <n>",
         commands.join(" ")
     )
@@ -111,7 +109,6 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
         scale: 0.1,
         seed: 42,
         index: IndexSpec::Flat,
-        models: ModelSpec::Sim,
         retrieval: QueryMode::Dense,
         edits: None,
     };
@@ -146,10 +143,6 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
                         "unknown index backend '{raw}' (expected flat|hnsw|ivf|pq)"
                     ))
                 }
-            },
-            "--models" => match ModelSpec::parse(raw) {
-                Some(spec) => args.models = spec,
-                None => return bad(format!("unknown model backend '{raw}' (expected sim)")),
             },
             "--retrieval" => {
                 let hybrid =
@@ -196,7 +189,6 @@ mod tests {
         match flag {
             "--scale" => vec![flag, "0.5"],
             "--seed" => vec![flag, "7"],
-            "--models" => vec![flag, "sim"],
             "--index" => vec![flag, "pq"],
             "--retrieval" => vec![flag, "lexical"],
             "--fuse-depth" => vec!["--retrieval", "hybrid", flag, "16"],
@@ -209,25 +201,25 @@ mod tests {
     /// arms read the flags: one row per command, one column per flag in
     /// [`FLAGS`] order (`x` = read).
     const EXPECTED: [(&str, &str); 19] = [
-        ("all", "xxxxxx."),
-        ("table1", "xxx...."),
-        ("table2", "xxxxxx."),
-        ("table3", "xxxxxx."),
-        ("table4", "xxxxxx."),
-        ("fig1", "xxxx..."),
-        ("fig2", "xxxx..."),
-        ("fig3", "xxxx..."),
-        ("fig4", "xxxxxx."),
-        ("fig5", "xxxxxx."),
-        ("fig6", "xxxxxx."),
-        ("rates", "xxxxxx."),
-        ("residuals", "xxxxxx."),
-        ("recall", "xxx...."),
-        ("models", "xxxxxx."),
-        ("ingest", "xxxx..x"),
-        ("ablate-topk", "xxxx..."),
-        ("ablate-context", "xxxx..."),
-        ("ablate-filter", "xxx...."),
+        ("all", "xxxxx."),
+        ("table1", "xx...."),
+        ("table2", "xxxxx."),
+        ("table3", "xxxxx."),
+        ("table4", "xxxxx."),
+        ("fig1", "xxx..."),
+        ("fig2", "xxx..."),
+        ("fig3", "xxx..."),
+        ("fig4", "xxxxx."),
+        ("fig5", "xxxxx."),
+        ("fig6", "xxxxx."),
+        ("rates", "xxxxx."),
+        ("residuals", "xxxxx."),
+        ("recall", "xx...."),
+        ("models", "xxxxx."),
+        ("ingest", "xxx..x"),
+        ("ablate-topk", "xxx..."),
+        ("ablate-context", "xxx..."),
+        ("ablate-filter", "xx...."),
     ];
 
     #[test]
@@ -273,6 +265,14 @@ mod tests {
             };
             assert!(rerank);
             assert_eq!(depth, 16);
+        }
+    }
+
+    #[test]
+    fn the_deleted_models_flag_is_an_unknown_argument() {
+        for command in ["fig1", "all", "models"] {
+            let got = parse(&argv(&[command, "--models", "sim"]));
+            assert_eq!(got, Err(Usage::Bad("unknown argument '--models'".to_string())));
         }
     }
 

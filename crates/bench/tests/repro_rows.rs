@@ -124,7 +124,7 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         assert!(usage.contains(flag), "{flag} missing from:\n{usage}");
     }
     assert!(!usage.contains("serve") && !usage.contains("sweep") && !usage.contains("cache"));
-    assert_eq!((cli::COMMANDS.len(), cli::FLAGS.len()), (19, 7));
+    assert_eq!((cli::COMMANDS.len(), cli::FLAGS.len()), (19, 6));
 }
 
 #[test]

@@ -3,7 +3,6 @@
 use mcqa_corpus::AcquisitionConfig;
 use mcqa_embed::EmbedConfig;
 use mcqa_index::IndexSpec;
-use mcqa_llm::ModelSpec;
 use mcqa_ontology::OntologyConfig;
 use mcqa_text::ChunkerConfig;
 use serde::{Deserialize, Serialize};
@@ -35,11 +34,6 @@ pub struct PipelineConfig {
     /// effective configuration; HNSW/IVF trade recall for speed
     /// (`repro recall` measures the trade).
     pub index: IndexSpec,
-    /// Model backend serving every role (teacher, judge, classifier,
-    /// answerers) behind the `ModelEndpoint` trait. `sim` is the
-    /// calibrated behavioural simulator; a remote backend would be a new
-    /// variant, selected here (`repro --models`).
-    pub models: ModelSpec,
 }
 
 impl PipelineConfig {
@@ -70,7 +64,6 @@ impl PipelineConfig {
             retrieval_k: 8,
             workers: 0,
             index: IndexSpec::Flat,
-            models: ModelSpec::Sim,
         }
     }
 
@@ -139,18 +132,6 @@ mod tests {
         let s = serde_json::to_string(&c).unwrap();
         let back: PipelineConfig = serde_json::from_str(&s).unwrap();
         assert_eq!(back, c);
-    }
-
-    #[test]
-    fn model_backend_is_a_config_choice() {
-        // The model layer mirrors the index layer: the backend is a value,
-        // and it survives serialisation (it is part of provenance).
-        let c = PipelineConfig::default();
-        assert_eq!(c.models, ModelSpec::Sim);
-        assert_eq!(c.models.label(), "sim");
-        let back: PipelineConfig =
-            serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-        assert_eq!(back.models, ModelSpec::Sim);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
 use mcqa_ingest::{ContentHash, IngestCensus, IngestManifest};
 use mcqa_lexical::LexicalIndex;
 use mcqa_llm::{
-    build_hub, BenchKind, Judge, McqItem, ModelEndpoint, ModelHub, QuestionPrompt, Teacher,
+    BenchKind, Judge, McqItem, ModelEndpoint, ModelHub, QuestionPrompt, SimEndpoint, Teacher,
     TraceMode, OPTION_LETTERS,
 };
 use mcqa_ontology::Ontology;
@@ -81,9 +81,8 @@ pub struct PipelineOutput {
     /// `question_id`. `Arc`-shared so the serving layer's dispatcher
     /// thread can hold the registry without copying the stores.
     pub indexes: Arc<IndexRegistry>,
-    /// The model hub that served every model call: the backend
-    /// `config.models` selects, behind the response cache and per-role
-    /// call ledger. The evaluator routes its judge/classifier/answerer
+    /// The model hub that served every model call: the sim backend behind
+    /// the response cache and per-role call ledger. The evaluator routes its judge/classifier/answerer
     /// calls through this same hub, so one ledger accounts for the whole
     /// reproduction and repeated evaluation passes hit the cache.
     pub models: Arc<ModelHub>,
@@ -414,7 +413,8 @@ impl Pipeline {
         // run through the endpoint's batched completion API. Unchanged
         // chunks replay their memoized outcome below — including memoized
         // rejections, which must not burn a second model call.
-        let models = Arc::new(build_hub(&config.models, config.seed, Arc::clone(&ontology)));
+        let models =
+            Arc::new(ModelHub::new(Box::new(SimEndpoint::new(config.seed, Arc::clone(&ontology)))));
         let endpoint: Arc<dyn ModelEndpoint> = models.clone();
         let teacher = Teacher::new(endpoint.clone(), config.seed);
         let judge = Judge::new(endpoint, config.seed);
@@ -452,11 +452,7 @@ impl Pipeline {
                 passage: &c.chunk.text,
             })
             .collect();
-        let generated = if prompts.is_empty() {
-            Vec::new()
-        } else {
-            teacher.generate_question_batch(&exec, &prompts)
-        };
+        let generated = teacher.generate_question_batch(&exec, &prompts);
 
         // Candidates whose distractor pool was exhausted (< 7 options)
         // never reach the judge.
@@ -466,11 +462,7 @@ impl Pipeline {
             .iter()
             .map(|(c, q)| (*q, ontology.fact(c.fact_id).expect("anchor resolved").salience))
             .collect();
-        let judgments = if score_prompts.is_empty() {
-            Vec::new()
-        } else {
-            judge.score_question_batch(&exec, &score_prompts)
-        };
+        let judgments = judge.score_question_batch(&exec, &score_prompts);
 
         // Accepted outcomes of the re-run slice, in chunk-id order. Ids
         // stay provisional (0) until the merge renumbers the full set.
@@ -552,11 +544,7 @@ impl Pipeline {
             .iter()
             .flat_map(|gq| TraceMode::ALL.iter().map(move |mode| (gq, *mode)))
             .collect();
-        let trace_texts = if trace_prompts.is_empty() {
-            Vec::new()
-        } else {
-            teacher.generate_trace_batch(&exec, &trace_prompts)
-        };
+        let trace_texts = teacher.generate_trace_batch(&exec, &trace_prompts);
         report.add(StageMetrics::single(
             "traces",
             fresh_accepted.len(),

@@ -222,11 +222,6 @@ impl CorpusLibrary {
         self.corruption.get(id.0 as usize).copied()
     }
 
-    /// Number of corrupted blobs.
-    pub fn corrupted_count(&self) -> usize {
-        self.corruption.iter().filter(|c| **c != Corruption::None).count()
-    }
-
     /// The build configuration.
     pub fn config(&self) -> &AcquisitionConfig {
         &self.config
@@ -344,7 +339,9 @@ mod tests {
     #[test]
     fn corruption_rate_applied() {
         let (_, lib) = small_library();
-        let n = lib.corrupted_count();
+        let n = (0..lib.len() as u32)
+            .filter(|i| lib.corruption(DocId(*i)) != Some(Corruption::None))
+            .count();
         // 15% of 45 ≈ 7; tolerate binomial noise.
         assert!((2..=15).contains(&n), "corrupted {n} of {}", lib.len());
         // Intact blobs read strictly; corrupted ones must fail or salvage.

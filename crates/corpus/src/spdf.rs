@@ -160,15 +160,6 @@ impl DocMeta {
         }
     }
 
-    /// The [`DocKind`] this metadata declares (`None` for unknown strings).
-    pub fn doc_kind(&self) -> Option<DocKind> {
-        match self.kind.as_str() {
-            "paper" => Some(DocKind::FullPaper),
-            "abstract" => Some(DocKind::Abstract),
-            _ => None,
-        }
-    }
-
     /// The document id.
     pub fn doc_id(&self) -> DocId {
         DocId(self.id)
@@ -398,7 +389,7 @@ mod tests {
         assert_eq!(objects.len(), 1 + doc.sections.len());
         let meta = SpdfReader::metadata(&objects).unwrap();
         assert_eq!(meta.doc_id(), doc.id);
-        assert_eq!(meta.doc_kind(), Some(DocKind::FullPaper));
+        assert_eq!(meta.kind, "paper");
         assert_eq!(meta.title, doc.title);
         // Text objects carry the sections in order.
         let texts: Vec<String> = objects

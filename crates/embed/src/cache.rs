@@ -4,8 +4,8 @@
 //! model); the cache makes those lookups free and is safe to share across
 //! pool workers.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 
 use crate::encoder::BioEncoder;
 
@@ -35,13 +35,13 @@ impl<'e> EmbeddingCache<'e> {
     pub fn encode(&self, text: &str) -> Vec<f32> {
         use std::sync::atomic::Ordering::Relaxed;
         let key = mcqa_util::fnv1a(text.as_bytes());
-        if let Some(v) = self.map.read().get(&key) {
+        if let Some(v) = self.map.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
             self.hits.fetch_add(1, Relaxed);
             return v.clone();
         }
         let v = self.encoder.encode(text);
         self.misses.fetch_add(1, Relaxed);
-        self.map.write().insert(key, v.clone());
+        self.map.write().unwrap_or_else(PoisonError::into_inner).insert(key, v.clone());
         v
     }
 
@@ -53,7 +53,7 @@ impl<'e> EmbeddingCache<'e> {
 
     /// Number of cached embeddings.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.map.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when nothing is cached.

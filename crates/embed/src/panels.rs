@@ -19,9 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Byte-budget policy for a [`PanelCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,7 +61,7 @@ struct Inner {
 /// A bounded cache of decoded F32 panels with LRU eviction.
 ///
 /// Interior-mutable: searches run behind `&self`, so the map sits in a
-/// [`parking_lot::Mutex`] held only for lookups/inserts — never across a
+/// [`Mutex`] held only for lookups/inserts — never across a
 /// decode or a score. Hit/miss counters are atomics for the same reason.
 #[derive(Debug)]
 pub struct PanelCache {
@@ -98,6 +96,13 @@ impl PanelCache {
         }
     }
 
+    /// Decodes and scores run outside the lock and a panel is a pure
+    /// function of the matrix bytes, so a holder that panicked left nothing
+    /// a later lookup can misread: recover the guard.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The configured budget policy.
     pub fn budget(&self) -> PanelBudget {
         self.budget
@@ -113,19 +118,19 @@ impl PanelCache {
     /// Drop every resident panel (the backing matrix changed). Counters
     /// survive — they describe the cache's lifetime, not its contents.
     pub fn invalidate(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.map.clear();
         inner.bytes = 0;
     }
 
     /// Bytes of decoded panels currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().bytes
+        self.lock().bytes
     }
 
     /// Number of panels currently resident.
     pub fn resident_panels(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     /// Lifetime cache hits.
@@ -175,7 +180,7 @@ impl PanelCache {
 
         let key = (seg, start, floats);
         if let Some(panel) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             inner.map.get_mut(&key).map(|e| {
@@ -192,7 +197,7 @@ impl PanelCache {
         decode(&mut buf);
         let panel = Arc::new(buf);
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             // Two threads can race the same miss; the loser's insert
             // replaces an identical panel (decode is a pure function of the
             // matrix bytes), so only the accounting needs care.

@@ -215,7 +215,8 @@ mod tests {
     }
 
     fn generate(ont: &Arc<Ontology>, config: &AstroConfig) -> AstroExam {
-        let hub = Arc::new(mcqa_llm::build_hub(&mcqa_llm::ModelSpec::Sim, 42, Arc::clone(ont)));
+        let sim = mcqa_llm::SimEndpoint::new(42, Arc::clone(ont));
+        let hub = Arc::new(mcqa_llm::ModelHub::new(Box::new(sim)));
         AstroExam::generate(ont, config, &Classifier::new(hub, 42), Executor::global())
     }
 

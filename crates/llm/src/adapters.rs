@@ -1,10 +1,11 @@
 //! Thin role adapters over `Arc<dyn ModelEndpoint>`.
 //!
-//! These are the only model types `mcqa-core` and `mcqa-eval` see (CI
-//! enforces it): each adapter builds typed [`ModelRequest`]s for its role,
-//! routes them through the endpoint — serially or via the batched API —
-//! and parses the [`crate::RoleOutput`] back into domain types. Swapping the
-//! backend (sim today, remote tomorrow) never touches an adapter's caller.
+//! These are the only model types `mcqa-core` and `mcqa-eval` can call
+//! (the simulators are crate-private): each adapter builds typed
+//! [`ModelRequest`]s for its role, routes them through the endpoint — the
+//! batched API for every pipeline stage, one call per item for the
+//! grade-and-answer loop inside the evaluator's own stage — and parses the
+//! [`crate::RoleOutput`] back into domain types.
 
 use std::sync::Arc;
 
@@ -75,13 +76,8 @@ impl Teacher {
         )
     }
 
-    /// Generate one MCQ.
-    pub fn generate_question(&self, prompt: &QuestionPrompt<'_>) -> GeneratedQuestion {
-        self.endpoint.complete(&self.question_request(prompt)).output.expect_question()
-    }
-
     /// Generate MCQs for a whole batch of prompts on `exec`'s pool
-    /// (index-aligned, bit-identical to the serial path).
+    /// (index-aligned with `prompts`).
     pub fn generate_question_batch(
         &self,
         exec: &Executor,
@@ -95,12 +91,7 @@ impl Teacher {
             .collect()
     }
 
-    /// Distil one trace with the answer withheld.
-    pub fn generate_trace(&self, question: &GeneratedQuestion, mode: TraceMode) -> String {
-        self.endpoint.complete(&self.trace_request(question, mode)).output.expect_trace()
-    }
-
-    /// Distil a batch of traces on `exec`'s pool.
+    /// Distil a batch of traces, answers withheld, on `exec`'s pool.
     pub fn generate_trace_batch(
         &self,
         exec: &Executor,
@@ -156,11 +147,6 @@ impl Judge {
         )
     }
 
-    /// Score one candidate question.
-    pub fn score_question(&self, question: &GeneratedQuestion, salience: f64) -> QualityJudgment {
-        self.endpoint.complete(&self.score_request(question, salience)).output.expect_quality()
-    }
-
     /// Score a batch of candidates on `exec`'s pool.
     pub fn score_question_batch(
         &self,
@@ -211,11 +197,6 @@ impl Classifier {
         )
     }
 
-    /// Classify one item.
-    pub fn requires_math(&self, item: &McqItem) -> bool {
-        self.endpoint.complete(&self.request(item)).output.expect_math_flag()
-    }
-
     /// Classify a batch of items on `exec`'s pool.
     pub fn classify_batch(&self, exec: &Executor, items: &[McqItem]) -> Vec<bool> {
         let reqs: Vec<ModelRequest> = items.iter().map(|i| self.request(i)).collect();
@@ -252,13 +233,8 @@ impl Reranker {
         )
     }
 
-    /// Relevance scores for `passages` against `query`, index-aligned.
-    pub fn score(&self, query: &str, passages: &[String]) -> Vec<f64> {
-        self.endpoint.complete(&self.request(query, passages)).output.expect_relevance()
-    }
-
-    /// Score a batch of (query, passages) pairs on `exec`'s pool
-    /// (index-aligned, bit-identical to the serial path).
+    /// Score a batch of (query, passages) pairs on `exec`'s pool: one
+    /// relevance per passage, index-aligned.
     pub fn score_batch(&self, exec: &Executor, prompts: &[(&str, Vec<String>)]) -> Vec<Vec<f64>> {
         let reqs: Vec<ModelRequest> = prompts.iter().map(|(q, ps)| self.request(q, ps)).collect();
         self.endpoint
@@ -330,8 +306,9 @@ impl Answerer {
 mod tests {
     use super::*;
     use crate::cards::MODEL_CARDS;
+    use crate::hub::ModelHub;
+    use crate::sim::SimEndpoint;
     use crate::solver::{resolve, PipelineRates};
-    use crate::spec::{build_hub, ModelSpec};
     use mcqa_ontology::{Ontology, OntologyConfig};
 
     fn setup() -> (Arc<Ontology>, Arc<dyn ModelEndpoint>) {
@@ -342,56 +319,40 @@ mod tests {
             quantitative_facts: 20,
         }));
         let hub: Arc<dyn ModelEndpoint> =
-            Arc::new(build_hub(&ModelSpec::Sim, 42, Arc::clone(&ontology)));
+            Arc::new(ModelHub::new(Box::new(SimEndpoint::new(42, Arc::clone(&ontology)))));
         (ontology, hub)
     }
 
     #[test]
-    fn teacher_adapter_matches_direct_simulator() {
-        let (ontology, ep) = setup();
-        let teacher = Teacher::new(ep, 42);
-        let direct = crate::teacher::TeacherModel::new(crate::teacher::TeacherConfig {
-            seed: 42,
-            ..Default::default()
-        });
-        let f = &ontology.facts()[5];
-        let via = teacher.generate_question(&QuestionPrompt {
-            fact: f.id,
-            salt: "c1".into(),
-            passage: "The passage.",
-        });
-        assert_eq!(via, direct.generate_question(&ontology, f, "c1"));
-        for mode in TraceMode::ALL {
-            assert_eq!(
-                teacher.generate_trace(&via, mode),
-                direct.generate_trace(&ontology, &via, mode)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_apis_match_serial() {
+    fn teacher_and_judge_adapters_match_the_direct_simulators() {
         let (ontology, ep) = setup();
         let teacher = Teacher::new(ep.clone(), 42);
-        let prompts: Vec<QuestionPrompt> = ontology
-            .facts()
+        let direct = crate::teacher::TeacherModel::new(42);
+        let facts = &ontology.facts()[..12];
+        let prompts: Vec<QuestionPrompt> = facts
             .iter()
-            .take(12)
-            .map(|f| QuestionPrompt { fact: f.id, salt: "c0".into(), passage: "p" })
+            .map(|f| QuestionPrompt { fact: f.id, salt: "c1".into(), passage: "The passage." })
             .collect();
         let exec = Executor::global();
-        let batch = teacher.generate_question_batch(exec, &prompts);
-        let serial: Vec<GeneratedQuestion> =
-            prompts.iter().map(|p| teacher.generate_question(p)).collect();
-        assert_eq!(batch, serial);
+        let via = teacher.generate_question_batch(exec, &prompts);
+        let expected: Vec<GeneratedQuestion> =
+            facts.iter().map(|f| direct.generate_question(&ontology, f, "c1")).collect();
+        assert_eq!(via, expected);
 
-        let judge = Judge::new(ep.clone(), 42);
-        let scored: Vec<(&GeneratedQuestion, f64)> = batch.iter().map(|q| (q, 0.5)).collect();
-        let js = judge.score_question_batch(exec, &scored);
-        assert_eq!(js.len(), 12);
-        for (j, (q, s)) in js.iter().zip(&scored) {
-            assert_eq!(j, &judge.score_question(q, *s));
+        for mode in TraceMode::ALL {
+            let asked: Vec<(&GeneratedQuestion, TraceMode)> =
+                via.iter().map(|q| (q, mode)).collect();
+            let expected: Vec<String> =
+                via.iter().map(|q| direct.generate_trace(&ontology, q, mode)).collect();
+            assert_eq!(teacher.generate_trace_batch(exec, &asked), expected);
         }
+
+        let judge = Judge::new(ep, 42);
+        let direct = crate::judge::JudgeModel::new(42);
+        let scored: Vec<(&GeneratedQuestion, f64)> = via.iter().map(|q| (q, 0.5)).collect();
+        let expected: Vec<QualityJudgment> =
+            via.iter().map(|q| direct.score_question(q, 0.5)).collect();
+        assert_eq!(judge.score_question_batch(exec, &scored), expected);
     }
 
     #[test]
@@ -415,14 +376,13 @@ mod tests {
             "the star formation rate of the galaxy".to_string(),
             "sourdough starter maintenance".to_string(),
         ];
-        let serial = reranker.score("star formation in galaxies", &passages);
-        assert_eq!(serial.len(), 2);
-        assert!(serial[0] > serial[1]);
         let batch = reranker.score_batch(
             Executor::global(),
             &vec![("star formation in galaxies", passages.clone()); 3],
         );
-        assert_eq!(batch, vec![serial.clone(), serial.clone(), serial]);
+        assert_eq!(batch[0].len(), 2);
+        assert!(batch[0][0] > batch[0][1]);
+        assert_eq!(batch, vec![batch[0].clone(); 3]);
     }
 
     #[test]
@@ -430,7 +390,6 @@ mod tests {
         let (_, ep) = setup();
         let classifier = Classifier::new(ep.clone(), 42);
         let item = crate::mcq::test_item();
-        assert!(!classifier.requires_math(&item));
         assert_eq!(
             classifier.classify_batch(Executor::global(), std::slice::from_ref(&item)),
             vec![false]

@@ -137,8 +137,9 @@ impl ResolvedModel {
     }
 
     /// Answer one item deterministically (keyed on seed/model/question/
-    /// condition).
-    pub fn answer(
+    /// condition). Crate-private: outside callers reach it through an
+    /// [`crate::RequestPayload::Answer`] request, past the cache and ledger.
+    pub(crate) fn answer(
         &self,
         item: &McqItem,
         cond: Condition,

@@ -7,11 +7,12 @@
 //! answering under five retrieval conditions. Here every one of those
 //! calls travels through the same typed envelope:
 //!
-//! * [`ModelRequest`] — role, prompt parts, decode params, seed, and a
-//!   structured [`RequestPayload`] (what a remote backend would serialise
-//!   into the prompt, and what the simulator interprets directly);
-//! * [`ModelResponse`] — the raw text payload, a structured
-//!   [`RoleOutput`], and token-count estimates for cost accounting.
+//! * [`ModelRequest`] — prompt parts, seed, and a structured
+//!   [`RequestPayload`] (what a remote backend would serialise into the
+//!   prompt, and what the simulator interprets directly; it also names the
+//!   [`Role`] addressed);
+//! * [`ModelResponse`] — a structured [`RoleOutput`] and token-count
+//!   estimates for cost accounting.
 //!
 //! Backends implement [`ModelEndpoint::complete`]; the batched entry point
 //! [`ModelEndpoint::complete_batch`] fans out on the runtime pool and is
@@ -114,22 +115,6 @@ impl PromptPart {
     }
 }
 
-/// Decoding parameters (part of the request identity: a different
-/// temperature is a different completion).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodeParams {
-    /// Sampling temperature (the whole reproduction decodes greedily).
-    pub temperature: f64,
-    /// Completion-length cap.
-    pub max_tokens: usize,
-}
-
-impl Default for DecodeParams {
-    fn default() -> Self {
-        Self { temperature: 0.0, max_tokens: 1024 }
-    }
-}
-
 /// The structured operation behind a request. A remote backend would
 /// render this into prompt text; the simulator interprets it directly —
 /// either way the payload *is* the request's semantic identity, which is
@@ -229,8 +214,6 @@ impl RequestPayload {
 /// One completion request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelRequest {
-    /// Which model role the request addresses.
-    pub role: Role,
     /// Prompt parts a text backend would assemble, in order.
     pub parts: Vec<PromptPart>,
     /// The structured operation.
@@ -238,19 +221,17 @@ pub struct ModelRequest {
     /// Per-request seed (the answer cascade is keyed on it; generation
     /// backends are seeded at construction and may ignore it).
     pub seed: u64,
-    /// Decode parameters.
-    pub params: DecodeParams,
 }
 
 impl ModelRequest {
-    /// Build a request, deriving `role` from the payload.
+    /// Build a request.
     pub fn new(parts: Vec<PromptPart>, payload: RequestPayload, seed: u64) -> Self {
-        Self { role: payload.role(), parts, payload, seed, params: DecodeParams::default() }
+        Self { parts, payload, seed }
     }
 
     /// Content address: every field that affects the completion, walked
-    /// straight into a [`StableHasher`] — role, each prompt part, the
-    /// payload behind a per-variant tag, seed, decode params. Strings,
+    /// straight into a [`StableHasher`] — each prompt part, the payload
+    /// behind a per-variant tag (which fixes the role), seed. Strings,
     /// `Vec`s and `Option`s carry a length / presence prefix, floats go in
     /// as their bits, and an answer request's model goes in as the digest
     /// it computed at construction ([`ResolvedModel::key`]). Nothing is
@@ -266,9 +247,8 @@ impl ModelRequest {
     /// field or variant added later does not compile until the walk covers
     /// it.
     pub fn cache_key(&self) -> u64 {
-        let ModelRequest { role, parts, payload, seed, params } = self;
+        let ModelRequest { parts, payload, seed } = self;
         let mut h = StableHasher::new();
-        h.write_u32(role.index() as u32);
         h.write_u64(parts.len() as u64);
         for PromptPart { kind, text } in parts {
             h.write_u32(match kind {
@@ -280,9 +260,6 @@ impl ModelRequest {
         }
         walk_payload(&mut h, payload);
         h.write_u64(*seed);
-        let DecodeParams { temperature, max_tokens } = params;
-        h.write_u64(temperature.to_bits());
-        h.write_u64(*max_tokens as u64);
         h.finish()
     }
 
@@ -504,23 +481,13 @@ impl RoleOutput {
 /// One completion.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelResponse {
-    /// The raw text payload (what a grading judge or a log would see).
-    pub text: String,
     /// The structured output.
     pub output: RoleOutput,
     /// Prompt-token estimate for the request that produced this.
     pub tokens_in: usize,
-    /// Completion-token estimate.
+    /// Completion-token estimate: the tokens of the completion text, which
+    /// lives inside `output` (a stem, a trace, a reasoning line, …).
     pub tokens_out: usize,
-}
-
-impl ModelResponse {
-    /// Build a response from text + structured output, estimating token
-    /// counts from `req` and the text.
-    pub fn from_output(req: &ModelRequest, text: String, output: RoleOutput) -> Self {
-        let tokens_out = mcqa_text::token_count(&text);
-        Self { text, output, tokens_in: req.prompt_tokens(), tokens_out }
-    }
 }
 
 /// A model backend serving every role behind one completion API.
@@ -561,7 +528,7 @@ pub(crate) fn fan_out_batch(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn req(seed: u64) -> ModelRequest {
@@ -578,7 +545,7 @@ mod tests {
 
     #[test]
     fn role_derived_from_payload() {
-        assert_eq!(req(1).role, Role::Judge);
+        assert_eq!(req(1).payload.role(), Role::Judge);
         for r in Role::ALL {
             assert_eq!(Role::ALL[r.index()], r);
         }
@@ -593,9 +560,6 @@ mod tests {
     fn cache_key_is_content_addressed() {
         assert_eq!(req(1).cache_key(), req(1).cache_key());
         assert_ne!(req(1).cache_key(), req(2).cache_key(), "seed is part of the identity");
-        let mut hotter = req(1);
-        hotter.params.temperature = 0.7;
-        assert_ne!(req(1).cache_key(), hotter.cache_key(), "params are part of the identity");
     }
 
     fn question() -> GeneratedQuestion {
@@ -611,7 +575,7 @@ mod tests {
     }
 
     /// One request of every payload kind, under one envelope.
-    fn one_of_each() -> Vec<ModelRequest> {
+    pub(crate) fn one_of_each() -> Vec<ModelRequest> {
         let context = AssembledContext {
             passages_in_window: 2,
             passages_total: 5,
@@ -729,22 +693,24 @@ mod tests {
 
     #[test]
     fn cache_key_moves_with_every_single_field() {
-        let envelope: [Edit; 9] = [
-            ("role", |r| r.role = Role::ALL[(r.role.index() + 1) % Role::ALL.len()]),
+        let envelope: [Edit; 6] = [
             ("parts[0].kind", |r| r.parts[0].kind = PartKind::Context),
             ("parts[0].text", |r| r.parts[0].text.push('x')),
             ("parts[1].kind", |r| r.parts[1].kind = PartKind::Context),
             ("parts[1].text", |r| r.parts[1].text.push('x')),
             ("parts.len()", |r| r.parts.truncate(1)),
             ("seed", |r| r.seed += 1),
-            ("params.temperature", |r| r.params.temperature = 0.7),
-            ("params.max_tokens", |r| r.params.max_tokens += 1),
         ];
         let bases = one_of_each();
         assert_eq!(bases.len(), 7);
         for (base, rebuilt) in bases.iter().zip(one_of_each()) {
             let key = base.cache_key();
-            assert_eq!(key, rebuilt.cache_key(), "rebuilding {:?} reproduces its key", base.role);
+            assert_eq!(
+                key,
+                rebuilt.cache_key(),
+                "rebuilding {:?} reproduces its key",
+                base.payload.role()
+            );
             for (what, apply) in envelope.iter().chain(&payload_edits(&base.payload)) {
                 let mut edited = base.clone();
                 apply(&mut edited);
@@ -752,14 +718,8 @@ mod tests {
                 assert_ne!(edited.cache_key(), key, "`{what}` is not part of the identity");
             }
         }
-        // The payload kind itself is part of the identity, role aside.
-        let mut keys: Vec<u64> = bases
-            .into_iter()
-            .map(|mut r| {
-                r.role = Role::Teacher;
-                r.cache_key()
-            })
-            .collect();
+        // The payload kind itself is part of the identity.
+        let mut keys: Vec<u64> = bases.iter().map(ModelRequest::cache_key).collect();
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 7);
@@ -782,7 +742,7 @@ mod tests {
                 RequestPayload::Rerank { passages, .. } => resplit(passages),
                 _ => continue,
             }
-            assert_ne!(edited.cache_key(), base.cache_key(), "{:?}", base.role);
+            assert_ne!(edited.cache_key(), base.cache_key(), "{:?}", base.payload.role());
         }
         let parts = |a: &str, b: &str| {
             let mut r = req(1);

@@ -56,17 +56,18 @@ impl ModelHub {
     /// unchanged: a bypassed request is a backend call, exactly as it was
     /// when it was a guaranteed cache miss.
     fn cached_complete(&self, req: &ModelRequest) -> ModelResponse {
+        let role = req.payload.role();
         let key = req.payload.cacheable().then(|| req.cache_key());
         if let Some(key) = key {
             if let Some(hit) = self.cache.get(key) {
-                self.ledger.record_call(req.role, true, hit.tokens_in, hit.tokens_out, 0);
+                self.ledger.record_call(role, true, hit.tokens_in, hit.tokens_out, 0);
                 return hit;
             }
         }
         let start = Instant::now();
         let response = self.endpoint.complete(req);
         let busy = start.elapsed().as_nanos() as u64;
-        self.ledger.record_call(req.role, false, response.tokens_in, response.tokens_out, busy);
+        self.ledger.record_call(role, false, response.tokens_in, response.tokens_out, busy);
         if let Some(key) = key {
             self.cache.insert(key, response.clone());
         }
@@ -87,7 +88,7 @@ impl ModelEndpoint for ModelHub {
         // Tally the submission per role it contains (a batch is normally
         // single-role, but the ledger must not depend on that).
         for role in Role::ALL {
-            let n = reqs.iter().filter(|r| r.role == role).count();
+            let n = reqs.iter().filter(|r| r.payload.role() == role).count();
             if n > 0 {
                 self.ledger.record_batch(role, n);
             }
@@ -101,9 +102,12 @@ mod tests {
     use super::*;
     use crate::endpoint::{PromptPart, RequestPayload};
     use crate::sim::SimEndpoint;
-    use crate::spec::{build_endpoint, ModelSpec};
     use mcqa_ontology::{Ontology, OntologyConfig};
     use std::sync::Arc;
+
+    fn hub_over(ontology: Arc<Ontology>) -> ModelHub {
+        ModelHub::new(Box::new(SimEndpoint::new(42, ontology)))
+    }
 
     fn ontology() -> Arc<Ontology> {
         Arc::new(Ontology::generate(&OntologyConfig {
@@ -125,7 +129,7 @@ mod tests {
     #[test]
     fn cache_short_circuits_and_matches_backend() {
         let ont = ontology();
-        let hub = ModelHub::new(build_endpoint(&ModelSpec::Sim, 42, Arc::clone(&ont)));
+        let hub = hub_over(Arc::clone(&ont));
         let bare = SimEndpoint::new(42, ont);
         let req = grade_req("Answer: A");
 
@@ -145,7 +149,7 @@ mod tests {
     fn once_only_payloads_bypass_the_cache_without_changing_completions() {
         use mcqa_ontology::FactId;
         let ont = ontology();
-        let hub = ModelHub::new(build_endpoint(&ModelSpec::Sim, 42, Arc::clone(&ont)));
+        let hub = hub_over(Arc::clone(&ont));
         let bare = SimEndpoint::new(42, ont);
         let fact = FactId(3);
         let req = ModelRequest::new(
@@ -176,10 +180,15 @@ mod tests {
 
     #[test]
     fn batch_goes_through_the_same_cached_path() {
-        let hub = ModelHub::new(build_endpoint(&ModelSpec::Sim, 42, ontology()));
+        let hub = hub_over(ontology());
         let reqs: Vec<ModelRequest> =
             (0..20).map(|i| grade_req(&format!("Answer: {}", ['A', 'B'][i % 2]))).collect();
         let exec = Executor::global();
+
+        // An empty batch is served without a trace: callers need not guard it.
+        assert!(hub.complete_batch(exec, &[]).is_empty());
+        assert_eq!(hub.ledger().total(), crate::RoleStats::default());
+        assert!(hub.cache().is_empty());
 
         let batched = hub.complete_batch(exec, &reqs);
         let cold = hub.ledger().role(crate::Role::Judge);

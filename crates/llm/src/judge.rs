@@ -49,7 +49,7 @@ pub struct GradeResult {
 
 /// The simulated judge.
 #[derive(Debug, Clone)]
-pub struct JudgeModel {
+pub(crate) struct JudgeModel {
     seed: u64,
 }
 
@@ -107,12 +107,21 @@ impl JudgeModel {
 
     /// Grade a model completion against the correct option index.
     pub fn grade(&self, completion: &str, correct: usize, n_options: usize) -> GradeResult {
-        let parsed = parse_choice(completion, n_options);
+        let valid = &OPTION_LETTERS[..n_options.min(OPTION_LETTERS.len())];
+        let parsed = parse_choice(completion, valid);
+        let Some(&correct_letter) = valid.get(correct) else {
+            return GradeResult {
+                parsed,
+                correct: false,
+                reasoning: format!(
+                    "Key index {correct} is out of range for {} options. Graded incorrect.",
+                    valid.len()
+                ),
+            };
+        };
         match parsed {
             Some(letter) => {
-                let idx = OPTION_LETTERS.iter().position(|l| *l == letter).expect("valid letter");
-                let correct_letter = OPTION_LETTERS[correct];
-                let ok = idx == correct;
+                let ok = letter == correct_letter;
                 GradeResult {
                     parsed,
                     correct: ok,
@@ -137,8 +146,7 @@ impl JudgeModel {
 /// Recognised forms, in priority order:
 /// 1. `"Answer: X"` / `"answer is X"`;
 /// 2. a standalone valid letter token (`"C"`, `"(c)"`, `"C."`).
-fn parse_choice(text: &str, n_options: usize) -> Option<char> {
-    let valid = &OPTION_LETTERS[..n_options.min(OPTION_LETTERS.len())];
+fn parse_choice(text: &str, valid: &[char]) -> Option<char> {
     let upper = text.to_uppercase();
 
     for marker in ["ANSWER:", "ANSWER IS", "CHOICE:", "CHOOSE"] {
@@ -170,7 +178,7 @@ fn parse_choice(text: &str, n_options: usize) -> Option<char> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::teacher::{TeacherConfig, TeacherModel};
+    use crate::teacher::TeacherModel;
     use mcqa_ontology::{Ontology, OntologyConfig};
 
     fn setup() -> (Ontology, TeacherModel, JudgeModel) {
@@ -180,7 +188,7 @@ mod tests {
             qualitative_facts: 1500,
             quantitative_facts: 10,
         });
-        (ont, TeacherModel::new(TeacherConfig::default()), JudgeModel::new(42))
+        (ont, TeacherModel::new(42), JudgeModel::new(42))
     }
 
     #[test]
@@ -273,6 +281,12 @@ mod tests {
         // "G" is valid for 7 options but not for 5.
         assert_eq!(judge.grade("Answer: G", 0, 7).parsed, Some('G'));
         assert_eq!(judge.grade("Answer: G", 0, 5).parsed, None);
+        // A key the option count cannot hold is graded, not indexed.
+        for (key, n_options) in [(10, 7), (7, 7), (6, 5), (12, 20)] {
+            let g = judge.grade("Answer: A", key, n_options);
+            assert_eq!((g.parsed, g.correct), (Some('A'), false));
+            assert!(g.reasoning.contains("out of range"), "{}", g.reasoning);
+        }
     }
 
     #[test]

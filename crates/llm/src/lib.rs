@@ -3,22 +3,53 @@
 //! Every model role in the paper travels through the [`ModelEndpoint`]
 //! trait: a typed [`ModelRequest`]/[`ModelResponse`] envelope with a
 //! batched completion API, a content-addressed [`ResponseCache`], and a
-//! per-role [`CallLedger`] (see [`ModelHub`]). Consumers never touch a
-//! backend type — they hold `Arc<dyn ModelEndpoint>` and go through the
-//! thin role adapters:
+//! per-role [`CallLedger`] (see [`ModelHub`]). Consumers hold
+//! `Arc<dyn ModelEndpoint>` and go through the thin role adapters:
 //!
-//! | Paper role | Adapter | Sim backend behind it |
-//! |---|---|---|
-//! | GPT-4.1 question generation | [`adapters::Teacher::generate_question`] | [`teacher::TeacherModel`] |
-//! | GPT-4.1 trace distillation (3 modes) | [`adapters::Teacher::generate_trace`] | [`teacher::TeacherModel`] |
-//! | LLM judge (quality scoring + grading) | [`adapters::Judge`] | [`judge::JudgeModel`] |
-//! | GPT-5 math-question classifier | [`adapters::Classifier`] | [`math_classifier::MathClassifier`] |
-//! | The eight evaluated SLMs (1.1B–14B) | [`adapters::Answerer`] | [`cards::ModelCard`] + [`answer::ResolvedModel`] |
+//! | Paper role | Adapter entry points |
+//! |---|---|
+//! | GPT-4.1 question generation | [`adapters::Teacher::generate_question_batch`] |
+//! | GPT-4.1 trace distillation (3 modes) | [`adapters::Teacher::generate_trace_batch`] |
+//! | LLM judge (quality scoring + grading) | [`adapters::Judge::score_question_batch`], [`adapters::Judge::grade`] |
+//! | GPT-5 math-question classifier | [`adapters::Classifier::classify_batch`] |
+//! | Cross-encoder reranker | [`adapters::Reranker::score_batch`] |
+//! | The eight evaluated SLMs (1.1B–14B) | [`adapters::Answerer::answer`] ([`cards::ModelCard`] + its calibration) |
 //!
-//! The backend is a config value ([`ModelSpec`] + [`build_endpoint`]),
-//! mirroring the vector-store layer's `IndexSpec`: today's only backend is
-//! the deterministic behavioural simulator ([`sim::SimEndpoint`]); a
-//! remote/HTTP backend is a new variant, not a refactor.
+//! There is one backend, the deterministic behavioural simulator
+//! ([`sim::SimEndpoint`]), and nothing selects it: the pipeline builds
+//! `ModelHub::new(Box::new(SimEndpoint::new(seed, ontology)))`. A second
+//! backend is a new `impl ModelEndpoint` constructed at that line.
+//!
+//! ## The boundary is a visibility rule
+//!
+//! The simulators behind the endpoint (the teacher, judge and classifier
+//! models, and the answer cascade of a [`ResolvedModel`]) are crate-private,
+//! so nothing outside this crate can run one past the cache and the
+//! ledger: the only way to a completion is [`ModelEndpoint::complete`]. A
+//! resolved model stays nameable, because an answer request carries one
+//! and is addressed by its digest:
+//!
+//! ```
+//! use mcqa_llm::{Condition, McqItem, ResolvedModel};
+//! fn addressed(model: &ResolvedModel, _: &McqItem, _: Condition) -> u64 {
+//!     model.key()
+//! }
+//! ```
+//!
+//! but it cannot be asked to answer directly:
+//!
+//! ```compile_fail,E0624
+//! use mcqa_llm::{Condition, McqItem, ResolvedModel};
+//! fn direct(model: &ResolvedModel, item: &McqItem, condition: Condition) {
+//!     model.answer(item, condition, None, 42);
+//! }
+//! ```
+//!
+//! and a simulator type cannot be named:
+//!
+//! ```compile_fail,E0603
+//! use mcqa_llm::teacher::TeacherModel;
+//! ```
 //!
 //! ## The calibration contract
 //!
@@ -47,12 +78,11 @@ pub mod endpoint;
 pub mod hub;
 pub mod judge;
 pub mod ledger;
-pub mod math_classifier;
+mod math_classifier;
 pub mod mcq;
 pub mod response_cache;
 pub mod sim;
 pub mod solver;
-pub mod spec;
 pub mod teacher;
 pub mod trace;
 
@@ -61,17 +91,15 @@ pub use answer::{AnswerOutcome, Condition, ResolvedModel};
 pub use cards::{BenchTargets, ModelCard, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
 pub use context::{AssembledContext, Passage, PassageSource};
 pub use endpoint::{
-    DecodeParams, ModelEndpoint, ModelRequest, ModelResponse, PartKind, PromptPart, RequestPayload,
-    Role, RoleOutput,
+    ModelEndpoint, ModelRequest, ModelResponse, PartKind, PromptPart, RequestPayload, Role,
+    RoleOutput,
 };
 pub use hub::ModelHub;
-pub use judge::{GradeResult, JudgeModel, QualityJudgment};
+pub use judge::{GradeResult, QualityJudgment};
 pub use ledger::{CallLedger, RoleStats};
-pub use math_classifier::MathClassifier;
 pub use mcq::{BenchKind, McqItem, OPTION_LETTERS};
 pub use response_cache::ResponseCache;
 pub use sim::SimEndpoint;
 pub use solver::{resolve, PipelineRates};
-pub use spec::{build_endpoint, build_hub, ModelSpec};
-pub use teacher::{GeneratedQuestion, QuestionDefect, TeacherModel};
+pub use teacher::{GeneratedQuestion, QuestionDefect};
 pub use trace::TraceMode;

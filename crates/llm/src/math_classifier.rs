@@ -27,7 +27,7 @@ const UNIT_MARKERS: &[&str] = &["gy", "mbq", "cgy/h", "gy."];
 
 /// The math-question classifier.
 #[derive(Debug, Clone, Default)]
-pub struct MathClassifier;
+pub(crate) struct MathClassifier;
 
 impl MathClassifier {
     /// Create a classifier.

@@ -10,11 +10,12 @@
 use std::sync::Arc;
 
 use mcqa_ontology::Ontology;
+use mcqa_text::token_count;
 
 use crate::endpoint::{ModelEndpoint, ModelRequest, ModelResponse, RequestPayload, RoleOutput};
 use crate::judge::JudgeModel;
 use crate::math_classifier::MathClassifier;
-use crate::teacher::{TeacherConfig, TeacherModel};
+use crate::teacher::TeacherModel;
 
 /// The simulator backend.
 pub struct SimEndpoint {
@@ -30,7 +31,7 @@ impl SimEndpoint {
     pub fn new(seed: u64, ontology: Arc<Ontology>) -> Self {
         Self {
             ontology,
-            teacher: TeacherModel::new(TeacherConfig { seed, ..Default::default() }),
+            teacher: TeacherModel::new(seed),
             judge: JudgeModel::new(seed),
             classifier: MathClassifier::new(),
         }
@@ -43,42 +44,46 @@ impl ModelEndpoint for SimEndpoint {
     }
 
     fn complete(&self, req: &ModelRequest) -> ModelResponse {
-        let (text, output) = match &req.payload {
+        // A completion's tokens are counted on its text, which each role
+        // keeps inside its output (the classifier's and the reranker's wire
+        // text is rendered only to be counted).
+        let (tokens_out, output) = match &req.payload {
             RequestPayload::GenerateQuestion { fact, salt } => {
                 let f = self
                     .ontology
                     .fact(*fact)
                     .unwrap_or_else(|| panic!("sim teacher: unknown fact {}", fact.0));
                 let q = self.teacher.generate_question(&self.ontology, f, salt);
-                (q.stem.clone(), RoleOutput::Question(q))
+                (token_count(&q.stem), RoleOutput::Question(q))
             }
             RequestPayload::DistillTrace { question, mode } => {
                 let t = self.teacher.generate_trace(&self.ontology, question, *mode);
-                (t.clone(), RoleOutput::Trace(t))
+                (token_count(&t), RoleOutput::Trace(t))
             }
             RequestPayload::ScoreQuestion { question, salience } => {
                 let j = self.judge.score_question(question, *salience);
-                (j.reasoning.clone(), RoleOutput::Quality(j))
+                (token_count(&j.reasoning), RoleOutput::Quality(j))
             }
             RequestPayload::GradeAnswer { completion, correct, n_options } => {
                 let g = self.judge.grade(completion, *correct, *n_options);
-                (g.reasoning.clone(), RoleOutput::Grade(g))
+                (token_count(&g.reasoning), RoleOutput::Grade(g))
             }
             RequestPayload::ClassifyMath { item } => {
                 let is_math = self.classifier.requires_math(item);
-                (format!("requires_math: {is_math}"), RoleOutput::MathFlag(is_math))
+                let text = if is_math { "requires_math: true" } else { "requires_math: false" };
+                (token_count(text), RoleOutput::MathFlag(is_math))
             }
             RequestPayload::Rerank { query, passages } => {
                 let scores = rerank_scores(query, passages);
                 let text = scores.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(" ");
-                (text, RoleOutput::Relevance(scores))
+                (token_count(&text), RoleOutput::Relevance(scores))
             }
             RequestPayload::Answer { model, item, condition, context } => {
                 let a = model.answer(item, *condition, context.as_ref(), req.seed);
-                (a.text.clone(), RoleOutput::Answer(a))
+                (token_count(&a.text), RoleOutput::Answer(a))
             }
         };
-        ModelResponse::from_output(req, text, output)
+        ModelResponse { output, tokens_in: req.prompt_tokens(), tokens_out }
     }
 }
 
@@ -109,7 +114,7 @@ fn rerank_scores(query: &str, passages: &[String]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{PromptPart, Role};
+    use crate::endpoint::PromptPart;
     use mcqa_ontology::OntologyConfig;
 
     fn endpoint() -> SimEndpoint {
@@ -136,7 +141,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.output.clone().expect_question().options.len(), 7);
         assert!(a.tokens_out > 0);
-        assert_eq!(gen.role, Role::Teacher);
 
         let q = a.output.expect_question();
         let salience = ep.ontology.facts()[0].salience;
@@ -166,6 +170,27 @@ mod tests {
             42,
         );
         assert!(ep.complete(&grade).output.expect_grade().correct);
+
+        // Every payload kind is served, with its own output variant: no
+        // adapter's `expect_*` can panic on this backend.
+        let all = crate::endpoint::tests::one_of_each();
+        assert_eq!(all.len(), 7);
+        for req in all {
+            let response = ep.complete(&req);
+            assert_eq!(response, ep.complete(&req));
+            assert_eq!(response.tokens_in, req.prompt_tokens());
+            let own_variant = matches!(
+                (&req.payload, &response.output),
+                (RequestPayload::GenerateQuestion { .. }, RoleOutput::Question(_))
+                    | (RequestPayload::DistillTrace { .. }, RoleOutput::Trace(_))
+                    | (RequestPayload::ScoreQuestion { .. }, RoleOutput::Quality(_))
+                    | (RequestPayload::GradeAnswer { .. }, RoleOutput::Grade(_))
+                    | (RequestPayload::ClassifyMath { .. }, RoleOutput::MathFlag(_))
+                    | (RequestPayload::Rerank { .. }, RoleOutput::Relevance(_))
+                    | (RequestPayload::Answer { .. }, RoleOutput::Answer(_))
+            );
+            assert!(own_variant, "{:?} answered with {:?}", req.payload, response.output);
+        }
     }
 
     #[test]
@@ -213,7 +238,6 @@ mod tests {
         assert!(scores[1] > scores[2]);
         assert_eq!(scores[3], 0.0);
         assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
-        assert_eq!(req.role, Role::Reranker);
     }
 
     #[test]

@@ -48,36 +48,25 @@ pub struct GeneratedQuestion {
     pub distractor_plausibility: f64,
 }
 
-/// Teacher configuration (defect base rates measured from real LLM
-/// question-generation audits; order-of-magnitude realistic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TeacherConfig {
-    /// Seed.
-    pub seed: u64,
-    /// P(stem references the source text).
-    pub p_context_reference: f64,
-    /// P(stem loses its subject).
-    pub p_ambiguous: f64,
-    /// P(recorded key is wrong).
-    pub p_wrong_key: f64,
-}
-
-impl Default for TeacherConfig {
-    fn default() -> Self {
-        Self { seed: 42, p_context_reference: 0.08, p_ambiguous: 0.06, p_wrong_key: 0.02 }
-    }
-}
+// Defect base rates (measured from real LLM question-generation audits;
+// order-of-magnitude realistic).
+/// P(stem references the source text).
+const P_CONTEXT_REFERENCE: f64 = 0.08;
+/// P(stem loses its subject).
+const P_AMBIGUOUS: f64 = 0.06;
+/// P(recorded key is wrong).
+const P_WRONG_KEY: f64 = 0.02;
 
 /// The simulated GPT-4.1.
 #[derive(Debug, Clone)]
-pub struct TeacherModel {
-    config: TeacherConfig,
+pub(crate) struct TeacherModel {
+    seed: u64,
 }
 
 impl TeacherModel {
     /// Create a teacher.
-    pub fn new(config: TeacherConfig) -> Self {
-        Self { config }
+    pub fn new(seed: u64) -> Self {
+        Self { seed }
     }
 
     /// Generate a 7-option MCQ for `fact`. `salt` distinguishes multiple
@@ -88,7 +77,7 @@ impl TeacherModel {
         fact: &Fact,
         salt: &str,
     ) -> GeneratedQuestion {
-        let rng = KeyedStochastic::new(self.config.seed ^ 0x7EAC_4E12);
+        let rng = KeyedStochastic::new(self.seed ^ 0x7EAC_4E12);
         let key = format!("{}:{}", fact.id.0, salt);
         let reg = ontology.registry();
 
@@ -105,17 +94,17 @@ impl TeacherModel {
 
         // Defects.
         let mut defects = Vec::new();
-        if rng.bernoulli(self.config.p_context_reference, &["ctxref", &key]) {
+        if rng.bernoulli(P_CONTEXT_REFERENCE, &["ctxref", &key]) {
             defects.push(QuestionDefect::ContextReference);
             stem = format!("As described in the passage, {}", lowercase_first(&stem));
         }
-        if rng.bernoulli(self.config.p_ambiguous, &["ambig", &key]) {
+        if rng.bernoulli(P_AMBIGUOUS, &["ambig", &key]) {
             defects.push(QuestionDefect::AmbiguousStem);
             let subject = &reg.get(fact.subject).name;
             stem = stem.replace(subject.as_str(), "this factor");
         }
         let mut recorded_key = true_key;
-        if rng.bernoulli(self.config.p_wrong_key, &["wrongkey", &key]) {
+        if rng.bernoulli(P_WRONG_KEY, &["wrongkey", &key]) {
             defects.push(QuestionDefect::WrongKey);
             recorded_key =
                 (true_key + 1 + rng.below(options.len() - 1, &["wk", &key])) % options.len();
@@ -242,7 +231,7 @@ mod tests {
     #[test]
     fn question_structure_valid() {
         let ont = ontology();
-        let teacher = TeacherModel::new(TeacherConfig::default());
+        let teacher = TeacherModel::new(42);
         for fact in ont.facts().iter().take(100) {
             let q = teacher.generate_question(&ont, fact, "c0");
             assert_eq!(q.options.len(), 7);
@@ -260,7 +249,7 @@ mod tests {
     #[test]
     fn deterministic_per_salt() {
         let ont = ontology();
-        let teacher = TeacherModel::new(TeacherConfig::default());
+        let teacher = TeacherModel::new(42);
         let f = &ont.facts()[0];
         assert_eq!(
             teacher.generate_question(&ont, f, "a"),
@@ -275,7 +264,7 @@ mod tests {
     #[test]
     fn defect_rates_realistic() {
         let ont = ontology();
-        let teacher = TeacherModel::new(TeacherConfig::default());
+        let teacher = TeacherModel::new(42);
         let mut ctxref = 0;
         let mut wrongkey = 0;
         let n = ont.facts().len();
@@ -299,7 +288,7 @@ mod tests {
     #[test]
     fn traces_never_leak_answer() {
         let ont = ontology();
-        let teacher = TeacherModel::new(TeacherConfig::default());
+        let teacher = TeacherModel::new(42);
         for fact in ont.facts().iter().take(150) {
             let q = teacher.generate_question(&ont, fact, "c0");
             let answer = &q.options[q.true_key];
@@ -319,7 +308,7 @@ mod tests {
         // Detailed > Focused > Efficient in tokens (drives the truncation
         // dynamics for small-window models).
         let ont = ontology();
-        let teacher = TeacherModel::new(TeacherConfig::default());
+        let teacher = TeacherModel::new(42);
         let mut totals = [0usize; 3];
         for fact in ont.facts().iter().take(50) {
             let q = teacher.generate_question(&ont, fact, "c0");
@@ -335,7 +324,7 @@ mod tests {
     fn traces_share_vocabulary_with_question() {
         // Retrieval works because the trace embeds the question's words.
         let ont = ontology();
-        let teacher = TeacherModel::new(TeacherConfig::default());
+        let teacher = TeacherModel::new(42);
         let q = teacher.generate_question(&ont, &ont.facts()[3], "c0");
         for mode in TraceMode::ALL {
             let t = teacher.generate_trace(&ont, &q, mode);

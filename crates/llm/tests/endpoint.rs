@@ -6,8 +6,8 @@
 use std::sync::{Arc, OnceLock};
 
 use mcqa_llm::{
-    build_endpoint, resolve, AssembledContext, Condition, McqItem, ModelEndpoint, ModelHub,
-    ModelRequest, ModelSpec, PipelineRates, PromptPart, RequestPayload, ResolvedModel, Role,
+    resolve, AssembledContext, Condition, McqItem, ModelEndpoint, ModelHub, ModelRequest,
+    PipelineRates, PromptPart, RequestPayload, ResolvedModel, Role, RoleOutput, SimEndpoint,
     TraceMode, MODEL_CARDS,
 };
 use mcqa_ontology::{Ontology, OntologyConfig};
@@ -26,9 +26,13 @@ fn ontology() -> &'static Arc<Ontology> {
     })
 }
 
-fn endpoint() -> &'static dyn ModelEndpoint {
-    static EP: OnceLock<Box<dyn ModelEndpoint>> = OnceLock::new();
-    &**EP.get_or_init(|| build_endpoint(&ModelSpec::Sim, 42, Arc::clone(ontology())))
+fn endpoint() -> &'static SimEndpoint {
+    static EP: OnceLock<SimEndpoint> = OnceLock::new();
+    EP.get_or_init(|| SimEndpoint::new(42, Arc::clone(ontology())))
+}
+
+fn fresh_hub() -> ModelHub {
+    ModelHub::new(Box::new(SimEndpoint::new(42, Arc::clone(ontology()))))
 }
 
 fn resolved(i: usize) -> Arc<ResolvedModel> {
@@ -56,11 +60,14 @@ fn request(x: u64) -> ModelRequest {
     let ont = ontology();
     let facts = ont.facts();
     let fact = &facts[(x as usize) % facts.len()];
-    let teacher_q = mcqa_llm::TeacherModel::new(mcqa_llm::teacher::TeacherConfig {
-        seed: 42,
-        ..Default::default()
-    })
-    .generate_question(ont, fact, "pt");
+    let teacher_q = endpoint()
+        .complete(&ModelRequest::new(
+            Vec::new(),
+            RequestPayload::GenerateQuestion { fact: fact.id, salt: "pt".into() },
+            42,
+        ))
+        .output
+        .expect_question();
     let payload = match x % 6 {
         0 => RequestPayload::GenerateQuestion { fact: fact.id, salt: format!("s{}", x / 6) },
         1 => RequestPayload::DistillTrace {
@@ -111,7 +118,7 @@ proptest! {
     ) {
         // Serve the list twice through a fresh hub: the second pass is
         // all cache hits and must be byte-identical to the first.
-        let hub = ModelHub::new(build_endpoint(&ModelSpec::Sim, 42, Arc::clone(ontology())));
+        let hub = fresh_hub();
         let reqs: Vec<ModelRequest> = keys.iter().map(|&x| request(x)).collect();
         let first: Vec<_> = reqs.iter().map(|r| hub.complete(r)).collect();
         let cached_completions = hub.cache().len();
@@ -150,7 +157,7 @@ proptest! {
         };
         let mut outputs: Vec<Vec<mcqa_llm::ModelResponse>> = Vec::new();
         for (si, shape) in shapes.iter().enumerate() {
-            let hub = ModelHub::new(build_endpoint(&ModelSpec::Sim, 42, Arc::clone(ontology())));
+            let hub = fresh_hub();
             let mut out = Vec::new();
             if shape.is_empty() {
                 out.extend(reqs.iter().map(|r| hub.complete(r)));
@@ -201,7 +208,21 @@ fn token_estimates_are_request_deterministic() {
         let b = ep.complete(&r);
         assert_eq!((a.tokens_in, a.tokens_out), (b.tokens_in, b.tokens_out));
         assert_eq!(a.tokens_in, r.prompt_tokens());
-        assert_eq!(a.tokens_out, mcqa_text::token_count(&a.text));
+        // The completion's tokens are those of the text its output carries.
+        let math_flag;
+        let text = match &a.output {
+            RoleOutput::Question(q) => &q.stem,
+            RoleOutput::Trace(t) => t,
+            RoleOutput::Quality(j) => &j.reasoning,
+            RoleOutput::Grade(g) => &g.reasoning,
+            RoleOutput::MathFlag(flag) => {
+                math_flag = format!("requires_math: {flag}");
+                &math_flag
+            }
+            RoleOutput::Answer(answer) => &answer.text,
+            RoleOutput::Relevance(_) => unreachable!("`request` issues no rerank"),
+        };
+        assert_eq!(a.tokens_out, mcqa_text::token_count(text));
     }
 }
 

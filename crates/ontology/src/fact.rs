@@ -79,14 +79,6 @@ pub struct Fact {
     pub salience: f64,
 }
 
-impl Fact {
-    /// How many documents should restate this fact, given a base rate.
-    /// Salience maps to 1..=(2*base+1) mentions.
-    pub fn mention_count(&self, base: usize) -> usize {
-        1 + (self.salience * (2 * base) as f64).round() as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,23 +91,6 @@ mod tests {
                 assert!(!q.phrase().is_empty());
             }
         }
-    }
-
-    #[test]
-    fn mention_count_scales_with_salience() {
-        let mk = |sal: f64| Fact {
-            id: FactId(1),
-            topic: Topic::DnaRepair,
-            subject: EntityId(0),
-            relation: RelationKind::RepairedBy,
-            object: EntityId(1),
-            qualifier: Qualifier::None,
-            difficulty: 0.5,
-            salience: sal,
-        };
-        assert_eq!(mk(0.0).mention_count(3), 1);
-        assert_eq!(mk(1.0).mention_count(3), 7);
-        assert!(mk(0.5).mention_count(3) >= 3);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub struct Ontology {
     quant_facts: Vec<QuantFact>,
     facts_by_topic: HashMap<Topic, Vec<usize>>,
     fact_index: HashMap<FactId, usize>,
-    quant_index: HashMap<FactId, usize>,
 }
 
 impl Ontology {
@@ -137,20 +136,8 @@ impl Ontology {
             facts_by_topic.entry(f.topic).or_default().push(i);
             fact_index.insert(f.id, i);
         }
-        let mut quant_index = HashMap::new();
-        for (i, q) in quant_facts.iter().enumerate() {
-            quant_index.insert(q.id, i);
-        }
 
-        Self {
-            config: config.clone(),
-            registry,
-            facts,
-            quant_facts,
-            facts_by_topic,
-            fact_index,
-            quant_index,
-        }
+        Self { config: config.clone(), registry, facts, quant_facts, facts_by_topic, fact_index }
     }
 
     /// The generating configuration.
@@ -176,16 +163,6 @@ impl Ontology {
     /// Look up a qualitative fact by id.
     pub fn fact(&self, id: FactId) -> Option<&Fact> {
         self.fact_index.get(&id).map(|&i| &self.facts[i])
-    }
-
-    /// Look up a quantitative fact by id.
-    pub fn quant_fact(&self, id: FactId) -> Option<&QuantFact> {
-        self.quant_index.get(&id).map(|&i| &self.quant_facts[i])
-    }
-
-    /// True when `id` belongs to the quantitative namespace.
-    pub fn is_quant(id: FactId) -> bool {
-        id.0 >= QUANT_ID_BASE
     }
 
     /// Indices of facts in `topic`.
@@ -228,11 +205,6 @@ impl Ontology {
         }
         out
     }
-
-    /// Total number of facts across both namespaces.
-    pub fn total_facts(&self) -> usize {
-        self.facts.len() + self.quant_facts.len()
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +239,6 @@ mod tests {
         let ont = small();
         assert_eq!(ont.facts().len(), 300);
         assert_eq!(ont.quant_facts().len(), 60);
-        assert_eq!(ont.total_facts(), 360);
     }
 
     #[test]
@@ -299,11 +270,6 @@ mod tests {
         for f in ont.facts().iter().take(20) {
             assert_eq!(ont.fact(f.id).unwrap(), f);
         }
-        for q in ont.quant_facts().iter().take(10) {
-            assert_eq!(ont.quant_fact(q.id).unwrap(), q);
-            assert!(Ontology::is_quant(q.id));
-        }
-        assert!(!Ontology::is_quant(FactId(0)));
         assert!(ont.fact(FactId(999_999)).is_none());
     }
 

@@ -67,7 +67,7 @@ pub enum QueryMode {
 }
 
 // Not derived: the serde shim's derive can't parse a `#[default]` variant
-// attribute (same situation as IndexSpec / ModelSpec).
+// attribute (same situation as IndexSpec).
 #[allow(clippy::derivable_impls)]
 impl Default for QueryMode {
     fn default() -> Self {

@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use mcqa_embed::{BioEncoder, EmbeddingCache};
@@ -33,7 +33,6 @@ use mcqa_lexical::{fuse_depth, Fusion};
 use mcqa_llm::Reranker;
 use mcqa_runtime::Executor;
 use mcqa_util::sort_hits;
-use parking_lot::{Mutex, RwLock};
 
 use crate::envelope::{
     QueryInput, QueryMode, QueryRequest, QueryResponse, QueryTiming, ServeError,
@@ -194,7 +193,7 @@ impl QueryService {
     /// flow-controlled callers can retry without cloning.
     #[allow(clippy::result_large_err)] // the Err *is* the returned request
     fn try_submit(&self, req: QueryRequest) -> Result<QueryTicket, (ServeError, QueryRequest)> {
-        let guard = self.tx.read();
+        let guard = self.tx.read().unwrap_or_else(PoisonError::into_inner);
         let Some(tx) = guard.as_ref() else {
             return Err((ServeError::ShuttingDown, req));
         };
@@ -268,8 +267,8 @@ impl QueryService {
     /// that was queued before the disconnect, so each admitted request is
     /// answered exactly once before the thread exits.
     pub fn shutdown(&self) -> ServiceSnapshot {
-        *self.tx.write() = None;
-        if let Some(handle) = self.worker.lock().take() {
+        *self.tx.write().unwrap_or_else(PoisonError::into_inner) = None;
+        if let Some(handle) = self.worker.lock().unwrap_or_else(PoisonError::into_inner).take() {
             let _ = handle.join();
         }
         self.stats.snapshot()

@@ -147,8 +147,8 @@ fn offline_hybrid(
             .iter()
             .map(|h| fix.passages.get("chunks", h.id).unwrap_or("").to_string())
             .collect();
-        let scores = rr.score(text, &ps);
-        for (h, s) in fused.iter_mut().zip(scores) {
+        let scores = rr.score_batch(Executor::global(), &[(text, ps)]);
+        for (h, &s) in fused.iter_mut().zip(&scores[0]) {
             h.score = s as f32;
         }
         mcqa_util::sort_hits(&mut fused);

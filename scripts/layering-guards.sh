@@ -29,14 +29,6 @@ if grep -rn 'FlatIndex' crates/core/src crates/eval/src; then
     fail "FlatIndex leaked back into core/eval"
 fi
 
-# Same invariant for the model layer: every model call goes through the
-# ModelEndpoint trait and its role adapters. A concrete simulator type
-# reappearing in core/eval would re-pin the call choreography to one
-# backend and bypass the cache + ledger.
-if grep -rn 'TeacherModel\|JudgeModel\|MathClassifier\|ResolvedModel' crates/core/src crates/eval/src; then
-    fail "a concrete model type leaked back into core/eval"
-fi
-
 # Eval retrieval rides the QueryService envelope (admission queue,
 # micro-batcher, latency ledger), never straight into a store's
 # search_batch: a direct call would fork the query path the serving layer

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use mcqa_index::{IndexRegistry, IndexSpec, VectorStore};
     pub use mcqa_lexical::{Fusion, LexicalIndex};
     pub use mcqa_llm::{
-        answer::Condition, McqItem, ModelCard, ModelEndpoint, ModelSpec, TraceMode, MODEL_CARDS,
+        answer::Condition, McqItem, ModelCard, ModelEndpoint, TraceMode, MODEL_CARDS,
     };
     pub use mcqa_ontology::{Ontology, OntologyConfig};
     pub use mcqa_runtime::{run_stage, run_stage_batched, Executor};

@@ -55,7 +55,8 @@ fn tiny_seed42_artifacts_are_byte_identical_to_the_pre_redesign_pipeline() {
 /// equivalence classes are where they were — a key that aliased two
 /// requests would lower it, one that split a request would raise it.
 /// (`backend_calls` and `cache_hits` are not pinned: concurrent first
-/// touches of one grading key may both miss.) Captured on 357d4b4.
+/// touches of one grading key may both miss.) Captured on 357d4b4; the
+/// teacher / classifier token totals on 5e1181a.
 #[test]
 fn tiny_seed42_eval_tables_are_pinned() {
     let out = Pipeline::run(&PipelineConfig::tiny(42));
@@ -68,4 +69,14 @@ fn tiny_seed42_eval_tables_are_pinned() {
     );
     assert_eq!(out.models.ledger().total().calls, 62_747, "model-call census moved");
     assert_eq!(out.models.cache().len(), 22_032, "distinct cached requests moved");
+    // Teacher requests are never cached and each exam item is classified
+    // once, so these totals are schedule-independent: they pin every prompt
+    // scaffold of the two roles and how `tokens_out` is derived.
+    let teacher = out.models.ledger().role(distllm::llm::Role::Teacher);
+    assert_eq!((teacher.calls, teacher.tokens_in, teacher.tokens_out), (2_469, 187_262, 59_918));
+    let classifier = out.models.ledger().role(distllm::llm::Role::Classifier);
+    assert_eq!(
+        (classifier.calls, classifier.tokens_in, classifier.tokens_out),
+        (335, 13_931, 1_005)
+    );
 }
