@@ -28,11 +28,6 @@ impl ChunkRecord {
         ((doc.0 as u64) << 16) | (index_in_doc as u64 & 0xFFFF)
     }
 
-    /// Recover `(doc, index)` from a chunk id.
-    pub fn split_id(chunk_id: u64) -> (DocId, u32) {
-        (DocId((chunk_id >> 16) as u32), (chunk_id & 0xFFFF) as u32)
-    }
-
     /// The synthetic "file path" recorded in question provenance
     /// (mirrors the paper's `file path` field in Figure 2).
     pub fn file_path(&self) -> String {
@@ -45,10 +40,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn id_roundtrip() {
+    fn id_packs_doc_above_index() {
         for (d, i) in [(0u32, 0u32), (5, 3), (70_000, 65_535), (u32::MAX / 2, 12)] {
             let id = ChunkRecord::make_id(DocId(d), i);
-            assert_eq!(ChunkRecord::split_id(id), (DocId(d), i));
+            assert_eq!((id >> 16, id & 0xFFFF), (u64::from(d), u64::from(i)));
         }
     }
 

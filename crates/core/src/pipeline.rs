@@ -46,6 +46,77 @@ fn over_tombstone_threshold(tombstones: usize, live: usize) -> bool {
     tombstones * 4 > live.max(1)
 }
 
+/// Bring one retrieval source — the dense store `name` and its `lex-`
+/// sibling — up to date: tombstone the rows of `dead` ids, add the fresh
+/// `vectors` / `texts`, compact a side once its tombstones pass the
+/// threshold. A cold build is the same plan with nothing registered and
+/// nothing dead: the dense store is bulk-loaded (which is where IVF / PQ
+/// train) and the sibling starts empty. One `index-<name>` and one
+/// `index-lex-<name>` stage row either way (items = rows added, out = live
+/// rows afterwards).
+#[allow(clippy::too_many_arguments)]
+fn refresh_source(
+    config: &PipelineConfig,
+    exec: &Executor,
+    indexes: &mut IndexRegistry,
+    census: &mut IngestCensus,
+    report: &mut RunReport,
+    name: &str,
+    dead: &[u64],
+    vectors: &[(u64, Vec<f32>)],
+    texts: &[(u64, &str)],
+) {
+    let t = ScopeTimer::start("index");
+    match indexes.get_mut(name) {
+        None => indexes.insert(
+            name,
+            build_store_from_vectors(
+                &config.index,
+                config.embed.dim,
+                Metric::Cosine,
+                Precision::F16,
+                exec,
+                vectors,
+            ),
+        ),
+        Some(store) => {
+            census.tombstones_dense += store.remove(dead);
+            store.add_batch(exec, vectors);
+            if over_tombstone_threshold(store.tombstones(), store.len()) {
+                store.compact(exec);
+                census.compactions += 1;
+            }
+        }
+    }
+    report.add(StageMetrics::single(
+        &format!("index-{name}"),
+        vectors.len(),
+        indexes.expect_store(name).len(),
+        t.elapsed_secs(),
+    ));
+
+    // The BM25 sibling over the same texts, keyed by the same ids, so both
+    // channels retrieve the same documents.
+    let t = ScopeTimer::start("index-lex");
+    let sibling = IndexRegistry::lexical_sibling(name);
+    if indexes.lexical(&sibling).is_none() {
+        indexes.insert_lexical(&sibling, LexicalIndex::new(Default::default()));
+    }
+    let lex = indexes.expect_lexical_mut(&sibling);
+    census.tombstones_lexical += lex.remove(dead);
+    lex.add_batch(exec, texts);
+    if over_tombstone_threshold(lex.tombstones(), lex.len()) {
+        lex.compact();
+        census.compactions += 1;
+    }
+    report.add(StageMetrics::single(
+        &format!("index-lex-{name}"),
+        texts.len(),
+        lex.len(),
+        t.elapsed_secs(),
+    ));
+}
+
 /// Everything the pipeline produces, ready for evaluation.
 pub struct PipelineOutput {
     /// The configuration that produced this output.
@@ -319,24 +390,16 @@ impl Pipeline {
             t.elapsed_secs(),
         ));
 
-        // Stage 4: the re-run chunks' embeddings. The chunk stage already
-        // produced them (`chunk_vectors`), so all this row still does is
-        // pick the re-run chunks out of the merged list. Unchanged chunks
-        // keep their rows in the previous run's stores, so they are never
-        // re-embedded.
-        let t = ScopeTimer::start("embed-chunks");
+        // The re-run chunks, picked out of the merged list: what the chunk
+        // DB's sibling indexes and what question generation reads.
+        // Unchanged chunks keep their rows in the previous run's stores.
         let gen_chunks: Vec<&ChunkRecord> =
             chunks.iter().filter(|c| fresh_ids.contains(&c.chunk_id)).collect();
-        report.add(StageMetrics::single(
-            "embed-chunks",
-            gen_chunks.len(),
-            chunk_vectors.len(),
-            t.elapsed_secs(),
-        ));
 
-        // Chunk DB: cold build bulk-loads the configured backend; an
-        // incremental run decodes the previous registry, tombstones the
-        // rows of removed/modified documents, and appends the fresh ones.
+        // Chunk DB and its lexical sibling (the hybrid retrieval channel's
+        // word-level view). A cold build starts from an empty registry; an
+        // incremental run decodes the previous one, tombstones the rows of
+        // removed/modified documents, and appends the fresh ones.
         let mut indexes = match prev {
             None => IndexRegistry::new(),
             Some(p) => IndexRegistry::from_bytes(&p.indexes.to_bytes())
@@ -351,62 +414,21 @@ impl Pipeline {
                     .collect()
             })
             .unwrap_or_default();
-
-        let t = ScopeTimer::start("index-chunks");
-        if prev.is_none() {
-            let chunk_store = build_store_from_vectors(
-                &config.index,
-                config.embed.dim,
-                Metric::Cosine,
-                Precision::F16,
-                &exec,
-                &chunk_vectors,
-            );
-            indexes.insert(CHUNKS_STORE, chunk_store);
-        } else {
-            let store = indexes.expect_store_mut(CHUNKS_STORE);
-            census.tombstones_dense += store.remove(&dead_chunk_ids);
-            store.add_batch(&exec, &chunk_vectors);
-            if over_tombstone_threshold(store.tombstones(), store.len()) {
-                store.compact(&exec);
-                census.compactions += 1;
-            }
-        }
-        report.add(StageMetrics::single(
-            "index-chunks",
-            chunk_vectors.len(),
-            indexes.expect_store(CHUNKS_STORE).len(),
-            t.elapsed_secs(),
-        ));
-        drop(chunk_vectors);
-
-        // Lexical sibling: the same chunks indexed by BM25 — the hybrid
-        // retrieval channel's word-level view, one Figure-1 stage row like
-        // any dense build. Mutated with the same tombstone surface.
-        let t = ScopeTimer::start("index-lex-chunks");
-        let lex_pairs: Vec<(u64, &str)> =
+        let chunk_texts: Vec<(u64, &str)> =
             gen_chunks.iter().map(|c| (c.chunk_id, c.text.as_str())).collect();
-        let lex_name = IndexRegistry::lexical_sibling(CHUNKS_STORE);
-        if prev.is_none() {
-            let mut chunk_lex = LexicalIndex::new(Default::default());
-            chunk_lex.add_batch(&exec, &lex_pairs);
-            indexes.insert_lexical(&lex_name, chunk_lex);
-        } else {
-            let lex = indexes.expect_lexical_mut(&lex_name);
-            census.tombstones_lexical += lex.remove(&dead_chunk_ids);
-            lex.add_batch(&exec, &lex_pairs);
-            if over_tombstone_threshold(lex.tombstones(), lex.len()) {
-                lex.compact();
-                census.compactions += 1;
-            }
-        }
-        report.add(StageMetrics::single(
-            "index-lex-chunks",
-            lex_pairs.len(),
-            indexes.expect_lexical(&lex_name).len(),
-            t.elapsed_secs(),
-        ));
-        drop(lex_pairs);
+        refresh_source(
+            config,
+            &exec,
+            &mut indexes,
+            &mut census,
+            &mut report,
+            CHUNKS_STORE,
+            &dead_chunk_ids,
+            &chunk_vectors,
+            &chunk_texts,
+        );
+        drop(chunk_vectors);
+        drop(chunk_texts);
 
         // Stage 5: question generation (one candidate per re-run chunk) +
         // judge filtering at the paper's 7/10 threshold. Both model roles
@@ -691,61 +713,22 @@ impl Pipeline {
             .unwrap_or_default();
 
         for (mode, vectors) in TraceMode::ALL.iter().zip(&mode_vectors) {
-            let t = ScopeTimer::start("index-traces");
-            if prev.is_none() {
-                let store = build_store_from_vectors(
-                    &config.index,
-                    config.embed.dim,
-                    Metric::Cosine,
-                    Precision::F16,
-                    &exec,
-                    vectors,
-                );
-                indexes.insert(mode.db_name(), store);
-            } else {
-                let store = indexes.expect_store_mut(mode.db_name());
-                census.tombstones_dense += store.remove(&dead_qids);
-                store.add_batch(&exec, vectors);
-                if over_tombstone_threshold(store.tombstones(), store.len()) {
-                    store.compact(&exec);
-                    census.compactions += 1;
-                }
-            }
-            report.add(StageMetrics::single(
-                &format!("index-{}", mode.db_name()),
-                vectors.len(),
-                indexes.expect_store(mode.db_name()).len(),
-                t.elapsed_secs(),
-            ));
-
-            // BM25 sibling over the same traces, keyed by question id like
-            // the dense store, so both channels retrieve the same ids.
-            let t = ScopeTimer::start("index-lex-traces");
-            let pairs: Vec<(u64, &str)> = traces
+            let texts: Vec<(u64, &str)> = traces
                 .iter()
                 .filter(|tr| tr.mode == *mode && !identical[tr.question_id as usize])
                 .map(|tr| (tr.question_id, tr.trace.as_str()))
                 .collect();
-            let sibling = IndexRegistry::lexical_sibling(mode.db_name());
-            if prev.is_none() {
-                let mut lex = LexicalIndex::new(Default::default());
-                lex.add_batch(&exec, &pairs);
-                indexes.insert_lexical(&sibling, lex);
-            } else {
-                let lex = indexes.expect_lexical_mut(&sibling);
-                census.tombstones_lexical += lex.remove(&dead_qids);
-                lex.add_batch(&exec, &pairs);
-                if over_tombstone_threshold(lex.tombstones(), lex.len()) {
-                    lex.compact();
-                    census.compactions += 1;
-                }
-            }
-            report.add(StageMetrics::single(
-                &format!("index-lex-{}", mode.db_name()),
-                pairs.len(),
-                indexes.expect_lexical(&sibling).len(),
-                t.elapsed_secs(),
-            ));
+            refresh_source(
+                config,
+                &exec,
+                &mut indexes,
+                &mut census,
+                &mut report,
+                mode.db_name(),
+                &dead_qids,
+                vectors,
+                &texts,
+            );
         }
 
         // The model layer's cost accounting joins the stage report: one
@@ -826,7 +809,6 @@ mod tests {
                 "parse",
                 "chunk",
                 "ingest-chunks",
-                "embed-chunks",
                 "index-chunks",
                 "index-lex-chunks",
                 "generate+judge",
@@ -1040,6 +1022,20 @@ mod tests {
         assert_eq!(out.manifest, prev.manifest);
         let teacher = out.models.ledger().role(mcqa_llm::Role::Teacher);
         assert_eq!(teacher.calls, 0, "no-op run must not burn model calls");
+        // Every store was found registered: its row adds nothing and
+        // reports what the previous run left. The cold build's rows took
+        // the other side of that decision (everything in, the same out).
+        let row = |report: &RunReport, name: &str| {
+            let s = report.stages().iter().find(|s| s.name == name).expect("stage row");
+            (s.items, s.produced)
+        };
+        for name in prev.indexes.names() {
+            let len = prev.indexes.expect_store(name).len();
+            for stage in [format!("index-{name}"), format!("index-lex-{name}")] {
+                assert_eq!(row(&out.report, &stage), (0, len), "{stage}");
+                assert_eq!(row(&prev.report, &stage), (len, len), "{stage}");
+            }
+        }
     }
 
     #[test]

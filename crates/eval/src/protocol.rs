@@ -4,19 +4,18 @@
 use std::sync::{Arc, Mutex};
 
 use mcqa_core::PipelineOutput;
-use mcqa_embed::EmbeddingCache;
 use mcqa_llm::answer::Condition;
 use mcqa_llm::{
     resolve, Answerer, AssembledContext, Classifier, Judge, McqItem, ModelCard, ModelEndpoint,
     PipelineRates, TraceMode, MODEL_CARDS,
 };
 use mcqa_runtime::{run_stage_batched, Executor, RunReport, StageMetrics};
-use mcqa_serve::{QueryMode, QueryService, ServeConfig};
+use mcqa_serve::{QueryMode, QueryService};
 use mcqa_util::Accuracy;
 use serde::Serialize;
 
 use crate::astro::{AstroConfig, AstroExam};
-use crate::retrieval::{RetrievalBundle, Source};
+use crate::retrieval::{retrieval_service, RetrievalBundle, Source};
 
 /// Evaluation configuration.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -26,7 +25,7 @@ pub struct EvalConfig {
     /// Retrieval depth (passages per query; the pipeline's `retrieval_k`).
     pub retrieval_k: usize,
     /// Which retrieval channel(s) every bundle queries through — dense
-    /// (the default, the pre-PR-8 behaviour), lexical, or hybrid.
+    /// (the default), lexical, or hybrid.
     pub retrieval: QueryMode,
     /// Astro exam settings.
     pub astro: AstroConfig,
@@ -131,13 +130,11 @@ pub struct Evaluator<'a> {
     endpoint: Arc<dyn ModelEndpoint>,
     judge: Judge,
     exec: Executor,
-    /// Query-embedding cache shared by every retrieval bundle this
-    /// evaluator builds; its hit/miss counters surface as the
-    /// `eval-embed-cache` report row.
-    embed_cache: EmbeddingCache<'a>,
     /// The serving front door every retrieval bundle replays through: the
     /// same admission queue and micro-batching dispatcher online traffic
-    /// uses, over the pipeline's own registry and executor.
+    /// uses, over the pipeline's own registry, encoder and executor. Both
+    /// bundles share it, so a stem is encoded once however many sources
+    /// and bundles ask for it.
     service: QueryService,
     report: Mutex<RunReport>,
     /// Snapshot of the report right after construction: the one-time
@@ -152,26 +149,12 @@ impl<'a> Evaluator<'a> {
         let endpoint: Arc<dyn ModelEndpoint> = output.models.clone();
         let classifier = Classifier::new(endpoint.clone(), config.seed);
         let exam = AstroExam::generate(&output.ontology, &config.astro, &classifier, &exec);
-        let embed_cache = EmbeddingCache::new(&output.encoder);
-        // Rerank-mode retrieval needs the passage texts and the
-        // cross-encoder adapter; wiring the reranker to the pipeline's own
-        // hub puts its calls on the same ledger and response cache as
-        // every other role.
-        let rerank = matches!(config.retrieval, QueryMode::Hybrid { rerank: true, .. });
-        let service = QueryService::start_full(
-            output.indexes.clone(),
-            Some(output.encoder.clone()),
-            rerank.then(|| crate::retrieval::passage_store(output)),
-            rerank.then(|| mcqa_llm::Reranker::new(endpoint.clone(), config.seed)),
-            exec.clone(),
-            ServeConfig::default(),
-        );
+        let service = retrieval_service(output, config.seed, config.retrieval);
         let (synth_bundle, synth_m) = RetrievalBundle::build_metered(
             output,
             &output.items,
             config.retrieval_k,
             config.retrieval,
-            &embed_cache,
             &service,
         );
         let (astro_bundle, astro_m) = RetrievalBundle::build_metered(
@@ -179,24 +162,11 @@ impl<'a> Evaluator<'a> {
             &exam.items,
             config.retrieval_k,
             config.retrieval,
-            &embed_cache,
             &service,
         );
         let mut report = RunReport::new();
         report.absorb(synth_m);
         report.absorb(astro_m);
-        // Embedding-cache effectiveness, visible next to stage throughput:
-        // `items` = lookups, `out` = hits served without re-encoding.
-        let (hits, misses) = embed_cache.stats();
-        report.absorb(StageMetrics {
-            name: "eval-embed-cache".into(),
-            items: (hits + misses) as usize,
-            ok: (hits + misses) as usize,
-            errors: 0,
-            panics: 0,
-            produced: hits as usize,
-            elapsed_secs: 0.0,
-        });
         let judge = Judge::new(endpoint.clone(), config.seed);
         Self {
             output,
@@ -207,7 +177,6 @@ impl<'a> Evaluator<'a> {
             endpoint,
             judge,
             exec,
-            embed_cache,
             service,
             prep_report: report.clone(),
             report: Mutex::new(report),
@@ -255,17 +224,6 @@ impl<'a> Evaluator<'a> {
     /// The generated exam.
     pub fn exam(&self) -> &AstroExam {
         &self.exam
-    }
-
-    /// The synthetic-benchmark retrieval bundle.
-    pub fn synth_bundle(&self) -> &RetrievalBundle {
-        &self.synth_bundle
-    }
-
-    /// (hits, misses) of the shared query-embedding cache (also surfaced
-    /// as the `eval-embed-cache` report row).
-    pub fn embed_cache_stats(&self) -> (u64, u64) {
-        self.embed_cache.stats()
     }
 
     /// Ledger snapshot of the retrieval service every bundle replayed
@@ -501,14 +459,7 @@ mod tests {
         let (output, run) = eval_run();
         let n_items = output.items.len();
         let names: Vec<&str> = run.report.stages().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["eval-retrieve", "eval-embed-cache", "eval-assemble", "eval-answer"]
-        );
-        // The embedding-cache row records one lookup per retrieval query.
-        let cache_row = run.report.stages().iter().find(|s| s.name == "eval-embed-cache").unwrap();
-        assert_eq!(cache_row.items, run.synth_questions + run.astro_questions);
-        assert!(cache_row.produced <= cache_row.items, "hits cannot exceed lookups");
+        assert_eq!(names, vec!["eval-retrieve", "eval-assemble", "eval-answer"]);
         let answer = run.report.stages().iter().find(|s| s.name == "eval-answer").unwrap();
         // 8 cards × 5 conditions × (synth + astro-all + astro-nomath).
         let expected = 8 * 5 * (n_items + run.astro_questions + run.astro_nomath_questions);
@@ -543,10 +494,6 @@ mod tests {
         assert_eq!(clf.batches, 1, "classification is one batched endpoint call");
         let judge = ledger.role(mcqa_llm::Role::Judge);
         assert!(judge.calls >= ans.calls, "every answer is graded through the judge role");
-        // The shared embedding cache's lookups are asserted via the
-        // eval-embed-cache report row in eval_report_covers_runtime_stages
-        // (a second Evaluator here would mutate the shared fixture's
-        // ledger and make these assertions order-dependent).
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use mcqa_core::PipelineOutput;
-use mcqa_embed::EmbeddingCache;
 use mcqa_llm::{McqItem, Passage, PassageSource, TraceMode};
 use mcqa_runtime::{run_stage_batched, StageMetrics};
 use mcqa_serve::{PassageStore, QueryMode, QueryRequest, QueryService, ServeConfig};
@@ -81,58 +80,61 @@ pub struct RetrievalBundle {
     question_tokens: Vec<usize>,
 }
 
+/// The serving front door a retrieval bundle replays through: the
+/// pipeline's own registry, encoder and executor, plus — only when `mode`
+/// asks for rescoring — the passage texts and a reranker on the pipeline's
+/// own hub, so its calls land on the same ledger and response cache as
+/// every other role.
+pub(crate) fn retrieval_service(
+    output: &PipelineOutput,
+    seed: u64,
+    mode: QueryMode,
+) -> QueryService {
+    let rerank = matches!(mode, QueryMode::Hybrid { rerank: true, .. });
+    QueryService::start_full(
+        output.indexes.clone(),
+        Some(output.encoder.clone()),
+        rerank.then(|| passage_store(output)),
+        rerank.then(|| mcqa_llm::Reranker::new(output.models.clone(), seed)),
+        output.executor.clone(),
+        ServeConfig::default(),
+    )
+}
+
 impl RetrievalBundle {
-    /// Run retrieval for `items` over the pipeline's stores, fanned out on
-    /// the pipeline's own executor.
+    /// Run retrieval for `items` over the pipeline's stores under `mode`
+    /// (dense, lexical, or hybrid — every mode rides the same
+    /// [`QueryService`] envelope), fanned out on the pipeline's own
+    /// executor.
     ///
     /// Relevance labelling (ground truth, used by the simulator only):
     /// * a chunk passage supports the question's fact iff the chunk's
     ///   provenance fact list contains it;
     /// * a trace passage supports it iff the trace's source fact matches.
-    pub fn build(output: &PipelineOutput, items: &[McqItem], k: usize) -> Self {
-        Self::build_mode(output, items, k, QueryMode::Dense)
-    }
-
-    /// [`RetrievalBundle::build`] under an explicit retrieval mode
-    /// (dense, lexical, or hybrid — every mode rides the same
-    /// [`QueryService`] envelope).
     pub fn build_mode(
         output: &PipelineOutput,
         items: &[McqItem],
         k: usize,
         mode: QueryMode,
     ) -> Self {
-        let cache = EmbeddingCache::new(&output.encoder);
-        let rerank = matches!(mode, QueryMode::Hybrid { rerank: true, .. });
-        let service = QueryService::start_full(
-            output.indexes.clone(),
-            None,
-            rerank.then(|| passage_store(output)),
-            rerank.then(|| {
-                let endpoint: std::sync::Arc<dyn mcqa_llm::ModelEndpoint> = output.models.clone();
-                mcqa_llm::Reranker::new(endpoint, output.config.seed)
-            }),
-            output.executor.clone(),
-            ServeConfig::default(),
-        );
-        Self::build_metered(output, items, k, mode, &cache, &service).0
+        let service = retrieval_service(output, output.config.seed, mode);
+        Self::build_metered(output, items, k, mode, &service).0
     }
 
-    /// [`RetrievalBundle::build`], also returning the fan-out's runtime
-    /// [`StageMetrics`] so the evaluator can fold retrieval into its stage
-    /// report instead of re-timing the same work. Query encoding goes
-    /// through `cache`, so a caller holding one cache across bundles (the
-    /// evaluator does) never re-encodes a stem it has seen — and the
-    /// cache's hit/miss counters become a report row. Searches go through
-    /// `service` — the same admission-controlled, micro-batching front
-    /// door online traffic uses — so there is exactly one code path into
-    /// the vector stores.
+    /// [`RetrievalBundle::build_mode`] through a caller-held `service`,
+    /// also returning the fan-out's runtime [`StageMetrics`] so the
+    /// evaluator can fold retrieval into its stage report instead of
+    /// re-timing the same work. Stems travel as text: the service encodes
+    /// each distinct one once and serves every later request for it — the
+    /// other three sources, a second bundle — from its own cache. It is
+    /// the same admission-controlled, micro-batching front door online
+    /// traffic uses, so there is exactly one code path into the vector
+    /// stores.
     pub fn build_metered(
         output: &PipelineOutput,
         items: &[McqItem],
         k: usize,
         mode: QueryMode,
-        cache: &EmbeddingCache<'_>,
         service: &QueryService,
     ) -> (Self, StageMetrics) {
         // chunk_id → position in output.chunks
@@ -155,41 +157,19 @@ impl RetrievalBundle {
 
         let retrieve_timer = mcqa_util::ScopeTimer::start("eval-retrieve");
 
-        // Queries = the stems. Including the options would inject six
-        // same-kind distractor names that pull retrieval toward unrelated
-        // chunks (measured: −20 points of hit rate). Encoding goes through
-        // the shared cache on the pool.
-        let (encoded, _) = run_stage_batched(
-            &output.executor,
-            "eval-retrieve-encode",
-            (0..items.len()).collect(),
-            0,
-            |qi| Ok::<_, String>(cache.encode(&items[qi].stem)),
-        );
-        let queries: Vec<Vec<f32>> =
-            encoded.into_iter().map(|r| r.expect("encoding cannot fail")).collect();
-
         // One flow-controlled replay per source database through the query
         // service: requests ride the same bounded queue and micro-batching
         // dispatcher as online traffic, and the dispatcher's grouped
         // `search_batch` amortises decoded row panels across each batch.
-        // Stems are submitted pre-encoded so the shared eval cache keeps
-        // its hit accounting. A service-side failure here (an unregistered
-        // store) is a wiring bug, not a skippable condition.
+        // Queries = the stems. Including the options would inject six
+        // same-kind distractor names that pull retrieval toward unrelated
+        // chunks (measured: −20 points of hit rate). A service-side failure
+        // here (an unregistered store) is a wiring bug, not a skippable
+        // condition.
         let hits_per_source: [Vec<Vec<mcqa_index::SearchResult>>; 4] = Source::ALL.map(|source| {
-            let reqs: Vec<QueryRequest> = queries
+            let reqs: Vec<QueryRequest> = items
                 .iter()
-                .zip(items)
-                .map(|(q, item)| match mode {
-                    // The pre-PR-8 envelope, byte for byte.
-                    QueryMode::Dense => QueryRequest::vector(source.store_name(), q.clone(), k),
-                    // Lexical/hybrid requests also carry the stem text —
-                    // the lexical channel scores words, not vectors.
-                    _ => {
-                        QueryRequest::text_and_vector(source.store_name(), &item.stem, q.clone(), k)
-                            .with_mode(mode)
-                    }
-                })
+                .map(|item| QueryRequest::text(source.store_name(), &item.stem, k).with_mode(mode))
                 .collect();
             service
                 .query_batch(reqs)
@@ -254,7 +234,7 @@ impl RetrievalBundle {
         let (passages, question_tokens): (Vec<[Vec<Passage>; 4]>, Vec<usize>) =
             labelled.into_iter().map(|r| r.expect("labelling cannot fail")).unzip();
 
-        // One stage row spanning encode + search + label, so the report's
+        // One stage row spanning the served replay and labelling, so the report's
         // `eval-retrieve` line reports end-to-end questions/s (`items/s`)
         // and passages/s (`out/s`).
         let produced: usize = passages.iter().map(|p| p.iter().map(Vec::len).sum::<usize>()).sum();
@@ -314,7 +294,7 @@ mod tests {
     #[test]
     fn bundle_covers_all_items_with_k_passages() {
         let out = output();
-        let bundle = RetrievalBundle::build(out, &out.items, 5);
+        let bundle = RetrievalBundle::build_mode(out, &out.items, 5, QueryMode::Dense);
         assert_eq!(bundle.len(), out.items.len());
         for q in 0..bundle.len().min(50) {
             for s in Source::ALL {
@@ -335,7 +315,7 @@ mod tests {
         // A synthetic question's own trace is in the DB and shares its
         // vocabulary: hit rates must be near-perfect.
         let out = output();
-        let bundle = RetrievalBundle::build(out, &out.items, 5);
+        let bundle = RetrievalBundle::build_mode(out, &out.items, 5, QueryMode::Dense);
         for mode in TraceMode::ALL {
             let r = bundle.raw_hit_rate(Source::Traces(mode));
             assert!(r > 0.9, "{mode:?} raw hit rate {r:.3}");
@@ -345,7 +325,7 @@ mod tests {
     #[test]
     fn chunk_retrieval_hits_most_questions() {
         let out = output();
-        let bundle = RetrievalBundle::build(out, &out.items, 5);
+        let bundle = RetrievalBundle::build_mode(out, &out.items, 5, QueryMode::Dense);
         let r = bundle.raw_hit_rate(Source::Chunks);
         assert!(r > 0.5, "chunk raw hit rate {r:.3}");
         assert!(r < 1.0, "chunk retrieval should not be perfect");
@@ -354,7 +334,7 @@ mod tests {
     #[test]
     fn relevance_labels_match_oracle() {
         let out = output();
-        let bundle = RetrievalBundle::build(out, &out.items, 5);
+        let bundle = RetrievalBundle::build_mode(out, &out.items, 5, QueryMode::Dense);
         let chunk_by_id: HashMap<u64, &mcqa_core::ChunkRecord> =
             out.chunks.iter().map(|c| (c.chunk_id, c)).collect();
         for (q, item) in out.items.iter().enumerate().take(40) {
@@ -372,23 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_skips_reencoding_across_bundles() {
+    fn bundles_share_one_service() {
         let out = output();
-        let cache = EmbeddingCache::new(&out.encoder);
-        let service = QueryService::start(
-            out.indexes.clone(),
-            None,
-            out.executor.clone(),
-            ServeConfig::default(),
-        );
+        let service = retrieval_service(out, out.config.seed, QueryMode::Dense);
         let (b1, _) =
-            RetrievalBundle::build_metered(out, &out.items, 5, QueryMode::Dense, &cache, &service);
-        let (_, misses_after_first) = cache.stats();
+            RetrievalBundle::build_metered(out, &out.items, 5, QueryMode::Dense, &service);
         let (b2, _) =
-            RetrievalBundle::build_metered(out, &out.items, 5, QueryMode::Dense, &cache, &service);
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, misses_after_first, "second identical bundle encodes nothing new");
-        assert!(hits >= out.items.len() as u64, "every repeat query is a hit");
+            RetrievalBundle::build_metered(out, &out.items, 5, QueryMode::Dense, &service);
         assert_eq!(b1.len(), b2.len());
         // Both bundles' searches rode the service: everything submitted was
         // admitted (flow control) and answered.
@@ -401,29 +371,22 @@ mod tests {
     #[test]
     fn service_retrieval_is_bit_identical_to_direct_search() {
         // The reroute through the serving layer must not change a single
-        // hit: compare served results against direct store searches for
-        // every (question, source) pair.
+        // hit: send what the bundle sends — the stem, as text — and
+        // compare against encode-then-search done by hand for every
+        // (question, source) pair.
         let out = output();
-        let cache = EmbeddingCache::new(&out.encoder);
-        let service = QueryService::start(
-            out.indexes.clone(),
-            None,
-            out.executor.clone(),
-            ServeConfig::default(),
-        );
+        let service = retrieval_service(out, out.config.seed, QueryMode::Dense);
         let k = 5;
         for source in Source::ALL {
-            let reqs: Vec<mcqa_serve::QueryRequest> = out
+            let reqs: Vec<QueryRequest> = out
                 .items
                 .iter()
-                .map(|i| {
-                    mcqa_serve::QueryRequest::vector(source.store_name(), cache.encode(&i.stem), k)
-                })
+                .map(|i| QueryRequest::text(source.store_name(), &i.stem, k))
                 .collect();
             let served = service.query_batch(reqs);
             let store = source.store(&out.indexes);
             for (item, res) in out.items.iter().zip(served) {
-                let direct = store.search(&cache.encode(&item.stem), k);
+                let direct = store.search(&out.encoder.encode(&item.stem), k);
                 assert_eq!(res.expect("served").hits, direct, "{source:?}");
             }
         }
@@ -433,7 +396,7 @@ mod tests {
     fn lexical_and_hybrid_bundles_cover_all_items() {
         let out = output();
         let k = 5;
-        let dense = RetrievalBundle::build(out, &out.items, k);
+        let dense = RetrievalBundle::build_mode(out, &out.items, k, QueryMode::Dense);
         let lexical = RetrievalBundle::build_mode(out, &out.items, k, QueryMode::Lexical);
         let hybrid = RetrievalBundle::build_mode(
             out,
@@ -476,7 +439,7 @@ mod tests {
     #[test]
     fn empty_items() {
         let out = output();
-        let bundle = RetrievalBundle::build(out, &[], 5);
+        let bundle = RetrievalBundle::build_mode(out, &[], 5, QueryMode::Dense);
         assert!(bundle.is_empty());
         assert_eq!(bundle.raw_hit_rate(Source::Chunks), 0.0);
     }

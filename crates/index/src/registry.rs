@@ -112,15 +112,6 @@ impl IndexRegistry {
         self.stores.get_mut(name)
     }
 
-    /// Mutably borrow a store that must exist; panics with the registered
-    /// names when it doesn't.
-    pub fn expect_store_mut(&mut self, name: &str) -> &mut Box<dyn VectorStore> {
-        let names = format!("{:?}", self.names());
-        self.stores
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("store '{name}' not registered (have: {names})"))
-    }
-
     /// Search a named store. `None` when the store does not exist.
     pub fn search(&self, name: &str, query: &[f32], k: usize) -> Option<Vec<SearchResult>> {
         self.get(name).map(|s| s.search(query, k))
@@ -189,14 +180,9 @@ impl IndexRegistry {
         self.lexical.get(name).map(LexicalSlot::get)
     }
 
-    /// Mutably borrow a lexical sibling by name, decoding a lazily-opened
-    /// slot first — the incremental-ingest path.
-    pub fn lexical_mut(&mut self, name: &str) -> Option<&mut LexicalIndex> {
-        self.lexical.get_mut(name).map(LexicalSlot::get_mut)
-    }
-
-    /// Mutably borrow a lexical sibling that must exist; panics with the
-    /// registered names when it doesn't.
+    /// Mutably borrow a lexical sibling that must exist, decoding a
+    /// lazily-opened slot first — the incremental-ingest path. Panics with
+    /// the registered names when it doesn't exist.
     pub fn expect_lexical_mut(&mut self, name: &str) -> &mut LexicalIndex {
         let names = format!("{:?}", self.lexical_names());
         self.lexical
@@ -216,12 +202,6 @@ impl IndexRegistry {
     /// Registered lexical sibling names, sorted.
     pub fn lexical_names(&self) -> Vec<&str> {
         self.lexical.keys().map(String::as_str).collect()
-    }
-
-    /// Iterate `(name, index)` over lexical siblings in name order
-    /// (forces decode of lazy slots).
-    pub fn lexical_iter(&self) -> impl Iterator<Item = (&str, &LexicalIndex)> {
-        self.lexical.iter().map(|(n, s)| (n.as_str(), s.get()))
     }
 
     /// Serialise every store (name-tagged, in name order), then the

@@ -83,15 +83,6 @@ impl BatchStats {
             0.0
         }
     }
-
-    /// Fraction of documents that needed escalation beyond the fast path.
-    pub fn escalation_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            (self.thorough + self.salvage + self.failed) as f64 / self.total as f64
-        }
-    }
 }
 
 /// The adaptive parser.
@@ -213,7 +204,6 @@ mod tests {
         assert_eq!(stats.fast, 36, "clean blobs all take the fast path: {stats:?}");
         assert_eq!(stats.failed, 0);
         assert!(outcomes.iter().all(ParseOutcome::is_parsed));
-        assert!((stats.escalation_rate() - 0.0).abs() < 1e-12);
     }
 
     #[test]
@@ -265,7 +255,6 @@ mod tests {
         assert!(outcomes.is_empty());
         assert_eq!(stats.total, 0);
         assert_eq!(stats.throughput(), stats.throughput()); // finite, no panic
-        assert_eq!(stats.escalation_rate(), 0.0);
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! envelope type carries every retrieval call — batch eval replay and
 //! online serving alike — so there is exactly one code path into the
 //! vector stores. A request names its source database, carries the query
-//! as text (encoded service-side through the shared embedding cache) or a
-//! pre-encoded vector, the retrieval depth `k`, and an optional expected
-//! metric the service validates against the store.
+//! as text (encoded service-side through the dispatcher's embedding cache)
+//! or a pre-encoded vector, the retrieval depth `k`, and the retrieval
+//! mode.
 
-use mcqa_index::{Metric, SearchResult};
+use mcqa_index::SearchResult;
 use mcqa_lexical::Fusion;
 use serde::{Deserialize, Serialize};
 
 /// The query payload: raw text (the service encodes it) or a pre-encoded
-/// embedding (the eval replay path, which owns its own encode cache).
+/// embedding (the contract of a service started without an encoder).
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryInput {
     /// Encode server-side through the service's embedding cache.
@@ -23,22 +23,13 @@ pub enum QueryInput {
     /// and [`QueryMode::Hybrid`] requests fail with
     /// [`ServeError::NeedsText`] on this variant.
     Vector(Vec<f32>),
-    /// Both the raw text and its pre-encoded embedding — the eval replay
-    /// path under hybrid retrieval, where the caller owns the encode cache
-    /// but the lexical channel still needs the words.
-    TextAndVector {
-        /// The raw query text (feeds the lexical channel / reranker).
-        text: String,
-        /// The pre-encoded embedding (feeds the dense channel).
-        vector: Vec<f32>,
-    },
 }
 
 impl QueryInput {
     /// The query text, when this input carries one.
     pub fn text(&self) -> Option<&str> {
         match self {
-            QueryInput::Text(t) | QueryInput::TextAndVector { text: t, .. } => Some(t),
+            QueryInput::Text(t) => Some(t),
             QueryInput::Vector(_) => None,
         }
     }
@@ -47,8 +38,7 @@ impl QueryInput {
 /// Which retrieval channel(s) a request runs through.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum QueryMode {
-    /// Vector search against the dense store (the default; the pre-PR-8
-    /// behaviour, byte for byte).
+    /// Vector search against the dense store (the default).
     Dense,
     /// BM25 search against the source's lexical sibling
     /// (`lex-<source>` in the registry).
@@ -100,11 +90,6 @@ pub struct QueryRequest {
     pub input: QueryInput,
     /// Retrieval depth: number of hits to return.
     pub k: usize,
-    /// When set, the dense store's metric must match or the request fails
-    /// with [`ServeError::MetricMismatch`] — a cheap guard against routing
-    /// a cosine-space query into an L2 store. Ignored by
-    /// [`QueryMode::Lexical`] (BM25 has no vector metric).
-    pub metric: Option<Metric>,
     /// Which retrieval channel(s) to run.
     pub mode: QueryMode,
 }
@@ -116,43 +101,13 @@ impl QueryRequest {
             source: source.into(),
             input: QueryInput::Text(text.into()),
             k,
-            metric: None,
             mode: QueryMode::Dense,
         }
     }
 
     /// A pre-encoded query against `source`.
     pub fn vector(source: impl Into<String>, vector: Vec<f32>, k: usize) -> Self {
-        Self {
-            source: source.into(),
-            input: QueryInput::Vector(vector),
-            k,
-            metric: None,
-            mode: QueryMode::Dense,
-        }
-    }
-
-    /// A query carrying both text and its pre-encoded embedding (the eval
-    /// replay path for lexical/hybrid modes).
-    pub fn text_and_vector(
-        source: impl Into<String>,
-        text: impl Into<String>,
-        vector: Vec<f32>,
-        k: usize,
-    ) -> Self {
-        Self {
-            source: source.into(),
-            input: QueryInput::TextAndVector { text: text.into(), vector },
-            k,
-            metric: None,
-            mode: QueryMode::Dense,
-        }
-    }
-
-    /// Set the expected metric (validated by the service).
-    pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.metric = Some(metric);
-        self
+        Self { source: source.into(), input: QueryInput::Vector(vector), k, mode: QueryMode::Dense }
     }
 
     /// Set the retrieval mode (default [`QueryMode::Dense`]).
@@ -217,15 +172,6 @@ pub enum ServeError {
         /// The query vector's length.
         got: usize,
     },
-    /// The request pinned a metric the store does not use.
-    MetricMismatch {
-        /// The store that rejected the query.
-        store: String,
-        /// The store's metric.
-        expected: Metric,
-        /// The metric the request pinned.
-        got: Metric,
-    },
     /// A text query reached a service started without an encoder.
     NoEncoder {
         /// The source the query named.
@@ -258,9 +204,6 @@ impl std::fmt::Display for ServeError {
             ServeError::DimMismatch { store, expected, got } => {
                 write!(f, "query dim {got} != store '{store}' dim {expected}")
             }
-            ServeError::MetricMismatch { store, expected, got } => {
-                write!(f, "requested metric {got:?} != store '{store}' metric {expected:?}")
-            }
             ServeError::NoEncoder { source } => {
                 write!(f, "text query for '{source}' but the service has no encoder")
             }
@@ -286,17 +229,17 @@ mod tests {
         assert_eq!(r.source, "chunks");
         assert_eq!(r.input, QueryInput::Text("dose rate".into()));
         assert_eq!(r.k, 5);
-        assert_eq!(r.metric, None);
 
-        let r =
-            QueryRequest::vector("traces-focused", vec![1.0, 0.0], 3).with_metric(Metric::Cosine);
-        assert_eq!(r.metric, Some(Metric::Cosine));
+        let r = QueryRequest::vector("traces-focused", vec![1.0, 0.0], 3);
         assert!(matches!(r.input, QueryInput::Vector(_)));
         assert_eq!(r.mode, QueryMode::Dense);
         assert_eq!(r.input.text(), None);
 
-        let r = QueryRequest::text_and_vector("chunks", "dose rate", vec![0.5], 4)
-            .with_mode(QueryMode::Hybrid { fusion: Fusion::default(), rerank: true, depth: 0 });
+        let r = QueryRequest::text("chunks", "dose rate", 4).with_mode(QueryMode::Hybrid {
+            fusion: Fusion::default(),
+            rerank: true,
+            depth: 0,
+        });
         assert_eq!(r.input.text(), Some("dose rate"));
         assert_eq!(r.mode.label(), "hybrid-rrf60+rr");
         assert_eq!(QueryMode::Lexical.label(), "lexical");

@@ -294,22 +294,20 @@ struct Dispatcher {
 
 /// A totally ordered stand-in for [`QueryMode`] in the group map: the
 /// variant tag plus the fusion knobs (f32 weight via its bit pattern —
-/// grouping only needs a stable key, not numeric order) and the hybrid
-/// over-fetch depth.
-type ModeKey = (u8, u32, u32, u8);
+/// grouping only needs a stable key, not numeric order), the hybrid
+/// over-fetch depth and the rerank flag, each at full width.
+type ModeKey = (u8, u32, usize, bool);
 
 /// The micro-batch group key: one store search per (source, k, mode).
 type GroupKey = (String, usize, ModeKey);
 
 fn mode_key(mode: &QueryMode) -> ModeKey {
     match *mode {
-        QueryMode::Dense => (0, 0, 0, 0),
-        QueryMode::Lexical => (1, 0, 0, 0),
-        QueryMode::Hybrid { fusion: Fusion::Rrf { k0 }, rerank, depth } => {
-            (2, k0, depth as u32, u8::from(rerank))
-        }
+        QueryMode::Dense => (0, 0, 0, false),
+        QueryMode::Lexical => (1, 0, 0, false),
+        QueryMode::Hybrid { fusion: Fusion::Rrf { k0 }, rerank, depth } => (2, k0, depth, rerank),
         QueryMode::Hybrid { fusion: Fusion::Weighted { dense }, rerank, depth } => {
-            (3, dense.to_bits(), depth as u32, u8::from(rerank))
+            (3, dense.to_bits(), depth, rerank)
         }
     }
 }
@@ -362,13 +360,7 @@ impl Dispatcher {
         for ((source, k, _), members) in groups {
             // The key fully encodes the mode, so any member's copy works.
             let mode = ctx.slots[members[0]].as_ref().expect("slot unanswered").req.mode;
-            match mode {
-                QueryMode::Dense => self.serve_dense(&source, k, &members, cache, &mut ctx),
-                QueryMode::Lexical => self.serve_lexical(&source, k, &members, &mut ctx),
-                QueryMode::Hybrid { fusion, rerank, depth } => {
-                    self.serve_hybrid(&source, k, fusion, rerank, depth, &members, cache, &mut ctx)
-                }
-            }
+            self.serve_group(&source, k, mode, &members, cache, &mut ctx);
         }
 
         debug_assert!(slots.iter().all(Option::is_none), "every request answered");
@@ -382,240 +374,136 @@ impl Dispatcher {
         let _ = p.reply.send(result);
     }
 
-    /// Fail every member of a group with (a clone of) `err`.
-    fn fail_group(&self, members: &[usize], err: ServeError, ctx: &mut GroupCtx<'_>) {
-        for &i in members {
-            self.answer(&mut ctx.slots[i], Err(err.clone()));
-        }
-    }
-
-    /// The dense channel: encode text queries, validate, one batched
-    /// vector search per group — the pre-PR-8 path, byte for byte.
-    fn serve_dense(
+    /// Serve one (source, k, mode) group through the channels its mode
+    /// reads: the dense store for `Dense` / `Hybrid`, the `lex-` sibling
+    /// for `Lexical` / `Hybrid`. One batched search per channel — at `k`
+    /// with one channel, over-fetched to [`fuse_depth`] and fused per query
+    /// with two — then an optional rescoring pass. Bit-identical to running
+    /// the same direct searches (and the same fusion) offline.
+    fn serve_group(
         &self,
         source: &str,
         k: usize,
+        mode: QueryMode,
         members: &[usize],
         cache: Option<&EmbeddingCache<'_>>,
         ctx: &mut GroupCtx<'_>,
     ) {
-        let Some(store) = self.registry.get(source) else {
-            let known: Vec<String> = self.registry.names().iter().map(|s| s.to_string()).collect();
-            self.fail_group(members, ServeError::UnknownStore { name: source.into(), known }, ctx);
-            return;
+        // Group-level defects — a channel the registry lacks, a rescoring
+        // pass the service was not started for — fail every member alike.
+        let owned = |names: Vec<&str>| names.into_iter().map(String::from).collect();
+        let resolve = || {
+            let store = match mode {
+                QueryMode::Lexical => None,
+                _ => Some(self.registry.get(source).ok_or_else(|| ServeError::UnknownStore {
+                    name: source.into(),
+                    known: owned(self.registry.names()),
+                })?),
+            };
+            let lex = match mode {
+                QueryMode::Dense => None,
+                _ => {
+                    let name = IndexRegistry::lexical_sibling(source);
+                    match self.registry.lexical(&name) {
+                        Some(lex) => Some(lex),
+                        None => {
+                            let known = owned(self.registry.lexical_names());
+                            return Err(ServeError::UnknownStore { name, known });
+                        }
+                    }
+                }
+            };
+            let rescore = match (mode, &self.reranker, &self.passages) {
+                (QueryMode::Hybrid { rerank: true, .. }, Some(rr), Some(ps)) => Some((rr, ps)),
+                (QueryMode::Hybrid { rerank: true, .. }, ..) => {
+                    return Err(ServeError::NoReranker { source: source.into() })
+                }
+                _ => None,
+            };
+            Ok((store, lex, rescore))
+        };
+        let (store, lex, rescore) = match resolve() {
+            Ok(channels) => channels,
+            Err(err) => {
+                for &i in members {
+                    self.answer(&mut ctx.slots[i], Err(err.clone()));
+                }
+                return;
+            }
         };
 
-        // Encode + validate stage (timed per group).
-        let t_encode = Instant::now();
-        let mut ready: Vec<(usize, Vec<f32>)> = Vec::with_capacity(members.len());
+        // Validate + encode stage, timed per group when there is a dense
+        // channel to encode for. Every member is checked in one order: the
+        // words the lexical channel needs, an encoder for text bound for
+        // the dense channel, the store's dimensionality.
+        let t_encode = store.map(|_| Instant::now());
+        let mut idxs: Vec<usize> = Vec::with_capacity(members.len());
+        let mut vectors: Vec<Vec<f32>> = Vec::with_capacity(store.map_or(0, |_| members.len()));
+        let mut texts: Vec<String> = Vec::with_capacity(lex.map_or(0, |_| members.len()));
         let mut failed: Vec<(usize, ServeError)> = Vec::new();
         for &i in members {
-            let req = &ctx.slots[i].as_ref().expect("slot unanswered").req;
-            if let Some(want) = req.metric {
-                if want != store.metric() {
-                    let err = ServeError::MetricMismatch {
-                        store: source.to_string(),
-                        expected: store.metric(),
-                        got: want,
+            let input = &ctx.slots[i].as_ref().expect("slot unanswered").req.input;
+            let text = match (lex, input.text()) {
+                (Some(_), None) => {
+                    failed.push((i, ServeError::NeedsText { source: source.into() }));
+                    continue;
+                }
+                (Some(_), text) => text,
+                (None, _) => None,
+            };
+            if let Some(store) = store {
+                let vector = match (input, cache) {
+                    (QueryInput::Vector(v), _) => v.clone(),
+                    (QueryInput::Text(t), Some(c)) => c.encode(t),
+                    (QueryInput::Text(_), None) => {
+                        failed.push((i, ServeError::NoEncoder { source: source.into() }));
+                        continue;
+                    }
+                };
+                if vector.len() != store.dim() {
+                    let err = ServeError::DimMismatch {
+                        store: source.into(),
+                        expected: store.dim(),
+                        got: vector.len(),
                     };
                     failed.push((i, err));
                     continue;
                 }
+                vectors.push(vector);
             }
-            let query = match &req.input {
-                QueryInput::Vector(v) | QueryInput::TextAndVector { vector: v, .. } => v.clone(),
-                QueryInput::Text(text) => match cache {
-                    Some(c) => c.encode(text),
-                    None => {
-                        failed.push((i, ServeError::NoEncoder { source: source.to_string() }));
-                        continue;
-                    }
-                },
-            };
-            if query.len() != store.dim() {
-                let err = ServeError::DimMismatch {
-                    store: source.to_string(),
-                    expected: store.dim(),
-                    got: query.len(),
-                };
-                failed.push((i, err));
-                continue;
-            }
-            ready.push((i, query));
-        }
-        let encode_secs = t_encode.elapsed().as_secs_f64();
-        self.stats.add_encode_secs(encode_secs);
-
-        for (i, err) in failed {
-            self.answer(&mut ctx.slots[i], Err(err));
-        }
-        if ready.is_empty() {
-            return;
-        }
-
-        // Search stage: one batched call per group, fanned out on the
-        // executor — the same kernel path as direct `search_batch`.
-        let (idxs, queries): (Vec<usize>, Vec<Vec<f32>>) = ready.into_iter().unzip();
-        let t_search = Instant::now();
-        let hits = store.search_batch(&self.exec, &queries, k);
-        let search_secs = t_search.elapsed().as_secs_f64();
-        self.stats.add_search_secs(search_secs);
-
-        for (i, h) in idxs.into_iter().zip(hits) {
-            let timing = QueryTiming { queue_secs: ctx.queue_waits[i], encode_secs, search_secs };
-            self.answer(&mut ctx.slots[i], Ok(QueryResponse { hits: h, batch: ctx.size, timing }));
-        }
-    }
-
-    /// The lexical channel: BM25 against the source's `lex-` sibling. No
-    /// encode stage — the query text *is* the query.
-    fn serve_lexical(&self, source: &str, k: usize, members: &[usize], ctx: &mut GroupCtx<'_>) {
-        let lex_name = IndexRegistry::lexical_sibling(source);
-        let Some(lex) = self.registry.lexical(&lex_name) else {
-            let known: Vec<String> =
-                self.registry.lexical_names().iter().map(|s| s.to_string()).collect();
-            self.fail_group(members, ServeError::UnknownStore { name: lex_name, known }, ctx);
-            return;
-        };
-
-        let mut ready: Vec<(usize, String)> = Vec::with_capacity(members.len());
-        for &i in members {
-            let req = &ctx.slots[i].as_ref().expect("slot unanswered").req;
-            match req.input.text() {
-                Some(t) => ready.push((i, t.to_string())),
-                None => self.answer(
-                    &mut ctx.slots[i],
-                    Err(ServeError::NeedsText { source: source.to_string() }),
-                ),
-            }
-        }
-        if ready.is_empty() {
-            return;
-        }
-
-        let (idxs, texts): (Vec<usize>, Vec<String>) = ready.into_iter().unzip();
-        let t_search = Instant::now();
-        let hits = lex.search_batch(&self.exec, &texts, k);
-        let search_secs = t_search.elapsed().as_secs_f64();
-        self.stats.add_search_secs(search_secs);
-
-        for (i, h) in idxs.into_iter().zip(hits) {
-            let timing =
-                QueryTiming { queue_secs: ctx.queue_waits[i], encode_secs: 0.0, search_secs };
-            self.answer(&mut ctx.slots[i], Ok(QueryResponse { hits: h, batch: ctx.size, timing }));
-        }
-    }
-
-    /// The hybrid channel: both stores over-fetched to
-    /// [`fuse_depth`]`(k, depth)`, fused per query, optionally rescored by
-    /// the reranker. Bit-identical to fusing two direct searches offline.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_hybrid(
-        &self,
-        source: &str,
-        k: usize,
-        fusion: Fusion,
-        rerank: bool,
-        fetch_depth: usize,
-        members: &[usize],
-        cache: Option<&EmbeddingCache<'_>>,
-        ctx: &mut GroupCtx<'_>,
-    ) {
-        let Some(store) = self.registry.get(source) else {
-            let known: Vec<String> = self.registry.names().iter().map(|s| s.to_string()).collect();
-            self.fail_group(members, ServeError::UnknownStore { name: source.into(), known }, ctx);
-            return;
-        };
-        let lex_name = IndexRegistry::lexical_sibling(source);
-        let Some(lex) = self.registry.lexical(&lex_name) else {
-            let known: Vec<String> =
-                self.registry.lexical_names().iter().map(|s| s.to_string()).collect();
-            self.fail_group(members, ServeError::UnknownStore { name: lex_name, known }, ctx);
-            return;
-        };
-        if rerank && (self.reranker.is_none() || self.passages.is_none()) {
-            self.fail_group(members, ServeError::NoReranker { source: source.into() }, ctx);
-            return;
-        }
-
-        // Encode + validate stage: every member needs text (lexical side)
-        // and a vector (dense side — carried or encoded here).
-        let t_encode = Instant::now();
-        let mut ready: Vec<(usize, String, Vec<f32>)> = Vec::with_capacity(members.len());
-        let mut failed: Vec<(usize, ServeError)> = Vec::new();
-        for &i in members {
-            let req = &ctx.slots[i].as_ref().expect("slot unanswered").req;
-            if let Some(want) = req.metric {
-                if want != store.metric() {
-                    let err = ServeError::MetricMismatch {
-                        store: source.to_string(),
-                        expected: store.metric(),
-                        got: want,
-                    };
-                    failed.push((i, err));
-                    continue;
-                }
-            }
-            let Some(text) = req.input.text() else {
-                failed.push((i, ServeError::NeedsText { source: source.to_string() }));
-                continue;
-            };
-            let vector = match &req.input {
-                QueryInput::TextAndVector { vector, .. } => vector.clone(),
-                _ => match cache {
-                    Some(c) => c.encode(text),
-                    None => {
-                        failed.push((i, ServeError::NoEncoder { source: source.to_string() }));
-                        continue;
-                    }
-                },
-            };
-            if vector.len() != store.dim() {
-                let err = ServeError::DimMismatch {
-                    store: source.to_string(),
-                    expected: store.dim(),
-                    got: vector.len(),
-                };
-                failed.push((i, err));
-                continue;
-            }
-            ready.push((i, text.to_string(), vector));
-        }
-        let encode_secs = t_encode.elapsed().as_secs_f64();
-        self.stats.add_encode_secs(encode_secs);
-
-        for (i, err) in failed {
-            self.answer(&mut ctx.slots[i], Err(err));
-        }
-        if ready.is_empty() {
-            return;
-        }
-
-        let mut idxs = Vec::with_capacity(ready.len());
-        let mut texts = Vec::with_capacity(ready.len());
-        let mut vectors = Vec::with_capacity(ready.len());
-        for (i, t, v) in ready {
+            texts.extend(text.map(String::from));
             idxs.push(i);
-            texts.push(t);
-            vectors.push(v);
+        }
+        let encode_secs = t_encode.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        self.stats.add_encode_secs(encode_secs);
+
+        for (i, err) in failed {
+            self.answer(&mut ctx.slots[i], Err(err));
+        }
+        if idxs.is_empty() {
+            return;
         }
 
-        // Search stage: both channels batched, then fuse per query.
-        let depth = fuse_depth(k, fetch_depth);
+        // Search stage: one batched call per channel, fanned out on the
+        // executor — the same kernel path as direct `search_batch`.
         let t_search = Instant::now();
-        let dense_hits = store.search_batch(&self.exec, &vectors, depth);
-        let lex_hits = lex.search_batch(&self.exec, &texts, depth);
-        let mut fused: Vec<Vec<mcqa_index::SearchResult>> =
-            dense_hits.iter().zip(&lex_hits).map(|(d, l)| fusion.fuse(d, l, k)).collect();
-
-        if rerank {
-            let rr = self.reranker.as_ref().expect("checked above");
-            let ps = self.passages.as_ref().expect("checked above");
+        let mut hits = match (store, lex, mode) {
+            (Some(store), Some(lex), QueryMode::Hybrid { fusion, depth, .. }) => {
+                let depth = fuse_depth(k, depth);
+                let dense = store.search_batch(&self.exec, &vectors, depth);
+                let lexical = lex.search_batch(&self.exec, &texts, depth);
+                dense.iter().zip(&lexical).map(|(d, l)| fusion.fuse(d, l, k)).collect()
+            }
+            (Some(store), ..) => store.search_batch(&self.exec, &vectors, k),
+            (None, Some(lex), _) => lex.search_batch(&self.exec, &texts, k),
+            (None, None, _) => unreachable!("every mode resolves a channel"),
+        };
+        if let Some((rr, ps)) = rescore {
             // Missing passages score as empty text (relevance 0) rather
             // than failing the whole request: ordering stays total.
             let prompts: Vec<(&str, Vec<String>)> = texts
                 .iter()
-                .zip(&fused)
+                .zip(&hits)
                 .map(|(t, hits)| {
                     let passages: Vec<String> = hits
                         .iter()
@@ -625,7 +513,7 @@ impl Dispatcher {
                 })
                 .collect();
             let scores = rr.score_batch(&self.exec, &prompts);
-            for (hits, ss) in fused.iter_mut().zip(scores) {
+            for (hits, ss) in hits.iter_mut().zip(scores) {
                 for (h, s) in hits.iter_mut().zip(ss) {
                     h.score = s as f32;
                 }
@@ -635,14 +523,14 @@ impl Dispatcher {
         let search_secs = t_search.elapsed().as_secs_f64();
         self.stats.add_search_secs(search_secs);
 
-        for (i, h) in idxs.into_iter().zip(fused) {
+        for (i, h) in idxs.into_iter().zip(hits) {
             let timing = QueryTiming { queue_secs: ctx.queue_waits[i], encode_secs, search_secs };
             self.answer(&mut ctx.slots[i], Ok(QueryResponse { hits: h, batch: ctx.size, timing }));
         }
     }
 }
 
-/// Per-micro-batch state shared by the serve paths.
+/// Per-micro-batch state shared by every group of the batch.
 struct GroupCtx<'a> {
     slots: &'a mut Vec<Option<Pending>>,
     queue_waits: &'a [f64],

@@ -104,8 +104,8 @@ pub struct ServiceSnapshot {
     pub rejected: u64,
     /// Requests answered with hits.
     pub served_ok: u64,
-    /// Requests answered with a per-request error (unknown store, dim or
-    /// metric mismatch, missing encoder).
+    /// Requests answered with a per-request error (unknown store, dim
+    /// mismatch, missing encoder or text).
     pub served_err: u64,
     /// Micro-batches dispatched.
     pub batches: u64,

@@ -7,9 +7,8 @@
 //! * **Rerank determinism** — rescoring through the cross-encoder is a
 //!   pure function of (query, fused hits, passages): served rerank output
 //!   equals the offline emulation exactly.
-//! * **Error taxonomy** — vector-only inputs on text-hungry modes fail
-//!   with `NeedsText`; rerank without a reranker fails with `NoReranker`;
-//!   a missing `lex-` sibling names itself in `UnknownStore`.
+//! * **Error taxonomy** — one table over mode × defect: every error the
+//!   dispatcher can produce, reached through `submit` / `query_batch`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,7 +18,9 @@ use mcqa_lexical::{fuse_depth, Fusion, LexicalIndex};
 use mcqa_llm::{ModelEndpoint, Reranker, SimEndpoint};
 use mcqa_ontology::{Ontology, OntologyConfig};
 use mcqa_runtime::Executor;
-use mcqa_serve::{PassageStore, QueryMode, QueryRequest, QueryService, ServeConfig, ServeError};
+use mcqa_serve::{
+    PassageStore, QueryInput, QueryMode, QueryRequest, QueryService, ServeConfig, ServeError,
+};
 use proptest::prelude::*;
 
 const DIM: usize = 32;
@@ -85,7 +86,8 @@ struct Fixture {
 
 /// One corpus indexed both ways, shared by every test: a flat dense store
 /// under `chunks` and its BM25 sibling under `lex-chunks`, plus the
-/// passage texts the reranker reads.
+/// passage texts the reranker reads — and `bare`, a dense store nobody
+/// built a sibling for.
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -102,6 +104,9 @@ fn fixture() -> &'static Fixture {
         let mut reg = IndexRegistry::new();
         reg.insert("chunks", Box::new(store));
         reg.insert_lexical(&IndexRegistry::lexical_sibling("chunks"), lex);
+        let mut bare = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
+        bare.add(0, &enc.encode("lone document"));
+        reg.insert("bare", Box::new(bare));
         let ontology = Arc::new(Ontology::generate(&OntologyConfig {
             seed: 42,
             entities_per_kind: 10,
@@ -128,16 +133,18 @@ fn start_service(workers: usize, max_batch: usize) -> QueryService {
     )
 }
 
-/// The offline reference: fuse direct dense + lexical searches, then
-/// (optionally) rescore through the same reranker adapter.
+/// The offline reference: fuse direct dense + lexical searches at the
+/// request's own over-fetch `depth`, then (optionally) rescore through the
+/// same reranker adapter.
 fn offline_hybrid(
     text: &str,
     fusion: Fusion,
     rerank: bool,
+    depth: usize,
     k: usize,
 ) -> Vec<mcqa_index::SearchResult> {
     let fix = fixture();
-    let depth = fuse_depth(k, 0);
+    let depth = fuse_depth(k, depth);
     let dense = fix.registry.expect_store("chunks").search(&encoder().encode(text), depth);
     let lexical = fix.registry.expect_lexical("lex-chunks").search(text, depth);
     let mut fused = fusion.fuse(&dense, &lexical, k);
@@ -157,9 +164,8 @@ fn offline_hybrid(
 }
 
 proptest! {
-    /// The served hybrid (and lexical) paths are bit-identical to the
-    /// offline reference at any worker count, batch watermark, arrival
-    /// order, fusion config, and input form (text vs text+vector).
+    /// The served hybrid path is bit-identical to the offline reference at
+    /// any worker count, batch watermark, arrival order and fusion config.
     #[test]
     fn served_hybrid_equals_offline_fusion(
         n in 1usize..16,
@@ -169,11 +175,9 @@ proptest! {
         batch_pick in 0usize..3,
         fusion_pick in 0usize..3,
         rerank_pick in 0usize..2,
-        carry_pick in 0usize..2,
         shuffle in 0u64..1000,
     ) {
         let rerank = rerank_pick == 1;
-        let carry_vector = carry_pick == 1;
         let workers = [1usize, 4][workers_pick];
         let max_batch = [1usize, 4, 64][batch_pick];
         let fusion = [
@@ -184,17 +188,8 @@ proptest! {
         let mode = QueryMode::Hybrid { fusion, rerank, depth: 0 };
 
         let texts: Vec<String> = (0..n).map(|i| query_text(seed + i as u64)).collect();
-        let reqs: Vec<QueryRequest> = texts
-            .iter()
-            .map(|t| {
-                let r = if carry_vector {
-                    QueryRequest::text_and_vector("chunks", t, encoder().encode(t), k)
-                } else {
-                    QueryRequest::text("chunks", t, k)
-                };
-                r.with_mode(mode)
-            })
-            .collect();
+        let reqs: Vec<QueryRequest> =
+            texts.iter().map(|t| QueryRequest::text("chunks", t, k).with_mode(mode)).collect();
 
         let mut order: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
@@ -209,7 +204,7 @@ proptest! {
         }
         for (i, t) in tickets.into_iter().enumerate() {
             let resp = t.expect("ticket").wait().expect("served");
-            let want = offline_hybrid(&texts[i], fusion, rerank, k);
+            let want = offline_hybrid(&texts[i], fusion, rerank, 0, k);
             prop_assert_eq!(&resp.hits, &want, "hybrid request {}", i);
         }
         service.shutdown();
@@ -234,84 +229,131 @@ proptest! {
                 .wait()
                 .expect("served");
             prop_assert_eq!(&resp.hits, &lex.search(&t, k), "lexical query {}", i);
+            prop_assert_eq!(resp.timing.encode_secs, 0.0, "nothing to encode for BM25");
         }
         service.shutdown();
     }
 }
 
-/// Vector-only inputs cannot feed BM25: lexical and hybrid requests fail
-/// with `NeedsText` while the same vector serves fine under dense mode.
+/// Two hybrid requests that differ only in an over-fetch depth past 32
+/// bits are two groups: each is fused at its own depth even when one
+/// micro-batch carries both.
 #[test]
-fn vector_only_inputs_need_text_for_lexical_modes() {
-    let service = start_service(1, 4);
-    let vec = encoder().encode("dose rate");
-    for mode in [
-        QueryMode::Lexical,
-        QueryMode::Hybrid { fusion: Fusion::default(), rerank: false, depth: 0 },
-    ] {
-        match service
-            .submit(QueryRequest::vector("chunks", vec.clone(), 3).with_mode(mode))
-            .unwrap()
-            .wait()
-        {
-            Err(ServeError::NeedsText { source }) => assert_eq!(source, "chunks"),
-            other => panic!("expected NeedsText, got {other:?}"),
+fn hybrid_depths_beyond_32_bits_are_not_grouped_together() {
+    const K: usize = 3;
+    let fusion = Fusion::default();
+    let depths = [1usize, (1 << 32) + 1];
+    let texts: Vec<String> = (0..16).map(query_text).collect();
+    // Consecutive requests alternate depth, so any micro-batch of two or
+    // more carries both. Batches form while the dispatcher is in service;
+    // replay until one was observed.
+    let coalesced = (0..50).any(|_| {
+        let service = start_service(1, 64);
+        let reqs = texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let mode = QueryMode::Hybrid { fusion, rerank: false, depth: depths[i % 2] };
+                QueryRequest::text("chunks", t, K).with_mode(mode)
+            })
+            .collect();
+        let mut shared_a_batch = false;
+        for (i, res) in service.query_batch(reqs).into_iter().enumerate() {
+            let resp = res.expect("served");
+            let want = offline_hybrid(&texts[i], fusion, false, depths[i % 2], K);
+            assert_eq!(resp.hits, want, "request {i} at depth {}", depths[i % 2]);
+            shared_a_batch |= resp.batch >= 2;
+        }
+        shared_a_batch
+    });
+    assert!(coalesced, "no replay ever coalesced two requests");
+}
+
+/// Mode × defect → error, every row through the front door. `None` means
+/// the request is served.
+#[test]
+fn every_defect_maps_to_its_error_in_every_mode() {
+    let fix = fixture();
+    let plain = |encoder: Option<BioEncoder>| {
+        QueryService::start(fix.registry.clone(), encoder, Executor::new(1), ServeConfig::default())
+    };
+    let full = start_service(1, 4);
+    let no_reranker = plain(Some(encoder().clone()));
+    let no_encoder = plain(None);
+
+    let hybrid = QueryMode::Hybrid { fusion: Fusion::default(), rerank: false, depth: 0 };
+    let rerank = QueryMode::Hybrid { fusion: Fusion::default(), rerank: true, depth: 0 };
+    let owned = |names: Vec<&str>| names.into_iter().map(String::from).collect::<Vec<_>>();
+    let no_dense = |name: &str| {
+        Some(ServeError::UnknownStore { name: name.into(), known: owned(fix.registry.names()) })
+    };
+    let no_sibling = |name: &str| {
+        let known = owned(fix.registry.lexical_names());
+        Some(ServeError::UnknownStore { name: name.into(), known })
+    };
+    let needs_text = Some(ServeError::NeedsText { source: "chunks".into() });
+    let needs_encoder = Some(ServeError::NoEncoder { source: "chunks".into() });
+    let needs_reranker = Some(ServeError::NoReranker { source: "chunks".into() });
+    let wrong_dim =
+        Some(ServeError::DimMismatch { store: "chunks".into(), expected: DIM, got: DIM + 3 });
+
+    let text = || QueryInput::Text("proton dose".into());
+    let vector = || QueryInput::Vector(encoder().encode("proton dose"));
+    let long_vector = || QueryInput::Vector(vec![0.5; DIM + 3]);
+
+    // (defect, service, source, input, mode, expected error)
+    type Row<'a> = (&'a str, &'a QueryService, &'a str, QueryInput, QueryMode, Option<ServeError>);
+    #[rustfmt::skip]
+    let table: Vec<Row<'_>> = vec![
+        ("unknown source", &full, "nope", text(), QueryMode::Dense, no_dense("nope")),
+        ("unknown source", &full, "nope", text(), QueryMode::Lexical, no_sibling("lex-nope")),
+        ("unknown source, dense looked up first", &full, "nope", text(), hybrid, no_dense("nope")),
+        ("missing sibling", &full, "bare", text(), QueryMode::Dense, None),
+        ("missing sibling", &full, "bare", text(), QueryMode::Lexical, no_sibling("lex-bare")),
+        ("missing sibling", &full, "bare", text(), hybrid, no_sibling("lex-bare")),
+        ("vector-only input", &full, "chunks", vector(), QueryMode::Dense, None),
+        ("vector-only input", &full, "chunks", vector(), QueryMode::Lexical, needs_text.clone()),
+        ("vector-only input", &full, "chunks", vector(), hybrid, needs_text.clone()),
+        ("text before dimension", &full, "chunks", long_vector(), hybrid, needs_text),
+        ("no encoder", &no_encoder, "chunks", text(), QueryMode::Dense, needs_encoder.clone()),
+        ("no encoder, none needed", &no_encoder, "chunks", text(), QueryMode::Lexical, None),
+        ("no encoder", &no_encoder, "chunks", text(), hybrid, needs_encoder),
+        ("no encoder, none needed", &no_encoder, "chunks", vector(), QueryMode::Dense, None),
+        ("wrong-length vector", &no_encoder, "chunks", long_vector(), QueryMode::Dense, wrong_dim.clone()),
+        ("wrong-length vector", &full, "chunks", long_vector(), QueryMode::Dense, wrong_dim.clone()),
+        ("no reranker", &no_reranker, "chunks", text(), rerank, needs_reranker.clone()),
+        ("no reranker, none asked for", &no_reranker, "chunks", text(), hybrid, None),
+        ("group defect before member defect", &no_encoder, "chunks", text(), rerank, needs_reranker),
+        ("everything wired", &full, "chunks", text(), rerank, None),
+    ];
+    for (defect, service, source, input, mode, want) in table {
+        let row = format!("{defect}, '{source}', {}", mode.label());
+        let req = QueryRequest { source: source.into(), input, k: 3, mode };
+        let got = service.submit(req).expect("admitted").wait();
+        match want {
+            Some(err) => assert_eq!(got.expect_err(&row), err, "{row}"),
+            None => assert!(got.is_ok(), "{row}: {got:?}"),
         }
     }
-    assert!(service.submit(QueryRequest::vector("chunks", vec, 3)).unwrap().wait().is_ok());
-    service.shutdown();
-}
 
-/// Rerank against a service started without the reranker (or passages)
-/// fails with `NoReranker`; the plain hybrid path still works there.
-#[test]
-fn rerank_requires_start_full() {
-    let fix = fixture();
-    let service = QueryService::start(
-        fix.registry.clone(),
-        Some(encoder().clone()),
-        Executor::new(1),
-        ServeConfig::default(),
-    );
-    let rerank = QueryMode::Hybrid { fusion: Fusion::default(), rerank: true, depth: 0 };
-    match service
-        .submit(QueryRequest::text("chunks", "proton dose", 3).with_mode(rerank))
-        .unwrap()
-        .wait()
-    {
-        Err(ServeError::NoReranker { source }) => assert_eq!(source, "chunks"),
-        other => panic!("expected NoReranker, got {other:?}"),
-    }
-    let plain = QueryMode::Hybrid { fusion: Fusion::default(), rerank: false, depth: 0 };
-    assert!(service
-        .submit(QueryRequest::text("chunks", "proton dose", 3).with_mode(plain))
-        .unwrap()
-        .wait()
-        .is_ok());
-    service.shutdown();
-}
+    // One group, two members that fail on their own: the rest are served
+    // as if the two had never been submitted.
+    let q = encoder().encode("carbon ion dosimetry");
+    let direct = fix.registry.expect_store("chunks").search(&q, 3);
+    let mixed = no_encoder.query_batch(vec![
+        QueryRequest::vector("chunks", q.clone(), 3),
+        QueryRequest::text("chunks", "carbon ion dosimetry", 3),
+        QueryRequest::vector("chunks", vec![0.5; DIM + 3], 3),
+        QueryRequest::vector("chunks", q, 3),
+    ]);
+    assert_eq!(mixed[0].as_ref().expect("served").hits, direct);
+    assert_eq!(mixed[1], Err(ServeError::NoEncoder { source: "chunks".into() }));
+    assert_eq!(mixed[2], wrong_dim.map(Err).expect("an error"));
+    assert_eq!(mixed[3].as_ref().expect("served").hits, direct);
 
-/// A source without a lexical sibling reports the sibling's name, so the
-/// caller sees exactly which registry entry is missing.
-#[test]
-fn missing_lexical_sibling_is_named() {
-    let mut reg = IndexRegistry::new();
-    let mut store = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
-    store.add(0, &encoder().encode("lone document"));
-    reg.insert("bare", Box::new(store));
-    let service = QueryService::start(
-        Arc::new(reg),
-        Some(encoder().clone()),
-        Executor::new(1),
-        ServeConfig::default(),
-    );
-    match service
-        .submit(QueryRequest::text("bare", "anything", 2).with_mode(QueryMode::Lexical))
-        .unwrap()
-        .wait()
-    {
-        Err(ServeError::UnknownStore { name, .. }) => assert_eq!(name, "lex-bare"),
-        other => panic!("expected UnknownStore, got {other:?}"),
+    for service in [full, no_reranker, no_encoder] {
+        let snap = service.shutdown();
+        assert!(snap.served_ok > 0 && snap.served_err > 0);
+        assert_eq!(snap.admitted, snap.served_ok + snap.served_err, "every slot answered once");
     }
-    service.shutdown();
 }

@@ -430,23 +430,3 @@ fn text_queries_encode_service_side() {
         other => panic!("expected NoEncoder, got {other:?}"),
     }
 }
-
-/// A pinned metric that disagrees with the store fails per-request.
-#[test]
-fn metric_pins_are_validated() {
-    let service =
-        QueryService::start(registry().clone(), None, Executor::new(1), ServeConfig::default());
-    let ok = QueryRequest::vector("chunks", vector(7), 3).with_metric(Metric::Cosine);
-    assert!(service.submit(ok).unwrap().wait().is_ok());
-    let bad = QueryRequest::vector("chunks", vector(7), 3).with_metric(Metric::L2);
-    match service.submit(bad).unwrap().wait() {
-        Err(ServeError::MetricMismatch { expected, got, .. }) => {
-            assert_eq!(expected, Metric::Cosine);
-            assert_eq!(got, Metric::L2);
-        }
-        other => panic!("expected MetricMismatch, got {other:?}"),
-    }
-    let snap = service.shutdown();
-    assert_eq!(snap.served_ok, 1);
-    assert_eq!(snap.served_err, 1);
-}

@@ -9,7 +9,7 @@
 //!   accounting across the workspace is in these tokens.
 //! * [`sentence`] — abbreviation-aware sentence segmentation.
 //! * [`vocab`] — corpus vocabulary with document frequencies and tf-idf.
-//! * [`similarity`] — cosine/Jaccard measures over term vectors.
+//! * [`similarity`] — dense cosine and token-set Jaccard measures.
 //! * [`chunk`] — the semantic chunker: sentence-window embeddings are
 //!   compared and a chunk boundary is placed where the embedding drifts
 //!   (topic shift) or the token budget fills up. The embedding function is

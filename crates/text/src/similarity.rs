@@ -1,24 +1,7 @@
-//! Similarity measures over term vectors and dense embeddings.
+//! Similarity measures over dense embeddings and token sets.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::Hash;
-
-/// Cosine similarity of two sparse vectors. Returns 0 for empty inputs.
-pub fn sparse_cosine<K: Eq + Hash>(a: &HashMap<K, f64>, b: &HashMap<K, f64>) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    // Iterate the smaller map.
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let dot: f64 = small.iter().filter_map(|(k, v)| large.get(k).map(|w| v * w)).sum();
-    let na: f64 = a.values().map(|v| v * v).sum::<f64>().sqrt();
-    let nb: f64 = b.values().map(|v| v * v).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
 
 /// Cosine similarity of two dense vectors; panics on length mismatch.
 pub fn dense_cosine(a: &[f32], b: &[f32]) -> f32 {
@@ -70,25 +53,6 @@ pub fn token_jaccard(a: &str, b: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparse_cosine_identical() {
-        let mut a = HashMap::new();
-        a.insert("x", 1.0);
-        a.insert("y", 2.0);
-        assert!((sparse_cosine(&a, &a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sparse_cosine_orthogonal_and_empty() {
-        let mut a = HashMap::new();
-        a.insert("x", 1.0);
-        let mut b = HashMap::new();
-        b.insert("y", 1.0);
-        assert_eq!(sparse_cosine(&a, &b), 0.0);
-        let e: HashMap<&str, f64> = HashMap::new();
-        assert_eq!(sparse_cosine(&a, &e), 0.0);
-    }
 
     #[test]
     fn dense_cosine_basics() {

@@ -150,19 +150,6 @@ impl Vocabulary {
         }
         tf
     }
-
-    /// The `k` highest-idf terms of `text` (most distinctive terms),
-    /// descending, ties broken by term string for determinism.
-    pub fn salient_terms<'v>(&'v self, text: &str, k: usize) -> Vec<&'v str> {
-        let v = self.tfidf(text);
-        let mut pairs: Vec<(TermId, f64)> = v.into_iter().collect();
-        pairs.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| self.term(a.0).cmp(&self.term(b.0)))
-        });
-        pairs.into_iter().take(k).filter_map(|(id, _)| self.term(id)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -219,14 +206,6 @@ mod tests {
         let v = sample_vocab();
         assert!(v.tfidf("zzz qqq xxx").is_empty());
         assert!(v.tfidf("").is_empty());
-    }
-
-    #[test]
-    fn salient_terms_prefer_rare() {
-        let v = sample_vocab();
-        let salient = v.salient_terms("radiation hypoxia tumour", 2);
-        assert_eq!(salient.len(), 2);
-        assert!(salient.contains(&"hypoxia"), "{salient:?}");
     }
 
     #[test]

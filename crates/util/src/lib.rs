@@ -18,8 +18,8 @@
 //!   ordering ([`cmp_hits`]: descending score, ascending id), and the
 //!   bounded [`TopK`] accumulator — common to dense, lexical, and fused
 //!   retrieval.
-//! * [`stats`] — online mean/variance, accuracy accounting and Wilson score
-//!   intervals used by the evaluation harness.
+//! * [`stats`] — accuracy accounting and Wilson score intervals used by the
+//!   evaluation harness.
 //! * [`timer`] — lightweight wall-clock scopes for the runtime's stage
 //!   metrics.
 
@@ -35,6 +35,6 @@ pub mod timer;
 pub use f16::F16;
 pub use hash::{fnv1a, splitmix64, PairedHasher, StableHasher};
 pub use hits::{cmp_hits, sort_hits, SearchResult, TopK};
-pub use stats::{Accuracy, OnlineStats, WilsonInterval};
+pub use stats::{Accuracy, WilsonInterval};
 pub use stochastic::KeyedStochastic;
 pub use timer::ScopeTimer;

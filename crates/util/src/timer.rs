@@ -50,20 +50,6 @@ impl ScopeTimer {
     }
 }
 
-/// Format a `Duration` as a short human string (`1.23s`, `45.6ms`, `789µs`).
-pub fn human_duration(d: Duration) -> String {
-    let nanos = d.as_nanos();
-    if nanos >= 1_000_000_000 {
-        format!("{:.2}s", d.as_secs_f64())
-    } else if nanos >= 1_000_000 {
-        format!("{:.1}ms", nanos as f64 / 1e6)
-    } else if nanos >= 1_000 {
-        format!("{}µs", nanos / 1_000)
-    } else {
-        format!("{nanos}ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,13 +69,5 @@ mod tests {
         // Either a sane number or 0, never inf/NaN.
         let tp = t.throughput(100);
         assert!(tp.is_finite());
-    }
-
-    #[test]
-    fn human_duration_units() {
-        assert_eq!(human_duration(Duration::from_nanos(500)), "500ns");
-        assert_eq!(human_duration(Duration::from_micros(12)), "12µs");
-        assert_eq!(human_duration(Duration::from_millis(3)), "3.0ms");
-        assert_eq!(human_duration(Duration::from_secs(2)), "2.00s");
     }
 }

@@ -57,7 +57,7 @@ for backend in flat hnsw ivf pq; do
     # index-build row per store and one model-layer cost row per role the
     # pipeline called — with the throughput columns recorded by the
     # runtime metrics.
-    for stage in acquire parse chunk embed-chunks index-chunks generate+judge traces \
+    for stage in acquire parse chunk index-chunks generate+judge traces \
         embed-traces index-traces-detailed index-traces-focused index-traces-efficient \
         model-teacher model-judge out/s; do
         if ! grep -qF "${stage}" <<<"${OUT}"; then
@@ -76,7 +76,7 @@ done
 # The evaluation runs on the same scheduler: `repro all` must surface both
 # the pipeline stages (generate+judge included) and the eval stages via
 # runtime StageMetrics.
-for stage in generate+judge eval-retrieve eval-embed-cache eval-assemble eval-answer out/s; do
+for stage in generate+judge eval-retrieve eval-assemble eval-answer out/s; do
     if ! grep -qF "${stage}" <<<"${ALL_OUT}"; then
         echo "repro smoke FAILED: 'repro all' stage report is missing '${stage}'" >&2
         exit 1

@@ -27,7 +27,6 @@ fn pipeline_stage_census_matches_figure1() {
             "parse",
             "chunk",
             "ingest-chunks",
-            "embed-chunks",
             "index-chunks",
             "index-lex-chunks",
             "generate+judge",
