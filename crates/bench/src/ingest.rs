@@ -2,10 +2,9 @@
 //! leave what a cold rebuild of the edited corpus leaves? (How much faster
 //! it is is `perfbench`'s `ingest-churn` workload.)
 
-use mcqa_core::{Pipeline, PipelineConfig};
+use mcqa_core::{IngestCensus, Pipeline, PipelineConfig};
 use mcqa_corpus::EditBatch;
 use mcqa_index::IndexSpec;
-use mcqa_ingest::IngestCensus;
 use std::sync::Arc;
 
 /// How the incremental run compared with the cold rebuild.

@@ -25,8 +25,6 @@ pub struct PipelineConfig {
     pub embed: EmbedConfig,
     /// Judge acceptance threshold (paper: 7/10).
     pub quality_threshold: u8,
-    /// Retrieval depth for RAG (passages per query).
-    pub retrieval_k: usize,
     /// Worker threads for the runtime pool (0 = one per core).
     pub workers: usize,
     /// Vector-store backend for every database the pipeline builds
@@ -61,7 +59,6 @@ impl PipelineConfig {
             chunker: ChunkerConfig::default(),
             embed: EmbedConfig { seed, ..EmbedConfig::default() },
             quality_threshold: 7,
-            retrieval_k: 8,
             workers: 0,
             index: IndexSpec::Flat,
         }
@@ -103,7 +100,6 @@ mod tests {
         assert_eq!(c.acquisition.abstracts, 8_433);
         assert_eq!(c.ontology.qualitative_facts, 6_000);
         assert_eq!(c.quality_threshold, 7);
-        assert_eq!(c.retrieval_k, 8);
     }
 
     #[test]

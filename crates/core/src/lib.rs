@@ -19,6 +19,8 @@
 //!   paper-scale defaults and a `--scale` knob.
 //! * [`chunks`] — chunk records with provenance (chunk id → document →
 //!   facts stated inside, via the corpus oracle).
+//! * [`ingest`] — content-addressed change detection between two runs
+//!   (document hash table, table diff, the ingest census).
 //! * [`schema`] — the Figure-2 question record and Figure-3 trace record
 //!   JSON schemas, serialisable to JSONL artifacts.
 //! * [`pipeline`] — the orchestrated workflow over `mcqa-runtime`, ending
@@ -26,10 +28,12 @@
 
 pub mod chunks;
 pub mod config;
+pub mod ingest;
 pub mod pipeline;
 pub mod schema;
 
 pub use chunks::ChunkRecord;
 pub use config::PipelineConfig;
+pub use ingest::{ChangeSet, ContentHash, IngestCensus, IngestManifest};
 pub use pipeline::{Pipeline, PipelineOutput, CHUNKS_STORE};
 pub use schema::{QuestionRecord, TraceRecord};

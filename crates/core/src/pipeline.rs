@@ -2,10 +2,10 @@
 //!
 //! Every run — the cold full build and the incremental re-run — flows
 //! through one planner (`Pipeline::run_planned`): the corpus is content-
-//! hashed, diffed against the previous run's [`IngestManifest`] (empty on
-//! a cold build, so everything classifies as added), and only the
-//! chunk→embed→question slices the [`mcqa_ingest::ChangeSet`] touches are
-//! re-run. Unchanged slices replay from the previous output; stale index
+//! hashed, its id-sorted address table is merged against the previous
+//! run's [`IngestManifest`] (empty on a cold build, so everything
+//! classifies as added), and only the chunk→embed→question slices the
+//! [`ChangeSet`](crate::ingest::ChangeSet) touches are re-run. Unchanged slices replay from the previous output; stale index
 //! rows are tombstoned and fresh rows upserted in place. There is no
 //! second bookkeeping path: a full rebuild is the all-added degenerate
 //! case of the incremental plan.
@@ -16,7 +16,6 @@ use std::sync::Arc;
 use mcqa_corpus::{CorpusLibrary, DocId};
 use mcqa_embed::{BioEncoder, Precision};
 use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
-use mcqa_ingest::{ContentHash, IngestCensus, IngestManifest};
 use mcqa_lexical::LexicalIndex;
 use mcqa_llm::{
     BenchKind, Judge, McqItem, ModelEndpoint, ModelHub, QuestionPrompt, SimEndpoint, Teacher,
@@ -29,15 +28,12 @@ use mcqa_util::{KeyedStochastic, ScopeTimer};
 
 use crate::chunks::ChunkRecord;
 use crate::config::PipelineConfig;
+use crate::ingest::{diff, ContentHash, IngestCensus, IngestManifest};
 use crate::schema::{Provenance, QualityBlock, QuestionRecord, TraceRecord};
 
 /// Registry name of the chunk vector database. The per-mode trace
 /// databases are named by [`TraceMode::db_name`] (`traces-<mode>`).
 pub const CHUNKS_STORE: &str = "chunks";
-
-/// Manifest source name under which the corpus document table is
-/// content-addressed.
-pub const CORPUS_SOURCE: &str = "corpus";
 
 /// A store is compacted once tombstones exceed a quarter of its live
 /// rows — cheap enough to amortise, tight enough that scans never wade
@@ -164,9 +160,9 @@ pub struct PipelineOutput {
     /// evaluator, retrieval bundles, ablations) clone this handle so the
     /// whole reproduction shares one pool and one metrics surface.
     pub executor: Executor,
-    /// The corpus content-address table this output was built from.
-    /// Persist it alongside the registry blob; the next run diffs its own
-    /// table against this one to plan incremental work.
+    /// The corpus content-address table this output was built from; the
+    /// next run diffs its own table against this one to plan incremental
+    /// work.
     pub manifest: IngestManifest,
     /// What the ingest planner scanned, skipped, and re-ran.
     pub ingest: IngestCensus,
@@ -238,16 +234,21 @@ impl Pipeline {
     /// Unchanged chunks replay their memoized generation outcome; index
     /// rows for removed/modified slices are tombstoned and fresh rows
     /// upserted, compacting once tombstones exceed the threshold.
+    ///
+    /// `config` must equal `prev.config` in every field but `workers`
+    /// (no artifact depends on the worker count). Replayed chunks, vectors
+    /// and judged questions were made under `prev.config`; beside fresh
+    /// ones made under any other setting the output would not be the cold
+    /// rebuild of `library` under `config`, so a differing config panics.
     pub fn run_incremental(
         config: &PipelineConfig,
         prev: &PipelineOutput,
         library: Arc<CorpusLibrary>,
     ) -> PipelineOutput {
-        assert_eq!(config.seed, prev.config.seed, "incremental run must keep the seed");
         assert_eq!(
-            config.index.label(),
-            prev.config.index.label(),
-            "incremental run must keep the index backend"
+            *config,
+            PipelineConfig { workers: config.workers, ..prev.config.clone() },
+            "incremental run must keep every setting of the previous run but `workers`"
         );
         let exec = Executor::new(config.effective_workers());
         Self::run_planned(
@@ -273,8 +274,8 @@ impl Pipeline {
     ) -> PipelineOutput {
         let mut census = IngestCensus::default();
 
-        // Ingest scan: content-hash every live document (fanned out) and
-        // diff the merkle trees. O(changed·log n) once the hashes exist.
+        // Ingest scan: content-hash every live document (fanned out), then
+        // one merge pass over this run's table and the previous run's.
         let live_ids = library.live_ids();
         let (hash_results, mut scan_metrics) =
             run_stage_batched(&exec, "ingest-scan", live_ids, 0, |id| {
@@ -283,10 +284,8 @@ impl Pipeline {
             });
         let table: Vec<(u64, ContentHash)> =
             hash_results.into_iter().map(|r| r.expect("hashing cannot fail")).collect();
-        let mut manifest = IngestManifest::new();
-        manifest.set_source(CORPUS_SOURCE, table);
-        let prev_manifest = prev.map_or_else(IngestManifest::new, |p| p.manifest.clone());
-        let changes = IngestManifest::diff(&prev_manifest, &manifest, CORPUS_SOURCE);
+        let manifest = IngestManifest::new(table);
+        let changes = diff(prev.map_or(&[], |p| p.manifest.docs()), manifest.docs());
         census.docs_scanned = library.live_len();
         census.docs_added = changes.added.len();
         census.docs_modified = changes.modified.len();
@@ -829,7 +828,7 @@ mod tests {
         assert_eq!(out.ingest.docs_skipped(), 0);
         assert_eq!(out.ingest.chunks_reused, 0);
         assert_eq!(out.ingest.chunks_rerun, out.chunks.len());
-        assert_eq!(out.manifest.source(CORPUS_SOURCE).unwrap().len(), out.library.len());
+        assert_eq!(out.manifest.docs().len(), out.library.len());
     }
 
     #[test]
@@ -1036,6 +1035,17 @@ mod tests {
                 assert_eq!(row(&prev.report, &stage), (len, len), "{stage}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "incremental run must keep every setting")]
+    fn incremental_rejects_a_config_the_previous_run_was_not_built_from() {
+        // Seed and backend agree, the chunker does not: replayed chunks
+        // would sit beside chunks cut to another budget.
+        let prev = tiny_output();
+        let mut config = prev.config.clone();
+        config.chunker.max_tokens += 1;
+        Pipeline::run_incremental(&config, prev, Arc::clone(&prev.library));
     }
 
     #[test]

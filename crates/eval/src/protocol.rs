@@ -22,7 +22,7 @@ use crate::retrieval::{retrieval_service, RetrievalBundle, Source};
 pub struct EvalConfig {
     /// Seed for the answer cascade.
     pub seed: u64,
-    /// Retrieval depth (passages per query; the pipeline's `retrieval_k`).
+    /// Retrieval depth for RAG (passages per query).
     pub retrieval_k: usize,
     /// Which retrieval channel(s) every bundle queries through — dense
     /// (the default), lexical, or hybrid.

@@ -91,13 +91,6 @@ impl FlatIndex {
         Some(StoreHeader { backend: "flat", metric, dim, len, needs_training: false })
     }
 
-    /// The resident panel cache (hit/miss counters, budget, residency) —
-    /// read-only; budgets change through
-    /// [`VectorStore::set_panel_cache_budget`].
-    pub fn panel_cache(&self) -> &PanelCache {
-        &self.cache
-    }
-
     /// A tombstone-free copy: live rows re-encoded in position order. The
     /// F16 round-trip (decode → re-encode) is exact, so the copy scores
     /// (and serialises) identically to a cold build over the live rows.

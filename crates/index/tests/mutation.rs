@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 
 use mcqa_embed::Precision;
 use mcqa_index::{build_store_from_vectors, decode_store, IndexSpec, Metric};
-use mcqa_ingest::{ContentHash, IngestManifest};
 use mcqa_lexical::{Bm25Params, LexicalIndex};
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
@@ -201,31 +200,6 @@ proptest! {
         for probe in ["proton dose", "gene pathway kinase", "tumour margin imaging", "trial"] {
             prop_assert_eq!(index.search(probe, 10), cold.search(probe, 10), "probe {}", probe);
         }
-    }
-
-    /// The manifest codec: a decode → re-encode cycle is byte-identical
-    /// (canonical layout), and the decoded manifest compares equal.
-    #[test]
-    fn manifest_roundtrip_is_byte_identical(seed in 0u64..64) {
-        let rng = KeyedStochastic::new(seed ^ 0x3A_11F3);
-        let mut manifest = IngestManifest::new();
-        let sources = 1 + rng.below(3, &["sources"]);
-        for s in 0..sources {
-            let name = format!("source-{s}");
-            let n = rng.below(40, &["n", &name]);
-            let items: BTreeMap<u64, ContentHash> = (0..n)
-                .map(|i| {
-                    let id = rng.raw(&["id", &name, &i.to_string()]) % 10_000;
-                    let body = rng.raw(&["content", &name, &id.to_string()]);
-                    (id, ContentHash::of_bytes(&body.to_le_bytes()))
-                })
-                .collect();
-            manifest.set_source(&name, items.into_iter().collect());
-        }
-        let bytes = manifest.to_bytes();
-        let back = IngestManifest::from_bytes(&bytes).expect("manifest decodes");
-        prop_assert_eq!(&back, &manifest);
-        prop_assert_eq!(back.to_bytes(), bytes, "re-encode must be byte-identical");
     }
 }
 

@@ -18,11 +18,6 @@ pub struct QualityScore(pub f64);
 impl QualityScore {
     /// The acceptance threshold used by the adaptive engine's fast path.
     pub const ACCEPT: f64 = 0.7;
-
-    /// True when the score clears the fast-path acceptance bar.
-    pub fn acceptable(self) -> bool {
-        self.0 >= Self::ACCEPT
-    }
 }
 
 /// Score a parsed document.
@@ -170,13 +165,13 @@ mod tests {
     #[test]
     fn clean_prose_scores_high() {
         let s = score(&doc_with_text(CLEAN_PROSE));
-        assert!(s.acceptable(), "score {}", s.0);
+        assert!(s.0 >= QualityScore::ACCEPT, "score {}", s.0);
     }
 
     #[test]
     fn binary_garbage_scores_low() {
         let s = score(&doc_with_text(&binary_garbage()));
-        assert!(!s.acceptable(), "score {}", s.0);
+        assert!(s.0 < QualityScore::ACCEPT, "score {}", s.0);
     }
 
     #[test]

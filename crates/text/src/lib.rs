@@ -8,7 +8,7 @@
 //! * [`token`] — a deterministic word tokeniser; all context-window
 //!   accounting across the workspace is in these tokens.
 //! * [`sentence`] — abbreviation-aware sentence segmentation.
-//! * [`vocab`] — corpus vocabulary with document frequencies and tf-idf.
+//! * [`vocab`] — corpus vocabulary with document frequencies.
 //! * [`similarity`] — dense cosine and token-set Jaccard measures.
 //! * [`chunk`] — the semantic chunker: sentence-window embeddings are
 //!   compared and a chunk boundary is placed where the embedding drifts

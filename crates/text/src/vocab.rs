@@ -1,4 +1,4 @@
-//! Corpus vocabulary with document frequencies and tf-idf weighting.
+//! Corpus vocabulary with document frequencies.
 
 use std::collections::HashMap;
 
@@ -121,35 +121,6 @@ impl Vocabulary {
     pub fn doc_freq(&self, id: TermId) -> u32 {
         self.doc_freq.get(id.0 as usize).copied().unwrap_or(0)
     }
-
-    /// Smoothed inverse document frequency: `ln((1+N)/(1+df)) + 1`.
-    pub fn idf(&self, id: TermId) -> f64 {
-        let df = self.doc_freq(id) as f64;
-        ((1.0 + self.num_docs as f64) / (1.0 + df)).ln() + 1.0
-    }
-
-    /// tf-idf vector of `text` as a sparse `TermId → weight` map,
-    /// L2-normalised. Unknown terms are ignored.
-    pub fn tfidf(&self, text: &str) -> HashMap<TermId, f64> {
-        let mut tf: HashMap<TermId, f64> = HashMap::new();
-        for tok in content_tokens(text) {
-            if let Some(id) = self.id(&tok) {
-                *tf.entry(id).or_insert(0.0) += 1.0;
-            }
-        }
-        let mut norm = 0.0;
-        for (id, w) in tf.iter_mut() {
-            *w *= self.idf(*id);
-            norm += *w * *w;
-        }
-        if norm > 0.0 {
-            let norm = norm.sqrt();
-            for w in tf.values_mut() {
-                *w /= norm;
-            }
-        }
-        tf
-    }
 }
 
 #[cfg(test)]
@@ -183,29 +154,6 @@ mod tests {
         let id = v.id("dose").unwrap();
         assert_eq!(v.doc_freq(id), 2, "df counts documents");
         assert_eq!(v.num_docs(), 2);
-    }
-
-    #[test]
-    fn idf_orders_rarity() {
-        let v = sample_vocab();
-        let common = v.id("radiation").unwrap(); // 2 docs
-        let rare = v.id("hypoxia").unwrap(); // 1 doc
-        assert!(v.idf(rare) > v.idf(common));
-    }
-
-    #[test]
-    fn tfidf_normalised() {
-        let v = sample_vocab();
-        let vec = v.tfidf("radiation apoptosis repair");
-        let norm: f64 = vec.values().map(|w| w * w).sum();
-        assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
-    }
-
-    #[test]
-    fn tfidf_of_unknown_text_is_empty() {
-        let v = sample_vocab();
-        assert!(v.tfidf("zzz qqq xxx").is_empty());
-        assert!(v.tfidf("").is_empty());
     }
 
     #[test]

@@ -195,19 +195,6 @@ impl PairedHasher {
     }
 }
 
-/// Convenience: hash a sequence of string parts with domain separation.
-///
-/// This is the workhorse for keyed model decisions, e.g.
-/// `stable_key(&["know", model_id, question_id])`.
-pub fn stable_key(parts: &[&str]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(parts.len() as u64);
-    for p in parts {
-        h.write_str(p);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,9 +225,12 @@ mod tests {
 
     #[test]
     fn length_prefix_disambiguates() {
-        let a = stable_key(&["ab", "c"]);
-        let b = stable_key(&["a", "bc"]);
-        assert_ne!(a, b);
+        let key = |parts: [&str; 2]| {
+            let mut h = StableHasher::new();
+            parts.iter().for_each(|p| h.write_str(p));
+            h.finish()
+        };
+        assert_ne!(key(["ab", "c"]), key(["a", "bc"]));
     }
 
     #[test]
@@ -272,12 +262,6 @@ mod tests {
             hb.write_str(&whole);
             assert_eq!(paired.finish(), [ha.finish(), hb.finish()], "{parts:?}");
         }
-    }
-
-    #[test]
-    fn stable_key_order_sensitivity() {
-        assert_ne!(stable_key(&["a", "b"]), stable_key(&["b", "a"]));
-        assert_ne!(stable_key(&["a"]), stable_key(&["a", ""]));
     }
 
     #[test]
