@@ -19,9 +19,9 @@ use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
 use mcqa_runtime::{run_stage, Executor};
 
 use crate::codec::{decode_metric, encode_metric, put_u64, Reader};
-use crate::lazy::StoreHeader;
 use crate::metric::Metric;
 use crate::scan::QueryBlock;
+use crate::spec::StoreHeader;
 use crate::tombstones::Tombstones;
 use crate::{panel_rows, SearchResult, VectorStore};
 

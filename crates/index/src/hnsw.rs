@@ -26,8 +26,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::codec::{decode_metric, encode_metric, put_f32s, put_u32, put_u64, Reader};
-use crate::lazy::StoreHeader;
 use crate::metric::Metric;
+use crate::spec::StoreHeader;
 use crate::tombstones::Tombstones;
 use crate::{sort_hits, SearchResult, VectorStore};
 

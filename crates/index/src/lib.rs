@@ -20,15 +20,15 @@
 //! * [`metric`] — cosine / dot / L2 metrics shared by all indexes.
 //! * [`spec`] — [`IndexSpec`] (the *configuration* of a backend) plus the
 //!   [`build_store`] factory and the [`decode_store`] codec, so consumers
-//!   pick a backend by value instead of by type.
+//!   pick a backend by value instead of by type. Each wire format's
+//!   layout — header walk included — is known only to the module that
+//!   writes it; [`decode_store`] and [`peek_store_header`] just dispatch
+//!   on the magic tag.
 //! * [`registry`] — a named multi-database registry (chunks + three trace
 //!   modes, like the paper's four FAISS stores), round-trippable to bytes.
-//! * [`lazy`] — the serving-grade open path: [`IndexRegistry::open_bytes`]
-//!   validates headers now and defers row decoding to first search, so
-//!   startup cost is a header walk instead of a full-corpus decode. Each
-//!   wire format's layout — header walk included — is known only to the
-//!   module that writes it; [`decode_store`] and [`peek_store_header`]
-//!   just dispatch on the magic tag.
+//!   Every entry, dense store or lexical sibling, sits in one lazy slot:
+//!   [`IndexRegistry::open_bytes`] validates headers now and decodes an
+//!   entry on first touch.
 //!
 //! The trait surface covers the whole store lifecycle: [`VectorStore::train`]
 //! (a no-op for everything but the coarse quantisers), [`VectorStore::add`] /
@@ -57,7 +57,6 @@
 
 pub mod flat;
 pub mod hnsw;
-pub mod lazy;
 pub mod list;
 pub mod metric;
 pub mod registry;
@@ -70,13 +69,14 @@ pub(crate) mod tombstones;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use lazy::{peek_store_header, LazyStore, StoreHeader};
 pub use list::{
     F32Rows, IvfConfig, IvfIndex, ListStore, PqConfig, PqIndex, ResidualCodec, RowCodec,
 };
 pub use metric::Metric;
 pub use registry::IndexRegistry;
-pub use spec::{build_store, build_store_from_vectors, decode_store, IndexSpec};
+pub use spec::{
+    build_store, build_store_from_vectors, decode_store, peek_store_header, IndexSpec, StoreHeader,
+};
 
 use mcqa_runtime::{run_stage_batched, Executor};
 

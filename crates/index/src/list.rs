@@ -44,9 +44,9 @@ use crate::codec::{
     decode_metric, encode_metric, put_f32s, put_u32, put_u64, put_varint, unzigzag, zigzag, Reader,
 };
 use crate::kmeans;
-use crate::lazy::StoreHeader;
 use crate::metric::Metric;
 use crate::scan::QueryBlock;
+use crate::spec::StoreHeader;
 use crate::tombstones::Tombstones;
 use crate::{panel_rows, SearchResult, TopK, VectorStore};
 
@@ -978,7 +978,7 @@ impl RowCodec for ResidualCodec {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
-    use crate::{decode_store, peek_store_header, LazyStore};
+    use crate::{decode_store, peek_store_header};
     use mcqa_embed::Precision;
     use mcqa_util::KeyedStochastic;
 
@@ -1246,12 +1246,10 @@ mod tests {
         assert_eq!(store.list_sizes(), vec![4]);
         let bytes = store.to_bytes();
         let decoded = decode_store(&bytes).expect("decodes");
-        let lazy = LazyStore::open(bytes).expect("opens");
         for q in &data {
             let want = store.search(q, 4);
             assert_eq!(want.iter().map(|h| h.id).collect::<HashSet<_>>(), HashSet::from(ids));
             assert_eq!(decoded.search(q, 4), want);
-            assert_eq!(lazy.search(q, 4), want);
         }
     }
 

@@ -5,6 +5,8 @@
 //! carry an `IndexSpec` instead of a concrete index type; the factory
 //! turns it into a `Box<dyn VectorStore>` and the codec turns persisted
 //! bytes back into one by dispatching on each format's magic tag.
+//! [`peek_store_header`] dispatches on the same tags to read a blob's
+//! [`StoreHeader`] without decoding a row.
 
 use mcqa_embed::Precision;
 use mcqa_runtime::Executor;
@@ -137,6 +139,36 @@ pub fn decode_store(bytes: &[u8]) -> Option<Box<dyn VectorStore>> {
     }
 }
 
+/// The header-only facts of a serialised store, readable without touching
+/// row data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoreHeader {
+    /// Backend label (`flat` / `hnsw` / `ivf` / `pq`), from the magic tag.
+    pub backend: &'static str,
+    /// Scoring metric.
+    pub metric: Metric,
+    /// Vector dimensionality.
+    pub dim: usize,
+    /// Stored vector count.
+    pub len: usize,
+    /// Whether the backend must be trained before it accepts vectors.
+    pub needs_training: bool,
+}
+
+/// Decode the header of a store serialised by
+/// [`VectorStore::to_bytes`], walking length framing but never row
+/// payloads — each format's own walk sits beside its decoder. `None` on
+/// unknown magic or a malformed header.
+pub fn peek_store_header(bytes: &[u8]) -> Option<StoreHeader> {
+    match bytes.get(..4)? {
+        m if m == FlatIndex::MAGIC => FlatIndex::peek_header(bytes),
+        m if m == HnswIndex::MAGIC => HnswIndex::peek_header(bytes),
+        m if m == IvfIndex::MAGIC => IvfIndex::peek_header(bytes),
+        m if m == PqIndex::MAGIC => PqIndex::peek_header(bytes),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +239,25 @@ mod tests {
         }
         assert!(decode_store(b"????rest").is_none());
         assert!(decode_store(b"").is_none());
+    }
+
+    #[test]
+    fn header_peek_matches_store_facts_across_backends() {
+        let items: Vec<(u64, Vec<f32>)> = (0..37).map(|i| (i as u64 * 3, unit(6, i))).collect();
+        let exec = Executor::global();
+        for spec in IndexSpec::all_defaults() {
+            let store =
+                build_store_from_vectors(&spec, 6, Metric::Cosine, Precision::F16, exec, &items);
+            let header = peek_store_header(&store.to_bytes()).expect("header decodes");
+            assert_eq!(header.backend, spec.label());
+            assert_eq!(header.metric, store.metric(), "{}", spec.label());
+            assert_eq!(header.dim, store.dim(), "{}", spec.label());
+            assert_eq!(header.len, store.len(), "{}", spec.label());
+            assert_eq!(header.needs_training, store.needs_training(), "{}", spec.label());
+        }
+        assert!(peek_store_header(b"????rest").is_none());
+        assert!(peek_store_header(b"FLAT").is_none(), "truncated header rejected");
+        assert!(peek_store_header(b"").is_none());
     }
 
     #[test]

@@ -479,14 +479,6 @@ impl LexicalIndex {
     /// truncation, magic mismatch, or internal inconsistency.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        let idx = Self::decode(&mut r)?;
-        r.exhausted().then_some(idx)
-    }
-
-    /// Decode one index off a cursor (shared by [`Self::from_bytes`] and
-    /// embedded contexts like the registry's lexical section, which
-    /// frame the payload themselves).
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Option<Self> {
         r.expect_magic(Self::MAGIC)?;
         let k1 = f32::from_le_bytes(r.take(4)?.try_into().ok()?);
         let b = f32::from_le_bytes(r.take(4)?.try_into().ok()?);
@@ -540,7 +532,7 @@ impl LexicalIndex {
             postings.push(list);
         }
         let vocab = Vocabulary::from_parts(terms, dfs, u32::try_from(ndocs).ok()?)?;
-        Some(Self {
+        r.exhausted().then_some(Self {
             params: Bm25Params { k1, b },
             vocab,
             postings,
