@@ -26,7 +26,7 @@ use mcqa_parse::{AdaptiveParser, ParseOutcome, ParsedDocument, ParserConfig};
 use mcqa_runtime::{run_stage, run_stage_batched, Executor, RunReport, StageMetrics};
 use mcqa_util::{KeyedStochastic, ScopeTimer};
 
-use crate::chunks::ChunkRecord;
+use crate::chunks::{ChunkRecord, MentionMatcher};
 use crate::config::PipelineConfig;
 use crate::ingest::{diff, ContentHash, IngestCensus, IngestManifest};
 use crate::schema::{Provenance, QualityBlock, QuestionRecord, TraceRecord};
@@ -323,22 +323,17 @@ impl Pipeline {
             let doc_id = DocId(id);
             let truth = library.document(doc_id);
             let text = pdoc.full_text();
+            // Provenance oracle: which fact mentions landed in each chunk
+            // (verbatim sentence containment), one pass per chunk.
+            let mentions = truth.map_or(&[][..], |d| &d.mentions[..]);
+            let matcher = MentionMatcher::new(mentions.iter().map(|m| m.sentence.as_str()));
             let records: Vec<(ChunkRecord, Vec<f32>)> = chunker
                 .chunk_embedded(&text)
                 .into_iter()
                 .enumerate()
                 .map(|(ci, (c, vector))| {
-                    // Provenance oracle: which fact mentions landed in
-                    // this chunk (verbatim sentence containment).
-                    let mut facts: Vec<mcqa_ontology::FactId> = truth
-                        .map(|d| {
-                            d.mentions
-                                .iter()
-                                .filter(|m| c.text.contains(&m.sentence))
-                                .map(|m| m.fact)
-                                .collect()
-                        })
-                        .unwrap_or_default();
+                    let mut facts: Vec<mcqa_ontology::FactId> =
+                        matcher.matches(&c.text).into_iter().map(|i| mentions[i].fact).collect();
                     facts.sort_unstable();
                     facts.dedup();
                     let record = ChunkRecord {
@@ -906,6 +901,28 @@ mod tests {
         for c in &out.chunks {
             assert_eq!(c.tokens, mcqa_text::token_count(&c.text), "chunk {}", c.chunk_id);
         }
+    }
+
+    #[test]
+    fn chunk_facts_match_per_mention_containment() {
+        // The one-pass matcher against the oracle it replaced: every
+        // mention of the chunk's document, tested with `contains`.
+        let out = tiny_output();
+        let mut hits = 0;
+        for c in &out.chunks {
+            let doc = out.library.document(c.doc).expect("chunked docs are live");
+            let mut facts: Vec<_> = doc
+                .mentions
+                .iter()
+                .filter(|m| c.text.contains(&m.sentence))
+                .map(|m| m.fact)
+                .collect();
+            facts.sort_unstable();
+            facts.dedup();
+            hits += facts.len();
+            assert_eq!(c.facts, facts, "chunk {}", c.chunk_id);
+        }
+        assert!(hits > 0, "the fixture must exercise provenance");
     }
 
     #[test]

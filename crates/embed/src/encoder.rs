@@ -35,6 +35,13 @@ pub struct BioEncoder {
     /// (`StableHasher::with_seed(seed)` then `write_u32(lane)`): a feature
     /// forks this state and only absorbs its own bytes.
     lanes: PairedHasher,
+    /// `lanes` already past the length and `#` every 3-byte trigram
+    /// feature starts with (`write_len(4)`, then `b"#"`): FNV is a left
+    /// fold, so an ASCII trigram only absorbs its own 3 bytes.
+    trigram_lanes: PairedHasher,
+    /// `dim − 1` when `dim` is a power of two, where `bits % dim` is
+    /// `bits & (dim − 1)`.
+    dim_mask: Option<u64>,
 }
 
 impl BioEncoder {
@@ -47,7 +54,11 @@ impl BioEncoder {
             h
         };
         let lanes = PairedHasher::new(&lane(0), &lane(1));
-        Self { config, lanes }
+        let mut trigram_lanes = lanes;
+        trigram_lanes.write_len(4);
+        trigram_lanes.write(b"#");
+        let dim_mask = config.dim.is_power_of_two().then(|| config.dim as u64 - 1);
+        Self { config, lanes, trigram_lanes, dim_mask }
     }
 
     /// The encoder's configuration.
@@ -66,8 +77,17 @@ impl BioEncoder {
         for piece in pieces {
             h.write(piece);
         }
+        self.emit_postings(h, weight, emit);
+    }
+
+    /// Emit the two postings of a feature whose bytes `h` has absorbed.
+    #[inline]
+    fn emit_postings(&self, h: PairedHasher, weight: f32, emit: &mut impl FnMut(u32, f32)) {
         for bits in h.finish() {
-            let idx = (bits % self.config.dim as u64) as u32;
+            let idx = match self.dim_mask {
+                Some(mask) => bits & mask,
+                None => bits % self.config.dim as u64,
+            } as u32;
             let sign = if bits & (1 << 63) != 0 { -1.0 } else { 1.0 };
             emit(idx, sign * weight);
         }
@@ -88,12 +108,19 @@ impl BioEncoder {
         if self.config.char_trigrams && bytes.len() >= 5 {
             // Every window of three chars, cut at the token's own char
             // boundaries: `starts` holds where the two chars before the
-            // current one begin.
+            // current one begin. A 3-byte window is three ASCII chars and
+            // starts from `trigram_lanes`; wider ones hash from scratch.
             let mut starts = [0usize; 2];
             for (n, (at, c)) in tok.char_indices().enumerate() {
                 if n >= 2 {
                     let window = &bytes[starts[0]..at + c.len_utf8()];
-                    self.feature_postings(&[b"#", window], 0.25, emit);
+                    if window.len() == 3 {
+                        let mut h = self.trigram_lanes;
+                        h.write(window);
+                        self.emit_postings(h, 0.25, emit);
+                    } else {
+                        self.feature_postings(&[b"#", window], 0.25, emit);
+                    }
                 }
                 starts = [starts[1], at];
             }

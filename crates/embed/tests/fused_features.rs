@@ -71,8 +71,9 @@ fn oracle_encode(cfg: &EmbedConfig, text: &str) -> Vec<f32> {
     acc
 }
 
-/// Both feature switches in every combination, two seeds, and a
-/// dimensionality that is not a power of two.
+/// Both feature switches in every combination, three seeds, and
+/// dimensionalities on both index paths: the power-of-two mask (256, 64)
+/// and the `%` of one that is not (100).
 fn configs() -> Vec<EmbedConfig> {
     let mut out = Vec::new();
     for (word_bigrams, char_trigrams) in
@@ -80,6 +81,7 @@ fn configs() -> Vec<EmbedConfig> {
     {
         out.push(EmbedConfig { word_bigrams, char_trigrams, ..Default::default() });
         out.push(EmbedConfig { word_bigrams, char_trigrams, seed: 7, dim: 100 });
+        out.push(EmbedConfig { word_bigrams, char_trigrams, seed: 3, dim: 64 });
     }
     out
 }

@@ -35,13 +35,21 @@ pub fn score(doc: &ParsedDocument) -> QualityScore {
     }
     let printable_ratio = printable as f64 / total_chars.max(1) as f64;
 
-    // Sentence shape.
+    // Lexical validity (`t` is the lowercased token, as `tokenize` yields it).
+    let (mut tokens, mut wordy) = (0usize, 0usize);
+    mcqa_text::for_each_token(&text, |t| {
+        tokens += 1;
+        wordy += usize::from(t.chars().filter(|c| c.is_alphabetic()).count() * 2 >= t.len());
+    });
+    let lexical = if tokens == 0 { 0.0 } else { wordy as f64 / tokens as f64 };
+
+    // Sentence shape. A split consumes only whitespace between sentences,
+    // so no token straddles one and the text's count is the sentences' sum.
     let sentences = mcqa_text::split_sentences(&text);
     let sentence_score = if sentences.is_empty() {
         0.0
     } else {
-        let mean_len = sentences.iter().map(|s| mcqa_text::token_count(s) as f64).sum::<f64>()
-            / sentences.len() as f64;
+        let mean_len = tokens as f64 / sentences.len() as f64;
         // Clean scientific prose averages ~8–40 tokens/sentence.
         if (4.0..=60.0).contains(&mean_len) {
             1.0
@@ -51,14 +59,6 @@ pub fn score(doc: &ParsedDocument) -> QualityScore {
             0.0
         }
     };
-
-    // Lexical validity (`t` is the lowercased token, as `tokenize` yields it).
-    let (mut tokens, mut wordy) = (0usize, 0usize);
-    mcqa_text::for_each_token(&text, |t| {
-        tokens += 1;
-        wordy += usize::from(t.chars().filter(|c| c.is_alphabetic()).count() * 2 >= t.len());
-    });
-    let lexical = if tokens == 0 { 0.0 } else { wordy as f64 / tokens as f64 };
 
     // Weighted blend.
     let s = 0.35 * printable_ratio + 0.3 * sentence_score + 0.35 * lexical;

@@ -98,6 +98,39 @@ pub fn split_sentences(text: &str) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Text fragments around every rule of the splitter: marks with and
+    /// without closing quotes and brackets, abbreviations, initials,
+    /// decimals, Unicode letters and whitespace, and whitespace runs.
+    #[rustfmt::skip]
+    const PIECES: &[&str] = &[
+        "Radiation", " dose", "HX-29", "α-kinase", " İstanbul", " Überleben", "樹", "t1/2", " x",
+        "-", "--", "(", ",", "A", "9", " ", "  \n\t ", "\u{85}", "\u{a0}", "\u{2003}", "\u{1}",
+        ".", "!", "?", ".)", ".]", ".\"", "?'", "!)\"", " e.g.", "e.g", " et al.", " Fig.",
+        " Suppl.Fig.", " etc.", " J.", " 2.5", "0.37", ". ", "! ", "? ",
+    ];
+
+    proptest! {
+        #[test]
+        fn sentences_partition_the_tokens(
+            picks in proptest::collection::vec(0usize..PIECES.len(), 0..48),
+            noise in "[aZ9.!?)\"' \n\té樹İ-]{0,60}",
+        ) {
+            // `quality::score` divides the text's token count by the
+            // sentence count: no token may straddle a split.
+            let (head, tail) = picks.split_at(picks.len() / 2);
+            let text: String = head
+                .iter()
+                .map(|&i| PIECES[i])
+                .chain([noise.as_str()])
+                .chain(tail.iter().map(|&i| PIECES[i]))
+                .collect();
+            let summed: usize =
+                split_sentences(&text).iter().map(|s| crate::token_count(s)).sum();
+            prop_assert_eq!(summed, crate::token_count(&text), "{:?}", text);
+        }
+    }
 
     #[test]
     fn simple_split() {
