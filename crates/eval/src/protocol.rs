@@ -7,7 +7,7 @@ use mcqa_core::PipelineOutput;
 use mcqa_llm::answer::Condition;
 use mcqa_llm::{
     resolve, Answerer, AssembledContext, Classifier, Judge, McqItem, ModelCard, ModelEndpoint,
-    PipelineRates, TraceMode, MODEL_CARDS,
+    PipelineRates, PreparedItem, TraceMode, MODEL_CARDS,
 };
 use mcqa_runtime::{run_stage_batched, Executor, RunReport, StageMetrics};
 use mcqa_serve::{QueryMode, QueryService};
@@ -125,6 +125,10 @@ pub struct Evaluator<'a> {
     output: &'a PipelineOutput,
     config: EvalConfig,
     exam: AstroExam,
+    /// The synthetic and exam questions, each rendered and digested once
+    /// for every (card, condition) that answers it.
+    synth_items: Vec<Arc<PreparedItem>>,
+    exam_items: Vec<Arc<PreparedItem>>,
     synth_bundle: RetrievalBundle,
     astro_bundle: RetrievalBundle,
     endpoint: Arc<dyn ModelEndpoint>,
@@ -168,9 +172,14 @@ impl<'a> Evaluator<'a> {
         report.absorb(synth_m);
         report.absorb(astro_m);
         let judge = Judge::new(endpoint.clone(), config.seed);
+        let prepare = |items: &[McqItem]| {
+            items.iter().map(|i| Arc::new(PreparedItem::new(i.clone()))).collect()
+        };
         Self {
             output,
             config,
+            synth_items: prepare(&output.items),
+            exam_items: prepare(&exam.items),
             exam,
             synth_bundle,
             astro_bundle,
@@ -316,7 +325,7 @@ impl<'a> Evaluator<'a> {
 
         let conditions = Condition::all();
 
-        let run_bench = |items: &[McqItem],
+        let run_bench = |items: &[Arc<PreparedItem>],
                          contexts: &[[AssembledContext; 4]],
                          mask: Option<&[bool]>|
          -> Vec<(Condition, Accuracy)> {
@@ -338,8 +347,12 @@ impl<'a> Evaluator<'a> {
                                 }
                             };
                             let out = model.answer(item, *cond, ctx);
-                            let grade =
-                                self.judge.grade(&out.text, item.correct, item.options.len());
+                            let question = item.item();
+                            let grade = self.judge.grade(
+                                &out.text,
+                                question.correct,
+                                question.options.len(),
+                            );
                             Ok::<_, String>(grade.correct)
                         });
                     self.absorb(metrics);
@@ -352,9 +365,9 @@ impl<'a> Evaluator<'a> {
                 .collect()
         };
 
-        let synth = run_bench(&self.output.items, &synth_ctx, None);
-        let astro_all = run_bench(&self.exam.items, &astro_ctx, None);
-        let astro_nomath = run_bench(&self.exam.items, &astro_ctx, Some(&nomath_mask));
+        let synth = run_bench(&self.synth_items, &synth_ctx, None);
+        let astro_all = run_bench(&self.exam_items, &astro_ctx, None);
+        let astro_nomath = run_bench(&self.exam_items, &astro_ctx, Some(&nomath_mask));
 
         ModelEval {
             name: card.name.to_string(),

@@ -6,6 +6,7 @@ use mcqa_core::PipelineOutput;
 use mcqa_llm::{McqItem, Passage, PassageSource, TraceMode};
 use mcqa_runtime::{run_stage_batched, StageMetrics};
 use mcqa_serve::{PassageStore, QueryMode, QueryRequest, QueryService, ServeConfig};
+use mcqa_text::token_count;
 
 /// A retrieval source key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -140,11 +141,12 @@ impl RetrievalBundle {
         // chunk_id → position in output.chunks
         let chunk_pos: HashMap<u64, usize> =
             output.chunks.iter().enumerate().map(|(i, c)| (c.chunk_id, i)).collect();
-        // question_id → fact, per-mode trace text
-        let mut trace_text: HashMap<(u64, TraceMode), &str> = HashMap::new();
+        // question_id → fact, per-mode trace text and its token count (taken
+        // once per trace here, not once per retrieved copy of it)
+        let mut trace_text: HashMap<(u64, TraceMode), (&str, usize)> = HashMap::new();
         let mut trace_fact: HashMap<u64, u64> = HashMap::new();
         for t in &output.traces {
-            trace_text.insert((t.question_id, t.mode), t.trace.as_str());
+            trace_text.insert((t.question_id, t.mode), (&t.trace, token_count(&t.trace)));
             trace_fact.insert(t.question_id, t.fact_id);
         }
         // Fact → subject entity (traces about the same subject transfer:
@@ -202,6 +204,7 @@ impl RetrievalBundle {
                     let chunk = &output.chunks[pos];
                     per_source[Source::Chunks.index()].push(Passage::new(
                         chunk.text.clone(),
+                        chunk.tokens,
                         PassageSource::Chunk,
                         chunk.facts.contains(&item.fact).then_some(item.fact),
                         hit.score,
@@ -212,7 +215,9 @@ impl RetrievalBundle {
                 for mode in TraceMode::ALL {
                     let source = Source::Traces(mode);
                     for hit in &hits_per_source[source.index()][qi] {
-                        let Some(text) = trace_text.get(&(hit.id, mode)) else { continue };
+                        let Some(&(text, tokens)) = trace_text.get(&(hit.id, mode)) else {
+                            continue;
+                        };
                         let supports = trace_fact
                             .get(&hit.id)
                             .filter(|f| {
@@ -221,7 +226,8 @@ impl RetrievalBundle {
                             })
                             .map(|_| item.fact);
                         per_source[source.index()].push(Passage::new(
-                            (*text).to_string(),
+                            text.to_string(),
+                            tokens,
                             PassageSource::Trace(mode),
                             supports,
                             hit.score,
@@ -296,11 +302,16 @@ mod tests {
         let out = output();
         let bundle = RetrievalBundle::build_mode(out, &out.items, 5, QueryMode::Dense);
         assert_eq!(bundle.len(), out.items.len());
-        for q in 0..bundle.len().min(50) {
+        for q in 0..bundle.len() {
             for s in Source::ALL {
                 let ps = bundle.passages(q, s);
                 assert!(ps.len() <= 5);
                 assert!(!ps.is_empty(), "q{q} {s:?} returned nothing");
+                // Passages carry counts taken elsewhere (the chunk record's,
+                // one per trace); checked here so release builds see it too.
+                for p in ps {
+                    assert_eq!(p.tokens(), token_count(p.text()), "q{q} {s:?}");
+                }
             }
             assert_eq!(
                 bundle.question_tokens(q),

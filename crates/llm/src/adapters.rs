@@ -17,7 +17,7 @@ use crate::cards::ModelCard;
 use crate::context::AssembledContext;
 use crate::endpoint::{ModelEndpoint, ModelRequest, PromptPart, RequestPayload};
 use crate::judge::{GradeResult, QualityJudgment};
-use crate::mcq::McqItem;
+use crate::mcq::{McqItem, PreparedItem};
 use crate::solver::Calibration;
 use crate::teacher::GeneratedQuestion;
 use crate::trace::TraceMode;
@@ -272,18 +272,18 @@ impl Answerer {
 
     fn request(
         &self,
-        item: &McqItem,
+        item: &Arc<PreparedItem>,
         condition: Condition,
         context: Option<&AssembledContext>,
     ) -> ModelRequest {
         ModelRequest::new(
             vec![
                 PromptPart::system("Answer the multiple-choice question with a single letter."),
-                PromptPart::user(item.render()),
+                PromptPart::user(item.rendered()),
             ],
             RequestPayload::Answer {
                 model: Arc::clone(&self.model),
-                item: item.clone(),
+                item: Arc::clone(item),
                 condition,
                 context: context.cloned(),
             },
@@ -291,10 +291,12 @@ impl Answerer {
         )
     }
 
-    /// Answer one item under `condition`.
+    /// Answer one prepared item under `condition`. The item's render and
+    /// digest were computed when it was prepared, so a request costs what
+    /// depends on the (model, condition, context) and nothing more.
     pub fn answer(
         &self,
-        item: &McqItem,
+        item: &Arc<PreparedItem>,
         condition: Condition,
         context: Option<&AssembledContext>,
     ) -> AnswerOutcome {
@@ -363,7 +365,8 @@ mod tests {
         let direct = ResolvedModel::new(card.clone(), cal.clone());
         let answerer = Answerer::new(ep, card, cal, 42);
         let item = crate::mcq::test_item();
-        let via = answerer.answer(&item, Condition::Baseline, None);
+        let via =
+            answerer.answer(&Arc::new(PreparedItem::new(item.clone())), Condition::Baseline, None);
         assert_eq!(via, direct.answer(&item, Condition::Baseline, None, 42));
         assert_eq!(answerer.card().name, "SmolLM3-3B");
     }

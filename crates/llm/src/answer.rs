@@ -146,30 +146,18 @@ impl ResolvedModel {
         context: Option<&AssembledContext>,
         seed: u64,
     ) -> AnswerOutcome {
-        let ks = KeyedStochastic::new(seed ^ 0x0511_7A25);
-        let q = item.qid.to_string();
-        let c = cond.label();
-        let key = |what: &str| -> [String; 4] {
-            [what.to_string(), self.card.name.to_string(), q.clone(), c.clone()]
-        };
-        let bern = |what: &str, p: f64| {
-            let k = key(what);
-            let parts: Vec<&str> = k.iter().map(String::as_str).collect();
-            ks.bernoulli(p, &parts)
-        };
-        let pick = |what: &str, n: usize| {
-            let k = key(what);
-            let parts: Vec<&str> = k.iter().map(String::as_str).collect();
-            ks.below(n, &parts)
-        };
+        let draws = Draws::new(seed, self.card.name, item.qid, cond);
 
         let n = item.options.len();
 
         // Math questions run a separate (empirically calibrated) channel.
         if item.is_math {
-            let correct = bern("math", self.math_accuracy(cond));
-            let chosen =
-                if correct { item.correct } else { wrong_option(item, pick("math-wrong", n - 1)) };
+            let correct = draws.bern("math", self.math_accuracy(cond));
+            let chosen = if correct {
+                item.correct
+            } else {
+                wrong_option(item, draws.pick("math-wrong", n - 1))
+            };
             return AnswerOutcome {
                 chosen: Some(chosen),
                 text: format!("Answer: {}", OPTION_LETTERS[chosen]),
@@ -179,47 +167,48 @@ impl ResolvedModel {
         }
 
         // 1. Answer-format failure: output no parseable letter.
-        if !bern("format", self.format_reliability(item.bench)) {
+        if !draws.bern("format", self.format_reliability(item.bench)) {
             return AnswerOutcome {
                 chosen: None,
-                text: malformed_text(pick("malform", 3), item),
+                text: malformed_text(draws.pick("malform", 3), item),
                 knew: false,
                 used_context: false,
             };
         }
 
-        let knew = bern("know", self.p_know(item));
+        let knew = draws.bern("know", self.p_know(item));
 
         // 2. Context extraction path.
         let relevant = context.map(|c| c.relevant_in_window).unwrap_or(false);
         let has_context = context.map(|c| c.passages_in_window > 0).unwrap_or(false);
         let (correct, used_context) = if relevant {
             let e = self.extraction(item.bench, cond);
-            if bern("extract", e) {
+            if draws.bern("extract", e) {
                 (true, true)
-            } else if knew && !bern("distract", self.card.distraction) {
+            } else if knew && !draws.bern("distract", self.card.distraction) {
                 // Extraction failed: the (long) context still competes with
                 // the model's own knowledge — this is how chunk RAG can
                 // *hurt* distractible models even on retrieval hits
                 // (paper: OLMo 0.446 → 0.269 on the exam).
                 (true, false)
             } else {
-                (guess_correct(&ks, &key("guess"), self.card.guess_prob(n)), false)
+                (draws.bern("guess", self.card.guess_prob(n)), false)
             }
         } else if has_context {
             // Irrelevant context: distraction can override knowledge.
-            if knew && !bern("distract", self.card.distraction) {
+            if knew && !draws.bern("distract", self.card.distraction) {
                 (true, false)
             } else {
-                (guess_correct(&ks, &key("guess"), self.card.guess_prob(n)), false)
+                (draws.bern("guess", self.card.guess_prob(n)), false)
             }
         } else if knew {
             (true, false)
         } else {
-            (guess_correct(&ks, &key("guess"), self.card.guess_prob(n)), false)
+            (draws.bern("guess", self.card.guess_prob(n)), false)
         };
 
-        let chosen = if correct { item.correct } else { wrong_option(item, pick("wrong", n - 1)) };
+        let chosen =
+            if correct { item.correct } else { wrong_option(item, draws.pick("wrong", n - 1)) };
         AnswerOutcome {
             chosen: Some(chosen),
             text: format!("Answer: {}", OPTION_LETTERS[chosen]),
@@ -229,9 +218,34 @@ impl ResolvedModel {
     }
 }
 
-fn guess_correct(ks: &KeyedStochastic, key: &[String; 4], p: f64) -> bool {
-    let parts: Vec<&str> = key.iter().map(String::as_str).collect();
-    ks.bernoulli(p, &parts)
+/// The keyed draws of one (model, question, condition) answer. Each draw
+/// hashes the key path `[what, model name, qid, condition label]`, borrowed
+/// in place: the two owned parts are formatted once per answer, not once
+/// per draw.
+struct Draws<'a> {
+    ks: KeyedStochastic,
+    name: &'a str,
+    qid: String,
+    condition: String,
+}
+
+impl<'a> Draws<'a> {
+    fn new(seed: u64, name: &'a str, qid: u64, condition: Condition) -> Self {
+        Self {
+            ks: KeyedStochastic::new(seed ^ 0x0511_7A25),
+            name,
+            qid: qid.to_string(),
+            condition: condition.label(),
+        }
+    }
+
+    fn bern(&self, what: &str, p: f64) -> bool {
+        self.ks.bernoulli(p, &[what, self.name, &self.qid, &self.condition])
+    }
+
+    fn pick(&self, what: &str, n: usize) -> usize {
+        self.ks.below(n, &[what, self.name, &self.qid, &self.condition])
+    }
 }
 
 /// The `i`-th wrong option (0-based over the distractors).
@@ -263,6 +277,7 @@ mod tests {
     use crate::cards::MODEL_CARDS;
     use crate::solver::{resolve, PipelineRates};
     use mcqa_ontology::FactId;
+    use proptest::prelude::*;
 
     fn model(i: usize) -> ResolvedModel {
         let card = MODEL_CARDS[i].clone();
@@ -452,6 +467,31 @@ mod tests {
         }
         let frac = malformed as f64 / n as f64;
         assert!((frac - 0.55).abs() < 0.05, "malformed fraction {frac}");
+    }
+
+    proptest! {
+        #[test]
+        fn borrowed_key_draws_equal_the_owned_key_path(
+            seed in any::<u64>(),
+            what in ".{0,12}",
+            name in ".{0,24}",
+            qid in any::<u64>(),
+            cond in 0usize..5,
+            p in 0.0f64..1.0,
+            n in 1usize..usize::MAX,
+        ) {
+            // The oracle: the key path as it was built before draws borrowed
+            // their parts — four owned strings per draw, collected into a
+            // `Vec<&str>`.
+            let cond = Condition::all()[cond];
+            let key: [String; 4] = [what.clone(), name.clone(), qid.to_string(), cond.label()];
+            let parts: Vec<&str> = key.iter().map(String::as_str).collect();
+            let ks = KeyedStochastic::new(seed ^ 0x0511_7A25);
+
+            let draws = Draws::new(seed, &name, qid, cond);
+            prop_assert_eq!(draws.bern(&what, p), ks.bernoulli(p, &parts));
+            prop_assert_eq!(draws.pick(&what, n), ks.below(n, &parts));
+        }
     }
 
     #[test]

@@ -23,10 +23,12 @@ pub enum PassageSource {
 
 /// One retrieved passage handed to a model.
 ///
-/// A passage counts its own tokens once, where it is built
-/// ([`Passage::new`]); text and count are private so the two cannot drift
-/// apart, and [`assemble`] reads the count for every model card instead of
-/// tokenising the same text again.
+/// A passage carries its token count from where it is built
+/// ([`Passage::new`]): the caller passes the count its store already holds
+/// for the text, and debug builds check it against the text. Text and count
+/// are private so the two cannot drift apart afterwards, and [`assemble`]
+/// reads the count for every model card instead of tokenising the same
+/// text again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Passage {
     /// Passage text (injected into the prompt).
@@ -45,9 +47,18 @@ pub struct Passage {
 }
 
 impl Passage {
-    /// A passage over `text`, tokenised here.
-    pub fn new(text: String, source: PassageSource, supports: Option<FactId>, score: f32) -> Self {
-        let tokens = mcqa_text::token_count(&text);
+    /// A passage over `text`, which costs `tokens` =
+    /// [`mcqa_text::token_count`]`(&text)` — a count the caller already
+    /// holds (a chunk record's, one taken per trace), so building a passage
+    /// tokenises nothing in release builds.
+    pub fn new(
+        text: String,
+        tokens: usize,
+        source: PassageSource,
+        supports: Option<FactId>,
+        score: f32,
+    ) -> Self {
+        debug_assert_eq!(tokens, mcqa_text::token_count(&text), "passage token count");
         Self { text, tokens, source, supports, score }
     }
 
@@ -154,6 +165,7 @@ mod tests {
     fn passage(words: usize, supports: Option<FactId>) -> Passage {
         Passage::new(
             (0..words).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" "),
+            words,
             PassageSource::Chunk,
             supports,
             0.9,
@@ -166,10 +178,17 @@ mod tests {
     }
 
     #[test]
-    fn passage_counts_its_own_tokens() {
+    fn passage_carries_its_token_count() {
         let p = passage(37, None);
         assert_eq!(p.tokens(), mcqa_text::token_count(p.text()));
         assert_eq!(p.tokens(), 37);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "passage token count")]
+    fn a_wrong_token_count_is_loud_in_debug_builds() {
+        Passage::new("three short words".into(), 4, PassageSource::Chunk, None, 0.5);
     }
 
     #[test]
@@ -210,6 +229,7 @@ mod tests {
             .map(|i| {
                 Passage::new(
                     (0..50).map(|j| format!("t{j}")).collect::<Vec<_>>().join(" "),
+                    50,
                     PassageSource::Trace(TraceMode::Efficient),
                     if i == 4 { Some(FactId(42)) } else { None },
                     0.8,

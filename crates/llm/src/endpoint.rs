@@ -30,7 +30,7 @@ use serde::Serialize;
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::context::AssembledContext;
 use crate::judge::{GradeResult, QualityJudgment};
-use crate::mcq::{BenchKind, McqItem};
+use crate::mcq::{BenchKind, McqItem, PreparedItem};
 use crate::teacher::{GeneratedQuestion, QuestionDefect};
 use crate::trace::TraceMode;
 
@@ -168,8 +168,9 @@ pub enum RequestPayload {
         /// The behaviour card joined with its calibration, shared by every
         /// request of one evaluated card.
         model: Arc<ResolvedModel>,
-        /// The question.
-        item: McqItem,
+        /// The question, rendered and digested once and shared by every
+        /// request that asks it.
+        item: Arc<PreparedItem>,
         /// The retrieval condition.
         condition: Condition,
         /// The truncated context, if any.
@@ -233,11 +234,11 @@ impl ModelRequest {
     /// straight into a [`StableHasher`] — each prompt part, the payload
     /// behind a per-variant tag (which fixes the role), seed. Strings,
     /// `Vec`s and `Option`s carry a length / presence prefix, floats go in
-    /// as their bits, and an answer request's model goes in as the digest
-    /// it computed at construction ([`ResolvedModel::key`]). Nothing is
-    /// serialised and nothing is allocated. (A 64-bit collision would alias
-    /// two requests — probability ~2⁻⁶⁴ per pair, negligible at any
-    /// realistic call volume.)
+    /// as their bits, and an answer request's model and item go in as the
+    /// digests they computed at construction ([`ResolvedModel::key`],
+    /// [`PreparedItem::digest`]). Nothing is serialised and nothing is
+    /// allocated. (A 64-bit collision would alias two requests —
+    /// probability ~2⁻⁶⁴ per pair, negligible at any realistic call volume.)
     ///
     /// Keys are process-local: the [`crate::ResponseCache`] is never
     /// persisted, so this is not a wire format and may change freely.
@@ -313,7 +314,7 @@ fn walk_payload(h: &mut StableHasher, payload: &RequestPayload) {
         RequestPayload::Answer { model, item, condition, context } => {
             h.write_u32(6);
             h.write_u64(model.key());
-            walk_item(h, item);
+            h.write_u64(item.digest());
             match condition {
                 Condition::Baseline => h.write_u32(0),
                 Condition::RagChunks => h.write_u32(1),
@@ -384,7 +385,9 @@ fn walk_question(h: &mut StableHasher, question: &GeneratedQuestion) {
     h.write_u64(distractor_plausibility.to_bits());
 }
 
-fn walk_item(h: &mut StableHasher, item: &McqItem) {
+/// Walk every field of `item` into `h`: a classification request's item,
+/// and the digest [`PreparedItem::new`] takes once per answered question.
+pub(crate) fn walk_item(h: &mut StableHasher, item: &McqItem) {
     let McqItem { qid, bench, fact: FactId(fact), stem, options, correct, difficulty, is_math } =
         item;
     h.write_u64(*qid);
@@ -599,7 +602,7 @@ pub(crate) mod tests {
             },
             RequestPayload::Answer {
                 model: crate::solver::test_resolved_model(0),
-                item: crate::mcq::test_item(),
+                item: Arc::new(PreparedItem::new(crate::mcq::test_item())),
                 condition: Condition::RagTraces(TraceMode::Focused),
                 context: Some(context),
             },
@@ -624,6 +627,14 @@ pub(crate) mod tests {
             }
             (concat!(stringify!($variant), ".", stringify!($field), ": ", stringify!($edit)), apply)
         }};
+    }
+
+    /// Swap `item` for its question with one field changed, prepared anew:
+    /// a prepared item is read-only, so this is the only way to edit one.
+    fn reprepare(item: &mut Arc<PreparedItem>, edit: fn(&mut McqItem)) {
+        let mut question = item.item().clone();
+        edit(&mut question);
+        *item = Arc::new(PreparedItem::new(question));
     }
 
     /// Every field a request of `payload`'s kind carries, changed alone.
@@ -675,9 +686,14 @@ pub(crate) mod tests {
             ],
             RequestPayload::Answer { .. } => vec![
                 edit!(Answer.model => *model = crate::solver::test_resolved_model(1)),
-                edit!(Answer.item => item.qid += 1),
-                edit!(Answer.item => item.options[0].push('x')),
-                edit!(Answer.item => item.is_math = true),
+                edit!(Answer.item => reprepare(item, |q| q.qid += 1)),
+                edit!(Answer.item => reprepare(item, |q| q.bench = BenchKind::AstroExam)),
+                edit!(Answer.item => reprepare(item, |q| q.fact.0 += 1)),
+                edit!(Answer.item => reprepare(item, |q| q.stem.push('x'))),
+                edit!(Answer.item => reprepare(item, |q| q.options[0].push('x'))),
+                edit!(Answer.item => reprepare(item, |q| q.correct += 1)),
+                edit!(Answer.item => reprepare(item, |q| q.difficulty = 0.5)),
+                edit!(Answer.item => reprepare(item, |q| q.is_math = true)),
                 edit!(Answer.condition => *condition = Condition::Baseline),
                 edit!(Answer.condition => *condition = Condition::RagChunks),
                 edit!(Answer.condition => *condition = Condition::RagTraces(TraceMode::Efficient)),
@@ -783,7 +799,7 @@ pub(crate) mod tests {
             vec![PromptPart::system("answer the question")],
             RequestPayload::Answer {
                 model: crate::solver::test_resolved_model(0),
-                item: crate::mcq::test_item(),
+                item: Arc::new(PreparedItem::new(crate::mcq::test_item())),
                 condition: Condition::Baseline,
                 context: Some(AssembledContext {
                     passages_in_window: 2,

@@ -55,22 +55,28 @@ impl ModelHub {
     /// would be written and never read. Their ledger accounting is
     /// unchanged: a bypassed request is a backend call, exactly as it was
     /// when it was a guaranteed cache miss.
+    ///
+    /// A cacheable request is single-flight ([`ResponseCache::get_or_complete`]):
+    /// only the caller that runs the backend records a miss, and one that
+    /// arrives while that completion is in flight waits for it and records
+    /// a hit. A waiter may occupy a pool worker, so a backend completion
+    /// must not wait on work it submits to that pool; the sim backend's
+    /// completions submit none.
     fn cached_complete(&self, req: &ModelRequest) -> ModelResponse {
         let role = req.payload.role();
-        let key = req.payload.cacheable().then(|| req.cache_key());
-        if let Some(key) = key {
-            if let Some(hit) = self.cache.get(key) {
-                self.ledger.record_call(role, true, hit.tokens_in, hit.tokens_out, 0);
-                return hit;
-            }
-        }
-        let start = Instant::now();
-        let response = self.endpoint.complete(req);
-        let busy = start.elapsed().as_nanos() as u64;
-        self.ledger.record_call(role, false, response.tokens_in, response.tokens_out, busy);
-        if let Some(key) = key {
-            self.cache.insert(key, response.clone());
-        }
+        let mut busy = 0;
+        let mut backend = || {
+            let start = Instant::now();
+            let response = self.endpoint.complete(req);
+            busy = start.elapsed().as_nanos() as u64;
+            response
+        };
+        let (response, completed) = if req.payload.cacheable() {
+            self.cache.get_or_complete(req.cache_key(), backend)
+        } else {
+            (backend(), true)
+        };
+        self.ledger.record_call(role, !completed, response.tokens_in, response.tokens_out, busy);
         response
     }
 }
@@ -195,16 +201,16 @@ mod tests {
         assert_eq!(cold.calls, 20);
         assert_eq!(cold.batches, 1);
         assert_eq!(cold.batched_calls, 20);
-        // Only two distinct completions exist and each is stored once. How
-        // many of the *cold* batch's items reached the backend is the
-        // schedule's call — items running side by side can each miss a key
-        // before the first insert lands — but at least one per key did.
+        // Only two distinct completions exist and each is stored once.
+        // Items running side by side that touch one key first wait for a
+        // single completion, so exactly one item per key reached the
+        // backend, on any schedule.
         assert_eq!(hub.cache().len(), 2);
-        assert!(cold.backend_calls() >= 2);
+        assert_eq!(cold.backend_calls(), 2);
+        assert_eq!(cold.cache_hits, 18);
 
-        // With both keys stored, the batch path is exact on any schedule:
-        // every item of a second batch reads the cache, none reaches the
-        // backend.
+        // With both keys stored, every item of a second batch reads the
+        // cache and none reaches the backend.
         let warm_batched = hub.complete_batch(exec, &reqs);
         assert_eq!(warm_batched, batched);
         let warm = hub.ledger().role(crate::Role::Judge);

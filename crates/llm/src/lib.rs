@@ -13,7 +13,7 @@
 //! | LLM judge (quality scoring + grading) | [`adapters::Judge::score_question_batch`], [`adapters::Judge::grade`] |
 //! | GPT-5 math-question classifier | [`adapters::Classifier::classify_batch`] |
 //! | Cross-encoder reranker | [`adapters::Reranker::score_batch`] |
-//! | The eight evaluated SLMs (1.1B–14B) | [`adapters::Answerer::answer`] ([`cards::ModelCard`] + its calibration) |
+//! | The eight evaluated SLMs (1.1B–14B) | [`adapters::Answerer::answer`] ([`cards::ModelCard`] + its calibration, one [`PreparedItem`] per question) |
 //!
 //! There is one backend, the deterministic behavioural simulator
 //! ([`sim::SimEndpoint`]), and nothing selects it: the pipeline builds
@@ -27,12 +27,12 @@
 //! so nothing outside this crate can run one past the cache and the
 //! ledger: the only way to a completion is [`ModelEndpoint::complete`]. A
 //! resolved model stays nameable, because an answer request carries one
-//! and is addressed by its digest:
+//! beside the prepared question and is addressed by both digests:
 //!
 //! ```
-//! use mcqa_llm::{Condition, McqItem, ResolvedModel};
-//! fn addressed(model: &ResolvedModel, _: &McqItem, _: Condition) -> u64 {
-//!     model.key()
+//! use mcqa_llm::{Condition, PreparedItem, ResolvedModel};
+//! fn addressed(model: &ResolvedModel, item: &PreparedItem, _: Condition) -> (u64, u64) {
+//!     (model.key(), item.digest())
 //! }
 //! ```
 //!
@@ -97,7 +97,7 @@ pub use endpoint::{
 pub use hub::ModelHub;
 pub use judge::{GradeResult, QualityJudgment};
 pub use ledger::{CallLedger, RoleStats};
-pub use mcq::{BenchKind, McqItem, OPTION_LETTERS};
+pub use mcq::{BenchKind, McqItem, PreparedItem, OPTION_LETTERS};
 pub use response_cache::ResponseCache;
 pub use sim::SimEndpoint;
 pub use solver::{resolve, PipelineRates};

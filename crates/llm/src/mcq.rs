@@ -1,6 +1,7 @@
 //! Multiple-choice question items as the evaluator sees them.
 
 use mcqa_ontology::FactId;
+use mcqa_util::StableHasher;
 use serde::{Deserialize, Serialize};
 
 /// Option letters for up to ten options.
@@ -97,6 +98,46 @@ impl McqItem {
     }
 }
 
+/// An [`McqItem`] with the work that depends on the item alone done once:
+/// its [`McqItem::render`] text and a digest of every field, which is how
+/// an answer request addresses its item ([`crate::ModelRequest::cache_key`]).
+///
+/// Read-only after construction (private fields, no setter), so the render
+/// and the digest always describe the item beside them. The evaluator
+/// prepares each question once and shares it, behind an `Arc`, with every
+/// (model, condition) request that asks it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedItem {
+    item: McqItem,
+    rendered: String,
+    digest: u64,
+}
+
+impl PreparedItem {
+    /// Render and digest `item`.
+    pub fn new(item: McqItem) -> Self {
+        let mut h = StableHasher::new();
+        crate::endpoint::walk_item(&mut h, &item);
+        Self { rendered: item.render(), digest: h.finish(), item }
+    }
+
+    /// The question.
+    pub fn item(&self) -> &McqItem {
+        &self.item
+    }
+
+    /// [`McqItem::render`] of the question.
+    pub fn rendered(&self) -> &str {
+        &self.rendered
+    }
+
+    /// Digest of every field of the question: equal for equal items,
+    /// distinct otherwise (up to a 64-bit collision).
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
 /// A structurally valid synthetic item for this crate's unit tests.
 #[cfg(test)]
 pub(crate) fn test_item() -> McqItem {
@@ -143,6 +184,7 @@ mod tests {
             assert!(r.contains(l), "{r}");
         }
         assert!(r.starts_with("Which is true?"));
+        assert_eq!(PreparedItem::new(item()).rendered(), r, "prepared once, rendered the same");
     }
 
     #[test]

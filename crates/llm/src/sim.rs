@@ -79,7 +79,7 @@ impl ModelEndpoint for SimEndpoint {
                 (token_count(&text), RoleOutput::Relevance(scores))
             }
             RequestPayload::Answer { model, item, condition, context } => {
-                let a = model.answer(item, *condition, context.as_ref(), req.seed);
+                let a = model.answer(item.item(), *condition, context.as_ref(), req.seed);
                 (token_count(&a.text), RoleOutput::Answer(a))
             }
         };

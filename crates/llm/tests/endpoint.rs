@@ -7,8 +7,8 @@ use std::sync::{Arc, OnceLock};
 
 use mcqa_llm::{
     resolve, AssembledContext, Condition, McqItem, ModelEndpoint, ModelHub, ModelRequest,
-    PipelineRates, PromptPart, RequestPayload, ResolvedModel, Role, RoleOutput, SimEndpoint,
-    TraceMode, MODEL_CARDS,
+    PipelineRates, PreparedItem, PromptPart, RequestPayload, ResolvedModel, Role, RoleOutput,
+    SimEndpoint, TraceMode, MODEL_CARDS,
 };
 use mcqa_ontology::{Ontology, OntologyConfig};
 use mcqa_runtime::Executor;
@@ -83,7 +83,7 @@ fn request(x: u64) -> ModelRequest {
         4 => RequestPayload::ClassifyMath { item: item(x / 6) },
         _ => RequestPayload::Answer {
             model: resolved((x / 6) as usize),
-            item: item(x / 6),
+            item: Arc::new(PreparedItem::new(item(x / 6))),
             condition: Condition::all()[(x / 6) as usize % 5],
             context: (x.is_multiple_of(2)).then_some(AssembledContext {
                 passages_in_window: 3,
@@ -176,16 +176,21 @@ proptest! {
             );
             // The cache holds one entry per distinct completion of the
             // *retained* request kinds (once-only payloads are never
-            // stored), and the backend served at least that many
-            // (concurrent first-touches of one key may race, never
-            // under-count).
+            // stored). The backend served each of those once — concurrent
+            // first touches of one key share a single completion — plus
+            // every once-only request.
             let distinct: std::collections::HashSet<u64> = reqs
                 .iter()
                 .filter(|r| r.payload.cacheable())
                 .map(|r| r.cache_key())
                 .collect();
+            let once_only = reqs.iter().filter(|r| !r.payload.cacheable()).count();
             prop_assert_eq!(hub.cache().len(), distinct.len(), "shape {}", si);
-            prop_assert!(total.calls - total.cache_hits >= distinct.len() as u64);
+            prop_assert_eq!(
+                total.backend_calls() as usize,
+                distinct.len() + once_only,
+                "shape {}", si
+            );
             // Batch submissions were tallied per role actually present.
             let batches: u64 = Role::ALL.iter().map(|r| hub.ledger().role(*r).batches).sum();
             let nonempty = shape.iter().filter(|p| !p.is_empty()).count();

@@ -37,8 +37,15 @@ fn main() {
         .iter()
         .find(|c| c.chunk_id == record.provenance.chunk_id)
         .expect("source chunk exists");
-    let chunk_passage =
-        Passage::new(source_chunk.text.clone(), PassageSource::Chunk, Some(item.fact), 1.0);
+    // A passage carries its token count: the chunk record already holds
+    // one, the trace is counted here.
+    let chunk_passage = Passage::new(
+        source_chunk.text.clone(),
+        source_chunk.tokens,
+        PassageSource::Chunk,
+        Some(item.fact),
+        1.0,
+    );
     let trace_text = &output
         .traces
         .iter()
@@ -47,6 +54,7 @@ fn main() {
         .trace;
     let trace_passage = Passage::new(
         trace_text.clone(),
+        distllm::text::token_count(trace_text),
         PassageSource::Trace(TraceMode::Efficient),
         Some(item.fact),
         1.0,

@@ -50,13 +50,12 @@ fn tiny_seed42_artifacts_are_byte_identical_to_the_pre_redesign_pipeline() {
 }
 
 /// The evaluation on top of that run: every model's rates, calibration and
-/// accuracy tables, plus the two call counts no schedule can move. The
+/// accuracy tables, plus the call counts, which no schedule can move. The
 /// distinct-key count is the direct evidence that the response cache's
 /// equivalence classes are where they were — a key that aliased two
 /// requests would lower it, one that split a request would raise it.
-/// (`backend_calls` and `cache_hits` are not pinned: concurrent first
-/// touches of one grading key may both miss.) Captured on 357d4b4; the
-/// teacher / classifier token totals on 5e1181a.
+/// Captured on 357d4b4; the teacher / classifier token totals on 5e1181a;
+/// the answerer and judge ledgers once the cache became single-flight.
 #[test]
 fn tiny_seed42_eval_tables_are_pinned() {
     let out = Pipeline::run(&PipelineConfig::tiny(42));
@@ -78,5 +77,22 @@ fn tiny_seed42_eval_tables_are_pinned() {
     assert_eq!(
         (classifier.calls, classifier.tokens_in, classifier.tokens_out),
         (335, 13_931, 1_005)
+    );
+    // Answer keys are distinct within an `eval-answer` stage and the no-math
+    // pass starts after the full-exam pass ends, so every answerer count is
+    // schedule-independent: this pins how answer requests are built,
+    // addressed and counted.
+    let answerer = out.models.ledger().role(distllm::llm::Role::Answerer);
+    assert_eq!(
+        (answerer.calls, answerer.cache_hits, answerer.tokens_in, answerer.tokens_out),
+        (29_040, 7_560, 10_500_944, 49_418)
+    );
+    // Grading keys repeat inside one concurrent `eval-answer` stage; the
+    // response cache completes each key once however the stage is
+    // scheduled, so the judge's hits and tokens are pinned too.
+    let judge = out.models.ledger().role(distllm::llm::Role::Judge);
+    assert_eq!(
+        (judge.calls, judge.cache_hits, judge.tokens_in, judge.tokens_out),
+        (30_903, 28_823, 74_706, 23_928)
     );
 }
