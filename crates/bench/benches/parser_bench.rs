@@ -2,9 +2,9 @@
 //! escalation cost on damaged documents.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mcqa_core::parse::AdaptiveParser;
 use mcqa_corpus::{AcquisitionConfig, CorpusLibrary, DocId, SynthConfig};
 use mcqa_ontology::{Ontology, OntologyConfig};
-use mcqa_parse::AdaptiveParser;
 use mcqa_runtime::Executor;
 
 fn libraries() -> (CorpusLibrary, CorpusLibrary) {
@@ -45,7 +45,7 @@ fn bench_parser(c: &mut Criterion) {
         (0..clean.len() as u32).map(|i| clean.download(DocId(i)).unwrap()).collect();
     let dirty_blobs: Vec<&[u8]> =
         (0..dirty.len() as u32).map(|i| dirty.download(DocId(i)).unwrap()).collect();
-    let parser = AdaptiveParser::default();
+    let parser = AdaptiveParser;
 
     let mut group = c.benchmark_group("parser");
     group.sample_size(10);

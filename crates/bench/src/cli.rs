@@ -14,7 +14,7 @@ pub struct RunArgs {
     pub seed: u64,
     pub index: IndexSpec,
     /// `--retrieval`, with `--fuse-depth` already threaded into a hybrid
-    /// mode (0 = [`mcqa_lexical::DEFAULT_FUSE_DEPTH`]).
+    /// mode (0 = [`mcqa_index::lexical::DEFAULT_FUSE_DEPTH`]).
     pub retrieval: QueryMode,
     /// `ingest`: synthetic edit-batch size (default ≈ 1% of the live
     /// corpus, minimum 1).

@@ -19,7 +19,7 @@ pub struct RecallRow {
     /// the code-carrying backends, roughly in RAM) — the denominator of
     /// the compression claim. For a retrieval mode, the channel's resident
     /// bytes: the dense store's, the BM25 sibling's postings + vocabulary
-    /// ([`mcqa_lexical::LexicalIndex::payload_bytes`]), or their sum for
+    /// ([`mcqa_index::lexical::LexicalIndex::payload_bytes`]), or their sum for
     /// hybrid, so the memory table stays uniform across channels.
     pub mem_bytes: usize,
     pub bytes_per_vec: f64,
@@ -140,7 +140,7 @@ pub fn mode_recall(output: &PipelineOutput, k: usize) -> Vec<ModeRecall> {
             let name = source.store_name();
             let recall = bundle.raw_hit_rate(source);
             mean += recall / Source::ALL.len() as f64;
-            let store = source.store(&output.indexes);
+            let store = output.indexes.expect_store(name);
             let dense_bytes = store.to_bytes().len();
             let lex = output.indexes.expect_lexical(&IndexRegistry::lexical_sibling(name));
             let (mem_bytes, docs) = match mode {

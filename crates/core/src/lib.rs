@@ -21,6 +21,8 @@
 //!   facts stated inside, via the corpus oracle).
 //! * [`ingest`] — content-addressed change detection between two runs
 //!   (document hash table, table diff, the ingest census).
+//! * [`parse`] — the AdaParse-style adaptive parser the `parse` stage
+//!   runs over every downloaded blob.
 //! * [`schema`] — the Figure-2 question record and Figure-3 trace record
 //!   JSON schemas, serialisable to JSONL artifacts.
 //! * [`pipeline`] — the orchestrated workflow over `mcqa-runtime`, ending
@@ -29,6 +31,7 @@
 pub mod chunks;
 pub mod config;
 pub mod ingest;
+pub mod parse;
 pub mod pipeline;
 pub mod schema;
 

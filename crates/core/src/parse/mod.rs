@@ -1,29 +1,28 @@
-//! `mcqa-parse` — an AdaParse-style adaptive, parallel document parsing
+//! An AdaParse-style adaptive, parallel document parsing
 //! engine for SPDF blobs.
 //!
 //! The paper parses 22,548 PDFs with AdaParse, an engine that picks a
 //! parser per document (cheap fast path, expensive thorough path) based on
 //! predicted output quality, and recovers what it can from damaged files.
-//! This crate reproduces that architecture over the SPDF container:
+//! This module reproduces that architecture over the SPDF container:
 //!
-//! * [`strategy`] — three parse strategies: `Fast` (no checksum
+//! * [`ParseStrategy`] — three parse strategies: `Fast` (no checksum
 //!   validation), `Thorough` (full structural validation with precise
 //!   errors), and `Salvage` (best-effort recovery of readable objects).
-//! * [`quality`] — a text-quality scorer that decides whether a fast-path
+//! * `quality` — a text-quality scorer that decides whether a fast-path
 //!   result is acceptable or the document must be re-parsed thoroughly
 //!   (AdaParse's quality predictor).
-//! * [`engine`] — the adaptive driver: per-document strategy escalation,
+//! * [`AdaptiveParser`] — the adaptive driver: per-document strategy escalation,
 //!   batch parsing fanned out on the caller's `mcqa_runtime::Executor`, an
-//!   error taxonomy, and aggregate statistics (documents/second, strategy
+//!   error taxonomy, and aggregate statistics ([`BatchStats`]: strategy
 //!   mix, failure census).
-//! * [`record`] — the parsed-output record (metadata + section texts),
-//!   serialisable to JSONL exactly like AdaParse's JSON output.
+//! * [`ParsedDocument`] — the parsed-output record (metadata + section texts).
 
-pub mod engine;
-pub mod quality;
-pub mod record;
-pub mod strategy;
+mod engine;
+mod quality;
+mod record;
+mod strategy;
 
 pub use engine::{AdaptiveParser, BatchStats, ParseOutcome, ParserConfig};
-pub use record::{ParsedDocument, ParsedSection};
+pub use record::ParsedDocument;
 pub use strategy::{ParseError, ParseStrategy};

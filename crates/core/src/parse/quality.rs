@@ -9,19 +9,19 @@
 //! * lexical validity — fraction of tokens that are alphabetic-ish;
 //! * structure — documents should have at least one non-empty section.
 
-use crate::record::ParsedDocument;
+use super::record::ParsedDocument;
 
 /// A quality verdict in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityScore(pub f64);
+pub(crate) struct QualityScore(pub f64);
 
 impl QualityScore {
     /// The acceptance threshold used by the adaptive engine's fast path.
-    pub const ACCEPT: f64 = 0.7;
+    pub(crate) const ACCEPT: f64 = 0.7;
 }
 
 /// Score a parsed document.
-pub fn score(doc: &ParsedDocument) -> QualityScore {
+pub(crate) fn score(doc: &ParsedDocument) -> QualityScore {
     if doc.sections.is_empty() || doc.text_len() == 0 {
         return QualityScore(0.0);
     }
@@ -68,7 +68,7 @@ pub fn score(doc: &ParsedDocument) -> QualityScore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::ParsedSection;
+    use crate::parse::record::ParsedSection;
 
     fn doc_with_text(text: &str) -> ParsedDocument {
         ParsedDocument {

@@ -1,27 +1,26 @@
-//! Parsed-document records, serialisable to JSONL (AdaParse emits JSON).
+//! Parsed-document records: what the chunker reads of a parsed document.
 
 use mcqa_corpus::spdf::DocMeta;
-use serde::{Deserialize, Serialize};
 
 /// One parsed section.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParsedSection {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ParsedSection {
     /// Section heading (first line of the text object).
-    pub title: String,
+    pub(crate) title: String,
     /// Body text.
-    pub text: String,
+    pub(crate) text: String,
 }
 
 /// The parsed form of one document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParsedDocument {
     /// Metadata recovered from the Meta object (`None` when salvage could
     /// not decode it).
-    pub meta: Option<DocMeta>,
+    pub(crate) meta: Option<DocMeta>,
     /// Sections in order.
-    pub sections: Vec<ParsedSection>,
+    pub(crate) sections: Vec<ParsedSection>,
     /// Non-fatal issues encountered while parsing.
-    pub issues: Vec<String>,
+    pub(crate) issues: Vec<String>,
 }
 
 impl ParsedDocument {
@@ -39,22 +38,12 @@ impl ParsedDocument {
     }
 
     /// Total body character count (used by the quality scorer).
-    pub fn text_len(&self) -> usize {
+    pub(crate) fn text_len(&self) -> usize {
         self.sections.iter().map(|s| s.text.len()).sum()
     }
 
-    /// Serialise as one JSONL line.
-    pub fn to_jsonl(&self) -> String {
-        serde_json::to_string(self).expect("record serialises")
-    }
-
-    /// Parse one JSONL line.
-    pub fn from_jsonl(line: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(line)
-    }
-
     /// Split a raw text-object payload (`"Title\n\nbody"`) into a section.
-    pub fn section_from_payload(payload: &str) -> ParsedSection {
+    pub(crate) fn section_from_payload(payload: &str) -> ParsedSection {
         match payload.split_once("\n\n") {
             Some((title, body)) => {
                 ParsedSection { title: title.trim().to_string(), text: body.trim().to_string() }
@@ -84,21 +73,6 @@ mod tests {
         let t = sample().full_text();
         assert!(t.find("Abstract").unwrap() < t.find("Results").unwrap());
         assert!(t.contains("Radiation matters."));
-    }
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let r = sample();
-        let line = r.to_jsonl();
-        assert!(!line.contains('\n'), "JSONL lines are single-line");
-        let back = ParsedDocument::from_jsonl(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn jsonl_bad_input() {
-        assert!(ParsedDocument::from_jsonl("not json").is_err());
-        assert!(ParsedDocument::from_jsonl("{}").is_err(), "missing fields rejected");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Parse strategies: Fast, Thorough, Salvage.
 
 use mcqa_corpus::spdf::{ObjectKind, SpdfError, SpdfObject, SpdfReader};
-use serde::{Deserialize, Serialize};
 
-use crate::record::ParsedDocument;
+use super::record::ParsedDocument;
 
 /// Which parser processed a document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParseStrategy {
     /// Object walk without checksum enforcement — used first.
     Fast,
@@ -14,12 +13,6 @@ pub enum ParseStrategy {
     Thorough,
     /// Best-effort recovery from damaged blobs.
     Salvage,
-}
-
-impl ParseStrategy {
-    /// All strategies in escalation order.
-    pub const ESCALATION: [ParseStrategy; 3] =
-        [ParseStrategy::Fast, ParseStrategy::Thorough, ParseStrategy::Salvage];
 }
 
 /// A parse failure.
@@ -62,12 +55,14 @@ fn assemble(objects: &[SpdfObject], issues: Vec<String>) -> Result<ParsedDocumen
     if sections.is_empty() {
         return Err(ParseError::NoText);
     }
-    let _ = &sections; // sections checked non-empty above
     Ok(ParsedDocument { meta, sections, issues: all_issues })
 }
 
 /// Run one strategy over a blob.
-pub fn parse_with(strategy: ParseStrategy, bytes: &[u8]) -> Result<ParsedDocument, ParseError> {
+pub(crate) fn parse_with(
+    strategy: ParseStrategy,
+    bytes: &[u8],
+) -> Result<ParsedDocument, ParseError> {
     match strategy {
         ParseStrategy::Fast => {
             // Salvage machinery without checksum enforcement, but any
@@ -101,6 +96,10 @@ mod tests {
     use mcqa_corpus::{DocId, DocKind, SpdfWriter};
     use mcqa_ontology::{Ontology, OntologyConfig};
 
+    /// All strategies in escalation order.
+    const ESCALATION: [ParseStrategy; 3] =
+        [ParseStrategy::Fast, ParseStrategy::Thorough, ParseStrategy::Salvage];
+
     fn blob() -> Vec<u8> {
         let ont = Ontology::generate(&OntologyConfig {
             seed: 3,
@@ -120,7 +119,7 @@ mod tests {
     #[test]
     fn all_strategies_parse_clean_blob() {
         let b = blob();
-        for s in ParseStrategy::ESCALATION {
+        for s in ESCALATION {
             let doc = parse_with(s, &b).unwrap_or_else(|e| panic!("{s:?}: {e}"));
             assert!(doc.meta.is_some());
             assert_eq!(doc.sections.len(), 5);
@@ -156,7 +155,7 @@ mod tests {
     #[test]
     fn hopeless_input_fails_everywhere() {
         let junk = vec![0u8; 64];
-        for s in ParseStrategy::ESCALATION {
+        for s in ESCALATION {
             assert!(parse_with(s, &junk).is_err(), "{s:?} should fail");
         }
     }

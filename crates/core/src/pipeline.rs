@@ -15,20 +15,20 @@ use std::sync::Arc;
 
 use mcqa_corpus::{CorpusLibrary, DocId};
 use mcqa_embed::{BioEncoder, Precision};
+use mcqa_index::lexical::LexicalIndex;
 use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
-use mcqa_lexical::LexicalIndex;
 use mcqa_llm::{
     BenchKind, Judge, McqItem, ModelEndpoint, ModelHub, QuestionPrompt, SimEndpoint, Teacher,
     TraceMode, OPTION_LETTERS,
 };
 use mcqa_ontology::Ontology;
-use mcqa_parse::{AdaptiveParser, ParseOutcome, ParsedDocument, ParserConfig};
 use mcqa_runtime::{run_stage, run_stage_batched, Executor, RunReport, StageMetrics};
 use mcqa_util::{KeyedStochastic, ScopeTimer};
 
 use crate::chunks::{ChunkRecord, MentionMatcher};
 use crate::config::PipelineConfig;
 use crate::ingest::{diff, ContentHash, IngestCensus, IngestManifest};
+use crate::parse::{AdaptiveParser, ParseOutcome, ParsedDocument};
 use crate::schema::{Provenance, QualityBlock, QuestionRecord, TraceRecord};
 
 /// Registry name of the chunk vector database. The per-mode trace
@@ -298,7 +298,7 @@ impl Pipeline {
         let mut parse_ids: Vec<u32> =
             changes.added.iter().chain(&changes.modified).map(|id| *id as u32).collect();
         parse_ids.sort_unstable();
-        let parser = AdaptiveParser::new(ParserConfig::default());
+        let parser = AdaptiveParser;
         let (parse_results, parse_metrics) = run_stage(&exec, "parse", parse_ids, |id| {
             let blob = library.download(DocId(id)).ok_or_else(|| format!("doc {id} missing"))?;
             match parser.parse(blob) {

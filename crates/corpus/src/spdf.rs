@@ -19,7 +19,8 @@
 //! `flags & 1` marks an SPZ-compressed payload (`raw_len` = decompressed
 //! size). The strict reader validates everything; [`SpdfReader::salvage`]
 //! recovers what it can from damaged files, which is what gives the
-//! AdaParse-style engine in `mcqa-parse` a genuine fallback path.
+//! AdaParse-style engine in `mcqa-core`'s `parse` module a genuine
+//! fallback path.
 
 use mcqa_ontology::Topic;
 use serde::{Deserialize, Serialize};

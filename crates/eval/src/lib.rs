@@ -16,6 +16,14 @@
 //!   parallel, and grades them with the LLM judge.
 //! * [`results`] — Tables 2/3/4 and Figures 4/5/6, rendered in the
 //!   paper's layout with paper-vs-measured deltas.
+//!
+//! Retrieval reaches the stores only through `mcqa-serve`'s query service
+//! and the registry the pipeline output carries. This crate does not
+//! depend on `mcqa-index`, so it cannot name a backend:
+//!
+//! ```compile_fail,E0432
+//! use mcqa_index::FlatIndex;
+//! ```
 
 pub mod astro;
 pub mod protocol;

@@ -44,13 +44,6 @@ impl Source {
             Source::Traces(mode) => mode.db_name(),
         }
     }
-
-    /// The source's vector store out of a pipeline registry. Panics when
-    /// the store is missing — on the evaluation path that is a wiring
-    /// bug, never a condition to skip silently.
-    pub fn store(self, indexes: &mcqa_index::IndexRegistry) -> &dyn mcqa_index::VectorStore {
-        indexes.expect_store(self.store_name())
-    }
 }
 
 /// The passage texts behind every source's doc ids — what the serving
@@ -168,7 +161,7 @@ impl RetrievalBundle {
         // chunks (measured: −20 points of hit rate). A service-side failure
         // here (an unregistered store) is a wiring bug, not a skippable
         // condition.
-        let hits_per_source: [Vec<Vec<mcqa_index::SearchResult>>; 4] = Source::ALL.map(|source| {
+        let hits_per_source: [Vec<Vec<mcqa_util::SearchResult>>; 4] = Source::ALL.map(|source| {
             let reqs: Vec<QueryRequest> = items
                 .iter()
                 .map(|item| QueryRequest::text(source.store_name(), &item.stem, k).with_mode(mode))
@@ -395,7 +388,7 @@ mod tests {
                 .map(|i| QueryRequest::text(source.store_name(), &i.stem, k))
                 .collect();
             let served = service.query_batch(reqs);
-            let store = source.store(&out.indexes);
+            let store = out.indexes.expect_store(source.store_name());
             for (item, res) in out.items.iter().zip(served) {
                 let direct = store.search(&out.encoder.encode(&item.stem), k);
                 assert_eq!(res.expect("served").hits, direct, "{source:?}");
@@ -462,13 +455,5 @@ mod tests {
         }
         assert_eq!(Source::Chunks.store_name(), "chunks");
         assert_eq!(Source::Traces(TraceMode::Focused).store_name(), "traces-focused");
-    }
-
-    #[test]
-    #[should_panic(expected = "not registered")]
-    fn missing_store_is_a_loud_error() {
-        // `Source::store` must never silently skip an absent database.
-        let empty = mcqa_index::IndexRegistry::new();
-        Source::Chunks.store(&empty);
     }
 }

@@ -19,7 +19,7 @@
 //! freed per posting. [`LexicalIndex::add`] is a run of one document
 //! through the same two functions.
 //!
-//! Determinism contract (property-tested in `tests/bm25.rs` and in this
+//! Determinism contract (property-tested in `tests/lexical_bm25.rs` and in this
 //! module): a run's dictionary lists its terms in first-occurrence order
 //! and runs merge in item order, so a term new to the index is interned
 //! exactly when sequential insertion would have met it. Term ids, posting
@@ -35,7 +35,7 @@
 //! documents no longer use) scores bit-identically to one rebuilt from
 //! scratch over the live documents.
 //!
-//! Mutation surface (mirroring [`mcqa-index`'s](../index) `VectorStore`):
+//! Mutation surface (mirroring [`VectorStore`](crate::VectorStore)):
 //! [`LexicalIndex::remove`] tombstones documents by external id — their
 //! postings stay resident but are skipped, with `n`, `avgdl`, and each
 //! term's `df` corrected to the live view so scores match a live-only
@@ -168,7 +168,7 @@ impl Default for LexicalIndex {
 
 impl LexicalIndex {
     /// Serialisation magic tag.
-    pub const MAGIC: &'static [u8; 4] = b"LEXI";
+    pub(crate) const MAGIC: &'static [u8; 4] = b"LEXI";
 
     /// An empty index.
     pub fn new(params: Bm25Params) -> Self {
@@ -182,11 +182,6 @@ impl LexicalIndex {
             dead_count: 0,
             dead_tokens: 0,
         }
-    }
-
-    /// The BM25 parameters in use.
-    pub fn params(&self) -> Bm25Params {
-        self.params
     }
 
     /// Number of live (non-tombstoned) indexed documents.

@@ -1,11 +1,11 @@
-//! `mcqa-lexical` — the keyword retrieval channel.
+//! The keyword retrieval channel.
 //!
-//! Every source database in the pipeline is dense-only (hash-embedding
-//! vectors behind `mcqa-index`'s `VectorStore`). This crate adds the
+//! Every source database in the pipeline is dense (hash-embedding vectors
+//! behind [`VectorStore`](crate::VectorStore)). This module adds the
 //! lexical sibling each dense store pairs with, plus the layer that merges
 //! the two channels:
 //!
-//! * [`bm25`] — [`LexicalIndex`], an Okapi BM25 inverted index built on
+//! * [`LexicalIndex`] — an Okapi BM25 inverted index built on
 //!   `mcqa-text`'s **shared** tokenisation
 //!   ([`mcqa_text::for_each_content_token`] — there is exactly one
 //!   tokeniser in this workspace) and
@@ -24,7 +24,7 @@
 //! stores return — so fused lists are drop-in replacements anywhere a
 //! dense result list flows today.
 
-pub mod bm25;
+mod bm25;
 pub mod fusion;
 
 pub use bm25::{Bm25Params, LexicalIndex};

@@ -24,6 +24,9 @@
 //!   layout — header walk included — is known only to the module that
 //!   writes it; [`decode_store`] and [`peek_store_header`] just dispatch
 //!   on the magic tag.
+//! * [`lexical`] — the keyword channel: [`lexical::LexicalIndex`], the
+//!   BM25 sibling every dense store pairs with, and dense + lexical rank
+//!   fusion.
 //! * [`registry`] — a named multi-database registry (chunks + three trace
 //!   modes, like the paper's four FAISS stores), round-trippable to bytes.
 //!   Every entry, dense store or lexical sibling, sits in one lazy slot:
@@ -57,6 +60,7 @@
 
 pub mod flat;
 pub mod hnsw;
+pub mod lexical;
 pub mod list;
 pub mod metric;
 pub mod registry;

@@ -20,9 +20,8 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use mcqa_lexical::LexicalIndex;
-
 use crate::codec::{put_u32, Reader};
+use crate::lexical::LexicalIndex;
 use crate::{decode_store, peek_store_header, VectorStore};
 
 /// How one kind of registry entry is checked, decoded and encoded.

@@ -19,8 +19,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mcqa_lexical::fusion::rrf;
-use mcqa_lexical::{Bm25Params, LexicalIndex};
+use mcqa_index::lexical::fusion::rrf;
+use mcqa_index::lexical::{Bm25Params, LexicalIndex};
 use mcqa_runtime::Executor;
 use mcqa_text::content_tokens;
 use mcqa_util::{cmp_hits, SearchResult};

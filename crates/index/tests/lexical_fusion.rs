@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use mcqa_lexical::fusion::{rrf, weighted};
+use mcqa_index::lexical::fusion::{rrf, weighted};
 use mcqa_util::{cmp_hits, SearchResult};
 use proptest::prelude::*;
 

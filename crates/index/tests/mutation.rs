@@ -16,8 +16,8 @@
 use std::collections::BTreeMap;
 
 use mcqa_embed::Precision;
+use mcqa_index::lexical::{Bm25Params, LexicalIndex};
 use mcqa_index::{build_store_from_vectors, decode_store, IndexSpec, Metric};
-use mcqa_lexical::{Bm25Params, LexicalIndex};
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
 use proptest::prelude::*;

@@ -8,8 +8,8 @@
 //! or a pre-encoded vector, the retrieval depth `k`, and the retrieval
 //! mode.
 
+use mcqa_index::lexical::Fusion;
 use mcqa_index::SearchResult;
-use mcqa_lexical::Fusion;
 use serde::{Deserialize, Serialize};
 
 /// The query payload: raw text (the service encodes it) or a pre-encoded
@@ -43,7 +43,7 @@ pub enum QueryMode {
     /// BM25 search against the source's lexical sibling
     /// (`lex-<source>` in the registry).
     Lexical,
-    /// Both channels over-fetched to [`mcqa_lexical::fuse_depth`], fused
+    /// Both channels over-fetched to [`mcqa_index::lexical::fuse_depth`], fused
     /// to top-k, optionally rescored by the service's reranker.
     Hybrid {
         /// How the two candidate lists merge.
@@ -51,7 +51,7 @@ pub enum QueryMode {
         /// Rescore the fused top-k through the cross-encoder reranker.
         rerank: bool,
         /// Per-channel over-fetch multiplier before fusion; `0` selects
-        /// [`mcqa_lexical::DEFAULT_FUSE_DEPTH`].
+        /// [`mcqa_index::lexical::DEFAULT_FUSE_DEPTH`].
         depth: usize,
     },
 }

@@ -28,8 +28,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use mcqa_embed::{BioEncoder, EmbeddingCache};
+use mcqa_index::lexical::{fuse_depth, Fusion};
 use mcqa_index::IndexRegistry;
-use mcqa_lexical::{fuse_depth, Fusion};
 use mcqa_llm::Reranker;
 use mcqa_runtime::Executor;
 use mcqa_util::sort_hits;

@@ -13,8 +13,8 @@
 use std::sync::{Arc, OnceLock};
 
 use mcqa_embed::{BioEncoder, EmbedConfig, Precision};
+use mcqa_index::lexical::{fuse_depth, Fusion, LexicalIndex};
 use mcqa_index::{FlatIndex, IndexRegistry, Metric, VectorStore};
-use mcqa_lexical::{fuse_depth, Fusion, LexicalIndex};
 use mcqa_llm::{ModelEndpoint, Reranker, SimEndpoint};
 use mcqa_ontology::{Ontology, OntologyConfig};
 use mcqa_runtime::Executor;

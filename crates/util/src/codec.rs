@@ -3,8 +3,8 @@
 //! Every format is little-endian with a 4-byte magic tag; decoders return
 //! `None` on any truncation or tag mismatch rather than panicking, so
 //! corrupted artifacts are rejected loudly by the caller. The vector
-//! stores (`mcqa-index`) and the lexical index (`mcqa-lexical`) both
-//! serialise through these primitives.
+//! stores and the lexical index (both in `mcqa-index`) serialise through
+//! these primitives.
 
 /// A bounds-checked read cursor over serialised bytes.
 pub struct Reader<'a> {

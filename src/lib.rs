@@ -7,15 +7,15 @@
 //! This facade crate re-exports the whole workspace and offers a
 //! one-call convenience API. The subsystems:
 //!
-//! | Crate | Paper role |
+//! | Module | Paper role |
 //! |---|---|
 //! | [`ontology`] | the domain's ground-truth knowledge (replaces the 22k-document literature) |
 //! | [`corpus`] | synthetic papers/abstracts, the SPDF container, Semantic-Scholar-style acquisition |
-//! | [`parse`] | AdaParse-style adaptive parallel parsing |
+//! | [`parse`] | AdaParse-style adaptive parallel parsing (`core::parse`) |
 //! | [`text`] | tokenisation, sentence splitting, semantic chunking |
 //! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage |
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
-//! | [`lexical`] | the BM25 keyword channel + dense/lexical fusion (RRF, weighted) |
+//! | [`lexical`] | the BM25 keyword channel + dense/lexical fusion (RRF, weighted) (`index::lexical`) |
 //! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped fault-isolated stages, stage metrics |
 //! | [`llm`] | every model role behind one `ModelEndpoint` trait (batched completions, response cache, call ledger); the sim backend plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
 //! | [`serve`] | the in-process query service (admission control, dynamic micro-batching) |
@@ -35,14 +35,14 @@
 //! ```
 
 pub use mcqa_core as core;
+pub use mcqa_core::parse;
 pub use mcqa_corpus as corpus;
 pub use mcqa_embed as embed;
 pub use mcqa_eval as eval;
 pub use mcqa_index as index;
-pub use mcqa_lexical as lexical;
+pub use mcqa_index::lexical;
 pub use mcqa_llm as llm;
 pub use mcqa_ontology as ontology;
-pub use mcqa_parse as parse;
 pub use mcqa_runtime as runtime;
 pub use mcqa_serve as serve;
 pub use mcqa_text as text;
@@ -52,8 +52,8 @@ pub use mcqa_util as util;
 pub mod prelude {
     pub use mcqa_core::{Pipeline, PipelineConfig, PipelineOutput};
     pub use mcqa_eval::{AstroConfig, AstroExam, EvalConfig, EvalRun, Evaluator};
+    pub use mcqa_index::lexical::{Fusion, LexicalIndex};
     pub use mcqa_index::{IndexRegistry, IndexSpec, VectorStore};
-    pub use mcqa_lexical::{Fusion, LexicalIndex};
     pub use mcqa_llm::{
         answer::Condition, McqItem, ModelCard, ModelEndpoint, TraceMode, MODEL_CARDS,
     };
