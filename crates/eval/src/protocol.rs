@@ -138,7 +138,8 @@ pub struct Evaluator<'a> {
     /// same admission queue and micro-batching dispatcher online traffic
     /// uses, over the pipeline's own registry, encoder and executor. Both
     /// bundles share it, so a stem is encoded once however many sources
-    /// and bundles ask for it.
+    /// and bundles ask for it. It is private to this evaluator: a replay
+    /// is one dispatch, and it never queues ahead of online traffic.
     service: QueryService,
     report: Mutex<RunReport>,
     /// Snapshot of the report right after construction: the one-time

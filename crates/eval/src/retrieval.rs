@@ -152,10 +152,9 @@ impl RetrievalBundle {
 
         let retrieve_timer = mcqa_util::ScopeTimer::start("eval-retrieve");
 
-        // One flow-controlled replay per source database through the query
-        // service: requests ride the same bounded queue and micro-batching
-        // dispatcher as online traffic, and the dispatcher's grouped
-        // `search_batch` amortises decoded row panels across each batch.
+        // One replay per source database through the query service: each
+        // is one admission unit and one dispatch, so the dispatcher's
+        // grouped `search_batch` scans the store once for every stem.
         // Queries = the stems. Including the options would inject six
         // same-kind distractor names that pull retrieval toward unrelated
         // chunks (measured: −20 points of hit rate). A service-side failure
@@ -365,11 +364,12 @@ mod tests {
             RetrievalBundle::build_metered(out, &out.items, 5, QueryMode::Dense, &service);
         assert_eq!(b1.len(), b2.len());
         // Both bundles' searches rode the service: everything submitted was
-        // admitted (flow control) and answered.
+        // admitted and answered, one dispatch per (bundle, source) replay.
         let snap = service.shutdown();
         let expected = 2 * 4 * out.items.len() as u64;
         assert_eq!(snap.admitted, expected);
         assert_eq!(snap.served_ok, expected);
+        assert_eq!(snap.batches, 8);
     }
 
     #[test]

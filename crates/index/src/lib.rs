@@ -54,8 +54,9 @@
 //! the list store over a probed list — fetches rows in panels, scores
 //! each panel against its task's whole block of queries in register
 //! tiles ([`Metric::score_panel`]) with build-time-cached row norms, and
-//! streams candidates through bounded top-k heaps (one panel fetch per
-//! query block). The blocked paths are property-tested bit-identical to a
+//! streams candidates through bounded top-k heaps, gated by each heap's
+//! running k-th score (one panel fetch per query block). The blocked
+//! paths are property-tested bit-identical to a
 //! per-row scalar oracle (`tests/kernel.rs`).
 
 pub mod flat;

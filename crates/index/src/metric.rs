@@ -12,6 +12,10 @@
 use mcqa_util::kernel;
 use serde::{Deserialize, Serialize};
 
+/// Row norms [`Metric::score_panel`] roots per stack chunk: a whole panel
+/// at dim ≥ 256 (see `panel_rows`), 256 bytes of stack.
+const ROOT_CHUNK: usize = 64;
+
 /// A vector similarity metric. Scores are oriented so that **higher is
 /// more similar** for every variant (L2 is negated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,7 +60,10 @@ impl Metric {
     /// norms and caching the row norms turns Cosine into a dot product per
     /// pair without changing a single bit: the expression evaluated here
     /// is the one [`Metric::score`] evaluates, over a kernel with the same
-    /// accumulation order.
+    /// accumulation order. Each norm is rooted once per call — a query's
+    /// once per query, a row's once per row, never once per (query, row)
+    /// pair — and since `sqrt` is correctly rounded, `s / (qn * rn)` over
+    /// those roots is [`Metric::score`]'s bits.
     pub fn score_panel(
         self,
         queries: &[&[f32]],
@@ -71,10 +78,21 @@ impl Metric {
                 let rows = row_sq_norms.len();
                 assert_eq!(query_sq_norms.len(), queries.len(), "one norm per query");
                 assert_eq!(rows * queries.len(), out.len(), "one norm per row");
-                for (q, &q_sq) in query_sq_norms.iter().enumerate() {
-                    let qn = q_sq.sqrt();
-                    for (s, &nb) in out[q * rows..(q + 1) * rows].iter_mut().zip(row_sq_norms) {
-                        *s = if q_sq == 0.0 || nb == 0.0 { 0.0 } else { *s / (qn * nb.sqrt()) };
+                // Rows are rooted a stack chunk at a time, each once for the
+                // whole block of queries.
+                let mut roots = [0.0f32; ROOT_CHUNK];
+                for at in (0..rows).step_by(ROOT_CHUNK) {
+                    let norms = &row_sq_norms[at..(at + ROOT_CHUNK).min(rows)];
+                    let roots = &mut roots[..norms.len()];
+                    for (rn, &nb) in roots.iter_mut().zip(norms) {
+                        *rn = nb.sqrt();
+                    }
+                    for (q, &q_sq) in query_sq_norms.iter().enumerate() {
+                        let qn = q_sq.sqrt();
+                        let scores = &mut out[q * rows + at..][..norms.len()];
+                        for ((s, &nb), &rn) in scores.iter_mut().zip(norms).zip(&*roots) {
+                            *s = if q_sq == 0.0 || nb == 0.0 { 0.0 } else { *s / (qn * rn) };
+                        }
                     }
                 }
             }
@@ -145,10 +163,11 @@ mod tests {
                 })
                 .collect()
         };
-        // Seven rows and three queries: a row tail and an odd query, so
-        // every tile shape of the kernel takes part. Row 3 and query 1 are
-        // zero vectors (Cosine's defined-as-0 arm).
-        let mut rows: Vec<Vec<f32>> = (0..7).map(&mk).collect();
+        // A chunk of rooted norms plus seven rows, and three queries: a
+        // ragged root chunk, a row tail and an odd query, so every tile
+        // shape of the kernel takes part. Row 3 and query 1 are zero
+        // vectors (Cosine's defined-as-0 arm).
+        let mut rows: Vec<Vec<f32>> = (0..ROOT_CHUNK as u64 + 7).map(&mk).collect();
         rows[3] = vec![0.0; dim];
         let queries = [mk(1000), vec![0.0; dim], mk(1002)];
         let panel: Vec<f32> = rows.concat();

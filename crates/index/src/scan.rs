@@ -7,6 +7,14 @@
 //! `search` is the one-query block. However many queries a block holds —
 //! the evaluator hands a task thousands — a panel is fetched once and the
 //! score scratch stays `QUERY_SUB_BLOCK × panel rows` floats.
+//!
+//! Offering a score to a full top-k set costs a heap probe, and almost
+//! every score of a long scan loses it. So each query's set is gated by
+//! its running k-th score ([`TopK::floor`], kept in a local and refreshed
+//! after every push): a row is offered only when `!(score < floor)`. That
+//! skips exactly the pushes the heap would reject — a tie at the floor
+//! still enters on a smaller id, and NaN takes the ungated path — so the
+//! kept set is unchanged bit for bit.
 
 use mcqa_util::kernel;
 
@@ -42,8 +50,10 @@ impl<'q> QueryBlock<'q> {
     }
 
     /// Score one panel against every query of the block and offer each
-    /// query's top-k the live rows. `row_sq_norms`, `ids` and `dead` are
-    /// the panel's rows' columns, index-aligned with it.
+    /// query's top-k the live rows that reach its floor. `row_sq_norms`,
+    /// `ids` and `dead` are the panel's rows' columns, index-aligned with
+    /// it.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must pass the gate
     pub(crate) fn scan(
         &mut self,
         metric: Metric,
@@ -62,9 +72,11 @@ impl<'q> QueryBlock<'q> {
             let (queries, sq_norms) = (&self.queries[at..to], &self.sq_norms[at..to]);
             metric.score_panel(queries, sq_norms, panel, row_sq_norms, scores);
             for (topk, scores) in self.topks[at..to].iter_mut().zip(scores.chunks_exact(rows)) {
+                let mut floor = topk.floor();
                 for ((&score, &id), &dead) in scores.iter().zip(ids).zip(dead) {
-                    if !dead {
+                    if !(score < floor) && !dead {
                         topk.push(SearchResult { id, score });
+                        floor = topk.floor();
                     }
                 }
             }

@@ -177,6 +177,63 @@ fn all_ties_rank_by_ascending_id() {
     }
 }
 
+/// The scan offers a row to a full top-k set only if it reaches the set's
+/// running k-th score. A row that *ties* that score enters on a smaller
+/// id, and a tombstoned row never enters however well it scores. Here the
+/// best-scoring rows are all dead, the heap fills with ties under large
+/// ids, and ties with smaller ids arrive after it is full: the result must
+/// still be the oracle's, on every panel height and on the batched path.
+#[test]
+fn ties_at_the_kth_score_after_the_heap_fills_still_enter() {
+    const K: usize = 4;
+    let dim = 9; // a ragged lane tail
+    let query = vec![1.0f32; dim];
+    // Against `query`, strictly best > tie > every worse row under all
+    // three metrics: cosine 1 > 0.986 > ≤ 0.882, dot 9 > 8.5 > ≤ 7,
+    // −L2 0 > −0.25 > ≤ −2.
+    let best = query.clone();
+    let mut tie = query.clone();
+    tie[dim - 1] = 0.5;
+    let worse =
+        |j: usize| -> Vec<f32> { (0..dim).map(|i| if i < 8 - j { 1.0 } else { 0.0 }).collect() };
+    // (id, vector, tombstoned), in position order.
+    let mut rows: Vec<(u64, Vec<f32>, bool)> = Vec::new();
+    rows.extend((200..203).map(|id| (id, best.clone(), true)));
+    rows.extend((100..100 + K as u64).map(|id| (id, tie.clone(), false)));
+    rows.extend((1..=8).map(|j| (300 + j as u64, worse(j), false)));
+    rows.extend([7u64, 3, 5].map(|id| (id, tie.clone(), false)));
+    rows.push((0, tie.clone(), true));
+    rows.push((150, tie.clone(), false));
+    rows.push((1, best.clone(), true));
+    for metric in METRICS {
+        for precision in [Precision::F32, Precision::F16] {
+            let mut idx = FlatIndex::new(dim, metric, precision);
+            for (id, v, _) in &rows {
+                idx.add(*id, v);
+            }
+            let dead: Vec<u64> = rows.iter().filter(|r| r.2).map(|r| r.0).collect();
+            assert_eq!(idx.remove(&dead), dead.len());
+            let mut expect: Vec<SearchResult> = rows
+                .iter()
+                .filter(|r| !r.2)
+                .map(|(id, v, _)| SearchResult { id: *id, score: metric.score(&query, v) })
+                .collect();
+            mcqa_util::sort_hits(&mut expect);
+            expect.truncate(K);
+            let ids: Vec<u64> = expect.iter().map(|h| h.id).collect();
+            assert_eq!(ids, vec![3, 5, 7, 100], "{metric:?}/{precision:?}: the fixture's premise");
+            // Nine queries in one block: two 4×2 groups and a lone query.
+            let queries = vec![query.clone(); 9];
+            for block_rows in [1usize, 2, 3, 5, 8, rows.len()] {
+                let got = idx.search_blocked(&query, K, block_rows);
+                assert_eq!(got, expect, "{metric:?}/{precision:?} block={block_rows}");
+                let batched = idx.search_batch_blocked(exec(), &queries, K, block_rows, 9);
+                assert!(batched.iter().all(|hits| *hits == expect), "{metric:?}/{precision:?}");
+            }
+        }
+    }
+}
+
 /// Degenerate shapes stay total on the blocked paths.
 #[test]
 fn degenerate_blocked_shapes() {

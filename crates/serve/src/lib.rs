@@ -16,10 +16,12 @@
 //!   [`ServeError`] taxonomy, mirroring the model layer's
 //!   `ModelRequest`/`ModelResponse` redesign.
 //! * [`service`] — [`QueryService`]: non-blocking admission with defined
-//!   backpressure ([`ServeError::Saturated`]), deadline-free dispatch of
-//!   at most [`ServeConfig::max_batch`] queued requests, per-request
-//!   oneshot replies ([`QueryTicket`]), and graceful shutdown that drains
-//!   every admitted request exactly once.
+//!   backpressure ([`ServeError::Saturated`]), deadline-free dispatch that
+//!   coalesces queued submissions up to [`ServeConfig::max_batch`]
+//!   requests, a replay ([`QueryService::query_batch`]) admitted and
+//!   dispatched as one unit, per-request oneshot replies
+//!   ([`QueryTicket`]), and graceful shutdown that drains every admitted
+//!   request exactly once.
 //! * [`stats`] — the [`ServiceStats`] ledger: admitted/rejected/served
 //!   counters, a batch-size histogram and per-stage (queue/encode/search)
 //!   time accounting.

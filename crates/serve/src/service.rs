@@ -2,12 +2,13 @@
 //! → per-request oneshot replies.
 //!
 //! ```text
-//!  callers ──try_send──▶ [bounded queue] ──▶ dispatcher thread
-//!     ▲                     (reject when        │  block for one request,
-//!     │                      full: defined      │  take what else is queued
-//!     │                      backpressure)      │  (≤ max_batch), dispatch
-//!     └───── oneshot ◀── reply per request ◀────┘  group by (source, k, mode)
-//!                                                  encode → search_batch
+//!  submit      ── 1 request ──┐
+//!                             ├─try_send─▶ [bounded queue] ──▶ dispatcher thread
+//!  query_batch ── n requests ─┘  (full: submit       │  block for one unit, then
+//!     ▲            as one unit    rejects, a replay  │  take queued units while it
+//!     │                           yields, retries)   │  holds < max_batch requests;
+//!     └───────── oneshot ◀── reply per request ◀─────┘  group by (source, k, mode):
+//!                                                       encode → search_batch
 //! ```
 //!
 //! The dispatcher is one thread; parallelism comes from the [`Executor`]
@@ -16,13 +17,15 @@
 //! arrivals queue while the previous batch is in service, so batch size
 //! tracks load by itself and a lone request is a batch of one. Coalescing
 //! exists to feed that kernel — a group's queries share one pass over the
-//! store's row panels instead of one pass each. Results are bit-identical
-//! to direct per-query searches — batching changes the schedule, never the
-//! answer.
+//! store's row panels instead of one pass each. For the same reason a
+//! replay ([`QueryService::query_batch`]) is admitted and dispatched as
+//! one unit, however long: its queries scan each store once, not once per
+//! `max_batch` of them. Results are bit-identical to direct per-query
+//! searches — batching changes the schedule, never the answer.
 //!
 //! [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
@@ -77,11 +80,14 @@ impl PassageStore {
 /// Service tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Admission queue capacity; submissions beyond it fail with
+    /// Admission queue capacity, in submissions (a replay is one); a
+    /// [`QueryService::submit`] beyond it fails with
     /// [`ServeError::Saturated`] instead of blocking.
     pub queue_capacity: usize,
-    /// Micro-batch ceiling: the most already-queued requests one dispatch
-    /// takes. `1` disables coalescing (one request at a time).
+    /// Coalescing ceiling: a dispatch takes further queued submissions
+    /// only while it holds fewer than this many requests. `1` disables
+    /// coalescing (one submission at a time). A replay is one submission,
+    /// so it is never split, and it may carry more requests than this.
     pub max_batch: usize,
 }
 
@@ -91,12 +97,26 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued request: the envelope plus its admission timestamp and the
-/// oneshot reply channel.
+/// One queued request: the envelope plus its submission timestamp (a
+/// replay's wait for queue space counts as queueing) and the oneshot
+/// reply channel. The queue carries `Vec<Pending>`: one request from
+/// [`QueryService::submit`], a whole replay from
+/// [`QueryService::query_batch`].
 struct Pending {
     req: QueryRequest,
     admitted: Instant,
     reply: SyncSender<Result<QueryResponse, ServeError>>,
+}
+
+/// One admission unit over `reqs`, and a ticket per request, index-aligned.
+fn pend(reqs: Vec<QueryRequest>) -> (Vec<Pending>, Vec<QueryTicket>) {
+    let admitted = Instant::now();
+    reqs.into_iter()
+        .map(|req| {
+            let (reply, rx) = sync_channel(1);
+            (Pending { req, admitted, reply }, QueryTicket { rx })
+        })
+        .unzip()
 }
 
 /// A claim on a submitted request's eventual response.
@@ -125,7 +145,7 @@ impl QueryTicket {
 /// (or drop) stops admitting, drains every already-admitted request, and
 /// joins the thread — in-flight work is never abandoned.
 pub struct QueryService {
-    tx: RwLock<Option<SyncSender<Pending>>>,
+    tx: RwLock<Option<SyncSender<Vec<Pending>>>>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     stats: Arc<ServiceStats>,
     config: ServeConfig,
@@ -159,7 +179,7 @@ impl QueryService {
     ) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
         assert!(config.max_batch > 0, "batch ceiling must be nonzero");
-        let (tx, rx) = sync_channel::<Pending>(config.queue_capacity);
+        let (tx, rx) = sync_channel::<Vec<Pending>>(config.queue_capacity);
         let stats = Arc::new(ServiceStats::new());
         let dispatcher = Dispatcher {
             registry,
@@ -186,72 +206,62 @@ impl QueryService {
     /// [`ServeError::Saturated`] immediately (the backpressure contract),
     /// a draining service returns [`ServeError::ShuttingDown`].
     pub fn submit(&self, req: QueryRequest) -> Result<QueryTicket, ServeError> {
-        self.try_submit(req).map_err(|(e, _)| e)
+        let (unit, mut tickets) = pend(vec![req]);
+        match self.try_send(unit) {
+            Ok(()) => Ok(tickets.pop().expect("one request, one ticket")),
+            Err((err @ ServeError::Saturated { .. }, _)) => {
+                self.stats.reject();
+                Err(err)
+            }
+            Err((err, _)) => Err(err),
+        }
     }
 
-    /// [`QueryService::submit`], returning the request on failure so
-    /// flow-controlled callers can retry without cloning.
-    #[allow(clippy::result_large_err)] // the Err *is* the returned request
-    fn try_submit(&self, req: QueryRequest) -> Result<QueryTicket, (ServeError, QueryRequest)> {
+    /// Offer one admission unit to the queue, handing it back when the
+    /// queue refuses it.
+    #[allow(clippy::result_large_err)] // the Err carries the unit back
+    fn try_send(&self, unit: Vec<Pending>) -> Result<(), (ServeError, Vec<Pending>)> {
         let guard = self.tx.read().unwrap_or_else(PoisonError::into_inner);
         let Some(tx) = guard.as_ref() else {
-            return Err((ServeError::ShuttingDown, req));
+            return Err((ServeError::ShuttingDown, unit));
         };
-        let (reply, rx) = sync_channel(1);
-        match tx.try_send(Pending { req, admitted: Instant::now(), reply }) {
+        let n = unit.len() as u64;
+        match tx.try_send(unit) {
             Ok(()) => {
-                self.stats.admit();
-                Ok(QueryTicket { rx })
+                self.stats.admit(n);
+                Ok(())
             }
-            Err(TrySendError::Full(p)) => {
-                self.stats.reject();
-                Err((ServeError::Saturated { capacity: self.config.queue_capacity }, p.req))
+            Err(TrySendError::Full(unit)) => {
+                Err((ServeError::Saturated { capacity: self.config.queue_capacity }, unit))
             }
-            Err(TrySendError::Disconnected(p)) => Err((ServeError::ShuttingDown, p.req)),
+            Err(TrySendError::Disconnected(unit)) => Err((ServeError::ShuttingDown, unit)),
         }
     }
 
-    /// Replay a whole request list through the service with flow control,
-    /// returning responses index-aligned with `reqs`.
+    /// Replay a whole request list through the service, returning
+    /// responses index-aligned with `reqs`.
     ///
-    /// This is the batch-eval path: when admission saturates, the caller
-    /// waits for its own oldest in-flight ticket instead of dropping the
-    /// request, so a replay larger than the queue completes without load
-    /// shedding — while still exercising the same admission queue and
-    /// micro-batching as online traffic.
+    /// This is the batch-eval path. The replay is one admission unit and
+    /// one dispatch: its requests for one (source, k, mode) share a single
+    /// [`VectorStore::search_batch`] however many there are, so each store
+    /// is scanned once per replay. The unit is never shed: while the queue
+    /// is full the caller yields and retries, so the replay waits behind
+    /// other submissions rather than failing. A draining service answers
+    /// every request with [`ServeError::ShuttingDown`].
+    ///
+    /// [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
     pub fn query_batch(&self, reqs: Vec<QueryRequest>) -> Vec<Result<QueryResponse, ServeError>> {
-        let n = reqs.len();
-        let mut results: Vec<Option<Result<QueryResponse, ServeError>>> =
-            std::iter::repeat_with(|| None).take(n).collect();
-        let mut pending: VecDeque<(usize, QueryTicket)> = VecDeque::new();
-        for (i, mut req) in reqs.into_iter().enumerate() {
-            loop {
-                match self.try_submit(req) {
-                    Ok(ticket) => {
-                        pending.push_back((i, ticket));
-                        break;
-                    }
-                    Err((ServeError::Saturated { .. }, r)) => {
-                        req = r;
-                        match pending.pop_front() {
-                            // Drain our own oldest in-flight request; by the
-                            // time it answered, queue space has turned over.
-                            Some((j, ticket)) => results[j] = Some(ticket.wait()),
-                            // Saturated by other clients: back off and retry.
-                            None => std::thread::yield_now(),
-                        }
-                    }
-                    Err((e, _)) => {
-                        results[i] = Some(Err(e));
-                        break;
-                    }
-                }
-            }
+        if reqs.is_empty() {
+            return Vec::new();
         }
-        for (j, ticket) in pending {
-            results[j] = Some(ticket.wait());
+        let (mut unit, tickets) = pend(reqs);
+        while let Err((ServeError::Saturated { .. }, back)) = self.try_send(unit) {
+            unit = back;
+            std::thread::yield_now();
         }
-        results.into_iter().map(|r| r.expect("every request resolved")).collect()
+        // Admitted, or refused for good: a refused unit has dropped its
+        // reply channels, so every ticket then reads `ShuttingDown`.
+        tickets.into_iter().map(QueryTicket::wait).collect()
     }
 
     /// A point-in-time ledger snapshot.
@@ -313,17 +323,20 @@ fn mode_key(mode: &QueryMode) -> ModeKey {
 }
 
 impl Dispatcher {
-    fn run(self, rx: Receiver<Pending>) {
+    fn run(self, rx: Receiver<Vec<Pending>>) {
         // The dispatcher's own query-encode cache: repeated text queries
         // (hot questions, replayed benchmarks) skip the encoder entirely.
         let cache = self.encoder.as_ref().map(EmbeddingCache::new);
-        // Continuous batching: block for the batch's first request (a
+        // Continuous batching: block for the batch's first unit (a
         // disconnected, empty queue is the drain-complete signal), take
-        // whatever else is already queued, dispatch. No timer — the next
-        // batch forms in the queue while this one is in service.
-        while let Ok(first) = rx.recv() {
-            let mut batch = vec![first];
-            batch.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(self.config.max_batch - 1));
+        // further queued units while the batch holds fewer than
+        // `max_batch` requests, dispatch. No timer — the next batch forms
+        // in the queue while this one is in service.
+        while let Ok(mut batch) = rx.recv() {
+            while batch.len() < self.config.max_batch {
+                let Ok(unit) = rx.try_recv() else { break };
+                batch.extend(unit);
+            }
             self.process(batch, cache.as_ref());
         }
     }

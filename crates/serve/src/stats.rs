@@ -42,8 +42,8 @@ impl ServiceStats {
         Self::default()
     }
 
-    pub(crate) fn admit(&self) {
-        self.admitted.fetch_add(1, Relaxed);
+    pub(crate) fn admit(&self, requests: u64) {
+        self.admitted.fetch_add(requests, Relaxed);
     }
 
     pub(crate) fn reject(&self) {
@@ -168,9 +168,8 @@ mod tests {
     #[test]
     fn snapshot_derives() {
         let s = ServiceStats::new();
-        for _ in 0..10 {
-            s.admit();
-        }
+        s.admit(1);
+        s.admit(9); // a replay is one unit of nine requests
         s.reject();
         s.record_batch(4);
         s.record_batch(6);

@@ -244,29 +244,23 @@ fn hybrid_depths_beyond_32_bits_are_not_grouped_together() {
     let fusion = Fusion::default();
     let depths = [1usize, (1 << 32) + 1];
     let texts: Vec<String> = (0..16).map(query_text).collect();
-    // Consecutive requests alternate depth, so any micro-batch of two or
-    // more carries both. Batches form while the dispatcher is in service;
-    // replay until one was observed.
-    let coalesced = (0..50).any(|_| {
-        let service = start_service(1, 64);
-        let reqs = texts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let mode = QueryMode::Hybrid { fusion, rerank: false, depth: depths[i % 2] };
-                QueryRequest::text("chunks", t, K).with_mode(mode)
-            })
-            .collect();
-        let mut shared_a_batch = false;
-        for (i, res) in service.query_batch(reqs).into_iter().enumerate() {
-            let resp = res.expect("served");
-            let want = offline_hybrid(&texts[i], fusion, false, depths[i % 2], K);
-            assert_eq!(resp.hits, want, "request {i} at depth {}", depths[i % 2]);
-            shared_a_batch |= resp.batch >= 2;
-        }
-        shared_a_batch
-    });
-    assert!(coalesced, "no replay ever coalesced two requests");
+    // Consecutive requests alternate depth, and a replay is one dispatch,
+    // so one micro-batch carries both depths.
+    let service = start_service(1, 64);
+    let reqs = texts
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let mode = QueryMode::Hybrid { fusion, rerank: false, depth: depths[i % 2] };
+            QueryRequest::text("chunks", t, K).with_mode(mode)
+        })
+        .collect();
+    for (i, res) in service.query_batch(reqs).into_iter().enumerate() {
+        let resp = res.expect("served");
+        assert_eq!(resp.batch, texts.len(), "request {i} rode the one dispatch");
+        let want = offline_hybrid(&texts[i], fusion, false, depths[i % 2], K);
+        assert_eq!(resp.hits, want, "request {i} at depth {}", depths[i % 2]);
+    }
 }
 
 /// Mode × defect → error, every row through the front door. `None` means

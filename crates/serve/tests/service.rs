@@ -147,7 +147,8 @@ proptest! {
             registry().clone(),
             None,
             Executor::new(2),
-            // Capacity below n: exercises the flow-controlled retry path.
+            // Capacity and batch ceiling below n: the replay is one unit
+            // all the same, so it is neither refused nor split.
             ServeConfig { queue_capacity: 4, max_batch: 4 },
         );
         let results = service.query_batch(reqs.clone());
@@ -175,7 +176,9 @@ proptest! {
             }
         }
         let snap = service.stats();
-        prop_assert_eq!(snap.served(), snap.admitted, "flow control loses nothing");
+        prop_assert_eq!(snap.admitted, n as u64);
+        prop_assert_eq!(snap.served(), snap.admitted, "the replay loses nothing");
+        prop_assert_eq!(snap.batches, 1, "one replay, one dispatch");
     }
 
     /// Shutdown drains: every admitted request resolves exactly once even
@@ -337,6 +340,78 @@ fn backlog_rides_the_next_dispatch_together() {
         assert_eq!(snap.fast_path_hits, 1, "only the holder travelled alone");
         assert_eq!(snap.batch_hist.iter().copied().sum::<u64>(), snap.batches);
     }
+}
+
+/// A replay is one admission unit and one dispatch, however many requests
+/// it carries: more than the queue holds and three times the coalescing
+/// ceiling still leave together, and each store is searched once.
+#[test]
+fn a_replay_on_an_idle_service_is_one_dispatch() {
+    const MAX_BATCH: usize = 8;
+    let n = 3 * MAX_BATCH;
+    let service = QueryService::start(
+        registry().clone(),
+        None,
+        Executor::new(2),
+        ServeConfig { queue_capacity: 2, max_batch: MAX_BATCH },
+    );
+    let reqs = requests(n, 5, 4);
+    let results = service.query_batch(reqs.clone());
+    assert_eq!(results.len(), n);
+    for (i, (req, res)) in reqs.iter().zip(results).enumerate() {
+        let resp = res.expect("served");
+        assert_eq!(resp.batch, n, "request {i}");
+        assert_eq!(resp.hits, direct_hits(req), "request {i}");
+    }
+    let snap = service.shutdown();
+    assert_eq!(snap.batches, 1);
+    assert_eq!(snap.admitted, n as u64);
+    assert_eq!(snap.served_ok, n as u64);
+    assert_eq!(snap.rejected, 0);
+}
+
+/// A replay that meets a full queue is not shed: it waits behind the held
+/// dispatch and the queued submission, then is served in full.
+#[test]
+fn a_replay_waits_out_a_full_queue() {
+    let gate = Arc::new(Barrier::new(2));
+    let mut reg = stores();
+    let mut held = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
+    held.add(0, &vector(1));
+    reg.insert("held", Box::new(GatedStore { inner: held, gate: gate.clone() }));
+    let service = QueryService::start(
+        Arc::new(reg),
+        None,
+        Executor::new(2),
+        ServeConfig { queue_capacity: 1, max_batch: 4 },
+    );
+    let holder = service.submit(QueryRequest::vector("held", vector(2), 1)).expect("admitted");
+    gate.wait(); // the dispatcher is inside the holder's search
+    let filler = service.submit(QueryRequest::vector("chunks", vector(3), 2)).expect("admitted");
+    match service.submit(QueryRequest::vector("chunks", vector(4), 2)) {
+        Err(ServeError::Saturated { capacity: 1 }) => {}
+        other => panic!("the queue should be full, got {other:?}"),
+    }
+    let reqs = requests(10, 9, 3);
+    let results = std::thread::scope(|s| {
+        let replay = s.spawn(|| service.query_batch(reqs.clone()));
+        // While the filler holds the queue and the holder the dispatcher,
+        // the replay can be neither admitted nor served, however long it
+        // has been trying; the pause only gives it time to try.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!replay.is_finished(), "a replay must wait for queue space");
+        gate.wait(); // release the holder
+        replay.join().expect("replay thread")
+    });
+    assert_eq!(holder.wait().expect("served").batch, 1);
+    filler.wait().expect("served");
+    for (i, (req, res)) in reqs.iter().zip(results).enumerate() {
+        assert_eq!(res.expect("served").hits, direct_hits(req), "request {i}");
+    }
+    let snap = service.shutdown();
+    assert_eq!(snap.admitted, 1 + 1 + reqs.len() as u64);
+    assert_eq!(snap.served(), snap.admitted);
+    assert_eq!(snap.rejected, 1, "only the online submission was shed");
 }
 
 /// With a capacity-1 queue and a busy dispatcher, a rapid burst must see

@@ -85,6 +85,21 @@ impl TopK {
         }
     }
 
+    /// The score a candidate must reach to have a chance of entering: `-∞`
+    /// until `k` hits are kept, then the worst kept score (`+∞` at
+    /// `k = 0`, where nothing enters). [`TopK::push`] rejects anything
+    /// scoring below it, so a scan may skip those pushes — but a candidate
+    /// *at* the floor still enters on a smaller id, so the gate is
+    /// `!(score < floor)`, which also sends NaN down the ungated path.
+    #[inline]
+    pub fn floor(&self) -> f32 {
+        if self.heap.len() < self.k {
+            f32::NEG_INFINITY
+        } else {
+            self.heap.peek().map_or(f32::INFINITY, |worst| worst.0.score)
+        }
+    }
+
     /// The kept hits, best first.
     pub fn into_sorted(self) -> Vec<SearchResult> {
         let mut hits: Vec<SearchResult> = self.heap.into_iter().map(|w| w.0).collect();
@@ -97,16 +112,20 @@ impl TopK {
 mod tests {
     use super::*;
 
+    /// Duplicate scores, duplicate (score, id) pairs, ascending and
+    /// descending runs.
+    fn adversarial_stream() -> Vec<SearchResult> {
+        (0..200u64)
+            .map(|i| SearchResult { id: i % 40, score: ((i * 7919) % 23) as f32 / 23.0 })
+            .collect()
+    }
+
+    const KS: [usize; 7] = [0, 1, 3, 5, 40, 200, 500];
+
     #[test]
     fn topk_equals_sort_then_truncate() {
-        // Adversarial stream: duplicate scores, duplicate (score, id)
-        // pairs, ascending and descending runs.
-        let mut hits = Vec::new();
-        for i in 0..200u64 {
-            let score = ((i * 7919) % 23) as f32 / 23.0;
-            hits.push(SearchResult { id: i % 40, score });
-        }
-        for k in [0usize, 1, 3, 5, 40, 200, 500] {
+        let hits = adversarial_stream();
+        for k in KS {
             let mut oracle = hits.clone();
             sort_hits(&mut oracle);
             oracle.truncate(k);
@@ -115,6 +134,50 @@ mod tests {
                 topk.push(*h);
             }
             assert_eq!(topk.into_sorted(), oracle, "k={k}");
+        }
+    }
+
+    #[test]
+    fn floor_is_the_kth_best_score_once_k_are_kept() {
+        assert_eq!(TopK::new(0).floor(), f32::INFINITY, "k = 0 admits nothing");
+        let hits = adversarial_stream();
+        for k in KS.into_iter().filter(|&k| k > 0) {
+            let mut topk = TopK::new(k);
+            for (n, h) in hits.iter().enumerate() {
+                topk.push(*h);
+                let mut kept = hits[..=n].to_vec();
+                sort_hits(&mut kept);
+                let expect = if n + 1 < k { f32::NEG_INFINITY } else { kept[k - 1].score };
+                assert_eq!(
+                    topk.floor().to_bits(),
+                    expect.to_bits(),
+                    "k={k} after {} pushes",
+                    n + 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // the gate under test
+    fn gated_pushes_keep_what_ungated_pushes_keep() {
+        let hits = adversarial_stream();
+        for k in KS {
+            let mut ungated = TopK::new(k);
+            let mut gated = TopK::new(k);
+            let mut skipped = 0;
+            for h in &hits {
+                ungated.push(*h);
+                if !(h.score < gated.floor()) {
+                    gated.push(*h);
+                } else {
+                    skipped += 1;
+                }
+            }
+            assert_eq!(gated.into_sorted(), ungated.into_sorted(), "k={k}");
+            if (1..hits.len()).contains(&k) {
+                assert!(skipped > 0, "k={k}: the gate never fired");
+            }
         }
     }
 }
