@@ -2,11 +2,10 @@
 
 use mcqa_corpus::DocId;
 use mcqa_ontology::FactId;
-use serde::{Deserialize, Serialize};
 
 /// One semantic chunk, with provenance back to its document and the facts
 /// its text states (resolved through the corpus mention oracle).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkRecord {
     /// Corpus-wide chunk id (stable: `doc_id << 16 | per-doc index`).
     pub chunk_id: u64,

@@ -5,10 +5,9 @@ use mcqa_embed::EmbedConfig;
 use mcqa_index::IndexSpec;
 use mcqa_ontology::OntologyConfig;
 use mcqa_text::ChunkerConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the whole benchmark-generation pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Master seed: every stage derives its own stream from it.
     pub seed: u64,
@@ -123,22 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let c = PipelineConfig::tiny(3);
-        let s = serde_json::to_string(&c).unwrap();
-        let back: PipelineConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
     fn index_backend_is_a_config_choice() {
-        // Flat is the exact default; ANN backends swap in by value, and
-        // the choice survives serialisation (it is part of provenance).
+        // Flat is the exact default; ANN backends swap in by value.
         let mut c = PipelineConfig::default();
         assert_eq!(c.index, IndexSpec::Flat);
         c.index = IndexSpec::parse("hnsw").unwrap();
-        let back: PipelineConfig =
-            serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-        assert_eq!(back.index.label(), "hnsw");
+        assert_eq!(c.index.label(), "hnsw");
     }
 }

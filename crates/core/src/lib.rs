@@ -24,7 +24,10 @@
 //! * [`parse`] — the AdaParse-style adaptive parser the `parse` stage
 //!   runs over every downloaded blob.
 //! * [`schema`] — the Figure-2 question record and Figure-3 trace record
-//!   JSON schemas, serialisable to JSONL artifacts.
+//!   JSON schemas. They serialise (write-only: nothing parses them back)
+//!   through [`schema::to_jsonl_document`] into JSONL artifacts, and through
+//!   `serde_json::to_string` into the golden hashes and `repro`'s output.
+//!   They are this crate's only serde types.
 //! * [`pipeline`] — the orchestrated workflow over `mcqa-runtime`, ending
 //!   in a [`pipeline::PipelineOutput`] that the evaluation crate consumes.
 

@@ -168,4 +168,25 @@ mod tests {
         )]);
         assert!(matches!(parse_with(ParseStrategy::Thorough, &meta_only), Err(ParseError::NoText)));
     }
+
+    #[test]
+    fn hostile_metadata_still_parses_without_meta() {
+        let deep = "[".repeat(200_000);
+        for (title, keywords) in
+            [(r#""\ud800\u0041""#, "[]"), (r#""\ud800\uffff""#, "[]"), (r#""t""#, deep.as_str())]
+        {
+            let meta = format!(
+                r#"{{"id":1,"kind":"paper","title":{title},"authors":[],"year":2020,"venue":"v","topic":"DnaRepair","keywords":{keywords}}}"#
+            );
+            let b = SpdfWriter::write_objects(&[
+                (ObjectKind::Meta, meta.as_bytes()),
+                (ObjectKind::Text, b"Results\n\nThe kinase binds. The repair follows."),
+            ]);
+            for s in ESCALATION {
+                let doc = parse_with(s, &b).unwrap_or_else(|e| panic!("{s:?}: {e}"));
+                assert!(doc.meta.is_none(), "{s:?}: {title}");
+                assert_eq!(doc.sections.len(), 1, "{s:?}");
+            }
+        }
+    }
 }

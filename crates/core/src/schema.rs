@@ -8,10 +8,10 @@
 
 use mcqa_llm::TraceMode;
 use mcqa_ontology::{FactId, Topic};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Provenance of a generated question (Figure 2's lineage block).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Provenance {
     /// Source chunk id.
     pub chunk_id: u64,
@@ -26,7 +26,7 @@ pub struct Provenance {
 }
 
 /// Quality-control block (Figure 2's `quality` object).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QualityBlock {
     /// Judge score, 1–10.
     pub score: u8,
@@ -37,7 +37,7 @@ pub struct QualityBlock {
 }
 
 /// The Figure-2 question record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuestionRecord {
     /// Benchmark-wide question id.
     pub question_id: u64,
@@ -62,20 +62,8 @@ pub struct QuestionRecord {
     pub quality: QualityBlock,
 }
 
-impl QuestionRecord {
-    /// Serialise as a JSONL line.
-    pub fn to_jsonl(&self) -> String {
-        serde_json::to_string(self).expect("record serialises")
-    }
-
-    /// Parse a JSONL line.
-    pub fn from_jsonl(line: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(line)
-    }
-}
-
 /// The Figure-3 reasoning-trace record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceRecord {
     /// Trace id (unique across modes).
     pub trace_id: u64,
@@ -94,16 +82,6 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Serialise as a JSONL line.
-    pub fn to_jsonl(&self) -> String {
-        serde_json::to_string(self).expect("record serialises")
-    }
-
-    /// Parse a JSONL line.
-    pub fn from_jsonl(line: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(line)
-    }
-
     /// The fact id as a typed id.
     pub fn fact(&self) -> FactId {
         FactId(self.fact_id)
@@ -144,16 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn question_jsonl_roundtrip() {
-        let q = sample_question();
-        let line = q.to_jsonl();
-        assert!(!line.contains('\n'));
-        assert_eq!(QuestionRecord::from_jsonl(&line).unwrap(), q);
-    }
-
-    #[test]
     fn question_schema_has_figure2_fields() {
-        let v: serde_json::Value = serde_json::from_str(&sample_question().to_jsonl()).unwrap();
+        let line = serde_json::to_string(&sample_question()).unwrap();
+        assert!(!line.contains('\n'));
+        let v: serde_json::Value = serde_json::from_str(&line).unwrap();
         for field in [
             "question_id",
             "question",
@@ -173,7 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_jsonl_roundtrip_and_fields() {
+    fn trace_schema_has_figure3_fields() {
         let t = TraceRecord {
             trace_id: 3,
             question_id: 17,
@@ -183,12 +155,12 @@ mod tests {
             answer_excluded: true,
             fact_id: 99,
         };
-        let line = t.to_jsonl();
-        assert_eq!(TraceRecord::from_jsonl(&line).unwrap(), t);
-        let v: serde_json::Value = serde_json::from_str(&line).unwrap();
+        let v: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
         for field in ["trace_id", "question_id", "mode", "trace", "answer_excluded"] {
             assert!(v.get(field).is_some(), "missing {field}");
         }
+        assert_eq!(v["mode"].as_str(), Some("Focused"));
         assert_eq!(t.fact(), FactId(99));
     }
 
@@ -197,7 +169,8 @@ mod tests {
         let doc = to_jsonl_document(&[sample_question(), sample_question()]);
         assert_eq!(doc.lines().count(), 2);
         for line in doc.lines() {
-            assert!(QuestionRecord::from_jsonl(line).is_ok());
+            let v: serde_json::Value = serde_json::from_str(line).unwrap();
+            assert_eq!(v["question_id"].as_u64(), Some(17));
         }
     }
 }

@@ -10,14 +10,13 @@
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 
 use crate::doc::{DocId, DocKind, Document};
 use crate::spdf::SpdfWriter;
 use crate::synth::{synthesize, SynthConfig};
 
 /// How a blob was damaged (if at all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Corruption {
     /// Intact file.
     None,
@@ -30,7 +29,7 @@ pub enum Corruption {
 }
 
 /// Acquisition configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcquisitionConfig {
     /// Seed for corruption and library assembly.
     pub seed: u64,

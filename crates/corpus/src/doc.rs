@@ -2,17 +2,16 @@
 
 use mcqa_ontology::FactId;
 use mcqa_ontology::Topic;
-use serde::{Deserialize, Serialize};
 
 /// Stable document identifier within one corpus library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
 
 /// Whether a document is a full paper or only an abstract.
 ///
 /// The paper's corpus mixes 14,115 open-access full texts with 8,433
 /// abstract-only records from Semantic Scholar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DocKind {
     /// Full text with all sections.
     FullPaper,
@@ -21,7 +20,7 @@ pub enum DocKind {
 }
 
 /// One section of a document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Section {
     /// Section heading ("Abstract", "Introduction", ...).
     pub title: String,
@@ -42,7 +41,7 @@ impl Section {
 ///
 /// This is the oracle that makes end-to-end provenance *testable*: a chunk
 /// supports a fact iff it contains one of the fact's mention sentences.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactMention {
     /// The mentioned fact.
     pub fact: FactId,
@@ -53,7 +52,7 @@ pub struct FactMention {
 }
 
 /// A complete logical document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Document {
     /// Library-local id.
     pub id: DocId,
@@ -182,13 +181,5 @@ mod tests {
             paragraphs: vec![vec!["A.".into(), "B.".into()], vec!["C.".into()]],
         };
         assert_eq!(s.text(), "A. B.\n\nC.");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let d = tiny_doc();
-        let s = serde_json::to_string(&d).unwrap();
-        let back: Document = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, d);
     }
 }

@@ -38,7 +38,7 @@ pub const VERSION: u16 = 1;
 const MAX_OBJECT_BYTES: usize = 16 << 20;
 
 /// The type of an SPDF object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectKind {
     /// JSON document metadata.
     Meta,
@@ -493,5 +493,37 @@ mod tests {
         let bytes = SpdfWriter::write_objects(&[]);
         let back = SpdfReader::read(&bytes).unwrap();
         assert!(back.is_empty());
+    }
+
+    #[test]
+    fn metadata_roundtrips_every_topic() {
+        let mut doc = sample_doc();
+        for t in Topic::ALL {
+            doc.topic = t;
+            let objects = SpdfReader::read(&SpdfWriter::write_document(&doc)).unwrap();
+            assert_eq!(SpdfReader::metadata(&objects).unwrap().topic, t);
+        }
+    }
+
+    /// A Meta object whose `title` and `keywords` are spliced in as raw JSON.
+    fn meta_objects(title: &str, keywords: &str) -> Vec<SpdfObject> {
+        let json = format!(
+            r#"{{"id":3,"kind":"paper","title":{title},"authors":["Ada"],"year":2020,"venue":"V","topic":"DnaRepair","keywords":{keywords}}}"#
+        );
+        SpdfReader::read(&SpdfWriter::write_objects(&[(ObjectKind::Meta, json.as_bytes())]))
+            .expect("a well-formed container")
+    }
+
+    #[test]
+    fn hostile_metadata_is_rejected_not_fatal() {
+        let ok = SpdfReader::metadata(&meta_objects(r#""café 😀""#, "[]")).unwrap();
+        assert_eq!(ok.title, "café 😀");
+        let deep = "[".repeat(200_000);
+        for (title, keywords) in
+            [(r#""\ud800\u0041""#, "[]"), (r#""\ud800\uffff""#, "[]"), (r#""t""#, deep.as_str())]
+        {
+            let r = SpdfReader::metadata(&meta_objects(title, keywords));
+            assert!(matches!(r, Err(SpdfError::BadMetadata(_))), "{title}: {r:?}");
+        }
     }
 }

@@ -9,12 +9,11 @@
 
 use mcqa_ontology::{realize, Fact, Ontology, Topic};
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 
 use crate::doc::{DocId, DocKind, Document, FactMention, Section};
 
 /// Configuration for document synthesis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
     /// Seed (independent of the ontology seed).
     pub seed: u64,

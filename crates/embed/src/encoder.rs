@@ -3,10 +3,9 @@
 use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_text::{for_each_content_token, Bridge};
 use mcqa_util::{PairedHasher, StableHasher};
-use serde::{Deserialize, Serialize};
 
 /// Encoder configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmbedConfig {
     /// Embedding dimensionality. The paper's PubMedBERT emits 768-d; the
     /// default here is 256 for speed, with the same retrieval behaviour

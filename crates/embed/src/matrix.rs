@@ -6,12 +6,11 @@
 //! within half-precision bounds).
 
 use mcqa_util::f16::{decode_f16_bytes, decode_f16_into, encode_f16_bytes};
-use serde::{Deserialize, Serialize};
 
 use crate::panels::PanelCache;
 
 /// Storage precision for an embedding matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// 4 bytes per component.
     F32,
@@ -20,7 +19,7 @@ pub enum Precision {
 }
 
 /// A dense row-major embedding matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingMatrix {
     dim: usize,
     rows: usize,

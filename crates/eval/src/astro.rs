@@ -22,10 +22,9 @@ use mcqa_llm::{BenchKind, Classifier, McqItem};
 use mcqa_ontology::{realize, Ontology};
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 
 /// Exam generation settings (defaults = the paper's accounting).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AstroConfig {
     /// Seed (independent of the pipeline seed).
     pub seed: u64,

@@ -18,7 +18,7 @@ use crate::astro::{AstroConfig, AstroExam};
 use crate::retrieval::{retrieval_service, RetrievalBundle, Source};
 
 /// Evaluation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalConfig {
     /// Seed for the answer cascade.
     pub seed: u64,
@@ -101,7 +101,7 @@ impl ModelEval {
 }
 
 /// A complete evaluation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EvalRun {
     /// Per-model results, in card order.
     pub models: Vec<ModelEval>,

@@ -8,7 +8,6 @@
 use mcqa_llm::answer::Condition;
 use mcqa_llm::{TraceMode, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
 use mcqa_util::stats::relative_improvement_pct;
-use serde::Serialize;
 
 use crate::protocol::{EvalRun, ModelEval};
 
@@ -140,7 +139,7 @@ pub enum FigureSeries {
 }
 
 /// One model's bar pair in an improvement figure.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImprovementPoint {
     /// Model name.
     pub model: String,

@@ -21,7 +21,6 @@
 
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -32,7 +31,7 @@ use crate::tombstones::Tombstones;
 use crate::{sort_hits, SearchResult, VectorStore};
 
 /// HNSW parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HnswConfig {
     /// Max neighbours per node per layer (bottom layer gets `2 * m`).
     pub m: usize,

@@ -16,10 +16,9 @@
 //!   channel trust.
 
 use mcqa_util::{cmp_hits, SearchResult};
-use serde::{Deserialize, Serialize};
 
 /// A fusion strategy, carried on the query envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fusion {
     /// Reciprocal rank fusion with constant `k0` (60 is the literature
     /// default).

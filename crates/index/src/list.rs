@@ -38,7 +38,6 @@ use std::collections::HashSet;
 use mcqa_embed::{PanelBudget, PanelCache};
 use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_util::kernel;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{
     decode_metric, encode_metric, put_f32s, put_u32, put_u64, put_varint, unzigzag, zigzag, Reader,
@@ -51,7 +50,7 @@ use crate::tombstones::Tombstones;
 use crate::{panel_rows, SearchResult, TopK, VectorStore};
 
 /// IVF configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IvfConfig {
     /// Number of coarse centroids (inverted lists).
     pub nlist: usize,
@@ -74,7 +73,7 @@ impl Default for IvfConfig {
 }
 
 /// Quantized-IVF configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PqConfig {
     /// Number of coarse centroids (inverted lists).
     pub nlist: usize,
@@ -113,8 +112,7 @@ impl Default for PqConfig {
 /// [`Metric::score_panel`], any training beyond the coarse centroids,
 /// and the codec-specific parts of the wire format.
 pub trait RowCodec: Clone + Send + Sync + Sized {
-    /// The backend's configuration (its serde shape is part of
-    /// [`crate::IndexSpec`]).
+    /// The backend's configuration (carried by [`crate::IndexSpec`]).
     type Config: Clone + std::fmt::Debug + Send + Sync;
     /// Element type of a packed stored row.
     type Elem: Copy + Default + std::fmt::Debug + Send + Sync;

@@ -10,7 +10,6 @@
 //! (property-tested in `tests/kernel.rs`).
 
 use mcqa_util::kernel;
-use serde::{Deserialize, Serialize};
 
 /// Row norms [`Metric::score_panel`] roots per stack chunk: a whole panel
 /// at dim ≥ 256 (see `panel_rows`), 256 bytes of stack.
@@ -18,7 +17,7 @@ const ROOT_CHUNK: usize = 64;
 
 /// A vector similarity metric. Scores are oriented so that **higher is
 /// more similar** for every variant (L2 is negated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Cosine similarity (vectors are normalised on the fly).
     Cosine,

@@ -10,14 +10,13 @@
 
 use mcqa_embed::Precision;
 use mcqa_runtime::Executor;
-use serde::{Deserialize, Serialize};
 
 use crate::{
     FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Metric, PqConfig, PqIndex, VectorStore,
 };
 
 /// Which index family to build, with its parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum IndexSpec {
     /// Exact brute-force scan (the ground-truth baseline).
     Flat,
@@ -185,15 +184,6 @@ mod tests {
             assert_eq!(IndexSpec::parse(spec.label()).unwrap().label(), spec.label());
         }
         assert!(IndexSpec::parse("faiss").is_none());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        for spec in IndexSpec::all_defaults() {
-            let s = serde_json::to_string(&spec).unwrap();
-            let back: IndexSpec = serde_json::from_str(&s).unwrap();
-            assert_eq!(back, spec);
-        }
     }
 
     #[test]

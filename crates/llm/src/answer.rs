@@ -1,7 +1,7 @@
 //! The forward answer cascade: a calibrated model answering one MCQ.
 
 use mcqa_util::{KeyedStochastic, StableHasher};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cards::ModelCard;
 use crate::context::AssembledContext;
@@ -11,7 +11,7 @@ use crate::trace::TraceMode;
 
 /// Which retrieval condition an answer was produced under (None =
 /// baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Condition {
     /// Direct prompting, no retrieval.
     Baseline,
@@ -44,7 +44,7 @@ impl Condition {
 }
 
 /// The outcome of one answer attempt.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnswerOutcome {
     /// Chosen option index (`None` when the output was unparseable).
     pub chosen: Option<usize>,

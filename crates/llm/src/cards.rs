@@ -13,7 +13,7 @@
 //!   [`crate::solver::resolve`] to invert the answer cascade into forward
 //!   simulation parameters under *measured* retrieval rates.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Astro exam question accounting (paper §2.2): 337 questions, 2 excluded
 /// as multimodal, 146 of the remaining 335 classified as mathematical.
@@ -32,7 +32,7 @@ pub const ASTRO_MATH: usize = ASTRO_EVALUATED - ASTRO_NOMATH;
 pub const GPT4_ASTRO_REFERENCE: f64 = 0.60;
 
 /// Accuracy targets lifted from the paper's Tables 2–4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BenchTargets {
     /// Table 2: synthetic baseline.
     pub synth_baseline: f64,

@@ -7,13 +7,12 @@
 //! accounting, not a parameter.
 
 use mcqa_ontology::FactId;
-use serde::{Deserialize, Serialize};
 
 use crate::mcq::McqItem;
 use crate::trace::TraceMode;
 
 /// Where a retrieved passage came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassageSource {
     /// A paper-derived semantic chunk.
     Chunk,
@@ -74,7 +73,7 @@ impl Passage {
 }
 
 /// The context actually visible to the model after truncation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssembledContext {
     /// Passages fully inside the window, in retrieval order.
     pub passages_in_window: usize,

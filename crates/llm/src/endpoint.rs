@@ -25,7 +25,6 @@ use std::sync::Arc;
 use mcqa_ontology::FactId;
 use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_util::StableHasher;
-use serde::Serialize;
 
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::context::AssembledContext;
@@ -404,7 +403,7 @@ pub(crate) fn walk_item(h: &mut StableHasher, item: &McqItem) {
 }
 
 /// The structured result of one completion, by role.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RoleOutput {
     /// A generated question.
     Question(GeneratedQuestion),
@@ -482,7 +481,7 @@ impl RoleOutput {
 }
 
 /// One completion.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelResponse {
     /// The structured output.
     pub output: RoleOutput,

@@ -12,7 +12,6 @@
 //!   chosen letter, compare to the key, and emit a reasoning string.
 
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 
 use crate::mcq::OPTION_LETTERS;
 use crate::teacher::{GeneratedQuestion, QuestionDefect};
@@ -21,7 +20,7 @@ use crate::teacher::{GeneratedQuestion, QuestionDefect};
 pub const QUALITY_THRESHOLD: u8 = 7;
 
 /// A quality verdict for a candidate question.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QualityJudgment {
     /// Score 1–10.
     pub score: u8,
@@ -37,7 +36,7 @@ impl QualityJudgment {
 }
 
 /// The grading verdict for one model answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradeResult {
     /// Parsed letter, if any.
     pub parsed: Option<char>,

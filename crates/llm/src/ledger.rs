@@ -11,12 +11,11 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use mcqa_runtime::StageMetrics;
-use serde::Serialize;
 
 use crate::endpoint::Role;
 
 /// A snapshot of one role's tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoleStats {
     /// Requests served (cache hits included).
     pub calls: u64,

@@ -2,14 +2,13 @@
 
 use mcqa_ontology::FactId;
 use mcqa_util::StableHasher;
-use serde::{Deserialize, Serialize};
 
 /// Option letters for up to ten options.
 pub const OPTION_LETTERS: [char; 10] = ['A', 'B', 'C', 'D', 'E', 'F', 'G', 'H', 'I', 'J'];
 
 /// Which benchmark an item belongs to — determines option count, phrasing
 /// style, and which card targets apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchKind {
     /// The pipeline-generated synthetic benchmark (7 options, paper §3.1).
     Synthetic,
@@ -28,7 +27,7 @@ impl BenchKind {
 }
 
 /// One MCQ item ready for evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McqItem {
     /// Stable question id (also the retrieval external id for traces).
     pub qid: u64,

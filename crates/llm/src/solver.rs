@@ -20,13 +20,13 @@
 //! are reported so `repro residuals` can show where the mechanism could
 //! not reach the paper's number.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cards::ModelCard;
 use crate::trace::TraceMode;
 
 /// Measured usable-hit rates for one model (after its window truncation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PipelineRates {
     /// P(supporting chunk in window | synthetic benchmark question).
     pub synth_chunk: f64,
@@ -52,7 +52,7 @@ impl PipelineRates {
 }
 
 /// One solved (clamped) parameter with its residual target error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SolvedParam {
     /// Which parameter (e.g. `"E[synth,chunks]"`).
     pub name: String,
@@ -64,7 +64,7 @@ pub struct SolvedParam {
 }
 
 /// The forward parameters for one model after calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Calibration {
     /// Effective knowledge coverage on the synthetic benchmark.
     pub k_synth: f64,

@@ -13,13 +13,12 @@
 
 use mcqa_ontology::{realize, Fact, Ontology};
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 
 use crate::mcq::OPTION_LETTERS;
 use crate::trace::TraceMode;
 
 /// Defects a generated question can carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuestionDefect {
     /// The stem refers to "the passage/text" — not self-contained.
     ContextReference,
@@ -30,7 +29,7 @@ pub enum QuestionDefect {
 }
 
 /// A candidate question as emitted by the teacher.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedQuestion {
     /// The supporting fact.
     pub fact: mcqa_ontology::FactId,

@@ -1,9 +1,9 @@
 //! Reasoning-trace modes (paper Figure 3).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The three reasoning modes the teacher distils simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum TraceMode {
     /// Option-level analysis of every choice.
     Detailed,

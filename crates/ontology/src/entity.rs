@@ -1,19 +1,18 @@
 //! Typed domain entities with deterministic synthesised names.
 
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::topic::Topic;
 
 /// Identifier of an entity within one [`EntityRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntityId(pub u32);
 
 /// The type of a domain entity. Relations constrain the kinds of their
 /// subject and object, and distractors are always drawn from the answer's
 /// kind — matching how plausible MCQ distractors behave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EntityKind {
     /// A gene (synthetic symbol, e.g. `TRK2`).
     Gene,
@@ -74,7 +73,7 @@ impl EntityKind {
 }
 
 /// A single domain entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entity {
     /// Registry-local id.
     pub id: EntityId,
@@ -87,7 +86,7 @@ pub struct Entity {
 }
 
 /// Deterministic generator + lookup table for entities.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EntityRegistry {
     entities: Vec<Entity>,
     by_kind: HashMap<EntityKind, Vec<EntityId>>,

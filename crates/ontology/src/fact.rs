@@ -1,20 +1,18 @@
 //! Qualitative domain facts: typed subject–relation–object triples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::entity::EntityId;
 use crate::relation::RelationKind;
 use crate::topic::Topic;
 
 /// Globally unique fact identifier (stable across runs for a given config).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FactId(pub u64);
 
 /// An optional qualifying context attached to a fact.
 ///
 /// Qualifiers add realistic hedging/variety to realised statements and make
 /// paraphrases of the same fact lexically diverse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Qualifier {
     /// No qualifier.
     None,
@@ -56,7 +54,7 @@ impl Qualifier {
 
 /// A qualitative fact: `subject —relation→ object`, with presentation
 /// metadata used throughout the pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
     /// Unique id; question provenance ultimately resolves to this.
     pub id: FactId,
@@ -91,22 +89,5 @@ mod tests {
                 assert!(!q.phrase().is_empty());
             }
         }
-    }
-
-    #[test]
-    fn fact_serde_roundtrip() {
-        let f = Fact {
-            id: FactId(99),
-            topic: Topic::Hypoxia,
-            subject: EntityId(4),
-            relation: RelationKind::Sensitizes,
-            object: EntityId(9),
-            qualifier: Qualifier::UnderHypoxia,
-            difficulty: 0.25,
-            salience: 0.75,
-        };
-        let s = serde_json::to_string(&f).unwrap();
-        let back: Fact = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, f);
     }
 }

@@ -13,13 +13,12 @@
 //! * **Oxygen enhancement ratio**: `D_hypoxic = OER · D_oxic`
 
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 
 use crate::fact::FactId;
 use crate::topic::Topic;
 
 /// The family of quantitative problem a [`QuantFact`] encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MathKind {
     /// Surviving fraction from the linear-quadratic model.
     LqSurvival,
@@ -50,7 +49,7 @@ impl MathKind {
 /// A quantitative fact: parameters plus the exact answer and the distractor
 /// values produced by *typical student errors* (dropping the quadratic term,
 /// inverting a ratio, halving instead of squaring, ...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantFact {
     /// Unique id in the same namespace as qualitative facts.
     pub id: FactId,

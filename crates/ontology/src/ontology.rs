@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 
 use mcqa_util::KeyedStochastic;
-use serde::{Deserialize, Serialize};
 
 use crate::entity::{EntityId, EntityRegistry};
 use crate::fact::{Fact, FactId, Qualifier};
@@ -16,7 +15,7 @@ use crate::topic::Topic;
 pub const QUANT_ID_BASE: u64 = 1 << 32;
 
 /// Configuration for ontology generation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OntologyConfig {
     /// Master seed; everything downstream derives from it.
     pub seed: u64,
@@ -35,7 +34,7 @@ impl Default for OntologyConfig {
 }
 
 /// The complete synthetic domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ontology {
     config: OntologyConfig,
     registry: EntityRegistry,

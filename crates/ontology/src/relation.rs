@@ -5,12 +5,10 @@
 //! per `(subject, relation)` pair, so an MCQ built from a fact has exactly
 //! one correct option among same-kind distractors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::entity::EntityKind;
 
 /// The kind of a qualitative fact's relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RelationKind {
     /// Protein/gene activates a pathway or process.
     Activates,

@@ -1,9 +1,7 @@
 //! Stage metrics and the workflow run report.
 
-use serde::{Deserialize, Serialize};
-
 /// Metrics for one pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageMetrics {
     /// Stage name.
     pub name: String,
@@ -75,7 +73,7 @@ impl StageMetrics {
 ///
 /// `render()` is the text behind the Figure-1 reproduction (workflow
 /// overview with per-stage counts).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     stages: Vec<StageMetrics>,
 }
@@ -231,14 +229,5 @@ mod tests {
         assert_eq!(ans.errors, 10);
         assert!((ans.elapsed_secs - 1.5).abs() < 1e-12);
         assert!((ans.throughput() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut r = RunReport::new();
-        r.add(m("a", 1, 1, 0.1));
-        let s = serde_json::to_string(&r).unwrap();
-        let back: RunReport = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -10,7 +10,6 @@
 
 use mcqa_index::lexical::Fusion;
 use mcqa_index::SearchResult;
-use serde::{Deserialize, Serialize};
 
 /// The query payload: raw text (the service encodes it) or a pre-encoded
 /// embedding (the contract of a service started without an encoder).
@@ -36,7 +35,7 @@ impl QueryInput {
 }
 
 /// Which retrieval channel(s) a request runs through.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryMode {
     /// Vector search against the dense store (the default).
     Dense,

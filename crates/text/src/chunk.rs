@@ -14,8 +14,6 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::sentence::split_sentences;
 use crate::similarity::{dense_cosine, normalise};
 use crate::token::{for_each_content_token, token_count};
@@ -117,7 +115,7 @@ impl Encoder for TfEncoder {
 }
 
 /// Chunker configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkerConfig {
     /// Hard upper bound on tokens per chunk.
     pub max_tokens: usize,
@@ -137,7 +135,7 @@ impl Default for ChunkerConfig {
 }
 
 /// A chunk of a source document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     /// Chunk text (sentences joined by a single space).
     pub text: String,

@@ -2,16 +2,14 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::token::content_tokens;
 
 /// A term id in a [`Vocabulary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TermId(pub u32);
 
 /// A corpus vocabulary: term ↔ id mapping plus document frequencies.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Vocabulary {
     terms: Vec<String>,
     ids: HashMap<String, TermId>,
@@ -190,16 +188,5 @@ mod tests {
         let mut dup = terms;
         dup[0] = dup[1].clone();
         assert!(Vocabulary::from_parts(dup, dfs, 3).is_none());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let v = sample_vocab();
-        let s = serde_json::to_string(&v).unwrap();
-        let back: Vocabulary = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.len(), v.len());
-        assert_eq!(back.num_docs(), v.num_docs());
-        let id = v.id("radiation").unwrap();
-        assert_eq!(back.doc_freq(id), v.doc_freq(id));
     }
 }

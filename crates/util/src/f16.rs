@@ -6,10 +6,8 @@
 //! dependency) with round-to-nearest-even semantics and full subnormal /
 //! infinity / NaN handling.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-precision float stored as its raw bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
 pub struct F16(pub u16);
 

@@ -7,11 +7,9 @@
 //! path, the bounded-heap path, and the rank-fusion tie-breaks cannot
 //! disagree.
 
-use serde::{Deserialize, Serialize};
-
 /// One search hit: an external id and a similarity score (higher = better
 /// under every metric; L2 distances are negated).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchResult {
     /// External id supplied at insertion.
     pub id: u64,

@@ -5,10 +5,10 @@
 //!   scaled-down run is compatible with the paper's point estimates).
 //! * [`WilsonInterval`] — the interval itself.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A Wilson score interval for a binomial proportion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WilsonInterval {
     /// Lower bound in `[0, 1]`.
     pub lo: f64,
@@ -50,7 +50,7 @@ impl WilsonInterval {
 }
 
 /// Correct/total accuracy accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Accuracy {
     /// Number of correctly answered items.
     pub correct: u64,

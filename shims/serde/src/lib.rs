@@ -7,9 +7,14 @@
 //! serde's externally-tagged enum and struct-as-map conventions, which keeps
 //! the wire format compatible with what the real serde_json would emit for
 //! the types in this workspace.
-
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
+//!
+//! Only the impls a deriving type or `serde_json::Value` reaches are here.
+//! JSON leaves the process in four places: the Figure-2/3 question and trace
+//! records (`QuestionRecord`, `TraceRecord`), the evaluation tables
+//! (`ModelEval`), the model-card digest (`ModelCard` + `Calibration`) and the
+//! SPDF metadata object (`DocMeta`, the one type that also deserialises).
+//! A field type outside the impls below is a compile error, not a silent
+//! wire-format choice.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -59,14 +64,6 @@ impl Content {
         }
     }
 
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Content::I64(x) => Some(*x),
-            Content::U64(x) if *x <= i64::MAX as u64 => Some(*x as i64),
-            _ => None,
-        }
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Content::Bool(b) => Some(*b),
@@ -83,16 +80,6 @@ impl std::ops::Index<&str> for Content {
     /// `serde_json::Value`'s behaviour.
     fn index(&self, key: &str) -> &Content {
         self.get(key).unwrap_or(&NULL)
-    }
-}
-
-impl std::ops::Index<usize> for Content {
-    type Output = Content;
-    fn index(&self, i: usize) -> &Content {
-        match self {
-            Content::Seq(xs) => xs.get(i).unwrap_or(&NULL),
-            _ => &NULL,
-        }
     }
 }
 
@@ -152,21 +139,6 @@ impl Deserialize for Content {
 
 // ---- primitives ------------------------------------------------------------
 
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_content(&self) -> Content { Content::I64(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn from_content(c: &Content) -> Result<Self, DeError> {
-                let v = c.as_i64().ok_or_else(|| DeError::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(v).map_err(|_| DeError::custom(concat!(stringify!($t), " out of range")))
-            }
-        }
-    )*};
-}
-impl_signed!(i8, i16, i32, i64, isize);
-
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -188,50 +160,15 @@ impl Serialize for f64 {
     }
 }
 
-impl Deserialize for f64 {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        c.as_f64().ok_or_else(|| DeError::custom("expected f64"))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_content(&self) -> Content {
-        Content::F64(*self as f64)
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        c.as_f64().map(|x| x as f32).ok_or_else(|| DeError::custom("expected f32"))
-    }
-}
-
 impl Serialize for bool {
     fn to_content(&self) -> Content {
         Content::Bool(*self)
     }
 }
 
-impl Deserialize for bool {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        c.as_bool().ok_or_else(|| DeError::custom("expected bool"))
-    }
-}
-
 impl Serialize for char {
     fn to_content(&self) -> Content {
         Content::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let s = c.as_str().ok_or_else(|| DeError::custom("expected char"))?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(ch), None) => Ok(ch),
-            _ => Err(DeError::custom("expected single-char string")),
-        }
     }
 }
 
@@ -259,41 +196,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_content(&self) -> Content {
-        (**self).to_content()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        T::from_content(c).map(Box::new)
-    }
-}
-
 // ---- containers ------------------------------------------------------------
 
-impl<T: Serialize> Serialize for Option<T> {
+impl<T: Serialize> Serialize for [T] {
     fn to_content(&self) -> Content {
-        match self {
-            Some(v) => v.to_content(),
-            None => Content::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        match c {
-            Content::Null => Ok(None),
-            other => T::from_content(other).map(Some),
-        }
+        Content::Seq(self.iter().map(Serialize::to_content).collect())
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+        self.as_slice().to_content()
     }
 }
 
@@ -306,103 +219,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
+        self.as_slice().to_content()
     }
 }
 
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let v: Vec<T> = Vec::from_content(c)?;
-        v.try_into().map_err(|_| DeError::custom("wrong array length"))
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
+    fn to_content(&self) -> Content {
+        Content::Seq(vec![self.0.to_content(), self.1.to_content()])
     }
 }
-
-macro_rules! impl_tuple {
-    ($(($($t:ident . $idx:tt),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_content(&self) -> Content {
-                Content::Seq(vec![$(self.$idx.to_content()),+])
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_content(c: &Content) -> Result<Self, DeError> {
-                match c {
-                    Content::Seq(xs) => {
-                        let mut it = xs.iter();
-                        Ok(($(
-                            $t::from_content(it.next().ok_or_else(|| DeError::custom("tuple too short"))?)?,
-                        )+))
-                    }
-                    _ => Err(DeError::custom("expected tuple sequence")),
-                }
-            }
-        }
-    )*};
-}
-impl_tuple! {
-    (A.0)
-    (A.0, B.1)
-    (A.0, B.1, C.2)
-    (A.0, B.1, C.2, D.3)
-}
-
-// Maps serialise as a sequence of [key, value] pairs: JSON objects require
-// string keys, but this workspace keys maps by enums, ids, and tuples.
-macro_rules! impl_map {
-    ($name:ident, $($bound:tt)+) => {
-        impl<K: Serialize, V: Serialize> Serialize for $name<K, V> {
-            fn to_content(&self) -> Content {
-                let mut pairs: Vec<Content> = self
-                    .iter()
-                    .map(|(k, v)| Content::Seq(vec![k.to_content(), v.to_content()]))
-                    .collect();
-                // Deterministic output for hash maps.
-                pairs.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-                Content::Seq(pairs)
-            }
-        }
-        impl<K: Deserialize + $($bound)+, V: Deserialize> Deserialize for $name<K, V> {
-            fn from_content(c: &Content) -> Result<Self, DeError> {
-                match c {
-                    Content::Seq(xs) => xs
-                        .iter()
-                        .map(|pair| <(K, V)>::from_content(pair))
-                        .collect(),
-                    _ => Err(DeError::custom("expected map pair sequence")),
-                }
-            }
-        }
-    };
-}
-impl_map!(HashMap, Eq + Hash);
-impl_map!(BTreeMap, Ord);
-
-macro_rules! impl_set {
-    ($name:ident, $($bound:tt)+) => {
-        impl<T: Serialize> Serialize for $name<T> {
-            fn to_content(&self) -> Content {
-                let mut xs: Vec<Content> = self.iter().map(Serialize::to_content).collect();
-                xs.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-                Content::Seq(xs)
-            }
-        }
-        impl<T: Deserialize + $($bound)+> Deserialize for $name<T> {
-            fn from_content(c: &Content) -> Result<Self, DeError> {
-                match c {
-                    Content::Seq(xs) => xs.iter().map(T::from_content).collect(),
-                    _ => Err(DeError::custom("expected set sequence")),
-                }
-            }
-        }
-    };
-}
-impl_set!(HashSet, Eq + Hash);
-impl_set!(BTreeSet, Ord);

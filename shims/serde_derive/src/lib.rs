@@ -5,31 +5,22 @@
 //! offline workspace, so this macro parses the item's token stream by hand.
 //! Supported shapes — exactly the ones the workspace uses:
 //!
-//! * structs with named fields,
-//! * tuple structs (newtypes serialise transparently, like serde),
-//! * unit structs,
-//! * enums whose variants are unit, tuple, or struct-like (externally
-//!   tagged, like serde's default representation).
+//! * structs with named fields (both derives; a map keyed by field name),
+//! * enums whose variants are unit (both derives; the variant name as a
+//!   string) or, for `Serialize` only, newtype (`{"Variant": value}`,
+//!   serde's externally tagged form — `Condition::RagTraces(TraceMode)`).
 //!
-//! Generic types and serde attributes (`#[serde(...)]`) are not supported
+//! Tuple and unit structs, struct variants, multi-field tuple variants,
+//! generic types and serde attributes (`#[serde(...)]`) are not supported
 //! and fail with a compile error naming the offending item.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-enum Fields {
-    Named(Vec<String>),
-    Tuple(usize),
-    Unit,
-}
-
-struct Variant {
-    name: String,
-    fields: Fields,
-}
-
 enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<Variant> },
+    /// A struct with named fields.
+    Struct { name: String, fields: Vec<String> },
+    /// An enum: each variant's name and whether it wraps one value.
+    Enum { name: String, variants: Vec<(String, bool)> },
 }
 
 /// Skip attributes (`#[...]`, including doc comments) and visibility
@@ -54,31 +45,19 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
     }
 }
 
-/// Count comma-separated items at angle-bracket depth 0 in a token list.
-fn count_top_level_items(tokens: &[TokenTree]) -> usize {
-    if tokens.is_empty() {
-        return 0;
-    }
+/// Advance past the next comma at angle-bracket depth 0 (or to the end).
+fn skip_past_comma(tokens: &[TokenTree], mut i: usize) -> usize {
     let mut depth = 0i32;
-    let mut items = 1usize;
-    let mut saw_token_since_comma = false;
-    for t in tokens {
-        match t {
+    while i < tokens.len() {
+        match &tokens[i] {
             TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
             TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                items += 1;
-                saw_token_since_comma = false;
-                continue;
-            }
+            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => return i + 1,
             _ => {}
         }
-        saw_token_since_comma = true;
+        i += 1;
     }
-    if !saw_token_since_comma {
-        items -= 1; // trailing comma
-    }
-    items
+    i
 }
 
 /// Extract field names from a named-fields brace group.
@@ -89,28 +68,13 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Vec<String> {
         i = skip_attrs_and_vis(tokens, i);
         let Some(TokenTree::Ident(name)) = tokens.get(i) else { break };
         names.push(name.to_string());
-        i += 1;
-        // Expect `:`, then skip the type until a top-level comma.
-        debug_assert!(matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == ':'));
-        i += 1;
-        let mut depth = 0i32;
-        while i < tokens.len() {
-            match &tokens[i] {
-                TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
-                TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                    i += 1;
-                    break;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
+        // Skip `: Type,`.
+        i = skip_past_comma(tokens, i + 1);
     }
     names
 }
 
-fn parse_variants(tokens: &[TokenTree]) -> Vec<Variant> {
+fn parse_variants(enum_name: &str, tokens: &[TokenTree]) -> Result<Vec<(String, bool)>, String> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -118,36 +82,27 @@ fn parse_variants(tokens: &[TokenTree]) -> Vec<Variant> {
         let Some(TokenTree::Ident(name)) = tokens.get(i) else { break };
         let name = name.to_string();
         i += 1;
-        let fields = match tokens.get(i) {
+        let newtype = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+                if skip_past_comma(&inner, 0) < inner.len() {
+                    return Err(format!(
+                        "serde shim derive: `{enum_name}::{name}` has more than one field"
+                    ));
+                }
                 i += 1;
-                Fields::Tuple(count_top_level_items(&inner))
+                true
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                i += 1;
-                Fields::Named(parse_named_fields(&inner))
+                return Err(format!("serde shim derive: struct variant `{enum_name}::{name}`"));
             }
-            _ => Fields::Unit,
+            _ => false,
         };
         // Skip an optional discriminant (`= expr`) and the separating comma.
-        let mut depth = 0i32;
-        while i < tokens.len() {
-            match &tokens[i] {
-                TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
-                TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                    i += 1;
-                    break;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        variants.push(Variant { name, fields });
+        i = skip_past_comma(tokens, i);
+        variants.push((name, newtype));
     }
-    variants
+    Ok(variants)
 }
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
@@ -163,100 +118,51 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         other => return Err(format!("expected item name, found {other:?}")),
     };
     i += 1;
-    if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err(format!("serde shim derive does not support generics on `{name}`"));
-    }
-    match kind.as_str() {
-        "struct" => {
-            let fields = match tokens.get(i) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                    Fields::Named(parse_named_fields(&inner))
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                    Fields::Tuple(count_top_level_items(&inner))
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-                other => return Err(format!("unsupported struct body for `{name}`: {other:?}")),
-            };
-            Ok(Item::Struct { name, fields })
+    let body = match tokens.get(i) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+            g.stream().into_iter().collect::<Vec<TokenTree>>()
         }
-        "enum" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                Ok(Item::Enum { name, variants: parse_variants(&inner) })
-            }
-            other => Err(format!("unsupported enum body for `{name}`: {other:?}")),
-        },
+        _ => {
+            return Err(format!(
+                "serde shim derive supports only non-generic braced items, not `{name}`"
+            ))
+        }
+    };
+    match kind.as_str() {
+        "struct" => Ok(Item::Struct { fields: parse_named_fields(&body), name }),
+        "enum" => Ok(Item::Enum { variants: parse_variants(&name, &body)?, name }),
         other => Err(format!("cannot derive for `{other} {name}`")),
     }
 }
 
-fn gen_serialize(item: &Item) -> String {
-    match item {
+fn gen_serialize(item: &Item) -> Result<String, String> {
+    Ok(match item {
         Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let pairs: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(\"{f}\".to_string(), ::serde::Serialize::to_content(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!("::serde::Content::Map(vec![{}])", pairs.join(", "))
-                }
-                Fields::Tuple(1) => "::serde::Serialize::to_content(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let elems: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Serialize::to_content(&self.{k})"))
-                        .collect();
-                    format!("::serde::Content::Seq(vec![{}])", elems.join(", "))
-                }
-                Fields::Unit => "::serde::Content::Null".to_string(),
-            };
+            let pairs: Vec<String> = fields
+                .iter()
+                .map(|f| {
+                    format!("(\"{f}\".to_string(), ::serde::Serialize::to_content(&self.{f}))")
+                })
+                .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{ \
-                   fn to_content(&self) -> ::serde::Content {{ {body} }} \
-                 }}"
+                   fn to_content(&self) -> ::serde::Content {{ \
+                     ::serde::Content::Map(vec![{}]) \
+                   }} \
+                 }}",
+                pairs.join(", ")
             )
         }
         Item::Enum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|v| {
-                    let vname = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!(
-                            "{name}::{vname} => ::serde::Content::Str(\"{vname}\".to_string()),"
-                        ),
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vname}(f0) => ::serde::Content::Map(vec![(\"{vname}\".to_string(), ::serde::Serialize::to_content(f0))]),"
-                        ),
-                        Fields::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
-                            let elems: Vec<String> = (0..*n)
-                                .map(|k| format!("::serde::Serialize::to_content(f{k})"))
-                                .collect();
-                            format!(
-                                "{name}::{vname}({}) => ::serde::Content::Map(vec![(\"{vname}\".to_string(), ::serde::Content::Seq(vec![{}]))]),",
-                                binds.join(", "),
-                                elems.join(", ")
-                            )
-                        }
-                        Fields::Named(fs) => {
-                            let binds = fs.join(", ");
-                            let pairs: Vec<String> = fs
-                                .iter()
-                                .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_content({f}))"))
-                                .collect();
-                            format!(
-                                "{name}::{vname} {{ {binds} }} => ::serde::Content::Map(vec![(\"{vname}\".to_string(), ::serde::Content::Map(vec![{}]))]),",
-                                pairs.join(", ")
-                            )
-                        }
+                .map(|(v, newtype)| {
+                    if *newtype {
+                        format!(
+                            "{name}::{v}(f0) => ::serde::Content::Map(vec![(\"{v}\".to_string(), ::serde::Serialize::to_content(f0))]),"
+                        )
+                    } else {
+                        format!("{name}::{v} => ::serde::Content::Str(\"{v}\".to_string()),")
                     }
                 })
                 .collect();
@@ -269,147 +175,64 @@ fn gen_serialize(item: &Item) -> String {
                 arms.join(" ")
             )
         }
-    }
+    })
 }
 
-fn gen_deserialize(item: &Item) -> String {
-    match item {
+fn gen_deserialize(item: &Item) -> Result<String, String> {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let inits: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "{f}: ::serde::Deserialize::from_content(::serde::field(m, \"{f}\")?) \
-                                 .map_err(|e| ::serde::DeError::in_field(\"{name}.{f}\", e))?,"
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "let m = match c {{ \
-                           ::serde::Content::Map(m) => m, \
-                           _ => return Err(::serde::DeError::custom(\"{name}: expected map\")), \
-                         }}; \
-                         Ok({name} {{ {} }})",
-                        inits.join(" ")
-                    )
-                }
-                Fields::Tuple(1) => {
-                    format!("Ok({name}(::serde::Deserialize::from_content(c)?))")
-                }
-                Fields::Tuple(n) => {
-                    let inits: Vec<String> = (0..*n)
-                        .map(|k| {
-                            format!(
-                                "::serde::Deserialize::from_content(xs.get({k}).ok_or_else(|| ::serde::DeError::custom(\"{name}: tuple too short\"))?)?"
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "let xs = match c {{ \
-                           ::serde::Content::Seq(xs) => xs, \
-                           _ => return Err(::serde::DeError::custom(\"{name}: expected seq\")), \
-                         }}; \
-                         Ok({name}({}))",
-                        inits.join(", ")
-                    )
-                }
-                Fields::Unit => format!("let _ = c; Ok({name})"),
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{ \
-                   fn from_content(c: &::serde::Content) -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }} \
-                 }}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
+            let inits: Vec<String> = fields
                 .iter()
-                .filter(|v| matches!(v.fields, Fields::Unit))
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let vname = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!("\"{vname}\" => Ok({name}::{vname}),"),
-                        Fields::Tuple(1) => format!(
-                            "\"{vname}\" => Ok({name}::{vname}(::serde::Deserialize::from_content(v)?)),"
-                        ),
-                        Fields::Tuple(n) => {
-                            let inits: Vec<String> = (0..*n)
-                                .map(|k| {
-                                    format!(
-                                        "::serde::Deserialize::from_content(xs.get({k}).ok_or_else(|| ::serde::DeError::custom(\"{name}::{vname}: tuple too short\"))?)?"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "\"{vname}\" => {{ \
-                                   let xs = match v {{ \
-                                     ::serde::Content::Seq(xs) => xs, \
-                                     _ => return Err(::serde::DeError::custom(\"{name}::{vname}: expected seq\")), \
-                                   }}; \
-                                   Ok({name}::{vname}({})) \
-                                 }},",
-                                inits.join(", ")
-                            )
-                        }
-                        Fields::Named(fs) => {
-                            let inits: Vec<String> = fs
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "{f}: ::serde::Deserialize::from_content(::serde::field(vm, \"{f}\")?)?,"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "\"{vname}\" => {{ \
-                                   let vm = match v {{ \
-                                     ::serde::Content::Map(vm) => vm, \
-                                     _ => return Err(::serde::DeError::custom(\"{name}::{vname}: expected map\")), \
-                                   }}; \
-                                   Ok({name}::{vname} {{ {} }}) \
-                                 }},",
-                                inits.join(" ")
-                            )
-                        }
-                    }
+                .map(|f| {
+                    format!(
+                        "{f}: ::serde::Deserialize::from_content(::serde::field(m, \"{f}\")?) \
+                         .map_err(|e| ::serde::DeError::in_field(\"{name}.{f}\", e))?,"
+                    )
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{ \
-                   fn from_content(c: &::serde::Content) -> ::std::result::Result<Self, ::serde::DeError> {{ \
-                     match c {{ \
-                       ::serde::Content::Str(s) => match s.as_str() {{ \
-                         {} \
-                         other => Err(::serde::DeError::custom(format!(\"{name}: unknown variant {{other}}\"))), \
-                       }}, \
-                       ::serde::Content::Map(m) if m.len() == 1 => {{ \
-                         let (k, v) = &m[0]; \
-                         let _ = v; \
-                         match k.as_str() {{ \
-                           {} \
-                           other => Err(::serde::DeError::custom(format!(\"{name}: unknown variant {{other}}\"))), \
-                         }} \
-                       }}, \
-                       _ => Err(::serde::DeError::custom(\"{name}: expected variant\")), \
-                     }} \
-                   }} \
-                 }}",
-                unit_arms.join(" "),
-                tagged_arms.join(" ")
-            )
+            let body = format!(
+                "let m = match c {{ \
+                   ::serde::Content::Map(m) => m, \
+                   _ => return Err(::serde::DeError::custom(\"{name}: expected map\")), \
+                 }}; \
+                 Ok({name} {{ {} }})",
+                inits.join(" ")
+            );
+            (name, body)
         }
-    }
+        Item::Enum { name, variants } => {
+            let mut arms = Vec::new();
+            for (v, newtype) in variants {
+                if *newtype {
+                    return Err(format!(
+                        "serde shim derive: Deserialize supports unit variants only, not `{name}::{v}`"
+                    ));
+                }
+                arms.push(format!("\"{v}\" => Ok({name}::{v}),"));
+            }
+            let body = format!(
+                "match c {{ \
+                   ::serde::Content::Str(s) => match s.as_str() {{ \
+                     {} \
+                     other => Err(::serde::DeError::custom(format!(\"{name}: unknown variant {{other}}\"))), \
+                   }}, \
+                   _ => Err(::serde::DeError::custom(\"{name}: expected variant\")), \
+                 }}",
+                arms.join(" ")
+            );
+            (name, body)
+        }
+    };
+    Ok(format!(
+        "impl ::serde::Deserialize for {name} {{ \
+           fn from_content(c: &::serde::Content) -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }} \
+         }}"
+    ))
 }
 
-fn expand(input: TokenStream, gen: fn(&Item) -> String) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => gen(&item).parse().expect("generated impl parses"),
+fn expand(input: TokenStream, gen: fn(&Item) -> Result<String, String>) -> TokenStream {
+    match parse_item(input).and_then(|item| gen(&item)) {
+        Ok(code) => code.parse().expect("generated impl parses"),
         Err(msg) => format!("compile_error!({msg:?});").parse().expect("error parses"),
     }
 }

