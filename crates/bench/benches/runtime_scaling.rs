@@ -56,7 +56,7 @@ fn bench_submission_overhead(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batched_auto", n), &n, |b, &n| {
             b.iter(|| {
                 let items: Vec<u64> = (0..n).collect();
-                let (r, _) = run_stage_batched(&pool, "trivial", items, 0, Ok::<u64, String>);
+                let (r, _) = run_stage_batched(&pool, "trivial", items, Ok::<u64, String>);
                 std::hint::black_box(r.len())
             });
         });

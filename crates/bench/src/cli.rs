@@ -14,7 +14,8 @@ pub struct RunArgs {
     pub seed: u64,
     pub index: IndexSpec,
     /// `--retrieval`, with `--fuse-depth` already threaded into a hybrid
-    /// mode (0 = [`mcqa_index::lexical::DEFAULT_FUSE_DEPTH`]).
+    /// mode (left at 0, [`mcqa_index::lexical::DEFAULT_FUSE_DEPTH`], when
+    /// the flag is absent).
     pub retrieval: QueryMode,
     /// `ingest`: synthetic edit-batch size (default ≈ 1% of the live
     /// corpus, minimum 1).
@@ -160,7 +161,14 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
                     }
                 };
             }
-            "--fuse-depth" => fuse_depth = Some(val(flag, raw)?),
+            "--fuse-depth" => {
+                // `depth: 0` is `QueryMode`'s own "default depth" sentinel.
+                let depth: usize = val(flag, raw)?;
+                if depth == 0 {
+                    return bad(format!("bad value '{raw}' for {flag} (expected >= 1)"));
+                }
+                fuse_depth = Some(depth);
+            }
             "--edits" => args.edits = Some(val(flag, raw)?),
             other => unreachable!("{other} is in FLAGS but has no arm"),
         }
@@ -277,12 +285,15 @@ mod tests {
     }
 
     #[test]
-    fn fuse_depth_without_a_hybrid_mode_is_refused() {
+    fn fuse_depth_needs_a_hybrid_mode_and_a_positive_value() {
         for words in [
             &["all", "--fuse-depth", "16"][..],
             &["all", "--retrieval", "lexical", "--fuse-depth", "16"],
         ] {
             assert!(matches!(parse(&argv(words)), Err(Usage::Bad(_))), "{words:?}");
         }
+        let zero = parse(&argv(&["table2", "--retrieval", "hybrid", "--fuse-depth", "0"]));
+        let why = "bad value '0' for --fuse-depth (expected >= 1)";
+        assert_eq!(zero, Err(Usage::Bad(why.to_string())));
     }
 }

@@ -108,6 +108,8 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         "fig1 --retrieval hybrid",
         "table2 --edits 3",
         "all --fuse-depth 16",
+        // `depth: 0` is the default sentinel: refused, never a silent 8×.
+        "table2 --retrieval hybrid --fuse-depth 0",
     ];
     refused.extend(on_all.iter().map(String::as_str));
     for words in refused {

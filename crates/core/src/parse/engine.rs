@@ -127,7 +127,7 @@ impl AdaptiveParser {
         blobs: &[B],
     ) -> (Vec<ParseOutcome>, BatchStats) {
         let (results, _) =
-            run_stage_batched(exec, "parse-batch", (0..blobs.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "parse-batch", (0..blobs.len()).collect(), |i| {
                 Ok::<_, String>(self.parse(blobs[i].as_ref()))
             });
         let outcomes: Vec<ParseOutcome> =

@@ -278,7 +278,7 @@ impl Pipeline {
         // one merge pass over this run's table and the previous run's.
         let live_ids = library.live_ids();
         let (hash_results, mut scan_metrics) =
-            run_stage_batched(&exec, "ingest-scan", live_ids, 0, |id| {
+            run_stage_batched(&exec, "ingest-scan", live_ids, |id| {
                 let blob = library.download(id).expect("live doc has a blob");
                 Ok::<_, String>((id.0 as u64, ContentHash::of_bytes(blob)))
             });
@@ -654,7 +654,7 @@ impl Pipeline {
             .map(|(i, _)| i)
             .collect();
         let (trace_embed_results, trace_embed_metrics) =
-            run_stage_batched(&exec, "embed-traces", to_embed, 0, |i| {
+            run_stage_batched(&exec, "embed-traces", to_embed, |i| {
                 let tr = &traces[i];
                 Ok::<_, String>((tr.mode, tr.question_id, encoder.encode(&tr.trace)))
             });

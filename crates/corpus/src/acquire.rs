@@ -65,7 +65,7 @@ impl AcquisitionConfig {
             full_papers: (14_115_f64 * scale).round().max(1.0) as usize,
             abstracts: (8_433_f64 * scale).round().max(1.0) as usize,
             corruption_rate: 0.02,
-            synth: SynthConfig { seed, ..SynthConfig::default() },
+            synth: SynthConfig { seed },
         }
     }
 }
@@ -116,7 +116,7 @@ impl CorpusLibrary {
     pub fn build(ontology: &Ontology, config: &AcquisitionConfig, exec: &Executor) -> Self {
         let total = config.full_papers + config.abstracts;
         let (doc_results, _) =
-            run_stage_batched(exec, "synthesize", (0..total as u32).collect(), 0, |i| {
+            run_stage_batched(exec, "synthesize", (0..total as u32).collect(), |i| {
                 let kind = if (i as usize) < config.full_papers {
                     DocKind::FullPaper
                 } else {
@@ -128,36 +128,35 @@ impl CorpusLibrary {
             doc_results.into_iter().map(|r| r.expect("synthesis cannot fail")).collect();
 
         let rng = KeyedStochastic::new(config.seed ^ 0xC0_22_06_10);
-        let (blob_results, _) =
-            run_stage_batched(exec, "render", (0..docs.len()).collect(), 0, |i| {
-                let doc = &docs[i];
-                let mut bytes = SpdfWriter::write_document(doc);
-                let key = doc.id.0.to_string();
-                let corruption = if rng.bernoulli(config.corruption_rate, &["corrupt?", &key]) {
-                    match rng.below(3, &["mode", &key]) {
-                        0 => {
-                            let keep = bytes.len() / 2 + rng.below(bytes.len() / 3, &["cut", &key]);
-                            bytes.truncate(keep);
-                            Corruption::Truncated
-                        }
-                        1 => {
-                            let at = 10 + rng.below(bytes.len().saturating_sub(20), &["pos", &key]);
-                            bytes[at] ^= 0x40;
-                            Corruption::BitFlip
-                        }
-                        _ => {
-                            let n = bytes.len();
-                            for b in &mut bytes[n - 8..] {
-                                *b = 0;
-                            }
-                            Corruption::BadChecksum
-                        }
+        let (blob_results, _) = run_stage_batched(exec, "render", (0..docs.len()).collect(), |i| {
+            let doc = &docs[i];
+            let mut bytes = SpdfWriter::write_document(doc);
+            let key = doc.id.0.to_string();
+            let corruption = if rng.bernoulli(config.corruption_rate, &["corrupt?", &key]) {
+                match rng.below(3, &["mode", &key]) {
+                    0 => {
+                        let keep = bytes.len() / 2 + rng.below(bytes.len() / 3, &["cut", &key]);
+                        bytes.truncate(keep);
+                        Corruption::Truncated
                     }
-                } else {
-                    Corruption::None
-                };
-                Ok::<_, String>((bytes, corruption))
-            });
+                    1 => {
+                        let at = 10 + rng.below(bytes.len().saturating_sub(20), &["pos", &key]);
+                        bytes[at] ^= 0x40;
+                        Corruption::BitFlip
+                    }
+                    _ => {
+                        let n = bytes.len();
+                        for b in &mut bytes[n - 8..] {
+                            *b = 0;
+                        }
+                        Corruption::BadChecksum
+                    }
+                }
+            } else {
+                Corruption::None
+            };
+            Ok::<_, String>((bytes, corruption))
+        });
 
         let (blobs, corruption): (Vec<_>, Vec<_>) =
             blob_results.into_iter().map(|r| r.expect("rendering cannot fail")).unzip();
@@ -268,7 +267,7 @@ impl CorpusLibrary {
             return Vec::new();
         }
         let (score_results, _) =
-            run_stage_batched(&self.exec, "search", (0..self.docs.len()).collect(), 0, |i| {
+            run_stage_batched(&self.exec, "search", (0..self.docs.len()).collect(), |i| {
                 if self.deleted[i] {
                     return Ok::<_, String>(None);
                 }

@@ -134,7 +134,7 @@ impl CorpusLibrary {
     }
 
     fn salted_synth(&self, salt: u64) -> SynthConfig {
-        SynthConfig { seed: self.config().synth.seed ^ salt, ..self.config().synth }
+        SynthConfig { seed: self.config().synth.seed ^ salt }
     }
 }
 

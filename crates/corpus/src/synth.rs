@@ -17,19 +17,20 @@ use crate::doc::{DocId, DocKind, Document, FactMention, Section};
 pub struct SynthConfig {
     /// Seed (independent of the ontology seed).
     pub seed: u64,
-    /// Facts mentioned per full paper (upper bound; availability-limited).
-    pub facts_per_paper: usize,
-    /// Facts mentioned per abstract.
-    pub facts_per_abstract: usize,
-    /// Filler sentences interleaved per fact sentence (approx.).
-    pub filler_per_fact: usize,
 }
 
 impl Default for SynthConfig {
     fn default() -> Self {
-        Self { seed: 42, facts_per_paper: 12, facts_per_abstract: 3, filler_per_fact: 4 }
+        Self { seed: 42 }
     }
 }
+
+/// Facts mentioned per full paper (upper bound; availability-limited).
+const FACTS_PER_PAPER: usize = 12;
+/// Facts mentioned per abstract.
+const FACTS_PER_ABSTRACT: usize = 3;
+/// Filler sentences interleaved per fact sentence.
+const FILLER_PER_FACT: usize = 4;
 
 const SURNAMES: &[&str] = &[
     "Hartwell",
@@ -75,8 +76,8 @@ pub fn synthesize(
 
     let topic = Topic::from_index(rng.below(Topic::ALL.len(), &["topic", &d]));
     let fact_budget = match kind {
-        DocKind::FullPaper => config.facts_per_paper,
-        DocKind::Abstract => config.facts_per_abstract,
+        DocKind::FullPaper => FACTS_PER_PAPER,
+        DocKind::Abstract => FACTS_PER_ABSTRACT,
     };
 
     // Salience-weighted fact draw from the topic (falls back to any topic
@@ -181,7 +182,7 @@ pub fn synthesize(
                     sentence: sentence.clone(),
                 });
                 sentences.push(sentence);
-                for k in 0..config.filler_per_fact {
+                for k in 0..FILLER_PER_FACT {
                     sentences.push(filler_sentence(
                         &rng,
                         ontology,
@@ -310,7 +311,7 @@ mod tests {
     #[test]
     fn different_docs_paraphrase_same_fact_differently() {
         let ont = small_ontology();
-        let cfg = SynthConfig { facts_per_paper: 40, ..Default::default() };
+        let cfg = SynthConfig::default();
         // Find a fact mentioned by two different documents.
         let mut seen: std::collections::HashMap<mcqa_ontology::FactId, (u32, String)> =
             std::collections::HashMap::new();

@@ -13,15 +13,11 @@ pub struct EmbedConfig {
     pub dim: usize,
     /// Seed for the hash family (a different seed is a different encoder).
     pub seed: u64,
-    /// Include word bigram features (phrase sensitivity).
-    pub word_bigrams: bool,
-    /// Include character trigram features (robust to morphology/typos).
-    pub char_trigrams: bool,
 }
 
 impl Default for EmbedConfig {
     fn default() -> Self {
-        Self { dim: 256, seed: 42, word_bigrams: true, char_trigrams: true }
+        Self { dim: 256, seed: 42 }
     }
 }
 
@@ -104,7 +100,7 @@ impl BioEncoder {
         let bytes = tok.as_bytes();
         let entity_like = bytes.iter().any(u8::is_ascii_digit);
         self.feature_postings(&[bytes], if entity_like { 2.5 } else { 1.0 }, emit);
-        if self.config.char_trigrams && bytes.len() >= 5 {
+        if bytes.len() >= 5 {
             // Every window of three chars, cut at the token's own char
             // boundaries: `starts` holds where the two chars before the
             // current one begin. A 3-byte window is three ASCII chars and
@@ -140,7 +136,7 @@ impl BioEncoder {
             // The bigram of the text's first content token is the bridge.
             let first = bridge.is_none();
             let bridge = bridge.get_or_insert_with(Bridge::new);
-            if self.config.word_bigrams && !prev.is_empty() {
+            if !prev.is_empty() {
                 let pieces = [prev.as_bytes(), b"_", tok.as_bytes()];
                 self.feature_postings(&pieces, 0.5, &mut |idx, w| {
                     acc[idx as usize] += w;
@@ -174,7 +170,7 @@ impl BioEncoder {
         texts: &[S],
     ) -> Vec<Vec<f32>> {
         let (results, _) =
-            run_stage_batched(exec, "encode-batch", (0..texts.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "encode-batch", (0..texts.len()).collect(), |i| {
                 Ok::<_, String>(self.encode(texts[i].as_ref()))
             });
         results.into_iter().map(|r| r.expect("encoding cannot fail")).collect()
@@ -299,14 +295,6 @@ mod tests {
         BioEncoder::new(EmbedConfig { dim: 4, ..Default::default() });
     }
 
-    #[test]
-    fn bigram_feature_changes_encoding() {
-        let with = BioEncoder::new(EmbedConfig { word_bigrams: true, ..Default::default() });
-        let without = BioEncoder::new(EmbedConfig { word_bigrams: false, ..Default::default() });
-        let t = "homologous recombination repairs breaks";
-        assert_ne!(with.encode(t), without.encode(t));
-    }
-
     /// The BioEncoder minus its compositional API: forces the chunker onto
     /// the re-encoding fallback for equivalence testing.
     struct Opaque<'a>(&'a BioEncoder);
@@ -340,13 +328,7 @@ mod tests {
         // window leaves behind), and stopword-only sentences that carry
         // bigram state through. Bits, not `==`: −0.0 == 0.0.
         let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
-        let mut configs = vec![EmbedConfig { seed: 7, dim: 64, ..Default::default() }];
-        for (word_bigrams, char_trigrams) in
-            [(true, true), (true, false), (false, true), (false, false)]
-        {
-            configs.push(EmbedConfig { word_bigrams, char_trigrams, ..Default::default() });
-        }
-        for cfg in configs {
+        for cfg in [EmbedConfig::default(), EmbedConfig { seed: 7, dim: 64 }] {
             let e = BioEncoder::new(cfg);
             let sentences = awkward_sentences();
             for start in 0..=sentences.len() {

@@ -103,7 +103,6 @@ impl EmbeddingMatrix {
                     exec,
                     "f16-encode",
                     (0..rows.len()).collect(),
-                    0,
                     |i| {
                         let bytes = encode_f16_bytes(rows[i].as_ref());
                         let decoded =
@@ -201,58 +200,31 @@ impl EmbeddingMatrix {
         &self.sq_norms
     }
 
-    /// Visit the rows in panels of up to `block_rows` rows: `f(start_row,
-    /// panel)` receives a dense row-major `&[f32]` of `panel.len() /
-    /// dim()` consecutive rows starting at `start_row` (the last panel may
-    /// be ragged).
-    ///
-    /// This is the bulk-decode primitive behind blocked search: an F16
-    /// matrix is decoded once per panel into a reused buffer — callers
-    /// scoring many queries against the panel amortise that decode across
-    /// all of them — while an F32 matrix hands out direct sub-slices of the
-    /// backing storage, copy-free.
-    pub fn for_each_block<F: FnMut(usize, &[f32])>(&self, block_rows: usize, mut f: F) {
-        assert!(block_rows > 0, "block_rows must be positive");
-        match self.precision {
-            Precision::F32 => {
-                for start in (0..self.rows).step_by(block_rows) {
-                    let end = (start + block_rows).min(self.rows);
-                    f(start, &self.data_f32[start * self.dim..end * self.dim]);
-                }
-            }
-            Precision::F16 => {
-                let mut panel = vec![0.0f32; block_rows * self.dim];
-                for start in (0..self.rows).step_by(block_rows) {
-                    let end = (start + block_rows).min(self.rows);
-                    let n = (end - start) * self.dim;
-                    self.decode_panel_into(start, end, &mut panel[..n]);
-                    f(start, &panel[..n]);
-                }
-            }
-        }
-    }
-
     /// Decode rows `start..end` into `out` (which must hold exactly
-    /// `(end - start) * dim` f32s). This is **the** F16 panel decode: both
-    /// the streaming path ([`EmbeddingMatrix::for_each_block`]) and the
-    /// cache-fill path ([`EmbeddingMatrix::for_each_panel`]) bottom out
-    /// here, which is what makes cached and uncached scoring bit-identical
-    /// by construction.
+    /// `(end - start) * dim` f32s). This is **the** F16 panel decode: a
+    /// panel [`EmbeddingMatrix::for_each_panel`] decodes into scratch and
+    /// one it makes resident both bottom out here, which is what makes
+    /// cached and uncached scoring bit-identical by construction.
     fn decode_panel_into(&self, start: usize, end: usize, out: &mut [f32]) {
         decode_f16_into(&self.data_f16[start * self.dim * 2..end * self.dim * 2], out);
     }
 
-    /// Cache-aware panel iteration: like [`EmbeddingMatrix::for_each_block`]
-    /// but F16 panels are fetched from (and made resident in) `cache` under
-    /// its byte budget, so repeat queries skip the decode entirely. `seg`
-    /// namespaces this matrix inside a cache shared across segments.
+    /// Visit the rows in panels of up to `block_rows` rows: `f(start_row,
+    /// panel)` receives a dense row-major `&[f32]` of `panel.len() /
+    /// dim()` consecutive rows starting at `start_row` (the last panel may
+    /// be ragged). This is the bulk-decode primitive behind blocked search:
+    /// callers scoring many queries against a panel amortise its decode
+    /// across all of them.
     ///
-    /// An F32 matrix hands out direct sub-slices exactly as
-    /// `for_each_block` does — it is already resident, so the cache is
-    /// bypassed. A miss (or a disabled cache) decodes through the same
-    /// `decode_panel_into` the streaming path uses:
-    /// panels observed through this accessor are byte-for-byte the panels
-    /// `for_each_block` yields, at every budget including zero.
+    /// F16 panels are fetched from (and made resident in) `cache` under its
+    /// byte budget, so repeat queries skip the decode entirely; at
+    /// [`PanelBudget::Bytes(0)`](crate::panels::PanelBudget::Bytes) every
+    /// panel is decoded into one reused scratch buffer instead. `seg`
+    /// namespaces this matrix inside a cache shared across segments. An
+    /// F32 matrix hands out direct sub-slices of its storage, copy-free —
+    /// it is already resident, so the cache is bypassed. Panels observed
+    /// through this accessor are byte-for-byte the rows [`Self::row`]
+    /// returns, at every budget.
     pub fn for_each_panel<F: FnMut(usize, &[f32])>(
         &self,
         cache: &PanelCache,
@@ -431,23 +403,27 @@ mod tests {
     }
 
     #[test]
-    fn for_each_block_matches_row_at_every_block_size() {
+    fn for_each_panel_matches_row_at_every_block_size() {
+        use crate::panels::PanelBudget;
         for precision in [Precision::F32, Precision::F16] {
             let rows = sample_rows(23, 16);
             let m = EmbeddingMatrix::from_rows(16, precision, &rows);
             for block_rows in [1usize, 4, 16, 23, 64] {
-                let mut seen = 0usize;
-                m.for_each_block(block_rows, |start, panel| {
-                    assert_eq!(start, seen, "panels are consecutive");
-                    assert_eq!(panel.len() % 16, 0);
-                    let n = panel.len() / 16;
-                    assert!(n <= block_rows);
-                    for (j, row) in panel.chunks_exact(16).enumerate() {
-                        assert_eq!(row, m.row(start + j).unwrap().as_slice(), "{precision:?}");
-                    }
-                    seen += n;
-                });
-                assert_eq!(seen, 23, "{precision:?} block={block_rows}");
+                for budget in [PanelBudget::Bytes(0), PanelBudget::Auto] {
+                    let cache = PanelCache::new(budget);
+                    let mut seen = 0usize;
+                    m.for_each_panel(&cache, 0, block_rows, |start, panel| {
+                        assert_eq!(start, seen, "panels are consecutive");
+                        assert_eq!(panel.len() % 16, 0);
+                        let n = panel.len() / 16;
+                        assert!(n <= block_rows);
+                        for (j, row) in panel.chunks_exact(16).enumerate() {
+                            assert_eq!(row, m.row(start + j).unwrap().as_slice(), "{precision:?}");
+                        }
+                        seen += n;
+                    });
+                    assert_eq!(seen, 23, "{precision:?} block={block_rows} {budget:?}");
+                }
             }
         }
     }

@@ -34,17 +34,15 @@ fn oracle_postings(cfg: &EmbedConfig, text: &str) -> Vec<(u32, f32)> {
     for tok in content_tokens(text) {
         let entity_like = tok.chars().any(|c| c.is_ascii_digit());
         oracle_feature(cfg, &tok, if entity_like { 2.5 } else { 1.0 }, &mut out);
-        if cfg.char_trigrams && tok.len() >= 5 {
+        if tok.len() >= 5 {
             let chars: Vec<char> = tok.chars().collect();
             for win in chars.windows(3) {
                 let tri: String = win.iter().collect();
                 oracle_feature(cfg, &format!("#{tri}"), 0.25, &mut out);
             }
         }
-        if cfg.word_bigrams {
-            if let Some(p) = &prev {
-                oracle_feature(cfg, &format!("{p}_{tok}"), 0.5, &mut out);
-            }
+        if let Some(p) = &prev {
+            oracle_feature(cfg, &format!("{p}_{tok}"), 0.5, &mut out);
         }
         prev = Some(tok);
     }
@@ -71,19 +69,10 @@ fn oracle_encode(cfg: &EmbedConfig, text: &str) -> Vec<f32> {
     acc
 }
 
-/// Both feature switches in every combination, three seeds, and
-/// dimensionalities on both index paths: the power-of-two mask (256, 64)
-/// and the `%` of one that is not (100).
-fn configs() -> Vec<EmbedConfig> {
-    let mut out = Vec::new();
-    for (word_bigrams, char_trigrams) in
-        [(true, true), (true, false), (false, true), (false, false)]
-    {
-        out.push(EmbedConfig { word_bigrams, char_trigrams, ..Default::default() });
-        out.push(EmbedConfig { word_bigrams, char_trigrams, seed: 7, dim: 100 });
-        out.push(EmbedConfig { word_bigrams, char_trigrams, seed: 3, dim: 64 });
-    }
-    out
+/// Three seeds, and dimensionalities on both index paths: the
+/// power-of-two mask (256, 64) and the `%` of one that is not (100).
+fn configs() -> [EmbedConfig; 3] {
+    [EmbedConfig::default(), EmbedConfig { seed: 7, dim: 100 }, EmbedConfig { seed: 3, dim: 64 }]
 }
 
 /// The BioEncoder minus its compositional API: the chunker must fall back

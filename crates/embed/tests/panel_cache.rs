@@ -1,11 +1,12 @@
 //! Property tests for the resident panel cache's core contract:
-//! **caching is invisible**. Panels observed through the cache-aware
-//! accessor ([`EmbeddingMatrix::for_each_panel`]) are byte-for-byte the
-//! panels the streaming path ([`EmbeddingMatrix::for_each_block`])
-//! yields — across precisions, block sizes, and byte budgets (including
-//! a zero budget that disables caching and a budget larger than the
-//! whole decoded matrix), on cold and warm passes alike, with eviction
-//! churning in between. Downstream, that makes cached scoring through
+//! **caching is invisible**. Panels observed through
+//! [`EmbeddingMatrix::for_each_panel`] under a resident cache are
+//! byte-for-byte the panels it yields at `PanelBudget::Bytes(0)` (every
+//! panel decoded into scratch), and both are the rows
+//! [`EmbeddingMatrix::row`] returns — across precisions, block sizes, and
+//! byte budgets (including a budget larger than the whole decoded
+//! matrix), on cold and warm passes alike, with eviction churning in
+//! between. Downstream, that makes cached scoring through
 //! [`mcqa_index::Metric::score_panel`] bit-identical to uncached
 //! scoring, which is the identity flat/PQ search relies on.
 
@@ -33,13 +34,15 @@ fn sample_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Every panel `for_each_block` yields, as `(start_row, bits)`.
+/// Every panel `for_each_panel` yields with caching disabled, as
+/// `(start_row, bits)`, after checking each panel against `row(i)`.
 fn uncached_panels(m: &EmbeddingMatrix, block_rows: usize) -> Vec<(usize, Vec<u32>)> {
-    let mut out = Vec::new();
-    m.for_each_block(block_rows, |start, panel| {
-        out.push((start, panel.iter().map(|v| v.to_bits()).collect()));
-    });
-    out
+    let panels = cached_panels(m, &PanelCache::new(PanelBudget::Bytes(0)), 0, block_rows);
+    let rows: Vec<u32> =
+        (0..m.len()).flat_map(|i| m.row(i).expect("in range")).map(f32::to_bits).collect();
+    let streamed: Vec<u32> = panels.iter().flat_map(|(_, bits)| bits.iter().copied()).collect();
+    assert_eq!(streamed, rows, "uncached panels are the rows, in order");
+    panels
 }
 
 /// Every panel `for_each_panel` yields through `cache`, same encoding.
@@ -80,10 +83,10 @@ fn scores_via<F: FnMut(&mut dyn FnMut(usize, &[f32]))>(
 
 proptest! {
     /// The headline identity: cached panels (and the scores computed from
-    /// them) equal uncached panels bitwise at every budget — disabled (0),
-    /// tiny (constant eviction), generous (≥ the full decoded matrix),
-    /// and auto — across precisions, metrics, and block sizes, on the
-    /// cold pass and on a warm pass replaying resident panels.
+    /// them) equal uncached panels bitwise at every budget — disabled (0)
+    /// itself, tiny (constant eviction), generous (≥ the full decoded
+    /// matrix), and auto — across precisions, metrics, and block sizes, on
+    /// the cold pass and on a warm pass replaying resident panels.
     #[test]
     fn cached_panels_and_scores_are_bit_identical_to_uncached(
         n in 1usize..48,
@@ -126,7 +129,8 @@ proptest! {
         // Scoring through the cache is bit-identical to scoring the
         // streamed panels — the identity index search depends on.
         let query: Vec<f32> = sample_rows(1, dim, seed ^ 0xabcd).remove(0);
-        let direct = scores_via(&m, metric, &query, |f| m.for_each_block(block_rows, f));
+        let off = PanelCache::new(PanelBudget::Bytes(0));
+        let direct = scores_via(&m, metric, &query, |f| m.for_each_panel(&off, 7, block_rows, f));
         let via_cache =
             scores_via(&m, metric, &query, |f| m.for_each_panel(&cache, 7, block_rows, f));
         prop_assert_eq!(via_cache, direct, "scores {:?} {:?}", metric, precision);

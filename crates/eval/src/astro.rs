@@ -17,30 +17,23 @@
 //!   retrieval is harder, as in the paper);
 //! * 5 options per question;
 //! * facts are drawn salience-weighted: exams test the core curriculum.
+//!
+//! These counts and the exam's own seed are constants, not settings: the
+//! paper's accounting describes one exam, and every caller builds that one.
 
 use mcqa_llm::{BenchKind, Classifier, McqItem};
 use mcqa_ontology::{realize, Ontology};
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
 
-/// Exam generation settings (defaults = the paper's accounting).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AstroConfig {
-    /// Seed (independent of the pipeline seed).
-    pub seed: u64,
-    /// Recall (non-math) questions.
-    pub recall_questions: usize,
-    /// Quantitative questions.
-    pub math_questions: usize,
-    /// Multimodal questions (generated, then excluded).
-    pub multimodal_questions: usize,
-}
-
-impl Default for AstroConfig {
-    fn default() -> Self {
-        Self { seed: 2023, recall_questions: 189, math_questions: 146, multimodal_questions: 2 }
-    }
-}
+/// Exam seed, independent of the pipeline seed.
+const SEED: u64 = 2023;
+/// Recall (non-math) questions.
+const RECALL_QUESTIONS: usize = 189;
+/// Quantitative questions.
+const MATH_QUESTIONS: usize = 146;
+/// Multimodal questions (generated, then excluded).
+const MULTIMODAL_QUESTIONS: usize = 2;
 
 /// The generated exam.
 #[derive(Debug, Clone)]
@@ -61,13 +54,8 @@ impl AstroExam {
     /// endpoint call on `exec`'s pool; the generator's own ground truth is
     /// kept in `truth_is_math` so the classifier's agreement is
     /// measurable.
-    pub fn generate(
-        ontology: &Ontology,
-        config: &AstroConfig,
-        classifier: &Classifier,
-        exec: &Executor,
-    ) -> Self {
-        let rng = KeyedStochastic::new(config.seed ^ 0xA57_20E8);
+    pub fn generate(ontology: &Ontology, classifier: &Classifier, exec: &Executor) -> Self {
+        let rng = KeyedStochastic::new(SEED ^ 0xA57_20E8);
         let reg = ontology.registry();
         let mut items = Vec::new();
         let mut truth = Vec::new();
@@ -75,19 +63,18 @@ impl AstroExam {
         // --- Recall questions: salience-weighted fact draw, exam register.
         let facts = ontology.facts();
         assert!(
-            facts.len() >= config.recall_questions,
-            "ontology too small for the exam: {} facts < {}",
-            facts.len(),
-            config.recall_questions
+            facts.len() >= RECALL_QUESTIONS,
+            "ontology too small for the exam: {} facts < {RECALL_QUESTIONS}",
+            facts.len()
         );
         let weights: Vec<f64> = facts.iter().map(|f| (0.1 + f.salience).powi(3)).collect();
-        let mut chosen = Vec::with_capacity(config.recall_questions);
+        let mut chosen = Vec::with_capacity(RECALL_QUESTIONS);
         let mut used = std::collections::HashSet::new();
         let mut draw = 0u64;
-        while chosen.len() < config.recall_questions {
+        while chosen.len() < RECALL_QUESTIONS {
             draw += 1;
             assert!(
-                draw < (config.recall_questions as u64 + facts.len() as u64) * 64,
+                draw < (RECALL_QUESTIONS as u64 + facts.len() as u64) * 64,
                 "exam fact sampling failed to converge"
             );
             if let Some(i) = rng.weighted_choice(&weights, &["fact", &draw.to_string()]) {
@@ -124,13 +111,12 @@ impl AstroExam {
         // --- Math questions from quantitative facts.
         let quant = ontology.quant_facts();
         assert!(
-            quant.len() >= config.math_questions,
-            "ontology has {} quantitative facts < {}",
-            quant.len(),
-            config.math_questions
+            quant.len() >= MATH_QUESTIONS,
+            "ontology has {} quantitative facts < {MATH_QUESTIONS}",
+            quant.len()
         );
         let qperm = rng.permutation(quant.len(), &["quant"]);
-        for (mi, &qi) in qperm.iter().take(config.math_questions).enumerate() {
+        for (mi, &qi) in qperm.iter().take(MATH_QUESTIONS).enumerate() {
             let qf = &quant[qi];
             let (stem, answer) = realize::math_stem(qf);
             let mut options: Vec<String> = vec![answer];
@@ -157,7 +143,7 @@ impl AstroExam {
         }
 
         // --- Multimodal questions: generated, flagged, excluded.
-        let excluded_multimodal: Vec<String> = (0..config.multimodal_questions)
+        let excluded_multimodal: Vec<String> = (0..MULTIMODAL_QUESTIONS)
             .map(|i| {
                 format!(
                     "Refer to the survival-curve figure shown: which curve corresponds to the \
@@ -213,16 +199,16 @@ mod tests {
         }))
     }
 
-    fn generate(ont: &Arc<Ontology>, config: &AstroConfig) -> AstroExam {
+    fn generate(ont: &Arc<Ontology>) -> AstroExam {
         let sim = mcqa_llm::SimEndpoint::new(42, Arc::clone(ont));
         let hub = Arc::new(mcqa_llm::ModelHub::new(Box::new(sim)));
-        AstroExam::generate(ont, config, &Classifier::new(hub, 42), Executor::global())
+        AstroExam::generate(ont, &Classifier::new(hub, 42), Executor::global())
     }
 
     #[test]
     fn paper_accounting() {
         let ont = ontology();
-        let exam = generate(&ont, &AstroConfig::default());
+        let exam = generate(&ont);
         assert_eq!(exam.evaluated() + exam.excluded_multimodal.len(), 337);
         assert_eq!(exam.excluded_multimodal.len(), 2);
         // 189 + 146 = 335 (a few recall slots may be skipped if pools run
@@ -238,7 +224,7 @@ mod tests {
     #[test]
     fn questions_structurally_valid() {
         let ont = ontology();
-        let exam = generate(&ont, &AstroConfig::default());
+        let exam = generate(&ont);
         for item in &exam.items {
             item.validate().unwrap_or_else(|e| panic!("qid {}: {e}", item.qid));
             assert_eq!(item.options.len(), 5);
@@ -249,7 +235,7 @@ mod tests {
     #[test]
     fn classifier_agreement_high() {
         let ont = ontology();
-        let exam = generate(&ont, &AstroConfig::default());
+        let exam = generate(&ont);
         let agreement = exam.classifier_agreement();
         assert!(agreement >= 0.97, "classifier agreement {agreement:.3}");
     }
@@ -257,8 +243,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let ont = ontology();
-        let a = generate(&ont, &AstroConfig::default());
-        let b = generate(&ont, &AstroConfig::default());
+        let a = generate(&ont);
+        let b = generate(&ont);
         assert_eq!(a.items, b.items);
     }
 
@@ -267,7 +253,7 @@ mod tests {
         // Exam stems must not reuse the synthetic question templates
         // (lexical distance is what makes exam retrieval harder).
         let ont = ontology();
-        let exam = generate(&ont, &AstroConfig::default());
+        let exam = generate(&ont);
         let synth_markers = ["Which of the following is", "By which mechanism"];
         let exam_style = exam
             .items
@@ -282,7 +268,7 @@ mod tests {
     #[test]
     fn salience_weighting_prefers_core_curriculum() {
         let ont = ontology();
-        let exam = generate(&ont, &AstroConfig::default());
+        let exam = generate(&ont);
         let exam_salience: f64 = exam
             .items
             .iter()
@@ -308,6 +294,6 @@ mod tests {
             qualitative_facts: 50,
             quantitative_facts: 10,
         }));
-        generate(&ont, &AstroConfig::default());
+        generate(&ont);
     }
 }

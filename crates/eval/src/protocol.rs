@@ -14,7 +14,7 @@ use mcqa_serve::{QueryMode, QueryService};
 use mcqa_util::Accuracy;
 use serde::Serialize;
 
-use crate::astro::{AstroConfig, AstroExam};
+use crate::astro::AstroExam;
 use crate::retrieval::{retrieval_service, RetrievalBundle, Source};
 
 /// Evaluation configuration.
@@ -27,18 +27,11 @@ pub struct EvalConfig {
     /// Which retrieval channel(s) every bundle queries through — dense
     /// (the default), lexical, or hybrid.
     pub retrieval: QueryMode,
-    /// Astro exam settings.
-    pub astro: AstroConfig,
 }
 
 impl Default for EvalConfig {
     fn default() -> Self {
-        Self {
-            seed: 42,
-            retrieval_k: 8,
-            retrieval: QueryMode::Dense,
-            astro: AstroConfig::default(),
-        }
+        Self { seed: 42, retrieval_k: 8, retrieval: QueryMode::Dense }
     }
 }
 
@@ -153,7 +146,7 @@ impl<'a> Evaluator<'a> {
         let exec = output.executor.clone();
         let endpoint: Arc<dyn ModelEndpoint> = output.models.clone();
         let classifier = Classifier::new(endpoint.clone(), config.seed);
-        let exam = AstroExam::generate(&output.ontology, &config.astro, &classifier, &exec);
+        let exam = AstroExam::generate(&output.ontology, &classifier, &exec);
         let service = retrieval_service(output, config.seed, config.retrieval);
         let (synth_bundle, synth_m) = RetrievalBundle::build_metered(
             output,
@@ -250,7 +243,7 @@ impl<'a> Evaluator<'a> {
         window: usize,
     ) -> Vec<[AssembledContext; 4]> {
         let (results, metrics) =
-            run_stage_batched(&self.exec, "eval-assemble", (0..items.len()).collect(), 0, |qi| {
+            run_stage_batched(&self.exec, "eval-assemble", (0..items.len()).collect(), |qi| {
                 let mk = |s: Source| {
                     mcqa_llm::context::assemble(
                         items[qi].fact,
@@ -336,7 +329,7 @@ impl<'a> Evaluator<'a> {
                     let picked: Vec<usize> =
                         (0..items.len()).filter(|i| mask.map(|m| m[*i]).unwrap_or(true)).collect();
                     let (grades, metrics) =
-                        run_stage_batched(&self.exec, "eval-answer", picked, 0, |i| {
+                        run_stage_batched(&self.exec, "eval-answer", picked, |i| {
                             let item = &items[i];
                             let ctx = match cond {
                                 Condition::Baseline => None,

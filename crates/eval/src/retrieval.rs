@@ -185,7 +185,6 @@ impl RetrievalBundle {
             &output.executor,
             "eval-retrieve-label",
             (0..items.len()).collect(),
-            0,
             |qi| {
                 let item = &items[qi];
                 let mut per_source: [Vec<Passage>; 4] =

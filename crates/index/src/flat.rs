@@ -171,7 +171,7 @@ impl FlatIndex {
             return vec![Vec::new(); queries.len()];
         }
         let query_block = if query_block == 0 {
-            // One query block per worker, not `auto_batch_size`'s 8 tasks
+            // One query block per worker, not `run_stage_batched`'s 8 tasks
             // per worker: search tasks are uniform, so nothing is gained
             // from finer load balancing, while every extra query in a
             // block is one less full-matrix panel fetch — on few workers

@@ -78,7 +78,7 @@ pub(crate) fn train_centroids(
     for pick in 1..k {
         let newest = centroids.last().expect("seeded above").clone();
         let (updates, _) =
-            run_stage_batched(exec, "kmeans-seed", (0..training.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "kmeans-seed", (0..training.len()).collect(), |i| {
                 Ok::<_, String>(d2[i].min(f64::from(kernel::l2_sq(&training[i], &newest))))
             });
         for (slot, u) in d2.iter_mut().zip(updates) {
@@ -112,7 +112,7 @@ pub(crate) fn train_centroids(
     // is fixed anyway — bit-identical at any worker count).
     for _iter in 0..iters {
         let (assigned, _) =
-            run_stage_batched(exec, "kmeans-assign", (0..training.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "kmeans-assign", (0..training.len()).collect(), |i| {
                 Ok::<_, String>(nearest(metric, &centroids, &training[i]))
             });
         let mut sums: Vec<f64> = vec![0.0; k * dim];

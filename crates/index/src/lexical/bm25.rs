@@ -421,7 +421,7 @@ impl LexicalIndex {
         k: usize,
     ) -> Vec<Vec<SearchResult>> {
         let (results, _) =
-            run_stage_batched(exec, "lex-search", (0..queries.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "lex-search", (0..queries.len()).collect(), |i| {
                 Ok::<_, String>(self.search(queries[i].as_ref(), k))
             });
         results.into_iter().map(|r| r.expect("search cannot fail")).collect()

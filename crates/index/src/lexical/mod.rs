@@ -15,8 +15,8 @@
 //!   `add_batch` / `search_batch` fan out on the shared
 //!   [`mcqa_runtime::Executor`] and are bit-identical to their serial
 //!   counterparts at any worker count.
-//! * [`fusion`] — reciprocal-rank fusion and weighted-score fusion over
-//!   dense + lexical candidate lists, ranked through the one shared
+//! * [`fusion`] — reciprocal-rank fusion over dense + lexical candidate
+//!   lists, ranked through the one shared
 //!   [`mcqa_util::cmp_hits`] order so ties cannot break differently from
 //!   the index families.
 //!

@@ -197,7 +197,7 @@ pub trait VectorStore: Send + Sync {
         k: usize,
     ) -> Vec<Vec<SearchResult>> {
         let (results, _) =
-            run_stage_batched(exec, "search-batch", (0..queries.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "search-batch", (0..queries.len()).collect(), |i| {
                 Ok::<_, String>(self.search(&queries[i], k))
             });
         results.into_iter().map(|r| r.expect("search cannot fail")).collect()

@@ -457,7 +457,7 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         // per vector; fan it out, then fill the lists in input order so
         // the store is bit-identical to sequential adds.
         let (encoded, _) =
-            run_stage_batched(exec, "list-encode", (0..items.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "list-encode", (0..items.len()).collect(), |i| {
                 Ok::<_, String>(self.encode_one(codec, &items[i].1))
             });
         for (enc, (id, _)) in encoded.into_iter().zip(items) {
@@ -537,7 +537,7 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         }
         // Stage 1: rank centroids per query (independent, fan out).
         let (probes, _) =
-            run_stage_batched(exec, "list-rank", (0..queries.len()).collect(), 0, |qi| {
+            run_stage_batched(exec, "list-rank", (0..queries.len()).collect(), |qi| {
                 Ok::<_, String>(self.ranked_lists(&queries[qi]))
             });
         // Invert to the list-centric view: which queries probe each list.
@@ -553,7 +553,7 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         // Stage 2: shard the inverted file across the pool by list. Each
         // task fetches its list's panels once, scores every probing
         // query, and returns per-(list, query) partial top-k sets.
-        let (partials, _) = run_stage_batched(exec, "list-scan", work, 0, |li| {
+        let (partials, _) = run_stage_batched(exec, "list-scan", work, |li| {
             let qis = &by_list[li];
             let mut block = QueryBlock::new(qis.iter().map(|&qi| queries[qi].as_slice()), k);
             self.scan_list(li, &mut block, &mut Vec::new());
@@ -863,7 +863,7 @@ impl RowCodec for ResidualCodec {
         sample: &[Vec<f32>],
     ) -> Self {
         let (residuals, _) =
-            run_stage_batched(exec, "pq-residuals", (0..sample.len()).collect(), 0, |i| {
+            run_stage_batched(exec, "pq-residuals", (0..sample.len()).collect(), |i| {
                 let c = kmeans::nearest(metric, centroids, &sample[i]);
                 let r: Vec<f32> = sample[i].iter().zip(&centroids[c]).map(|(x, m)| x - m).collect();
                 Ok::<_, String>(r)

@@ -16,9 +16,10 @@ use crate::{
 };
 
 /// Which index family to build, with its parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum IndexSpec {
     /// Exact brute-force scan (the ground-truth baseline).
+    #[default]
     Flat,
     /// Hierarchical navigable-small-world graph.
     Hnsw(HnswConfig),
@@ -26,15 +27,6 @@ pub enum IndexSpec {
     Ivf(IvfConfig),
     /// Quantized IVF: coarse centroids + 4–8-bit residual codes.
     Pq(PqConfig),
-}
-
-// Not `#[derive(Default)]`: the offline serde derive shim parses the enum
-// body itself and does not understand the `#[default]` variant attribute.
-#[allow(clippy::derivable_impls)]
-impl Default for IndexSpec {
-    fn default() -> Self {
-        IndexSpec::Flat
-    }
 }
 
 impl IndexSpec {

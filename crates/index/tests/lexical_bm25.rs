@@ -228,12 +228,11 @@ proptest! {
     }
 
     /// RRF output is bitwise invariant under permutation of its input
-    /// lists, for real BM25 result lists at any damping constant.
+    /// lists, for real BM25 result lists.
     #[test]
     fn rrf_is_invariant_under_list_permutation(
         n in 2usize..24,
         seed in 0u64..1000,
-        k0 in 1u32..120,
         k in 1usize..10,
     ) {
         let idx = build(&corpus(n, seed));
@@ -243,9 +242,9 @@ proptest! {
         let as_slices = |order: [usize; 3]| -> Vec<&[SearchResult]> {
             order.iter().map(|&i| lists[i].as_slice()).collect()
         };
-        let base = rrf(&as_slices([0, 1, 2]), k0, k);
+        let base = rrf(&as_slices([0, 1, 2]), k);
         for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            prop_assert_eq!(rrf(&as_slices(order), k0, k), base.clone(), "order {:?}", order);
+            prop_assert_eq!(rrf(&as_slices(order), k), base.clone(), "order {:?}", order);
         }
     }
 

@@ -523,7 +523,7 @@ pub(crate) fn fan_out_batch(
     serve: impl Fn(&ModelRequest) -> ModelResponse + Sync,
 ) -> Vec<ModelResponse> {
     let (results, _metrics) =
-        run_stage_batched(exec, "model-batch", (0..reqs.len()).collect(), 0, |i| {
+        run_stage_batched(exec, "model-batch", (0..reqs.len()).collect(), |i| {
             Ok::<_, String>(serve(&reqs[i]))
         });
     results.into_iter().map(|r| r.expect("model completion cannot fail")).collect()

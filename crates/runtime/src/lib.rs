@@ -15,9 +15,10 @@
 //!   over a task list with error isolation and a
 //!   [`metrics::StageMetrics`] record — the building blocks `mcqa-core`
 //!   and `mcqa-eval` assemble their workflows from. The batched variant
-//!   submits chunks of items per pool task (granularity picked by
-//!   [`auto_batch_size`]), the perf lever for high-item-count stages. The
-//!   calling thread keeps a stage's last task and assists with the rest.
+//!   submits chunks of items per pool task, sized from the item and worker
+//!   counts (about eight per worker), the perf lever for high-item-count
+//!   stages. The calling thread keeps a stage's last task and assists with
+//!   the rest.
 //! * [`metrics`] — stage metrics and the run report printed by the
 //!   Figure-1 reproduction.
 
@@ -27,4 +28,4 @@ pub mod stage;
 
 pub use executor::{Executor, PoolStats};
 pub use metrics::{RunReport, StageMetrics};
-pub use stage::{auto_batch_size, run_stage, run_stage_batched, TaskError};
+pub use stage::{run_stage, run_stage_batched, TaskError};

@@ -43,7 +43,7 @@ impl std::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-/// Pick a batch size for [`run_stage_batched`]'s chunked submission.
+/// The batch size [`run_stage_batched`] submits in.
 ///
 /// The heuristic targets ~8 batches per worker: enough slack for the shared
 /// queue to even out uneven batches (the last worker to start is never
@@ -51,7 +51,7 @@ impl std::error::Error for TaskError {}
 /// boxing + channel cost that dominates high-item-count stages of cheap
 /// items. The cap bounds per-batch latency for very large stages so a
 /// single batch never monopolises a worker for long.
-pub fn auto_batch_size(items: usize, workers: usize) -> usize {
+fn auto_batch_size(items: usize, workers: usize) -> usize {
     if items == 0 {
         return 1;
     }
@@ -239,16 +239,15 @@ where
 }
 
 /// [`run_stage`] with chunked submission: items are submitted to the pool
-/// in batches of `batch_size` (0 picks a size automatically via
-/// [`auto_batch_size`]), cutting per-task boxing and channel traffic by
-/// `batch_size`×. Results, ordering, and error/panic isolation are
-/// **identical** to `run_stage` — a panic inside a mid-batch item poisons
-/// only that item's slot, never its batch.
+/// in batches sized from the item and worker counts (about eight batches
+/// per worker, at most 1024 items each), cutting per-task boxing and
+/// channel traffic by the batch size. Results, ordering, and error/panic
+/// isolation are **identical** to `run_stage` — a panic inside a mid-batch
+/// item poisons only that item's slot, never its batch.
 pub fn run_stage_batched<T, U, F>(
     exec: &Executor,
     name: &str,
     items: Vec<T>,
-    batch_size: usize,
     f: F,
 ) -> (Vec<Result<U, TaskError>>, StageMetrics)
 where
@@ -256,8 +255,7 @@ where
     U: Send,
     F: Fn(T) -> Result<U, String> + Sync,
 {
-    let batch_size =
-        if batch_size == 0 { auto_batch_size(items.len(), exec.workers()) } else { batch_size };
+    let batch_size = auto_batch_size(items.len(), exec.workers());
     stage_core(exec, name, items, batch_size, &f)
 }
 
@@ -381,28 +379,36 @@ mod tests {
         assert_eq!(corpus.len(), 64);
     }
 
+    /// Successes, `Err` returns and panics, mixed deterministically.
+    fn mixed_outcome(x: u64) -> Result<u64, String> {
+        if x % 23 == 3 {
+            panic!("induced panic on {x}");
+        }
+        if x % 11 == 5 {
+            return Err(format!("induced failure on {x}"));
+        }
+        Ok(x.wrapping_mul(0x9E37_79B9).rotate_left(7))
+    }
+
     #[test]
-    fn batched_matches_per_item_results() {
+    fn every_batch_size_matches_per_item_results() {
         let pool = Executor::new(4);
-        let items: Vec<u64> = (0..1000).collect();
-        let (per_item, m1) =
-            run_stage(&pool, "s", items.clone(), |x| Ok::<u64, String>(x.wrapping_mul(7)));
-        for bs in [1usize, 3, 64, 1000, 5000] {
-            let (batched, m2) = run_stage_batched(&pool, "s", items.clone(), bs, |x| {
-                Ok::<u64, String>(x.wrapping_mul(7))
-            });
+        let items: Vec<u64> = (0..500).collect();
+        let (per_item, m1) = run_stage(&pool, "s", items.clone(), mixed_outcome);
+        for bs in [1usize, 3, 7, 64, 500, 5000] {
+            let (batched, m2) = stage_core(&pool, "s", items.clone(), bs, &mixed_outcome);
             assert_eq!(per_item, batched, "batch_size {bs}");
-            assert_eq!(m1.ok, m2.ok);
+            let counts = |m: &StageMetrics| (m.items, m.ok, m.errors, m.panics, m.produced);
+            assert_eq!(counts(&m1), counts(&m2), "batch_size {bs}");
         }
     }
 
     #[test]
     fn batched_auto_size_runs_all_items() {
         let pool = Executor::new(3);
-        let (results, metrics) =
-            run_stage_batched(&pool, "auto", (0..10_000u64).collect(), 0, |x| {
-                Ok::<u64, String>(x + 1)
-            });
+        let (results, metrics) = run_stage_batched(&pool, "auto", (0..10_000u64).collect(), |x| {
+            Ok::<u64, String>(x + 1)
+        });
         assert_eq!(metrics.items, 10_000);
         assert_eq!(metrics.ok, 10_000);
         assert_eq!(results[9_999], Ok(10_000));
@@ -412,12 +418,13 @@ mod tests {
     fn batched_panic_isolates_to_one_item() {
         let pool = Executor::new(2);
         let items: Vec<u32> = (0..30).collect();
-        let (results, metrics) = run_stage_batched(&pool, "mid-batch", items, 10, |x| {
+        let poisoned = |x: u32| {
             if x == 15 {
                 panic!("poison mid-batch");
             }
             Ok::<u32, String>(x)
-        });
+        };
+        let (results, metrics) = stage_core(&pool, "mid-batch", items, 10, &poisoned);
         assert_eq!(metrics.panics, 1);
         assert_eq!(metrics.ok, 29);
         for (i, r) in results.iter().enumerate() {
@@ -427,6 +434,28 @@ mod tests {
                 assert_eq!(*r, Ok(i as u32), "batch-mates of the panicking item survive");
             }
         }
+    }
+
+    /// A stage that is one batch — a batch size far larger than the item
+    /// count — never leaves the calling thread: the caller keeps a stage's
+    /// last batch, so no job is queued, no worker is woken, and no item is
+    /// lost or reordered.
+    #[test]
+    fn one_batch_stage_runs_on_the_caller() {
+        // A private pool: the shared one's counter also moves with whatever
+        // tests run beside this one.
+        let exec = Executor::new(2);
+        let caller = std::thread::current().id();
+        let before = exec.stats().total_executed();
+        let whoami = |x: u64| Ok::<_, String>((x, std::thread::current().id()));
+        let (results, metrics) =
+            stage_core(&exec, "one-batch", (0..10u64).collect(), 1_000_000, &whoami);
+        assert_eq!(metrics.ok, 10);
+        assert_eq!(results.len(), 10);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(*r, Ok((i as u64, caller)), "item {i} ran in order on the calling thread");
+        }
+        assert_eq!(exec.stats().total_executed(), before, "nothing went through the queue");
     }
 
     #[test]
@@ -451,7 +480,7 @@ mod tests {
     fn batched_empty_stage() {
         let pool = Executor::new(2);
         let (results, metrics) =
-            run_stage_batched(&pool, "empty", Vec::<u32>::new(), 0, Ok::<u32, String>);
+            run_stage_batched(&pool, "empty", Vec::<u32>::new(), Ok::<u32, String>);
         assert!(results.is_empty());
         assert_eq!(metrics.items, 0);
     }

@@ -1,18 +1,20 @@
 //! Property tests for the batched scheduler surface: `run_stage_batched`
 //! must be observationally identical to `run_stage` — bit-identical ordered
-//! results and identical ok/error/panic counts — for every batch size —
-//! plus the scoped core's own promises: a one-batch stage stays on the
-//! caller, and borrowed data survives nested, panicking, oversubscribed
-//! stages.
+//! results and identical ok/error/panic counts — for every item and worker
+//! count, and so for every batch size those pick — plus the scoped core's
+//! own promises: a lone item stays on the caller, and borrowed data
+//! survives nested, panicking, oversubscribed stages. Explicit batch sizes
+//! are the private core's, tested beside it in `stage.rs`.
 
 use std::sync::OnceLock;
 
 use mcqa_runtime::{run_stage, run_stage_batched, Executor, TaskError};
 use proptest::prelude::*;
 
-fn exec() -> &'static Executor {
-    static EXEC: OnceLock<Executor> = OnceLock::new();
-    EXEC.get_or_init(|| Executor::new(4))
+/// Pools of 1, 2 and 4 workers: the batch size follows the worker count.
+fn exec(pick: usize) -> &'static Executor {
+    static EXECS: OnceLock<[Executor; 3]> = OnceLock::new();
+    &EXECS.get_or_init(|| [1, 2, 4].map(Executor::new))[pick]
 }
 
 /// The task under test mixes all three outcomes deterministically:
@@ -30,21 +32,18 @@ fn mixed_outcome(x: u64) -> Result<u64, String> {
 proptest! {
     #[test]
     fn batched_is_bit_identical_to_per_item(
-        items in proptest::collection::vec(any::<u64>(), 0..150),
+        items in proptest::collection::vec(any::<u64>(), 0..1200),
+        workers_pick in 0usize..3,
     ) {
-        let n = items.len();
-        let (reference, ref_metrics) =
-            run_stage(exec(), "ref", items.clone(), mixed_outcome);
-        for batch_size in [1usize, 7, 64, n.max(1)] {
-            let (batched, metrics) =
-                run_stage_batched(exec(), "ref", items.clone(), batch_size, mixed_outcome);
-            prop_assert_eq!(&batched, &reference, "batch_size {}", batch_size);
-            prop_assert_eq!(metrics.items, ref_metrics.items);
-            prop_assert_eq!(metrics.ok, ref_metrics.ok);
-            prop_assert_eq!(metrics.errors, ref_metrics.errors);
-            prop_assert_eq!(metrics.panics, ref_metrics.panics);
-            prop_assert_eq!(metrics.produced, ref_metrics.produced);
-        }
+        let exec = exec(workers_pick);
+        let (reference, ref_metrics) = run_stage(exec, "ref", items.clone(), mixed_outcome);
+        let (batched, metrics) = run_stage_batched(exec, "ref", items, mixed_outcome);
+        prop_assert_eq!(&batched, &reference, "{} workers", exec.workers());
+        prop_assert_eq!(metrics.items, ref_metrics.items);
+        prop_assert_eq!(metrics.ok, ref_metrics.ok);
+        prop_assert_eq!(metrics.errors, ref_metrics.errors);
+        prop_assert_eq!(metrics.panics, ref_metrics.panics);
+        prop_assert_eq!(metrics.produced, ref_metrics.produced);
     }
 }
 
@@ -52,16 +51,17 @@ proptest! {
 /// batch-mates before *and after* the panicking item still complete.
 #[test]
 fn mid_batch_panic_isolates_to_that_item_only() {
-    let items: Vec<u64> = (0..50).collect();
-    // Batch size 25 puts item 13 mid-batch with live neighbours both sides.
-    let (results, metrics) = run_stage_batched(exec(), "poison", items, 25, |x| {
+    // 200 items on one worker are batches of 25, so item 13 sits mid-batch
+    // with live neighbours both sides.
+    let items: Vec<u64> = (0..200).collect();
+    let (results, metrics) = run_stage_batched(exec(0), "poison", items, |x| {
         if x == 13 {
             panic!("poison pill");
         }
         Ok::<u64, String>(x * 2)
     });
     assert_eq!(metrics.panics, 1);
-    assert_eq!(metrics.ok, 49);
+    assert_eq!(metrics.ok, 199);
     assert_eq!(metrics.errors, 1);
     for (i, r) in results.iter().enumerate() {
         if i == 13 {
@@ -72,27 +72,19 @@ fn mid_batch_panic_isolates_to_that_item_only() {
     }
 }
 
-/// A stage that is one batch — here a batch size far larger than the item
-/// count — never leaves the calling thread: the caller keeps a stage's last
-/// batch, so no job is queued, no worker is woken, and no item is lost or
-/// reordered.
+/// A lone item — a lone request's search — never leaves the calling
+/// thread: no job is queued and no worker is woken.
 #[test]
-fn one_batch_stage_runs_on_the_caller() {
-    // A private pool: the shared one's counter also moves with whatever
+fn lone_item_stage_runs_on_the_caller() {
+    // A private pool: the shared ones' counters also move with whatever
     // tests run beside this one.
     let exec = Executor::new(2);
     let caller = std::thread::current().id();
-    let before = exec.stats().total_executed();
-    let (results, metrics) =
-        run_stage_batched(&exec, "one-batch", (0..10u64).collect(), 1_000_000, |x| {
-            Ok::<_, String>((x, std::thread::current().id()))
-        });
-    assert_eq!(metrics.ok, 10);
-    assert_eq!(results.len(), 10);
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(*r, Ok((i as u64, caller)), "item {i} ran in order on the calling thread");
-    }
-    assert_eq!(exec.stats().total_executed(), before, "nothing went through the queue");
+    let (results, _) = run_stage_batched(&exec, "lone", vec![7u64], |x| {
+        Ok::<_, String>((x, std::thread::current().id()))
+    });
+    assert_eq!(results, vec![Ok((7, caller))]);
+    assert_eq!(exec.stats().total_executed(), 0, "nothing went through the queue");
 }
 
 /// The scoped core under contention: more workers than CPUs, closures that
@@ -110,17 +102,16 @@ fn scoped_core_stress() {
         let poisoned = |i: usize| mcqa_util::splitmix64(round << 32 | i as u64) % 7 == 3;
         // The nested stage reads a window of the same borrowed `data`.
         let window = |i: usize| (0..=i % 8).map(move |j| (i + j) % ROWS);
-        let batch_size = 1 + round as usize % 5;
-        let (results, metrics) =
-            run_stage_batched(&exec, "outer", (0..ROWS).collect(), batch_size, |i| {
-                if poisoned(i) {
-                    panic!("seeded panic: round {round} item {i}");
-                }
-                let (inner, _) = run_stage(&exec, "inner", window(i).collect(), |at| {
-                    Ok::<u64, String>(data[at])
-                });
-                Ok::<u64, String>(inner.into_iter().map(Result::unwrap).fold(0, u64::wrapping_add))
-            });
+        // 16 to 336 items on 8 workers: batches of 1 to 6.
+        let items = 16 + 80 * (round as usize % 5);
+        let (results, metrics) = run_stage_batched(&exec, "outer", (0..items).collect(), |i| {
+            if poisoned(i) {
+                panic!("seeded panic: round {round} item {i}");
+            }
+            let (inner, _) =
+                run_stage(&exec, "inner", window(i).collect(), |at| Ok::<u64, String>(data[at]));
+            Ok::<u64, String>(inner.into_iter().map(Result::unwrap).fold(0, u64::wrapping_add))
+        });
         let mut panics = 0;
         for (i, r) in results.iter().enumerate() {
             if poisoned(i) {
@@ -132,7 +123,7 @@ fn scoped_core_stress() {
             }
         }
         assert_eq!(metrics.panics, panics, "round {round}");
-        assert_eq!(metrics.ok, ROWS - panics, "round {round}");
+        assert_eq!(metrics.ok, items - panics, "round {round}");
     }
     assert_eq!(data, pristine, "borrowed data intact after every stage");
 }

@@ -34,10 +34,12 @@ impl QueryInput {
     }
 }
 
-/// Which retrieval channel(s) a request runs through.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Which retrieval channel(s) a request runs through. Totally ordered, so
+/// the service groups a batch by it directly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QueryMode {
     /// Vector search against the dense store (the default).
+    #[default]
     Dense,
     /// BM25 search against the source's lexical sibling
     /// (`lex-<source>` in the registry).
@@ -53,15 +55,6 @@ pub enum QueryMode {
         /// [`mcqa_index::lexical::DEFAULT_FUSE_DEPTH`].
         depth: usize,
     },
-}
-
-// Not derived: the serde shim's derive can't parse a `#[default]` variant
-// attribute (same situation as IndexSpec).
-#[allow(clippy::derivable_impls)]
-impl Default for QueryMode {
-    fn default() -> Self {
-        QueryMode::Dense
-    }
 }
 
 impl QueryMode {
@@ -235,7 +228,7 @@ mod tests {
         assert_eq!(r.input.text(), None);
 
         let r = QueryRequest::text("chunks", "dose rate", 4).with_mode(QueryMode::Hybrid {
-            fusion: Fusion::default(),
+            fusion: Fusion,
             rerank: true,
             depth: 0,
         });

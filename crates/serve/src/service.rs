@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use mcqa_embed::{BioEncoder, EmbeddingCache};
-use mcqa_index::lexical::{fuse_depth, Fusion};
+use mcqa_index::lexical::fuse_depth;
 use mcqa_index::IndexRegistry;
 use mcqa_llm::Reranker;
 use mcqa_runtime::Executor;
@@ -302,26 +302,6 @@ struct Dispatcher {
     stats: Arc<ServiceStats>,
 }
 
-/// A totally ordered stand-in for [`QueryMode`] in the group map: the
-/// variant tag plus the fusion knobs (f32 weight via its bit pattern —
-/// grouping only needs a stable key, not numeric order), the hybrid
-/// over-fetch depth and the rerank flag, each at full width.
-type ModeKey = (u8, u32, usize, bool);
-
-/// The micro-batch group key: one store search per (source, k, mode).
-type GroupKey = (String, usize, ModeKey);
-
-fn mode_key(mode: &QueryMode) -> ModeKey {
-    match *mode {
-        QueryMode::Dense => (0, 0, 0, false),
-        QueryMode::Lexical => (1, 0, 0, false),
-        QueryMode::Hybrid { fusion: Fusion::Rrf { k0 }, rerank, depth } => (2, k0, depth, rerank),
-        QueryMode::Hybrid { fusion: Fusion::Weighted { dense }, rerank, depth } => {
-            (3, dense.to_bits(), depth, rerank)
-        }
-    }
-}
-
 impl Dispatcher {
     fn run(self, rx: Receiver<Vec<Pending>>) {
         // The dispatcher's own query-encode cache: repeated text queries
@@ -360,19 +340,14 @@ impl Dispatcher {
         // Group member slots by (source, k, mode): one store search per
         // group keeps results bit-identical to per-query search (the
         // batched kernels guarantee it) while sharing one scan of the store.
-        let mut groups: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
+        let mut groups: BTreeMap<(String, usize, QueryMode), Vec<usize>> = BTreeMap::new();
         for (i, p) in batch.iter().enumerate() {
-            groups
-                .entry((p.req.source.clone(), p.req.k, mode_key(&p.req.mode)))
-                .or_default()
-                .push(i);
+            groups.entry((p.req.source.clone(), p.req.k, p.req.mode)).or_default().push(i);
         }
         let mut slots: Vec<Option<Pending>> = batch.into_iter().map(Some).collect();
 
         let mut ctx = GroupCtx { slots: &mut slots, queue_waits: &queue_waits, size };
-        for ((source, k, _), members) in groups {
-            // The key fully encodes the mode, so any member's copy works.
-            let mode = ctx.slots[members[0]].as_ref().expect("slot unanswered").req.mode;
+        for ((source, k, mode), members) in groups {
             self.serve_group(&source, k, mode, &members, cache, &mut ctx);
         }
 

@@ -2,7 +2,7 @@
 //!
 //! * **Bit-identity** — a served `QueryMode::Lexical` response equals a
 //!   direct `LexicalIndex::search`, and a served `QueryMode::Hybrid`
-//!   response equals `fusion.fuse(dense@depth, lexical@depth)` computed
+//!   response equals `Fusion.fuse(dense@depth, lexical@depth)` computed
 //!   offline — at any worker count, arrival order, or batch watermark.
 //! * **Rerank determinism** — rescoring through the cross-encoder is a
 //!   pure function of (query, fused hits, passages): served rerank output
@@ -138,7 +138,6 @@ fn start_service(workers: usize, max_batch: usize) -> QueryService {
 /// same reranker adapter.
 fn offline_hybrid(
     text: &str,
-    fusion: Fusion,
     rerank: bool,
     depth: usize,
     k: usize,
@@ -147,7 +146,7 @@ fn offline_hybrid(
     let depth = fuse_depth(k, depth);
     let dense = fix.registry.expect_store("chunks").search(&encoder().encode(text), depth);
     let lexical = fix.registry.expect_lexical("lex-chunks").search(text, depth);
-    let mut fused = fusion.fuse(&dense, &lexical, k);
+    let mut fused = Fusion.fuse(&dense, &lexical, k);
     if rerank {
         let rr = Reranker::new(fix.endpoint.clone(), 42);
         let ps: Vec<String> = fused
@@ -165,7 +164,7 @@ fn offline_hybrid(
 
 proptest! {
     /// The served hybrid path is bit-identical to the offline reference at
-    /// any worker count, batch watermark, arrival order and fusion config.
+    /// any worker count, batch watermark and arrival order.
     #[test]
     fn served_hybrid_equals_offline_fusion(
         n in 1usize..16,
@@ -173,19 +172,13 @@ proptest! {
         k in 1usize..8,
         workers_pick in 0usize..2,
         batch_pick in 0usize..3,
-        fusion_pick in 0usize..3,
         rerank_pick in 0usize..2,
         shuffle in 0u64..1000,
     ) {
         let rerank = rerank_pick == 1;
         let workers = [1usize, 4][workers_pick];
         let max_batch = [1usize, 4, 64][batch_pick];
-        let fusion = [
-            Fusion::Rrf { k0: 60 },
-            Fusion::Rrf { k0: 10 },
-            Fusion::Weighted { dense: 0.7 },
-        ][fusion_pick];
-        let mode = QueryMode::Hybrid { fusion, rerank, depth: 0 };
+        let mode = QueryMode::Hybrid { fusion: Fusion, rerank, depth: 0 };
 
         let texts: Vec<String> = (0..n).map(|i| query_text(seed + i as u64)).collect();
         let reqs: Vec<QueryRequest> =
@@ -204,7 +197,7 @@ proptest! {
         }
         for (i, t) in tickets.into_iter().enumerate() {
             let resp = t.expect("ticket").wait().expect("served");
-            let want = offline_hybrid(&texts[i], fusion, rerank, 0, k);
+            let want = offline_hybrid(&texts[i], rerank, 0, k);
             prop_assert_eq!(&resp.hits, &want, "hybrid request {}", i);
         }
         service.shutdown();
@@ -241,7 +234,6 @@ proptest! {
 #[test]
 fn hybrid_depths_beyond_32_bits_are_not_grouped_together() {
     const K: usize = 3;
-    let fusion = Fusion::default();
     let depths = [1usize, (1 << 32) + 1];
     let texts: Vec<String> = (0..16).map(query_text).collect();
     // Consecutive requests alternate depth, and a replay is one dispatch,
@@ -251,14 +243,14 @@ fn hybrid_depths_beyond_32_bits_are_not_grouped_together() {
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let mode = QueryMode::Hybrid { fusion, rerank: false, depth: depths[i % 2] };
+            let mode = QueryMode::Hybrid { fusion: Fusion, rerank: false, depth: depths[i % 2] };
             QueryRequest::text("chunks", t, K).with_mode(mode)
         })
         .collect();
     for (i, res) in service.query_batch(reqs).into_iter().enumerate() {
         let resp = res.expect("served");
         assert_eq!(resp.batch, texts.len(), "request {i} rode the one dispatch");
-        let want = offline_hybrid(&texts[i], fusion, false, depths[i % 2], K);
+        let want = offline_hybrid(&texts[i], false, depths[i % 2], K);
         assert_eq!(resp.hits, want, "request {i} at depth {}", depths[i % 2]);
     }
 }
@@ -275,8 +267,8 @@ fn every_defect_maps_to_its_error_in_every_mode() {
     let no_reranker = plain(Some(encoder().clone()));
     let no_encoder = plain(None);
 
-    let hybrid = QueryMode::Hybrid { fusion: Fusion::default(), rerank: false, depth: 0 };
-    let rerank = QueryMode::Hybrid { fusion: Fusion::default(), rerank: true, depth: 0 };
+    let hybrid = QueryMode::Hybrid { fusion: Fusion, rerank: false, depth: 0 };
+    let rerank = QueryMode::Hybrid { fusion: Fusion, rerank: true, depth: 0 };
     let owned = |names: Vec<&str>| names.into_iter().map(String::from).collect::<Vec<_>>();
     let no_dense = |name: &str| {
         Some(ServeError::UnknownStore { name: name.into(), known: owned(fix.registry.names()) })

@@ -48,15 +48,6 @@ if grep -rn 'expect_lexical\|\.lexical(' crates/eval/src; then
     fail "eval reaches the lexical index outside the query service"
 fi
 
-# Every backend's F16 scan goes through the cache-aware accessor
-# (EmbeddingMatrix::for_each_panel), so a lone request replays resident
-# panels instead of re-decoding the matrix. The raw streaming iterator
-# reappearing under crates/index would fork the scan path and silently
-# reopen the batch-of-1 latency floor.
-if grep -rn 'for_each_block(' crates/index/src; then
-    fail "crates/index bypasses the panel cache (for_each_block)"
-fi
-
 # One ingest planner: the cold build and the incremental re-run flow
 # through run_planned, so there is exactly one generation call site for the
 # single bookkeeping path to guard. A second call site means a fork of the

@@ -15,7 +15,7 @@
 //! | [`text`] | tokenisation, sentence splitting, semantic chunking |
 //! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage |
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
-//! | [`lexical`] | the BM25 keyword channel + dense/lexical fusion (RRF, weighted) (`index::lexical`) |
+//! | [`lexical`] | the BM25 keyword channel + dense/lexical reciprocal rank fusion (`index::lexical`) |
 //! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped fault-isolated stages, stage metrics |
 //! | [`llm`] | every model role behind one `ModelEndpoint` trait (batched completions, response cache, call ledger); the sim backend plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
 //! | [`serve`] | the in-process query service (admission control, dynamic micro-batching) |
@@ -51,7 +51,7 @@ pub use mcqa_util as util;
 /// The most common imports in one place.
 pub mod prelude {
     pub use mcqa_core::{Pipeline, PipelineConfig, PipelineOutput};
-    pub use mcqa_eval::{AstroConfig, AstroExam, EvalConfig, EvalRun, Evaluator};
+    pub use mcqa_eval::{AstroExam, EvalConfig, EvalRun, Evaluator};
     pub use mcqa_index::lexical::{Fusion, LexicalIndex};
     pub use mcqa_index::{IndexRegistry, IndexSpec, VectorStore};
     pub use mcqa_llm::{

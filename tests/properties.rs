@@ -3,7 +3,11 @@
 use proptest::prelude::*;
 
 use distllm::corpus::compress::{compress, decompress};
-use distllm::index::{FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, Metric, VectorStore};
+use distllm::embed::Precision;
+use distllm::index::{
+    build_store_from_vectors, FlatIndex, HnswConfig, HnswIndex, IndexSpec, IvfConfig, IvfIndex,
+    Metric, VectorStore,
+};
 use distllm::text::{split_sentences, token_count, tokenize};
 use distllm::util::f16::{decode_f16_bytes, encode_f16_bytes};
 use distllm::util::F16;
@@ -276,16 +280,20 @@ fn ivf_and_hnsw_recall_against_flat() {
 
 #[test]
 fn approximate_results_are_subset_of_corpus() {
-    // Every id an ANN index returns must be one it was given.
+    // Every id a backend returns must be one it was given.
     let dim = 8;
-    let data: Vec<Vec<f32>> = (0..100).map(|i| random_unit_vec(dim, i)).collect();
-    let mut hnsw = HnswIndex::new(dim, Metric::Cosine, HnswConfig::default());
-    for (i, v) in data.iter().enumerate() {
-        hnsw.add(1000 + i as u64, v);
-    }
-    for q in 0..10u64 {
-        for hit in hnsw.search(&random_unit_vec(dim, 777 + q), 7) {
-            assert!((1000..1100).contains(&hit.id));
+    let items: Vec<(u64, Vec<f32>)> =
+        (0..100).map(|i| (1000 + i, random_unit_vec(dim, i))).collect();
+    let exec = distllm::runtime::Executor::global();
+    for spec in IndexSpec::all_defaults() {
+        let store =
+            build_store_from_vectors(&spec, dim, Metric::Cosine, Precision::F32, exec, &items);
+        for q in 0..10u64 {
+            let hits = store.search(&random_unit_vec(dim, 777 + q), 7);
+            assert!(!hits.is_empty(), "{}: query {q} found nothing", spec.label());
+            for hit in hits {
+                assert!((1000..1100).contains(&hit.id), "{}: id {}", spec.label(), hit.id);
+            }
         }
     }
 }
