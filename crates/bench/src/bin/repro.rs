@@ -60,6 +60,8 @@ fn main() {
         "ingest" => {
             let report = ingest::ingest_check(&config, args.edits);
             print!("{}", report.render());
+            println!("\nIncremental run stage report:\n");
+            print!("{}", report.stages.render());
             if matches!(report.verdict, ingest::Verdict::Mismatch(_)) {
                 std::process::exit(1);
             }

@@ -5,6 +5,7 @@
 use mcqa_core::{IngestCensus, Pipeline, PipelineConfig};
 use mcqa_corpus::EditBatch;
 use mcqa_index::IndexSpec;
+use mcqa_runtime::RunReport;
 use std::sync::Arc;
 
 /// How the incremental run compared with the cold rebuild.
@@ -34,6 +35,9 @@ pub struct IngestReport {
     pub stores: usize,
     pub probes: usize,
     pub verdict: Verdict,
+    /// The incremental run's stage report: its `ingest-scan` and
+    /// `ingest-registry` rows are a round's fixed cost.
+    pub stages: RunReport,
 }
 
 /// Cold-build `config`, apply a seeded synthetic batch of `edits` edits
@@ -110,7 +114,15 @@ pub fn ingest_check(config: &PipelineConfig, edits: Option<usize>) -> IngestRepo
     } else {
         Verdict::Overlap(hit as f64 / total.max(1) as f64)
     };
-    IngestReport { edits, profile, census: inc.ingest, stores, probes: probes.len(), verdict }
+    IngestReport {
+        edits,
+        profile,
+        census: inc.ingest,
+        stores,
+        probes: probes.len(),
+        verdict,
+        stages: inc.report,
+    }
 }
 
 impl IngestReport {

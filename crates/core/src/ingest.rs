@@ -18,7 +18,7 @@
 
 use std::cmp::Ordering;
 
-use mcqa_util::StableHasher;
+use mcqa_util::{LaneHasher, StableHasher};
 
 /// Domain separator so content hashes can never collide with the
 /// workspace's other `StableHasher` uses.
@@ -36,18 +36,23 @@ const LANE_SEED: u64 = 0x00C0_A7E2_7AD1_2E57_u64;
 pub struct ContentHash(pub [u8; 32]);
 
 impl ContentHash {
-    /// Hash raw content bytes.
+    /// Hash raw content bytes: the four lanes absorb the blob together, in
+    /// one pass over it.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        let mut out = [0u8; 32];
-        for lane in 0..4u64 {
-            let mut h = StableHasher::with_seed(LANE_SEED ^ lane);
+        let forks: [StableHasher; 4] = std::array::from_fn(|lane| {
+            let mut h = StableHasher::with_seed(LANE_SEED ^ lane as u64);
             // Tag 0, one part, that part's length: the frame ahead of the
             // bytes is part of every address, so it stays.
             h.write(&[0]);
             h.write_u64(1);
             h.write_u64(bytes.len() as u64);
-            h.write(bytes);
-            out[lane as usize * 8..][..8].copy_from_slice(&h.finish().to_le_bytes());
+            h
+        });
+        let mut lanes = LaneHasher::new(forks.each_ref());
+        lanes.write(bytes);
+        let mut out = [0u8; 32];
+        for (word, bits) in out.chunks_exact_mut(8).zip(lanes.finish()) {
+            word.copy_from_slice(&bits.to_le_bytes());
         }
         Self(out)
     }
@@ -225,6 +230,32 @@ mod tests {
             ContentHash::of_bytes(b"a document body").to_hex(),
             "253f72819e19520202b5dfd32d562d14f388682b38ec88603350cfadcf1fa2bc"
         );
+    }
+
+    #[test]
+    fn one_pass_hash_matches_four_sequential_lanes() {
+        // The formula `of_bytes` replaced: four `StableHasher`s, each
+        // framing and absorbing the whole blob on its own.
+        fn oracle(bytes: &[u8]) -> [u8; 32] {
+            let mut out = [0u8; 32];
+            for lane in 0..4u64 {
+                let mut h = StableHasher::with_seed(LANE_SEED ^ lane);
+                h.write(&[0]);
+                h.write_u64(1);
+                h.write_u64(bytes.len() as u64);
+                h.write(bytes);
+                out[lane as usize * 8..][..8].copy_from_slice(&h.finish().to_le_bytes());
+            }
+            out
+        }
+        // Around the one-byte length boundary, an odd multi-KiB length, and
+        // a seeded random blob; the lengths' bytes are a constant run.
+        let mut blobs: Vec<Vec<u8>> =
+            [0, 1, 255, 256, 257, 5_003].iter().map(|&len| vec![0xA5; len]).collect();
+        blobs.push((0..9_731u64).map(|i| mcqa_util::splitmix64(0x5EED ^ i) as u8).collect());
+        for bytes in &blobs {
+            assert_eq!(ContentHash::of_bytes(bytes).0, oracle(bytes), "{} bytes", bytes.len());
+        }
     }
 
     #[test]

@@ -43,13 +43,18 @@ fn over_tombstone_threshold(tombstones: usize, live: usize) -> bool {
 }
 
 /// Bring one retrieval source — the dense store `name` and its `lex-`
-/// sibling — up to date: tombstone the rows of `dead` ids, add the fresh
-/// `vectors` / `texts`, compact a side once its tombstones pass the
-/// threshold. A cold build is the same plan with nothing registered and
-/// nothing dead: the dense store is bulk-loaded (which is where IVF / PQ
-/// train) and the sibling starts empty. One `index-<name>` and one
-/// `index-lex-<name>` stage row either way (items = rows added, out = live
-/// rows afterwards).
+/// sibling — up to date: compact what the previous round left tombstoned,
+/// tombstone the rows of `dead` ids, add the fresh `vectors` / `texts`,
+/// compact a side once its tombstones pass the threshold. A cold build is
+/// the same plan with nothing registered and nothing dead: the dense store
+/// is bulk-loaded (which is where IVF / PQ train) and the sibling starts
+/// empty. One `index-<name>` and one `index-lex-<name>` stage row either
+/// way (items = rows added, out = live rows afterwards).
+///
+/// The start-of-round compaction keeps a round's input what a decode of
+/// the previous registry's tombstone-free wire format would be, so the
+/// threshold only ever sees this round's tombstones. It is not counted in
+/// `census.compactions`.
 #[allow(clippy::too_many_arguments)]
 fn refresh_source(
     config: &PipelineConfig,
@@ -76,6 +81,7 @@ fn refresh_source(
             ),
         ),
         Some(store) => {
+            store.compact(exec);
             census.tombstones_dense += store.remove(dead);
             store.add_batch(exec, vectors);
             if over_tombstone_threshold(store.tombstones(), store.len()) {
@@ -99,6 +105,7 @@ fn refresh_source(
         indexes.insert_lexical(&sibling, LexicalIndex::new(Default::default()));
     }
     let lex = indexes.expect_lexical_mut(&sibling);
+    lex.compact();
     census.tombstones_lexical += lex.remove(dead);
     lex.add_batch(exec, texts);
     if over_tombstone_threshold(lex.tombstones(), lex.len()) {
@@ -231,9 +238,12 @@ impl Pipeline {
 
     /// Incremental run: content-hash `library`, diff against `prev`'s
     /// manifest, and re-run only the slices the change set touches.
-    /// Unchanged chunks replay their memoized generation outcome; index
-    /// rows for removed/modified slices are tombstoned and fresh rows
-    /// upserted, compacting once tombstones exceed the threshold.
+    /// Unchanged chunks replay their memoized generation outcome. The
+    /// stores start from an in-memory copy of `prev`'s registry, each
+    /// compacted of the tombstones `prev`'s round left; index rows for
+    /// removed/modified slices are then tombstoned and fresh rows
+    /// upserted, compacting once this round's tombstones exceed the
+    /// threshold.
     ///
     /// `config` must equal `prev.config` in every field but `workers`
     /// (no artifact depends on the worker count). Replayed chunks, vectors
@@ -392,12 +402,24 @@ impl Pipeline {
 
         // Chunk DB and its lexical sibling (the hybrid retrieval channel's
         // word-level view). A cold build starts from an empty registry; an
-        // incremental run decodes the previous one, tombstones the rows of
+        // incremental run copies the previous one in memory (one
+        // `ingest-registry` row: items = stores + siblings copied), and
+        // `refresh_source` compacts each copy, tombstones the rows of
         // removed/modified documents, and appends the fresh ones.
         let mut indexes = match prev {
             None => IndexRegistry::new(),
-            Some(p) => IndexRegistry::from_bytes(&p.indexes.to_bytes())
-                .expect("a registry round-trips through its own serialisation"),
+            Some(p) => {
+                let t = ScopeTimer::start("ingest-registry");
+                let copy = (*p.indexes).clone();
+                let entries = copy.len() + copy.lexical_names().len();
+                report.add(StageMetrics::single(
+                    "ingest-registry",
+                    entries,
+                    entries,
+                    t.elapsed_secs(),
+                ));
+                copy
+            }
         };
         let dead_chunk_ids: Vec<u64> = prev
             .map(|p| {
@@ -1052,6 +1074,10 @@ mod tests {
                 assert_eq!(row(&prev.report, &stage), (len, len), "{stage}");
             }
         }
+        // The copy of the previous registry has its own row: four stores
+        // and four siblings. A cold build has nothing to copy.
+        assert_eq!(row(&out.report, "ingest-registry"), (8, 8));
+        assert!(prev.report.stages().iter().all(|s| s.name != "ingest-registry"));
     }
 
     #[test]
@@ -1070,61 +1096,49 @@ mod tests {
         // The tentpole acceptance: after a synthetic edit batch, the
         // incremental run's artifacts AND search behaviour are identical
         // to a cold rebuild over the edited corpus.
-        let prev = tiny_output();
-        let mut library = (*prev.library).clone();
-        let batch = EditBatch::synthetic(&library, 13, 5);
-        library.apply_edits(&prev.ontology, &batch);
-        let library = Arc::new(library);
-
-        let inc = Pipeline::run_incremental(&prev.config, prev, Arc::clone(&library));
-        let full =
-            Pipeline::run_full(&prev.config, Arc::clone(&prev.ontology), Arc::clone(&library));
-
-        assert!(inc.ingest.docs_changed() > 0, "batch must touch the corpus");
-        assert!(inc.ingest.chunks_reused > 0, "most chunks replay");
-        assert_eq!(inc.chunks, full.chunks);
-        assert_eq!(inc.questions, full.questions);
-        assert_eq!(inc.items, full.items);
-        assert_eq!(inc.traces, full.traces);
-        assert_eq!(inc.manifest, full.manifest);
-
-        // Search bit-identity on every dense store (flat backend) and
-        // every lexical sibling, over real probe queries.
+        // Three hops, each incremental over the last: tombstones a round
+        // leaves under the threshold cross into the next round in memory,
+        // so every hop compares every artifact, and searches every dense
+        // store (flat backend) and every lexical sibling over real probe
+        // queries, bit for bit.
         let probes = ["proton therapy dose", "gene expression pathway", "tumour margin imaging"];
-        for name in inc.indexes.names() {
-            let a = inc.indexes.expect_store(name);
-            let b = full.indexes.expect_store(name);
-            assert_eq!(a.len(), b.len(), "{name} cardinality");
-            for p in &probes {
-                let q = inc.encoder.encode(p);
-                assert_eq!(a.search(&q, 10), b.search(&q, 10), "{name} search for {p:?}");
+        let first = tiny_output();
+        let mut hop_outputs: Vec<PipelineOutput> = Vec::new();
+        for (hop, (seed, edits)) in [(13, 5), (14, 4), (15, 6)].into_iter().enumerate() {
+            let prev = hop_outputs.last().unwrap_or(first);
+            if hop > 0 {
+                let carried: usize = prev.indexes.iter().map(|(_, s)| s.tombstones()).sum();
+                assert!(carried > 0, "hop {hop} must start from tombstoned stores");
             }
-        }
-        for name in inc.indexes.lexical_names() {
-            let a = inc.indexes.expect_lexical(name);
-            let b = full.indexes.expect_lexical(name);
-            assert_eq!(a.len(), b.len(), "{name} cardinality");
-            for p in &probes {
-                assert_eq!(a.search(p, 10), b.search(p, 10), "{name} search for {p:?}");
-            }
-        }
+            let mut library = (*prev.library).clone();
+            library.apply_edits(&prev.ontology, &EditBatch::synthetic(&library, seed, edits));
+            let library = Arc::new(library);
+            let inc = Pipeline::run_incremental(&prev.config, prev, Arc::clone(&library));
+            let full = Pipeline::run_full(&prev.config, Arc::clone(&prev.ontology), library);
 
-        // A second hop: incremental-on-incremental stays identical too.
-        let mut lib2 = (*library).clone();
-        let batch2 = EditBatch::synthetic(&lib2, 14, 4);
-        lib2.apply_edits(&prev.ontology, &batch2);
-        let lib2 = Arc::new(lib2);
-        let inc2 = Pipeline::run_incremental(&inc.config, &inc, Arc::clone(&lib2));
-        let full2 = Pipeline::run_full(&prev.config, Arc::clone(&prev.ontology), lib2);
-        assert_eq!(inc2.questions, full2.questions);
-        assert_eq!(inc2.traces, full2.traces);
-        for p in &probes {
-            let q = inc2.encoder.encode(p);
-            assert_eq!(
-                inc2.chunk_store().search(&q, 10),
-                full2.chunk_store().search(&q, 10),
-                "second-hop chunk search for {p:?}"
-            );
+            assert!(inc.ingest.docs_changed() > 0, "hop {hop}: batch must touch the corpus");
+            assert!(inc.ingest.chunks_reused > 0, "hop {hop}: most chunks replay");
+            assert_eq!(inc.chunks, full.chunks, "hop {hop}");
+            assert_eq!(inc.questions, full.questions, "hop {hop}");
+            assert_eq!(inc.items, full.items, "hop {hop}");
+            assert_eq!(inc.traces, full.traces, "hop {hop}");
+            assert_eq!(inc.manifest, full.manifest, "hop {hop}");
+            for name in inc.indexes.names() {
+                let (a, b) = (inc.indexes.expect_store(name), full.indexes.expect_store(name));
+                assert_eq!(a.len(), b.len(), "hop {hop}: {name} cardinality");
+                for p in &probes {
+                    let q = inc.encoder.encode(p);
+                    assert_eq!(a.search(&q, 10), b.search(&q, 10), "hop {hop}: {name} {p:?}");
+                }
+            }
+            for name in inc.indexes.lexical_names() {
+                let (a, b) = (inc.indexes.expect_lexical(name), full.indexes.expect_lexical(name));
+                assert_eq!(a.len(), b.len(), "hop {hop}: {name} cardinality");
+                for p in &probes {
+                    assert_eq!(a.search(p, 10), b.search(p, 10), "hop {hop}: {name} {p:?}");
+                }
+            }
+            hop_outputs.push(inc);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_text::{for_each_content_token, Bridge};
-use mcqa_util::{PairedHasher, StableHasher};
+use mcqa_util::{LaneHasher, StableHasher};
 
 /// Encoder configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,11 +29,11 @@ pub struct BioEncoder {
     /// past its seed-and-lane-number prefix
     /// (`StableHasher::with_seed(seed)` then `write_u32(lane)`): a feature
     /// forks this state and only absorbs its own bytes.
-    lanes: PairedHasher,
+    lanes: LaneHasher<2>,
     /// `lanes` already past the length and `#` every 3-byte trigram
     /// feature starts with (`write_len(4)`, then `b"#"`): FNV is a left
     /// fold, so an ASCII trigram only absorbs its own 3 bytes.
-    trigram_lanes: PairedHasher,
+    trigram_lanes: LaneHasher<2>,
     /// `dim − 1` when `dim` is a power of two, where `bits % dim` is
     /// `bits & (dim − 1)`.
     dim_mask: Option<u64>,
@@ -48,7 +48,7 @@ impl BioEncoder {
             h.write_u32(r);
             h
         };
-        let lanes = PairedHasher::new(&lane(0), &lane(1));
+        let lanes = LaneHasher::new([&lane(0), &lane(1)]);
         let mut trigram_lanes = lanes;
         trigram_lanes.write_len(4);
         trigram_lanes.write(b"#");
@@ -77,7 +77,7 @@ impl BioEncoder {
 
     /// Emit the two postings of a feature whose bytes `h` has absorbed.
     #[inline]
-    fn emit_postings(&self, h: PairedHasher, weight: f32, emit: &mut impl FnMut(u32, f32)) {
+    fn emit_postings(&self, h: LaneHasher<2>, weight: f32, emit: &mut impl FnMut(u32, f32)) {
         for bits in h.finish() {
             let idx = match self.dim_mask {
                 Some(mask) => bits & mask,

@@ -120,6 +120,29 @@ impl EmbeddingMatrix {
         self.rows += rows.len();
     }
 
+    /// Drop every row whose `dead` flag is set, keeping the rest in order.
+    /// Surviving rows move as stored bytes, and their cached norms move
+    /// with them, so the result equals a matrix built from the live rows
+    /// alone — nothing is decoded or re-quantised.
+    pub fn retain_rows(&mut self, dead: &[bool]) {
+        assert_eq!(dead.len(), self.rows, "one flag per row");
+        let (dim, mut kept) = (self.dim, 0);
+        for (i, _) in dead.iter().enumerate().filter(|(_, &d)| !d) {
+            match self.precision {
+                Precision::F32 => self.data_f32.copy_within(i * dim..(i + 1) * dim, kept * dim),
+                Precision::F16 => {
+                    self.data_f16.copy_within(i * dim * 2..(i + 1) * dim * 2, kept * dim * 2)
+                }
+            }
+            self.sq_norms[kept] = self.sq_norms[i];
+            kept += 1;
+        }
+        self.data_f32.truncate(kept * dim);
+        self.data_f16.truncate(kept * dim * 2);
+        self.sq_norms.truncate(kept);
+        self.rows = kept;
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows
@@ -495,6 +518,27 @@ mod tests {
         let empty = header(3, 0, 1);
         assert_eq!(EmbeddingMatrix::peek_shape(&empty), Some((3, 0)));
         assert!(EmbeddingMatrix::from_bytes(&empty).unwrap().is_empty());
+    }
+
+    #[test]
+    fn retain_rows_equals_a_build_from_the_kept_rows() {
+        for precision in [Precision::F32, Precision::F16] {
+            let rows = sample_rows(11, 24);
+            let dead: Vec<bool> = (0..11).map(|i| i % 3 == 1 || i == 10).collect();
+            let mut m = EmbeddingMatrix::from_rows(24, precision, &rows);
+            m.retain_rows(&dead);
+            let kept: Vec<Vec<f32>> =
+                rows.iter().zip(&dead).filter(|(_, &d)| !d).map(|(r, _)| r.clone()).collect();
+            let cold = EmbeddingMatrix::from_rows(24, precision, &kept);
+            assert_eq!(m, cold, "{precision:?}");
+            assert_eq!(m.to_bytes(), cold.to_bytes(), "{precision:?}");
+            let bits = |m: &EmbeddingMatrix| -> Vec<u32> {
+                m.row_sq_norms().iter().map(|n| n.to_bits()).collect()
+            };
+            assert_eq!(bits(&m), bits(&cold), "{precision:?}");
+            m.retain_rows(&vec![true; m.len()]);
+            assert!(m.is_empty() && m.payload_bytes() == 0 && m.row_sq_norms().is_empty());
+        }
     }
 
     #[test]

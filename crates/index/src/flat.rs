@@ -91,18 +91,18 @@ impl FlatIndex {
         Some(StoreHeader { backend: "flat", metric, dim, len, needs_training: false })
     }
 
-    /// A tombstone-free copy: live rows re-encoded in position order. The
-    /// F16 round-trip (decode → re-encode) is exact, so the copy scores
-    /// (and serialises) identically to a cold build over the live rows.
-    fn live_clone(&self) -> Self {
-        let mut out = Self::new(self.matrix.dim(), self.metric, self.matrix.precision());
-        out.cache = self.cache.clone(); // cold, but keeps the budget policy
-        for (i, (&id, &dead)) in self.ids.iter().zip(self.dead.flags()).enumerate() {
-            if !dead {
-                out.add(id, &self.matrix.row(i).expect("row in range"));
-            }
+    /// Drop the tombstoned rows in place, keeping live rows in position
+    /// order. Row bytes and their cached norms move unchanged, so the store
+    /// scores (and serialises) identically to a cold build over the live
+    /// rows.
+    fn drop_dead_rows(&mut self) {
+        if self.dead.count() == 0 {
+            return;
         }
-        out
+        self.matrix.retain_rows(self.dead.flags());
+        self.dead.retain_live(&mut self.ids, 1);
+        self.dead.clear_dead();
+        self.cache.invalidate();
     }
 
     /// The external id stored at `position` (insertion order). Panics out
@@ -222,9 +222,11 @@ impl VectorStore for FlatIndex {
     }
 
     fn compact(&mut self, _exec: &Executor) {
-        if self.dead.count() > 0 {
-            *self = self.live_clone();
-        }
+        self.drop_dead_rows();
+    }
+
+    fn boxed_clone(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
@@ -267,7 +269,9 @@ impl VectorStore for FlatIndex {
     fn to_bytes(&self) -> Vec<u8> {
         if self.dead.count() > 0 {
             // The wire format is tombstone-free: serialise the live view.
-            return self.live_clone().to_bytes();
+            let mut live = self.clone();
+            live.drop_dead_rows();
+            return live.to_bytes();
         }
         let m = self.matrix.to_bytes();
         let mut out = Vec::with_capacity(m.len() + self.ids.len() * 8 + 16);
@@ -422,6 +426,59 @@ mod tests {
             idx.compact(Executor::global());
             assert_eq!(idx.tombstones(), 0);
             assert_eq!(idx.to_bytes(), cold.to_bytes(), "{precision:?}");
+        }
+    }
+
+    #[test]
+    fn compaction_moves_rows_and_norms_as_a_decode_would_leave_them() {
+        // Seeded interleavings of adds and removes; at every tombstoned
+        // point an in-memory copy compacted must be the store a decode of
+        // the serialised live view yields, cached norms bit for bit.
+        let exec = Executor::global();
+        let vector = |id: u64| -> Vec<f32> {
+            (0..16)
+                .map(|j| (mcqa_util::splitmix64(id * 16 + j) as f32 / u64::MAX as f32) - 0.5)
+                .collect()
+        };
+        for precision in [Precision::F32, Precision::F16] {
+            for seed in 0..8u64 {
+                let mut idx = FlatIndex::new(16, Metric::Cosine, precision);
+                let mut next = 0u64;
+                for step in 0..10u64 {
+                    let adds: Vec<(u64, Vec<f32>)> = (0..1 + (seed + step) % 5)
+                        .map(|_| {
+                            next += 1;
+                            (next, vector(seed * 1000 + next))
+                        })
+                        .collect();
+                    idx.upsert(exec, &adds);
+                    let victims: Vec<u64> = (1..=next)
+                        .filter(|id| mcqa_util::splitmix64(seed ^ id ^ step).is_multiple_of(4))
+                        .collect();
+                    idx.remove(&victims);
+                    if idx.tombstones() == 0 {
+                        continue;
+                    }
+                    let mut copy = idx.clone();
+                    copy.compact(exec);
+                    let decoded = FlatIndex::from_bytes(&idx.to_bytes()).expect("decodes");
+                    let bits = |f: &FlatIndex| -> Vec<u32> {
+                        f.matrix.row_sq_norms().iter().map(|n| n.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&copy),
+                        bits(&decoded),
+                        "{precision:?} seed {seed} step {step}"
+                    );
+                    assert_eq!(
+                        copy.matrix, decoded.matrix,
+                        "{precision:?} seed {seed} step {step}"
+                    );
+                    assert_eq!(copy.ids, decoded.ids);
+                    assert_eq!(copy.dead.flags(), decoded.dead.flags());
+                    assert_eq!(copy.to_bytes(), idx.to_bytes());
+                }
+            }
         }
     }
 

@@ -55,6 +55,7 @@ impl Default for HnswConfig {
     }
 }
 
+#[derive(Clone)]
 struct Node {
     id: u64,
     vector: Vec<f32>,
@@ -63,6 +64,7 @@ struct Node {
 }
 
 /// The HNSW index.
+#[derive(Clone)]
 pub struct HnswIndex {
     config: HnswConfig,
     dim: usize,
@@ -434,6 +436,10 @@ impl VectorStore for HnswIndex {
         if self.dead.count() > 0 {
             *self = self.rebuild_live();
         }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
 
     fn len(&self) -> usize {

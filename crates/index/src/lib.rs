@@ -188,6 +188,12 @@ pub trait VectorStore: Send + Sync {
     /// [`crate::hnsw`]).
     fn compact(&mut self, _exec: &Executor) {}
 
+    /// An independent deep copy: the same rows, trained structure and
+    /// tombstones, with a cold panel cache (which keeps its budget): the
+    /// copy of the previous round's store an incremental round starts
+    /// from.
+    fn boxed_clone(&self) -> Box<dyn VectorStore>;
+
     /// Batch search fanned out on `exec`'s pool; results are index-aligned
     /// with `queries` and bit-identical to per-query [`VectorStore::search`].
     fn search_batch(
@@ -222,4 +228,10 @@ pub trait VectorStore: Send + Sync {
     /// Serialise the store (self-describing: a 4-byte magic tag selects
     /// the decoder in [`decode_store`]).
     fn to_bytes(&self) -> Vec<u8>;
+}
+
+impl Clone for Box<dyn VectorStore> {
+    fn clone(&self) -> Self {
+        (**self).boxed_clone()
+    }
 }

@@ -111,7 +111,7 @@ impl Default for PqConfig {
 /// representation, how rows become F32 panel rows for
 /// [`Metric::score_panel`], any training beyond the coarse centroids,
 /// and the codec-specific parts of the wire format.
-pub trait RowCodec: Clone + Send + Sync + Sized {
+pub trait RowCodec: Clone + Send + Sync + Sized + 'static {
     /// The backend's configuration (carried by [`crate::IndexSpec`]).
     type Config: Clone + std::fmt::Debug + Send + Sync;
     /// Element type of a packed stored row.
@@ -508,6 +508,10 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
 
     fn compact(&mut self, _exec: &Executor) {
         self.drop_dead_entries();
+    }
+
+    fn boxed_clone(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<SearchResult> {

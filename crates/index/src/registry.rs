@@ -5,7 +5,8 @@
 //! efficient). [`IndexRegistry`] holds that family behind names — the
 //! pipeline registers `chunks` and `traces-<mode>`, the evaluator looks
 //! them up — and round-trips the whole family to bytes via each store's
-//! self-describing [`VectorStore::to_bytes`] format.
+//! self-describing [`VectorStore::to_bytes`] format. An incremental round
+//! copies the family in memory instead (`Clone`).
 //!
 //! Each dense store may carry a **lexical sibling** — a BM25
 //! [`LexicalIndex`] over the same documents, registered under its own
@@ -58,6 +59,7 @@ impl Entry for LexicalIndex {
 
 /// One registry entry: the raw bytes it was opened from (empty for an
 /// eager slot) and the decoded value, filled on first touch.
+#[derive(Clone)]
 struct Slot<T> {
     bytes: Vec<u8>,
     value: OnceLock<T>,
@@ -98,8 +100,10 @@ impl<T: Entry> Slot<T> {
     }
 }
 
-/// A registry of named vector stores plus their lexical siblings.
-#[derive(Default)]
+/// A registry of named vector stores plus their lexical siblings. A clone
+/// is a deep copy of every entry (see [`VectorStore::boxed_clone`]); an
+/// undecoded entry copies its raw bytes.
+#[derive(Clone, Default)]
 pub struct IndexRegistry {
     stores: BTreeMap<String, Slot<Box<dyn VectorStore>>>,
     lexical: BTreeMap<String, Slot<LexicalIndex>>,
@@ -436,6 +440,24 @@ mod tests {
         // Empty registry round-trips.
         let empty = IndexRegistry::new();
         assert!(IndexRegistry::from_bytes(&empty.to_bytes()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn clone_is_an_independent_deep_copy() {
+        let exec = Executor::global();
+        let reg = mixed_registry();
+        let bytes = reg.to_bytes();
+        let mut copy = reg.clone();
+        assert_eq!(copy.to_bytes(), bytes, "same entries, same bytes");
+        for name in reg.names() {
+            copy.get_mut(name).expect("registered").remove(&[0, 3, 6]);
+            copy.get_mut(name).expect("registered").compact(exec);
+            assert_eq!(copy.expect_store(name).len(), 27, "{name}");
+            assert_eq!(reg.expect_store(name).len(), 30, "{name}: the original is untouched");
+        }
+        copy.expect_lexical_mut("lex-flat").remove(&[1]);
+        assert_eq!(reg.expect_lexical("lex-flat").len(), 3);
+        assert_eq!(reg.to_bytes(), bytes);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * **ivf** / **pq** — a decode of the store's own serialised live view
 //!   (`to_bytes` drops tombstones), i.e. a rebuild reusing the same
 //!   trained coarse structure. A from-scratch rebuild would retrain
-//!   k-means on the edited collection and legitimately rank differently.
+//!   k-means on the edited collection and legitimately rank differently;
+//! * **hnsw** — the same decode, once no tombstones remain (its graph
+//!   depends on insertion history, so only the live rebuild is canonical).
 
 use std::collections::BTreeMap;
 
@@ -68,18 +70,28 @@ fn op_at(rng: &KeyedStochastic, s: usize) -> usize {
 proptest! {
     /// Dense stores: after any edit sequence, the mutated store's search
     /// equals a decode of its own serialised live view — and on flat, a
-    /// genuine from-scratch rebuild over the live set, bit for bit.
+    /// genuine from-scratch rebuild over the live set, bit for bit, at
+    /// both precisions (every pipeline store is F16).
+    ///
+    /// Mid-sequence, whenever tombstones are present, the in-memory copy
+    /// an incremental round starts from (`boxed_clone` + `compact`) must
+    /// equal that decode in bytes, length and search — on every backend,
+    /// HNSW included: its compaction and its wire format are the same
+    /// live rebuild.
     #[test]
     fn dense_mutation_matches_rebuild(
         seed in 0u64..24,
-        spec_pick in 0usize..3,
+        spec_pick in 0usize..4,
+        precision_pick in 0usize..2,
         workers_pick in 0usize..2,
     ) {
         let spec = match spec_pick {
             0 => IndexSpec::Flat,
             1 => IndexSpec::Ivf(Default::default()),
-            _ => IndexSpec::Pq(Default::default()),
+            2 => IndexSpec::Pq(Default::default()),
+            _ => IndexSpec::Hnsw(Default::default()),
         };
+        let precision = [Precision::F32, Precision::F16][precision_pick];
         let exec = Executor::new([1, 4][workers_pick]);
         let rng = KeyedStochastic::new(seed ^ 0x317A_B00C);
 
@@ -87,8 +99,8 @@ proptest! {
         let mut live: BTreeMap<u64, Vec<f32>> =
             (0..n0).map(|id| (id, vector(&rng, "init", id))).collect();
         let items: Vec<(u64, Vec<f32>)> = live.iter().map(|(k, v)| (*k, v.clone())).collect();
-        let mut store =
-            build_store_from_vectors(&spec, DIM, Metric::Cosine, Precision::F32, &exec, &items);
+        let mut store = build_store_from_vectors(&spec, DIM, Metric::Cosine, precision, &exec, &items);
+        let queries: Vec<Vec<f32>> = (0..5).map(|q| vector(&rng, "query", q)).collect();
 
         let steps = 1 + rng.below(12, &["steps"]);
         let mut next_id = n0;
@@ -122,6 +134,18 @@ proptest! {
                 }
                 _ => store.compact(&exec),
             }
+            if store.tombstones() > 0 {
+                let dead = store.tombstones();
+                let mut copy = store.boxed_clone();
+                copy.compact(&exec);
+                let decoded = decode_store(&store.to_bytes()).expect("live view decodes");
+                prop_assert_eq!(copy.to_bytes(), decoded.to_bytes(), "step {}", s);
+                prop_assert_eq!((copy.len(), copy.tombstones()), (decoded.len(), 0));
+                for q in &queries {
+                    prop_assert_eq!(copy.search(q, 10), decoded.search(q, 10), "step {}", s);
+                }
+                prop_assert_eq!(store.tombstones(), dead, "the copy is independent");
+            }
         }
 
         prop_assert_eq!(store.len(), live.len());
@@ -129,14 +153,17 @@ proptest! {
         prop_assert_eq!(roundtrip.len(), live.len());
         prop_assert_eq!(roundtrip.tombstones(), 0, "serialised view carries no tombstones");
 
-        let queries: Vec<Vec<f32>> = (0..5).map(|q| vector(&rng, "query", q)).collect();
-        for q in &queries {
-            prop_assert_eq!(store.search(q, 10), roundtrip.search(q, 10));
+        // A tombstoned HNSW graph still routes through its dead nodes, so
+        // it ranks as the rebuilt graph only once compacted.
+        if !matches!(spec, IndexSpec::Hnsw(_)) || store.tombstones() == 0 {
+            for q in &queries {
+                prop_assert_eq!(store.search(q, 10), roundtrip.search(q, 10));
+            }
         }
         if matches!(spec, IndexSpec::Flat) {
             let items: Vec<(u64, Vec<f32>)> = live.iter().map(|(k, v)| (*k, v.clone())).collect();
             let cold =
-                build_store_from_vectors(&spec, DIM, Metric::Cosine, Precision::F32, &exec, &items);
+                build_store_from_vectors(&spec, DIM, Metric::Cosine, precision, &exec, &items);
             for q in &queries {
                 prop_assert_eq!(store.search(q, 10), cold.search(q, 10));
             }

@@ -254,6 +254,7 @@ proptest! {
 /// A store whose batched search meets the test at a barrier on the way in
 /// and again on the way out: the test decides how long the dispatcher
 /// stays inside one dispatch, so a backlog of known size forms behind it.
+#[derive(Clone)]
 struct GatedStore {
     inner: FlatIndex,
     gate: Arc<Barrier>,
@@ -290,6 +291,9 @@ impl VectorStore for GatedStore {
     }
     fn payload_bytes(&self) -> usize {
         self.inner.payload_bytes()
+    }
+    fn boxed_clone(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
     }
     fn to_bytes(&self) -> Vec<u8> {
         self.inner.to_bytes()

@@ -141,41 +141,43 @@ const FNV_PRIME_POW7: u64 = {
     p
 };
 
-/// Two [`StableHasher`] streams fed the same bytes in lock step.
+/// `N` [`StableHasher`] streams fed the same bytes in lock step.
 ///
 /// Feature hashing derives two independent hashes of every feature from
-/// two differently prefixed hashers. Forking both prefix states once and
-/// advancing them together turns that into a single pass over the feature
-/// bytes with two independent multiply chains per byte — and lets the
-/// feature be streamed in pieces instead of being formatted into a
-/// `String` first. `finish` equals what two [`StableHasher`]s forked from
-/// the same prefixes and fed the same calls would return.
+/// two differently prefixed hashers, and a content address four. Forking
+/// the prefix states once and advancing them together turns that into a
+/// single pass over the bytes with `N` independent multiply chains per
+/// byte — and lets a feature be streamed in pieces instead of being
+/// formatted into a `String` first. `finish` equals what `N`
+/// [`StableHasher`]s forked from the same prefixes and fed the same calls
+/// would return.
 #[derive(Debug, Clone, Copy)]
-pub struct PairedHasher {
-    lanes: [u64; 2],
+pub struct LaneHasher<const N: usize> {
+    lanes: [u64; N],
 }
 
-impl PairedHasher {
-    /// Continue from the current states of `a` and `b`.
+impl<const N: usize> LaneHasher<N> {
+    /// Continue from the current state of each fork, one lane apiece.
     #[inline]
-    pub fn new(a: &StableHasher, b: &StableHasher) -> Self {
-        Self { lanes: [a.state, b.state] }
+    pub fn new(forks: [&StableHasher; N]) -> Self {
+        Self { lanes: forks.map(|h| h.state) }
     }
 
-    /// Absorb raw bytes into both streams ([`StableHasher::write`]).
+    /// Absorb raw bytes into every stream ([`StableHasher::write`]).
     #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
-        let [mut a, mut b] = self.lanes;
+        let mut lanes = self.lanes;
         for &byte in bytes {
-            a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
-            b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+            for lane in &mut lanes {
+                *lane = (*lane ^ byte as u64).wrapping_mul(FNV_PRIME);
+            }
         }
-        self.lanes = [a, b];
+        self.lanes = lanes;
     }
 
     /// Absorb the length prefix [`StableHasher::write_str`] puts before a
     /// string's bytes, so a string can then be streamed in pieces with
-    /// [`PairedHasher::write`].
+    /// [`LaneHasher::write`].
     #[inline]
     pub fn write_len(&mut self, len: usize) {
         if len < 256 {
@@ -188,9 +190,9 @@ impl PairedHasher {
         }
     }
 
-    /// Both streams' [`StableHasher::finish`].
+    /// Every stream's [`StableHasher::finish`].
     #[inline]
-    pub fn finish(&self) -> [u64; 2] {
+    pub fn finish(&self) -> [u64; N] {
         self.lanes.map(splitmix64)
     }
 }
@@ -243,24 +245,35 @@ mod tests {
     }
 
     #[test]
-    fn paired_hasher_matches_two_stable_hashers() {
-        let (mut a, mut b) = (StableHasher::with_seed(7), StableHasher::with_seed(7));
-        a.write_u32(0);
-        b.write_u32(1);
+    fn lane_hasher_matches_independent_stable_hashers() {
+        let forks: [StableHasher; 4] = std::array::from_fn(|lane| {
+            let mut h = StableHasher::with_seed(7);
+            h.write_u32(lane as u32);
+            h
+        });
         let long = "x".repeat(300);
         for parts in
             [vec![""], vec!["a"], vec!["#", "αβγ"], vec!["hx-29", "_", "cell"], vec![&long]]
         {
             let whole = parts.concat();
-            let mut paired = PairedHasher::new(&a, &b);
+            let oracle: Vec<u64> = forks
+                .iter()
+                .map(|f| {
+                    let mut h = f.clone();
+                    h.write_str(&whole);
+                    h.finish()
+                })
+                .collect();
+            let mut paired = LaneHasher::new([&forks[0], &forks[1]]);
+            let mut four = LaneHasher::new(forks.each_ref());
             paired.write_len(whole.len());
+            four.write_len(whole.len());
             for part in &parts {
                 paired.write(part.as_bytes());
+                four.write(part.as_bytes());
             }
-            let (mut ha, mut hb) = (a.clone(), b.clone());
-            ha.write_str(&whole);
-            hb.write_str(&whole);
-            assert_eq!(paired.finish(), [ha.finish(), hb.finish()], "{parts:?}");
+            assert_eq!(paired.finish()[..], oracle[..2], "{parts:?}");
+            assert_eq!(four.finish()[..], oracle[..], "{parts:?}");
         }
     }
 

@@ -91,7 +91,7 @@ if [[ -z "${RETRIEVE_QPS}" ]] || ! awk -v q="${RETRIEVE_QPS}" 'BEGIN { exit !(q 
     exit 1
 fi
 
-echo "== repro smoke: incremental ingest (single-document edit) =="
+echo "== repro smoke: incremental ingest (single-document edit on flat, three on pq) =="
 # The census arithmetic (no-op batch skips everything, one edit re-runs only
 # its own slices) is asserted in Rust; this pins that the binary reports the
 # incremental re-run identical to a cold rebuild, and exits 0 doing so.
@@ -99,6 +99,17 @@ INGEST_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- ingest --scale
 echo "${INGEST_OUT}" | grep '\[ingest\]'
 if ! grep -qF '[ingest] verify=identical' <<<"${INGEST_OUT}"; then
     echo "repro smoke FAILED: single-edit ingest did not verify against the cold rebuild" >&2
+    exit 1
+fi
+# The list stores take the same in-memory copy + compaction path; their
+# dense hits are compared as overlap (a cold rebuild retrains k-means), and
+# every artifact and lexical probe must still match.
+RC=0
+PQ_INGEST_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- ingest --scale "${SCALE}" --seed "${SEED}" --index pq --edits 3 2>&1)" || RC=$?
+echo "${PQ_INGEST_OUT}" | grep '\[ingest\]' || true
+if [[ "${RC}" -ne 0 ]] || ! grep -qF '[ingest] verify=overlap' <<<"${PQ_INGEST_OUT}" ||
+    grep -qF 'verify=mismatch' <<<"${PQ_INGEST_OUT}"; then
+    echo "repro smoke FAILED: --index pq ingest exited ${RC} without a clean verify=overlap" >&2
     exit 1
 fi
 
