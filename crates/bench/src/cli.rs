@@ -2,6 +2,7 @@
 //! command reads, and no `process::exit` — the binary decides what a
 //! [`Usage`] costs.
 
+use mcqa_corpus::AcquisitionConfig;
 use mcqa_index::IndexSpec;
 use mcqa_serve::QueryMode;
 
@@ -18,7 +19,7 @@ pub struct RunArgs {
     /// the flag is absent).
     pub retrieval: QueryMode,
     /// `ingest`: synthetic edit-batch size (default ≈ 1% of the live
-    /// corpus, minimum 1).
+    /// corpus, minimum 1; at most the documents `--scale` acquires).
     pub edits: Option<usize>,
 }
 
@@ -180,6 +181,19 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
         (_, Some(_)) => return bad("--fuse-depth needs a hybrid --retrieval".to_string()),
         (_, None) => {}
     }
+    // An edit batch is drawn against the corpus `--scale` acquires, so one
+    // larger than that corpus asks for edits that do not exist.
+    if let Some(edits) = args.edits {
+        let acquired = AcquisitionConfig::paper_scale(args.scale, args.seed);
+        let docs = acquired.full_papers + acquired.abstracts;
+        if edits > docs {
+            return bad(format!(
+                "bad value '{edits}' for --edits (expected <= {docs}, the documents \
+                 --scale {} acquires)",
+                args.scale
+            ));
+        }
+    }
     Ok(args)
 }
 
@@ -295,5 +309,23 @@ mod tests {
         let zero = parse(&argv(&["table2", "--retrieval", "hybrid", "--fuse-depth", "0"]));
         let why = "bad value '0' for --fuse-depth (expected >= 1)";
         assert_eq!(zero, Err(Usage::Bad(why.to_string())));
+    }
+
+    #[test]
+    fn edits_are_bounded_by_the_documents_scale_acquires() {
+        // Scale 0.01 acquires 141 papers + 84 abstracts; flags are
+        // order-independent, so the bound reads `--scale` from either side.
+        let ingest = |words: &[&str]| parse(&argv(&[&["ingest"][..], words].concat()));
+        for words in [["--scale", "0.01", "--edits", "225"], ["--edits", "225", "--scale", "0.01"]]
+        {
+            assert_eq!(ingest(&words).map(|a| a.edits), Ok(Some(225)), "{words:?}");
+        }
+        assert_eq!(ingest(&["--edits", "0"]).map(|a| a.edits), Ok(Some(0)), "a no-op round");
+        let huge = ingest(&["--edits", "18446744073709551615", "--scale", "0.01", "--seed", "1"]);
+        let why = "bad value '18446744073709551615' for --edits (expected <= 225, the documents \
+                   --scale 0.01 acquires)";
+        assert_eq!(huge, Err(Usage::Bad(why.to_string())));
+        let over = ingest(&["--edits", "226", "--scale", "0.01"]);
+        assert!(matches!(over, Err(Usage::Bad(_))), "{over:?}");
     }
 }

@@ -3,7 +3,7 @@
 
 use mcqa_core::PipelineOutput;
 use mcqa_eval::RetrievalBundle;
-use mcqa_llm::{ModelEndpoint, RoleStats};
+use mcqa_llm::RoleStats;
 use mcqa_serve::QueryMode;
 
 /// One row per role that served a call, then the `total` aggregate.
@@ -37,9 +37,8 @@ pub fn model_census(output: &PipelineOutput) -> Vec<(&'static str, RoleStats)> {
 /// `[models] key=value` lines.
 pub fn render_model_census(output: &PipelineOutput, rows: &[(&'static str, RoleStats)]) -> String {
     let mut out = format!(
-        "Model-layer call ledger (backend {}, {} distinct completions cached):\n\n\
+        "Model-layer call ledger (backend sim, {} distinct completions cached):\n\n\
          {:<12} {:>10} {:>8} {:>11} {:>11} {:>9} {:>12} {:>12} {:>10}\n",
-        output.models.backend(),
         output.models.cache().len(),
         "role",
         "calls",
@@ -66,7 +65,7 @@ pub fn render_model_census(output: &PipelineOutput, rows: &[(&'static str, RoleS
         ));
     }
     out.push('\n');
-    for line in output.models.ledger().summary_lines(output.models.backend()) {
+    for line in output.models.ledger().summary_lines() {
         out.push_str(&line);
         out.push('\n');
     }

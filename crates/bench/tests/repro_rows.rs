@@ -103,6 +103,8 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         "all --index faiss",
         "all --retrieval sparse",
         "ingest --edits -1",
+        // `EditBatch::synthetic` would reserve this many edits up front.
+        "ingest --edits 18446744073709551615 --scale 0.01 --seed 1",
         // The four that ran to completion before the flag table existed.
         "recall --index pq",
         "fig1 --retrieval hybrid",

@@ -18,8 +18,7 @@ use mcqa_embed::{BioEncoder, Precision};
 use mcqa_index::lexical::LexicalIndex;
 use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
 use mcqa_llm::{
-    BenchKind, Judge, McqItem, ModelEndpoint, ModelHub, QuestionPrompt, SimEndpoint, Teacher,
-    TraceMode, OPTION_LETTERS,
+    BenchKind, Judge, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode, OPTION_LETTERS,
 };
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, run_stage_batched, Executor, RunReport, StageMetrics};
@@ -155,7 +154,7 @@ pub struct PipelineOutput {
     /// `question_id`. `Arc`-shared so the serving layer's dispatcher
     /// thread can hold the registry without copying the stores.
     pub indexes: Arc<IndexRegistry>,
-    /// The model hub that served every model call: the sim backend behind
+    /// The model hub that served every model call: the simulator behind
     /// the response cache and per-role call ledger. The evaluator routes its judge/classifier/answerer
     /// calls through this same hub, so one ledger accounts for the whole
     /// reproduction and repeated evaluation passes hit the cache.
@@ -448,14 +447,12 @@ impl Pipeline {
 
         // Stage 5: question generation (one candidate per re-run chunk) +
         // judge filtering at the paper's 7/10 threshold. Both model roles
-        // run through the endpoint's batched completion API. Unchanged
+        // run through the hub's batched completion API. Unchanged
         // chunks replay their memoized outcome below — including memoized
         // rejections, which must not burn a second model call.
-        let models =
-            Arc::new(ModelHub::new(Box::new(SimEndpoint::new(config.seed, Arc::clone(&ontology)))));
-        let endpoint: Arc<dyn ModelEndpoint> = models.clone();
-        let teacher = Teacher::new(endpoint.clone(), config.seed);
-        let judge = Judge::new(endpoint, config.seed);
+        let models = Arc::new(ModelHub::new(config.seed, Arc::clone(&ontology)));
+        let teacher = Teacher::new(Arc::clone(&models), config.seed);
+        let judge = Judge::new(Arc::clone(&models), config.seed);
         let rng = KeyedStochastic::new(config.seed ^ 0x9E5_71A6);
         let candidates = chunks.len();
 
@@ -561,7 +558,7 @@ impl Pipeline {
         ));
 
         // Stage 6: reasoning-trace distillation for the re-run questions —
-        // every (question, mode) pair is one batched endpoint request.
+        // every (question, mode) pair is one batched hub request.
         // Trace text depends only on question content and mode, never on
         // ids, so replayed questions keep their previous traces verbatim.
         let t = ScopeTimer::start("traces");

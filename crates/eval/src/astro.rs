@@ -51,7 +51,7 @@ impl AstroExam {
     ///
     /// The `is_math` flag on each item is assigned by the `classifier`
     /// adapter (playing GPT-5's role in the paper) via one batched
-    /// endpoint call on `exec`'s pool; the generator's own ground truth is
+    /// hub call on `exec`'s pool; the generator's own ground truth is
     /// kept in `truth_is_math` so the classifier's agreement is
     /// measurable.
     pub fn generate(ontology: &Ontology, classifier: &Classifier, exec: &Executor) -> Self {
@@ -154,7 +154,7 @@ impl AstroExam {
             .collect();
 
         // GPT-5's role: classify the evaluated questions in one batched
-        // endpoint call.
+        // hub call.
         let flags = classifier.classify_batch(exec, &items);
         for (item, is_math) in items.iter_mut().zip(flags) {
             item.is_math = is_math;
@@ -200,8 +200,7 @@ mod tests {
     }
 
     fn generate(ont: &Arc<Ontology>) -> AstroExam {
-        let sim = mcqa_llm::SimEndpoint::new(42, Arc::clone(ont));
-        let hub = Arc::new(mcqa_llm::ModelHub::new(Box::new(sim)));
+        let hub = Arc::new(mcqa_llm::ModelHub::new(42, Arc::clone(ont)));
         AstroExam::generate(ont, &Classifier::new(hub, 42), Executor::global())
     }
 

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use mcqa_core::PipelineOutput;
 use mcqa_llm::answer::Condition;
 use mcqa_llm::{
-    resolve, Answerer, AssembledContext, Classifier, Judge, McqItem, ModelCard, ModelEndpoint,
+    resolve, Answerer, AssembledContext, Classifier, Judge, McqItem, ModelCard, ModelHub,
     PipelineRates, PreparedItem, TraceMode, MODEL_CARDS,
 };
 use mcqa_runtime::{run_stage_batched, Executor, RunReport, StageMetrics};
@@ -124,7 +124,7 @@ pub struct Evaluator<'a> {
     exam_items: Vec<Arc<PreparedItem>>,
     synth_bundle: RetrievalBundle,
     astro_bundle: RetrievalBundle,
-    endpoint: Arc<dyn ModelEndpoint>,
+    hub: Arc<ModelHub>,
     judge: Judge,
     exec: Executor,
     /// The serving front door every retrieval bundle replays through: the
@@ -144,8 +144,8 @@ impl<'a> Evaluator<'a> {
     /// Prepare retrieval for both benchmarks.
     pub fn new(output: &'a PipelineOutput, config: EvalConfig) -> Self {
         let exec = output.executor.clone();
-        let endpoint: Arc<dyn ModelEndpoint> = output.models.clone();
-        let classifier = Classifier::new(endpoint.clone(), config.seed);
+        let hub = Arc::clone(&output.models);
+        let classifier = Classifier::new(Arc::clone(&hub), config.seed);
         let exam = AstroExam::generate(&output.ontology, &classifier, &exec);
         let service = retrieval_service(output, config.seed, config.retrieval);
         let (synth_bundle, synth_m) = RetrievalBundle::build_metered(
@@ -165,7 +165,7 @@ impl<'a> Evaluator<'a> {
         let mut report = RunReport::new();
         report.absorb(synth_m);
         report.absorb(astro_m);
-        let judge = Judge::new(endpoint.clone(), config.seed);
+        let judge = Judge::new(Arc::clone(&hub), config.seed);
         let prepare = |items: &[McqItem]| {
             items.iter().map(|i| Arc::new(PreparedItem::new(i.clone()))).collect()
         };
@@ -177,7 +177,7 @@ impl<'a> Evaluator<'a> {
             exam,
             synth_bundle,
             astro_bundle,
-            endpoint,
+            hub,
             judge,
             exec,
             service,
@@ -311,7 +311,7 @@ impl<'a> Evaluator<'a> {
 
         let calibration = resolve(card, &rates);
         let model = Answerer::new(
-            self.endpoint.clone(),
+            Arc::clone(&self.hub),
             card.clone(),
             calibration.clone(),
             self.config.seed,
@@ -498,7 +498,7 @@ mod tests {
         );
         let clf = ledger.role(mcqa_llm::Role::Classifier);
         assert_eq!(clf.calls as usize, run.astro_questions, "one classification per exam item");
-        assert_eq!(clf.batches, 1, "classification is one batched endpoint call");
+        assert_eq!(clf.batches, 1, "classification is one batched hub call");
         let judge = ledger.role(mcqa_llm::Role::Judge);
         assert!(judge.calls >= ans.calls, "every answer is graded through the judge role");
     }

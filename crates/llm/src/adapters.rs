@@ -1,8 +1,8 @@
-//! Thin role adapters over `Arc<dyn ModelEndpoint>`.
+//! Thin role adapters over a shared `Arc<ModelHub>`.
 //!
-//! These are the only model types `mcqa-core` and `mcqa-eval` can call
-//! (the simulators are crate-private): each adapter builds typed
-//! [`ModelRequest`]s for its role, routes them through the endpoint — the
+//! These are what `mcqa-core`, `mcqa-eval` and `mcqa-serve` call (the
+//! simulators are crate-private): each adapter builds typed
+//! [`ModelRequest`]s for its role, routes them through the hub — the
 //! batched API for every pipeline stage, one call per item for the
 //! grade-and-answer loop inside the evaluator's own stage — and parses the
 //! [`crate::RoleOutput`] back into domain types.
@@ -15,7 +15,8 @@ use mcqa_runtime::Executor;
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::cards::ModelCard;
 use crate::context::AssembledContext;
-use crate::endpoint::{ModelEndpoint, ModelRequest, PromptPart, RequestPayload};
+use crate::endpoint::{ModelRequest, RequestPayload};
+use crate::hub::ModelHub;
 use crate::judge::{GradeResult, QualityJudgment};
 use crate::mcq::{McqItem, PreparedItem};
 use crate::solver::Calibration;
@@ -37,25 +38,24 @@ pub struct QuestionPrompt<'a> {
 /// The teacher (GPT-4.1's roles): MCQ generation + trace distillation.
 #[derive(Clone)]
 pub struct Teacher {
-    endpoint: Arc<dyn ModelEndpoint>,
+    hub: Arc<ModelHub>,
     seed: u64,
 }
 
 impl Teacher {
-    /// An adapter over `endpoint`.
-    pub fn new(endpoint: Arc<dyn ModelEndpoint>, seed: u64) -> Self {
-        Self { endpoint, seed }
+    /// An adapter over `hub`.
+    pub fn new(hub: Arc<ModelHub>, seed: u64) -> Self {
+        Self { hub, seed }
     }
 
     fn question_request(&self, p: &QuestionPrompt<'_>) -> ModelRequest {
         ModelRequest::new(
             vec![
-                PromptPart::system(
-                    "Generate one self-contained 7-option multiple-choice question grounded \
-                     in the passage. Mark the correct option.",
-                ),
-                PromptPart::context(p.passage),
-                PromptPart::user(format!("Write question {} for this passage.", p.salt)),
+                "Generate one self-contained 7-option multiple-choice question grounded \
+                 in the passage. Mark the correct option."
+                    .into(),
+                p.passage.into(),
+                format!("Write question {} for this passage.", p.salt),
             ],
             RequestPayload::GenerateQuestion { fact: p.fact, salt: p.salt.clone() },
             self.seed,
@@ -65,11 +65,11 @@ impl Teacher {
     fn trace_request(&self, question: &GeneratedQuestion, mode: TraceMode) -> ModelRequest {
         ModelRequest::new(
             vec![
-                PromptPart::system(format!(
+                format!(
                     "Distil a {} reasoning trace for the question. Withhold the final answer.",
                     mode.label()
-                )),
-                PromptPart::user(format!("{}\n{}", question.stem, question.options.join("\n"))),
+                ),
+                format!("{}\n{}", question.stem, question.options.join("\n")),
             ],
             RequestPayload::DistillTrace { question: question.clone(), mode },
             self.seed,
@@ -84,7 +84,7 @@ impl Teacher {
         prompts: &[QuestionPrompt<'_>],
     ) -> Vec<GeneratedQuestion> {
         let reqs: Vec<ModelRequest> = prompts.iter().map(|p| self.question_request(p)).collect();
-        self.endpoint
+        self.hub
             .complete_batch(exec, &reqs)
             .into_iter()
             .map(|r| r.output.expect_question())
@@ -99,35 +99,30 @@ impl Teacher {
     ) -> Vec<String> {
         let reqs: Vec<ModelRequest> =
             prompts.iter().map(|(q, m)| self.trace_request(q, *m)).collect();
-        self.endpoint
-            .complete_batch(exec, &reqs)
-            .into_iter()
-            .map(|r| r.output.expect_trace())
-            .collect()
+        self.hub.complete_batch(exec, &reqs).into_iter().map(|r| r.output.expect_trace()).collect()
     }
 }
 
 /// The LLM judge: quality scoring and answer grading.
 #[derive(Clone)]
 pub struct Judge {
-    endpoint: Arc<dyn ModelEndpoint>,
+    hub: Arc<ModelHub>,
     seed: u64,
 }
 
 impl Judge {
-    /// An adapter over `endpoint`.
-    pub fn new(endpoint: Arc<dyn ModelEndpoint>, seed: u64) -> Self {
-        Self { endpoint, seed }
+    /// An adapter over `hub`.
+    pub fn new(hub: Arc<ModelHub>, seed: u64) -> Self {
+        Self { hub, seed }
     }
 
     fn score_request(&self, question: &GeneratedQuestion, salience: f64) -> ModelRequest {
         ModelRequest::new(
             vec![
-                PromptPart::system(
-                    "Score the candidate question 1-10 for clarity, accuracy, distractor \
-                     plausibility and educational value.",
-                ),
-                PromptPart::user(format!("{}\n{}", question.stem, question.options.join("\n"))),
+                "Score the candidate question 1-10 for clarity, accuracy, distractor \
+                 plausibility and educational value."
+                    .into(),
+                format!("{}\n{}", question.stem, question.options.join("\n")),
             ],
             RequestPayload::ScoreQuestion { question: question.clone(), salience },
             self.seed,
@@ -137,10 +132,8 @@ impl Judge {
     fn grade_request(&self, completion: &str, correct: usize, n_options: usize) -> ModelRequest {
         ModelRequest::new(
             vec![
-                PromptPart::system(
-                    "Extract the chosen option letter and grade it against the key.",
-                ),
-                PromptPart::user(completion),
+                "Extract the chosen option letter and grade it against the key.".into(),
+                completion.into(),
             ],
             RequestPayload::GradeAnswer { completion: completion.to_string(), correct, n_options },
             self.seed,
@@ -155,7 +148,7 @@ impl Judge {
     ) -> Vec<QualityJudgment> {
         let reqs: Vec<ModelRequest> =
             prompts.iter().map(|(q, s)| self.score_request(q, *s)).collect();
-        self.endpoint
+        self.hub
             .complete_batch(exec, &reqs)
             .into_iter()
             .map(|r| r.output.expect_quality())
@@ -164,33 +157,28 @@ impl Judge {
 
     /// Grade one model completion against the key.
     pub fn grade(&self, completion: &str, correct: usize, n_options: usize) -> GradeResult {
-        self.endpoint
-            .complete(&self.grade_request(completion, correct, n_options))
-            .output
-            .expect_grade()
+        self.hub.complete(&self.grade_request(completion, correct, n_options)).output.expect_grade()
     }
 }
 
 /// The math-question classifier (GPT-5's role).
 #[derive(Clone)]
 pub struct Classifier {
-    endpoint: Arc<dyn ModelEndpoint>,
+    hub: Arc<ModelHub>,
     seed: u64,
 }
 
 impl Classifier {
-    /// An adapter over `endpoint`.
-    pub fn new(endpoint: Arc<dyn ModelEndpoint>, seed: u64) -> Self {
-        Self { endpoint, seed }
+    /// An adapter over `hub`.
+    pub fn new(hub: Arc<ModelHub>, seed: u64) -> Self {
+        Self { hub, seed }
     }
 
     fn request(&self, item: &McqItem) -> ModelRequest {
         ModelRequest::new(
             vec![
-                PromptPart::system(
-                    "Does answering require mathematical reasoning or arithmetic tool use?",
-                ),
-                PromptPart::user(item.render()),
+                "Does answering require mathematical reasoning or arithmetic tool use?".into(),
+                item.render(),
             ],
             RequestPayload::ClassifyMath { item: item.clone() },
             self.seed,
@@ -200,7 +188,7 @@ impl Classifier {
     /// Classify a batch of items on `exec`'s pool.
     pub fn classify_batch(&self, exec: &Executor, items: &[McqItem]) -> Vec<bool> {
         let reqs: Vec<ModelRequest> = items.iter().map(|i| self.request(i)).collect();
-        self.endpoint
+        self.hub
             .complete_batch(exec, &reqs)
             .into_iter()
             .map(|r| r.output.expect_math_flag())
@@ -212,21 +200,21 @@ impl Classifier {
 /// query text (the optional final stage of hybrid retrieval).
 #[derive(Clone)]
 pub struct Reranker {
-    endpoint: Arc<dyn ModelEndpoint>,
+    hub: Arc<ModelHub>,
     seed: u64,
 }
 
 impl Reranker {
-    /// An adapter over `endpoint`.
-    pub fn new(endpoint: Arc<dyn ModelEndpoint>, seed: u64) -> Self {
-        Self { endpoint, seed }
+    /// An adapter over `hub`.
+    pub fn new(hub: Arc<ModelHub>, seed: u64) -> Self {
+        Self { hub, seed }
     }
 
     fn request(&self, query: &str, passages: &[String]) -> ModelRequest {
         ModelRequest::new(
             vec![
-                PromptPart::system("Score each passage's relevance to the query on [0, 1]."),
-                PromptPart::user(format!("{query}\n---\n{}", passages.join("\n---\n"))),
+                "Score each passage's relevance to the query on [0, 1].".into(),
+                format!("{query}\n---\n{}", passages.join("\n---\n")),
             ],
             RequestPayload::Rerank { query: query.to_string(), passages: passages.to_vec() },
             self.seed,
@@ -237,7 +225,7 @@ impl Reranker {
     /// relevance per passage, index-aligned.
     pub fn score_batch(&self, exec: &Executor, prompts: &[(&str, Vec<String>)]) -> Vec<Vec<f64>> {
         let reqs: Vec<ModelRequest> = prompts.iter().map(|(q, ps)| self.request(q, ps)).collect();
-        self.endpoint
+        self.hub
             .complete_batch(exec, &reqs)
             .into_iter()
             .map(|r| r.output.expect_relevance())
@@ -246,23 +234,18 @@ impl Reranker {
 }
 
 /// One evaluated SLM: a behaviour card joined with its calibration,
-/// answering through the endpoint.
+/// answering through the hub.
 #[derive(Clone)]
 pub struct Answerer {
-    endpoint: Arc<dyn ModelEndpoint>,
+    hub: Arc<ModelHub>,
     model: Arc<ResolvedModel>,
     seed: u64,
 }
 
 impl Answerer {
     /// An adapter answering as `card` under `calibration`.
-    pub fn new(
-        endpoint: Arc<dyn ModelEndpoint>,
-        card: ModelCard,
-        calibration: Calibration,
-        seed: u64,
-    ) -> Self {
-        Self { endpoint, model: Arc::new(ResolvedModel::new(card, calibration)), seed }
+    pub fn new(hub: Arc<ModelHub>, card: ModelCard, calibration: Calibration, seed: u64) -> Self {
+        Self { hub, model: Arc::new(ResolvedModel::new(card, calibration)), seed }
     }
 
     /// The behaviour card this adapter answers as.
@@ -278,8 +261,8 @@ impl Answerer {
     ) -> ModelRequest {
         ModelRequest::new(
             vec![
-                PromptPart::system("Answer the multiple-choice question with a single letter."),
-                PromptPart::user(item.rendered()),
+                "Answer the multiple-choice question with a single letter.".into(),
+                item.rendered().into(),
             ],
             RequestPayload::Answer {
                 model: Arc::clone(&self.model),
@@ -300,7 +283,7 @@ impl Answerer {
         condition: Condition,
         context: Option<&AssembledContext>,
     ) -> AnswerOutcome {
-        self.endpoint.complete(&self.request(item, condition, context)).output.expect_answer()
+        self.hub.complete(&self.request(item, condition, context)).output.expect_answer()
     }
 }
 
@@ -308,20 +291,17 @@ impl Answerer {
 mod tests {
     use super::*;
     use crate::cards::MODEL_CARDS;
-    use crate::hub::ModelHub;
-    use crate::sim::SimEndpoint;
     use crate::solver::{resolve, PipelineRates};
     use mcqa_ontology::{Ontology, OntologyConfig};
 
-    fn setup() -> (Arc<Ontology>, Arc<dyn ModelEndpoint>) {
+    fn setup() -> (Arc<Ontology>, Arc<ModelHub>) {
         let ontology = Arc::new(Ontology::generate(&OntologyConfig {
             seed: 42,
             entities_per_kind: 30,
             qualitative_facts: 400,
             quantitative_facts: 20,
         }));
-        let hub: Arc<dyn ModelEndpoint> =
-            Arc::new(ModelHub::new(Box::new(SimEndpoint::new(42, Arc::clone(&ontology)))));
+        let hub = Arc::new(ModelHub::new(42, Arc::clone(&ontology)));
         (ontology, hub)
     }
 

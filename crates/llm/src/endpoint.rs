@@ -1,29 +1,24 @@
-//! The provider-style model API: one [`ModelEndpoint`] trait for every
-//! model role in the paper.
+//! The typed envelope every model call in the paper travels in.
 //!
 //! The paper's pipeline is, end to end, a choreography of LLM calls —
 //! GPT-4.1 generating questions and distilling traces, an LLM judge
 //! filtering and grading, GPT-5 classifying math items, and eight SLMs
 //! answering under five retrieval conditions. Here every one of those
-//! calls travels through the same typed envelope:
+//! calls is one:
 //!
 //! * [`ModelRequest`] — prompt parts, seed, and a structured
-//!   [`RequestPayload`] (what a remote backend would serialise into the
+//!   [`RequestPayload`] (what a remote model would read rendered into the
 //!   prompt, and what the simulator interprets directly; it also names the
 //!   [`Role`] addressed);
 //! * [`ModelResponse`] — a structured [`RoleOutput`] and token-count
 //!   estimates for cost accounting.
 //!
-//! Backends implement [`ModelEndpoint::complete`]; the batched entry point
-//! [`ModelEndpoint::complete_batch`] fans out on the runtime pool and is
-//! bit-identical to sequential completion (property-tested). Consumers
-//! never see a backend type: they hold `Arc<dyn ModelEndpoint>` and go
-//! through the thin role adapters in [`crate::adapters`].
+//! [`crate::ModelHub`] serves them; consumers build them through the thin
+//! role adapters in [`crate::adapters`].
 
 use std::sync::Arc;
 
 use mcqa_ontology::FactId;
-use mcqa_runtime::{run_stage_batched, Executor};
 use mcqa_util::StableHasher;
 
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
@@ -76,53 +71,15 @@ impl Role {
     }
 }
 
-/// What a prompt part is for (system scaffold, retrieved context, or the
-/// user turn).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartKind {
-    /// Instructions / scaffold.
-    System,
-    /// Retrieved or source material.
-    Context,
-    /// The task itself.
-    User,
-}
-
-/// One part of the prompt a backend would assemble.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromptPart {
-    /// What the part is.
-    pub kind: PartKind,
-    /// The part's text.
-    pub text: String,
-}
-
-impl PromptPart {
-    /// A system part.
-    pub fn system(text: impl Into<String>) -> Self {
-        Self { kind: PartKind::System, text: text.into() }
-    }
-
-    /// A context part.
-    pub fn context(text: impl Into<String>) -> Self {
-        Self { kind: PartKind::Context, text: text.into() }
-    }
-
-    /// A user part.
-    pub fn user(text: impl Into<String>) -> Self {
-        Self { kind: PartKind::User, text: text.into() }
-    }
-}
-
-/// The structured operation behind a request. A remote backend would
-/// render this into prompt text; the simulator interprets it directly —
+/// The structured operation behind a request. A remote model would read
+/// it rendered into prompt text; the simulator interprets it directly —
 /// either way the payload *is* the request's semantic identity, which is
 /// what makes content-addressed caching sound.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestPayload {
     /// Teacher: generate one 7-option MCQ grounded in `fact`.
     GenerateQuestion {
-        /// The anchor fact (resolved against the backend's ontology).
+        /// The anchor fact (resolved against the hub's ontology).
         fact: FactId,
         /// Distinguishes multiple questions over the same fact.
         salt: String,
@@ -214,18 +171,18 @@ impl RequestPayload {
 /// One completion request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelRequest {
-    /// Prompt parts a text backend would assemble, in order.
-    pub parts: Vec<PromptPart>,
+    /// The prompt's text parts, in order: what a text model would read.
+    pub parts: Vec<String>,
     /// The structured operation.
     pub payload: RequestPayload,
-    /// Per-request seed (the answer cascade is keyed on it; generation
-    /// backends are seeded at construction and may ignore it).
+    /// Per-request seed (the answer cascade is keyed on it; the other
+    /// simulators are seeded at construction and ignore it).
     pub seed: u64,
 }
 
 impl ModelRequest {
     /// Build a request.
-    pub fn new(parts: Vec<PromptPart>, payload: RequestPayload, seed: u64) -> Self {
+    pub fn new(parts: Vec<String>, payload: RequestPayload, seed: u64) -> Self {
         Self { parts, payload, seed }
     }
 
@@ -249,15 +206,7 @@ impl ModelRequest {
     pub fn cache_key(&self) -> u64 {
         let ModelRequest { parts, payload, seed } = self;
         let mut h = StableHasher::new();
-        h.write_u64(parts.len() as u64);
-        for PromptPart { kind, text } in parts {
-            h.write_u32(match kind {
-                PartKind::System => 0,
-                PartKind::Context => 1,
-                PartKind::User => 2,
-            });
-            h.write_str(text);
-        }
+        walk_strs(&mut h, parts);
         walk_payload(&mut h, payload);
         h.write_u64(*seed);
         h.finish()
@@ -273,7 +222,7 @@ impl ModelRequest {
         if let RequestPayload::Answer { context: Some(c), .. } = &self.payload {
             return c.prompt_tokens;
         }
-        self.parts.iter().map(|p| mcqa_text::token_count(&p.text)).sum()
+        self.parts.iter().map(|p| mcqa_text::token_count(p)).sum()
     }
 }
 
@@ -492,50 +441,13 @@ pub struct ModelResponse {
     pub tokens_out: usize,
 }
 
-/// A model backend serving every role behind one completion API.
-///
-/// Implementations must be deterministic functions of the request (plus
-/// construction-time seeds): that is what makes the content-addressed
-/// [`crate::ResponseCache`] and the batched/serial equivalence guarantee
-/// sound.
-pub trait ModelEndpoint: Send + Sync {
-    /// Backend label (`sim`, some day `http`).
-    fn backend(&self) -> &'static str;
-
-    /// Serve one request.
-    fn complete(&self, req: &ModelRequest) -> ModelResponse;
-
-    /// Serve a batch, fanned out on `exec`'s pool. Results are
-    /// index-aligned with `reqs` and bit-identical to calling
-    /// [`ModelEndpoint::complete`] sequentially.
-    fn complete_batch(&self, exec: &Executor, reqs: &[ModelRequest]) -> Vec<ModelResponse> {
-        fan_out_batch(exec, reqs, |r| self.complete(r))
-    }
-}
-
-/// The one fan-out behind every `complete_batch`: auto-sized chunked
-/// submission on the pool, bit-identical to a sequential map of `serve`.
-/// Shared by the trait default and the hub's cached path so the
-/// batched/serial equivalence guarantee cannot diverge between them.
-pub(crate) fn fan_out_batch(
-    exec: &Executor,
-    reqs: &[ModelRequest],
-    serve: impl Fn(&ModelRequest) -> ModelResponse + Sync,
-) -> Vec<ModelResponse> {
-    let (results, _metrics) =
-        run_stage_batched(exec, "model-batch", (0..reqs.len()).collect(), |i| {
-            Ok::<_, String>(serve(&reqs[i]))
-        });
-    results.into_iter().map(|r| r.expect("model completion cannot fail")).collect()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
 
     fn req(seed: u64) -> ModelRequest {
         ModelRequest::new(
-            vec![PromptPart::system("grade"), PromptPart::user("Answer: C")],
+            vec!["grade".into(), "Answer: C".into()],
             RequestPayload::GradeAnswer {
                 completion: "Answer: C".into(),
                 correct: 2,
@@ -607,7 +519,7 @@ pub(crate) mod tests {
             },
         ]
         .into_iter()
-        .map(|p| ModelRequest::new(vec![PromptPart::system("s"), PromptPart::user("u")], p, 1))
+        .map(|p| ModelRequest::new(vec!["s".into(), "u".into()], p, 1))
         .collect()
     }
 
@@ -708,11 +620,9 @@ pub(crate) mod tests {
 
     #[test]
     fn cache_key_moves_with_every_single_field() {
-        let envelope: [Edit; 6] = [
-            ("parts[0].kind", |r| r.parts[0].kind = PartKind::Context),
-            ("parts[0].text", |r| r.parts[0].text.push('x')),
-            ("parts[1].kind", |r| r.parts[1].kind = PartKind::Context),
-            ("parts[1].text", |r| r.parts[1].text.push('x')),
+        let envelope: [Edit; 4] = [
+            ("parts[0]", |r| r.parts[0].push('x')),
+            ("parts[1]", |r| r.parts[1].push('x')),
             ("parts.len()", |r| r.parts.truncate(1)),
             ("seed", |r| r.seed += 1),
         ];
@@ -761,7 +671,7 @@ pub(crate) mod tests {
         }
         let parts = |a: &str, b: &str| {
             let mut r = req(1);
-            r.parts = vec![PromptPart::user(a), PromptPart::user(b)];
+            r.parts = vec![a.into(), b.into()];
             r.cache_key()
         };
         assert_ne!(parts("ab", "c"), parts("a", "bc"));
@@ -795,7 +705,7 @@ pub(crate) mod tests {
         let r = req(1);
         assert_eq!(r.prompt_tokens(), 1 + 2);
         let with_ctx = ModelRequest::new(
-            vec![PromptPart::system("answer the question")],
+            vec!["answer the question".into()],
             RequestPayload::Answer {
                 model: crate::solver::test_resolved_model(0),
                 item: Arc::new(PreparedItem::new(crate::mcq::test_item())),

@@ -176,11 +176,12 @@ impl CallLedger {
 
     /// Greppable `[models] key=value` lines: one per active role plus a
     /// `role=total` aggregate (always emitted, so a census has an anchor
-    /// even before any call).
-    pub fn summary_lines(&self, backend: &str) -> Vec<String> {
+    /// even before any call). `backend=sim` names what served them: every
+    /// completion comes from the hub's simulator.
+    pub fn summary_lines(&self) -> Vec<String> {
         let line = |role: &str, s: &RoleStats| {
             format!(
-                "[models] backend={backend} role={role} calls={} batches={} \
+                "[models] backend=sim role={role} calls={} batches={} \
                  mean_batch={:.1} cache_hits={} hit_rate={:.4} tokens_in={} tokens_out={} \
                  busy_secs={:.3}",
                 s.calls,
@@ -247,7 +248,7 @@ mod tests {
     fn summary_lines_are_greppable() {
         let ledger = CallLedger::new();
         ledger.record_call(Role::Judge, false, 30, 10, 0);
-        let lines = ledger.summary_lines("sim");
+        let lines = ledger.summary_lines();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("[models] backend=sim role=judge calls=1 "));
         assert!(lines[1].contains("role=total"));

@@ -1,10 +1,10 @@
-//! `mcqa-llm` — the language-model substrate behind one provider API.
+//! `mcqa-llm` — the language-model substrate behind one model hub.
 //!
-//! Every model role in the paper travels through the [`ModelEndpoint`]
-//! trait: a typed [`ModelRequest`]/[`ModelResponse`] envelope with a
-//! batched completion API, a content-addressed [`ResponseCache`], and a
-//! per-role [`CallLedger`] (see [`ModelHub`]). Consumers hold
-//! `Arc<dyn ModelEndpoint>` and go through the thin role adapters:
+//! Every model role in the paper is served by [`ModelHub`]: a typed
+//! [`ModelRequest`]/[`ModelResponse`] envelope with a batched completion
+//! API, a content-addressed [`ResponseCache`], and a per-role
+//! [`CallLedger`]. Consumers share one `Arc<ModelHub>` and go through the
+//! thin role adapters:
 //!
 //! | Paper role | Adapter entry points |
 //! |---|---|
@@ -15,19 +15,19 @@
 //! | Cross-encoder reranker | [`adapters::Reranker::score_batch`] |
 //! | The eight evaluated SLMs (1.1B–14B) | [`adapters::Answerer::answer`] ([`cards::ModelCard`] + its calibration, one [`PreparedItem`] per question) |
 //!
-//! There is one backend, the deterministic behavioural simulator
-//! ([`sim::SimEndpoint`]), and nothing selects it: the pipeline builds
-//! `ModelHub::new(Box::new(SimEndpoint::new(seed, ontology)))`. A second
-//! backend is a new `impl ModelEndpoint` constructed at that line.
+//! Every completion comes from one deterministic behavioural simulator,
+//! which the hub owns: the pipeline builds `ModelHub::new(seed, ontology)`
+//! and nothing selects a backend.
 //!
 //! ## The boundary is a visibility rule
 //!
-//! The simulators behind the endpoint (the teacher, judge and classifier
+//! The simulators behind the hub (the teacher, judge and classifier
 //! models, and the answer cascade of a [`ResolvedModel`]) are crate-private,
 //! so nothing outside this crate can run one past the cache and the
-//! ledger: the only way to a completion is [`ModelEndpoint::complete`]. A
-//! resolved model stays nameable, because an answer request carries one
-//! beside the prepared question and is addressed by both digests:
+//! ledger: the only way to a completion is [`ModelHub::complete`] (or its
+//! batched form). A resolved model stays nameable, because an answer
+//! request carries one beside the prepared question and is addressed by
+//! both digests:
 //!
 //! ```
 //! use mcqa_llm::{Condition, PreparedItem, ResolvedModel};
@@ -45,10 +45,25 @@
 //! }
 //! ```
 //!
-//! and a simulator type cannot be named:
+//! and a simulator type cannot be named — neither one role's model:
 //!
 //! ```compile_fail,E0603
 //! use mcqa_llm::teacher::TeacherModel;
+//! ```
+//!
+//! nor the simulator the hub serves every role from:
+//!
+//! ```compile_fail,E0603
+//! use mcqa_llm::sim::Simulator;
+//! ```
+//!
+//! and the one a hub owns cannot be reached through it:
+//!
+//! ```compile_fail,E0616
+//! use mcqa_llm::{ModelHub, ModelRequest};
+//! fn uncached(hub: &ModelHub, req: &ModelRequest) {
+//!     hub.sim.complete(req);
+//! }
 //! ```
 //!
 //! ## The calibration contract
@@ -81,7 +96,7 @@ pub mod ledger;
 mod math_classifier;
 pub mod mcq;
 pub mod response_cache;
-pub mod sim;
+mod sim;
 pub mod solver;
 pub mod teacher;
 pub mod trace;
@@ -90,16 +105,12 @@ pub use adapters::{Answerer, Classifier, Judge, QuestionPrompt, Reranker, Teache
 pub use answer::{AnswerOutcome, Condition, ResolvedModel};
 pub use cards::{BenchTargets, ModelCard, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
 pub use context::{AssembledContext, Passage, PassageSource};
-pub use endpoint::{
-    ModelEndpoint, ModelRequest, ModelResponse, PartKind, PromptPart, RequestPayload, Role,
-    RoleOutput,
-};
+pub use endpoint::{ModelRequest, ModelResponse, RequestPayload, Role, RoleOutput};
 pub use hub::ModelHub;
 pub use judge::{GradeResult, QualityJudgment};
 pub use ledger::{CallLedger, RoleStats};
 pub use mcq::{BenchKind, McqItem, PreparedItem, OPTION_LETTERS};
 pub use response_cache::ResponseCache;
-pub use sim::SimEndpoint;
 pub use solver::{resolve, PipelineRates};
 pub use teacher::{GeneratedQuestion, QuestionDefect};
 pub use trace::TraceMode;

@@ -4,7 +4,7 @@
 //! that affects the completion into a stable hasher, with an answer
 //! request's model and item standing in as the digests they computed at
 //! construction. Keys live and die with the process: the cache is never
-//! persisted, so the key is not a wire format. Because every backend is a
+//! persisted, so the key is not a wire format. Because the simulator is a
 //! deterministic function of the request, a cached response is
 //! indistinguishable from a fresh one; the cache exists so repeated
 //! evaluation passes (the no-math subset re-answers the full set's items,
@@ -14,8 +14,9 @@
 //! The cache is single-flight: each key owns one slot, created under the
 //! map lock and filled outside it, so concurrent first touches of one key
 //! complete it once and every other caller waits for that completion. How
-//! many requests reach the backend is therefore a function of the request
-//! list, not of the schedule.
+//! many requests reach the simulator is therefore a function of the request
+//! list, not of the schedule. A completion that panics leaves its slot
+//! empty, and the key's next caller completes it afresh.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -76,11 +77,6 @@ impl ResponseCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drop every cached completion (e.g. between unrelated runs).
-    pub fn clear(&self) {
-        self.map.write().unwrap_or_else(PoisonError::into_inner).clear();
-    }
 }
 
 #[cfg(test)]
@@ -107,8 +103,21 @@ mod tests {
             (response("Answer: A"), false)
         );
         assert_eq!(cache.len(), 1);
-        cache.clear();
+    }
+
+    #[test]
+    fn a_panicking_completion_does_not_wedge_its_key() {
+        let cache = ResponseCache::new();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_complete(5, || panic!("completion failed"))
+        }));
+        assert!(failed.is_err(), "the panic reaches the caller");
+        assert_eq!(cache.len(), 0, "a failed completion stores nothing");
         assert!(cache.is_empty());
+        // The key is not left in flight: its next caller completes it.
+        assert_eq!(cache.get_or_complete(5, || response("retry")), (response("retry"), true));
+        assert_eq!(cache.get_or_complete(5, || unreachable!("stored")), (response("retry"), false));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

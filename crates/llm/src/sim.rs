@@ -1,34 +1,35 @@
-//! The first [`ModelEndpoint`] backend: the calibrated behavioural
-//! simulators, behind the provider API.
+//! The simulator behind every completion: the calibrated behavioural
+//! models, crate-private so nothing reaches one past [`crate::ModelHub`]'s
+//! cache and ledger.
 //!
-//! `SimEndpoint` owns the simulated teacher, judge, and classifier (all
+//! [`Simulator`] owns the simulated teacher, judge, and classifier (all
 //! seeded at construction, like a pinned deployment) plus the ontology the
 //! teacher grounds questions in. Answer requests carry their own
 //! [`crate::answer::ResolvedModel`] — calibration is an evaluation-time
-//! artefact, not backend state — and their own seed.
+//! artefact, not simulator state — and their own seed.
 
 use std::sync::Arc;
 
 use mcqa_ontology::Ontology;
 use mcqa_text::token_count;
 
-use crate::endpoint::{ModelEndpoint, ModelRequest, ModelResponse, RequestPayload, RoleOutput};
+use crate::endpoint::{ModelRequest, ModelResponse, RequestPayload, RoleOutput};
 use crate::judge::JudgeModel;
 use crate::math_classifier::MathClassifier;
 use crate::teacher::TeacherModel;
 
-/// The simulator backend.
-pub struct SimEndpoint {
+/// The simulated roles, served as one deterministic function of a request.
+pub(crate) struct Simulator {
     ontology: Arc<Ontology>,
     teacher: TeacherModel,
     judge: JudgeModel,
     classifier: MathClassifier,
 }
 
-impl SimEndpoint {
-    /// Create the backend over `ontology`, seeding every simulated role
-    /// from `seed` (the pipeline's master seed).
-    pub fn new(seed: u64, ontology: Arc<Ontology>) -> Self {
+impl Simulator {
+    /// The simulators over `ontology`, every role seeded from `seed` (the
+    /// pipeline's master seed).
+    pub(crate) fn new(seed: u64, ontology: Arc<Ontology>) -> Self {
         Self {
             ontology,
             teacher: TeacherModel::new(seed),
@@ -36,14 +37,9 @@ impl SimEndpoint {
             classifier: MathClassifier::new(),
         }
     }
-}
 
-impl ModelEndpoint for SimEndpoint {
-    fn backend(&self) -> &'static str {
-        "sim"
-    }
-
-    fn complete(&self, req: &ModelRequest) -> ModelResponse {
+    /// Serve one request.
+    pub(crate) fn complete(&self, req: &ModelRequest) -> ModelResponse {
         // A completion's tokens are counted on its text, which each role
         // keeps inside its output (the classifier's and the reranker's wire
         // text is rendered only to be counted).
@@ -114,54 +110,53 @@ fn rerank_scores(query: &str, passages: &[String]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::PromptPart;
     use mcqa_ontology::OntologyConfig;
 
-    fn endpoint() -> SimEndpoint {
+    fn simulator() -> Simulator {
         let ontology = Arc::new(Ontology::generate(&OntologyConfig {
             seed: 42,
             entities_per_kind: 30,
             qualitative_facts: 400,
             quantitative_facts: 20,
         }));
-        SimEndpoint::new(42, ontology)
+        Simulator::new(42, ontology)
     }
 
     #[test]
     fn serves_every_role_deterministically() {
-        let ep = endpoint();
-        let fact = ep.ontology.facts()[0].id;
+        let sim = simulator();
+        let fact = sim.ontology.facts()[0].id;
         let gen = ModelRequest::new(
-            vec![PromptPart::user("generate a question")],
+            vec!["generate a question".into()],
             RequestPayload::GenerateQuestion { fact, salt: "c0".into() },
             42,
         );
-        let a = ep.complete(&gen);
-        let b = ep.complete(&gen);
+        let a = sim.complete(&gen);
+        let b = sim.complete(&gen);
         assert_eq!(a, b);
         assert_eq!(a.output.clone().expect_question().options.len(), 7);
         assert!(a.tokens_out > 0);
 
         let q = a.output.expect_question();
-        let salience = ep.ontology.facts()[0].salience;
+        let salience = sim.ontology.facts()[0].salience;
         let score = ModelRequest::new(
-            vec![PromptPart::user("score it")],
+            vec!["score it".into()],
             RequestPayload::ScoreQuestion { question: q.clone(), salience },
             42,
         );
-        let s = ep.complete(&score);
+        let s = sim.complete(&score);
         assert!((1..=10).contains(&s.output.expect_quality().score));
 
         let trace = ModelRequest::new(
-            vec![PromptPart::user("distil")],
+            vec!["distil".into()],
             RequestPayload::DistillTrace { question: q.clone(), mode: crate::TraceMode::Focused },
             42,
         );
-        let t = ep.complete(&trace);
+        let t = sim.complete(&trace);
         assert!(!t.output.expect_trace().contains(&q.options[q.true_key]));
 
         let grade = ModelRequest::new(
-            vec![PromptPart::user("grade")],
+            vec!["grade".into()],
             RequestPayload::GradeAnswer {
                 completion: "Answer: A".into(),
                 correct: 0,
@@ -169,15 +164,15 @@ mod tests {
             },
             42,
         );
-        assert!(ep.complete(&grade).output.expect_grade().correct);
+        assert!(sim.complete(&grade).output.expect_grade().correct);
 
         // Every payload kind is served, with its own output variant: no
-        // adapter's `expect_*` can panic on this backend.
+        // adapter's `expect_*` can panic.
         let all = crate::endpoint::tests::one_of_each();
         assert_eq!(all.len(), 7);
         for req in all {
-            let response = ep.complete(&req);
-            assert_eq!(response, ep.complete(&req));
+            let response = sim.complete(&req);
+            assert_eq!(response, sim.complete(&req));
             assert_eq!(response.tokens_in, req.prompt_tokens());
             let own_variant = matches!(
                 (&req.payload, &response.output),
@@ -195,12 +190,12 @@ mod tests {
 
     #[test]
     fn matches_direct_simulator_output() {
-        // The backend is a reroute, not a reimplementation: outputs must
-        // equal the wrapped simulators' exactly.
-        let ep = endpoint();
-        let f = &ep.ontology.facts()[3];
-        let direct = ep.teacher.generate_question(&ep.ontology, f, "salt");
-        let via = ep
+        // The simulator is a reroute, not a reimplementation: outputs must
+        // equal the wrapped role models' exactly.
+        let sim = simulator();
+        let f = &sim.ontology.facts()[3];
+        let direct = sim.teacher.generate_question(&sim.ontology, f, "salt");
+        let via = sim
             .complete(&ModelRequest::new(
                 vec![],
                 RequestPayload::GenerateQuestion { fact: f.id, salt: "salt".into() },
@@ -213,9 +208,9 @@ mod tests {
 
     #[test]
     fn rerank_scores_are_deterministic_and_calibrated() {
-        let ep = endpoint();
+        let sim = simulator();
         let req = ModelRequest::new(
-            vec![PromptPart::user("rerank")],
+            vec!["rerank".into()],
             RequestPayload::Rerank {
                 query: "the spectral flux of the nebula".into(),
                 passages: vec![
@@ -227,8 +222,8 @@ mod tests {
             },
             42,
         );
-        let a = ep.complete(&req);
-        let b = ep.complete(&req);
+        let a = sim.complete(&req);
+        let b = sim.complete(&req);
         assert_eq!(a, b);
         let scores = a.output.expect_relevance();
         assert_eq!(scores.len(), 4);
@@ -243,8 +238,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown fact")]
     fn unknown_fact_is_loud() {
-        let ep = endpoint();
-        ep.complete(&ModelRequest::new(
+        let sim = simulator();
+        sim.complete(&ModelRequest::new(
             vec![],
             RequestPayload::GenerateQuestion {
                 fact: mcqa_ontology::FactId(u64::MAX),

@@ -7,6 +7,8 @@
 //! * **Rerank determinism** — rescoring through the cross-encoder is a
 //!   pure function of (query, fused hits, passages): served rerank output
 //!   equals the offline emulation exactly.
+//! * **Rerank accounting** — a served rerank is a call on its hub's
+//!   `reranker` ledger row, and a replay is served from the hub's cache.
 //! * **Error taxonomy** — one table over mode × defect: every error the
 //!   dispatcher can produce, reached through `submit` / `query_batch`.
 
@@ -15,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use mcqa_embed::{BioEncoder, EmbedConfig, Precision};
 use mcqa_index::lexical::{fuse_depth, Fusion, LexicalIndex};
 use mcqa_index::{FlatIndex, IndexRegistry, Metric, VectorStore};
-use mcqa_llm::{ModelEndpoint, Reranker, SimEndpoint};
+use mcqa_llm::{ModelHub, Reranker, Role};
 use mcqa_ontology::{Ontology, OntologyConfig};
 use mcqa_runtime::Executor;
 use mcqa_serve::{
@@ -81,7 +83,17 @@ fn encoder() -> &'static BioEncoder {
 struct Fixture {
     registry: Arc<IndexRegistry>,
     passages: PassageStore,
-    endpoint: Arc<dyn ModelEndpoint>,
+    hub: Arc<ModelHub>,
+}
+
+/// The small ontology a hub is built over (the reranker never reads it).
+fn ontology() -> Arc<Ontology> {
+    Arc::new(Ontology::generate(&OntologyConfig {
+        seed: 42,
+        entities_per_kind: 10,
+        qualitative_facts: 50,
+        quantitative_facts: 5,
+    }))
 }
 
 /// One corpus indexed both ways, shared by every test: a flat dense store
@@ -107,27 +119,22 @@ fn fixture() -> &'static Fixture {
         let mut bare = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
         bare.add(0, &enc.encode("lone document"));
         reg.insert("bare", Box::new(bare));
-        let ontology = Arc::new(Ontology::generate(&OntologyConfig {
-            seed: 42,
-            entities_per_kind: 10,
-            qualitative_facts: 50,
-            quantitative_facts: 5,
-        }));
-        Fixture {
-            registry: Arc::new(reg),
-            passages,
-            endpoint: Arc::new(SimEndpoint::new(42, ontology)),
-        }
+        Fixture { registry: Arc::new(reg), passages, hub: Arc::new(ModelHub::new(42, ontology())) }
     })
 }
 
 fn start_service(workers: usize, max_batch: usize) -> QueryService {
+    start_service_over(&fixture().hub, workers, max_batch)
+}
+
+/// The fixture's corpus served with reranks through `hub`.
+fn start_service_over(hub: &Arc<ModelHub>, workers: usize, max_batch: usize) -> QueryService {
     let fix = fixture();
     QueryService::start_full(
         fix.registry.clone(),
         Some(encoder().clone()),
         Some(fix.passages.clone()),
-        Some(Reranker::new(fix.endpoint.clone(), 42)),
+        Some(Reranker::new(Arc::clone(hub), 42)),
         Executor::new(workers),
         ServeConfig { queue_capacity: 64, max_batch },
     )
@@ -148,7 +155,7 @@ fn offline_hybrid(
     let lexical = fix.registry.expect_lexical("lex-chunks").search(text, depth);
     let mut fused = Fusion.fuse(&dense, &lexical, k);
     if rerank {
-        let rr = Reranker::new(fix.endpoint.clone(), 42);
+        let rr = Reranker::new(Arc::clone(&fix.hub), 42);
         let ps: Vec<String> = fused
             .iter()
             .map(|h| fix.passages.get("chunks", h.id).unwrap_or("").to_string())
@@ -253,6 +260,37 @@ fn hybrid_depths_beyond_32_bits_are_not_grouped_together() {
         let want = offline_hybrid(&texts[i], false, depths[i % 2], K);
         assert_eq!(resp.hits, want, "request {i} at depth {}", depths[i % 2]);
     }
+}
+
+/// Served reranks go through the hub: each hybrid+rerank request is one
+/// call on its `reranker` ledger row, and replaying the same requests is
+/// served from the response cache without reaching the simulator.
+#[test]
+fn served_reranks_land_on_the_hub_ledger_and_replay_from_its_cache() {
+    // A hub of its own, so no concurrent test moves the counts read here.
+    let hub = Arc::new(ModelHub::new(42, ontology()));
+    let service = start_service_over(&hub, 2, 8);
+    let mode = QueryMode::Hybrid { fusion: Fusion, rerank: true, depth: 0 };
+    let reqs: Vec<QueryRequest> = (0..12)
+        .map(|i| QueryRequest::text("chunks", query_text(700 + i), 4).with_mode(mode))
+        .collect();
+    let n = reqs.len() as u64;
+    let serve = |reqs: Vec<QueryRequest>| -> Vec<Vec<mcqa_index::SearchResult>> {
+        service.query_batch(reqs).into_iter().map(|r| r.expect("served").hits).collect()
+    };
+
+    let first = serve(reqs.clone());
+    let served = hub.ledger().role(Role::Reranker);
+    assert_eq!(served.calls, n, "one rerank call per served request");
+    assert_eq!(hub.ledger().total().calls, n, "no other role was called");
+
+    let replay = serve(reqs);
+    assert_eq!(replay, first);
+    let replayed = hub.ledger().role(Role::Reranker);
+    assert_eq!(replayed.calls, served.calls + n);
+    assert_eq!(replayed.cache_hits, served.cache_hits + n, "the replay is served from the cache");
+    assert_eq!(replayed.backend_calls(), served.backend_calls(), "the replay runs nothing");
+    service.shutdown();
 }
 
 /// Mode × defect → error, every row through the front door. `None` means

@@ -12,12 +12,8 @@
 pub struct F16(pub u16);
 
 impl F16 {
-    /// Positive zero.
-    pub const ZERO: F16 = F16(0);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7c00);
-    /// Negative infinity.
-    pub const NEG_INFINITY: F16 = F16(0xfc00);
     /// A canonical quiet NaN.
     pub const NAN: F16 = F16(0x7e00);
     /// Largest finite value (65504).

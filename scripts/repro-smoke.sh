@@ -116,8 +116,8 @@ fi
 echo "== repro smoke: golden artifact census (scale 0.02, seed 42) =="
 # The golden determinism bar: the sim-backend generation artifacts at the
 # pinned (scale, seed) must stay byte-identical across refactors. Census
-# and question/trace hashes captured from the pre-ModelEndpoint pipeline,
-# the registry hash (every stored vector and lexical sibling) from the
+# and question/trace hashes captured at commit d85ebd5 (PR 3, before the
+# model roles shared one completion API), the registry hash (every stored vector and lexical sibling) from the
 # commit before featurisation went single-pass; tests/golden.rs pins the
 # same three hashes at the tiny config.
 GOLDEN_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- fig1 --scale 0.02 --seed 42 2>&1)"

@@ -17,7 +17,7 @@
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
 //! | [`lexical`] | the BM25 keyword channel + dense/lexical reciprocal rank fusion (`index::lexical`) |
 //! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped fault-isolated stages, stage metrics |
-//! | [`llm`] | every model role behind one `ModelEndpoint` trait (batched completions, response cache, call ledger); the sim backend plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
+//! | [`llm`] | every model role served by one `ModelHub` (batched completions, response cache, call ledger) over the simulator that plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
 //! | [`serve`] | the in-process query service (admission control, dynamic micro-batching) |
 //! | [`core`] | the end-to-end benchmark-generation pipeline (the paper's contribution) |
 //! | [`eval`] | the three-condition evaluation protocol, Astro exam, tables & figures |
@@ -54,9 +54,7 @@ pub mod prelude {
     pub use mcqa_eval::{AstroExam, EvalConfig, EvalRun, Evaluator};
     pub use mcqa_index::lexical::{Fusion, LexicalIndex};
     pub use mcqa_index::{IndexRegistry, IndexSpec, VectorStore};
-    pub use mcqa_llm::{
-        answer::Condition, McqItem, ModelCard, ModelEndpoint, TraceMode, MODEL_CARDS,
-    };
+    pub use mcqa_llm::{answer::Condition, McqItem, ModelCard, TraceMode, MODEL_CARDS};
     pub use mcqa_ontology::{Ontology, OntologyConfig};
     pub use mcqa_runtime::{run_stage, run_stage_batched, Executor};
     pub use mcqa_serve::{QueryMode, QueryRequest, QueryService, ServeConfig};

@@ -1,9 +1,10 @@
 //! Golden determinism: the generation artifacts at a pinned (config, seed)
 //! are byte-identical across refactors.
 //!
-//! The constants below were captured from the pre-`ModelEndpoint` pipeline
-//! (PR 3 state) and re-verified after the model-layer redesign and the
-//! chunker memoisation: the question census and the full serialised
+//! The constants below were captured at commit d85ebd5 (PR 3, before the
+//! model roles shared one completion API) and re-verified after the
+//! model-layer redesign and the chunker memoisation: the question census
+//! and the full serialised
 //! question/trace artifacts hash to the same values. Any PR that moves a
 //! chunk boundary, reorders an id, or changes a simulator's output trips
 //! this test — the same bar the vector-store redesign cleared.
