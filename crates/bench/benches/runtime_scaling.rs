@@ -2,15 +2,15 @@
 //! analogue of the paper's Parsl scaling on ALCF machines).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcqa_runtime::{run_stage, run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 
 /// A CPU-bound task roughly the cost of judging one candidate question.
-fn work_unit(x: u64) -> Result<u64, String> {
+fn work_unit(x: u64) -> u64 {
     let mut acc = x;
     for i in 0..4_000 {
         acc = mcqa_util::splitmix64(acc ^ i);
     }
-    Ok(acc)
+    acc
 }
 
 fn bench_scaling(c: &mut Criterion) {
@@ -36,27 +36,20 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-item vs batched submission on trivial tasks: this isolates the
-/// scheduler's own overhead (boxing + channel send per pool task), which is
-/// exactly what `run_stage_batched` amortises for high-item-count stages
-/// like generate+judge.
+/// Trivial tasks: this isolates the scheduler's own overhead per item
+/// (batch cutting, boxing + channel send per pool task, reassembly), which
+/// `run_stage`'s batching amortises for high-item-count stages like
+/// generate+judge.
 fn bench_submission_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime_overhead");
     group.sample_size(20);
     let pool = Executor::new(4);
     for n in [10_000u64, 100_000] {
         group.throughput(Throughput::Elements(n));
-        group.bench_with_input(BenchmarkId::new("per_item", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("trivial", n), &n, |b, &n| {
             b.iter(|| {
                 let items: Vec<u64> = (0..n).collect();
-                let (r, _) = run_stage(&pool, "trivial", items, Ok::<u64, String>);
-                std::hint::black_box(r.len())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("batched_auto", n), &n, |b, &n| {
-            b.iter(|| {
-                let items: Vec<u64> = (0..n).collect();
-                let (r, _) = run_stage_batched(&pool, "trivial", items, Ok::<u64, String>);
+                let (r, _) = run_stage(&pool, "trivial", items, |x| x);
                 std::hint::black_box(r.len())
             });
         });

@@ -91,6 +91,13 @@ fn main() {
         "fig1" => {
             println!("Figure 1 — workflow overview (stage census)\n");
             print!("{}", output.report.render());
+            // The model layer's cost goes under the table, not in it: its
+            // busy time is summed across workers and already inside the
+            // `generate+judge` and `traces` rows.
+            println!();
+            for line in output.models.ledger().summary_lines() {
+                println!("{line}");
+            }
             println!(
                 "\n{} store: chunk DB {} vectors ({} KiB); trace DBs: 3 × {} vectors",
                 output.config.index.label(),

@@ -1,7 +1,7 @@
 //! The adaptive parsing engine: per-document strategy escalation plus a
 //! pool-parallel batch driver with aggregate statistics.
 
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 
 use super::quality::{self, QualityScore};
 use super::record::ParsedDocument;
@@ -126,12 +126,9 @@ impl AdaptiveParser {
         exec: &Executor,
         blobs: &[B],
     ) -> (Vec<ParseOutcome>, BatchStats) {
-        let (results, _) =
-            run_stage_batched(exec, "parse-batch", (0..blobs.len()).collect(), |i| {
-                Ok::<_, String>(self.parse(blobs[i].as_ref()))
-            });
-        let outcomes: Vec<ParseOutcome> =
-            results.into_iter().map(|r| r.expect("parse cannot fail the task")).collect();
+        let (outcomes, _) = run_stage(exec, "parse-batch", (0..blobs.len()).collect(), |i| {
+            self.parse(blobs[i].as_ref())
+        });
         let mut s = BatchStats { total: outcomes.len(), ..Default::default() };
         for o in &outcomes {
             match o {

@@ -21,7 +21,7 @@ use mcqa_llm::{
     BenchKind, Judge, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode, OPTION_LETTERS,
 };
 use mcqa_ontology::Ontology;
-use mcqa_runtime::{run_stage, run_stage_batched, Executor, RunReport, StageMetrics};
+use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
 use mcqa_util::{KeyedStochastic, ScopeTimer};
 
 use crate::chunks::{ChunkRecord, MentionMatcher};
@@ -159,8 +159,8 @@ pub struct PipelineOutput {
     /// calls through this same hub, so one ledger accounts for the whole
     /// reproduction and repeated evaluation passes hit the cache.
     pub models: Arc<ModelHub>,
-    /// Per-stage metrics (Figure-1 reproduction), including one
-    /// `model-<role>` cost row per model role the pipeline called.
+    /// Per-stage metrics (Figure-1 reproduction). The model layer's cost
+    /// accounting is `models.ledger()`, not a row here.
     pub report: RunReport,
     /// The scheduler the pipeline ran on. Downstream consumers (the
     /// evaluator, retrieval bundles, ablations) clone this handle so the
@@ -286,13 +286,10 @@ impl Pipeline {
         // Ingest scan: content-hash every live document (fanned out), then
         // one merge pass over this run's table and the previous run's.
         let live_ids = library.live_ids();
-        let (hash_results, mut scan_metrics) =
-            run_stage_batched(&exec, "ingest-scan", live_ids, |id| {
-                let blob = library.download(id).expect("live doc has a blob");
-                Ok::<_, String>((id.0 as u64, ContentHash::of_bytes(blob)))
-            });
-        let table: Vec<(u64, ContentHash)> =
-            hash_results.into_iter().map(|r| r.expect("hashing cannot fail")).collect();
+        let (table, mut scan_metrics) = run_stage(&exec, "ingest-scan", live_ids, |id| {
+            let blob = library.download(id).expect("live doc has a blob");
+            (id.0 as u64, ContentHash::of_bytes(blob))
+        });
         let manifest = IngestManifest::new(table);
         let changes = diff(prev.map_or(&[], |p| p.manifest.docs()), manifest.docs());
         census.docs_scanned = library.live_len();
@@ -308,19 +305,19 @@ impl Pipeline {
             changes.added.iter().chain(&changes.modified).map(|id| *id as u32).collect();
         parse_ids.sort_unstable();
         let parser = AdaptiveParser;
-        let (parse_results, parse_metrics) = run_stage(&exec, "parse", parse_ids, |id| {
-            let blob = library.download(DocId(id)).ok_or_else(|| format!("doc {id} missing"))?;
+        let (parse_results, mut parse_metrics) = run_stage(&exec, "parse", parse_ids, |id| {
+            let blob = library.download(DocId(id)).expect("live doc has a blob");
             match parser.parse(blob) {
-                ParseOutcome::Parsed { doc, .. } => Ok((id, doc)),
-                ParseOutcome::Failed { .. } => Err(format!("doc {id} unparseable")),
+                ParseOutcome::Parsed { doc, .. } => Some((id, doc)),
+                ParseOutcome::Failed { .. } => None,
             }
         });
-        let parsed: Vec<(u32, ParsedDocument)> =
-            parse_results.into_iter().filter_map(Result::ok).collect();
+        let parsed: Vec<(u32, ParsedDocument)> = parse_results.into_iter().flatten().collect();
+        parse_metrics.produced = parsed.len();
         report.add(parse_metrics);
 
-        // Stage 3: semantic chunking with provenance mapping, fanned out one
-        // task per re-parsed document on the executor. Each chunk leaves
+        // Stage 3: semantic chunking with provenance mapping, fanned out
+        // over the re-parsed documents on the executor. Each chunk leaves
         // the chunker with its embedding, read off the same per-document
         // prefix sums as the drift test's windows. The stage's metrics
         // keep both rates observable: `throughput()` is docs/s,
@@ -356,10 +353,9 @@ impl Pipeline {
                     (record, vector)
                 })
                 .collect();
-            Ok::<_, String>(records)
+            records
         });
-        let mut fresh: Vec<(ChunkRecord, Vec<f32>)> =
-            chunk_results.into_iter().filter_map(Result::ok).flatten().collect();
+        let mut fresh: Vec<(ChunkRecord, Vec<f32>)> = chunk_results.into_iter().flatten().collect();
         fresh.sort_by_key(|(c, _)| c.chunk_id);
         let (mut fresh_chunks, chunk_vectors): (Vec<ChunkRecord>, Vec<(u64, Vec<f32>)>) = fresh
             .into_iter()
@@ -673,15 +669,12 @@ impl Pipeline {
             .map(|(i, _)| i)
             .collect();
         let (trace_embed_results, trace_embed_metrics) =
-            run_stage_batched(&exec, "embed-traces", to_embed, |i| {
+            run_stage(&exec, "embed-traces", to_embed, |i| {
                 let tr = &traces[i];
-                Ok::<_, String>((tr.mode, tr.question_id, encoder.encode(&tr.trace)))
+                (tr.mode, tr.question_id, encoder.encode(&tr.trace))
             });
         let mut fresh_vecs: HashMap<(usize, u64), Vec<f32>> = HashMap::new();
-        for r in trace_embed_results {
-            // Infallible closure: an Err slot is a panic — fail loudly
-            // rather than leave a trace unretrievable.
-            let (mode, qid, v) = r.expect("embed-traces task cannot fail");
+        for (mode, qid, v) in trace_embed_results {
             let mi = TraceMode::ALL.iter().position(|m| *m == mode).expect("known mode");
             fresh_vecs.insert((mi, qid), v);
         }
@@ -744,13 +737,6 @@ impl Pipeline {
             );
         }
 
-        // The model layer's cost accounting joins the stage report: one
-        // `model-<role>` row per role the pipeline called (items = calls,
-        // out = completion-token estimate, secs = backend busy time).
-        for row in models.ledger().stage_rows() {
-            report.add(row);
-        }
-
         PipelineOutput {
             config: config.clone(),
             ontology,
@@ -811,8 +797,7 @@ mod tests {
             assert_eq!(lex.len(), out.items.len());
         }
         // Figure-1 stage census, including the ingest planner's scan and
-        // merge rows, one build row per store (dense and lexical), and one
-        // model-layer cost row per role the pipeline called.
+        // merge rows and one build row per store (dense and lexical).
         let names: Vec<&str> = out.report.stages().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -833,8 +818,6 @@ mod tests {
                 "index-lex-traces-focused",
                 "index-traces-efficient",
                 "index-lex-traces-efficient",
-                "model-teacher",
-                "model-judge",
             ]
         );
         // The cold build is the all-added degenerate case of the planner.

@@ -5,10 +5,10 @@
 //! document population up front (batched over the caller's
 //! [`Executor`]), renders each document to SPDF bytes, optionally corrupts
 //! a configurable fraction (real PDF piles are never clean — this feeds
-//! the parser's fallback path), and exposes keyword search + download.
+//! the parser's fallback path), and serves downloads.
 
 use mcqa_ontology::Ontology;
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 use mcqa_util::KeyedStochastic;
 
 use crate::doc::{DocId, DocKind, Document};
@@ -70,15 +70,6 @@ impl AcquisitionConfig {
     }
 }
 
-/// One search result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchHit {
-    /// Matching document.
-    pub id: DocId,
-    /// Keyword-overlap score (higher is better).
-    pub score: f64,
-}
-
 /// The assembled corpus library.
 ///
 /// Slots are append-only: removals tombstone the slot (so `DocId`s stay
@@ -86,49 +77,31 @@ pub struct SearchHit {
 /// [`crate::edit::EditBatch`] mutate documents in place or append new
 /// ones. `len()` counts every slot ever allocated; `live_len()` counts
 /// documents that still exist.
+#[derive(Clone)]
 pub struct CorpusLibrary {
     docs: Vec<Document>,
     blobs: Vec<Vec<u8>>,
     corruption: Vec<Corruption>,
     deleted: Vec<bool>,
     config: AcquisitionConfig,
-    exec: Executor,
-}
-
-impl Clone for CorpusLibrary {
-    fn clone(&self) -> Self {
-        Self {
-            docs: self.docs.clone(),
-            blobs: self.blobs.clone(),
-            corruption: self.corruption.clone(),
-            deleted: self.deleted.clone(),
-            config: self.config.clone(),
-            exec: self.exec.clone(),
-        }
-    }
 }
 
 impl CorpusLibrary {
-    /// Build the library on `exec`'s pool: synthesise every document
-    /// (batched), render to SPDF, and apply transit corruption
-    /// deterministically. The executor is retained for later
-    /// [`CorpusLibrary::search`] calls.
+    /// Build the library on `exec`'s pool: synthesise every document,
+    /// render to SPDF, and apply transit corruption deterministically.
     pub fn build(ontology: &Ontology, config: &AcquisitionConfig, exec: &Executor) -> Self {
         let total = config.full_papers + config.abstracts;
-        let (doc_results, _) =
-            run_stage_batched(exec, "synthesize", (0..total as u32).collect(), |i| {
-                let kind = if (i as usize) < config.full_papers {
-                    DocKind::FullPaper
-                } else {
-                    DocKind::Abstract
-                };
-                Ok::<_, String>(synthesize(ontology, &config.synth, DocId(i), kind))
-            });
-        let docs: Vec<Document> =
-            doc_results.into_iter().map(|r| r.expect("synthesis cannot fail")).collect();
+        let (docs, _) = run_stage(exec, "synthesize", (0..total as u32).collect(), |i| {
+            let kind = if (i as usize) < config.full_papers {
+                DocKind::FullPaper
+            } else {
+                DocKind::Abstract
+            };
+            synthesize(ontology, &config.synth, DocId(i), kind)
+        });
 
         let rng = KeyedStochastic::new(config.seed ^ 0xC0_22_06_10);
-        let (blob_results, _) = run_stage_batched(exec, "render", (0..docs.len()).collect(), |i| {
+        let (blob_results, _) = run_stage(exec, "render", (0..docs.len()).collect(), |i| {
             let doc = &docs[i];
             let mut bytes = SpdfWriter::write_document(doc);
             let key = doc.id.0.to_string();
@@ -155,13 +128,12 @@ impl CorpusLibrary {
             } else {
                 Corruption::None
             };
-            Ok::<_, String>((bytes, corruption))
+            (bytes, corruption)
         });
 
-        let (blobs, corruption): (Vec<_>, Vec<_>) =
-            blob_results.into_iter().map(|r| r.expect("rendering cannot fail")).unzip();
+        let (blobs, corruption): (Vec<_>, Vec<_>) = blob_results.into_iter().unzip();
         let deleted = vec![false; docs.len()];
-        Self { docs, blobs, corruption, deleted, config: config.clone(), exec: exec.clone() }
+        Self { docs, blobs, corruption, deleted, config: config.clone() }
     }
 
     /// Number of document slots ever allocated (including deleted ones —
@@ -255,42 +227,6 @@ impl CorpusLibrary {
         self.deleted[i] = true;
         true
     }
-
-    /// Keyword search over titles and keyword lists, Semantic-Scholar
-    /// style. Case-insensitive token overlap; results sorted by score then
-    /// id (deterministic). Scoring fans out on the executor the library
-    /// was built with.
-    pub fn search(&self, query: &str) -> Vec<SearchHit> {
-        let q_tokens: std::collections::HashSet<String> =
-            mcqa_text::tokenize(query).into_iter().collect();
-        if q_tokens.is_empty() {
-            return Vec::new();
-        }
-        let (score_results, _) =
-            run_stage_batched(&self.exec, "search", (0..self.docs.len()).collect(), |i| {
-                if self.deleted[i] {
-                    return Ok::<_, String>(None);
-                }
-                let doc = &self.docs[i];
-                let mut hay: Vec<String> = mcqa_text::tokenize(&doc.title);
-                for k in &doc.keywords {
-                    hay.extend(mcqa_text::tokenize(k));
-                }
-                hay.extend(mcqa_text::tokenize(doc.topic.name()));
-                let hay: std::collections::HashSet<String> = hay.into_iter().collect();
-                let overlap = q_tokens.intersection(&hay).count();
-                Ok::<_, String>((overlap > 0).then(|| SearchHit {
-                    id: doc.id,
-                    score: overlap as f64 / q_tokens.len() as f64,
-                }))
-            });
-        let mut hits: Vec<SearchHit> =
-            score_results.into_iter().filter_map(|r| r.expect("scoring cannot fail")).collect();
-        hits.sort_by(|a, b| {
-            b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal).then(a.id.cmp(&b.id))
-        });
-        hits
-    }
 }
 
 #[cfg(test)]
@@ -361,35 +297,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn search_finds_topical_documents() {
-        let (_, lib) = small_library();
-        // Query with a topic name guaranteed to exist in the corpus.
-        let some_topic = lib.documents()[0].topic;
-        let hits = lib.search(some_topic.name());
-        assert!(!hits.is_empty());
-        // Scores sorted descending.
-        for w in hits.windows(2) {
-            assert!(w[0].score >= w[1].score);
-        }
-        // Top hit really matches.
-        let top = lib.document(hits[0].id).unwrap();
-        let hay = format!("{} {} {:?}", top.title, top.keywords.join(" "), top.topic.name());
-        assert!(
-            mcqa_text::tokenize(some_topic.name())
-                .iter()
-                .any(|t| mcqa_text::tokenize(&hay).contains(t)),
-            "top hit shares no query token"
-        );
-    }
-
-    #[test]
-    fn search_empty_query() {
-        let (_, lib) = small_library();
-        assert!(lib.search("").is_empty());
-        assert!(lib.search("??!!..").is_empty());
     }
 
     #[test]

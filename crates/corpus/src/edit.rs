@@ -237,12 +237,13 @@ mod tests {
     }
 
     #[test]
-    fn search_skips_deleted_documents() {
+    fn removal_hides_the_document() {
         let (ont, mut lib) = library();
-        let topic = lib.documents()[2].topic;
-        let hits_before = lib.search(topic.name());
-        assert!(hits_before.iter().any(|h| h.id == DocId(2)));
+        assert!(lib.document(DocId(2)).is_some());
+        assert!(lib.live_ids().contains(&DocId(2)));
         lib.apply_edits(&ont, &EditBatch { ops: vec![EditOp::Remove { id: DocId(2) }], seed: 5 });
-        assert!(!lib.search(topic.name()).iter().any(|h| h.id == DocId(2)));
+        assert!(lib.document(DocId(2)).is_none());
+        assert!(!lib.live_ids().contains(&DocId(2)));
+        assert_eq!(lib.live_ids().len(), lib.len() - 1, "only the removed slot is hidden");
     }
 }

@@ -16,7 +16,7 @@
 //! * [`spdf`] — the SPDF binary container: magic, versioned header, typed
 //!   object table (JSON metadata + compressed text streams), checksummed
 //!   trailer. A writer, a strict reader, and a salvage reader.
-//! * [`acquire`] — the corpus library + keyword-search/download API
+//! * [`acquire`] — the corpus library + download API
 //!   simulating Semantic Scholar (some documents are open-access full
 //!   texts, some only expose abstracts), plus corruption injection to give
 //!   the parser realistic failure modes.
@@ -28,7 +28,7 @@ pub mod edit;
 pub mod spdf;
 pub mod synth;
 
-pub use acquire::{AcquisitionConfig, CorpusLibrary, SearchHit};
+pub use acquire::{AcquisitionConfig, CorpusLibrary};
 pub use doc::{DocId, DocKind, Document, FactMention, Section};
 pub use edit::{EditBatch, EditOp};
 pub use spdf::{SpdfError, SpdfObject, SpdfReader, SpdfWriter};

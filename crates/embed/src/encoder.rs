@@ -1,6 +1,6 @@
 //! The `BioEncoder`: signed feature-hashing text encoder.
 
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 use mcqa_text::{for_each_content_token, Bridge};
 use mcqa_util::{LaneHasher, StableHasher};
 
@@ -169,11 +169,10 @@ impl BioEncoder {
         exec: &Executor,
         texts: &[S],
     ) -> Vec<Vec<f32>> {
-        let (results, _) =
-            run_stage_batched(exec, "encode-batch", (0..texts.len()).collect(), |i| {
-                Ok::<_, String>(self.encode(texts[i].as_ref()))
-            });
-        results.into_iter().map(|r| r.expect("encoding cannot fail")).collect()
+        run_stage(exec, "encode-batch", (0..texts.len()).collect(), |i| {
+            self.encode(texts[i].as_ref())
+        })
+        .0
     }
 }
 

@@ -17,16 +17,13 @@
 //! * [`matrix`] — [`EmbeddingMatrix`]: row-major embedding storage in
 //!   `f32` or compressed FP16 (the paper's choice), with byte
 //!   serialisation.
-//! * [`cache`] — a concurrent encode cache for repeated texts.
 //! * [`panels`] — [`PanelCache`]: resident decoded-F32 panels under a
 //!   bounded byte budget, so a batch-of-1 search skips the F16 decode.
 
-pub mod cache;
 pub mod encoder;
 pub mod matrix;
 pub mod panels;
 
-pub use cache::EmbeddingCache;
 pub use encoder::{BioEncoder, EmbedConfig};
 pub use matrix::{EmbeddingMatrix, Precision};
 pub use panels::{PanelBudget, PanelCache};

@@ -99,19 +99,14 @@ impl EmbeddingMatrix {
                 }
             }
             Precision::F16 => {
-                let (encoded, _) = mcqa_runtime::run_stage_batched(
-                    exec,
-                    "f16-encode",
-                    (0..rows.len()).collect(),
-                    |i| {
+                let (encoded, _) =
+                    mcqa_runtime::run_stage(exec, "f16-encode", (0..rows.len()).collect(), |i| {
                         let bytes = encode_f16_bytes(rows[i].as_ref());
                         let decoded =
                             decode_f16_bytes(&bytes).expect("even length by construction");
-                        Ok::<_, String>((bytes, mcqa_util::kernel::sq_norm(&decoded)))
-                    },
-                );
-                for e in encoded {
-                    let (bytes, norm) = e.expect("f16 encode cannot fail");
+                        (bytes, mcqa_util::kernel::sq_norm(&decoded))
+                    });
+                for (bytes, norm) in encoded {
                     self.data_f16.extend_from_slice(&bytes);
                     self.sq_norms.push(norm);
                 }
@@ -481,10 +476,17 @@ mod tests {
     fn bytes_rejects_garbage() {
         assert!(EmbeddingMatrix::from_bytes(b"").is_none());
         assert!(EmbeddingMatrix::from_bytes(b"EMBX").is_none());
-        let rows = sample_rows(2, 8);
+        let rows = sample_rows(3, 8);
+        for precision in [Precision::F32, Precision::F16] {
+            let b = EmbeddingMatrix::from_rows(8, precision, &rows).to_bytes();
+            for cut in 0..b.len() {
+                assert!(
+                    EmbeddingMatrix::from_bytes(&b[..cut]).is_none(),
+                    "{precision:?} cut {cut}"
+                );
+            }
+        }
         let mut b = EmbeddingMatrix::from_rows(8, Precision::F16, &rows).to_bytes();
-        b.truncate(b.len() - 3);
-        assert!(EmbeddingMatrix::from_bytes(&b).is_none(), "length mismatch rejected");
         b[0] = b'X';
         assert!(EmbeddingMatrix::from_bytes(&b).is_none());
     }

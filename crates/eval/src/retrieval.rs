@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use mcqa_core::PipelineOutput;
 use mcqa_llm::{McqItem, Passage, PassageSource, TraceMode};
-use mcqa_runtime::{run_stage_batched, StageMetrics};
+use mcqa_runtime::{run_stage, StageMetrics};
 use mcqa_serve::{PassageStore, QueryMode, QueryRequest, QueryService, ServeConfig};
 use mcqa_text::token_count;
 
@@ -181,11 +181,8 @@ impl RetrievalBundle {
         // transfer: a distilled rationale about TRK2's signalling helps
         // answer other TRK2 questions — the channel the paper attributes
         // reasoning-trace retrieval's exam gains to).
-        let (labelled, _) = run_stage_batched(
-            &output.executor,
-            "eval-retrieve-label",
-            (0..items.len()).collect(),
-            |qi| {
+        let (labelled, _) =
+            run_stage(&output.executor, "eval-retrieve-label", (0..items.len()).collect(), |qi| {
                 let item = &items[qi];
                 let mut per_source: [Vec<Passage>; 4] =
                     [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
@@ -225,11 +222,10 @@ impl RetrievalBundle {
                         ));
                     }
                 }
-                Ok::<_, String>((per_source, mcqa_llm::context::question_tokens(item)))
-            },
-        );
+                (per_source, mcqa_llm::context::question_tokens(item))
+            });
         let (passages, question_tokens): (Vec<[Vec<Passage>; 4]>, Vec<usize>) =
-            labelled.into_iter().map(|r| r.expect("labelling cannot fail")).unzip();
+            labelled.into_iter().unzip();
 
         // One stage row spanning the served replay and labelling, so the report's
         // `eval-retrieve` line reports end-to-end questions/s (`items/s`)

@@ -171,8 +171,9 @@ impl FlatIndex {
             return vec![Vec::new(); queries.len()];
         }
         let query_block = if query_block == 0 {
-            // One query block per worker, not `run_stage_batched`'s 8 tasks
-            // per worker: search tasks are uniform, so nothing is gained
+            // One query block per worker, not eight tasks per worker (and
+            // `run_stage` keeps a stage that small at one item per task):
+            // search tasks are uniform, so nothing is gained
             // from finer load balancing, while every extra query in a
             // block is one less full-matrix panel fetch — on few workers
             // (or a micro-batch from the serving dispatcher) the widest
@@ -188,9 +189,9 @@ impl FlatIndex {
         // scratch is bounded inside `QueryBlock`, not by the block).
         let blocks: Vec<&[Vec<f32>]> = queries.chunks(query_block).collect();
         let (hits, _metrics) = run_stage(exec, "search-batch", blocks, |block| {
-            Ok::<_, String>(self.scan(block.iter().map(Vec::as_slice), k, block_rows))
+            self.scan(block.iter().map(Vec::as_slice), k, block_rows)
         });
-        hits.into_iter().flat_map(|b| b.expect("search cannot fail")).collect()
+        hits.into_iter().flatten().collect()
     }
 }
 
@@ -506,8 +507,10 @@ mod tests {
         assert_eq!(back.metric(), Metric::L2);
         let q = unit(8, 3);
         assert_eq!(back.search(&q, 5), idx.search(&q, 5));
-        // Corruption rejected.
-        assert!(FlatIndex::from_bytes(&bytes[..bytes.len() - 5]).is_none());
+        // Corruption rejected: every truncation, a foreign tag.
+        for cut in 0..bytes.len() {
+            assert!(FlatIndex::from_bytes(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
         assert!(FlatIndex::from_bytes(b"nope").is_none());
     }
 }

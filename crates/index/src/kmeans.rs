@@ -15,10 +15,10 @@
 //! Determinism: every random draw is keyed through [`KeyedStochastic`] (a
 //! pure function of seed and key path), the parallel distance updates and
 //! Lloyd assignments return input-ordered results from
-//! [`run_stage_batched`], and accumulation happens serially in index
+//! [`run_stage`], and accumulation happens serially in index
 //! order — so the trained centroids are bit-identical at any worker count.
 
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 use mcqa_util::{kernel, KeyedStochastic};
 
 use crate::metric::Metric;
@@ -77,13 +77,9 @@ pub(crate) fn train_centroids(
     let mut d2: Vec<f64> = vec![f64::INFINITY; training.len()];
     for pick in 1..k {
         let newest = centroids.last().expect("seeded above").clone();
-        let (updates, _) =
-            run_stage_batched(exec, "kmeans-seed", (0..training.len()).collect(), |i| {
-                Ok::<_, String>(d2[i].min(f64::from(kernel::l2_sq(&training[i], &newest))))
-            });
-        for (slot, u) in d2.iter_mut().zip(updates) {
-            *slot = u.expect("distance cannot fail");
-        }
+        (d2, _) = run_stage(exec, "kmeans-seed", (0..training.len()).collect(), |i| {
+            d2[i].min(f64::from(kernel::l2_sq(&training[i], &newest)))
+        });
         let total: f64 = d2.iter().sum();
         let idx = if total > 0.0 {
             // Prefix walk over the weights; the rposition fallback covers
@@ -111,14 +107,12 @@ pub(crate) fn train_centroids(
     // input order (f64 sums, so the mean is order-robust *and* the order
     // is fixed anyway — bit-identical at any worker count).
     for _iter in 0..iters {
-        let (assigned, _) =
-            run_stage_batched(exec, "kmeans-assign", (0..training.len()).collect(), |i| {
-                Ok::<_, String>(nearest(metric, &centroids, &training[i]))
-            });
+        let (assigned, _) = run_stage(exec, "kmeans-assign", (0..training.len()).collect(), |i| {
+            nearest(metric, &centroids, &training[i])
+        });
         let mut sums: Vec<f64> = vec![0.0; k * dim];
         let mut counts = vec![0usize; k];
         for (v, c) in training.iter().zip(assigned) {
-            let c = c.expect("assignment cannot fail");
             counts[c] += 1;
             for (s, x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(v) {
                 *s += f64::from(*x);

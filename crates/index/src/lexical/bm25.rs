@@ -45,7 +45,7 @@
 
 use std::collections::HashMap;
 
-use mcqa_runtime::{run_stage, run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 use mcqa_text::{for_each_content_token, TermId, Vocabulary};
 use mcqa_util::codec::{put_u32, put_varint, unzigzag, zigzag, Reader};
 use mcqa_util::{SearchResult, TopK};
@@ -321,9 +321,9 @@ impl LexicalIndex {
         }
     }
 
-    /// Bulk insertion. Tokenising and counting fan out on `exec`'s pool,
-    /// one task per run of `RUN_DOCS` consecutive items with one term
-    /// dictionary each; interning those dictionaries and posting stay
+    /// Bulk insertion. Tokenising and counting fan out on `exec`'s pool
+    /// over runs of `RUN_DOCS` consecutive items with one term dictionary
+    /// each; interning those dictionaries and posting stay
     /// serial, in `items` order. A dictionary lists its terms in
     /// first-occurrence order, so ids are assigned exactly as sequential
     /// insertion assigns them: the result is **bit-identical** to
@@ -342,10 +342,10 @@ impl LexicalIndex {
     ) {
         let runs: Vec<&[(u64, S)]> = items.chunks(run_docs).collect();
         let (counted, _) = run_stage(exec, "lex-tokenize", runs, |run| {
-            Ok::<_, String>(count_batch(run.iter().map(|(_, text)| text.as_ref())))
+            count_batch(run.iter().map(|(_, text)| text.as_ref()))
         });
         for (run, counts) in items.chunks(run_docs).zip(counted) {
-            self.merge_batch(run.iter().map(|(id, _)| *id), counts.expect("counting cannot fail"));
+            self.merge_batch(run.iter().map(|(id, _)| *id), counts);
         }
     }
 
@@ -420,11 +420,10 @@ impl LexicalIndex {
         queries: &[S],
         k: usize,
     ) -> Vec<Vec<SearchResult>> {
-        let (results, _) =
-            run_stage_batched(exec, "lex-search", (0..queries.len()).collect(), |i| {
-                Ok::<_, String>(self.search(queries[i].as_ref(), k))
-            });
-        results.into_iter().map(|r| r.expect("search cannot fail")).collect()
+        run_stage(exec, "lex-search", (0..queries.len()).collect(), |i| {
+            self.search(queries[i].as_ref(), k)
+        })
+        .0
     }
 
     /// Resident payload bytes: postings, the documents table, and the

@@ -83,7 +83,7 @@ pub use spec::{
     build_store, build_store_from_vectors, decode_store, peek_store_header, IndexSpec, StoreHeader,
 };
 
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 
 /// The shared hit type and its canonical ordering now live in
 /// [`mcqa_util::hits`] (the lexical index and fusion layer rank through
@@ -202,11 +202,10 @@ pub trait VectorStore: Send + Sync {
         queries: &[Vec<f32>],
         k: usize,
     ) -> Vec<Vec<SearchResult>> {
-        let (results, _) =
-            run_stage_batched(exec, "search-batch", (0..queries.len()).collect(), |i| {
-                Ok::<_, String>(self.search(&queries[i], k))
-            });
-        results.into_iter().map(|r| r.expect("search cannot fail")).collect()
+        run_stage(exec, "search-batch", (0..queries.len()).collect(), |i| {
+            self.search(&queries[i], k)
+        })
+        .0
     }
 
     /// Payload bytes of the backing storage (vectors + graph/list

@@ -36,7 +36,7 @@
 use std::collections::HashSet;
 
 use mcqa_embed::{PanelBudget, PanelCache};
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 use mcqa_util::kernel;
 
 use crate::codec::{
@@ -456,12 +456,11 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         // Assignment + encoding is the per-item cost and is independent
         // per vector; fan it out, then fill the lists in input order so
         // the store is bit-identical to sequential adds.
-        let (encoded, _) =
-            run_stage_batched(exec, "list-encode", (0..items.len()).collect(), |i| {
-                Ok::<_, String>(self.encode_one(codec, &items[i].1))
-            });
+        let (encoded, _) = run_stage(exec, "list-encode", (0..items.len()).collect(), |i| {
+            self.encode_one(codec, &items[i].1)
+        });
         for (enc, (id, _)) in encoded.into_iter().zip(items) {
-            self.push_encoded(*id, enc.expect("encoding cannot fail"));
+            self.push_encoded(*id, enc);
         }
         self.cache.invalidate();
     }
@@ -540,14 +539,13 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
             return vec![Vec::new(); queries.len()];
         }
         // Stage 1: rank centroids per query (independent, fan out).
-        let (probes, _) =
-            run_stage_batched(exec, "list-rank", (0..queries.len()).collect(), |qi| {
-                Ok::<_, String>(self.ranked_lists(&queries[qi]))
-            });
+        let (probes, _) = run_stage(exec, "list-rank", (0..queries.len()).collect(), |qi| {
+            self.ranked_lists(&queries[qi])
+        });
         // Invert to the list-centric view: which queries probe each list.
         let mut by_list: Vec<Vec<usize>> = vec![Vec::new(); self.lists.len()];
         for (qi, lists) in probes.into_iter().enumerate() {
-            for li in lists.expect("ranking cannot fail") {
+            for li in lists {
                 by_list[li].push(qi);
             }
         }
@@ -557,20 +555,18 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         // Stage 2: shard the inverted file across the pool by list. Each
         // task fetches its list's panels once, scores every probing
         // query, and returns per-(list, query) partial top-k sets.
-        let (partials, _) = run_stage_batched(exec, "list-scan", work, |li| {
+        let (partials, _) = run_stage(exec, "list-scan", work, |li| {
             let qis = &by_list[li];
             let mut block = QueryBlock::new(qis.iter().map(|&qi| queries[qi].as_slice()), k);
             self.scan_list(li, &mut block, &mut Vec::new());
-            let out: Vec<(usize, Vec<SearchResult>)> =
-                qis.iter().copied().zip(block.into_sorted()).collect();
-            Ok::<_, String>(out)
+            qis.iter().copied().zip(block.into_sorted()).collect::<Vec<_>>()
         });
         // Stage 3: merge. The global top-k of a union equals the top-k of
         // the per-list top-k's under `cmp_hits` (a total order whose ties
         // are value-identical), so this matches sequential search exactly.
         let mut topks: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
         for part in partials {
-            for (qi, hits) in part.expect("scan cannot fail") {
+            for (qi, hits) in part {
                 for h in hits {
                     topks[qi].push(h);
                 }
@@ -866,14 +862,10 @@ impl RowCodec for ResidualCodec {
         centroids: &[Vec<f32>],
         sample: &[Vec<f32>],
     ) -> Self {
-        let (residuals, _) =
-            run_stage_batched(exec, "pq-residuals", (0..sample.len()).collect(), |i| {
-                let c = kmeans::nearest(metric, centroids, &sample[i]);
-                let r: Vec<f32> = sample[i].iter().zip(&centroids[c]).map(|(x, m)| x - m).collect();
-                Ok::<_, String>(r)
-            });
-        let residuals: Vec<Vec<f32>> =
-            residuals.into_iter().map(|r| r.expect("residual cannot fail")).collect();
+        let (residuals, _) = run_stage(exec, "pq-residuals", (0..sample.len()).collect(), |i| {
+            let c = kmeans::nearest(metric, centroids, &sample[i]);
+            sample[i].iter().zip(&centroids[c]).map(|(x, m)| x - m).collect::<Vec<f32>>()
+        });
         Self::fit(dim, config.bits, config.sub_dim, &residuals)
     }
 

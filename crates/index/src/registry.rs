@@ -428,8 +428,10 @@ mod tests {
             assert_eq!(store.len(), orig.len(), "{name}");
             assert_eq!(store.search(&q, 4), orig.search(&q, 4), "{name}");
         }
-        // Corruption rejected.
-        assert!(IndexRegistry::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        // Corruption rejected: every truncation, a foreign tag.
+        for cut in 0..bytes.len() {
+            assert!(IndexRegistry::from_bytes(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
         assert!(IndexRegistry::from_bytes(b"REGY").is_none());
         assert!(IndexRegistry::from_bytes(b"nope").is_none());
         // `REGY` + a dense section with no lexical count is not a format
@@ -514,7 +516,9 @@ mod tests {
         let tail = corrupt.len() - 1;
         corrupt[tail] ^= 0xff;
         assert!(IndexRegistry::from_bytes(&corrupt).is_none());
-        assert!(IndexRegistry::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        for cut in 0..bytes.len() {
+            assert!(IndexRegistry::from_bytes(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mcqa_ontology::Ontology;
-use mcqa_runtime::{run_stage_batched, Executor};
+use mcqa_runtime::{run_stage, Executor};
 
 use crate::endpoint::{ModelRequest, ModelResponse, Role};
 use crate::ledger::CallLedger;
@@ -89,8 +89,7 @@ impl ModelHub {
         response
     }
 
-    /// Serve a batch, fanned out on `exec`'s pool (auto-sized chunked
-    /// submission). Results are index-aligned with `reqs` and bit-identical
+    /// Serve a batch, fanned out on `exec`'s pool. Results are index-aligned with `reqs` and bit-identical
     /// to calling [`ModelHub::complete`] sequentially.
     pub fn complete_batch(&self, exec: &Executor, reqs: &[ModelRequest]) -> Vec<ModelResponse> {
         // Tally the submission per role it contains (a batch is normally
@@ -101,11 +100,7 @@ impl ModelHub {
                 self.ledger.record_batch(role, n);
             }
         }
-        let (results, _metrics) =
-            run_stage_batched(exec, "model-batch", (0..reqs.len()).collect(), |i| {
-                Ok::<_, String>(self.complete(&reqs[i]))
-            });
-        results.into_iter().map(|r| r.expect("model completion cannot fail")).collect()
+        run_stage(exec, "model-batch", (0..reqs.len()).collect(), |i| self.complete(&reqs[i])).0
     }
 }
 

@@ -4,13 +4,10 @@
 //! Every request through a [`crate::ModelHub`] is tallied here — per role:
 //! calls, batch submissions, cache hits, token in/out estimates for the
 //! completions that actually hit the backend, and cumulative backend busy
-//! time. The ledger renders two ways: as [`StageMetrics`] rows folded into
-//! the Figure-1 stage report, and as greppable `[models] key=value` lines
-//! behind the `repro models` subcommand.
+//! time. The ledger renders as greppable `[models] key=value` lines, which
+//! `repro models` and `repro fig1` print.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-use mcqa_runtime::StageMetrics;
 
 use crate::endpoint::Role;
 
@@ -154,26 +151,6 @@ impl CallLedger {
         total
     }
 
-    /// One [`StageMetrics`] row per *active* role (zero-call roles are
-    /// omitted), named `model-<role>`, for the Figure-1 stage report:
-    /// `items` = requests, `ok` = requests, `produced` = completion-token
-    /// estimate, `elapsed` = backend busy time.
-    pub fn stage_rows(&self) -> Vec<StageMetrics> {
-        self.snapshot()
-            .into_iter()
-            .filter(|(_, s)| s.calls > 0)
-            .map(|(role, s)| StageMetrics {
-                name: format!("model-{}", role.label()),
-                items: s.calls as usize,
-                ok: s.calls as usize,
-                errors: 0,
-                panics: 0,
-                produced: s.tokens_out as usize,
-                elapsed_secs: s.busy_secs,
-            })
-            .collect()
-    }
-
     /// Greppable `[models] key=value` lines: one per active role plus a
     /// `role=total` aggregate (always emitted, so a census has an anchor
     /// even before any call). `backend=sim` names what served them: every
@@ -233,27 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn stage_rows_cover_active_roles_only() {
-        let ledger = CallLedger::new();
-        ledger.record_call(Role::Answerer, false, 10, 5, 2_000_000);
-        let rows = ledger.stage_rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].name, "model-answerer");
-        assert_eq!(rows[0].items, 1);
-        assert_eq!(rows[0].produced, 5);
-        assert!((rows[0].elapsed_secs - 0.002).abs() < 1e-9);
-    }
-
-    #[test]
     fn summary_lines_are_greppable() {
         let ledger = CallLedger::new();
-        ledger.record_call(Role::Judge, false, 30, 10, 0);
+        ledger.record_call(Role::Judge, false, 30, 10, 2_000_000);
         let lines = ledger.summary_lines();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 2, "active roles only, then the total");
         assert!(lines[0].starts_with("[models] backend=sim role=judge calls=1 "));
         assert!(lines[1].contains("role=total"));
         assert!(lines[0].contains("tokens_in=30"));
         assert!(lines[0].contains("hit_rate=0.0000"));
+        assert!(lines[0].ends_with("busy_secs=0.002"));
     }
 
     #[test]

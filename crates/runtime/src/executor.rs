@@ -150,9 +150,8 @@ impl Executor {
     /// for results: a caller blocked on a stage drains the queue instead of
     /// parking, which (a) adds the calling thread as an extra execution
     /// context and (b) makes *nested* stages on one pool deadlock-free —
-    /// a stage closure may itself fan out on the same executor (e.g. a
-    /// future pipeline stage calling `CorpusLibrary::search` or a batch
-    /// API) even on a 1-worker pool.
+    /// a stage closure may itself fan out on the same executor (e.g. by
+    /// calling a batch API) even on a 1-worker pool.
     pub(crate) fn try_execute_one(&self) -> bool {
         let shared = &self.pool.shared;
         let Some(job) = shared.lock().jobs.pop_front() else {

@@ -11,16 +11,16 @@
 //!   view library crates accept so their batch APIs run on the caller's
 //!   pool; [`Executor::global`] is the ambient default for call sites with
 //!   no pipeline pool in scope.
-//! * [`stage`] — `run_stage` / `run_stage_batched`: ordered parallel maps
-//!   over a task list with error isolation and a
-//!   [`metrics::StageMetrics`] record — the building blocks `mcqa-core`
-//!   and `mcqa-eval` assemble their workflows from. The batched variant
-//!   submits chunks of items per pool task, sized from the item and worker
-//!   counts (about eight per worker), the perf lever for high-item-count
-//!   stages. The calling thread keeps a stage's last task and assists with
-//!   the rest.
-//! * [`metrics`] — stage metrics and the run report printed by the
-//!   Figure-1 reproduction.
+//! * [`stage`] — [`run_stage`]: an ordered parallel map over a task list
+//!   that returns the values and a [`metrics::StageMetrics`] record — the
+//!   building block `mcqa-core`, `mcqa-eval` and every batch API assemble
+//!   their workflows from. Items go to the pool in batches sized from the
+//!   item and worker counts (about eight per worker); the calling thread
+//!   keeps a stage's last batch and assists with the rest. A task that
+//!   panics fails the stage: the panic resumes on the caller once every
+//!   other batch has finished.
+//! * [`metrics`] — stage metrics (items in, records out, seconds) and the
+//!   run report printed by the Figure-1 reproduction.
 
 pub mod executor;
 pub mod metrics;
@@ -28,4 +28,4 @@ pub mod stage;
 
 pub use executor::{Executor, PoolStats};
 pub use metrics::{RunReport, StageMetrics};
-pub use stage::{run_stage, run_stage_batched, TaskError};
+pub use stage::run_stage;

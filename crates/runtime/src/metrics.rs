@@ -1,21 +1,19 @@
 //! Stage metrics and the workflow run report.
 
-/// Metrics for one pipeline stage.
+/// Metrics for one pipeline stage: items in, records out, wall time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageMetrics {
     /// Stage name.
     pub name: String,
     /// Items submitted.
     pub items: usize,
-    /// Items completing successfully.
-    pub ok: usize,
-    /// Items failing (including panics).
-    pub errors: usize,
-    /// Items that panicked (subset of `errors`).
+    /// Always 0: a stage whose task panics re-raises the panic instead of
+    /// returning metrics. Kept for the readers that still sum it.
     pub panics: usize,
-    /// Output records emitted by the stage. Equals `ok` for 1:1 stages;
-    /// fan-out stages (e.g. chunking: docs in → chunks out) record the
-    /// output count here so both docs/s and chunks/s are observable.
+    /// Output records emitted by the stage. Equals `items` for 1:1 stages;
+    /// filtering stages (parse, judge) record what survived, and fan-out
+    /// stages (chunking: docs in → chunks out) the output count, so both
+    /// items/s and records/s are observable.
     pub produced: usize,
     /// Wall-clock seconds.
     pub elapsed_secs: f64,
@@ -23,20 +21,11 @@ pub struct StageMetrics {
 
 impl StageMetrics {
     /// Metrics for a stage measured as one timed block rather than
-    /// per-task: `produced` of `items` inputs yielded an output record, the
-    /// rest were filtered out, and nothing panicked. Prefer this over a
-    /// field-by-field struct literal so call sites don't drift as
-    /// `StageMetrics` grows.
+    /// per-task: `items` inputs yielded `produced` output records. Prefer
+    /// this over a field-by-field struct literal so call sites don't drift
+    /// as `StageMetrics` grows.
     pub fn single(name: &str, items: usize, produced: usize, elapsed_secs: f64) -> Self {
-        Self {
-            name: name.into(),
-            items,
-            ok: produced.min(items),
-            errors: items.saturating_sub(produced),
-            panics: 0,
-            produced,
-            elapsed_secs,
-        }
+        Self { name: name.into(), items, panics: 0, produced, elapsed_secs }
     }
 
     /// Items per second (0 when time is unmeasured or no items ran).
@@ -56,15 +45,6 @@ impl StageMetrics {
             self.produced as f64 / self.elapsed_secs
         } else {
             0.0
-        }
-    }
-
-    /// Success rate in `[0, 1]` (1 for an empty stage).
-    pub fn success_rate(&self) -> f64 {
-        if self.items == 0 {
-            1.0
-        } else {
-            self.ok as f64 / self.items as f64
         }
     }
 }
@@ -97,8 +77,6 @@ impl RunReport {
         match self.stages.iter_mut().find(|s| s.name == m.name) {
             Some(s) => {
                 s.items += m.items;
-                s.ok += m.ok;
-                s.errors += m.errors;
                 s.panics += m.panics;
                 s.produced += m.produced;
                 s.elapsed_secs += m.elapsed_secs;
@@ -123,19 +101,17 @@ impl RunReport {
     pub fn render(&self) -> String {
         let name_w = self.stages.iter().map(|s| s.name.chars().count()).max().unwrap_or(0).max(22);
         let mut out = format!(
-            "{:<name_w$} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>11}\n",
-            "stage", "items", "ok", "errors", "out", "secs", "items/s", "out/s"
+            "{:<name_w$} {:>9} {:>9} {:>10} {:>11} {:>11}\n",
+            "stage", "items", "out", "secs", "items/s", "out/s"
         );
         // The rule spans the header, which is ASCII: bytes are columns.
         out.push_str(&"-".repeat(out.len() - 1));
         out.push('\n');
         for s in &self.stages {
             out.push_str(&format!(
-                "{:<name_w$} {:>9} {:>9} {:>7} {:>9} {:>10.3} {:>11.1} {:>11.1}\n",
+                "{:<name_w$} {:>9} {:>9} {:>10.3} {:>11.1} {:>11.1}\n",
                 s.name,
                 s.items,
-                s.ok,
-                s.errors,
                 s.produced,
                 s.elapsed_secs,
                 s.throughput(),
@@ -151,27 +127,18 @@ impl RunReport {
 mod tests {
     use super::*;
 
-    fn m(name: &str, items: usize, ok: usize, secs: f64) -> StageMetrics {
-        StageMetrics {
-            name: name.into(),
-            items,
-            ok,
-            errors: items - ok,
-            panics: 0,
-            produced: ok,
-            elapsed_secs: secs,
-        }
+    fn m(name: &str, items: usize, produced: usize, secs: f64) -> StageMetrics {
+        StageMetrics::single(name, items, produced, secs)
     }
 
     #[test]
-    fn throughput_and_success() {
+    fn throughput_in_and_out() {
         let s = m("parse", 100, 95, 2.0);
         assert_eq!(s.throughput(), 50.0);
         assert_eq!(s.output_throughput(), 47.5);
-        assert_eq!(s.success_rate(), 0.95);
         let empty = m("x", 0, 0, 0.0);
         assert_eq!(empty.throughput(), 0.0);
-        assert_eq!(empty.success_rate(), 1.0);
+        assert_eq!(empty.output_throughput(), 0.0);
     }
 
     #[test]
@@ -186,7 +153,8 @@ mod tests {
         for name in ["acquire", "parse", "chunk", "index-lex-traces-efficient"] {
             assert!(text.contains(name), "{text}");
         }
-        assert!(text.contains("items/s"));
+        let header: Vec<&str> = text.lines().next().unwrap().split_whitespace().collect();
+        assert_eq!(header, ["stage", "items", "out", "secs", "items/s", "out/s"]);
         assert!((r.total_secs() - 5.5).abs() < 1e-9);
         assert_eq!(r.stages().len(), 4);
         // Header, rule, one row per stage, total: every line of the table
@@ -198,22 +166,17 @@ mod tests {
         for line in &lines[1..6] {
             assert_eq!(line.chars().count(), lines[0].chars().count(), "{text}");
         }
+        assert!(lines[3].contains(" 2255      2230 "), "{text}");
     }
 
     #[test]
     fn single_constructor_matches_hand_rolled_shape() {
         let s = StageMetrics::single("generate+judge", 1000, 96, 2.0);
         assert_eq!(s.items, 1000);
-        assert_eq!(s.ok, 96);
-        assert_eq!(s.errors, 904);
         assert_eq!(s.panics, 0);
         assert_eq!(s.produced, 96);
         assert_eq!(s.throughput(), 500.0);
         assert_eq!(s.output_throughput(), 48.0);
-        // 1:1 stages: produced == items, no errors.
-        let a = StageMetrics::single("acquire", 50, 50, 1.0);
-        assert_eq!(a.ok, 50);
-        assert_eq!(a.errors, 0);
     }
 
     #[test]
@@ -225,8 +188,7 @@ mod tests {
         assert_eq!(r.stages().len(), 2);
         let ans = &r.stages()[0];
         assert_eq!(ans.items, 150);
-        assert_eq!(ans.ok, 140);
-        assert_eq!(ans.errors, 10);
+        assert_eq!(ans.produced, 140);
         assert!((ans.elapsed_secs - 1.5).abs() < 1e-12);
         assert!((ans.throughput() - 100.0).abs() < 1e-9);
     }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use mcqa_runtime::{run_stage, Executor, TaskError};
+use mcqa_runtime::{run_stage, Executor};
 
 /// Every worker runs jobs, and every submitted job runs. Four jobs that each
 /// hold their thread until released can all have started only if four
@@ -94,27 +94,25 @@ fn panicking_jobs_do_not_kill_workers() {
     assert_eq!(pool.stats().total_executed(), 108, "panicked jobs still count as executed");
 }
 
-/// The same isolation, observed through `run_stage`: panics land in their
-/// own result slot and the stage metrics census them.
+/// The pool's isolation seen through `run_stage`: a stage task that panics
+/// fails its stage on the caller, yet no worker dies — the pool, no wider
+/// than the panic count, runs the next stage in full.
 #[test]
-fn run_stage_isolates_panics_per_slot() {
-    let pool = Executor::new(3);
-    let items: Vec<u32> = (0..50).collect();
-    let (results, metrics) = run_stage(&pool, "mixed", items, |x| {
-        if x % 10 == 7 {
-            panic!("poison item {x}");
-        }
-        Ok::<u32, String>(x * 2)
-    });
-    assert_eq!(metrics.items, 50);
-    assert_eq!(metrics.panics, 5);
-    assert_eq!(metrics.ok, 45);
-    for (i, r) in results.iter().enumerate() {
-        if i % 10 == 7 {
-            assert_eq!(*r, Err(TaskError::Panicked));
-        } else {
-            assert_eq!(*r, Ok(i as u32 * 2), "order preserved around panics");
-        }
+fn a_failed_stage_leaves_the_pool_whole() {
+    let pool = Executor::new(2);
+    for round in 0..5u32 {
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_stage(&pool, "mixed", (0..50u32).collect(), |x| {
+                if x % 10 == 7 {
+                    panic!("poison item {x}");
+                }
+                x * 2
+            })
+        }));
+        assert!(failed.is_err(), "round {round}: the panic reached the caller");
+        let (values, metrics) = run_stage(&pool, "after", (0..50u32).collect(), |x| x * 2);
+        assert_eq!(values, (0..50).map(|x| x * 2).collect::<Vec<_>>(), "round {round}");
+        assert_eq!((metrics.items, metrics.produced, metrics.panics), (50, 50, 0));
     }
 }
 

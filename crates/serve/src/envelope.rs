@@ -4,7 +4,7 @@
 //! envelope type carries every retrieval call — batch eval replay and
 //! online serving alike — so there is exactly one code path into the
 //! vector stores. A request names its source database, carries the query
-//! as text (encoded service-side through the dispatcher's embedding cache)
+//! as text (encoded service-side through the dispatcher's encode memo)
 //! or a pre-encoded vector, the retrieval depth `k`, and the retrieval
 //! mode.
 
@@ -15,7 +15,7 @@ use mcqa_index::SearchResult;
 /// embedding (the contract of a service started without an encoder).
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryInput {
-    /// Encode server-side through the service's embedding cache.
+    /// Encode server-side, memoised per text by the dispatcher.
     Text(String),
     /// Already encoded; must match the store's dimensionality. Dense-only:
     /// the lexical channel needs the query *text*, so [`QueryMode::Lexical`]

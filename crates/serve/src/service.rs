@@ -30,7 +30,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
-use mcqa_embed::{BioEncoder, EmbeddingCache};
+use mcqa_embed::BioEncoder;
 use mcqa_index::lexical::fuse_depth;
 use mcqa_index::IndexRegistry;
 use mcqa_llm::Reranker;
@@ -304,9 +304,11 @@ struct Dispatcher {
 
 impl Dispatcher {
     fn run(self, rx: Receiver<Vec<Pending>>) {
-        // The dispatcher's own query-encode cache: repeated text queries
-        // (hot questions, replayed benchmarks) skip the encoder entirely.
-        let cache = self.encoder.as_ref().map(EmbeddingCache::new);
+        // The dispatcher's query-encode memo, keyed by the text's FNV-1a
+        // hash: repeated text queries (hot questions, the evaluator's
+        // per-source replays of one stem) skip the encoder entirely. Only
+        // this thread touches it, so it needs no lock.
+        let mut encoded: HashMap<u64, Vec<f32>> = HashMap::new();
         // Continuous batching: block for the batch's first unit (a
         // disconnected, empty queue is the drain-complete signal), take
         // further queued units while the batch holds fewer than
@@ -317,14 +319,14 @@ impl Dispatcher {
                 let Ok(unit) = rx.try_recv() else { break };
                 batch.extend(unit);
             }
-            self.process(batch, cache.as_ref());
+            self.process(batch, &mut encoded);
         }
     }
 
     /// Serve one micro-batch: group by (source store, k, mode), run each
     /// group through its channel(s), and answer every envelope exactly
     /// once.
-    fn process(&self, batch: Vec<Pending>, cache: Option<&EmbeddingCache<'_>>) {
+    fn process(&self, batch: Vec<Pending>, encoded: &mut HashMap<u64, Vec<f32>>) {
         let dequeued = Instant::now();
         let size = batch.len();
         self.stats.record_batch(size);
@@ -348,7 +350,7 @@ impl Dispatcher {
 
         let mut ctx = GroupCtx { slots: &mut slots, queue_waits: &queue_waits, size };
         for ((source, k, mode), members) in groups {
-            self.serve_group(&source, k, mode, &members, cache, &mut ctx);
+            self.serve_group(&source, k, mode, &members, encoded, &mut ctx);
         }
 
         debug_assert!(slots.iter().all(Option::is_none), "every request answered");
@@ -374,7 +376,7 @@ impl Dispatcher {
         k: usize,
         mode: QueryMode,
         members: &[usize],
-        cache: Option<&EmbeddingCache<'_>>,
+        encoded: &mut HashMap<u64, Vec<f32>>,
         ctx: &mut GroupCtx<'_>,
     ) {
         // Group-level defects — a channel the registry lacks, a rescoring
@@ -440,9 +442,12 @@ impl Dispatcher {
                 (None, _) => None,
             };
             if let Some(store) = store {
-                let vector = match (input, cache) {
+                let vector = match (input, &self.encoder) {
                     (QueryInput::Vector(v), _) => v.clone(),
-                    (QueryInput::Text(t), Some(c)) => c.encode(t),
+                    (QueryInput::Text(t), Some(enc)) => encoded
+                        .entry(mcqa_util::fnv1a(t.as_bytes()))
+                        .or_insert_with(|| enc.encode(t))
+                        .clone(),
                     (QueryInput::Text(_), None) => {
                         failed.push((i, ServeError::NoEncoder { source: source.into() }));
                         continue;

@@ -54,12 +54,12 @@ for backend in flat hnsw ivf pq; do
         exit 1
     fi
     # The workflow must report the paper's Figure-1 stage census — one
-    # index-build row per store and one model-layer cost row per role the
-    # pipeline called — with the throughput columns recorded by the
-    # runtime metrics.
+    # index-build row per store — with the throughput columns recorded by
+    # the runtime metrics, then the model ledger's line per role the
+    # pipeline called.
     for stage in acquire parse chunk index-chunks generate+judge traces \
         embed-traces index-traces-detailed index-traces-focused index-traces-efficient \
-        model-teacher model-judge out/s; do
+        out/s '[models] backend=sim role=teacher' '[models] backend=sim role=judge'; do
         if ! grep -qF "${stage}" <<<"${OUT}"; then
             echo "repro smoke FAILED: --index ${backend} stage report is missing '${stage}'" >&2
             exit 1
@@ -75,21 +75,14 @@ done
 
 # The evaluation runs on the same scheduler: `repro all` must surface both
 # the pipeline stages (generate+judge included) and the eval stages via
-# runtime StageMetrics.
+# runtime StageMetrics. That the eval-retrieve row is measured (items and
+# seconds both non-zero) is asserted in mcqa-eval's tests.
 for stage in generate+judge eval-retrieve eval-assemble eval-answer out/s; do
     if ! grep -qF "${stage}" <<<"${ALL_OUT}"; then
         echo "repro smoke FAILED: 'repro all' stage report is missing '${stage}'" >&2
         exit 1
     fi
 done
-# The eval-retrieve row must report a measured throughput (questions/s in
-# the items/s column): retrieval goes through the timed multi-query path,
-# not an unmeasured inline loop.
-RETRIEVE_QPS="$(grep -E '^eval-retrieve ' <<<"${ALL_OUT}" | head -1 | awk '{print $7}')"
-if [[ -z "${RETRIEVE_QPS}" ]] || ! awk -v q="${RETRIEVE_QPS}" 'BEGIN { exit !(q > 0) }'; then
-    echo "repro smoke FAILED: eval-retrieve row reports no q/s (got '${RETRIEVE_QPS}')" >&2
-    exit 1
-fi
 
 echo "== repro smoke: incremental ingest (single-document edit on flat, three on pq) =="
 # The census arithmetic (no-op batch skips everything, one edit re-runs only

@@ -16,7 +16,7 @@
 //! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage |
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
 //! | [`lexical`] | the BM25 keyword channel + dense/lexical reciprocal rank fusion (`index::lexical`) |
-//! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped fault-isolated stages, stage metrics |
+//! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped ordered stages that re-raise a task's panic, stage metrics |
 //! | [`llm`] | every model role served by one `ModelHub` (batched completions, response cache, call ledger) over the simulator that plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
 //! | [`serve`] | the in-process query service (admission control, dynamic micro-batching) |
 //! | [`core`] | the end-to-end benchmark-generation pipeline (the paper's contribution) |
@@ -56,7 +56,7 @@ pub mod prelude {
     pub use mcqa_index::{IndexRegistry, IndexSpec, VectorStore};
     pub use mcqa_llm::{answer::Condition, McqItem, ModelCard, TraceMode, MODEL_CARDS};
     pub use mcqa_ontology::{Ontology, OntologyConfig};
-    pub use mcqa_runtime::{run_stage, run_stage_batched, Executor};
+    pub use mcqa_runtime::{run_stage, Executor};
     pub use mcqa_serve::{QueryMode, QueryRequest, QueryService, ServeConfig};
 }
 

@@ -39,17 +39,15 @@ fn pipeline_stage_census_matches_figure1() {
             "index-lex-traces-focused",
             "index-traces-efficient",
             "index-lex-traces-efficient",
-            "model-teacher",
-            "model-judge",
         ],
         "workflow stages must match the paper's Figure 1 (plus the ingest planner's scan and \
-         merge rows, a build row per vector DB, its lexical sibling, and a model-layer cost \
-         row per role the pipeline called)"
+         merge rows, a build row per vector DB and its lexical sibling)"
     );
     // Parsing is allowed (and expected) to lose a few corrupt documents,
     // but must recover the overwhelming majority.
     let parse = &output.report.stages()[2];
-    assert!(parse.success_rate() > 0.95, "parse success {}", parse.success_rate());
+    let parsed = parse.produced as f64 / parse.items as f64;
+    assert!(parsed > 0.95, "parsed {} of {} documents", parse.produced, parse.items);
 }
 
 #[test]
