@@ -226,6 +226,28 @@ mod tests {
     }
 
     #[test]
+    fn hostile_spz_stream_fails_cleanly() {
+        // A checksummed one-object SPDF whose Text stream is a literal "a"
+        // and then a match of length ≈ u64::MAX, declaring 100 bytes.
+        let stream = [
+            0x00, 0x01, b'a', 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0x01,
+        ];
+        let mut blob = mcqa_corpus::spdf::MAGIC.to_vec();
+        blob.extend_from_slice(&mcqa_corpus::spdf::VERSION.to_le_bytes());
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&[1, 1]); // Text, SPZ-compressed
+        blob.extend_from_slice(&100u32.to_le_bytes());
+        blob.extend_from_slice(&(stream.len() as u32).to_le_bytes());
+        blob.extend_from_slice(&stream);
+        let checksum = mcqa_util::fnv1a(&blob);
+        blob.extend_from_slice(mcqa_corpus::spdf::TRAILER_MAGIC);
+        blob.extend_from_slice(&checksum.to_le_bytes());
+        let outcome = AdaptiveParser.parse(&blob);
+        assert!(!outcome.is_parsed(), "{outcome:?}");
+    }
+
+    #[test]
     fn empty_batch() {
         let parser = AdaptiveParser;
         let (outcomes, stats) = parser.parse_batch::<Vec<u8>>(Executor::global(), &[]);

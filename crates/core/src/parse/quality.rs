@@ -20,6 +20,20 @@ impl QualityScore {
     pub(crate) const ACCEPT: f64 = 0.7;
 }
 
+/// True when at least half of `token`'s chars are alphabetic. An ASCII
+/// token's chars are its bytes.
+fn is_wordy(token: &str) -> bool {
+    if token.is_ascii() {
+        return token.bytes().filter(u8::is_ascii_alphabetic).count() * 2 >= token.len();
+    }
+    let (mut chars, mut alphabetic) = (0usize, 0usize);
+    for c in token.chars() {
+        chars += 1;
+        alphabetic += usize::from(c.is_alphabetic());
+    }
+    alphabetic * 2 >= chars
+}
+
 /// Score a parsed document.
 pub(crate) fn score(doc: &ParsedDocument) -> QualityScore {
     if doc.sections.is_empty() || doc.text_len() == 0 {
@@ -27,29 +41,37 @@ pub(crate) fn score(doc: &ParsedDocument) -> QualityScore {
     }
     let text: String = doc.sections.iter().map(|s| s.text.as_str()).collect::<Vec<_>>().join(" ");
 
-    // Printable ratio.
-    let (mut total_chars, mut printable) = (0usize, 0usize);
-    for c in text.chars() {
-        total_chars += 1;
-        printable += usize::from(!c.is_control() || c == '\n' || c == '\t');
-    }
+    // Printable ratio. An ASCII char is a byte, and a control char there
+    // is an ASCII control byte.
+    let (total_chars, printable) = if text.is_ascii() {
+        let printable = text.bytes().filter(|&b| !b.is_ascii_control() || b == b'\n' || b == b'\t');
+        (text.len(), printable.count())
+    } else {
+        let (mut total_chars, mut printable) = (0usize, 0usize);
+        for c in text.chars() {
+            total_chars += 1;
+            printable += usize::from(!c.is_control() || c == '\n' || c == '\t');
+        }
+        (total_chars, printable)
+    };
     let printable_ratio = printable as f64 / total_chars.max(1) as f64;
 
-    // Lexical validity (`t` is the lowercased token, as `tokenize` yields it).
+    // Lexical validity: a token is wordy when at least half its chars are
+    // alphabetic (`t` is the lowercased token, as `tokenize` yields it).
     let (mut tokens, mut wordy) = (0usize, 0usize);
     mcqa_text::for_each_token(&text, |t| {
         tokens += 1;
-        wordy += usize::from(t.chars().filter(|c| c.is_alphabetic()).count() * 2 >= t.len());
+        wordy += usize::from(is_wordy(t));
     });
     let lexical = if tokens == 0 { 0.0 } else { wordy as f64 / tokens as f64 };
 
     // Sentence shape. A split consumes only whitespace between sentences,
     // so no token straddles one and the text's count is the sentences' sum.
-    let sentences = mcqa_text::split_sentences(&text);
-    let sentence_score = if sentences.is_empty() {
+    let sentences = mcqa_text::sentences(&text).count();
+    let sentence_score = if sentences == 0 {
         0.0
     } else {
-        let mean_len = tokens as f64 / sentences.len() as f64;
+        let mean_len = tokens as f64 / sentences as f64;
         // Clean scientific prose averages ~8–40 tokens/sentence.
         if (4.0..=60.0).contains(&mean_len) {
             1.0
@@ -93,8 +115,10 @@ mod tests {
     }
 
     /// The score as first written — two `chars()` walks for the printable
-    /// ratio, the tokens materialised as `String`s for lexical validity.
-    /// `score` must agree with it to the bit.
+    /// ratio, the tokens materialised as `String`s for lexical validity —
+    /// with the wordy test counting chars on both sides (it once compared
+    /// alphabetic chars with the token's byte length). `score` must agree
+    /// with it to the bit.
     fn score_oracle(doc: &ParsedDocument) -> QualityScore {
         if doc.sections.is_empty() || doc.text_len() == 0 {
             return QualityScore(0.0);
@@ -125,7 +149,9 @@ mod tests {
         } else {
             let wordy = tokens
                 .iter()
-                .filter(|t| t.chars().filter(|c| c.is_alphabetic()).count() * 2 >= t.len())
+                .filter(|t| {
+                    t.chars().filter(|c| c.is_alphabetic()).count() * 2 >= t.chars().count()
+                })
                 .count();
             wordy as f64 / tokens.len() as f64
         };
@@ -160,6 +186,26 @@ mod tests {
             issues: vec![],
         };
         assert_eq!(score(&two_sections).0.to_bits(), score_oracle(&two_sections).0.to_bits());
+    }
+
+    #[test]
+    fn cjk_prose_is_wordy() {
+        // One alphabetic char is one char whatever its byte length: "樹"
+        // is a word, not a third of one.
+        assert!(is_wordy("樹") && is_wordy("放射線") && is_wordy("x9") && is_wordy("ü1"));
+        assert!(!is_wordy("9") && !is_wordy("a12") && !is_wordy("٣٤α"));
+        let prose = "放射線は細胞の二本鎖切断を誘発する。修復経路は数分以内に応答する。\
+                     生存率は線量と分割スケジュールに依存する。これらの知見は臨床に役立つ。";
+        let doc = doc_with_text(prose);
+        assert_eq!(score(&doc).0.to_bits(), score_oracle(&doc).0.to_bits());
+        let mut lexical = (0usize, 0usize);
+        mcqa_text::for_each_token(prose, |t| {
+            lexical.0 += 1;
+            lexical.1 += usize::from(is_wordy(t));
+        });
+        assert_eq!(lexical.0, lexical.1, "every CJK token is wordy");
+        // So CJK prose clears the fast path's bar instead of escalating.
+        assert!(score(&doc).0 >= QualityScore::ACCEPT, "score {}", score(&doc).0);
     }
 
     #[test]

@@ -469,6 +469,42 @@ mod tests {
         assert!(r.is_err(), "bitflip must not pass strict validation");
     }
 
+    /// A well-formed one-object SPDF blob whose Text object carries
+    /// `stream` as its SPZ payload, declaring `raw_len` decoded bytes.
+    fn blob_with_stream(stream: &[u8], raw_len: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&[ObjectKind::Text.to_byte(), 1]);
+        out.extend_from_slice(&raw_len.to_le_bytes());
+        out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
+        out.extend_from_slice(stream);
+        let checksum = mcqa_util::fnv1a(&out);
+        out.extend_from_slice(TRAILER_MAGIC);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn hostile_match_length_is_an_error_not_a_crash() {
+        // A literal "a", then a match of length ≈ u64::MAX: the cap check
+        // once overflowed on it (a panic in debug builds, an allocation
+        // abort in release ones).
+        let stream = [
+            0x00, 0x01, b'a', 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0x01,
+        ];
+        let bytes = blob_with_stream(&stream, 100);
+        assert_eq!(
+            SpdfReader::read(&bytes),
+            Err(SpdfError::Stream { object: 0, source: SpzError::TooLong { cap: 100 } })
+        );
+        let s = SpdfReader::salvage(&bytes);
+        assert!(s.objects.is_empty());
+        assert_eq!(s.issues, vec!["recovered 0/1 declared objects".to_string()]);
+    }
+
     #[test]
     fn empty_and_garbage_inputs() {
         assert!(matches!(SpdfReader::read(&[]), Err(SpdfError::Truncated { .. })));

@@ -30,6 +30,6 @@ pub use chunk::{
     compose_encode, Bridge, Chunk, Chunker, ChunkerConfig, Encoder, TfEncoder, EXACT_SUM_MASS,
     WEIGHT_QUANTUM,
 };
-pub use sentence::split_sentences;
+pub use sentence::{sentences, split_sentences};
 pub use token::{content_tokens, for_each_content_token, for_each_token, token_count, tokenize};
 pub use vocab::{TermId, Vocabulary};

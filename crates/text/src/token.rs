@@ -13,7 +13,9 @@
 //! The rules live in exactly one place: the `TokenRuns` scanner finds the
 //! runs, [`for_each_token`] lowercases them, and every other entry point
 //! ([`tokenize`], [`content_tokens`], [`token_count`], [`truncate_tokens`])
-//! is a thin user of those two.
+//! is a thin user of those two. The scanner reads an ASCII byte's class
+//! from one table and decodes only a non-ASCII char; [`token_count`]
+//! counts an all-ASCII text in a branch-free pass over the same table.
 
 use std::ops::Range;
 
@@ -61,14 +63,10 @@ struct TokenRuns<'a> {
 }
 
 impl TokenRuns<'_> {
-    /// Class bits and byte width of the char starting at byte `at`. ASCII
-    /// is a table lookup; anything else is decoded and asked.
-    #[inline]
-    fn classify(&self, at: usize) -> (u8, usize) {
-        let b = self.text.as_bytes()[at];
-        if b.is_ascii() {
-            return (ASCII_CLASS[b as usize], 1);
-        }
+    /// Class bits and byte width of the non-ASCII char starting at byte
+    /// `at`, decoded and asked. (ASCII bytes go through [`ASCII_CLASS`]
+    /// inline.)
+    fn classify_char(&self, at: usize) -> (u8, usize) {
         let c = self.text[at..].chars().next().expect("`at` is a char boundary");
         (if c.is_alphanumeric() { IN_RUN | ALNUM | FOLDS } else { 0 }, c.len_utf8())
     }
@@ -78,10 +76,11 @@ impl Iterator for TokenRuns<'_> {
     type Item = Run;
 
     fn next(&mut self) -> Option<Run> {
-        let len = self.text.len();
+        let bytes = self.text.as_bytes();
         let mut i = self.pos;
-        while i < len {
-            let (class, width) = self.classify(i);
+        while let Some(&b) = bytes.get(i) {
+            let (class, width) =
+                if b.is_ascii() { (ASCII_CLASS[b as usize], 1) } else { self.classify_char(i) };
             if class & IN_RUN != 0 {
                 break;
             }
@@ -89,8 +88,9 @@ impl Iterator for TokenRuns<'_> {
         }
         let start = i;
         let mut seen = 0u8;
-        while i < len {
-            let (class, width) = self.classify(i);
+        while let Some(&b) = bytes.get(i) {
+            let (class, width) =
+                if b.is_ascii() { (ASCII_CLASS[b as usize], 1) } else { self.classify_char(i) };
             if class & IN_RUN == 0 {
                 break;
             }
@@ -165,7 +165,18 @@ pub fn content_tokens(text: &str) -> Vec<String> {
 
 /// Number of tokens in `text` without materialising them.
 pub fn token_count(text: &str) -> usize {
-    runs(text).filter(|r| r.has_alnum).count()
+    if !text.is_ascii() {
+        return runs(text).filter(|r| r.has_alnum).count();
+    }
+    // One table lookup a byte and no branch: a run ends at a byte outside
+    // it, and counts if an alphanumeric was seen since it began.
+    let (mut count, mut seen) = (0usize, 0u8);
+    for &b in text.as_bytes() {
+        let class = ASCII_CLASS[b as usize];
+        count += usize::from(seen & !class & IN_RUN);
+        seen = (seen & class & IN_RUN) | ((class & ALNUM) >> 1);
+    }
+    count + usize::from(seen)
 }
 
 /// Truncate `text` to at most `max_tokens` tokens, preserving the original
@@ -257,6 +268,23 @@ mod tests {
         ];
         for s in samples {
             assert_eq!(token_count(s), tokenize(s).len(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn ascii_count_matches_tokenize() {
+        // The branch-free ASCII count against the run scanner, on dash
+        // runs, control bytes and separators at either end.
+        const ALPHABET: &[u8] = b"aZ9--- .,\t\x00\x7f/";
+        let mut x = 7u64;
+        for len in 0..400 {
+            let text: String = (0..len)
+                .map(|_| {
+                    x = mcqa_util::splitmix64(x);
+                    ALPHABET[(x % ALPHABET.len() as u64) as usize] as char
+                })
+                .collect();
+            assert_eq!(token_count(&text), tokenize(&text).len(), "{text:?}");
         }
     }
 
