@@ -17,9 +17,7 @@ use mcqa_corpus::{CorpusLibrary, DocId};
 use mcqa_embed::{BioEncoder, Precision};
 use mcqa_index::lexical::LexicalIndex;
 use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
-use mcqa_llm::{
-    BenchKind, Judge, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode, OPTION_LETTERS,
-};
+use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode, OPTION_LETTERS};
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
 use mcqa_util::{KeyedStochastic, ScopeTimer};
@@ -448,7 +446,6 @@ impl Pipeline {
         // rejections, which must not burn a second model call.
         let models = Arc::new(ModelHub::new(config.seed, Arc::clone(&ontology)));
         let teacher = Teacher::new(Arc::clone(&models), config.seed);
-        let judge = Judge::new(Arc::clone(&models), config.seed);
         let rng = KeyedStochastic::new(config.seed ^ 0x9E5_71A6);
         let candidates = chunks.len();
 
@@ -458,7 +455,7 @@ impl Pipeline {
         // chunk and rely on QC to drop the unanchored ones.
         struct Candidate<'a> {
             chunk: &'a ChunkRecord,
-            fact_id: mcqa_ontology::FactId,
+            fact: &'a mcqa_ontology::Fact,
             relevant: bool,
         }
         let cands: Vec<Candidate> = gen_chunks
@@ -471,16 +468,16 @@ impl Pipeline {
                 } else {
                     (chunk.facts[rng.below(chunk.facts.len(), &["anchor", &ckey])], true)
                 };
-                ontology.fact(fact_id).map(|_| Candidate { chunk, fact_id, relevant })
+                ontology.fact(fact_id).map(|fact| Candidate { chunk, fact, relevant })
             })
             .collect();
 
         let prompts: Vec<QuestionPrompt> = cands
             .iter()
             .map(|c| QuestionPrompt {
-                fact: c.fact_id,
+                fact: c.fact,
                 salt: c.chunk.chunk_id.to_string(),
-                passage: &c.chunk.text,
+                passage_tokens: c.chunk.tokens,
             })
             .collect();
         let generated = teacher.generate_question_batch(&exec, &prompts);
@@ -489,11 +486,9 @@ impl Pipeline {
         // never reach the judge.
         let wellformed: Vec<(&Candidate, &mcqa_llm::GeneratedQuestion)> =
             cands.iter().zip(&generated).filter(|(_, q)| q.options.len() == 7).collect();
-        let score_prompts: Vec<(&mcqa_llm::GeneratedQuestion, f64)> = wellformed
-            .iter()
-            .map(|(c, q)| (*q, ontology.fact(c.fact_id).expect("anchor resolved").salience))
-            .collect();
-        let judgments = judge.score_question_batch(&exec, &score_prompts);
+        let score_prompts: Vec<(&mcqa_llm::GeneratedQuestion, f64)> =
+            wellformed.iter().map(|(c, q)| (*q, c.fact.salience)).collect();
+        let judgments = models.quality_scores(&exec, config.seed, &score_prompts);
 
         // Accepted outcomes of the re-run slice, in chunk-id order. Ids
         // stay provisional (0) until the merge renumbers the full set.
@@ -512,7 +507,7 @@ impl Pipeline {
             if !passed {
                 continue;
             }
-            let fact = ontology.fact(cand.fact_id).expect("anchor resolved");
+            let fact = cand.fact;
             let record = QuestionRecord {
                 question_id: 0,
                 question: q.stem.clone(),
@@ -559,21 +554,9 @@ impl Pipeline {
         // ids, so replayed questions keep their previous traces verbatim.
         let t = ScopeTimer::start("traces");
         let trace_stride = TraceMode::ALL.len();
-        let teacher_views: Vec<mcqa_llm::GeneratedQuestion> = fresh_accepted
+        let trace_prompts: Vec<(&McqItem, TraceMode)> = fresh_accepted
             .iter()
-            .map(|(_, _, item)| mcqa_llm::GeneratedQuestion {
-                fact: item.fact,
-                stem: item.stem.clone(),
-                options: item.options.clone(),
-                recorded_key: item.correct,
-                true_key: item.correct,
-                defects: vec![],
-                distractor_plausibility: 1.0,
-            })
-            .collect();
-        let trace_prompts: Vec<(&mcqa_llm::GeneratedQuestion, TraceMode)> = teacher_views
-            .iter()
-            .flat_map(|gq| TraceMode::ALL.iter().map(move |mode| (gq, *mode)))
+            .flat_map(|(_, _, item)| TraceMode::ALL.iter().map(move |mode| (item, *mode)))
             .collect();
         let trace_texts = teacher.generate_trace_batch(&exec, &trace_prompts);
         report.add(StageMetrics::single(

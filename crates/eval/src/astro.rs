@@ -21,7 +21,7 @@
 //! These counts and the exam's own seed are constants, not settings: the
 //! paper's accounting describes one exam, and every caller builds that one.
 
-use mcqa_llm::{BenchKind, Classifier, McqItem};
+use mcqa_llm::{BenchKind, McqItem, ModelHub};
 use mcqa_ontology::{realize, Ontology};
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
@@ -49,12 +49,12 @@ pub struct AstroExam {
 impl AstroExam {
     /// Generate the exam from the ontology.
     ///
-    /// The `is_math` flag on each item is assigned by the `classifier`
-    /// adapter (playing GPT-5's role in the paper) via one batched
-    /// hub call on `exec`'s pool; the generator's own ground truth is
+    /// The `is_math` flag on each item is assigned by `hub`'s classifier
+    /// (playing GPT-5's role in the paper) in one batched call seeded
+    /// with `seed`, on `exec`'s pool; the generator's own ground truth is
     /// kept in `truth_is_math` so the classifier's agreement is
     /// measurable.
-    pub fn generate(ontology: &Ontology, classifier: &Classifier, exec: &Executor) -> Self {
+    pub fn generate(ontology: &Ontology, hub: &ModelHub, seed: u64, exec: &Executor) -> Self {
         let rng = KeyedStochastic::new(SEED ^ 0xA57_20E8);
         let reg = ontology.registry();
         let mut items = Vec::new();
@@ -155,7 +155,7 @@ impl AstroExam {
 
         // GPT-5's role: classify the evaluated questions in one batched
         // hub call.
-        let flags = classifier.classify_batch(exec, &items);
+        let flags = hub.math_flags(exec, seed, &items);
         for (item, is_math) in items.iter_mut().zip(flags) {
             item.is_math = is_math;
         }
@@ -200,8 +200,8 @@ mod tests {
     }
 
     fn generate(ont: &Arc<Ontology>) -> AstroExam {
-        let hub = Arc::new(mcqa_llm::ModelHub::new(42, Arc::clone(ont)));
-        AstroExam::generate(ont, &Classifier::new(hub, 42), Executor::global())
+        let hub = ModelHub::new(42, Arc::clone(ont));
+        AstroExam::generate(ont, &hub, 42, Executor::global())
     }
 
     #[test]

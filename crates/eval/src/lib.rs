@@ -33,4 +33,4 @@ pub mod retrieval;
 pub use astro::AstroExam;
 pub use protocol::{EvalConfig, EvalRun, Evaluator, ModelEval};
 pub use results::{render_fig, render_table2, render_table3, render_table4, FigureSeries};
-pub use retrieval::{passage_store, RetrievalBundle, Source};
+pub use retrieval::{passage_store, PassageTexts, RetrievalBundle, Source};

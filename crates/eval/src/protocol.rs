@@ -1,13 +1,13 @@
 //! The evaluator: rate measurement → card calibration → parallel
 //! answering → judge grading.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use mcqa_core::PipelineOutput;
 use mcqa_llm::answer::Condition;
 use mcqa_llm::{
-    resolve, Answerer, AssembledContext, Classifier, Judge, McqItem, ModelCard, ModelHub,
-    PipelineRates, PreparedItem, TraceMode, MODEL_CARDS,
+    resolve, AssembledContext, ModelCard, ModelHub, PipelineRates, PreparedItem, ResolvedModel,
+    TraceMode, MODEL_CARDS,
 };
 use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
 use mcqa_serve::{QueryMode, QueryService};
@@ -15,7 +15,7 @@ use mcqa_util::Accuracy;
 use serde::Serialize;
 
 use crate::astro::AstroExam;
-use crate::retrieval::{retrieval_service, RetrievalBundle, Source};
+use crate::retrieval::{retrieval_service, PassageTexts, RetrievalBundle, Source};
 
 /// Evaluation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,14 +118,14 @@ pub struct Evaluator<'a> {
     output: &'a PipelineOutput,
     config: EvalConfig,
     exam: AstroExam,
-    /// The synthetic and exam questions, each rendered and digested once
-    /// for every (card, condition) that answers it.
-    synth_items: Vec<Arc<PreparedItem>>,
-    exam_items: Vec<Arc<PreparedItem>>,
-    synth_bundle: RetrievalBundle,
-    astro_bundle: RetrievalBundle,
-    hub: Arc<ModelHub>,
-    judge: Judge,
+    /// The synthetic and exam questions, each counted and digested once
+    /// for every (card, condition) that answers it and every window
+    /// assembled for it.
+    synth_items: Vec<PreparedItem>,
+    exam_items: Vec<PreparedItem>,
+    synth_bundle: RetrievalBundle<'a>,
+    astro_bundle: RetrievalBundle<'a>,
+    hub: &'a ModelHub,
     exec: Executor,
     /// The serving front door every retrieval bundle replays through: the
     /// same admission queue and micro-batching dispatcher online traffic
@@ -144,19 +144,19 @@ impl<'a> Evaluator<'a> {
     /// Prepare retrieval for both benchmarks.
     pub fn new(output: &'a PipelineOutput, config: EvalConfig) -> Self {
         let exec = output.executor.clone();
-        let hub = Arc::clone(&output.models);
-        let classifier = Classifier::new(Arc::clone(&hub), config.seed);
-        let exam = AstroExam::generate(&output.ontology, &classifier, &exec);
+        let hub = &*output.models;
+        let exam = AstroExam::generate(&output.ontology, hub, config.seed, &exec);
         let service = retrieval_service(output, config.seed, config.retrieval);
+        let texts = PassageTexts::new(output);
         let (synth_bundle, synth_m) = RetrievalBundle::build_metered(
-            output,
+            &texts,
             &output.items,
             config.retrieval_k,
             config.retrieval,
             &service,
         );
         let (astro_bundle, astro_m) = RetrievalBundle::build_metered(
-            output,
+            &texts,
             &exam.items,
             config.retrieval_k,
             config.retrieval,
@@ -165,20 +165,15 @@ impl<'a> Evaluator<'a> {
         let mut report = RunReport::new();
         report.absorb(synth_m);
         report.absorb(astro_m);
-        let judge = Judge::new(Arc::clone(&hub), config.seed);
-        let prepare = |items: &[McqItem]| {
-            items.iter().map(|i| Arc::new(PreparedItem::new(i.clone()))).collect()
-        };
         Self {
             output,
             config,
-            synth_items: prepare(&output.items),
-            exam_items: prepare(&exam.items),
+            synth_items: output.items.iter().cloned().map(PreparedItem::new).collect(),
+            exam_items: exam.items.iter().cloned().map(PreparedItem::new).collect(),
             exam,
             synth_bundle,
             astro_bundle,
             hub,
-            judge,
             exec,
             service,
             prep_report: report.clone(),
@@ -236,7 +231,7 @@ impl<'a> Evaluator<'a> {
     /// Assemble contexts for every (item, source) under one window size.
     fn assemble_all(
         &self,
-        items: &[McqItem],
+        items: &[PreparedItem],
         bundle: &RetrievalBundle,
         window: usize,
     ) -> Vec<[AssembledContext; 4]> {
@@ -244,8 +239,8 @@ impl<'a> Evaluator<'a> {
             run_stage(&self.exec, "eval-assemble", (0..items.len()).collect(), |qi| {
                 let mk = |s: Source| {
                     mcqa_llm::context::assemble(
-                        items[qi].fact,
-                        bundle.question_tokens(qi),
+                        items[qi].item().fact,
+                        items[qi].tokens(),
                         bundle.passages(qi, s),
                         window,
                     )
@@ -293,8 +288,8 @@ impl<'a> Evaluator<'a> {
     /// Evaluate one model card.
     pub fn evaluate_card(&self, card: &ModelCard) -> ModelEval {
         let window = card.context_window;
-        let synth_ctx = self.assemble_all(&self.output.items, &self.synth_bundle, window);
-        let astro_ctx = self.assemble_all(&self.exam.items, &self.astro_bundle, window);
+        let synth_ctx = self.assemble_all(&self.synth_items, &self.synth_bundle, window);
+        let astro_ctx = self.assemble_all(&self.exam_items, &self.astro_bundle, window);
 
         // Measured usable-hit rates (the solver's h values).
         let synth_rates = Self::hit_rates(&synth_ctx, None);
@@ -308,16 +303,12 @@ impl<'a> Evaluator<'a> {
         };
 
         let calibration = resolve(card, &rates);
-        let model = Answerer::new(
-            Arc::clone(&self.hub),
-            card.clone(),
-            calibration.clone(),
-            self.config.seed,
-        );
+        let model = ResolvedModel::new(card.clone(), calibration.clone());
+        let seed = self.config.seed;
 
         let conditions = Condition::all();
 
-        let run_bench = |items: &[Arc<PreparedItem>],
+        let run_bench = |items: &[PreparedItem],
                          contexts: &[[AssembledContext; 4]],
                          mask: Option<&[bool]>|
          -> Vec<(Condition, Accuracy)> {
@@ -331,15 +322,12 @@ impl<'a> Evaluator<'a> {
                         let ctx = match cond {
                             Condition::Baseline => None,
                             Condition::RagChunks => Some(&contexts[i][0]),
-                            Condition::RagTraces(m) => {
-                                let mi = TraceMode::ALL.iter().position(|x| x == m).expect("mode");
-                                Some(&contexts[i][1 + mi])
-                            }
+                            Condition::RagTraces(m) => Some(&contexts[i][1 + m.index()]),
                         };
-                        let out = model.answer(item, *cond, ctx);
+                        let answer = self.hub.answer(seed, &model, item, *cond, ctx);
                         let question = item.item();
                         let grade =
-                            self.judge.grade(&out.text, question.correct, question.options.len());
+                            self.hub.grade(seed, &answer, question.correct, question.options.len());
                         grade.correct
                     });
                     self.absorb(metrics);

@@ -61,17 +61,42 @@ pub fn passage_store(output: &PipelineOutput) -> PassageStore {
     ps
 }
 
+/// What labelling a retrieved id reads, indexed once per pipeline output:
+/// each chunk's position, and each trace's text, token count and fact. An
+/// evaluator builds one and labels both of its bundles with it, so every
+/// trace is tokenised once per evaluator, not once per bundle.
+pub struct PassageTexts<'a> {
+    output: &'a PipelineOutput,
+    /// chunk_id → position in `output.chunks`.
+    chunk_pos: HashMap<u64, usize>,
+    /// (question_id, mode) → trace text and its token count.
+    traces: HashMap<(u64, TraceMode), (&'a str, usize)>,
+    /// question_id → the fact its traces reason about.
+    trace_fact: HashMap<u64, u64>,
+}
+
+impl<'a> PassageTexts<'a> {
+    /// Index `output`'s chunks and traces.
+    pub fn new(output: &'a PipelineOutput) -> Self {
+        let chunk_pos = output.chunks.iter().enumerate().map(|(i, c)| (c.chunk_id, i)).collect();
+        let mut traces = HashMap::new();
+        let mut trace_fact = HashMap::new();
+        for t in &output.traces {
+            traces.insert((t.question_id, t.mode), (t.trace.as_str(), token_count(&t.trace)));
+            trace_fact.insert(t.question_id, t.fact_id);
+        }
+        Self { output, chunk_pos, traces, trace_fact }
+    }
+}
+
 /// Precomputed retrieval results for a set of questions: for every
 /// (question, source) the top-k passages with oracle relevance labels, each
-/// carrying its own token count ([`Passage::tokens`]), and for every
-/// question the token count of its rendered prompt text — so assembling a
-/// window for one more model card tokenises nothing.
-pub struct RetrievalBundle {
+/// borrowing its text from the pipeline output and carrying its own token
+/// count ([`Passage::tokens`]) — so assembling a window for one more model
+/// card copies and tokenises nothing.
+pub struct RetrievalBundle<'a> {
     /// `passages[q][source-index]` = retrieved passages for question `q`.
-    passages: Vec<[Vec<Passage>; 4]>,
-    /// `question_tokens[q]` = [`mcqa_llm::context::question_tokens`] of
-    /// question `q`.
-    question_tokens: Vec<usize>,
+    passages: Vec<[Vec<Passage<'a>>; 4]>,
 }
 
 /// The serving front door a retrieval bundle replays through: the
@@ -95,7 +120,7 @@ pub(crate) fn retrieval_service(
     )
 }
 
-impl RetrievalBundle {
+impl<'a> RetrievalBundle<'a> {
     /// Run retrieval for `items` over the pipeline's stores under `mode`
     /// (dense, lexical, or hybrid — every mode rides the same
     /// [`QueryService`] envelope), fanned out on the pipeline's own
@@ -106,42 +131,32 @@ impl RetrievalBundle {
     ///   provenance fact list contains it;
     /// * a trace passage supports it iff the trace's source fact matches.
     pub fn build_mode(
-        output: &PipelineOutput,
+        output: &'a PipelineOutput,
         items: &[McqItem],
         k: usize,
         mode: QueryMode,
     ) -> Self {
         let service = retrieval_service(output, output.config.seed, mode);
-        Self::build_metered(output, items, k, mode, &service).0
+        Self::build_metered(&PassageTexts::new(output), items, k, mode, &service).0
     }
 
     /// [`RetrievalBundle::build_mode`] through a caller-held `service`,
-    /// also returning the fan-out's runtime [`StageMetrics`] so the
-    /// evaluator can fold retrieval into its stage report instead of
-    /// re-timing the same work. Stems travel as text: the service encodes
-    /// each distinct one once and serves every later request for it — the
-    /// other three sources, a second bundle — from its own cache. It is
-    /// the same admission-controlled, micro-batching front door online
-    /// traffic uses, so there is exactly one code path into the vector
-    /// stores.
+    /// labelled from a caller-held [`PassageTexts`], also returning the
+    /// fan-out's runtime [`StageMetrics`] so the evaluator can fold
+    /// retrieval into its stage report instead of re-timing the same work.
+    /// Stems travel as text: the service encodes each distinct one once and
+    /// serves every later request for it — the other three sources, a
+    /// second bundle — from its own cache. It is the same
+    /// admission-controlled, micro-batching front door online traffic uses,
+    /// so there is exactly one code path into the vector stores.
     pub fn build_metered(
-        output: &PipelineOutput,
+        texts: &PassageTexts<'a>,
         items: &[McqItem],
         k: usize,
         mode: QueryMode,
         service: &QueryService,
     ) -> (Self, StageMetrics) {
-        // chunk_id → position in output.chunks
-        let chunk_pos: HashMap<u64, usize> =
-            output.chunks.iter().enumerate().map(|(i, c)| (c.chunk_id, i)).collect();
-        // question_id → fact, per-mode trace text and its token count (taken
-        // once per trace here, not once per retrieved copy of it)
-        let mut trace_text: HashMap<(u64, TraceMode), (&str, usize)> = HashMap::new();
-        let mut trace_fact: HashMap<u64, u64> = HashMap::new();
-        for t in &output.traces {
-            trace_text.insert((t.question_id, t.mode), (&t.trace, token_count(&t.trace)));
-            trace_fact.insert(t.question_id, t.fact_id);
-        }
+        let PassageTexts { output, chunk_pos, traces, trace_fact } = texts;
         // Fact → subject entity (traces about the same subject transfer:
         // a distilled rationale about TRK2's signalling helps answer other
         // TRK2 questions, which is the knowledge-transfer channel the
@@ -181,17 +196,17 @@ impl RetrievalBundle {
         // transfer: a distilled rationale about TRK2's signalling helps
         // answer other TRK2 questions — the channel the paper attributes
         // reasoning-trace retrieval's exam gains to).
-        let (labelled, _) =
+        let (passages, _) =
             run_stage(&output.executor, "eval-retrieve-label", (0..items.len()).collect(), |qi| {
                 let item = &items[qi];
-                let mut per_source: [Vec<Passage>; 4] =
+                let mut per_source: [Vec<Passage<'a>>; 4] =
                     [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
 
                 for hit in &hits_per_source[Source::Chunks.index()][qi] {
                     let Some(&pos) = chunk_pos.get(&hit.id) else { continue };
                     let chunk = &output.chunks[pos];
                     per_source[Source::Chunks.index()].push(Passage::new(
-                        chunk.text.clone(),
+                        &chunk.text,
                         chunk.tokens,
                         PassageSource::Chunk,
                         chunk.facts.contains(&item.fact).then_some(item.fact),
@@ -203,7 +218,7 @@ impl RetrievalBundle {
                 for mode in TraceMode::ALL {
                     let source = Source::Traces(mode);
                     for hit in &hits_per_source[source.index()][qi] {
-                        let Some(&(text, tokens)) = trace_text.get(&(hit.id, mode)) else {
+                        let Some(&(text, tokens)) = traces.get(&(hit.id, mode)) else {
                             continue;
                         };
                         let supports = trace_fact
@@ -214,7 +229,7 @@ impl RetrievalBundle {
                             })
                             .map(|_| item.fact);
                         per_source[source.index()].push(Passage::new(
-                            text.to_string(),
+                            text,
                             tokens,
                             PassageSource::Trace(mode),
                             supports,
@@ -222,10 +237,8 @@ impl RetrievalBundle {
                         ));
                     }
                 }
-                (per_source, mcqa_llm::context::question_tokens(item))
+                per_source
             });
-        let (passages, question_tokens): (Vec<[Vec<Passage>; 4]>, Vec<usize>) =
-            labelled.into_iter().unzip();
 
         // One stage row spanning the served replay and labelling, so the report's
         // `eval-retrieve` line reports end-to-end questions/s (`items/s`)
@@ -238,17 +251,12 @@ impl RetrievalBundle {
             retrieve_timer.elapsed_secs(),
         );
 
-        (Self { passages, question_tokens }, metrics)
+        (Self { passages }, metrics)
     }
 
     /// Retrieved passages for question index `q` from `source`.
-    pub fn passages(&self, q: usize, source: Source) -> &[Passage] {
+    pub fn passages(&self, q: usize, source: Source) -> &[Passage<'a>] {
         &self.passages[q][source.index()]
-    }
-
-    /// Tokens question index `q`'s rendered prompt text costs.
-    pub fn question_tokens(&self, q: usize) -> usize {
-        self.question_tokens[q]
     }
 
     /// Number of questions covered.
@@ -300,11 +308,6 @@ mod tests {
                     assert_eq!(p.tokens(), token_count(p.text()), "q{q} {s:?}");
                 }
             }
-            assert_eq!(
-                bundle.question_tokens(q),
-                mcqa_llm::context::question_tokens(&out.items[q]),
-                "q{q} is counted as it renders"
-            );
         }
     }
 
@@ -353,10 +356,11 @@ mod tests {
     fn bundles_share_one_service() {
         let out = output();
         let service = retrieval_service(out, out.config.seed, QueryMode::Dense);
+        let texts = PassageTexts::new(out);
         let (b1, _) =
-            RetrievalBundle::build_metered(out, &out.items, 5, QueryMode::Dense, &service);
+            RetrievalBundle::build_metered(&texts, &out.items, 5, QueryMode::Dense, &service);
         let (b2, _) =
-            RetrievalBundle::build_metered(out, &out.items, 5, QueryMode::Dense, &service);
+            RetrievalBundle::build_metered(&texts, &out.items, 5, QueryMode::Dense, &service);
         assert_eq!(b1.len(), b2.len());
         // Both bundles' searches rode the service: everything submitted was
         // admitted and answered, one dispatch per (bundle, source) replay.

@@ -1,5 +1,6 @@
 //! The forward answer cascade: a calibrated model answering one MCQ.
 
+use mcqa_text::token_count;
 use mcqa_util::{KeyedStochastic, StableHasher};
 use serde::Serialize;
 
@@ -54,15 +55,28 @@ pub struct AnswerOutcome {
     pub knew: bool,
     /// Diagnostics: the answer came from extracted context.
     pub used_context: bool,
+    /// `token_count(text)`, taken where the text is written.
+    tokens: usize,
+}
+
+impl AnswerOutcome {
+    fn new(chosen: Option<usize>, text: String, knew: bool, used_context: bool) -> Self {
+        Self { chosen, tokens: token_count(&text), text, knew, used_context }
+    }
+
+    /// Tokens the completion text costs: the answer's completion tokens,
+    /// and the part of its grading prompt the completion fills.
+    pub fn tokens(&self) -> usize {
+        self.tokens
+    }
 }
 
 /// A model card joined with its calibration — ready to answer questions.
 ///
 /// The pair is digested once, at construction, and is read-only afterwards
 /// (crate-private fields, no setter), so [`ResolvedModel::key`] always
-/// describes the card and calibration it sits beside. A request carries the
-/// model behind an `Arc` and is addressed by that digest
-/// ([`crate::ModelRequest::cache_key`]).
+/// describes the card and calibration it sits beside. An answer call
+/// borrows the model and is addressed in the response cache by that digest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedModel {
     /// The behaviour card.
@@ -116,13 +130,9 @@ impl ResolvedModel {
         match (bench, cond) {
             (_, Condition::Baseline) => 0.0,
             (BenchKind::Synthetic, Condition::RagChunks) => self.cal.e_synth_chunk,
-            (BenchKind::Synthetic, Condition::RagTraces(m)) => {
-                self.cal.e_synth_trace[TraceMode::ALL.iter().position(|x| *x == m).expect("mode")]
-            }
+            (BenchKind::Synthetic, Condition::RagTraces(m)) => self.cal.e_synth_trace[m.index()],
             (BenchKind::AstroExam, Condition::RagChunks) => self.cal.e_exam_chunk,
-            (BenchKind::AstroExam, Condition::RagTraces(m)) => {
-                self.cal.e_exam_trace[TraceMode::ALL.iter().position(|x| *x == m).expect("mode")]
-            }
+            (BenchKind::AstroExam, Condition::RagTraces(m)) => self.cal.e_exam_trace[m.index()],
         }
     }
 
@@ -137,8 +147,8 @@ impl ResolvedModel {
     }
 
     /// Answer one item deterministically (keyed on seed/model/question/
-    /// condition). Crate-private: outside callers reach it through an
-    /// [`crate::RequestPayload::Answer`] request, past the cache and ledger.
+    /// condition). Crate-private: outside callers reach it through
+    /// [`crate::ModelHub::answer`], past the cache and ledger.
     pub(crate) fn answer(
         &self,
         item: &McqItem,
@@ -158,22 +168,22 @@ impl ResolvedModel {
             } else {
                 wrong_option(item, draws.pick("math-wrong", n - 1))
             };
-            return AnswerOutcome {
-                chosen: Some(chosen),
-                text: format!("Answer: {}", OPTION_LETTERS[chosen]),
-                knew: false,
-                used_context: false,
-            };
+            return AnswerOutcome::new(
+                Some(chosen),
+                format!("Answer: {}", OPTION_LETTERS[chosen]),
+                false,
+                false,
+            );
         }
 
         // 1. Answer-format failure: output no parseable letter.
         if !draws.bern("format", self.format_reliability(item.bench)) {
-            return AnswerOutcome {
-                chosen: None,
-                text: malformed_text(draws.pick("malform", 3), item),
-                knew: false,
-                used_context: false,
-            };
+            return AnswerOutcome::new(
+                None,
+                malformed_text(draws.pick("malform", 3), item),
+                false,
+                false,
+            );
         }
 
         let knew = draws.bern("know", self.p_know(item));
@@ -209,12 +219,12 @@ impl ResolvedModel {
 
         let chosen =
             if correct { item.correct } else { wrong_option(item, draws.pick("wrong", n - 1)) };
-        AnswerOutcome {
-            chosen: Some(chosen),
-            text: format!("Answer: {}", OPTION_LETTERS[chosen]),
+        AnswerOutcome::new(
+            Some(chosen),
+            format!("Answer: {}", OPTION_LETTERS[chosen]),
             knew,
             used_context,
-        }
+        )
     }
 }
 

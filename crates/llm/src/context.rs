@@ -8,7 +8,6 @@
 
 use mcqa_ontology::FactId;
 
-use crate::mcq::McqItem;
 use crate::trace::TraceMode;
 
 /// Where a retrieved passage came from.
@@ -22,16 +21,17 @@ pub enum PassageSource {
 
 /// One retrieved passage handed to a model.
 ///
-/// A passage carries its token count from where it is built
-/// ([`Passage::new`]): the caller passes the count its store already holds
-/// for the text, and debug builds check it against the text. Text and count
-/// are private so the two cannot drift apart afterwards, and [`assemble`]
-/// reads the count for every model card instead of tokenising the same
-/// text again.
+/// A passage borrows its text from the store that holds it (a chunk
+/// record, a trace record) and carries its token count from where it is
+/// built ([`Passage::new`]): the caller passes the count its store already
+/// holds for the text, and debug builds check it against the text. Text
+/// and count are private so the two cannot drift apart afterwards, and
+/// [`assemble`] reads the count for every model card instead of tokenising
+/// the same text again.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Passage {
+pub struct Passage<'a> {
     /// Passage text (injected into the prompt).
-    text: String,
+    text: &'a str,
     /// `token_count(text)`.
     tokens: usize,
     /// Source type.
@@ -45,25 +45,25 @@ pub struct Passage {
     pub score: f32,
 }
 
-impl Passage {
+impl<'a> Passage<'a> {
     /// A passage over `text`, which costs `tokens` =
-    /// [`mcqa_text::token_count`]`(&text)` — a count the caller already
+    /// [`mcqa_text::token_count`]`(text)` — a count the caller already
     /// holds (a chunk record's, one taken per trace), so building a passage
-    /// tokenises nothing in release builds.
+    /// copies and tokenises nothing in release builds.
     pub fn new(
-        text: String,
+        text: &'a str,
         tokens: usize,
         source: PassageSource,
         supports: Option<FactId>,
         score: f32,
     ) -> Self {
-        debug_assert_eq!(tokens, mcqa_text::token_count(&text), "passage token count");
+        debug_assert_eq!(tokens, mcqa_text::token_count(text), "passage token count");
         Self { text, tokens, source, supports, score }
     }
 
     /// Passage text (injected into the prompt).
-    pub fn text(&self) -> &str {
-        &self.text
+    pub fn text(&self) -> &'a str {
+        self.text
     }
 
     /// Tokens the passage costs in a prompt.
@@ -93,17 +93,11 @@ pub struct AssembledContext {
 /// Fixed prompt-scaffold overhead (instructions, separators) in tokens.
 const SCAFFOLD_TOKENS: usize = 48;
 
-/// Tokens the rendered question (stem + lettered options) costs in a
-/// prompt — the `question_tokens` [`assemble`] takes. It depends on the
-/// item alone, so a caller assembling one item for many models or sources
-/// counts it once.
-pub fn question_tokens(item: &McqItem) -> usize {
-    mcqa_text::token_count(&item.render())
-}
-
-/// Assemble a prompt for a question about `fact`, costing
-/// [`question_tokens`], from retrieved `passages` under a `context_window`
-/// budget.
+/// Assemble a prompt for a question about `fact`, whose rendered text
+/// costs `question_tokens` ([`crate::PreparedItem::tokens`]: it depends on
+/// the item alone, so a caller assembling one item for many models or
+/// sources counts it once), from retrieved `passages` under a
+/// `context_window` budget.
 ///
 /// Layout mirrors the usual RAG prompt: scaffold + passages (retrieval
 /// order) + question + options. Passages that do not fit *entirely* are
@@ -146,7 +140,7 @@ pub fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcq::BenchKind;
+    use crate::mcq::{BenchKind, McqItem};
 
     fn item() -> McqItem {
         McqItem {
@@ -161,19 +155,20 @@ mod tests {
         }
     }
 
-    fn passage(words: usize, supports: Option<FactId>) -> Passage {
-        Passage::new(
-            (0..words).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" "),
-            words,
-            PassageSource::Chunk,
-            supports,
-            0.9,
-        )
+    /// `n` distinct words led by `prefix`, living as long as the test
+    /// binary (a passage borrows its text).
+    fn words(prefix: char, n: usize) -> &'static str {
+        let text = (0..n).map(|i| format!("{prefix}{i}")).collect::<Vec<_>>().join(" ");
+        Box::leak(text.into_boxed_str())
+    }
+
+    fn passage(n: usize, supports: Option<FactId>) -> Passage<'static> {
+        Passage::new(words('w', n), n, PassageSource::Chunk, supports, 0.9)
     }
 
     /// [`assemble`] for the fixture item.
     fn assemble_item(passages: &[Passage], window: usize) -> AssembledContext {
-        assemble(item().fact, question_tokens(&item()), passages, window)
+        assemble(item().fact, item().prompt_tokens(), passages, window)
     }
 
     #[test]
@@ -187,7 +182,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "passage token count")]
     fn a_wrong_token_count_is_loud_in_debug_builds() {
-        Passage::new("three short words".into(), 4, PassageSource::Chunk, None, 0.5);
+        Passage::new("three short words", 4, PassageSource::Chunk, None, 0.5);
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
         let traces: Vec<Passage> = (0..5)
             .map(|i| {
                 Passage::new(
-                    (0..50).map(|j| format!("t{j}")).collect::<Vec<_>>().join(" "),
+                    words('t', 50),
                     50,
                     PassageSource::Trace(TraceMode::Efficient),
                     if i == 4 { Some(FactId(42)) } else { None },

@@ -5,15 +5,18 @@
 //! teacher grounds questions in) and stacks the two services every caller
 //! goes through:
 //!
-//! * the content-addressed [`ResponseCache`] — repeated requests (the
+//! * the content-addressed [`ResponseCaches`] — repeated calls (the
 //!   no-math re-answer pass, repeated `run_cards`, ablations) short-circuit
 //!   without touching the simulator;
 //! * the per-role [`CallLedger`] — calls, batch sizes, token estimates,
 //!   cache hit rate.
 //!
-//! Consumers share one `Arc<ModelHub>` and get caching + accounting
-//! transparently. Batched completion instruments every request
-//! individually (the batch fan-out runs the same cached path per item), so
+//! Each call kind has its own typed entry point, which takes the fields the
+//! role reads plus the call's seed, returns the role's own output type and
+//! is served by one generic path: the kind's key walks its typed fields
+//! (only for a kind that is cached at all), its prompt-token estimate adds
+//! counts its inputs already carry, and no prompt text is built. The
+//! batched entry points run the same path per item on the caller's pool, so
 //! serial and batched execution stay bit-identical *and* identically
 //! accounted.
 
@@ -22,16 +25,23 @@ use std::time::Instant;
 
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor};
+use mcqa_util::StableHasher;
 
-use crate::endpoint::{ModelRequest, ModelResponse, Role};
+use crate::adapters::QuestionPrompt;
+use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
+use crate::context::AssembledContext;
+use crate::judge::{GradeResult, QualityJudgment};
 use crate::ledger::CallLedger;
-use crate::response_cache::ResponseCache;
-use crate::sim::Simulator;
+use crate::mcq::{McqItem, PreparedItem};
+use crate::response_cache::ResponseCaches;
+use crate::sim::{Answer, Call, Grade, Simulator};
+use crate::teacher::GeneratedQuestion;
+use crate::trace::TraceMode;
 
-/// The simulator plus its cache and ledger.
+/// The simulator plus its caches and ledger.
 pub struct ModelHub {
     sim: Simulator,
-    cache: ResponseCache,
+    cache: ResponseCaches,
     ledger: CallLedger,
 }
 
@@ -41,7 +51,7 @@ impl ModelHub {
     pub fn new(seed: u64, ontology: Arc<Ontology>) -> Self {
         Self {
             sim: Simulator::new(seed, ontology),
-            cache: ResponseCache::new(),
+            cache: ResponseCaches::default(),
             ledger: CallLedger::new(),
         }
     }
@@ -51,56 +61,132 @@ impl ModelHub {
         &self.ledger
     }
 
-    /// The response cache.
-    pub fn cache(&self) -> &ResponseCache {
+    /// The response caches.
+    pub fn cache(&self) -> &ResponseCaches {
         &self.cache
     }
 
-    /// Serve one request through the cache, tallying the ledger.
-    ///
-    /// Cache policy is payload-aware ([`crate::RequestPayload::cacheable`]):
-    /// request kinds that are issued exactly once per run — teacher
-    /// generation/distillation, judge quality scoring — bypass the cache
-    /// entirely (no key hashed, nothing retained), since every such entry
-    /// would be written and never read. Their ledger accounting is
-    /// unchanged: a bypassed request is a simulator call, exactly as it was
-    /// when it was a guaranteed cache miss.
-    ///
-    /// A cacheable request is single-flight ([`ResponseCache::get_or_complete`]):
-    /// only the caller that runs the simulator records a miss, and one that
-    /// arrives while that completion is in flight waits for it and records
-    /// a hit. A waiter may occupy a pool worker, so a completion must not
-    /// wait on work it submits to that pool; the simulator submits none.
-    pub fn complete(&self, req: &ModelRequest) -> ModelResponse {
-        let role = req.payload.role();
-        let mut busy = 0;
-        let mut simulate = || {
-            let start = Instant::now();
-            let response = self.sim.complete(req);
-            busy = start.elapsed().as_nanos() as u64;
-            response
-        };
-        let (response, completed) = if req.payload.cacheable() {
-            self.cache.get_or_complete(req.cache_key(), simulate)
-        } else {
-            (simulate(), true)
-        };
-        self.ledger.record_call(role, !completed, response.tokens_in, response.tokens_out, busy);
-        response
+    /// The teacher: one 7-option MCQ per prompt, on `exec`'s pool
+    /// (index-aligned with `prompts`).
+    pub fn questions(
+        &self,
+        exec: &Executor,
+        seed: u64,
+        prompts: &[QuestionPrompt<'_>],
+    ) -> Vec<GeneratedQuestion> {
+        self.serve_batch(exec, seed, prompts)
     }
 
-    /// Serve a batch, fanned out on `exec`'s pool. Results are index-aligned with `reqs` and bit-identical
-    /// to calling [`ModelHub::complete`] sequentially.
-    pub fn complete_batch(&self, exec: &Executor, reqs: &[ModelRequest]) -> Vec<ModelResponse> {
-        // Tally the submission per role it contains (a batch is normally
-        // single-role, but the ledger must not depend on that).
-        for role in Role::ALL {
-            let n = reqs.iter().filter(|r| r.payload.role() == role).count();
-            if n > 0 {
-                self.ledger.record_batch(role, n);
+    /// The teacher: one reasoning trace per (accepted question, mode), the
+    /// keyed answer withheld, on `exec`'s pool.
+    pub fn traces(
+        &self,
+        exec: &Executor,
+        seed: u64,
+        prompts: &[(&McqItem, TraceMode)],
+    ) -> Vec<String> {
+        self.serve_batch(exec, seed, prompts)
+    }
+
+    /// The judge: a 1–10 quality verdict per (candidate, salience of its
+    /// fact), on `exec`'s pool.
+    pub fn quality_scores(
+        &self,
+        exec: &Executor,
+        seed: u64,
+        prompts: &[(&GeneratedQuestion, f64)],
+    ) -> Vec<QualityJudgment> {
+        self.serve_batch(exec, seed, prompts)
+    }
+
+    /// The judge: grade `answer`'s completion against option `correct` of
+    /// `n_options`.
+    pub fn grade(
+        &self,
+        seed: u64,
+        answer: &AnswerOutcome,
+        correct: usize,
+        n_options: usize,
+    ) -> GradeResult {
+        self.serve(seed, &Grade { answer, correct, n_options })
+    }
+
+    /// The classifier: whether each item requires mathematical reasoning,
+    /// on `exec`'s pool.
+    pub fn math_flags(&self, exec: &Executor, seed: u64, items: &[McqItem]) -> Vec<bool> {
+        self.serve_batch(exec, seed, items)
+    }
+
+    /// The cross-encoder: per (query, passages) prompt, one relevance in
+    /// [0, 1] per passage, index-aligned, on `exec`'s pool.
+    pub fn rerank_scores(
+        &self,
+        exec: &Executor,
+        seed: u64,
+        prompts: &[(&str, Vec<&str>)],
+    ) -> Vec<Vec<f64>> {
+        self.serve_batch(exec, seed, prompts)
+    }
+
+    /// An evaluated model answers one prepared item under `condition`. The
+    /// item's count and digest were taken when it was prepared, so a call
+    /// costs what depends on the (model, condition, context) and nothing
+    /// more.
+    pub fn answer(
+        &self,
+        seed: u64,
+        model: &ResolvedModel,
+        item: &PreparedItem,
+        condition: Condition,
+        context: Option<&AssembledContext>,
+    ) -> AnswerOutcome {
+        self.serve(seed, &Answer { model, item, condition, context })
+    }
+
+    /// Serve one call through its kind's cache, tallying the ledger.
+    ///
+    /// A kind that is not cached ([`Call::CACHED`] is `None`) hashes no key
+    /// and retains nothing; its ledger accounting is that of a simulator
+    /// call, exactly as when it was a guaranteed cache miss.
+    ///
+    /// A cached kind is single-flight
+    /// ([`crate::ResponseCache::get_or_complete`]): only the caller that
+    /// runs the simulator records a miss, and one that arrives while that
+    /// completion is in flight waits for it and records a hit. A waiter may
+    /// occupy a pool worker, so a completion must not wait on work it
+    /// submits to that pool; the simulator submits none.
+    fn serve<C: Call>(&self, seed: u64, call: &C) -> C::Output {
+        let (mut busy, mut tokens_out) = (0, 0);
+        let mut simulate = || {
+            let start = Instant::now();
+            let (output, tokens) = call.complete(&self.sim, seed);
+            busy = start.elapsed().as_nanos() as u64;
+            tokens_out = tokens;
+            output
+        };
+        let (output, completed) = match C::CACHED {
+            Some(cached) => {
+                let mut h = StableHasher::new();
+                (cached.key)(call, &mut h);
+                h.write_u64(seed);
+                (cached.cache)(&self.cache).get_or_complete(h.finish(), simulate)
             }
+            None => (simulate(), true),
+        };
+        let tokens_in = if completed { call.tokens_in() } else { 0 };
+        self.ledger.record_call(C::ROLE, !completed, tokens_in, tokens_out, busy);
+        output
+    }
+
+    /// Serve a batch, fanned out on `exec`'s pool and tallied as one
+    /// submission. Results are index-aligned with `calls` and bit-identical
+    /// to serving them one by one.
+    fn serve_batch<C: Call>(&self, exec: &Executor, seed: u64, calls: &[C]) -> Vec<C::Output> {
+        if !calls.is_empty() {
+            self.ledger.record_batch(C::ROLE, calls.len());
         }
-        run_stage(exec, "model-batch", (0..reqs.len()).collect(), |i| self.complete(&reqs[i])).0
+        run_stage(exec, "model-batch", (0..calls.len()).collect(), |i| self.serve(seed, &calls[i]))
+            .0
     }
 }
 
@@ -109,13 +195,11 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    use crate::answer::{Condition, ResolvedModel};
     use crate::cards::MODEL_CARDS;
-    use crate::context::AssembledContext;
-    use crate::endpoint::{RequestPayload, RoleOutput};
-    use crate::mcq::{BenchKind, McqItem, PreparedItem};
+    use crate::ledger::{Role, RoleStats};
+    use crate::mcq::BenchKind;
+    use crate::sim::tests::{key, prompt};
     use crate::solver::{resolve, PipelineRates};
-    use crate::trace::TraceMode;
     use mcqa_ontology::{FactId, OntologyConfig};
     use proptest::prelude::*;
 
@@ -141,116 +225,10 @@ mod tests {
         ModelHub::new(42, Arc::clone(ontology()))
     }
 
-    fn grade_req(text: &str) -> ModelRequest {
-        ModelRequest::new(
-            vec![text.into()],
-            RequestPayload::GradeAnswer { completion: text.into(), correct: 0, n_options: 7 },
-            42,
-        )
-    }
-
-    #[test]
-    fn cache_short_circuits_and_matches_backend() {
-        let hub = fresh_hub();
-        let req = grade_req("Answer: A");
-
-        let first = hub.complete(&req);
-        assert_eq!(first, simulator().complete(&req), "hub must not change completions");
-        assert_eq!(hub.cache().len(), 1);
-        let second = hub.complete(&req);
-        assert_eq!(second, first, "cached response is indistinguishable");
-
-        let judge = hub.ledger().role(crate::Role::Judge);
-        assert_eq!(judge.calls, 2);
-        assert_eq!(judge.cache_hits, 1);
-        assert_eq!(judge.backend_calls(), 1);
-    }
-
-    #[test]
-    fn once_only_payloads_bypass_the_cache_without_changing_completions() {
-        let hub = fresh_hub();
-        let req = ModelRequest::new(
-            vec!["generate".into()],
-            RequestPayload::GenerateQuestion { fact: FactId(3), salt: "s0".into() },
-            42,
-        );
-
-        let first = hub.complete(&req);
-        assert_eq!(first, simulator().complete(&req), "hub must not change completions");
-        assert_eq!(hub.cache().len(), 0, "once-only requests retain nothing");
-        // Serving the same request again is still correct (deterministic
-        // simulator), it just pays the simulator instead of the cache.
-        let second = hub.complete(&req);
-        assert_eq!(second, first);
-        let teacher = hub.ledger().role(crate::Role::Teacher);
-        assert_eq!(teacher.calls, 2);
-        assert_eq!(teacher.cache_hits, 0);
-        assert_eq!(teacher.backend_calls(), 2);
-
-        // A cacheable payload on the same hub still short-circuits.
-        let grade = grade_req("Answer: B");
-        hub.complete(&grade);
-        hub.complete(&grade);
-        assert_eq!(hub.cache().len(), 1);
-        assert_eq!(hub.ledger().role(crate::Role::Judge).cache_hits, 1);
-    }
-
-    #[test]
-    fn batch_goes_through_the_same_cached_path() {
-        let hub = fresh_hub();
-        let reqs: Vec<ModelRequest> =
-            (0..20).map(|i| grade_req(&format!("Answer: {}", ['A', 'B'][i % 2]))).collect();
-        let exec = Executor::global();
-
-        // An empty batch is served without a trace: callers need not guard it.
-        assert!(hub.complete_batch(exec, &[]).is_empty());
-        assert_eq!(hub.ledger().total(), crate::RoleStats::default());
-        assert!(hub.cache().is_empty());
-
-        let batched = hub.complete_batch(exec, &reqs);
-        let cold = hub.ledger().role(crate::Role::Judge);
-        assert_eq!(cold.calls, 20);
-        assert_eq!(cold.batches, 1);
-        assert_eq!(cold.batched_calls, 20);
-        // Only two distinct completions exist and each is stored once.
-        // Items running side by side that touch one key first wait for a
-        // single completion, so exactly one item per key reached the
-        // simulator, on any schedule.
-        assert_eq!(hub.cache().len(), 2);
-        assert_eq!(cold.backend_calls(), 2);
-        assert_eq!(cold.cache_hits, 18);
-
-        // With both keys stored, every item of a second batch reads the
-        // cache and none reaches the simulator.
-        let warm_batched = hub.complete_batch(exec, &reqs);
-        assert_eq!(warm_batched, batched);
-        let warm = hub.ledger().role(crate::Role::Judge);
-        assert_eq!(warm.calls, 40);
-        assert_eq!(warm.batches, 2);
-        assert_eq!(warm.batched_calls, 40);
-        assert_eq!(warm.cache_hits, cold.cache_hits + 20);
-        assert_eq!(warm.backend_calls(), cold.backend_calls());
-
-        // And so is the serial path, with the same completions.
-        let serial: Vec<ModelResponse> = reqs.iter().map(|r| hub.complete(r)).collect();
-        assert_eq!(batched, serial);
-        let judge = hub.ledger().role(crate::Role::Judge);
-        assert_eq!(judge.calls, 60, "40 batched + 20 serial");
-        assert_eq!(judge.batched_calls, 40);
-        assert_eq!(judge.cache_hits, warm.cache_hits + 20);
-        assert_eq!(judge.backend_calls(), cold.backend_calls());
-        assert_eq!(hub.cache().len(), 2);
-    }
-
-    // Properties of the completion surface: the batched API is
-    // observationally identical to sequential completion at any worker
-    // count, the response cache is a pure short-circuit, and the call
-    // ledger conserves counts across batch shapes.
-
-    fn resolved(i: usize) -> Arc<ResolvedModel> {
+    fn resolved(i: usize) -> ResolvedModel {
         let card = MODEL_CARDS[i % MODEL_CARDS.len()].clone();
         let cal = resolve(&card, &PipelineRates::nominal());
-        Arc::new(ResolvedModel::new(card, cal))
+        ResolvedModel::new(card, cal)
     }
 
     fn item(x: u64) -> McqItem {
@@ -262,63 +240,180 @@ mod tests {
             options: (0..7).map(|i| format!("candidate {i}")).collect(),
             correct: (x as usize) % 7,
             difficulty: (x % 100) as f64 / 100.0,
-            is_math: false,
+            is_math: x.is_multiple_of(3),
         }
     }
 
-    /// A deterministic mixed-role request keyed by `x`: exercises every
-    /// payload variant the workflow issues.
-    fn request(x: u64) -> ModelRequest {
-        let facts = ontology().facts();
-        let fact = &facts[(x as usize) % facts.len()];
-        let teacher_q = simulator()
-            .complete(&ModelRequest::new(
-                Vec::new(),
-                RequestPayload::GenerateQuestion { fact: fact.id, salt: "pt".into() },
-                42,
-            ))
-            .output
-            .expect_question();
-        let payload = match x % 6 {
-            0 => RequestPayload::GenerateQuestion { fact: fact.id, salt: format!("s{}", x / 6) },
-            1 => RequestPayload::DistillTrace {
-                question: teacher_q,
-                mode: TraceMode::ALL[(x / 6) as usize % 3],
-            },
-            2 => RequestPayload::ScoreQuestion { question: teacher_q, salience: fact.salience },
-            3 => RequestPayload::GradeAnswer {
-                completion: format!("Answer: {}", ['A', 'B', 'C'][(x / 6) as usize % 3]),
-                correct: (x as usize / 6) % 7,
-                n_options: 7,
-            },
-            4 => RequestPayload::ClassifyMath { item: item(x / 6) },
-            _ => RequestPayload::Answer {
-                model: resolved((x / 6) as usize),
-                item: Arc::new(PreparedItem::new(item(x / 6))),
-                condition: Condition::all()[(x / 6) as usize % 5],
-                context: (x.is_multiple_of(2)).then_some(AssembledContext {
-                    passages_in_window: 3,
-                    passages_total: 5,
-                    relevant_in_window: x.is_multiple_of(4),
-                    relevant_retrieved: true,
-                    prompt_tokens: 400,
-                }),
-            },
-        };
-        ModelRequest::new(vec![format!("request {x}")], payload, 42)
+    /// What `x` answers: one of eight models, one of five conditions, with
+    /// or without a context.
+    fn answer_call<'a>(
+        x: u64,
+        models: &'a [ResolvedModel],
+        items: &'a [PreparedItem],
+        context: &'a AssembledContext,
+    ) -> Answer<'a> {
+        Answer {
+            model: &models[(x as usize) % models.len()],
+            item: &items[(x as usize / 8) % items.len()],
+            condition: Condition::all()[(x / 3) as usize % 5],
+            context: x.is_multiple_of(2).then_some(context),
+        }
     }
+
+    fn fixtures() -> (Vec<ResolvedModel>, Vec<PreparedItem>, AssembledContext) {
+        let context = AssembledContext {
+            passages_in_window: 3,
+            passages_total: 5,
+            relevant_in_window: true,
+            relevant_retrieved: true,
+            prompt_tokens: 400,
+        };
+        (
+            (0..8).map(resolved).collect(),
+            (0..6).map(|x| PreparedItem::new(item(x))).collect(),
+            context,
+        )
+    }
+
+    #[test]
+    fn cache_short_circuits_and_matches_the_simulator() {
+        let hub = fresh_hub();
+        let (models, items, _) = fixtures();
+        let answer = hub.answer(42, &models[0], &items[0], Condition::Baseline, None);
+        let direct = Answer {
+            model: &models[0],
+            item: &items[0],
+            condition: Condition::Baseline,
+            context: None,
+        };
+        assert_eq!(answer, direct.complete(simulator(), 42).0, "hub must not change completions");
+        let first = hub.grade(42, &answer, 0, 7);
+        assert_eq!(
+            first,
+            Grade { answer: &answer, correct: 0, n_options: 7 }.complete(simulator(), 42).0
+        );
+        assert_eq!(hub.cache().len(), 2, "one answer, one grade");
+        assert_eq!(hub.grade(42, &answer, 0, 7), first, "cached completion is indistinguishable");
+        assert_eq!(hub.cache().len(), 2);
+
+        let judge = hub.ledger().role(Role::Judge);
+        assert_eq!((judge.calls, judge.cache_hits, judge.backend_calls()), (2, 1, 1));
+        assert_eq!(judge.tokens_in as usize, 11 + answer.tokens(), "a hit costs no tokens");
+        let answerer = hub.ledger().role(Role::Answerer);
+        assert_eq!((answerer.calls, answerer.tokens_out as usize), (1, answer.tokens()));
+    }
+
+    #[test]
+    fn once_only_kinds_bypass_the_cache_without_changing_completions() {
+        let hub = fresh_hub();
+        let exec = Executor::global();
+        let prompts: Vec<QuestionPrompt> =
+            ontology().facts()[..3].iter().map(|f| prompt(f, "s0")).collect();
+
+        let first = hub.questions(exec, 42, &prompts);
+        let bare: Vec<_> = prompts.iter().map(|p| p.complete(simulator(), 42).0).collect();
+        assert_eq!(first, bare, "hub must not change completions");
+        assert!(hub.cache().is_empty(), "once-only calls retain nothing");
+        // Serving the same prompts again is still correct (deterministic
+        // simulator), it just pays the simulator instead of the cache.
+        assert_eq!(hub.questions(exec, 42, &prompts), first);
+        let teacher = hub.ledger().role(Role::Teacher);
+        assert_eq!((teacher.calls, teacher.batches, teacher.cache_hits), (6, 2, 0));
+        assert_eq!(teacher.backend_calls(), 6);
+        let tokens_in: usize = prompts.iter().map(|p| p.tokens_in()).sum();
+        assert_eq!(teacher.tokens_in as usize, 2 * tokens_in);
+
+        // A cached kind on the same hub still short-circuits.
+        let flags = [item(1), item(1)];
+        hub.math_flags(exec, 42, &flags);
+        assert_eq!(hub.cache().len(), 1);
+        assert_eq!(hub.ledger().role(Role::Classifier).cache_hits, 1);
+    }
+
+    #[test]
+    fn batch_goes_through_the_same_cached_path() {
+        let hub = fresh_hub();
+        let items: Vec<McqItem> = (0..20).map(|i| item(i % 2)).collect();
+        let exec = Executor::global();
+
+        // An empty batch is served without a trace: callers need not guard it.
+        assert!(hub.math_flags(exec, 42, &[]).is_empty());
+        assert_eq!(hub.ledger().total(), RoleStats::default());
+        assert!(hub.cache().is_empty());
+
+        let batched = hub.math_flags(exec, 42, &items);
+        let cold = hub.ledger().role(Role::Classifier);
+        assert_eq!((cold.calls, cold.batches, cold.batched_calls), (20, 1, 20));
+        // Only two distinct completions exist and each is stored once.
+        // Items running side by side that touch one key first wait for a
+        // single completion, so exactly one item per key reached the
+        // simulator, on any schedule.
+        assert_eq!(hub.cache().len(), 2);
+        assert_eq!(cold.backend_calls(), 2);
+        assert_eq!(cold.cache_hits, 18);
+
+        // With both keys stored, every item of a second batch reads the
+        // cache and none reaches the simulator.
+        assert_eq!(hub.math_flags(exec, 42, &items), batched);
+        let warm = hub.ledger().role(Role::Classifier);
+        assert_eq!((warm.calls, warm.batches, warm.batched_calls), (40, 2, 40));
+        assert_eq!(warm.cache_hits, cold.cache_hits + 20);
+        assert_eq!(warm.backend_calls(), cold.backend_calls());
+
+        // Another seed is another identity.
+        hub.math_flags(exec, 43, &items[..1]);
+        assert_eq!(hub.cache().len(), 3);
+    }
+
+    #[test]
+    fn every_kind_lands_on_its_own_role() {
+        let hub = fresh_hub();
+        let exec = Executor::global();
+        let (models, items, _) = fixtures();
+        let fact = &ontology().facts()[0];
+        let q = hub.questions(exec, 42, &[prompt(fact, "c")]).remove(0);
+        hub.quality_scores(exec, 42, &[(&q, 0.5)]);
+        hub.traces(exec, 42, &[(items[0].item(), TraceMode::Detailed)]);
+        hub.math_flags(exec, 42, &[item(4)]);
+        hub.rerank_scores(exec, 42, &[("q", vec!["p"])]);
+        let answer = hub.answer(42, &models[0], &items[0], Condition::RagChunks, None);
+        hub.grade(42, &answer, 1, 7);
+        let calls: Vec<(Role, u64, u64)> =
+            hub.ledger().snapshot().into_iter().map(|(r, s)| (r, s.calls, s.batches)).collect();
+        assert_eq!(
+            calls,
+            [
+                (Role::Teacher, 2, 2),
+                (Role::Judge, 2, 1),
+                (Role::Classifier, 1, 1),
+                (Role::Answerer, 1, 0),
+                (Role::Reranker, 1, 1),
+            ]
+        );
+        assert_eq!(hub.cache().len(), 4, "flag, relevance, answer, grade");
+    }
+
+    // Properties of the completion surface: a batch is observationally
+    // identical to serial completion at any worker count, the response
+    // cache is a pure short-circuit, and the call ledger conserves counts
+    // across batch shapes.
 
     proptest! {
         #[test]
-        fn complete_batch_is_bit_identical_to_serial(
+        fn batches_are_bit_identical_to_serial(
             keys in proptest::collection::vec(any::<u64>(), 0..24),
         ) {
-            let reqs: Vec<ModelRequest> = keys.iter().map(|&x| request(x)).collect();
-            let serial: Vec<_> = reqs.iter().map(|r| simulator().complete(r)).collect();
+            let items: Vec<McqItem> = keys.iter().map(|&x| item(x % 40)).collect();
+            let texts: Vec<String> = keys.iter().map(|x| format!("passage {} of {}", x % 7, x % 3)).collect();
+            let reranks: Vec<(&str, Vec<&str>)> =
+                texts.iter().map(|t| ("passage of", vec![t.as_str(), "of"])).collect();
+            let serial_flags: Vec<_> = items.iter().map(|i| i.complete(simulator(), 42).0).collect();
+            let serial_scores: Vec<_> = reranks.iter().map(|r| r.complete(simulator(), 42).0).collect();
             for workers in [1usize, 4] {
                 let exec = Executor::new(workers);
-                let batched = fresh_hub().complete_batch(&exec, &reqs);
-                prop_assert_eq!(&batched, &serial, "workers {}", workers);
+                let hub = fresh_hub();
+                prop_assert_eq!(&hub.math_flags(&exec, 42, &items), &serial_flags, "workers {}", workers);
+                prop_assert_eq!(&hub.rerank_scores(&exec, 42, &reranks), &serial_scores, "workers {}", workers);
             }
         }
 
@@ -328,27 +423,35 @@ mod tests {
         ) {
             // Serve the list twice through a fresh hub: the second pass is
             // all cache hits and must be byte-identical to the first.
+            let (models, items, context) = fixtures();
+            let calls: Vec<Answer> = keys.iter().map(|&x| answer_call(x, &models, &items, &context)).collect();
             let hub = fresh_hub();
-            let reqs: Vec<ModelRequest> = keys.iter().map(|&x| request(x)).collect();
-            let first: Vec<_> = reqs.iter().map(|r| hub.complete(r)).collect();
-            let cached_completions = hub.cache().len();
-            let second: Vec<_> = reqs.iter().map(|r| hub.complete(r)).collect();
+            let serve = |hub: &ModelHub| -> Vec<(AnswerOutcome, GradeResult)> {
+                calls
+                    .iter()
+                    .map(|a| {
+                        let answer = hub.answer(42, a.model, a.item, a.condition, a.context);
+                        let grade = hub.grade(42, &answer, a.item.item().correct, 7);
+                        (answer, grade)
+                    })
+                    .collect()
+            };
+            let first = serve(&hub);
+            let cached = hub.cache().len();
+            let tallied = hub.ledger().total();
+            let second = serve(&hub);
             prop_assert_eq!(&second, &first);
-            prop_assert_eq!(hub.cache().len(), cached_completions, "second pass adds nothing");
-            // And the cached responses equal the bare simulator's.
-            let bare: Vec<_> = reqs.iter().map(|r| simulator().complete(r)).collect();
-            prop_assert_eq!(&first, &bare);
-            // Ledger: the second pass hits for every *retained* request kind;
-            // once-only payloads (teacher generation/distillation, quality
-            // scoring) bypass the cache by policy and pay the deterministic
-            // simulator again instead.
+            prop_assert_eq!(hub.cache().len(), cached, "second pass adds nothing");
             let total = hub.ledger().total();
-            prop_assert_eq!(total.calls as usize, reqs.len() * 2);
-            let repeatable = reqs.iter().filter(|r| r.payload.cacheable()).count();
-            prop_assert!(
-                total.cache_hits as usize >= repeatable,
-                "every cacheable repeat is a hit ({} < {repeatable})", total.cache_hits
-            );
+            prop_assert_eq!(total.calls, 2 * tallied.calls);
+            prop_assert_eq!(total.cache_hits, tallied.cache_hits + tallied.calls, "every repeat is a hit");
+            prop_assert_eq!((total.tokens_in, total.tokens_out), (tallied.tokens_in, tallied.tokens_out));
+            // And the cached completions equal the bare simulator's.
+            for (a, (answer, grade)) in calls.iter().zip(&first) {
+                prop_assert_eq!(&a.complete(simulator(), 42).0, answer);
+                let g = Grade { answer, correct: a.item.item().correct, n_options: 7 };
+                prop_assert_eq!(&g.complete(simulator(), 42).0, grade);
+            }
         }
 
         #[test]
@@ -356,87 +459,41 @@ mod tests {
             keys in proptest::collection::vec(any::<u64>(), 1..32),
             split in any::<u64>(),
         ) {
-            let reqs: Vec<ModelRequest> = keys.iter().map(|&x| request(x)).collect();
+            let items: Vec<McqItem> = keys.iter().map(|&x| item(x % 12)).collect();
             let exec = Executor::new(4);
 
             // Shape A: one batch. Shape B: two batches split at an arbitrary
             // point. Shape C: all serial.
-            let shapes: [Vec<&[ModelRequest]>; 3] = {
-                let cut = (split as usize) % (reqs.len() + 1);
-                [vec![&reqs[..]], vec![&reqs[..cut], &reqs[cut..]], vec![]]
-            };
-            let mut outputs: Vec<Vec<ModelResponse>> = Vec::new();
+            let cut = (split as usize) % (items.len() + 1);
+            let shapes: [Vec<&[McqItem]>; 3] =
+                [vec![&items[..]], vec![&items[..cut], &items[cut..]], vec![]];
+            let mut outputs: Vec<Vec<bool>> = Vec::new();
             for (si, shape) in shapes.iter().enumerate() {
                 let hub = fresh_hub();
                 let mut out = Vec::new();
                 if shape.is_empty() {
-                    out.extend(reqs.iter().map(|r| hub.complete(r)));
+                    out.extend(items.iter().map(|i| hub.serve(42, i)));
                 } else {
                     for part in shape {
-                        out.extend(hub.complete_batch(&exec, part));
+                        out.extend(hub.math_flags(&exec, 42, part));
                     }
                 }
                 let total = hub.ledger().total();
-                // Conservation: every request is exactly one call, and every
-                // call is either a hit or a simulator completion.
-                prop_assert_eq!(total.calls as usize, reqs.len(), "shape {}", si);
-                prop_assert_eq!(
-                    (total.cache_hits + (total.calls - total.cache_hits)) as usize,
-                    reqs.len()
-                );
-                // The cache holds one entry per distinct completion of the
-                // *retained* request kinds (once-only payloads are never
-                // stored). The simulator served each of those once —
-                // concurrent first touches of one key share a single
-                // completion — plus every once-only request.
-                let distinct: std::collections::HashSet<u64> = reqs
-                    .iter()
-                    .filter(|r| r.payload.cacheable())
-                    .map(|r| r.cache_key())
-                    .collect();
-                let once_only = reqs.iter().filter(|r| !r.payload.cacheable()).count();
+                // Conservation: every item is exactly one call, and the
+                // simulator served each distinct key once — concurrent first
+                // touches of one key share a single completion.
+                let distinct: std::collections::HashSet<u64> =
+                    items.iter().map(|i| key(i, 42)).collect();
+                prop_assert_eq!(total.calls as usize, items.len(), "shape {}", si);
                 prop_assert_eq!(hub.cache().len(), distinct.len(), "shape {}", si);
-                prop_assert_eq!(
-                    total.backend_calls() as usize,
-                    distinct.len() + once_only,
-                    "shape {}", si
-                );
-                // Batch submissions were tallied per role actually present.
-                let batches: u64 = Role::ALL.iter().map(|r| hub.ledger().role(*r).batches).sum();
+                prop_assert_eq!(total.backend_calls() as usize, distinct.len(), "shape {}", si);
+                // One batch per non-empty submission.
                 let nonempty = shape.iter().filter(|p| !p.is_empty()).count();
-                prop_assert!(batches >= nonempty as u64, "shape {}", si);
+                prop_assert_eq!(total.batches as usize, nonempty, "shape {}", si);
                 outputs.push(out);
             }
             prop_assert_eq!(&outputs[0], &outputs[1], "batch split cannot change results");
             prop_assert_eq!(&outputs[0], &outputs[2], "serial vs batched identical");
-        }
-    }
-
-    #[test]
-    fn token_estimates_are_request_deterministic() {
-        // The same request always reports the same token accounting — the
-        // ledger's cost surface is reproducible.
-        for x in 0..12u64 {
-            let r = request(x);
-            let a = simulator().complete(&r);
-            let b = simulator().complete(&r);
-            assert_eq!((a.tokens_in, a.tokens_out), (b.tokens_in, b.tokens_out));
-            assert_eq!(a.tokens_in, r.prompt_tokens());
-            // The completion's tokens are those of the text its output carries.
-            let math_flag;
-            let text = match &a.output {
-                RoleOutput::Question(q) => &q.stem,
-                RoleOutput::Trace(t) => t,
-                RoleOutput::Quality(j) => &j.reasoning,
-                RoleOutput::Grade(g) => &g.reasoning,
-                RoleOutput::MathFlag(flag) => {
-                    math_flag = format!("requires_math: {flag}");
-                    &math_flag
-                }
-                RoleOutput::Answer(answer) => &answer.text,
-                RoleOutput::Relevance(_) => unreachable!("`request` issues no rerank"),
-            };
-            assert_eq!(a.tokens_out, mcqa_text::token_count(text));
         }
     }
 

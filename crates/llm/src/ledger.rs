@@ -9,7 +9,48 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use crate::endpoint::Role;
+/// The model roles the paper's workflow employs: one ledger row each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Role {
+    /// GPT-4.1: question generation and reasoning-trace distillation.
+    Teacher,
+    /// The LLM judge: quality scoring and answer grading.
+    Judge,
+    /// GPT-5: math-question classification.
+    Classifier,
+    /// An evaluated SLM answering one MCQ.
+    Answerer,
+    /// The cross-encoder rescoring fused retrieval candidates.
+    Reranker,
+}
+
+impl Role {
+    /// All roles in canonical order.
+    pub const ALL: [Role; 5] =
+        [Role::Teacher, Role::Judge, Role::Classifier, Role::Answerer, Role::Reranker];
+
+    /// Lowercase label used in ledger lines and metrics rows.
+    pub fn label(self) -> &'static str {
+        match self {
+            Role::Teacher => "teacher",
+            Role::Judge => "judge",
+            Role::Classifier => "classifier",
+            Role::Answerer => "answerer",
+            Role::Reranker => "reranker",
+        }
+    }
+
+    /// Position in [`Role::ALL`].
+    pub fn index(self) -> usize {
+        match self {
+            Role::Teacher => 0,
+            Role::Judge => 1,
+            Role::Classifier => 2,
+            Role::Answerer => 3,
+            Role::Reranker => 4,
+        }
+    }
+}
 
 /// A snapshot of one role's tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -185,6 +226,15 @@ impl CallLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn roles_index_their_own_slot() {
+        for r in Role::ALL {
+            assert_eq!(Role::ALL[r.index()], r);
+        }
+        let labels: std::collections::HashSet<&str> = Role::ALL.iter().map(|r| r.label()).collect();
+        assert_eq!(labels.len(), 5);
+    }
 
     #[test]
     fn tallies_per_role() {

@@ -1,33 +1,33 @@
 //! `mcqa-llm` — the language-model substrate behind one model hub.
 //!
-//! Every model role in the paper is served by [`ModelHub`]: a typed
-//! [`ModelRequest`]/[`ModelResponse`] envelope with a batched completion
-//! API, a content-addressed [`ResponseCache`], and a per-role
-//! [`CallLedger`]. Consumers share one `Arc<ModelHub>` and go through the
-//! thin role adapters:
+//! Every model role in the paper is served by [`ModelHub`]: one typed entry
+//! point per call kind (typed inputs in, the role's own output type out),
+//! content-addressed [`ResponseCaches`] for the kinds that repeat, and a
+//! per-role [`CallLedger`]. Consumers share one `Arc<ModelHub>`:
 //!
-//! | Paper role | Adapter entry points |
+//! | Paper role | Entry points |
 //! |---|---|
-//! | GPT-4.1 question generation | [`adapters::Teacher::generate_question_batch`] |
-//! | GPT-4.1 trace distillation (3 modes) | [`adapters::Teacher::generate_trace_batch`] |
-//! | LLM judge (quality scoring + grading) | [`adapters::Judge::score_question_batch`], [`adapters::Judge::grade`] |
-//! | GPT-5 math-question classifier | [`adapters::Classifier::classify_batch`] |
-//! | Cross-encoder reranker | [`adapters::Reranker::score_batch`] |
-//! | The eight evaluated SLMs (1.1B–14B) | [`adapters::Answerer::answer`] ([`cards::ModelCard`] + its calibration, one [`PreparedItem`] per question) |
+//! | GPT-4.1 question generation | [`ModelHub::questions`] (the pipeline's [`Teacher::generate_question_batch`]) |
+//! | GPT-4.1 trace distillation (3 modes) | [`ModelHub::traces`] ([`Teacher::generate_trace_batch`]) |
+//! | LLM judge (quality scoring + grading) | [`ModelHub::quality_scores`], [`ModelHub::grade`] |
+//! | GPT-5 math-question classifier | [`ModelHub::math_flags`] |
+//! | Cross-encoder reranker | [`ModelHub::rerank_scores`] (the query service's [`Reranker::score_batch`]) |
+//! | The eight evaluated SLMs (1.1B–14B) | [`ModelHub::answer`] (a [`ResolvedModel`] — [`cards::ModelCard`] + its calibration — and one [`PreparedItem`] per question) |
 //!
 //! Every completion comes from one deterministic behavioural simulator,
 //! which the hub owns: the pipeline builds `ModelHub::new(seed, ontology)`
-//! and nothing selects a backend.
+//! and nothing selects a backend. No call builds prompt text: the simulator
+//! reads typed fields, and a call's token estimate adds counts taken where
+//! its texts were born.
 //!
 //! ## The boundary is a visibility rule
 //!
 //! The simulators behind the hub (the teacher, judge and classifier
 //! models, and the answer cascade of a [`ResolvedModel`]) are crate-private,
-//! so nothing outside this crate can run one past the cache and the
-//! ledger: the only way to a completion is [`ModelHub::complete`] (or its
-//! batched form). A resolved model stays nameable, because an answer
-//! request carries one beside the prepared question and is addressed by
-//! both digests:
+//! so nothing outside this crate can run one past the caches and the
+//! ledger: the only way to a completion is a [`ModelHub`] entry point. A
+//! resolved model stays nameable, because an answer call takes one beside
+//! the prepared question and is addressed by both digests:
 //!
 //! ```
 //! use mcqa_llm::{Condition, PreparedItem, ResolvedModel};
@@ -60,9 +60,9 @@
 //! and the one a hub owns cannot be reached through it:
 //!
 //! ```compile_fail,E0616
-//! use mcqa_llm::{ModelHub, ModelRequest};
-//! fn uncached(hub: &ModelHub, req: &ModelRequest) {
-//!     hub.sim.complete(req);
+//! use mcqa_llm::ModelHub;
+//! fn uncached(hub: &ModelHub) {
+//!     let _ = &hub.sim;
 //! }
 //! ```
 //!
@@ -89,7 +89,6 @@ pub mod adapters;
 pub mod answer;
 pub mod cards;
 pub mod context;
-pub mod endpoint;
 pub mod hub;
 pub mod judge;
 pub mod ledger;
@@ -101,16 +100,15 @@ pub mod solver;
 pub mod teacher;
 pub mod trace;
 
-pub use adapters::{Answerer, Classifier, Judge, QuestionPrompt, Reranker, Teacher};
+pub use adapters::{QuestionPrompt, Reranker, Teacher};
 pub use answer::{AnswerOutcome, Condition, ResolvedModel};
 pub use cards::{BenchTargets, ModelCard, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
 pub use context::{AssembledContext, Passage, PassageSource};
-pub use endpoint::{ModelRequest, ModelResponse, RequestPayload, Role, RoleOutput};
 pub use hub::ModelHub;
 pub use judge::{GradeResult, QualityJudgment};
-pub use ledger::{CallLedger, RoleStats};
+pub use ledger::{CallLedger, Role, RoleStats};
 pub use mcq::{BenchKind, McqItem, PreparedItem, OPTION_LETTERS};
-pub use response_cache::ResponseCache;
+pub use response_cache::{ResponseCache, ResponseCaches};
 pub use solver::{resolve, PipelineRates};
 pub use teacher::{GeneratedQuestion, QuestionDefect};
 pub use trace::TraceMode;

@@ -1,6 +1,7 @@
 //! Multiple-choice question items as the evaluator sees them.
 
 use mcqa_ontology::FactId;
+use mcqa_text::token_count;
 use mcqa_util::StableHasher;
 
 /// Option letters for up to ten options.
@@ -69,6 +70,14 @@ impl McqItem {
         out
     }
 
+    /// Tokens [`McqItem::render`] costs in a prompt, counted without
+    /// rendering: the stem, then one letter token plus the text of each
+    /// option (the separators the render puts between them split tokens and
+    /// add none).
+    pub fn prompt_tokens(&self) -> usize {
+        text_tokens(&self.stem, &self.options) + self.options.len()
+    }
+
     /// Structural validity: unique non-empty options, in-range answer.
     pub fn validate(&self) -> Result<(), String> {
         if self.options.len() != self.bench.n_options() {
@@ -97,27 +106,55 @@ impl McqItem {
     }
 }
 
+/// Tokens of a stem and its options, each counted on its own: what a prompt
+/// costs that lays them out with separators between them and no letters.
+pub(crate) fn text_tokens(stem: &str, options: &[String]) -> usize {
+    token_count(stem) + options.iter().map(|o| token_count(o)).sum::<usize>()
+}
+
+/// Walk every field of `item` into `h`: a classification call's key, and the
+/// digest [`PreparedItem::new`] takes once per answered question.
+pub(crate) fn walk_item(h: &mut StableHasher, item: &McqItem) {
+    let McqItem { qid, bench, fact: FactId(fact), stem, options, correct, difficulty, is_math } =
+        item;
+    h.write_u64(*qid);
+    h.write_u32(match bench {
+        BenchKind::Synthetic => 0,
+        BenchKind::AstroExam => 1,
+    });
+    h.write_u64(*fact);
+    h.write_str(stem);
+    h.write_u64(options.len() as u64);
+    for option in options {
+        h.write_str(option);
+    }
+    h.write_u64(*correct as u64);
+    h.write_u64(difficulty.to_bits());
+    h.write_u32(*is_math as u32);
+}
+
 /// An [`McqItem`] with the work that depends on the item alone done once:
-/// its [`McqItem::render`] text and a digest of every field, which is how
-/// an answer request addresses its item ([`crate::ModelRequest::cache_key`]).
+/// the tokens its rendered prompt text costs ([`McqItem::prompt_tokens`])
+/// and a digest of every field, which is how an answer call addresses its
+/// item in the response cache.
 ///
-/// Read-only after construction (private fields, no setter), so the render
+/// Read-only after construction (private fields, no setter), so the count
 /// and the digest always describe the item beside them. The evaluator
-/// prepares each question once and shares it, behind an `Arc`, with every
-/// (model, condition) request that asks it.
+/// prepares each question once and lends it to every (model, condition)
+/// answer and every context window assembled for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedItem {
     item: McqItem,
-    rendered: String,
+    tokens: usize,
     digest: u64,
 }
 
 impl PreparedItem {
-    /// Render and digest `item`.
+    /// Count and digest `item`.
     pub fn new(item: McqItem) -> Self {
         let mut h = StableHasher::new();
-        crate::endpoint::walk_item(&mut h, &item);
-        Self { rendered: item.render(), digest: h.finish(), item }
+        walk_item(&mut h, &item);
+        Self { tokens: item.prompt_tokens(), digest: h.finish(), item }
     }
 
     /// The question.
@@ -125,9 +162,10 @@ impl PreparedItem {
         &self.item
     }
 
-    /// [`McqItem::render`] of the question.
-    pub fn rendered(&self) -> &str {
-        &self.rendered
+    /// Tokens the rendered question (stem + lettered options) costs in a
+    /// prompt.
+    pub fn tokens(&self) -> usize {
+        self.tokens
     }
 
     /// Digest of every field of the question: equal for equal items,
@@ -155,6 +193,7 @@ pub(crate) fn test_item() -> McqItem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn item() -> McqItem {
         McqItem {
@@ -183,7 +222,21 @@ mod tests {
             assert!(r.contains(l), "{r}");
         }
         assert!(r.starts_with("Which is true?"));
-        assert_eq!(PreparedItem::new(item()).rendered(), r, "prepared once, rendered the same");
+    }
+
+    proptest! {
+        #[test]
+        fn prompt_tokens_count_the_render(
+            stem in ".{0,40}",
+            options in proptest::collection::vec(".{0,12}", 1..8),
+        ) {
+            let mut q = item();
+            q.stem = stem;
+            q.options = options;
+            let rendered = token_count(&q.render());
+            prop_assert_eq!(q.prompt_tokens(), rendered);
+            prop_assert_eq!(PreparedItem::new(q).tokens(), rendered, "prepared once, counted the same");
+        }
     }
 
     #[test]

@@ -1,64 +1,61 @@
-//! A concurrent content-addressed completion cache.
+//! Concurrent content-addressed completion caches, one per call kind that
+//! repeats within a run.
 //!
-//! Keys are [`crate::ModelRequest::cache_key`] — a walk of every field
-//! that affects the completion into a stable hasher, with an answer
-//! request's model and item standing in as the digests they computed at
-//! construction. Keys live and die with the process: the cache is never
-//! persisted, so the key is not a wire format. Because the simulator is a
-//! deterministic function of the request, a cached response is
-//! indistinguishable from a fresh one; the cache exists so repeated
-//! evaluation passes (the no-math subset re-answers the full set's items,
-//! ablations re-run conditions, repeated `run_cards` calls) skip
-//! regeneration entirely.
+//! A key is a walk of the typed fields a call kind's completion depends on,
+//! plus the call's seed, into a stable hasher — an answer's model and item
+//! standing in as the digests they computed at construction. Keys live and
+//! die with the process: the caches are never persisted, so the key is not a
+//! wire format. Because the simulator is a deterministic function of those
+//! fields, a cached completion is indistinguishable from a fresh one; the
+//! caches exist so repeated evaluation passes (the no-math subset
+//! re-answers the full set's items, ablations re-run conditions, repeated
+//! `run_cards` calls) skip regeneration entirely.
 //!
-//! The cache is single-flight: each key owns one slot, created under the
-//! map lock and filled outside it, so concurrent first touches of one key
+//! A cache is single-flight: each key owns one slot, created under the map
+//! lock and filled outside it, so concurrent first touches of one key
 //! complete it once and every other caller waits for that completion. How
-//! many requests reach the simulator is therefore a function of the request
-//! list, not of the schedule. A completion that panics leaves its slot
-//! empty, and the key's next caller completes it afresh.
+//! many calls reach the simulator is therefore a function of the call list,
+//! not of the schedule. A completion that panics leaves its slot empty, and
+//! the key's next caller completes it afresh.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-use crate::endpoint::ModelResponse;
+use crate::answer::AnswerOutcome;
+use crate::judge::GradeResult;
 
-/// The cache: `request content address → response`.
-#[derive(Default)]
-pub struct ResponseCache {
-    map: RwLock<HashMap<u64, Arc<OnceLock<ModelResponse>>>>,
+/// One kind's cache: `content address → completion`.
+pub struct ResponseCache<V> {
+    map: RwLock<HashMap<u64, Arc<OnceLock<V>>>>,
 }
 
-impl ResponseCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+impl<V> Default for ResponseCache<V> {
+    fn default() -> Self {
+        Self { map: RwLock::default() }
     }
+}
 
-    /// The response stored under `key`, completing it with `complete` when
-    /// no caller has yet. Returns the response and whether *this* call ran
-    /// `complete`: exactly one caller per key does, and a caller that
-    /// arrives while it runs waits for its result. `complete` must not wait
-    /// on another request to this cache, or the two could wait on each
+impl<V: Clone> ResponseCache<V> {
+    /// The completion stored under `key`, completing it with `complete`
+    /// when no caller has yet. Returns the completion and whether *this*
+    /// call ran `complete`: exactly one caller per key does, and a caller
+    /// that arrives while it runs waits for its result. `complete` must not
+    /// wait on another call to this cache, or the two could wait on each
     /// other.
-    pub fn get_or_complete(
-        &self,
-        key: u64,
-        complete: impl FnOnce() -> ModelResponse,
-    ) -> (ModelResponse, bool) {
+    pub fn get_or_complete(&self, key: u64, complete: impl FnOnce() -> V) -> (V, bool) {
         let slot = self.slot(key);
         let mut completed = false;
-        let response = slot
+        let value = slot
             .get_or_init(|| {
                 completed = true;
                 complete()
             })
             .clone();
-        (response, completed)
+        (value, completed)
     }
 
     /// The slot for `key`, created under the write lock when absent.
-    fn slot(&self, key: u64) -> Arc<OnceLock<ModelResponse>> {
+    fn slot(&self, key: u64) -> Arc<OnceLock<V>> {
         if let Some(slot) = self.map.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
             return Arc::clone(slot);
         }
@@ -79,20 +76,43 @@ impl ResponseCache {
     }
 }
 
+/// A hub's caches: one per call kind that repeats within a run (grading,
+/// math classification, reranking, answering). The kinds issued once per
+/// input — question generation, trace distillation, quality scoring — keep
+/// none, since every entry would be written and never read.
+#[derive(Default)]
+pub struct ResponseCaches {
+    pub(crate) grades: ResponseCache<GradeResult>,
+    pub(crate) math_flags: ResponseCache<bool>,
+    pub(crate) relevance: ResponseCache<Vec<f64>>,
+    pub(crate) answers: ResponseCache<AnswerOutcome>,
+}
+
+impl ResponseCaches {
+    /// Distinct completions cached, over every kind.
+    pub fn len(&self) -> usize {
+        self.grades.len() + self.math_flags.len() + self.relevance.len() + self.answers.len()
+    }
+
+    /// True when nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::RoleOutput;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Barrier};
 
-    fn response(text: &str) -> ModelResponse {
-        ModelResponse { output: RoleOutput::Trace(text.to_string()), tokens_in: 1, tokens_out: 2 }
+    fn response(text: &str) -> String {
+        text.to_string()
     }
 
     #[test]
     fn stores_and_retrieves() {
-        let cache = ResponseCache::new();
+        let cache = ResponseCache::<String>::default();
         assert!(cache.is_empty());
         assert_eq!(
             cache.get_or_complete(7, || response("Answer: A")),
@@ -107,7 +127,7 @@ mod tests {
 
     #[test]
     fn a_panicking_completion_does_not_wedge_its_key() {
-        let cache = ResponseCache::new();
+        let cache = ResponseCache::<String>::default();
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_complete(5, || panic!("completion failed"))
         }));
@@ -122,7 +142,7 @@ mod tests {
 
     #[test]
     fn concurrent_use() {
-        let cache = ResponseCache::new();
+        let cache = ResponseCache::<String>::default();
         let completions = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -149,7 +169,7 @@ mod tests {
         // caller of the same key is on its way in: the second must take the
         // first's response (waiting for it if it arrives in time) rather
         // than complete the key again.
-        let cache = &ResponseCache::new();
+        let cache = &ResponseCache::<String>::default();
         let (started_tx, started_rx) = mpsc::channel();
         let (calling_tx, calling_rx) = mpsc::channel();
         let (go_tx, go_rx) = mpsc::channel::<()>();
@@ -176,7 +196,7 @@ mod tests {
 
     #[test]
     fn racing_first_touches_complete_once() {
-        let cache = ResponseCache::new();
+        let cache = ResponseCache::<String>::default();
         let start = Barrier::new(8);
         let completed: Vec<bool> = std::thread::scope(|s| {
             let racers: Vec<_> = (0..8)

@@ -199,10 +199,10 @@ pub fn resolve(card: &ModelCard, rates: &PipelineRates) -> Calibration {
 
 /// `MODEL_CARDS[i]`, nominally calibrated, for this crate's unit tests.
 #[cfg(test)]
-pub(crate) fn test_resolved_model(i: usize) -> std::sync::Arc<crate::answer::ResolvedModel> {
+pub(crate) fn test_resolved_model(i: usize) -> crate::answer::ResolvedModel {
     let card = crate::cards::MODEL_CARDS[i].clone();
     let cal = resolve(&card, &PipelineRates::nominal());
-    std::sync::Arc::new(crate::answer::ResolvedModel::new(card, cal))
+    crate::answer::ResolvedModel::new(card, cal)
 }
 
 #[cfg(test)]

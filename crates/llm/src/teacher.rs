@@ -14,7 +14,7 @@
 use mcqa_ontology::{realize, Fact, Ontology};
 use mcqa_util::KeyedStochastic;
 
-use crate::mcq::OPTION_LETTERS;
+use crate::mcq::{McqItem, OPTION_LETTERS};
 use crate::trace::TraceMode;
 
 /// Defects a generated question can carry.
@@ -122,20 +122,21 @@ impl TeacherModel {
         }
     }
 
-    /// Distil a reasoning trace for a question in `mode`, with the final
-    /// answer excluded (the paper's leakage control).
+    /// Distil a reasoning trace for an accepted question in `mode`, with
+    /// the final answer (the item's keyed option) excluded (the paper's
+    /// leakage control).
     ///
     /// The returned text never contains the correct option's string; a
     /// debug assertion and a scrubbing pass enforce this.
     pub fn generate_trace(
         &self,
         ontology: &Ontology,
-        question: &GeneratedQuestion,
+        question: &McqItem,
         mode: TraceMode,
     ) -> String {
         let reg = ontology.registry();
         let fact = ontology.fact(question.fact);
-        let answer_text = question.options[question.true_key].clone();
+        let answer_text = question.options[question.correct].clone();
 
         let (subject, topic_kw, verb) = match fact {
             Some(f) => (
@@ -153,7 +154,7 @@ impl TeacherModel {
             .options
             .iter()
             .enumerate()
-            .filter(|(i, _)| *i != question.true_key)
+            .filter(|(i, _)| *i != question.correct)
             .map(|(i, o)| (OPTION_LETTERS[i], o))
             .collect();
 
@@ -216,6 +217,7 @@ fn lowercase_first(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcq::BenchKind;
     use mcqa_ontology::OntologyConfig;
 
     fn ontology() -> Ontology {
@@ -225,6 +227,21 @@ mod tests {
             qualitative_facts: 400,
             quantitative_facts: 20,
         })
+    }
+
+    /// The item the pipeline keeps for an accepted `q`, keyed on its true
+    /// answer.
+    fn accepted(q: &GeneratedQuestion) -> McqItem {
+        McqItem {
+            qid: 0,
+            bench: BenchKind::Synthetic,
+            fact: q.fact,
+            stem: q.stem.clone(),
+            options: q.options.clone(),
+            correct: q.true_key,
+            difficulty: 0.5,
+            is_math: false,
+        }
     }
 
     #[test]
@@ -292,7 +309,7 @@ mod tests {
             let q = teacher.generate_question(&ont, fact, "c0");
             let answer = &q.options[q.true_key];
             for mode in TraceMode::ALL {
-                let t = teacher.generate_trace(&ont, &q, mode);
+                let t = teacher.generate_trace(&ont, &accepted(&q), mode);
                 assert!(
                     !t.contains(answer.as_str()),
                     "{mode:?} trace leaks answer {answer:?}: {t}"
@@ -312,7 +329,8 @@ mod tests {
         for fact in ont.facts().iter().take(50) {
             let q = teacher.generate_question(&ont, fact, "c0");
             for (i, mode) in TraceMode::ALL.iter().enumerate() {
-                totals[i] += mcqa_text::token_count(&teacher.generate_trace(&ont, &q, *mode));
+                totals[i] +=
+                    mcqa_text::token_count(&teacher.generate_trace(&ont, &accepted(&q), *mode));
             }
         }
         assert!(totals[0] > totals[1], "detailed > focused: {totals:?}");
@@ -326,7 +344,7 @@ mod tests {
         let teacher = TeacherModel::new(42);
         let q = teacher.generate_question(&ont, &ont.facts()[3], "c0");
         for mode in TraceMode::ALL {
-            let t = teacher.generate_trace(&ont, &q, mode);
+            let t = teacher.generate_trace(&ont, &accepted(&q), mode);
             let j = mcqa_text::similarity::token_jaccard(&q.stem, &t);
             assert!(j > 0.1, "{mode:?}: jaccard {j} too low for retrieval");
         }

@@ -17,6 +17,15 @@ impl TraceMode {
     /// All modes in canonical order.
     pub const ALL: [TraceMode; 3] = [TraceMode::Detailed, TraceMode::Focused, TraceMode::Efficient];
 
+    /// Position in [`TraceMode::ALL`].
+    pub fn index(self) -> usize {
+        match self {
+            TraceMode::Detailed => 0,
+            TraceMode::Focused => 1,
+            TraceMode::Efficient => 2,
+        }
+    }
+
     /// The vector-database name for this mode (the paper keeps one FAISS
     /// store per mode).
     pub fn db_name(self) -> &'static str {

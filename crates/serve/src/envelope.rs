@@ -1,7 +1,6 @@
 //! The one serving API surface: a typed request/response envelope.
 //!
-//! Mirrors the model layer's `ModelRequest`/`ModelResponse` redesign: one
-//! envelope type carries every retrieval call — batch eval replay and
+//! One envelope type carries every retrieval call — batch eval replay and
 //! online serving alike — so there is exactly one code path into the
 //! vector stores. A request names its source database, carries the query
 //! as text (encoded service-side through the dispatcher's encode memo)

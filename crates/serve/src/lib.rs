@@ -13,8 +13,7 @@
 //!
 //! * [`envelope`] — the one API surface: [`QueryRequest`] /
 //!   [`QueryResponse`] (with per-stage [`QueryTiming`]) and the
-//!   [`ServeError`] taxonomy, mirroring the model layer's
-//!   `ModelRequest`/`ModelResponse` redesign.
+//!   [`ServeError`] taxonomy.
 //! * [`service`] — [`QueryService`]: non-blocking admission with defined
 //!   backpressure ([`ServeError::Saturated`]), deadline-free dispatch that
 //!   coalesces queued submissions up to [`ServeConfig::max_batch`]

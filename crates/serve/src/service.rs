@@ -494,15 +494,11 @@ impl Dispatcher {
         if let Some((rr, ps)) = rescore {
             // Missing passages score as empty text (relevance 0) rather
             // than failing the whole request: ordering stays total.
-            let prompts: Vec<(&str, Vec<String>)> = texts
+            let prompts: Vec<(&str, Vec<&str>)> = texts
                 .iter()
                 .zip(&hits)
                 .map(|(t, hits)| {
-                    let passages: Vec<String> = hits
-                        .iter()
-                        .map(|h| ps.get(source, h.id).unwrap_or("").to_string())
-                        .collect();
-                    (t.as_str(), passages)
+                    (t.as_str(), hits.iter().map(|h| ps.get(source, h.id).unwrap_or("")).collect())
                 })
                 .collect();
             let scores = rr.score_batch(&self.exec, &prompts);

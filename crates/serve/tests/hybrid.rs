@@ -156,10 +156,8 @@ fn offline_hybrid(
     let mut fused = Fusion.fuse(&dense, &lexical, k);
     if rerank {
         let rr = Reranker::new(Arc::clone(&fix.hub), 42);
-        let ps: Vec<String> = fused
-            .iter()
-            .map(|h| fix.passages.get("chunks", h.id).unwrap_or("").to_string())
-            .collect();
+        let ps: Vec<&str> =
+            fused.iter().map(|h| fix.passages.get("chunks", h.id).unwrap_or("")).collect();
         let scores = rr.score_batch(Executor::global(), &[(text, ps)]);
         for (h, &s) in fused.iter_mut().zip(&scores[0]) {
             h.score = s as f32;

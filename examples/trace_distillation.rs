@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_distillation
 //! ```
 
-use distllm::llm::context::{assemble, question_tokens};
+use distllm::llm::context::assemble;
 use distllm::llm::{Passage, PassageSource};
 use distllm::prelude::*;
 
@@ -40,7 +40,7 @@ fn main() {
     // A passage carries its token count: the chunk record already holds
     // one, the trace is counted here.
     let chunk_passage = Passage::new(
-        source_chunk.text.clone(),
+        &source_chunk.text,
         source_chunk.tokens,
         PassageSource::Chunk,
         Some(item.fact),
@@ -53,13 +53,13 @@ fn main() {
         .expect("trace exists")
         .trace;
     let trace_passage = Passage::new(
-        trace_text.clone(),
+        trace_text,
         distllm::text::token_count(trace_text),
         PassageSource::Trace(TraceMode::Efficient),
         Some(item.fact),
         1.0,
     );
-    let q_tokens = question_tokens(item);
+    let q_tokens = item.prompt_tokens();
 
     println!("\n== context-window truncation (the small-model mechanism) ==");
     println!(
