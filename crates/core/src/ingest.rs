@@ -175,6 +175,11 @@ pub struct IngestCensus {
     pub tombstones_dense: usize,
     /// Documents tombstoned across the lexical siblings by this pass.
     pub tombstones_lexical: usize,
+    /// Rows moved to a new id in place across the dense stores (a
+    /// replayed question whose id shifted keeps its rows).
+    pub rekeyed_dense: usize,
+    /// Documents moved to a new id in place across the lexical siblings.
+    pub rekeyed_lexical: usize,
     /// Stores compacted after exceeding the tombstone threshold.
     pub compactions: usize,
 }
@@ -205,6 +210,8 @@ impl IngestCensus {
             ("chunks_rerun", self.chunks_rerun),
             ("tombstones_dense", self.tombstones_dense),
             ("tombstones_lexical", self.tombstones_lexical),
+            ("rekeyed_dense", self.rekeyed_dense),
+            ("rekeyed_lexical", self.rekeyed_lexical),
             ("compactions", self.compactions),
         ]
     }
@@ -322,6 +329,6 @@ mod tests {
         let lines = census.lines();
         assert_eq!(lines[0], ("docs_scanned", 100));
         assert!(lines.iter().any(|&(k, v)| k == "docs_skipped" && v == 95));
-        assert_eq!(lines.len(), 11);
+        assert_eq!(lines.len(), 13);
     }
 }

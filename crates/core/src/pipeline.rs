@@ -5,8 +5,10 @@
 //! hashed, its id-sorted address table is merged against the previous
 //! run's [`IngestManifest`] (empty on a cold build, so everything
 //! classifies as added), and only the chunk→embed→question slices the
-//! [`ChangeSet`](crate::ingest::ChangeSet) touches are re-run. Unchanged slices replay from the previous output; stale index
-//! rows are tombstoned and fresh rows upserted in place. There is no
+//! [`ChangeSet`](crate::ingest::ChangeSet) touches are re-run. Unchanged
+//! slices replay from the previous output; stale index rows are
+//! tombstoned, rows whose question id shifted move to the new id in
+//! place, and fresh rows are appended. There is no
 //! second bookkeeping path: a full rebuild is the all-added degenerate
 //! case of the incremental plan.
 
@@ -39,20 +41,34 @@ fn over_tombstone_threshold(tombstones: usize, live: usize) -> bool {
     tombstones * 4 > live.max(1)
 }
 
+/// One round's edit of one retrieval source, applied to the dense store
+/// and its `lex-` sibling alike (both are keyed by the same ids).
+struct SourceEdit<'a> {
+    /// Previous-round ids whose rows are gone.
+    dead: &'a [u64],
+    /// Rows that stay but whose id shifted, old id → new id.
+    moves: &'a HashMap<u64, u64>,
+    /// Fresh rows for the dense store, in ascending id order.
+    vectors: &'a [(u64, Vec<f32>)],
+    /// The same rows' texts for the sibling.
+    texts: &'a [(u64, &'a str)],
+}
+
 /// Bring one retrieval source — the dense store `name` and its `lex-`
-/// sibling — up to date: compact what the previous round left tombstoned,
-/// tombstone the rows of `dead` ids, add the fresh `vectors` / `texts`,
-/// compact a side once its tombstones pass the threshold. A cold build is
-/// the same plan with nothing registered and nothing dead: the dense store
-/// is bulk-loaded (which is where IVF / PQ train) and the sibling starts
-/// empty. One `index-<name>` and one `index-lex-<name>` stage row either
-/// way (items = rows added, out = live rows afterwards).
+/// sibling — up to date with `edit`: compact what the previous round left
+/// tombstoned, tombstone the rows of the dead ids, move the shifted rows
+/// to their new ids in place ([`VectorStore::rekey`]), add the fresh
+/// rows, and compact a side once its tombstones pass the threshold. A
+/// move that finds no live row is a wiring bug and panics. A cold build
+/// is the same plan with nothing registered, dead or moved: the dense
+/// store is bulk-loaded (which is where IVF / PQ train) and the sibling
+/// starts empty. One `index-<name>` and one `index-lex-<name>` stage row
+/// either way (items = rows added, out = live rows afterwards).
 ///
 /// The start-of-round compaction keeps a round's input what a decode of
 /// the previous registry's tombstone-free wire format would be, so the
 /// threshold only ever sees this round's tombstones. It is not counted in
 /// `census.compactions`.
-#[allow(clippy::too_many_arguments)]
 fn refresh_source(
     config: &PipelineConfig,
     exec: &Executor,
@@ -60,9 +76,7 @@ fn refresh_source(
     census: &mut IngestCensus,
     report: &mut RunReport,
     name: &str,
-    dead: &[u64],
-    vectors: &[(u64, Vec<f32>)],
-    texts: &[(u64, &str)],
+    edit: SourceEdit<'_>,
 ) {
     let t = ScopeTimer::start("index");
     match indexes.get_mut(name) {
@@ -74,13 +88,16 @@ fn refresh_source(
                 Metric::Cosine,
                 Precision::F16,
                 exec,
-                vectors,
+                edit.vectors,
             ),
         ),
         Some(store) => {
             store.compact(exec);
-            census.tombstones_dense += store.remove(dead);
-            store.add_batch(exec, vectors);
+            census.tombstones_dense += store.remove(edit.dead);
+            let moved = store.rekey(edit.moves);
+            assert_eq!(moved, edit.moves.len(), "{name}: a re-key found no live row");
+            census.rekeyed_dense += moved;
+            store.add_batch(exec, edit.vectors);
             if over_tombstone_threshold(store.tombstones(), store.len()) {
                 store.compact(exec);
                 census.compactions += 1;
@@ -89,7 +106,7 @@ fn refresh_source(
     }
     report.add(StageMetrics::single(
         &format!("index-{name}"),
-        vectors.len(),
+        edit.vectors.len(),
         indexes.expect_store(name).len(),
         t.elapsed_secs(),
     ));
@@ -103,15 +120,18 @@ fn refresh_source(
     }
     let lex = indexes.expect_lexical_mut(&sibling);
     lex.compact();
-    census.tombstones_lexical += lex.remove(dead);
-    lex.add_batch(exec, texts);
+    census.tombstones_lexical += lex.remove(edit.dead);
+    let moved = lex.rekey(edit.moves);
+    assert_eq!(moved, edit.moves.len(), "{sibling}: a re-key found no live document");
+    census.rekeyed_lexical += moved;
+    lex.add_batch(exec, edit.texts);
     if over_tombstone_threshold(lex.tombstones(), lex.len()) {
         lex.compact();
         census.compactions += 1;
     }
     report.add(StageMetrics::single(
         &format!("index-lex-{name}"),
-        texts.len(),
+        edit.texts.len(),
         lex.len(),
         t.elapsed_secs(),
     ));
@@ -139,13 +159,6 @@ pub struct PipelineOutput {
     pub candidates: usize,
     /// Reasoning-trace records (Figure-3 schema), 3 per accepted question.
     pub traces: Vec<TraceRecord>,
-    /// Per-mode trace embeddings in question-id order
-    /// (`trace_vectors[mode-index][qid]`, mode index as in
-    /// [`TraceMode::ALL`]). Trace text — and therefore its embedding —
-    /// depends only on question content, so an incremental re-run re-keys
-    /// a shifted question's store rows from these instead of re-encoding
-    /// three unchanged traces per shifted id.
-    pub trace_vectors: Vec<Vec<Vec<f32>>>,
     /// The paper's four vector databases behind one registry, all built
     /// with the backend `config.index` selects: [`CHUNKS_STORE`] keyed by
     /// `chunk_id` plus one [`TraceMode::db_name`] store per mode keyed by
@@ -238,9 +251,9 @@ impl Pipeline {
     /// Unchanged chunks replay their memoized generation outcome. The
     /// stores start from an in-memory copy of `prev`'s registry, each
     /// compacted of the tombstones `prev`'s round left; index rows for
-    /// removed/modified slices are then tombstoned and fresh rows
-    /// upserted, compacting once this round's tombstones exceed the
-    /// threshold.
+    /// removed/modified slices are then tombstoned, replayed questions'
+    /// trace rows re-keyed to their shifted ids, and fresh rows appended,
+    /// compacting once this round's tombstones exceed the threshold.
     ///
     /// `config` must equal `prev.config` in every field but `workers`
     /// (no artifact depends on the worker count). Replayed chunks, vectors
@@ -425,6 +438,8 @@ impl Pipeline {
             .unwrap_or_default();
         let chunk_texts: Vec<(u64, &str)> =
             gen_chunks.iter().map(|c| (c.chunk_id, c.text.as_str())).collect();
+        // Chunk ids are content addresses (document, index in document),
+        // so no surviving chunk's id ever shifts.
         refresh_source(
             config,
             &exec,
@@ -432,9 +447,12 @@ impl Pipeline {
             &mut census,
             &mut report,
             CHUNKS_STORE,
-            &dead_chunk_ids,
-            &chunk_vectors,
-            &chunk_texts,
+            SourceEdit {
+                dead: &dead_chunk_ids,
+                moves: &HashMap::new(),
+                vectors: &chunk_vectors,
+                texts: &chunk_texts,
+            },
         );
         drop(chunk_vectors);
         drop(chunk_texts);
@@ -588,17 +606,17 @@ impl Pipeline {
         }
 
         // Merge in chunk-id order — the acceptance order a cold build
-        // walks — renumbering question and trace ids densely. `identical`
-        // marks replayed questions whose id did not shift: their rows in
-        // the trace stores are already correct and stay untouched.
+        // walks — renumbering question and trace ids densely. A replayed
+        // question keeps its rows in the trace stores: `replayed` marks its
+        // previous id live, and `moves` relabels that id when it shifted.
+        // `fresh[qid]` marks the questions generated this round, the only
+        // ones whose traces are embedded and indexed.
         let mut questions: Vec<QuestionRecord> = Vec::new();
         let mut items: Vec<McqItem> = Vec::new();
         let mut traces: Vec<TraceRecord> = Vec::new();
-        let mut identical: Vec<bool> = Vec::new();
-        // `prev_qids[qid]` = the question's id in the previous run (None
-        // for freshly generated questions) — the key its reusable trace
-        // vectors live under in `prev.trace_vectors`.
-        let mut prev_qids: Vec<Option<u64>> = Vec::new();
+        let mut fresh: Vec<bool> = Vec::new();
+        let mut replayed = vec![false; prev.map_or(0, |p| p.items.len())];
+        let mut moves: HashMap<u64, u64> = HashMap::new();
         for chunk in &chunks {
             let cid = chunk.chunk_id;
             let (mut record, mut item, texts, old_qid) = if fresh_ids.contains(&cid) {
@@ -623,8 +641,13 @@ impl Pipeline {
             let qid = questions.len() as u64;
             record.question_id = qid;
             item.qid = qid;
-            identical.push(old_qid == Some(qid));
-            prev_qids.push(old_qid);
+            fresh.push(old_qid.is_none());
+            if let Some(old) = old_qid {
+                replayed[old as usize] = true;
+                if old != qid {
+                    moves.insert(old, qid);
+                }
+            }
             for (mi, text) in texts.into_iter().enumerate() {
                 traces.push(TraceRecord {
                     trace_id: qid * trace_stride as u64 + mi as u64,
@@ -640,73 +663,27 @@ impl Pipeline {
             questions.push(record);
         }
 
-        // Stage 7: embed the traces no previous vector exists for — all of
-        // them on a cold build, only fresh questions' on an incremental
-        // run. A replayed question's traces are verbatim replays, so even
-        // when its dense id shifted (forcing re-keyed store rows) the
-        // previous run's vectors are reused instead of re-encoded.
-        let to_embed: Vec<usize> = traces
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| prev_qids[i / trace_stride].is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let (trace_embed_results, trace_embed_metrics) =
-            run_stage(&exec, "embed-traces", to_embed, |i| {
-                let tr = &traces[i];
-                (tr.mode, tr.question_id, encoder.encode(&tr.trace))
-            });
-        let mut fresh_vecs: HashMap<(usize, u64), Vec<f32>> = HashMap::new();
-        for (mode, qid, v) in trace_embed_results {
-            let mi = TraceMode::ALL.iter().position(|m| *m == mode).expect("known mode");
-            fresh_vecs.insert((mi, qid), v);
-        }
+        // Stage 7: embed the fresh questions' traces — all of them on a
+        // cold build. A replayed question's rows stay in the stores, so
+        // its traces are neither re-encoded nor re-tokenised.
+        let to_embed: Vec<usize> = (0..traces.len()).filter(|i| fresh[i / trace_stride]).collect();
+        let (embedded, trace_embed_metrics) =
+            run_stage(&exec, "embed-traces", to_embed, |i| (i, encoder.encode(&traces[i].trace)));
         report.add(trace_embed_metrics);
 
-        // Assemble, per mode: the rows whose store key must change
-        // (`mode_vectors`, ascending qid — the cold build's insertion
-        // order) and the full vector table the next incremental run reuses
-        // (`trace_vectors`).
-        let mut mode_vectors: Vec<Vec<(u64, Vec<f32>)>> =
-            (0..trace_stride).map(|_| Vec::with_capacity(items.len())).collect();
-        let mut trace_vectors: Vec<Vec<Vec<f32>>> =
-            (0..trace_stride).map(|_| Vec::with_capacity(items.len())).collect();
-        for qid in 0..items.len() as u64 {
-            let old = prev_qids[qid as usize];
-            for mi in 0..trace_stride {
-                let v = match old {
-                    Some(pq) => {
-                        prev.expect("replay implies prev").trace_vectors[mi][pq as usize].clone()
-                    }
-                    None => fresh_vecs.remove(&(mi, qid)).expect("fresh trace was embedded"),
-                };
-                if old != Some(qid) {
-                    mode_vectors[mi].push((qid, v.clone()));
-                }
-                trace_vectors[mi].push(v);
-            }
+        // Per mode, the fresh rows and texts in ascending qid — the cold
+        // build's insertion order (a trace's position encodes its mode).
+        let mut mode_vectors: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); trace_stride];
+        let mut mode_texts: Vec<Vec<(u64, &str)>> = vec![Vec::new(); trace_stride];
+        for (i, v) in embedded {
+            let tr = &traces[i];
+            mode_vectors[i % trace_stride].push((tr.question_id, v));
+            mode_texts[i % trace_stride].push((tr.question_id, tr.trace.as_str()));
         }
-
-        // Previous-run question ids whose rows are stale: everything not
-        // replayed in place. Removed FIRST across every trace store, so a
-        // shifted id's old row can never mask its re-inserted one.
-        let dead_qids: Vec<u64> = prev
-            .map(|p| {
-                (0..p.items.len() as u64)
-                    .filter(|q| {
-                        let q = *q as usize;
-                        !(q < identical.len() && identical[q])
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        for (mode, vectors) in TraceMode::ALL.iter().zip(&mode_vectors) {
-            let texts: Vec<(u64, &str)> = traces
-                .iter()
-                .filter(|tr| tr.mode == *mode && !identical[tr.question_id as usize])
-                .map(|tr| (tr.question_id, tr.trace.as_str()))
-                .collect();
+        // Previous-round question ids whose question is gone.
+        let dead_qids: Vec<u64> =
+            (0..replayed.len() as u64).filter(|&q| !replayed[q as usize]).collect();
+        for (mi, mode) in TraceMode::ALL.iter().enumerate() {
             refresh_source(
                 config,
                 &exec,
@@ -714,9 +691,12 @@ impl Pipeline {
                 &mut census,
                 &mut report,
                 mode.db_name(),
-                &dead_qids,
-                vectors,
-                &texts,
+                SourceEdit {
+                    dead: &dead_qids,
+                    moves: &moves,
+                    vectors: &mode_vectors[mi],
+                    texts: &mode_texts[mi],
+                },
             );
         }
 
@@ -730,7 +710,6 @@ impl Pipeline {
             items,
             candidates,
             traces,
-            trace_vectors,
             indexes: Arc::new(indexes),
             models,
             report,
@@ -744,7 +723,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcqa_corpus::EditBatch;
+    use mcqa_corpus::{EditBatch, EditOp};
 
     fn tiny_output() -> &'static PipelineOutput {
         static OUT: std::sync::OnceLock<PipelineOutput> = std::sync::OnceLock::new();
@@ -1052,6 +1031,57 @@ mod tests {
         let mut config = prev.config.clone();
         config.chunker.max_tokens += 1;
         Pipeline::run_incremental(&config, prev, Arc::clone(&prev.library));
+    }
+
+    #[test]
+    fn removing_the_first_anchoring_document_moves_every_later_question() {
+        // Question ids are positions in the accepted list, so retracting
+        // the lowest-id document that anchors a question shifts every
+        // later question. Only that document's rows are tombstoned; every
+        // other trace row moves to its new id in place, so no store
+        // crosses the compaction threshold.
+        let prev = tiny_output();
+        let doc = prev.questions[0].provenance.doc_id;
+        let chunks = prev.chunks.iter().filter(|c| c.doc.0 == doc).count();
+        let questions = prev.questions.iter().filter(|q| q.provenance.doc_id == doc).count();
+        let mut library = (*prev.library).clone();
+        let remove = EditOp::Remove { id: DocId(doc) };
+        library.apply_edits(&prev.ontology, &EditBatch { ops: vec![remove], seed: 1 });
+        let library = Arc::new(library);
+        let inc = Pipeline::run_incremental(&prev.config, prev, Arc::clone(&library));
+        let full = Pipeline::run_full(&prev.config, Arc::clone(&prev.ontology), library);
+
+        let c = &inc.ingest;
+        let stride = TraceMode::ALL.len();
+        assert_eq!(c.docs_removed, 1, "{c:?}");
+        assert_eq!(c.tombstones_dense, chunks + stride * questions, "{c:?}");
+        assert_eq!(c.tombstones_lexical, c.tombstones_dense, "{c:?}");
+        let shifted = prev.questions.len() - questions;
+        assert!(shifted > 0, "the fixture must have later questions");
+        assert_eq!((c.rekeyed_dense, c.rekeyed_lexical), (stride * shifted, stride * shifted));
+        assert_eq!(c.compactions, 0, "{c:?}");
+
+        assert_eq!(inc.chunks, full.chunks);
+        assert_eq!(inc.questions, full.questions);
+        assert_eq!(inc.items, full.items);
+        assert_eq!(inc.traces, full.traces);
+        assert_eq!(inc.manifest, full.manifest);
+        let probes = ["proton therapy dose", "gene expression pathway", "tumour margin imaging"];
+        for name in inc.indexes.names() {
+            let (a, b) = (inc.indexes.expect_store(name), full.indexes.expect_store(name));
+            assert_eq!(a.len(), b.len(), "{name}");
+            for p in probes {
+                let q = inc.encoder.encode(p);
+                assert_eq!(a.search(&q, 10), b.search(&q, 10), "{name} {p:?}");
+            }
+        }
+        for name in inc.indexes.lexical_names() {
+            let (a, b) = (inc.indexes.expect_lexical(name), full.indexes.expect_lexical(name));
+            assert_eq!(a.len(), b.len(), "{name}");
+            for p in probes {
+                assert_eq!(a.search(p, 10), b.search(p, 10), "{name} {p:?}");
+            }
+        }
     }
 
     #[test]

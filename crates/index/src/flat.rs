@@ -15,6 +15,8 @@
 //! [`Metric::score`] and fully sorting (the property suite in
 //! `tests/kernel.rs` holds every path to that oracle).
 
+use std::collections::HashMap;
+
 use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
 use mcqa_runtime::{run_stage, Executor};
 
@@ -216,6 +218,10 @@ impl VectorStore for FlatIndex {
 
     fn remove(&mut self, ids: &[u64]) -> usize {
         self.dead.kill(self.ids.iter().copied(), &ids.iter().copied().collect())
+    }
+
+    fn rekey(&mut self, moves: &HashMap<u64, u64>) -> usize {
+        self.dead.rekey(&mut self.ids, moves)
     }
 
     fn tombstones(&self) -> usize {

@@ -18,11 +18,14 @@
 //! HNSW edges depend on insertion history. This is the documented
 //! exception to the mutation surface's rebuild-equivalence contract
 //! (see [`VectorStore::upsert`]); recall properties are unaffected.
+//! [`VectorStore::rekey`] relabels nodes and leaves the graph alone, so
+//! search returns the same neighbours under their new ids; a node keeps
+//! the level its old id drew until a compaction rebuilds it.
 
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::codec::{decode_metric, encode_metric, put_f32s, put_u32, put_u64, Reader};
 use crate::metric::Metric;
@@ -426,6 +429,10 @@ impl VectorStore for HnswIndex {
 
     fn remove(&mut self, ids: &[u64]) -> usize {
         self.dead.kill(self.nodes.iter().map(|n| n.id), &ids.iter().copied().collect())
+    }
+
+    fn rekey(&mut self, moves: &HashMap<u64, u64>) -> usize {
+        self.dead.rekey(self.nodes.iter_mut().map(|n| &mut n.id), moves)
     }
 
     fn tombstones(&self) -> usize {

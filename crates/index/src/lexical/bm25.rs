@@ -43,12 +43,14 @@
 //! wire format is always tombstone-free) rewrites postings without the
 //! dead documents.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use mcqa_runtime::{run_stage, Executor};
 use mcqa_text::{for_each_content_token, TermId, Vocabulary};
 use mcqa_util::codec::{put_u32, put_varint, unzigzag, zigzag, Reader};
 use mcqa_util::{SearchResult, TopK};
+
+use crate::tombstones::Tombstones;
 
 /// Okapi BM25 parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,8 +101,7 @@ pub struct LexicalIndex {
     /// Per-document tombstones, parallel to `docs`. Per entry rather than
     /// per id so an upsert (tombstone + re-append the same id) never
     /// masks the new live document. Never serialised.
-    dead: Vec<bool>,
-    dead_count: usize,
+    dead: Tombstones,
     /// Content-token lengths of tombstoned documents, for `avgdl`
     /// correction.
     dead_tokens: u64,
@@ -178,15 +179,14 @@ impl LexicalIndex {
             postings: Vec::new(),
             docs: Vec::new(),
             total_tokens: 0,
-            dead: Vec::new(),
-            dead_count: 0,
+            dead: Tombstones::default(),
             dead_tokens: 0,
         }
     }
 
     /// Number of live (non-tombstoned) indexed documents.
     pub fn len(&self) -> usize {
-        self.docs.len() - self.dead_count
+        self.docs.len() - self.dead.count()
     }
 
     /// True when no live documents are indexed.
@@ -227,10 +227,10 @@ impl LexicalIndex {
             }
             self.vocab.record_document(&distinct);
             self.docs.push(DocEntry { id, len });
-            self.dead.push(false);
             self.total_tokens += u64::from(len);
             first = end;
         }
+        self.dead.grow_to(self.docs.len());
     }
 
     /// Tombstone the documents stored under `ids`: they stop appearing in
@@ -239,19 +239,29 @@ impl LexicalIndex {
     /// serialisation. Unknown (or already tombstoned) ids are ignored.
     /// Returns the number of documents newly tombstoned.
     pub fn remove(&mut self, ids: &[u64]) -> usize {
-        let targets: std::collections::HashSet<u64> = ids.iter().copied().collect();
-        let mut removed = 0usize;
-        let mut removed_tokens = 0u64;
-        for (d, dead) in self.docs.iter().zip(self.dead.iter_mut()) {
-            if !*dead && targets.contains(&d.id) {
-                *dead = true;
-                removed += 1;
-                removed_tokens += u64::from(d.len);
-            }
+        let targets: HashSet<u64> = ids.iter().copied().collect();
+        let removed = self.dead.kill(self.docs.iter().map(|d| d.id), &targets);
+        if removed > 0 {
+            self.dead_tokens = self
+                .docs
+                .iter()
+                .zip(self.dead.flags())
+                .filter(|(_, &dead)| dead)
+                .map(|(d, _)| u64::from(d.len))
+                .sum();
         }
-        self.dead_count += removed;
-        self.dead_tokens += removed_tokens;
         removed
+    }
+
+    /// Relabel documents in place, as [`crate::VectorStore::rekey`] does
+    /// rows: every live document stored under a key of `moves` (old id →
+    /// new id) takes the mapped id, all moves at once; tombstoned
+    /// documents keep theirs. Postings, lengths and term statistics do
+    /// not depend on a document's id, so search afterwards equals a
+    /// rebuild over the relabelled live documents. Returns the number of
+    /// documents relabelled.
+    pub fn rekey(&mut self, moves: &HashMap<u64, u64>) -> usize {
+        self.dead.rekey(self.docs.iter_mut().map(|d| &mut d.id), moves)
     }
 
     /// Replace-or-insert: tombstone any existing documents under the item
@@ -266,7 +276,7 @@ impl LexicalIndex {
 
     /// Number of tombstoned documents still resident in the postings.
     pub fn tombstones(&self) -> usize {
-        self.dead_count
+        self.dead.count()
     }
 
     /// Rewrite postings without the tombstoned documents (a no-op when
@@ -275,7 +285,7 @@ impl LexicalIndex {
     /// is invisible to search (accumulation is string-ordered and `df`
     /// counts live postings).
     pub fn compact(&mut self) {
-        if self.dead_count > 0 {
+        if self.dead.count() > 0 {
             *self = self.live_view();
         }
     }
@@ -287,8 +297,8 @@ impl LexicalIndex {
     /// surviving lists.
     fn live_view(&self) -> Self {
         let mut remap = vec![u32::MAX; self.docs.len()];
-        let mut docs = Vec::with_capacity(self.docs.len() - self.dead_count);
-        for (i, (d, &dead)) in self.docs.iter().zip(&self.dead).enumerate() {
+        let mut docs = Vec::with_capacity(self.len());
+        for (i, (d, &dead)) in self.docs.iter().zip(self.dead.flags()).enumerate() {
             if !dead {
                 remap[i] = docs.len() as u32;
                 docs.push(*d);
@@ -315,8 +325,7 @@ impl LexicalIndex {
             postings,
             docs,
             total_tokens: self.total_tokens - self.dead_tokens,
-            dead: vec![false; n_docs],
-            dead_count: 0,
+            dead: Tombstones::all_live(n_docs),
             dead_tokens: 0,
         }
     }
@@ -379,13 +388,14 @@ impl LexicalIndex {
         let avgdl = (self.total_tokens - self.dead_tokens) as f64 / n;
         let Bm25Params { k1, b } = self.params;
         let (k1, b) = (f64::from(k1), f64::from(b));
+        let dead = self.dead.flags();
         let mut scores: HashMap<u32, f64> = HashMap::new();
         for (_, tid) in qterms {
             let list = &self.postings[tid.0 as usize];
-            let df = if self.dead_count == 0 {
+            let df = if self.dead.count() == 0 {
                 list.len()
             } else {
-                list.iter().filter(|p| !self.dead[p.doc as usize]).count()
+                list.iter().filter(|p| !dead[p.doc as usize]).count()
             } as f64;
             if df == 0.0 {
                 continue; // every posting tombstoned: no live evidence
@@ -393,7 +403,7 @@ impl LexicalIndex {
             // Lucene's non-negative Okapi idf.
             let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
             for p in list {
-                if self.dead[p.doc as usize] {
+                if dead[p.doc as usize] {
                     continue;
                 }
                 let tf = f64::from(p.tf);
@@ -440,7 +450,7 @@ impl LexicalIndex {
     /// delta-zigzag-varint coded in insertion order; each term's posting
     /// list delta-varint codes its (strictly increasing) doc indices.
     pub fn to_bytes(&self) -> Vec<u8> {
-        if self.dead_count > 0 {
+        if self.dead.count() > 0 {
             return self.live_view().to_bytes();
         }
         let mut out = Vec::new();
@@ -532,8 +542,7 @@ impl LexicalIndex {
             postings,
             docs,
             total_tokens,
-            dead: vec![false; ndocs],
-            dead_count: 0,
+            dead: Tombstones::all_live(ndocs),
             dead_tokens: 0,
         })
     }

@@ -38,7 +38,8 @@
 //! [`VectorStore::add_batch`] (parallel build on a caller-supplied
 //! [`Executor`]), [`VectorStore::search`] / [`VectorStore::search_batch`],
 //! the incremental-ingest mutation surface — [`VectorStore::remove`]
-//! (tombstones), [`VectorStore::upsert`], and [`VectorStore::compact`]
+//! (tombstones), [`VectorStore::rekey`] (relabels rows in place),
+//! [`VectorStore::upsert`], and [`VectorStore::compact`]
 //! (rewrites the storage once tombstones accumulate) — and
 //! [`VectorStore::to_bytes`] persistence (decoded back through
 //! [`decode_store`], which dispatches on each format's magic tag; the
@@ -83,6 +84,8 @@ pub use spec::{
     build_store, build_store_from_vectors, decode_store, peek_store_header, IndexSpec, StoreHeader,
 };
 
+use std::collections::HashMap;
+
 use mcqa_runtime::{run_stage, Executor};
 
 /// The shared hit type and its canonical ordering now live in
@@ -105,6 +108,12 @@ pub(crate) fn panel_rows(dim: usize) -> usize {
 ///
 /// `Send + Sync` are supertraits: stores are built once and then shared
 /// read-only across the runtime pool's workers.
+///
+/// An incremental round mutates a copy of each store in a fixed order:
+/// [`VectorStore::remove`] tombstones the rows that are gone,
+/// [`VectorStore::rekey`] moves the rows whose id shifted, and
+/// [`VectorStore::add_batch`] appends the fresh rows;
+/// [`VectorStore::compact`] drops the tombstones once they pile up.
 pub trait VectorStore: Send + Sync {
     /// Add a vector under an external id. For trainable backends (IVF)
     /// this panics until [`VectorStore::train`] has run.
@@ -161,6 +170,23 @@ pub trait VectorStore: Send + Sync {
     /// (or already tombstoned) are ignored. Returns the number of rows
     /// newly tombstoned.
     fn remove(&mut self, ids: &[u64]) -> usize;
+
+    /// Relabel rows in place: every live row stored under a key of
+    /// `moves` (old id → new id) takes the mapped id. All moves apply at
+    /// once, so swaps, cycles and shift-by-one chains are safe; tombstoned
+    /// rows keep their ids, and a key no live row carries is ignored.
+    /// Vectors, list assignments, PQ codes, graph links and the panel
+    /// cache stay where they are — only the id column changes. Returns the
+    /// number of rows relabelled.
+    ///
+    /// The caller keeps live ids unique: a move onto an id that a live
+    /// row keeps would leave two rows under it. On flat, IVF and PQ,
+    /// search afterwards is bit-identical to removing the moved rows and
+    /// re-adding their vectors under the new ids (scores are per row, ties
+    /// break by id); HNSW returns the same neighbours with their ids
+    /// mapped. Storage order no longer follows id order, which the wire
+    /// formats carry as is.
+    fn rekey(&mut self, moves: &HashMap<u64, u64>) -> usize;
 
     /// Replace-or-insert: tombstone any existing rows under the item ids,
     /// then bulk-insert the new vectors through

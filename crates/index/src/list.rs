@@ -33,7 +33,7 @@
 //! results merge through the shared `TopK` order — bit-identical to
 //! sequential per-query search at any worker count.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use mcqa_embed::{PanelBudget, PanelCache};
 use mcqa_runtime::{run_stage, Executor};
@@ -499,6 +499,10 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
     fn remove(&mut self, ids: &[u64]) -> usize {
         let targets: HashSet<u64> = ids.iter().copied().collect();
         self.lists.iter_mut().map(|l| l.dead.kill(l.ids.iter().copied(), &targets)).sum()
+    }
+
+    fn rekey(&mut self, moves: &HashMap<u64, u64>) -> usize {
+        self.lists.iter_mut().map(|l| l.dead.rekey(&mut l.ids, moves)).sum()
     }
 
     fn tombstones(&self) -> usize {

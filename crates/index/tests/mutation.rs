@@ -1,7 +1,7 @@
 //! Property tests for the mutation surface the incremental planner
-//! drives: random edit sequences (upsert / remove / compact) over every
-//! mutable index family must leave search results identical to an index
-//! holding only the final live set.
+//! drives: random edit sequences (upsert / remove / re-key / compact)
+//! over every mutable index family must leave search results identical
+//! to an index holding only the final live set.
 //!
 //! The reference differs per family, matching the determinism contract:
 //!
@@ -13,18 +13,22 @@
 //!   trained coarse structure. A from-scratch rebuild would retrain
 //!   k-means on the edited collection and legitimately rank differently;
 //! * **hnsw** — the same decode, once no tombstones remain (its graph
-//!   depends on insertion history, so only the live rebuild is canonical).
+//!   depends on insertion history, so only the live rebuild is canonical);
+//!   across a re-key, its own pre-re-key results with the ids mapped.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mcqa_embed::Precision;
 use mcqa_index::lexical::{Bm25Params, LexicalIndex};
 use mcqa_index::{build_store_from_vectors, decode_store, IndexSpec, Metric};
 use mcqa_runtime::Executor;
-use mcqa_util::KeyedStochastic;
+use mcqa_util::{sort_hits, KeyedStochastic, SearchResult};
 use proptest::prelude::*;
 
 const DIM: usize = 8;
+
+/// Lexical probe queries.
+const PROBES: [&str; 4] = ["proton dose", "gene pathway kinase", "tumour margin imaging", "trial"];
 
 /// A deterministic unit-free vector keyed by (tag, id).
 fn vector(rng: &KeyedStochastic, tag: &str, id: u64) -> Vec<f32> {
@@ -62,9 +66,70 @@ fn text(rng: &KeyedStochastic, tag: &str, id: u64) -> String {
 
 /// The shared edit-sequence shape: at step `s`, op 0 = upsert a small
 /// batch (half fresh ids, half overwrites), op 1 = remove a prefix of the
-/// live set (possibly all of it), op 2 = compact.
+/// live set (possibly all of it), op 2 = compact, op 3 = re-key (see
+/// [`rekey_step`]).
 fn op_at(rng: &KeyedStochastic, s: usize) -> usize {
-    rng.below(3, &["op", &s.to_string()])
+    rng.below(4, &["op", &s.to_string()])
+}
+
+/// A re-key step over the sorted `live` ids: one live id `x` to tombstone
+/// first, then the moves, in one of three shapes — a swap, a 3-cycle, or
+/// the shift-by-one chain an ingest round makes when `x`'s question goes
+/// (every later id moves down one, the first onto `x`, which its dead row
+/// still carries). Every shape also moves `x` itself, whose only row is
+/// dead by then, so that move must be ignored. `None` and no moves when
+/// nothing is live.
+fn rekey_step(
+    rng: &KeyedStochastic,
+    s: usize,
+    live: &[u64],
+    next_id: &mut u64,
+) -> (Option<u64>, HashMap<u64, u64>) {
+    let st = s.to_string();
+    let mut moves = HashMap::new();
+    if live.is_empty() {
+        return (None, moves);
+    }
+    let x = live[rng.below(live.len(), &["x", &st])];
+    let rest: Vec<u64> = live.iter().copied().filter(|&id| id != x).collect();
+    let n = rest.len();
+    match rng.below(3, &["shape", &st]) {
+        0 if n >= 2 => {
+            let i = rng.below(n, &["i", &st]);
+            let j = (i + 1 + rng.below(n - 1, &["j", &st])) % n;
+            moves.insert(rest[i], rest[j]);
+            moves.insert(rest[j], rest[i]);
+        }
+        1 if n >= 3 => {
+            let i = rng.below(n, &["i", &st]);
+            let (a, b, c) = (rest[i], rest[(i + 1) % n], rest[(i + 2) % n]);
+            moves.extend([(a, b), (b, c), (c, a)]);
+        }
+        _ => {
+            let mut to = x;
+            for &id in rest.iter().filter(|&&id| id > x) {
+                moves.insert(id, to);
+                to = id;
+            }
+        }
+    }
+    *next_id += 1;
+    moves.insert(x, *next_id);
+    (Some(x), moves)
+}
+
+/// The live set after `moves`, as a re-key leaves it.
+fn relabel<V>(live: BTreeMap<u64, V>, moves: &HashMap<u64, u64>) -> BTreeMap<u64, V> {
+    live.into_iter().map(|(id, v)| (moves.get(&id).copied().unwrap_or(id), v)).collect()
+}
+
+/// `hits` under the ids `moves` gives them, in the canonical hit order.
+fn mapped(mut hits: Vec<SearchResult>, moves: &HashMap<u64, u64>) -> Vec<SearchResult> {
+    for h in &mut hits {
+        h.id = moves.get(&h.id).copied().unwrap_or(h.id);
+    }
+    sort_hits(&mut hits);
+    hits
 }
 
 proptest! {
@@ -77,7 +142,8 @@ proptest! {
     /// an incremental round starts from (`boxed_clone` + `compact`) must
     /// equal that decode in bytes, length and search — on every backend,
     /// HNSW included: its compaction and its wire format are the same
-    /// live rebuild.
+    /// live rebuild. A re-key step is checked against its family's
+    /// reference as soon as it lands.
     #[test]
     fn dense_mutation_matches_rebuild(
         seed in 0u64..24,
@@ -132,7 +198,44 @@ proptest! {
                     }
                     prop_assert_eq!(store.remove(&ids), ids.len());
                 }
-                _ => store.compact(&exec),
+                2 => store.compact(&exec),
+                _ => {
+                    let ids: Vec<u64> = live.keys().copied().collect();
+                    let (gone, moves) = rekey_step(&rng, s, &ids, &mut next_id);
+                    if let Some(x) = gone {
+                        live.remove(&x);
+                        prop_assert_eq!(store.remove(&[x]), 1);
+                    }
+                    let before: Vec<Vec<SearchResult>> =
+                        queries.iter().map(|q| store.search(q, 10)).collect();
+                    let moved = moves.keys().filter(|id| live.contains_key(id)).count();
+                    prop_assert_eq!(store.rekey(&moves), moved, "step {}", s);
+                    live = relabel(live, &moves);
+                    prop_assert_eq!(store.len(), live.len());
+                    match spec {
+                        IndexSpec::Flat => {
+                            let items: Vec<(u64, Vec<f32>)> =
+                                live.iter().map(|(k, v)| (*k, v.clone())).collect();
+                            let cold = build_store_from_vectors(
+                                &spec, DIM, Metric::Cosine, precision, &exec, &items,
+                            );
+                            for q in &queries {
+                                prop_assert_eq!(store.search(q, 10), cold.search(q, 10));
+                            }
+                        }
+                        IndexSpec::Hnsw(_) => {
+                            for (q, hits) in queries.iter().zip(before) {
+                                prop_assert_eq!(store.search(q, 10), mapped(hits, &moves));
+                            }
+                        }
+                        _ => {
+                            let decoded = decode_store(&store.to_bytes()).expect("decodes");
+                            for q in &queries {
+                                prop_assert_eq!(store.search(q, 10), decoded.search(q, 10));
+                            }
+                        }
+                    }
+                }
             }
             if store.tombstones() > 0 {
                 let dead = store.tombstones();
@@ -173,7 +276,7 @@ proptest! {
     /// The lexical index: any edit sequence is bit-identical to a cold
     /// BM25 rebuild over the final live set — document frequencies,
     /// lengths, and the corpus average all correct themselves as
-    /// tombstones accrue.
+    /// tombstones accrue, and a re-key changes nothing but the ids.
     #[test]
     fn lexical_mutation_matches_rebuild(seed in 0u64..32, workers_pick in 0usize..2) {
         let exec = Executor::new([1, 4][workers_pick]);
@@ -216,7 +319,25 @@ proptest! {
                     }
                     prop_assert_eq!(index.remove(&ids), ids.len());
                 }
-                _ => index.compact(),
+                2 => index.compact(),
+                _ => {
+                    let ids: Vec<u64> = live.keys().copied().collect();
+                    let (gone, moves) = rekey_step(&rng, s, &ids, &mut next_id);
+                    if let Some(x) = gone {
+                        live.remove(&x);
+                        prop_assert_eq!(index.remove(&[x]), 1);
+                    }
+                    let moved = moves.keys().filter(|id| live.contains_key(id)).count();
+                    prop_assert_eq!(index.rekey(&moves), moved, "step {}", s);
+                    live = relabel(live, &moves);
+                    let mut cold = LexicalIndex::new(Bm25Params::default());
+                    let items: Vec<(u64, String)> =
+                        live.iter().map(|(k, v)| (*k, v.clone())).collect();
+                    cold.add_batch(&exec, &items);
+                    for probe in PROBES {
+                        prop_assert_eq!(index.search(probe, 10), cold.search(probe, 10));
+                    }
+                }
             }
         }
 
@@ -224,7 +345,7 @@ proptest! {
         let mut cold = LexicalIndex::new(Bm25Params::default());
         let items: Vec<(u64, String)> = live.iter().map(|(k, v)| (*k, v.clone())).collect();
         cold.add_batch(&exec, &items);
-        for probe in ["proton dose", "gene pathway kinase", "tumour margin imaging", "trial"] {
+        for probe in PROBES {
             prop_assert_eq!(index.search(probe, 10), cold.search(probe, 10), "probe {}", probe);
         }
     }

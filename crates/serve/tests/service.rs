@@ -9,6 +9,7 @@
 //! * **Graceful drain** — shutdown answers every already-admitted request
 //!   exactly once, then refuses new work with `ShuttingDown`.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Barrier, OnceLock};
 
 use mcqa_embed::Precision;
@@ -278,6 +279,9 @@ impl VectorStore for GatedStore {
     }
     fn remove(&mut self, ids: &[u64]) -> usize {
         self.inner.remove(ids)
+    }
+    fn rekey(&mut self, moves: &HashMap<u64, u64>) -> usize {
+        self.inner.rekey(moves)
     }
     fn search_batch(
         &self,
