@@ -17,8 +17,10 @@
 //! * [`matrix`] — [`EmbeddingMatrix`]: row-major embedding storage in
 //!   `f32` or compressed FP16 (the paper's choice), with byte
 //!   serialisation.
+//!   Search scans the stored rows in place ([`EmbeddingMatrix::panels`]).
 //! * [`panels`] — [`PanelCache`]: resident decoded-F32 panels under a
-//!   bounded byte budget, so a batch-of-1 search skips the F16 decode.
+//!   bounded byte budget, for stores whose rows need a real
+//!   reconstruction before they can be scored (the PQ index).
 
 pub mod encoder;
 pub mod matrix;

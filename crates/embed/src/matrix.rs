@@ -4,8 +4,17 @@
 //! [`EmbeddingMatrix`] offers both precisions behind one API and measures
 //! the cosine error the compression introduces (property-tested to stay
 //! within half-precision bounds).
+//!
+//! Search reads the rows as stored: [`EmbeddingMatrix::panels`] hands out
+//! consecutive rows as a [`Panel`] — an `f32` slice, or the F16 bytes
+//! themselves, which the panel kernels widen inside their tile — so a
+//! scan of an F16 matrix streams half the bytes of a decoded copy and
+//! keeps none. [`EmbeddingMatrix::for_each_panel`] is the decoding walk
+//! through a [`PanelCache`] that only the repository's benchmark still
+//! calls.
 
 use mcqa_util::f16::{decode_f16_bytes, decode_f16_into, encode_f16_bytes};
+use mcqa_util::kernel::Panel;
 
 use crate::panels::PanelCache;
 
@@ -218,24 +227,38 @@ impl EmbeddingMatrix {
         &self.sq_norms
     }
 
+    /// The rows in panels of up to `block_rows` rows, as stored: each item
+    /// is the start row and a [`Panel`] of the consecutive rows from it
+    /// (the last panel may be ragged) — a direct sub-slice of the `f32`
+    /// storage, or of the F16 bytes, which the panel kernels widen inside
+    /// their tile to exactly the values [`Self::row`] decodes. Nothing is
+    /// decoded, copied or cached.
+    pub fn panels(&self, block_rows: usize) -> impl Iterator<Item = (usize, Panel<'_>)> {
+        assert!(block_rows > 0, "block_rows must be positive");
+        (0..self.rows).step_by(block_rows).map(move |start| {
+            let (from, to) = (start * self.dim, (start + block_rows).min(self.rows) * self.dim);
+            let panel = match self.precision {
+                Precision::F32 => Panel::F32(&self.data_f32[from..to]),
+                Precision::F16 => Panel::F16(&self.data_f16[from * 2..to * 2]),
+            };
+            (start, panel)
+        })
+    }
+
     /// Decode rows `start..end` into `out` (which must hold exactly
-    /// `(end - start) * dim` f32s). This is **the** F16 panel decode: a
-    /// panel [`EmbeddingMatrix::for_each_panel`] decodes into scratch and
-    /// one it makes resident both bottom out here, which is what makes
-    /// cached and uncached scoring bit-identical by construction.
+    /// `(end - start) * dim` f32s): the F16 decode behind
+    /// [`EmbeddingMatrix::for_each_panel`], resident or into scratch.
     fn decode_panel_into(&self, start: usize, end: usize, out: &mut [f32]) {
         decode_f16_into(&self.data_f16[start * self.dim * 2..end * self.dim * 2], out);
     }
 
-    /// Visit the rows in panels of up to `block_rows` rows: `f(start_row,
-    /// panel)` receives a dense row-major `&[f32]` of `panel.len() /
-    /// dim()` consecutive rows starting at `start_row` (the last panel may
-    /// be ragged). This is the bulk-decode primitive behind blocked search:
-    /// callers scoring many queries against a panel amortise its decode
-    /// across all of them.
+    /// Visit the rows in panels of up to `block_rows` rows decoded to
+    /// `f32`: `f(start_row, panel)` receives a dense row-major `&[f32]` of
+    /// `panel.len() / dim()` consecutive rows starting at `start_row` (the
+    /// last panel may be ragged).
     ///
     /// F16 panels are fetched from (and made resident in) `cache` under its
-    /// byte budget, so repeat queries skip the decode entirely; at
+    /// byte budget; at
     /// [`PanelBudget::Bytes(0)`](crate::panels::PanelBudget::Bytes) every
     /// panel is decoded into one reused scratch buffer instead. `seg`
     /// namespaces this matrix inside a cache shared across segments. An
@@ -243,6 +266,10 @@ impl EmbeddingMatrix {
     /// it is already resident, so the cache is bypassed. Panels observed
     /// through this accessor are byte-for-byte the rows [`Self::row`]
     /// returns, at every budget.
+    ///
+    /// Search does not come through here — it scans [`Self::panels`] in
+    /// place. This walk stays for the repository benchmark's decode and
+    /// cache-hit probes.
     pub fn for_each_panel<F: FnMut(usize, &[f32])>(
         &self,
         cache: &PanelCache,
@@ -443,6 +470,32 @@ mod tests {
                     assert_eq!(seen, 23, "{precision:?} block={block_rows} {budget:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn panels_are_the_stored_rows_at_every_block_size() {
+        for precision in [Precision::F32, Precision::F16] {
+            let rows = sample_rows(23, 16);
+            let m = EmbeddingMatrix::from_rows(16, precision, &rows);
+            for block_rows in [1usize, 4, 16, 23, 64] {
+                let mut seen = 0usize;
+                for (start, panel) in m.panels(block_rows) {
+                    assert_eq!(start, seen, "panels are consecutive");
+                    let values = match panel {
+                        Panel::F32(values) => values.to_vec(),
+                        Panel::F16(bytes) => decode_f16_bytes(bytes).expect("whole byte pairs"),
+                    };
+                    let n = panel.len() / 16;
+                    assert!(n <= block_rows && values.len() == panel.len());
+                    for (j, row) in values.chunks_exact(16).enumerate() {
+                        assert_eq!(row, m.row(start + j).unwrap().as_slice(), "{precision:?}");
+                    }
+                    seen += n;
+                }
+                assert_eq!(seen, 23, "{precision:?} block={block_rows}");
+            }
+            assert_eq!(EmbeddingMatrix::new(16, precision).panels(8).count(), 0);
         }
     }
 

@@ -1,11 +1,12 @@
-//! Resident decoded-panel cache: the batch-of-1 latency fix.
+//! Resident decoded-panel cache for rows that must be reconstructed
+//! before they can be scored.
 //!
-//! F16 storage halves the wire/RAM footprint but taxes every search with a
-//! full-matrix decode. Micro-batching amortises that across concurrent
-//! queries; a *lone* query cannot be batched, so it pays the whole decode —
-//! the latency floor ROADMAP calls "the part batching can't buy".
-//!
-//! [`PanelCache`] removes the tax by keeping decoded F32 panels resident
+//! Compressed rows tax every search with a decode. Micro-batching
+//! amortises that across concurrent queries; a *lone* query cannot be
+//! batched, so it pays the whole decode. A plain F16 matrix no longer
+//! does — the panel kernels widen F16 rows inside their tile — but the PQ
+//! index's residual reconstruction is not a plain decode, and
+//! [`PanelCache`] removes that tax by keeping decoded F32 panels resident
 //! under a bounded byte budget. Keys are `(segment, start_row, floats)` so
 //! one cache can serve several backing stores (the PQ index keys by
 //! inverted-list id) and coexisting block sizes can never alias. Panels are

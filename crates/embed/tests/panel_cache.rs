@@ -8,10 +8,12 @@
 //! matrix), on cold and warm passes alike, with eviction churning in
 //! between. Downstream, that makes cached scoring through
 //! [`mcqa_index::Metric::score_panel`] bit-identical to uncached
-//! scoring, which is the identity flat/PQ search relies on.
+//! scoring, which is the identity PQ search relies on (flat scans its
+//! rows in place, with no cache).
 
 use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
 use mcqa_index::Metric;
+use mcqa_util::kernel::Panel;
 use proptest::prelude::*;
 
 fn splitmix(mut x: u64) -> u64 {
@@ -73,7 +75,8 @@ fn scores_via<F: FnMut(&mut dyn FnMut(usize, &[f32]))>(
     iterate(&mut |start, panel: &[f32]| {
         let rows = panel.len() / m.dim();
         let mut out = vec![0.0f32; rows];
-        metric.score_panel(&[query], &[q_sq], panel, &norms[start..start + rows], &mut out);
+        let (panel, norms) = (Panel::F32(panel), &norms[start..start + rows]);
+        metric.score_panel(&[query], &[q_sq], panel, norms, &mut out);
         for (j, s) in out.iter().enumerate() {
             scores[start + j] = s.to_bits();
         }

@@ -1,23 +1,23 @@
 //! Exact brute-force index over an [`EmbeddingMatrix`], scored by a
 //! blocked, query-batched kernel.
 //!
-//! Search never materialises the full hit list: rows arrive in panels
-//! through the cache-aware accessor ([`EmbeddingMatrix::for_each_panel`],
-//! backed by the index's resident [`PanelCache`]), and each panel is
-//! scored against the task's whole block of queries by
-//! [`Metric::score_panel`] — tiles of queries × rows, against the matrix's
-//! build-time-cached row norms — and fed into bounded top-k heaps. One
-//! panel fetch is thus amortised across every query of a task instead of
-//! being repeated per query; the panel cache removes the remaining
-//! per-search decode for batch-of-1 traffic — after the first search the
-//! decoded panels are resident and a lone query (the one-query block)
-//! runs at F32 speed. Results are bit-identical to scoring each row with
+//! Search never materialises the full hit list: rows arrive in panels as
+//! the matrix stores them ([`EmbeddingMatrix::panels`] — F16 bytes read in
+//! place, widened to `f32` inside the kernel's register tile, never
+//! decoded into a copy), and each panel is scored against the task's whole
+//! block of queries by [`Metric::score_panel`] — tiles of queries × rows,
+//! against the matrix's build-time-cached row norms — and fed into bounded
+//! top-k heaps. One panel fetch is thus amortised across every query of a
+//! task instead of being repeated per query, and a lone query (the
+//! one-query block) streams two bytes per stored element: the store keeps
+//! no decoded panels, so it has no panel cache to warm or budget.
+//! Results are bit-identical to scoring each decoded row with
 //! [`Metric::score`] and fully sorting (the property suite in
 //! `tests/kernel.rs` holds every path to that oracle).
 
 use std::collections::HashMap;
 
-use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
+use mcqa_embed::{EmbeddingMatrix, Precision};
 use mcqa_runtime::{run_stage, Executor};
 
 use crate::codec::{decode_metric, encode_metric, put_u64, Reader};
@@ -38,11 +38,6 @@ pub struct FlatIndex {
     /// scored — their hits are filtered at the top-k push) until
     /// [`VectorStore::compact`] rewrites the matrix.
     dead: Tombstones,
-    /// Resident decoded panels for F16 matrices (a `Clone` starts cold, so
-    /// derived `Clone` stays correct for independently-mutating copies).
-    /// Invalidated whenever the matrix bytes change; `remove` only
-    /// tombstones, so it leaves the panels resident.
-    cache: PanelCache,
 }
 
 impl FlatIndex {
@@ -56,7 +51,6 @@ impl FlatIndex {
             ids: Vec::new(),
             metric,
             dead: Tombstones::default(),
-            cache: PanelCache::default(),
         }
     }
 
@@ -67,13 +61,7 @@ impl FlatIndex {
         let matrix = EmbeddingMatrix::from_bytes(matrix)?;
         let n = matrix.len();
         let ids: Vec<u64> = (0..n).map(|_| r.u64()).collect::<Option<_>>()?;
-        r.exhausted().then_some(Self {
-            matrix,
-            ids,
-            metric,
-            dead: Tombstones::all_live(n),
-            cache: PanelCache::default(),
-        })
+        r.exhausted().then_some(Self { matrix, ids, metric, dead: Tombstones::all_live(n) })
     }
 
     /// Magic tag, metric and the length-framed matrix blob: everything
@@ -104,7 +92,6 @@ impl FlatIndex {
         self.matrix.retain_rows(self.dead.flags());
         self.dead.retain_live(&mut self.ids, 1);
         self.dead.clear_dead();
-        self.cache.invalidate();
     }
 
     /// The external id stored at `position` (insertion order). Panics out
@@ -120,7 +107,7 @@ impl FlatIndex {
     }
 
     /// Scan the whole matrix for one block of queries: every panel is
-    /// fetched once and scored against all of them.
+    /// read in place once and scored against all of them.
     fn scan<'q>(
         &self,
         queries: impl IntoIterator<Item = &'q [f32]>,
@@ -129,16 +116,11 @@ impl FlatIndex {
     ) -> Vec<Vec<SearchResult>> {
         let mut block = QueryBlock::new(queries, k);
         let (norms, dead) = (self.matrix.row_sq_norms(), self.dead.flags());
-        self.matrix.for_each_panel(&self.cache, 0, block_rows, |start, panel| {
+        for (start, panel) in self.matrix.panels(block_rows) {
             let rows = start..start + panel.len() / self.dim();
-            block.scan(
-                self.metric,
-                panel,
-                &norms[rows.clone()],
-                &self.ids[rows.clone()],
-                &dead[rows],
-            );
-        });
+            let (ids, dead) = (&self.ids[rows.clone()], &dead[rows.clone()]);
+            block.scan(self.metric, panel, &norms[rows], ids, dead);
+        }
         block.into_sorted()
     }
 
@@ -202,8 +184,6 @@ impl VectorStore for FlatIndex {
         self.matrix.push(vector);
         self.ids.push(id);
         self.dead.grow_to(self.ids.len());
-        // The tail panel's row count changed; resident copies are stale.
-        self.cache.invalidate();
     }
 
     fn add_batch(&mut self, exec: &Executor, items: &[(u64, Vec<f32>)]) {
@@ -213,7 +193,6 @@ impl VectorStore for FlatIndex {
         self.matrix.extend_parallel(exec, &rows);
         self.ids.extend(items.iter().map(|(id, _)| *id));
         self.dead.grow_to(self.ids.len());
-        self.cache.invalidate();
     }
 
     fn remove(&mut self, ids: &[u64]) -> usize {
@@ -265,14 +244,6 @@ impl VectorStore for FlatIndex {
         self.matrix.payload_bytes() + self.ids.len() * 8
     }
 
-    fn set_panel_cache_budget(&mut self, budget: PanelBudget) {
-        self.cache.set_budget(budget);
-    }
-
-    fn panel_cache_resident_bytes(&self) -> usize {
-        self.cache.resident_bytes()
-    }
-
     fn to_bytes(&self) -> Vec<u8> {
         if self.dead.count() > 0 {
             // The wire format is tombstone-free: serialise the live view.
@@ -296,6 +267,7 @@ impl VectorStore for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcqa_embed::PanelBudget;
 
     fn unit(dim: usize, hot: usize) -> Vec<f32> {
         let mut v = vec![0.0; dim];
@@ -499,6 +471,31 @@ mod tests {
         assert_eq!(idx.len(), 5, "one replacement + one insert");
         let hits = idx.search(&unit(4, 3), 2);
         assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![1, 3], "id 1 re-vectored");
+    }
+
+    #[test]
+    fn f16_rows_are_scanned_in_place() {
+        // Flat keeps no decoded panels: nothing is resident after single
+        // and batched searches, and a panel budget — the trait's no-op
+        // default — changes no result bit.
+        let exec = Executor::global();
+        let vector = |id: u64| -> Vec<f32> {
+            (0..24)
+                .map(|j| (mcqa_util::splitmix64(id * 24 + j) as f32 / u64::MAX as f32) - 0.5)
+                .collect()
+        };
+        let mut idx = FlatIndex::new(24, Metric::Cosine, Precision::F16);
+        let items: Vec<(u64, Vec<f32>)> = (0..300).map(|id| (id, vector(id))).collect();
+        idx.add_batch(exec, &items);
+        let queries: Vec<Vec<f32>> = (0..9).map(|q| vector(10_000 + q)).collect();
+        let single: Vec<Vec<SearchResult>> = queries.iter().map(|q| idx.search(q, 5)).collect();
+        assert_eq!(idx.search_batch(exec, &queries, 5), single);
+        assert_eq!(idx.panel_cache_resident_bytes(), 0, "rows are scanned in place");
+        for budget in [PanelBudget::Bytes(0), PanelBudget::Bytes(1 << 10), PanelBudget::Auto] {
+            idx.set_panel_cache_budget(budget);
+            assert_eq!(idx.search_batch(exec, &queries, 5), single, "{budget:?}");
+            assert_eq!(idx.panel_cache_resident_bytes(), 0, "{budget:?}");
+        }
     }
 
     #[test]

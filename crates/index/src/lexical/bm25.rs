@@ -28,8 +28,14 @@
 //! [`LexicalIndex::add_batch`] produces a store bit-identical to serial
 //! [`LexicalIndex::add`] calls in item order, and
 //! [`LexicalIndex::search_batch`] is bit-identical to per-query
-//! [`LexicalIndex::search`]. Scoring accumulates
-//! per-document sums in sorted term-**string** order, so the
+//! [`LexicalIndex::search`].
+//!
+//! Scoring walks the query's distinct known terms as [`TermId`]s, sorted
+//! by their term **strings** (no string is copied), and adds each live
+//! posting's BM25 term into a flat per-document array — no hashing per
+//! posting — noting the documents it touches; each touched document is
+//! then offered to a bounded top-k when it reaches the running floor.
+//! Every document's sum is thus taken in sorted term-string order, so the
 //! floating-point addition order is fixed *and* independent of interning
 //! order — a mutated index (whose vocabulary still holds terms the live
 //! documents no longer use) scores bit-identically to one rebuilt from
@@ -372,15 +378,13 @@ impl LexicalIndex {
         // fixed accumulation order makes scores bit-stable however the
         // query spelled them, and — unlike id order — is independent of
         // interning history, so a tombstoned index scores bit-identically
-        // to one rebuilt from scratch over its live documents.
-        let mut qterms: Vec<(String, TermId)> = Vec::new();
-        for_each_content_token(query, |t| {
-            if let Some(id) = self.vocab.id(t) {
-                qterms.push((t.to_string(), id));
-            }
-        });
-        qterms.sort_by(|a, b| a.0.cmp(&b.0));
-        qterms.dedup_by(|a, b| a.0 == b.0);
+        // to one rebuilt from scratch over its live documents. A term and
+        // its id are one-to-one, so a repeated term sorts next to itself.
+        let mut qterms: Vec<TermId> = Vec::new();
+        for_each_content_token(query, |t| qterms.extend(self.vocab.id(t)));
+        let term = |id: TermId| self.vocab.term(id).expect("an interned id names a term");
+        qterms.sort_unstable_by(|&a, &b| term(a).cmp(term(b)));
+        qterms.dedup();
         if qterms.is_empty() {
             return Vec::new();
         }
@@ -389,8 +393,12 @@ impl LexicalIndex {
         let Bm25Params { k1, b } = self.params;
         let (k1, b) = (f64::from(k1), f64::from(b));
         let dead = self.dead.flags();
-        let mut scores: HashMap<u32, f64> = HashMap::new();
-        for (_, tid) in qterms {
+        // One running sum per document, and the documents touched in the
+        // order they were first touched.
+        let mut scores = vec![0.0f64; self.docs.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut hit = vec![false; self.docs.len()];
+        for tid in qterms {
             let list = &self.postings[tid.0 as usize];
             let df = if self.dead.count() == 0 {
                 list.len()
@@ -403,20 +411,32 @@ impl LexicalIndex {
             // Lucene's non-negative Okapi idf.
             let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
             for p in list {
-                if dead[p.doc as usize] {
+                let doc = p.doc as usize;
+                if dead[doc] {
                     continue;
                 }
+                if !hit[doc] {
+                    hit[doc] = true;
+                    touched.push(p.doc);
+                }
                 let tf = f64::from(p.tf);
-                let dl = f64::from(self.docs[p.doc as usize].len);
+                let dl = f64::from(self.docs[doc].len);
                 let norm = k1 * (1.0 - b + b * dl / avgdl);
-                *scores.entry(p.doc).or_insert(0.0) += idf * (tf * (k1 + 1.0)) / (tf + norm);
+                scores[doc] += idf * (tf * (k1 + 1.0)) / (tf + norm);
             }
         }
-        // TopK's total order makes the outcome independent of the
-        // HashMap's iteration order.
+        // TopK's total order makes the outcome independent of the offer
+        // order, and a score below the running floor is one `push` would
+        // reject (the gate `scan.rs` uses, NaN included).
         let mut topk = TopK::new(k);
-        for (&doc, &score) in &scores {
-            topk.push(SearchResult { id: self.docs[doc as usize].id, score: score as f32 });
+        let mut floor = topk.floor();
+        for doc in touched {
+            let score = scores[doc as usize] as f32;
+            #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must pass the gate
+            if !(score < floor) {
+                topk.push(SearchResult { id: self.docs[doc as usize].id, score });
+                floor = topk.floor();
+            }
         }
         topk.into_sorted()
     }
@@ -832,6 +852,130 @@ mod tests {
         let back = LexicalIndex::from_bytes(&all_gone.to_bytes()).expect("decodes");
         assert!(back.is_empty());
         assert!(back.search("radiation", 5).is_empty());
+    }
+
+    /// The scorer `search` replaced, kept as its oracle: the same terms in
+    /// the same sorted string order, each a `String`, summed per document
+    /// into a `HashMap`, every scored document offered to the top-k.
+    fn hashmap_search(idx: &LexicalIndex, query: &str, k: usize) -> Vec<SearchResult> {
+        if k == 0 || idx.is_empty() {
+            return Vec::new();
+        }
+        let mut qterms: Vec<(String, TermId)> = Vec::new();
+        for_each_content_token(query, |t| {
+            if let Some(id) = idx.vocab.id(t) {
+                qterms.push((t.to_string(), id));
+            }
+        });
+        qterms.sort_by(|a, b| a.0.cmp(&b.0));
+        qterms.dedup_by(|a, b| a.0 == b.0);
+        let n = idx.len() as f64;
+        let avgdl = (idx.total_tokens - idx.dead_tokens) as f64 / n;
+        let (k1, b) = (f64::from(idx.params.k1), f64::from(idx.params.b));
+        let dead = idx.dead.flags();
+        let mut scores: HashMap<u32, f64> = HashMap::new();
+        for (_, tid) in qterms {
+            let list = &idx.postings[tid.0 as usize];
+            let df = list.iter().filter(|p| !dead[p.doc as usize]).count() as f64;
+            if df == 0.0 {
+                continue;
+            }
+            let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
+            for p in list.iter().filter(|p| !dead[p.doc as usize]) {
+                let tf = f64::from(p.tf);
+                let dl = f64::from(idx.docs[p.doc as usize].len);
+                let norm = k1 * (1.0 - b + b * dl / avgdl);
+                *scores.entry(p.doc).or_insert(0.0) += idf * (tf * (k1 + 1.0)) / (tf + norm);
+            }
+        }
+        let mut topk = TopK::new(k);
+        for (&doc, &score) in &scores {
+            topk.push(SearchResult { id: idx.docs[doc as usize].id, score: score as f32 });
+        }
+        topk.into_sorted()
+    }
+
+    /// A seeded pseudo-text over a small pool (so terms recur, documents
+    /// tie and a query repeats its own terms), stopwords and, when
+    /// `unknown`, a term no document has.
+    fn text(seed: u64, words: u64, unknown: bool) -> String {
+        const POOL: [&str; 10] = [
+            "radiation",
+            "dose",
+            "hypoxia",
+            "tumour",
+            "repair",
+            "proton",
+            "the",
+            "of",
+            "plasma",
+            "telescope",
+        ];
+        let pick = |j: u64| mcqa_util::splitmix64(seed ^ j.wrapping_mul(0x9e37_79b9));
+        let mut out: Vec<String> = (0..pick(0) % words)
+            .map(|j| match pick(j + 1) % 13 {
+                w @ 0..=9 => POOL[w as usize].to_string(),
+                w => format!("rare{w}"),
+            })
+            .collect();
+        if unknown {
+            out.push("zzzunknown".to_string());
+        }
+        out.join(" ")
+    }
+
+    proptest::proptest! {
+        /// `search` against the scorer it replaced, bit for bit (ids and
+        /// score bits), over random corpora — fresh, tombstoned and
+        /// upserted — with duplicate and unknown query terms and `k` from
+        /// 0 past the live length.
+        #[test]
+        fn search_matches_the_hashmap_scorer_bitwise(
+            seed in 0u64..1_000_000,
+            n in 0usize..90,
+            kill_mod in 0u64..5,
+        ) {
+            let docs: Vec<(u64, String)> =
+                (0..n as u64).map(|i| (i * 3 + 1, text(seed ^ (i << 20), 14, false))).collect();
+            let mut idx = LexicalIndex::default();
+            idx.add_batch(Executor::global(), &docs);
+            let queries: Vec<String> = (0..6u64)
+                .map(|q| {
+                    let head = text(seed.wrapping_add(q * 7919), 6, q % 3 == 0);
+                    if q % 2 == 0 { format!("{head} {head}") } else { head }
+                })
+                .chain(["".to_string(), "the of".to_string()])
+                .collect();
+            let check = |idx: &LexicalIndex, stage: &str| {
+                for k in [0, 1, 8, 64, idx.len() + 5] {
+                    for query in &queries {
+                        let got = idx.search(query, k);
+                        let want = hashmap_search(idx, query, k);
+                        let bits = |hits: &[SearchResult]| -> Vec<(u64, u32)> {
+                            hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                        };
+                        assert_eq!(bits(&got), bits(&want), "{stage} k={k} query={query:?}");
+                    }
+                }
+            };
+            check(&idx, "fresh");
+            if kill_mod > 0 {
+                let victims: Vec<u64> = docs
+                    .iter()
+                    .map(|(id, _)| *id)
+                    .filter(|id| mcqa_util::splitmix64(seed ^ id).is_multiple_of(kill_mod + 1))
+                    .collect();
+                idx.remove(&victims);
+                check(&idx, "tombstoned");
+                let fresh: Vec<(u64, String)> = victims
+                    .iter()
+                    .take(3)
+                    .map(|&id| (id, text(seed ^ id ^ 0xabc, 10, false)))
+                    .collect();
+                idx.upsert(Executor::global(), &fresh);
+                check(&idx, "upserted");
+            }
+        }
     }
 
     #[test]

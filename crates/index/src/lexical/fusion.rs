@@ -58,7 +58,9 @@ pub fn fuse_depth(k: usize, depth: usize) -> usize {
 /// `(id, denominator)` pairs and sorted, so each id's run is summed in
 /// ascending-denominator order — a canonical order, which makes the
 /// result (bitwise, not just semantically) invariant under permutation of
-/// `lists`.
+/// `lists`. The best `k` fused ids are selected first and only they are
+/// sorted: [`cmp_hits`] is a total order over distinct ids, so that is
+/// the prefix a full sort would keep.
 pub fn rrf(lists: &[&[SearchResult]], k: usize) -> Vec<SearchResult> {
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
     for list in lists {
@@ -74,8 +76,14 @@ pub fn rrf(lists: &[&[SearchResult]], k: usize) -> Vec<SearchResult> {
             SearchResult { id: run[0].0, score: score as f32 }
         })
         .collect();
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < fused.len() {
+        fused.select_nth_unstable_by(k - 1, cmp_hits);
+        fused.truncate(k);
+    }
     fused.sort_by(cmp_hits);
-    fused.truncate(k);
     fused
 }
 
@@ -124,6 +132,75 @@ mod tests {
         assert!(rrf(&[], 5).is_empty());
         assert!(rrf(&[&[], &[]], 5).is_empty());
         assert!(Fusion.fuse(&[], &[], 5).is_empty());
+    }
+
+    /// The fusion `rrf` replaced, kept as its oracle: sort every fused
+    /// id, then cut to `k`.
+    fn sort_then_truncate(lists: &[&[SearchResult]], k: usize) -> Vec<SearchResult> {
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        for list in lists {
+            for (rank, hit) in list.iter().enumerate() {
+                pairs.push((hit.id, K0 + rank as u64 + 1));
+            }
+        }
+        pairs.sort_unstable();
+        let mut fused: Vec<SearchResult> = pairs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let score = run.iter().fold(0.0, |sum, &(_, d)| sum + 1.0 / d as f64);
+                SearchResult { id: run[0].0, score: score as f32 }
+            })
+            .collect();
+        fused.sort_by(cmp_hits);
+        fused.truncate(k);
+        fused
+    }
+
+    /// A ranked list of `len` distinct ids drawn from `0..span`: a small
+    /// span makes two lists overlap, a large one keeps them disjoint, and
+    /// equal rank positions across lists give duplicate fused scores.
+    fn ranked(seed: u64, len: usize, span: u64) -> Vec<SearchResult> {
+        let mut ids: Vec<u64> = Vec::new();
+        let mut j = 0u64;
+        while ids.len() < len.min(span as usize) {
+            let id = mcqa_util::splitmix64(seed ^ j) % span;
+            j += 1;
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        let n = ids.len();
+        ids.into_iter()
+            .enumerate()
+            .map(|(r, id)| SearchResult { id, score: (n - r) as f32 })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Select-then-sort equals sort-then-truncate bit for bit, over
+        /// overlapping and disjoint lists, duplicate scores, and `k` of 0,
+        /// 1, 8 and past the number of distinct ids.
+        #[test]
+        fn rrf_equals_the_full_sort(
+            seed in 0u64..1_000_000,
+            lens in proptest::collection::vec(0usize..40, 0..4),
+            span_pick in 0usize..3,
+        ) {
+            let span = [12u64, 64, 1 << 40][span_pick];
+            let lists: Vec<Vec<SearchResult>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| ranked(seed ^ (i as u64) << 32, len, span))
+                .collect();
+            let lists: Vec<&[SearchResult]> = lists.iter().map(Vec::as_slice).collect();
+            let distinct = sort_then_truncate(&lists, usize::MAX).len();
+            for k in [0, 1, 8, distinct, distinct + 3] {
+                let bits = |hits: &[SearchResult]| -> Vec<(u64, u32)> {
+                    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&rrf(&lists, k)), bits(&sort_then_truncate(&lists, k)), "k={k}");
+            }
+        }
     }
 
     #[test]

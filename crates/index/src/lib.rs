@@ -52,13 +52,15 @@
 //!
 //! Exact scoring bottoms out in the fixed-order kernels of
 //! [`mcqa_util::kernel`]: every exhaustive scan — flat over its matrix,
-//! the list store over a probed list — fetches rows in panels, scores
+//! the list store over a probed list — fetches rows in panels as stored
+//! (flat's F16 rows in place, widened to `f32` inside the kernel's
+//! register tile; PQ's reconstructed through its panel cache), scores
 //! each panel against its task's whole block of queries in register
 //! tiles ([`Metric::score_panel`]) with build-time-cached row norms, and
 //! streams candidates through bounded top-k heaps, gated by each heap's
 //! running k-th score (one panel fetch per query block). The blocked
 //! paths are property-tested bit-identical to a
-//! per-row scalar oracle (`tests/kernel.rs`).
+//! per-row scalar oracle over the decoded rows (`tests/kernel.rs`).
 
 pub mod flat;
 pub mod hnsw;
@@ -215,9 +217,9 @@ pub trait VectorStore: Send + Sync {
     fn compact(&mut self, _exec: &Executor) {}
 
     /// An independent deep copy: the same rows, trained structure and
-    /// tombstones, with a cold panel cache (which keeps its budget): the
-    /// copy of the previous round's store an incremental round starts
-    /// from.
+    /// tombstones, with a cold panel cache where the store has one (it
+    /// keeps its budget): the copy of the previous round's store an
+    /// incremental round starts from.
     fn boxed_clone(&self) -> Box<dyn VectorStore>;
 
     /// Batch search fanned out on `exec`'s pool; results are index-aligned
@@ -239,9 +241,11 @@ pub trait VectorStore: Send + Sync {
     fn payload_bytes(&self) -> usize;
 
     /// Re-budget the store's resident decoded-panel cache (see
-    /// [`mcqa_embed::PanelCache`]). A no-op for backends without one —
-    /// IVF and HNSW keep working vectors at F32 already; flat and PQ
-    /// decode panels at search time and cache them under this budget.
+    /// [`mcqa_embed::PanelCache`]). A no-op for backends without one:
+    /// IVF and HNSW keep working vectors at F32 already, and flat scans
+    /// its F16 rows in place, widening them inside the kernel's tile. Only
+    /// PQ reconstructs panels at search time and caches them under this
+    /// budget.
     fn set_panel_cache_budget(&mut self, _budget: mcqa_embed::PanelBudget) {}
 
     /// Bytes of decoded panels currently resident in the store's panel

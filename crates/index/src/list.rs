@@ -37,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 
 use mcqa_embed::{PanelBudget, PanelCache};
 use mcqa_runtime::{run_stage, Executor};
-use mcqa_util::kernel;
+use mcqa_util::kernel::{self, Panel};
 
 use crate::codec::{
     decode_metric, encode_metric, put_f32s, put_u32, put_u64, put_varint, unzigzag, zigzag, Reader,
@@ -341,7 +341,8 @@ impl<C: RowCodec> ListStore<C> {
             let block = &list.rows[rows.start * row_len..rows.end * row_len];
             let mut scan = |panel: &[f32]| {
                 let (norms, ids) = (&list.norms[rows.clone()], &list.ids[rows.clone()]);
-                queries.scan(self.metric, panel, norms, ids, &list.dead.flags()[rows.clone()]);
+                let dead = &list.dead.flags()[rows.clone()];
+                queries.scan(self.metric, Panel::F32(panel), norms, ids, dead);
             };
             match C::as_panel(block) {
                 Some(panel) => scan(panel),

@@ -2,14 +2,15 @@
 //!
 //! Scoring is built on the fixed-order kernels in [`mcqa_util::kernel`]:
 //! [`Metric::score`] composes the per-pair kernels, and
-//! [`Metric::score_panel`] scores a block of queries against a decoded row
-//! panel through the register-blocked panel kernels, using
-//! build-time-cached row norms. The panel kernels perform, per (query,
-//! row) pair, exactly the per-pair kernels' operations in the same order,
-//! so every blocked scan is bit-identical to a per-row scalar oracle
+//! [`Metric::score_panel`] scores a block of queries against a row panel
+//! as stored — `f32`, or F16 widened inside the kernel's tile — through
+//! the register-blocked panel kernels, using build-time-cached row norms.
+//! The panel kernels perform, per (query, row) pair, exactly the per-pair
+//! kernels' operations in the same order on the decoded row, so every
+//! blocked scan is bit-identical to a per-row scalar oracle
 //! (property-tested in `tests/kernel.rs`).
 
-use mcqa_util::kernel;
+use mcqa_util::kernel::{self, Panel};
 
 /// Row norms [`Metric::score_panel`] roots per stack chunk: a whole panel
 /// at dim ≥ 256 (see `panel_rows`), 256 bytes of stack.
@@ -50,8 +51,9 @@ impl Metric {
 
     /// Score every query of a block against every row of a dense
     /// row-major `panel`: `out[q * rows + r]` is the score of `queries[q]`
-    /// and row `r`, where `rows = out.len() / queries.len()` and
-    /// `panel.len() == rows * dim`. A lone query is the one-query block.
+    /// and row `r` (an F16 row as [`mcqa_util::F16::to_f32`] decodes it),
+    /// where `rows = out.len() / queries.len()` and `panel.len() == rows *
+    /// dim`. A lone query is the one-query block.
     ///
     /// `query_sq_norms[q]` must be `kernel::sq_norm(queries[q])` and
     /// `row_sq_norms` the rows' cached squared norms (both consulted for
@@ -67,7 +69,7 @@ impl Metric {
         self,
         queries: &[&[f32]],
         query_sq_norms: &[f32],
-        panel: &[f32],
+        panel: Panel<'_>,
         row_sq_norms: &[f32],
         out: &mut [f32],
     ) {
@@ -165,22 +167,31 @@ mod tests {
         // A chunk of rooted norms plus seven rows, and three queries: a
         // ragged root chunk, a row tail and an odd query, so every tile
         // shape of the kernel takes part. Row 3 and query 1 are zero
-        // vectors (Cosine's defined-as-0 arm).
+        // vectors (Cosine's defined-as-0 arm). The rows are scored as
+        // `f32` and as F16 bytes, the latter against the decoded rows.
         let mut rows: Vec<Vec<f32>> = (0..ROOT_CHUNK as u64 + 7).map(&mk).collect();
         rows[3] = vec![0.0; dim];
         let queries = [mk(1000), vec![0.0; dim], mk(1002)];
         let panel: Vec<f32> = rows.concat();
-        let norms: Vec<f32> = rows.iter().map(|r| kernel::sq_norm(r)).collect();
+        let half = mcqa_util::f16::encode_f16_bytes(&panel);
+        let decoded: Vec<Vec<f32>> = half
+            .chunks_exact(2 * dim)
+            .map(|r| mcqa_util::f16::decode_f16_bytes(r).expect("whole byte pairs"))
+            .collect();
         let q_sqs: Vec<f32> = queries.iter().map(|q| kernel::sq_norm(q)).collect();
         let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        for m in [Metric::Cosine, Metric::Dot, Metric::L2] {
-            for n_queries in 0..=queries.len() {
-                let mut out = vec![f32::NAN; n_queries * rows.len()];
-                m.score_panel(&qrefs[..n_queries], &q_sqs[..n_queries], &panel, &norms, &mut out);
-                for (q, scores) in out.chunks_exact(rows.len()).enumerate() {
-                    for (row, got) in rows.iter().zip(scores) {
-                        let expect = m.score(&queries[q], row);
-                        assert_eq!(got.to_bits(), expect.to_bits(), "{m:?} query {q}");
+        for (panel, rows) in [(Panel::F32(&panel), &rows), (Panel::F16(&half), &decoded)] {
+            let norms: Vec<f32> = rows.iter().map(|r| kernel::sq_norm(r)).collect();
+            for m in [Metric::Cosine, Metric::Dot, Metric::L2] {
+                for n_queries in 0..=queries.len() {
+                    let mut out = vec![f32::NAN; n_queries * rows.len()];
+                    let q = (&qrefs[..n_queries], &q_sqs[..n_queries]);
+                    m.score_panel(q.0, q.1, panel, &norms, &mut out);
+                    for (q, scores) in out.chunks_exact(rows.len()).enumerate() {
+                        for (row, got) in rows.iter().zip(scores) {
+                            let expect = m.score(&queries[q], row);
+                            assert_eq!(got.to_bits(), expect.to_bits(), "{m:?} query {q}");
+                        }
                     }
                 }
             }
@@ -192,9 +203,9 @@ mod tests {
         let query = vec![0.0f32; 8];
         let panel = vec![0.0f32; 16];
         let mut out = vec![1.0f32; 2];
-        Metric::Cosine.score_panel(&[&query], &[0.0], &panel, &[0.0, 0.0], &mut out);
+        Metric::Cosine.score_panel(&[&query], &[0.0], Panel::F32(&panel), &[0.0, 0.0], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
         // No rows: nothing to score, nothing to divide.
-        Metric::Cosine.score_panel(&[&query], &[0.0], &[], &[], &mut []);
+        Metric::Cosine.score_panel(&[&query], &[0.0], Panel::F16(&[]), &[], &mut []);
     }
 }

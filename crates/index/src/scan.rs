@@ -3,8 +3,8 @@
 //! time.
 //!
 //! [`FlatIndex`](crate::FlatIndex) walks its whole matrix through this,
-//! [`ListStore`](crate::ListStore) each probed inverted list; a lone
-//! `search` is the one-query block. However many queries a block holds —
+//! its F16 rows in place, [`ListStore`](crate::ListStore) each probed
+//! inverted list; a lone `search` is the one-query block. However many queries a block holds —
 //! the evaluator hands a task thousands — a panel is fetched once and the
 //! score scratch stays `QUERY_SUB_BLOCK × panel rows` floats.
 //!
@@ -16,7 +16,7 @@
 //! still enters on a smaller id, and NaN takes the ungated path — so the
 //! kept set is unchanged bit for bit.
 
-use mcqa_util::kernel;
+use mcqa_util::kernel::{self, Panel};
 
 use crate::metric::Metric;
 use crate::{SearchResult, TopK};
@@ -49,15 +49,15 @@ impl<'q> QueryBlock<'q> {
         }
     }
 
-    /// Score one panel against every query of the block and offer each
-    /// query's top-k the live rows that reach its floor. `row_sq_norms`,
-    /// `ids` and `dead` are the panel's rows' columns, index-aligned with
-    /// it.
+    /// Score one panel, as stored, against every query of the block and
+    /// offer each query's top-k the live rows that reach its floor.
+    /// `row_sq_norms`, `ids` and `dead` are the panel's rows' columns,
+    /// index-aligned with it.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must pass the gate
     pub(crate) fn scan(
         &mut self,
         metric: Metric,
-        panel: &[f32],
+        panel: Panel<'_>,
         row_sq_norms: &[f32],
         ids: &[u64],
         dead: &[bool],

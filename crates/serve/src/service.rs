@@ -291,6 +291,42 @@ impl Drop for QueryService {
     }
 }
 
+/// Distinct query texts the dispatcher keeps encoded: above the
+/// evaluator's distinct stems at every scale (2 308 synthetic questions at
+/// scale 0.1, about ten times that at 1.0, plus the exam's 335), so a
+/// replay still encodes each stem once. At 256 dimensions a full memo
+/// holds ≈ 32 MB of vectors.
+const ENCODE_MEMO_CAP: usize = 1 << 15;
+
+/// The dispatcher's query-encode memo: repeated text queries (hot
+/// questions, the evaluator's per-source replays of one stem) skip the
+/// encoder. Keyed by the text itself, so two texts never share a vector,
+/// and bounded: a text that finds the memo full starts it over. Encoding
+/// is deterministic, so an eviction costs time, never an answer bit.
+struct EncodeMemo {
+    vectors: HashMap<String, Vec<f32>>,
+    cap: usize,
+}
+
+impl EncodeMemo {
+    fn new(cap: usize) -> Self {
+        Self { vectors: HashMap::new(), cap }
+    }
+
+    /// `encoder`'s vector for `text`, encoded at most once while memoised.
+    fn encode(&mut self, encoder: &BioEncoder, text: &str) -> Vec<f32> {
+        if let Some(vector) = self.vectors.get(text) {
+            return vector.clone();
+        }
+        let vector = encoder.encode(text);
+        if self.vectors.len() >= self.cap {
+            self.vectors.clear();
+        }
+        self.vectors.insert(text.to_string(), vector.clone());
+        vector
+    }
+}
+
 /// The dispatcher side: everything the service thread owns.
 struct Dispatcher {
     registry: Arc<IndexRegistry>,
@@ -304,11 +340,8 @@ struct Dispatcher {
 
 impl Dispatcher {
     fn run(self, rx: Receiver<Vec<Pending>>) {
-        // The dispatcher's query-encode memo, keyed by the text's FNV-1a
-        // hash: repeated text queries (hot questions, the evaluator's
-        // per-source replays of one stem) skip the encoder entirely. Only
-        // this thread touches it, so it needs no lock.
-        let mut encoded: HashMap<u64, Vec<f32>> = HashMap::new();
+        // Only this thread touches the memo, so it needs no lock.
+        let mut encoded = EncodeMemo::new(ENCODE_MEMO_CAP);
         // Continuous batching: block for the batch's first unit (a
         // disconnected, empty queue is the drain-complete signal), take
         // further queued units while the batch holds fewer than
@@ -326,7 +359,7 @@ impl Dispatcher {
     /// Serve one micro-batch: group by (source store, k, mode), run each
     /// group through its channel(s), and answer every envelope exactly
     /// once.
-    fn process(&self, batch: Vec<Pending>, encoded: &mut HashMap<u64, Vec<f32>>) {
+    fn process(&self, batch: Vec<Pending>, encoded: &mut EncodeMemo) {
         let dequeued = Instant::now();
         let size = batch.len();
         self.stats.record_batch(size);
@@ -376,7 +409,7 @@ impl Dispatcher {
         k: usize,
         mode: QueryMode,
         members: &[usize],
-        encoded: &mut HashMap<u64, Vec<f32>>,
+        encoded: &mut EncodeMemo,
         ctx: &mut GroupCtx<'_>,
     ) {
         // Group-level defects — a channel the registry lacks, a rescoring
@@ -444,10 +477,7 @@ impl Dispatcher {
             if let Some(store) = store {
                 let vector = match (input, &self.encoder) {
                     (QueryInput::Vector(v), _) => v.clone(),
-                    (QueryInput::Text(t), Some(enc)) => encoded
-                        .entry(mcqa_util::fnv1a(t.as_bytes()))
-                        .or_insert_with(|| enc.encode(t))
-                        .clone(),
+                    (QueryInput::Text(t), Some(enc)) => encoded.encode(enc, t),
                     (QueryInput::Text(_), None) => {
                         failed.push((i, ServeError::NoEncoder { source: source.into() }));
                         continue;
@@ -524,4 +554,37 @@ struct GroupCtx<'a> {
     slots: &'a mut Vec<Option<Pending>>,
     queue_waits: &'a [f64],
     size: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcqa_embed::EmbedConfig;
+
+    #[test]
+    fn encode_memo_keys_by_text_and_stays_bounded() {
+        let encoder = BioEncoder::new(EmbedConfig { dim: 32, ..EmbedConfig::default() });
+        let texts: Vec<String> = (0..11).map(|i| format!("tumour hypoxia dose {i}")).collect();
+        let direct: Vec<Vec<u32>> =
+            texts.iter().map(|t| encoder.encode(t).iter().map(|x| x.to_bits()).collect()).collect();
+        let cap = 4;
+        let mut memo = EncodeMemo::new(cap);
+        // Three passes: the first fills and evicts, the later ones meet
+        // texts both resident and evicted; every answer is the direct
+        // encoding, so no two texts ever share a vector.
+        for pass in 0..3 {
+            for (text, want) in texts.iter().zip(&direct) {
+                let got: Vec<u32> =
+                    memo.encode(&encoder, text).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(&got, want, "pass {pass}, {text:?}");
+                assert!(memo.vectors.len() <= cap, "pass {pass}: {} texts", memo.vectors.len());
+                assert_eq!(memo.vectors.get(text.as_str()).map(Vec::len), Some(32));
+            }
+        }
+        // A repeat within the cap is served from the memo.
+        let mut memo = EncodeMemo::new(cap);
+        memo.encode(&encoder, &texts[0]);
+        memo.encode(&encoder, &texts[0]);
+        assert_eq!(memo.vectors.len(), 1);
+    }
 }

@@ -18,25 +18,37 @@
 //! accumulator, so the tile's chains are independent (add latency overlaps
 //! across them) and each loaded row block is reused once per query of the
 //! tile. The body is safe Rust over an aligned 8-lane value type, generic
-//! over the tile shape, written once and compiled twice: for the build's
-//! baseline target in 2×2 tiles (queries × rows; the widest that fits
-//! SSE2's sixteen 128-bit registers), and under
-//! `#[target_feature(enable = "avx2")]` in 4×2 tiles (eight 256-bit
+//! over the tile shape and over how a row is stored ([`Panel`]: `f32`, or
+//! the F16 bytes a store keeps, read in place), written once and compiled
+//! twice: for the build's baseline target in 2×2 tiles (queries × rows;
+//! the widest that fits SSE2's sixteen 128-bit registers), and under
+//! `#[target_feature(enable = "avx2,f16c")]` in 4×2 tiles (eight 256-bit
 //! accumulators; ≈ 6 % more multiply-adds per cycle than 2×2 L1-hot, 13 %
 //! off the real scan — `AVX2_TILE_QUERIES` records the measured shapes),
 //! selected per call by `is_x86_feature_detected!`. The tile shape only
 //! changes which pairs advance together, never a pair's own operations.
 //!
+//! An F16 row is widened to `f32` inside the tile, one 8-lane block at a
+//! time, right before the queries use it: by one `vcvtph2ps` under F16C,
+//! lane by lane through [`F16::to_f32`] on the baseline target and in
+//! every ragged tail. A scan of F16 storage thus streams two bytes per
+//! element — half of what a decoded copy costs — and keeps no copy.
+//!
 //! Determinism contract: every kernel accumulates in a fixed order that
 //! depends only on the slice length — never on block boundaries, tile
-//! shapes, worker counts, call sites or the host's instruction set. Within a
-//! tile each pair sees exactly the operations [`dot`] / [`l2_sq`] perform,
-//! in the same order (element `i` into lane `i % LANES`, the ragged tail
-//! lane by lane from lane 0, one fixed reduction tree), and the arithmetic
-//! is a plain multiply then add — never a fused multiply-add — so both
-//! instantiations agree with the per-pair definition bit for bit. That is
-//! what makes blocked/batched search in `mcqa-index` bit-identical to its
-//! per-row `Metric::score` oracle.
+//! shapes, row storage, worker counts, call sites or the host's
+//! instruction set. Within a tile each pair sees exactly the operations
+//! [`dot`] / [`l2_sq`] perform, in the same order (element `i` into lane
+//! `i % LANES`, the ragged tail lane by lane from lane 0, one fixed
+//! reduction tree), and the arithmetic is a plain multiply then add —
+//! never a fused multiply-add — so both instantiations agree with the
+//! per-pair definition bit for bit. Both widenings are exact, so an F16
+//! row scores as the `f32` row [`F16::to_f32`] decodes (a signalling NaN,
+//! which F16C returns quieted, is quieted by the first product anyway).
+//! That is what makes blocked/batched search in `mcqa-index` bit-identical
+//! to its per-row `Metric::score` oracle over decoded rows.
+
+use crate::f16::F16;
 
 /// Independent accumulator lanes per kernel. Eight f32 lanes fill one
 /// AVX2 register (or two NEON registers) and leave the autovectorizer no
@@ -116,8 +128,8 @@ const BASELINE_TILE_QUERIES: usize = 2;
 const BASELINE_TILE_ROWS: usize = 2;
 /// Queries per tile under AVX2. With [`AVX2_TILE_ROWS`] it gives eight
 /// accumulators in eight of the sixteen 256-bit registers, beside four
-/// query blocks and two row blocks. Measured at dim 256 on a 64-row
-/// panel, L1-hot:
+/// query blocks and two (widened) row blocks — fourteen in all. Measured
+/// at dim 256 on a 64-row F32 panel, L1-hot:
 ///
 /// | tile | GMAC/s |
 /// |---|---|
@@ -129,7 +141,8 @@ const BASELINE_TILE_ROWS: usize = 2;
 ///
 /// 4×2 rather than 2×4: a block of queries is usually wider than two, and
 /// in the real scan 4×2 takes 13 % off on top of the top-k gate and the
-/// once-per-row norm roots.
+/// once-per-row norm roots. With F16 rows 2×4 would also widen twice as
+/// many row blocks per multiply-add.
 const AVX2_TILE_QUERIES: usize = 4;
 /// Panel rows per tile under AVX2 (see [`AVX2_TILE_QUERIES`]).
 const AVX2_TILE_ROWS: usize = 2;
@@ -137,6 +150,111 @@ const AVX2_TILE_ROWS: usize = 2;
 /// leaves over: the same four chains as a 2×2 tile, with nothing to reuse
 /// across queries.
 const LONE_TILE_ROWS: usize = 4;
+
+/// A panel of consecutive rows as a store keeps them: dense row-major
+/// `f32`s, or little-endian IEEE binary16 — two bytes per element, the
+/// layout [`crate::f16::encode_f16_bytes`] writes. The panel kernels read
+/// either in place; an F16 row is widened to `f32` inside the tile, one
+/// 8-lane block at a time, exactly as [`F16::to_f32`] decodes it.
+#[derive(Debug, Clone, Copy)]
+pub enum Panel<'a> {
+    /// Rows of `f32`.
+    F32(&'a [f32]),
+    /// Rows of little-endian binary16 bytes.
+    F16(&'a [u8]),
+}
+
+impl Panel<'_> {
+    /// Elements in the panel (`rows × dim`), whatever their width.
+    pub fn len(&self) -> usize {
+        match self {
+            Panel::F32(values) => values.len(),
+            Panel::F16(bytes) => bytes.len() / 2,
+        }
+    }
+
+    /// True when the panel holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// How the tile reads one stored row element and one [`LANES`]-wide block
+/// of them: `f32` as is, F16 widened. The block widening and the per-lane
+/// [`Widen::one`] must agree on every value a scan can meet — that is what
+/// keeps the in-tile widening bit-identical to scoring the decoded row.
+trait Widen {
+    /// One stored element.
+    type Elem: Copy;
+    /// A full block, widened.
+    fn block(block: &[Self::Elem; LANES]) -> [f32; LANES];
+    /// One element of the ragged tail, widened.
+    fn one(elem: Self::Elem) -> f32;
+}
+
+/// `f32` rows: nothing to widen.
+struct F32Rows;
+
+impl Widen for F32Rows {
+    type Elem = f32;
+    #[inline(always)]
+    fn block(block: &[f32; LANES]) -> [f32; LANES] {
+        *block
+    }
+    #[inline(always)]
+    fn one(elem: f32) -> f32 {
+        elem
+    }
+}
+
+/// F16 rows widened lane by lane with [`F16::to_f32`]: the baseline
+/// target's path, and every path's ragged tail.
+struct F16Rows;
+
+impl Widen for F16Rows {
+    type Elem = [u8; 2];
+    #[inline(always)]
+    fn block(block: &[[u8; 2]; LANES]) -> [f32; LANES] {
+        let mut wide = [0.0; LANES];
+        for (w, &pair) in wide.iter_mut().zip(block) {
+            *w = F16Rows::one(pair);
+        }
+        wide
+    }
+    #[inline(always)]
+    fn one(pair: [u8; 2]) -> f32 {
+        F16(u16::from_le_bytes(pair)).to_f32()
+    }
+}
+
+/// F16 rows widened a block at a time by one `vcvtph2ps`. Exact, like
+/// [`F16::to_f32`], on every half but a signalling NaN, which comes back
+/// quieted — and which the first product a scan takes quiets anyway.
+/// Instantiated only inside [`panel_avx2`].
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+struct F16cRows;
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+impl Widen for F16cRows {
+    type Elem = [u8; 2];
+    #[inline(always)]
+    fn block(block: &[[u8; 2]; LANES]) -> [f32; LANES] {
+        #[cfg(target_arch = "x86")]
+        use std::arch::x86::{_mm256_cvtph_ps, _mm_loadu_si128};
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::x86_64::{_mm256_cvtph_ps, _mm_loadu_si128};
+        // SAFETY: `block` is 16 readable bytes, which is all the unaligned
+        // load reads, and `[f32; 8]` has the size of `__m256` with every
+        // bit pattern valid. F16C (and AVX) are present: `F16cRows` is
+        // instantiated only in `panel_avx2`, which runs only once
+        // `panel_dispatch` (or a test) has detected both on this host.
+        unsafe { std::mem::transmute(_mm256_cvtph_ps(_mm_loadu_si128(block.as_ptr().cast()))) }
+    }
+    #[inline(always)]
+    fn one(pair: [u8; 2]) -> f32 {
+        F16Rows::one(pair)
+    }
+}
 
 /// One accumulator per (query, row) pair: eight lanes, aligned so the
 /// autovectorizer keeps it in one 256-bit (or two 128-bit) registers.
@@ -166,10 +284,12 @@ impl Lanes {
         }
     }
 
-    /// The ragged tail continues lane by lane from lane 0.
+    /// The ragged tail continues lane by lane from lane 0, each row
+    /// element widened on its own.
     #[inline(always)]
-    fn add_tail<const L2: bool>(&mut self, x: &[f32], y: &[f32]) {
-        for (acc, (x, y)) in self.0.iter_mut().zip(x.iter().zip(y)) {
+    fn add_tail<const L2: bool, W: Widen>(&mut self, x: &[f32], y: &[W::Elem]) {
+        for (acc, (x, &y)) in self.0.iter_mut().zip(x.iter().zip(y)) {
+            let y = W::one(y);
             if L2 {
                 let d = x - y;
                 *acc += d * d;
@@ -186,10 +306,7 @@ impl Lanes {
 /// sees the slicing, hence the plain loop: `array::map` / `from_fn` were
 /// left as calls at `N = 4`, one per tile, hiding the lengths behind them.
 #[inline(always)]
-fn split<const N: usize>(
-    vectors: [&[f32]; N],
-    blocks: usize,
-) -> ([&[[f32; LANES]]; N], [&[f32]; N]) {
+fn split<E, const N: usize>(vectors: [&[E]; N], blocks: usize) -> ([&[[E; LANES]]; N], [&[E]; N]) {
     let (mut full, mut tails) = ([[].as_slice(); N], [[].as_slice(); N]);
     for i in 0..N {
         let (blocks_of, tail) = vectors[i].as_chunks::<LANES>();
@@ -199,19 +316,20 @@ fn split<const N: usize>(
 }
 
 /// Score a `Q × R` tile: `out[q * stride + r]` is the `dot` (or, with
-/// `L2`, the `l2_sq`) of `queries[q]` and `rows[r]`, every slice of one
-/// common length. The `Q · R` accumulators advance block by block in
-/// lockstep, which is the whole point — the loop carries `Q · R`
-/// independent add chains instead of one.
+/// `L2`, the `l2_sq`) of `queries[q]` and `rows[r]` widened through `W`,
+/// every row of the queries' length. The `Q · R` accumulators advance
+/// block by block in lockstep, which is the whole point — the loop
+/// carries `Q · R` independent add chains instead of one. Each row block
+/// is widened once per tile block, before the queries share it.
 ///
 /// Index loops throughout: whether this body vectorises hangs on the exact
 /// shape LLVM is handed (see [`Lanes::add_block`]), and these are the
 /// loops that were measured.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-fn tile<const L2: bool, const Q: usize, const R: usize>(
+fn tile<const L2: bool, W: Widen, const Q: usize, const R: usize>(
     queries: [&[f32]; Q],
-    rows: [&[f32]; R],
+    rows: [&[W::Elem]; R],
     out: &mut [f32],
     stride: usize,
 ) {
@@ -220,15 +338,19 @@ fn tile<const L2: bool, const Q: usize, const R: usize>(
     let (row_blocks, row_tails) = split(rows, blocks);
     let mut acc = [[Lanes([0.0; LANES]); R]; Q];
     for b in 0..blocks {
+        let mut wide = [[0.0; LANES]; R];
+        for r in 0..R {
+            wide[r] = W::block(&row_blocks[r][b]);
+        }
         for q in 0..Q {
             for r in 0..R {
-                acc[q][r].add_block::<L2>(&query_blocks[q][b], &row_blocks[r][b]);
+                acc[q][r].add_block::<L2>(&query_blocks[q][b], &wide[r]);
             }
         }
     }
     for q in 0..Q {
         for r in 0..R {
-            acc[q][r].add_tail::<L2>(query_tails[q], row_tails[r]);
+            acc[q][r].add_tail::<L2, W>(query_tails[q], row_tails[r]);
             out[q * stride + r] = reduce(acc[q][r].0);
         }
     }
@@ -237,9 +359,9 @@ fn tile<const L2: bool, const Q: usize, const R: usize>(
 /// Sweep `Q` queries down a whole panel in tiles of `R` rows, then row by
 /// row over what is left.
 #[inline(always)]
-fn sweep<const L2: bool, const Q: usize, const R: usize>(
+fn sweep<const L2: bool, W: Widen, const Q: usize, const R: usize>(
     queries: [&[f32]; Q],
-    panel: &[f32],
+    panel: &[W::Elem],
     out: &mut [f32],
     rows: usize,
 ) {
@@ -251,11 +373,11 @@ fn sweep<const L2: bool, const Q: usize, const R: usize>(
         for (j, tile_row) in tile_rows.iter_mut().enumerate() {
             *tile_row = row(r + j);
         }
-        tile::<L2, Q, R>(queries, tile_rows, &mut out[r..], rows);
+        tile::<L2, W, Q, R>(queries, tile_rows, &mut out[r..], rows);
         r += R;
     }
     while r < rows {
-        tile::<L2, Q, 1>(queries, [row(r)], &mut out[r..], rows);
+        tile::<L2, W, Q, 1>(queries, [row(r)], &mut out[r..], rows);
         r += 1;
     }
 }
@@ -263,12 +385,12 @@ fn sweep<const L2: bool, const Q: usize, const R: usize>(
 /// The panel kernel body: `out[q * rows + r]` for every query and every
 /// row of `panel`, queries taken `Q` at a time down tiles of `R` rows, and
 /// the `< Q` left over each alone. `#[inline(always)]` so each
-/// instantiation below compiles its own copy, with its own tile shape,
-/// under its own target features.
+/// instantiation below compiles its own copy, with its own tile shape and
+/// row widening, under its own target features.
 #[inline(always)]
-fn panel_body<const L2: bool, const Q: usize, const R: usize>(
+fn panel_body<const L2: bool, W: Widen, const Q: usize, const R: usize>(
     queries: &[&[f32]],
-    panel: &[f32],
+    panel: &[W::Elem],
     out: &mut [f32],
 ) {
     let Some(first) = queries.first() else {
@@ -284,38 +406,63 @@ fn panel_body<const L2: bool, const Q: usize, const R: usize>(
     let mut q = 0;
     for group in &mut groups {
         let group: [&[f32]; Q] = group.try_into().expect("chunks_exact length");
-        sweep::<L2, Q, R>(group, panel, &mut out[q * rows..], rows);
+        sweep::<L2, W, Q, R>(group, panel, &mut out[q * rows..], rows);
         q += Q;
     }
     for &lone in groups.remainder() {
-        sweep::<L2, 1, LONE_TILE_ROWS>([lone], panel, &mut out[q * rows..], rows);
+        sweep::<L2, W, 1, LONE_TILE_ROWS>([lone], panel, &mut out[q * rows..], rows);
         q += 1;
     }
 }
 
 /// [`panel_body`] compiled for the build's baseline target features, in
-/// 2×2 tiles.
-fn panel_baseline<const L2: bool>(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
-    panel_body::<L2, BASELINE_TILE_QUERIES, BASELINE_TILE_ROWS>(queries, panel, out)
+/// 2×2 tiles; F16 rows widen lane by lane.
+fn panel_baseline<const L2: bool>(queries: &[&[f32]], panel: Panel<'_>, out: &mut [f32]) {
+    const Q: usize = BASELINE_TILE_QUERIES;
+    const R: usize = BASELINE_TILE_ROWS;
+    match panel {
+        Panel::F32(values) => panel_body::<L2, F32Rows, Q, R>(queries, values, out),
+        Panel::F16(bytes) => panel_body::<L2, F16Rows, Q, R>(queries, half_pairs(bytes), out),
+    }
 }
 
 /// [`panel_body`] compiled with 256-bit registers, in 4×2 tiles: every
 /// pair sees the same operations in the same order, with twice as many
-/// lanes per instruction and twice as many chains per tile.
+/// lanes per instruction and twice as many chains per tile. F16 rows
+/// widen a block at a time through F16C.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn panel_avx2<const L2: bool>(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
-    panel_body::<L2, AVX2_TILE_QUERIES, AVX2_TILE_ROWS>(queries, panel, out)
+#[target_feature(enable = "avx2,f16c")]
+fn panel_avx2<const L2: bool>(queries: &[&[f32]], panel: Panel<'_>, out: &mut [f32]) {
+    const Q: usize = AVX2_TILE_QUERIES;
+    const R: usize = AVX2_TILE_ROWS;
+    match panel {
+        Panel::F32(values) => panel_body::<L2, F32Rows, Q, R>(queries, values, out),
+        Panel::F16(bytes) => panel_body::<L2, F16cRows, Q, R>(queries, half_pairs(bytes), out),
+    }
+}
+
+/// F16 panel bytes as one byte pair per element.
+#[inline(always)]
+fn half_pairs(bytes: &[u8]) -> &[[u8; 2]] {
+    let (pairs, odd) = bytes.as_chunks::<2>();
+    assert!(odd.is_empty(), "an F16 panel is whole byte pairs");
+    pairs
+}
+
+/// True when this host runs [`panel_avx2`].
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn has_avx2_f16c() -> bool {
+    std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("f16c")
 }
 
 /// Run the widest instantiation of the panel kernel the host supports.
 #[inline]
-fn panel_dispatch<const L2: bool>(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
+fn panel_dispatch<const L2: bool>(queries: &[&[f32]], panel: Panel<'_>, out: &mut [f32]) {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::is_x86_feature_detected!("avx2") {
+    if has_avx2_f16c() {
         // SAFETY: `panel_avx2` is a safe function whose only requirement
-        // is that the CPU supports AVX2, which the check above just
-        // established for this host.
+        // is that the CPU supports AVX2 and F16C, which the check above
+        // just established for this host.
         return unsafe { panel_avx2::<L2>(queries, panel, out) };
     }
     panel_baseline::<L2>(queries, panel, out)
@@ -324,14 +471,15 @@ fn panel_dispatch<const L2: bool>(queries: &[&[f32]], panel: &[f32], out: &mut [
 /// [`dot`] of every query with every row of a dense row-major `panel`:
 /// `out[q * rows + r] = dot(queries[q], row r)`, bit for bit, where
 /// `rows = out.len() / queries.len()` and `panel.len() == rows * dim`.
+/// An F16 row is scored as the `f32` row [`F16::to_f32`] decodes it to.
 /// Panics on ragged queries or mismatched lengths.
-pub fn dot_panel(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
+pub fn dot_panel(queries: &[&[f32]], panel: Panel<'_>, out: &mut [f32]) {
     panel_dispatch::<false>(queries, panel, out)
 }
 
 /// [`l2_sq`] of every query with every row of `panel`, laid out and
 /// checked as in [`dot_panel`].
-pub fn l2_sq_panel(queries: &[&[f32]], panel: &[f32], out: &mut [f32]) {
+pub fn l2_sq_panel(queries: &[&[f32]], panel: Panel<'_>, out: &mut [f32]) {
     panel_dispatch::<true>(queries, panel, out)
 }
 
@@ -388,11 +536,13 @@ mod tests {
         // Every remainder shape of both tilings: no queries, a lone query,
         // one or two 4×2 groups with one to three queries left over, odd
         // and even counts of 2×2 groups, fewer rows than a tile, ragged
-        // row and lane tails. Each instantiation is asserted by name, so
-        // the portable body is exercised on an AVX2 host too.
+        // row and lane tails — over F32 rows and over F16 rows, which must
+        // score as the rows `F16::to_f32` decodes. Each instantiation is
+        // asserted by name, so the portable body (and its lane-by-lane
+        // widening) is exercised on an AVX2 + F16C host too.
         type Pair = fn(&[f32], &[f32]) -> f32;
-        type Panel = fn(&[&[f32]], &[f32], &mut [f32]);
-        type Instantiations = Vec<(&'static str, Panel)>;
+        type Kernel = fn(&[&[f32]], Panel<'_>, &mut [f32]);
+        type Instantiations = Vec<(&'static str, Kernel)>;
         let mut kernels: [(&str, Pair, Instantiations); 2] = [
             ("dot", dot, vec![("baseline", panel_baseline::<false>), ("dispatched", dot_panel)]),
             (
@@ -402,31 +552,41 @@ mod tests {
             ),
         ];
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY (both): AVX2 was detected on this host just above.
-            kernels[0].2.push(("avx2", |q, p, o| unsafe { panel_avx2::<false>(q, p, o) }));
-            kernels[1].2.push(("avx2", |q, p, o| unsafe { panel_avx2::<true>(q, p, o) }));
+        if has_avx2_f16c() {
+            // SAFETY (both): AVX2 and F16C were detected on this host just
+            // above.
+            kernels[0].2.push(("avx2+f16c", |q, p, o| unsafe { panel_avx2::<false>(q, p, o) }));
+            kernels[1].2.push(("avx2+f16c", |q, p, o| unsafe { panel_avx2::<true>(q, p, o) }));
         }
         for dim in [1usize, 7, 8, 9, 31, 100, 256] {
             for rows in (0..=9).chain([64]) {
                 let panel = sample(rows * dim, 11 + dim as u64);
+                let half = crate::f16::encode_f16_bytes(&panel);
+                let decoded = crate::f16::decode_f16_bytes(&half).expect("whole byte pairs");
+                let stored =
+                    [("f32", Panel::F32(&panel), &panel), ("f16", Panel::F16(&half), &decoded)];
                 for n_queries in 0..=9usize {
                     let queries: Vec<Vec<f32>> =
                         (0..n_queries).map(|q| sample(dim, 1000 + q as u64)).collect();
                     let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
                     for (name, pair, panels) in &kernels {
-                        let expect: Vec<u32> = queries
-                            .iter()
-                            .flat_map(|q| panel.chunks_exact(dim).map(|r| pair(q, r).to_bits()))
-                            .collect();
-                        for (which, kernel) in panels {
-                            let mut out = vec![f32::NAN; n_queries * rows];
-                            kernel(&queries, &panel, &mut out);
-                            let got: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
-                            assert_eq!(
-                                got, expect,
-                                "{name} {which} dim={dim} rows={rows} queries={n_queries}"
-                            );
+                        for &(rows_as, stored, values) in &stored {
+                            let expect: Vec<u32> = queries
+                                .iter()
+                                .flat_map(|q| {
+                                    values.chunks_exact(dim).map(|r| pair(q, r).to_bits())
+                                })
+                                .collect();
+                            for (which, kernel) in panels {
+                                let mut out = vec![f32::NAN; n_queries * rows];
+                                kernel(&queries, stored, &mut out);
+                                let got: Vec<u32> = out.iter().map(|s| s.to_bits()).collect();
+                                assert_eq!(
+                                    got, expect,
+                                    "{name} {which} {rows_as} dim={dim} rows={rows} \
+                                     queries={n_queries}"
+                                );
+                            }
                         }
                     }
                 }
@@ -434,9 +594,45 @@ mod tests {
         }
     }
 
-    /// The bit-identity test above asserts the 4×2 AVX2 instantiation only
-    /// where the host has AVX2. On CI a runner without it fails here
-    /// instead of leaving that instantiation silently untested.
+    #[test]
+    fn every_half_widens_as_f16_to_f32_decodes_it() {
+        // All 65 536 patterns, eight to a block, through each block
+        // widening the tile can take. Compared as bits after one `* 1.0`
+        // — the first product any scan takes — because F16C returns a
+        // signalling NaN quieted; every other half must match untouched.
+        let pairs: Vec<[u8; 2]> = (0..=0xffffu16).map(u16::to_le_bytes).collect();
+        let (blocks, tail) = pairs.as_chunks::<LANES>();
+        assert!(tail.is_empty());
+        type Block = fn(&[[u8; 2]; LANES]) -> [f32; LANES];
+        let mut widenings: Vec<(&str, Block)> = vec![("lane by lane", F16Rows::block)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2_f16c() {
+            widenings.push(("f16c", F16cRows::block));
+        }
+        let one = std::hint::black_box(1.0f32);
+        for (which, widen) in widenings {
+            for (b, block) in blocks.iter().enumerate() {
+                for (l, wide) in widen(block).into_iter().enumerate() {
+                    let bits = (b * LANES + l) as u16;
+                    let expect = F16(bits).to_f32();
+                    let signalling = F16(bits).is_nan() && bits & 0x0200 == 0;
+                    if !signalling {
+                        assert_eq!(wide.to_bits(), expect.to_bits(), "{which} {bits:#06x}");
+                    }
+                    assert_eq!(
+                        (wide * one).to_bits(),
+                        (expect * one).to_bits(),
+                        "{which} {bits:#06x}, after one product"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The bit-identity tests above assert the 4×2 AVX2 + F16C
+    /// instantiation, and the hardware widening, only where the host has
+    /// both. On CI a runner without them fails here instead of leaving
+    /// that instantiation silently untested.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn ci_runners_have_avx2() {
@@ -445,6 +641,10 @@ mod tests {
                 std::is_x86_feature_detected!("avx2"),
                 "CI runner lacks AVX2: the 4×2 panel kernel went untested"
             );
+            assert!(
+                std::is_x86_feature_detected!("f16c"),
+                "CI runner lacks F16C: the in-tile F16 widening went untested"
+            );
         }
     }
 
@@ -452,7 +652,7 @@ mod tests {
     #[should_panic(expected = "ragged queries")]
     fn panel_kernels_refuse_ragged_queries() {
         let (a, b) = (sample(8, 1), sample(7, 2));
-        dot_panel(&[&a, &b], &sample(16, 3), &mut [0.0; 4]);
+        dot_panel(&[&a, &b], Panel::F32(&sample(16, 3)), &mut [0.0; 4]);
     }
 
     #[test]
