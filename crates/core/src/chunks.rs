@@ -23,7 +23,7 @@ pub struct ChunkRecord {
 
 impl ChunkRecord {
     /// Compose the corpus-wide id.
-    pub fn make_id(doc: DocId, index_in_doc: u32) -> u64 {
+    pub(crate) fn make_id(doc: DocId, index_in_doc: u32) -> u64 {
         ((doc.0 as u64) << 16) | (index_in_doc as u64 & 0xFFFF)
     }
 

@@ -110,6 +110,21 @@ mod tests {
     }
 
     #[test]
+    fn every_scale_names_its_entities() {
+        // The registry sizes the scales ask for; `mcqa-ontology`'s
+        // `open_kinds_hit_requested_count` fills each of them at seeds
+        // 1–10. Past 384 the syndrome kind once ran out of names.
+        for (scale, n) in [(0.5, 375), (0.52, 390), (0.667, 500), (1.0, 500)] {
+            for seed in 1..=10 {
+                assert_eq!(PipelineConfig::at_scale(scale, seed).ontology.entities_per_kind, n);
+            }
+        }
+        let ontology = mcqa_ontology::Ontology::generate(&OntologyConfig::default());
+        let syndromes = ontology.registry().of_kind(mcqa_ontology::EntityKind::Syndrome);
+        assert_eq!(syndromes.len(), 480);
+    }
+
+    #[test]
     #[should_panic(expected = "scale must be in")]
     fn zero_scale_rejected() {
         PipelineConfig::at_scale(0.0, 1);

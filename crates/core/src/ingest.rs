@@ -58,7 +58,7 @@ impl ContentHash {
     }
 
     /// Lowercase hex rendering.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
 }

@@ -15,9 +15,9 @@
 //!                                               three trace vector DBs
 //! ```
 //!
-//! * [`config`] — one config object for the whole pipeline with
+//! * [`PipelineConfig`] — one config object for the whole pipeline with
 //!   paper-scale defaults and a `--scale` knob.
-//! * [`chunks`] — chunk records with provenance (chunk id → document →
+//! * [`ChunkRecord`] — chunk records with provenance (chunk id → document →
 //!   facts stated inside, via the corpus oracle).
 //! * [`ingest`] — content-addressed change detection between two runs
 //!   (document hash table, table diff, the ingest census).
@@ -28,14 +28,15 @@
 //!   through [`schema::to_jsonl_document`] into JSONL artifacts, and through
 //!   `serde_json::to_string` into the golden hashes and `repro`'s output.
 //!   They are this crate's only serde types.
-//! * [`pipeline`] — the orchestrated workflow over `mcqa-runtime`, ending
-//!   in a [`pipeline::PipelineOutput`] that the evaluation crate consumes.
+//! * [`Pipeline`] — the orchestrated workflow over `mcqa-runtime`, a list
+//!   of stage functions in Figure-1 row order, ending in a
+//!   [`PipelineOutput`] that the evaluation crate consumes.
 
-pub mod chunks;
-pub mod config;
+mod chunks;
+mod config;
 pub mod ingest;
 pub mod parse;
-pub mod pipeline;
+mod pipeline;
 pub mod schema;
 
 pub use chunks::ChunkRecord;

@@ -1,16 +1,23 @@
 //! The orchestrated end-to-end pipeline.
 //!
-//! Every run — the cold full build and the incremental re-run — flows
-//! through one planner (`Pipeline::run_planned`): the corpus is content-
-//! hashed, its id-sorted address table is merged against the previous
-//! run's [`IngestManifest`] (empty on a cold build, so everything
-//! classifies as added), and only the chunk→embed→question slices the
-//! [`ChangeSet`](crate::ingest::ChangeSet) touches are re-run. Unchanged
-//! slices replay from the previous output; stale index rows are
-//! tombstoned, rows whose question id shifted move to the new id in
-//! place, and fresh rows are appended. There is no
-//! second bookkeeping path: a full rebuild is the all-added degenerate
-//! case of the incremental plan.
+//! The cold build and the incremental re-run flow through one planner
+//! (`Pipeline::run_planned`): the corpus is content-hashed, its address
+//! table is diffed against the previous run's [`IngestManifest`] (empty on
+//! a cold build, so everything classifies as added), and only the slices
+//! the [`ChangeSet`] touches are re-run. Unchanged slices replay from the
+//! previous output; stale index rows are tombstoned, rows whose question
+//! id shifted move to the new id in place, and fresh rows are appended.
+//!
+//! The planner calls private stage functions in the order the Figure-1
+//! report prints their rows; each returns its output and its rows, and
+//! none touches the report: `scan` (`ingest-scan`) → `parse` → `chunk`
+//! (the chunk vectors ride out with the chunks) → `merge_chunks`
+//! (`ingest-chunks`) → `copy_registry` (`ingest-registry`, incremental
+//! runs only) → `refresh_source` (`index-chunks`, `index-lex-chunks`) →
+//! `generate_and_judge` (`generate+judge`) → `distil` (`traces`) →
+//! `merge_questions` (no row) → `embed_traces` (`embed-traces`) →
+//! `refresh_source` once per trace mode (`index-traces-<mode>`,
+//! `index-lex-traces-<mode>`).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -22,11 +29,12 @@ use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
 use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode, OPTION_LETTERS};
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
+use mcqa_text::ChunkerConfig;
 use mcqa_util::{KeyedStochastic, ScopeTimer};
 
 use crate::chunks::{ChunkRecord, MentionMatcher};
 use crate::config::PipelineConfig;
-use crate::ingest::{diff, ContentHash, IngestCensus, IngestManifest};
+use crate::ingest::{diff, ChangeSet, ContentHash, IngestCensus, IngestManifest};
 use crate::parse::{AdaptiveParser, ParseOutcome, ParsedDocument};
 use crate::schema::{Provenance, QualityBlock, QuestionRecord, TraceRecord};
 
@@ -39,102 +47,6 @@ pub const CHUNKS_STORE: &str = "chunks";
 /// through mostly-dead storage.
 fn over_tombstone_threshold(tombstones: usize, live: usize) -> bool {
     tombstones * 4 > live.max(1)
-}
-
-/// One round's edit of one retrieval source, applied to the dense store
-/// and its `lex-` sibling alike (both are keyed by the same ids).
-struct SourceEdit<'a> {
-    /// Previous-round ids whose rows are gone.
-    dead: &'a [u64],
-    /// Rows that stay but whose id shifted, old id → new id.
-    moves: &'a HashMap<u64, u64>,
-    /// Fresh rows for the dense store, in ascending id order.
-    vectors: &'a [(u64, Vec<f32>)],
-    /// The same rows' texts for the sibling.
-    texts: &'a [(u64, &'a str)],
-}
-
-/// Bring one retrieval source — the dense store `name` and its `lex-`
-/// sibling — up to date with `edit`: compact what the previous round left
-/// tombstoned, tombstone the rows of the dead ids, move the shifted rows
-/// to their new ids in place ([`VectorStore::rekey`]), add the fresh
-/// rows, and compact a side once its tombstones pass the threshold. A
-/// move that finds no live row is a wiring bug and panics. A cold build
-/// is the same plan with nothing registered, dead or moved: the dense
-/// store is bulk-loaded (which is where IVF / PQ train) and the sibling
-/// starts empty. One `index-<name>` and one `index-lex-<name>` stage row
-/// either way (items = rows added, out = live rows afterwards).
-///
-/// The start-of-round compaction keeps a round's input what a decode of
-/// the previous registry's tombstone-free wire format would be, so the
-/// threshold only ever sees this round's tombstones. It is not counted in
-/// `census.compactions`.
-fn refresh_source(
-    config: &PipelineConfig,
-    exec: &Executor,
-    indexes: &mut IndexRegistry,
-    census: &mut IngestCensus,
-    report: &mut RunReport,
-    name: &str,
-    edit: SourceEdit<'_>,
-) {
-    let t = ScopeTimer::start("index");
-    match indexes.get_mut(name) {
-        None => indexes.insert(
-            name,
-            build_store_from_vectors(
-                &config.index,
-                config.embed.dim,
-                Metric::Cosine,
-                Precision::F16,
-                exec,
-                edit.vectors,
-            ),
-        ),
-        Some(store) => {
-            store.compact(exec);
-            census.tombstones_dense += store.remove(edit.dead);
-            let moved = store.rekey(edit.moves);
-            assert_eq!(moved, edit.moves.len(), "{name}: a re-key found no live row");
-            census.rekeyed_dense += moved;
-            store.add_batch(exec, edit.vectors);
-            if over_tombstone_threshold(store.tombstones(), store.len()) {
-                store.compact(exec);
-                census.compactions += 1;
-            }
-        }
-    }
-    report.add(StageMetrics::single(
-        &format!("index-{name}"),
-        edit.vectors.len(),
-        indexes.expect_store(name).len(),
-        t.elapsed_secs(),
-    ));
-
-    // The BM25 sibling over the same texts, keyed by the same ids, so both
-    // channels retrieve the same documents.
-    let t = ScopeTimer::start("index-lex");
-    let sibling = IndexRegistry::lexical_sibling(name);
-    if indexes.lexical(&sibling).is_none() {
-        indexes.insert_lexical(&sibling, LexicalIndex::new(Default::default()));
-    }
-    let lex = indexes.expect_lexical_mut(&sibling);
-    lex.compact();
-    census.tombstones_lexical += lex.remove(edit.dead);
-    let moved = lex.rekey(edit.moves);
-    assert_eq!(moved, edit.moves.len(), "{sibling}: a re-key found no live document");
-    census.rekeyed_lexical += moved;
-    lex.add_batch(exec, edit.texts);
-    if over_tombstone_threshold(lex.tombstones(), lex.len()) {
-        lex.compact();
-        census.compactions += 1;
-    }
-    report.add(StageMetrics::single(
-        &format!("index-lex-{name}"),
-        edit.texts.len(),
-        lex.len(),
-        t.elapsed_secs(),
-    ));
 }
 
 /// Everything the pipeline produces, ready for evaluation.
@@ -199,24 +111,10 @@ impl PipelineOutput {
     pub fn chunk_store(&self) -> &dyn VectorStore {
         self.indexes.expect_store(CHUNKS_STORE)
     }
-
-    /// The trace vector database for `mode`. Panics when absent.
-    pub fn trace_store(&self, mode: TraceMode) -> &dyn VectorStore {
-        self.indexes.expect_store(mode.db_name())
-    }
 }
 
 /// The pipeline runner.
 pub struct Pipeline;
-
-/// A memoized per-chunk generation outcome replayed from a previous run.
-struct PrevOutcome<'a> {
-    record: &'a QuestionRecord,
-    item: &'a McqItem,
-    /// The question id the previous run assigned (ids are dense in
-    /// acceptance order, so edits upstream shift them).
-    old_qid: u64,
-}
 
 impl Pipeline {
     /// Run every stage from scratch: generate the ontology, acquire the
@@ -284,6 +182,7 @@ impl Pipeline {
     /// The single planner every run flows through. `prev: None` is the
     /// cold build: the diff against an empty manifest classifies every
     /// document as added, so the whole corpus is one big re-run slice.
+    /// It calls the stage functions in the order their rows print.
     fn run_planned(
         config: &PipelineConfig,
         ontology: Arc<Ontology>,
@@ -293,423 +192,64 @@ impl Pipeline {
         prev: Option<&PipelineOutput>,
     ) -> PipelineOutput {
         let mut census = IngestCensus::default();
-
-        // Ingest scan: content-hash every live document (fanned out), then
-        // one merge pass over this run's table and the previous run's.
-        let live_ids = library.live_ids();
-        let (table, mut scan_metrics) = run_stage(&exec, "ingest-scan", live_ids, |id| {
-            let blob = library.download(id).expect("live doc has a blob");
-            (id.0 as u64, ContentHash::of_bytes(blob))
-        });
-        let manifest = IngestManifest::new(table);
-        let changes = diff(prev.map_or(&[], |p| p.manifest.docs()), manifest.docs());
-        census.docs_scanned = library.live_len();
-        census.docs_added = changes.added.len();
-        census.docs_modified = changes.modified.len();
-        census.docs_removed = changes.removed.len();
-        scan_metrics.produced = changes.len();
-        report.add(scan_metrics);
-
-        // Stage 2: adaptive parallel parsing — only the added/modified
-        // documents (everything, on a cold build).
-        let mut parse_ids: Vec<u32> =
-            changes.added.iter().chain(&changes.modified).map(|id| *id as u32).collect();
-        parse_ids.sort_unstable();
-        let parser = AdaptiveParser;
-        let (parse_results, mut parse_metrics) = run_stage(&exec, "parse", parse_ids, |id| {
-            let blob = library.download(DocId(id)).expect("live doc has a blob");
-            match parser.parse(blob) {
-                ParseOutcome::Parsed { doc, .. } => Some((id, doc)),
-                ParseOutcome::Failed { .. } => None,
-            }
-        });
-        let parsed: Vec<(u32, ParsedDocument)> = parse_results.into_iter().flatten().collect();
-        parse_metrics.produced = parsed.len();
-        report.add(parse_metrics);
-
-        // Stage 3: semantic chunking with provenance mapping, fanned out
-        // over the re-parsed documents on the executor. Each chunk leaves
-        // the chunker with its embedding, read off the same per-document
-        // prefix sums as the drift test's windows. The stage's metrics
-        // keep both rates observable: `throughput()` is docs/s,
-        // `output_throughput()` is chunks/s.
+        let (manifest, changes, row) = scan(&exec, &library, prev, &mut census);
+        report.add(row);
+        let (parsed, row) = parse(&exec, &library, &changes);
+        report.add(row);
         let encoder = BioEncoder::new(config.embed.clone());
-        let chunker_cfg = config.chunker.clone();
-        let (chunk_results, mut chunk_metrics) = run_stage(&exec, "chunk", parsed, |(id, pdoc)| {
-            let chunker = mcqa_text::Chunker::new(&encoder, chunker_cfg.clone());
-            let doc_id = DocId(id);
-            let truth = library.document(doc_id);
-            let text = pdoc.full_text();
-            // Provenance oracle: which fact mentions landed in each chunk
-            // (verbatim sentence containment), one pass per chunk.
-            let mentions = truth.map_or(&[][..], |d| &d.mentions[..]);
-            let matcher = MentionMatcher::new(mentions.iter().map(|m| m.sentence.as_str()));
-            let records: Vec<(ChunkRecord, Vec<f32>)> = chunker
-                .chunk_embedded(&text)
-                .into_iter()
-                .enumerate()
-                .map(|(ci, (c, vector))| {
-                    let mut facts: Vec<mcqa_ontology::FactId> =
-                        matcher.matches(&c.text).into_iter().map(|i| mentions[i].fact).collect();
-                    facts.sort_unstable();
-                    facts.dedup();
-                    let record = ChunkRecord {
-                        chunk_id: ChunkRecord::make_id(doc_id, ci as u32),
-                        doc: doc_id,
-                        index_in_doc: ci as u32,
-                        text: c.text,
-                        tokens: c.tokens,
-                        facts,
-                    };
-                    (record, vector)
-                })
-                .collect();
-            records
-        });
-        let mut fresh: Vec<(ChunkRecord, Vec<f32>)> = chunk_results.into_iter().flatten().collect();
-        fresh.sort_by_key(|(c, _)| c.chunk_id);
-        let (mut fresh_chunks, chunk_vectors): (Vec<ChunkRecord>, Vec<(u64, Vec<f32>)>) = fresh
-            .into_iter()
-            .map(|(c, vector)| {
-                let id = c.chunk_id;
-                (c, (id, vector))
-            })
-            .unzip();
-        chunk_metrics.produced = fresh_chunks.len();
-        report.add(chunk_metrics);
+        let (fresh_chunks, chunk_vectors, row) =
+            chunk(&exec, &config.chunker, &encoder, &library, parsed);
+        report.add(row);
+        let (chunks, fresh, dead_chunks, row) =
+            merge_chunks(prev, &changes, fresh_chunks, &mut census);
+        report.add(row);
 
-        // Ingest merge: replay chunks of untouched documents from the
-        // previous run, splice in the freshly chunked slices, and keep the
-        // global chunk-id order a cold build would produce.
-        let t = ScopeTimer::start("ingest-chunks");
-        let dead_docs: HashSet<u32> =
-            changes.modified.iter().chain(&changes.removed).map(|id| *id as u32).collect();
-        let fresh_ids: HashSet<u64> = fresh_chunks.iter().map(|c| c.chunk_id).collect();
-        let mut chunks: Vec<ChunkRecord> = prev
-            .map(|p| p.chunks.iter().filter(|c| !dead_docs.contains(&c.doc.0)).cloned().collect())
-            .unwrap_or_default();
-        census.chunks_reused = chunks.len();
-        census.chunks_rerun = fresh_chunks.len();
-        chunks.append(&mut fresh_chunks);
-        chunks.sort_by_key(|c| c.chunk_id);
-        census.chunks_total = chunks.len();
-        report.add(StageMetrics::single(
-            "ingest-chunks",
-            chunks.len(),
-            census.chunks_rerun,
-            t.elapsed_secs(),
-        ));
-
-        // The re-run chunks, picked out of the merged list: what the chunk
-        // DB's sibling indexes and what question generation reads.
-        // Unchanged chunks keep their rows in the previous run's stores.
+        // Only the re-run chunks are indexed, generated from and judged.
+        // Chunk ids are content addresses (document, index in document), so
+        // no surviving chunk's id ever shifts.
         let gen_chunks: Vec<&ChunkRecord> =
-            chunks.iter().filter(|c| fresh_ids.contains(&c.chunk_id)).collect();
-
-        // Chunk DB and its lexical sibling (the hybrid retrieval channel's
-        // word-level view). A cold build starts from an empty registry; an
-        // incremental run copies the previous one in memory (one
-        // `ingest-registry` row: items = stores + siblings copied), and
-        // `refresh_source` compacts each copy, tombstones the rows of
-        // removed/modified documents, and appends the fresh ones.
-        let mut indexes = match prev {
-            None => IndexRegistry::new(),
-            Some(p) => {
-                let t = ScopeTimer::start("ingest-registry");
-                let copy = (*p.indexes).clone();
-                let entries = copy.len() + copy.lexical_names().len();
-                report.add(StageMetrics::single(
-                    "ingest-registry",
-                    entries,
-                    entries,
-                    t.elapsed_secs(),
-                ));
-                copy
-            }
+            chunks.iter().zip(&fresh).filter_map(|(c, &f)| f.then_some(c)).collect();
+        let (mut indexes, row) = copy_registry(prev);
+        row.into_iter().for_each(|row| report.add(row));
+        let chunk_edit = SourceEdit {
+            dead: &dead_chunks,
+            moves: &HashMap::new(),
+            vectors: chunk_vectors,
+            texts: gen_chunks.iter().map(|c| (c.chunk_id, c.text.as_str())).collect(),
         };
-        let dead_chunk_ids: Vec<u64> = prev
-            .map(|p| {
-                p.chunks
-                    .iter()
-                    .filter(|c| dead_docs.contains(&c.doc.0))
-                    .map(|c| c.chunk_id)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let chunk_texts: Vec<(u64, &str)> =
-            gen_chunks.iter().map(|c| (c.chunk_id, c.text.as_str())).collect();
-        // Chunk ids are content addresses (document, index in document),
-        // so no surviving chunk's id ever shifts.
-        refresh_source(
-            config,
-            &exec,
-            &mut indexes,
-            &mut census,
-            &mut report,
-            CHUNKS_STORE,
-            SourceEdit {
-                dead: &dead_chunk_ids,
-                moves: &HashMap::new(),
-                vectors: &chunk_vectors,
-                texts: &chunk_texts,
-            },
-        );
-        drop(chunk_vectors);
-        drop(chunk_texts);
+        let rows =
+            refresh_source(config, &exec, &mut indexes, &mut census, CHUNKS_STORE, chunk_edit);
+        rows.into_iter().for_each(|row| report.add(row));
 
-        // Stage 5: question generation (one candidate per re-run chunk) +
-        // judge filtering at the paper's 7/10 threshold. Both model roles
-        // run through the hub's batched completion API. Unchanged
-        // chunks replay their memoized outcome below — including memoized
-        // rejections, which must not burn a second model call.
+        // Every other chunk replays its memoized outcome in the merge,
+        // memoized rejections included: no second model call.
         let models = Arc::new(ModelHub::new(config.seed, Arc::clone(&ontology)));
         let teacher = Teacher::new(Arc::clone(&models), config.seed);
-        let rng = KeyedStochastic::new(config.seed ^ 0x9E5_71A6);
-        let candidates = chunks.len();
+        let (accepted, row) =
+            generate_and_judge(&exec, config, &ontology, &models, &teacher, &gen_chunks);
+        report.add(row);
+        let (trace_texts, row) = distil(&exec, &teacher, &accepted);
+        report.add(row);
+        let merged = merge_questions(prev, &chunks, &fresh, accepted, trace_texts);
 
-        let t = ScopeTimer::start("generate+judge");
-        // Anchor fact per chunk: one stated by the chunk, or (relevance
-        // failure) an arbitrary fact — real pipelines generate from every
-        // chunk and rely on QC to drop the unanchored ones.
-        struct Candidate<'a> {
-            chunk: &'a ChunkRecord,
-            fact: &'a mcqa_ontology::Fact,
-            relevant: bool,
-        }
-        let cands: Vec<Candidate> = gen_chunks
-            .iter()
-            .filter_map(|chunk| {
-                let ckey = chunk.chunk_id.to_string();
-                let (fact_id, relevant) = if chunk.facts.is_empty() {
-                    let all = ontology.facts();
-                    (all[rng.below(all.len(), &["anchor", &ckey])].id, false)
-                } else {
-                    (chunk.facts[rng.below(chunk.facts.len(), &["anchor", &ckey])], true)
-                };
-                ontology.fact(fact_id).map(|fact| Candidate { chunk, fact, relevant })
-            })
-            .collect();
-
-        let prompts: Vec<QuestionPrompt> = cands
-            .iter()
-            .map(|c| QuestionPrompt {
-                fact: c.fact,
-                salt: c.chunk.chunk_id.to_string(),
-                passage_tokens: c.chunk.tokens,
-            })
-            .collect();
-        let generated = teacher.generate_question_batch(&exec, &prompts);
-
-        // Candidates whose distractor pool was exhausted (< 7 options)
-        // never reach the judge.
-        let wellformed: Vec<(&Candidate, &mcqa_llm::GeneratedQuestion)> =
-            cands.iter().zip(&generated).filter(|(_, q)| q.options.len() == 7).collect();
-        let score_prompts: Vec<(&mcqa_llm::GeneratedQuestion, f64)> =
-            wellformed.iter().map(|(c, q)| (*q, c.fact.salience)).collect();
-        let judgments = models.quality_scores(&exec, config.seed, &score_prompts);
-
-        // Accepted outcomes of the re-run slice, in chunk-id order. Ids
-        // stay provisional (0) until the merge renumbers the full set.
-        let mut fresh_accepted: Vec<(u64, QuestionRecord, McqItem)> = Vec::new();
-        for ((cand, q), mut judgment) in wellformed.into_iter().zip(judgments) {
-            if !cand.relevant {
-                // The paper's relevance check: the chunk does not state the
-                // tested fact.
-                judgment.score = judgment.score.saturating_sub(4).max(1);
-                judgment.reasoning = format!(
-                    "Relevance check failed: source chunk does not state the tested fact. {}",
-                    judgment.reasoning
-                );
-            }
-            let passed = judgment.score >= config.quality_threshold;
-            if !passed {
-                continue;
-            }
-            let fact = cand.fact;
-            let record = QuestionRecord {
-                question_id: 0,
-                question: q.stem.clone(),
-                options: q.options.clone(),
-                answer_letter: OPTION_LETTERS[q.recorded_key],
-                answer_text: q.options[q.recorded_key].clone(),
-                question_type: "multiple-choice".into(),
-                topic: fact.topic,
-                provenance: Provenance {
-                    chunk_id: cand.chunk.chunk_id,
-                    file_path: cand.chunk.file_path(),
-                    doc_id: cand.chunk.doc.0,
-                    fact_id: fact.id.0,
-                },
-                relevance_check: cand.relevant,
-                quality: QualityBlock {
-                    score: judgment.score,
-                    reasoning: judgment.reasoning,
-                    passed,
-                },
-            };
-            let item = McqItem {
-                qid: 0,
-                bench: BenchKind::Synthetic,
-                fact: fact.id,
-                stem: record.question.clone(),
-                options: record.options.clone(),
-                correct: q.recorded_key,
-                difficulty: fact.difficulty,
-                is_math: false,
-            };
-            fresh_accepted.push((cand.chunk.chunk_id, record, item));
-        }
-        report.add(StageMetrics::single(
-            "generate+judge",
-            gen_chunks.len(),
-            fresh_accepted.len(),
-            t.elapsed_secs(),
-        ));
-
-        // Stage 6: reasoning-trace distillation for the re-run questions —
-        // every (question, mode) pair is one batched hub request.
-        // Trace text depends only on question content and mode, never on
-        // ids, so replayed questions keep their previous traces verbatim.
-        let t = ScopeTimer::start("traces");
-        let trace_stride = TraceMode::ALL.len();
-        let trace_prompts: Vec<(&McqItem, TraceMode)> = fresh_accepted
-            .iter()
-            .flat_map(|(_, _, item)| TraceMode::ALL.iter().map(move |mode| (item, *mode)))
-            .collect();
-        let trace_texts = teacher.generate_trace_batch(&exec, &trace_prompts);
-        report.add(StageMetrics::single(
-            "traces",
-            fresh_accepted.len(),
-            trace_texts.len(),
-            t.elapsed_secs(),
-        ));
-
-        // Memoized outcomes from the previous run, keyed by chunk id. A
-        // chunk present with no question is a memoized rejection.
-        let mut snapshot: HashMap<u64, Option<PrevOutcome<'_>>> = HashMap::new();
-        if let Some(p) = prev {
-            for c in &p.chunks {
-                snapshot.insert(c.chunk_id, None);
-            }
-            for (qi, (record, item)) in p.questions.iter().zip(&p.items).enumerate() {
-                snapshot.insert(
-                    record.provenance.chunk_id,
-                    Some(PrevOutcome { record, item, old_qid: qi as u64 }),
-                );
-            }
-        }
-        let mut fresh_map: HashMap<u64, (QuestionRecord, McqItem, Vec<String>)> = HashMap::new();
-        for (ai, (chunk_id, record, item)) in fresh_accepted.into_iter().enumerate() {
-            let texts: Vec<String> =
-                trace_texts[ai * trace_stride..(ai + 1) * trace_stride].to_vec();
-            fresh_map.insert(chunk_id, (record, item, texts));
-        }
-
-        // Merge in chunk-id order — the acceptance order a cold build
-        // walks — renumbering question and trace ids densely. A replayed
-        // question keeps its rows in the trace stores: `replayed` marks its
-        // previous id live, and `moves` relabels that id when it shifted.
-        // `fresh[qid]` marks the questions generated this round, the only
-        // ones whose traces are embedded and indexed.
-        let mut questions: Vec<QuestionRecord> = Vec::new();
-        let mut items: Vec<McqItem> = Vec::new();
-        let mut traces: Vec<TraceRecord> = Vec::new();
-        let mut fresh: Vec<bool> = Vec::new();
-        let mut replayed = vec![false; prev.map_or(0, |p| p.items.len())];
-        let mut moves: HashMap<u64, u64> = HashMap::new();
-        for chunk in &chunks {
-            let cid = chunk.chunk_id;
-            let (mut record, mut item, texts, old_qid) = if fresh_ids.contains(&cid) {
-                match fresh_map.remove(&cid) {
-                    Some((r, it, tx)) => (r, it, tx, None),
-                    None => continue, // freshly generated and rejected
-                }
-            } else {
-                match snapshot.get(&cid) {
-                    Some(Some(pq)) => {
-                        let base = pq.old_qid as usize * trace_stride;
-                        let texts: Vec<String> = prev.expect("snapshot implies prev").traces
-                            [base..base + trace_stride]
-                            .iter()
-                            .map(|tr| tr.trace.clone())
-                            .collect();
-                        (pq.record.clone(), pq.item.clone(), texts, Some(pq.old_qid))
-                    }
-                    _ => continue, // memoized rejection
-                }
-            };
-            let qid = questions.len() as u64;
-            record.question_id = qid;
-            item.qid = qid;
-            fresh.push(old_qid.is_none());
-            if let Some(old) = old_qid {
-                replayed[old as usize] = true;
-                if old != qid {
-                    moves.insert(old, qid);
-                }
-            }
-            for (mi, text) in texts.into_iter().enumerate() {
-                traces.push(TraceRecord {
-                    trace_id: qid * trace_stride as u64 + mi as u64,
-                    question_id: qid,
-                    mode: TraceMode::ALL[mi],
-                    trace: text,
-                    teacher: "GPT-4.1-sim".into(),
-                    answer_excluded: true,
-                    fact_id: item.fact.0,
-                });
-            }
-            items.push(item);
-            questions.push(record);
-        }
-
-        // Stage 7: embed the fresh questions' traces — all of them on a
-        // cold build. A replayed question's rows stay in the stores, so
-        // its traces are neither re-encoded nor re-tokenised.
-        let to_embed: Vec<usize> = (0..traces.len()).filter(|i| fresh[i / trace_stride]).collect();
-        let (embedded, trace_embed_metrics) =
-            run_stage(&exec, "embed-traces", to_embed, |i| (i, encoder.encode(&traces[i].trace)));
-        report.add(trace_embed_metrics);
-
-        // Per mode, the fresh rows and texts in ascending qid — the cold
-        // build's insertion order (a trace's position encodes its mode).
-        let mut mode_vectors: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); trace_stride];
-        let mut mode_texts: Vec<Vec<(u64, &str)>> = vec![Vec::new(); trace_stride];
-        for (i, v) in embedded {
-            let tr = &traces[i];
-            mode_vectors[i % trace_stride].push((tr.question_id, v));
-            mode_texts[i % trace_stride].push((tr.question_id, tr.trace.as_str()));
-        }
-        // Previous-round question ids whose question is gone.
-        let dead_qids: Vec<u64> =
-            (0..replayed.len() as u64).filter(|&q| !replayed[q as usize]).collect();
-        for (mi, mode) in TraceMode::ALL.iter().enumerate() {
-            refresh_source(
-                config,
-                &exec,
-                &mut indexes,
-                &mut census,
-                &mut report,
-                mode.db_name(),
-                SourceEdit {
-                    dead: &dead_qids,
-                    moves: &moves,
-                    vectors: &mode_vectors[mi],
-                    texts: &mode_texts[mi],
-                },
-            );
+        let (trace_edits, row) = embed_traces(&exec, &encoder, &merged);
+        report.add(row);
+        for (mode, edit) in TraceMode::ALL.iter().zip(trace_edits) {
+            let rows =
+                refresh_source(config, &exec, &mut indexes, &mut census, mode.db_name(), edit);
+            rows.into_iter().for_each(|row| report.add(row));
         }
 
         PipelineOutput {
             config: config.clone(),
             ontology,
             library,
+            candidates: chunks.len(),
             chunks,
             encoder,
-            questions,
-            items,
-            candidates,
-            traces,
+            questions: merged.questions,
+            items: merged.items,
+            traces: merged.traces,
             indexes: Arc::new(indexes),
             models,
             report,
@@ -720,10 +260,482 @@ impl Pipeline {
     }
 }
 
+/// `ingest-scan`: content-hash every live document (fanned out), then one
+/// merge pass over this run's table and the previous run's.
+fn scan(
+    exec: &Executor,
+    library: &CorpusLibrary,
+    prev: Option<&PipelineOutput>,
+    census: &mut IngestCensus,
+) -> (IngestManifest, ChangeSet, StageMetrics) {
+    let (table, mut row) = run_stage(exec, "ingest-scan", library.live_ids(), |id| {
+        let blob = library.download(id).expect("live doc has a blob");
+        (id.0 as u64, ContentHash::of_bytes(blob))
+    });
+    let manifest = IngestManifest::new(table);
+    let changes = diff(prev.map_or(&[], |p| p.manifest.docs()), manifest.docs());
+    census.docs_scanned = library.live_len();
+    census.docs_added = changes.added.len();
+    census.docs_modified = changes.modified.len();
+    census.docs_removed = changes.removed.len();
+    row.produced = changes.len();
+    (manifest, changes, row)
+}
+
+/// `parse`: adaptive parallel parsing of the added and modified documents
+/// (everything, on a cold build), in id order. Unparseable ones drop out.
+fn parse(
+    exec: &Executor,
+    library: &CorpusLibrary,
+    changes: &ChangeSet,
+) -> (Vec<(u32, ParsedDocument)>, StageMetrics) {
+    let mut ids: Vec<u32> =
+        changes.added.iter().chain(&changes.modified).map(|id| *id as u32).collect();
+    ids.sort_unstable();
+    let (results, mut row) = run_stage(exec, "parse", ids, |id| {
+        let blob = library.download(DocId(id)).expect("live doc has a blob");
+        match AdaptiveParser.parse(blob) {
+            ParseOutcome::Parsed { doc, .. } => Some((id, doc)),
+            ParseOutcome::Failed { .. } => None,
+        }
+    });
+    let parsed: Vec<(u32, ParsedDocument)> = results.into_iter().flatten().collect();
+    row.produced = parsed.len();
+    (parsed, row)
+}
+
+/// `chunk`: semantic chunking with provenance mapping, fanned out over
+/// the parsed documents. Each chunk leaves the chunker with its
+/// embedding, read off the same per-document prefix sums as the drift
+/// test's windows, so the chunks come back with their `(chunk_id, vector)`
+/// rows, both in chunk-id order. The row keeps both rates observable:
+/// `throughput()` is docs/s, `output_throughput()` is chunks/s.
+fn chunk(
+    exec: &Executor,
+    config: &ChunkerConfig,
+    encoder: &BioEncoder,
+    library: &CorpusLibrary,
+    parsed: Vec<(u32, ParsedDocument)>,
+) -> (Vec<ChunkRecord>, Vectors, StageMetrics) {
+    let (results, mut row) = run_stage(exec, "chunk", parsed, |(id, pdoc)| {
+        let chunker = mcqa_text::Chunker::new(encoder, config.clone());
+        let doc_id = DocId(id);
+        // Provenance oracle: which fact mentions landed in each chunk
+        // (verbatim sentence containment), one pass per chunk.
+        let mentions = library.document(doc_id).map_or(&[][..], |d| &d.mentions[..]);
+        let matcher = MentionMatcher::new(mentions.iter().map(|m| m.sentence.as_str()));
+        chunker
+            .chunk_embedded(&pdoc.full_text())
+            .into_iter()
+            .enumerate()
+            .map(|(ci, (c, vector))| {
+                let mut facts: Vec<mcqa_ontology::FactId> =
+                    matcher.matches(&c.text).into_iter().map(|i| mentions[i].fact).collect();
+                facts.sort_unstable();
+                facts.dedup();
+                let record = ChunkRecord {
+                    chunk_id: ChunkRecord::make_id(doc_id, ci as u32),
+                    doc: doc_id,
+                    index_in_doc: ci as u32,
+                    text: c.text,
+                    tokens: c.tokens,
+                    facts,
+                };
+                (record, vector)
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut fresh: Vec<(ChunkRecord, Vec<f32>)> = results.into_iter().flatten().collect();
+    fresh.sort_by_key(|(c, _)| c.chunk_id);
+    row.produced = fresh.len();
+    let (vectors, chunks) = fresh.into_iter().map(|(c, vector)| ((c.chunk_id, vector), c)).unzip();
+    (chunks, vectors, row)
+}
+
+/// `ingest-chunks`: replay the previous run's chunks of untouched
+/// documents, splice in the freshly chunked slices, and keep the global
+/// chunk-id order a cold build would produce. Returns the merged chunks,
+/// a flag per merged chunk marking the fresh ones, and the ids of the
+/// previous chunks whose document was modified or removed.
+fn merge_chunks(
+    prev: Option<&PipelineOutput>,
+    changes: &ChangeSet,
+    fresh: Vec<ChunkRecord>,
+    census: &mut IngestCensus,
+) -> (Vec<ChunkRecord>, Vec<bool>, Vec<u64>, StageMetrics) {
+    let t = ScopeTimer::start("ingest-chunks");
+    let dead_docs: HashSet<u32> =
+        changes.modified.iter().chain(&changes.removed).map(|id| *id as u32).collect();
+    let (dead, kept): (Vec<&ChunkRecord>, Vec<&ChunkRecord>) =
+        prev.map_or(&[][..], |p| &p.chunks[..]).iter().partition(|c| dead_docs.contains(&c.doc.0));
+    census.chunks_reused = kept.len();
+    census.chunks_rerun = fresh.len();
+    // The two sides come from disjoint documents, so no id appears twice.
+    let mut merged: Vec<(ChunkRecord, bool)> =
+        kept.into_iter().map(|c| (c.clone(), false)).collect();
+    merged.extend(fresh.into_iter().map(|c| (c, true)));
+    merged.sort_by_key(|(c, _)| c.chunk_id);
+    let (chunks, is_fresh): (Vec<ChunkRecord>, Vec<bool>) = merged.into_iter().unzip();
+    census.chunks_total = chunks.len();
+    let row =
+        StageMetrics::single("ingest-chunks", chunks.len(), census.chunks_rerun, t.elapsed_secs());
+    (chunks, is_fresh, dead.iter().map(|c| c.chunk_id).collect(), row)
+}
+
+/// `ingest-registry`: an incremental run starts from an in-memory copy of
+/// the previous registry (items = stores + siblings copied). A cold build
+/// starts from an empty registry and has no row.
+fn copy_registry(prev: Option<&PipelineOutput>) -> (IndexRegistry, Option<StageMetrics>) {
+    let Some(p) = prev else { return (IndexRegistry::new(), None) };
+    let t = ScopeTimer::start("ingest-registry");
+    let copy = (*p.indexes).clone();
+    let entries = copy.len() + copy.lexical_names().len();
+    (copy, Some(StageMetrics::single("ingest-registry", entries, entries, t.elapsed_secs())))
+}
+
+/// Dense-store rows: `(id, vector)`.
+type Vectors = Vec<(u64, Vec<f32>)>;
+
+/// One round's edit of one retrieval source, applied to the dense store
+/// and its `lex-` sibling alike (both are keyed by the same ids).
+struct SourceEdit<'a> {
+    /// Previous-round ids whose rows are gone.
+    dead: &'a [u64],
+    /// Rows that stay but whose id shifted, old id → new id.
+    moves: &'a HashMap<u64, u64>,
+    /// Fresh rows for the dense store, in ascending id order.
+    vectors: Vectors,
+    /// The same rows' texts for the sibling.
+    texts: Vec<(u64, &'a str)>,
+}
+
+/// Bring one retrieval source — the dense store `name` and its `lex-`
+/// sibling — up to date with `edit`: compact what the previous round left
+/// tombstoned, tombstone the rows of the dead ids, move the shifted rows
+/// to their new ids in place ([`VectorStore::rekey`]), add the fresh
+/// rows, and compact a side once its tombstones pass the threshold. A
+/// move that finds no live row is a wiring bug and panics. A cold build
+/// is the same plan with nothing registered, dead or moved: the dense
+/// store is bulk-loaded (which is where IVF / PQ train) and the sibling
+/// starts empty. Returns the `index-<name>` and `index-lex-<name>` rows
+/// (items = rows added, out = live rows afterwards).
+///
+/// The start-of-round compaction keeps a round's input what a decode of
+/// the previous registry's tombstone-free wire format would be, so the
+/// threshold only ever sees this round's tombstones. It is not counted in
+/// `census.compactions`.
+fn refresh_source(
+    config: &PipelineConfig,
+    exec: &Executor,
+    indexes: &mut IndexRegistry,
+    census: &mut IngestCensus,
+    name: &str,
+    edit: SourceEdit<'_>,
+) -> [StageMetrics; 2] {
+    let t = ScopeTimer::start("index");
+    match indexes.get_mut(name) {
+        None => indexes.insert(
+            name,
+            build_store_from_vectors(
+                &config.index,
+                config.embed.dim,
+                Metric::Cosine,
+                Precision::F16,
+                exec,
+                &edit.vectors,
+            ),
+        ),
+        Some(store) => {
+            store.compact(exec);
+            census.tombstones_dense += store.remove(edit.dead);
+            let moved = store.rekey(edit.moves);
+            assert_eq!(moved, edit.moves.len(), "{name}: a re-key found no live row");
+            census.rekeyed_dense += moved;
+            store.add_batch(exec, &edit.vectors);
+            if over_tombstone_threshold(store.tombstones(), store.len()) {
+                store.compact(exec);
+                census.compactions += 1;
+            }
+        }
+    }
+    let dense = StageMetrics::single(
+        &format!("index-{name}"),
+        edit.vectors.len(),
+        indexes.expect_store(name).len(),
+        t.elapsed_secs(),
+    );
+
+    // The BM25 sibling over the same texts, keyed by the same ids, so both
+    // channels retrieve the same documents.
+    let t = ScopeTimer::start("index-lex");
+    let sibling = IndexRegistry::lexical_sibling(name);
+    if indexes.lexical(&sibling).is_none() {
+        indexes.insert_lexical(&sibling, LexicalIndex::new(Default::default()));
+    }
+    let lex = indexes.expect_lexical_mut(&sibling);
+    lex.compact();
+    census.tombstones_lexical += lex.remove(edit.dead);
+    let moved = lex.rekey(edit.moves);
+    assert_eq!(moved, edit.moves.len(), "{sibling}: a re-key found no live document");
+    census.rekeyed_lexical += moved;
+    lex.add_batch(exec, &edit.texts);
+    if over_tombstone_threshold(lex.tombstones(), lex.len()) {
+        lex.compact();
+        census.compactions += 1;
+    }
+    let lexical = StageMetrics::single(
+        &format!("index-lex-{name}"),
+        edit.texts.len(),
+        lex.len(),
+        t.elapsed_secs(),
+    );
+    [dense, lexical]
+}
+
+/// An accepted outcome of the re-run slice: its chunk id, question record
+/// and evaluation form, ids provisional (0) until `merge_questions`.
+type Accepted = (u64, QuestionRecord, McqItem);
+
+/// `generate+judge`: one candidate question per re-run chunk, then judge
+/// filtering at the paper's 7/10 threshold. Both model roles run through
+/// the hub's batched calls. Returns the accepted outcomes in chunk-id
+/// order.
+fn generate_and_judge(
+    exec: &Executor,
+    config: &PipelineConfig,
+    ontology: &Ontology,
+    models: &ModelHub,
+    teacher: &Teacher,
+    gen_chunks: &[&ChunkRecord],
+) -> (Vec<Accepted>, StageMetrics) {
+    let t = ScopeTimer::start("generate+judge");
+    let rng = KeyedStochastic::new(config.seed ^ 0x9E5_71A6);
+    // Anchor fact per chunk: one stated by the chunk, or (relevance
+    // failure) an arbitrary fact — real pipelines generate from every
+    // chunk and rely on QC to drop the unanchored ones.
+    struct Candidate<'a> {
+        chunk: &'a ChunkRecord,
+        fact: &'a mcqa_ontology::Fact,
+        relevant: bool,
+    }
+    let cands: Vec<Candidate> = gen_chunks
+        .iter()
+        .filter_map(|chunk| {
+            let ckey = chunk.chunk_id.to_string();
+            let (fact_id, relevant) = if chunk.facts.is_empty() {
+                let all = ontology.facts();
+                (all[rng.below(all.len(), &["anchor", &ckey])].id, false)
+            } else {
+                (chunk.facts[rng.below(chunk.facts.len(), &["anchor", &ckey])], true)
+            };
+            ontology.fact(fact_id).map(|fact| Candidate { chunk, fact, relevant })
+        })
+        .collect();
+    let prompts: Vec<QuestionPrompt> = cands
+        .iter()
+        .map(|c| QuestionPrompt {
+            fact: c.fact,
+            salt: c.chunk.chunk_id.to_string(),
+            passage_tokens: c.chunk.tokens,
+        })
+        .collect();
+    let generated = teacher.generate_question_batch(exec, &prompts);
+    // Candidates whose distractor pool was exhausted (< 7 options)
+    // never reach the judge.
+    let wellformed: Vec<(&Candidate, &mcqa_llm::GeneratedQuestion)> =
+        cands.iter().zip(&generated).filter(|(_, q)| q.options.len() == 7).collect();
+    let score_prompts: Vec<(&mcqa_llm::GeneratedQuestion, f64)> =
+        wellformed.iter().map(|(c, q)| (*q, c.fact.salience)).collect();
+    let judgments = models.quality_scores(exec, config.seed, &score_prompts);
+
+    let mut accepted: Vec<Accepted> = Vec::new();
+    for ((cand, q), mut judgment) in wellformed.into_iter().zip(judgments) {
+        if !cand.relevant {
+            // The paper's relevance check: the chunk does not state the
+            // tested fact.
+            judgment.score = judgment.score.saturating_sub(4).max(1);
+            judgment.reasoning = format!(
+                "Relevance check failed: source chunk does not state the tested fact. {}",
+                judgment.reasoning
+            );
+        }
+        let passed = judgment.score >= config.quality_threshold;
+        if !passed {
+            continue;
+        }
+        let record = QuestionRecord {
+            question_id: 0,
+            question: q.stem.clone(),
+            options: q.options.clone(),
+            answer_letter: OPTION_LETTERS[q.recorded_key],
+            answer_text: q.options[q.recorded_key].clone(),
+            question_type: "multiple-choice".into(),
+            topic: cand.fact.topic,
+            provenance: Provenance {
+                chunk_id: cand.chunk.chunk_id,
+                file_path: cand.chunk.file_path(),
+                doc_id: cand.chunk.doc.0,
+                fact_id: cand.fact.id.0,
+            },
+            relevance_check: cand.relevant,
+            quality: QualityBlock { score: judgment.score, reasoning: judgment.reasoning, passed },
+        };
+        let item = McqItem {
+            qid: 0,
+            bench: BenchKind::Synthetic,
+            fact: cand.fact.id,
+            stem: record.question.clone(),
+            options: record.options.clone(),
+            correct: q.recorded_key,
+            difficulty: cand.fact.difficulty,
+            is_math: false,
+        };
+        accepted.push((cand.chunk.chunk_id, record, item));
+    }
+    let row =
+        StageMetrics::single("generate+judge", gen_chunks.len(), accepted.len(), t.elapsed_secs());
+    (accepted, row)
+}
+
+/// `traces`: reasoning-trace distillation for the re-run questions —
+/// every (question, mode) pair is one batched hub request. Returns the
+/// texts in that order, `TraceMode::ALL.len()` per accepted question.
+fn distil(exec: &Executor, teacher: &Teacher, fresh: &[Accepted]) -> (Vec<String>, StageMetrics) {
+    let t = ScopeTimer::start("traces");
+    let prompts: Vec<(&McqItem, TraceMode)> = fresh
+        .iter()
+        .flat_map(|(_, _, item)| TraceMode::ALL.iter().map(move |mode| (item, *mode)))
+        .collect();
+    let texts = teacher.generate_trace_batch(exec, &prompts);
+    let row = StageMetrics::single("traces", fresh.len(), texts.len(), t.elapsed_secs());
+    (texts, row)
+}
+
+/// The merged question set: what the output keeps, plus what the trace
+/// stores need to catch up.
+#[derive(Default)]
+struct MergedQuestions {
+    questions: Vec<QuestionRecord>,
+    items: Vec<McqItem>,
+    traces: Vec<TraceRecord>,
+    /// Per question: generated this round, so its traces are embedded
+    /// and indexed. A replayed question keeps its rows in the stores.
+    fresh: Vec<bool>,
+    /// Previous-round question ids whose question is gone.
+    dead: Vec<u64>,
+    /// Replayed questions whose id shifted, old id → new id.
+    moves: HashMap<u64, u64>,
+}
+
+/// Merge in chunk-id order — the acceptance order a cold build walks —
+/// renumbering question and trace ids densely. A fresh chunk takes the
+/// next accepted outcome if that outcome is its own, and was rejected
+/// this round otherwise. Any other chunk comes from `prev.chunks`, so it
+/// replays its previous question, or was a memoized rejection if it had
+/// none. Trace text depends only on question content and mode, never on
+/// ids, so a replayed question keeps its traces verbatim.
+fn merge_questions(
+    prev: Option<&PipelineOutput>,
+    chunks: &[ChunkRecord],
+    fresh: &[bool],
+    accepted: Vec<Accepted>,
+    trace_texts: Vec<String>,
+) -> MergedQuestions {
+    let stride = TraceMode::ALL.len();
+    let prev_questions = prev.map_or(&[][..], |p| &p.questions[..]);
+    let prev_items = prev.map_or(&[][..], |p| &p.items[..]);
+    let prev_traces = prev.map_or(&[][..], |p| &p.traces[..]);
+    let mut prev_qid: HashMap<u64, usize> =
+        prev_questions.iter().enumerate().map(|(qi, r)| (r.provenance.chunk_id, qi)).collect();
+    let mut accepted = accepted.into_iter().peekable();
+    let mut trace_texts = trace_texts.into_iter();
+    let mut out = MergedQuestions::default();
+    for (chunk, &is_fresh) in chunks.iter().zip(fresh) {
+        let (mut record, mut item, old_qid) = if is_fresh {
+            match accepted.next_if(|(id, ..)| *id == chunk.chunk_id) {
+                Some((_, record, item)) => (record, item, None),
+                None => continue, // freshly generated and rejected
+            }
+        } else {
+            match prev_qid.remove(&chunk.chunk_id) {
+                Some(old) => (prev_questions[old].clone(), prev_items[old].clone(), Some(old)),
+                None => continue, // memoized rejection
+            }
+        };
+        let qid = out.questions.len() as u64;
+        record.question_id = qid;
+        item.qid = qid;
+        out.fresh.push(old_qid.is_none());
+        if let Some(old) = old_qid.filter(|&old| old as u64 != qid) {
+            out.moves.insert(old as u64, qid);
+        }
+        for (mi, mode) in TraceMode::ALL.into_iter().enumerate() {
+            let trace = match old_qid {
+                Some(old) => prev_traces[old * stride + mi].trace.clone(),
+                None => trace_texts.next().expect("one trace per accepted question and mode"),
+            };
+            out.traces.push(TraceRecord {
+                trace_id: qid * stride as u64 + mi as u64,
+                question_id: qid,
+                mode,
+                trace,
+                teacher: "GPT-4.1-sim".into(),
+                answer_excluded: true,
+                fact_id: item.fact.0,
+            });
+        }
+        out.items.push(item);
+        out.questions.push(record);
+    }
+    // Dead: the previous questions no chunk replayed (removed or re-run).
+    out.dead = prev_qid.into_values().map(|q| q as u64).collect();
+    out.dead.sort_unstable();
+    out
+}
+
+/// `embed-traces`: encode the fresh questions' traces — all of them on a
+/// cold build; a replayed question's rows stay in the stores, so its
+/// traces are neither re-encoded nor re-tokenised. Returns each mode's
+/// store edit, its fresh rows in ascending qid (the cold build's
+/// insertion order; a trace's position encodes its mode).
+fn embed_traces<'a>(
+    exec: &Executor,
+    encoder: &BioEncoder,
+    merged: &'a MergedQuestions,
+) -> (Vec<SourceEdit<'a>>, StageMetrics) {
+    let stride = TraceMode::ALL.len();
+    let traces = &merged.traces;
+    let to_embed: Vec<usize> = (0..traces.len()).filter(|i| merged.fresh[i / stride]).collect();
+    let (embedded, row) =
+        run_stage(exec, "embed-traces", to_embed, |i| (i, encoder.encode(&traces[i].trace)));
+    let dead = &merged.dead;
+    let moves = &merged.moves;
+    let mut edits: Vec<SourceEdit<'a>> =
+        (0..stride).map(|_| SourceEdit { dead, moves, vectors: vec![], texts: vec![] }).collect();
+    for (i, v) in embedded {
+        let tr = &traces[i];
+        edits[i % stride].vectors.push((tr.question_id, v));
+        edits[i % stride].texts.push((tr.question_id, tr.trace.as_str()));
+    }
+    (edits, row)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcqa_corpus::{EditBatch, EditOp};
+
+    /// The trace vector database for `mode`, as the assertions below read
+    /// it. Panics when absent.
+    trait TraceStore {
+        fn trace_store(&self, mode: TraceMode) -> &dyn VectorStore;
+    }
+
+    impl TraceStore for PipelineOutput {
+        fn trace_store(&self, mode: TraceMode) -> &dyn VectorStore {
+            self.indexes.expect_store(mode.db_name())
+        }
+    }
 
     fn tiny_output() -> &'static PipelineOutput {
         static OUT: std::sync::OnceLock<PipelineOutput> = std::sync::OnceLock::new();

@@ -7,7 +7,7 @@
 //!   the final answer excluded, linked back to the question.
 
 use mcqa_llm::TraceMode;
-use mcqa_ontology::{FactId, Topic};
+use mcqa_ontology::Topic;
 use serde::Serialize;
 
 /// Provenance of a generated question (Figure 2's lineage block).
@@ -79,13 +79,6 @@ pub struct TraceRecord {
     pub answer_excluded: bool,
     /// The supporting fact (ground truth for retrieval relevance).
     pub fact_id: u64,
-}
-
-impl TraceRecord {
-    /// The fact id as a typed id.
-    pub fn fact(&self) -> FactId {
-        FactId(self.fact_id)
-    }
 }
 
 /// Write records to a JSONL string (one line per record).
@@ -161,7 +154,7 @@ mod tests {
             assert!(v.get(field).is_some(), "missing {field}");
         }
         assert_eq!(v["mode"].as_str(), Some("Focused"));
-        assert_eq!(t.fact(), FactId(99));
+        assert_eq!(v["fact_id"].as_u64(), Some(99));
     }
 
     #[test]

@@ -211,18 +211,20 @@ impl EntityRegistry {
                     }
                 }
                 _ => {
+                    // Attempts below `narrow` draw the names they always
+                    // drew, so every size that fitted the narrow spaces
+                    // keeps its registry; later ones draw from the widened
+                    // spaces.
+                    let narrow = (per_kind as u64 + 16) * 64;
                     let mut made = 0usize;
                     let mut attempt = 0u64;
                     while made < per_kind {
-                        let name = synth_name(&rng, kind, attempt);
+                        let name = synth_name(&rng, kind, attempt, attempt >= narrow);
                         if push(&mut entities, &mut used_names, kind, name) {
                             made += 1;
                         }
                         attempt += 1;
-                        assert!(
-                            attempt < (per_kind as u64 + 16) * 64,
-                            "name synthesis exhausted for {kind:?}"
-                        );
+                        assert!(attempt < 2 * narrow, "name synthesis exhausted for {kind:?}");
                     }
                 }
             }
@@ -272,9 +274,13 @@ impl EntityRegistry {
     }
 }
 
-/// Synthesise a plausible-looking name for an open entity kind.
-fn synth_name(rng: &KeyedStochastic, kind: EntityKind, attempt: u64) -> String {
-    let a = attempt.to_string();
+/// Synthesise a plausible-looking name for an open entity kind. A `wide`
+/// draw uses its own hash keys and, for syndromes, whose narrow space holds
+/// only 16 × 4 × 6 = 384 names, a double eponym (16 × 15 × 4 × 6 more).
+/// Every other open kind's narrow space already exceeds the 500 names per
+/// kind of the paper's scale (drugs, the smallest, hold 896).
+fn synth_name(rng: &KeyedStochastic, kind: EntityKind, attempt: u64, wide: bool) -> String {
+    let a = if wide { format!("wide-{attempt}") } else { attempt.to_string() };
     match kind {
         EntityKind::Gene => {
             // 3–4 uppercase letters + optional digit: "TRKB2", "MDX4".
@@ -385,9 +391,15 @@ fn synth_name(rng: &KeyedStochastic, kind: EntityKind, attempt: u64) -> String {
                 "repair deficiency",
             ];
             const ROMAN: &[&str] = &["", " type I", " type II", " type III", " type IV", " type V"];
+            let h1 = rng.below(HEADS.len(), &["s1", &a]);
+            let head = if wide {
+                let h2 = (h1 + 1 + rng.below(HEADS.len() - 1, &["s4", &a])) % HEADS.len();
+                format!("{}-{}", HEADS[h1], HEADS[h2])
+            } else {
+                HEADS[h1].to_string()
+            };
             format!(
-                "{} {}{}",
-                HEADS[rng.below(HEADS.len(), &["s1", &a])],
+                "{head} {}{}",
                 TAILS[rng.below(TAILS.len(), &["s2", &a])],
                 ROMAN[rng.below(ROMAN.len(), &["s3", &a])]
             )
@@ -432,20 +444,27 @@ mod tests {
 
     #[test]
     fn open_kinds_hit_requested_count() {
-        let reg = EntityRegistry::generate(3, 25);
-        for kind in [
-            EntityKind::Gene,
-            EntityKind::Protein,
-            EntityKind::Pathway,
-            EntityKind::CellLine,
-            EntityKind::Drug,
-            EntityKind::Isotope,
-            EntityKind::Syndrome,
-        ] {
-            assert_eq!(reg.of_kind(kind).len(), 25, "{kind:?}");
+        // Besides a small registry, the sizes `PipelineConfig::at_scale`
+        // asks at scales 0.5, 0.52 and 0.667–1.0 (375, 390, 500) and
+        // `OntologyConfig::default()`'s 480, at seeds 1–10: past 384 the
+        // syndrome kind once ran out of names.
+        let big = (1..=10).flat_map(|seed| [375, 390, 480, 500].map(|n| (seed, n)));
+        for (seed, n) in std::iter::once((3, 25)).chain(big) {
+            let reg = EntityRegistry::generate(seed, n);
+            for kind in [
+                EntityKind::Gene,
+                EntityKind::Protein,
+                EntityKind::Pathway,
+                EntityKind::CellLine,
+                EntityKind::Drug,
+                EntityKind::Isotope,
+                EntityKind::Syndrome,
+            ] {
+                assert_eq!(reg.of_kind(kind).len(), n, "{kind:?}, seed {seed}");
+            }
+            assert_eq!(reg.of_kind(EntityKind::Modality).len(), MODALITIES.len());
+            assert_eq!(reg.of_kind(EntityKind::Process).len(), PROCESSES.len());
         }
-        assert_eq!(reg.of_kind(EntityKind::Modality).len(), MODALITIES.len());
-        assert_eq!(reg.of_kind(EntityKind::Process).len(), PROCESSES.len());
     }
 
     #[test]
@@ -468,6 +487,16 @@ mod tests {
         for (i, e) in reg.all().iter().enumerate() {
             assert_eq!(e.id.0 as usize, i);
         }
+    }
+
+    #[test]
+    fn names_that_fitted_the_narrow_spaces_never_move() {
+        // The FNV-1a of the scale-0.5 registry's names (375 per kind, as
+        // `PipelineConfig::at_scale(0.5, _)` asks), captured before the
+        // syndrome space widened.
+        let reg = EntityRegistry::generate(42, 375);
+        let names: Vec<&str> = reg.all().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(mcqa_util::fnv1a(names.join("\n").as_bytes()), 0x4153_dfd1_7abb_8872);
     }
 
     #[test]
