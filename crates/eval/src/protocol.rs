@@ -17,6 +17,10 @@ use serde::Serialize;
 use crate::astro::AstroExam;
 use crate::retrieval::{retrieval_service, PassageTexts, RetrievalBundle, Source};
 
+/// One answering pass: its questions, their assembled contexts, and the
+/// mask of questions it asks (`None`: all of them).
+type Pass<'p> = (&'p [PreparedItem], &'p [[AssembledContext; 4]], Option<&'p [bool]>);
+
 /// Evaluation configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalConfig {
@@ -129,10 +133,12 @@ pub struct Evaluator<'a> {
     exec: Executor,
     /// The serving front door every retrieval bundle replays through: the
     /// same admission queue and micro-batching dispatcher online traffic
-    /// uses, over the pipeline's own registry, encoder and executor. Both
-    /// bundles share it, so a stem is encoded once however many sources
-    /// and bundles ask for it. It is private to this evaluator: a replay
-    /// is one dispatch, and it never queues ahead of online traffic.
+    /// uses, over the pipeline's own registry, encoder and executor. Each
+    /// bundle is one replay over all four sources — one admission unit,
+    /// one dispatch, one reply — and both bundles share the service, so a
+    /// stem is encoded once however many sources and bundles ask for it.
+    /// It is private to this evaluator, so a replay never queues ahead of
+    /// online traffic.
     service: QueryService,
     report: Mutex<RunReport>,
     /// Snapshot of the report right after construction: the one-time
@@ -306,43 +312,49 @@ impl<'a> Evaluator<'a> {
         let model = ResolvedModel::new(card.clone(), calibration.clone());
         let seed = self.config.seed;
 
+        // One `eval-answer` stage: the synthetic, full-exam and no-math
+        // passes under every condition. The no-math pass re-asks full-exam
+        // questions, and the response cache is single-flight, so each of
+        // its calls is a hit whether or not its twin has finished.
         let conditions = Condition::all();
-
-        let run_bench = |items: &[PreparedItem],
-                         contexts: &[[AssembledContext; 4]],
-                         mask: Option<&[bool]>|
-         -> Vec<(Condition, Accuracy)> {
-            conditions
-                .iter()
-                .map(|cond| {
-                    let picked: Vec<usize> =
-                        (0..items.len()).filter(|i| mask.map(|m| m[*i]).unwrap_or(true)).collect();
-                    let (grades, metrics) = run_stage(&self.exec, "eval-answer", picked, |i| {
-                        let item = &items[i];
-                        let ctx = match cond {
-                            Condition::Baseline => None,
-                            Condition::RagChunks => Some(&contexts[i][0]),
-                            Condition::RagTraces(m) => Some(&contexts[i][1 + m.index()]),
-                        };
-                        let answer = self.hub.answer(seed, &model, item, *cond, ctx);
-                        let question = item.item();
-                        let grade =
-                            self.hub.grade(seed, &answer, question.correct, question.options.len());
-                        grade.correct
-                    });
-                    self.absorb(metrics);
-                    let mut acc = Accuracy::new();
-                    for g in grades {
-                        acc.record(g);
-                    }
-                    (*cond, acc)
-                })
-                .collect()
-        };
-
-        let synth = run_bench(&self.synth_items, &synth_ctx, None);
-        let astro_all = run_bench(&self.exam_items, &astro_ctx, None);
-        let astro_nomath = run_bench(&self.exam_items, &astro_ctx, Some(&nomath_mask));
+        let passes: [Pass<'_>; 3] = [
+            (&self.synth_items, &synth_ctx, None),
+            (&self.exam_items, &astro_ctx, None),
+            (&self.exam_items, &astro_ctx, Some(&nomath_mask)),
+        ];
+        let picked = passes.map(|(items, _, mask)| -> Vec<usize> {
+            (0..items.len()).filter(|&i| mask.is_none_or(|m| m[i])).collect()
+        });
+        // Pass by pass, condition by condition: each (pass, condition)
+        // owns one contiguous run of the stage's grades.
+        let work: Vec<(usize, Condition, usize)> = picked
+            .iter()
+            .enumerate()
+            .flat_map(|(p, ids)| {
+                conditions.iter().flat_map(move |&c| ids.iter().map(move |&i| (p, c, i)))
+            })
+            .collect();
+        let (grades, metrics) = run_stage(&self.exec, "eval-answer", work, |(p, cond, i)| {
+            let (items, contexts, _) = passes[p];
+            let ctx = match cond {
+                Condition::Baseline => None,
+                Condition::RagChunks => Some(&contexts[i][0]),
+                Condition::RagTraces(m) => Some(&contexts[i][1 + m.index()]),
+            };
+            let answer = self.hub.answer(seed, &model, &items[i], cond, ctx);
+            let question = items[i].item();
+            self.hub.grade(seed, &answer, question.correct, question.options.len()).correct
+        });
+        self.absorb(metrics);
+        let mut grades = grades.into_iter();
+        let [synth, astro_all, astro_nomath] = picked.map(|ids| {
+            let accuracy = |cond| {
+                let mut acc = Accuracy::new();
+                grades.by_ref().take(ids.len()).for_each(|g| acc.record(g));
+                (cond, acc)
+            };
+            conditions.iter().copied().map(accuracy).collect::<Vec<_>>()
+        });
 
         ModelEval {
             name: card.name.to_string(),
@@ -472,10 +484,10 @@ mod tests {
         let expected_answers =
             8 * 5 * (run.synth_questions + run.astro_questions + run.astro_nomath_questions);
         assert_eq!(ans.calls as usize, expected_answers);
-        // Exact on every schedule: answer keys are distinct within a stage,
-        // and the no-math pass starts after the full-exam pass has finished.
-        // A key that aliased two requests would raise the count, one that
-        // split a request would lower it.
+        // Exact on every schedule: the response cache is single-flight, so
+        // a no-math call that overlaps its full-exam twin waits for it and
+        // still counts as a hit. A key that aliased two requests would raise
+        // the count, one that split a request would lower it.
         assert_eq!(
             ans.cache_hits as usize,
             8 * 5 * run.astro_nomath_questions,

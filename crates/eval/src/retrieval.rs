@@ -144,11 +144,13 @@ impl<'a> RetrievalBundle<'a> {
     /// labelled from a caller-held [`PassageTexts`], also returning the
     /// fan-out's runtime [`StageMetrics`] so the evaluator can fold
     /// retrieval into its stage report instead of re-timing the same work.
-    /// Stems travel as text: the service encodes each distinct one once and
-    /// serves every later request for it — the other three sources, a
-    /// second bundle — from its own cache. It is the same
-    /// admission-controlled, micro-batching front door online traffic uses,
-    /// so there is exactly one code path into the vector stores.
+    /// All four sources travel as one replay, so a bundle is one admission
+    /// unit, one dispatch and one reply. Stems travel as text: the service
+    /// encodes each distinct one once, in one batch, and serves every later
+    /// request for it — the other three sources, a second bundle — from its
+    /// own cache. It is the same admission-controlled, micro-batching front
+    /// door online traffic uses, so there is exactly one code path into the
+    /// vector stores.
     pub fn build_metered(
         texts: &PassageTexts<'a>,
         items: &[McqItem],
@@ -167,22 +169,24 @@ impl<'a> RetrievalBundle<'a> {
 
         let retrieve_timer = mcqa_util::ScopeTimer::start("eval-retrieve");
 
-        // One replay per source database through the query service: each
-        // is one admission unit and one dispatch, so the dispatcher's
-        // grouped `search_batch` scans the store once for every stem.
+        // One replay over all four source databases through the query
+        // service: one admission unit and one dispatch, whose grouped
+        // `search_batch` scans each store once for every stem.
         // Queries = the stems. Including the options would inject six
         // same-kind distractor names that pull retrieval toward unrelated
         // chunks (measured: −20 points of hit rate). A service-side failure
         // here (an unregistered store) is a wiring bug, not a skippable
         // condition.
-        let hits_per_source: [Vec<Vec<mcqa_util::SearchResult>>; 4] = Source::ALL.map(|source| {
-            let reqs: Vec<QueryRequest> = items
+        let reqs = Source::ALL.iter().flat_map(|source| {
+            items
                 .iter()
                 .map(|item| QueryRequest::text(source.store_name(), &item.stem, k).with_mode(mode))
-                .collect();
-            service
-                .query_batch(reqs)
-                .into_iter()
+        });
+        let mut replies = service.query_batch(reqs.collect()).into_iter();
+        let hits_per_source: [Vec<Vec<mcqa_util::SearchResult>>; 4] = Source::ALL.map(|source| {
+            replies
+                .by_ref()
+                .take(items.len())
                 .map(|r| match r {
                     Ok(resp) => resp.hits,
                     Err(e) => panic!("retrieval from '{}' failed: {e}", source.store_name()),
@@ -363,36 +367,39 @@ mod tests {
             RetrievalBundle::build_metered(&texts, &out.items, 5, QueryMode::Dense, &service);
         assert_eq!(b1.len(), b2.len());
         // Both bundles' searches rode the service: everything submitted was
-        // admitted and answered, one dispatch per (bundle, source) replay.
+        // admitted and answered, one dispatch per bundle (its four sources
+        // travel as one replay).
         let snap = service.shutdown();
         let expected = 2 * 4 * out.items.len() as u64;
         assert_eq!(snap.admitted, expected);
         assert_eq!(snap.served_ok, expected);
-        assert_eq!(snap.batches, 8);
+        assert_eq!(snap.batches, 2);
     }
 
     #[test]
     fn service_retrieval_is_bit_identical_to_direct_search() {
         // The reroute through the serving layer must not change a single
-        // hit: send what the bundle sends — the stem, as text — and
-        // compare against encode-then-search done by hand for every
-        // (question, source) pair.
+        // hit: send what the bundle sends — every stem, as text, against
+        // all four sources in one replay — and compare against
+        // encode-then-search done by hand for every (question, source) pair.
         let out = output();
         let service = retrieval_service(out, out.config.seed, QueryMode::Dense);
         let k = 5;
+        let reqs: Vec<QueryRequest> = Source::ALL
+            .iter()
+            .flat_map(|s| out.items.iter().map(|i| QueryRequest::text(s.store_name(), &i.stem, k)))
+            .collect();
+        let served = service.query_batch(reqs);
+        assert_eq!(served.len(), 4 * out.items.len());
+        let mut served = served.into_iter();
         for source in Source::ALL {
-            let reqs: Vec<QueryRequest> = out
-                .items
-                .iter()
-                .map(|i| QueryRequest::text(source.store_name(), &i.stem, k))
-                .collect();
-            let served = service.query_batch(reqs);
             let store = out.indexes.expect_store(source.store_name());
-            for (item, res) in out.items.iter().zip(served) {
+            for (item, res) in out.items.iter().zip(served.by_ref()) {
                 let direct = store.search(&out.encoder.encode(&item.stem), k);
                 assert_eq!(res.expect("served").hits, direct, "{source:?}");
             }
         }
+        assert_eq!(service.shutdown().batches, 1, "the four sources rode one dispatch");
     }
 
     #[test]

@@ -19,14 +19,38 @@
 //! the key's next caller completes it afresh.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::answer::AnswerOutcome;
 use crate::judge::GradeResult;
 
+/// The identity hasher for content addresses. Hashing a key again would
+/// buy nothing: every key is already a `StableHasher` digest, whose
+/// `finish` is a splitmix64 finalisation, so its low bits (the bucket) and
+/// high bits (the control byte) are both fully mixed. Keys are built by
+/// the hub from typed call fields, never taken from outside input, so no
+/// caller can choose colliding ones.
+#[derive(Default)]
+struct ContentAddress(u64);
+
+impl Hasher for ContentAddress {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a cache key is one u64 content address")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// One kind's cache: `content address → completion`.
 pub struct ResponseCache<V> {
-    map: RwLock<HashMap<u64, Arc<OnceLock<V>>>>,
+    map: RwLock<HashMap<u64, Arc<OnceLock<V>>, BuildHasherDefault<ContentAddress>>>,
 }
 
 impl<V> Default for ResponseCache<V> {
@@ -43,7 +67,23 @@ impl<V: Clone> ResponseCache<V> {
     /// wait on another call to this cache, or the two could wait on each
     /// other.
     pub fn get_or_complete(&self, key: u64, complete: impl FnOnce() -> V) -> (V, bool) {
-        let slot = self.slot(key);
+        let found = {
+            let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
+            match map.get(&key) {
+                // A hit clones the completion under the read lock.
+                Some(slot) => match slot.get() {
+                    Some(value) => return (value.clone(), false),
+                    None => Some(Arc::clone(slot)),
+                },
+                None => None,
+            }
+        };
+        // A miss, or a key in flight: wait on (or fill) its slot outside
+        // the map lock.
+        let slot = found.unwrap_or_else(|| {
+            let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(map.entry(key).or_default())
+        });
         let mut completed = false;
         let value = slot
             .get_or_init(|| {
@@ -52,15 +92,6 @@ impl<V: Clone> ResponseCache<V> {
             })
             .clone();
         (value, completed)
-    }
-
-    /// The slot for `key`, created under the write lock when absent.
-    fn slot(&self, key: u64) -> Arc<OnceLock<V>> {
-        if let Some(slot) = self.map.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return Arc::clone(slot);
-        }
-        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(key).or_default())
     }
 
     /// Number of cached completions (a slot whose completion panicked
@@ -215,5 +246,40 @@ mod tests {
         });
         assert_eq!(completed.iter().filter(|c| **c).count(), 1, "exactly one racer completed");
         assert_eq!(cache.len(), 1);
+    }
+
+    proptest::proptest! {
+        /// The pass-through-hashed cache behaves as a `BTreeMap` keyed by
+        /// the same u64: each key completes once, every later call reads
+        /// that completion, and `len()` counts the distinct keys. A third
+        /// of the keys share their low 58 bits and differ only in the high
+        /// ones, where an identity hash sends them all down one probe
+        /// chain; a third are small and repeat; a third are arbitrary.
+        #[test]
+        fn pass_through_cache_matches_a_btreemap_oracle(
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..96),
+        ) {
+            let cache = ResponseCache::<String>::default();
+            let mut oracle = std::collections::BTreeMap::new();
+            let mut completions = std::collections::BTreeMap::<u64, usize>::new();
+            for (i, x) in draws.into_iter().enumerate() {
+                let key = match x % 3 {
+                    0 => ((x >> 2) % 8) << 58 | 0x0000_5eed_0000_0000,
+                    1 => (x >> 2) % 12,
+                    _ => x,
+                };
+                let (got, completed) = cache.get_or_complete(key, || {
+                    *completions.entry(key).or_default() += 1;
+                    response(&format!("call {i} for {key:#x}"))
+                });
+                let fresh = !oracle.contains_key(&key);
+                let want = oracle.entry(key).or_insert_with(|| got.clone());
+                proptest::prop_assert_eq!(&got, want);
+                proptest::prop_assert_eq!(completed, fresh);
+                proptest::prop_assert_eq!(cache.len(), oracle.len());
+            }
+            proptest::prop_assert!(completions.values().all(|&n| n == 1), "{:?}", completions);
+            proptest::prop_assert_eq!(completions.len(), oracle.len());
+        }
     }
 }

@@ -17,10 +17,10 @@
 //! * [`service`] — [`QueryService`]: non-blocking admission with defined
 //!   backpressure ([`ServeError::Saturated`]), deadline-free dispatch that
 //!   coalesces queued submissions up to [`ServeConfig::max_batch`]
-//!   requests, a replay ([`QueryService::query_batch`]) admitted and
-//!   dispatched as one unit, per-request oneshot replies
-//!   ([`QueryTicket`]), and graceful shutdown that drains every admitted
-//!   request exactly once.
+//!   requests, a replay ([`QueryService::query_batch`]) admitted,
+//!   dispatched and answered as one unit, a oneshot reply per admission
+//!   unit ([`QueryTicket`] for a lone request), and graceful shutdown that
+//!   drains every admitted request exactly once.
 //! * [`stats`] — the [`ServiceStats`] ledger: admitted/rejected/served
 //!   counters, a batch-size histogram and per-stage (queue/encode/search)
 //!   time accounting.

@@ -1,5 +1,5 @@
 //! The query service: bounded admission → continuous-batching dispatcher
-//! → per-request oneshot replies.
+//! → one reply per admission unit.
 //!
 //! ```text
 //!  submit      ── 1 request ──┐
@@ -7,8 +7,9 @@
 //!  query_batch ── n requests ─┘  (full: submit       │  block for one unit, then
 //!     ▲            as one unit    rejects, a replay  │  take queued units while it
 //!     │                           yields, retries)   │  holds < max_batch requests;
-//!     └───────── oneshot ◀── reply per request ◀─────┘  group by (source, k, mode):
-//!                                                       encode → search_batch
+//!     └──── oneshot ◀── one reply per unit, ◀────────┘  group by (source, k, mode):
+//!                       once its last member is         encode misses → search_batch
+//!                       answered
 //! ```
 //!
 //! The dispatcher is one thread; parallelism comes from the [`Executor`]
@@ -20,8 +21,10 @@
 //! store's row panels instead of one pass each. For the same reason a
 //! replay ([`QueryService::query_batch`]) is admitted and dispatched as
 //! one unit, however long: its queries scan each store once, not once per
-//! `max_batch` of them. Results are bit-identical to direct per-query
-//! searches — batching changes the schedule, never the answer.
+//! `max_batch` of them, and its bookkeeping (one reply channel, one queue
+//! timestamp) is paid per unit, not per request. Results are bit-identical
+//! to direct per-query searches — batching changes the schedule, never the
+//! answer.
 //!
 //! [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
 
@@ -86,8 +89,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Coalescing ceiling: a dispatch takes further queued submissions
     /// only while it holds fewer than this many requests. `1` disables
-    /// coalescing (one submission at a time). A replay is one submission,
-    /// so it is never split, and it may carry more requests than this.
+    /// coalescing (one submission at a time). A replay is one submission
+    /// with one reply, so it is never split, and it may carry more
+    /// requests than this.
     pub max_batch: usize,
 }
 
@@ -97,31 +101,30 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued request: the envelope plus its submission timestamp (a
-/// replay's wait for queue space counts as queueing) and the oneshot
-/// reply channel. The queue carries `Vec<Pending>`: one request from
-/// [`QueryService::submit`], a whole replay from
-/// [`QueryService::query_batch`].
-struct Pending {
-    req: QueryRequest,
+/// Every member's result, index-aligned with the unit's requests.
+type Replies = Vec<Result<QueryResponse, ServeError>>;
+
+/// One admission unit: the requests of one [`QueryService::submit`] (a
+/// unit of one) or of one [`QueryService::query_batch`] (the whole
+/// replay), their shared submission timestamp (a replay's wait for queue
+/// space counts as queueing), and the unit's one reply channel.
+struct Unit {
+    reqs: Vec<QueryRequest>,
     admitted: Instant,
-    reply: SyncSender<Result<QueryResponse, ServeError>>,
+    reply: SyncSender<Replies>,
 }
 
-/// One admission unit over `reqs`, and a ticket per request, index-aligned.
-fn pend(reqs: Vec<QueryRequest>) -> (Vec<Pending>, Vec<QueryTicket>) {
-    let admitted = Instant::now();
-    reqs.into_iter()
-        .map(|req| {
-            let (reply, rx) = sync_channel(1);
-            (Pending { req, admitted, reply }, QueryTicket { rx })
-        })
-        .unzip()
+impl Unit {
+    /// A unit over `reqs`, and the receiver its reply arrives on.
+    fn new(reqs: Vec<QueryRequest>) -> (Self, Receiver<Replies>) {
+        let (reply, rx) = sync_channel(1);
+        (Self { reqs, admitted: Instant::now(), reply }, rx)
+    }
 }
 
 /// A claim on a submitted request's eventual response.
 pub struct QueryTicket {
-    rx: Receiver<Result<QueryResponse, ServeError>>,
+    rx: Receiver<Replies>,
 }
 
 impl std::fmt::Debug for QueryTicket {
@@ -135,7 +138,11 @@ impl QueryTicket {
     /// replying (dispatcher panic), this resolves to
     /// [`ServeError::ShuttingDown`] rather than hanging.
     pub fn wait(self) -> Result<QueryResponse, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+        self.rx
+            .recv()
+            .ok()
+            .and_then(|mut replies| replies.pop())
+            .unwrap_or(Err(ServeError::ShuttingDown))
     }
 }
 
@@ -145,7 +152,7 @@ impl QueryTicket {
 /// (or drop) stops admitting, drains every already-admitted request, and
 /// joins the thread — in-flight work is never abandoned.
 pub struct QueryService {
-    tx: RwLock<Option<SyncSender<Vec<Pending>>>>,
+    tx: RwLock<Option<SyncSender<Unit>>>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     stats: Arc<ServiceStats>,
     config: ServeConfig,
@@ -179,7 +186,7 @@ impl QueryService {
     ) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
         assert!(config.max_batch > 0, "batch ceiling must be nonzero");
-        let (tx, rx) = sync_channel::<Vec<Pending>>(config.queue_capacity);
+        let (tx, rx) = sync_channel::<Unit>(config.queue_capacity);
         let stats = Arc::new(ServiceStats::new());
         let dispatcher = Dispatcher {
             registry,
@@ -206,9 +213,9 @@ impl QueryService {
     /// [`ServeError::Saturated`] immediately (the backpressure contract),
     /// a draining service returns [`ServeError::ShuttingDown`].
     pub fn submit(&self, req: QueryRequest) -> Result<QueryTicket, ServeError> {
-        let (unit, mut tickets) = pend(vec![req]);
+        let (unit, rx) = Unit::new(vec![req]);
         match self.try_send(unit) {
-            Ok(()) => Ok(tickets.pop().expect("one request, one ticket")),
+            Ok(()) => Ok(QueryTicket { rx }),
             Err((err @ ServeError::Saturated { .. }, _)) => {
                 self.stats.reject();
                 Err(err)
@@ -220,12 +227,12 @@ impl QueryService {
     /// Offer one admission unit to the queue, handing it back when the
     /// queue refuses it.
     #[allow(clippy::result_large_err)] // the Err carries the unit back
-    fn try_send(&self, unit: Vec<Pending>) -> Result<(), (ServeError, Vec<Pending>)> {
+    fn try_send(&self, unit: Unit) -> Result<(), (ServeError, Unit)> {
         let guard = self.tx.read().unwrap_or_else(PoisonError::into_inner);
         let Some(tx) = guard.as_ref() else {
             return Err((ServeError::ShuttingDown, unit));
         };
-        let n = unit.len() as u64;
+        let n = unit.reqs.len() as u64;
         match tx.try_send(unit) {
             Ok(()) => {
                 self.stats.admit(n);
@@ -241,27 +248,33 @@ impl QueryService {
     /// Replay a whole request list through the service, returning
     /// responses index-aligned with `reqs`.
     ///
-    /// This is the batch-eval path. The replay is one admission unit and
-    /// one dispatch: its requests for one (source, k, mode) share a single
+    /// This is the batch-eval path. The replay is one admission unit, one
+    /// dispatch and one reply, sent once its last request is answered: its
+    /// requests for one (source, k, mode) share a single
     /// [`VectorStore::search_batch`] however many there are, so each store
-    /// is scanned once per replay. The unit is never shed: while the queue
-    /// is full the caller yields and retries, so the replay waits behind
-    /// other submissions rather than failing. A draining service answers
-    /// every request with [`ServeError::ShuttingDown`].
+    /// is scanned once per replay, and the distinct texts no earlier
+    /// request encoded are encoded in one batch on the service's executor.
+    /// A replay may mix sources, modes and depths. The unit is never shed:
+    /// while the queue is full the caller yields and retries, so the replay
+    /// waits behind other submissions rather than failing. A draining (or
+    /// dead) service answers every request with
+    /// [`ServeError::ShuttingDown`].
     ///
     /// [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
     pub fn query_batch(&self, reqs: Vec<QueryRequest>) -> Vec<Result<QueryResponse, ServeError>> {
         if reqs.is_empty() {
             return Vec::new();
         }
-        let (mut unit, tickets) = pend(reqs);
+        let n = reqs.len();
+        let (mut unit, rx) = Unit::new(reqs);
         while let Err((ServeError::Saturated { .. }, back)) = self.try_send(unit) {
             unit = back;
             std::thread::yield_now();
         }
-        // Admitted, or refused for good: a refused unit has dropped its
-        // reply channels, so every ticket then reads `ShuttingDown`.
-        tickets.into_iter().map(QueryTicket::wait).collect()
+        // Admitted, or refused for good: a refused unit (or one a dead
+        // dispatcher dropped) has dropped its reply channel, so every
+        // request then reads `ShuttingDown`.
+        rx.recv().unwrap_or_else(|_| vec![Err(ServeError::ShuttingDown); n])
     }
 
     /// A point-in-time ledger snapshot.
@@ -299,10 +312,10 @@ impl Drop for QueryService {
 const ENCODE_MEMO_CAP: usize = 1 << 15;
 
 /// The dispatcher's query-encode memo: repeated text queries (hot
-/// questions, the evaluator's per-source replays of one stem) skip the
-/// encoder. Keyed by the text itself, so two texts never share a vector,
-/// and bounded: a text that finds the memo full starts it over. Encoding
-/// is deterministic, so an eviction costs time, never an answer bit.
+/// questions, the evaluator's four sources per stem) skip the encoder.
+/// Keyed by the text itself, so two texts never share a vector, and
+/// bounded: a text that finds the memo full starts it over. Encoding is
+/// deterministic, so an eviction costs time, never an answer bit.
 struct EncodeMemo {
     vectors: HashMap<String, Vec<f32>>,
     cap: usize,
@@ -313,17 +326,40 @@ impl EncodeMemo {
         Self { vectors: HashMap::new(), cap }
     }
 
-    /// `encoder`'s vector for `text`, encoded at most once while memoised.
-    fn encode(&mut self, encoder: &BioEncoder, text: &str) -> Vec<f32> {
-        if let Some(vector) = self.vectors.get(text) {
-            return vector.clone();
+    /// `encoder`'s vectors for `texts`, index-aligned. The distinct texts
+    /// the memo lacks are encoded once each, as one `encode_batch` on
+    /// `exec`. Every answer comes from this call's own
+    /// encodings or from the memo as it stood before them, so the misses
+    /// may overrun the cap without evicting a vector this call returns.
+    fn encode_all(
+        &mut self,
+        encoder: &BioEncoder,
+        exec: &Executor,
+        texts: &[&str],
+    ) -> Vec<Vec<f32>> {
+        let mut fresh: HashMap<&str, usize> = HashMap::new();
+        let mut misses: Vec<&str> = Vec::new();
+        for &text in texts {
+            if !self.vectors.contains_key(text) && !fresh.contains_key(text) {
+                fresh.insert(text, misses.len());
+                misses.push(text);
+            }
         }
-        let vector = encoder.encode(text);
-        if self.vectors.len() >= self.cap {
-            self.vectors.clear();
+        let encoded = encoder.encode_batch(exec, &misses);
+        let vectors = texts
+            .iter()
+            .map(|text| match fresh.get(text) {
+                Some(&i) => encoded[i].clone(),
+                None => self.vectors[*text].clone(),
+            })
+            .collect();
+        for (text, vector) in misses.into_iter().zip(encoded) {
+            if self.vectors.len() >= self.cap {
+                self.vectors.clear();
+            }
+            self.vectors.insert(text.to_string(), vector);
         }
-        self.vectors.insert(text.to_string(), vector.clone());
-        vector
+        vectors
     }
 }
 
@@ -338,8 +374,49 @@ struct Dispatcher {
     stats: Arc<ServiceStats>,
 }
 
+/// A request's address in its dispatch: (unit, position in the unit).
+type Member = (usize, usize);
+
+/// One unit's replies as they are answered; the unit's reply leaves when
+/// its last member is answered.
+struct Outbox {
+    replies: Vec<Option<Result<QueryResponse, ServeError>>>,
+    pending: usize,
+    reply: SyncSender<Replies>,
+    queue_secs: f64,
+}
+
+impl Outbox {
+    fn answer(&mut self, at: usize, result: Result<QueryResponse, ServeError>) {
+        let slot = &mut self.replies[at];
+        assert!(slot.is_none(), "each request answered exactly once");
+        *slot = Some(result);
+        self.pending -= 1;
+        if self.pending == 0 {
+            let replies = std::mem::take(&mut self.replies);
+            // A dropped ticket or replay is the caller's choice, not an
+            // error here.
+            let _ = self.reply.send(replies.into_iter().map(|r| r.expect("answered")).collect());
+        }
+    }
+}
+
+/// Per-dispatch state shared by every group of the dispatch: the units'
+/// requests, read in place, and their outboxes.
+struct Dispatch<'a> {
+    reqs: &'a [Vec<QueryRequest>],
+    outboxes: Vec<Outbox>,
+    size: usize,
+}
+
+impl<'a> Dispatch<'a> {
+    fn req(&self, (u, at): Member) -> &'a QueryRequest {
+        &self.reqs[u][at]
+    }
+}
+
 impl Dispatcher {
-    fn run(self, rx: Receiver<Vec<Pending>>) {
+    fn run(self, rx: Receiver<Unit>) {
         // Only this thread touches the memo, so it needs no lock.
         let mut encoded = EncodeMemo::new(ENCODE_MEMO_CAP);
         // Continuous batching: block for the batch's first unit (a
@@ -347,54 +424,69 @@ impl Dispatcher {
         // further queued units while the batch holds fewer than
         // `max_batch` requests, dispatch. No timer — the next batch forms
         // in the queue while this one is in service.
-        while let Ok(mut batch) = rx.recv() {
-            while batch.len() < self.config.max_batch {
+        while let Ok(first) = rx.recv() {
+            let mut size = first.reqs.len();
+            let mut batch = vec![first];
+            while size < self.config.max_batch {
                 let Ok(unit) = rx.try_recv() else { break };
-                batch.extend(unit);
+                size += unit.reqs.len();
+                batch.push(unit);
             }
-            self.process(batch, &mut encoded);
+            self.process(batch, size, &mut encoded);
         }
     }
 
     /// Serve one micro-batch: group by (source store, k, mode), run each
-    /// group through its channel(s), and answer every envelope exactly
-    /// once.
-    fn process(&self, batch: Vec<Pending>, encoded: &mut EncodeMemo) {
+    /// group through its channel(s), and answer every request exactly
+    /// once. If a group panics, the outboxes still waiting are dropped
+    /// with the dispatcher, and every caller behind them reads
+    /// [`ServeError::ShuttingDown`].
+    fn process(&self, batch: Vec<Unit>, size: usize, encoded: &mut EncodeMemo) {
         let dequeued = Instant::now();
-        let size = batch.len();
         self.stats.record_batch(size);
 
-        let queue_waits: Vec<f64> = batch
-            .iter()
-            .map(|p| dequeued.saturating_duration_since(p.admitted).as_secs_f64())
-            .collect();
-        for w in &queue_waits {
-            self.stats.add_queue_secs(*w);
+        let (reqs, outboxes): (Vec<_>, Vec<_>) = batch
+            .into_iter()
+            .map(|Unit { reqs, admitted, reply }| {
+                let queue_secs = dequeued.saturating_duration_since(admitted).as_secs_f64();
+                self.stats.add_queue_secs(queue_secs * reqs.len() as f64);
+                let outbox = Outbox {
+                    replies: (0..reqs.len()).map(|_| None).collect(),
+                    pending: reqs.len(),
+                    reply,
+                    queue_secs,
+                };
+                (reqs, outbox)
+            })
+            .unzip();
+
+        // Group members by (source, k, mode): one store search per group
+        // keeps results bit-identical to per-query search (the batched
+        // kernels guarantee it) while sharing one scan of the store.
+        let mut groups: BTreeMap<(&str, usize, QueryMode), Vec<Member>> = BTreeMap::new();
+        for (u, unit) in reqs.iter().enumerate() {
+            for (at, req) in unit.iter().enumerate() {
+                groups.entry((req.source.as_str(), req.k, req.mode)).or_default().push((u, at));
+            }
         }
 
-        // Group member slots by (source, k, mode): one store search per
-        // group keeps results bit-identical to per-query search (the
-        // batched kernels guarantee it) while sharing one scan of the store.
-        let mut groups: BTreeMap<(String, usize, QueryMode), Vec<usize>> = BTreeMap::new();
-        for (i, p) in batch.iter().enumerate() {
-            groups.entry((p.req.source.clone(), p.req.k, p.req.mode)).or_default().push(i);
-        }
-        let mut slots: Vec<Option<Pending>> = batch.into_iter().map(Some).collect();
-
-        let mut ctx = GroupCtx { slots: &mut slots, queue_waits: &queue_waits, size };
+        let mut dispatch = Dispatch { reqs: &reqs, outboxes, size };
         for ((source, k, mode), members) in groups {
-            self.serve_group(&source, k, mode, &members, encoded, &mut ctx);
+            self.serve_group(source, k, mode, &members, encoded, &mut dispatch);
         }
 
-        debug_assert!(slots.iter().all(Option::is_none), "every request answered");
+        debug_assert!(dispatch.outboxes.iter().all(|o| o.pending == 0), "every request answered");
     }
 
-    /// Reply to one member slot (exactly once).
-    fn answer(&self, slot: &mut Option<Pending>, result: Result<QueryResponse, ServeError>) {
-        let p = slot.take().expect("each slot answered exactly once");
+    /// Reply to one member (exactly once).
+    fn answer(
+        &self,
+        dispatch: &mut Dispatch<'_>,
+        (u, at): Member,
+        result: Result<QueryResponse, ServeError>,
+    ) {
         self.stats.record_served(result.is_ok());
-        // A dropped ticket is the caller's choice, not an error here.
-        let _ = p.reply.send(result);
+        dispatch.outboxes[u].answer(at, result);
     }
 
     /// Serve one (source, k, mode) group through the channels its mode
@@ -408,9 +500,9 @@ impl Dispatcher {
         source: &str,
         k: usize,
         mode: QueryMode,
-        members: &[usize],
+        members: &[Member],
         encoded: &mut EncodeMemo,
-        ctx: &mut GroupCtx<'_>,
+        dispatch: &mut Dispatch<'_>,
     ) {
         // Group-level defects — a channel the registry lacks, a rescoring
         // pass the service was not started for — fail every member alike.
@@ -448,8 +540,8 @@ impl Dispatcher {
         let (store, lex, rescore) = match resolve() {
             Ok(channels) => channels,
             Err(err) => {
-                for &i in members {
-                    self.answer(&mut ctx.slots[i], Err(err.clone()));
+                for &m in members {
+                    self.answer(dispatch, m, Err(err.clone()));
                 }
                 return;
             }
@@ -460,28 +552,38 @@ impl Dispatcher {
         // words the lexical channel needs, an encoder for text bound for
         // the dense channel, the store's dimensionality.
         let t_encode = store.map(|_| Instant::now());
-        let mut idxs: Vec<usize> = Vec::with_capacity(members.len());
-        let mut vectors: Vec<Vec<f32>> = Vec::with_capacity(store.map_or(0, |_| members.len()));
-        let mut texts: Vec<String> = Vec::with_capacity(lex.map_or(0, |_| members.len()));
-        let mut failed: Vec<(usize, ServeError)> = Vec::new();
-        for &i in members {
-            let input = &ctx.slots[i].as_ref().expect("slot unanswered").req.input;
-            let text = match (lex, input.text()) {
-                (Some(_), None) => {
-                    failed.push((i, ServeError::NeedsText { source: source.into() }));
-                    continue;
-                }
-                (Some(_), text) => text,
-                (None, _) => None,
-            };
+        let mut failed: Vec<(Member, ServeError)> = Vec::new();
+        let mut valid: Vec<Member> = Vec::with_capacity(members.len());
+        for &m in members {
+            let input = &dispatch.req(m).input;
+            if lex.is_some() && input.text().is_none() {
+                failed.push((m, ServeError::NeedsText { source: source.into() }));
+            } else if store.is_some() && input.text().is_some() && self.encoder.is_none() {
+                failed.push((m, ServeError::NoEncoder { source: source.into() }));
+            } else {
+                valid.push(m);
+            }
+        }
+        // The group's text queries, encoded together: the distinct texts
+        // the memo lacks in one batch, the rest from the memo.
+        let mut encodings = match (store, &self.encoder) {
+            (Some(_), Some(enc)) => {
+                let texts: Vec<&str> =
+                    valid.iter().filter_map(|&m| dispatch.req(m).input.text()).collect();
+                encoded.encode_all(enc, &self.exec, &texts)
+            }
+            _ => Vec::new(),
+        }
+        .into_iter();
+        let mut idxs: Vec<Member> = Vec::with_capacity(valid.len());
+        let mut vectors: Vec<Vec<f32>> = Vec::with_capacity(store.map_or(0, |_| valid.len()));
+        let mut texts: Vec<&str> = Vec::with_capacity(lex.map_or(0, |_| valid.len()));
+        for m in valid {
+            let input = &dispatch.req(m).input;
             if let Some(store) = store {
-                let vector = match (input, &self.encoder) {
-                    (QueryInput::Vector(v), _) => v.clone(),
-                    (QueryInput::Text(t), Some(enc)) => encoded.encode(enc, t),
-                    (QueryInput::Text(_), None) => {
-                        failed.push((i, ServeError::NoEncoder { source: source.into() }));
-                        continue;
-                    }
+                let vector = match input {
+                    QueryInput::Vector(v) => v.clone(),
+                    QueryInput::Text(_) => encodings.next().expect("one encoding per text"),
                 };
                 if vector.len() != store.dim() {
                     let err = ServeError::DimMismatch {
@@ -489,19 +591,21 @@ impl Dispatcher {
                         expected: store.dim(),
                         got: vector.len(),
                     };
-                    failed.push((i, err));
+                    failed.push((m, err));
                     continue;
                 }
                 vectors.push(vector);
             }
-            texts.extend(text.map(String::from));
-            idxs.push(i);
+            if lex.is_some() {
+                texts.extend(input.text());
+            }
+            idxs.push(m);
         }
         let encode_secs = t_encode.map_or(0.0, |t| t.elapsed().as_secs_f64());
         self.stats.add_encode_secs(encode_secs);
 
-        for (i, err) in failed {
-            self.answer(&mut ctx.slots[i], Err(err));
+        for (m, err) in failed {
+            self.answer(dispatch, m, Err(err));
         }
         if idxs.is_empty() {
             return;
@@ -527,8 +631,8 @@ impl Dispatcher {
             let prompts: Vec<(&str, Vec<&str>)> = texts
                 .iter()
                 .zip(&hits)
-                .map(|(t, hits)| {
-                    (t.as_str(), hits.iter().map(|h| ps.get(source, h.id).unwrap_or("")).collect())
+                .map(|(&t, hits)| {
+                    (t, hits.iter().map(|h| ps.get(source, h.id).unwrap_or("")).collect())
                 })
                 .collect();
             let scores = rr.score_batch(&self.exec, &prompts);
@@ -542,18 +646,13 @@ impl Dispatcher {
         let search_secs = t_search.elapsed().as_secs_f64();
         self.stats.add_search_secs(search_secs);
 
-        for (i, h) in idxs.into_iter().zip(hits) {
-            let timing = QueryTiming { queue_secs: ctx.queue_waits[i], encode_secs, search_secs };
-            self.answer(&mut ctx.slots[i], Ok(QueryResponse { hits: h, batch: ctx.size, timing }));
+        for (m, h) in idxs.into_iter().zip(hits) {
+            let queue_secs = dispatch.outboxes[m.0].queue_secs;
+            let timing = QueryTiming { queue_secs, encode_secs, search_secs };
+            let batch = dispatch.size;
+            self.answer(dispatch, m, Ok(QueryResponse { hits: h, batch, timing }));
         }
     }
-}
-
-/// Per-micro-batch state shared by every group of the batch.
-struct GroupCtx<'a> {
-    slots: &'a mut Vec<Option<Pending>>,
-    queue_waits: &'a [f64],
-    size: usize,
 }
 
 #[cfg(test)]
@@ -564,27 +663,39 @@ mod tests {
     #[test]
     fn encode_memo_keys_by_text_and_stays_bounded() {
         let encoder = BioEncoder::new(EmbedConfig { dim: 32, ..EmbedConfig::default() });
+        let exec = Executor::new(2);
         let texts: Vec<String> = (0..11).map(|i| format!("tumour hypoxia dose {i}")).collect();
         let direct: Vec<Vec<u32>> =
             texts.iter().map(|t| encoder.encode(t).iter().map(|x| x.to_bits()).collect()).collect();
+        let bits = |vectors: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            vectors.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+        };
         let cap = 4;
         let mut memo = EncodeMemo::new(cap);
-        // Three passes: the first fills and evicts, the later ones meet
-        // texts both resident and evicted; every answer is the direct
-        // encoding, so no two texts ever share a vector.
+        // Three passes of one text at a time: the first fills and evicts,
+        // the later ones meet texts both resident and evicted; every answer
+        // is the direct encoding, so no two texts ever share a vector.
         for pass in 0..3 {
             for (text, want) in texts.iter().zip(&direct) {
-                let got: Vec<u32> =
-                    memo.encode(&encoder, text).iter().map(|x| x.to_bits()).collect();
-                assert_eq!(&got, want, "pass {pass}, {text:?}");
+                let got = bits(memo.encode_all(&encoder, &exec, &[text.as_str()]));
+                assert_eq!(&got[0], want, "pass {pass}, {text:?}");
                 assert!(memo.vectors.len() <= cap, "pass {pass}: {} texts", memo.vectors.len());
                 assert_eq!(memo.vectors.get(text.as_str()).map(Vec::len), Some(32));
             }
         }
+        // One group with more misses than the cap, each text twice and
+        // some already resident: every answer is still the direct encoding,
+        // and the memo stays within its cap.
+        let group: Vec<&str> = texts.iter().chain(&texts).map(String::as_str).collect();
+        let want: Vec<Vec<u32>> = direct.iter().chain(&direct).cloned().collect();
+        for pass in 0..2 {
+            assert_eq!(bits(memo.encode_all(&encoder, &exec, &group)), want, "pass {pass}");
+            assert!(memo.vectors.len() <= cap, "pass {pass}: {} texts", memo.vectors.len());
+        }
         // A repeat within the cap is served from the memo.
         let mut memo = EncodeMemo::new(cap);
-        memo.encode(&encoder, &texts[0]);
-        memo.encode(&encoder, &texts[0]);
+        memo.encode_all(&encoder, &exec, &[texts[0].as_str(), texts[0].as_str()]);
+        memo.encode_all(&encoder, &exec, &[texts[0].as_str()]);
         assert_eq!(memo.vectors.len(), 1);
     }
 }

@@ -304,6 +304,84 @@ impl VectorStore for GatedStore {
     }
 }
 
+/// A store whose batched search panics: the dispatcher dies inside a
+/// dispatch, with some of the dispatch's requests already answered.
+#[derive(Clone)]
+struct PanickingStore {
+    inner: FlatIndex,
+}
+
+impl VectorStore for PanickingStore {
+    fn add(&mut self, id: u64, vector: &[f32]) {
+        self.inner.add(id, vector);
+    }
+    fn search(&self, query: &[f32], k: usize) -> Vec<SearchResult> {
+        self.inner.search(query, k)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn metric(&self) -> Metric {
+        self.inner.metric()
+    }
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn remove(&mut self, ids: &[u64]) -> usize {
+        self.inner.remove(ids)
+    }
+    fn rekey(&mut self, moves: &HashMap<u64, u64>) -> usize {
+        self.inner.rekey(moves)
+    }
+    fn search_batch(&self, _: &Executor, _: &[Vec<f32>], _: usize) -> Vec<Vec<SearchResult>> {
+        panic!("the store failed mid-scan")
+    }
+    fn payload_bytes(&self) -> usize {
+        self.inner.payload_bytes()
+    }
+    fn boxed_clone(&self) -> Box<dyn VectorStore> {
+        Box::new(self.clone())
+    }
+    fn to_bytes(&self) -> Vec<u8> {
+        self.inner.to_bytes()
+    }
+}
+
+/// A replay has one reply: when a store panics inside it, every member
+/// resolves to `ShuttingDown` — those the dispatcher had already answered
+/// as well as those it had not — instead of the replay hanging, and the
+/// dead service turns later submissions away.
+#[test]
+fn a_store_panic_inside_a_replay_fails_every_member() {
+    let mut reg = stores();
+    let mut broken = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
+    broken.add(0, &vector(1));
+    // Named to sort after both healthy sources, so their groups are
+    // answered before the broken one is searched.
+    reg.insert("zz-broken", Box::new(PanickingStore { inner: broken }));
+    let service = QueryService::start(
+        Arc::new(reg),
+        None,
+        Executor::new(2),
+        ServeConfig { queue_capacity: 4, max_batch: 4 },
+    );
+    let mut reqs = requests(12, 31, 3);
+    reqs.push(QueryRequest::vector("zz-broken", vector(5), 1));
+    let results = service.query_batch(reqs.clone());
+    assert_eq!(results.len(), reqs.len());
+    for (i, res) in results.into_iter().enumerate() {
+        assert_eq!(res, Err(ServeError::ShuttingDown), "request {i}");
+    }
+    match service.submit(reqs[0].clone()).and_then(|ticket| ticket.wait()) {
+        Err(ServeError::ShuttingDown) => {}
+        other => panic!("a dead service must turn a submission away, got {other:?}"),
+    }
+    // Shutdown still returns: it joins the dead dispatcher, whose ledger
+    // never counts the broken request as served.
+    let snap = service.shutdown();
+    assert!(snap.served() < snap.admitted, "{snap:?}");
+}
+
 /// Batches form in the queue while a dispatch is in service: requests
 /// that arrive behind a held dispatch leave together, `max_batch` at a
 /// time, without any of them waiting for a timer or for company.
