@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcqa_bench::sample_prose;
-use mcqa_embed::{BioEncoder, EmbedConfig};
+use mcqa_index::embed::{BioEncoder, EmbedConfig};
 use mcqa_text::{Chunker, ChunkerConfig, TfEncoder};
 
 fn bench_chunker(c: &mut Criterion) {

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcqa_bench::sample_prose;
-use mcqa_embed::{BioEncoder, EmbedConfig, EmbeddingMatrix, Precision};
+use mcqa_index::embed::{BioEncoder, EmbedConfig, EmbeddingMatrix, Precision};
 use mcqa_runtime::Executor;
 
 fn bench_encode(c: &mut Criterion) {

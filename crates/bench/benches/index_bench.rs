@@ -12,7 +12,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcqa_bench::{planted_corpus, random_unit_vectors};
-use mcqa_embed::Precision;
+use mcqa_index::embed::Precision;
 use mcqa_index::lexical::LexicalIndex;
 use mcqa_index::{build_store_from_vectors, IndexSpec, Metric, PqConfig, VectorStore};
 use mcqa_runtime::Executor;

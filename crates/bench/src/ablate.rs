@@ -10,10 +10,10 @@ use mcqa_llm::{ModelCard, TraceMode, MODEL_CARDS};
 /// `decimals` places, `unit` appended.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Column {
-    pub header: &'static str,
-    pub width: usize,
-    pub decimals: usize,
-    pub unit: &'static str,
+    pub(crate) header: &'static str,
+    pub(crate) width: usize,
+    pub(crate) decimals: usize,
+    pub(crate) unit: &'static str,
 }
 
 fn col(header: &'static str, width: usize, decimals: usize) -> Column {

@@ -15,7 +15,7 @@ pub struct RunArgs {
     pub seed: u64,
     pub index: IndexSpec,
     /// `--retrieval`, with `--fuse-depth` already threaded into a hybrid
-    /// mode (left at 0, [`mcqa_index::lexical::DEFAULT_FUSE_DEPTH`], when
+    /// mode (left at 0, `mcqa_index::lexical::DEFAULT_FUSE_DEPTH`, when
     /// the flag is absent).
     pub retrieval: QueryMode,
     /// `ingest`: synthetic edit-batch size (default ≈ 1% of the live
@@ -69,7 +69,7 @@ pub const COMMANDS: [(&str, &[&str]); 19] = [
 ];
 
 /// Whether `command` reads `flag` (false for an unknown command or flag).
-pub fn reads(command: &str, flag: &str) -> bool {
+pub(crate) fn reads(command: &str, flag: &str) -> bool {
     FLAGS[..EVERYWHERE].contains(&flag)
         || COMMANDS.iter().any(|(c, flags)| *c == command && flags.contains(&flag))
 }

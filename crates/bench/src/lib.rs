@@ -58,7 +58,7 @@ pub fn random_unit_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
 /// chunked documents land in a real ingest (sequential chunk ids, one
 /// topic per document) — which is also what the inverted lists'
 /// delta-varint id compression is shaped for.
-pub fn clustered_unit_vectors(
+pub(crate) fn clustered_unit_vectors(
     n: usize,
     centres: usize,
     dim: usize,

@@ -61,7 +61,7 @@ pub fn backend_recall(output: &PipelineOutput, k: usize) -> Option<Vec<RecallRow
             spec,
             output.config.embed.dim,
             mcqa_index::Metric::Cosine,
-            mcqa_embed::Precision::F16,
+            mcqa_index::embed::Precision::F16,
             exec,
             &items,
         )

@@ -12,7 +12,7 @@ pub struct ChunkRecord {
     /// Source document.
     pub doc: DocId,
     /// Index within the document's chunk sequence.
-    pub index_in_doc: u32,
+    pub(crate) index_in_doc: u32,
     /// Chunk text.
     pub text: String,
     /// Token count.
@@ -29,7 +29,7 @@ impl ChunkRecord {
 
     /// The synthetic "file path" recorded in question provenance
     /// (mirrors the paper's `file path` field in Figure 2).
-    pub fn file_path(&self) -> String {
+    pub(crate) fn file_path(&self) -> String {
         format!("corpus/doc_{:06}.spdf", self.doc.0)
     }
 }

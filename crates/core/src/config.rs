@@ -1,7 +1,7 @@
 //! Pipeline configuration with paper-scale defaults.
 
 use mcqa_corpus::AcquisitionConfig;
-use mcqa_embed::EmbedConfig;
+use mcqa_index::embed::EmbedConfig;
 use mcqa_index::IndexSpec;
 use mcqa_ontology::OntologyConfig;
 use mcqa_text::ChunkerConfig;

@@ -33,7 +33,7 @@ const LANE_SEED: u64 = 0x00C0_A7E2_7AD1_2E57_u64;
 /// scale and the same bytes address to the same hash on every platform in
 /// every run.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct ContentHash(pub [u8; 32]);
+pub struct ContentHash(pub(crate) [u8; 32]);
 
 impl ContentHash {
     /// Hash raw content bytes: the four lanes absorb the blob together, in
@@ -160,11 +160,11 @@ pub struct IngestCensus {
     /// Documents in the live corpus at plan time.
     pub docs_scanned: usize,
     /// Newly added documents.
-    pub docs_added: usize,
+    pub(crate) docs_added: usize,
     /// Documents whose content hash changed.
-    pub docs_modified: usize,
+    pub(crate) docs_modified: usize,
     /// Documents removed since the previous manifest.
-    pub docs_removed: usize,
+    pub(crate) docs_removed: usize,
     /// Chunks across the live corpus after planning.
     pub chunks_total: usize,
     /// Chunks replayed from the previous run's snapshot (not re-run).
@@ -177,9 +177,9 @@ pub struct IngestCensus {
     pub tombstones_lexical: usize,
     /// Rows moved to a new id in place across the dense stores (a
     /// replayed question whose id shifted keeps its rows).
-    pub rekeyed_dense: usize,
+    pub(crate) rekeyed_dense: usize,
     /// Documents moved to a new id in place across the lexical siblings.
-    pub rekeyed_lexical: usize,
+    pub(crate) rekeyed_lexical: usize,
     /// Stores compacted after exceeding the tombstone threshold.
     pub compactions: usize,
 }

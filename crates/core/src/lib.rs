@@ -41,6 +41,6 @@ pub mod schema;
 
 pub use chunks::ChunkRecord;
 pub use config::PipelineConfig;
-pub use ingest::{ChangeSet, ContentHash, IngestCensus, IngestManifest};
+pub use ingest::IngestCensus;
 pub use pipeline::{Pipeline, PipelineOutput, CHUNKS_STORE};
 pub use schema::{QuestionRecord, TraceRecord};

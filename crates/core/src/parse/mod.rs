@@ -6,7 +6,7 @@
 //! predicted output quality, and recovers what it can from damaged files.
 //! This module reproduces that architecture over the SPDF container:
 //!
-//! * [`ParseStrategy`] — three parse strategies: `Fast` (no checksum
+//! * `ParseStrategy` — three parse strategies: `Fast` (no checksum
 //!   validation), `Thorough` (full structural validation with precise
 //!   errors), and `Salvage` (best-effort recovery of readable objects).
 //! * `quality` — a text-quality scorer that decides whether a fast-path
@@ -14,15 +14,15 @@
 //!   (AdaParse's quality predictor).
 //! * [`AdaptiveParser`] — the adaptive driver: per-document strategy escalation,
 //!   batch parsing fanned out on the caller's `mcqa_runtime::Executor`, an
-//!   error taxonomy, and aggregate statistics ([`BatchStats`]: strategy
+//!   error taxonomy, and aggregate statistics (`BatchStats`: strategy
 //!   mix, failure census).
-//! * [`ParsedDocument`] — the parsed-output record (metadata + section texts).
+//! * `ParsedDocument` — the parsed-output record (metadata + section texts).
 
 mod engine;
 mod quality;
 mod record;
 mod strategy;
 
-pub use engine::{AdaptiveParser, BatchStats, ParseOutcome, ParserConfig};
-pub use record::ParsedDocument;
-pub use strategy::{ParseError, ParseStrategy};
+pub(crate) use engine::ParseOutcome;
+pub use engine::{AdaptiveParser, ParserConfig};
+pub(crate) use record::ParsedDocument;

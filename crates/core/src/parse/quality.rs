@@ -13,7 +13,7 @@ use super::record::ParsedDocument;
 
 /// A quality verdict in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct QualityScore(pub f64);
+pub(crate) struct QualityScore(pub(crate) f64);
 
 impl QualityScore {
     /// The acceptance threshold used by the adaptive engine's fast path.

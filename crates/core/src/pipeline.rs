@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mcqa_corpus::{CorpusLibrary, DocId};
-use mcqa_embed::{BioEncoder, Precision};
+use mcqa_index::embed::{BioEncoder, Precision};
 use mcqa_index::lexical::LexicalIndex;
 use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
 use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode, OPTION_LETTERS};
@@ -125,7 +125,7 @@ impl Pipeline {
 
         // Stage 1: ontology + corpus acquisition (synthesis and SPDF
         // rendering fan out on the pool inside `CorpusLibrary::build`).
-        let t = ScopeTimer::start("acquire");
+        let t = ScopeTimer::start();
         let ontology = Arc::new(Ontology::generate(&config.ontology));
         let library = Arc::new(CorpusLibrary::build(&ontology, &config.acquisition, &exec));
         report.add(StageMetrics::single("acquire", library.len(), library.len(), t.elapsed_secs()));
@@ -363,7 +363,7 @@ fn merge_chunks(
     fresh: Vec<ChunkRecord>,
     census: &mut IngestCensus,
 ) -> (Vec<ChunkRecord>, Vec<bool>, Vec<u64>, StageMetrics) {
-    let t = ScopeTimer::start("ingest-chunks");
+    let t = ScopeTimer::start();
     let dead_docs: HashSet<u32> =
         changes.modified.iter().chain(&changes.removed).map(|id| *id as u32).collect();
     let (dead, kept): (Vec<&ChunkRecord>, Vec<&ChunkRecord>) =
@@ -387,7 +387,7 @@ fn merge_chunks(
 /// starts from an empty registry and has no row.
 fn copy_registry(prev: Option<&PipelineOutput>) -> (IndexRegistry, Option<StageMetrics>) {
     let Some(p) = prev else { return (IndexRegistry::new(), None) };
-    let t = ScopeTimer::start("ingest-registry");
+    let t = ScopeTimer::start();
     let copy = (*p.indexes).clone();
     let entries = copy.len() + copy.lexical_names().len();
     (copy, Some(StageMetrics::single("ingest-registry", entries, entries, t.elapsed_secs())))
@@ -432,7 +432,7 @@ fn refresh_source(
     name: &str,
     edit: SourceEdit<'_>,
 ) -> [StageMetrics; 2] {
-    let t = ScopeTimer::start("index");
+    let t = ScopeTimer::start();
     match indexes.get_mut(name) {
         None => indexes.insert(
             name,
@@ -467,7 +467,7 @@ fn refresh_source(
 
     // The BM25 sibling over the same texts, keyed by the same ids, so both
     // channels retrieve the same documents.
-    let t = ScopeTimer::start("index-lex");
+    let t = ScopeTimer::start();
     let sibling = IndexRegistry::lexical_sibling(name);
     if indexes.lexical(&sibling).is_none() {
         indexes.insert_lexical(&sibling, LexicalIndex::new(Default::default()));
@@ -508,7 +508,7 @@ fn generate_and_judge(
     teacher: &Teacher,
     gen_chunks: &[&ChunkRecord],
 ) -> (Vec<Accepted>, StageMetrics) {
-    let t = ScopeTimer::start("generate+judge");
+    let t = ScopeTimer::start();
     let rng = KeyedStochastic::new(config.seed ^ 0x9E5_71A6);
     // Anchor fact per chunk: one stated by the chunk, or (relevance
     // failure) an arbitrary fact — real pipelines generate from every
@@ -542,10 +542,10 @@ fn generate_and_judge(
     let generated = teacher.generate_question_batch(exec, &prompts);
     // Candidates whose distractor pool was exhausted (< 7 options)
     // never reach the judge.
-    let wellformed: Vec<(&Candidate, &mcqa_llm::GeneratedQuestion)> =
-        cands.iter().zip(&generated).filter(|(_, q)| q.options.len() == 7).collect();
+    let wellformed: Vec<(&Candidate, mcqa_llm::GeneratedQuestion)> =
+        cands.iter().zip(generated).filter(|(_, q)| q.options.len() == 7).collect();
     let score_prompts: Vec<(&mcqa_llm::GeneratedQuestion, f64)> =
-        wellformed.iter().map(|(c, q)| (*q, c.fact.salience)).collect();
+        wellformed.iter().map(|(c, q)| (q, c.fact.salience)).collect();
     let judgments = models.quality_scores(exec, config.seed, &score_prompts);
 
     let mut accepted: Vec<Accepted> = Vec::new();
@@ -563,12 +563,24 @@ fn generate_and_judge(
         if !passed {
             continue;
         }
+        // The item clones the accepted question once; the record takes
+        // the generated strings themselves.
+        let item = McqItem {
+            qid: 0,
+            bench: BenchKind::Synthetic,
+            fact: cand.fact.id,
+            stem: q.stem.clone(),
+            options: q.options.clone(),
+            correct: q.recorded_key,
+            difficulty: cand.fact.difficulty,
+            is_math: false,
+        };
         let record = QuestionRecord {
             question_id: 0,
-            question: q.stem.clone(),
-            options: q.options.clone(),
             answer_letter: OPTION_LETTERS[q.recorded_key],
             answer_text: q.options[q.recorded_key].clone(),
+            question: q.stem,
+            options: q.options,
             question_type: "multiple-choice".into(),
             topic: cand.fact.topic,
             provenance: Provenance {
@@ -579,16 +591,6 @@ fn generate_and_judge(
             },
             relevance_check: cand.relevant,
             quality: QualityBlock { score: judgment.score, reasoning: judgment.reasoning, passed },
-        };
-        let item = McqItem {
-            qid: 0,
-            bench: BenchKind::Synthetic,
-            fact: cand.fact.id,
-            stem: record.question.clone(),
-            options: record.options.clone(),
-            correct: q.recorded_key,
-            difficulty: cand.fact.difficulty,
-            is_math: false,
         };
         accepted.push((cand.chunk.chunk_id, record, item));
     }
@@ -601,7 +603,7 @@ fn generate_and_judge(
 /// every (question, mode) pair is one batched hub request. Returns the
 /// texts in that order, `TraceMode::ALL.len()` per accepted question.
 fn distil(exec: &Executor, teacher: &Teacher, fresh: &[Accepted]) -> (Vec<String>, StageMetrics) {
-    let t = ScopeTimer::start("traces");
+    let t = ScopeTimer::start();
     let prompts: Vec<(&McqItem, TraceMode)> = fresh
         .iter()
         .flat_map(|(_, _, item)| TraceMode::ALL.iter().map(move |mode| (item, *mode)))

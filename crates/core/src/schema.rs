@@ -31,9 +31,9 @@ pub struct QualityBlock {
     /// Judge score, 1–10.
     pub score: u8,
     /// Judge reasoning.
-    pub reasoning: String,
+    pub(crate) reasoning: String,
     /// Whether the item passed the acceptance threshold.
-    pub passed: bool,
+    pub(crate) passed: bool,
 }
 
 /// The Figure-2 question record.
@@ -44,13 +44,13 @@ pub struct QuestionRecord {
     /// Question stem.
     pub question: String,
     /// Options in display order (seven on the synthetic benchmark).
-    pub options: Vec<String>,
+    pub(crate) options: Vec<String>,
     /// Correct answer as `"C"`-style letter.
     pub answer_letter: char,
     /// Correct answer text.
-    pub answer_text: String,
+    pub(crate) answer_text: String,
     /// Question type tag (`"multiple-choice"`).
-    pub question_type: String,
+    pub(crate) question_type: String,
     /// Topical subfield.
     pub topic: Topic,
     /// Lineage to the source chunk and document.
@@ -74,7 +74,7 @@ pub struct TraceRecord {
     /// The reasoning text (final answer excluded).
     pub trace: String,
     /// The teacher that produced it.
-    pub teacher: String,
+    pub(crate) teacher: String,
     /// Leakage control flag (always true; audited in tests).
     pub answer_excluded: bool,
     /// The supporting fact (ground truth for retrieval relevance).

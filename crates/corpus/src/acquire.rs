@@ -17,7 +17,7 @@ use crate::synth::{synthesize, SynthConfig};
 
 /// How a blob was damaged (if at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Corruption {
+pub(crate) enum Corruption {
     /// Intact file.
     None,
     /// Tail truncated (interrupted download).
@@ -158,7 +158,7 @@ impl CorpusLibrary {
     }
 
     /// True when the slot exists but the document was removed by an edit.
-    pub fn is_deleted(&self, id: DocId) -> bool {
+    pub(crate) fn is_deleted(&self, id: DocId) -> bool {
         self.deleted.get(id.0 as usize).copied().unwrap_or(false)
     }
 
@@ -172,12 +172,6 @@ impl CorpusLibrary {
         self.docs.get(id.0 as usize)
     }
 
-    /// All document slots, including deleted ones (filter with
-    /// [`CorpusLibrary::is_deleted`] when liveness matters).
-    pub fn documents(&self) -> &[Document] {
-        &self.docs
-    }
-
     /// Download a document's SPDF bytes (possibly damaged in transit).
     /// `None` for out-of-range or deleted ids.
     pub fn download(&self, id: DocId) -> Option<&[u8]> {
@@ -187,13 +181,8 @@ impl CorpusLibrary {
         self.blobs.get(id.0 as usize).map(Vec::as_slice)
     }
 
-    /// The corruption applied to a blob (ground truth for parser tests).
-    pub fn corruption(&self, id: DocId) -> Option<Corruption> {
-        self.corruption.get(id.0 as usize).copied()
-    }
-
     /// The build configuration.
-    pub fn config(&self) -> &AcquisitionConfig {
+    pub(crate) fn config(&self) -> &AcquisitionConfig {
         &self.config
     }
 
@@ -233,6 +222,19 @@ impl CorpusLibrary {
 mod tests {
     use super::*;
     use mcqa_ontology::OntologyConfig;
+
+    impl CorpusLibrary {
+        /// All document slots, including deleted ones (filter with
+        /// [`CorpusLibrary::is_deleted`] when liveness matters).
+        pub(crate) fn documents(&self) -> &[Document] {
+            &self.docs
+        }
+
+        /// The corruption applied to a blob (ground truth for parser tests).
+        fn corruption(&self, id: DocId) -> Option<Corruption> {
+            self.corruption.get(id.0 as usize).copied()
+        }
+    }
 
     fn small_library() -> (Ontology, CorpusLibrary) {
         let ont = Ontology::generate(&OntologyConfig {

@@ -25,7 +25,7 @@ pub struct Section {
     /// Section heading ("Abstract", "Introduction", ...).
     pub title: String,
     /// Paragraphs; each paragraph is a list of sentences.
-    pub paragraphs: Vec<Vec<String>>,
+    pub(crate) paragraphs: Vec<Vec<String>>,
 }
 
 impl Section {
@@ -57,19 +57,19 @@ pub struct Document {
     /// Library-local id.
     pub id: DocId,
     /// Full paper or abstract.
-    pub kind: DocKind,
+    pub(crate) kind: DocKind,
     /// Title.
-    pub title: String,
+    pub(crate) title: String,
     /// Author surnames.
-    pub authors: Vec<String>,
+    pub(crate) authors: Vec<String>,
     /// Publication year.
-    pub year: u16,
+    pub(crate) year: u16,
     /// Venue name.
-    pub venue: String,
+    pub(crate) venue: String,
     /// Primary topic.
-    pub topic: Topic,
+    pub(crate) topic: Topic,
     /// Search keywords (topic keywords + salient entity names).
-    pub keywords: Vec<String>,
+    pub(crate) keywords: Vec<String>,
     /// Ordered sections.
     pub sections: Vec<Section>,
     /// Provenance oracle: which facts are stated where.
@@ -88,33 +88,35 @@ impl Document {
         }
         out
     }
-
-    /// Total sentence count across sections.
-    pub fn sentence_count(&self) -> usize {
-        self.sections.iter().map(|s| s.paragraphs.iter().map(Vec::len).sum::<usize>()).sum()
-    }
-
-    /// Verify the oracle: every mention's sentence must appear verbatim in
-    /// its claimed section. Returns the ids of violated mentions.
-    pub fn verify_mentions(&self) -> Vec<FactId> {
-        let mut bad = Vec::new();
-        for m in &self.mentions {
-            let ok = self
-                .sections
-                .get(m.section)
-                .map(|s| s.paragraphs.iter().any(|p| p.iter().any(|sent| sent == &m.sentence)))
-                .unwrap_or(false);
-            if !ok {
-                bad.push(m.fact);
-            }
-        }
-        bad
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Document {
+        /// Total sentence count across sections.
+        pub(crate) fn sentence_count(&self) -> usize {
+            self.sections.iter().map(|s| s.paragraphs.iter().map(Vec::len).sum::<usize>()).sum()
+        }
+
+        /// Verify the oracle: every mention's sentence must appear verbatim
+        /// in its claimed section. Returns the ids of violated mentions.
+        pub(crate) fn verify_mentions(&self) -> Vec<FactId> {
+            let mut bad = Vec::new();
+            for m in &self.mentions {
+                let ok = self
+                    .sections
+                    .get(m.section)
+                    .map(|s| s.paragraphs.iter().any(|p| p.iter().any(|sent| sent == &m.sentence)))
+                    .unwrap_or(false);
+                if !ok {
+                    bad.push(m.fact);
+                }
+            }
+            bad
+        }
+    }
 
     fn tiny_doc() -> Document {
         Document {

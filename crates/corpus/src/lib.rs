@@ -6,7 +6,7 @@
 //! the text. Offline, we replace that pile with a *generative* corpus whose
 //! ground truth is known:
 //!
-//! * [`doc`] — the logical document model (sections, paragraphs, fact
+//! * `doc` — the logical document model (sections, paragraphs, fact
 //!   mentions with exact realised sentences — the provenance oracle).
 //! * [`synth`] — deterministic synthesis of full papers and abstracts from
 //!   an [`mcqa_ontology::Ontology`]: topic-coherent fact mentions woven
@@ -16,20 +16,20 @@
 //! * [`spdf`] — the SPDF binary container: magic, versioned header, typed
 //!   object table (JSON metadata + compressed text streams), checksummed
 //!   trailer. A writer, a strict reader, and a salvage reader.
-//! * [`acquire`] — the corpus library + download API
+//! * `acquire` — the corpus library + download API
 //!   simulating Semantic Scholar (some documents are open-access full
 //!   texts, some only expose abstracts), plus corruption injection to give
 //!   the parser realistic failure modes.
 
-pub mod acquire;
+pub(crate) mod acquire;
 pub mod compress;
-pub mod doc;
-pub mod edit;
+pub(crate) mod doc;
+pub(crate) mod edit;
 pub mod spdf;
 pub mod synth;
 
 pub use acquire::{AcquisitionConfig, CorpusLibrary};
-pub use doc::{DocId, DocKind, Document, FactMention, Section};
+pub use doc::{DocId, DocKind};
 pub use edit::{EditBatch, EditOp};
 pub use spdf::{SpdfError, SpdfObject, SpdfReader, SpdfWriter};
 pub use synth::SynthConfig;

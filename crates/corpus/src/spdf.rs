@@ -128,24 +128,24 @@ pub struct DocMeta {
     /// Document id.
     pub id: u32,
     /// `"paper"` or `"abstract"`.
-    pub kind: String,
+    pub(crate) kind: String,
     /// Title.
-    pub title: String,
+    pub(crate) title: String,
     /// Author surnames.
-    pub authors: Vec<String>,
+    pub(crate) authors: Vec<String>,
     /// Publication year.
-    pub year: u16,
+    pub(crate) year: u16,
     /// Venue.
-    pub venue: String,
+    pub(crate) venue: String,
     /// Primary topic.
-    pub topic: Topic,
+    pub(crate) topic: Topic,
     /// Search keywords.
-    pub keywords: Vec<String>,
+    pub(crate) keywords: Vec<String>,
 }
 
 impl DocMeta {
     /// Build from a logical document.
-    pub fn from_document(doc: &Document) -> Self {
+    pub(crate) fn from_document(doc: &Document) -> Self {
         Self {
             id: doc.id.0,
             kind: match doc.kind {

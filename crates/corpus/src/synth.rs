@@ -16,7 +16,7 @@ use crate::doc::{DocId, DocKind, Document, FactMention, Section};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
     /// Seed (independent of the ontology seed).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for SynthConfig {

@@ -43,7 +43,7 @@ pub struct AstroExam {
     /// Stems of the excluded multimodal questions (for the accounting).
     pub excluded_multimodal: Vec<String>,
     /// Ground-truth math flags (index-aligned with `items`).
-    pub truth_is_math: Vec<bool>,
+    pub(crate) truth_is_math: Vec<bool>,
 }
 
 impl AstroExam {
@@ -54,7 +54,12 @@ impl AstroExam {
     /// with `seed`, on `exec`'s pool; the generator's own ground truth is
     /// kept in `truth_is_math` so the classifier's agreement is
     /// measurable.
-    pub fn generate(ontology: &Ontology, hub: &ModelHub, seed: u64, exec: &Executor) -> Self {
+    pub(crate) fn generate(
+        ontology: &Ontology,
+        hub: &ModelHub,
+        seed: u64,
+        exec: &Executor,
+    ) -> Self {
         let rng = KeyedStochastic::new(SEED ^ 0xA57_20E8);
         let reg = ontology.registry();
         let mut items = Vec::new();
@@ -169,7 +174,7 @@ impl AstroExam {
     }
 
     /// The no-math subset (by classifier, as in the paper).
-    pub fn no_math_items(&self) -> Vec<&McqItem> {
+    pub(crate) fn no_math_items(&self) -> Vec<&McqItem> {
         self.items.iter().filter(|i| !i.is_math).collect()
     }
 

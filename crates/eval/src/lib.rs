@@ -8,9 +8,9 @@
 //! * [`retrieval`] — per-question retrieval over the pipeline's vector
 //!   stores, with ground-truth relevance labels from the provenance
 //!   oracle.
-//! * [`astro`] — the exam generator: 337 questions (2 multimodal excluded,
+//! * `astro` — the exam generator: 337 questions (2 multimodal excluded,
 //!   146 mathematical), written in exam register from the same ontology.
-//! * [`protocol`] — the evaluator: measures usable-hit rates per model
+//! * `protocol` — the evaluator: measures usable-hit rates per model
 //!   (including real context-window truncation), calibrates the model
 //!   cards against them, runs all model × condition × question answers in
 //!   parallel, and grades them with the LLM judge.
@@ -25,12 +25,12 @@
 //! use mcqa_index::FlatIndex;
 //! ```
 
-pub mod astro;
-pub mod protocol;
+pub(crate) mod astro;
+pub(crate) mod protocol;
 pub mod results;
 pub mod retrieval;
 
 pub use astro::AstroExam;
 pub use protocol::{EvalConfig, EvalRun, Evaluator, ModelEval};
 pub use results::{render_fig, render_table2, render_table3, render_table4, FigureSeries};
-pub use retrieval::{passage_store, PassageTexts, RetrievalBundle, Source};
+pub use retrieval::{RetrievalBundle, Source};

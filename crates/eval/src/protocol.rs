@@ -51,9 +51,9 @@ pub struct ModelEval {
     /// Synthetic benchmark accuracy per condition (paper Table 2).
     pub synth: Vec<(Condition, Accuracy)>,
     /// Astro (all questions) accuracy per condition (Table 3).
-    pub astro_all: Vec<(Condition, Accuracy)>,
+    pub(crate) astro_all: Vec<(Condition, Accuracy)>,
     /// Astro no-math accuracy per condition (Table 4).
-    pub astro_nomath: Vec<(Condition, Accuracy)>,
+    pub(crate) astro_nomath: Vec<(Condition, Accuracy)>,
 }
 
 impl ModelEval {
@@ -72,7 +72,7 @@ impl ModelEval {
     }
 
     /// Accuracy on the Astro no-math subset under `cond`.
-    pub fn astro_nomath_accuracy(&self, cond: Condition) -> f64 {
+    pub(crate) fn astro_nomath_accuracy(&self, cond: Condition) -> f64 {
         Self::lookup(&self.astro_nomath, cond)
     }
 
@@ -103,7 +103,7 @@ pub struct EvalRun {
     /// Per-model results, in card order.
     pub models: Vec<ModelEval>,
     /// Synthetic benchmark size.
-    pub synth_questions: usize,
+    pub(crate) synth_questions: usize,
     /// Astro evaluated size (paper: 335).
     pub astro_questions: usize,
     /// Astro no-math subset size (paper: 189).

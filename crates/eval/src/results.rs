@@ -146,7 +146,7 @@ pub struct ImprovementPoint {
     /// % improvement of best-RT over baseline.
     pub rt_vs_baseline_pct: f64,
     /// % improvement of best-RT over RAG-chunks.
-    pub rt_vs_chunks_pct: f64,
+    pub(crate) rt_vs_chunks_pct: f64,
 }
 
 /// Compute the improvement series for one figure.

@@ -28,7 +28,7 @@ impl Source {
 
     /// Position in [`Source::ALL`] — the per-question array slot this
     /// source's passages live in. Constant-time (no linear scan).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Source::Chunks => 0,
             Source::Traces(TraceMode::Detailed) => 1,
@@ -50,7 +50,7 @@ impl Source {
 /// layer's reranker reads when hybrid requests ask for rescoring. Chunk
 /// passages key by chunk id; trace passages key by question id, matching
 /// each store's id space.
-pub fn passage_store(output: &PipelineOutput) -> PassageStore {
+pub(crate) fn passage_store(output: &PipelineOutput) -> PassageStore {
     let mut ps = PassageStore::new();
     for c in &output.chunks {
         ps.insert(mcqa_core::CHUNKS_STORE, c.chunk_id, &c.text);
@@ -65,7 +65,7 @@ pub fn passage_store(output: &PipelineOutput) -> PassageStore {
 /// each chunk's position, and each trace's text, token count and fact. An
 /// evaluator builds one and labels both of its bundles with it, so every
 /// trace is tokenised once per evaluator, not once per bundle.
-pub struct PassageTexts<'a> {
+pub(crate) struct PassageTexts<'a> {
     output: &'a PipelineOutput,
     /// chunk_id → position in `output.chunks`.
     chunk_pos: HashMap<u64, usize>,
@@ -77,7 +77,7 @@ pub struct PassageTexts<'a> {
 
 impl<'a> PassageTexts<'a> {
     /// Index `output`'s chunks and traces.
-    pub fn new(output: &'a PipelineOutput) -> Self {
+    pub(crate) fn new(output: &'a PipelineOutput) -> Self {
         let chunk_pos = output.chunks.iter().enumerate().map(|(i, c)| (c.chunk_id, i)).collect();
         let mut traces = HashMap::new();
         let mut trace_fact = HashMap::new();
@@ -151,7 +151,7 @@ impl<'a> RetrievalBundle<'a> {
     /// own cache. It is the same admission-controlled, micro-batching front
     /// door online traffic uses, so there is exactly one code path into the
     /// vector stores.
-    pub fn build_metered(
+    pub(crate) fn build_metered(
         texts: &PassageTexts<'a>,
         items: &[McqItem],
         k: usize,
@@ -167,7 +167,7 @@ impl<'a> RetrievalBundle<'a> {
             output.ontology.fact(mcqa_ontology::FactId(fact_id)).map(|f| f.subject.0)
         };
 
-        let retrieve_timer = mcqa_util::ScopeTimer::start("eval-retrieve");
+        let retrieve_timer = mcqa_util::ScopeTimer::start();
 
         // One replay over all four source databases through the query
         // service: one admission unit and one dispatch, whose grouped
@@ -259,18 +259,8 @@ impl<'a> RetrievalBundle<'a> {
     }
 
     /// Retrieved passages for question index `q` from `source`.
-    pub fn passages(&self, q: usize, source: Source) -> &[Passage<'a>] {
+    pub(crate) fn passages(&self, q: usize, source: Source) -> &[Passage<'a>] {
         &self.passages[q][source.index()]
-    }
-
-    /// Number of questions covered.
-    pub fn len(&self) -> usize {
-        self.passages.len()
-    }
-
-    /// True when no questions are covered.
-    pub fn is_empty(&self) -> bool {
-        self.passages.is_empty()
     }
 
     /// Raw retrieval hit rate (before truncation) for a source: the
@@ -290,6 +280,18 @@ impl<'a> RetrievalBundle<'a> {
 mod tests {
     use super::*;
     use mcqa_core::{Pipeline, PipelineConfig, PipelineOutput};
+
+    impl RetrievalBundle<'_> {
+        /// Number of questions covered.
+        fn len(&self) -> usize {
+            self.passages.len()
+        }
+
+        /// True when no questions are covered.
+        fn is_empty(&self) -> bool {
+            self.passages.is_empty()
+        }
+    }
 
     fn output() -> &'static PipelineOutput {
         static OUT: std::sync::OnceLock<PipelineOutput> = std::sync::OnceLock::new();

@@ -56,11 +56,6 @@ impl BioEncoder {
         Self { config, lanes, trigram_lanes, dim_mask }
     }
 
-    /// The encoder's configuration.
-    pub fn config(&self) -> &EmbedConfig {
-        &self.config
-    }
-
     /// Emit the two `(index, signed weight)` postings of one hashed
     /// feature, given as the pieces its string is the concatenation of.
     /// Each feature is scattered to two positions with independent signs,
@@ -188,7 +183,7 @@ impl mcqa_text::Encoder for BioEncoder {
     }
 
     /// Every weight is ± 0.25, 0.5, 1 or 2.5, a multiple of
-    /// [`mcqa_text::WEIGHT_QUANTUM`], and a feature is two postings. A
+    /// `mcqa_text::WEIGHT_QUANTUM`, and a feature is two postings. A
     /// content token of `c` chars (never more than the bytes it was read
     /// from) emits a unigram (≤ 2 × 2.5), `c − 2` trigrams (2 × 0.25 each)
     /// and, behind another token and the ≥ 1 byte that separates them, a

@@ -16,7 +16,7 @@
 use mcqa_util::f16::{decode_f16_bytes, decode_f16_into, encode_f16_bytes};
 use mcqa_util::kernel::Panel;
 
-use crate::panels::PanelCache;
+use crate::embed::panels::PanelCache;
 
 /// Storage precision for an embedding matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +47,7 @@ pub struct EmbeddingMatrix {
 
 impl EmbeddingMatrix {
     /// Create an empty matrix.
-    pub fn new(dim: usize, precision: Precision) -> Self {
+    pub(crate) fn new(dim: usize, precision: Precision) -> Self {
         assert!(dim > 0);
         Self {
             dim,
@@ -69,7 +69,7 @@ impl EmbeddingMatrix {
     }
 
     /// Append one row.
-    pub fn push(&mut self, row: &[f32]) {
+    pub(crate) fn push(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.dim, "row dimension mismatch");
         match self.precision {
             Precision::F32 => {
@@ -92,7 +92,7 @@ impl EmbeddingMatrix {
     /// `exec`'s pool (the dominant cost of an F16 bulk load). The result
     /// is byte-identical to pushing the rows sequentially in order, at any
     /// worker count; F32 appends are plain memcpy and stay serial.
-    pub fn extend_parallel<R: AsRef<[f32]> + Sync>(
+    pub(crate) fn extend_parallel<R: AsRef<[f32]> + Sync>(
         &mut self,
         exec: &mcqa_runtime::Executor,
         rows: &[R],
@@ -128,7 +128,7 @@ impl EmbeddingMatrix {
     /// Surviving rows move as stored bytes, and their cached norms move
     /// with them, so the result equals a matrix built from the live rows
     /// alone — nothing is decoded or re-quantised.
-    pub fn retain_rows(&mut self, dead: &[bool]) {
+    pub(crate) fn retain_rows(&mut self, dead: &[bool]) {
         assert_eq!(dead.len(), self.rows, "one flag per row");
         let (dim, mut kept) = (self.dim, 0);
         for (i, _) in dead.iter().enumerate().filter(|(_, &d)| !d) {
@@ -162,14 +162,9 @@ impl EmbeddingMatrix {
         self.dim
     }
 
-    /// Storage precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// Bytes used by the payload (excluding struct overhead) — lets benches
     /// report the FP16 saving the paper relies on.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         match self.precision {
             Precision::F32 => self.data_f32.len() * 4,
             Precision::F16 => self.data_f16.len(),
@@ -177,7 +172,7 @@ impl EmbeddingMatrix {
     }
 
     /// Bytes the matrix occupies fully decoded to F32 — what a
-    /// [`PanelBudget::Auto`](crate::panels::PanelBudget::Auto) panel cache
+    /// [`PanelBudget::Auto`](crate::embed::panels::PanelBudget::Auto) panel cache
     /// budgets for.
     pub fn decoded_bytes(&self) -> usize {
         self.rows * self.dim * 4
@@ -202,7 +197,7 @@ impl EmbeddingMatrix {
 
     /// Visit every row without allocating per row (decodes into a reused
     /// buffer for F16).
-    pub fn for_each_row<F: FnMut(usize, &[f32])>(&self, mut f: F) {
+    pub(crate) fn for_each_row<F: FnMut(usize, &[f32])>(&self, mut f: F) {
         match self.precision {
             Precision::F32 => {
                 for i in 0..self.rows {
@@ -233,7 +228,7 @@ impl EmbeddingMatrix {
     /// storage, or of the F16 bytes, which the panel kernels widen inside
     /// their tile to exactly the values [`Self::row`] decodes. Nothing is
     /// decoded, copied or cached.
-    pub fn panels(&self, block_rows: usize) -> impl Iterator<Item = (usize, Panel<'_>)> {
+    pub(crate) fn panels(&self, block_rows: usize) -> impl Iterator<Item = (usize, Panel<'_>)> {
         assert!(block_rows > 0, "block_rows must be positive");
         (0..self.rows).step_by(block_rows).map(move |start| {
             let (from, to) = (start * self.dim, (start + block_rows).min(self.rows) * self.dim);
@@ -259,7 +254,7 @@ impl EmbeddingMatrix {
     ///
     /// F16 panels are fetched from (and made resident in) `cache` under its
     /// byte budget; at
-    /// [`PanelBudget::Bytes(0)`](crate::panels::PanelBudget::Bytes) every
+    /// [`PanelBudget::Bytes(0)`](crate::embed::panels::PanelBudget::Bytes) every
     /// panel is decoded into one reused scratch buffer instead. `seg`
     /// namespaces this matrix inside a cache shared across segments. An
     /// F32 matrix hands out direct sub-slices of its storage, copy-free —
@@ -267,7 +262,7 @@ impl EmbeddingMatrix {
     /// through this accessor are byte-for-byte the rows [`Self::row`]
     /// returns, at every budget.
     ///
-    /// Search does not come through here — it scans [`Self::panels`] in
+    /// Search does not come through here — it scans `Self::panels` in
     /// place. This walk stays for the repository benchmark's decode and
     /// cache-hit probes.
     pub fn for_each_panel<F: FnMut(usize, &[f32])>(
@@ -306,7 +301,7 @@ impl EmbeddingMatrix {
     }
 
     /// Serialise to bytes (header + payload).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload_bytes() + 32);
         out.extend_from_slice(b"EMBX");
         out.extend_from_slice(&(self.dim as u32).to_le_bytes());
@@ -330,7 +325,7 @@ impl EmbeddingMatrix {
     /// output, without touching row data. `None` for a header no matrix
     /// can have: `dim == 0` (which [`EmbeddingMatrix::new`] refuses), or a
     /// shape whose decoded size overflows `usize`.
-    pub fn peek_shape(bytes: &[u8]) -> Option<(usize, usize)> {
+    pub(crate) fn peek_shape(bytes: &[u8]) -> Option<(usize, usize)> {
         if bytes.len() < 13 || &bytes[..4] != b"EMBX" {
             return None;
         }
@@ -344,7 +339,7 @@ impl EmbeddingMatrix {
     }
 
     /// Deserialise from bytes produced by [`EmbeddingMatrix::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let (dim, rows) = Self::peek_shape(bytes)?;
         let precision = match bytes[12] {
             0 => Precision::F32,
@@ -449,7 +444,7 @@ mod tests {
 
     #[test]
     fn for_each_panel_matches_row_at_every_block_size() {
-        use crate::panels::PanelBudget;
+        use crate::embed::panels::PanelBudget;
         for precision in [Precision::F32, Precision::F16] {
             let rows = sample_rows(23, 16);
             let m = EmbeddingMatrix::from_rows(16, precision, &rows);

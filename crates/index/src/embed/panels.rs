@@ -104,21 +104,16 @@ impl PanelCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The configured budget policy.
-    pub fn budget(&self) -> PanelBudget {
-        self.budget
-    }
-
     /// Replace the budget policy. Drops every resident panel: a shrink must
     /// re-fit and a grow is rare enough that starting cold keeps this O(1).
-    pub fn set_budget(&mut self, budget: PanelBudget) {
+    pub(crate) fn set_budget(&mut self, budget: PanelBudget) {
         self.budget = budget;
         self.invalidate();
     }
 
     /// Drop every resident panel (the backing matrix changed). Counters
     /// survive — they describe the cache's lifetime, not its contents.
-    pub fn invalidate(&self) {
+    pub(crate) fn invalidate(&self) {
         let mut inner = self.lock();
         inner.map.clear();
         inner.bytes = 0;
@@ -157,7 +152,7 @@ impl PanelCache {
     /// `auto_cap_bytes` is the store's full decoded size, the budget
     /// [`PanelBudget::Auto`] resolves to.
     #[allow(clippy::too_many_arguments)]
-    pub fn with_panel<R>(
+    pub(crate) fn with_panel<R>(
         &self,
         seg: u64,
         start: usize,
@@ -224,6 +219,13 @@ impl PanelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PanelCache {
+        /// The configured budget policy.
+        fn budget(&self) -> PanelBudget {
+            self.budget
+        }
+    }
 
     fn fetch(cache: &PanelCache, seg: u64, start: usize, floats: usize, cap: usize) -> Vec<f32> {
         let mut scratch = Vec::new();

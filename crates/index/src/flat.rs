@@ -2,7 +2,7 @@
 //! blocked, query-batched kernel.
 //!
 //! Search never materialises the full hit list: rows arrive in panels as
-//! the matrix stores them ([`EmbeddingMatrix::panels`] — F16 bytes read in
+//! the matrix stores them (`EmbeddingMatrix::panels` — F16 bytes read in
 //! place, widened to `f32` inside the kernel's register tile, never
 //! decoded into a copy), and each panel is scored against the task's whole
 //! block of queries by [`Metric::score_panel`] — tiles of queries × rows,
@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use mcqa_embed::{EmbeddingMatrix, Precision};
+use crate::embed::{EmbeddingMatrix, Precision};
 use mcqa_runtime::{run_stage, Executor};
 
 use crate::codec::{decode_metric, encode_metric, put_u64, Reader};
@@ -55,7 +55,7 @@ impl FlatIndex {
     }
 
     /// Deserialise from [`VectorStore::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let (metric, matrix) = Self::read_prefix(&mut r)?;
         let matrix = EmbeddingMatrix::from_bytes(matrix)?;
@@ -267,7 +267,7 @@ impl VectorStore for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcqa_embed::PanelBudget;
+    use crate::embed::PanelBudget;
 
     fn unit(dim: usize, hot: usize) -> Vec<f32> {
         let mut v = vec![0.0; dim];

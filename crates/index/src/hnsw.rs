@@ -37,13 +37,13 @@ use crate::{sort_hits, SearchResult, VectorStore};
 #[derive(Debug, Clone, PartialEq)]
 pub struct HnswConfig {
     /// Max neighbours per node per layer (bottom layer gets `2 * m`).
-    pub m: usize,
+    pub(crate) m: usize,
     /// Beam width during construction.
-    pub ef_construction: usize,
+    pub(crate) ef_construction: usize,
     /// Beam width during search.
-    pub ef_search: usize,
+    pub(crate) ef_search: usize,
     /// Seed for level assignment.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for HnswConfig {
@@ -137,7 +137,7 @@ impl HnswIndex {
     }
 
     /// Deserialise from [`VectorStore::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let (metric, dim, config, n) = Self::read_prefix(&mut r)?;
         if config.m < 2 || config.ef_construction < config.m || config.ef_search == 0 {
@@ -503,8 +503,8 @@ impl VectorStore for HnswIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embed::Precision;
     use crate::flat::FlatIndex;
-    use mcqa_embed::Precision;
 
     fn random_unit(dim: usize, seed: u64) -> Vec<f32> {
         let rng = KeyedStochastic::new(seed);

@@ -3,8 +3,8 @@
 //! Documents are tokenised with [`for_each_content_token`] — the same
 //! visitor the vocabulary and the hash embeddings use, so the corpus side
 //! and the query side can never disagree — and interned into a
-//! [`Vocabulary`], which carries the term ↔ id tables and document
-//! frequencies. Per-term postings record `(doc index, term frequency)`
+//! [`Vocabulary`], which carries the term ↔ id tables; a term's document
+//! frequency is the length of its postings list. Per-term postings record `(doc index, term frequency)`
 //! in insertion order, which keeps doc indices strictly increasing per
 //! list and makes the serialised form delta-varint friendly.
 //!
@@ -221,17 +221,12 @@ impl LexicalIndex {
     fn merge_batch(&mut self, ids: impl IntoIterator<Item = u64>, counts: BatchCounts) {
         let tids: Vec<TermId> = counts.terms.iter().map(|t| self.vocab.intern(t)).collect();
         self.postings.resize_with(self.vocab.len(), Vec::new);
-        let mut distinct: Vec<TermId> = Vec::new();
         let mut first = 0usize;
         for (id, (end, len)) in ids.into_iter().zip(counts.docs) {
             let doc = u32::try_from(self.docs.len()).expect("doc count fits u32");
-            distinct.clear();
             for &(t, tf) in &counts.pairs[first..end] {
-                let tid = tids[t as usize];
-                self.postings[tid.0 as usize].push(Posting { doc, tf });
-                distinct.push(tid);
+                self.postings[tids[t as usize].0 as usize].push(Posting { doc, tf });
             }
-            self.vocab.record_document(&distinct);
             self.docs.push(DocEntry { id, len });
             self.total_tokens += u64::from(len);
             first = end;
@@ -298,9 +293,8 @@ impl LexicalIndex {
 
     /// The tombstone-free rewrite backing [`LexicalIndex::compact`] and
     /// [`LexicalIndex::to_bytes`]: live documents keep their insertion
-    /// order (doc indices renumbered densely), postings drop dead entries,
-    /// and the vocabulary's document frequencies are rebuilt from the
-    /// surviving lists.
+    /// order (doc indices renumbered densely) and postings drop dead
+    /// entries.
     fn live_view(&self) -> Self {
         let mut remap = vec![u32::MAX; self.docs.len()];
         let mut docs = Vec::with_capacity(self.len());
@@ -310,24 +304,20 @@ impl LexicalIndex {
                 docs.push(*d);
             }
         }
-        let mut dfs = Vec::with_capacity(self.postings.len());
-        let mut postings = Vec::with_capacity(self.postings.len());
-        for list in &self.postings {
-            let live: Vec<Posting> = list
-                .iter()
-                .filter(|p| remap[p.doc as usize] != u32::MAX)
-                .map(|p| Posting { doc: remap[p.doc as usize], tf: p.tf })
-                .collect();
-            dfs.push(live.len() as u32);
-            postings.push(live);
-        }
-        let terms: Vec<String> = self.vocab.terms().map(str::to_string).collect();
-        let vocab = Vocabulary::from_parts(terms, dfs, docs.len() as u32)
-            .expect("live view preserves vocabulary invariants");
+        let postings = self
+            .postings
+            .iter()
+            .map(|list| {
+                list.iter()
+                    .filter(|p| remap[p.doc as usize] != u32::MAX)
+                    .map(|p| Posting { doc: remap[p.doc as usize], tf: p.tf })
+                    .collect()
+            })
+            .collect();
         let n_docs = docs.len();
         Self {
             params: self.params,
-            vocab,
+            vocab: self.vocab.clone(),
             postings,
             docs,
             total_tokens: self.total_tokens - self.dead_tokens,
@@ -522,7 +512,6 @@ impl LexicalIndex {
         }
         let nterms = r.count(2)?; // ≥ 2 bytes per term entry
         let mut terms = Vec::with_capacity(nterms);
-        let mut dfs = Vec::with_capacity(nterms);
         let mut postings = Vec::with_capacity(nterms);
         for _ in 0..nterms {
             let tlen = usize::try_from(r.varint()?).ok()?;
@@ -552,10 +541,10 @@ impl LexicalIndex {
                 }
                 list.push(Posting { doc: doc as u32, tf });
             }
-            dfs.push(list.len() as u32);
             postings.push(list);
         }
-        let vocab = Vocabulary::from_parts(terms, dfs, u32::try_from(ndocs).ok()?)?;
+        u32::try_from(ndocs).ok()?; // doc indices are u32
+        let vocab = Vocabulary::from_parts(terms)?;
         r.exhausted().then_some(Self {
             params: Bm25Params { k1, b },
             vocab,

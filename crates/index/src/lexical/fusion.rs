@@ -41,12 +41,12 @@ impl Fusion {
 /// `depth == 0`). 8× in practice: 4× left hybrid a hair below dense on
 /// one trace source — rank evidence between 4k and 8k was still moving
 /// the fused order.
-pub const DEFAULT_FUSE_DEPTH: usize = 8;
+pub(crate) const DEFAULT_FUSE_DEPTH: usize = 8;
 
 /// How deep each underlying channel should retrieve before fusing to a
 /// top-`k`: rank evidence below the cut still moves the fused order, so
 /// both channels over-fetch `depth`× (`0` selects
-/// [`DEFAULT_FUSE_DEPTH`]).
+/// `DEFAULT_FUSE_DEPTH`).
 pub fn fuse_depth(k: usize, depth: usize) -> usize {
     let d = if depth == 0 { DEFAULT_FUSE_DEPTH } else { depth };
     k.saturating_mul(d)

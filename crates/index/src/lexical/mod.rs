@@ -9,8 +9,7 @@
 //!   `mcqa-text`'s **shared** tokenisation
 //!   ([`mcqa_text::for_each_content_token`] — there is exactly one
 //!   tokeniser in this workspace) and
-//!   [`mcqa_text::Vocabulary`] for the term ↔ id tables and document
-//!   frequencies. Postings serialise with the delta-varint codec
+//!   [`mcqa_text::Vocabulary`] for the term ↔ id tables. Postings serialise with the delta-varint codec
 //!   primitives of [`mcqa_util::codec`] under the `LEXI` magic tag;
 //!   `add_batch` / `search_batch` fan out on the shared
 //!   [`mcqa_runtime::Executor`] and are bit-identical to their serial
@@ -28,4 +27,4 @@ mod bm25;
 pub mod fusion;
 
 pub use bm25::{Bm25Params, LexicalIndex};
-pub use fusion::{fuse_depth, Fusion, DEFAULT_FUSE_DEPTH};
+pub use fusion::{fuse_depth, Fusion};

@@ -5,9 +5,14 @@
 //! three index structures — four backends — behind **one
 //! backend-agnostic trait**, [`VectorStore`]:
 //!
+//! * [`embed`] — the encode step that fills the stores:
+//!   [`embed::BioEncoder`] (the PubMedBERT stand-in),
+//!   [`embed::EmbeddingMatrix`] (row storage in `f32` or FP16, which flat
+//!   search scans in place) and [`embed::PanelCache`] (the PQ store's
+//!   decoded panels).
 //! * [`flat`] — exact brute-force search (ground truth; what the paper's
 //!   small FP16 databases effectively use).
-//! * [`list`] — one inverted-list store ([`ListStore`]: k-means coarse
+//! * [`list`] — one inverted-list store (`ListStore`: k-means coarse
 //!   quantiser, `nprobe` search, trading recall for speed on large
 //!   corpora) with the row codec as its parameter. Two codecs, two
 //!   backends: [`IvfIndex`] keeps rows as packed F32; [`PqIndex`] keeps
@@ -18,11 +23,11 @@
 //! * [`hnsw`] — a hierarchical navigable-small-world graph for logarithmic
 //!   search, the standard high-recall ANN structure.
 //! * [`metric`] — cosine / dot / L2 metrics shared by all indexes.
-//! * [`spec`] — [`IndexSpec`] (the *configuration* of a backend) plus the
+//! * `spec` — [`IndexSpec`] (the *configuration* of a backend) plus the
 //!   [`build_store`] factory and the [`decode_store`] codec, so consumers
 //!   pick a backend by value instead of by type. Each wire format's
 //!   layout — header walk included — is known only to the module that
-//!   writes it; [`decode_store`] and [`peek_store_header`] just dispatch
+//!   writes it; [`decode_store`] and `peek_store_header` just dispatch
 //!   on the magic tag.
 //! * [`lexical`] — the keyword channel: [`lexical::LexicalIndex`], the
 //!   BM25 sibling every dense store pairs with, and dense + lexical rank
@@ -62,13 +67,14 @@
 //! paths are property-tested bit-identical to a
 //! per-row scalar oracle over the decoded rows (`tests/kernel.rs`).
 
+pub mod embed;
 pub mod flat;
 pub mod hnsw;
 pub mod lexical;
 pub mod list;
 pub mod metric;
 pub mod registry;
-pub mod spec;
+pub(crate) mod spec;
 
 pub(crate) mod codec;
 pub(crate) mod kmeans;
@@ -77,14 +83,10 @@ pub(crate) mod tombstones;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use list::{
-    F32Rows, IvfConfig, IvfIndex, ListStore, PqConfig, PqIndex, ResidualCodec, RowCodec,
-};
+pub use list::{IvfConfig, IvfIndex, PqConfig, PqIndex, ResidualCodec};
 pub use metric::Metric;
 pub use registry::IndexRegistry;
-pub use spec::{
-    build_store, build_store_from_vectors, decode_store, peek_store_header, IndexSpec, StoreHeader,
-};
+pub use spec::{build_store, build_store_from_vectors, decode_store, IndexSpec};
 
 use std::collections::HashMap;
 
@@ -241,12 +243,12 @@ pub trait VectorStore: Send + Sync {
     fn payload_bytes(&self) -> usize;
 
     /// Re-budget the store's resident decoded-panel cache (see
-    /// [`mcqa_embed::PanelCache`]). A no-op for backends without one:
+    /// [`crate::embed::PanelCache`]). A no-op for backends without one:
     /// IVF and HNSW keep working vectors at F32 already, and flat scans
     /// its F16 rows in place, widening them inside the kernel's tile. Only
     /// PQ reconstructs panels at search time and caches them under this
     /// budget.
-    fn set_panel_cache_budget(&mut self, _budget: mcqa_embed::PanelBudget) {}
+    fn set_panel_cache_budget(&mut self, _budget: crate::embed::PanelBudget) {}
 
     /// Bytes of decoded panels currently resident in the store's panel
     /// cache (0 for backends without one), for capacity reporting.

@@ -35,7 +35,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mcqa_embed::{PanelBudget, PanelCache};
+use crate::embed::{PanelBudget, PanelCache};
 use mcqa_runtime::{run_stage, Executor};
 use mcqa_util::kernel::{self, Panel};
 
@@ -976,9 +976,10 @@ impl RowCodec for ResidualCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode_store;
+    use crate::embed::Precision;
     use crate::flat::FlatIndex;
-    use crate::{decode_store, peek_store_header};
-    use mcqa_embed::Precision;
+    use crate::spec::peek_store_header;
     use mcqa_util::KeyedStochastic;
 
     /// Clustered synthetic vectors: `n` points around `c` centres.

@@ -23,7 +23,8 @@ use std::sync::OnceLock;
 
 use crate::codec::{put_u32, Reader};
 use crate::lexical::LexicalIndex;
-use crate::{decode_store, peek_store_header, VectorStore};
+use crate::spec::peek_store_header;
+use crate::{decode_store, VectorStore};
 
 /// How one kind of registry entry is checked, decoded and encoded.
 trait Entry: Sized {
@@ -164,12 +165,6 @@ impl IndexRegistry {
         self.stores.is_empty()
     }
 
-    /// Total payload bytes across every registered dense store (lexical
-    /// siblings report their own [`LexicalIndex::payload_bytes`]).
-    pub fn payload_bytes(&self) -> usize {
-        self.iter().map(|(_, s)| s.payload_bytes()).sum()
-    }
-
     /// Total bytes of decoded panels resident across every store's panel
     /// cache, for capacity reporting. An undecoded store has no cache.
     pub fn panel_cache_resident_bytes(&self) -> usize {
@@ -249,7 +244,7 @@ impl IndexRegistry {
 
     /// Open a registry written by [`IndexRegistry::to_bytes`] **lazily**:
     /// the registry framing, every store header (see
-    /// [`peek_store_header`]) and every lexical sibling's magic tag are
+    /// `peek_store_header`) and every lexical sibling's magic tag are
     /// validated now, but each entry's body stays raw bytes until the
     /// first call that reads it. `names`/`lexical_names`/`len`/`to_bytes`
     /// and [`IndexRegistry::panel_cache_resident_bytes`] never decode, and
@@ -317,11 +312,19 @@ impl std::fmt::Debug for IndexRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embed::Precision;
     use crate::flat::FlatIndex;
     use crate::metric::Metric;
     use crate::spec::{build_store_from_vectors, IndexSpec};
-    use mcqa_embed::Precision;
     use mcqa_runtime::Executor;
+
+    impl IndexRegistry {
+        /// Total payload bytes across every registered dense store (lexical
+        /// siblings report their own [`LexicalIndex::payload_bytes`]).
+        fn payload_bytes(&self) -> usize {
+            self.iter().map(|(_, s)| s.payload_bytes()).sum()
+        }
+    }
 
     fn items(n: usize, dim: usize) -> Vec<(u64, Vec<f32>)> {
         (0..n)

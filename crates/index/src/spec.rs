@@ -8,7 +8,7 @@
 //! [`peek_store_header`] dispatches on the same tags to read a blob's
 //! [`StoreHeader`] without decoding a row.
 
-use mcqa_embed::Precision;
+use crate::embed::Precision;
 use mcqa_runtime::Executor;
 
 use crate::{
@@ -133,24 +133,24 @@ pub fn decode_store(bytes: &[u8]) -> Option<Box<dyn VectorStore>> {
 /// The header-only facts of a serialised store, readable without touching
 /// row data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreHeader {
+pub(crate) struct StoreHeader {
     /// Backend label (`flat` / `hnsw` / `ivf` / `pq`), from the magic tag.
-    pub backend: &'static str,
+    pub(crate) backend: &'static str,
     /// Scoring metric.
-    pub metric: Metric,
+    pub(crate) metric: Metric,
     /// Vector dimensionality.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Stored vector count.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Whether the backend must be trained before it accepts vectors.
-    pub needs_training: bool,
+    pub(crate) needs_training: bool,
 }
 
 /// Decode the header of a store serialised by
 /// [`VectorStore::to_bytes`], walking length framing but never row
 /// payloads — each format's own walk sits beside its decoder. `None` on
 /// unknown magic or a malformed header.
-pub fn peek_store_header(bytes: &[u8]) -> Option<StoreHeader> {
+pub(crate) fn peek_store_header(bytes: &[u8]) -> Option<StoreHeader> {
     match bytes.get(..4)? {
         m if m == FlatIndex::MAGIC => FlatIndex::peek_header(bytes),
         m if m == HnswIndex::MAGIC => HnswIndex::peek_header(bytes),

@@ -11,7 +11,7 @@
 //! are compared as bits — `==` on floats cannot tell −0.0 from +0.0, the
 //! F16 store and the golden registry hash can.
 
-use mcqa_embed::{BioEncoder, EmbedConfig};
+use mcqa_index::embed::{BioEncoder, EmbedConfig};
 use mcqa_text::{content_tokens, Chunk, Chunker, ChunkerConfig, Encoder, TfEncoder};
 use mcqa_util::StableHasher;
 use proptest::prelude::*;

@@ -7,7 +7,7 @@
 
 use std::sync::OnceLock;
 
-use mcqa_embed::Precision;
+use mcqa_index::embed::Precision;
 use mcqa_index::{FlatIndex, Metric, SearchResult, VectorStore};
 use mcqa_runtime::Executor;
 use mcqa_util::KeyedStochastic;

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mcqa_embed::Precision;
+use mcqa_index::embed::Precision;
 use mcqa_index::lexical::{Bm25Params, LexicalIndex};
 use mcqa_index::{build_store_from_vectors, decode_store, IndexSpec, Metric};
 use mcqa_runtime::Executor;

@@ -11,7 +11,7 @@
 //! scoring, which is the identity PQ search relies on (flat scans its
 //! rows in place, with no cache).
 
-use mcqa_embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
+use mcqa_index::embed::{EmbeddingMatrix, PanelBudget, PanelCache, Precision};
 use mcqa_index::Metric;
 use mcqa_util::kernel::Panel;
 use proptest::prelude::*;

@@ -4,7 +4,7 @@
 //! into one list store; any change to the `IVF0` / `PQIV` byte layout, to
 //! list assignment, or to a single score bit moves them.
 
-use mcqa_embed::Precision;
+use mcqa_index::embed::Precision;
 use mcqa_index::{
     build_store_from_vectors, IndexSpec, IvfConfig, IvfIndex, Metric, PqConfig, PqIndex,
     VectorStore,

@@ -4,7 +4,7 @@
 
 use std::sync::OnceLock;
 
-use mcqa_embed::Precision;
+use mcqa_index::embed::Precision;
 use mcqa_index::{
     decode_store, FlatIndex, Metric, PqConfig, PqIndex, ResidualCodec, SearchResult, VectorStore,
 };

@@ -5,7 +5,7 @@
 
 use std::sync::OnceLock;
 
-use mcqa_embed::Precision;
+use mcqa_index::embed::Precision;
 use mcqa_index::{
     build_store_from_vectors, decode_store, IndexSpec, Metric, SearchResult, VectorStore,
 };

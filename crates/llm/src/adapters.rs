@@ -41,7 +41,7 @@ impl Teacher {
         Self { hub, seed }
     }
 
-    /// [`ModelHub::questions`].
+    /// `ModelHub::questions`.
     pub fn generate_question_batch(
         &self,
         exec: &Executor,
@@ -50,7 +50,7 @@ impl Teacher {
         self.hub.questions(exec, self.seed, prompts)
     }
 
-    /// [`ModelHub::traces`].
+    /// `ModelHub::traces`.
     pub fn generate_trace_batch(
         &self,
         exec: &Executor,
@@ -74,7 +74,7 @@ impl Reranker {
         Self { hub, seed }
     }
 
-    /// [`ModelHub::rerank_scores`].
+    /// `ModelHub::rerank_scores`.
     pub fn score_batch(&self, exec: &Executor, prompts: &[(&str, Vec<&str>)]) -> Vec<Vec<f64>> {
         self.hub.rerank_scores(exec, self.seed, prompts)
     }

@@ -52,9 +52,9 @@ pub struct AnswerOutcome {
     /// The raw completion text (what the grading judge sees).
     pub text: String,
     /// Diagnostics: the model "knew" the fact.
-    pub knew: bool,
+    pub(crate) knew: bool,
     /// Diagnostics: the answer came from extracted context.
-    pub used_context: bool,
+    pub(crate) used_context: bool,
     /// `token_count(text)`, taken where the text is written.
     tokens: usize,
 }
@@ -66,7 +66,7 @@ impl AnswerOutcome {
 
     /// Tokens the completion text costs: the answer's completion tokens,
     /// and the part of its grading prompt the completion fills.
-    pub fn tokens(&self) -> usize {
+    pub(crate) fn tokens(&self) -> usize {
         self.tokens
     }
 }

@@ -15,15 +15,13 @@
 
 use serde::Serialize;
 
-/// Astro exam question accounting (paper §2.2): 337 questions, 2 excluded
-/// as multimodal, 146 of the remaining 335 classified as mathematical.
-pub const ASTRO_TOTAL_RAW: usize = 337;
-/// Questions evaluated after excluding the two multimodal items.
-pub const ASTRO_EVALUATED: usize = 335;
+/// Astro exam question accounting (paper §2.2): of 337 questions, 2 are
+/// excluded as multimodal, so 335 are evaluated.
+pub(crate) const ASTRO_EVALUATED: usize = 335;
 /// The no-math subset size.
-pub const ASTRO_NOMATH: usize = 189;
+pub(crate) const ASTRO_NOMATH: usize = 189;
 /// The math subset size.
-pub const ASTRO_MATH: usize = ASTRO_EVALUATED - ASTRO_NOMATH;
+pub(crate) const ASTRO_MATH: usize = ASTRO_EVALUATED - ASTRO_NOMATH;
 
 /// GPT-4's reference accuracy on the 2023 Astro exam, from the paper's
 /// cited comparison (Beattie et al. 2024 \[5\]). The paper claims several
@@ -57,12 +55,12 @@ pub struct BenchTargets {
 impl BenchTargets {
     /// Infer the math-subset accuracy implied by a (Table 3, Table 4) pair:
     /// `335·all = 189·nomath + 146·math`.
-    pub fn implied_math(all: f64, nomath: f64) -> f64 {
+    pub(crate) fn implied_math(all: f64, nomath: f64) -> f64 {
         ((ASTRO_EVALUATED as f64) * all - (ASTRO_NOMATH as f64) * nomath) / ASTRO_MATH as f64
     }
 
     /// Math-subset accuracy under (baseline, chunks, best-RT), clamped.
-    pub fn math_targets(&self) -> [f64; 3] {
+    pub(crate) fn math_targets(&self) -> [f64; 3] {
         [
             Self::implied_math(self.astro_all_baseline, self.astro_nomath_baseline).clamp(0.0, 1.0),
             Self::implied_math(self.astro_all_chunks, self.astro_nomath_chunks).clamp(0.0, 1.0),
@@ -77,27 +75,27 @@ pub struct ModelCard {
     /// Display name (paper Table 1).
     pub name: &'static str,
     /// Parameter count in billions (Table 1).
-    pub params_b: f64,
+    pub(crate) params_b: f64,
     /// Release year (Table 1).
-    pub release_year: u16,
+    pub(crate) release_year: u16,
     /// Context window in tokens (Table 1) — drives real prompt truncation.
     pub context_window: usize,
     /// P(answer is well-formed) on pipeline-style questions.
-    pub format_synth: f64,
+    pub(crate) format_synth: f64,
     /// P(answer is well-formed) on exam-style questions.
-    pub format_exam: f64,
+    pub(crate) format_exam: f64,
     /// Distractor-elimination skill in `[0, 1)`: fraction of wrong options
     /// the model can rule out before guessing.
-    pub elimination: f64,
+    pub(crate) elimination: f64,
     /// P(irrelevant retrieved context overrides the model's own knowledge).
-    pub distraction: f64,
+    pub(crate) distraction: f64,
     /// Accuracy targets from the paper's tables.
     pub targets: BenchTargets,
 }
 
 impl ModelCard {
     /// Residual guess probability with `n` options after elimination.
-    pub fn guess_prob(&self, n: usize) -> f64 {
+    pub(crate) fn guess_prob(&self, n: usize) -> f64 {
         let remaining = n as f64 - self.elimination * (n as f64 - 1.0);
         1.0 / remaining.max(1.0)
     }
@@ -370,7 +368,8 @@ mod tests {
 
     #[test]
     fn astro_accounting() {
-        assert_eq!(ASTRO_TOTAL_RAW - 2, ASTRO_EVALUATED);
+        // 337 questions in the exam, 2 excluded as multimodal.
+        assert_eq!(337 - 2, ASTRO_EVALUATED);
         assert_eq!(ASTRO_NOMATH + ASTRO_MATH, ASTRO_EVALUATED);
         assert_eq!(ASTRO_MATH, 146);
     }

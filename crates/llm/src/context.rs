@@ -35,14 +35,14 @@ pub struct Passage<'a> {
     /// `token_count(text)`.
     tokens: usize,
     /// Source type.
-    pub source: PassageSource,
+    pub(crate) source: PassageSource,
     /// Ground truth: the fact this passage states/supports, if any.
     /// (Filled by the evaluator from the corpus/trace oracle; the model
     /// only "sees" the text, but the simulator needs the label to decide
     /// whether extraction is possible.)
     pub supports: Option<FactId>,
     /// Retrieval score (for ordering diagnostics).
-    pub score: f32,
+    pub(crate) score: f32,
 }
 
 impl<'a> Passage<'a> {
@@ -78,14 +78,14 @@ pub struct AssembledContext {
     /// Passages fully inside the window, in retrieval order.
     pub passages_in_window: usize,
     /// Passages supplied by retrieval.
-    pub passages_total: usize,
+    pub(crate) passages_total: usize,
     /// True when a passage supporting the question's fact survived
     /// truncation (a *usable* hit).
     pub relevant_in_window: bool,
     /// True when retrieval returned a supporting passage at all (hit
     /// before truncation) — the difference to `relevant_in_window` is
     /// pure window loss.
-    pub relevant_retrieved: bool,
+    pub(crate) relevant_retrieved: bool,
     /// Prompt tokens consumed (stem + options + surviving passages).
     pub prompt_tokens: usize,
 }

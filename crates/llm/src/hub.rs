@@ -68,7 +68,7 @@ impl ModelHub {
 
     /// The teacher: one 7-option MCQ per prompt, on `exec`'s pool
     /// (index-aligned with `prompts`).
-    pub fn questions(
+    pub(crate) fn questions(
         &self,
         exec: &Executor,
         seed: u64,
@@ -79,7 +79,7 @@ impl ModelHub {
 
     /// The teacher: one reasoning trace per (accepted question, mode), the
     /// keyed answer withheld, on `exec`'s pool.
-    pub fn traces(
+    pub(crate) fn traces(
         &self,
         exec: &Executor,
         seed: u64,
@@ -119,7 +119,7 @@ impl ModelHub {
 
     /// The cross-encoder: per (query, passages) prompt, one relevance in
     /// [0, 1] per passage, index-aligned, on `exec`'s pool.
-    pub fn rerank_scores(
+    pub(crate) fn rerank_scores(
         &self,
         exec: &Executor,
         seed: u64,

@@ -16,9 +16,6 @@ use mcqa_util::KeyedStochastic;
 use crate::mcq::OPTION_LETTERS;
 use crate::teacher::{GeneratedQuestion, QuestionDefect};
 
-/// The paper's acceptance threshold.
-pub const QUALITY_THRESHOLD: u8 = 7;
-
 /// A quality verdict for a candidate question.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityJudgment {
@@ -26,13 +23,6 @@ pub struct QualityJudgment {
     pub score: u8,
     /// The judge's stated reasoning.
     pub reasoning: String,
-}
-
-impl QualityJudgment {
-    /// True when the item clears the paper's 7/10 bar.
-    pub fn accepted(&self) -> bool {
-        self.score >= QUALITY_THRESHOLD
-    }
 }
 
 /// The grading verdict for one model answer.
@@ -43,7 +33,7 @@ pub struct GradeResult {
     /// Whether the answer was graded correct.
     pub correct: bool,
     /// The judge's reasoning line.
-    pub reasoning: String,
+    pub(crate) reasoning: String,
 }
 
 /// The simulated judge.
@@ -54,7 +44,7 @@ pub(crate) struct JudgeModel {
 
 impl JudgeModel {
     /// Create a judge.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { seed }
     }
 
@@ -63,7 +53,7 @@ impl JudgeModel {
     /// Score model: a salience/plausibility-driven base with keyed noise,
     /// minus defect penalties. Constants are calibrated so that roughly
     /// 10% of candidates clear 7/10, matching the paper's 16,680/173,318.
-    pub fn score_question(&self, q: &GeneratedQuestion, salience: f64) -> QualityJudgment {
+    pub(crate) fn score_question(&self, q: &GeneratedQuestion, salience: f64) -> QualityJudgment {
         let rng = KeyedStochastic::new(self.seed ^ 0x10D6_E5EE);
         let key = format!("{}:{}", q.fact.0, mcqa_util::fnv1a(q.stem.as_bytes()));
 
@@ -105,7 +95,7 @@ impl JudgeModel {
     }
 
     /// Grade a model completion against the correct option index.
-    pub fn grade(&self, completion: &str, correct: usize, n_options: usize) -> GradeResult {
+    pub(crate) fn grade(&self, completion: &str, correct: usize, n_options: usize) -> GradeResult {
         let valid = &OPTION_LETTERS[..n_options.min(OPTION_LETTERS.len())];
         let parsed = parse_choice(completion, valid);
         let Some(&correct_letter) = valid.get(correct) else {
@@ -179,6 +169,16 @@ mod tests {
     use super::*;
     use crate::teacher::TeacherModel;
     use mcqa_ontology::{Ontology, OntologyConfig};
+
+    /// The paper's acceptance threshold.
+    const QUALITY_THRESHOLD: u8 = 7;
+
+    impl QualityJudgment {
+        /// True when the item clears the paper's 7/10 bar.
+        fn accepted(&self) -> bool {
+            self.score >= QUALITY_THRESHOLD
+        }
+    }
 
     fn setup() -> (Ontology, TeacherModel, JudgeModel) {
         let ont = Ontology::generate(&OntologyConfig {

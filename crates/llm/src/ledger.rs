@@ -26,7 +26,7 @@ pub enum Role {
 
 impl Role {
     /// All roles in canonical order.
-    pub const ALL: [Role; 5] =
+    pub(crate) const ALL: [Role; 5] =
         [Role::Teacher, Role::Judge, Role::Classifier, Role::Answerer, Role::Reranker];
 
     /// Lowercase label used in ledger lines and metrics rows.
@@ -41,7 +41,7 @@ impl Role {
     }
 
     /// Position in [`Role::ALL`].
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Role::Teacher => 0,
             Role::Judge => 1,
@@ -60,7 +60,7 @@ pub struct RoleStats {
     /// Batch submissions that contained at least one request for this role.
     pub batches: u64,
     /// Requests that arrived via a batch submission.
-    pub batched_calls: u64,
+    pub(crate) batched_calls: u64,
     /// Requests short-circuited by the response cache.
     pub cache_hits: u64,
     /// Prompt tokens sent to the backend (cache hits excluded — a hit
@@ -142,12 +142,12 @@ pub struct CallLedger {
 
 impl CallLedger {
     /// An empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one served request.
-    pub fn record_call(
+    pub(crate) fn record_call(
         &self,
         role: Role,
         cached: bool,
@@ -167,7 +167,7 @@ impl CallLedger {
     }
 
     /// Record a batch submission containing `n` requests for `role`.
-    pub fn record_batch(&self, role: Role, n: usize) {
+    pub(crate) fn record_batch(&self, role: Role, n: usize) {
         let c = &self.roles[role.index()];
         c.batches.fetch_add(1, Relaxed);
         c.batched_calls.fetch_add(n as u64, Relaxed);

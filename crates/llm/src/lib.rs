@@ -2,16 +2,16 @@
 //!
 //! Every model role in the paper is served by [`ModelHub`]: one typed entry
 //! point per call kind (typed inputs in, the role's own output type out),
-//! content-addressed [`ResponseCaches`] for the kinds that repeat, and a
-//! per-role [`CallLedger`]. Consumers share one `Arc<ModelHub>`:
+//! content-addressed `ResponseCaches` for the kinds that repeat, and a
+//! per-role `CallLedger`. Consumers share one `Arc<ModelHub>`:
 //!
 //! | Paper role | Entry points |
 //! |---|---|
-//! | GPT-4.1 question generation | [`ModelHub::questions`] (the pipeline's [`Teacher::generate_question_batch`]) |
-//! | GPT-4.1 trace distillation (3 modes) | [`ModelHub::traces`] ([`Teacher::generate_trace_batch`]) |
+//! | GPT-4.1 question generation | `ModelHub::questions` (the pipeline's [`Teacher::generate_question_batch`]) |
+//! | GPT-4.1 trace distillation (3 modes) | `ModelHub::traces` ([`Teacher::generate_trace_batch`]) |
 //! | LLM judge (quality scoring + grading) | [`ModelHub::quality_scores`], [`ModelHub::grade`] |
 //! | GPT-5 math-question classifier | [`ModelHub::math_flags`] |
-//! | Cross-encoder reranker | [`ModelHub::rerank_scores`] (the query service's [`Reranker::score_batch`]) |
+//! | Cross-encoder reranker | `ModelHub::rerank_scores` (the query service's [`Reranker::score_batch`]) |
 //! | The eight evaluated SLMs (1.1B–14B) | [`ModelHub::answer`] (a [`ResolvedModel`] — [`cards::ModelCard`] + its calibration — and one [`PreparedItem`] per question) |
 //!
 //! Every completion comes from one deterministic behavioural simulator,
@@ -85,30 +85,28 @@
 //! between *calibrated behaviour* (model cards) and *emergent mechanism*
 //! (retrieval, truncation, filtering).
 
-pub mod adapters;
+pub(crate) mod adapters;
 pub mod answer;
 pub mod cards;
 pub mod context;
-pub mod hub;
-pub mod judge;
-pub mod ledger;
+pub(crate) mod hub;
+pub(crate) mod judge;
+pub(crate) mod ledger;
 mod math_classifier;
-pub mod mcq;
-pub mod response_cache;
+pub(crate) mod mcq;
+pub(crate) mod response_cache;
 mod sim;
 pub mod solver;
-pub mod teacher;
-pub mod trace;
+pub(crate) mod teacher;
+pub(crate) mod trace;
 
 pub use adapters::{QuestionPrompt, Reranker, Teacher};
-pub use answer::{AnswerOutcome, Condition, ResolvedModel};
+pub use answer::{Condition, ResolvedModel};
 pub use cards::{BenchTargets, ModelCard, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
 pub use context::{AssembledContext, Passage, PassageSource};
 pub use hub::ModelHub;
-pub use judge::{GradeResult, QualityJudgment};
-pub use ledger::{CallLedger, Role, RoleStats};
+pub use ledger::{Role, RoleStats};
 pub use mcq::{BenchKind, McqItem, PreparedItem, OPTION_LETTERS};
-pub use response_cache::{ResponseCache, ResponseCaches};
 pub use solver::{resolve, PipelineRates};
-pub use teacher::{GeneratedQuestion, QuestionDefect};
+pub use teacher::GeneratedQuestion;
 pub use trace::TraceMode;

@@ -31,7 +31,7 @@ pub(crate) struct MathClassifier;
 
 impl MathClassifier {
     /// Create a classifier.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 
@@ -41,7 +41,7 @@ impl MathClassifier {
     /// 1. math keywords in the stem,
     /// 2. numeric parameters in the stem **and** predominantly numeric
     ///    options.
-    pub fn requires_math(&self, item: &McqItem) -> bool {
+    pub(crate) fn requires_math(&self, item: &McqItem) -> bool {
         let stem = item.stem.to_lowercase();
         let keyword_hit = MATH_KEYWORDS.iter().any(|k| stem.contains(k));
 

@@ -19,7 +19,7 @@ pub enum BenchKind {
 
 impl BenchKind {
     /// Options per question on this benchmark.
-    pub fn n_options(self) -> usize {
+    pub(crate) fn n_options(self) -> usize {
         match self {
             BenchKind::Synthetic => 7,
             BenchKind::AstroExam => 5,

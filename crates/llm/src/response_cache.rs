@@ -49,7 +49,7 @@ impl Hasher for ContentAddress {
 }
 
 /// One kind's cache: `content address → completion`.
-pub struct ResponseCache<V> {
+pub(crate) struct ResponseCache<V> {
     map: RwLock<HashMap<u64, Arc<OnceLock<V>>, BuildHasherDefault<ContentAddress>>>,
 }
 
@@ -66,7 +66,7 @@ impl<V: Clone> ResponseCache<V> {
     /// that arrives while it runs waits for its result. `complete` must not
     /// wait on another call to this cache, or the two could wait on each
     /// other.
-    pub fn get_or_complete(&self, key: u64, complete: impl FnOnce() -> V) -> (V, bool) {
+    pub(crate) fn get_or_complete(&self, key: u64, complete: impl FnOnce() -> V) -> (V, bool) {
         let found = {
             let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
             match map.get(&key) {
@@ -96,14 +96,9 @@ impl<V: Clone> ResponseCache<V> {
 
     /// Number of cached completions (a slot whose completion panicked
     /// holds none).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
         map.values().filter(|slot| slot.get().is_some()).count()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -136,6 +131,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Barrier};
+
+    impl<V: Clone> ResponseCache<V> {
+        /// True when nothing is cached.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     fn response(text: &str) -> String {
         text.to_string()

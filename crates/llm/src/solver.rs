@@ -67,19 +67,19 @@ pub struct SolvedParam {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Calibration {
     /// Effective knowledge coverage on the synthetic benchmark.
-    pub k_synth: f64,
+    pub(crate) k_synth: f64,
     /// Effective knowledge coverage on exam-style questions.
-    pub k_exam: f64,
+    pub(crate) k_exam: f64,
     /// Extraction skill from chunks on the synthetic benchmark.
-    pub e_synth_chunk: f64,
+    pub(crate) e_synth_chunk: f64,
     /// Extraction skill from traces (per mode) on the synthetic benchmark.
-    pub e_synth_trace: [f64; 3],
+    pub(crate) e_synth_trace: [f64; 3],
     /// Extraction skill from chunks on the exam.
-    pub e_exam_chunk: f64,
+    pub(crate) e_exam_chunk: f64,
     /// Extraction skill from traces (per mode) on the exam.
-    pub e_exam_trace: [f64; 3],
+    pub(crate) e_exam_trace: [f64; 3],
     /// Math-question accuracy under `[baseline, chunks, traces]`.
-    pub math: [f64; 3],
+    pub(crate) math: [f64; 3],
     /// Solve diagnostics.
     pub solved: Vec<SolvedParam>,
 }
@@ -88,7 +88,7 @@ pub struct Calibration {
 ///
 /// With `h = 0` and `d = 0` this is the no-context baseline; with context
 /// present the distraction factor applies to every non-extraction path.
-pub fn forward_accuracy(f: f64, h: f64, e: f64, k: f64, d: f64, g: f64) -> f64 {
+pub(crate) fn forward_accuracy(f: f64, h: f64, e: f64, k: f64, d: f64, g: f64) -> f64 {
     let keff = k * (1.0 - d);
     let p_ctx = keff + (1.0 - keff) * g;
     f * (h * (e + (1.0 - e) * p_ctx) + (1.0 - h) * p_ctx)

@@ -19,7 +19,7 @@ use crate::trace::TraceMode;
 
 /// Defects a generated question can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QuestionDefect {
+pub(crate) enum QuestionDefect {
     /// The stem refers to "the passage/text" — not self-contained.
     ContextReference,
     /// The stem lost its subject and became ambiguous.
@@ -32,7 +32,7 @@ pub enum QuestionDefect {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedQuestion {
     /// The supporting fact.
-    pub fact: mcqa_ontology::FactId,
+    pub(crate) fact: mcqa_ontology::FactId,
     /// Question stem.
     pub stem: String,
     /// Seven options in display order.
@@ -40,11 +40,11 @@ pub struct GeneratedQuestion {
     /// The key the teacher *recorded* (wrong when `WrongKey` defect hit).
     pub recorded_key: usize,
     /// The actually-correct option index (ground truth).
-    pub true_key: usize,
+    pub(crate) true_key: usize,
     /// Injected defects.
-    pub defects: Vec<QuestionDefect>,
+    pub(crate) defects: Vec<QuestionDefect>,
     /// Distractor plausibility in `[0,1]` (drives judge scoring).
-    pub distractor_plausibility: f64,
+    pub(crate) distractor_plausibility: f64,
 }
 
 // Defect base rates (measured from real LLM question-generation audits;
@@ -64,13 +64,13 @@ pub(crate) struct TeacherModel {
 
 impl TeacherModel {
     /// Create a teacher.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { seed }
     }
 
     /// Generate a 7-option MCQ for `fact`. `salt` distinguishes multiple
     /// questions over the same fact (different chunks).
-    pub fn generate_question(
+    pub(crate) fn generate_question(
         &self,
         ontology: &Ontology,
         fact: &Fact,
@@ -128,7 +128,7 @@ impl TeacherModel {
     ///
     /// The returned text never contains the correct option's string; a
     /// debug assertion and a scrubbing pass enforce this.
-    pub fn generate_trace(
+    pub(crate) fn generate_trace(
         &self,
         ontology: &Ontology,
         question: &McqItem,

@@ -40,7 +40,7 @@ pub enum EntityKind {
 
 impl EntityKind {
     /// All kinds in canonical order.
-    pub const ALL: [EntityKind; 11] = [
+    pub(crate) const ALL: [EntityKind; 11] = [
         EntityKind::Gene,
         EntityKind::Protein,
         EntityKind::Pathway,
@@ -53,23 +53,6 @@ impl EntityKind {
         EntityKind::Isotope,
         EntityKind::Syndrome,
     ];
-
-    /// Lowercase article-friendly description used in templates.
-    pub fn phrase(self) -> &'static str {
-        match self {
-            EntityKind::Gene => "gene",
-            EntityKind::Protein => "protein",
-            EntityKind::Pathway => "pathway",
-            EntityKind::CellLine => "cell line",
-            EntityKind::Modality => "radiation modality",
-            EntityKind::Drug => "agent",
-            EntityKind::Tissue => "tissue",
-            EntityKind::Process => "process",
-            EntityKind::Lesion => "lesion",
-            EntityKind::Isotope => "radionuclide",
-            EntityKind::Syndrome => "syndrome",
-        }
-    }
 }
 
 /// A single domain entity.
@@ -82,7 +65,7 @@ pub struct Entity {
     /// Canonical display name (unique within the registry).
     pub name: String,
     /// Topics this entity participates in (1–2).
-    pub topics: Vec<Topic>,
+    pub(crate) topics: Vec<Topic>,
 }
 
 /// Deterministic generator + lookup table for entities.
@@ -162,7 +145,7 @@ impl EntityRegistry {
     /// Generate a registry with roughly `per_kind` entities for each open
     /// kind. Closed kinds (modalities, lesions, processes, tissues) use
     /// their fixed lists. Deterministic in `seed`.
-    pub fn generate(seed: u64, per_kind: usize) -> Self {
+    pub(crate) fn generate(seed: u64, per_kind: usize) -> Self {
         let rng = KeyedStochastic::new(seed ^ 0xE17A_57B1);
         let mut entities = Vec::new();
         let mut used_names = std::collections::HashSet::new();
@@ -269,7 +252,7 @@ impl EntityRegistry {
     }
 
     /// Ids of entities of `kind` participating in `topic`.
-    pub fn of_topic_kind(&self, topic: Topic, kind: EntityKind) -> &[EntityId] {
+    pub(crate) fn of_topic_kind(&self, topic: Topic, kind: EntityKind) -> &[EntityId] {
         self.by_topic_kind.get(&(topic, kind)).map(Vec::as_slice).unwrap_or(&[])
     }
 }

@@ -30,7 +30,7 @@ pub enum Qualifier {
 
 impl Qualifier {
     /// All qualifiers in canonical order.
-    pub const ALL: [Qualifier; 6] = [
+    pub(crate) const ALL: [Qualifier; 6] = [
         Qualifier::None,
         Qualifier::UnderHypoxia,
         Qualifier::HighLet,
@@ -40,7 +40,7 @@ impl Qualifier {
     ];
 
     /// Rendered phrase (empty for `None`).
-    pub fn phrase(self) -> &'static str {
+    pub(crate) fn phrase(self) -> &'static str {
         match self {
             Qualifier::None => "",
             Qualifier::UnderHypoxia => "under hypoxic conditions",

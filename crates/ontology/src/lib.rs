@@ -7,12 +7,12 @@
 //! really relevant. This crate replaces the literature with a generative
 //! ontology:
 //!
-//! * a registry of typed [`entity::Entity`]s (genes, proteins, pathways,
+//! * a registry of typed entities (genes, proteins, pathways,
 //!   cell lines, drugs, radiation modalities, …) with deterministic
 //!   synthesised names,
 //! * a set of qualitative [`fact::Fact`]s — subject/relation/object triples
 //!   with difficulty and salience — partitioned over [`topic::Topic`]s,
-//! * quantitative [`math::QuantFact`]s implementing real radiobiology
+//! * quantitative facts implementing real radiobiology
 //!   formulae (linear-quadratic survival, BED/EQD2, radioactive decay,
 //!   inverse-square law) so that the Astro exam's maths subset exercises a
 //!   genuinely different capability,
@@ -28,17 +28,15 @@
 //! constructing `Ontology::generate(&config)` with equal configs get
 //! bit-identical ontologies.
 
-pub mod entity;
-pub mod fact;
-pub mod math;
-pub mod ontology;
+pub(crate) mod entity;
+pub(crate) mod fact;
+pub(crate) mod math;
+pub(crate) mod ontology;
 pub mod realize;
-pub mod relation;
-pub mod topic;
+pub(crate) mod relation;
+pub(crate) mod topic;
 
-pub use entity::{Entity, EntityId, EntityKind, EntityRegistry};
+pub use entity::EntityKind;
 pub use fact::{Fact, FactId};
-pub use math::{MathKind, QuantFact};
 pub use ontology::{Ontology, OntologyConfig};
-pub use relation::RelationKind;
 pub use topic::Topic;

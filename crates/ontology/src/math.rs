@@ -19,7 +19,7 @@ use crate::topic::Topic;
 
 /// The family of quantitative problem a [`QuantFact`] encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MathKind {
+pub(crate) enum MathKind {
     /// Surviving fraction from the linear-quadratic model.
     LqSurvival,
     /// Biologically effective dose of a fractionation schedule.
@@ -36,7 +36,7 @@ pub enum MathKind {
 
 impl MathKind {
     /// All math kinds in canonical order.
-    pub const ALL: [MathKind; 6] = [
+    pub(crate) const ALL: [MathKind; 6] = [
         MathKind::LqSurvival,
         MathKind::Bed,
         MathKind::Eqd2,
@@ -54,17 +54,17 @@ pub struct QuantFact {
     /// Unique id in the same namespace as qualitative facts.
     pub id: FactId,
     /// The problem family.
-    pub kind: MathKind,
+    pub(crate) kind: MathKind,
     /// Topic bucket (fractionation / radionuclides / hypoxia ...).
-    pub topic: Topic,
+    pub(crate) topic: Topic,
     /// Named parameters, rendered into the stem.
-    pub params: Vec<(String, f64)>,
+    pub(crate) params: Vec<(String, f64)>,
     /// The exact numeric answer.
-    pub answer: f64,
+    pub(crate) answer: f64,
     /// Unit suffix for rendering (e.g. `"Gy"`).
     pub unit: String,
     /// Plausible wrong values from common calculation errors.
-    pub error_answers: Vec<f64>,
+    pub(crate) error_answers: Vec<f64>,
     /// Difficulty in `[0, 1]` (arithmetical complexity).
     pub difficulty: f64,
 }
@@ -74,7 +74,7 @@ impl QuantFact {
     ///
     /// `id_base` offsets the fact-id namespace so quantitative ids never
     /// collide with qualitative ones.
-    pub fn generate(seed: u64, i: u64, id_base: u64) -> QuantFact {
+    pub(crate) fn generate(seed: u64, i: u64, id_base: u64) -> QuantFact {
         let rng = KeyedStochastic::new(seed ^ 0x0AB5_010E);
         Self::generate_inner(&rng, i, id_base)
     }

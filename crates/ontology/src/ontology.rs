@@ -12,7 +12,7 @@ use crate::topic::Topic;
 
 /// Id namespace offset for quantitative facts (qualitative ids are dense
 /// from 0; quantitative ids start here).
-pub const QUANT_ID_BASE: u64 = 1 << 32;
+pub(crate) const QUANT_ID_BASE: u64 = 1 << 32;
 
 /// Configuration for ontology generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,11 +137,6 @@ impl Ontology {
         }
 
         Self { config: config.clone(), registry, facts, quant_facts, facts_by_topic, fact_index }
-    }
-
-    /// The generating configuration.
-    pub fn config(&self) -> &OntologyConfig {
-        &self.config
     }
 
     /// The entity registry.

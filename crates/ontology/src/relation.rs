@@ -42,7 +42,7 @@ pub enum RelationKind {
 
 impl RelationKind {
     /// All relation kinds in canonical order.
-    pub const ALL: [RelationKind; 14] = [
+    pub(crate) const ALL: [RelationKind; 14] = [
         RelationKind::Activates,
         RelationKind::Inhibits,
         RelationKind::Phosphorylates,
@@ -60,7 +60,7 @@ impl RelationKind {
     ];
 
     /// Allowed subject kinds.
-    pub fn subject_kinds(self) -> &'static [EntityKind] {
+    pub(crate) fn subject_kinds(self) -> &'static [EntityKind] {
         use EntityKind::*;
         match self {
             RelationKind::Activates => &[Protein, Gene],
@@ -81,7 +81,7 @@ impl RelationKind {
     }
 
     /// Allowed object kinds (this is the kind the MCQ's options share).
-    pub fn object_kinds(self) -> &'static [EntityKind] {
+    pub(crate) fn object_kinds(self) -> &'static [EntityKind] {
         use EntityKind::*;
         match self {
             RelationKind::Activates => &[Pathway, Process],
@@ -123,7 +123,7 @@ impl RelationKind {
 
     /// Interrogative stem for MCQ realisation. `{S}` is replaced by the
     /// subject name.
-    pub fn question_stem(self) -> &'static str {
+    pub(crate) fn question_stem(self) -> &'static str {
         match self {
             RelationKind::Activates => {
                 "Which of the following is activated by {S} following irradiation?"

@@ -54,11 +54,6 @@ impl Topic {
         Topic::Microenvironment,
     ];
 
-    /// Stable index in `[0, ALL.len())`.
-    pub fn index(self) -> usize {
-        Topic::ALL.iter().position(|t| *t == self).expect("topic in ALL")
-    }
-
     /// Topic from its stable index (wraps around).
     pub fn from_index(i: usize) -> Topic {
         Topic::ALL[i % Topic::ALL.len()]
@@ -216,7 +211,6 @@ mod tests {
     #[test]
     fn indices_roundtrip() {
         for (i, t) in Topic::ALL.iter().enumerate() {
-            assert_eq!(t.index(), i);
             assert_eq!(Topic::from_index(i), *t);
         }
         assert_eq!(Topic::from_index(Topic::ALL.len()), Topic::ALL[0]);

@@ -40,7 +40,7 @@ impl StageMetrics {
     /// Output records per second (0 when time is unmeasured or nothing was
     /// produced). For the chunk stage this is chunks/s where
     /// [`Self::throughput`] is docs/s.
-    pub fn output_throughput(&self) -> f64 {
+    pub(crate) fn output_throughput(&self) -> f64 {
         if self.elapsed_secs > 0.0 && self.produced > 0 {
             self.produced as f64 / self.elapsed_secs
         } else {
@@ -91,7 +91,7 @@ impl RunReport {
     }
 
     /// Total wall-clock seconds across stages.
-    pub fn total_secs(&self) -> f64 {
+    pub(crate) fn total_secs(&self) -> f64 {
         self.stages.iter().map(|s| s.elapsed_secs).sum()
     }
 

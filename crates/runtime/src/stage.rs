@@ -114,7 +114,7 @@ where
     U: Send + 'env,
     F: Fn(T) -> U + Sync + 'env,
 {
-    let timer = mcqa_util::ScopeTimer::start("stage");
+    let timer = mcqa_util::ScopeTimer::start();
     let n = items.len();
     let batch_size = batch_size.max(1);
     let batches = n.div_ceil(batch_size);

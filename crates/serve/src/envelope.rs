@@ -51,7 +51,7 @@ pub enum QueryMode {
         /// Rescore the fused top-k through the cross-encoder reranker.
         rerank: bool,
         /// Per-channel over-fetch multiplier before fusion; `0` selects
-        /// [`mcqa_index::lexical::DEFAULT_FUSE_DEPTH`].
+        /// `mcqa_index::lexical::DEFAULT_FUSE_DEPTH`.
         depth: usize,
     },
 }

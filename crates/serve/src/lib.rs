@@ -11,26 +11,26 @@
 //!
 //! Three pieces:
 //!
-//! * [`envelope`] — the one API surface: [`QueryRequest`] /
+//! * `envelope` — the one API surface: [`QueryRequest`] /
 //!   [`QueryResponse`] (with per-stage [`QueryTiming`]) and the
 //!   [`ServeError`] taxonomy.
-//! * [`service`] — [`QueryService`]: non-blocking admission with defined
+//! * `service` — [`QueryService`]: non-blocking admission with defined
 //!   backpressure ([`ServeError::Saturated`]), deadline-free dispatch that
 //!   coalesces queued submissions up to [`ServeConfig::max_batch`]
 //!   requests, a replay ([`QueryService::query_batch`]) admitted,
 //!   dispatched and answered as one unit, a oneshot reply per admission
 //!   unit ([`QueryTicket`] for a lone request), and graceful shutdown that
 //!   drains every admitted request exactly once.
-//! * [`stats`] — the [`ServiceStats`] ledger: admitted/rejected/served
+//! * `stats` — the `ServiceStats` ledger: admitted/rejected/served
 //!   counters, a batch-size histogram and per-stage (queue/encode/search)
 //!   time accounting.
 //!
 //! [`VectorStore::search_batch`]: mcqa_index::VectorStore::search_batch
 
-pub mod envelope;
-pub mod service;
-pub mod stats;
+pub(crate) mod envelope;
+pub(crate) mod service;
+pub(crate) mod stats;
 
 pub use envelope::{QueryInput, QueryMode, QueryRequest, QueryResponse, QueryTiming, ServeError};
 pub use service::{PassageStore, QueryService, QueryTicket, ServeConfig};
-pub use stats::{ServiceSnapshot, ServiceStats, BATCH_BUCKETS};
+pub use stats::ServiceSnapshot;

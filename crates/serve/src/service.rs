@@ -33,7 +33,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
-use mcqa_embed::BioEncoder;
+use mcqa_index::embed::BioEncoder;
 use mcqa_index::lexical::fuse_depth;
 use mcqa_index::IndexRegistry;
 use mcqa_llm::Reranker;
@@ -67,16 +67,6 @@ impl PassageStore {
     /// The passage behind `id` in `source`, if registered.
     pub fn get(&self, source: &str, id: u64) -> Option<&str> {
         self.map.get(source).and_then(|m| m.get(&id)).map(String::as_str)
-    }
-
-    /// Total registered passages across all sources.
-    pub fn len(&self) -> usize {
-        self.map.values().map(HashMap::len).sum()
-    }
-
-    /// True when no passages are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -202,11 +192,6 @@ impl QueryService {
             .spawn(move || dispatcher.run(rx))
             .expect("spawn serve dispatcher");
         Self { tx: RwLock::new(Some(tx)), worker: Mutex::new(Some(worker)), stats, config }
-    }
-
-    /// The configuration this service runs with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Submit one request. Non-blocking: a full queue returns
@@ -658,7 +643,7 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcqa_embed::EmbedConfig;
+    use mcqa_index::embed::EmbedConfig;
 
     #[test]
     fn encode_memo_keys_by_text_and_stays_bounded() {

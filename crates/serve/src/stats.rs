@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Batch-size histogram buckets: `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+`.
-pub const BATCH_BUCKETS: usize = 8;
+pub(crate) const BATCH_BUCKETS: usize = 8;
 
 fn bucket_of(batch: usize) -> usize {
     match batch {
@@ -25,7 +25,7 @@ fn bucket_of(batch: usize) -> usize {
 
 /// Live counters, shared between the submit path and the dispatcher.
 #[derive(Default)]
-pub struct ServiceStats {
+pub(crate) struct ServiceStats {
     admitted: AtomicU64,
     rejected: AtomicU64,
     served_ok: AtomicU64,
@@ -76,7 +76,7 @@ impl ServiceStats {
     }
 
     /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ServiceSnapshot {
+    pub(crate) fn snapshot(&self) -> ServiceSnapshot {
         let batch_hist: [u64; BATCH_BUCKETS] =
             std::array::from_fn(|i| self.batch_hist[i].load(Relaxed));
         ServiceSnapshot {
@@ -112,10 +112,10 @@ pub struct ServiceSnapshot {
     /// Dispatches that carried one request: it arrived on an empty queue,
     /// so there was nothing to coalesce it with (`batch_hist[0]`).
     pub fast_path_hits: u64,
-    /// Batch-size histogram (bucket bounds: see [`BATCH_BUCKETS`]).
+    /// Batch-size histogram (bucket bounds: see `BATCH_BUCKETS`).
     pub batch_hist: [u64; BATCH_BUCKETS],
     /// Summed per-request queue wait.
-    pub queue_secs: f64,
+    pub(crate) queue_secs: f64,
     /// Summed batch-group encode wall time.
     pub encode_secs: f64,
     /// Summed batch-group search wall time.

@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use mcqa_embed::{BioEncoder, EmbedConfig, Precision};
+use mcqa_index::embed::{BioEncoder, EmbedConfig, Precision};
 use mcqa_index::lexical::{fuse_depth, Fusion, LexicalIndex};
 use mcqa_index::{FlatIndex, IndexRegistry, Metric, VectorStore};
 use mcqa_llm::{ModelHub, Reranker, Role};

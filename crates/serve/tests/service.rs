@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, OnceLock};
 
-use mcqa_embed::Precision;
+use mcqa_index::embed::Precision;
 use mcqa_index::{FlatIndex, IndexRegistry, Metric, SearchResult, VectorStore};
 use mcqa_runtime::Executor;
 use mcqa_serve::{QueryRequest, QueryService, ServeConfig, ServeError};
@@ -555,7 +555,7 @@ fn bounded_queue_rejects_without_losing_admitted_work() {
 /// them with `NoEncoder`.
 #[test]
 fn text_queries_encode_service_side() {
-    use mcqa_embed::{BioEncoder, EmbedConfig};
+    use mcqa_index::embed::{BioEncoder, EmbedConfig};
 
     let encoder = BioEncoder::new(EmbedConfig { dim: 32, ..EmbedConfig::default() });
     let texts = ["dose rate effects", "fractionation schedule", "proton therapy"];

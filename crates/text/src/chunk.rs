@@ -20,7 +20,7 @@ use crate::token::{for_each_content_token, token_count};
 
 /// Every feature weight of a composing [`Encoder`] is a whole multiple of
 /// this (2⁻²).
-pub const WEIGHT_QUANTUM: f32 = 0.25;
+pub(crate) const WEIGHT_QUANTUM: f32 = 0.25;
 
 /// The absolute weight up to which sums of such weights are exact: an
 /// `f32` holds every multiple of 2⁻² up to 2²² (24 significand bits), so
@@ -34,7 +34,7 @@ pub type Bridge = Vec<(u32, f32)>;
 
 /// Anything that can embed a piece of text into a dense vector.
 ///
-/// `mcqa-embed`'s `BioEncoder` (the PubMedBERT stand-in) implements this;
+/// `mcqa-index`'s `embed::BioEncoder` (the PubMedBERT stand-in) implements this;
 /// tests use the lexical [`TfEncoder`].
 ///
 /// An encoder whose `encode` sums signed feature weights and normalises
@@ -48,7 +48,7 @@ pub trait Encoder {
     /// Encode one text into a dense `dim()`-length vector.
     fn encode(&self, text: &str) -> Vec<f32>;
     /// A composing encoder's promise: every weight it adds is a whole
-    /// multiple of [`WEIGHT_QUANTUM`], and a text of at most this many
+    /// multiple of `WEIGHT_QUANTUM`, and a text of at most this many
     /// bytes carries at most [`EXACT_SUM_MASS`] of absolute weight — so
     /// its sums are exact, and a difference of two has the bits `encode`
     /// of the text between them accumulates. A longer document is encoded
@@ -71,7 +71,7 @@ pub trait Encoder {
 }
 
 /// A trivial lexical encoder: hashed bag-of-words into a small dense
-/// vector. Adequate for exercising the chunker without `mcqa-embed`.
+/// vector. Adequate for exercising the chunker without the `mcqa-index` encoder.
 #[derive(Debug, Clone)]
 pub struct TfEncoder {
     dim: usize,

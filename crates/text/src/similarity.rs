@@ -34,7 +34,7 @@ pub fn normalise(v: &mut [f32]) {
 }
 
 /// Jaccard similarity of two sets.
-pub fn jaccard<K: Eq + Hash>(a: &HashSet<K>, b: &HashSet<K>) -> f64 {
+pub(crate) fn jaccard<K: Eq + Hash>(a: &HashSet<K>, b: &HashSet<K>) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }

@@ -1,7 +1,7 @@
 //! A compact English stopword list tuned for scientific prose.
 
 /// Alphabetically sorted stopwords (binary-searchable).
-pub const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a", "about", "above", "after", "again", "all", "also", "an", "and", "any", "are", "as", "at",
     "be", "because", "been", "before", "being", "below", "between", "both", "but", "by", "can",
     "could", "did", "do", "does", "doing", "down", "during", "each", "few", "for", "from",

@@ -73,7 +73,7 @@ impl<'a> Reader<'a> {
         )
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 

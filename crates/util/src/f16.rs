@@ -12,15 +12,6 @@
 pub struct F16(pub u16);
 
 impl F16 {
-    /// Positive infinity.
-    pub const INFINITY: F16 = F16(0x7c00);
-    /// A canonical quiet NaN.
-    pub const NAN: F16 = F16(0x7e00);
-    /// Largest finite value (65504).
-    pub const MAX: F16 = F16(0x7bff);
-    /// Smallest positive normal value (2^-14).
-    pub const MIN_POSITIVE: F16 = F16(0x0400);
-
     /// Encode an `f32` with round-to-nearest-even.
     pub fn from_f32(value: f32) -> Self {
         let bits = value.to_bits();
@@ -89,18 +80,6 @@ impl F16 {
         let magnitude = if is_inf_or_nan { magnitude | 0x7f80_0000 } else { finite.to_bits() };
         f32::from_bits(sign | magnitude)
     }
-
-    /// True when the value encodes NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7c00) == 0x7c00 && (self.0 & 0x03ff) != 0
-    }
-
-    /// True for ±∞.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7fff) == 0x7c00
-    }
 }
 
 impl From<f32> for F16 {
@@ -151,6 +130,23 @@ pub fn decode_f16_bytes(bytes: &[u8]) -> Option<Vec<f32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl F16 {
+        /// Positive infinity.
+        const INFINITY: F16 = F16(0x7c00);
+        /// A canonical quiet NaN.
+        const NAN: F16 = F16(0x7e00);
+
+        /// True when the value encodes NaN.
+        pub(crate) fn is_nan(self) -> bool {
+            (self.0 & 0x7c00) == 0x7c00 && (self.0 & 0x03ff) != 0
+        }
+
+        /// True for ±∞.
+        fn is_infinite(self) -> bool {
+            (self.0 & 0x7fff) == 0x7c00
+        }
+    }
 
     #[test]
     fn known_values() {
@@ -229,7 +225,7 @@ mod tests {
     fn overflow_saturates_to_infinity() {
         assert!(F16::from_f32(1.0e6).is_infinite());
         assert!(F16::from_f32(-1.0e6).is_infinite());
-        assert_eq!(F16::from_f32(65520.0).0, 0x7c00); // rounds up past MAX
+        assert_eq!(F16::from_f32(65520.0).0, 0x7c00); // rounds up past 65504, the largest finite half
     }
 
     #[test]

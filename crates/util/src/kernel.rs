@@ -5,7 +5,7 @@
 //!
 //! Exact retrieval is a dense dot-product sweep: at paper scale every query
 //! visits every stored row, so the per-element loop *is* the hot path. The
-//! per-pair kernels split the reduction across [`LANES`] accumulators over
+//! per-pair kernels split the reduction across `LANES` accumulators over
 //! `chunks_exact` blocks — a shape LLVM's autovectorizer already folds into
 //! packed SIMD — and reduce the lanes in one **fixed** pairwise tree. What
 //! capped a row-at-a-time scan built on them was never missing SIMD: the
@@ -53,7 +53,7 @@ use crate::f16::F16;
 /// Independent accumulator lanes per kernel. Eight f32 lanes fill one
 /// AVX2 register (or two NEON registers) and leave the autovectorizer no
 /// reassociation to prove — the source order already is the packed order.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Reduce the lanes in a fixed pairwise tree (part of the determinism
 /// contract: the same inputs always reduce in the same order).

@@ -6,7 +6,7 @@
 //!   that is identical across platforms, runs, and thread counts. All
 //!   "stochastic" behaviour in the simulated language models is keyed off
 //!   these hashes so that results are reproducible bit-for-bit.
-//! * [`stochastic`] — keyed Bernoulli draws, uniform floats, and categorical
+//! * `stochastic` — keyed Bernoulli draws, uniform floats, and categorical
 //!   picks derived from stable hashes.
 //! * [`mod@f16`] — a half-precision (IEEE 754 binary16) codec used by the
 //!   embedding store, mirroring the paper's FP16 FAISS databases.
@@ -29,12 +29,12 @@ pub mod hash;
 pub mod hits;
 pub mod kernel;
 pub mod stats;
-pub mod stochastic;
+pub(crate) mod stochastic;
 pub mod timer;
 
 pub use f16::F16;
 pub use hash::{fnv1a, splitmix64, LaneHasher, StableHasher};
 pub use hits::{cmp_hits, sort_hits, SearchResult, TopK};
-pub use stats::{Accuracy, WilsonInterval};
+pub use stats::Accuracy;
 pub use stochastic::KeyedStochastic;
 pub use timer::ScopeTimer;

@@ -20,12 +20,12 @@ impl WilsonInterval {
     /// The 95% Wilson score interval for `successes` out of `trials`.
     ///
     /// Returns the degenerate `[0, 1]` interval when `trials == 0`.
-    pub fn wilson95(successes: u64, trials: u64) -> Self {
+    pub(crate) fn wilson95(successes: u64, trials: u64) -> Self {
         Self::wilson(successes, trials, 1.959963984540054)
     }
 
     /// Wilson interval at an arbitrary normal quantile `z`.
-    pub fn wilson(successes: u64, trials: u64, z: f64) -> Self {
+    pub(crate) fn wilson(successes: u64, trials: u64, z: f64) -> Self {
         if trials == 0 {
             return Self { lo: 0.0, hi: 1.0 };
         }
@@ -36,16 +36,6 @@ impl WilsonInterval {
         let centre = (p + z2 / (2.0 * n)) / denom;
         let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
         Self { lo: (centre - half).max(0.0), hi: (centre + half).min(1.0) }
-    }
-
-    /// True when `p` falls inside the interval (inclusive).
-    pub fn contains(&self, p: f64) -> bool {
-        p >= self.lo && p <= self.hi
-    }
-
-    /// Interval width.
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
     }
 }
 
@@ -70,12 +60,6 @@ impl Accuracy {
         if correct {
             self.correct += 1;
         }
-    }
-
-    /// Merge two accumulators.
-    pub fn merge(&mut self, other: &Accuracy) {
-        self.correct += other.correct;
-        self.total += other.total;
     }
 
     /// Point accuracy in `[0, 1]` (0 when empty).
@@ -108,6 +92,18 @@ pub fn relative_improvement_pct(old: f64, new: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WilsonInterval {
+        /// True when `p` falls inside the interval (inclusive).
+        fn contains(&self, p: f64) -> bool {
+            p >= self.lo && p <= self.hi
+        }
+
+        /// Interval width.
+        fn width(&self) -> f64 {
+            self.hi - self.lo
+        }
+    }
 
     #[test]
     fn wilson_known_value() {
@@ -145,12 +141,6 @@ mod tests {
         assert_eq!(acc.correct, 75);
         assert!((acc.value() - 0.75).abs() < 1e-12);
         assert!(acc.interval().contains(0.75));
-
-        let mut other = Accuracy::new();
-        other.record(true);
-        acc.merge(&other);
-        assert_eq!(acc.total, 101);
-        assert_eq!(acc.correct, 76);
     }
 
     #[test]

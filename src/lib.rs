@@ -13,7 +13,7 @@
 //! | [`corpus`] | synthetic papers/abstracts, the SPDF container, Semantic-Scholar-style acquisition |
 //! | [`parse`] | AdaParse-style adaptive parallel parsing (`core::parse`) |
 //! | [`text`] | tokenisation, sentence splitting, semantic chunking |
-//! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage |
+//! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage (`index::embed`) |
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
 //! | [`lexical`] | the BM25 keyword channel + dense/lexical reciprocal rank fusion (`index::lexical`) |
 //! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped ordered stages that re-raise a task's panic, stage metrics |
@@ -37,9 +37,9 @@
 pub use mcqa_core as core;
 pub use mcqa_core::parse;
 pub use mcqa_corpus as corpus;
-pub use mcqa_embed as embed;
 pub use mcqa_eval as eval;
 pub use mcqa_index as index;
+pub use mcqa_index::embed;
 pub use mcqa_index::lexical;
 pub use mcqa_llm as llm;
 pub use mcqa_ontology as ontology;
