@@ -21,6 +21,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use mcqa_corpus::{CorpusLibrary, DocId};
 use mcqa_index::embed::{BioEncoder, Precision};
@@ -30,7 +31,7 @@ use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode,
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
 use mcqa_text::ChunkerConfig;
-use mcqa_util::{KeyedStochastic, ScopeTimer};
+use mcqa_util::KeyedStochastic;
 
 use crate::chunks::{ChunkRecord, MentionMatcher};
 use crate::config::PipelineConfig;
@@ -125,10 +126,15 @@ impl Pipeline {
 
         // Stage 1: ontology + corpus acquisition (synthesis and SPDF
         // rendering fan out on the pool inside `CorpusLibrary::build`).
-        let t = ScopeTimer::start();
+        let t = Instant::now();
         let ontology = Arc::new(Ontology::generate(&config.ontology));
         let library = Arc::new(CorpusLibrary::build(&ontology, &config.acquisition, &exec));
-        report.add(StageMetrics::single("acquire", library.len(), library.len(), t.elapsed_secs()));
+        report.add(StageMetrics::single(
+            "acquire",
+            library.len(),
+            library.len(),
+            t.elapsed().as_secs_f64(),
+        ));
 
         Self::run_planned(config, ontology, library, exec, report, None)
     }
@@ -363,7 +369,7 @@ fn merge_chunks(
     fresh: Vec<ChunkRecord>,
     census: &mut IngestCensus,
 ) -> (Vec<ChunkRecord>, Vec<bool>, Vec<u64>, StageMetrics) {
-    let t = ScopeTimer::start();
+    let t = Instant::now();
     let dead_docs: HashSet<u32> =
         changes.modified.iter().chain(&changes.removed).map(|id| *id as u32).collect();
     let (dead, kept): (Vec<&ChunkRecord>, Vec<&ChunkRecord>) =
@@ -377,8 +383,12 @@ fn merge_chunks(
     merged.sort_by_key(|(c, _)| c.chunk_id);
     let (chunks, is_fresh): (Vec<ChunkRecord>, Vec<bool>) = merged.into_iter().unzip();
     census.chunks_total = chunks.len();
-    let row =
-        StageMetrics::single("ingest-chunks", chunks.len(), census.chunks_rerun, t.elapsed_secs());
+    let row = StageMetrics::single(
+        "ingest-chunks",
+        chunks.len(),
+        census.chunks_rerun,
+        t.elapsed().as_secs_f64(),
+    );
     (chunks, is_fresh, dead.iter().map(|c| c.chunk_id).collect(), row)
 }
 
@@ -387,10 +397,13 @@ fn merge_chunks(
 /// starts from an empty registry and has no row.
 fn copy_registry(prev: Option<&PipelineOutput>) -> (IndexRegistry, Option<StageMetrics>) {
     let Some(p) = prev else { return (IndexRegistry::new(), None) };
-    let t = ScopeTimer::start();
+    let t = Instant::now();
     let copy = (*p.indexes).clone();
     let entries = copy.len() + copy.lexical_names().len();
-    (copy, Some(StageMetrics::single("ingest-registry", entries, entries, t.elapsed_secs())))
+    (
+        copy,
+        Some(StageMetrics::single("ingest-registry", entries, entries, t.elapsed().as_secs_f64())),
+    )
 }
 
 /// Dense-store rows: `(id, vector)`.
@@ -432,7 +445,7 @@ fn refresh_source(
     name: &str,
     edit: SourceEdit<'_>,
 ) -> [StageMetrics; 2] {
-    let t = ScopeTimer::start();
+    let t = Instant::now();
     match indexes.get_mut(name) {
         None => indexes.insert(
             name,
@@ -462,12 +475,12 @@ fn refresh_source(
         &format!("index-{name}"),
         edit.vectors.len(),
         indexes.expect_store(name).len(),
-        t.elapsed_secs(),
+        t.elapsed().as_secs_f64(),
     );
 
     // The BM25 sibling over the same texts, keyed by the same ids, so both
     // channels retrieve the same documents.
-    let t = ScopeTimer::start();
+    let t = Instant::now();
     let sibling = IndexRegistry::lexical_sibling(name);
     if indexes.lexical(&sibling).is_none() {
         indexes.insert_lexical(&sibling, LexicalIndex::new(Default::default()));
@@ -487,7 +500,7 @@ fn refresh_source(
         &format!("index-lex-{name}"),
         edit.texts.len(),
         lex.len(),
-        t.elapsed_secs(),
+        t.elapsed().as_secs_f64(),
     );
     [dense, lexical]
 }
@@ -508,7 +521,7 @@ fn generate_and_judge(
     teacher: &Teacher,
     gen_chunks: &[&ChunkRecord],
 ) -> (Vec<Accepted>, StageMetrics) {
-    let t = ScopeTimer::start();
+    let t = Instant::now();
     let rng = KeyedStochastic::new(config.seed ^ 0x9E5_71A6);
     // Anchor fact per chunk: one stated by the chunk, or (relevance
     // failure) an arbitrary fact — real pipelines generate from every
@@ -594,8 +607,12 @@ fn generate_and_judge(
         };
         accepted.push((cand.chunk.chunk_id, record, item));
     }
-    let row =
-        StageMetrics::single("generate+judge", gen_chunks.len(), accepted.len(), t.elapsed_secs());
+    let row = StageMetrics::single(
+        "generate+judge",
+        gen_chunks.len(),
+        accepted.len(),
+        t.elapsed().as_secs_f64(),
+    );
     (accepted, row)
 }
 
@@ -603,13 +620,13 @@ fn generate_and_judge(
 /// every (question, mode) pair is one batched hub request. Returns the
 /// texts in that order, `TraceMode::ALL.len()` per accepted question.
 fn distil(exec: &Executor, teacher: &Teacher, fresh: &[Accepted]) -> (Vec<String>, StageMetrics) {
-    let t = ScopeTimer::start();
+    let t = Instant::now();
     let prompts: Vec<(&McqItem, TraceMode)> = fresh
         .iter()
         .flat_map(|(_, _, item)| TraceMode::ALL.iter().map(move |mode| (item, *mode)))
         .collect();
     let texts = teacher.generate_trace_batch(exec, &prompts);
-    let row = StageMetrics::single("traces", fresh.len(), texts.len(), t.elapsed_secs());
+    let row = StageMetrics::single("traces", fresh.len(), texts.len(), t.elapsed().as_secs_f64());
     (texts, row)
 }
 

@@ -15,19 +15,6 @@ use crate::doc::{DocId, DocKind, Document};
 use crate::spdf::SpdfWriter;
 use crate::synth::{synthesize, SynthConfig};
 
-/// How a blob was damaged (if at all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Corruption {
-    /// Intact file.
-    None,
-    /// Tail truncated (interrupted download).
-    Truncated,
-    /// Random byte flipped in the body.
-    BitFlip,
-    /// Checksum trailer zeroed (damaged metadata).
-    BadChecksum,
-}
-
 /// Acquisition configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcquisitionConfig {
@@ -81,7 +68,6 @@ impl AcquisitionConfig {
 pub struct CorpusLibrary {
     docs: Vec<Document>,
     blobs: Vec<Vec<u8>>,
-    corruption: Vec<Corruption>,
     deleted: Vec<bool>,
     config: AcquisitionConfig,
 }
@@ -101,39 +87,36 @@ impl CorpusLibrary {
         });
 
         let rng = KeyedStochastic::new(config.seed ^ 0xC0_22_06_10);
-        let (blob_results, _) = run_stage(exec, "render", (0..docs.len()).collect(), |i| {
+        let (blobs, _) = run_stage(exec, "render", (0..docs.len()).collect(), |i| {
             let doc = &docs[i];
             let mut bytes = SpdfWriter::write_document(doc);
             let key = doc.id.0.to_string();
-            let corruption = if rng.bernoulli(config.corruption_rate, &["corrupt?", &key]) {
+            if rng.bernoulli(config.corruption_rate, &["corrupt?", &key]) {
                 match rng.below(3, &["mode", &key]) {
+                    // Tail truncated (interrupted download).
                     0 => {
                         let keep = bytes.len() / 2 + rng.below(bytes.len() / 3, &["cut", &key]);
                         bytes.truncate(keep);
-                        Corruption::Truncated
                     }
+                    // One byte flipped in the body.
                     1 => {
                         let at = 10 + rng.below(bytes.len().saturating_sub(20), &["pos", &key]);
                         bytes[at] ^= 0x40;
-                        Corruption::BitFlip
                     }
+                    // Checksum trailer zeroed (damaged metadata).
                     _ => {
                         let n = bytes.len();
                         for b in &mut bytes[n - 8..] {
                             *b = 0;
                         }
-                        Corruption::BadChecksum
                     }
                 }
-            } else {
-                Corruption::None
-            };
-            (bytes, corruption)
+            }
+            bytes
         });
 
-        let (blobs, corruption): (Vec<_>, Vec<_>) = blob_results.into_iter().unzip();
         let deleted = vec![false; docs.len()];
-        Self { docs, blobs, corruption, deleted, config: config.clone() }
+        Self { docs, blobs, deleted, config: config.clone() }
     }
 
     /// Number of document slots ever allocated (including deleted ones —
@@ -192,7 +175,6 @@ impl CorpusLibrary {
         assert!(i < self.docs.len() && !self.deleted[i], "slot_replace on missing doc {id:?}");
         self.docs[i] = doc;
         self.blobs[i] = blob;
-        self.corruption[i] = Corruption::None;
     }
 
     /// Append a new document slot (edit support). The document's id must
@@ -202,7 +184,6 @@ impl CorpusLibrary {
         assert_eq!(doc.id, id, "appended document must carry the next DocId");
         self.docs.push(doc);
         self.blobs.push(blob);
-        self.corruption.push(Corruption::None);
         self.deleted.push(false);
         id
     }
@@ -230,9 +211,12 @@ mod tests {
             &self.docs
         }
 
-        /// The corruption applied to a blob (ground truth for parser tests).
-        fn corruption(&self, id: DocId) -> Option<Corruption> {
-            self.corruption.get(id.0 as usize).copied()
+        /// Whether a slot's blob was damaged in transit (ground truth for
+        /// parser tests): it was iff its bytes differ from a clean render
+        /// of its document. `None` out of range.
+        fn corrupted(&self, id: DocId) -> Option<bool> {
+            let i = id.0 as usize;
+            Some(self.blobs.get(i)? != &SpdfWriter::write_document(&self.docs[i]))
         }
     }
 
@@ -268,35 +252,30 @@ mod tests {
         let lib2 = CorpusLibrary::build(&ont, lib.config(), Executor::global());
         for i in 0..lib.len() as u32 {
             assert_eq!(lib.download(DocId(i)), lib2.download(DocId(i)), "blob {i}");
-            assert_eq!(lib.corruption(DocId(i)), lib2.corruption(DocId(i)));
+            assert_eq!(lib.corrupted(DocId(i)), lib2.corrupted(DocId(i)));
         }
     }
 
     #[test]
     fn corruption_rate_applied() {
         let (_, lib) = small_library();
-        let n = (0..lib.len() as u32)
-            .filter(|i| lib.corruption(DocId(*i)) != Some(Corruption::None))
-            .count();
+        let n = (0..lib.len() as u32).filter(|i| lib.corrupted(DocId(*i)) == Some(true)).count();
         // 15% of 45 ≈ 7; tolerate binomial noise.
         assert!((2..=15).contains(&n), "corrupted {n} of {}", lib.len());
         // Intact blobs read strictly; corrupted ones must fail or salvage.
         for i in 0..lib.len() as u32 {
             let id = DocId(i);
             let blob = lib.download(id).unwrap();
-            match lib.corruption(id).unwrap() {
-                Corruption::None => {
-                    assert!(
-                        crate::spdf::SpdfReader::read(blob).is_ok(),
-                        "doc {i} intact but unreadable"
-                    );
-                }
-                _ => {
-                    assert!(
-                        crate::spdf::SpdfReader::read(blob).is_err(),
-                        "doc {i} corrupted but passed strict read"
-                    );
-                }
+            if lib.corrupted(id).unwrap() {
+                assert!(
+                    crate::spdf::SpdfReader::read(blob).is_err(),
+                    "doc {i} corrupted but passed strict read"
+                );
+            } else {
+                assert!(
+                    crate::spdf::SpdfReader::read(blob).is_ok(),
+                    "doc {i} intact but unreadable"
+                );
             }
         }
     }
@@ -306,7 +285,7 @@ mod tests {
         let (_, lib) = small_library();
         assert!(lib.download(DocId(9999)).is_none());
         assert!(lib.document(DocId(9999)).is_none());
-        assert!(lib.corruption(DocId(9999)).is_none());
+        assert!(lib.corrupted(DocId(9999)).is_none());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Per-question retrieval with oracle relevance labels.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use mcqa_core::PipelineOutput;
 use mcqa_llm::{McqItem, Passage, PassageSource, TraceMode};
@@ -167,7 +168,7 @@ impl<'a> RetrievalBundle<'a> {
             output.ontology.fact(mcqa_ontology::FactId(fact_id)).map(|f| f.subject.0)
         };
 
-        let retrieve_timer = mcqa_util::ScopeTimer::start();
+        let retrieve_timer = Instant::now();
 
         // One replay over all four source databases through the query
         // service: one admission unit and one dispatch, whose grouped
@@ -252,7 +253,7 @@ impl<'a> RetrievalBundle<'a> {
             "eval-retrieve",
             items.len(),
             produced,
-            retrieve_timer.elapsed_secs(),
+            retrieve_timer.elapsed().as_secs_f64(),
         );
 
         (Self { passages }, metrics)

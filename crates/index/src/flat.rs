@@ -10,8 +10,11 @@
 //! top-k heaps. One panel fetch is thus amortised across every query of a
 //! task instead of being repeated per query, and a lone query (the
 //! one-query block) streams two bytes per stored element: the store keeps
-//! no decoded panels, so it has no panel cache to warm or budget.
-//! Results are bit-identical to scoring each decoded row with
+//! no decoded panels, so it has no panel cache to warm or budget. A task
+//! whose queries are mostly zeros — a batch of feature-hashed stems —
+//! instead widens each panel once into a transposed scratch and scores
+//! only its queries' nonzero elements against it (the scan's sparse path,
+//! `scan.rs`). Results are bit-identical to scoring each decoded row with
 //! [`Metric::score`] and fully sorting (the property suite in
 //! `tests/kernel.rs` holds every path to that oracle).
 
@@ -114,12 +117,12 @@ impl FlatIndex {
         k: usize,
         block_rows: usize,
     ) -> Vec<Vec<SearchResult>> {
-        let mut block = QueryBlock::new(queries, k);
+        let mut block = QueryBlock::new(self.metric, queries, k);
         let (norms, dead) = (self.matrix.row_sq_norms(), self.dead.flags());
         for (start, panel) in self.matrix.panels(block_rows) {
             let rows = start..start + panel.len() / self.dim();
             let (ids, dead) = (&self.ids[rows.clone()], &dead[rows.clone()]);
-            block.scan(self.metric, panel, &norms[rows], ids, dead);
+            block.scan(panel, &norms[rows], ids, dead);
         }
         block.into_sorted()
     }

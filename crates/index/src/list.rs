@@ -342,7 +342,7 @@ impl<C: RowCodec> ListStore<C> {
             let mut scan = |panel: &[f32]| {
                 let (norms, ids) = (&list.norms[rows.clone()], &list.ids[rows.clone()]);
                 let dead = &list.dead.flags()[rows.clone()];
-                queries.scan(self.metric, Panel::F32(panel), norms, ids, dead);
+                queries.scan(Panel::F32(panel), norms, ids, dead);
             };
             match C::as_panel(block) {
                 Some(panel) => scan(panel),
@@ -523,7 +523,7 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         if k == 0 || self.len() == 0 {
             return Vec::new();
         }
-        let mut block = QueryBlock::new([query], k);
+        let mut block = QueryBlock::new(self.metric, [query], k);
         let mut scratch = Vec::new();
         for li in self.ranked_lists(query) {
             self.scan_list(li, &mut block, &mut scratch);
@@ -562,7 +562,8 @@ impl<C: RowCodec> VectorStore for ListStore<C> {
         // query, and returns per-(list, query) partial top-k sets.
         let (partials, _) = run_stage(exec, "list-scan", work, |li| {
             let qis = &by_list[li];
-            let mut block = QueryBlock::new(qis.iter().map(|&qi| queries[qi].as_slice()), k);
+            let mut block =
+                QueryBlock::new(self.metric, qis.iter().map(|&qi| queries[qi].as_slice()), k);
             self.scan_list(li, &mut block, &mut Vec::new());
             qis.iter().copied().zip(block.into_sorted()).collect::<Vec<_>>()
         });

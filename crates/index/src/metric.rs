@@ -92,7 +92,7 @@ impl Metric {
                         let qn = q_sq.sqrt();
                         let scores = &mut out[q * rows + at..][..norms.len()];
                         for ((s, &nb), &rn) in scores.iter_mut().zip(norms).zip(&*roots) {
-                            *s = if q_sq == 0.0 || nb == 0.0 { 0.0 } else { *s / (qn * rn) };
+                            *s = cosine(*s, q_sq, qn, nb, rn);
                         }
                     }
                 }
@@ -105,6 +105,22 @@ impl Metric {
                 }
             }
         }
+    }
+}
+
+/// Cosine from a dot product, both squared norms and their roots:
+/// [`Metric::score`]'s expression, with each root taken once per query or
+/// row rather than once per pair (`sqrt` is correctly rounded, so the bits
+/// are the same). The quotient is taken either way and the zero-norm case
+/// selected after, so a loop over rows compiles to packed divides and a
+/// blend rather than a branch per row.
+#[inline(always)]
+pub(crate) fn cosine(dot: f32, q_sq: f32, q_root: f32, r_sq: f32, r_root: f32) -> f32 {
+    let scaled = dot / (q_root * r_root);
+    if (q_sq == 0.0) | (r_sq == 0.0) {
+        0.0
+    } else {
+        scaled
     }
 }
 

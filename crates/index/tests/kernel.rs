@@ -3,7 +3,10 @@
 //! return **identical ids and scores** to a naive per-row scalar oracle —
 //! score each stored row with `Metric::score`, sort by (score desc, id
 //! asc), truncate to k. Covers ragged tails (`len % block_rows != 0`),
-//! `k >= len`, and duplicate-score ties.
+//! `k >= len`, and duplicate-score ties; and, for the sparse path a block
+//! of mostly-zero queries takes, every zero density, `−0.0` entries,
+//! tombstones, non-finite F16 rows and blocks on both sides of its cost
+//! rule.
 
 use std::sync::OnceLock;
 
@@ -27,6 +30,27 @@ fn vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
             (0..dim).map(|j| ks.gaussian(&["v", &i.to_string(), &j.to_string()]) as f32).collect()
         })
         .collect()
+}
+
+/// Vectors whose elements are zero with probability `zero_share` —
+/// alternately `+0.0` and `−0.0` — and Gaussian elsewhere: the shape of a
+/// feature-hashed stem (≈ 71 % zeros at dim 256).
+fn sparse_vectors(n: usize, dim: usize, seed: u64, zero_share: f64) -> Vec<Vec<f32>> {
+    let ks = KeyedStochastic::new(seed);
+    let mut out = vectors(n, dim, seed);
+    for (i, v) in out.iter_mut().enumerate() {
+        for (j, x) in v.iter_mut().enumerate() {
+            if ks.bernoulli(zero_share, &["zero", &i.to_string(), &j.to_string()]) {
+                *x = if (i + j) % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+    }
+    out
+}
+
+/// Hits as (id, score bits): NaN scores compare equal to themselves.
+fn bits(hits: &[SearchResult]) -> Vec<(u64, u32)> {
+    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
 }
 
 /// The scalar oracle: per-row `Metric::score` on the store's own decoded
@@ -229,6 +253,12 @@ fn ties_at_the_kth_score_after_the_heap_fills_still_enter() {
                 assert_eq!(got, expect, "{metric:?}/{precision:?} block={block_rows}");
                 let batched = idx.search_batch_blocked(exec(), &queries, K, block_rows, 9);
                 assert!(batched.iter().all(|hits| *hits == expect), "{metric:?}/{precision:?}");
+                // The query inside a block of all-zero queries: enough zeros
+                // for the sparse path (except under L2, which is dense).
+                let mut sparse_block = vec![vec![0.0; dim]; 16];
+                sparse_block[5] = query.clone();
+                let batched = idx.search_batch_blocked(exec(), &sparse_block, K, block_rows, 16);
+                assert_eq!(batched[5], expect, "{metric:?}/{precision:?} sparse block");
             }
         }
     }
@@ -252,4 +282,90 @@ fn degenerate_blocked_shapes() {
         Vec::<Vec<SearchResult>>::new(),
         "no queries"
     );
+}
+
+proptest! {
+    /// Blocks of sparse queries — every zero density, `−0.0` entries, an
+    /// all-zero and a lone-nonzero query — over stores with tombstones and
+    /// duplicate rows (score ties at the floor), equal the scalar oracle at the dims around a lane and a panel
+    /// boundary. A block takes the sparse path once its queries hold
+    /// enough zeros (here: the one-task block at most densities) and the
+    /// dense tile otherwise (a lone query; four workers' quarter-blocks at
+    /// low densities), so both sides of the cost rule are held to it.
+    #[test]
+    fn sparse_query_blocks_match_the_scalar_oracle(
+        n in 1usize..140,
+        dim_pick in 0usize..4,
+        n_queries in 2usize..48,
+        zero_pct in 0u32..101,
+        seed in 0u64..500,
+        dead_every in 0usize..5,
+        dup in 0usize..4,
+    ) {
+        let dim = [19, 255, 256, 257][dim_pick];
+        let rows = vectors(n, dim, seed);
+        let mut queries = sparse_vectors(n_queries, dim, seed ^ 0x5A, f64::from(zero_pct) / 100.0);
+        queries[0] = (0..dim).map(|j| if j % 3 == 0 { -0.0 } else { 0.0 }).collect();
+        queries[1] = vec![0.0; dim];
+        queries[1][(seed as usize) % dim] = 0.5;
+        for metric in METRICS {
+            for precision in [Precision::F32, Precision::F16] {
+                let mut idx = build(metric, precision, dim, &rows, dup);
+                let dead: Vec<u64> = if dead_every == 0 {
+                    Vec::new()
+                } else {
+                    (0..n as u64).filter(|i| i % dead_every as u64 == 1).map(|i| i * 3).collect()
+                };
+                idx.remove(&dead);
+                let expect: Vec<Vec<SearchResult>> = queries
+                    .iter()
+                    .map(|q| {
+                        let mut hits: Vec<SearchResult> = (0..n)
+                            .filter(|&i| !dead.contains(&idx.row_id(i)))
+                            .map(|i| SearchResult { id: idx.row_id(i), score: metric.score(q, &idx.row(i)) })
+                            .collect();
+                        mcqa_util::sort_hits(&mut hits);
+                        hits.truncate(5);
+                        hits
+                    })
+                    .collect();
+                for (block_rows, query_block) in [(64, n_queries), (7, n_queries), (64, 0), (256, 3)] {
+                    let got = idx.search_batch_blocked(exec(), &queries, 5, block_rows, query_block);
+                    prop_assert_eq!(
+                        &got, &expect,
+                        "{:?}/{:?} dim={} rb={} qb={}", metric, precision, dim, block_rows, query_block
+                    );
+                }
+                prop_assert_eq!(&idx.search(&queries[1], 5), &expect[1], "{:?}/{:?}", metric, precision);
+            }
+        }
+    }
+}
+
+/// A panel holding ±∞ or NaN cannot skip its zero terms (`0 × ∞` is NaN),
+/// so a sparse block scores that panel on the dense tile and the rest
+/// sparsely: every query's hits, NaN scores included, equal its lone
+/// (dense) search bit for bit — F16 rows overflowing to ±∞, F32 rows
+/// holding them, and a NaN, in the first, a middle and the last panel.
+#[test]
+fn non_finite_rows_take_the_dense_tile_bit_for_bit() {
+    let (dim, n) = (19, 40);
+    let queries = sparse_vectors(64, dim, 9, 0.7);
+    for (at, bad) in [(0, 1.0e6f32), (17, -1.0e6), (39, f32::INFINITY), (22, f32::NAN)] {
+        for metric in [Metric::Cosine, Metric::Dot] {
+            for precision in [Precision::F32, Precision::F16] {
+                let mut rows = vectors(n, dim, 8);
+                // ±10⁶ overflows F16 to ±∞; an F32 row holds ±∞ itself.
+                let f32_bad = if bad.is_finite() { bad * f32::INFINITY } else { bad };
+                rows[at][at % dim] = if precision == Precision::F32 { f32_bad } else { bad };
+                let idx = build(metric, precision, dim, &rows, 0);
+                assert!(!idx.row(at)[at % dim].is_finite(), "the fixture's premise");
+                let lone: Vec<Vec<(u64, u32)>> =
+                    queries.iter().map(|q| bits(&idx.search_blocked(q, 7, 8))).collect();
+                let batched = idx.search_batch_blocked(exec(), &queries, 7, 8, queries.len());
+                let batched: Vec<Vec<(u64, u32)>> = batched.iter().map(|h| bits(h)).collect();
+                assert_eq!(batched, lone, "{metric:?}/{precision:?} {bad} in row {at}");
+            }
+        }
+    }
 }

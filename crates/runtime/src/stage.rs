@@ -24,7 +24,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TryRecvError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::executor::{Executor, Job};
 use crate::metrics::StageMetrics;
@@ -114,7 +114,7 @@ where
     U: Send + 'env,
     F: Fn(T) -> U + Sync + 'env,
 {
-    let timer = mcqa_util::ScopeTimer::start();
+    let timer = Instant::now();
     let n = items.len();
     let batch_size = batch_size.max(1);
     let batches = n.div_ceil(batch_size);
@@ -194,7 +194,7 @@ where
         items: n,
         panics: 0,
         produced: n,
-        elapsed_secs: timer.elapsed_secs(),
+        elapsed_secs: timer.elapsed().as_secs_f64(),
     };
     (values, metrics)
 }

@@ -1,7 +1,9 @@
 //! Fixed-order scoring kernels shared by the vector stores and the
 //! embedding matrix: the per-pair definitions ([`dot`], [`sq_norm`],
-//! [`l2_sq`]) and the register-blocked panel kernels ([`dot_panel`],
-//! [`l2_sq_panel`]) every store's scan runs on.
+//! [`l2_sq`]), the register-blocked panel kernels ([`dot_panel`],
+//! [`l2_sq_panel`]) every store's scan runs on, and the column kernel
+//! ([`dot_columns`]) that scores mostly-zero queries against a transposed
+//! panel ([`Columns`]), skipping their zero elements.
 //!
 //! Exact retrieval is a dense dot-product sweep: at paper scale every query
 //! visits every stored row, so the per-element loop *is* the hot path. The
@@ -34,6 +36,19 @@
 //! every ragged tail. A scan of F16 storage thus streams two bytes per
 //! element — half of what a decoded copy costs — and keeps no copy.
 //!
+//! The panel kernels are at their port peak (≈ 6.5 multiply-adds per
+//! cycle under AVX2), so a query can only get cheaper by doing fewer of
+//! them. A feature-hashed question stem has ≈ 73 nonzeros of 256 while a
+//! chunk row has ≈ 197: most of a stem's products are `0 × r`. The column
+//! kernel skips them. [`Columns::load`] widens a panel once into a
+//! `[dim][rows]` scratch (64 KiB for 64 rows at dim 256) — eight rows of
+//! one dimension per block — and [`dot_columns`] walks only a query's
+//! nonzero elements ([`SparseQueries`]), lane by lane, each updating one
+//! 8-row accumulator per row group: one broadcast, then a packed multiply
+//! and add per group. Each row's eight lane sums then reduce in the same
+//! tree as [`dot`]'s, eight rows at a time, and go straight to the
+//! caller's [`GroupSink`].
+//!
 //! Determinism contract: every kernel accumulates in a fixed order that
 //! depends only on the slice length — never on block boundaries, tile
 //! shapes, row storage, worker counts, call sites or the host's
@@ -47,13 +62,26 @@
 //! which F16C returns quieted, is quieted by the first product anyway).
 //! That is what makes blocked/batched search in `mcqa-index` bit-identical
 //! to its per-row `Metric::score` oracle over decoded rows.
+//!
+//! The column kernel keeps the contract by construction and adds one
+//! clause: a term `qᵢ · rᵢ` with `qᵢ = ±0.0` and `rᵢ` finite may be
+//! skipped. Every lane still adds the same remaining products in the same
+//! order (element `i` in lane `i % LANES`, ascending), with the same tree
+//! after. Each skipped product is `±0.0`, and adding `±0.0` to a lane sum
+//! is the identity unless the sum is `−0.0`: `−0.0 + +0.0` is `+0.0`.
+//! But no lane sum is ever `−0.0`. It starts at `+0.0`, and under
+//! round-to-nearest `x + y` is `−0.0` only when both `x` and `y` are —
+//! an exact cancellation `x + (−x)` gives `+0.0`. The running sum is one
+//! addend of every add into it, so it never becomes `−0.0`. A non-finite `rᵢ` would make `0 × rᵢ` NaN, so
+//! [`Columns::load`] reports any panel holding ±∞ or NaN, and the caller
+//! scores that panel on the panel kernels instead.
 
 use crate::f16::F16;
 
 /// Independent accumulator lanes per kernel. Eight f32 lanes fill one
 /// AVX2 register (or two NEON registers) and leave the autovectorizer no
 /// reassociation to prove — the source order already is the packed order.
-pub(crate) const LANES: usize = 8;
+pub const LANES: usize = 8;
 
 /// Reduce the lanes in a fixed pairwise tree (part of the determinism
 /// contract: the same inputs always reduce in the same order).
@@ -258,7 +286,7 @@ impl Widen for F16cRows {
 
 /// One accumulator per (query, row) pair: eight lanes, aligned so the
 /// autovectorizer keeps it in one 256-bit (or two 128-bit) registers.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 #[repr(align(32))]
 struct Lanes([f32; LANES]);
 
@@ -483,6 +511,410 @@ pub fn l2_sq_panel(queries: &[&[f32]], panel: Panel<'_>, out: &mut [f32]) {
     panel_dispatch::<true>(queries, panel, out)
 }
 
+/// Column groups per pass of the column kernel on the baseline target:
+/// four 8-row accumulators in eight SSE2 registers, beside the broadcast
+/// query element and the loaded column block.
+const BASELINE_COLUMN_GROUPS: usize = 4;
+/// Column groups per pass under AVX2: eight 8-row accumulators — a whole
+/// 64-row panel at dim 256 — in eight of the sixteen 256-bit registers.
+const AVX2_COLUMN_GROUPS: usize = 8;
+
+/// The nonzero elements of a block of queries, each query's grouped lane
+/// by lane — element `i` in lane `i % LANES`, each lane's elements in
+/// ascending `i` — the order [`dot_columns`] walks them in. A `±0.0`
+/// element is left out: it is the term the column kernel skips.
+#[derive(Debug, Default)]
+pub struct SparseQueries {
+    /// `(dimension, value)` of every kept element, query after query.
+    terms: Vec<(u32, f32)>,
+    /// `ends[q * LANES + l]`: one past query `q`'s last lane-`l` term.
+    ends: Vec<usize>,
+    /// The queries' shared dimension.
+    dim: usize,
+}
+
+impl SparseQueries {
+    /// Append `query`'s nonzero elements as the next query. Panics on a
+    /// query of another dimension than the first.
+    pub fn push(&mut self, query: &[f32]) {
+        if self.ends.is_empty() {
+            self.dim = query.len();
+        }
+        assert_eq!(query.len(), self.dim, "ragged queries");
+        let dim = u32::try_from(query.len()).expect("a query dimension fits in u32");
+        for lane in 0..LANES as u32 {
+            let elements = (lane..dim).step_by(LANES).map(|i| (i, query[i as usize]));
+            self.terms.extend(elements.filter(|&(_, x)| x != 0.0));
+            self.ends.push(self.terms.len());
+        }
+    }
+
+    /// Query `q`'s terms, lane by lane.
+    fn lanes(&self, q: usize) -> [&[(u32, f32)]; LANES] {
+        let ends = &self.ends[q * LANES..(q + 1) * LANES];
+        let mut start = if q == 0 { 0 } else { self.ends[q * LANES - 1] };
+        let mut lanes = [[].as_slice(); LANES];
+        for (lane, &end) in lanes.iter_mut().zip(ends) {
+            *lane = &self.terms[start..end];
+            start = end;
+        }
+        lanes
+    }
+}
+
+/// A panel transposed for [`dot_columns`] and widened to `f32`: element
+/// `d` of row `r` sits at lane `r % LANES` of column block
+/// `d * groups + r / LANES`, so one block holds one dimension of eight
+/// consecutive rows. The last group's missing rows are zeros.
+#[derive(Debug, Default)]
+pub struct Columns {
+    blocks: Vec<Lanes>,
+    rows: usize,
+    dim: usize,
+    /// Row groups of [`LANES`] rows: the stride between two dimensions.
+    groups: usize,
+    /// False when the last [`Columns::load`] met a non-finite element.
+    finite: bool,
+}
+
+impl Columns {
+    /// Transpose the `rows` rows of `panel` into the columns, each element
+    /// widened exactly as the panel kernels widen it. Returns false when
+    /// an element is ±∞ or NaN: a zero query element times it is NaN, not
+    /// zero, so such a panel cannot skip its zero terms and is scored by
+    /// [`dot_panel`] instead. Panics unless `panel` is `rows` whole rows.
+    pub fn load(&mut self, panel: Panel<'_>, rows: usize) -> bool {
+        self.load_with(panel, rows, columns_dispatch)
+    }
+
+    /// [`Columns::load`] through one instantiation of [`transpose`].
+    fn load_with(&mut self, panel: Panel<'_>, rows: usize, transpose: Transpose) -> bool {
+        let dim = panel.len().checked_div(rows).unwrap_or(0);
+        assert_eq!(panel.len(), rows * dim, "panel is not rows × dim");
+        let groups = rows.div_ceil(LANES);
+        (self.rows, self.dim, self.groups) = (rows, dim, groups);
+        self.blocks.resize(dim * groups, Lanes([0.0; LANES]));
+        self.finite = transpose(panel, rows, dim, &mut self.blocks);
+        self.finite
+    }
+}
+
+/// How [`transpose`] turns eight widened rows of eight elements into
+/// eight columns: `flip(tile)[j][r] == tile[r][j]`. A pure data move, so
+/// every implementation gives the same bits.
+trait Flip {
+    fn flip(tile: [[f32; LANES]; LANES]) -> [[f32; LANES]; LANES];
+}
+
+/// The element-by-element transpose: the baseline target's path.
+struct PortableFlip;
+
+impl Flip for PortableFlip {
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    fn flip(tile: [[f32; LANES]; LANES]) -> [[f32; LANES]; LANES] {
+        let mut flipped = [[0.0; LANES]; LANES];
+        for j in 0..LANES {
+            for r in 0..LANES {
+                flipped[j][r] = tile[r][j];
+            }
+        }
+        flipped
+    }
+}
+
+/// The 8 × 8 transpose in 24 AVX shuffles. LLVM leaves [`PortableFlip`]
+/// as scalar moves: a 64-row F16 panel at dim 256 loaded in 10–15 µs that
+/// way, 5–6.5 µs this way. Instantiated only inside [`columns_avx2`].
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+struct Avx2Flip;
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+impl Flip for Avx2Flip {
+    #[inline(always)]
+    fn flip(tile: [[f32; LANES]; LANES]) -> [[f32; LANES]; LANES] {
+        #[cfg(target_arch = "x86")]
+        use std::arch::x86::*;
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::x86_64::*;
+        // SAFETY: `[f32; 8]` and `__m256` have the same size and every bit
+        // pattern is valid in both, and the shuffles touch registers only.
+        // AVX is present: `Avx2Flip` is instantiated only in
+        // `columns_avx2`, which runs only once `columns_dispatch` (or a
+        // test) has detected AVX2 and F16C on this host.
+        unsafe {
+            let r: [__m256; LANES] = std::mem::transmute(tile);
+            let t = [
+                _mm256_unpacklo_ps(r[0], r[1]),
+                _mm256_unpackhi_ps(r[0], r[1]),
+                _mm256_unpacklo_ps(r[2], r[3]),
+                _mm256_unpackhi_ps(r[2], r[3]),
+                _mm256_unpacklo_ps(r[4], r[5]),
+                _mm256_unpackhi_ps(r[4], r[5]),
+                _mm256_unpacklo_ps(r[6], r[7]),
+                _mm256_unpackhi_ps(r[6], r[7]),
+            ];
+            let u = [
+                _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+                _mm256_shuffle_ps::<0xee>(t[0], t[2]),
+                _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+                _mm256_shuffle_ps::<0xee>(t[1], t[3]),
+                _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+                _mm256_shuffle_ps::<0xee>(t[4], t[6]),
+                _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+                _mm256_shuffle_ps::<0xee>(t[5], t[7]),
+            ];
+            std::mem::transmute([
+                _mm256_permute2f128_ps::<0x20>(u[0], u[4]),
+                _mm256_permute2f128_ps::<0x20>(u[1], u[5]),
+                _mm256_permute2f128_ps::<0x20>(u[2], u[6]),
+                _mm256_permute2f128_ps::<0x20>(u[3], u[7]),
+                _mm256_permute2f128_ps::<0x31>(u[0], u[4]),
+                _mm256_permute2f128_ps::<0x31>(u[1], u[5]),
+                _mm256_permute2f128_ps::<0x31>(u[2], u[6]),
+                _mm256_permute2f128_ps::<0x31>(u[3], u[7]),
+            ])
+        }
+    }
+}
+
+/// An instantiation of [`transpose`] over either row storage.
+type Transpose = fn(Panel<'_>, usize, usize, &mut [Lanes]) -> bool;
+
+/// Transpose `rows` rows of `panel` into `blocks` (laid out as
+/// [`Columns`] documents), eight rows × eight dimensions at a time, and
+/// report whether every element is finite. Every block is written, the
+/// padding rows as zeros.
+#[inline(always)]
+fn transpose<W: Widen, X: Flip>(
+    panel: &[W::Elem],
+    rows: usize,
+    dim: usize,
+    blocks: &mut [Lanes],
+) -> bool {
+    let groups = rows.div_ceil(LANES);
+    let split = dim / LANES * LANES;
+    // An exponent field of all ones (±∞, NaN) carries into bit 31 once
+    // one more exponent step is added; every finite exponent stays below.
+    let mut carry = [0u32; LANES];
+    let mut check = |wide: &[f32; LANES]| {
+        for (c, x) in carry.iter_mut().zip(wide) {
+            *c |= (x.to_bits() & 0x7f80_0000) + 0x0080_0000;
+        }
+    };
+    // Dimension-major, so each column's blocks are written in one sweep
+    // down the groups: group-major strode across the whole scratch and
+    // took 1.8× as long.
+    let group = |g: usize| &panel[g * LANES * dim..((g + 1) * LANES).min(rows) * dim];
+    for at in (0..split).step_by(LANES) {
+        for g in 0..groups {
+            let mut tile = [[0.0f32; LANES]; LANES];
+            for (wide, row) in tile.iter_mut().zip(group(g).chunks_exact(dim)) {
+                *wide = W::block(row[at..at + LANES].try_into().expect("LANES elements"));
+                check(wide);
+            }
+            for (j, column) in X::flip(tile).into_iter().enumerate() {
+                blocks[(at + j) * groups + g] = Lanes(column);
+            }
+        }
+    }
+    for d in split..dim {
+        for g in 0..groups {
+            let mut column = [0.0f32; LANES];
+            for (wide, row) in column.iter_mut().zip(group(g).chunks_exact(dim)) {
+                *wide = W::one(row[d]);
+            }
+            check(&column);
+            blocks[d * groups + g] = Lanes(column);
+        }
+    }
+    carry.iter().all(|c| c & 0x8000_0000 == 0)
+}
+
+/// [`transpose`] compiled for the build's baseline target; F16 rows widen
+/// lane by lane.
+fn columns_baseline(panel: Panel<'_>, rows: usize, dim: usize, blocks: &mut [Lanes]) -> bool {
+    match panel {
+        Panel::F32(values) => transpose::<F32Rows, PortableFlip>(values, rows, dim, blocks),
+        Panel::F16(bytes) => {
+            transpose::<F16Rows, PortableFlip>(half_pairs(bytes), rows, dim, blocks)
+        }
+    }
+}
+
+/// [`transpose`] compiled with 256-bit registers; F16 rows widen a block
+/// at a time through F16C.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2,f16c")]
+fn columns_avx2(panel: Panel<'_>, rows: usize, dim: usize, blocks: &mut [Lanes]) -> bool {
+    match panel {
+        Panel::F32(values) => transpose::<F32Rows, Avx2Flip>(values, rows, dim, blocks),
+        Panel::F16(bytes) => transpose::<F16cRows, Avx2Flip>(half_pairs(bytes), rows, dim, blocks),
+    }
+}
+
+/// Run the widest instantiation of [`transpose`] the host supports.
+fn columns_dispatch(panel: Panel<'_>, rows: usize, dim: usize, blocks: &mut [Lanes]) -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if has_avx2_f16c() {
+        // SAFETY: `columns_avx2` is a safe function whose only requirement
+        // is that the CPU supports AVX2 and F16C, which the check above
+        // just established for this host.
+        return unsafe { columns_avx2(panel, rows, dim, blocks) };
+    }
+    columns_baseline(panel, rows, dim, blocks)
+}
+
+/// Score `P` row groups from group `from` on: each lane's terms in turn,
+/// one 8-row accumulator per group, then each row's eight lane sums in
+/// [`reduce`]'s tree. `out[g][r]` is row `(from + g) * LANES + r`'s dot.
+///
+/// The lane sums go through a plain array on purpose: computing them in
+/// a `lane(l)` closure and folding the tree as they arrive left the pass
+/// scalar (measured 10× slower), as [`Lanes::add_block`] warns.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn column_pass<const P: usize>(
+    lanes: &[&[(u32, f32)]; LANES],
+    blocks: &[Lanes],
+    groups: usize,
+    from: usize,
+    out: &mut [[f32; LANES]],
+) {
+    let mut sums = [[Lanes([0.0; LANES]); P]; LANES];
+    for l in 0..LANES {
+        let mut acc = [Lanes([0.0; LANES]); P];
+        for &(d, x) in lanes[l] {
+            let column: &[Lanes; P] =
+                blocks[d as usize * groups + from..][..P].try_into().expect("P blocks");
+            for g in 0..P {
+                for r in 0..LANES {
+                    acc[g].0[r] += x * column[g].0[r];
+                }
+            }
+        }
+        sums[l] = acc;
+    }
+    for g in 0..P {
+        let s = |l: usize| sums[l][g];
+        let (low, high) = ((s(0) + s(1)) + (s(2) + s(3)), (s(4) + s(5)) + (s(6) + s(7)));
+        out[g] = (low + high).0;
+    }
+}
+
+/// Lane-wise sum: [`reduce`]'s additions for eight rows at once.
+impl std::ops::Add for Lanes {
+    type Output = Lanes;
+    #[inline(always)]
+    fn add(mut self, other: Lanes) -> Lanes {
+        for (x, y) in self.0.iter_mut().zip(other.0) {
+            *x += y;
+        }
+        self
+    }
+}
+
+/// What [`dot_columns`] does with each row group's dots. The kernel body
+/// is compiled once per target, and an `#[inline(always)]` [`GroupSink::group`]
+/// is compiled into it — packed under AVX2 like the kernel — where a
+/// closure was left as a call on the baseline target (eight scalar
+/// divides per group for Cosine). Any `FnMut(first, dots)` is a sink.
+pub trait GroupSink {
+    /// The dots of rows `first..first + LANES`, in row order.
+    fn group(&mut self, first: usize, dots: [f32; LANES]);
+}
+
+impl<F: FnMut(usize, [f32; LANES])> GroupSink for F {
+    #[inline(always)]
+    fn group(&mut self, first: usize, dots: [f32; LANES]) {
+        self(first, dots)
+    }
+}
+
+/// The column kernel body: every row group of `columns`, `G` groups a
+/// pass and the groups left over in passes of four, two and one, each
+/// group's scores handed to `sink` in row order.
+#[inline(always)]
+fn columns_body<const G: usize>(
+    lanes: [&[(u32, f32)]; LANES],
+    columns: &Columns,
+    sink: &mut impl GroupSink,
+) {
+    let (blocks, groups) = (&columns.blocks[..], columns.groups);
+    let mut scores = [[0.0f32; LANES]; G];
+    let mut from = 0;
+    while from < groups {
+        let pass = match groups - from {
+            left if left >= G => G,
+            left if left >= 4 => 4,
+            left if left >= 2 => 2,
+            _ => 1,
+        };
+        let out = &mut scores[..pass];
+        match pass {
+            p if p == G => column_pass::<G>(&lanes, blocks, groups, from, out),
+            4 => column_pass::<4>(&lanes, blocks, groups, from, out),
+            2 => column_pass::<2>(&lanes, blocks, groups, from, out),
+            _ => column_pass::<1>(&lanes, blocks, groups, from, out),
+        }
+        for (g, &group) in out.iter().enumerate() {
+            sink.group((from + g) * LANES, group);
+        }
+        from += pass;
+    }
+}
+
+/// [`columns_body`] compiled for the build's baseline target.
+fn columns_kernel_baseline(
+    lanes: [&[(u32, f32)]; LANES],
+    columns: &Columns,
+    sink: &mut impl GroupSink,
+) {
+    columns_body::<BASELINE_COLUMN_GROUPS>(lanes, columns, sink)
+}
+
+/// [`columns_body`] compiled with 256-bit registers.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2,f16c")]
+fn columns_kernel_avx2(
+    lanes: [&[(u32, f32)]; LANES],
+    columns: &Columns,
+    sink: &mut impl GroupSink,
+) {
+    columns_body::<AVX2_COLUMN_GROUPS>(lanes, columns, sink)
+}
+
+/// [`dot`] of query `q` of `queries` with every row of `columns`, bit for
+/// bit, skipping the query's zero elements: `sink` receives the dots of
+/// rows `first..first + LANES` for every group of rows, in row order (the
+/// last group's padding rows score `0.0`).
+///
+/// Each lane adds the same products in the same order as [`dot`], minus
+/// the skipped ones, and each skipped product is `±0.0` (a zero times a
+/// finite element, which [`Columns::load`] guarantees). A lane sum starts
+/// at `+0.0` and, rounding to nearest, a sum is `−0.0` only when both
+/// addends are, so no lane sum is ever `−0.0` — and adding `±0.0` to
+/// anything else leaves it unchanged. Panics on a non-finite load or a
+/// query of another dimension.
+pub fn dot_columns(
+    queries: &SparseQueries,
+    q: usize,
+    columns: &Columns,
+    sink: &mut impl GroupSink,
+) {
+    assert!(columns.finite || columns.rows == 0, "columns hold a non-finite element");
+    assert!(columns.rows == 0 || queries.dim == columns.dim, "query dimension mismatch");
+    let lanes = queries.lanes(q);
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if has_avx2_f16c() {
+        // SAFETY: `columns_kernel_avx2` is a safe function whose only
+        // requirement is that the CPU supports AVX2 and F16C, which the
+        // check above just established for this host.
+        return unsafe { columns_kernel_avx2(lanes, columns, sink) };
+    }
+    columns_kernel_baseline(lanes, columns, sink)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,6 +1057,129 @@ mod tests {
                         "{which} {bits:#06x}, after one product"
                     );
                 }
+            }
+        }
+    }
+
+    /// A query with roughly `1 / sparsity` of its elements nonzero, the
+    /// zeros alternating `+0.0` and `−0.0`.
+    fn sparse_sample(n: usize, seed: u64, sparsity: u64) -> Vec<f32> {
+        let mut q = sample(n, seed);
+        for (i, x) in q.iter_mut().enumerate() {
+            if !crate::splitmix64(seed.wrapping_mul(31) ^ i as u64).is_multiple_of(sparsity) {
+                *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        q
+    }
+
+    #[test]
+    fn column_kernel_matches_dot_bitwise() {
+        // Every transposition × kernel instantiation, over F32 and F16
+        // rows: ragged lane tails (dims 1–257), every row-group remainder
+        // (the passes of eight, four, two and one), and queries from dense
+        // to all-zero, with `−0.0` entries and a lone nonzero.
+        type Kernel = fn(&SparseQueries, usize, &Columns, &mut dyn FnMut(usize, [f32; LANES]));
+        // Every `FnMut(first, dots)` is a sink, a `&mut dyn` one included.
+        let mut transposes: Vec<(&str, Transpose)> =
+            vec![("baseline", columns_baseline), ("dispatched", columns_dispatch)];
+        let mut kernels: Vec<(&str, Kernel)> = vec![
+            ("baseline", |s, q, c, mut f| columns_kernel_baseline(s.lanes(q), c, &mut f)),
+            ("dispatched", |s, q, c, mut f| dot_columns(s, q, c, &mut f)),
+        ];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2_f16c() {
+            // SAFETY (both): AVX2 and F16C were detected on this host just
+            // above.
+            transposes.push(("avx2+f16c", |p, r, d, b| unsafe { columns_avx2(p, r, d, b) }));
+            kernels.push(("avx2+f16c", |s, q, c, mut f| unsafe {
+                columns_kernel_avx2(s.lanes(q), c, &mut f)
+            }));
+        }
+        for dim in [1usize, 7, 8, 9, 19, 31, 255, 256, 257] {
+            let mut queries: Vec<Vec<f32>> = [1, 2, 4, 16, 1_000_000]
+                .iter()
+                .map(|&s| sparse_sample(dim, dim as u64 + s, s))
+                .collect();
+            let mut lone = vec![0.0; dim];
+            lone[dim / 2] = 0.75;
+            queries.extend([vec![-0.0; dim], lone]);
+            let mut sparse = SparseQueries::default();
+            queries.iter().for_each(|q| sparse.push(q));
+            for rows in (0..=17).chain([64]) {
+                let panel = sample(rows * dim, 7 + dim as u64);
+                let half = crate::f16::encode_f16_bytes(&panel);
+                let decoded = crate::f16::decode_f16_bytes(&half).expect("whole byte pairs");
+                for (rows_as, stored, values) in
+                    [("f32", Panel::F32(&panel), &panel), ("f16", Panel::F16(&half), &decoded)]
+                {
+                    for &(t_name, transpose) in &transposes {
+                        let mut columns = Columns::default();
+                        assert!(columns.load_with(stored, rows, transpose));
+                        for &(k_name, kernel) in &kernels {
+                            for (q, query) in queries.iter().enumerate() {
+                                let mut got =
+                                    vec![f32::NAN.to_bits(); rows.div_ceil(LANES) * LANES];
+                                kernel(&sparse, q, &columns, &mut |first, scores| {
+                                    for (g, s) in got[first..first + LANES].iter_mut().zip(scores) {
+                                        *g = s.to_bits();
+                                    }
+                                });
+                                let mut expect: Vec<u32> = values
+                                    .chunks_exact(dim)
+                                    .map(|r| dot(query, r).to_bits())
+                                    .collect();
+                                expect.resize(got.len(), 0.0f32.to_bits());
+                                assert_eq!(
+                                    got, expect,
+                                    "{t_name} transpose, {k_name} kernel, {rows_as} dim={dim} \
+                                     rows={rows} query={q}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn columns_refuse_non_finite_rows() {
+        // A zero query element times ±∞ or NaN is NaN, so such a panel
+        // must take the dense tile: every instantiation flags it, wherever
+        // the element sits (a full lane block or the ragged tail).
+        let (dim, rows) = (19, 11);
+        let panel = sample(rows * dim, 3);
+        let mut transposes: Vec<Transpose> = vec![columns_baseline, columns_dispatch];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if has_avx2_f16c() {
+            // SAFETY: AVX2 and F16C were detected on this host just above.
+            transposes.push(|p, r, d, b| unsafe { columns_avx2(p, r, d, b) });
+        }
+        for transpose in transposes {
+            let mut columns = Columns::default();
+            assert!(columns.load_with(Panel::F32(&panel), rows, transpose));
+            for at in [0, 9, 17, rows * dim - 1] {
+                for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                    let mut panel = panel.clone();
+                    panel[at] = bad;
+                    let half = crate::f16::encode_f16_bytes(&panel);
+                    assert!(
+                        !columns.load_with(Panel::F32(&panel), rows, transpose),
+                        "{bad} at {at}"
+                    );
+                    assert!(
+                        !columns.load_with(Panel::F16(&half), rows, transpose),
+                        "{bad} at {at}"
+                    );
+                }
+                // The largest finite magnitudes stay finite.
+                let mut panel = panel.clone();
+                panel[at] = f32::MAX;
+                assert!(columns.load_with(Panel::F32(&panel), rows, transpose));
+                panel[at] = 65504.0;
+                let half = crate::f16::encode_f16_bytes(&panel[..]);
+                assert!(columns.load_with(Panel::F16(&half), rows, transpose));
             }
         }
     }

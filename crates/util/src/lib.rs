@@ -20,8 +20,6 @@
 //!   retrieval.
 //! * [`stats`] — accuracy accounting and Wilson score intervals used by the
 //!   evaluation harness.
-//! * [`timer`] — lightweight wall-clock scopes for the runtime's stage
-//!   metrics.
 
 pub mod codec;
 pub mod f16;
@@ -30,11 +28,9 @@ pub mod hits;
 pub mod kernel;
 pub mod stats;
 pub(crate) mod stochastic;
-pub mod timer;
 
 pub use f16::F16;
 pub use hash::{fnv1a, splitmix64, LaneHasher, StableHasher};
 pub use hits::{cmp_hits, sort_hits, SearchResult, TopK};
 pub use stats::Accuracy;
 pub use stochastic::KeyedStochastic;
-pub use timer::ScopeTimer;

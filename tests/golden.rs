@@ -120,3 +120,21 @@ fn scale_002_seed42_eval_is_pinned() {
     assert_eq!(out.models.ledger().total().calls, 85_465, "model-call census moved");
     assert_eq!(out.models.cache().len(), 31_169, "distinct cached requests moved");
 }
+
+/// The evaluation tables at ten times the benchmark's scale: a replay of
+/// a few thousand stems, whose scan tasks hold blocks of hundreds to
+/// thousands of queries — the shapes the 0.02 pin above never builds.
+/// Release-only (≈ 5 s there, minutes in debug); CI's release suite runs
+/// it with `--test golden`. Captured at 32b33ae.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn scale_02_seed42_eval_is_pinned() {
+    let out = Pipeline::run(&PipelineConfig::at_scale(0.2, 42));
+    let run = Evaluator::new(&out, EvalConfig::default()).run();
+    let models_json = serde_json::to_string(&run.models).expect("serialises");
+    assert_eq!(
+        distllm::util::fnv1a(models_json.as_bytes()),
+        0x1a4c_3f20_bc35_c5ea,
+        "the scale-0.2 evaluation tables are no longer byte-identical to the golden run"
+    );
+}
