@@ -321,11 +321,11 @@ impl EmbeddingMatrix {
         out
     }
 
-    /// `(dim, rows)` from the header of [`EmbeddingMatrix::to_bytes`]
-    /// output, without touching row data. `None` for a header no matrix
-    /// can have: `dim == 0` (which [`EmbeddingMatrix::new`] refuses), or a
-    /// shape whose decoded size overflows `usize`.
-    pub(crate) fn peek_shape(bytes: &[u8]) -> Option<(usize, usize)> {
+    /// Deserialise from bytes produced by [`EmbeddingMatrix::to_bytes`].
+    /// `None` also for a header no matrix can have: `dim == 0` (which
+    /// [`EmbeddingMatrix::new`] refuses), or a shape whose decoded size
+    /// overflows `usize`.
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 13 || &bytes[..4] != b"EMBX" {
             return None;
         }
@@ -335,19 +335,13 @@ impl EmbeddingMatrix {
             return None;
         }
         dim.checked_mul(rows)?.checked_mul(4)?;
-        Some((dim, rows))
-    }
-
-    /// Deserialise from bytes produced by [`EmbeddingMatrix::to_bytes`].
-    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let (dim, rows) = Self::peek_shape(bytes)?;
         let precision = match bytes[12] {
             0 => Precision::F32,
             1 => Precision::F16,
             _ => return None,
         };
         let payload = &bytes[13..];
-        // `peek_shape` vouched for `dim * rows * 4`.
+        // The header check vouched for `dim * rows * 4`.
         let mut m = match precision {
             Precision::F32 => {
                 if payload.len() != dim * rows * 4 {
@@ -552,7 +546,6 @@ mod tests {
             // dim 0: an empty payload "matches" any row count.
             for rows in [0, 5, u32::MAX] {
                 let b = header(0, rows, precision);
-                assert!(EmbeddingMatrix::peek_shape(&b).is_none(), "dim 0, rows {rows}");
                 assert!(EmbeddingMatrix::from_bytes(&b).is_none(), "dim 0, rows {rows}");
             }
             // Shapes whose decoded size overflows 64 bits. 2³¹ · 2³¹ · 4
@@ -560,14 +553,13 @@ mod tests {
             // against an empty payload — and then walk 2³¹ rows.
             for (dim, rows) in [(u32::MAX, u32::MAX), (1 << 31, 1 << 31)] {
                 let b = header(dim, rows, precision);
-                assert!(EmbeddingMatrix::peek_shape(&b).is_none(), "{dim} × {rows}");
                 assert!(EmbeddingMatrix::from_bytes(&b).is_none(), "{dim} × {rows}");
             }
         }
         // The smallest legal header still decodes.
         let empty = header(3, 0, 1);
-        assert_eq!(EmbeddingMatrix::peek_shape(&empty), Some((3, 0)));
-        assert!(EmbeddingMatrix::from_bytes(&empty).unwrap().is_empty());
+        let m = EmbeddingMatrix::from_bytes(&empty).unwrap();
+        assert_eq!((m.dim(), m.len()), (3, 0));
     }
 
     #[test]

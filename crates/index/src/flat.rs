@@ -26,7 +26,6 @@ use mcqa_runtime::{run_stage, Executor};
 use crate::codec::{decode_metric, encode_metric, put_u64, Reader};
 use crate::metric::Metric;
 use crate::scan::QueryBlock;
-use crate::spec::StoreHeader;
 use crate::tombstones::Tombstones;
 use crate::{panel_rows, SearchResult, VectorStore};
 
@@ -60,28 +59,13 @@ impl FlatIndex {
     /// Deserialise from [`VectorStore::to_bytes`] output.
     pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        let (metric, matrix) = Self::read_prefix(&mut r)?;
-        let matrix = EmbeddingMatrix::from_bytes(matrix)?;
-        let n = matrix.len();
-        let ids: Vec<u64> = (0..n).map(|_| r.u64()).collect::<Option<_>>()?;
-        r.exhausted().then_some(Self { matrix, ids, metric, dead: Tombstones::all_live(n) })
-    }
-
-    /// Magic tag, metric and the length-framed matrix blob: everything
-    /// ahead of the id column.
-    fn read_prefix<'a>(r: &mut Reader<'a>) -> Option<(Metric, &'a [u8])> {
         r.expect_magic(Self::MAGIC)?;
         let metric = decode_metric(r.u8()?)?;
         let mlen = r.u64()? as usize;
-        Some((metric, r.take(mlen)?))
-    }
-
-    /// The header facts of [`VectorStore::to_bytes`] output, read without
-    /// decoding a row.
-    pub(crate) fn peek_header(bytes: &[u8]) -> Option<StoreHeader> {
-        let (metric, matrix) = Self::read_prefix(&mut Reader::new(bytes))?;
-        let (dim, len) = EmbeddingMatrix::peek_shape(matrix)?;
-        Some(StoreHeader { backend: "flat", metric, dim, len, needs_training: false })
+        let matrix = EmbeddingMatrix::from_bytes(r.take(mlen)?)?;
+        let n = matrix.len();
+        let ids: Vec<u64> = (0..n).map(|_| r.u64()).collect::<Option<_>>()?;
+        r.exhausted().then_some(Self { matrix, ids, metric, dead: Tombstones::all_live(n) })
     }
 
     /// Drop the tombstoned rows in place, keeping live rows in position

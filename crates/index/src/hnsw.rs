@@ -29,7 +29,6 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::codec::{decode_metric, encode_metric, put_f32s, put_u32, put_u64, Reader};
 use crate::metric::Metric;
-use crate::spec::StoreHeader;
 use crate::tombstones::Tombstones;
 use crate::{sort_hits, SearchResult, VectorStore};
 
@@ -139,7 +138,16 @@ impl HnswIndex {
     /// Deserialise from [`VectorStore::to_bytes`] output.
     pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        let (metric, dim, config, n) = Self::read_prefix(&mut r)?;
+        r.expect_magic(Self::MAGIC)?;
+        let metric = decode_metric(r.u8()?)?;
+        let dim = r.u32()? as usize;
+        let config = HnswConfig {
+            m: r.u32()? as usize,
+            ef_construction: r.u32()? as usize,
+            ef_search: r.u32()? as usize,
+            seed: r.u64()?,
+        };
+        let n = r.count(8 + dim * 4)?;
         if config.m < 2 || config.ef_construction < config.m || config.ef_search == 0 {
             return None;
         }
@@ -200,29 +208,6 @@ impl HnswIndex {
             entry,
             max_layer,
         })
-    }
-
-    /// Magic tag, metric, dimensionality, config and node count:
-    /// everything ahead of the graph.
-    fn read_prefix(r: &mut Reader<'_>) -> Option<(Metric, usize, HnswConfig, usize)> {
-        r.expect_magic(Self::MAGIC)?;
-        let metric = decode_metric(r.u8()?)?;
-        let dim = r.u32()? as usize;
-        let config = HnswConfig {
-            m: r.u32()? as usize,
-            ef_construction: r.u32()? as usize,
-            ef_search: r.u32()? as usize,
-            seed: r.u64()?,
-        };
-        let n = r.count(8 + dim * 4)?;
-        Some((metric, dim, config, n))
-    }
-
-    /// The header facts of [`VectorStore::to_bytes`] output, read without
-    /// decoding a node.
-    pub(crate) fn peek_header(bytes: &[u8]) -> Option<StoreHeader> {
-        let (metric, dim, _, len) = Self::read_prefix(&mut Reader::new(bytes))?;
-        Some(StoreHeader { backend: "hnsw", metric, dim, len, needs_training: false })
     }
 
     /// Geometric level draw, deterministic per id.

@@ -26,17 +26,16 @@
 //! * `spec` — [`IndexSpec`] (the *configuration* of a backend) plus the
 //!   [`build_store`] factory and the [`decode_store`] codec, so consumers
 //!   pick a backend by value instead of by type. Each wire format's
-//!   layout — header walk included — is known only to the module that
-//!   writes it; [`decode_store`] and `peek_store_header` just dispatch
-//!   on the magic tag.
+//!   layout is known only to the module that writes it; [`decode_store`]
+//!   just dispatches on the magic tag.
 //! * [`lexical`] — the keyword channel: [`lexical::LexicalIndex`], the
 //!   BM25 sibling every dense store pairs with, and dense + lexical rank
 //!   fusion.
 //! * [`registry`] — a named multi-database registry (chunks + three trace
 //!   modes, like the paper's four FAISS stores), round-trippable to bytes.
-//!   Every entry, dense store or lexical sibling, sits in one lazy slot:
-//!   [`IndexRegistry::open_bytes`] validates headers now and decodes an
-//!   entry on first touch.
+//!   [`IndexRegistry::from_bytes`] decodes every entry, dense store or
+//!   lexical sibling, when it opens a blob, and refuses the blob if any
+//!   entry is corrupt.
 //!
 //! The trait surface covers the whole store lifecycle: [`VectorStore::train`]
 //! (a no-op for everything but the coarse quantisers), [`VectorStore::add`] /

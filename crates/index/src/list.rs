@@ -45,7 +45,6 @@ use crate::codec::{
 use crate::kmeans;
 use crate::metric::Metric;
 use crate::scan::QueryBlock;
-use crate::spec::StoreHeader;
 use crate::tombstones::Tombstones;
 use crate::{panel_rows, SearchResult, TopK, VectorStore};
 
@@ -170,10 +169,8 @@ pub trait RowCodec: Clone + Send + Sync + Sized + 'static {
     ) -> Option<Self>;
     /// Write one list: its entry count and framed body.
     fn put_list(&self, ids: &[u64], rows: &[Self::Elem], out: &mut Vec<u8>);
-    /// Take one list off the cursor undecoded: `(entries, body)`.
-    fn take_list<'a>(&self, r: &mut Reader<'a>) -> Option<(usize, &'a [u8])>;
-    /// Decode a body [`RowCodec::take_list`] returned into ids and rows.
-    fn read_list(&self, entries: usize, body: &[u8]) -> Option<(Vec<u64>, Vec<Self::Elem>)>;
+    /// Read what [`RowCodec::put_list`] wrote: the list's ids and rows.
+    fn read_list(&self, r: &mut Reader<'_>) -> Option<(Vec<u64>, Vec<Self::Elem>)>;
 }
 
 /// One inverted list: parallel arrays, one slot per entry. Tombstoned
@@ -359,13 +356,13 @@ impl<C: RowCodec> ListStore<C> {
         }
     }
 
-    /// Magic tag through the list count: everything ahead of the lists.
-    /// Returns the store with its lists still empty, and their count.
-    fn read_prefix(r: &mut Reader<'_>) -> Option<(Self, usize)> {
+    /// Deserialise from [`VectorStore::to_bytes`] output.
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(bytes);
         r.expect_magic(C::MAGIC)?;
         let metric = decode_metric(r.u8()?)?;
         let dim = r.u32()? as usize;
-        let config = C::read_config(r)?;
+        let config = C::read_config(&mut r)?;
         let coarse = C::coarse(&config);
         if coarse.nlist == 0 || coarse.nprobe == 0 || !C::valid(&config) {
             return None;
@@ -375,7 +372,7 @@ impl<C: RowCodec> ListStore<C> {
             1 => true,
             _ => return None,
         };
-        let codec = C::read_params(r, dim, &config, trained)?;
+        let codec = C::read_params(&mut r, dim, &config, trained)?;
         let n_centroids = r.count(dim * 4)?;
         let centroids: Vec<Vec<f32>> =
             (0..n_centroids).map(|_| r.f32_vec(dim)).collect::<Option<_>>()?;
@@ -385,7 +382,7 @@ impl<C: RowCodec> ListStore<C> {
         if n_lists != n_centroids || (!trained && n_lists != 0) {
             return None;
         }
-        let store = Self {
+        let mut store = Self {
             config,
             dim,
             metric,
@@ -395,39 +392,13 @@ impl<C: RowCodec> ListStore<C> {
             len: 0,
             cache: PanelCache::default(),
         };
-        Some((store, n_lists))
-    }
-
-    /// The header facts of [`VectorStore::to_bytes`] output: walks the
-    /// list framing for the row count but never decodes a row.
-    pub(crate) fn peek_header(bytes: &[u8]) -> Option<StoreHeader> {
-        let mut r = Reader::new(bytes);
-        let (store, n_lists) = Self::read_prefix(&mut r)?;
-        let mut len = 0usize;
-        for _ in 0..n_lists {
-            len = len.checked_add(store.codec.as_ref()?.take_list(&mut r)?.0)?;
-        }
-        Some(StoreHeader {
-            backend: C::LABEL,
-            metric: store.metric,
-            dim: store.dim,
-            len,
-            needs_training: true,
-        })
-    }
-
-    /// Deserialise from [`VectorStore::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let (mut store, n_lists) = Self::read_prefix(&mut r)?;
         for li in 0..n_lists {
             let codec = store.codec.as_ref()?;
-            let (entries, body) = codec.take_list(&mut r)?;
-            let (ids, rows) = codec.read_list(entries, body)?;
+            let (ids, rows) = codec.read_list(&mut r)?;
             // Norms are derived data: recomputed through the same path
             // insert-time caching uses, so the decoded store searches
             // bit-identically to the original.
-            let (centroid, row_len) = (&store.centroids[li], codec.row_len());
+            let (centroid, row_len, entries) = (&store.centroids[li], codec.row_len(), ids.len());
             let norms = (0..entries)
                 .map(|e| {
                     store.stored_sq_norm(codec, &rows[e * row_len..(e + 1) * row_len], centroid)
@@ -709,14 +680,8 @@ impl RowCodec for F32Rows {
         }
     }
 
-    fn take_list<'a>(&self, r: &mut Reader<'a>) -> Option<(usize, &'a [u8])> {
-        let entry = self.dim.checked_mul(4)?.checked_add(8)?;
-        let entries = r.count(entry)?;
-        Some((entries, r.take(entries.checked_mul(entry)?)?))
-    }
-
-    fn read_list(&self, entries: usize, body: &[u8]) -> Option<(Vec<u64>, Vec<f32>)> {
-        let mut r = Reader::new(body);
+    fn read_list(&self, r: &mut Reader<'_>) -> Option<(Vec<u64>, Vec<f32>)> {
+        let entries = r.count(self.dim.checked_mul(4)?.checked_add(8)?)?;
         let mut ids = Vec::with_capacity(entries);
         let mut rows = Vec::with_capacity(entries * self.dim);
         for _ in 0..entries {
@@ -937,9 +902,8 @@ impl RowCodec for ResidualCodec {
     }
 
     /// `u32 entries`, `u32 body length`, then the body: delta + zigzag
-    /// varint ids followed by the packed codes — so a header walk skips
-    /// the body whole, and the serialised store stays close to `bits/8`
-    /// bytes per dimension.
+    /// varint ids followed by the packed codes, so the serialised store
+    /// stays close to `bits/8` bytes per dimension.
     fn put_list(&self, ids: &[u64], rows: &[u8], out: &mut Vec<u8>) {
         put_u32(out, ids.len());
         let mut body = Vec::with_capacity(ids.len() * 2 + rows.len());
@@ -955,14 +919,10 @@ impl RowCodec for ResidualCodec {
         out.extend_from_slice(&body);
     }
 
-    fn take_list<'a>(&self, r: &mut Reader<'a>) -> Option<(usize, &'a [u8])> {
+    fn read_list(&self, r: &mut Reader<'_>) -> Option<(Vec<u64>, Vec<u8>)> {
         let entries = r.count(self.code_bytes().max(1))?;
         let body_len = r.count(1)?;
-        Some((entries, r.take(body_len)?))
-    }
-
-    fn read_list(&self, entries: usize, body: &[u8]) -> Option<(Vec<u64>, Vec<u8>)> {
-        let mut r = Reader::new(body);
+        let mut r = Reader::new(r.take(body_len)?);
         let mut ids = Vec::with_capacity(entries);
         let mut prev = 0i64;
         for _ in 0..entries {
@@ -980,7 +940,6 @@ mod tests {
     use crate::decode_store;
     use crate::embed::Precision;
     use crate::flat::FlatIndex;
-    use crate::spec::peek_store_header;
     use mcqa_util::KeyedStochastic;
 
     /// Clustered synthetic vectors: `n` points around `c` centres.
@@ -1200,28 +1159,6 @@ mod tests {
         assert_eq!(back.len(), 0);
     }
 
-    fn peek_header_matches_the_decoded_store<C: Suite>() {
-        let dim = 12;
-        let data = clustered(90, 4, dim, 13);
-        let mut store = trained::<C>(dim, &data, C::config(8, 3, 4, 9));
-        store.remove(&[1, 2, 3]);
-        for (label, bytes) in [("trained", store.to_bytes()), ("new", untrained::<C>(5).to_bytes())]
-        {
-            let header = peek_store_header(&bytes).expect("header decodes");
-            let decoded = decode_store(&bytes).expect("store decodes");
-            assert_eq!(header.backend, C::LABEL, "{label}");
-            assert_eq!(header.len, decoded.len(), "{label}");
-            assert_eq!(header.dim, decoded.dim(), "{label}");
-            assert_eq!(header.metric, decoded.metric(), "{label}");
-            assert_eq!(header.needs_training, decoded.needs_training(), "{label}");
-            // Every cut that loses a header field or a list frame is
-            // rejected; cuts inside the last list's body are the lazy
-            // path's documented first-use panic, not an open-time error.
-            assert!(peek_store_header(&bytes[..bytes.len().min(30)]).is_none(), "{label}");
-        }
-        assert_eq!(peek_store_header(&store.to_bytes()).unwrap().len, 87);
-    }
-
     fn untrained_header_with_lists_is_rejected<C: Suite>() {
         // Lists are scanned through the codec and indexed by centroid, so
         // a blob claiming lists without training must not decode.
@@ -1231,7 +1168,6 @@ mod tests {
         bytes[n - 4] = 1; // one list…
         bytes.extend_from_slice(&[0u8; 8]); // …holding no entries
         assert!(ListStore::<C>::from_bytes(&bytes).is_none());
-        assert!(peek_store_header(&bytes).is_none());
     }
 
     fn ids_past_i64_max_roundtrip<C: Suite>() {
@@ -1281,7 +1217,6 @@ mod tests {
             search_batch_is_identical_to_sequential,
             remove_upsert_compact_match_rebuild_with_same_training,
             serialisation_roundtrip_preserves_search_bits,
-            peek_header_matches_the_decoded_store,
             untrained_header_with_lists_is_rejected,
             ids_past_i64_max_roundtrip,
         ],

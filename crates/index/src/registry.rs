@@ -13,101 +13,22 @@
 //! name (the pipeline uses `lex-chunks` / `lex-traces-<mode>`). Siblings
 //! ride the same serialised registry as a trailing lexical section.
 //!
-//! Every entry of either kind sits in one slot type: raw bytes plus the
-//! decoded value, filled once. [`IndexRegistry::from_bytes`] fills every
-//! slot now; [`IndexRegistry::open_bytes`] checks each entry's header and
-//! leaves its body raw until the first call that needs it.
+//! A registry holds decoded values only: [`IndexRegistry::from_bytes`]
+//! decodes every entry of both sections when it opens a blob and refuses
+//! the whole blob if any entry is corrupt, so no lookup ever meets bytes.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use crate::codec::{put_u32, Reader};
 use crate::lexical::LexicalIndex;
-use crate::spec::peek_store_header;
 use crate::{decode_store, VectorStore};
 
-/// How one kind of registry entry is checked, decoded and encoded.
-trait Entry: Sized {
-    /// The open-time check of a serialised entry: its header, not its body.
-    fn header_ok(bytes: &[u8]) -> bool;
-    fn decode(bytes: &[u8]) -> Option<Self>;
-    fn encode(&self) -> Vec<u8>;
-}
-
-impl Entry for Box<dyn VectorStore> {
-    fn header_ok(bytes: &[u8]) -> bool {
-        peek_store_header(bytes).is_some()
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        decode_store(bytes)
-    }
-    fn encode(&self) -> Vec<u8> {
-        self.to_bytes()
-    }
-}
-
-impl Entry for LexicalIndex {
-    fn header_ok(bytes: &[u8]) -> bool {
-        bytes.starts_with(LexicalIndex::MAGIC)
-    }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        LexicalIndex::from_bytes(bytes)
-    }
-    fn encode(&self) -> Vec<u8> {
-        self.to_bytes()
-    }
-}
-
-/// One registry entry: the raw bytes it was opened from (empty for an
-/// eager slot) and the decoded value, filled on first touch.
-#[derive(Clone)]
-struct Slot<T> {
-    bytes: Vec<u8>,
-    value: OnceLock<T>,
-}
-
-impl<T: Entry> Slot<T> {
-    fn eager(value: T) -> Self {
-        Self { bytes: Vec::new(), value: OnceLock::from(value) }
-    }
-
-    fn lazy(bytes: Vec<u8>) -> Self {
-        Self { bytes, value: OnceLock::new() }
-    }
-
-    /// The decoded value, decoding on first touch. Opening checked only
-    /// the header, so a corrupt body panics here, naming the entry.
-    fn get(&self, name: &str) -> &T {
-        self.value.get_or_init(|| {
-            T::decode(&self.bytes)
-                .unwrap_or_else(|| panic!("registry entry '{name}': body is corrupt"))
-        })
-    }
-
-    /// Mutable access, decoding first.
-    fn get_mut(&mut self, name: &str) -> &mut T {
-        self.get(name);
-        self.value.get_mut().expect("decoded above")
-    }
-
-    /// The decoded value, if any; never decodes.
-    fn decoded(&self) -> Option<&T> {
-        self.value.get()
-    }
-
-    /// Raw pass-through while undecoded, a fresh encode otherwise.
-    fn to_bytes(&self) -> Vec<u8> {
-        self.decoded().map_or_else(|| self.bytes.clone(), T::encode)
-    }
-}
-
 /// A registry of named vector stores plus their lexical siblings. A clone
-/// is a deep copy of every entry (see [`VectorStore::boxed_clone`]); an
-/// undecoded entry copies its raw bytes.
+/// is a deep copy of every entry (see [`VectorStore::boxed_clone`]).
 #[derive(Clone, Default)]
 pub struct IndexRegistry {
-    stores: BTreeMap<String, Slot<Box<dyn VectorStore>>>,
-    lexical: BTreeMap<String, Slot<LexicalIndex>>,
+    stores: BTreeMap<String, Box<dyn VectorStore>>,
+    lexical: BTreeMap<String, LexicalIndex>,
 }
 
 impl IndexRegistry {
@@ -121,14 +42,13 @@ impl IndexRegistry {
 
     /// Register a store under `name`, replacing any existing one.
     pub fn insert(&mut self, name: &str, store: Box<dyn VectorStore>) {
-        self.stores.insert(name.to_string(), Slot::eager(store));
+        self.stores.insert(name.to_string(), store);
     }
 
-    /// Borrow a store by name, decoding it on first touch. Prefer
-    /// [`IndexRegistry::expect_store`] on paths where the store's absence
-    /// is a bug.
+    /// Borrow a store by name. Prefer [`IndexRegistry::expect_store`] on
+    /// paths where the store's absence is a bug.
     pub fn get(&self, name: &str) -> Option<&dyn VectorStore> {
-        self.stores.get(name).map(|s| s.get(name).as_ref())
+        self.stores.get(name).map(|s| s.as_ref())
     }
 
     /// Borrow a store that must exist. Panics with the registered names
@@ -142,7 +62,7 @@ impl IndexRegistry {
     /// Mutably borrow a store by name — the incremental-ingest path, which
     /// applies `remove`/`upsert`/`compact` in place.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Box<dyn VectorStore>> {
-        self.stores.get_mut(name).map(|s| s.get_mut(name))
+        self.stores.get_mut(name)
     }
 
     /// Registered names, sorted.
@@ -152,7 +72,7 @@ impl IndexRegistry {
 
     /// Iterate `(name, store)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &dyn VectorStore)> {
-        self.stores.iter().map(|(n, s)| (n.as_str(), s.get(n).as_ref()))
+        self.stores.iter().map(|(n, s)| (n.as_str(), s.as_ref()))
     }
 
     /// Number of stores.
@@ -166,9 +86,9 @@ impl IndexRegistry {
     }
 
     /// Total bytes of decoded panels resident across every store's panel
-    /// cache, for capacity reporting. An undecoded store has no cache.
+    /// cache, for capacity reporting.
     pub fn panel_cache_resident_bytes(&self) -> usize {
-        self.stores.values().filter_map(Slot::decoded).map(|s| s.panel_cache_resident_bytes()).sum()
+        self.stores.values().map(|s| s.panel_cache_resident_bytes()).sum()
     }
 
     /// The registry name of a dense source's lexical sibling: the one
@@ -182,25 +102,25 @@ impl IndexRegistry {
     /// dense source with [`IndexRegistry::lexical_sibling`]), replacing
     /// any existing one.
     pub fn insert_lexical(&mut self, name: &str, index: LexicalIndex) {
-        self.lexical.insert(name.to_string(), Slot::eager(index));
+        self.lexical.insert(name.to_string(), index);
     }
 
-    /// Borrow a lexical sibling by name, decoding a lazily-opened slot on
-    /// first touch. `None` when no sibling is registered under `name`.
+    /// Borrow a lexical sibling by name. `None` when no sibling is
+    /// registered under `name`.
     pub fn lexical(&self, name: &str) -> Option<&LexicalIndex> {
-        self.lexical.get(name).map(|s| s.get(name))
+        self.lexical.get(name)
     }
 
-    /// Mutably borrow a lexical sibling that must exist, decoding a
-    /// lazily-opened slot first — the incremental-ingest path. Panics with
-    /// the registered names when it doesn't exist.
+    /// Mutably borrow a lexical sibling that must exist — the
+    /// incremental-ingest path. Panics with the registered names when it
+    /// doesn't exist.
     pub fn expect_lexical_mut(&mut self, name: &str) -> &mut LexicalIndex {
         assert!(
             self.lexical.contains_key(name),
             "lexical index '{name}' not registered (have: {:?})",
             self.lexical_names()
         );
-        self.lexical.get_mut(name).expect("checked above").get_mut(name)
+        self.lexical.get_mut(name).expect("checked above")
     }
 
     /// Borrow a lexical sibling that must exist; panics with the
@@ -220,87 +140,72 @@ impl IndexRegistry {
     /// lexical siblings as a trailing section in the same framing.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Self::MAGIC.to_vec();
-        put_section(&mut out, &self.stores);
-        put_section(&mut out, &self.lexical);
+        put_section(&mut out, &self.stores, |s| s.to_bytes());
+        put_section(&mut out, &self.lexical, LexicalIndex::to_bytes);
         out
     }
 
-    /// Decode a registry: both sections, each entry decoded now or, when
-    /// `lazy`, header-checked and kept raw until first touch.
-    fn decode(bytes: &[u8], lazy: bool) -> Option<Self> {
+    /// Deserialise a registry written by [`IndexRegistry::to_bytes`],
+    /// decoding every entry of both sections now. `None` on any corruption
+    /// (unknown store tag, truncation, a corrupt entry body, a name
+    /// repeated within a section, garbage).
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         r.expect_magic(Self::MAGIC)?;
-        let stores = read_section(&mut r, lazy)?;
-        let lexical = read_section(&mut r, lazy)?;
+        let stores = read_section(&mut r, decode_store)?;
+        let lexical = read_section(&mut r, LexicalIndex::from_bytes)?;
         r.exhausted().then_some(Self { stores, lexical })
     }
 
-    /// Deserialise a registry written by [`IndexRegistry::to_bytes`].
-    /// `None` on any corruption (unknown store tag, truncation, a name
-    /// repeated within a section, garbage).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        Self::decode(bytes, false)
-    }
-
-    /// Open a registry written by [`IndexRegistry::to_bytes`] **lazily**:
-    /// the registry framing, every store header (see
-    /// `peek_store_header`) and every lexical sibling's magic tag are
-    /// validated now, but each entry's body stays raw bytes until the
-    /// first call that reads it. `names`/`lexical_names`/`len`/`to_bytes`
-    /// and [`IndexRegistry::panel_cache_resident_bytes`] never decode, and
-    /// an untouched registry re-encodes byte-identically.
-    ///
-    /// `None` on the same framing errors as [`IndexRegistry::from_bytes`]
-    /// or a malformed header. Body corruption beyond the headers is only
-    /// discovered (as a panic) at the first use of the affected entry.
+    /// The same eager decode as [`IndexRegistry::from_bytes`], under the
+    /// name the benchmark harness's registry-open probe still calls.
+    /// ROADMAP item 1a deletes it together with that probe.
     pub fn open_bytes(bytes: &[u8]) -> Option<Self> {
-        Self::decode(bytes, true)
+        Self::from_bytes(bytes)
     }
 }
 
 /// Write one registry section: `u32 count`, then per entry a
 /// length-prefixed name and a length-prefixed blob.
-fn put_section<T: Entry>(out: &mut Vec<u8>, slots: &BTreeMap<String, Slot<T>>) {
-    put_u32(out, slots.len());
-    for (name, slot) in slots {
+fn put_section<T>(
+    out: &mut Vec<u8>,
+    entries: &BTreeMap<String, T>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    put_u32(out, entries.len());
+    for (name, entry) in entries {
         put_u32(out, name.len());
         out.extend_from_slice(name.as_bytes());
-        let blob = slot.to_bytes();
+        let blob = encode(entry);
         put_u32(out, blob.len());
         out.extend_from_slice(&blob);
     }
 }
 
-/// Read what [`put_section`] wrote into slots: each blob decoded now, or
-/// (`lazy`) header-checked and kept raw. `None` on a bad entry or on a
-/// name repeated within the section, which `to_bytes` never writes.
-fn read_section<T: Entry>(r: &mut Reader<'_>, lazy: bool) -> Option<BTreeMap<String, Slot<T>>> {
-    let mut slots = BTreeMap::new();
+/// Read what [`put_section`] wrote, decoding each blob. `None` on a bad
+/// entry or on a name repeated within the section, which `to_bytes`
+/// never writes.
+fn read_section<T>(
+    r: &mut Reader<'_>,
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> Option<BTreeMap<String, T>> {
+    let mut entries = BTreeMap::new();
     for _ in 0..r.count(8)? {
         let name_len = r.count(1)?;
         let name = std::str::from_utf8(r.take(name_len)?).ok()?.to_string();
         let blob_len = r.count(1)?;
-        let blob = r.take(blob_len)?;
-        let slot = match lazy {
-            false => Slot::eager(T::decode(blob)?),
-            true if T::header_ok(blob) => Slot::lazy(blob.to_vec()),
-            true => return None,
-        };
-        if slots.insert(name, slot).is_some() {
+        if entries.insert(name, decode(r.take(blob_len)?)?).is_some() {
             return None;
         }
     }
-    Some(slots)
+    Some(entries)
 }
 
 impl std::fmt::Debug for IndexRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_map();
-        for (name, slot) in &self.stores {
-            match slot.decoded() {
-                Some(s) => d.entry(&name, &format_args!("{} vectors (dim {})", s.len(), s.dim())),
-                None => d.entry(&name, &format_args!("undecoded")),
-            };
+        for (name, s) in &self.stores {
+            d.entry(&name, &format_args!("{} vectors (dim {})", s.len(), s.dim()));
         }
         for name in self.lexical.keys() {
             d.entry(&name, &format_args!("lexical (bm25)"));
@@ -317,14 +222,6 @@ mod tests {
     use crate::metric::Metric;
     use crate::spec::{build_store_from_vectors, IndexSpec};
     use mcqa_runtime::Executor;
-
-    impl IndexRegistry {
-        /// Total payload bytes across every registered dense store (lexical
-        /// siblings report their own [`LexicalIndex::payload_bytes`]).
-        fn payload_bytes(&self) -> usize {
-            self.iter().map(|(_, s)| s.payload_bytes()).sum()
-        }
-    }
 
     fn items(n: usize, dim: usize) -> Vec<(u64, Vec<f32>)> {
         (0..n)
@@ -363,12 +260,6 @@ mod tests {
         }
         reg.insert_lexical("lex-flat", sample_lexical());
         reg
-    }
-
-    /// Entries of either kind whose body has been decoded.
-    fn decoded(reg: &IndexRegistry) -> usize {
-        reg.stores.values().filter(|s| s.decoded().is_some()).count()
-            + reg.lexical.values().filter(|s| s.decoded().is_some()).count()
     }
 
     #[test]
@@ -425,11 +316,18 @@ mod tests {
         let bytes = reg.to_bytes();
         let back = IndexRegistry::from_bytes(&bytes).unwrap();
         assert_eq!(back.names(), reg.names());
-        let q = unit(6, 2);
+        // Decoded stores search bit-identically, single and batched (the
+        // backend's own batched kernel, not a per-query loop).
+        let queries: Vec<Vec<f32>> = items(9, 6).into_iter().map(|(_, v)| v).collect();
         for (name, store) in back.iter() {
             let orig = reg.expect_store(name);
             assert_eq!(store.len(), orig.len(), "{name}");
-            assert_eq!(store.search(&q, 4), orig.search(&q, 4), "{name}");
+            assert_eq!(store.search(&queries[3], 4), orig.search(&queries[3], 4), "{name}");
+            assert_eq!(
+                store.search_batch(Executor::global(), &queries, 4),
+                orig.search_batch(Executor::global(), &queries, 4),
+                "{name}"
+            );
         }
         // Corruption rejected: every truncation, a foreign tag.
         for cut in 0..bytes.len() {
@@ -441,7 +339,6 @@ mod tests {
         // `to_bytes` writes.
         let no_lexical = &bytes[..bytes.len() - 4];
         assert!(IndexRegistry::from_bytes(no_lexical).is_none());
-        assert!(IndexRegistry::open_bytes(no_lexical).is_none());
         // Empty registry round-trips.
         let empty = IndexRegistry::new();
         assert!(IndexRegistry::from_bytes(&empty.to_bytes()).unwrap().is_empty());
@@ -465,8 +362,10 @@ mod tests {
         assert_eq!(reg.to_bytes(), bytes);
     }
 
-    #[test]
-    fn duplicate_names_are_rejected() {
+    /// Two blobs that repeat a name within a section, which `to_bytes`
+    /// never writes: the dense section's only entry twice, then the
+    /// lexical section's.
+    fn duplicate_name_blobs() -> [Vec<u8>; 2] {
         // Splice a second copy of a section's only entry in after it and
         // bump the section's `u32` count at `count_at`.
         fn doubled(bytes: &[u8], count_at: usize, entry_end: usize) -> Vec<u8> {
@@ -486,9 +385,13 @@ mod tests {
         let bytes = lexical.to_bytes();
         // An empty dense section, then the lexical entry runs to the end.
         let lexical_dup = doubled(&bytes, 8, bytes.len());
-        for dup in [dense_dup, lexical_dup] {
+        [dense_dup, lexical_dup]
+    }
+
+    #[test]
+    fn duplicate_names_are_rejected() {
+        for dup in duplicate_name_blobs() {
             assert!(IndexRegistry::from_bytes(&dup).is_none());
-            assert!(IndexRegistry::open_bytes(&dup).is_none());
         }
     }
 
@@ -536,131 +439,69 @@ mod tests {
         IndexRegistry::new().expect_lexical_mut("lex-chunks");
     }
 
-    #[test]
-    fn open_bytes_defers_every_decode_until_first_touch() {
-        let reg = mixed_registry();
-        let bytes = reg.to_bytes();
-        let lazy = IndexRegistry::open_bytes(&bytes).unwrap();
-        assert_eq!(lazy.names(), reg.names());
-        assert_eq!(lazy.lexical_names(), reg.lexical_names());
-        assert_eq!((lazy.len(), lazy.is_empty()), (4, false));
-        assert_eq!(lazy.panel_cache_resident_bytes(), 0);
-        assert!(format!("{lazy:?}").contains("undecoded"));
-        assert_eq!(lazy.to_bytes(), bytes, "untouched entries pass through raw");
-        assert_eq!(decoded(&lazy), 0, "none of the above decodes");
-
-        // A touch decodes that entry alone.
-        assert_eq!(lazy.expect_store("flat").len(), 30);
-        assert_eq!(decoded(&lazy), 1);
-        assert_eq!(lazy.expect_lexical("lex-flat").len(), 3);
-        assert_eq!(decoded(&lazy), 2);
-        assert_eq!(lazy.to_bytes(), bytes);
-    }
-
-    #[test]
-    fn open_bytes_lazily_matches_eager_decode() {
-        let exec = Executor::global();
-        let reg = mixed_registry();
-        let bytes = reg.to_bytes();
-        let lazy = IndexRegistry::open_bytes(&bytes).unwrap();
-        // Searches force the decode and stay bit-identical, single and
-        // batched (the backend's own batched kernel, not a per-query loop).
-        let queries: Vec<Vec<f32>> = items(9, 6).into_iter().map(|(_, v)| v).collect();
-        for (name, store) in lazy.iter() {
-            let orig = reg.expect_store(name);
-            assert_eq!((store.len(), store.dim()), (orig.len(), orig.dim()), "{name}");
-            assert_eq!(store.metric(), orig.metric(), "{name}");
-            assert_eq!(store.search(&queries[3], 4), orig.search(&queries[3], 4), "{name}");
-            assert_eq!(
-                store.search_batch(exec, &queries, 4),
-                orig.search_batch(exec, &queries, 4),
-                "{name}"
-            );
-        }
-        assert_eq!(
-            lazy.expect_lexical("lex-flat").search("radiation tumour", 2),
-            reg.expect_lexical("lex-flat").search("radiation tumour", 2),
-        );
-        assert_eq!(lazy.payload_bytes(), reg.payload_bytes());
-        assert_eq!(lazy.to_bytes(), bytes, "decoded entries re-encode identically");
-        // Corruption in framing or headers is rejected at open.
-        assert!(IndexRegistry::open_bytes(&bytes[..10]).is_none());
-        assert!(IndexRegistry::open_bytes(b"nope").is_none());
-        assert!(IndexRegistry::open_bytes(&IndexRegistry::new().to_bytes()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn lazily_opened_entries_mutate_in_place() {
-        let exec = Executor::global();
-        let mut reg = IndexRegistry::new();
-        reg.insert(
-            "chunks",
-            build_store_from_vectors(
-                &IndexSpec::Flat,
-                4,
-                Metric::Cosine,
-                Precision::F32,
-                exec,
-                &items(10, 4),
-            ),
-        );
-        reg.insert_lexical("lex-chunks", sample_lexical());
-        let mut lazy = IndexRegistry::open_bytes(&reg.to_bytes()).unwrap();
-
-        let store = lazy.get_mut("chunks").expect("registered");
-        store.add(999, &unit(4, 3));
-        assert_eq!(store.len(), 11);
-        assert_eq!(store.search(&unit(4, 3), 1)[0].id, 999);
-        assert_eq!(store.remove(&[999]), 1);
-        assert_eq!(store.tombstones(), 1);
-        assert_ne!(store.search(&unit(4, 3), 1)[0].id, 999);
-        store.compact(exec);
-        assert_eq!(store.tombstones(), 0);
-        assert_eq!(lazy.expect_store("chunks").len(), 10);
-
-        let lex = lazy.expect_lexical_mut("lex-chunks");
-        assert_eq!(lex.remove(&[1]), 1);
-        assert!(lex.search("apoptosis", 2).is_empty());
-        assert_eq!(lazy.expect_lexical("lex-chunks").len(), 2);
-    }
-
-    /// A one-entry registry whose entry's body is cut short but whose
-    /// header still validates.
+    /// A one-entry registry whose entry's body is cut short while its
+    /// header (store) or magic tag (lexical sibling) stays intact.
     fn truncated_body(lexical: bool) -> Vec<u8> {
-        let mut reg = IndexRegistry::new();
-        if lexical {
+        let (name, body) = if lexical {
             let mut body = sample_lexical().to_bytes();
             body.pop();
-            reg.lexical.insert("lex-chunks".into(), Slot::lazy(body));
+            ("lex-chunks", body)
         } else {
             let mut flat = FlatIndex::new(4, Metric::Cosine, Precision::F32);
             flat.add(1, &unit(4, 0));
             let mut body = flat.to_bytes();
             body.truncate(body.len() - 2); // ids cut: header intact
-            reg.stores.insert("chunks".into(), Slot::lazy(body));
+            ("chunks", body)
+        };
+        let (entry, none) = (BTreeMap::from([(name.to_string(), body)]), BTreeMap::new());
+        let (dense, lex) = if lexical { (&none, &entry) } else { (&entry, &none) };
+        let mut out = IndexRegistry::MAGIC.to_vec();
+        put_section(&mut out, dense, Vec::clone);
+        put_section(&mut out, lex, Vec::clone);
+        out
+    }
+
+    #[test]
+    fn open_bytes_agrees_with_from_bytes() {
+        let bytes = mixed_registry().to_bytes();
+        let mut blobs: Vec<Vec<u8>> = (0..=bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        blobs.extend(duplicate_name_blobs());
+        blobs.extend([truncated_body(false), truncated_body(true)]);
+        for (i, blob) in blobs.iter().enumerate() {
+            assert_eq!(
+                IndexRegistry::open_bytes(blob).map(|r| r.to_bytes()),
+                IndexRegistry::from_bytes(blob).map(|r| r.to_bytes()),
+                "blob {i}"
+            );
         }
-        let bytes = reg.to_bytes();
-        assert!(IndexRegistry::from_bytes(&bytes).is_none(), "eager decode refuses it");
-        bytes
+        assert_eq!(IndexRegistry::open_bytes(&bytes).unwrap().to_bytes(), bytes);
+        // A corrupt body is refused at open, wherever it sits.
+        assert!(IndexRegistry::open_bytes(&truncated_body(false)).is_none());
+        assert!(IndexRegistry::open_bytes(&truncated_body(true)).is_none());
     }
 
+    /// Single-byte flips and hostile lengths anywhere in a registry of all
+    /// four backends plus a lexical sibling: decoding never panics, and a
+    /// blob it accepts is canonical — it re-encodes to exactly the mutated
+    /// input. No checksum guards the format, so many flips (inside vector
+    /// payloads, say) are accepted; they must still decode consistently.
     #[test]
-    #[should_panic(expected = "registry entry 'chunks': body is corrupt")]
-    fn corrupt_store_body_panics_at_first_use_not_open() {
-        let bytes = truncated_body(false);
-        let lazy = IndexRegistry::open_bytes(&bytes).expect("header still validates");
-        assert_eq!(lazy.names(), vec!["chunks"]);
-        assert_eq!(lazy.to_bytes(), bytes);
-        lazy.expect_store("chunks"); // panics here
-    }
-
-    #[test]
-    #[should_panic(expected = "registry entry 'lex-chunks': body is corrupt")]
-    fn corrupt_lexical_body_panics_at_first_use_not_open() {
-        let bytes = truncated_body(true);
-        let lazy = IndexRegistry::open_bytes(&bytes).expect("magic still validates");
-        assert_eq!(lazy.lexical_names(), vec!["lex-chunks"]);
-        assert_eq!(lazy.to_bytes(), bytes);
-        lazy.expect_lexical("lex-chunks"); // panics here
+    fn mutated_registry_bytes_decode_canonically_or_not_at_all() {
+        let bytes = mixed_registry().to_bytes();
+        let check = |blob: &[u8], what: &str| {
+            if let Some(reg) = IndexRegistry::from_bytes(blob) {
+                assert!(reg.to_bytes() == blob, "{what}: accepted but not canonical");
+            }
+        };
+        for at in 0..bytes.len() {
+            let mut blob = bytes.clone();
+            blob[at] ^= 0xff;
+            check(&blob, &format!("flip at {at}"));
+        }
+        for at in 0..=bytes.len() - 4 {
+            let mut blob = bytes.clone();
+            blob[at..at + 4].copy_from_slice(&[0xff; 4]);
+            check(&blob, &format!("0xffff_ffff at {at}"));
+        }
     }
 }
