@@ -1,5 +1,7 @@
 //! The forward answer cascade: a calibrated model answering one MCQ.
 
+use std::borrow::Cow;
+
 use mcqa_text::token_count;
 use mcqa_util::{KeyedStochastic, StableHasher};
 use serde::Serialize;
@@ -24,11 +26,13 @@ pub enum Condition {
 
 impl Condition {
     /// Label used in tables and reports.
-    pub fn label(self) -> String {
+    pub fn label(self) -> &'static str {
         match self {
-            Condition::Baseline => "baseline".to_string(),
-            Condition::RagChunks => "rag-chunks".to_string(),
-            Condition::RagTraces(m) => format!("rag-rt-{}", m.label()),
+            Condition::Baseline => "baseline",
+            Condition::RagChunks => "rag-chunks",
+            Condition::RagTraces(TraceMode::Detailed) => "rag-rt-detailed",
+            Condition::RagTraces(TraceMode::Focused) => "rag-rt-focused",
+            Condition::RagTraces(TraceMode::Efficient) => "rag-rt-efficient",
         }
     }
 
@@ -49,8 +53,10 @@ impl Condition {
 pub struct AnswerOutcome {
     /// Chosen option index (`None` when the output was unparseable).
     pub chosen: Option<usize>,
-    /// The raw completion text (what the grading judge sees).
-    pub text: String,
+    /// The raw completion text (what the grading judge sees): borrowed
+    /// for every well-formed answer, so a cached outcome clones without
+    /// allocating.
+    pub text: Cow<'static, str>,
     /// Diagnostics: the model "knew" the fact.
     pub(crate) knew: bool,
     /// Diagnostics: the answer came from extracted context.
@@ -60,7 +66,7 @@ pub struct AnswerOutcome {
 }
 
 impl AnswerOutcome {
-    fn new(chosen: Option<usize>, text: String, knew: bool, used_context: bool) -> Self {
+    fn new(chosen: Option<usize>, text: Cow<'static, str>, knew: bool, used_context: bool) -> Self {
         Self { chosen, tokens: token_count(&text), text, knew, used_context }
     }
 
@@ -156,7 +162,8 @@ impl ResolvedModel {
         context: Option<&AssembledContext>,
         seed: u64,
     ) -> AnswerOutcome {
-        let draws = Draws::new(seed, self.card.name, item.qid, cond);
+        let qid = Decimal::new(item.qid);
+        let draws = Draws::new(seed, self.card.name, qid.as_str(), cond);
 
         let n = item.options.len();
 
@@ -168,12 +175,7 @@ impl ResolvedModel {
             } else {
                 wrong_option(item, draws.pick("math-wrong", n - 1))
             };
-            return AnswerOutcome::new(
-                Some(chosen),
-                format!("Answer: {}", OPTION_LETTERS[chosen]),
-                false,
-                false,
-            );
+            return AnswerOutcome::new(Some(chosen), answer_text(chosen), false, false);
         }
 
         // 1. Answer-format failure: output no parseable letter.
@@ -219,42 +221,84 @@ impl ResolvedModel {
 
         let chosen =
             if correct { item.correct } else { wrong_option(item, draws.pick("wrong", n - 1)) };
-        AnswerOutcome::new(
-            Some(chosen),
-            format!("Answer: {}", OPTION_LETTERS[chosen]),
-            knew,
-            used_context,
-        )
+        AnswerOutcome::new(Some(chosen), answer_text(chosen), knew, used_context)
+    }
+}
+
+/// The completion of a well-formed answer choosing option `chosen`:
+/// `format!("Answer: {}", OPTION_LETTERS[chosen])`, as a static string.
+fn answer_text(chosen: usize) -> Cow<'static, str> {
+    const TEXTS: [&str; OPTION_LETTERS.len()] = [
+        "Answer: A",
+        "Answer: B",
+        "Answer: C",
+        "Answer: D",
+        "Answer: E",
+        "Answer: F",
+        "Answer: G",
+        "Answer: H",
+        "Answer: I",
+        "Answer: J",
+    ];
+    Cow::Borrowed(TEXTS[chosen])
+}
+
+/// A `u64` in decimal, formatted on the stack: `as_str` reads what
+/// `to_string` would, without the heap.
+struct Decimal {
+    /// The digits, right-aligned: `u64::MAX` has 20.
+    digits: [u8; 20],
+    /// Index of the first digit.
+    start: usize,
+}
+
+impl Decimal {
+    fn new(mut x: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (x % 10) as u8;
+            x /= 10;
+            if x == 0 {
+                break;
+            }
+        }
+        Self { digits, start }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).expect("decimal digits are ASCII")
     }
 }
 
 /// The keyed draws of one (model, question, condition) answer. Each draw
-/// hashes the key path `[what, model name, qid, condition label]`, borrowed
-/// in place: the two owned parts are formatted once per answer, not once
-/// per draw.
+/// hashes the key path `[what, model name, qid, condition label]`, every
+/// part borrowed: the qid is formatted once per answer, on the caller's
+/// stack, and the label is static.
 struct Draws<'a> {
     ks: KeyedStochastic,
     name: &'a str,
-    qid: String,
-    condition: String,
+    qid: &'a str,
+    condition: &'static str,
 }
 
 impl<'a> Draws<'a> {
-    fn new(seed: u64, name: &'a str, qid: u64, condition: Condition) -> Self {
+    fn new(seed: u64, name: &'a str, qid: &'a str, condition: Condition) -> Self {
         Self {
             ks: KeyedStochastic::new(seed ^ 0x0511_7A25),
             name,
-            qid: qid.to_string(),
+            qid,
             condition: condition.label(),
         }
     }
 
     fn bern(&self, what: &str, p: f64) -> bool {
-        self.ks.bernoulli(p, &[what, self.name, &self.qid, &self.condition])
+        self.ks.bernoulli(p, &[what, self.name, self.qid, self.condition])
     }
 
     fn pick(&self, what: &str, n: usize) -> usize {
-        self.ks.below(n, &[what, self.name, &self.qid, &self.condition])
+        self.ks.below(n, &[what, self.name, self.qid, self.condition])
     }
 }
 
@@ -268,16 +312,17 @@ fn wrong_option(item: &McqItem, i: usize) -> usize {
 }
 
 /// Unparseable completions (what a struggling 1B model actually emits).
-fn malformed_text(variant: usize, item: &McqItem) -> String {
+fn malformed_text(variant: usize, item: &McqItem) -> Cow<'static, str> {
     match variant {
-        0 => String::new(),
-        1 => format!(
+        0 => Cow::Borrowed(""),
+        1 => Cow::Owned(format!(
             "This question concerns {}... all of the options seem plausible in some contexts.",
             item.stem.split_whitespace().take(4).collect::<Vec<_>>().join(" ")
+        )),
+        _ => Cow::Borrowed(
+            "I am not able to determine the correct choice from the given information. \
+             Multiple answers could apply depending on assumptions.",
         ),
-        _ => "I am not able to determine the correct choice from the given information. \
-              Multiple answers could apply depending on assumptions."
-            .to_string(),
     }
 }
 
@@ -494,11 +539,13 @@ mod tests {
             // their parts — four owned strings per draw, collected into a
             // `Vec<&str>`.
             let cond = Condition::all()[cond];
-            let key: [String; 4] = [what.clone(), name.clone(), qid.to_string(), cond.label()];
+            let key: [String; 4] =
+                [what.clone(), name.clone(), qid.to_string(), cond.label().to_string()];
             let parts: Vec<&str> = key.iter().map(String::as_str).collect();
             let ks = KeyedStochastic::new(seed ^ 0x0511_7A25);
 
-            let draws = Draws::new(seed, &name, qid, cond);
+            let qid = Decimal::new(qid);
+            let draws = Draws::new(seed, &name, qid.as_str(), cond);
             prop_assert_eq!(draws.bern(&what, p), ks.bernoulli(p, &parts));
             prop_assert_eq!(draws.pick(&what, n), ks.below(n, &parts));
         }
@@ -514,8 +561,37 @@ mod tests {
 
     #[test]
     fn condition_labels_unique() {
-        let labels: std::collections::HashSet<String> =
+        let labels: std::collections::HashSet<&str> =
             Condition::all().iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), 5);
+    }
+
+    #[test]
+    fn condition_labels_read_as_formatted() {
+        let labels = Condition::all().map(Condition::label);
+        assert_eq!(
+            labels,
+            ["baseline", "rag-chunks", "rag-rt-detailed", "rag-rt-focused", "rag-rt-efficient"]
+        );
+        for mode in TraceMode::ALL {
+            assert_eq!(Condition::RagTraces(mode).label(), format!("rag-rt-{}", mode.label()));
+        }
+    }
+
+    #[test]
+    fn answer_texts_are_the_formatted_bytes() {
+        // The grade cache key and the judge both read the text.
+        for (i, letter) in OPTION_LETTERS.iter().enumerate() {
+            let text = answer_text(i);
+            assert!(matches!(text, Cow::Borrowed(_)));
+            assert_eq!(text, format!("Answer: {letter}"));
+        }
+    }
+
+    #[test]
+    fn stack_decimal_reads_as_to_string() {
+        for x in [0, 9, 10, 99, 100, 1_000_000_007, u64::MAX / 10, u64::MAX - 1, u64::MAX] {
+            assert_eq!(Decimal::new(x).as_str(), x.to_string());
+        }
     }
 }

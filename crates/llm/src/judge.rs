@@ -11,6 +11,9 @@
 //! * **Answer grading**: parse a model's free-text completion, extract its
 //!   chosen letter, compare to the key, and emit a reasoning string.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use mcqa_util::KeyedStochastic;
 
 use crate::mcq::OPTION_LETTERS;
@@ -32,8 +35,10 @@ pub struct GradeResult {
     pub parsed: Option<char>,
     /// Whether the answer was graded correct.
     pub correct: bool,
-    /// The judge's reasoning line.
-    pub(crate) reasoning: String,
+    /// The judge's reasoning line: borrowed for every parsed or
+    /// unparseable completion, so a cached verdict clones without
+    /// allocating.
+    pub(crate) reasoning: Cow<'static, str>,
 }
 
 /// The simulated judge.
@@ -98,36 +103,56 @@ impl JudgeModel {
     pub(crate) fn grade(&self, completion: &str, correct: usize, n_options: usize) -> GradeResult {
         let valid = &OPTION_LETTERS[..n_options.min(OPTION_LETTERS.len())];
         let parsed = parse_choice(completion, valid);
-        let Some(&correct_letter) = valid.get(correct) else {
+        if correct >= valid.len() {
             return GradeResult {
                 parsed,
                 correct: false,
-                reasoning: format!(
+                reasoning: Cow::Owned(format!(
                     "Key index {correct} is out of range for {} options. Graded incorrect.",
                     valid.len()
-                ),
+                )),
             };
-        };
+        }
         match parsed {
             Some(letter) => {
-                let ok = letter == correct_letter;
+                let chosen =
+                    valid.iter().position(|&c| c == letter).expect("parsed a valid letter");
                 GradeResult {
                     parsed,
-                    correct: ok,
-                    reasoning: if ok {
-                        format!("Parsed choice {letter}; matches key {correct_letter}. Correct.")
-                    } else {
-                        format!("Parsed choice {letter}; key is {correct_letter}. Incorrect.")
-                    },
+                    correct: chosen == correct,
+                    reasoning: Cow::Borrowed(verdict(chosen, correct)),
                 }
             }
             None => GradeResult {
                 parsed: None,
                 correct: false,
-                reasoning: "No parseable option letter in the completion. Graded incorrect.".into(),
+                reasoning: Cow::Borrowed(
+                    "No parseable option letter in the completion. Graded incorrect.",
+                ),
             },
         }
     }
+}
+
+/// The reasoning line for a completion that chose option `chosen` against
+/// key `correct`, both indices into [`OPTION_LETTERS`]. The table of every
+/// pair is formatted once per process.
+fn verdict(chosen: usize, correct: usize) -> &'static str {
+    const N: usize = OPTION_LETTERS.len();
+    static VERDICTS: OnceLock<[[String; N]; N]> = OnceLock::new();
+    let table = VERDICTS.get_or_init(|| {
+        std::array::from_fn(|chosen| {
+            std::array::from_fn(|correct| {
+                let (letter, key) = (OPTION_LETTERS[chosen], OPTION_LETTERS[correct]);
+                if chosen == correct {
+                    format!("Parsed choice {letter}; matches key {key}. Correct.")
+                } else {
+                    format!("Parsed choice {letter}; key is {key}. Incorrect.")
+                }
+            })
+        })
+    });
+    &table[chosen][correct]
 }
 
 /// Extract a chosen option letter from free text.
@@ -252,6 +277,28 @@ mod tests {
         let g = judge.grade("Answer: D", 2, 7);
         assert!(!g.correct);
         assert!(g.reasoning.contains("key is C"));
+    }
+
+    #[test]
+    fn verdicts_are_the_formatted_bytes() {
+        // Every (parsed, key) pair of letters reads the line `format!`
+        // writes: the judge's ledger counts its tokens.
+        let judge = JudgeModel::new(1);
+        let n = OPTION_LETTERS.len();
+        for (chosen, letter) in OPTION_LETTERS.iter().enumerate() {
+            for (correct, key) in OPTION_LETTERS.iter().enumerate() {
+                let want = if letter == key {
+                    format!("Parsed choice {letter}; matches key {key}. Correct.")
+                } else {
+                    format!("Parsed choice {letter}; key is {key}. Incorrect.")
+                };
+                assert_eq!(verdict(chosen, correct), want);
+                let g = judge.grade(&format!("Answer: {letter}"), correct, n);
+                assert_eq!((g.parsed, g.correct), (Some(*letter), chosen == correct));
+                assert!(matches!(g.reasoning, Cow::Borrowed(_)));
+                assert_eq!(g.reasoning, want);
+            }
+        }
     }
 
     #[test]

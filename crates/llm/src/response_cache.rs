@@ -17,6 +17,11 @@
 //! many calls reach the simulator is therefore a function of the call list,
 //! not of the schedule. A completion that panics leaves its slot empty, and
 //! the key's next caller completes it afresh.
+//!
+//! A cache is [`SHARDS`] maps, each behind its own lock, picked by six of
+//! the key's high bits: the first touches of an evaluation's tens of
+//! thousands of keys take write locks, and one lock over one map would
+//! make every worker wait on every other's insert.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -27,10 +32,11 @@ use crate::judge::GradeResult;
 
 /// The identity hasher for content addresses. Hashing a key again would
 /// buy nothing: every key is already a `StableHasher` digest, whose
-/// `finish` is a splitmix64 finalisation, so its low bits (the bucket) and
-/// high bits (the control byte) are both fully mixed. Keys are built by
-/// the hub from typed call fields, never taken from outside input, so no
-/// caller can choose colliding ones.
+/// `finish` is a splitmix64 finalisation, so its low bits (the bucket),
+/// its top seven bits (the control byte) and the six below those (the
+/// shard, see [`shard`]) are all fully mixed and disjoint. Keys are built
+/// by the hub from typed call fields, never taken from outside input, so
+/// no caller can choose colliding ones.
 #[derive(Default)]
 struct ContentAddress(u64);
 
@@ -48,14 +54,28 @@ impl Hasher for ContentAddress {
     }
 }
 
-/// One kind's cache: `content address → completion`.
+/// Maps per cache.
+const SHARDS: usize = 64;
+
+/// The shard holding `key`: bits 51–56, below the seven the map's control
+/// bytes read, so the keys of one shard still spread over every control
+/// byte.
+fn shard(key: u64) -> usize {
+    (key >> 51) as usize % SHARDS
+}
+
+/// One shard of a cache: `content address → completion slot`.
+type Shard<V> = RwLock<HashMap<u64, Arc<OnceLock<V>>, BuildHasherDefault<ContentAddress>>>;
+
+/// One kind's cache: `content address → completion`, over [`SHARDS`]
+/// independently locked maps.
 pub(crate) struct ResponseCache<V> {
-    map: RwLock<HashMap<u64, Arc<OnceLock<V>>, BuildHasherDefault<ContentAddress>>>,
+    shards: [Shard<V>; SHARDS],
 }
 
 impl<V> Default for ResponseCache<V> {
     fn default() -> Self {
-        Self { map: RwLock::default() }
+        Self { shards: std::array::from_fn(|_| RwLock::default()) }
     }
 }
 
@@ -67,8 +87,9 @@ impl<V: Clone> ResponseCache<V> {
     /// wait on another call to this cache, or the two could wait on each
     /// other.
     pub(crate) fn get_or_complete(&self, key: u64, complete: impl FnOnce() -> V) -> (V, bool) {
+        let shard = &self.shards[shard(key)];
         let found = {
-            let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
+            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
             match map.get(&key) {
                 // A hit clones the completion under the read lock.
                 Some(slot) => match slot.get() {
@@ -81,7 +102,7 @@ impl<V: Clone> ResponseCache<V> {
         // A miss, or a key in flight: wait on (or fill) its slot outside
         // the map lock.
         let slot = found.unwrap_or_else(|| {
-            let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+            let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(key).or_default())
         });
         let mut completed = false;
@@ -97,8 +118,11 @@ impl<V: Clone> ResponseCache<V> {
     /// Number of cached completions (a slot whose completion panicked
     /// holds none).
     pub(crate) fn len(&self) -> usize {
-        let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
-        map.values().filter(|slot| slot.get().is_some()).count()
+        let count = |shard: &Shard<V>| {
+            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
+            map.values().filter(|slot| slot.get().is_some()).count()
+        };
+        self.shards.iter().map(count).sum()
     }
 }
 
@@ -129,6 +153,7 @@ impl ResponseCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Barrier};
 
@@ -196,58 +221,104 @@ mod tests {
         assert_eq!(completions.load(Ordering::Relaxed), 10, "one completion per key");
     }
 
+    /// One key in each shard, the bits outside the shard's varied too.
+    fn keys_over_every_shard() -> Vec<u64> {
+        (0..SHARDS as u64).map(|s| s << 51 | (s * 0x9E37) ^ (s % 7) << 58).collect()
+    }
+
+    /// Many keys in one shard: their control-byte and bucket bits differ.
+    fn keys_in_one_shard() -> Vec<u64> {
+        (0..96u64).map(|i| i << 57 | 5 << 51 | i.wrapping_mul(0x9E37_79B9)).collect()
+    }
+
+    #[test]
+    fn the_key_sets_land_where_they_say() {
+        let shards: HashSet<usize> = keys_over_every_shard().into_iter().map(shard).collect();
+        assert_eq!(shards.len(), SHARDS);
+        let shards: HashSet<usize> = keys_in_one_shard().into_iter().map(shard).collect();
+        assert_eq!(shards.len(), 1);
+    }
+
     #[test]
     fn a_key_in_flight_is_completed_once() {
         // The first caller is held inside its completion until a second
         // caller of the same key is on its way in: the second must take the
         // first's response (waiting for it if it arrives in time) rather
-        // than complete the key again.
-        let cache = &ResponseCache::<String>::default();
-        let (started_tx, started_rx) = mpsc::channel();
-        let (calling_tx, calling_rx) = mpsc::channel();
-        let (go_tx, go_rx) = mpsc::channel::<()>();
-        std::thread::scope(|s| {
-            let first = s.spawn(move || {
-                cache.get_or_complete(3, || {
-                    started_tx.send(()).expect("test alive");
-                    go_rx.recv().expect("released");
-                    response("first")
-                })
-            });
-            started_rx.recv().expect("first is completing");
-            let second = s.spawn(move || {
-                calling_tx.send(()).expect("test alive");
-                cache.get_or_complete(3, || response("second"))
-            });
-            calling_rx.recv().expect("second is calling");
-            go_tx.send(()).expect("first alive");
-            assert_eq!(first.join().expect("first"), (response("first"), true));
-            assert_eq!(second.join().expect("second"), (response("first"), false));
-        });
-        assert_eq!(cache.len(), 1);
+        // than complete the key again. Key by key, over every shard and
+        // over many keys of one shard, on one cache.
+        for keys in [vec![3], keys_over_every_shard(), keys_in_one_shard()] {
+            let cache = &ResponseCache::<String>::default();
+            for &key in &keys {
+                let (started_tx, started_rx) = mpsc::channel();
+                let (calling_tx, calling_rx) = mpsc::channel();
+                let (go_tx, go_rx) = mpsc::channel::<()>();
+                std::thread::scope(|s| {
+                    let first = s.spawn(move || {
+                        cache.get_or_complete(key, || {
+                            started_tx.send(()).expect("test alive");
+                            go_rx.recv().expect("released");
+                            response(&format!("first {key}"))
+                        })
+                    });
+                    started_rx.recv().expect("first is completing");
+                    let second = s.spawn(move || {
+                        calling_tx.send(()).expect("test alive");
+                        cache.get_or_complete(key, || response("second"))
+                    });
+                    calling_rx.recv().expect("second is calling");
+                    go_tx.send(()).expect("first alive");
+                    let want = response(&format!("first {key}"));
+                    assert_eq!(first.join().expect("first"), (want.clone(), true));
+                    assert_eq!(second.join().expect("second"), (want, false));
+                });
+            }
+            assert_eq!(cache.len(), keys.len(), "one completion per distinct key");
+        }
     }
 
     #[test]
     fn racing_first_touches_complete_once() {
-        let cache = ResponseCache::<String>::default();
-        let start = Barrier::new(8);
-        let completed: Vec<bool> = std::thread::scope(|s| {
-            let racers: Vec<_> = (0..8)
-                .map(|i| {
-                    let (cache, start) = (&cache, &start);
-                    s.spawn(move || {
-                        start.wait();
-                        cache.get_or_complete(11, || response(&format!("r{i}")))
+        // Eight racers touch every key of the set, each from its own
+        // starting point, on one cache: a lone key, one key per shard, and
+        // many keys of one shard.
+        const RACERS: usize = 8;
+        for keys in [vec![11], keys_over_every_shard(), keys_in_one_shard()] {
+            let cache = ResponseCache::<String>::default();
+            let completions: Vec<AtomicUsize> = keys.iter().map(|_| AtomicUsize::new(0)).collect();
+            let start = Barrier::new(RACERS);
+            let results: Vec<Vec<(String, bool)>> = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..RACERS)
+                    .map(|r| {
+                        let (cache, start, keys, completions) =
+                            (&cache, &start, &keys, &completions);
+                        s.spawn(move || {
+                            start.wait();
+                            let mut out = vec![(String::new(), false); keys.len()];
+                            let offset = r * keys.len() / RACERS;
+                            for j in (0..keys.len()).map(|j| (j + offset) % keys.len()) {
+                                out[j] = cache.get_or_complete(keys[j], || {
+                                    completions[j].fetch_add(1, Ordering::Relaxed);
+                                    response(&format!("r{r} {}", keys[j]))
+                                });
+                            }
+                            out
+                        })
                     })
-                })
-                .collect();
-            let results: Vec<_> = racers.into_iter().map(|h| h.join().expect("racer")).collect();
-            let winner = &results[0].0;
-            assert!(results.iter().all(|(r, _)| r == winner), "every racer reads one response");
-            results.into_iter().map(|(_, c)| c).collect()
-        });
-        assert_eq!(completed.iter().filter(|c| **c).count(), 1, "exactly one racer completed");
-        assert_eq!(cache.len(), 1);
+                    .collect();
+                racers.into_iter().map(|h| h.join().expect("racer")).collect()
+            });
+            for (j, key) in keys.iter().enumerate() {
+                let winner = &results[0][j].0;
+                assert!(
+                    results.iter().all(|r| &r[j].0 == winner),
+                    "every racer reads one response for {key:#x}"
+                );
+                let completed = results.iter().filter(|r| r[j].1).count();
+                assert_eq!(completed, 1, "exactly one racer completed {key:#x}");
+                assert_eq!(completions[j].load(Ordering::Relaxed), 1, "{key:#x}");
+            }
+            assert_eq!(cache.len(), keys.len(), "one completion per distinct key");
+        }
     }
 
     proptest::proptest! {

@@ -607,7 +607,7 @@ pub(crate) mod tests {
         .complete(&sim, 1)
         .0;
         let mut other = answer.clone();
-        other.text.push('x');
+        other.text.to_mut().push('x');
         let grade = |answer, correct, n_options| key(&Grade { answer, correct, n_options }, 1);
         let k = grade(&answer, 2, 7);
         assert_ne!(k, key(&Grade { answer: &answer, correct: 2, n_options: 7 }, 2), "seed");
