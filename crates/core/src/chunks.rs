@@ -11,8 +11,6 @@ pub struct ChunkRecord {
     pub chunk_id: u64,
     /// Source document.
     pub doc: DocId,
-    /// Index within the document's chunk sequence.
-    pub(crate) index_in_doc: u32,
     /// Chunk text.
     pub text: String,
     /// Token count.
@@ -136,7 +134,6 @@ mod tests {
         let c = ChunkRecord {
             chunk_id: ChunkRecord::make_id(DocId(42), 1),
             doc: DocId(42),
-            index_in_doc: 1,
             text: "t".into(),
             tokens: 1,
             facts: vec![],

@@ -212,8 +212,6 @@ mod tests {
                 assert_eq!(p.title, t.title);
                 assert_eq!(p.text, t.text());
             }
-            let meta = doc.meta.as_ref().expect("meta present");
-            assert_eq!(meta.doc_id(), id);
         }
     }
 
@@ -261,9 +259,12 @@ mod tests {
         let parser = AdaptiveParser;
         let blobs: Vec<&[u8]> = (0..4u32).map(|i| lib.download(DocId(i)).unwrap()).collect();
         let (outcomes, _) = parser.parse_batch(Executor::global(), &blobs);
-        for (i, o) in outcomes.iter().enumerate() {
-            let meta = o.document().unwrap().meta.as_ref().unwrap();
-            assert_eq!(meta.id, i as u32, "outcome order must match input order");
+        assert_eq!(outcomes.len(), blobs.len());
+        for (i, (o, blob)) in outcomes.iter().zip(&blobs).enumerate() {
+            assert!(o.is_parsed(), "blob {i}");
+            assert_eq!(*o, parser.parse(blob), "outcome {i} must be its own blob's parse");
         }
+        // The four documents differ, so a reordered batch cannot pass.
+        assert!(outcomes.windows(2).all(|w| w[0] != w[1]));
     }
 }

@@ -94,7 +94,6 @@ mod tests {
 
     fn doc_with_text(text: &str) -> ParsedDocument {
         ParsedDocument {
-            meta: None,
             sections: vec![ParsedSection { title: "Body".into(), text: text.into() }],
             issues: vec![],
         }
@@ -178,7 +177,6 @@ mod tests {
             assert_eq!(score(&doc).0.to_bits(), score_oracle(&doc).0.to_bits(), "{text:?}");
         }
         let two_sections = ParsedDocument {
-            meta: None,
             sections: vec![
                 ParsedSection { title: "A".into(), text: CLEAN_PROSE.into() },
                 ParsedSection { title: "B".into(), text: numeric_shred() },
@@ -228,7 +226,7 @@ mod tests {
 
     #[test]
     fn empty_document_scores_zero() {
-        let empty = ParsedDocument { meta: None, sections: vec![], issues: vec![] };
+        let empty = ParsedDocument { sections: vec![], issues: vec![] };
         assert_eq!(score(&empty).0, 0.0);
         assert_eq!(score(&doc_with_text("")).0, 0.0);
     }

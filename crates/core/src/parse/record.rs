@@ -1,7 +1,5 @@
 //! Parsed-document records: what the chunker reads of a parsed document.
 
-use mcqa_corpus::spdf::DocMeta;
-
 /// One parsed section.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ParsedSection {
@@ -14,9 +12,6 @@ pub(crate) struct ParsedSection {
 /// The parsed form of one document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedDocument {
-    /// Metadata recovered from the Meta object (`None` when salvage could
-    /// not decode it).
-    pub(crate) meta: Option<DocMeta>,
     /// Sections in order.
     pub(crate) sections: Vec<ParsedSection>,
     /// Non-fatal issues encountered while parsing.
@@ -59,7 +54,6 @@ mod tests {
 
     fn sample() -> ParsedDocument {
         ParsedDocument {
-            meta: None,
             sections: vec![
                 ParsedSection { title: "Abstract".into(), text: "Radiation matters.".into() },
                 ParsedSection { title: "Results".into(), text: "It did.".into() },

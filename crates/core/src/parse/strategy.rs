@@ -40,7 +40,6 @@ impl std::error::Error for ParseError {}
 
 /// Assemble a [`ParsedDocument`] from decoded SPDF objects.
 fn assemble(objects: &[SpdfObject], issues: Vec<String>) -> Result<ParsedDocument, ParseError> {
-    let meta = SpdfReader::metadata(objects).ok();
     let mut sections = Vec::new();
     let mut all_issues = issues;
     for (i, o) in objects.iter().enumerate() {
@@ -55,7 +54,7 @@ fn assemble(objects: &[SpdfObject], issues: Vec<String>) -> Result<ParsedDocumen
     if sections.is_empty() {
         return Err(ParseError::NoText);
     }
-    Ok(ParsedDocument { meta, sections, issues: all_issues })
+    Ok(ParsedDocument { sections, issues: all_issues })
 }
 
 /// Run one strategy over a blob.
@@ -121,7 +120,6 @@ mod tests {
         let b = blob();
         for s in ESCALATION {
             let doc = parse_with(s, &b).unwrap_or_else(|e| panic!("{s:?}: {e}"));
-            assert!(doc.meta.is_some());
             assert_eq!(doc.sections.len(), 5);
             assert!(doc.issues.is_empty(), "{s:?}: {:?}", doc.issues);
         }
@@ -184,8 +182,7 @@ mod tests {
             ]);
             for s in ESCALATION {
                 let doc = parse_with(s, &b).unwrap_or_else(|e| panic!("{s:?}: {e}"));
-                assert!(doc.meta.is_none(), "{s:?}: {title}");
-                assert_eq!(doc.sections.len(), 1, "{s:?}");
+                assert_eq!(doc.sections.len(), 1, "{s:?}: {title}");
             }
         }
     }

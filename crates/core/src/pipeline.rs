@@ -27,7 +27,7 @@ use mcqa_corpus::{CorpusLibrary, DocId};
 use mcqa_index::embed::{BioEncoder, Precision};
 use mcqa_index::lexical::LexicalIndex;
 use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
-use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, Teacher, TraceMode, OPTION_LETTERS};
+use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, TraceMode, OPTION_LETTERS};
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
 use mcqa_text::ChunkerConfig;
@@ -230,11 +230,9 @@ impl Pipeline {
         // Every other chunk replays its memoized outcome in the merge,
         // memoized rejections included: no second model call.
         let models = Arc::new(ModelHub::new(config.seed, Arc::clone(&ontology)));
-        let teacher = Teacher::new(Arc::clone(&models), config.seed);
-        let (accepted, row) =
-            generate_and_judge(&exec, config, &ontology, &models, &teacher, &gen_chunks);
+        let (accepted, row) = generate_and_judge(&exec, config, &ontology, &models, &gen_chunks);
         report.add(row);
-        let (trace_texts, row) = distil(&exec, &teacher, &accepted);
+        let (trace_texts, row) = distil(&exec, config, &models, &accepted);
         report.add(row);
         let merged = merge_questions(prev, &chunks, &fresh, accepted, trace_texts);
 
@@ -342,7 +340,6 @@ fn chunk(
                 let record = ChunkRecord {
                     chunk_id: ChunkRecord::make_id(doc_id, ci as u32),
                     doc: doc_id,
-                    index_in_doc: ci as u32,
                     text: c.text,
                     tokens: c.tokens,
                     facts,
@@ -518,7 +515,6 @@ fn generate_and_judge(
     config: &PipelineConfig,
     ontology: &Ontology,
     models: &ModelHub,
-    teacher: &Teacher,
     gen_chunks: &[&ChunkRecord],
 ) -> (Vec<Accepted>, StageMetrics) {
     let t = Instant::now();
@@ -552,7 +548,7 @@ fn generate_and_judge(
             passage_tokens: c.chunk.tokens,
         })
         .collect();
-    let generated = teacher.generate_question_batch(exec, &prompts);
+    let generated = models.questions(exec, config.seed, &prompts);
     // Candidates whose distractor pool was exhausted (< 7 options)
     // never reach the judge.
     let wellformed: Vec<(&Candidate, mcqa_llm::GeneratedQuestion)> =
@@ -619,13 +615,18 @@ fn generate_and_judge(
 /// `traces`: reasoning-trace distillation for the re-run questions —
 /// every (question, mode) pair is one batched hub request. Returns the
 /// texts in that order, `TraceMode::ALL.len()` per accepted question.
-fn distil(exec: &Executor, teacher: &Teacher, fresh: &[Accepted]) -> (Vec<String>, StageMetrics) {
+fn distil(
+    exec: &Executor,
+    config: &PipelineConfig,
+    models: &ModelHub,
+    fresh: &[Accepted],
+) -> (Vec<String>, StageMetrics) {
     let t = Instant::now();
     let prompts: Vec<(&McqItem, TraceMode)> = fresh
         .iter()
         .flat_map(|(_, _, item)| TraceMode::ALL.iter().map(move |mode| (item, *mode)))
         .collect();
-    let texts = teacher.generate_trace_batch(exec, &prompts);
+    let texts = models.traces(exec, config.seed, &prompts);
     let row = StageMetrics::single("traces", fresh.len(), texts.len(), t.elapsed().as_secs_f64());
     (texts, row)
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use mcqa_core::PipelineOutput;
-use mcqa_llm::{McqItem, Passage, PassageSource, TraceMode};
+use mcqa_llm::{McqItem, Passage, TraceMode};
 use mcqa_runtime::{run_stage, StageMetrics};
 use mcqa_serve::{PassageStore, QueryMode, QueryRequest, QueryService, ServeConfig};
 use mcqa_text::token_count;
@@ -213,9 +213,7 @@ impl<'a> RetrievalBundle<'a> {
                     per_source[Source::Chunks.index()].push(Passage::new(
                         &chunk.text,
                         chunk.tokens,
-                        PassageSource::Chunk,
                         chunk.facts.contains(&item.fact).then_some(item.fact),
-                        hit.score,
                     ));
                 }
 
@@ -233,13 +231,7 @@ impl<'a> RetrievalBundle<'a> {
                                     || (item_subject.is_some() && subject_of(**f) == item_subject)
                             })
                             .map(|_| item.fact);
-                        per_source[source.index()].push(Passage::new(
-                            text,
-                            tokens,
-                            PassageSource::Trace(mode),
-                            supports,
-                            hit.score,
-                        ));
+                        per_source[source.index()].push(Passage::new(text, tokens, supports));
                     }
                 }
                 per_source

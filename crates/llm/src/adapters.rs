@@ -1,8 +1,7 @@
-//! The two role handles a caller outside the evaluator keeps: a [`Teacher`]
-//! for the pipeline's generation and distillation stages, and a
-//! [`Reranker`] the query service rescoring hybrid results holds. Each is a
-//! shared `Arc<ModelHub>` plus the seed its calls carry, and each method is
-//! a one-line forward to the hub's typed entry point. Every other role is
+//! The teacher's prompt type ([`QuestionPrompt`]) and the one role handle
+//! a caller keeps: the query service's [`Reranker`], a shared
+//! `Arc<ModelHub>` plus the seed its calls carry, whose method forwards to
+//! the hub's typed entry point. Every other role, the teacher included, is
 //! called on [`ModelHub`] directly.
 
 use std::sync::Arc;
@@ -11,9 +10,6 @@ use mcqa_ontology::Fact;
 use mcqa_runtime::Executor;
 
 use crate::hub::ModelHub;
-use crate::mcq::McqItem;
-use crate::teacher::GeneratedQuestion;
-use crate::trace::TraceMode;
 
 /// One question-generation prompt: the anchor fact plus the source
 /// passage the teacher reads.
@@ -26,38 +22,6 @@ pub struct QuestionPrompt<'a> {
     /// passage is context for the teacher, so it is counted in the
     /// prompt-token estimate, as in a real deployment.
     pub passage_tokens: usize,
-}
-
-/// The teacher (GPT-4.1's roles): MCQ generation + trace distillation.
-#[derive(Clone)]
-pub struct Teacher {
-    hub: Arc<ModelHub>,
-    seed: u64,
-}
-
-impl Teacher {
-    /// A handle on `hub`'s teacher, its calls seeded with `seed`.
-    pub fn new(hub: Arc<ModelHub>, seed: u64) -> Self {
-        Self { hub, seed }
-    }
-
-    /// `ModelHub::questions`.
-    pub fn generate_question_batch(
-        &self,
-        exec: &Executor,
-        prompts: &[QuestionPrompt<'_>],
-    ) -> Vec<GeneratedQuestion> {
-        self.hub.questions(exec, self.seed, prompts)
-    }
-
-    /// `ModelHub::traces`.
-    pub fn generate_trace_batch(
-        &self,
-        exec: &Executor,
-        prompts: &[(&McqItem, TraceMode)],
-    ) -> Vec<String> {
-        self.hub.traces(exec, self.seed, prompts)
-    }
 }
 
 /// The cross-encoder reranker: rescoring retrieved passages against the
@@ -83,6 +47,9 @@ impl Reranker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcq::McqItem;
+    use crate::teacher::GeneratedQuestion;
+    use crate::trace::TraceMode;
     use mcqa_ontology::{Ontology, OntologyConfig};
 
     fn setup() -> (Arc<Ontology>, Arc<ModelHub>) {
@@ -97,9 +64,8 @@ mod tests {
     }
 
     #[test]
-    fn teacher_forwards_to_the_direct_simulator() {
+    fn hub_teacher_matches_the_direct_simulator() {
         let (ontology, hub) = setup();
-        let teacher = Teacher::new(hub, 42);
         let direct = crate::teacher::TeacherModel::new(42);
         let facts = &ontology.facts()[..12];
         let prompts: Vec<QuestionPrompt> = facts
@@ -107,7 +73,7 @@ mod tests {
             .map(|fact| QuestionPrompt { fact, salt: "c1".into(), passage_tokens: 3 })
             .collect();
         let exec = Executor::global();
-        let via = teacher.generate_question_batch(exec, &prompts);
+        let via = hub.questions(exec, 42, &prompts);
         let expected: Vec<GeneratedQuestion> =
             facts.iter().map(|f| direct.generate_question(&ontology, f, "c1")).collect();
         assert_eq!(via, expected);
@@ -129,7 +95,7 @@ mod tests {
             let asked: Vec<(&McqItem, TraceMode)> = items.iter().map(|q| (q, mode)).collect();
             let expected: Vec<String> =
                 items.iter().map(|q| direct.generate_trace(&ontology, q, mode)).collect();
-            assert_eq!(teacher.generate_trace_batch(exec, &asked), expected);
+            assert_eq!(hub.traces(exec, 42, &asked), expected);
         }
     }
 

@@ -57,17 +57,13 @@ pub struct AnswerOutcome {
     /// for every well-formed answer, so a cached outcome clones without
     /// allocating.
     pub text: Cow<'static, str>,
-    /// Diagnostics: the model "knew" the fact.
-    pub(crate) knew: bool,
-    /// Diagnostics: the answer came from extracted context.
-    pub(crate) used_context: bool,
     /// `token_count(text)`, taken where the text is written.
     tokens: usize,
 }
 
 impl AnswerOutcome {
-    fn new(chosen: Option<usize>, text: Cow<'static, str>, knew: bool, used_context: bool) -> Self {
-        Self { chosen, tokens: token_count(&text), text, knew, used_context }
+    fn new(chosen: Option<usize>, text: Cow<'static, str>) -> Self {
+        Self { chosen, tokens: token_count(&text), text }
     }
 
     /// Tokens the completion text costs: the answer's completion tokens,
@@ -175,17 +171,12 @@ impl ResolvedModel {
             } else {
                 wrong_option(item, draws.pick("math-wrong", n - 1))
             };
-            return AnswerOutcome::new(Some(chosen), answer_text(chosen), false, false);
+            return AnswerOutcome::new(Some(chosen), answer_text(chosen));
         }
 
         // 1. Answer-format failure: output no parseable letter.
         if !draws.bern("format", self.format_reliability(item.bench)) {
-            return AnswerOutcome::new(
-                None,
-                malformed_text(draws.pick("malform", 3), item),
-                false,
-                false,
-            );
+            return AnswerOutcome::new(None, malformed_text(draws.pick("malform", 3), item));
         }
 
         let knew = draws.bern("know", self.p_know(item));
@@ -193,35 +184,30 @@ impl ResolvedModel {
         // 2. Context extraction path.
         let relevant = context.map(|c| c.relevant_in_window).unwrap_or(false);
         let has_context = context.map(|c| c.passages_in_window > 0).unwrap_or(false);
-        let (correct, used_context) = if relevant {
+        let correct = if relevant {
             let e = self.extraction(item.bench, cond);
             if draws.bern("extract", e) {
-                (true, true)
+                true
             } else if knew && !draws.bern("distract", self.card.distraction) {
                 // Extraction failed: the (long) context still competes with
                 // the model's own knowledge — this is how chunk RAG can
                 // *hurt* distractible models even on retrieval hits
                 // (paper: OLMo 0.446 → 0.269 on the exam).
-                (true, false)
+                true
             } else {
-                (draws.bern("guess", self.card.guess_prob(n)), false)
+                draws.bern("guess", self.card.guess_prob(n))
             }
         } else if has_context {
             // Irrelevant context: distraction can override knowledge.
-            if knew && !draws.bern("distract", self.card.distraction) {
-                (true, false)
-            } else {
-                (draws.bern("guess", self.card.guess_prob(n)), false)
-            }
-        } else if knew {
-            (true, false)
+            (knew && !draws.bern("distract", self.card.distraction))
+                || draws.bern("guess", self.card.guess_prob(n))
         } else {
-            (draws.bern("guess", self.card.guess_prob(n)), false)
+            knew || draws.bern("guess", self.card.guess_prob(n))
         };
 
         let chosen =
             if correct { item.correct } else { wrong_option(item, draws.pick("wrong", n - 1)) };
-        AnswerOutcome::new(Some(chosen), answer_text(chosen), knew, used_context)
+        AnswerOutcome::new(Some(chosen), answer_text(chosen))
     }
 }
 
@@ -357,9 +343,7 @@ mod tests {
     fn ctx(relevant: bool, passages: usize) -> AssembledContext {
         AssembledContext {
             passages_in_window: passages,
-            passages_total: passages,
             relevant_in_window: relevant,
-            relevant_retrieved: relevant,
             prompt_tokens: 500,
         }
     }

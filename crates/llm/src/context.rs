@@ -8,17 +8,6 @@
 
 use mcqa_ontology::FactId;
 
-use crate::trace::TraceMode;
-
-/// Where a retrieved passage came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PassageSource {
-    /// A paper-derived semantic chunk.
-    Chunk,
-    /// A reasoning trace in the given mode.
-    Trace(TraceMode),
-}
-
 /// One retrieved passage handed to a model.
 ///
 /// A passage borrows its text from the store that holds it (a chunk
@@ -34,15 +23,11 @@ pub struct Passage<'a> {
     text: &'a str,
     /// `token_count(text)`.
     tokens: usize,
-    /// Source type.
-    pub(crate) source: PassageSource,
     /// Ground truth: the fact this passage states/supports, if any.
     /// (Filled by the evaluator from the corpus/trace oracle; the model
     /// only "sees" the text, but the simulator needs the label to decide
     /// whether extraction is possible.)
     pub supports: Option<FactId>,
-    /// Retrieval score (for ordering diagnostics).
-    pub(crate) score: f32,
 }
 
 impl<'a> Passage<'a> {
@@ -50,15 +35,9 @@ impl<'a> Passage<'a> {
     /// [`mcqa_text::token_count`]`(text)` — a count the caller already
     /// holds (a chunk record's, one taken per trace), so building a passage
     /// copies and tokenises nothing in release builds.
-    pub fn new(
-        text: &'a str,
-        tokens: usize,
-        source: PassageSource,
-        supports: Option<FactId>,
-        score: f32,
-    ) -> Self {
+    pub fn new(text: &'a str, tokens: usize, supports: Option<FactId>) -> Self {
         debug_assert_eq!(tokens, mcqa_text::token_count(text), "passage token count");
-        Self { text, tokens, source, supports, score }
+        Self { text, tokens, supports }
     }
 
     /// Passage text (injected into the prompt).
@@ -77,15 +56,9 @@ impl<'a> Passage<'a> {
 pub struct AssembledContext {
     /// Passages fully inside the window, in retrieval order.
     pub passages_in_window: usize,
-    /// Passages supplied by retrieval.
-    pub(crate) passages_total: usize,
     /// True when a passage supporting the question's fact survived
     /// truncation (a *usable* hit).
     pub relevant_in_window: bool,
-    /// True when retrieval returned a supporting passage at all (hit
-    /// before truncation) — the difference to `relevant_in_window` is
-    /// pure window loss.
-    pub(crate) relevant_retrieved: bool,
     /// Prompt tokens consumed (stem + options + surviving passages).
     pub prompt_tokens: usize,
 }
@@ -115,14 +88,11 @@ pub fn assemble(
     let mut used = 0usize;
     let mut in_window = 0usize;
     let mut relevant_in_window = false;
-    let mut relevant_retrieved = false;
     for p in passages {
-        let is_relevant = p.supports == Some(fact);
-        relevant_retrieved |= is_relevant;
         if used + p.tokens <= budget {
             used += p.tokens;
             in_window += 1;
-            relevant_in_window |= is_relevant;
+            relevant_in_window |= p.supports == Some(fact);
         }
         // Passages after an overflow are still skipped individually —
         // a shorter later passage may fit (greedy packing in rank order).
@@ -130,9 +100,7 @@ pub fn assemble(
 
     AssembledContext {
         passages_in_window: in_window,
-        passages_total: passages.len(),
         relevant_in_window,
-        relevant_retrieved,
         prompt_tokens: question_tokens + SCAFFOLD_TOKENS + used,
     }
 }
@@ -163,7 +131,7 @@ mod tests {
     }
 
     fn passage(n: usize, supports: Option<FactId>) -> Passage<'static> {
-        Passage::new(words('w', n), n, PassageSource::Chunk, supports, 0.9)
+        Passage::new(words('w', n), n, supports)
     }
 
     /// [`assemble`] for the fixture item.
@@ -182,7 +150,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "passage token count")]
     fn a_wrong_token_count_is_loud_in_debug_builds() {
-        Passage::new("three short words", 4, PassageSource::Chunk, None, 0.5);
+        Passage::new("three short words", 4, None);
     }
 
     #[test]
@@ -191,7 +159,6 @@ mod tests {
         let ctx = assemble_item(&ps, 32_768);
         assert_eq!(ctx.passages_in_window, 2);
         assert!(ctx.relevant_in_window);
-        assert!(ctx.relevant_retrieved);
         assert!(ctx.prompt_tokens > 400);
     }
 
@@ -206,8 +173,7 @@ mod tests {
         ];
         let ctx = assemble_item(&ps, window);
         assert_eq!(ctx.passages_in_window, 1);
-        assert!(ctx.relevant_retrieved, "retrieval found it");
-        assert!(!ctx.relevant_in_window, "but the window lost it");
+        assert!(!ctx.relevant_in_window, "the window lost the hit");
     }
 
     #[test]
@@ -220,15 +186,7 @@ mod tests {
         assert_eq!(c1.passages_in_window, 1);
         // Five 50-token traces: all fit... budget 300 → 6 × 50 = 300 fits 5.
         let traces: Vec<Passage> = (0..5)
-            .map(|i| {
-                Passage::new(
-                    words('t', 50),
-                    50,
-                    PassageSource::Trace(TraceMode::Efficient),
-                    if i == 4 { Some(FactId(42)) } else { None },
-                    0.8,
-                )
-            })
+            .map(|i| Passage::new(words('t', 50), 50, (i == 4).then_some(FactId(42))))
             .collect();
         let c2 = assemble_item(&traces, window);
         assert_eq!(c2.passages_in_window, 5);
@@ -248,8 +206,7 @@ mod tests {
     #[test]
     fn zero_passages() {
         let ctx = assemble_item(&[], 2048);
-        assert_eq!(ctx.passages_total, 0);
-        assert!(!ctx.relevant_retrieved);
+        assert_eq!(ctx.passages_in_window, 0);
         assert!(!ctx.relevant_in_window);
     }
 
@@ -265,7 +222,7 @@ mod tests {
     fn irrelevant_passage_supporting_other_fact() {
         let ps = vec![passage(50, Some(FactId(7)))];
         let ctx = assemble_item(&ps, 4096);
-        assert!(!ctx.relevant_retrieved, "supports a different fact");
+        assert!(!ctx.relevant_in_window, "supports a different fact");
         assert_eq!(ctx.passages_in_window, 1);
     }
 }

@@ -68,7 +68,7 @@ impl ModelHub {
 
     /// The teacher: one 7-option MCQ per prompt, on `exec`'s pool
     /// (index-aligned with `prompts`).
-    pub(crate) fn questions(
+    pub fn questions(
         &self,
         exec: &Executor,
         seed: u64,
@@ -79,7 +79,7 @@ impl ModelHub {
 
     /// The teacher: one reasoning trace per (accepted question, mode), the
     /// keyed answer withheld, on `exec`'s pool.
-    pub(crate) fn traces(
+    pub fn traces(
         &self,
         exec: &Executor,
         seed: u64,
@@ -263,9 +263,7 @@ mod tests {
     fn fixtures() -> (Vec<ResolvedModel>, Vec<PreparedItem>, AssembledContext) {
         let context = AssembledContext {
             passages_in_window: 3,
-            passages_total: 5,
             relevant_in_window: true,
-            relevant_retrieved: true,
             prompt_tokens: 400,
         };
         (

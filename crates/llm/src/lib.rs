@@ -7,8 +7,8 @@
 //!
 //! | Paper role | Entry points |
 //! |---|---|
-//! | GPT-4.1 question generation | `ModelHub::questions` (the pipeline's [`Teacher::generate_question_batch`]) |
-//! | GPT-4.1 trace distillation (3 modes) | `ModelHub::traces` ([`Teacher::generate_trace_batch`]) |
+//! | GPT-4.1 question generation | [`ModelHub::questions`] (the pipeline's `generate+judge` stage) |
+//! | GPT-4.1 trace distillation (3 modes) | [`ModelHub::traces`] (the pipeline's `traces` stage) |
 //! | LLM judge (quality scoring + grading) | [`ModelHub::quality_scores`], [`ModelHub::grade`] |
 //! | GPT-5 math-question classifier | [`ModelHub::math_flags`] |
 //! | Cross-encoder reranker | `ModelHub::rerank_scores` (the query service's [`Reranker::score_batch`]) |
@@ -100,10 +100,10 @@ pub mod solver;
 pub(crate) mod teacher;
 pub(crate) mod trace;
 
-pub use adapters::{QuestionPrompt, Reranker, Teacher};
+pub use adapters::{QuestionPrompt, Reranker};
 pub use answer::{Condition, ResolvedModel};
 pub use cards::{BenchTargets, ModelCard, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
-pub use context::{AssembledContext, Passage, PassageSource};
+pub use context::{AssembledContext, Passage};
 pub use hub::ModelHub;
 pub use ledger::{Role, RoleStats};
 pub use mcq::{BenchKind, McqItem, PreparedItem, OPTION_LETTERS};

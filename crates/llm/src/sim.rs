@@ -270,16 +270,12 @@ impl Call for Answer<'_> {
                 None => h.write_u32(0),
                 Some(AssembledContext {
                     passages_in_window,
-                    passages_total,
                     relevant_in_window,
-                    relevant_retrieved,
                     prompt_tokens,
                 }) => {
                     h.write_u32(1);
                     h.write_u64(*passages_in_window as u64);
-                    h.write_u64(*passages_total as u64);
                     h.write_u32(*relevant_in_window as u32);
-                    h.write_u32(*relevant_retrieved as u32);
                     h.write_u64(*prompt_tokens as u64);
                 }
             }
@@ -477,9 +473,7 @@ pub(crate) mod tests {
         // scaffold: nothing is added on top.
         let context = AssembledContext {
             passages_in_window: 2,
-            passages_total: 5,
             relevant_in_window: true,
-            relevant_retrieved: true,
             prompt_tokens: 500,
         };
         assert_eq!(Answer { context: Some(&context), ..baseline }.tokens_in(), 500);
@@ -619,9 +613,7 @@ pub(crate) mod tests {
         // every field of the context.
         let context = AssembledContext {
             passages_in_window: 2,
-            passages_total: 5,
             relevant_in_window: false,
-            relevant_retrieved: false,
             prompt_tokens: 500,
         };
         fn answer_key(
@@ -649,11 +641,9 @@ pub(crate) mod tests {
             assert_ne!(k, answer_key(&model, &test_item(), condition, Some(&context)));
         }
         assert_ne!(k, answer_key(&model, &test_item(), focused, None), "context presence");
-        let context_edits: [fn(&mut AssembledContext); 5] = [
+        let context_edits: [fn(&mut AssembledContext); 3] = [
             |c| c.passages_in_window += 1,
-            |c| c.passages_total += 1,
             |c| c.relevant_in_window = true,
-            |c| c.relevant_retrieved = true,
             |c| c.prompt_tokens += 1,
         ];
         for (i, edit) in context_edits.iter().enumerate() {

@@ -12,10 +12,10 @@
 //!
 //! The rules live in exactly one place: the `TokenRuns` scanner finds the
 //! runs, [`for_each_token`] lowercases them, and every other entry point
-//! ([`tokenize`], [`content_tokens`], [`token_count`], [`truncate_tokens`])
-//! is a thin user of those two. The scanner reads an ASCII byte's class
-//! from one table and decodes only a non-ASCII char; [`token_count`]
-//! counts an all-ASCII text in a branch-free pass over the same table.
+//! ([`tokenize`], [`content_tokens`], [`token_count`]) is a thin user of
+//! those two. The scanner reads an ASCII byte's class from one table and
+//! decodes only a non-ASCII char; [`token_count`] counts an all-ASCII text
+//! in a branch-free pass over the same table.
 
 use std::ops::Range;
 
@@ -179,28 +179,6 @@ pub fn token_count(text: &str) -> usize {
     count + usize::from(seen)
 }
 
-/// Truncate `text` to at most `max_tokens` tokens, preserving the original
-/// surface form (whitespace/punctuation) of the kept prefix.
-///
-/// Used for context-window truncation in the simulated models: a 2k-window
-/// model sees only the first 2k tokens of its prompt, exactly like a real
-/// model whose tokenizer hits its limit.
-pub fn truncate_tokens(text: &str, max_tokens: usize) -> &str {
-    if max_tokens == 0 {
-        return "";
-    }
-    let mut count = 0usize;
-    for run in runs(text) {
-        // Cut before whatever starts once the budget is filled — a stray
-        // dash run included.
-        if count == max_tokens {
-            return &text[..run.span.start];
-        }
-        count += usize::from(run.has_alnum);
-    }
-    text
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,42 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn truncate_basics() {
-        let s = "alpha beta gamma delta";
-        assert_eq!(truncate_tokens(s, 0), "");
-        assert_eq!(truncate_tokens(s, 2).trim_end(), "alpha beta");
-        assert_eq!(truncate_tokens(s, 4), s);
-        assert_eq!(truncate_tokens(s, 100), s);
-    }
-
-    #[test]
-    fn truncate_respects_token_count() {
-        let s = "Clustered lesions, induced by carbon ions, resist repair (p < 0.05).";
-        for k in 0..=token_count(s) {
-            let t = truncate_tokens(s, k);
-            assert!(token_count(t) <= k, "k={k} got {:?}", t);
-            if k > 0 {
-                assert_eq!(token_count(t), k);
-            }
-        }
-    }
-
-    #[test]
-    fn truncate_preserves_prefix_surface() {
-        let s = "A, B; C";
-        let t = truncate_tokens(s, 2);
-        assert!(s.starts_with(t));
-        assert_eq!(tokenize(t), vec!["a", "b"]);
-    }
-
-    #[test]
     fn unicode_safety() {
         // Multi-byte chars must not split mid-boundary.
-        let s = "α-kinase führt 5µm Überleben";
-        let t = truncate_tokens(s, 2);
-        assert!(s.starts_with(t));
-        assert!(token_count(t) <= 2);
-        let toks = tokenize("Überleben");
-        assert_eq!(toks, vec!["überleben"]);
+        assert_eq!(tokenize("α-kinase führt Überleben"), vec!["α-kinase", "führt", "überleben"]);
     }
 }

@@ -1,8 +1,10 @@
 //! Statistics used across the pipeline and the evaluation harness.
 //!
-//! * [`Accuracy`] — correct/total accounting with Wilson score intervals
-//!   (the evaluation tables print these so readers can judge whether a
-//!   scaled-down run is compatible with the paper's point estimates).
+//! * [`Accuracy`] — correct/total accounting with Wilson score intervals.
+//!   The evaluation tables print point estimates only; the interval is
+//!   read by `examples/quickstart.rs`, which prints one per accuracy so a
+//!   reader can judge whether a scaled-down run is compatible with the
+//!   paper's point estimates.
 //! * [`WilsonInterval`] — the interval itself.
 
 use serde::Serialize;

@@ -7,7 +7,7 @@
 //! ```
 
 use distllm::llm::context::assemble;
-use distllm::llm::{Passage, PassageSource};
+use distllm::llm::Passage;
 use distllm::prelude::*;
 
 fn main() {
@@ -39,26 +39,15 @@ fn main() {
         .expect("source chunk exists");
     // A passage carries its token count: the chunk record already holds
     // one, the trace is counted here.
-    let chunk_passage = Passage::new(
-        &source_chunk.text,
-        source_chunk.tokens,
-        PassageSource::Chunk,
-        Some(item.fact),
-        1.0,
-    );
+    let chunk_passage = Passage::new(&source_chunk.text, source_chunk.tokens, Some(item.fact));
     let trace_text = &output
         .traces
         .iter()
         .find(|t| t.question_id == item.qid && t.mode == TraceMode::Efficient)
         .expect("trace exists")
         .trace;
-    let trace_passage = Passage::new(
-        trace_text,
-        distllm::text::token_count(trace_text),
-        PassageSource::Trace(TraceMode::Efficient),
-        Some(item.fact),
-        1.0,
-    );
+    let trace_passage =
+        Passage::new(trace_text, distllm::text::token_count(trace_text), Some(item.fact));
     let q_tokens = item.prompt_tokens();
 
     println!("\n== context-window truncation (the small-model mechanism) ==");

@@ -49,11 +49,11 @@ if grep -rn 'expect_lexical\|\.lexical(' crates/eval/src; then
 fi
 
 # One ingest planner: the cold build and the incremental re-run flow
-# through run_planned, so there is exactly one generation call site for the
-# single bookkeeping path to guard. A second call site means a fork of the
-# plan logic.
-if [[ "$(grep -c 'generate_question_batch' crates/core/src/pipeline.rs)" != "1" ]]; then
-    fail "pipeline.rs must call generate_question_batch exactly once (cold and incremental share the planner)"
+# through run_planned, so there is exactly one generation call site (the
+# hub's `questions` entry point) for the single bookkeeping path to guard.
+# A second call site means a fork of the plan logic.
+if [[ "$(grep -c '\.questions(' crates/core/src/pipeline.rs)" != "1" ]]; then
+    fail "pipeline.rs must call ModelHub::questions exactly once (cold and incremental share the planner)"
 fi
 if ! grep -q 'fn run_planned' crates/core/src/pipeline.rs; then
     fail "pipeline.rs lost the shared ingest planner (run_planned)"

@@ -32,28 +32,6 @@ fn reference_tokenize(text: &str) -> Vec<String> {
     out
 }
 
-/// `truncate_tokens` as it was before the single state machine.
-fn reference_truncate(text: &str, max_tokens: usize) -> &str {
-    if max_tokens == 0 {
-        return "";
-    }
-    let (mut count, mut in_tok, mut has_alnum) = (0usize, false, false);
-    for (i, c) in text.char_indices() {
-        if c.is_alphanumeric() || c == '-' {
-            if !in_tok && count == max_tokens {
-                return &text[..i];
-            }
-            in_tok = true;
-            has_alnum |= c.is_alphanumeric();
-        } else {
-            count += usize::from(in_tok && has_alnum);
-            in_tok = false;
-            has_alnum = false;
-        }
-    }
-    text
-}
-
 fn streamed_tokens(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     distllm::text::for_each_token(text, |t| out.push(t.to_string()));
@@ -164,14 +142,6 @@ proptest! {
             distllm::text::for_each_content_token(t, |t| streamed_content.push(t.to_string()));
             prop_assert_eq!(&streamed_content, &content);
         }
-    }
-
-    #[test]
-    fn truncate_is_prefix_and_respects_budget(text in ".{0,400}", k in 0usize..60) {
-        let t = distllm::text::token::truncate_tokens(&text, k);
-        prop_assert_eq!(t, reference_truncate(&text, k));
-        prop_assert!(text.starts_with(t));
-        prop_assert!(token_count(t) <= k);
     }
 
     #[test]
