@@ -3,8 +3,9 @@
 //! paper's FAISS deployment makes), at 10k and 100k vectors.
 //!
 //! Everything goes through `IndexSpec` + `build_store_from_vectors` +
-//! `search_batch` — the exact path the pipeline and `repro --index` use —
-//! so these numbers describe the production surface, not a bespoke loop.
+//! `search_batch` — for `IndexSpec::Flat` the same store the pipeline
+//! builds — so these numbers describe the production surface, not a
+//! bespoke loop.
 //! `flat_search` additionally sweeps the exact-search kernel matrix
 //! (corpus size × query-batch size × F16/F32) that the ROADMAP "perf
 //! baselines to beat" entry records, and `crossover` prints the

@@ -7,7 +7,7 @@
 //! repro table1 | table3 | table4
 //! repro rates                       # measured retrieval rates per model
 //! repro residuals                   # calibration residual census
-//! repro recall                      # recall@k + footprint per backend and per retrieval mode
+//! repro recall                      # recall@k + footprint per retrieval mode
 //! repro models                      # per-role call ledger + cache hit rate
 //! repro ingest --edits 20           # incremental re-ingest ≡ cold rebuild?
 //! repro ablate-topk                 # accuracy vs retrieval depth
@@ -18,10 +18,11 @@
 //! This file is `main`, command dispatch and printing; everything that
 //! computes a row lives in the `mcqa_bench` library, where `cargo test`
 //! asserts it. [`mcqa_bench::cli::parse`] is the one flag parser: `--scale`,
-//! `--seed` everywhere, `--index flat|hnsw|ivf|pq`, `--retrieval …`,
-//! `--fuse-depth`, `--edits` on the commands that read them. An unknown command or flag, a flag the command does not read, or a
-//! malformed or out-of-range value exits 2 with the usage table — before
-//! any pipeline is built; `repro help` prints it and exits 0. Nothing here
+//! `--seed` everywhere, `--retrieval …` and `--edits` on the commands that
+//! read them. An unknown command or flag, a flag the command does not
+//! read, or a malformed or out-of-range value exits 2 with the usage table
+//! — before any pipeline is built; `repro help` prints it and exits 0.
+//! Every store the pipeline builds is an exact flat one. Nothing here
 //! measures speed: that is `perfbench/`.
 
 use mcqa_bench::cli::{self, Usage};
@@ -46,8 +47,7 @@ fn main() {
     };
 
     // Commands that need no pipeline of the caller's, or build their own.
-    let mut config = PipelineConfig::at_scale(args.scale, args.seed);
-    config.index = args.index;
+    let config = PipelineConfig::at_scale(args.scale, args.seed);
     match args.command {
         "table1" => {
             println!("{}", cards::render_table1());
@@ -70,12 +70,7 @@ fn main() {
         _ => {}
     }
 
-    eprintln!(
-        "[repro] building pipeline at scale {} (seed {}, index {}) ...",
-        args.scale,
-        args.seed,
-        config.index.label()
-    );
+    eprintln!("[repro] building pipeline at scale {} (seed {}) ...", args.scale, args.seed);
     let output = Pipeline::run(&config);
     eprintln!(
         "[repro] {} docs → {} chunks → {} candidates → {} accepted ({:.1}%)",
@@ -99,8 +94,7 @@ fn main() {
                 println!("{line}");
             }
             println!(
-                "\n{} store: chunk DB {} vectors ({} KiB); trace DBs: 3 × {} vectors",
-                output.config.index.label(),
+                "\nflat store: chunk DB {} vectors ({} KiB); trace DBs: 3 × {} vectors",
                 output.chunk_store().len(),
                 output.chunk_store().payload_bytes() / 1024,
                 output.items.len()
@@ -133,19 +127,12 @@ fn main() {
         }
         "recall" => {
             let k = 5;
-            let Some(backends) = recall::backend_recall(&output, k) else {
+            if output.items.is_empty() {
                 eprintln!("[repro] recall needs at least one accepted question (got 0)");
                 std::process::exit(1);
-            };
+            }
             println!(
-                "Recall vs flat baseline: {} vectors (dim {}), {} queries, k={k}\n",
-                output.chunks.len(),
-                output.config.embed.dim,
-                output.items.len()
-            );
-            print!("{}", recall::render_backend_recall(&backends, k));
-            println!(
-                "\nRetrieval modes over the pipeline stores: {} questions × {} sources, k={k}\n",
+                "Retrieval modes over the pipeline stores: {} questions × {} sources, k={k}\n",
                 output.items.len(),
                 Source::ALL.len()
             );

@@ -3,7 +3,6 @@
 //! [`Usage`] costs.
 
 use mcqa_corpus::AcquisitionConfig;
-use mcqa_index::IndexSpec;
 use mcqa_serve::QueryMode;
 
 /// What one `repro` invocation asks for.
@@ -13,10 +12,8 @@ pub struct RunArgs {
     pub command: &'static str,
     pub scale: f64,
     pub seed: u64,
-    pub index: IndexSpec,
-    /// `--retrieval`, with `--fuse-depth` already threaded into a hybrid
-    /// mode (left at 0, `mcqa_index::lexical::DEFAULT_FUSE_DEPTH`, when
-    /// the flag is absent).
+    /// `--retrieval`; a hybrid mode fuses at the default depth (`depth: 0`,
+    /// `mcqa_index::lexical::DEFAULT_FUSE_DEPTH`).
     pub retrieval: QueryMode,
     /// `ingest`: synthetic edit-batch size (default ≈ 1% of the live
     /// corpus, minimum 1; at most the documents `--scale` acquires).
@@ -34,27 +31,23 @@ pub enum Usage {
 
 /// Every flag, each taking exactly one value. The first two are read by
 /// every command.
-pub const FLAGS: [&str; 6] =
-    ["--scale", "--seed", "--index", "--retrieval", "--fuse-depth", "--edits"];
+pub const FLAGS: [&str; 4] = ["--scale", "--seed", "--retrieval", "--edits"];
 const EVERYWHERE: usize = 2;
 
-/// Commands that build the pipeline under `--index` and stop there.
-const BUILD: &[&str] = &["--index"];
-/// Commands that also run the evaluator under `--retrieval`.
-const EVAL: &[&str] = &["--index", "--retrieval", "--fuse-depth"];
+/// Commands that run the evaluator under `--retrieval`.
+const EVAL: &[&str] = &["--retrieval"];
 
 /// Every command with the flags it reads beyond the universal two.
-/// `table1` prints a schema and `ablate-filter` sweeps its own pipelines;
-/// `recall` builds every backend itself over the exact flat pipeline.
+/// `recall` runs every retrieval mode itself.
 pub const COMMANDS: [(&str, &[&str]); 19] = [
     ("all", EVAL),
     ("table1", &[]),
     ("table2", EVAL),
     ("table3", EVAL),
     ("table4", EVAL),
-    ("fig1", BUILD),
-    ("fig2", BUILD),
-    ("fig3", BUILD),
+    ("fig1", &[]),
+    ("fig2", &[]),
+    ("fig3", &[]),
     ("fig4", EVAL),
     ("fig5", EVAL),
     ("fig6", EVAL),
@@ -62,9 +55,9 @@ pub const COMMANDS: [(&str, &[&str]); 19] = [
     ("residuals", EVAL),
     ("recall", &[]),
     ("models", EVAL),
-    ("ingest", &["--index", "--edits"]),
-    ("ablate-topk", BUILD),
-    ("ablate-context", BUILD),
+    ("ingest", &["--edits"]),
+    ("ablate-topk", &[]),
+    ("ablate-context", &[]),
     ("ablate-filter", &[]),
 ];
 
@@ -80,8 +73,8 @@ pub fn usage() -> String {
     format!(
         "usage: repro [command] [flags]   (no command = all; `repro help` prints this table)\n\
          commands: {}\n\
-         valid flags: --scale <f64 in (0, 1]> --seed <u64> --index flat|hnsw|ivf|pq \
-         --retrieval dense|lexical|hybrid|hybrid-rerank --fuse-depth <n> --edits <n>",
+         valid flags: --scale <f64 in (0, 1]> --seed <u64> \
+         --retrieval dense|lexical|hybrid|hybrid-rerank --edits <n>",
         commands.join(" ")
     )
 }
@@ -106,15 +99,8 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
     let Some(&(command, _)) = COMMANDS.iter().find(|(c, _)| *c == name) else {
         return bad(format!("unknown command '{name}'"));
     };
-    let mut args = RunArgs {
-        command,
-        scale: 0.1,
-        seed: 42,
-        index: IndexSpec::Flat,
-        retrieval: QueryMode::Dense,
-        edits: None,
-    };
-    let mut fuse_depth = None;
+    let mut args =
+        RunArgs { command, scale: 0.1, seed: 42, retrieval: QueryMode::Dense, edits: None };
     let mut rest = argv.iter().skip(1);
     while let Some(flag) = rest.next() {
         let flag = flag.as_str();
@@ -138,14 +124,6 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
                 }
             }
             "--seed" => args.seed = val(flag, raw)?,
-            "--index" => match IndexSpec::parse(raw) {
-                Some(spec) => args.index = spec,
-                None => {
-                    return bad(format!(
-                        "unknown index backend '{raw}' (expected flat|hnsw|ivf|pq)"
-                    ))
-                }
-            },
             "--retrieval" => {
                 let hybrid =
                     |rerank| QueryMode::Hybrid { fusion: Default::default(), rerank, depth: 0 };
@@ -162,24 +140,9 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
                     }
                 };
             }
-            "--fuse-depth" => {
-                // `depth: 0` is `QueryMode`'s own "default depth" sentinel.
-                let depth: usize = val(flag, raw)?;
-                if depth == 0 {
-                    return bad(format!("bad value '{raw}' for {flag} (expected >= 1)"));
-                }
-                fuse_depth = Some(depth);
-            }
             "--edits" => args.edits = Some(val(flag, raw)?),
             other => unreachable!("{other} is in FLAGS but has no arm"),
         }
-    }
-    // `--fuse-depth` rides the retrieval mode: flags are order-independent,
-    // so thread it after the scan rather than during it.
-    match (&mut args.retrieval, fuse_depth) {
-        (QueryMode::Hybrid { depth, .. }, Some(d)) => *depth = d,
-        (_, Some(_)) => return bad("--fuse-depth needs a hybrid --retrieval".to_string()),
-        (_, None) => {}
     }
     // An edit batch is drawn against the corpus `--scale` acquires, so one
     // larger than that corpus asks for edits that do not exist.
@@ -205,15 +168,12 @@ mod tests {
         words.iter().map(|w| w.to_string()).collect()
     }
 
-    /// A value `parse` accepts for `flag` on its own (hence no lone
-    /// `--fuse-depth`: it is only legal beside a hybrid `--retrieval`).
+    /// A value `parse` accepts for `flag`.
     fn sample(flag: &str) -> Vec<&str> {
         match flag {
             "--scale" => vec![flag, "0.5"],
             "--seed" => vec![flag, "7"],
-            "--index" => vec![flag, "pq"],
             "--retrieval" => vec![flag, "lexical"],
-            "--fuse-depth" => vec!["--retrieval", "hybrid", flag, "16"],
             "--edits" => vec![flag, "3"],
             other => panic!("no sample for {other}"),
         }
@@ -223,25 +183,25 @@ mod tests {
     /// arms read the flags: one row per command, one column per flag in
     /// [`FLAGS`] order (`x` = read).
     const EXPECTED: [(&str, &str); 19] = [
-        ("all", "xxxxx."),
-        ("table1", "xx...."),
-        ("table2", "xxxxx."),
-        ("table3", "xxxxx."),
-        ("table4", "xxxxx."),
-        ("fig1", "xxx..."),
-        ("fig2", "xxx..."),
-        ("fig3", "xxx..."),
-        ("fig4", "xxxxx."),
-        ("fig5", "xxxxx."),
-        ("fig6", "xxxxx."),
-        ("rates", "xxxxx."),
-        ("residuals", "xxxxx."),
-        ("recall", "xx...."),
-        ("models", "xxxxx."),
-        ("ingest", "xxx..x"),
-        ("ablate-topk", "xxx..."),
-        ("ablate-context", "xxx..."),
-        ("ablate-filter", "xx...."),
+        ("all", "xxx."),
+        ("table1", "xx.."),
+        ("table2", "xxx."),
+        ("table3", "xxx."),
+        ("table4", "xxx."),
+        ("fig1", "xx.."),
+        ("fig2", "xx.."),
+        ("fig3", "xx.."),
+        ("fig4", "xxx."),
+        ("fig5", "xxx."),
+        ("fig6", "xxx."),
+        ("rates", "xxx."),
+        ("residuals", "xxx."),
+        ("recall", "xx.."),
+        ("models", "xxx."),
+        ("ingest", "xx.x"),
+        ("ablate-topk", "xx.."),
+        ("ablate-context", "xx.."),
+        ("ablate-filter", "xx.."),
     ];
 
     #[test]
@@ -265,29 +225,20 @@ mod tests {
 
     #[test]
     fn values_land_in_their_fields() {
-        let args = parse(&argv(&[
-            "ingest", "--edits", "5", "--index", "ivf", "--seed", "9", "--scale", "1",
-        ]))
-        .expect("parses");
+        let args = parse(&argv(&["ingest", "--edits", "5", "--seed", "9", "--scale", "1"]))
+            .expect("parses");
         assert_eq!((args.command, args.scale, args.seed, args.edits), ("ingest", 1.0, 9, Some(5)));
-        assert_eq!(args.index.label(), "ivf");
 
         let defaults = parse(&[]).expect("no arguments = all");
         assert_eq!((defaults.command, defaults.scale, defaults.seed), ("all", 0.1, 42));
         assert_eq!(defaults.retrieval, QueryMode::Dense);
 
-        // Order-independent: the depth reaches the mode from either side.
-        for words in [
-            ["table2", "--fuse-depth", "16", "--retrieval", "hybrid-rerank"],
-            ["table2", "--retrieval", "hybrid-rerank", "--fuse-depth", "16"],
-        ] {
-            let args = parse(&argv(&words)).expect("parses");
-            let QueryMode::Hybrid { rerank, depth, .. } = args.retrieval else {
-                panic!("{:?}", args.retrieval)
-            };
-            assert!(rerank);
-            assert_eq!(depth, 16);
-        }
+        let args = parse(&argv(&["table2", "--retrieval", "hybrid-rerank"])).expect("parses");
+        let QueryMode::Hybrid { rerank, depth, .. } = args.retrieval else {
+            panic!("{:?}", args.retrieval)
+        };
+        assert!(rerank);
+        assert_eq!(depth, 0, "the default fuse depth");
     }
 
     #[test]
@@ -296,19 +247,6 @@ mod tests {
             let got = parse(&argv(&[command, "--models", "sim"]));
             assert_eq!(got, Err(Usage::Bad("unknown argument '--models'".to_string())));
         }
-    }
-
-    #[test]
-    fn fuse_depth_needs_a_hybrid_mode_and_a_positive_value() {
-        for words in [
-            &["all", "--fuse-depth", "16"][..],
-            &["all", "--retrieval", "lexical", "--fuse-depth", "16"],
-        ] {
-            assert!(matches!(parse(&argv(words)), Err(Usage::Bad(_))), "{words:?}");
-        }
-        let zero = parse(&argv(&["table2", "--retrieval", "hybrid", "--fuse-depth", "0"]));
-        let why = "bad value '0' for --fuse-depth (expected >= 1)";
-        assert_eq!(zero, Err(Usage::Bad(why.to_string())));
     }
 
     #[test]

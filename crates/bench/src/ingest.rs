@@ -4,7 +4,6 @@
 
 use mcqa_core::{IngestCensus, Pipeline, PipelineConfig};
 use mcqa_corpus::EditBatch;
-use mcqa_index::IndexSpec;
 use mcqa_runtime::RunReport;
 use std::sync::Arc;
 
@@ -12,13 +11,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
     /// Every artifact equal and every probe's hits equal, dense stores
-    /// included (the `flat` backend).
+    /// and lexical siblings alike.
     Identical,
-    /// Every artifact and lexical probe equal; the dense stores share this
-    /// fraction of their top-k ids (ivf/pq retrain their coarse structure
-    /// on a cold rebuild and hnsw re-inserts in a different order, so
-    /// those report overlap instead of asserting bitwise identity).
-    Overlap(f64),
     /// What differed, one `key=value …` description each.
     Mismatch(Vec<String>),
 }
@@ -45,9 +39,9 @@ pub struct IngestReport {
 /// compare against a cold rebuild of the edited corpus.
 ///
 /// Every pipeline artifact (chunks, questions, traces, the ingest
-/// manifest) must be equal on any backend — the planner re-derives those,
-/// not index internals. Search results are compared probe by probe: exact
-/// for the lexical siblings always and for dense stores on `flat`.
+/// manifest) must be equal, and every store's search results are compared
+/// probe by probe, exactly: the pipeline's dense stores are flat, so an
+/// incremental round must leave the hits a cold build leaves.
 pub fn ingest_check(config: &PipelineConfig, edits: Option<usize>) -> IngestReport {
     let base = Pipeline::run(config);
 
@@ -76,22 +70,14 @@ pub fn ingest_check(config: &PipelineConfig, edits: Option<usize>) -> IngestRepo
 
     let probes = ["proton therapy dose", "gene expression pathway", "tumour margin imaging"];
     let k = 10;
-    let exact_dense = config.index == IndexSpec::Flat;
-    let (mut stores, mut hit, mut total) = (0usize, 0usize, 0usize);
+    let mut stores = 0;
     for name in inc.indexes.names() {
         let store = inc.indexes.expect_store(name);
         let other = cold.indexes.expect_store(name);
         for p in &probes {
             let q = inc.encoder.encode(p);
-            let (a, b) = (store.search(&q, k), other.search(&q, k));
-            if exact_dense {
-                if a != b {
-                    mismatches.push(format!("store={name} probe={p:?}"));
-                }
-            } else {
-                let ids: Vec<u64> = b.iter().map(|h| h.id).collect();
-                hit += a.iter().filter(|h| ids.contains(&h.id)).count();
-                total += b.len();
+            if store.search(&q, k) != other.search(&q, k) {
+                mismatches.push(format!("store={name} probe={p:?}"));
             }
         }
         stores += 1;
@@ -107,13 +93,8 @@ pub fn ingest_check(config: &PipelineConfig, edits: Option<usize>) -> IngestRepo
         stores += 1;
     }
 
-    let verdict = if !mismatches.is_empty() {
-        Verdict::Mismatch(mismatches)
-    } else if exact_dense {
-        Verdict::Identical
-    } else {
-        Verdict::Overlap(hit as f64 / total.max(1) as f64)
-    };
+    let verdict =
+        if mismatches.is_empty() { Verdict::Identical } else { Verdict::Mismatch(mismatches) };
     IngestReport {
         edits,
         profile,
@@ -138,9 +119,6 @@ impl IngestReport {
         let compared = format!("stores={} probes={}", self.stores, self.probes);
         match &self.verdict {
             Verdict::Identical => out.push_str(&format!("[ingest] verify=identical {compared}\n")),
-            Verdict::Overlap(share) => out.push_str(&format!(
-                "[ingest] verify=overlap {compared} dense_overlap={share:.3}\n"
-            )),
             Verdict::Mismatch(what) => {
                 for w in what {
                     out.push_str(&format!("[ingest] verify=mismatch {w}\n"));

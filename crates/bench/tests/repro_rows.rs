@@ -5,47 +5,13 @@
 
 use mcqa_bench::cli::{self, parse, Usage};
 use mcqa_bench::ingest::{ingest_check, Verdict};
-use mcqa_bench::recall::{backend_recall, mode_recall, render_backend_recall, render_mode_recall};
+use mcqa_bench::recall::{mode_recall, render_mode_recall};
 use mcqa_bench::{ablate, bench_output, models, BENCH_SCALE};
 use mcqa_core::PipelineConfig;
 use mcqa_eval::Source;
 
 fn argv(words: &str) -> Vec<String> {
     words.split_whitespace().map(str::to_string).collect()
-}
-
-#[test]
-fn backends_clear_the_recall_floor_and_pq_compresses() {
-    let rows = backend_recall(bench_output(), 5).expect("the tiny pipeline accepts questions");
-    let labels: Vec<&str> = rows.iter().map(|r| r.name).collect();
-    assert_eq!(labels, ["flat", "hnsw", "ivf", "pq"]);
-
-    let row = |label: &str| rows.iter().find(|r| r.name == label).expect("row present");
-    // Flat is scored against a flat store built separately: anything but
-    // 1.0 means exact search is no longer exact (or no longer deterministic).
-    assert_eq!(row("flat").recall, 1.0);
-    for r in &rows {
-        assert!(r.recall >= 0.9, "{} recall@5 {} < 0.9 vs the flat oracle", r.name, r.recall);
-        assert!(r.mem_bytes > 0 && r.bytes_per_vec > 0.0, "{r:?}");
-    }
-    // The quantized backend must actually compress, even at this scale,
-    // where the fixed centroid table amortises over only ~2k vectors.
-    assert!(
-        row("pq").mem_bytes * 100 <= row("flat").mem_bytes * 55,
-        "pq store ({}B) is not ≤ 55% of the flat store ({}B)",
-        row("pq").mem_bytes,
-        row("flat").mem_bytes
-    );
-
-    let text = render_backend_recall(&rows, 5);
-    for r in &rows {
-        let line = format!(
-            "[recall] backend={} recall_at_5={:.4} mem_bytes={} bytes_per_vec={:.1}\n",
-            r.name, r.recall, r.mem_bytes, r.bytes_per_vec
-        );
-        assert!(text.contains(&line), "{text}");
-    }
-    assert!(!text.contains("secs") && !text.contains("qps"), "no wall-clock columns:\n{text}");
 }
 
 #[test]
@@ -110,13 +76,21 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         "fig1 --retrieval hybrid",
         "table2 --edits 3",
         "all --fuse-depth 16",
-        // `depth: 0` is the default sentinel: refused, never a silent 8×.
         "table2 --retrieval hybrid --fuse-depth 0",
     ];
     refused.extend(on_all.iter().map(String::as_str));
     for words in refused {
         let got = parse(&argv(words));
         assert!(matches!(got, Err(Usage::Bad(_))), "'repro {words}' → {got:?}");
+    }
+    // A removed flag is an unknown argument: refused, never accepted and
+    // silently ignored.
+    for (words, flag) in [
+        ("fig1 --index flat", "--index"),
+        ("table2 --retrieval hybrid --fuse-depth 8", "--fuse-depth"),
+    ] {
+        let why = format!("unknown argument '{flag}'");
+        assert_eq!(parse(&argv(words)), Err(Usage::Bad(why)), "'repro {words}'");
     }
 
     for help in ["help", "--help", "-h"] {
@@ -128,7 +102,7 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         assert!(usage.contains(flag), "{flag} missing from:\n{usage}");
     }
     assert!(!usage.contains("serve") && !usage.contains("sweep") && !usage.contains("cache"));
-    assert_eq!((cli::COMMANDS.len(), cli::FLAGS.len()), (19, 6));
+    assert_eq!((cli::COMMANDS.len(), cli::FLAGS.len()), (19, 4));
 }
 
 #[test]

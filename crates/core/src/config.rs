@@ -2,7 +2,6 @@
 
 use mcqa_corpus::AcquisitionConfig;
 use mcqa_index::embed::EmbedConfig;
-use mcqa_index::IndexSpec;
 use mcqa_ontology::OntologyConfig;
 use mcqa_text::ChunkerConfig;
 
@@ -26,11 +25,6 @@ pub struct PipelineConfig {
     pub quality_threshold: u8,
     /// Worker threads for the runtime pool (0 = one per core).
     pub workers: usize,
-    /// Vector-store backend for every database the pipeline builds
-    /// (chunks + one per trace mode). Flat is exact and the paper's
-    /// effective configuration; HNSW/IVF trade recall for speed
-    /// (`repro recall` measures the trade).
-    pub index: IndexSpec,
 }
 
 impl PipelineConfig {
@@ -59,7 +53,6 @@ impl PipelineConfig {
             embed: EmbedConfig { seed, ..EmbedConfig::default() },
             quality_threshold: 7,
             workers: 0,
-            index: IndexSpec::Flat,
         }
     }
 
@@ -134,14 +127,5 @@ mod tests {
     fn workers_default_positive() {
         let c = PipelineConfig::default();
         assert!(c.effective_workers() >= 1);
-    }
-
-    #[test]
-    fn index_backend_is_a_config_choice() {
-        // Flat is the exact default; ANN backends swap in by value.
-        let mut c = PipelineConfig::default();
-        assert_eq!(c.index, IndexSpec::Flat);
-        c.index = IndexSpec::parse("hnsw").unwrap();
-        assert_eq!(c.index.label(), "hnsw");
     }
 }

@@ -26,7 +26,7 @@ use std::time::Instant;
 use mcqa_corpus::{CorpusLibrary, DocId};
 use mcqa_index::embed::{BioEncoder, Precision};
 use mcqa_index::lexical::LexicalIndex;
-use mcqa_index::{build_store_from_vectors, IndexRegistry, Metric, VectorStore};
+use mcqa_index::{FlatIndex, IndexRegistry, Metric, VectorStore};
 use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, TraceMode, OPTION_LETTERS};
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
@@ -72,8 +72,8 @@ pub struct PipelineOutput {
     pub candidates: usize,
     /// Reasoning-trace records (Figure-3 schema), 3 per accepted question.
     pub traces: Vec<TraceRecord>,
-    /// The paper's four vector databases behind one registry, all built
-    /// with the backend `config.index` selects: [`CHUNKS_STORE`] keyed by
+    /// The paper's four vector databases behind one registry, each an
+    /// exact FP16 cosine [`FlatIndex`]: [`CHUNKS_STORE`] keyed by
     /// `chunk_id` plus one [`TraceMode::db_name`] store per mode keyed by
     /// `question_id`. `Arc`-shared so the serving layer's dispatcher
     /// thread can hold the registry without copying the stores.
@@ -426,9 +426,9 @@ struct SourceEdit<'a> {
 /// rows, and compact a side once its tombstones pass the threshold. A
 /// move that finds no live row is a wiring bug and panics. A cold build
 /// is the same plan with nothing registered, dead or moved: the dense
-/// store is bulk-loaded (which is where IVF / PQ train) and the sibling
-/// starts empty. Returns the `index-<name>` and `index-lex-<name>` rows
-/// (items = rows added, out = live rows afterwards).
+/// store is a fresh [`FlatIndex`] holding the rows and the sibling starts
+/// empty. Returns the `index-<name>` and `index-lex-<name>` rows (items =
+/// rows added, out = live rows afterwards).
 ///
 /// The start-of-round compaction keeps a round's input what a decode of
 /// the previous registry's tombstone-free wire format would be, so the
@@ -444,17 +444,11 @@ fn refresh_source(
 ) -> [StageMetrics; 2] {
     let t = Instant::now();
     match indexes.get_mut(name) {
-        None => indexes.insert(
-            name,
-            build_store_from_vectors(
-                &config.index,
-                config.embed.dim,
-                Metric::Cosine,
-                Precision::F16,
-                exec,
-                &edit.vectors,
-            ),
-        ),
+        None => {
+            let mut store = FlatIndex::new(config.embed.dim, Metric::Cosine, Precision::F16);
+            store.add_batch(exec, &edit.vectors);
+            indexes.insert(name, Box::new(store));
+        }
         Some(store) => {
             store.compact(exec);
             census.tombstones_dense += store.remove(edit.dead);
@@ -966,26 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn ann_backends_produce_identical_artifacts() {
-        // The store backend only affects retrieval; every generation
-        // artifact (questions, traces, store cardinalities) must be
-        // identical whichever backend the config selects.
-        let flat = tiny_output();
-        for label in ["hnsw", "ivf"] {
-            let mut cfg = PipelineConfig::tiny(42);
-            cfg.index = mcqa_index::IndexSpec::parse(label).unwrap();
-            let out = Pipeline::run(&cfg);
-            assert_eq!(out.config.index.label(), label);
-            assert_eq!(out.questions, flat.questions, "{label}");
-            assert_eq!(out.traces, flat.traces, "{label}");
-            assert_eq!(out.chunk_store().len(), flat.chunk_store().len(), "{label}");
-            for mode in TraceMode::ALL {
-                assert_eq!(out.trace_store(mode).len(), flat.trace_store(mode).len(), "{label}");
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_across_runs() {
         let a = Pipeline::run(&PipelineConfig::tiny(7));
         let b = Pipeline::run(&PipelineConfig::tiny(7));
@@ -1057,7 +1031,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "incremental run must keep every setting")]
     fn incremental_rejects_a_config_the_previous_run_was_not_built_from() {
-        // Seed and backend agree, the chunker does not: replayed chunks
+        // The seed agrees, the chunker does not: replayed chunks
         // would sit beside chunks cut to another budget.
         let prev = tiny_output();
         let mut config = prev.config.clone();
@@ -1124,8 +1098,8 @@ mod tests {
         // Three hops, each incremental over the last: tombstones a round
         // leaves under the threshold cross into the next round in memory,
         // so every hop compares every artifact, and searches every dense
-        // store (flat backend) and every lexical sibling over real probe
-        // queries, bit for bit.
+        // store and every lexical sibling over real probe queries, bit for
+        // bit.
         let probes = ["proton therapy dose", "gene expression pathway", "tumour margin imaging"];
         let first = tiny_output();
         let mut hop_outputs: Vec<PipelineOutput> = Vec::new();

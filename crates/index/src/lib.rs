@@ -24,10 +24,11 @@
 //!   search, the standard high-recall ANN structure.
 //! * [`metric`] — cosine / dot / L2 metrics shared by all indexes.
 //! * `spec` — [`IndexSpec`] (the *configuration* of a backend) plus the
-//!   [`build_store`] factory and the [`decode_store`] codec, so consumers
-//!   pick a backend by value instead of by type. Each wire format's
-//!   layout is known only to the module that writes it; [`decode_store`]
-//!   just dispatches on the magic tag.
+//!   [`build_store`] factory and the [`decode_store`] codec, so this
+//!   crate's tests and `perfbench` pick a backend by value instead of by
+//!   type (the pipeline builds [`FlatIndex`] stores only). Each wire
+//!   format's layout is known only to the module that writes it;
+//!   [`decode_store`] just dispatches on the magic tag.
 //! * [`lexical`] — the keyword channel: [`lexical::LexicalIndex`], the
 //!   BM25 sibling every dense store pairs with, and dense + lexical rank
 //!   fusion.

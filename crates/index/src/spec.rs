@@ -1,11 +1,12 @@
 //! Backend selection by value: [`IndexSpec`] + the [`build_store`] factory
 //! and the [`decode_store`] codec.
 //!
-//! Consumers (the pipeline config, the `repro` binary's `--index` flag)
-//! carry an `IndexSpec` instead of a concrete index type; the factory
-//! turns it into a `Box<dyn VectorStore>` and the codec turns persisted
-//! bytes back into one by dispatching on each format's magic tag. Each
-//! wire format's layout is known only to the module that writes it.
+//! The pipeline builds exact flat stores directly; an `IndexSpec` is how
+//! this crate's tests and the `perfbench` backend comparison name a
+//! backend by value. The factory turns it into a `Box<dyn VectorStore>`
+//! and the codec turns persisted bytes back into one by dispatching on
+//! each format's magic tag. Each wire format's layout is known only to
+//! the module that writes it.
 
 use crate::embed::Precision;
 use mcqa_runtime::Executor;
@@ -29,26 +30,13 @@ pub enum IndexSpec {
 }
 
 impl IndexSpec {
-    /// The lowercase backend label (`flat` / `hnsw` / `ivf` / `pq`), as
-    /// accepted by [`IndexSpec::parse`] and the `repro --index` flag.
+    /// The lowercase backend label (`flat` / `hnsw` / `ivf` / `pq`).
     pub fn label(&self) -> &'static str {
         match self {
             IndexSpec::Flat => "flat",
             IndexSpec::Hnsw(_) => "hnsw",
             IndexSpec::Ivf(_) => "ivf",
             IndexSpec::Pq(_) => "pq",
-        }
-    }
-
-    /// Parse a backend label into a spec with that backend's default
-    /// parameters. `None` for unknown labels.
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "flat" => Some(IndexSpec::Flat),
-            "hnsw" => Some(IndexSpec::Hnsw(HnswConfig::default())),
-            "ivf" => Some(IndexSpec::Ivf(IvfConfig::default())),
-            "pq" => Some(IndexSpec::Pq(PqConfig::default())),
-            _ => None,
         }
     }
 
@@ -137,14 +125,6 @@ mod tests {
         let mut v = vec![0.0; dim];
         v[hot % dim] = 1.0;
         v
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        for spec in IndexSpec::all_defaults() {
-            assert_eq!(IndexSpec::parse(spec.label()).unwrap().label(), spec.label());
-        }
-        assert!(IndexSpec::parse("faiss").is_none());
     }
 
     #[test]

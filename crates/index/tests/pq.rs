@@ -1,6 +1,7 @@
 //! Property tests for the quantized IVF backend: the residual codec's
 //! error bound, bit-identical persistence and batching, the recall floor
-//! against the flat oracle, and degenerate-input totality.
+//! against the flat oracle and the footprint under a flat store, and
+//! degenerate-input totality.
 
 use std::sync::OnceLock;
 
@@ -177,9 +178,9 @@ proptest! {
 /// Recall floor against the flat oracle — statistical, so a plain test
 /// with fixed generators rather than a proptest shrink target: at a
 /// 6-bit width and a 1/4 probe ratio on clustered data, recall@5
-/// must clear the same 0.9 floor the CI smoke asserts on the pipeline's
-/// real embeddings. (4 bits tops out near 0.83 here — within-cluster
-/// top-5 ordering needs the finer residual grid.)
+/// must clear 0.9 while the serialised store stays under 55 % of an F16
+/// flat store's. (4 bits tops out near 0.83 here — within-cluster top-5
+/// ordering needs the finer residual grid.)
 #[test]
 fn recall_at_5_floor_against_flat_oracle() {
     let dim = 32;
@@ -205,4 +206,15 @@ fn recall_at_5_floor_against_flat_oracle() {
     }
     let recall = hits as f64 / total as f64;
     assert!(recall >= 0.9, "pq recall@5 = {recall:.3} < 0.9");
+
+    // The codes must also compress: the serialised store sits well under
+    // the pipeline's own F16 flat store over the same rows.
+    let items: Vec<(u64, Vec<f32>)> = (0..).zip(data).collect();
+    let mut f16 = FlatIndex::new(dim, Metric::Cosine, Precision::F16);
+    f16.add_batch(exec(), &items);
+    let (pq_bytes, f16_bytes) = (pq.to_bytes().len(), f16.to_bytes().len());
+    assert!(
+        pq_bytes * 100 <= f16_bytes * 55,
+        "pq store {pq_bytes} B > 55% of F16 flat {f16_bytes} B"
+    );
 }

@@ -2,9 +2,12 @@
 //!
 //! This is the mechanistic heart of the paper's small-model result: a
 //! retrieval hit only helps if the supporting passage *survives prompt
-//! truncation*. Five ~250-token chunks plus the question overflow a 2K
-//! window; five ~80-token traces do not. The truncation here is real token
-//! accounting, not a parameter.
+//! truncation*. The truncation here is real token accounting, not a
+//! parameter. On this corpus it never drops a usable hit: at scale 0.02,
+//! seed 42 chunks are ≈ 60 tokens at the median and 251 at most, and
+//! `repro rates --scale 0.02 --seed 42` prints the same usable-hit rates
+//! for all eight models, from a 2K window to 128K; the scale-1.0 pin's
+//! rates are equal across the eight models too.
 
 use mcqa_ontology::FactId;
 

@@ -22,14 +22,6 @@ if grep -rn --include='Cargo.toml' --exclude-dir=target 'rayon' . ||
     fail "rayon reappeared in the workspace"
 fi
 
-# Consumers stay backend-agnostic: core programs against the VectorStore
-# trait + IndexSpec only. A concrete FlatIndex reference coming back would
-# re-pin the hot path to one backend. (Eval cannot name it at all: it does
-# not depend on mcqa-index, which a compile_fail doctest in its lib.rs pins.)
-if grep -rn 'FlatIndex' crates/core/src; then
-    fail "FlatIndex leaked back into core"
-fi
-
 # Eval retrieval rides the QueryService envelope (admission queue,
 # micro-batcher, latency ledger), never straight into a store's
 # search_batch: a direct call would fork the query path the serving layer
