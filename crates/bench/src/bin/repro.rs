@@ -18,10 +18,11 @@
 //! This file is `main`, command dispatch and printing; everything that
 //! computes a row lives in the `mcqa_bench` library, where `cargo test`
 //! asserts it. [`mcqa_bench::cli::parse`] is the one flag parser: `--scale`,
-//! `--seed` everywhere, `--retrieval …` and `--edits` on the commands that
-//! read them. An unknown command or flag, a flag the command does not
-//! read, or a malformed or out-of-range value exits 2 with the usage table
-//! — before any pipeline is built; `repro help` prints it and exits 0.
+//! `--seed` everywhere, `--retrieval dense|lexical|hybrid` and `--edits` on
+//! the commands that read them. An unknown command or flag, a flag the
+//! command does not read, or a malformed or out-of-range value exits 2 with
+//! the usage table — before any pipeline is built; `repro help` prints it
+//! and exits 0.
 //! Every store the pipeline builds is an exact flat one. Nothing here
 //! measures speed: that is `perfbench/`.
 

@@ -74,7 +74,7 @@ pub fn usage() -> String {
         "usage: repro [command] [flags]   (no command = all; `repro help` prints this table)\n\
          commands: {}\n\
          valid flags: --scale <f64 in (0, 1]> --seed <u64> \
-         --retrieval dense|lexical|hybrid|hybrid-rerank --edits <n>",
+         --retrieval dense|lexical|hybrid --edits <n>",
         commands.join(" ")
     )
 }
@@ -125,17 +125,15 @@ pub fn parse(argv: &[String]) -> Result<RunArgs, Usage> {
             }
             "--seed" => args.seed = val(flag, raw)?,
             "--retrieval" => {
-                let hybrid =
-                    |rerank| QueryMode::Hybrid { fusion: Default::default(), rerank, depth: 0 };
                 args.retrieval = match raw.as_str() {
                     "dense" => QueryMode::Dense,
                     "lexical" => QueryMode::Lexical,
-                    "hybrid" => hybrid(false),
-                    "hybrid-rerank" => hybrid(true),
+                    "hybrid" => {
+                        QueryMode::Hybrid { fusion: Default::default(), rerank: false, depth: 0 }
+                    }
                     other => {
                         return bad(format!(
-                            "unknown retrieval mode '{other}' (expected \
-                             dense|lexical|hybrid|hybrid-rerank)"
+                            "unknown retrieval mode '{other}' (expected dense|lexical|hybrid)"
                         ))
                     }
                 };
@@ -233,12 +231,16 @@ mod tests {
         assert_eq!((defaults.command, defaults.scale, defaults.seed), ("all", 0.1, 42));
         assert_eq!(defaults.retrieval, QueryMode::Dense);
 
-        let args = parse(&argv(&["table2", "--retrieval", "hybrid-rerank"])).expect("parses");
+        let args = parse(&argv(&["table2", "--retrieval", "hybrid"])).expect("parses");
         let QueryMode::Hybrid { rerank, depth, .. } = args.retrieval else {
             panic!("{:?}", args.retrieval)
         };
-        assert!(rerank);
+        assert!(!rerank);
         assert_eq!(depth, 0, "the default fuse depth");
+
+        let got = parse(&argv(&["table2", "--retrieval", "hybrid-rerank"]));
+        let problem = "unknown retrieval mode 'hybrid-rerank' (expected dense|lexical|hybrid)";
+        assert_eq!(got, Err(Usage::Bad(problem.to_string())));
     }
 
     #[test]

@@ -2,26 +2,10 @@
 //! in/out estimates and the response cache's hit rate.
 
 use mcqa_core::PipelineOutput;
-use mcqa_eval::RetrievalBundle;
 use mcqa_llm::RoleStats;
-use mcqa_serve::QueryMode;
 
 /// One row per role that served a call, then the `total` aggregate.
-///
-/// The default (dense) evaluation never calls the cross-encoder, so this
-/// replays a short hybrid+rerank retrieval bundle first: the census then
-/// always carries a `reranker` row with real traffic, priced by the same
-/// shared ledger + response cache as every other role.
 pub fn model_census(output: &PipelineOutput) -> Vec<(&'static str, RoleStats)> {
-    let probe = output.items.len().min(8);
-    if probe > 0 {
-        let _ = RetrievalBundle::build_mode(
-            output,
-            &output.items[..probe],
-            5,
-            QueryMode::Hybrid { fusion: Default::default(), rerank: true, depth: 0 },
-        );
-    }
     let ledger = output.models.ledger();
     let mut rows: Vec<(&'static str, RoleStats)> = ledger
         .snapshot()

@@ -77,6 +77,7 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         "table2 --edits 3",
         "all --fuse-depth 16",
         "table2 --retrieval hybrid --fuse-depth 0",
+        "table2 --retrieval hybrid-rerank",
     ];
     refused.extend(on_all.iter().map(String::as_str));
     for words in refused {
@@ -92,6 +93,10 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         let why = format!("unknown argument '{flag}'");
         assert_eq!(parse(&argv(words)), Err(Usage::Bad(why)), "'repro {words}'");
     }
+    // So is a removed retrieval mode: an unknown value, never a silent
+    // fall-back to another mode.
+    let why = "unknown retrieval mode 'hybrid-rerank' (expected dense|lexical|hybrid)";
+    assert_eq!(parse(&argv("table2 --retrieval hybrid-rerank")), Err(Usage::Bad(why.into())));
 
     for help in ["help", "--help", "-h"] {
         assert_eq!(parse(&argv(help)), Err(Usage::Help));
@@ -102,6 +107,7 @@ fn bad_arguments_are_refused_and_help_is_the_usage_table() {
         assert!(usage.contains(flag), "{flag} missing from:\n{usage}");
     }
     assert!(!usage.contains("serve") && !usage.contains("sweep") && !usage.contains("cache"));
+    assert!(!usage.contains("rerank"), "{usage}");
     assert_eq!((cli::COMMANDS.len(), cli::FLAGS.len()), (19, 4));
 }
 
@@ -143,13 +149,14 @@ fn incremental_ingest_is_identical_to_a_cold_rebuild_on_flat() {
 }
 
 #[test]
-fn model_census_prices_every_active_role_and_the_reranker() {
+fn model_census_prices_every_active_role_and_no_reranker() {
     let output = bench_output();
     let rows = models::model_census(output);
     let roles: Vec<&str> = rows.iter().map(|(role, _)| *role).collect();
-    for role in ["teacher", "judge", "reranker", "total"] {
+    for role in ["teacher", "judge", "total"] {
         assert!(roles.contains(&role), "no {role} row in {roles:?}");
     }
+    assert!(!roles.contains(&"reranker"), "{roles:?}");
     assert_eq!(roles.last(), Some(&"total"));
     let (_, total) = rows.last().expect("total row");
     let summed: u64 = rows[..rows.len() - 1].iter().map(|(_, s)| s.calls).sum();
@@ -159,9 +166,10 @@ fn model_census_prices_every_active_role_and_the_reranker() {
     assert!(total.calls >= summed, "{rows:?}");
 
     let text = models::render_model_census(output, &rows);
-    for role in ["teacher", "judge", "reranker", "total"] {
+    for role in ["teacher", "judge", "total"] {
         assert!(text.contains(&format!("[models] backend=sim role={role} calls=")), "{text}");
     }
+    assert!(!text.contains("reranker"), "{text}");
 }
 
 #[test]

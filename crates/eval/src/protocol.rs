@@ -152,7 +152,7 @@ impl<'a> Evaluator<'a> {
         let exec = output.executor.clone();
         let hub = &*output.models;
         let exam = AstroExam::generate(&output.ontology, hub, config.seed, &exec);
-        let service = retrieval_service(output, config.seed, config.retrieval);
+        let service = retrieval_service(output);
         let texts = PassageTexts::new(output);
         let (synth_bundle, synth_m) = RetrievalBundle::build_metered(
             &texts,

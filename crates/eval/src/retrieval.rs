@@ -6,7 +6,7 @@ use std::time::Instant;
 use mcqa_core::PipelineOutput;
 use mcqa_llm::{McqItem, Passage, TraceMode};
 use mcqa_runtime::{run_stage, StageMetrics};
-use mcqa_serve::{PassageStore, QueryMode, QueryRequest, QueryService, ServeConfig};
+use mcqa_serve::{QueryMode, QueryRequest, QueryService, ServeConfig};
 use mcqa_text::token_count;
 
 /// A retrieval source key.
@@ -45,21 +45,6 @@ impl Source {
             Source::Traces(mode) => mode.db_name(),
         }
     }
-}
-
-/// The passage texts behind every source's doc ids — what the serving
-/// layer's reranker reads when hybrid requests ask for rescoring. Chunk
-/// passages key by chunk id; trace passages key by question id, matching
-/// each store's id space.
-pub(crate) fn passage_store(output: &PipelineOutput) -> PassageStore {
-    let mut ps = PassageStore::new();
-    for c in &output.chunks {
-        ps.insert(mcqa_core::CHUNKS_STORE, c.chunk_id, &c.text);
-    }
-    for t in &output.traces {
-        ps.insert(t.mode.db_name(), t.question_id, &t.trace);
-    }
-    ps
 }
 
 /// What labelling a retrieved id reads, indexed once per pipeline output:
@@ -101,21 +86,11 @@ pub struct RetrievalBundle<'a> {
 }
 
 /// The serving front door a retrieval bundle replays through: the
-/// pipeline's own registry, encoder and executor, plus — only when `mode`
-/// asks for rescoring — the passage texts and a reranker on the pipeline's
-/// own hub, so its calls land on the same ledger and response cache as
-/// every other role.
-pub(crate) fn retrieval_service(
-    output: &PipelineOutput,
-    seed: u64,
-    mode: QueryMode,
-) -> QueryService {
-    let rerank = matches!(mode, QueryMode::Hybrid { rerank: true, .. });
-    QueryService::start_full(
+/// pipeline's own registry, encoder and executor.
+pub(crate) fn retrieval_service(output: &PipelineOutput) -> QueryService {
+    QueryService::start(
         output.indexes.clone(),
         Some(output.encoder.clone()),
-        rerank.then(|| passage_store(output)),
-        rerank.then(|| mcqa_llm::Reranker::new(output.models.clone(), seed)),
         output.executor.clone(),
         ServeConfig::default(),
     )
@@ -137,7 +112,7 @@ impl<'a> RetrievalBundle<'a> {
         k: usize,
         mode: QueryMode,
     ) -> Self {
-        let service = retrieval_service(output, output.config.seed, mode);
+        let service = retrieval_service(output);
         Self::build_metered(&PassageTexts::new(output), items, k, mode, &service).0
     }
 
@@ -354,7 +329,7 @@ mod tests {
     #[test]
     fn bundles_share_one_service() {
         let out = output();
-        let service = retrieval_service(out, out.config.seed, QueryMode::Dense);
+        let service = retrieval_service(out);
         let texts = PassageTexts::new(out);
         let (b1, _) =
             RetrievalBundle::build_metered(&texts, &out.items, 5, QueryMode::Dense, &service);
@@ -378,7 +353,7 @@ mod tests {
         // all four sources in one replay — and compare against
         // encode-then-search done by hand for every (question, source) pair.
         let out = output();
-        let service = retrieval_service(out, out.config.seed, QueryMode::Dense);
+        let service = retrieval_service(out);
         let k = 5;
         let reqs: Vec<QueryRequest> = Source::ALL
             .iter()
@@ -424,21 +399,6 @@ mod tests {
                 dense.raw_hit_rate(s)
             );
         }
-    }
-
-    #[test]
-    fn rerank_bundles_bill_the_reranker_role() {
-        let out = output();
-        let before = out.models.ledger().role(mcqa_llm::Role::Reranker).calls;
-        let bundle = RetrievalBundle::build_mode(
-            out,
-            &out.items[..20.min(out.items.len())],
-            5,
-            QueryMode::Hybrid { fusion: Default::default(), rerank: true, depth: 0 },
-        );
-        assert_eq!(bundle.len(), 20.min(out.items.len()));
-        let after = out.models.ledger().role(mcqa_llm::Role::Reranker).calls;
-        assert!(after > before, "rerank retrieval must land on the shared ledger");
     }
 
     #[test]

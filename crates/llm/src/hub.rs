@@ -27,7 +27,6 @@ use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor};
 use mcqa_util::StableHasher;
 
-use crate::adapters::QuestionPrompt;
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::context::AssembledContext;
 use crate::judge::{GradeResult, QualityJudgment};
@@ -35,7 +34,7 @@ use crate::ledger::CallLedger;
 use crate::mcq::{McqItem, PreparedItem};
 use crate::response_cache::ResponseCaches;
 use crate::sim::{Answer, Call, Grade, Simulator};
-use crate::teacher::GeneratedQuestion;
+use crate::teacher::{GeneratedQuestion, QuestionPrompt};
 use crate::trace::TraceMode;
 
 /// The simulator plus its caches and ledger.
@@ -115,17 +114,6 @@ impl ModelHub {
     /// on `exec`'s pool.
     pub fn math_flags(&self, exec: &Executor, seed: u64, items: &[McqItem]) -> Vec<bool> {
         self.serve_batch(exec, seed, items)
-    }
-
-    /// The cross-encoder: per (query, passages) prompt, one relevance in
-    /// [0, 1] per passage, index-aligned, on `exec`'s pool.
-    pub(crate) fn rerank_scores(
-        &self,
-        exec: &Executor,
-        seed: u64,
-        prompts: &[(&str, Vec<&str>)],
-    ) -> Vec<Vec<f64>> {
-        self.serve_batch(exec, seed, prompts)
     }
 
     /// An evaluated model answers one prepared item under `condition`. The
@@ -274,6 +262,42 @@ mod tests {
     }
 
     #[test]
+    fn hub_teacher_matches_the_direct_simulator() {
+        let hub = fresh_hub();
+        let direct = crate::teacher::TeacherModel::new(42);
+        let facts = &ontology().facts()[..12];
+        let prompts: Vec<QuestionPrompt> = facts
+            .iter()
+            .map(|fact| QuestionPrompt { fact, salt: "c1".into(), passage_tokens: 3 })
+            .collect();
+        let exec = Executor::global();
+        let via = hub.questions(exec, 42, &prompts);
+        let expected: Vec<GeneratedQuestion> =
+            facts.iter().map(|f| direct.generate_question(ontology(), f, "c1")).collect();
+        assert_eq!(via, expected);
+
+        let items: Vec<McqItem> = via
+            .iter()
+            .map(|q| McqItem {
+                qid: 0,
+                bench: BenchKind::Synthetic,
+                fact: q.fact,
+                stem: q.stem.clone(),
+                options: q.options.clone(),
+                correct: q.recorded_key,
+                difficulty: 0.5,
+                is_math: false,
+            })
+            .collect();
+        for mode in TraceMode::ALL {
+            let asked: Vec<(&McqItem, TraceMode)> = items.iter().map(|q| (q, mode)).collect();
+            let expected: Vec<String> =
+                items.iter().map(|q| direct.generate_trace(ontology(), q, mode)).collect();
+            assert_eq!(hub.traces(exec, 42, &asked), expected);
+        }
+    }
+
+    #[test]
     fn cache_short_circuits_and_matches_the_simulator() {
         let hub = fresh_hub();
         let (models, items, _) = fixtures();
@@ -373,7 +397,6 @@ mod tests {
         hub.quality_scores(exec, 42, &[(&q, 0.5)]);
         hub.traces(exec, 42, &[(items[0].item(), TraceMode::Detailed)]);
         hub.math_flags(exec, 42, &[item(4)]);
-        hub.rerank_scores(exec, 42, &[("q", vec!["p"])]);
         let answer = hub.answer(42, &models[0], &items[0], Condition::RagChunks, None);
         hub.grade(42, &answer, 1, 7);
         let calls: Vec<(Role, u64, u64)> =
@@ -385,10 +408,9 @@ mod tests {
                 (Role::Judge, 2, 1),
                 (Role::Classifier, 1, 1),
                 (Role::Answerer, 1, 0),
-                (Role::Reranker, 1, 1),
             ]
         );
-        assert_eq!(hub.cache().len(), 4, "flag, relevance, answer, grade");
+        assert_eq!(hub.cache().len(), 3, "flag, answer, grade");
     }
 
     // Properties of the completion surface: a batch is observationally
@@ -402,16 +424,11 @@ mod tests {
             keys in proptest::collection::vec(any::<u64>(), 0..24),
         ) {
             let items: Vec<McqItem> = keys.iter().map(|&x| item(x % 40)).collect();
-            let texts: Vec<String> = keys.iter().map(|x| format!("passage {} of {}", x % 7, x % 3)).collect();
-            let reranks: Vec<(&str, Vec<&str>)> =
-                texts.iter().map(|t| ("passage of", vec![t.as_str(), "of"])).collect();
             let serial_flags: Vec<_> = items.iter().map(|i| i.complete(simulator(), 42).0).collect();
-            let serial_scores: Vec<_> = reranks.iter().map(|r| r.complete(simulator(), 42).0).collect();
             for workers in [1usize, 4] {
                 let exec = Executor::new(workers);
                 let hub = fresh_hub();
                 prop_assert_eq!(&hub.math_flags(&exec, 42, &items), &serial_flags, "workers {}", workers);
-                prop_assert_eq!(&hub.rerank_scores(&exec, 42, &reranks), &serial_scores, "workers {}", workers);
             }
         }
 

@@ -20,14 +20,12 @@ pub enum Role {
     Classifier,
     /// An evaluated SLM answering one MCQ.
     Answerer,
-    /// The cross-encoder rescoring fused retrieval candidates.
-    Reranker,
 }
 
 impl Role {
     /// All roles in canonical order.
-    pub(crate) const ALL: [Role; 5] =
-        [Role::Teacher, Role::Judge, Role::Classifier, Role::Answerer, Role::Reranker];
+    pub(crate) const ALL: [Role; 4] =
+        [Role::Teacher, Role::Judge, Role::Classifier, Role::Answerer];
 
     /// Lowercase label used in ledger lines and metrics rows.
     pub fn label(self) -> &'static str {
@@ -36,7 +34,6 @@ impl Role {
             Role::Judge => "judge",
             Role::Classifier => "classifier",
             Role::Answerer => "answerer",
-            Role::Reranker => "reranker",
         }
     }
 
@@ -47,7 +44,6 @@ impl Role {
             Role::Judge => 1,
             Role::Classifier => 2,
             Role::Answerer => 3,
-            Role::Reranker => 4,
         }
     }
 }
@@ -233,7 +229,7 @@ mod tests {
             assert_eq!(Role::ALL[r.index()], r);
         }
         let labels: std::collections::HashSet<&str> = Role::ALL.iter().map(|r| r.label()).collect();
-        assert_eq!(labels.len(), 5);
+        assert_eq!(labels.len(), 4);
     }
 
     #[test]

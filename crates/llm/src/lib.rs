@@ -11,7 +11,6 @@
 //! | GPT-4.1 trace distillation (3 modes) | [`ModelHub::traces`] (the pipeline's `traces` stage) |
 //! | LLM judge (quality scoring + grading) | [`ModelHub::quality_scores`], [`ModelHub::grade`] |
 //! | GPT-5 math-question classifier | [`ModelHub::math_flags`] |
-//! | Cross-encoder reranker | `ModelHub::rerank_scores` (the query service's [`Reranker::score_batch`]) |
 //! | The eight evaluated SLMs (1.1B–14B) | [`ModelHub::answer`] (a [`ResolvedModel`] — [`cards::ModelCard`] + its calibration — and one [`PreparedItem`] per question) |
 //!
 //! Every completion comes from one deterministic behavioural simulator,
@@ -85,7 +84,6 @@
 //! between *calibrated behaviour* (model cards) and *emergent mechanism*
 //! (retrieval, truncation, filtering).
 
-pub(crate) mod adapters;
 pub mod answer;
 pub mod cards;
 pub mod context;
@@ -100,7 +98,6 @@ pub mod solver;
 pub(crate) mod teacher;
 pub(crate) mod trace;
 
-pub use adapters::{QuestionPrompt, Reranker};
 pub use answer::{Condition, ResolvedModel};
 pub use cards::{BenchTargets, ModelCard, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
 pub use context::{AssembledContext, Passage};
@@ -108,5 +105,5 @@ pub use hub::ModelHub;
 pub use ledger::{Role, RoleStats};
 pub use mcq::{BenchKind, McqItem, PreparedItem, OPTION_LETTERS};
 pub use solver::{resolve, PipelineRates};
-pub use teacher::GeneratedQuestion;
+pub use teacher::{GeneratedQuestion, QuestionPrompt};
 pub use trace::TraceMode;

@@ -127,21 +127,20 @@ impl<V: Clone> ResponseCache<V> {
 }
 
 /// A hub's caches: one per call kind that repeats within a run (grading,
-/// math classification, reranking, answering). The kinds issued once per
-/// input — question generation, trace distillation, quality scoring — keep
-/// none, since every entry would be written and never read.
+/// math classification, answering). The kinds issued once per input —
+/// question generation, trace distillation, quality scoring — keep none,
+/// since every entry would be written and never read.
 #[derive(Default)]
 pub struct ResponseCaches {
     pub(crate) grades: ResponseCache<GradeResult>,
     pub(crate) math_flags: ResponseCache<bool>,
-    pub(crate) relevance: ResponseCache<Vec<f64>>,
     pub(crate) answers: ResponseCache<AnswerOutcome>,
 }
 
 impl ResponseCaches {
     /// Distinct completions cached, over every kind.
     pub fn len(&self) -> usize {
-        self.grades.len() + self.math_flags.len() + self.relevance.len() + self.answers.len()
+        self.grades.len() + self.math_flags.len() + self.answers.len()
     }
 
     /// True when nothing is cached.

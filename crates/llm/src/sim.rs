@@ -15,8 +15,8 @@
 //! is the scaffold's constant count (each pinned against its text by a test
 //! below) plus counts taken where those texts were born: a chunk record's
 //! tokens, a prepared item's, an answer's. The few short texts nobody has
-//! counted yet (a salt, a candidate question, a rerank query and its
-//! passages) are counted in place, never copied.
+//! counted yet (a salt, a candidate question) are counted in place, never
+//! copied.
 
 use std::sync::Arc;
 
@@ -24,7 +24,6 @@ use mcqa_ontology::Ontology;
 use mcqa_text::token_count;
 use mcqa_util::StableHasher;
 
-use crate::adapters::QuestionPrompt;
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::context::AssembledContext;
 use crate::judge::{GradeResult, JudgeModel, QualityJudgment};
@@ -32,7 +31,7 @@ use crate::ledger::Role;
 use crate::math_classifier::MathClassifier;
 use crate::mcq::{text_tokens, walk_item, McqItem, PreparedItem};
 use crate::response_cache::{ResponseCache, ResponseCaches};
-use crate::teacher::{GeneratedQuestion, TeacherModel};
+use crate::teacher::{GeneratedQuestion, QuestionPrompt, TeacherModel};
 use crate::trace::TraceMode;
 
 /// The simulated roles.
@@ -74,10 +73,10 @@ pub(crate) trait Call: Sync + Sized {
     /// The ledger row the call is tallied in.
     const ROLE: Role;
     /// `Some` for a kind that repeats within a run (grading, math
-    /// classification, reranking, answering). Question generation, trace
-    /// distillation and quality scoring are issued once per (fact, salt) /
-    /// (question, mode) / candidate: every entry would be written and
-    /// never read, so they keep none and hash no key.
+    /// classification, answering). Question generation, trace distillation
+    /// and quality scoring are issued once per (fact, salt) / (question,
+    /// mode) / candidate: every entry would be written and never read, so
+    /// they keep none and hash no key.
     const CACHED: Option<Cached<Self>>;
 
     /// Prompt-token estimate of what a text model would read.
@@ -101,14 +100,10 @@ const SCORE_PROMPT_TOKENS: usize = 13;
 const GRADE_PROMPT_TOKENS: usize = 11;
 /// "Does answering require mathematical reasoning or arithmetic tool use?"
 const CLASSIFY_PROMPT_TOKENS: usize = 9;
-/// "Score each passage's relevance to the query on [0, 1]."
-const RERANK_PROMPT_TOKENS: usize = 11;
 /// "Answer the multiple-choice question with a single letter."
 const ANSWER_PROMPT_TOKENS: usize = 8;
 /// The classifier's completion, "requires_math: true" or "... false".
 const MATH_FLAG_TOKENS: usize = 3;
-/// One reranker score as written, `{:.4}` of a value in [0, 1]: "0.8165".
-const SCORE_TOKENS: usize = 2;
 
 /// Question generation: the teacher reads the fact's source passage.
 impl Call for QuestionPrompt<'_> {
@@ -212,34 +207,6 @@ impl Call for McqItem {
     }
 }
 
-/// Reranking: a query and its candidate passages, in fused rank order.
-impl Call for (&str, Vec<&str>) {
-    type Output = Vec<f64>;
-    const ROLE: Role = Role::Reranker;
-    const CACHED: Option<Cached<Self>> = Some(Cached {
-        cache: |caches| &caches.relevance,
-        key: |(query, passages), h| {
-            h.write_str(query);
-            h.write_u64(passages.len() as u64);
-            for passage in passages {
-                h.write_str(passage);
-            }
-        },
-    });
-
-    fn tokens_in(&self) -> usize {
-        let (query, passages) = self;
-        RERANK_PROMPT_TOKENS
-            + token_count(query)
-            + passages.iter().map(|p| token_count(p)).sum::<usize>()
-    }
-
-    fn complete(&self, _: &Simulator, _: u64) -> (Vec<f64>, usize) {
-        let (query, passages) = self;
-        (rerank_scores(query, passages), SCORE_TOKENS * passages.len())
-    }
-}
-
 /// One calibrated model answering one prepared question.
 pub(crate) struct Answer<'a> {
     pub(crate) model: &'a ResolvedModel,
@@ -300,30 +267,6 @@ impl Call for Answer<'_> {
     }
 }
 
-/// The simulated cross-encoder: per-passage relevance as the overlap
-/// cosine `|q ∩ p| / √(|q|·|p|)` over **distinct content tokens** (the
-/// shared [`mcqa_text::content_tokens`] tokenisation, so the reranker
-/// sees exactly the terms the lexical channel indexed). Calibrated to
-/// [0, 1]: 1 for an identical token set, 0 for no shared content term.
-fn rerank_scores(query: &str, passages: &[&str]) -> Vec<f64> {
-    let q: std::collections::HashSet<String> =
-        mcqa_text::content_tokens(query).into_iter().collect();
-    passages
-        .iter()
-        .map(|p| {
-            let pt: std::collections::HashSet<String> =
-                mcqa_text::content_tokens(p).into_iter().collect();
-            let inter = q.intersection(&pt).count() as f64;
-            let denom = ((q.len() * pt.len()) as f64).sqrt();
-            if denom > 0.0 {
-                inter / denom
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -373,7 +316,6 @@ pub(crate) mod tests {
                 CLASSIFY_PROMPT_TOKENS,
                 "Does answering require mathematical reasoning or arithmetic tool use?",
             ),
-            (RERANK_PROMPT_TOKENS, "Score each passage's relevance to the query on [0, 1]."),
             (ANSWER_PROMPT_TOKENS, "Answer the multiple-choice question with a single letter."),
             (MATH_FLAG_TOKENS, "requires_math: true"),
             (MATH_FLAG_TOKENS, "requires_math: false"),
@@ -387,11 +329,6 @@ pub(crate) mod tests {
                 mode.label()
             );
             assert_eq!(TRACE_PROMPT_TOKENS, token_count(&text), "{text}");
-        }
-        // Each reranker score is written `{:.4}`, which for any value in
-        // [0, 1] is a digit, a point and four digits.
-        for score in [0.0, 1e-9, 0.5, 0.81649658, 0.99999, 1.0] {
-            assert_eq!(SCORE_TOKENS, token_count(&format!("{score:.4}")), "{score}");
         }
     }
 
@@ -435,14 +372,6 @@ pub(crate) mod tests {
             token_count(&format!(
                 "Does answering require mathematical reasoning or arithmetic tool use?\n{}",
                 item.render()
-            ))
-        );
-        let passages = vec!["the star-forming galaxy", "", "a bread-baking-guide"];
-        assert_eq!(
-            ("star formation", passages.clone()).tokens_in(),
-            token_count(&format!(
-                "Score each passage's relevance to the query on [0, 1].\nstar formation\n---\n{}",
-                passages.join("\n---\n")
             ))
         );
         let model = crate::solver::test_resolved_model(0);
@@ -493,9 +422,6 @@ pub(crate) mod tests {
         assert_eq!(tokens, token_count(&judgment.reasoning));
         let (flag, tokens) = item.complete(&sim, 42);
         assert_eq!(tokens, token_count(&format!("requires_math: {flag}")));
-        let (scores, tokens) = ("q", vec!["q", "r"]).complete(&sim, 42);
-        let written = scores.iter().map(|s| format!("{s:.4}")).collect::<Vec<_>>().join(" ");
-        assert_eq!(tokens, token_count(&written));
         let model = crate::solver::test_resolved_model(1);
         let prepared = PreparedItem::new(item);
         for condition in Condition::all() {
@@ -522,29 +448,6 @@ pub(crate) mod tests {
         let trace = (&item, TraceMode::Focused).complete(&sim, 42).0;
         assert_eq!(trace, sim.teacher.generate_trace(&sim.ontology, &item, TraceMode::Focused));
         assert!(!trace.contains(item.correct_text()));
-    }
-
-    #[test]
-    fn rerank_scores_are_deterministic_and_calibrated() {
-        let sim = simulator();
-        let call = (
-            "the spectral flux of the nebula",
-            vec![
-                "the spectral flux of the nebula",           // identical content
-                "spectral measurements of a distant galaxy", // partial overlap
-                "unrelated culinary text about bread",       // no overlap
-                "",                                          // degenerate
-            ],
-        );
-        let (scores, _) = call.complete(&sim, 42);
-        assert_eq!(scores, call.complete(&sim, 42).0);
-        assert_eq!(scores.len(), 4);
-        // Calibration: identical token set scores exactly 1, empty scores 0,
-        // everything lands in [0, 1], and more overlap scores higher.
-        assert_eq!(scores[0], 1.0);
-        assert!(scores[1] > scores[2]);
-        assert_eq!(scores[3], 0.0);
-        assert!(scores.iter().all(|s| (0.0..=1.0).contains(s)));
     }
 
     /// Changes an item in one field, in place.
@@ -578,15 +481,6 @@ pub(crate) mod tests {
             edit(&mut edited);
             assert_ne!(key(&edited, 1), k, "`{what}` is not part of the identity");
         }
-
-        // Reranking: the query, each passage, their count and split.
-        let rerank = |query: &str, passages: &[&str]| key(&(query, passages.to_vec()), 1);
-        let k = rerank("q", &["p", "ab", "c"]);
-        assert_ne!(k, key(&("q", vec!["p", "ab", "c"]), 2), "seed");
-        assert_ne!(k, rerank("qx", &["p", "ab", "c"]), "query");
-        assert_ne!(k, rerank("q", &["px", "ab", "c"]), "passages[0]");
-        assert_ne!(k, rerank("q", &["p", "ab"]), "passages.len()");
-        assert_ne!(k, rerank("q", &["p", "a", "bc"]), "passages resplit");
 
         // Grading: the completion text and the key.
         let sim = simulator();

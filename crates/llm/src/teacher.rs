@@ -28,6 +28,19 @@ pub(crate) enum QuestionDefect {
     WrongKey,
 }
 
+/// One question-generation prompt: the anchor fact plus the source
+/// passage the teacher reads.
+pub struct QuestionPrompt<'a> {
+    /// The fact the question must test.
+    pub fact: &'a Fact,
+    /// Distinguishes multiple questions over the same fact.
+    pub salt: String,
+    /// Tokens of the source passage (the chunk record's count): the
+    /// passage is context for the teacher, so it is counted in the
+    /// prompt-token estimate, as in a real deployment.
+    pub passage_tokens: usize,
+}
+
 /// A candidate question as emitted by the teacher.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedQuestion {

@@ -43,12 +43,13 @@ pub enum QueryMode {
     /// BM25 search against the source's lexical sibling
     /// (`lex-<source>` in the registry).
     Lexical,
-    /// Both channels over-fetched to [`mcqa_index::lexical::fuse_depth`], fused
-    /// to top-k, optionally rescored by the service's reranker.
+    /// Both channels over-fetched to [`mcqa_index::lexical::fuse_depth`] and
+    /// fused to top-k.
     Hybrid {
         /// How the two candidate lists merge.
         fusion: Fusion,
-        /// Rescore the fused top-k through the cross-encoder reranker.
+        /// Ask for a rescoring pass over the fused top-k. No service has a
+        /// reranker, so `true` is refused with [`ServeError::NoReranker`].
         rerank: bool,
         /// Per-channel over-fetch multiplier before fusion; `0` selects
         /// `mcqa_index::lexical::DEFAULT_FUSE_DEPTH`.
@@ -174,8 +175,9 @@ pub enum ServeError {
         /// The source the query named.
         source: String,
     },
-    /// A rerank request reached a service started without a reranker (or
-    /// without the passage texts rescoring needs).
+    /// A hybrid request asked for `rerank`. No service has a reranker, so
+    /// every such request is refused; the variant goes with
+    /// [`QueryMode::Hybrid`]'s `rerank` field.
     NoReranker {
         /// The source the query named.
         source: String,

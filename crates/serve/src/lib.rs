@@ -32,5 +32,5 @@ pub(crate) mod service;
 pub(crate) mod stats;
 
 pub use envelope::{QueryInput, QueryMode, QueryRequest, QueryResponse, QueryTiming, ServeError};
-pub use service::{PassageStore, QueryService, QueryTicket, ServeConfig};
+pub use service::{QueryService, QueryTicket, ServeConfig};
 pub use stats::ServiceSnapshot;

@@ -36,39 +36,12 @@ use std::time::Instant;
 use mcqa_index::embed::BioEncoder;
 use mcqa_index::lexical::fuse_depth;
 use mcqa_index::IndexRegistry;
-use mcqa_llm::Reranker;
 use mcqa_runtime::Executor;
-use mcqa_util::sort_hits;
 
 use crate::envelope::{
     QueryInput, QueryMode, QueryRequest, QueryResponse, QueryTiming, ServeError,
 };
 use crate::stats::{ServiceSnapshot, ServiceStats};
-
-/// Passage texts keyed by (source, doc id): what the reranker reads when
-/// rescoring fused hits. The pipeline fills one from the same chunk/trace
-/// texts it indexed, so rerank scores see exactly the retrieved passages.
-#[derive(Debug, Clone, Default)]
-pub struct PassageStore {
-    map: BTreeMap<String, HashMap<u64, String>>,
-}
-
-impl PassageStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `text` as the passage behind `id` in `source`.
-    pub fn insert(&mut self, source: &str, id: u64, text: impl Into<String>) {
-        self.map.entry(source.to_string()).or_default().insert(id, text.into());
-    }
-
-    /// The passage behind `id` in `source`, if registered.
-    pub fn get(&self, source: &str, id: u64) -> Option<&str> {
-        self.map.get(source).and_then(|m| m.get(&id)).map(String::as_str)
-    }
-}
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,26 +124,11 @@ pub struct QueryService {
 impl QueryService {
     /// Start a service over `registry`, encoding text queries through
     /// `encoder` (pass `None` for a vector-only service), searching on
-    /// `exec`'s pool. Dense and lexical modes work; hybrid rerank needs
-    /// [`QueryService::start_full`].
+    /// `exec`'s pool. Dense, lexical and hybrid modes work; a hybrid
+    /// request asking for `rerank` fails with [`ServeError::NoReranker`].
     pub fn start(
         registry: Arc<IndexRegistry>,
         encoder: Option<BioEncoder>,
-        exec: Executor,
-        config: ServeConfig,
-    ) -> Self {
-        Self::start_full(registry, encoder, None, None, exec, config)
-    }
-
-    /// [`QueryService::start`] plus the rerank dependencies: the passage
-    /// texts behind each source's doc ids and the cross-encoder adapter.
-    /// Requests asking for `rerank` on a service missing either fail with
-    /// [`ServeError::NoReranker`].
-    pub fn start_full(
-        registry: Arc<IndexRegistry>,
-        encoder: Option<BioEncoder>,
-        passages: Option<PassageStore>,
-        reranker: Option<Reranker>,
         exec: Executor,
         config: ServeConfig,
     ) -> Self {
@@ -178,15 +136,8 @@ impl QueryService {
         assert!(config.max_batch > 0, "batch ceiling must be nonzero");
         let (tx, rx) = sync_channel::<Unit>(config.queue_capacity);
         let stats = Arc::new(ServiceStats::new());
-        let dispatcher = Dispatcher {
-            registry,
-            encoder,
-            passages,
-            reranker,
-            exec,
-            config: config.clone(),
-            stats: stats.clone(),
-        };
+        let dispatcher =
+            Dispatcher { registry, encoder, exec, config: config.clone(), stats: stats.clone() };
         let worker = std::thread::Builder::new()
             .name("mcqa-serve".into())
             .spawn(move || dispatcher.run(rx))
@@ -352,8 +303,6 @@ impl EncodeMemo {
 struct Dispatcher {
     registry: Arc<IndexRegistry>,
     encoder: Option<BioEncoder>,
-    passages: Option<PassageStore>,
-    reranker: Option<Reranker>,
     exec: Executor,
     config: ServeConfig,
     stats: Arc<ServiceStats>,
@@ -478,8 +427,8 @@ impl Dispatcher {
     /// reads: the dense store for `Dense` / `Hybrid`, the `lex-` sibling
     /// for `Lexical` / `Hybrid`. One batched search per channel — at `k`
     /// with one channel, over-fetched to [`fuse_depth`] and fused per query
-    /// with two — then an optional rescoring pass. Bit-identical to running
-    /// the same direct searches (and the same fusion) offline.
+    /// with two. Bit-identical to running the same direct searches (and the
+    /// same fusion) offline.
     fn serve_group(
         &self,
         source: &str,
@@ -490,7 +439,7 @@ impl Dispatcher {
         dispatch: &mut Dispatch<'_>,
     ) {
         // Group-level defects — a channel the registry lacks, a rescoring
-        // pass the service was not started for — fail every member alike.
+        // pass no service runs — fail every member alike.
         let owned = |names: Vec<&str>| names.into_iter().map(String::from).collect();
         let resolve = || {
             let store = match mode {
@@ -513,16 +462,12 @@ impl Dispatcher {
                     }
                 }
             };
-            let rescore = match (mode, &self.reranker, &self.passages) {
-                (QueryMode::Hybrid { rerank: true, .. }, Some(rr), Some(ps)) => Some((rr, ps)),
-                (QueryMode::Hybrid { rerank: true, .. }, ..) => {
-                    return Err(ServeError::NoReranker { source: source.into() })
-                }
-                _ => None,
-            };
-            Ok((store, lex, rescore))
+            if let QueryMode::Hybrid { rerank: true, .. } = mode {
+                return Err(ServeError::NoReranker { source: source.into() });
+            }
+            Ok((store, lex))
         };
-        let (store, lex, rescore) = match resolve() {
+        let (store, lex) = match resolve() {
             Ok(channels) => channels,
             Err(err) => {
                 for &m in members {
@@ -599,7 +544,7 @@ impl Dispatcher {
         // Search stage: one batched call per channel, fanned out on the
         // executor — the same kernel path as direct `search_batch`.
         let t_search = Instant::now();
-        let mut hits = match (store, lex, mode) {
+        let hits: Vec<_> = match (store, lex, mode) {
             (Some(store), Some(lex), QueryMode::Hybrid { fusion, depth, .. }) => {
                 let depth = fuse_depth(k, depth);
                 let dense = store.search_batch(&self.exec, &vectors, depth);
@@ -610,24 +555,6 @@ impl Dispatcher {
             (None, Some(lex), _) => lex.search_batch(&self.exec, &texts, k),
             (None, None, _) => unreachable!("every mode resolves a channel"),
         };
-        if let Some((rr, ps)) = rescore {
-            // Missing passages score as empty text (relevance 0) rather
-            // than failing the whole request: ordering stays total.
-            let prompts: Vec<(&str, Vec<&str>)> = texts
-                .iter()
-                .zip(&hits)
-                .map(|(&t, hits)| {
-                    (t, hits.iter().map(|h| ps.get(source, h.id).unwrap_or("")).collect())
-                })
-                .collect();
-            let scores = rr.score_batch(&self.exec, &prompts);
-            for (hits, ss) in hits.iter_mut().zip(scores) {
-                for (h, s) in hits.iter_mut().zip(ss) {
-                    h.score = s as f32;
-                }
-                sort_hits(hits);
-            }
-        }
         let search_secs = t_search.elapsed().as_secs_f64();
         self.stats.add_search_secs(search_secs);
 

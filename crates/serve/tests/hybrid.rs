@@ -3,12 +3,8 @@
 //! * **Bit-identity** — a served `QueryMode::Lexical` response equals a
 //!   direct `LexicalIndex::search`, and a served `QueryMode::Hybrid`
 //!   response equals `Fusion.fuse(dense@depth, lexical@depth)` computed
-//!   offline — at any worker count, arrival order, or batch watermark.
-//! * **Rerank determinism** — rescoring through the cross-encoder is a
-//!   pure function of (query, fused hits, passages): served rerank output
-//!   equals the offline emulation exactly.
-//! * **Rerank accounting** — a served rerank is a call on its hub's
-//!   `reranker` ledger row, and a replay is served from the hub's cache.
+//!   offline — at any worker count, arrival order, batch watermark, or
+//!   over-fetch depth.
 //! * **Error taxonomy** — one table over mode × defect: every error the
 //!   dispatcher can produce, reached through `submit` / `query_batch`.
 
@@ -17,12 +13,8 @@ use std::sync::{Arc, OnceLock};
 use mcqa_index::embed::{BioEncoder, EmbedConfig, Precision};
 use mcqa_index::lexical::{fuse_depth, Fusion, LexicalIndex};
 use mcqa_index::{FlatIndex, IndexRegistry, Metric, VectorStore};
-use mcqa_llm::{ModelHub, Reranker, Role};
-use mcqa_ontology::{Ontology, OntologyConfig};
 use mcqa_runtime::Executor;
-use mcqa_serve::{
-    PassageStore, QueryInput, QueryMode, QueryRequest, QueryService, ServeConfig, ServeError,
-};
+use mcqa_serve::{QueryInput, QueryMode, QueryRequest, QueryService, ServeConfig, ServeError};
 use proptest::prelude::*;
 
 const DIM: usize = 32;
@@ -80,38 +72,19 @@ fn encoder() -> &'static BioEncoder {
     ENC.get_or_init(|| BioEncoder::new(EmbedConfig { dim: DIM, ..EmbedConfig::default() }))
 }
 
-struct Fixture {
-    registry: Arc<IndexRegistry>,
-    passages: PassageStore,
-    hub: Arc<ModelHub>,
-}
-
-/// The small ontology a hub is built over (the reranker never reads it).
-fn ontology() -> Arc<Ontology> {
-    Arc::new(Ontology::generate(&OntologyConfig {
-        seed: 42,
-        entities_per_kind: 10,
-        qualitative_facts: 50,
-        quantitative_facts: 5,
-    }))
-}
-
 /// One corpus indexed both ways, shared by every test: a flat dense store
-/// under `chunks` and its BM25 sibling under `lex-chunks`, plus the
-/// passage texts the reranker reads — and `bare`, a dense store nobody
-/// built a sibling for.
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| {
+/// under `chunks` and its BM25 sibling under `lex-chunks` — and `bare`, a
+/// dense store nobody built a sibling for.
+fn registry() -> &'static Arc<IndexRegistry> {
+    static REG: OnceLock<Arc<IndexRegistry>> = OnceLock::new();
+    REG.get_or_init(|| {
         let enc = encoder();
         let mut store = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
         let mut lex = LexicalIndex::new(Default::default());
-        let mut passages = PassageStore::new();
         for i in 0..NDOCS as u64 {
             let text = passage(100 + i);
             store.add(i, &enc.encode(&text));
             lex.add(i, &text);
-            passages.insert("chunks", i, &text);
         }
         let mut reg = IndexRegistry::new();
         reg.insert("chunks", Box::new(store));
@@ -119,57 +92,33 @@ fn fixture() -> &'static Fixture {
         let mut bare = FlatIndex::new(DIM, Metric::Cosine, Precision::F32);
         bare.add(0, &enc.encode("lone document"));
         reg.insert("bare", Box::new(bare));
-        Fixture { registry: Arc::new(reg), passages, hub: Arc::new(ModelHub::new(42, ontology())) }
+        Arc::new(reg)
     })
 }
 
 fn start_service(workers: usize, max_batch: usize) -> QueryService {
-    start_service_over(&fixture().hub, workers, max_batch)
-}
-
-/// The fixture's corpus served with reranks through `hub`.
-fn start_service_over(hub: &Arc<ModelHub>, workers: usize, max_batch: usize) -> QueryService {
-    let fix = fixture();
-    QueryService::start_full(
-        fix.registry.clone(),
+    QueryService::start(
+        registry().clone(),
         Some(encoder().clone()),
-        Some(fix.passages.clone()),
-        Some(Reranker::new(Arc::clone(hub), 42)),
         Executor::new(workers),
         ServeConfig { queue_capacity: 64, max_batch },
     )
 }
 
 /// The offline reference: fuse direct dense + lexical searches at the
-/// request's own over-fetch `depth`, then (optionally) rescore through the
-/// same reranker adapter.
-fn offline_hybrid(
-    text: &str,
-    rerank: bool,
-    depth: usize,
-    k: usize,
-) -> Vec<mcqa_index::SearchResult> {
-    let fix = fixture();
+/// request's own over-fetch `depth`.
+fn offline_hybrid(text: &str, depth: usize, k: usize) -> Vec<mcqa_index::SearchResult> {
+    let registry = registry();
     let depth = fuse_depth(k, depth);
-    let dense = fix.registry.expect_store("chunks").search(&encoder().encode(text), depth);
-    let lexical = fix.registry.expect_lexical("lex-chunks").search(text, depth);
-    let mut fused = Fusion.fuse(&dense, &lexical, k);
-    if rerank {
-        let rr = Reranker::new(Arc::clone(&fix.hub), 42);
-        let ps: Vec<&str> =
-            fused.iter().map(|h| fix.passages.get("chunks", h.id).unwrap_or("")).collect();
-        let scores = rr.score_batch(Executor::global(), &[(text, ps)]);
-        for (h, &s) in fused.iter_mut().zip(&scores[0]) {
-            h.score = s as f32;
-        }
-        mcqa_util::sort_hits(&mut fused);
-    }
-    fused
+    let dense = registry.expect_store("chunks").search(&encoder().encode(text), depth);
+    let lexical = registry.expect_lexical("lex-chunks").search(text, depth);
+    Fusion.fuse(&dense, &lexical, k)
 }
 
 proptest! {
     /// The served hybrid path is bit-identical to the offline reference at
-    /// any worker count, batch watermark and arrival order.
+    /// any worker count, batch watermark, arrival order and over-fetch
+    /// depth.
     #[test]
     fn served_hybrid_equals_offline_fusion(
         n in 1usize..16,
@@ -177,13 +126,13 @@ proptest! {
         k in 1usize..8,
         workers_pick in 0usize..2,
         batch_pick in 0usize..3,
-        rerank_pick in 0usize..2,
+        depth_pick in 0usize..3,
         shuffle in 0u64..1000,
     ) {
-        let rerank = rerank_pick == 1;
         let workers = [1usize, 4][workers_pick];
         let max_batch = [1usize, 4, 64][batch_pick];
-        let mode = QueryMode::Hybrid { fusion: Fusion, rerank, depth: 0 };
+        let depth = [0usize, 1, 4][depth_pick];
+        let mode = QueryMode::Hybrid { fusion: Fusion, rerank: false, depth };
 
         let texts: Vec<String> = (0..n).map(|i| query_text(seed + i as u64)).collect();
         let reqs: Vec<QueryRequest> =
@@ -202,7 +151,7 @@ proptest! {
         }
         for (i, t) in tickets.into_iter().enumerate() {
             let resp = t.expect("ticket").wait().expect("served");
-            let want = offline_hybrid(&texts[i], rerank, 0, k);
+            let want = offline_hybrid(&texts[i], depth, k);
             prop_assert_eq!(&resp.hits, &want, "hybrid request {}", i);
         }
         service.shutdown();
@@ -218,7 +167,7 @@ proptest! {
     ) {
         let max_batch = [1usize, 8][batch_pick];
         let service = start_service(2, max_batch);
-        let lex = fixture().registry.expect_lexical("lex-chunks");
+        let lex = registry().expect_lexical("lex-chunks");
         for i in 0..n {
             let t = query_text(seed + i as u64);
             let resp = service
@@ -255,62 +204,28 @@ fn hybrid_depths_beyond_32_bits_are_not_grouped_together() {
     for (i, res) in service.query_batch(reqs).into_iter().enumerate() {
         let resp = res.expect("served");
         assert_eq!(resp.batch, texts.len(), "request {i} rode the one dispatch");
-        let want = offline_hybrid(&texts[i], false, depths[i % 2], K);
+        let want = offline_hybrid(&texts[i], depths[i % 2], K);
         assert_eq!(resp.hits, want, "request {i} at depth {}", depths[i % 2]);
     }
-}
-
-/// Served reranks go through the hub: each hybrid+rerank request is one
-/// call on its `reranker` ledger row, and replaying the same requests is
-/// served from the response cache without reaching the simulator.
-#[test]
-fn served_reranks_land_on_the_hub_ledger_and_replay_from_its_cache() {
-    // A hub of its own, so no concurrent test moves the counts read here.
-    let hub = Arc::new(ModelHub::new(42, ontology()));
-    let service = start_service_over(&hub, 2, 8);
-    let mode = QueryMode::Hybrid { fusion: Fusion, rerank: true, depth: 0 };
-    let reqs: Vec<QueryRequest> = (0..12)
-        .map(|i| QueryRequest::text("chunks", query_text(700 + i), 4).with_mode(mode))
-        .collect();
-    let n = reqs.len() as u64;
-    let serve = |reqs: Vec<QueryRequest>| -> Vec<Vec<mcqa_index::SearchResult>> {
-        service.query_batch(reqs).into_iter().map(|r| r.expect("served").hits).collect()
-    };
-
-    let first = serve(reqs.clone());
-    let served = hub.ledger().role(Role::Reranker);
-    assert_eq!(served.calls, n, "one rerank call per served request");
-    assert_eq!(hub.ledger().total().calls, n, "no other role was called");
-
-    let replay = serve(reqs);
-    assert_eq!(replay, first);
-    let replayed = hub.ledger().role(Role::Reranker);
-    assert_eq!(replayed.calls, served.calls + n);
-    assert_eq!(replayed.cache_hits, served.cache_hits + n, "the replay is served from the cache");
-    assert_eq!(replayed.backend_calls(), served.backend_calls(), "the replay runs nothing");
-    service.shutdown();
 }
 
 /// Mode × defect → error, every row through the front door. `None` means
 /// the request is served.
 #[test]
 fn every_defect_maps_to_its_error_in_every_mode() {
-    let fix = fixture();
-    let plain = |encoder: Option<BioEncoder>| {
-        QueryService::start(fix.registry.clone(), encoder, Executor::new(1), ServeConfig::default())
-    };
+    let registry = registry();
     let full = start_service(1, 4);
-    let no_reranker = plain(Some(encoder().clone()));
-    let no_encoder = plain(None);
+    let no_encoder =
+        QueryService::start(registry.clone(), None, Executor::new(1), ServeConfig::default());
 
     let hybrid = QueryMode::Hybrid { fusion: Fusion, rerank: false, depth: 0 };
     let rerank = QueryMode::Hybrid { fusion: Fusion, rerank: true, depth: 0 };
     let owned = |names: Vec<&str>| names.into_iter().map(String::from).collect::<Vec<_>>();
     let no_dense = |name: &str| {
-        Some(ServeError::UnknownStore { name: name.into(), known: owned(fix.registry.names()) })
+        Some(ServeError::UnknownStore { name: name.into(), known: owned(registry.names()) })
     };
     let no_sibling = |name: &str| {
-        let known = owned(fix.registry.lexical_names());
+        let known = owned(registry.lexical_names());
         Some(ServeError::UnknownStore { name: name.into(), known })
     };
     let needs_text = Some(ServeError::NeedsText { source: "chunks".into() });
@@ -343,10 +258,8 @@ fn every_defect_maps_to_its_error_in_every_mode() {
         ("no encoder, none needed", &no_encoder, "chunks", vector(), QueryMode::Dense, None),
         ("wrong-length vector", &no_encoder, "chunks", long_vector(), QueryMode::Dense, wrong_dim.clone()),
         ("wrong-length vector", &full, "chunks", long_vector(), QueryMode::Dense, wrong_dim.clone()),
-        ("no reranker", &no_reranker, "chunks", text(), rerank, needs_reranker.clone()),
-        ("no reranker, none asked for", &no_reranker, "chunks", text(), hybrid, None),
+        ("rerank requested", &full, "chunks", text(), rerank, needs_reranker.clone()),
         ("group defect before member defect", &no_encoder, "chunks", text(), rerank, needs_reranker),
-        ("everything wired", &full, "chunks", text(), rerank, None),
     ];
     for (defect, service, source, input, mode, want) in table {
         let row = format!("{defect}, '{source}', {}", mode.label());
@@ -361,7 +274,7 @@ fn every_defect_maps_to_its_error_in_every_mode() {
     // One group, two members that fail on their own: the rest are served
     // as if the two had never been submitted.
     let q = encoder().encode("carbon ion dosimetry");
-    let direct = fix.registry.expect_store("chunks").search(&q, 3);
+    let direct = registry.expect_store("chunks").search(&q, 3);
     let mixed = no_encoder.query_batch(vec![
         QueryRequest::vector("chunks", q.clone(), 3),
         QueryRequest::text("chunks", "carbon ion dosimetry", 3),
@@ -373,7 +286,7 @@ fn every_defect_maps_to_its_error_in_every_mode() {
     assert_eq!(mixed[2], wrong_dim.map(Err).expect("an error"));
     assert_eq!(mixed[3].as_ref().expect("served").hits, direct);
 
-    for service in [full, no_reranker, no_encoder] {
+    for service in [full, no_encoder] {
         let snap = service.shutdown();
         assert!(snap.served_ok > 0 && snap.served_err > 0);
         assert_eq!(snap.admitted, snap.served_ok + snap.served_err, "every slot answered once");

@@ -137,9 +137,9 @@ pub fn for_each_token(text: &str, mut visit: impl FnMut(&str)) {
 /// Visit the content tokens of `text`: [`for_each_token`] minus stopwords.
 ///
 /// This is the **one** corpus-side *and* query-side tokenisation every
-/// retrieval channel uses — the vocabulary, the hash embeddings, the BM25
-/// lexical index, and the simulated reranker all come through here, so a
-/// query can never tokenise differently from the corpus it searches.
+/// retrieval channel uses — the vocabulary, the hash embeddings and the
+/// BM25 lexical index all come through here, so a query can never tokenise
+/// differently from the corpus it searches.
 pub fn for_each_content_token(text: &str, mut visit: impl FnMut(&str)) {
     for_each_token(text, |tok| {
         if !crate::stopwords::is_stopword(tok) {

@@ -104,10 +104,7 @@ echo "== repro smoke: model-layer call-ledger census =="
 # re-answer pass is served from it).
 MODELS_OUT="$(cargo run --release -q -p mcqa-bench --bin repro -- models --scale "${SCALE}" --seed "${SEED}" 2>&1)"
 echo "${MODELS_OUT}" | grep '\[models\]'
-# `reranker` rides the same census: `repro models` replays a short
-# hybrid+rerank retrieval bundle so the cross-encoder's traffic is priced
-# by the shared ledger alongside every other role.
-for role in teacher judge classifier answerer reranker total; do
+for role in teacher judge classifier answerer total; do
     LINE="$(grep -F "[models] backend=sim role=${role} " <<<"${MODELS_OUT}" || true)"
     if [[ -z "${LINE}" ]]; then
         echo "repro smoke FAILED: no ledger line for role=${role}" >&2
