@@ -1,10 +1,10 @@
-//! The three ablations beyond the paper: accuracy vs retrieval depth,
-//! accuracy vs context window, benchmark size vs acceptance bar.
+//! The two ablations beyond the paper: accuracy vs retrieval depth, and
+//! benchmark size vs acceptance bar.
 
 use mcqa_core::{Pipeline, PipelineConfig, PipelineOutput};
-use mcqa_eval::{EvalConfig, Evaluator, ModelEval};
+use mcqa_eval::{EvalConfig, Evaluator};
 use mcqa_llm::answer::Condition;
-use mcqa_llm::{ModelCard, TraceMode, MODEL_CARDS};
+use mcqa_llm::{TraceMode, MODEL_CARDS};
 
 /// A column's header and how its values print: right-aligned to `width`,
 /// `decimals` places, `unit` appended.
@@ -52,54 +52,18 @@ impl Series {
     }
 }
 
-/// One card evaluated over `output` under `config`.
-fn evaluate(output: &PipelineOutput, config: EvalConfig, card: &ModelCard) -> ModelEval {
-    let mut run = Evaluator::new(output, config).run_cards(std::slice::from_ref(card));
-    run.models.remove(0)
-}
-
-fn card(name: &str) -> &'static ModelCard {
-    MODEL_CARDS.iter().find(|c| c.name == name).expect("a Table-1 model card")
-}
-
-/// Synthetic accuracy under chunk RAG and under focused-trace RAG.
-fn accuracies(m: &ModelEval) -> [f64; 2] {
-    let focused = Condition::RagTraces(TraceMode::Focused);
-    [m.synth_accuracy(Condition::RagChunks), m.synth_accuracy(focused)]
-}
-
 /// Accuracy vs retrieval depth k.
 pub fn ablate_topk(output: &PipelineOutput, seed: u64) -> Series {
+    let card = MODEL_CARDS.iter().find(|c| c.name == "SmolLM3-3B").expect("a Table-1 model card");
+    let focused = Condition::RagTraces(TraceMode::Focused);
     let rows = [1usize, 2, 3, 5, 8, 10].into_iter().map(|k| {
         let config = EvalConfig { seed, retrieval_k: k, ..Default::default() };
-        let [chunks, focused] = accuracies(&evaluate(output, config, card("SmolLM3-3B")));
-        vec![k as f64, chunks, focused]
+        let m = Evaluator::new(output, config).evaluate_card(card);
+        vec![k as f64, m.synth_accuracy(Condition::RagChunks), m.synth_accuracy(focused)]
     });
     Series {
         title: "Ablation — synthetic accuracy vs retrieval depth (SmolLM3-3B):",
         columns: vec![col("k", 4, 0), col("rag-chunks", 12, 3), col("rt-focused", 12, 3)],
-        rows: rows.collect(),
-    }
-}
-
-/// Accuracy vs context window — shows the truncation mechanism.
-pub fn ablate_context(output: &PipelineOutput, seed: u64) -> Series {
-    let rows = [512usize, 1024, 2048, 4096, 8192, 32_768].into_iter().map(|window| {
-        let mut card = card("OLMo-7B").clone();
-        card.context_window = window;
-        let m = evaluate(output, EvalConfig { seed, ..Default::default() }, &card);
-        let [chunks, focused] = accuracies(&m);
-        vec![window as f64, m.rates.synth_chunk, m.rates.synth_trace[1], chunks, focused]
-    });
-    Series {
-        title: "Ablation — synthetic accuracy vs context window (OLMo-7B behaviour card):",
-        columns: vec![
-            col("window", 8, 0),
-            col("hit-chk", 9, 3),
-            col("hit-rt", 9, 3),
-            col("rag-chunks", 12, 3),
-            col("rt-focused", 12, 3),
-        ],
         rows: rows.collect(),
     }
 }

@@ -5,13 +5,12 @@
 //! repro table2 --scale 0.2 --seed 7
 //! repro fig1 | fig2 | fig3 | fig4 | fig5 | fig6
 //! repro table1 | table3 | table4
-//! repro rates                       # measured retrieval rates per model
+//! repro rates                       # measured usable-hit rates
 //! repro residuals                   # calibration residual census
 //! repro recall                      # recall@k + footprint per retrieval mode
 //! repro models                      # per-role call ledger + cache hit rate
 //! repro ingest --edits 20           # incremental re-ingest ≡ cold rebuild?
 //! repro ablate-topk                 # accuracy vs retrieval depth
-//! repro ablate-context              # accuracy vs context window
 //! repro ablate-filter               # quality threshold sweep
 //! ```
 //!
@@ -144,10 +143,6 @@ fn main() {
             print!("{}", ablate::ablate_topk(&output, args.seed).render());
             return;
         }
-        "ablate-context" => {
-            print!("{}", ablate::ablate_context(&output, args.seed).render());
-            return;
-        }
         _ => {}
     }
 
@@ -194,23 +189,23 @@ fn main() {
 }
 
 fn print_rates(run: &mcqa_eval::EvalRun) {
-    println!("Measured usable-hit rates (post truncation):");
+    println!("Measured usable-hit rates:");
     println!(
         "{:<26} {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8}",
         "model", "syn-chk", "syn-det", "syn-foc", "syn-eff", "ast-chk", "ast-rt"
     );
-    for m in &run.models {
-        println!(
-            "{:<26} {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3}",
-            m.name,
-            m.rates.synth_chunk,
-            m.rates.synth_trace[0],
-            m.rates.synth_trace[1],
-            m.rates.synth_trace[2],
-            m.rates.astro_chunk,
-            m.rates.astro_trace[1],
-        );
-    }
+    // Every card reads the same contexts, so each carries the run's one set.
+    let rates = &run.models[0].rates;
+    println!(
+        "{:<26} {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3}",
+        "every model",
+        rates.synth_chunk,
+        rates.synth_trace[0],
+        rates.synth_trace[1],
+        rates.synth_trace[2],
+        rates.astro_chunk,
+        rates.astro_trace[1],
+    );
 }
 
 fn print_residuals(run: &mcqa_eval::EvalRun) {

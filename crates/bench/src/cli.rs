@@ -39,7 +39,7 @@ const EVAL: &[&str] = &["--retrieval"];
 
 /// Every command with the flags it reads beyond the universal two.
 /// `recall` runs every retrieval mode itself.
-pub const COMMANDS: [(&str, &[&str]); 19] = [
+pub const COMMANDS: [(&str, &[&str]); 18] = [
     ("all", EVAL),
     ("table1", &[]),
     ("table2", EVAL),
@@ -57,7 +57,6 @@ pub const COMMANDS: [(&str, &[&str]); 19] = [
     ("models", EVAL),
     ("ingest", &["--edits"]),
     ("ablate-topk", &[]),
-    ("ablate-context", &[]),
     ("ablate-filter", &[]),
 ];
 
@@ -180,7 +179,7 @@ mod tests {
     /// The table, written out a second time the way the seed's `match`
     /// arms read the flags: one row per command, one column per flag in
     /// [`FLAGS`] order (`x` = read).
-    const EXPECTED: [(&str, &str); 19] = [
+    const EXPECTED: [(&str, &str); 18] = [
         ("all", "xxx."),
         ("table1", "xx.."),
         ("table2", "xxx."),
@@ -198,7 +197,6 @@ mod tests {
         ("models", "xxx."),
         ("ingest", "xx.x"),
         ("ablate-topk", "xx.."),
-        ("ablate-context", "xx.."),
         ("ablate-filter", "xx.."),
     ];
 

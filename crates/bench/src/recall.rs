@@ -27,7 +27,7 @@ pub struct RecallRow {
 pub struct ModeRecall {
     pub mode: &'static str,
     /// One row per [`Source::ALL`] entry, in that order; `recall` is the
-    /// oracle-labelled hit rate ([`RetrievalBundle::raw_hit_rate`]): the
+    /// oracle-labelled hit rate ([`RetrievalBundle::hit_rate`]): the
     /// fraction of questions whose top-k contains a supporting passage.
     pub sources: Vec<RecallRow>,
     /// Mean recall over the sources (the `source=all` line).
@@ -51,7 +51,7 @@ pub fn mode_recall(output: &PipelineOutput, k: usize) -> Vec<ModeRecall> {
         let mut sources = Vec::new();
         for source in Source::ALL {
             let name = source.store_name();
-            let recall = bundle.raw_hit_rate(source);
+            let recall = bundle.hit_rate(source, None);
             mean += recall / Source::ALL.len() as f64;
             let store = output.indexes.expect_store(name);
             let dense_bytes = store.to_bytes().len();

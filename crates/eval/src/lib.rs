@@ -10,10 +10,10 @@
 //!   oracle.
 //! * `astro` — the exam generator: 337 questions (2 multimodal excluded,
 //!   146 mathematical), written in exam register from the same ontology.
-//! * `protocol` — the evaluator: measures usable-hit rates per model
-//!   (including real context-window truncation), calibrates the model
-//!   cards against them, runs all model × condition × question answers in
-//!   parallel, and grades them with the LLM judge.
+//! * `protocol` — the evaluator: measures one set of usable-hit rates
+//!   per run, calibrates the model cards against them, runs all model ×
+//!   condition × question answers in parallel, and grades them with the
+//!   LLM judge.
 //! * [`results`] — Tables 2/3/4 and Figures 4/5/6, rendered in the
 //!   paper's layout with paper-vs-measured deltas.
 //!

@@ -7,7 +7,7 @@ use mcqa_core::PipelineOutput;
 use mcqa_llm::answer::Condition;
 use mcqa_llm::{
     resolve, AssembledContext, ModelCard, ModelHub, PipelineRates, PreparedItem, ResolvedModel,
-    TraceMode, MODEL_CARDS,
+    MODEL_CARDS,
 };
 use mcqa_runtime::{run_stage, Executor, RunReport, StageMetrics};
 use mcqa_serve::{QueryMode, QueryService};
@@ -44,7 +44,8 @@ impl Default for EvalConfig {
 pub struct ModelEval {
     /// Model name (Table 1).
     pub name: String,
-    /// Measured usable-hit rates for this model's context window.
+    /// The run's measured usable-hit rates: every model reads the same
+    /// contexts, so every model carries the same value.
     pub rates: PipelineRates,
     /// The calibration the solver produced.
     pub calibration: mcqa_llm::solver::Calibration,
@@ -123,12 +124,17 @@ pub struct Evaluator<'a> {
     config: EvalConfig,
     exam: AstroExam,
     /// The synthetic and exam questions, each counted and digested once
-    /// for every (card, condition) that answers it and every window
-    /// assembled for it.
+    /// for every (card, condition) that answers it.
     synth_items: Vec<PreparedItem>,
     exam_items: Vec<PreparedItem>,
-    synth_bundle: RetrievalBundle<'a>,
-    astro_bundle: RetrievalBundle<'a>,
+    /// Every (question, source) context of each benchmark, assembled once
+    /// and read by every card.
+    synth_ctx: Vec<[AssembledContext; 4]>,
+    astro_ctx: Vec<[AssembledContext; 4]>,
+    /// Which exam questions are not mathematical (Table 4's subset).
+    nomath_mask: Vec<bool>,
+    /// The usable-hit rates every card is calibrated against.
+    rates: PipelineRates,
     hub: &'a ModelHub,
     exec: Executor,
     /// The serving front door every retrieval bundle replays through: the
@@ -142,12 +148,13 @@ pub struct Evaluator<'a> {
     service: QueryService,
     report: Mutex<RunReport>,
     /// Snapshot of the report right after construction: the one-time
-    /// retrieval prep, attributed in full to every run's report.
+    /// retrieval and assembly prep, attributed in full to every run's
+    /// report.
     prep_report: RunReport,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Prepare retrieval for both benchmarks.
+    /// Prepare retrieval, contexts and hit rates for both benchmarks.
     pub fn new(output: &'a PipelineOutput, config: EvalConfig) -> Self {
         let exec = output.executor.clone();
         let hub = &*output.models;
@@ -168,17 +175,35 @@ impl<'a> Evaluator<'a> {
             config.retrieval,
             &service,
         );
+        let synth_items: Vec<_> = output.items.iter().cloned().map(PreparedItem::new).collect();
+        let exam_items: Vec<_> = exam.items.iter().cloned().map(PreparedItem::new).collect();
+        let (synth_ctx, synth_a) = assemble_all(&exec, &synth_items, &synth_bundle);
+        let (astro_ctx, astro_a) = assemble_all(&exec, &exam_items, &astro_bundle);
         let mut report = RunReport::new();
-        report.absorb(synth_m);
-        report.absorb(astro_m);
+        for m in [synth_m, astro_m, synth_a, astro_a] {
+            report.absorb(m);
+        }
+
+        // Measured usable-hit rates (the solver's h values).
+        let nomath_mask: Vec<bool> = exam.items.iter().map(|i| !i.is_math).collect();
+        let synth = Source::ALL.map(|s| synth_bundle.hit_rate(s, None));
+        let astro = Source::ALL.map(|s| astro_bundle.hit_rate(s, Some(&nomath_mask)));
+        let rates = PipelineRates {
+            synth_chunk: synth[0],
+            synth_trace: [synth[1], synth[2], synth[3]],
+            astro_chunk: astro[0],
+            astro_trace: [astro[1], astro[2], astro[3]],
+        };
         Self {
             output,
             config,
-            synth_items: output.items.iter().cloned().map(PreparedItem::new).collect(),
-            exam_items: exam.items.iter().cloned().map(PreparedItem::new).collect(),
+            synth_items,
+            exam_items,
             exam,
-            synth_bundle,
-            astro_bundle,
+            synth_ctx,
+            astro_ctx,
+            nomath_mask,
+            rates,
             hub,
             exec,
             service,
@@ -200,7 +225,7 @@ impl<'a> Evaluator<'a> {
         self.report.lock().expect("report lock").clone()
     }
 
-    /// One run's stage report: the one-time prep rows (`prep`, retrieval)
+    /// One run's stage report: the one-time prep rows (retrieval, assembly)
     /// in full, plus — for every other stage — the strict `after − before`
     /// delta. Stages the run never touched contribute nothing, so repeated
     /// runs on one evaluator cannot inherit each other's work.
@@ -234,81 +259,10 @@ impl<'a> Evaluator<'a> {
         self.service.stats()
     }
 
-    /// Assemble contexts for every (item, source) under one window size.
-    fn assemble_all(
-        &self,
-        items: &[PreparedItem],
-        bundle: &RetrievalBundle,
-        window: usize,
-    ) -> Vec<[AssembledContext; 4]> {
-        let (contexts, metrics) =
-            run_stage(&self.exec, "eval-assemble", (0..items.len()).collect(), |qi| {
-                let mk = |s: Source| {
-                    mcqa_llm::context::assemble(
-                        items[qi].item().fact,
-                        items[qi].tokens(),
-                        bundle.passages(qi, s),
-                        window,
-                    )
-                };
-                [
-                    mk(Source::Chunks),
-                    mk(Source::Traces(TraceMode::Detailed)),
-                    mk(Source::Traces(TraceMode::Focused)),
-                    mk(Source::Traces(TraceMode::Efficient)),
-                ]
-            });
-        self.absorb(metrics);
-        contexts
-    }
-
-    /// Usable-hit rates over a set of assembled contexts (optionally
-    /// restricted by a mask).
-    fn hit_rates(contexts: &[[AssembledContext; 4]], mask: Option<&[bool]>) -> [f64; 4] {
-        let mut counts = [0usize; 4];
-        let mut total = 0usize;
-        for (i, cs) in contexts.iter().enumerate() {
-            if let Some(m) = mask {
-                if !m[i] {
-                    continue;
-                }
-            }
-            total += 1;
-            for (s, c) in cs.iter().enumerate() {
-                if c.relevant_in_window {
-                    counts[s] += 1;
-                }
-            }
-        }
-        if total == 0 {
-            return [0.0; 4];
-        }
-        [
-            counts[0] as f64 / total as f64,
-            counts[1] as f64 / total as f64,
-            counts[2] as f64 / total as f64,
-            counts[3] as f64 / total as f64,
-        ]
-    }
-
-    /// Evaluate one model card.
+    /// Evaluate one model card against the contexts and rates
+    /// [`Evaluator::new`] prepared.
     pub fn evaluate_card(&self, card: &ModelCard) -> ModelEval {
-        let window = card.context_window;
-        let synth_ctx = self.assemble_all(&self.synth_items, &self.synth_bundle, window);
-        let astro_ctx = self.assemble_all(&self.exam_items, &self.astro_bundle, window);
-
-        // Measured usable-hit rates (the solver's h values).
-        let synth_rates = Self::hit_rates(&synth_ctx, None);
-        let nomath_mask: Vec<bool> = self.exam.items.iter().map(|i| !i.is_math).collect();
-        let astro_rates = Self::hit_rates(&astro_ctx, Some(&nomath_mask));
-        let rates = PipelineRates {
-            synth_chunk: synth_rates[0],
-            synth_trace: [synth_rates[1], synth_rates[2], synth_rates[3]],
-            astro_chunk: astro_rates[0],
-            astro_trace: [astro_rates[1], astro_rates[2], astro_rates[3]],
-        };
-
-        let calibration = resolve(card, &rates);
+        let calibration = resolve(card, &self.rates);
         let model = ResolvedModel::new(card.clone(), calibration.clone());
         let seed = self.config.seed;
 
@@ -318,9 +272,9 @@ impl<'a> Evaluator<'a> {
         // its calls is a hit whether or not its twin has finished.
         let conditions = Condition::all();
         let passes: [Pass<'_>; 3] = [
-            (&self.synth_items, &synth_ctx, None),
-            (&self.exam_items, &astro_ctx, None),
-            (&self.exam_items, &astro_ctx, Some(&nomath_mask)),
+            (&self.synth_items, &self.synth_ctx, None),
+            (&self.exam_items, &self.astro_ctx, None),
+            (&self.exam_items, &self.astro_ctx, Some(&self.nomath_mask)),
         ];
         let picked = passes.map(|(items, _, mask)| -> Vec<usize> {
             (0..items.len()).filter(|&i| mask.is_none_or(|m| m[i])).collect()
@@ -358,7 +312,7 @@ impl<'a> Evaluator<'a> {
 
         ModelEval {
             name: card.name.to_string(),
-            rates,
+            rates: self.rates,
             calibration,
             synth,
             astro_all,
@@ -385,6 +339,21 @@ impl<'a> Evaluator<'a> {
             report: Self::report_delta(&self.prep_report, &self.report(), &before),
         }
     }
+}
+
+/// The `eval-assemble` stage: every (item, source) context of one
+/// benchmark, in [`Source::ALL`] order.
+fn assemble_all(
+    exec: &Executor,
+    items: &[PreparedItem],
+    bundle: &RetrievalBundle,
+) -> (Vec<[AssembledContext; 4]>, StageMetrics) {
+    run_stage(exec, "eval-assemble", (0..items.len()).collect(), |qi| {
+        let item = &items[qi];
+        Source::ALL.map(|s| {
+            mcqa_llm::context::assemble(item.item().fact, item.tokens(), bundle.passages(qi, s))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -464,6 +433,8 @@ mod tests {
         // reports a measured questions/s, not an unmeasured inline loop.
         let retrieve = &run.report.stages()[0];
         assert!(retrieve.items > 0 && retrieve.elapsed_secs > 0.0, "{retrieve:?}");
+        // Each question's contexts are assembled once, whatever the cards.
+        assert_eq!(run.report.stages()[1].items, n_items + run.astro_questions);
         let answer = run.report.stages().iter().find(|s| s.name == "eval-answer").unwrap();
         // 8 cards × 5 conditions × (synth + astro-all + astro-nomath).
         let expected = 8 * 5 * (n_items + run.astro_questions + run.astro_nomath_questions);
@@ -557,17 +528,28 @@ mod tests {
     }
 
     #[test]
-    fn rates_truncation_effect_visible() {
-        // A 2k-window model must lose more chunk hits to truncation than a
-        // 128k-window model on the same retrievals.
-        let (_, run) = eval_run();
-        let olmo = run.models.iter().find(|m| m.name == "OLMo-7B").unwrap();
-        let gemma = run.models.iter().find(|m| m.name == "Gemma 3 4B-IT").unwrap();
-        assert!(
-            olmo.rates.synth_chunk <= gemma.rates.synth_chunk + 1e-9,
-            "olmo chunk hit {} vs gemma {}",
-            olmo.rates.synth_chunk,
-            gemma.rates.synth_chunk
-        );
+    fn every_context_fits_the_smallest_window() {
+        // The evaluator assembles each context once for every card, which
+        // is only sound while no card's window would drop a passage, under
+        // any retrieval mode.
+        let (output, run) = eval_run();
+        let smallest = MODEL_CARDS.iter().map(|c| c.context_window).min().unwrap();
+        let hybrid = QueryMode::Hybrid { fusion: Default::default(), rerank: false, depth: 0 };
+        for retrieval in [QueryMode::Dense, QueryMode::Lexical, hybrid] {
+            let evaluator =
+                Evaluator::new(output, EvalConfig { retrieval, ..EvalConfig::default() });
+            let contexts = evaluator.synth_ctx.iter().chain(&evaluator.astro_ctx).flatten();
+            let largest = contexts.map(|c| c.prompt_tokens).max().unwrap_or(0);
+            let mode = retrieval.label();
+            assert!(largest > 0, "{mode}: no context was assembled");
+            assert!(
+                largest <= smallest,
+                "{mode}: a {largest}-token prompt overflows the smallest window \
+                 ({smallest} tokens): context-window truncation would bind again, so contexts \
+                 and hit rates would be per card"
+            );
+        }
+        let rates = run.models[0].rates;
+        assert!(run.models.iter().all(|m| m.rates == rates), "one set of rates per run");
     }
 }

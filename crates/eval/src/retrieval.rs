@@ -78,8 +78,8 @@ impl<'a> PassageTexts<'a> {
 /// Precomputed retrieval results for a set of questions: for every
 /// (question, source) the top-k passages with oracle relevance labels, each
 /// borrowing its text from the pipeline output and carrying its own token
-/// count ([`Passage::tokens`]) — so assembling a window for one more model
-/// card copies and tokenises nothing.
+/// count ([`Passage::tokens`]) — so assembling a context copies and
+/// tokenises nothing.
 pub struct RetrievalBundle<'a> {
     /// `passages[q][source-index]` = retrieved passages for question `q`.
     passages: Vec<[Vec<Passage<'a>>; 4]>,
@@ -231,16 +231,23 @@ impl<'a> RetrievalBundle<'a> {
         &self.passages[q][source.index()]
     }
 
-    /// Raw retrieval hit rate (before truncation) for a source: the
-    /// fraction of questions whose top-k contains a supporting passage.
-    pub fn raw_hit_rate(&self, source: Source) -> f64 {
-        if self.passages.is_empty() {
+    /// Usable-hit rate for a source: the fraction of the questions `mask`
+    /// picks (`None`: all of them) whose top-k holds a supporting passage.
+    /// A prompt holds every retrieved passage, so this is also the rate at
+    /// which a model's context holds one. No question picked reads 0.
+    pub fn hit_rate(&self, source: Source, mask: Option<&[bool]>) -> f64 {
+        let si = source.index();
+        let (mut hits, mut total) = (0usize, 0usize);
+        for (q, p) in self.passages.iter().enumerate() {
+            if mask.is_none_or(|m| m[q]) {
+                total += 1;
+                hits += usize::from(p[si].iter().any(|x| x.supports.is_some()));
+            }
+        }
+        if total == 0 {
             return 0.0;
         }
-        let si = source.index();
-        let hits =
-            self.passages.iter().filter(|p| p[si].iter().any(|x| x.supports.is_some())).count();
-        hits as f64 / self.passages.len() as f64
+        hits as f64 / total as f64
     }
 }
 
@@ -292,7 +299,7 @@ mod tests {
         let out = output();
         let bundle = RetrievalBundle::build_mode(out, &out.items, 5, QueryMode::Dense);
         for mode in TraceMode::ALL {
-            let r = bundle.raw_hit_rate(Source::Traces(mode));
+            let r = bundle.hit_rate(Source::Traces(mode), None);
             assert!(r > 0.9, "{mode:?} raw hit rate {r:.3}");
         }
     }
@@ -301,9 +308,14 @@ mod tests {
     fn chunk_retrieval_hits_most_questions() {
         let out = output();
         let bundle = RetrievalBundle::build_mode(out, &out.items, 5, QueryMode::Dense);
-        let r = bundle.raw_hit_rate(Source::Chunks);
+        let r = bundle.hit_rate(Source::Chunks, None);
         assert!(r > 0.5, "chunk raw hit rate {r:.3}");
         assert!(r < 1.0, "chunk retrieval should not be perfect");
+        // A mask picking every question is no mask; one picking none reads 0.
+        let all = vec![true; bundle.len()];
+        assert_eq!(bundle.hit_rate(Source::Chunks, Some(&all)).to_bits(), r.to_bits());
+        let none = vec![false; bundle.len()];
+        assert_eq!(bundle.hit_rate(Source::Chunks, Some(&none)), 0.0);
     }
 
     #[test]
@@ -391,12 +403,16 @@ mod tests {
         // must not give up what either finds alone.
         for mode in TraceMode::ALL {
             let s = Source::Traces(mode);
-            assert!(lexical.raw_hit_rate(s) > 0.8, "{mode:?} lexical {}", lexical.raw_hit_rate(s));
             assert!(
-                hybrid.raw_hit_rate(s) + 0.05 >= dense.raw_hit_rate(s),
+                lexical.hit_rate(s, None) > 0.8,
+                "{mode:?} lexical {}",
+                lexical.hit_rate(s, None)
+            );
+            assert!(
+                hybrid.hit_rate(s, None) + 0.05 >= dense.hit_rate(s, None),
                 "{mode:?} hybrid {} vs dense {}",
-                hybrid.raw_hit_rate(s),
-                dense.raw_hit_rate(s)
+                hybrid.hit_rate(s, None),
+                dense.hit_rate(s, None)
             );
         }
     }
@@ -406,7 +422,9 @@ mod tests {
         let out = output();
         let bundle = RetrievalBundle::build_mode(out, &[], 5, QueryMode::Dense);
         assert!(bundle.is_empty());
-        assert_eq!(bundle.raw_hit_rate(Source::Chunks), 0.0);
+        for mask in [None, Some(&[][..])] {
+            assert_eq!(bundle.hit_rate(Source::Chunks, mask), 0.0, "{mask:?}");
+        }
     }
 
     #[test]

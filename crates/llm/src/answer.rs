@@ -182,8 +182,8 @@ impl ResolvedModel {
         let knew = draws.bern("know", self.p_know(item));
 
         // 2. Context extraction path.
-        let relevant = context.map(|c| c.relevant_in_window).unwrap_or(false);
-        let has_context = context.map(|c| c.passages_in_window > 0).unwrap_or(false);
+        let relevant = context.map(|c| c.relevant).unwrap_or(false);
+        let has_context = context.map(|c| c.passages > 0).unwrap_or(false);
         let correct = if relevant {
             let e = self.extraction(item.bench, cond);
             if draws.bern("extract", e) {
@@ -341,11 +341,7 @@ mod tests {
     }
 
     fn ctx(relevant: bool, passages: usize) -> AssembledContext {
-        AssembledContext {
-            passages_in_window: passages,
-            relevant_in_window: relevant,
-            prompt_tokens: 500,
-        }
+        AssembledContext { passages, relevant, prompt_tokens: 500 }
     }
 
     /// Monte-Carlo accuracy over many items.

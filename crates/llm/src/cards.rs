@@ -4,9 +4,8 @@
 //! A card mixes two kinds of numbers:
 //!
 //! * **Structural parameters**, chosen a-priori from public knowledge of
-//!   each model (context window from Table 1; answer-format reliability
-//!   and distraction susceptibility from the qualitative behaviour the
-//!   paper reports — e.g. TinyLlama's sub-random Astro baseline of 0.089
+//!   each model (answer-format reliability and distraction
+//!   susceptibility from the qualitative behaviour the paper reports — e.g. TinyLlama's sub-random Astro baseline of 0.089
 //!   implies frequent unparseable answers, and OLMo's chunk-RAG collapse
 //!   on the exam, 0.446 → 0.269, implies high distractibility).
 //! * **Behavioural targets** — the paper's own table cells, used by
@@ -78,7 +77,9 @@ pub struct ModelCard {
     pub(crate) params_b: f64,
     /// Release year (Table 1).
     pub(crate) release_year: u16,
-    /// Context window in tokens (Table 1) — drives real prompt truncation.
+    /// Context window in tokens, printed in Table 1. No computation reads
+    /// it: every retrieved context fits the smallest window (see
+    /// [`crate::context`]).
     pub context_window: usize,
     /// P(answer is well-formed) on pipeline-style questions.
     pub(crate) format_synth: f64,

@@ -1,13 +1,27 @@
-//! Retrieved-context assembly and context-window truncation.
+//! Retrieved-context assembly: one prompt per (question, source).
 //!
-//! This is the mechanistic heart of the paper's small-model result: a
-//! retrieval hit only helps if the supporting passage *survives prompt
-//! truncation*. The truncation here is real token accounting, not a
-//! parameter. On this corpus it never drops a usable hit: at scale 0.02,
-//! seed 42 chunks are ≈ 60 tokens at the median and 251 at most, and
-//! `repro rates --scale 0.02 --seed 42` prints the same usable-hit rates
-//! for all eight models, from a 2K window to 128K; the scale-1.0 pin's
-//! rates are equal across the eight models too.
+//! The paper attributes part of the small-model result to prompt
+//! truncation: a retrieval hit only helps if the supporting passage fits
+//! the model's context window, and chunks are long. This module used to
+//! pack passages greedily, in rank order, into each model card's window,
+//! and the evaluator assembled every (question, source) once per card.
+//!
+//! On this corpus that packing never dropped a passage. Counted at
+//! seed 42 with `repro rates` under each retrieval mode, for all eight
+//! cards (a passage drops exactly when the full prompt overflows the
+//! window, so the largest full prompt bounds every card):
+//!
+//! | scale | contexts per card (synthetic + exam) | largest prompt, dense / lexical / hybrid | dropped |
+//! |---|---|---|---|
+//! | 0.02 | 1 720 + 1 340 | 1 128 / 1 149 / 1 146 tokens | 0 |
+//! | 0.2 | 16 764 + 1 340 | 1 159 / 1 153 / 1 153 tokens | 0 |
+//! | 1.0 | 86 536 + 1 340 | 1 160 / 1 158 / 1 159 tokens | 0 |
+//!
+//! The smallest window in Table 1 is 2 048 tokens (OLMo-7B, TinyLlama),
+//! so every card read the same contexts and the same usable-hit rates. The
+//! window therefore went: a context holds every retrieved passage, the
+//! evaluator assembles each (question, source) once per run, and a card's
+//! window is only Table 1's printed column.
 
 use mcqa_ontology::FactId;
 
@@ -18,8 +32,7 @@ use mcqa_ontology::FactId;
 /// built ([`Passage::new`]): the caller passes the count its store already
 /// holds for the text, and debug builds check it against the text. Text
 /// and count are private so the two cannot drift apart afterwards, and
-/// [`assemble`] reads the count for every model card instead of tokenising
-/// the same text again.
+/// [`assemble`] reads the count instead of tokenising the same text again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Passage<'a> {
     /// Passage text (injected into the prompt).
@@ -54,15 +67,14 @@ impl<'a> Passage<'a> {
     }
 }
 
-/// The context actually visible to the model after truncation.
+/// The context a model reads: every retrieved passage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssembledContext {
-    /// Passages fully inside the window, in retrieval order.
-    pub passages_in_window: usize,
-    /// True when a passage supporting the question's fact survived
-    /// truncation (a *usable* hit).
-    pub relevant_in_window: bool,
-    /// Prompt tokens consumed (stem + options + surviving passages).
+    /// Passages in the prompt, in retrieval order.
+    pub passages: usize,
+    /// True when a passage supports the question's fact (a *usable* hit).
+    pub relevant: bool,
+    /// Prompt tokens consumed (stem + options + passages).
     pub prompt_tokens: usize,
 }
 
@@ -71,40 +83,18 @@ const SCAFFOLD_TOKENS: usize = 48;
 
 /// Assemble a prompt for a question about `fact`, whose rendered text
 /// costs `question_tokens` ([`crate::PreparedItem::tokens`]: it depends on
-/// the item alone, so a caller assembling one item for many models or
-/// sources counts it once), from retrieved `passages` under a
-/// `context_window` budget.
+/// the item alone, so a caller assembling one item for many sources counts
+/// it once), from retrieved `passages`.
 ///
 /// Layout mirrors the usual RAG prompt: scaffold + passages (retrieval
-/// order) + question + options. Passages that do not fit *entirely* are
-/// dropped (partial evidence is useless for MCQ extraction); the question
-/// itself is always kept (models see the question even when context must
-/// be truncated away).
-pub fn assemble(
-    fact: FactId,
-    question_tokens: usize,
-    passages: &[Passage],
-    context_window: usize,
-) -> AssembledContext {
-    let budget = context_window.saturating_sub(question_tokens + SCAFFOLD_TOKENS);
-
-    let mut used = 0usize;
-    let mut in_window = 0usize;
-    let mut relevant_in_window = false;
-    for p in passages {
-        if used + p.tokens <= budget {
-            used += p.tokens;
-            in_window += 1;
-            relevant_in_window |= p.supports == Some(fact);
-        }
-        // Passages after an overflow are still skipped individually —
-        // a shorter later passage may fit (greedy packing in rank order).
-    }
-
+/// order) + question + options.
+pub fn assemble(fact: FactId, question_tokens: usize, passages: &[Passage]) -> AssembledContext {
     AssembledContext {
-        passages_in_window: in_window,
-        relevant_in_window,
-        prompt_tokens: question_tokens + SCAFFOLD_TOKENS + used,
+        passages: passages.len(),
+        relevant: passages.iter().any(|p| p.supports == Some(fact)),
+        prompt_tokens: question_tokens
+            + SCAFFOLD_TOKENS
+            + passages.iter().map(|p| p.tokens).sum::<usize>(),
     }
 }
 
@@ -126,20 +116,16 @@ mod tests {
         }
     }
 
-    /// `n` distinct words led by `prefix`, living as long as the test
+    /// A passage of `n` distinct words, its text living as long as the test
     /// binary (a passage borrows its text).
-    fn words(prefix: char, n: usize) -> &'static str {
-        let text = (0..n).map(|i| format!("{prefix}{i}")).collect::<Vec<_>>().join(" ");
-        Box::leak(text.into_boxed_str())
-    }
-
     fn passage(n: usize, supports: Option<FactId>) -> Passage<'static> {
-        Passage::new(words('w', n), n, supports)
+        let text = (0..n).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" ");
+        Passage::new(Box::leak(text.into_boxed_str()), n, supports)
     }
 
     /// [`assemble`] for the fixture item.
-    fn assemble_item(passages: &[Passage], window: usize) -> AssembledContext {
-        assemble(item().fact, item().prompt_tokens(), passages, window)
+    fn assemble_item(passages: &[Passage]) -> AssembledContext {
+        assemble(item().fact, item().prompt_tokens(), passages)
     }
 
     #[test]
@@ -157,75 +143,27 @@ mod tests {
     }
 
     #[test]
-    fn everything_fits_in_large_window() {
-        let ps = vec![passage(200, Some(FactId(42))), passage(200, None)];
-        let ctx = assemble_item(&ps, 32_768);
-        assert_eq!(ctx.passages_in_window, 2);
-        assert!(ctx.relevant_in_window);
-        assert!(ctx.prompt_tokens > 400);
-    }
-
-    #[test]
-    fn truncation_drops_late_passages() {
-        // Window fits question + scaffold + ~one 200-token passage.
-        let q_tokens = mcqa_text::token_count(&item().render());
-        let window = q_tokens + 48 + 250;
-        let ps = vec![
-            passage(200, None),             // rank 1: fits
-            passage(200, Some(FactId(42))), // rank 2: dropped → hit lost to truncation
-        ];
-        let ctx = assemble_item(&ps, window);
-        assert_eq!(ctx.passages_in_window, 1);
-        assert!(!ctx.relevant_in_window, "the window lost the hit");
-    }
-
-    #[test]
-    fn short_traces_survive_where_chunks_die() {
-        let q_tokens = mcqa_text::token_count(&item().render());
-        let window = q_tokens + 48 + 300;
-        // Five 250-token chunks: only the first fits.
-        let chunks: Vec<Passage> = (0..5).map(|_| passage(250, None)).collect();
-        let c1 = assemble_item(&chunks, window);
-        assert_eq!(c1.passages_in_window, 1);
-        // Five 50-token traces: all fit... budget 300 → 6 × 50 = 300 fits 5.
-        let traces: Vec<Passage> = (0..5)
-            .map(|i| Passage::new(words('t', 50), 50, (i == 4).then_some(FactId(42))))
-            .collect();
-        let c2 = assemble_item(&traces, window);
-        assert_eq!(c2.passages_in_window, 5);
-        assert!(c2.relevant_in_window, "trace at rank 5 still usable");
-    }
-
-    #[test]
-    fn greedy_packing_takes_later_shorter_passage() {
-        let q_tokens = mcqa_text::token_count(&item().render());
-        let window = q_tokens + 48 + 100;
-        let ps = vec![passage(200, None), passage(80, Some(FactId(42)))];
-        let ctx = assemble_item(&ps, window);
-        assert_eq!(ctx.passages_in_window, 1, "the shorter rank-2 passage fits");
-        assert!(ctx.relevant_in_window);
+    fn every_passage_is_in_the_prompt() {
+        let ps = vec![passage(200, None), passage(200, Some(FactId(42)))];
+        let ctx = assemble_item(&ps);
+        assert_eq!(ctx.passages, 2);
+        assert!(ctx.relevant, "a hit at rank 2 is usable");
+        assert_eq!(ctx.prompt_tokens, item().prompt_tokens() + SCAFFOLD_TOKENS + 400);
     }
 
     #[test]
     fn zero_passages() {
-        let ctx = assemble_item(&[], 2048);
-        assert_eq!(ctx.passages_in_window, 0);
-        assert!(!ctx.relevant_in_window);
-    }
-
-    #[test]
-    fn tiny_window_keeps_question_only() {
-        let ps = vec![passage(100, Some(FactId(42)))];
-        let ctx = assemble_item(&ps, 10);
-        assert_eq!(ctx.passages_in_window, 0);
-        assert!(!ctx.relevant_in_window);
+        let ctx = assemble_item(&[]);
+        assert_eq!(ctx.passages, 0);
+        assert!(!ctx.relevant);
+        assert_eq!(ctx.prompt_tokens, item().prompt_tokens() + SCAFFOLD_TOKENS);
     }
 
     #[test]
     fn irrelevant_passage_supporting_other_fact() {
         let ps = vec![passage(50, Some(FactId(7)))];
-        let ctx = assemble_item(&ps, 4096);
-        assert!(!ctx.relevant_in_window, "supports a different fact");
-        assert_eq!(ctx.passages_in_window, 1);
+        let ctx = assemble_item(&ps);
+        assert!(!ctx.relevant, "supports a different fact");
+        assert_eq!(ctx.passages, 1);
     }
 }

@@ -249,11 +249,7 @@ mod tests {
     }
 
     fn fixtures() -> (Vec<ResolvedModel>, Vec<PreparedItem>, AssembledContext) {
-        let context = AssembledContext {
-            passages_in_window: 3,
-            relevant_in_window: true,
-            prompt_tokens: 400,
-        };
+        let context = AssembledContext { passages: 3, relevant: true, prompt_tokens: 400 };
         (
             (0..8).map(resolved).collect(),
             (0..6).map(|x| PreparedItem::new(item(x))).collect(),

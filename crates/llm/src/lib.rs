@@ -69,20 +69,20 @@
 //!
 //! Model cards carry two kinds of numbers:
 //!
-//! * **Structural parameters** (context window, answer-format reliability,
+//! * **Structural parameters** (answer-format reliability,
 //!   distractor-elimination skill, distraction susceptibility) — chosen
 //!   a-priori per model and documented on each field;
 //! * **Behavioural targets** — the paper's own Table 2/3/4 accuracy cells.
 //!
 //! At evaluation time the harness *measures* the pipeline's emergent
-//! retrieval-hit rates (per model, per retrieval source, including context
-//! -window truncation) and [`solver::resolve`] inverts the answer cascade
+//! retrieval-hit rates (one set per run, per retrieval source) and
+//! [`solver::resolve`] inverts the answer cascade
 //! to find the per-model extraction skills that reproduce the targets
 //! under those measured rates. If a target is unreachable given what
 //! retrieval actually delivers, the skill clamps to `[0, 1]` and the
 //! residual shows up in `repro residuals` — that is the honest boundary
 //! between *calibrated behaviour* (model cards) and *emergent mechanism*
-//! (retrieval, truncation, filtering).
+//! (retrieval, filtering).
 
 pub mod answer;
 pub mod cards;

@@ -141,7 +141,7 @@ pub(crate) fn walk_item(h: &mut StableHasher, item: &McqItem) {
 /// Read-only after construction (private fields, no setter), so the count
 /// and the digest always describe the item beside them. The evaluator
 /// prepares each question once and lends it to every (model, condition)
-/// answer and every context window assembled for it.
+/// answer and every context assembled for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedItem {
     item: McqItem,

@@ -235,24 +235,19 @@ impl Call for Answer<'_> {
             }
             match context {
                 None => h.write_u32(0),
-                Some(AssembledContext {
-                    passages_in_window,
-                    relevant_in_window,
-                    prompt_tokens,
-                }) => {
+                Some(AssembledContext { passages, relevant, prompt_tokens }) => {
                     h.write_u32(1);
-                    h.write_u64(*passages_in_window as u64);
-                    h.write_u32(*relevant_in_window as u32);
+                    h.write_u64(*passages as u64);
+                    h.write_u32(*relevant as u32);
                     h.write_u64(*prompt_tokens as u64);
                 }
             }
         },
     });
 
-    /// With an assembled context, its post-truncation accounting *is* the
-    /// prompt size (it already covers the question, the scaffold and the
-    /// surviving passages); a baseline answer reads the scaffold and the
-    /// question.
+    /// With an assembled context, its accounting *is* the prompt size (it
+    /// already covers the question, the scaffold and the passages); a
+    /// baseline answer reads the scaffold and the question.
     fn tokens_in(&self) -> usize {
         match self.context {
             Some(context) => context.prompt_tokens,
@@ -400,11 +395,7 @@ pub(crate) mod tests {
         );
         // The assembled context's accounting subsumes the question and the
         // scaffold: nothing is added on top.
-        let context = AssembledContext {
-            passages_in_window: 2,
-            relevant_in_window: true,
-            prompt_tokens: 500,
-        };
+        let context = AssembledContext { passages: 2, relevant: true, prompt_tokens: 500 };
         assert_eq!(Answer { context: Some(&context), ..baseline }.tokens_in(), 500);
     }
 
@@ -505,11 +496,7 @@ pub(crate) mod tests {
 
         // Answering: the model, every field of the item, the condition and
         // every field of the context.
-        let context = AssembledContext {
-            passages_in_window: 2,
-            relevant_in_window: false,
-            prompt_tokens: 500,
-        };
+        let context = AssembledContext { passages: 2, relevant: false, prompt_tokens: 500 };
         fn answer_key(
             model: &ResolvedModel,
             item: &McqItem,
@@ -535,11 +522,8 @@ pub(crate) mod tests {
             assert_ne!(k, answer_key(&model, &test_item(), condition, Some(&context)));
         }
         assert_ne!(k, answer_key(&model, &test_item(), focused, None), "context presence");
-        let context_edits: [fn(&mut AssembledContext); 3] = [
-            |c| c.passages_in_window += 1,
-            |c| c.relevant_in_window = true,
-            |c| c.prompt_tokens += 1,
-        ];
+        let context_edits: [fn(&mut AssembledContext); 3] =
+            [|c| c.passages += 1, |c| c.relevant = true, |c| c.prompt_tokens += 1];
         for (i, edit) in context_edits.iter().enumerate() {
             let mut edited = context.clone();
             edit(&mut edited);

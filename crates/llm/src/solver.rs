@@ -25,22 +25,23 @@ use serde::Serialize;
 use crate::cards::ModelCard;
 use crate::trace::TraceMode;
 
-/// Measured usable-hit rates for one model (after its window truncation).
+/// Measured usable-hit rates: one set per evaluation run, shared by every
+/// model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PipelineRates {
-    /// P(supporting chunk in window | synthetic benchmark question).
+    /// P(supporting chunk retrieved | synthetic benchmark question).
     pub synth_chunk: f64,
     /// Same for each trace mode on the synthetic benchmark.
     pub synth_trace: [f64; 3],
-    /// P(supporting chunk in window | Astro non-math question).
+    /// P(supporting chunk retrieved | Astro non-math question).
     pub astro_chunk: f64,
-    /// P(supporting trace in window | Astro non-math question), per mode.
+    /// P(supporting trace retrieved | Astro non-math question), per mode.
     pub astro_trace: [f64; 3],
 }
 
 impl PipelineRates {
-    /// A neutral default for tests (roughly what the real pipeline yields
-    /// for a large-window model).
+    /// A neutral default for tests (roughly what the real pipeline
+    /// yields).
     pub fn nominal() -> Self {
         Self {
             synth_chunk: 0.85,

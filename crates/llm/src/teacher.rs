@@ -334,8 +334,8 @@ mod tests {
 
     #[test]
     fn trace_lengths_ordered_by_mode() {
-        // Detailed > Focused > Efficient in tokens (drives the truncation
-        // dynamics for small-window models).
+        // Detailed > Focused > Efficient in tokens (the modes' prompt
+        // costs).
         let ont = ontology();
         let teacher = TeacherModel::new(42);
         let mut totals = [0usize; 3];

@@ -1,6 +1,6 @@
 //! A close look at reasoning-trace distillation: generate traces for one
-//! question in all three modes, audit the leakage control, and show why
-//! traces beat chunks for a small-window model (token arithmetic).
+//! question in all three modes, audit the leakage control, and compare
+//! what chunk and trace contexts cost in prompt tokens.
 //!
 //! ```sh
 //! cargo run --release --example trace_distillation
@@ -31,7 +31,7 @@ fn main() {
     }
     println!("\nleakage audit: no trace contains the answer string ✓");
 
-    // Why traces help small models: context-window arithmetic.
+    // What a context costs: prompt-token arithmetic.
     let source_chunk = output
         .chunks
         .iter()
@@ -50,23 +50,14 @@ fn main() {
         Passage::new(trace_text, distllm::text::token_count(trace_text), Some(item.fact));
     let q_tokens = item.prompt_tokens();
 
-    println!("\n== context-window truncation (the small-model mechanism) ==");
+    let c = assemble(item.fact, q_tokens, &vec![chunk_passage.clone(); 5]);
+    let t = assemble(item.fact, q_tokens, &vec![trace_passage.clone(); 5]);
+    println!("\n== prompt cost of five retrieved passages ==");
     println!(
-        "{:<22} {:>14} {:>16} {:>18}",
-        "window", "chunk passages", "trace passages", "prompt tokens(ch)"
-    );
-    for window in [2048usize, 4096, 8192, 32_768] {
-        let c = assemble(item.fact, q_tokens, &vec![chunk_passage.clone(); 5], window);
-        let t = assemble(item.fact, q_tokens, &vec![trace_passage.clone(); 5], window);
-        println!(
-            "{:<22} {:>10}/5 in {:>12}/5 in {:>18}",
-            window, c.passages_in_window, t.passages_in_window, c.prompt_tokens
-        );
-    }
-    println!(
-        "\nchunk ≈ {} tokens, trace ≈ {} tokens: five chunks overflow a 2k window, \
-         five traces never do.",
+        "chunk ≈ {} tokens → {} prompt tokens; trace ≈ {} tokens → {} prompt tokens",
         chunk_passage.tokens(),
-        trace_passage.tokens()
+        c.prompt_tokens,
+        trace_passage.tokens(),
+        t.prompt_tokens
     );
 }
