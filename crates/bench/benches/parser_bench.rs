@@ -1,5 +1,6 @@
-//! AdaParse-substitute benches: clean fast-path throughput vs the
-//! escalation cost on damaged documents.
+//! AdaParse-substitute benches: clean-batch throughput (one strict read
+//! each) vs a batch where damaged documents fall back to salvage and a
+//! quality score.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mcqa_core::parse::AdaptiveParser;
@@ -51,11 +52,13 @@ fn bench_parser(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(clean_blobs.len() as u64));
     group.bench_function("clean_batch_64", |b| {
-        b.iter(|| std::hint::black_box(parser.parse_batch(Executor::global(), &clean_blobs)).1.fast)
+        b.iter(|| {
+            std::hint::black_box(parser.parse_batch(Executor::global(), &clean_blobs)).1.produced
+        })
     });
     group.bench_function("corrupt40pct_batch_64", |b| {
         b.iter(|| {
-            std::hint::black_box(parser.parse_batch(Executor::global(), &dirty_blobs)).1.salvage
+            std::hint::black_box(parser.parse_batch(Executor::global(), &dirty_blobs)).1.produced
         })
     });
     group.throughput(Throughput::Elements(1));

@@ -1,8 +1,9 @@
 //! Output-quality scoring: AdaParse's quality predictor, reproduced.
 //!
 //! The adaptive engine needs a cheap judgement of "does this parse look
-//! like clean scientific text?" to decide whether the fast path's output
-//! is acceptable. Score components:
+//! like clean scientific text?" for the one output it cannot vouch for:
+//! text salvaged from a blob the strict reader refused. An intact blob is
+//! never scored. Score components:
 //!
 //! * printable ratio — binary garbage drags this down;
 //! * mean sentence length in tokens — shredded text has absurd values;
@@ -10,15 +11,6 @@
 //! * structure — documents should have at least one non-empty section.
 
 use super::record::ParsedDocument;
-
-/// A quality verdict in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct QualityScore(pub(crate) f64);
-
-impl QualityScore {
-    /// The acceptance threshold used by the adaptive engine's fast path.
-    pub(crate) const ACCEPT: f64 = 0.7;
-}
 
 /// True when at least half of `token`'s chars are alphabetic. An ASCII
 /// token's chars are its bytes.
@@ -34,10 +26,10 @@ fn is_wordy(token: &str) -> bool {
     alphabetic * 2 >= chars
 }
 
-/// Score a parsed document.
-pub(crate) fn score(doc: &ParsedDocument) -> QualityScore {
+/// Score a parsed document, in `[0, 1]`.
+pub(crate) fn score(doc: &ParsedDocument) -> f64 {
     if doc.sections.is_empty() || doc.text_len() == 0 {
-        return QualityScore(0.0);
+        return 0.0;
     }
     let text: String = doc.sections.iter().map(|s| s.text.as_str()).collect::<Vec<_>>().join(" ");
 
@@ -84,7 +76,7 @@ pub(crate) fn score(doc: &ParsedDocument) -> QualityScore {
 
     // Weighted blend.
     let s = 0.35 * printable_ratio + 0.3 * sentence_score + 0.35 * lexical;
-    QualityScore(s.clamp(0.0, 1.0))
+    s.clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -93,10 +85,7 @@ mod tests {
     use crate::parse::record::ParsedSection;
 
     fn doc_with_text(text: &str) -> ParsedDocument {
-        ParsedDocument {
-            sections: vec![ParsedSection { title: "Body".into(), text: text.into() }],
-            issues: vec![],
-        }
+        ParsedDocument { sections: vec![ParsedSection { title: "Body".into(), text: text.into() }] }
     }
 
     const CLEAN_PROSE: &str = "Radiation induces double-strand breaks in DNA. Repair pathways \
@@ -118,9 +107,9 @@ mod tests {
     /// with the wordy test counting chars on both sides (it once compared
     /// alphabetic chars with the token's byte length). `score` must agree
     /// with it to the bit.
-    fn score_oracle(doc: &ParsedDocument) -> QualityScore {
+    fn score_oracle(doc: &ParsedDocument) -> f64 {
         if doc.sections.is_empty() || doc.text_len() == 0 {
-            return QualityScore(0.0);
+            return 0.0;
         }
         let text: String =
             doc.sections.iter().map(|s| s.text.as_str()).collect::<Vec<_>>().join(" ");
@@ -155,7 +144,7 @@ mod tests {
             wordy as f64 / tokens.len() as f64
         };
         let s = 0.35 * printable_ratio + 0.3 * sentence_score + 0.35 * lexical;
-        QualityScore(s.clamp(0.0, 1.0))
+        s.clamp(0.0, 1.0)
     }
 
     #[test]
@@ -174,16 +163,15 @@ mod tests {
         ];
         for text in &texts {
             let doc = doc_with_text(text);
-            assert_eq!(score(&doc).0.to_bits(), score_oracle(&doc).0.to_bits(), "{text:?}");
+            assert_eq!(score(&doc).to_bits(), score_oracle(&doc).to_bits(), "{text:?}");
         }
         let two_sections = ParsedDocument {
             sections: vec![
                 ParsedSection { title: "A".into(), text: CLEAN_PROSE.into() },
                 ParsedSection { title: "B".into(), text: numeric_shred() },
             ],
-            issues: vec![],
         };
-        assert_eq!(score(&two_sections).0.to_bits(), score_oracle(&two_sections).0.to_bits());
+        assert_eq!(score(&two_sections).to_bits(), score_oracle(&two_sections).to_bits());
     }
 
     #[test]
@@ -195,46 +183,46 @@ mod tests {
         let prose = "放射線は細胞の二本鎖切断を誘発する。修復経路は数分以内に応答する。\
                      生存率は線量と分割スケジュールに依存する。これらの知見は臨床に役立つ。";
         let doc = doc_with_text(prose);
-        assert_eq!(score(&doc).0.to_bits(), score_oracle(&doc).0.to_bits());
+        assert_eq!(score(&doc).to_bits(), score_oracle(&doc).to_bits());
         let mut lexical = (0usize, 0usize);
         mcqa_text::for_each_token(prose, |t| {
             lexical.0 += 1;
             lexical.1 += usize::from(is_wordy(t));
         });
         assert_eq!(lexical.0, lexical.1, "every CJK token is wordy");
-        // So CJK prose clears the fast path's bar instead of escalating.
-        assert!(score(&doc).0 >= QualityScore::ACCEPT, "score {}", score(&doc).0);
+        // So salvaged CJK prose scores as high as English prose.
+        assert!(score(&doc) >= 0.7, "score {}", score(&doc));
     }
 
     #[test]
     fn clean_prose_scores_high() {
         let s = score(&doc_with_text(CLEAN_PROSE));
-        assert!(s.0 >= QualityScore::ACCEPT, "score {}", s.0);
+        assert!(s >= 0.7, "score {s}");
     }
 
     #[test]
     fn binary_garbage_scores_low() {
         let s = score(&doc_with_text(&binary_garbage()));
-        assert!(s.0 < QualityScore::ACCEPT, "score {}", s.0);
+        assert!(s < 0.7, "score {s}");
     }
 
     #[test]
     fn numeric_shred_scores_low() {
         let s = score(&doc_with_text(&numeric_shred()));
-        assert!(s.0 < 0.7, "score {}", s.0);
+        assert!(s < 0.7, "score {s}");
     }
 
     #[test]
     fn empty_document_scores_zero() {
-        let empty = ParsedDocument { sections: vec![], issues: vec![] };
-        assert_eq!(score(&empty).0, 0.0);
-        assert_eq!(score(&doc_with_text("")).0, 0.0);
+        let empty = ParsedDocument { sections: vec![] };
+        assert_eq!(score(&empty), 0.0);
+        assert_eq!(score(&doc_with_text("")), 0.0);
     }
 
     #[test]
     fn score_bounded() {
         for text in ["a", "Word.", "Many many many words go here today."] {
-            let s = score(&doc_with_text(text)).0;
+            let s = score(&doc_with_text(text));
             assert!((0.0..=1.0).contains(&s));
         }
     }

@@ -14,8 +14,6 @@ pub(crate) struct ParsedSection {
 pub struct ParsedDocument {
     /// Sections in order.
     pub(crate) sections: Vec<ParsedSection>,
-    /// Non-fatal issues encountered while parsing.
-    pub(crate) issues: Vec<String>,
 }
 
 impl ParsedDocument {
@@ -58,7 +56,6 @@ mod tests {
                 ParsedSection { title: "Abstract".into(), text: "Radiation matters.".into() },
                 ParsedSection { title: "Results".into(), text: "It did.".into() },
             ],
-            issues: vec!["checksum mismatch".into()],
         }
     }
 

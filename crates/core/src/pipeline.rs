@@ -299,7 +299,7 @@ fn parse(
     let (results, mut row) = run_stage(exec, "parse", ids, |id| {
         let blob = library.download(DocId(id)).expect("live doc has a blob");
         match AdaptiveParser.parse(blob) {
-            ParseOutcome::Parsed { doc, .. } => Some((id, doc)),
+            ParseOutcome::Parsed { doc } => Some((id, doc)),
             ParseOutcome::Failed { .. } => None,
         }
     });

@@ -15,7 +15,8 @@
 //!   streams (real decompression failures for the parser to recover from).
 //! * [`spdf`] — the SPDF binary container: magic, versioned header, typed
 //!   object table (JSON metadata + compressed text streams), checksummed
-//!   trailer. A writer, a strict reader, and a salvage reader.
+//!   trailer. A writer, a strict reader (the one checksum check), and a
+//!   salvage reader that keeps every object that still decodes.
 //! * `acquire` — the corpus library + download API
 //!   simulating Semantic Scholar (some documents are open-access full
 //!   texts, some only expose abstracts), plus corruption injection to give

@@ -17,10 +17,11 @@
 //! ```
 //!
 //! `flags & 1` marks an SPZ-compressed payload (`raw_len` = decompressed
-//! size). The strict reader validates everything; [`SpdfReader::salvage`]
-//! recovers what it can from damaged files, which is what gives the
-//! AdaParse-style engine in `mcqa-core`'s `parse` module a genuine
-//! fallback path.
+//! size). The strict reader validates everything, the trailer checksum
+//! included; [`SpdfReader::salvage`] walks the same object table without
+//! refusing, and keeps every object that decodes. That walk is the
+//! fallback of the AdaParse-style engine in `mcqa-core`'s `parse` module,
+//! taken only when the strict read fails.
 
 use mcqa_ontology::Topic;
 use serde::{Deserialize, Serialize};
@@ -210,15 +211,6 @@ impl SpdfWriter {
     }
 }
 
-/// Outcome of a salvage read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SalvageResult {
-    /// Objects recovered (possibly fewer than declared).
-    pub objects: Vec<SpdfObject>,
-    /// Human-readable descriptions of the problems encountered.
-    pub issues: Vec<String>,
-}
-
 /// SPDF reader: strict and salvage modes.
 pub struct SpdfReader;
 
@@ -240,33 +232,14 @@ impl SpdfReader {
         Ok(objects)
     }
 
-    /// Salvage read: tolerate truncation, checksum damage, and per-object
-    /// stream corruption; recover every object that still decodes.
-    pub fn salvage(bytes: &[u8]) -> SalvageResult {
-        let mut issues = Vec::new();
-        match Self::read_objects_inner(bytes, false) {
-            Ok((objects, body_end, declared)) => {
-                if objects.len() < declared {
-                    issues.push(format!(
-                        "recovered {}/{} declared objects",
-                        objects.len(),
-                        declared
-                    ));
-                }
-                let trailer = &bytes[body_end.min(bytes.len())..];
-                if trailer.len() < 12 || &trailer[..4] != TRAILER_MAGIC {
-                    issues.push("trailer missing or truncated".to_string());
-                } else {
-                    let expected = u64::from_le_bytes(trailer[4..12].try_into().expect("8 bytes"));
-                    let actual = mcqa_util::fnv1a(&bytes[..body_end]);
-                    if expected != actual {
-                        issues.push("checksum mismatch (content may be damaged)".to_string());
-                    }
-                }
-                SalvageResult { objects, issues }
-            }
-            Err(e) => SalvageResult { objects: Vec::new(), issues: vec![e.to_string()] },
-        }
+    /// Salvage read: tolerate truncation, trailer and checksum damage, and
+    /// per-object stream corruption; return every object that still
+    /// decodes, in order (none when the header itself is unreadable). The
+    /// trailer is not read: [`SpdfReader::read`] is the one place the
+    /// checksum is verified. On a blob the strict read accepts, the walk
+    /// meets no defect, so it returns the same objects.
+    pub fn salvage(bytes: &[u8]) -> Vec<SpdfObject> {
+        Self::read_objects_inner(bytes, false).map(|(objects, ..)| objects).unwrap_or_default()
     }
 
     /// Shared object-table walk. In strict mode any defect is fatal; in
@@ -418,9 +391,7 @@ mod tests {
         let mut bytes = SpdfWriter::write_document(&sample_doc());
         bytes[0] = b'X';
         assert_eq!(SpdfReader::read(&bytes), Err(SpdfError::BadMagic));
-        let s = SpdfReader::salvage(&bytes);
-        assert!(s.objects.is_empty());
-        assert!(!s.issues.is_empty());
+        assert!(SpdfReader::salvage(&bytes).is_empty());
     }
 
     #[test]
@@ -433,12 +404,12 @@ mod tests {
     #[test]
     fn checksum_flip_detected_and_salvageable() {
         let mut bytes = SpdfWriter::write_document(&sample_doc());
+        let intact = SpdfReader::read(&bytes).unwrap();
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF; // damage the checksum itself
         assert!(matches!(SpdfReader::read(&bytes), Err(SpdfError::ChecksumMismatch { .. })));
-        let s = SpdfReader::salvage(&bytes);
-        assert!(!s.objects.is_empty(), "salvage keeps objects");
-        assert!(s.issues.iter().any(|i| i.contains("checksum")));
+        // Salvage does not read the trailer: every object survives.
+        assert_eq!(SpdfReader::salvage(&bytes), intact);
     }
 
     #[test]
@@ -449,12 +420,11 @@ mod tests {
         let truncated = &bytes[..cut];
         assert!(SpdfReader::read(truncated).is_err());
         let s = SpdfReader::salvage(truncated);
-        assert!(s.objects.len() < 1 + doc.sections.len(), "some objects must be lost");
-        assert!(!s.issues.is_empty());
+        assert!(s.len() < 1 + doc.sections.len(), "some objects must be lost");
         // Whatever was recovered must be internally valid.
-        if let Some(first) = s.objects.first() {
+        if let Some(first) = s.first() {
             assert_eq!(first.kind, ObjectKind::Meta);
-            assert!(SpdfReader::metadata(&s.objects).is_ok());
+            assert!(SpdfReader::metadata(&s).is_ok());
         }
     }
 
@@ -500,9 +470,7 @@ mod tests {
             SpdfReader::read(&bytes),
             Err(SpdfError::Stream { object: 0, source: SpzError::TooLong { cap: 100 } })
         );
-        let s = SpdfReader::salvage(&bytes);
-        assert!(s.objects.is_empty());
-        assert_eq!(s.issues, vec!["recovered 0/1 declared objects".to_string()]);
+        assert!(SpdfReader::salvage(&bytes).is_empty());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The workspace writes JSON for its artifacts, the evaluation tables, the
 //! model-card digest and the SPDF metadata object, and reads it back only
-//! for SPDF metadata — bytes from a container whose checksum the fast and
-//! salvage parse strategies never enforce. So the parser treats its input
+//! for SPDF metadata — bytes that may come from a damaged container, whose
+//! checksum the salvage reader never checks. So the parser treats its input
 //! as hostile: malformed escapes and over-deep nesting are errors, never
 //! panics or stack overflows.
 

@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`ontology`] | the domain's ground-truth knowledge (replaces the 22k-document literature) |
 //! | [`corpus`] | synthetic papers/abstracts, the SPDF container, Semantic-Scholar-style acquisition |
-//! | [`parse`] | AdaParse-style adaptive parallel parsing (`core::parse`) |
+//! | [`parse`] | AdaParse-style adaptive parallel parsing: one strict read per document, a salvage walk and a quality score only when it fails (`core::parse`) |
 //! | [`text`] | tokenisation, sentence splitting, semantic chunking |
 //! | [`embed`] | the PubMedBERT stand-in encoder + FP16 storage (`index::embed`) |
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
