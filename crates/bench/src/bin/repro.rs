@@ -8,7 +8,7 @@
 //! repro rates                       # measured usable-hit rates
 //! repro residuals                   # calibration residual census
 //! repro recall                      # recall@k + footprint per retrieval mode
-//! repro models                      # per-role call ledger + cache hit rate
+//! repro models                      # per-role call ledger: calls, batches, tokens
 //! repro ingest --edits 20           # incremental re-ingest ≡ cold rebuild?
 //! repro ablate-topk                 # accuracy vs retrieval depth
 //! repro ablate-filter               # quality threshold sweep

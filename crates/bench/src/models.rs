@@ -1,5 +1,5 @@
 //! `repro models`: the per-role call ledger — calls, batch sizes, token
-//! in/out estimates and the response cache's hit rate.
+//! in/out estimates and backend busy time.
 
 use mcqa_core::PipelineOutput;
 use mcqa_llm::RoleStats;
@@ -21,28 +21,17 @@ pub fn model_census(output: &PipelineOutput) -> Vec<(&'static str, RoleStats)> {
 /// `[models] key=value` lines.
 pub fn render_model_census(output: &PipelineOutput, rows: &[(&'static str, RoleStats)]) -> String {
     let mut out = format!(
-        "Model-layer call ledger (backend sim, {} distinct completions cached):\n\n\
-         {:<12} {:>10} {:>8} {:>11} {:>11} {:>9} {:>12} {:>12} {:>10}\n",
-        output.models.cache().len(),
-        "role",
-        "calls",
-        "batches",
-        "mean-batch",
-        "cache-hits",
-        "hit-rate",
-        "tokens-in",
-        "tokens-out",
-        "busy-secs"
+        "Model-layer call ledger (backend sim):\n\n\
+         {:<12} {:>10} {:>8} {:>11} {:>12} {:>12} {:>10}\n",
+        "role", "calls", "batches", "mean-batch", "tokens-in", "tokens-out", "busy-secs"
     );
     for (role, s) in rows {
         out.push_str(&format!(
-            "{:<12} {:>10} {:>8} {:>11.1} {:>11} {:>9.3} {:>12} {:>12} {:>10.3}\n",
+            "{:<12} {:>10} {:>8} {:>11.1} {:>12} {:>12} {:>10.3}\n",
             role,
             s.calls,
             s.batches,
             s.mean_batch_size(),
-            s.cache_hits,
-            s.hit_rate(),
             s.tokens_in,
             s.tokens_out,
             s.busy_secs

@@ -122,16 +122,16 @@ impl AdaptiveParser {
         }
     }
 
-    /// Parse a batch on `exec`'s pool; outcomes are index-aligned with
-    /// `blobs`. The stage row's `produced` counts the parsed documents.
+    /// Parse a batch on `exec`'s pool as the `parse` stage (the pipeline's
+    /// Figure-1 row); outcomes are index-aligned with `blobs`. The stage
+    /// row's `produced` counts the parsed documents.
     pub fn parse_batch<B: AsRef<[u8]> + Sync>(
         &self,
         exec: &Executor,
         blobs: &[B],
     ) -> (Vec<ParseOutcome>, StageMetrics) {
-        let (outcomes, mut row) = run_stage(exec, "parse-batch", (0..blobs.len()).collect(), |i| {
-            self.parse(blobs[i].as_ref())
-        });
+        let (outcomes, mut row) =
+            run_stage(exec, "parse", (0..blobs.len()).collect(), |i| self.parse(blobs[i].as_ref()));
         row.produced = outcomes.iter().filter(|o| o.is_parsed()).count();
         (outcomes, row)
     }
@@ -360,7 +360,7 @@ mod tests {
             (0..lib.len() as u32).map(|i| lib.download(DocId(i)).unwrap()).collect();
         assert!(blobs.iter().all(|b| SpdfReader::read(b).is_ok()));
         let (outcomes, row) = AdaptiveParser.parse_batch(Executor::global(), &blobs);
-        assert_eq!((row.items, row.produced), (36, 36));
+        assert_eq!((row.name.as_str(), row.items, row.produced), ("parse", 36, 36));
         assert!(outcomes.iter().all(ParseOutcome::is_parsed));
     }
 

@@ -2,9 +2,10 @@
 //! most 1.5 heap allocations per graded `eval-answer` item, counted by a
 //! global allocator over every thread of the process. An answer's texts and
 //! its grade's reasoning are static strings, its keyed draws format the
-//! question id on the stack, and a cache hit clones without allocating, so
-//! what remains is about one slot per first-touched cache key plus each
-//! card's fixed bookkeeping.
+//! question id on the stack, and the model hub keeps nothing between calls,
+//! so what remains is the malformed completion that quotes the question's
+//! stem (formatted each time it is asked, the no-math re-asks included)
+//! plus each card's fixed bookkeeping.
 //!
 //! The count is process-wide, so this binary holds one test: no other test
 //! may allocate while the cards run.

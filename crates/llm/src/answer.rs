@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 
 use mcqa_text::token_count;
-use mcqa_util::{KeyedStochastic, StableHasher};
+use mcqa_util::KeyedStochastic;
 use serde::Serialize;
 
 use crate::cards::ModelCard;
@@ -54,8 +54,8 @@ pub struct AnswerOutcome {
     /// Chosen option index (`None` when the output was unparseable).
     pub chosen: Option<usize>,
     /// The raw completion text (what the grading judge sees): borrowed
-    /// for every well-formed answer, so a cached outcome clones without
-    /// allocating.
+    /// for every well-formed answer, so answering allocates nothing but
+    /// the malformed text that quotes the stem.
     pub text: Cow<'static, str>,
     /// `token_count(text)`, taken where the text is written.
     tokens: usize,
@@ -75,40 +75,20 @@ impl AnswerOutcome {
 
 /// A model card joined with its calibration — ready to answer questions.
 ///
-/// The pair is digested once, at construction, and is read-only afterwards
-/// (crate-private fields, no setter), so [`ResolvedModel::key`] always
-/// describes the card and calibration it sits beside. An answer call
-/// borrows the model and is addressed in the response cache by that digest.
+/// Read-only after construction (crate-private fields, no setter). An
+/// answer call borrows the model beside the prepared question.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedModel {
     /// The behaviour card.
     pub(crate) card: ModelCard,
     /// Calibrated forward parameters.
     pub(crate) cal: Calibration,
-    /// Digest of `card` and `cal`.
-    key: u64,
 }
 
 impl ResolvedModel {
-    /// Join `card` with `cal` and digest the pair.
-    ///
-    /// The digest hashes the derive-generated JSON of both halves, which
-    /// covers every field by construction — a field added to a card or a
-    /// calibration is part of the identity without anyone remembering to
-    /// hash it. That costs a few microseconds and runs once per evaluated
-    /// card, not once per request.
+    /// Join `card` with `cal`.
     pub fn new(card: ModelCard, cal: Calibration) -> Self {
-        let mut h = StableHasher::new();
-        h.write_str(&serde_json::to_string(&card).expect("model cards serialise"));
-        h.write_str(&serde_json::to_string(&cal).expect("calibrations serialise"));
-        Self { card, cal, key: h.finish() }
-    }
-
-    /// The digest of this model's card and calibration: equal for equal
-    /// (card, calibration) pairs, distinct otherwise (up to a 64-bit
-    /// collision).
-    pub fn key(&self) -> u64 {
-        self.key
+        Self { card, cal }
     }
 
     /// P(model knows the fact behind `item`), difficulty-modulated.
@@ -150,7 +130,7 @@ impl ResolvedModel {
 
     /// Answer one item deterministically (keyed on seed/model/question/
     /// condition). Crate-private: outside callers reach it through
-    /// [`crate::ModelHub::answer`], past the cache and ledger.
+    /// [`crate::ModelHub::answer`], past the ledger.
     pub(crate) fn answer(
         &self,
         item: &McqItem,
@@ -560,7 +540,7 @@ mod tests {
 
     #[test]
     fn answer_texts_are_the_formatted_bytes() {
-        // The grade cache key and the judge both read the text.
+        // The judge reads the text.
         for (i, letter) in OPTION_LETTERS.iter().enumerate() {
             let text = answer_text(i);
             assert!(matches!(text, Cow::Borrowed(_)));

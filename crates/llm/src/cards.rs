@@ -12,8 +12,6 @@
 //!   [`crate::solver::resolve`] to invert the answer cascade into forward
 //!   simulation parameters under *measured* retrieval rates.
 
-use serde::Serialize;
-
 /// Astro exam question accounting (paper §2.2): of 337 questions, 2 are
 /// excluded as multimodal, so 335 are evaluated.
 pub(crate) const ASTRO_EVALUATED: usize = 335;
@@ -29,7 +27,7 @@ pub(crate) const ASTRO_MATH: usize = ASTRO_EVALUATED - ASTRO_NOMATH;
 pub const GPT4_ASTRO_REFERENCE: f64 = 0.60;
 
 /// Accuracy targets lifted from the paper's Tables 2–4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchTargets {
     /// Table 2: synthetic baseline.
     pub synth_baseline: f64,
@@ -69,7 +67,7 @@ impl BenchTargets {
 }
 
 /// A full model card.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelCard {
     /// Display name (paper Table 1).
     pub name: &'static str,

@@ -2,22 +2,20 @@
 //!
 //! The hub owns the simulator that plays every model role (the teacher,
 //! judge and classifier, seeded at construction, plus the ontology the
-//! teacher grounds questions in) and stacks the two services every caller
-//! goes through:
-//!
-//! * the content-addressed [`ResponseCaches`] — repeated calls (the
-//!   no-math re-answer pass, repeated `run_cards`, ablations) short-circuit
-//!   without touching the simulator;
-//! * the per-role [`CallLedger`] — calls, batch sizes, token estimates,
-//!   cache hit rate.
+//! teacher grounds questions in) and the per-role [`CallLedger`] — calls,
+//! batch sizes, token estimates and busy time — that every call is tallied
+//! in.
 //!
 //! Each call kind has its own typed entry point, which takes the fields the
 //! role reads plus the call's seed, returns the role's own output type and
-//! is served by one generic path: the kind's key walks its typed fields
-//! (only for a kind that is cached at all), its prompt-token estimate adds
-//! counts its inputs already carry, and no prompt text is built. The
-//! batched entry points run the same path per item on the caller's pool, so
-//! serial and batched execution stay bit-identical *and* identically
+//! is served by one generic path: the simulator completes the call, and
+//! its prompt-token estimate adds counts its inputs already carry, so no
+//! prompt text is built. Nothing is retained between calls: the simulator
+//! is a pure function of the call's typed fields and its seed, so a
+//! repeated call (the no-math re-answer pass, a repeated `run_cards`)
+//! computes the same completion again, at the cost of a lookup. The
+//! batched entry points run the same path per item on the caller's pool,
+//! so serial and batched execution stay bit-identical *and* identically
 //! accounted.
 
 use std::sync::Arc;
@@ -25,22 +23,19 @@ use std::time::Instant;
 
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor};
-use mcqa_util::StableHasher;
 
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::context::AssembledContext;
 use crate::judge::{GradeResult, QualityJudgment};
 use crate::ledger::CallLedger;
 use crate::mcq::{McqItem, PreparedItem};
-use crate::response_cache::ResponseCaches;
 use crate::sim::{Answer, Call, Grade, Simulator};
 use crate::teacher::{GeneratedQuestion, QuestionPrompt};
 use crate::trace::TraceMode;
 
-/// The simulator plus its caches and ledger.
+/// The simulator plus its ledger.
 pub struct ModelHub {
     sim: Simulator,
-    cache: ResponseCaches,
     ledger: CallLedger,
 }
 
@@ -48,21 +43,12 @@ impl ModelHub {
     /// The hub over `ontology`, every simulated role seeded from `seed`
     /// (the pipeline's master seed).
     pub fn new(seed: u64, ontology: Arc<Ontology>) -> Self {
-        Self {
-            sim: Simulator::new(seed, ontology),
-            cache: ResponseCaches::default(),
-            ledger: CallLedger::new(),
-        }
+        Self { sim: Simulator::new(seed, ontology), ledger: CallLedger::new() }
     }
 
     /// The call ledger.
     pub fn ledger(&self) -> &CallLedger {
         &self.ledger
-    }
-
-    /// The response caches.
-    pub fn cache(&self) -> &ResponseCaches {
-        &self.cache
     }
 
     /// The teacher: one 7-option MCQ per prompt, on `exec`'s pool
@@ -117,9 +103,8 @@ impl ModelHub {
     }
 
     /// An evaluated model answers one prepared item under `condition`. The
-    /// item's count and digest were taken when it was prepared, so a call
-    /// costs what depends on the (model, condition, context) and nothing
-    /// more.
+    /// item's token count was taken when it was prepared, so a call costs
+    /// what depends on the (model, condition, context) and nothing more.
     pub fn answer(
         &self,
         seed: u64,
@@ -131,38 +116,13 @@ impl ModelHub {
         self.serve(seed, &Answer { model, item, condition, context })
     }
 
-    /// Serve one call through its kind's cache, tallying the ledger.
-    ///
-    /// A kind that is not cached ([`Call::CACHED`] is `None`) hashes no key
-    /// and retains nothing; its ledger accounting is that of a simulator
-    /// call, exactly as when it was a guaranteed cache miss.
-    ///
-    /// A cached kind is single-flight
-    /// ([`crate::ResponseCache::get_or_complete`]): only the caller that
-    /// runs the simulator records a miss, and one that arrives while that
-    /// completion is in flight waits for it and records a hit. A waiter may
-    /// occupy a pool worker, so a completion must not wait on work it
-    /// submits to that pool; the simulator submits none.
+    /// Serve one call: time the simulator's completion and tally it in
+    /// the ledger.
     fn serve<C: Call>(&self, seed: u64, call: &C) -> C::Output {
-        let (mut busy, mut tokens_out) = (0, 0);
-        let mut simulate = || {
-            let start = Instant::now();
-            let (output, tokens) = call.complete(&self.sim, seed);
-            busy = start.elapsed().as_nanos() as u64;
-            tokens_out = tokens;
-            output
-        };
-        let (output, completed) = match C::CACHED {
-            Some(cached) => {
-                let mut h = StableHasher::new();
-                (cached.key)(call, &mut h);
-                h.write_u64(seed);
-                (cached.cache)(&self.cache).get_or_complete(h.finish(), simulate)
-            }
-            None => (simulate(), true),
-        };
-        let tokens_in = if completed { call.tokens_in() } else { 0 };
-        self.ledger.record_call(C::ROLE, !completed, tokens_in, tokens_out, busy);
+        let start = Instant::now();
+        let (output, tokens_out) = call.complete(&self.sim, seed);
+        let busy = start.elapsed().as_nanos() as u64;
+        self.ledger.record_call(C::ROLE, call.tokens_in(), tokens_out, busy);
         output
     }
 
@@ -186,7 +146,7 @@ mod tests {
     use crate::cards::MODEL_CARDS;
     use crate::ledger::{Role, RoleStats};
     use crate::mcq::BenchKind;
-    use crate::sim::tests::{key, prompt};
+    use crate::sim::tests::prompt;
     use crate::solver::{resolve, PipelineRates};
     use mcqa_ontology::{FactId, OntologyConfig};
     use proptest::prelude::*;
@@ -257,6 +217,11 @@ mod tests {
         )
     }
 
+    /// A ledger row without its busy time, which is a clock reading.
+    fn counts(s: &RoleStats) -> (u64, u64, u64, u64, u64) {
+        (s.calls, s.batches, s.batched_calls, s.tokens_in, s.tokens_out)
+    }
+
     #[test]
     fn hub_teacher_matches_the_direct_simulator() {
         let hub = fresh_hub();
@@ -294,62 +259,32 @@ mod tests {
     }
 
     #[test]
-    fn cache_short_circuits_and_matches_the_simulator() {
+    fn serving_a_call_twice_runs_the_simulator_twice_and_tallies_it_twice() {
         let hub = fresh_hub();
-        let (models, items, _) = fixtures();
-        let answer = hub.answer(42, &models[0], &items[0], Condition::Baseline, None);
-        let direct = Answer {
-            model: &models[0],
-            item: &items[0],
-            condition: Condition::Baseline,
-            context: None,
-        };
-        assert_eq!(answer, direct.complete(simulator(), 42).0, "hub must not change completions");
-        let first = hub.grade(42, &answer, 0, 7);
-        assert_eq!(
-            first,
-            Grade { answer: &answer, correct: 0, n_options: 7 }.complete(simulator(), 42).0
-        );
-        assert_eq!(hub.cache().len(), 2, "one answer, one grade");
-        assert_eq!(hub.grade(42, &answer, 0, 7), first, "cached completion is indistinguishable");
-        assert_eq!(hub.cache().len(), 2);
-
-        let judge = hub.ledger().role(Role::Judge);
-        assert_eq!((judge.calls, judge.cache_hits, judge.backend_calls()), (2, 1, 1));
-        assert_eq!(judge.tokens_in as usize, 11 + answer.tokens(), "a hit costs no tokens");
-        let answerer = hub.ledger().role(Role::Answerer);
-        assert_eq!((answerer.calls, answerer.tokens_out as usize), (1, answer.tokens()));
+        let (models, items, context) = fixtures();
+        let call = answer_call(4, &models, &items, &context);
+        let (expected, answer_tokens) = call.complete(simulator(), 42);
+        let grade = Grade { answer: &expected, correct: 0, n_options: 7 };
+        let (verdict, grade_tokens) = grade.complete(simulator(), 42);
+        for round in 1..=2 {
+            let answer = hub.answer(42, call.model, call.item, call.condition, call.context);
+            assert_eq!(answer, expected, "hub must not change completions");
+            assert_eq!(hub.grade(42, &answer, 0, 7), verdict);
+            let answerer = hub.ledger().role(Role::Answerer);
+            assert_eq!(
+                (answerer.calls, answerer.tokens_in, answerer.tokens_out),
+                (round, round * call.tokens_in() as u64, round * answer_tokens as u64)
+            );
+            let judge = hub.ledger().role(Role::Judge);
+            assert_eq!(
+                (judge.calls, judge.tokens_in, judge.tokens_out),
+                (round, round * grade.tokens_in() as u64, round * grade_tokens as u64)
+            );
+        }
     }
 
     #[test]
-    fn once_only_kinds_bypass_the_cache_without_changing_completions() {
-        let hub = fresh_hub();
-        let exec = Executor::global();
-        let prompts: Vec<QuestionPrompt> =
-            ontology().facts()[..3].iter().map(|f| prompt(f, "s0")).collect();
-
-        let first = hub.questions(exec, 42, &prompts);
-        let bare: Vec<_> = prompts.iter().map(|p| p.complete(simulator(), 42).0).collect();
-        assert_eq!(first, bare, "hub must not change completions");
-        assert!(hub.cache().is_empty(), "once-only calls retain nothing");
-        // Serving the same prompts again is still correct (deterministic
-        // simulator), it just pays the simulator instead of the cache.
-        assert_eq!(hub.questions(exec, 42, &prompts), first);
-        let teacher = hub.ledger().role(Role::Teacher);
-        assert_eq!((teacher.calls, teacher.batches, teacher.cache_hits), (6, 2, 0));
-        assert_eq!(teacher.backend_calls(), 6);
-        let tokens_in: usize = prompts.iter().map(|p| p.tokens_in()).sum();
-        assert_eq!(teacher.tokens_in as usize, 2 * tokens_in);
-
-        // A cached kind on the same hub still short-circuits.
-        let flags = [item(1), item(1)];
-        hub.math_flags(exec, 42, &flags);
-        assert_eq!(hub.cache().len(), 1);
-        assert_eq!(hub.ledger().role(Role::Classifier).cache_hits, 1);
-    }
-
-    #[test]
-    fn batch_goes_through_the_same_cached_path() {
+    fn batch_goes_through_the_same_path() {
         let hub = fresh_hub();
         let items: Vec<McqItem> = (0..20).map(|i| item(i % 2)).collect();
         let exec = Executor::global();
@@ -357,30 +292,18 @@ mod tests {
         // An empty batch is served without a trace: callers need not guard it.
         assert!(hub.math_flags(exec, 42, &[]).is_empty());
         assert_eq!(hub.ledger().total(), RoleStats::default());
-        assert!(hub.cache().is_empty());
 
         let batched = hub.math_flags(exec, 42, &items);
-        let cold = hub.ledger().role(Role::Classifier);
-        assert_eq!((cold.calls, cold.batches, cold.batched_calls), (20, 1, 20));
-        // Only two distinct completions exist and each is stored once.
-        // Items running side by side that touch one key first wait for a
-        // single completion, so exactly one item per key reached the
-        // simulator, on any schedule.
-        assert_eq!(hub.cache().len(), 2);
-        assert_eq!(cold.backend_calls(), 2);
-        assert_eq!(cold.cache_hits, 18);
+        let serial: Vec<bool> = items.iter().map(|i| i.complete(simulator(), 42).0).collect();
+        assert_eq!(batched, serial);
+        let tokens_in: usize = items.iter().map(|i| i.tokens_in()).sum();
+        let first = hub.ledger().role(Role::Classifier);
+        assert_eq!(counts(&first), (20, 1, 20, tokens_in as u64, 3 * 20));
 
-        // With both keys stored, every item of a second batch reads the
-        // cache and none reaches the simulator.
+        // A second batch of the same items is served and tallied afresh.
         assert_eq!(hub.math_flags(exec, 42, &items), batched);
-        let warm = hub.ledger().role(Role::Classifier);
-        assert_eq!((warm.calls, warm.batches, warm.batched_calls), (40, 2, 40));
-        assert_eq!(warm.cache_hits, cold.cache_hits + 20);
-        assert_eq!(warm.backend_calls(), cold.backend_calls());
-
-        // Another seed is another identity.
-        hub.math_flags(exec, 43, &items[..1]);
-        assert_eq!(hub.cache().len(), 3);
+        let second = hub.ledger().role(Role::Classifier);
+        assert_eq!(counts(&second), (40, 2, 40, 2 * tokens_in as u64, 3 * 40));
     }
 
     #[test]
@@ -406,13 +329,12 @@ mod tests {
                 (Role::Answerer, 1, 0),
             ]
         );
-        assert_eq!(hub.cache().len(), 3, "flag, answer, grade");
     }
 
     // Properties of the completion surface: a batch is observationally
-    // identical to serial completion at any worker count, the response
-    // cache is a pure short-circuit, and the call ledger conserves counts
-    // across batch shapes.
+    // identical to serial completion at any worker count and any split,
+    // completions equal the bare simulator's however often they are asked,
+    // and the call ledger tallies the same counts whatever the shape.
 
     proptest! {
         #[test]
@@ -420,20 +342,31 @@ mod tests {
             keys in proptest::collection::vec(any::<u64>(), 0..24),
         ) {
             let items: Vec<McqItem> = keys.iter().map(|&x| item(x % 40)).collect();
-            let serial_flags: Vec<_> = items.iter().map(|i| i.complete(simulator(), 42).0).collect();
+            let serial_hub = fresh_hub();
+            let serial_flags: Vec<bool> = items.iter().map(|i| serial_hub.serve(42, i)).collect();
+            let bare: Vec<bool> = items.iter().map(|i| i.complete(simulator(), 42).0).collect();
+            prop_assert_eq!(&serial_flags, &bare);
+            let serial = serial_hub.ledger().role(Role::Classifier);
             for workers in [1usize, 4] {
                 let exec = Executor::new(workers);
                 let hub = fresh_hub();
                 prop_assert_eq!(&hub.math_flags(&exec, 42, &items), &serial_flags, "workers {}", workers);
+                let batched = hub.ledger().role(Role::Classifier);
+                let submitted = u64::from(!items.is_empty());
+                prop_assert_eq!(
+                    counts(&batched),
+                    (serial.calls, submitted, serial.calls, serial.tokens_in, serial.tokens_out),
+                    "workers {}", workers
+                );
             }
         }
 
         #[test]
-        fn cache_short_circuit_is_observationally_pure(
+        fn repeated_calls_are_observationally_pure(
             keys in proptest::collection::vec(any::<u64>(), 1..16),
         ) {
-            // Serve the list twice through a fresh hub: the second pass is
-            // all cache hits and must be byte-identical to the first.
+            // Serve the list twice through a fresh hub: the second pass must
+            // be byte-identical to the first, and tallied exactly as it.
             let (models, items, context) = fixtures();
             let calls: Vec<Answer> = keys.iter().map(|&x| answer_call(x, &models, &items, &context)).collect();
             let hub = fresh_hub();
@@ -448,16 +381,13 @@ mod tests {
                     .collect()
             };
             let first = serve(&hub);
-            let cached = hub.cache().len();
             let tallied = hub.ledger().total();
             let second = serve(&hub);
             prop_assert_eq!(&second, &first);
-            prop_assert_eq!(hub.cache().len(), cached, "second pass adds nothing");
             let total = hub.ledger().total();
             prop_assert_eq!(total.calls, 2 * tallied.calls);
-            prop_assert_eq!(total.cache_hits, tallied.cache_hits + tallied.calls, "every repeat is a hit");
-            prop_assert_eq!((total.tokens_in, total.tokens_out), (tallied.tokens_in, tallied.tokens_out));
-            // And the cached completions equal the bare simulator's.
+            prop_assert_eq!((total.tokens_in, total.tokens_out), (2 * tallied.tokens_in, 2 * tallied.tokens_out));
+            // And the completions equal the bare simulator's.
             for (a, (answer, grade)) in calls.iter().zip(&first) {
                 prop_assert_eq!(&a.complete(simulator(), 42).0, answer);
                 let g = Grade { answer, correct: a.item.item().correct, n_options: 7 };
@@ -479,6 +409,7 @@ mod tests {
             let shapes: [Vec<&[McqItem]>; 3] =
                 [vec![&items[..]], vec![&items[..cut], &items[cut..]], vec![]];
             let mut outputs: Vec<Vec<bool>> = Vec::new();
+            let mut tallies = Vec::new();
             for (si, shape) in shapes.iter().enumerate() {
                 let hub = fresh_hub();
                 let mut out = Vec::new();
@@ -490,37 +421,20 @@ mod tests {
                     }
                 }
                 let total = hub.ledger().total();
-                // Conservation: every item is exactly one call, and the
-                // simulator served each distinct key once — concurrent first
-                // touches of one key share a single completion.
-                let distinct: std::collections::HashSet<u64> =
-                    items.iter().map(|i| key(i, 42)).collect();
+                // Conservation: every item is exactly one call, and every
+                // call reaches the simulator.
                 prop_assert_eq!(total.calls as usize, items.len(), "shape {}", si);
-                prop_assert_eq!(hub.cache().len(), distinct.len(), "shape {}", si);
-                prop_assert_eq!(total.backend_calls() as usize, distinct.len(), "shape {}", si);
+                prop_assert_eq!(total.backend_calls(), total.calls, "shape {}", si);
                 // One batch per non-empty submission.
                 let nonempty = shape.iter().filter(|p| !p.is_empty()).count();
                 prop_assert_eq!(total.batches as usize, nonempty, "shape {}", si);
                 outputs.push(out);
+                tallies.push((total.calls, total.tokens_in, total.tokens_out));
             }
             prop_assert_eq!(&outputs[0], &outputs[1], "batch split cannot change results");
             prop_assert_eq!(&outputs[0], &outputs[2], "serial vs batched identical");
+            prop_assert_eq!(tallies[0], tallies[1], "batch split cannot change the ledger");
+            prop_assert_eq!(tallies[0], tallies[2], "serial vs batched ledgers identical");
         }
-    }
-
-    #[test]
-    fn a_model_is_digested_from_its_card_and_its_calibration() {
-        // One calibration source, eight cards: eight digests, reproducibly.
-        let digests: std::collections::HashSet<u64> =
-            (0..MODEL_CARDS.len()).map(|i| resolved(i).key()).collect();
-        assert_eq!(digests.len(), MODEL_CARDS.len());
-        assert_eq!(resolved(3).key(), resolved(3).key());
-        // One card, two calibrations: the solver's output is part of the
-        // identity, down to one perturbed measured rate.
-        let card = &MODEL_CARDS[3];
-        let nominal = PipelineRates::nominal();
-        let perturbed = PipelineRates { synth_chunk: nominal.synth_chunk - 0.01, ..nominal };
-        let key = |rates| ResolvedModel::new(card.clone(), resolve(card, rates)).key();
-        assert_ne!(key(&nominal), key(&perturbed));
     }
 }

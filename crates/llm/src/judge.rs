@@ -36,8 +36,8 @@ pub struct GradeResult {
     /// Whether the answer was graded correct.
     pub correct: bool,
     /// The judge's reasoning line: borrowed for every parsed or
-    /// unparseable completion, so a cached verdict clones without
-    /// allocating.
+    /// unparseable completion, so grading against an in-range key
+    /// allocates nothing.
     pub(crate) reasoning: Cow<'static, str>,
 }
 

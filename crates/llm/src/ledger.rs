@@ -2,9 +2,9 @@
 //! layer.
 //!
 //! Every request through a [`crate::ModelHub`] is tallied here — per role:
-//! calls, batch submissions, cache hits, token in/out estimates for the
-//! completions that actually hit the backend, and cumulative backend busy
-//! time. The ledger renders as greppable `[models] key=value` lines, which
+//! calls, batch submissions, token in/out estimates and cumulative backend
+//! busy time. Every call reaches the simulator, so every call pays its
+//! tokens. The ledger renders as greppable `[models] key=value` lines, which
 //! `repro models` and `repro fig1` print.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -51,18 +51,15 @@ impl Role {
 /// A snapshot of one role's tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoleStats {
-    /// Requests served (cache hits included).
+    /// Requests served.
     pub calls: u64,
     /// Batch submissions that contained at least one request for this role.
     pub batches: u64,
     /// Requests that arrived via a batch submission.
     pub(crate) batched_calls: u64,
-    /// Requests short-circuited by the response cache.
-    pub cache_hits: u64,
-    /// Prompt tokens sent to the backend (cache hits excluded — a hit
-    /// costs nothing).
+    /// Prompt tokens sent to the backend.
     pub tokens_in: u64,
-    /// Completion tokens received from the backend (cache hits excluded).
+    /// Completion tokens received from the backend.
     pub tokens_out: u64,
     /// Cumulative backend busy time in seconds (summed across workers, so
     /// it can exceed wall-clock on a parallel stage).
@@ -70,18 +67,18 @@ pub struct RoleStats {
 }
 
 impl RoleStats {
-    /// Requests that reached the backend.
+    /// Requests that reached the backend: every request, so this is
+    /// [`RoleStats::calls`]. Read only by `perfbench/src/paper_repro.rs`
+    /// (`llm.backend_calls`), until the benchmark unregisters that name.
     pub fn backend_calls(&self) -> u64 {
-        self.calls - self.cache_hits
+        self.calls
     }
 
-    /// Cache hit rate in `[0, 1]` (0 for an idle role).
+    /// The share of requests served without the backend: none, so this is
+    /// 0. Read only by `perfbench/src/paper_repro.rs`
+    /// (`llm.cache_hit_rate`), until the benchmark unregisters that name.
     pub fn hit_rate(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.calls as f64
-        }
+        0.0
     }
 
     /// Mean requests per batch submission (0 when nothing was batched).
@@ -97,7 +94,6 @@ impl RoleStats {
         self.calls += other.calls;
         self.batches += other.batches;
         self.batched_calls += other.batched_calls;
-        self.cache_hits += other.cache_hits;
         self.tokens_in += other.tokens_in;
         self.tokens_out += other.tokens_out;
         self.busy_secs += other.busy_secs;
@@ -109,7 +105,6 @@ struct RoleCounters {
     calls: AtomicU64,
     batches: AtomicU64,
     batched_calls: AtomicU64,
-    cache_hits: AtomicU64,
     tokens_in: AtomicU64,
     tokens_out: AtomicU64,
     busy_nanos: AtomicU64,
@@ -121,7 +116,6 @@ impl RoleCounters {
             calls: self.calls.load(Relaxed),
             batches: self.batches.load(Relaxed),
             batched_calls: self.batched_calls.load(Relaxed),
-            cache_hits: self.cache_hits.load(Relaxed),
             tokens_in: self.tokens_in.load(Relaxed),
             tokens_out: self.tokens_out.load(Relaxed),
             busy_secs: self.busy_nanos.load(Relaxed) as f64 / 1e9,
@@ -146,20 +140,15 @@ impl CallLedger {
     pub(crate) fn record_call(
         &self,
         role: Role,
-        cached: bool,
         tokens_in: usize,
         tokens_out: usize,
         busy_nanos: u64,
     ) {
         let c = &self.roles[role.index()];
         c.calls.fetch_add(1, Relaxed);
-        if cached {
-            c.cache_hits.fetch_add(1, Relaxed);
-        } else {
-            c.tokens_in.fetch_add(tokens_in as u64, Relaxed);
-            c.tokens_out.fetch_add(tokens_out as u64, Relaxed);
-            c.busy_nanos.fetch_add(busy_nanos, Relaxed);
-        }
+        c.tokens_in.fetch_add(tokens_in as u64, Relaxed);
+        c.tokens_out.fetch_add(tokens_out as u64, Relaxed);
+        c.busy_nanos.fetch_add(busy_nanos, Relaxed);
     }
 
     /// Record a batch submission containing `n` requests for `role`.
@@ -196,13 +185,10 @@ impl CallLedger {
         let line = |role: &str, s: &RoleStats| {
             format!(
                 "[models] backend=sim role={role} calls={} batches={} \
-                 mean_batch={:.1} cache_hits={} hit_rate={:.4} tokens_in={} tokens_out={} \
-                 busy_secs={:.3}",
+                 mean_batch={:.1} tokens_in={} tokens_out={} busy_secs={:.3}",
                 s.calls,
                 s.batches,
                 s.mean_batch_size(),
-                s.cache_hits,
-                s.hit_rate(),
                 s.tokens_in,
                 s.tokens_out,
                 s.busy_secs,
@@ -235,37 +221,37 @@ mod tests {
     #[test]
     fn tallies_per_role() {
         let ledger = CallLedger::new();
-        ledger.record_call(Role::Teacher, false, 100, 40, 1_000);
-        ledger.record_call(Role::Teacher, true, 100, 40, 0);
-        ledger.record_call(Role::Judge, false, 30, 10, 500);
+        ledger.record_call(Role::Teacher, 100, 40, 1_000);
+        ledger.record_call(Role::Teacher, 100, 40, 0);
+        ledger.record_call(Role::Judge, 30, 10, 500);
         ledger.record_batch(Role::Teacher, 2);
 
         let t = ledger.role(Role::Teacher);
         assert_eq!(t.calls, 2);
-        assert_eq!(t.cache_hits, 1);
-        assert_eq!(t.backend_calls(), 1);
-        assert_eq!(t.tokens_in, 100, "cache hits cost no tokens");
-        assert_eq!(t.tokens_out, 40);
+        assert_eq!(t.backend_calls(), 2, "every call reaches the backend");
+        assert_eq!(t.tokens_in, 200, "every call pays its tokens");
+        assert_eq!(t.tokens_out, 80);
         assert_eq!(t.batches, 1);
-        assert!((t.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(t.hit_rate(), 0.0);
         assert!((t.mean_batch_size() - 2.0).abs() < 1e-12);
 
         assert_eq!(ledger.role(Role::Classifier).calls, 0);
         assert_eq!(ledger.total().calls, 3);
-        assert_eq!(ledger.total().tokens_in, 130);
+        assert_eq!(ledger.total().tokens_in, 230);
     }
 
     #[test]
     fn summary_lines_are_greppable() {
         let ledger = CallLedger::new();
-        ledger.record_call(Role::Judge, false, 30, 10, 2_000_000);
+        ledger.record_call(Role::Judge, 30, 10, 2_000_000);
         let lines = ledger.summary_lines();
         assert_eq!(lines.len(), 2, "active roles only, then the total");
-        assert!(lines[0].starts_with("[models] backend=sim role=judge calls=1 "));
+        assert_eq!(
+            lines[0],
+            "[models] backend=sim role=judge calls=1 batches=0 mean_batch=0.0 tokens_in=30 \
+             tokens_out=10 busy_secs=0.002"
+        );
         assert!(lines[1].contains("role=total"));
-        assert!(lines[0].contains("tokens_in=30"));
-        assert!(lines[0].contains("hit_rate=0.0000"));
-        assert!(lines[0].ends_with("busy_secs=0.002"));
     }
 
     #[test]
@@ -276,15 +262,15 @@ mod tests {
                 let ledger = &ledger;
                 s.spawn(move || {
                     for i in 0..250 {
-                        ledger.record_call(Role::Answerer, i % 5 == 0, 10, 5, 100);
+                        ledger.record_call(Role::Answerer, 10, 5 + i % 2, 100);
                     }
                 });
             }
         });
         let a = ledger.role(Role::Answerer);
         assert_eq!(a.calls, 1000);
-        assert_eq!(a.cache_hits, 200);
-        assert_eq!(a.backend_calls(), 800);
-        assert_eq!(a.tokens_in, 8000);
+        assert_eq!(a.tokens_in, 10_000);
+        assert_eq!(a.tokens_out, 5_500);
+        assert!((a.busy_secs - 1e-4).abs() < 1e-12);
     }
 }

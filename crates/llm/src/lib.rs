@@ -1,9 +1,8 @@
 //! `mcqa-llm` — the language-model substrate behind one model hub.
 //!
 //! Every model role in the paper is served by [`ModelHub`]: one typed entry
-//! point per call kind (typed inputs in, the role's own output type out),
-//! content-addressed `ResponseCaches` for the kinds that repeat, and a
-//! per-role `CallLedger`. Consumers share one `Arc<ModelHub>`:
+//! point per call kind (typed inputs in, the role's own output type out)
+//! and a per-role `CallLedger`. Consumers share one `Arc<ModelHub>`:
 //!
 //! | Paper role | Entry points |
 //! |---|---|
@@ -17,21 +16,24 @@
 //! which the hub owns: the pipeline builds `ModelHub::new(seed, ontology)`
 //! and nothing selects a backend. No call builds prompt text: the simulator
 //! reads typed fields, and a call's token estimate adds counts taken where
-//! its texts were born.
+//! its texts were born. Nothing is cached: a completion is a pure function
+//! of the call's fields and seed, so every call, repeated or not, runs the
+//! simulator and is tallied.
 //!
 //! ## The boundary is a visibility rule
 //!
 //! The simulators behind the hub (the teacher, judge and classifier
 //! models, and the answer cascade of a [`ResolvedModel`]) are crate-private,
-//! so nothing outside this crate can run one past the caches and the
-//! ledger: the only way to a completion is a [`ModelHub`] entry point. A
-//! resolved model stays nameable, because an answer call takes one beside
-//! the prepared question and is addressed by both digests:
+//! so nothing outside this crate can run one past the ledger: the only way
+//! to a completion is a [`ModelHub`] entry point. A resolved model stays
+//! nameable, because an answer call takes one beside the prepared question:
 //!
 //! ```
-//! use mcqa_llm::{Condition, PreparedItem, ResolvedModel};
-//! fn addressed(model: &ResolvedModel, item: &PreparedItem, _: Condition) -> (u64, u64) {
-//!     (model.key(), item.digest())
+//! use mcqa_llm::{Condition, ModelHub, PreparedItem, ResolvedModel};
+//! fn ask(hub: &ModelHub, model: &ResolvedModel, item: &PreparedItem, c: Condition) -> bool {
+//!     let answer = hub.answer(42, model, item, c, None);
+//!     let question = item.item();
+//!     hub.grade(42, &answer, question.correct, question.options.len()).correct
 //! }
 //! ```
 //!
@@ -60,7 +62,7 @@
 //!
 //! ```compile_fail,E0616
 //! use mcqa_llm::ModelHub;
-//! fn uncached(hub: &ModelHub) {
+//! fn unledgered(hub: &ModelHub) {
 //!     let _ = &hub.sim;
 //! }
 //! ```
@@ -92,7 +94,6 @@ pub(crate) mod judge;
 pub(crate) mod ledger;
 mod math_classifier;
 pub(crate) mod mcq;
-pub(crate) mod response_cache;
 mod sim;
 pub mod solver;
 pub(crate) mod teacher;

@@ -2,7 +2,6 @@
 
 use mcqa_ontology::FactId;
 use mcqa_text::token_count;
-use mcqa_util::StableHasher;
 
 /// Option letters for up to ten options.
 pub const OPTION_LETTERS: [char; 10] = ['A', 'B', 'C', 'D', 'E', 'F', 'G', 'H', 'I', 'J'];
@@ -112,49 +111,23 @@ pub(crate) fn text_tokens(stem: &str, options: &[String]) -> usize {
     token_count(stem) + options.iter().map(|o| token_count(o)).sum::<usize>()
 }
 
-/// Walk every field of `item` into `h`: a classification call's key, and the
-/// digest [`PreparedItem::new`] takes once per answered question.
-pub(crate) fn walk_item(h: &mut StableHasher, item: &McqItem) {
-    let McqItem { qid, bench, fact: FactId(fact), stem, options, correct, difficulty, is_math } =
-        item;
-    h.write_u64(*qid);
-    h.write_u32(match bench {
-        BenchKind::Synthetic => 0,
-        BenchKind::AstroExam => 1,
-    });
-    h.write_u64(*fact);
-    h.write_str(stem);
-    h.write_u64(options.len() as u64);
-    for option in options {
-        h.write_str(option);
-    }
-    h.write_u64(*correct as u64);
-    h.write_u64(difficulty.to_bits());
-    h.write_u32(*is_math as u32);
-}
-
 /// An [`McqItem`] with the work that depends on the item alone done once:
-/// the tokens its rendered prompt text costs ([`McqItem::prompt_tokens`])
-/// and a digest of every field, which is how an answer call addresses its
-/// item in the response cache.
+/// the tokens its rendered prompt text costs ([`McqItem::prompt_tokens`]).
 ///
 /// Read-only after construction (private fields, no setter), so the count
-/// and the digest always describe the item beside them. The evaluator
-/// prepares each question once and lends it to every (model, condition)
-/// answer and every context assembled for it.
+/// always describes the item beside it. The evaluator prepares each
+/// question once and lends it to every (model, condition) answer and every
+/// context assembled for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedItem {
     item: McqItem,
     tokens: usize,
-    digest: u64,
 }
 
 impl PreparedItem {
-    /// Count and digest `item`.
+    /// Count `item`'s prompt tokens.
     pub fn new(item: McqItem) -> Self {
-        let mut h = StableHasher::new();
-        walk_item(&mut h, &item);
-        Self { tokens: item.prompt_tokens(), digest: h.finish(), item }
+        Self { tokens: item.prompt_tokens(), item }
     }
 
     /// The question.
@@ -166,12 +139,6 @@ impl PreparedItem {
     /// prompt.
     pub fn tokens(&self) -> usize {
         self.tokens
-    }
-
-    /// Digest of every field of the question: equal for equal items,
-    /// distinct otherwise (up to a 64-bit collision).
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 }
 

@@ -1,6 +1,6 @@
 //! The simulator behind every completion, and the typed call kinds
 //! [`crate::ModelHub`] serves through it. Crate-private, so nothing reaches
-//! a simulated role past the hub's caches and ledger.
+//! a simulated role past the hub's ledger.
 //!
 //! [`Simulator`] owns the simulated teacher, judge, and classifier (all
 //! seeded at construction, like a pinned deployment) plus the ontology the
@@ -22,15 +22,13 @@ use std::sync::Arc;
 
 use mcqa_ontology::Ontology;
 use mcqa_text::token_count;
-use mcqa_util::StableHasher;
 
 use crate::answer::{AnswerOutcome, Condition, ResolvedModel};
 use crate::context::AssembledContext;
 use crate::judge::{GradeResult, JudgeModel, QualityJudgment};
 use crate::ledger::Role;
 use crate::math_classifier::MathClassifier;
-use crate::mcq::{text_tokens, walk_item, McqItem, PreparedItem};
-use crate::response_cache::{ResponseCache, ResponseCaches};
+use crate::mcq::{text_tokens, McqItem, PreparedItem};
 use crate::teacher::{GeneratedQuestion, QuestionPrompt, TeacherModel};
 use crate::trace::TraceMode;
 
@@ -55,29 +53,12 @@ impl Simulator {
     }
 }
 
-/// How a call kind that repeats within a run is cached: the hub cache its
-/// completions live in, and the walk of the typed fields that address one
-/// there (the hub hashes the call's seed after it). Completeness is the
-/// compiler's job where it can be: each walk destructures its input
-/// without `..`, so a field added later does not compile until the walk
-/// covers it.
-pub(crate) struct Cached<C: Call> {
-    pub(crate) cache: fn(&ResponseCaches) -> &ResponseCache<C::Output>,
-    pub(crate) key: fn(&C, &mut StableHasher),
-}
-
 /// One kind of model call: the typed input its role reads.
-pub(crate) trait Call: Sync + Sized {
+pub(crate) trait Call: Sync {
     /// What the role returns.
-    type Output: Clone + Send;
+    type Output: Send;
     /// The ledger row the call is tallied in.
     const ROLE: Role;
-    /// `Some` for a kind that repeats within a run (grading, math
-    /// classification, answering). Question generation, trace distillation
-    /// and quality scoring are issued once per (fact, salt) / (question,
-    /// mode) / candidate: every entry would be written and never read, so
-    /// they keep none and hash no key.
-    const CACHED: Option<Cached<Self>>;
 
     /// Prompt-token estimate of what a text model would read.
     fn tokens_in(&self) -> usize;
@@ -109,7 +90,6 @@ const MATH_FLAG_TOKENS: usize = 3;
 impl Call for QuestionPrompt<'_> {
     type Output = GeneratedQuestion;
     const ROLE: Role = Role::Teacher;
-    const CACHED: Option<Cached<Self>> = None;
 
     fn tokens_in(&self) -> usize {
         QUESTION_PROMPT_TOKENS + token_count(&self.salt) + self.passage_tokens
@@ -126,7 +106,6 @@ impl Call for QuestionPrompt<'_> {
 impl Call for (&McqItem, TraceMode) {
     type Output = String;
     const ROLE: Role = Role::Teacher;
-    const CACHED: Option<Cached<Self>> = None;
 
     fn tokens_in(&self) -> usize {
         let (item, _) = self;
@@ -145,7 +124,6 @@ impl Call for (&McqItem, TraceMode) {
 impl Call for (&GeneratedQuestion, f64) {
     type Output = QualityJudgment;
     const ROLE: Role = Role::Judge;
-    const CACHED: Option<Cached<Self>> = None;
 
     fn tokens_in(&self) -> usize {
         let (question, _) = self;
@@ -170,15 +148,6 @@ pub(crate) struct Grade<'a> {
 impl Call for Grade<'_> {
     type Output = GradeResult;
     const ROLE: Role = Role::Judge;
-    const CACHED: Option<Cached<Self>> = Some(Cached {
-        cache: |caches| &caches.grades,
-        // The completion text is all of the answer the judge reads.
-        key: |Grade { answer, correct, n_options }, h| {
-            h.write_str(&answer.text);
-            h.write_u64(*correct as u64);
-            h.write_u64(*n_options as u64);
-        },
-    });
 
     fn tokens_in(&self) -> usize {
         GRADE_PROMPT_TOKENS + self.answer.tokens()
@@ -195,8 +164,6 @@ impl Call for Grade<'_> {
 impl Call for McqItem {
     type Output = bool;
     const ROLE: Role = Role::Classifier;
-    const CACHED: Option<Cached<Self>> =
-        Some(Cached { cache: |caches| &caches.math_flags, key: |item, h| walk_item(h, item) });
 
     fn tokens_in(&self) -> usize {
         CLASSIFY_PROMPT_TOKENS + self.prompt_tokens()
@@ -218,32 +185,6 @@ pub(crate) struct Answer<'a> {
 impl Call for Answer<'_> {
     type Output = AnswerOutcome;
     const ROLE: Role = Role::Answerer;
-    const CACHED: Option<Cached<Self>> = Some(Cached {
-        cache: |caches| &caches.answers,
-        // The model and the item go in as the digests they took at
-        // construction.
-        key: |Answer { model, item, condition, context }, h| {
-            h.write_u64(model.key());
-            h.write_u64(item.digest());
-            match condition {
-                Condition::Baseline => h.write_u32(0),
-                Condition::RagChunks => h.write_u32(1),
-                Condition::RagTraces(mode) => {
-                    h.write_u32(2);
-                    h.write_u32(mode.index() as u32);
-                }
-            }
-            match context {
-                None => h.write_u32(0),
-                Some(AssembledContext { passages, relevant, prompt_tokens }) => {
-                    h.write_u32(1);
-                    h.write_u64(*passages as u64);
-                    h.write_u32(*relevant as u32);
-                    h.write_u64(*prompt_tokens as u64);
-                }
-            }
-        },
-    });
 
     /// With an assembled context, its accounting *is* the prompt size (it
     /// already covers the question, the scaffold and the passages); a
@@ -265,7 +206,7 @@ impl Call for Answer<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::mcq::{test_item, BenchKind};
+    use crate::mcq::test_item;
     use mcqa_ontology::{Fact, OntologyConfig};
 
     fn simulator() -> Simulator {
@@ -281,16 +222,6 @@ pub(crate) mod tests {
     /// A question-generation call anchored to `fact`.
     pub(crate) fn prompt<'a>(fact: &'a Fact, salt: &str) -> QuestionPrompt<'a> {
         QuestionPrompt { fact, salt: salt.into(), passage_tokens: 2 }
-    }
-
-    /// The content address a cached kind gives `call` under `seed`, as the
-    /// hub takes it.
-    pub(crate) fn key<C: Call>(call: &C, seed: u64) -> u64 {
-        let cached = C::CACHED.expect("a cached kind");
-        let mut h = StableHasher::new();
-        (cached.key)(call, &mut h);
-        h.write_u64(seed);
-        h.finish()
     }
 
     #[test]
@@ -439,95 +370,5 @@ pub(crate) mod tests {
         let trace = (&item, TraceMode::Focused).complete(&sim, 42).0;
         assert_eq!(trace, sim.teacher.generate_trace(&sim.ontology, &item, TraceMode::Focused));
         assert!(!trace.contains(item.correct_text()));
-    }
-
-    /// Changes an item in one field, in place.
-    type Edit = (&'static str, fn(&mut McqItem));
-
-    #[test]
-    fn cache_keys_move_with_every_single_field() {
-        // Math classification: every field of the item.
-        let item_edits: [Edit; 10] = [
-            ("qid", |i| i.qid += 1),
-            ("bench", |i| i.bench = BenchKind::AstroExam),
-            ("fact", |i| i.fact.0 += 1),
-            ("stem", |i| i.stem.push('x')),
-            ("options[6]", |i| i.options[6].push('x')),
-            ("options.len()", |i| i.options.truncate(6)),
-            ("correct", |i| i.correct += 1),
-            ("difficulty", |i| i.difficulty = 0.5),
-            ("is_math", |i| i.is_math = true),
-            // ("ab", "c") against ("a", "bc"): the same bytes in a row,
-            // split elsewhere, are different items.
-            ("options resplit", |i| {
-                i.options[1] = format!("{}{}", i.options[1], &i.options[2][..1]);
-                i.options[2].remove(0);
-            }),
-        ];
-        let k = key(&test_item(), 1);
-        assert_eq!(k, key(&test_item(), 1), "a rebuilt call keeps its key");
-        assert_ne!(k, key(&test_item(), 2), "the seed is part of the identity");
-        for (what, edit) in &item_edits {
-            let mut edited = test_item();
-            edit(&mut edited);
-            assert_ne!(key(&edited, 1), k, "`{what}` is not part of the identity");
-        }
-
-        // Grading: the completion text and the key.
-        let sim = simulator();
-        let model = crate::solver::test_resolved_model(0);
-        let prepared = PreparedItem::new(test_item());
-        let answer = Answer {
-            model: &model,
-            item: &prepared,
-            condition: Condition::Baseline,
-            context: None,
-        }
-        .complete(&sim, 1)
-        .0;
-        let mut other = answer.clone();
-        other.text.to_mut().push('x');
-        let grade = |answer, correct, n_options| key(&Grade { answer, correct, n_options }, 1);
-        let k = grade(&answer, 2, 7);
-        assert_ne!(k, key(&Grade { answer: &answer, correct: 2, n_options: 7 }, 2), "seed");
-        assert_ne!(k, grade(&other, 2, 7), "completion");
-        assert_ne!(k, grade(&answer, 3, 7), "correct");
-        assert_ne!(k, grade(&answer, 2, 5), "n_options");
-
-        // Answering: the model, every field of the item, the condition and
-        // every field of the context.
-        let context = AssembledContext { passages: 2, relevant: false, prompt_tokens: 500 };
-        fn answer_key(
-            model: &ResolvedModel,
-            item: &McqItem,
-            condition: Condition,
-            context: Option<&AssembledContext>,
-        ) -> u64 {
-            let prepared = PreparedItem::new(item.clone());
-            key(&Answer { model, item: &prepared, condition, context }, 1)
-        }
-        let focused = Condition::RagTraces(TraceMode::Focused);
-        let k = answer_key(&model, &test_item(), focused, Some(&context));
-        assert_eq!(k, answer_key(&model, &test_item(), focused, Some(&context)));
-        let other_model = crate::solver::test_resolved_model(1);
-        assert_ne!(k, answer_key(&other_model, &test_item(), focused, Some(&context)), "model");
-        for (what, edit) in &item_edits {
-            let mut item = test_item();
-            edit(&mut item);
-            assert_ne!(k, answer_key(&model, &item, focused, Some(&context)), "item.{what}");
-        }
-        for condition in
-            [Condition::Baseline, Condition::RagChunks, Condition::RagTraces(TraceMode::Efficient)]
-        {
-            assert_ne!(k, answer_key(&model, &test_item(), condition, Some(&context)));
-        }
-        assert_ne!(k, answer_key(&model, &test_item(), focused, None), "context presence");
-        let context_edits: [fn(&mut AssembledContext); 3] =
-            [|c| c.passages += 1, |c| c.relevant = true, |c| c.prompt_tokens += 1];
-        for (i, edit) in context_edits.iter().enumerate() {
-            let mut edited = context.clone();
-            edit(&mut edited);
-            assert_ne!(k, answer_key(&model, &test_item(), focused, Some(&edited)), "context {i}");
-        }
     }
 }

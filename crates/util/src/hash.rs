@@ -12,9 +12,6 @@
 //!    same text forever.
 //!
 //! We provide FNV-1a for byte streams plus SplitMix64 as a finaliser/mixer.
-//! [`StableHasher`] is also what the model layer walks a request's fields
-//! into to address its response cache; those keys are process-local, so
-//! that use needs determinism within a run, not stability across releases.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -17,7 +17,7 @@
 //! | [`index`] | FAISS-style vector stores (Flat / HNSW / one list store: IVF + PQ) |
 //! | [`lexical`] | the BM25 keyword channel + dense/lexical reciprocal rank fusion (`index::lexical`) |
 //! | [`runtime`] | Parsl-style workflow runtime: one-queue thread pool, scoped ordered stages that re-raise a task's panic, stage metrics |
-//! | [`llm`] | every model role served by one `ModelHub` (batched completions, response cache, call ledger) over the simulator that plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
+//! | [`llm`] | every model role served by one `ModelHub` (batched completions, call ledger) over the simulator that plays GPT-4.1, the judge, GPT-5, and the 8 SLM behaviour cards |
 //! | [`serve`] | the in-process query service (admission control, dynamic micro-batching) |
 //! | [`core`] | the end-to-end benchmark-generation pipeline (the paper's contribution) |
 //! | [`eval`] | the three-condition evaluation protocol, Astro exam, tables & figures |

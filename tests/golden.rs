@@ -51,12 +51,9 @@ fn tiny_seed42_artifacts_are_byte_identical_to_the_pre_redesign_pipeline() {
 }
 
 /// The evaluation on top of that run: every model's rates, calibration and
-/// accuracy tables, plus the call counts, which no schedule can move. The
-/// distinct-key count is the direct evidence that the response cache's
-/// equivalence classes are where they were — a key that aliased two
-/// requests would lower it, one that split a request would raise it.
+/// accuracy tables, plus the call counts, which no schedule can move.
 /// Captured on 357d4b4; the teacher / classifier token totals on 5e1181a;
-/// the answerer and judge ledgers once the cache became single-flight.
+/// the answerer and judge ledgers once every call reached the simulator.
 #[test]
 fn tiny_seed42_eval_tables_are_pinned() {
     let out = Pipeline::run(&PipelineConfig::tiny(42));
@@ -68,10 +65,9 @@ fn tiny_seed42_eval_tables_are_pinned() {
         "the evaluation tables are no longer byte-identical to the golden run"
     );
     assert_eq!(out.models.ledger().total().calls, 62_747, "model-call census moved");
-    assert_eq!(out.models.cache().len(), 22_032, "distinct cached requests moved");
-    // Teacher requests are never cached and each exam item is classified
-    // once, so these totals are schedule-independent: they pin every prompt
-    // scaffold of the two roles and how `tokens_out` is derived.
+    // Every call reaches the simulator, so every role's totals are
+    // schedule-independent: they pin every prompt scaffold and how
+    // `tokens_out` is derived.
     let teacher = out.models.ledger().role(distllm::llm::Role::Teacher);
     assert_eq!((teacher.calls, teacher.tokens_in, teacher.tokens_out), (2_469, 187_262, 59_918));
     let classifier = out.models.ledger().role(distllm::llm::Role::Classifier);
@@ -79,29 +75,23 @@ fn tiny_seed42_eval_tables_are_pinned() {
         (classifier.calls, classifier.tokens_in, classifier.tokens_out),
         (335, 13_931, 1_005)
     );
-    // The no-math pass repeats full-exam answer keys, and the response cache
-    // completes each key once however the stage is scheduled, so every
-    // answerer count is schedule-independent: this pins how answer requests
-    // are built, addressed and counted.
+    // The no-math pass re-asks full-exam questions and each re-ask is
+    // served and counted again: this pins how answer requests are built
+    // and counted.
     let answerer = out.models.ledger().role(distllm::llm::Role::Answerer);
     assert_eq!(
-        (answerer.calls, answerer.cache_hits, answerer.tokens_in, answerer.tokens_out),
-        (29_040, 7_560, 10_500_944, 49_418)
+        (answerer.calls, answerer.tokens_in, answerer.tokens_out),
+        (29_040, 14_151_000, 70_316)
     );
-    // Grading keys repeat inside one concurrent `eval-answer` stage; the
-    // response cache completes each key once however the stage is
-    // scheduled, so the judge's hits and tokens are pinned too.
+    // Quality scoring and grading: one grade per answer.
     let judge = out.models.ledger().role(distllm::llm::Role::Judge);
-    assert_eq!(
-        (judge.calls, judge.cache_hits, judge.tokens_in, judge.tokens_out),
-        (30_903, 28_823, 74_706, 23_928)
-    );
+    assert_eq!((judge.calls, judge.tokens_in, judge.tokens_out), (30_903, 459_787, 228_003));
 }
 
 /// The evaluation at the benchmark's own scale (`paper-repro` runs
 /// `at_scale(0.02, seed)`): the tables, the `eval-answer` item count the
-/// benchmark divides its evaluation time by, the ledger total and the
-/// distinct cached requests. The tiny pins above run none of the batched
+/// benchmark divides its evaluation time by and the ledger total. The
+/// tiny pins above run none of the batched
 /// paths a larger replay takes (a group's encode batch, hundreds of
 /// members per reply), so this pins them where the benchmark runs them.
 /// Captured at da5c3e9.
@@ -118,7 +108,6 @@ fn scale_002_seed42_eval_is_pinned() {
     let answered = run.report.stages().iter().find(|s| s.name == "eval-answer").map(|s| s.items);
     assert_eq!(answered, Some(38_160), "eval-answer item count moved");
     assert_eq!(out.models.ledger().total().calls, 85_465, "model-call census moved");
-    assert_eq!(out.models.cache().len(), 31_169, "distinct cached requests moved");
 }
 
 /// The evaluation tables at ten times the benchmark's scale: a replay of
