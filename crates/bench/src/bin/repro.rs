@@ -194,8 +194,8 @@ fn print_rates(run: &mcqa_eval::EvalRun) {
         "{:<26} {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8}",
         "model", "syn-chk", "syn-det", "syn-foc", "syn-eff", "ast-chk", "ast-rt"
     );
-    // Every card reads the same contexts, so each carries the run's one set.
-    let rates = &run.models[0].rates;
+    // Every card reads the same contexts, so the run carries one set.
+    let rates = &run.rates;
     println!(
         "{:<26} {:>8.3} {:>8.3} {:>8.3} {:>8.3} | {:>8.3} {:>8.3}",
         "every model",

@@ -27,11 +27,11 @@ fn tiny_seed42_model_census_is_pinned() {
         .map(|(role, s)| (role, (s.calls, s.batches, s.tokens_in, s.tokens_out)))
         .collect();
     let expected: [Row; 5] = [
-        ("teacher", (2_469, 2, 187_262, 59_918)),
-        ("judge", (30_903, 1, 459_787, 228_003)),
+        ("teacher", (2_476, 2, 187_725, 60_349)),
+        ("judge", (30_984, 1, 460_861, 228_575)),
         ("classifier", (335, 1, 13_931, 1_005)),
-        ("answerer", (29_040, 0, 14_151_000, 70_316)),
-        ("total", (62_747, 4, 14_811_980, 359_242)),
+        ("answerer", (29_120, 0, 14_194_008, 70_476)),
+        ("total", (62_915, 4, 14_856_525, 360_405)),
     ];
     assert_eq!(rows, expected);
 }

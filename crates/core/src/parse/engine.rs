@@ -1,7 +1,7 @@
 //! The adaptive parsing engine: one strict read per document with a
 //! salvage fallback, plus a pool-parallel batch driver.
 
-use mcqa_corpus::spdf::{ObjectKind, SpdfError, SpdfObject, SpdfReader};
+use mcqa_corpus::spdf::{SpdfError, SpdfReader};
 use mcqa_runtime::{run_stage, Executor, StageMetrics};
 
 use super::quality;
@@ -71,13 +71,12 @@ impl ParseOutcome {
     }
 }
 
-/// Assemble a [`ParsedDocument`] from decoded SPDF objects: one section
-/// per Text object that is valid UTF-8, in order.
-fn assemble(objects: &[SpdfObject]) -> Result<ParsedDocument, ParseError> {
+/// Assemble a [`ParsedDocument`] from decoded SPDF text objects: one
+/// section per object that is valid UTF-8, in order.
+fn assemble(objects: &[Vec<u8>]) -> Result<ParsedDocument, ParseError> {
     let sections: Vec<_> = objects
         .iter()
-        .filter(|o| o.kind == ObjectKind::Text)
-        .filter_map(|o| std::str::from_utf8(&o.data).ok())
+        .filter_map(|o| std::str::from_utf8(o).ok())
         .map(ParsedDocument::section_from_payload)
         .collect();
     if sections.is_empty() {
@@ -205,32 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn meta_only_blob_yields_no_text() {
-        let meta_only = SpdfWriter::write_objects(&[(
-            ObjectKind::Meta,
-            br#"{"id":1,"kind":"paper","title":"t","authors":[],"year":2020,"venue":"v","topic":"DnaRepair","keywords":[]}"#,
-        )]);
-        assert_eq!(
-            AdaptiveParser.parse(&meta_only),
-            ParseOutcome::Failed { error: ParseError::NoText }
-        );
-    }
-
-    #[test]
-    fn hostile_metadata_still_parses_without_meta() {
-        let deep = "[".repeat(200_000);
-        for (title, keywords) in
-            [(r#""\ud800\u0041""#, "[]"), (r#""\ud800\uffff""#, "[]"), (r#""t""#, deep.as_str())]
-        {
-            let meta = format!(
-                r#"{{"id":1,"kind":"paper","title":{title},"authors":[],"year":2020,"venue":"v","topic":"DnaRepair","keywords":{keywords}}}"#
+    fn a_blob_with_no_text_object_yields_no_text() {
+        // No object at all, and one whose bytes are not UTF-8.
+        for objects in [&[][..], &[b"\xff\xfe section".as_slice()][..]] {
+            let b = SpdfWriter::write_objects(objects);
+            assert_eq!(
+                AdaptiveParser.parse(&b),
+                ParseOutcome::Failed { error: ParseError::NoText }
             );
-            let b = SpdfWriter::write_objects(&[
-                (ObjectKind::Meta, meta.as_bytes()),
-                (ObjectKind::Text, b"Results\n\nThe kinase binds. The repair follows."),
-            ]);
-            let doc = AdaptiveParser.parse(&b).document().cloned().expect(title);
-            assert_eq!(doc.sections.len(), 1, "{title}");
         }
     }
 
@@ -240,7 +221,7 @@ mod tests {
 
     #[test]
     fn an_intact_blob_parses_whatever_its_text_scores() {
-        let b = SpdfWriter::write_objects(&[(ObjectKind::Text, RULED_TABLE)]);
+        let b = SpdfWriter::write_objects(&[RULED_TABLE]);
         let doc =
             AdaptiveParser.parse(&b).document().cloned().expect("intact blobs are not scored");
         assert!(quality::score(&doc) < SALVAGE_QUALITY_BAR, "{}", quality::score(&doc));
@@ -248,7 +229,7 @@ mod tests {
 
     #[test]
     fn the_same_text_behind_a_damaged_trailer_is_low_quality() {
-        let mut b = SpdfWriter::write_objects(&[(ObjectKind::Text, RULED_TABLE)]);
+        let mut b = SpdfWriter::write_objects(&[RULED_TABLE]);
         let n = b.len();
         b[n - 1] ^= 0x01;
         let ParseOutcome::Failed { error: ParseError::LowQuality { score } } =
@@ -261,13 +242,13 @@ mod tests {
 
     #[test]
     fn a_damaged_blob_without_text_fails_with_the_strict_error() {
-        let mut meta_only = SpdfWriter::write_objects(&[(ObjectKind::Meta, b"{}".as_slice())]);
-        let n = meta_only.len();
-        meta_only[n - 1] ^= 0x80;
-        let strict = SpdfReader::read(&meta_only).unwrap_err();
+        let mut empty = SpdfWriter::write_objects(&[]);
+        let n = empty.len();
+        empty[n - 1] ^= 0x80;
+        let strict = SpdfReader::read(&empty).unwrap_err();
         assert!(matches!(strict, SpdfError::ChecksumMismatch { .. }));
         assert_eq!(
-            AdaptiveParser.parse(&meta_only),
+            AdaptiveParser.parse(&empty),
             ParseOutcome::Failed { error: ParseError::Container(strict) }
         );
     }
@@ -301,9 +282,8 @@ mod tests {
             match SpdfReader::read(bytes) {
                 Ok(objects) => {
                     assert_eq!(salvage, objects, "salvage must agree with a strict read");
-                    let pairs: Vec<(ObjectKind, &[u8])> =
-                        objects.iter().map(|o| (o.kind, o.data.as_slice())).collect();
-                    assert_eq!(SpdfWriter::write_objects(&pairs), bytes, "re-encode");
+                    let payloads: Vec<&[u8]> = objects.iter().map(Vec::as_slice).collect();
+                    assert_eq!(SpdfWriter::write_objects(&payloads), bytes, "re-encode");
                     assert_eq!(outcome.document().cloned(), assemble(&objects).ok());
                     true
                 }
@@ -401,7 +381,7 @@ mod tests {
 
     #[test]
     fn hostile_spz_stream_fails_cleanly() {
-        // A checksummed one-object SPDF whose Text stream is a literal "a"
+        // A checksummed one-object SPDF whose text stream is a literal "a"
         // and then a match of length ≈ u64::MAX, declaring 100 bytes.
         let stream = [
             0x00, 0x01, b'a', 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,

@@ -103,7 +103,7 @@ impl CorpusLibrary {
                         let at = 10 + rng.below(bytes.len().saturating_sub(20), &["pos", &key]);
                         bytes[at] ^= 0x40;
                     }
-                    // Checksum trailer zeroed (damaged metadata).
+                    // Checksum trailer zeroed (damaged trailer).
                     _ => {
                         let n = bytes.len();
                         for b in &mut bytes[n - 8..] {

@@ -490,11 +490,10 @@ mod tests {
     }
 
     /// The payloads of every object of a document as the SPDF writer
-    /// stores them: its metadata and one text per section.
+    /// stores them: one text per section.
     fn document_objects(doc: &crate::doc::Document) -> Vec<Vec<u8>> {
         let blob = crate::SpdfWriter::write_document(doc);
-        let objects = crate::SpdfReader::read(&blob).expect("a fresh blob reads");
-        objects.into_iter().map(|o| o.data).collect()
+        crate::SpdfReader::read(&blob).expect("a fresh blob reads")
     }
 
     #[test]

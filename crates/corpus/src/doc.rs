@@ -1,7 +1,6 @@
 //! The logical document model and its provenance oracle.
 
 use mcqa_ontology::FactId;
-use mcqa_ontology::Topic;
 
 /// Stable document identifier within one corpus library.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,18 +57,6 @@ pub struct Document {
     pub id: DocId,
     /// Full paper or abstract.
     pub(crate) kind: DocKind,
-    /// Title.
-    pub(crate) title: String,
-    /// Author surnames.
-    pub(crate) authors: Vec<String>,
-    /// Publication year.
-    pub(crate) year: u16,
-    /// Venue name.
-    pub(crate) venue: String,
-    /// Primary topic.
-    pub(crate) topic: Topic,
-    /// Search keywords (topic keywords + salient entity names).
-    pub(crate) keywords: Vec<String>,
     /// Ordered sections.
     pub sections: Vec<Section>,
     /// Provenance oracle: which facts are stated where.
@@ -122,12 +109,6 @@ mod tests {
         Document {
             id: DocId(7),
             kind: DocKind::FullPaper,
-            title: "A study".into(),
-            authors: vec!["Verlan".into()],
-            year: 2024,
-            venue: "J Synth Radiobiol".into(),
-            topic: Topic::DnaRepair,
-            keywords: vec!["repair".into()],
             sections: vec![
                 Section {
                     title: "Abstract".into(),

@@ -13,10 +13,11 @@
 //!   into keyword filler prose, with per-document paraphrase variation.
 //! * [`compress`] — `SPZ`, a small LZ77-family codec used for SPDF text
 //!   streams (real decompression failures for the parser to recover from).
-//! * [`spdf`] — the SPDF binary container: magic, versioned header, typed
-//!   object table (JSON metadata + compressed text streams), checksummed
-//!   trailer. A writer, a strict reader (the one checksum check), and a
-//!   salvage reader that keeps every object that still decodes.
+//! * [`spdf`] — the SPDF binary container: magic, versioned header, an
+//!   object table of text streams (one per section, SPZ-compressed),
+//!   checksummed trailer. A writer, a strict reader (the one checksum
+//!   check), and a salvage reader that keeps every object that still
+//!   decodes.
 //! * `acquire` — the corpus library + download API
 //!   simulating Semantic Scholar (some documents are open-access full
 //!   texts, some only expose abstracts), plus corruption injection to give
@@ -32,5 +33,5 @@ pub mod synth;
 pub use acquire::{AcquisitionConfig, CorpusLibrary};
 pub use doc::{DocId, DocKind};
 pub use edit::{EditBatch, EditOp};
-pub use spdf::{SpdfError, SpdfObject, SpdfReader, SpdfWriter};
+pub use spdf::{SpdfError, SpdfReader, SpdfWriter};
 pub use synth::SynthConfig;

@@ -1,8 +1,9 @@
 //! SPDF — the *Synthetic Portable Document Format* binary container.
 //!
 //! A deliberately PDF-shaped format so the parsing substrate does real
-//! structured binary work: magic + versioned header, a typed object table
-//! (JSON metadata, SPZ-compressed text streams), and a checksummed trailer.
+//! structured binary work: magic + versioned header, an object table of
+//! text streams (one per section, SPZ-compressed when that wins), and a
+//! checksummed trailer.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -16,6 +17,7 @@
 //! +--------+-----------+
 //! ```
 //!
+//! `type` is always [`TEXT_OBJECT`]; both readers refuse any other value.
 //! `flags & 1` marks an SPZ-compressed payload (`raw_len` = decompressed
 //! size). The strict reader validates everything, the trailer checksum
 //! included; [`SpdfReader::salvage`] walks the same object table without
@@ -23,11 +25,8 @@
 //! fallback of the AdaParse-style engine in `mcqa-core`'s `parse` module,
 //! taken only when the strict read fails.
 
-use mcqa_ontology::Topic;
-use serde::{Deserialize, Serialize};
-
 use crate::compress::{compress, decompress, SpzError};
-use crate::doc::{DocId, DocKind, Document};
+use crate::doc::Document;
 
 /// Container magic.
 pub const MAGIC: &[u8; 4] = b"SPDF";
@@ -35,43 +34,10 @@ pub const MAGIC: &[u8; 4] = b"SPDF";
 pub const TRAILER_MAGIC: &[u8; 4] = b"TRLR";
 /// Current format version.
 pub const VERSION: u16 = 1;
+/// The type byte of a text-stream object, the one object type.
+pub const TEXT_OBJECT: u8 = 1;
 /// Decompression cap per object (guards corrupt streams).
 const MAX_OBJECT_BYTES: usize = 16 << 20;
-
-/// The type of an SPDF object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectKind {
-    /// JSON document metadata.
-    Meta,
-    /// A text stream (one per section).
-    Text,
-}
-
-impl ObjectKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            ObjectKind::Meta => 0,
-            ObjectKind::Text => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(ObjectKind::Meta),
-            1 => Some(ObjectKind::Text),
-            _ => None,
-        }
-    }
-}
-
-/// A decoded SPDF object.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpdfObject {
-    /// Object type.
-    pub kind: ObjectKind,
-    /// Decompressed payload.
-    pub data: Vec<u8>,
-}
 
 /// Errors from strict SPDF reading.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,8 +60,6 @@ pub enum SpdfError {
     Stream { object: usize, source: SpzError },
     /// Decompressed size differed from the declared `raw_len`.
     RawLenMismatch { object: usize, declared: usize, actual: usize },
-    /// Metadata JSON failed to parse.
-    BadMetadata(String),
 }
 
 impl std::fmt::Display for SpdfError {
@@ -116,74 +80,28 @@ impl std::fmt::Display for SpdfError {
             SpdfError::RawLenMismatch { object, declared, actual } => {
                 write!(f, "object {object}: declared {declared} bytes, decoded {actual}")
             }
-            SpdfError::BadMetadata(e) => write!(f, "bad metadata JSON: {e}"),
         }
     }
 }
 
 impl std::error::Error for SpdfError {}
 
-/// Serialisable document metadata stored in the Meta object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DocMeta {
-    /// Document id.
-    pub id: u32,
-    /// `"paper"` or `"abstract"`.
-    pub(crate) kind: String,
-    /// Title.
-    pub(crate) title: String,
-    /// Author surnames.
-    pub(crate) authors: Vec<String>,
-    /// Publication year.
-    pub(crate) year: u16,
-    /// Venue.
-    pub(crate) venue: String,
-    /// Primary topic.
-    pub(crate) topic: Topic,
-    /// Search keywords.
-    pub(crate) keywords: Vec<String>,
-}
-
-impl DocMeta {
-    /// Build from a logical document.
-    pub(crate) fn from_document(doc: &Document) -> Self {
-        Self {
-            id: doc.id.0,
-            kind: match doc.kind {
-                DocKind::FullPaper => "paper".to_string(),
-                DocKind::Abstract => "abstract".to_string(),
-            },
-            title: doc.title.clone(),
-            authors: doc.authors.clone(),
-            year: doc.year,
-            venue: doc.venue.clone(),
-            topic: doc.topic,
-            keywords: doc.keywords.clone(),
-        }
-    }
-
-    /// The document id.
-    pub fn doc_id(&self) -> DocId {
-        DocId(self.id)
-    }
-}
-
 /// SPDF writer.
 pub struct SpdfWriter;
 
 impl SpdfWriter {
-    /// Encode raw objects into an SPDF byte blob.
-    pub fn write_objects(objects: &[(ObjectKind, &[u8])]) -> Vec<u8> {
+    /// Encode text streams into an SPDF byte blob, one object each.
+    pub fn write_objects(objects: &[&[u8]]) -> Vec<u8> {
         let mut out = Vec::with_capacity(1024);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(objects.len() as u32).to_le_bytes());
-        for (kind, data) in objects {
+        for data in objects {
             let compressed = compress(data);
             // Only keep compression when it wins.
             let (flags, stored): (u8, &[u8]) =
                 if compressed.len() < data.len() { (1, &compressed) } else { (0, data) };
-            out.push(kind.to_byte());
+            out.push(TEXT_OBJECT);
             out.push(flags);
             out.extend_from_slice(&(data.len() as u32).to_le_bytes());
             out.extend_from_slice(&(stored.len() as u32).to_le_bytes());
@@ -195,28 +113,23 @@ impl SpdfWriter {
         out
     }
 
-    /// Render a logical document into SPDF: one Meta object followed by one
-    /// Text object per section (`"<title>\n\n<section text>"`).
+    /// Render a logical document into SPDF: one text object per section
+    /// (`"<title>\n\n<section text>"`).
     pub fn write_document(doc: &Document) -> Vec<u8> {
-        let meta = DocMeta::from_document(doc);
-        let meta_json = serde_json::to_vec(&meta).expect("metadata serialises");
         let section_texts: Vec<String> =
             doc.sections.iter().map(|s| format!("{}\n\n{}", s.title, s.text())).collect();
-        let mut objects: Vec<(ObjectKind, &[u8])> = Vec::with_capacity(1 + section_texts.len());
-        objects.push((ObjectKind::Meta, meta_json.as_slice()));
-        for t in &section_texts {
-            objects.push((ObjectKind::Text, t.as_bytes()));
-        }
+        let objects: Vec<&[u8]> = section_texts.iter().map(|t| t.as_bytes()).collect();
         Self::write_objects(&objects)
     }
 }
 
-/// SPDF reader: strict and salvage modes.
+/// SPDF reader: strict and salvage modes. Both return the decoded
+/// payload of each object, in order.
 pub struct SpdfReader;
 
 impl SpdfReader {
     /// Strict read: every structural invariant is validated.
-    pub fn read(bytes: &[u8]) -> Result<Vec<SpdfObject>, SpdfError> {
+    pub fn read(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SpdfError> {
         let (objects, body_end, declared) = Self::read_objects_inner(bytes, true)?;
         // Trailer.
         let trailer = &bytes[body_end..];
@@ -238,17 +151,16 @@ impl SpdfReader {
     /// trailer is not read: [`SpdfReader::read`] is the one place the
     /// checksum is verified. On a blob the strict read accepts, the walk
     /// meets no defect, so it returns the same objects.
-    pub fn salvage(bytes: &[u8]) -> Vec<SpdfObject> {
+    pub fn salvage(bytes: &[u8]) -> Vec<Vec<u8>> {
         Self::read_objects_inner(bytes, false).map(|(objects, ..)| objects).unwrap_or_default()
     }
 
     /// Shared object-table walk. In strict mode any defect is fatal; in
     /// salvage mode defects stop the walk but keep prior objects.
-    #[allow(clippy::type_complexity)]
     fn read_objects_inner(
         bytes: &[u8],
         strict: bool,
-    ) -> Result<(Vec<SpdfObject>, usize, usize), SpdfError> {
+    ) -> Result<(Vec<Vec<u8>>, usize, usize), SpdfError> {
         if bytes.len() < 10 {
             return Err(SpdfError::Truncated { at: "header" });
         }
@@ -264,8 +176,7 @@ impl SpdfReader {
         let mut objects = Vec::with_capacity(declared.min(64));
         let mut pos = 10usize;
         for obj_idx in 0..declared {
-            let fail =
-                |e: SpdfError| -> Result<(Vec<SpdfObject>, usize, usize), SpdfError> { Err(e) };
+            let fail = |e: SpdfError| -> Result<(Vec<Vec<u8>>, usize, usize), SpdfError> { Err(e) };
             if pos + 10 > bytes.len() {
                 if strict {
                     return fail(SpdfError::Truncated { at: "object header" });
@@ -280,12 +191,12 @@ impl SpdfReader {
                 u32::from_le_bytes(bytes[pos + 6..pos + 10].try_into().expect("4 bytes")) as usize;
             pos += 10;
 
-            let Some(kind) = ObjectKind::from_byte(type_byte) else {
+            if type_byte != TEXT_OBJECT {
                 if strict {
                     return fail(SpdfError::BadObjectType(type_byte));
                 }
                 return Ok((objects, pos - 10, declared));
-            };
+            }
             if raw_len > MAX_OBJECT_BYTES {
                 if strict {
                     return fail(SpdfError::ObjectTooLarge { raw_len });
@@ -324,24 +235,16 @@ impl SpdfReader {
                 }
                 continue;
             }
-            objects.push(SpdfObject { kind, data });
+            objects.push(data);
         }
         Ok((objects, pos, declared))
-    }
-
-    /// Decode the Meta object of a strict-read object list.
-    pub fn metadata(objects: &[SpdfObject]) -> Result<DocMeta, SpdfError> {
-        let meta = objects
-            .iter()
-            .find(|o| o.kind == ObjectKind::Meta)
-            .ok_or(SpdfError::BadMetadata("no Meta object".to_string()))?;
-        serde_json::from_slice(&meta.data).map_err(|e| SpdfError::BadMetadata(e.to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::{DocId, DocKind};
     use crate::synth::{synthesize, SynthConfig};
     use mcqa_ontology::{Ontology, OntologyConfig};
 
@@ -360,17 +263,10 @@ mod tests {
         let doc = sample_doc();
         let bytes = SpdfWriter::write_document(&doc);
         let objects = SpdfReader::read(&bytes).expect("strict read");
-        assert_eq!(objects.len(), 1 + doc.sections.len());
-        let meta = SpdfReader::metadata(&objects).unwrap();
-        assert_eq!(meta.doc_id(), doc.id);
-        assert_eq!(meta.kind, "paper");
-        assert_eq!(meta.title, doc.title);
-        // Text objects carry the sections in order.
-        let texts: Vec<String> = objects
-            .iter()
-            .filter(|o| o.kind == ObjectKind::Text)
-            .map(|o| String::from_utf8(o.data.clone()).unwrap())
-            .collect();
+        assert_eq!(objects.len(), doc.sections.len());
+        // The text objects carry the sections in order.
+        let texts: Vec<String> =
+            objects.into_iter().map(|o| String::from_utf8(o).unwrap()).collect();
         for (t, s) in texts.iter().zip(&doc.sections) {
             assert!(t.starts_with(&s.title));
             assert!(t.contains(&s.text()));
@@ -382,8 +278,8 @@ mod tests {
         let doc = sample_doc();
         let bytes = SpdfWriter::write_document(&doc);
         let plain_size: usize =
-            doc.sections.iter().map(|s| s.text().len()).sum::<usize>() + doc.title.len();
-        assert!(bytes.len() < plain_size + 4096, "container should compress prose");
+            doc.sections.iter().map(|s| s.title.len() + 2 + s.text().len()).sum();
+        assert!(bytes.len() < plain_size, "container should compress prose");
     }
 
     #[test]
@@ -420,12 +316,10 @@ mod tests {
         let truncated = &bytes[..cut];
         assert!(SpdfReader::read(truncated).is_err());
         let s = SpdfReader::salvage(truncated);
-        assert!(s.len() < 1 + doc.sections.len(), "some objects must be lost");
-        // Whatever was recovered must be internally valid.
-        if let Some(first) = s.first() {
-            assert_eq!(first.kind, ObjectKind::Meta);
-            assert!(SpdfReader::metadata(&s).is_ok());
-        }
+        assert!(s.len() < doc.sections.len(), "some objects must be lost");
+        // Whatever was recovered is a prefix of the sections, intact.
+        let intact = SpdfReader::read(&bytes).unwrap();
+        assert_eq!(s[..], intact[..s.len()]);
     }
 
     #[test]
@@ -439,14 +333,14 @@ mod tests {
         assert!(r.is_err(), "bitflip must not pass strict validation");
     }
 
-    /// A well-formed one-object SPDF blob whose Text object carries
+    /// A well-formed one-object SPDF blob whose text object carries
     /// `stream` as its SPZ payload, declaring `raw_len` decoded bytes.
     fn blob_with_stream(stream: &[u8], raw_len: u32) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&[ObjectKind::Text.to_byte(), 1]);
+        out.extend_from_slice(&[TEXT_OBJECT, 1]);
         out.extend_from_slice(&raw_len.to_le_bytes());
         out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
         out.extend_from_slice(stream);
@@ -483,13 +377,21 @@ mod tests {
 
     #[test]
     fn write_objects_raw_api() {
-        let objs: Vec<(ObjectKind, &[u8])> =
-            vec![(ObjectKind::Meta, b"{}".as_slice()), (ObjectKind::Text, b"hello".as_slice())];
-        let bytes = SpdfWriter::write_objects(&objs);
+        let bytes = SpdfWriter::write_objects(&[b"hello", b"world"]);
         let back = SpdfReader::read(&bytes).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].data, b"{}");
-        assert_eq!(back[1].data, b"hello");
+        assert_eq!(back, [b"hello".to_vec(), b"world".to_vec()]);
+    }
+
+    #[test]
+    fn a_damaged_object_type_is_refused() {
+        let mut bytes = SpdfWriter::write_objects(&[b"hello"]);
+        assert_eq!(bytes[10], TEXT_OBJECT);
+        bytes[10] = 0;
+        let body = bytes.len() - 12;
+        let checksum = mcqa_util::fnv1a(&bytes[..body]);
+        bytes[body + 4..].copy_from_slice(&checksum.to_le_bytes());
+        assert_eq!(SpdfReader::read(&bytes), Err(SpdfError::BadObjectType(0)));
+        assert!(SpdfReader::salvage(&bytes).is_empty());
     }
 
     #[test]
@@ -497,37 +399,5 @@ mod tests {
         let bytes = SpdfWriter::write_objects(&[]);
         let back = SpdfReader::read(&bytes).unwrap();
         assert!(back.is_empty());
-    }
-
-    #[test]
-    fn metadata_roundtrips_every_topic() {
-        let mut doc = sample_doc();
-        for t in Topic::ALL {
-            doc.topic = t;
-            let objects = SpdfReader::read(&SpdfWriter::write_document(&doc)).unwrap();
-            assert_eq!(SpdfReader::metadata(&objects).unwrap().topic, t);
-        }
-    }
-
-    /// A Meta object whose `title` and `keywords` are spliced in as raw JSON.
-    fn meta_objects(title: &str, keywords: &str) -> Vec<SpdfObject> {
-        let json = format!(
-            r#"{{"id":3,"kind":"paper","title":{title},"authors":["Ada"],"year":2020,"venue":"V","topic":"DnaRepair","keywords":{keywords}}}"#
-        );
-        SpdfReader::read(&SpdfWriter::write_objects(&[(ObjectKind::Meta, json.as_bytes())]))
-            .expect("a well-formed container")
-    }
-
-    #[test]
-    fn hostile_metadata_is_rejected_not_fatal() {
-        let ok = SpdfReader::metadata(&meta_objects(r#""café 😀""#, "[]")).unwrap();
-        assert_eq!(ok.title, "café 😀");
-        let deep = "[".repeat(200_000);
-        for (title, keywords) in
-            [(r#""\ud800\u0041""#, "[]"), (r#""\ud800\uffff""#, "[]"), (r#""t""#, deep.as_str())]
-        {
-            let r = SpdfReader::metadata(&meta_objects(title, keywords));
-            assert!(matches!(r, Err(SpdfError::BadMetadata(_))), "{title}: {r:?}");
-        }
     }
 }

@@ -32,33 +32,6 @@ const FACTS_PER_ABSTRACT: usize = 3;
 /// Filler sentences interleaved per fact sentence.
 const FILLER_PER_FACT: usize = 4;
 
-const SURNAMES: &[&str] = &[
-    "Hartwell",
-    "Okafor",
-    "Lindqvist",
-    "Marchetti",
-    "Stolz",
-    "Ferreira",
-    "Nakata",
-    "Osei",
-    "Bergstrom",
-    "Callahan",
-    "Deveraux",
-    "Iwashita",
-    "Kovacs",
-    "Leclerc",
-    "Moravec",
-    "Ngata",
-];
-
-const VENUES: &[&str] = &[
-    "Journal of Synthetic Radiobiology",
-    "Radiation Research Letters",
-    "Annals of Tumour Biology",
-    "International Journal of Radiation Modelling",
-    "Clinical Radiobiology Reports",
-];
-
 const SECTION_PLAN: &[&str] = &["Abstract", "Introduction", "Methods", "Results", "Discussion"];
 
 /// Synthesise document `doc_id` of `kind` from `ontology`.
@@ -107,26 +80,7 @@ pub fn synthesize(
         }
     }
 
-    // Title references the first fact's subject.
     let reg = ontology.registry();
-    let title = if let Some(f0) = chosen.first() {
-        let subj = &reg.get(f0.subject).name;
-        let kw = topic.keywords()[rng.below(topic.keywords().len(), &["titlekw", &d])];
-        match rng.below(3, &["titleform", &d]) {
-            0 => format!("The role of {subj} in {}: implications for {kw}", topic.name()),
-            1 => format!("{subj} and {kw} in {}", topic.name()),
-            _ => format!("Revisiting {kw}: a study of {subj} in {}", topic.name()),
-        }
-    } else {
-        format!("Advances in {}", topic.name())
-    };
-
-    let n_authors = 2 + rng.below(5, &["nauth", &d]);
-    let authors: Vec<String> = (0..n_authors)
-        .map(|i| SURNAMES[rng.below(SURNAMES.len(), &["auth", &d, &i.to_string()])].to_string())
-        .collect();
-    let year = 2015 + rng.below(10, &["year", &d]) as u16;
-    let venue = VENUES[rng.below(VENUES.len(), &["venue", &d])].to_string();
 
     // Distribute facts across sections.
     let section_titles: &[&str] = match kind {
@@ -199,14 +153,7 @@ pub fn synthesize(
         sections.push(Section { title: title.to_string(), paragraphs });
     }
 
-    // Keywords: topic keywords + mentioned subjects.
-    let mut keywords: Vec<String> =
-        topic.keywords().iter().take(4).map(|s| s.to_string()).collect();
-    for f in chosen.iter().take(4) {
-        keywords.push(reg.get(f.subject).name.clone());
-    }
-
-    Document { id: doc_id, kind, title, authors, year, venue, topic, keywords, sections, mentions }
+    Document { id: doc_id, kind, sections, mentions }
 }
 
 /// A filler sentence: topically plausible prose that states no ontology
@@ -291,6 +238,7 @@ mod tests {
         let paper = synthesize(&ont, &cfg, DocId(1), DocKind::FullPaper);
         assert_eq!(paper.sections.len(), 5);
         assert_eq!(paper.sections[0].title, "Abstract");
+        assert!(paper.sentence_count() > 20);
         let abs = synthesize(&ont, &cfg, DocId(2), DocKind::Abstract);
         assert_eq!(abs.sections.len(), 1);
     }
@@ -333,17 +281,6 @@ mod tests {
             }
         }
         assert!(found_pair, "no fact restated across documents — salience model broken");
-    }
-
-    #[test]
-    fn metadata_plausible() {
-        let ont = small_ontology();
-        let doc = synthesize(&ont, &SynthConfig::default(), DocId(3), DocKind::FullPaper);
-        assert!(!doc.title.is_empty());
-        assert!(doc.authors.len() >= 2);
-        assert!((2015..2030).contains(&doc.year));
-        assert!(!doc.keywords.is_empty());
-        assert!(doc.sentence_count() > 20);
     }
 
     #[test]

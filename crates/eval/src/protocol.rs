@@ -44,9 +44,6 @@ impl Default for EvalConfig {
 pub struct ModelEval {
     /// Model name (Table 1).
     pub name: String,
-    /// The run's measured usable-hit rates: every model reads the same
-    /// contexts, so every model carries the same value.
-    pub rates: PipelineRates,
     /// The calibration the solver produced.
     pub calibration: mcqa_llm::solver::Calibration,
     /// Synthetic benchmark accuracy per condition (paper Table 2).
@@ -103,6 +100,9 @@ impl ModelEval {
 pub struct EvalRun {
     /// Per-model results, in card order.
     pub models: Vec<ModelEval>,
+    /// The run's measured usable-hit rates: every model reads the same
+    /// contexts, so one set calibrates every card.
+    pub rates: PipelineRates,
     /// Synthetic benchmark size.
     pub(crate) synth_questions: usize,
     /// Astro evaluated size (paper: 335).
@@ -310,14 +310,7 @@ impl<'a> Evaluator<'a> {
             conditions.iter().copied().map(accuracy).collect::<Vec<_>>()
         });
 
-        ModelEval {
-            name: card.name.to_string(),
-            rates: self.rates,
-            calibration,
-            synth,
-            astro_all,
-            astro_nomath,
-        }
+        ModelEval { name: card.name.to_string(), calibration, synth, astro_all, astro_nomath }
     }
 
     /// Evaluate the paper's full model roster.
@@ -333,6 +326,7 @@ impl<'a> Evaluator<'a> {
         let models = cards.iter().map(|c| self.evaluate_card(c)).collect();
         EvalRun {
             models,
+            rates: self.rates,
             synth_questions: self.output.items.len(),
             astro_questions: self.exam.items.len(),
             astro_nomath_questions: self.exam.no_math_items().len(),
@@ -542,7 +536,8 @@ mod tests {
                  and hit rates would be per card"
             );
         }
-        let rates = run.models[0].rates;
-        assert!(run.models.iter().all(|m| m.rates == rates), "one set of rates per run");
+        for (card, model) in MODEL_CARDS.iter().zip(&run.models) {
+            assert_eq!(model.calibration, resolve(card, &run.rates), "one set of rates per run");
+        }
     }
 }

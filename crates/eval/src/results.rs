@@ -246,7 +246,6 @@ mod tests {
                 ];
                 ModelEval {
                     name: c.name.to_string(),
-                    rates: mcqa_llm::PipelineRates::nominal(),
                     calibration: mcqa_llm::resolve(c, &mcqa_llm::PipelineRates::nominal()),
                     synth: conds
                         .iter()
@@ -268,6 +267,7 @@ mod tests {
             .collect();
         EvalRun {
             models,
+            rates: mcqa_llm::PipelineRates::nominal(),
             synth_questions: 1000,
             astro_questions: 335,
             astro_nomath_questions: 189,

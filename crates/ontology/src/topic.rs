@@ -6,10 +6,10 @@
 //! keyword search (the paper downloads papers by "cancer and radiation
 //! biology keywords" from Semantic Scholar).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A sub-discipline of the synthetic domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Topic {
     /// Sensing and signalling of radiation-induced DNA damage.
     DnaDamageResponse,

@@ -27,7 +27,7 @@ fn main() {
     // behaviour card was calibrated against.
     println!("measured usable-hit rates (synthetic benchmark):");
     println!("{:>9} {:>9} {:>9} {:>9}", "chunks", "rt-detail", "rt-focus", "rt-effic");
-    let rates = &run.models[0].rates;
+    let rates = &run.rates;
     println!(
         "{:>9.3} {:>9.3} {:>9.3} {:>9.3}",
         rates.synth_chunk, rates.synth_trace[0], rates.synth_trace[1], rates.synth_trace[2],

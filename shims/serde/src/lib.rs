@@ -9,12 +9,12 @@
 //! the types in this workspace.
 //!
 //! Only the impls a deriving type or `serde_json::Value` reaches are here.
-//! JSON leaves the process in four places: the Figure-2/3 question and trace
-//! records (`QuestionRecord`, `TraceRecord`), the evaluation tables
-//! (`ModelEval`), the model-card digest (`ModelCard` + `Calibration`) and the
-//! SPDF metadata object (`DocMeta`, the one type that also deserialises).
-//! A field type outside the impls below is a compile error, not a silent
-//! wire-format choice.
+//! JSON leaves the process in two places: the Figure-2/3 question and trace
+//! records (`QuestionRecord`, `TraceRecord`) and the evaluation tables
+//! (`ModelEval`, `PipelineRates`). No workspace type derives `Deserialize`;
+//! `Value` is what tests and `perfbench` parse JSON back into. A field type
+//! outside the impls below is a compile error, not a silent wire-format
+//! choice.
 
 pub use serde_derive::{Deserialize, Serialize};
 
