@@ -4,7 +4,7 @@
 //! `perfbench`'s `backend-scan` workload.)
 
 use mcqa_core::PipelineOutput;
-use mcqa_eval::{RetrievalBundle, Source};
+use mcqa_eval::{source_hit_rates, Source};
 use mcqa_index::IndexRegistry;
 use mcqa_serve::QueryMode;
 
@@ -27,8 +27,8 @@ pub struct RecallRow {
 pub struct ModeRecall {
     pub mode: &'static str,
     /// One row per [`Source::ALL`] entry, in that order; `recall` is the
-    /// oracle-labelled hit rate ([`RetrievalBundle::hit_rate`]): the
-    /// fraction of questions whose top-k contains a supporting passage.
+    /// oracle-labelled hit rate ([`source_hit_rates`]): the fraction of
+    /// questions whose top-k contains a supporting passage.
     pub sources: Vec<RecallRow>,
     /// Mean recall over the sources (the `source=all` line).
     pub mean: f64,
@@ -46,12 +46,11 @@ pub fn mode_recall(output: &PipelineOutput, k: usize) -> Vec<ModeRecall> {
     ];
     let mut rows = Vec::new();
     for (label, mode) in modes {
-        let bundle = RetrievalBundle::build_mode(output, &output.items, k, mode);
+        let rates = source_hit_rates(output, &output.items, k, mode);
         let mut mean = 0.0;
         let mut sources = Vec::new();
-        for source in Source::ALL {
+        for (source, recall) in Source::ALL.into_iter().zip(rates) {
             let name = source.store_name();
-            let recall = bundle.hit_rate(source, None);
             mean += recall / Source::ALL.len() as f64;
             let store = output.indexes.expect_store(name);
             let dense_bytes = store.to_bytes().len();

@@ -87,7 +87,7 @@ pub struct PipelineOutput {
     /// accounting is `models.ledger()`, not a row here.
     pub report: RunReport,
     /// The scheduler the pipeline ran on. Downstream consumers (the
-    /// evaluator, retrieval bundles, ablations) clone this handle so the
+    /// evaluator and its retrieval, ablations) clone this handle so the
     /// whole reproduction shares one pool and one metrics surface.
     pub executor: Executor,
     /// The corpus content-address table this output was built from; the
@@ -881,8 +881,8 @@ mod tests {
     fn chunk_records_carry_their_token_count() {
         // The chunker sums per-sentence counts; tokens never span the
         // single space sentences are joined by, so the sum is the count of
-        // the chunk text — which lets a consumer (the evaluator's passage
-        // budget) read the record instead of tokenising the text again.
+        // the chunk text — which lets a consumer (the evaluator's context
+        // assembly) read the record instead of tokenising the text again.
         let out = tiny_output();
         for c in &out.chunks {
             assert_eq!(c.tokens, mcqa_text::token_count(&c.text), "chunk {}", c.chunk_id);

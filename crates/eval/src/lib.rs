@@ -6,8 +6,8 @@
 //! ASTRO Radiation and Cancer Biology exam.
 //!
 //! * [`retrieval`] — per-question retrieval over the pipeline's vector
-//!   stores, with ground-truth relevance labels from the provenance
-//!   oracle.
+//!   stores, each hit labelled from the provenance oracle and each
+//!   (question, source) assembled into one context as it is labelled.
 //! * `astro` — the exam generator: 337 questions (2 multimodal excluded,
 //!   146 mathematical), written in exam register from the same ontology.
 //! * `protocol` — the evaluator: measures one set of usable-hit rates
@@ -33,4 +33,4 @@ pub mod retrieval;
 pub use astro::AstroExam;
 pub use protocol::{EvalConfig, EvalRun, Evaluator, ModelEval};
 pub use results::{render_fig, render_table2, render_table3, render_table4, FigureSeries};
-pub use retrieval::{RetrievalBundle, Source};
+pub use retrieval::{source_hit_rates, Source};

@@ -15,7 +15,7 @@ use mcqa_util::Accuracy;
 use serde::Serialize;
 
 use crate::astro::AstroExam;
-use crate::retrieval::{retrieval_service, PassageTexts, RetrievalBundle, Source};
+use crate::retrieval::{hit_rate, retrieval_service, retrieve_contexts, HitLabels, Source};
 
 /// One answering pass: its questions, their assembled contexts, and the
 /// mask of questions it asks (`None`: all of them).
@@ -28,7 +28,7 @@ pub struct EvalConfig {
     pub seed: u64,
     /// Retrieval depth for RAG (passages per query).
     pub retrieval_k: usize,
-    /// Which retrieval channel(s) every bundle queries through — dense
+    /// Which retrieval channel(s) every retrieval queries through — dense
     /// (the default), lexical, or hybrid.
     pub retrieval: QueryMode,
 }
@@ -109,13 +109,13 @@ pub struct EvalRun {
     pub astro_questions: usize,
     /// Astro no-math subset size (paper: 189).
     pub astro_nomath_questions: usize,
-    /// Runtime stage metrics for the evaluation itself (retrieve, assemble,
+    /// Runtime stage metrics for the evaluation itself (retrieve,
     /// answer+grade), aggregated across model cards.
     pub report: RunReport,
 }
 
-/// The evaluator. Runs every fan-out — retrieval, context assembly, the
-/// answer+grade loop — on the pipeline's own [`Executor`], and every model
+/// The evaluator. Runs every fan-out — retrieval with context assembly,
+/// the answer+grade loop — on the pipeline's own [`Executor`], and every model
 /// call (classifier, answerers, grading judge) through the pipeline's own
 /// model hub, so evaluation lands on the same scheduler, metrics surface
 /// and call ledger as the pipeline.
@@ -128,7 +128,7 @@ pub struct Evaluator<'a> {
     synth_items: Vec<PreparedItem>,
     exam_items: Vec<PreparedItem>,
     /// Every (question, source) context of each benchmark, assembled once
-    /// and read by every card.
+    /// as its hits are labelled and read by every card.
     synth_ctx: Vec<[AssembledContext; 4]>,
     astro_ctx: Vec<[AssembledContext; 4]>,
     /// Which exam questions are not mathematical (Table 4's subset).
@@ -137,19 +137,18 @@ pub struct Evaluator<'a> {
     rates: PipelineRates,
     hub: &'a ModelHub,
     exec: Executor,
-    /// The serving front door every retrieval bundle replays through: the
-    /// same admission queue and micro-batching dispatcher online traffic
-    /// uses, over the pipeline's own registry, encoder and executor. Each
-    /// bundle is one replay over all four sources — one admission unit,
-    /// one dispatch, one reply — and both bundles share the service, so a
-    /// stem is encoded once however many sources and bundles ask for it.
-    /// It is private to this evaluator, so a replay never queues ahead of
-    /// online traffic.
+    /// The serving front door retrieval replays through: the same
+    /// admission queue and micro-batching dispatcher online traffic uses,
+    /// over the pipeline's own registry, encoder and executor. Each
+    /// benchmark's retrieval is one replay over all four sources — one
+    /// admission unit, one dispatch, one reply — and both replays share
+    /// the service, so a stem is encoded once however many sources and
+    /// benchmarks ask for it. It is private to this evaluator, so a replay
+    /// never queues ahead of online traffic.
     service: QueryService,
     report: Mutex<RunReport>,
     /// Snapshot of the report right after construction: the one-time
-    /// retrieval and assembly prep, attributed in full to every run's
-    /// report.
+    /// retrieval prep, attributed in full to every run's report.
     prep_report: RunReport,
 }
 
@@ -159,35 +158,21 @@ impl<'a> Evaluator<'a> {
         let exec = output.executor.clone();
         let hub = &*output.models;
         let exam = AstroExam::generate(&output.ontology, hub, config.seed, &exec);
-        let service = retrieval_service(output);
-        let texts = PassageTexts::new(output);
-        let (synth_bundle, synth_m) = RetrievalBundle::build_metered(
-            &texts,
-            &output.items,
-            config.retrieval_k,
-            config.retrieval,
-            &service,
-        );
-        let (astro_bundle, astro_m) = RetrievalBundle::build_metered(
-            &texts,
-            &exam.items,
-            config.retrieval_k,
-            config.retrieval,
-            &service,
-        );
         let synth_items: Vec<_> = output.items.iter().cloned().map(PreparedItem::new).collect();
         let exam_items: Vec<_> = exam.items.iter().cloned().map(PreparedItem::new).collect();
-        let (synth_ctx, synth_a) = assemble_all(&exec, &synth_items, &synth_bundle);
-        let (astro_ctx, astro_a) = assemble_all(&exec, &exam_items, &astro_bundle);
+        let service = retrieval_service(output);
+        let labels = HitLabels::new(output);
+        let (k, mode) = (config.retrieval_k, config.retrieval);
+        let (synth_ctx, synth_m) = retrieve_contexts(&labels, &synth_items, k, mode, &service);
+        let (astro_ctx, astro_m) = retrieve_contexts(&labels, &exam_items, k, mode, &service);
         let mut report = RunReport::new();
-        for m in [synth_m, astro_m, synth_a, astro_a] {
-            report.absorb(m);
-        }
+        report.absorb(synth_m);
+        report.absorb(astro_m);
 
         // Measured usable-hit rates (the solver's h values).
         let nomath_mask: Vec<bool> = exam.items.iter().map(|i| !i.is_math).collect();
-        let synth = Source::ALL.map(|s| synth_bundle.hit_rate(s, None));
-        let astro = Source::ALL.map(|s| astro_bundle.hit_rate(s, Some(&nomath_mask)));
+        let synth = Source::ALL.map(|s| hit_rate(&synth_ctx, s, None));
+        let astro = Source::ALL.map(|s| hit_rate(&astro_ctx, s, Some(&nomath_mask)));
         let rates = PipelineRates {
             synth_chunk: synth[0],
             synth_trace: [synth[1], synth[2], synth[3]],
@@ -217,35 +202,12 @@ impl<'a> Evaluator<'a> {
         self.report.lock().expect("report lock").absorb(m);
     }
 
-    /// The evaluation stage report accumulated so far (retrieve, assemble,
-    /// answer+grade rows) — **cumulative** across every card this evaluator
-    /// has evaluated. [`Evaluator::run_cards`] attaches a per-run view to
-    /// its `EvalRun` instead.
+    /// The evaluation stage report accumulated so far (retrieve and
+    /// answer+grade rows) — **cumulative** across every card this
+    /// evaluator has evaluated. [`Evaluator::run_cards`] attaches a per-run
+    /// view to its `EvalRun` instead.
     pub fn report(&self) -> RunReport {
         self.report.lock().expect("report lock").clone()
-    }
-
-    /// One run's stage report: the one-time prep rows (retrieval, assembly)
-    /// in full, plus — for every other stage — the strict `after − before`
-    /// delta. Stages the run never touched contribute nothing, so repeated
-    /// runs on one evaluator cannot inherit each other's work.
-    fn report_delta(prep: &RunReport, after: &RunReport, before: &RunReport) -> RunReport {
-        let mut out = prep.clone();
-        for s in after.stages() {
-            let zero = StageMetrics::single(&s.name, 0, 0, 0.0);
-            let p = before.stages().iter().find(|p| p.name == s.name).unwrap_or(&zero);
-            let d = StageMetrics {
-                name: s.name.clone(),
-                items: s.items - p.items,
-                panics: s.panics - p.panics,
-                produced: s.produced - p.produced,
-                elapsed_secs: s.elapsed_secs - p.elapsed_secs,
-            };
-            if d.items > 0 || d.produced > 0 || d.elapsed_secs > 0.0 {
-                out.absorb(d);
-            }
-        }
-        out
     }
 
     /// The generated exam.
@@ -253,15 +215,23 @@ impl<'a> Evaluator<'a> {
         &self.exam
     }
 
-    /// Ledger snapshot of the retrieval service every bundle replayed
+    /// Ledger snapshot of the retrieval service every replay went
     /// through (admission, batch-size, and per-stage time accounting).
     pub fn serve_stats(&self) -> mcqa_serve::ServiceSnapshot {
         self.service.stats()
     }
 
     /// Evaluate one model card against the contexts and rates
-    /// [`Evaluator::new`] prepared.
+    /// [`Evaluator::new`] prepared, folding its `eval-answer` row into
+    /// [`Evaluator::report`].
     pub fn evaluate_card(&self, card: &ModelCard) -> ModelEval {
+        let (eval, metrics) = self.answer_card(card);
+        self.absorb(metrics);
+        eval
+    }
+
+    /// One card's answers and grades, with the card's `eval-answer` row.
+    fn answer_card(&self, card: &ModelCard) -> (ModelEval, StageMetrics) {
         let calibration = resolve(card, &self.rates);
         let model = ResolvedModel::new(card.clone(), calibration.clone());
         let seed = self.config.seed;
@@ -299,7 +269,6 @@ impl<'a> Evaluator<'a> {
             let question = items[i].item();
             self.hub.grade(seed, &answer, question.correct, question.options.len()).correct
         });
-        self.absorb(metrics);
         let mut grades = grades.into_iter();
         let [synth, astro_all, astro_nomath] = picked.map(|ids| {
             let accuracy = |cond| {
@@ -310,7 +279,9 @@ impl<'a> Evaluator<'a> {
             conditions.iter().copied().map(accuracy).collect::<Vec<_>>()
         });
 
-        ModelEval { name: card.name.to_string(), calibration, synth, astro_all, astro_nomath }
+        let eval =
+            ModelEval { name: card.name.to_string(), calibration, synth, astro_all, astro_nomath };
+        (eval, metrics)
     }
 
     /// Evaluate the paper's full model roster.
@@ -322,32 +293,25 @@ impl<'a> Evaluator<'a> {
     /// run's stage work (plus the shared retrieval prep), so repeated runs
     /// on one evaluator don't inflate each other's numbers.
     pub fn run_cards(&self, cards: &[ModelCard]) -> EvalRun {
-        let before = self.report();
-        let models = cards.iter().map(|c| self.evaluate_card(c)).collect();
+        let mut report = self.prep_report.clone();
+        let models = cards
+            .iter()
+            .map(|card| {
+                let (eval, metrics) = self.answer_card(card);
+                report.absorb(metrics.clone());
+                self.absorb(metrics);
+                eval
+            })
+            .collect();
         EvalRun {
             models,
             rates: self.rates,
             synth_questions: self.output.items.len(),
             astro_questions: self.exam.items.len(),
             astro_nomath_questions: self.exam.no_math_items().len(),
-            report: Self::report_delta(&self.prep_report, &self.report(), &before),
+            report,
         }
     }
-}
-
-/// The `eval-assemble` stage: every (item, source) context of one
-/// benchmark, in [`Source::ALL`] order.
-fn assemble_all(
-    exec: &Executor,
-    items: &[PreparedItem],
-    bundle: &RetrievalBundle,
-) -> (Vec<[AssembledContext; 4]>, StageMetrics) {
-    run_stage(exec, "eval-assemble", (0..items.len()).collect(), |qi| {
-        let item = &items[qi];
-        Source::ALL.map(|s| {
-            mcqa_llm::context::assemble(item.item().fact, item.tokens(), bundle.passages(qi, s))
-        })
-    })
 }
 
 #[cfg(test)]
@@ -390,29 +354,29 @@ mod tests {
     }
 
     #[test]
-    fn report_delta_isolates_one_run() {
-        let m =
-            |name: &str, items: usize, secs: f64| StageMetrics::single(name, items, items, secs);
-        let mut prep = RunReport::new();
-        prep.absorb(m("eval-retrieve", 100, 1.0));
-        // A first run already happened before this run's snapshot.
-        let mut before = prep.clone();
-        before.absorb(m("eval-assemble", 40, 0.1));
-        before.absorb(m("eval-answer", 500, 2.0));
-        // This run answers again but never assembles.
-        let mut after = before.clone();
-        after.absorb(m("eval-answer", 500, 2.5));
-        let delta = Evaluator::report_delta(&prep, &after, &before);
-        let get = |n: &str| delta.stages().iter().find(|s| s.name == n);
-        assert_eq!(get("eval-retrieve").unwrap().items, 100, "prep carried over whole");
-        let answer = get("eval-answer").unwrap();
-        assert_eq!(answer.items, 500, "only this run's answering counted");
-        assert!((answer.elapsed_secs - 2.5).abs() < 1e-12);
-        assert!(get("eval-assemble").is_none(), "untouched stages contribute nothing");
-        // A run that did no work reports prep only.
-        let empty = Evaluator::report_delta(&prep, &after, &after);
-        assert_eq!(empty.stages().len(), 1);
-        assert_eq!(empty.stages()[0].name, "eval-retrieve");
+    fn each_run_reports_its_own_answers() {
+        // Two runs on one evaluator: each run's report holds the shared
+        // retrieval prep once and its own answers only, while the
+        // evaluator's cumulative report holds both runs' answers. A fresh
+        // pipeline keeps these runs off the shared fixture's model ledger.
+        let output = Pipeline::run(&PipelineConfig::tiny(42));
+        let evaluator = Evaluator::new(&output, EvalConfig::default());
+        let cards = &MODEL_CARDS[..2];
+        let runs = [evaluator.run_cards(cards), evaluator.run_cards(cards)];
+        let row = |report: &RunReport, name: &str| {
+            report.stages().iter().find(|s| s.name == name).cloned().expect(name)
+        };
+        let cumulative = evaluator.report();
+        let prep = row(&cumulative, "eval-retrieve");
+        assert_eq!(prep.items, output.items.len() + evaluator.exam().items.len());
+        let run = &runs[0];
+        let per_run =
+            2 * 5 * (run.synth_questions + run.astro_questions + run.astro_nomath_questions);
+        for run in &runs {
+            assert_eq!(row(&run.report, "eval-retrieve"), prep, "the prep row, whole");
+            assert_eq!(row(&run.report, "eval-answer").items, per_run, "one run's answers");
+        }
+        assert_eq!(row(&cumulative, "eval-answer").items, 2 * per_run, "both runs' answers");
     }
 
     #[test]
@@ -422,13 +386,14 @@ mod tests {
         let (output, run) = eval_run();
         let n_items = output.items.len();
         let names: Vec<&str> = run.report.stages().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["eval-retrieve", "eval-assemble", "eval-answer"]);
+        assert_eq!(names, vec!["eval-retrieve", "eval-answer"]);
         // Retrieval goes through the timed multi-query path: its row
         // reports a measured questions/s, not an unmeasured inline loop.
+        // Each question is retrieved and its contexts assembled once,
+        // whatever the cards.
         let retrieve = &run.report.stages()[0];
-        assert!(retrieve.items > 0 && retrieve.elapsed_secs > 0.0, "{retrieve:?}");
-        // Each question's contexts are assembled once, whatever the cards.
-        assert_eq!(run.report.stages()[1].items, n_items + run.astro_questions);
+        assert!(retrieve.elapsed_secs > 0.0, "{retrieve:?}");
+        assert_eq!(retrieve.items, n_items + run.astro_questions);
         let answer = run.report.stages().iter().find(|s| s.name == "eval-answer").unwrap();
         // 8 cards × 5 conditions × (synth + astro-all + astro-nomath).
         let expected = 8 * 5 * (n_items + run.astro_questions + run.astro_nomath_questions);

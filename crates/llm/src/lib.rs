@@ -101,7 +101,7 @@ pub(crate) mod trace;
 
 pub use answer::{Condition, ResolvedModel};
 pub use cards::{BenchTargets, ModelCard, GPT4_ASTRO_REFERENCE, MODEL_CARDS};
-pub use context::{AssembledContext, Passage};
+pub use context::AssembledContext;
 pub use hub::ModelHub;
 pub use ledger::{Role, RoleStats};
 pub use mcq::{BenchKind, McqItem, PreparedItem, OPTION_LETTERS};

@@ -184,7 +184,7 @@ mod tests {
         let mut r = RunReport::new();
         r.absorb(m("eval-answer", 100, 100, 1.0));
         r.absorb(m("eval-answer", 50, 40, 0.5));
-        r.absorb(m("eval-assemble", 10, 10, 0.1));
+        r.absorb(m("eval-retrieve", 10, 10, 0.1));
         assert_eq!(r.stages().len(), 2);
         let ans = &r.stages()[0];
         assert_eq!(ans.items, 150);

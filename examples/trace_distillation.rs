@@ -7,7 +7,6 @@
 //! ```
 
 use distllm::llm::context::assemble;
-use distllm::llm::Passage;
 use distllm::prelude::*;
 
 fn main() {
@@ -37,27 +36,24 @@ fn main() {
         .iter()
         .find(|c| c.chunk_id == record.provenance.chunk_id)
         .expect("source chunk exists");
-    // A passage carries its token count: the chunk record already holds
-    // one, the trace is counted here.
-    let chunk_passage = Passage::new(&source_chunk.text, source_chunk.tokens, Some(item.fact));
+    // A context reads each passage's token count and whether it supports
+    // the question's fact: the chunk record already holds a count, the
+    // trace is counted here. Both support this question's fact.
+    let chunk_tokens = source_chunk.tokens;
     let trace_text = &output
         .traces
         .iter()
         .find(|t| t.question_id == item.qid && t.mode == TraceMode::Efficient)
         .expect("trace exists")
         .trace;
-    let trace_passage =
-        Passage::new(trace_text, distllm::text::token_count(trace_text), Some(item.fact));
+    let trace_tokens = distllm::text::token_count(trace_text);
     let q_tokens = item.prompt_tokens();
 
-    let c = assemble(item.fact, q_tokens, &vec![chunk_passage.clone(); 5]);
-    let t = assemble(item.fact, q_tokens, &vec![trace_passage.clone(); 5]);
+    let c = assemble(q_tokens, [(chunk_tokens, true); 5]);
+    let t = assemble(q_tokens, [(trace_tokens, true); 5]);
     println!("\n== prompt cost of five retrieved passages ==");
     println!(
         "chunk ≈ {} tokens → {} prompt tokens; trace ≈ {} tokens → {} prompt tokens",
-        chunk_passage.tokens(),
-        c.prompt_tokens,
-        trace_passage.tokens(),
-        t.prompt_tokens
+        chunk_tokens, c.prompt_tokens, trace_tokens, t.prompt_tokens
     );
 }

@@ -59,7 +59,7 @@ done
 # the pipeline stages (generate+judge included) and the eval stages via
 # runtime StageMetrics. That the eval-retrieve row is measured (items and
 # seconds both non-zero) is asserted in mcqa-eval's tests.
-for stage in generate+judge eval-retrieve eval-assemble eval-answer out/s; do
+for stage in generate+judge eval-retrieve eval-answer out/s; do
     if ! grep -qF "${stage}" <<<"${ALL_OUT}"; then
         echo "repro smoke FAILED: 'repro all' stage report is missing '${stage}'" >&2
         exit 1
