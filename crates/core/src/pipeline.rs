@@ -13,11 +13,18 @@
 //! none touches the report: `scan` (`ingest-scan`) → `parse` → `chunk`
 //! (the chunk vectors ride out with the chunks) → `merge_chunks`
 //! (`ingest-chunks`) → `copy_registry` (`ingest-registry`, incremental
-//! runs only) → `refresh_source` (`index-chunks`, `index-lex-chunks`) →
-//! `generate_and_judge` (`generate+judge`) → `distil` (`traces`) →
-//! `merge_questions` (no row) → `embed_traces` (`embed-traces`) →
-//! `refresh_source` once per trace mode (`index-traces-<mode>`,
-//! `index-lex-traces-<mode>`).
+//! runs only) → `refresh_source` (`index-chunks`, plus `index-lex-chunks`
+//! on incremental runs) → `generate_and_judge` (`generate+judge`) →
+//! `distil` (`traces`) → `merge_questions` (no row) → `embed_traces`
+//! (`embed-traces`) → `refresh_source` once per trace mode
+//! (`index-traces-<mode>`, plus `index-lex-traces-<mode>` on incremental
+//! runs).
+//!
+//! A cold build registers each BM25 sibling unbuilt, so the dense-only
+//! evaluation, the paper's protocol, never pays for one: whatever reads a
+//! sibling first (lexical or hybrid retrieval, the registry's bytes)
+//! builds it. An incremental round builds the previous round's sibling,
+//! then edits it, and reports its `index-lex-*` row.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -25,7 +32,6 @@ use std::time::Instant;
 
 use mcqa_corpus::{CorpusLibrary, DocId};
 use mcqa_index::embed::{BioEncoder, Precision};
-use mcqa_index::lexical::LexicalIndex;
 use mcqa_index::{FlatIndex, IndexRegistry, Metric, VectorStore};
 use mcqa_llm::{BenchKind, McqItem, ModelHub, QuestionPrompt, TraceMode, OPTION_LETTERS};
 use mcqa_ontology::Ontology;
@@ -75,8 +81,11 @@ pub struct PipelineOutput {
     /// The paper's four vector databases behind one registry, each an
     /// exact FP16 cosine [`FlatIndex`]: [`CHUNKS_STORE`] keyed by
     /// `chunk_id` plus one [`TraceMode::db_name`] store per mode keyed by
-    /// `question_id`. `Arc`-shared so the serving layer's dispatcher
-    /// thread can hold the registry without copying the stores.
+    /// `question_id`. Each has a BM25 sibling under
+    /// [`IndexRegistry::lexical_sibling`]; a cold build registers the
+    /// siblings unbuilt, and the first read of one builds it. `Arc`-shared
+    /// so the serving layer's dispatcher thread can hold the registry
+    /// without copying the stores.
     pub indexes: Arc<IndexRegistry>,
     /// The model hub that served every model call: the simulator and the
     /// per-role call ledger. The evaluator routes its judge/classifier/answerer
@@ -423,15 +432,19 @@ struct SourceEdit<'a> {
 }
 
 /// Bring one retrieval source — the dense store `name` and its `lex-`
-/// sibling — up to date with `edit`: compact what the previous round left
+/// sibling — up to date with `edit`. A cold build (nothing registered
+/// under `name`, nothing dead or moved) makes the dense store a fresh
+/// [`FlatIndex`] over the rows and registers the sibling unbuilt over the
+/// same texts ([`IndexRegistry::insert_lexical_unbuilt`]): whatever reads
+/// it first builds it. It returns the `index-<name>` row alone. An
+/// incremental round builds the previous sibling if it is unbuilt, then
+/// edits both sides alike: compact what the previous round left
 /// tombstoned, tombstone the rows of the dead ids, move the shifted rows
 /// to their new ids in place ([`VectorStore::rekey`]), add the fresh
 /// rows, and compact a side once its tombstones pass the threshold. A
-/// move that finds no live row is a wiring bug and panics. A cold build
-/// is the same plan with nothing registered, dead or moved: the dense
-/// store is a fresh [`FlatIndex`] holding the rows and the sibling starts
-/// empty. Returns the `index-<name>` and `index-lex-<name>` rows (items =
-/// rows added, out = live rows afterwards).
+/// move that finds no live row is a wiring bug and panics. It returns the
+/// `index-<name>` and `index-lex-<name>` rows. Items = rows added, out =
+/// live rows afterwards.
 ///
 /// The start-of-round compaction keeps a round's input what a decode of
 /// the previous registry's tombstone-free wire format would be, so the
@@ -444,41 +457,39 @@ fn refresh_source(
     census: &mut IngestCensus,
     name: &str,
     edit: SourceEdit<'_>,
-) -> [StageMetrics; 2] {
+) -> Vec<StageMetrics> {
     let t = Instant::now();
-    match indexes.get_mut(name) {
-        None => {
-            let mut store = FlatIndex::new(config.embed.dim, Metric::Cosine, Precision::F16);
-            store.add_batch(exec, &edit.vectors);
-            indexes.insert(name, Box::new(store));
-        }
-        Some(store) => {
-            store.compact(exec);
-            census.tombstones_dense += store.remove(edit.dead);
-            let moved = store.rekey(edit.moves);
-            assert_eq!(moved, edit.moves.len(), "{name}: a re-key found no live row");
-            census.rekeyed_dense += moved;
-            store.add_batch(exec, &edit.vectors);
-            if over_tombstone_threshold(store.tombstones(), store.len()) {
-                store.compact(exec);
-                census.compactions += 1;
-            }
-        }
+    // The BM25 sibling covers the same texts, keyed by the same ids, so
+    // both channels retrieve the same documents.
+    let sibling = IndexRegistry::lexical_sibling(name);
+    let Some(store) = indexes.get_mut(name) else {
+        let mut store = FlatIndex::new(config.embed.dim, Metric::Cosine, Precision::F16);
+        store.add_batch(exec, &edit.vectors);
+        let (added, live) = (edit.vectors.len(), store.len());
+        indexes.insert(name, Box::new(store));
+        let rows = edit.texts.into_iter().map(|(id, text)| (id, text.into())).collect();
+        indexes.insert_lexical_unbuilt(&sibling, exec, rows);
+        let secs = t.elapsed().as_secs_f64();
+        return vec![StageMetrics::single(&format!("index-{name}"), added, live, secs)];
+    };
+    store.compact(exec);
+    census.tombstones_dense += store.remove(edit.dead);
+    let moved = store.rekey(edit.moves);
+    assert_eq!(moved, edit.moves.len(), "{name}: a re-key found no live row");
+    census.rekeyed_dense += moved;
+    store.add_batch(exec, &edit.vectors);
+    if over_tombstone_threshold(store.tombstones(), store.len()) {
+        store.compact(exec);
+        census.compactions += 1;
     }
     let dense = StageMetrics::single(
         &format!("index-{name}"),
         edit.vectors.len(),
-        indexes.expect_store(name).len(),
+        store.len(),
         t.elapsed().as_secs_f64(),
     );
 
-    // The BM25 sibling over the same texts, keyed by the same ids, so both
-    // channels retrieve the same documents.
     let t = Instant::now();
-    let sibling = IndexRegistry::lexical_sibling(name);
-    if indexes.lexical(&sibling).is_none() {
-        indexes.insert_lexical(&sibling, LexicalIndex::new(Default::default()));
-    }
     let lex = indexes.expect_lexical_mut(&sibling);
     lex.compact();
     census.tombstones_lexical += lex.remove(edit.dead);
@@ -496,7 +507,7 @@ fn refresh_source(
         lex.len(),
         t.elapsed().as_secs_f64(),
     );
-    [dense, lexical]
+    vec![dense, lexical]
 }
 
 /// An accepted outcome of the re-run slice: its chunk id, question record
@@ -788,7 +799,8 @@ mod tests {
             assert_eq!(lex.len(), out.items.len());
         }
         // Figure-1 stage census, including the ingest planner's scan and
-        // merge rows and one build row per store (dense and lexical).
+        // merge rows and one build row per dense store. The siblings are
+        // registered unbuilt, so they have no row.
         let names: Vec<&str> = out.report.stages().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -799,16 +811,12 @@ mod tests {
                 "chunk",
                 "ingest-chunks",
                 "index-chunks",
-                "index-lex-chunks",
                 "generate+judge",
                 "traces",
                 "embed-traces",
                 "index-traces-detailed",
-                "index-lex-traces-detailed",
                 "index-traces-focused",
-                "index-lex-traces-focused",
                 "index-traces-efficient",
-                "index-lex-traces-efficient",
             ]
         );
         // The cold build is the all-added degenerate case of the planner.
@@ -1004,23 +1012,25 @@ mod tests {
         assert_eq!(out.manifest, prev.manifest);
         let teacher = out.models.ledger().role(mcqa_llm::Role::Teacher);
         assert_eq!(teacher.calls, 0, "no-op run must not burn model calls");
-        // Every store was found registered: its row adds nothing and
-        // reports what the previous run left. The cold build's rows took
-        // the other side of that decision (everything in, the same out).
+        // Every store and sibling was found registered: its row adds
+        // nothing and reports what the previous run left. The cold build's
+        // dense rows took the other side of that decision (everything in,
+        // the same out); its siblings were registered unbuilt, with no row.
         let row = |report: &RunReport, name: &str| {
-            let s = report.stages().iter().find(|s| s.name == name).expect("stage row");
-            (s.items, s.produced)
+            let s = report.stages().iter().find(|s| s.name == name)?;
+            Some((s.items, s.produced))
         };
         for name in prev.indexes.names() {
             let len = prev.indexes.expect_store(name).len();
-            for stage in [format!("index-{name}"), format!("index-lex-{name}")] {
-                assert_eq!(row(&out.report, &stage), (0, len), "{stage}");
-                assert_eq!(row(&prev.report, &stage), (len, len), "{stage}");
-            }
+            let (dense, lexical) = (format!("index-{name}"), format!("index-lex-{name}"));
+            assert_eq!(row(&out.report, &dense), Some((0, len)), "{dense}");
+            assert_eq!(row(&out.report, &lexical), Some((0, len)), "{lexical}");
+            assert_eq!(row(&prev.report, &dense), Some((len, len)), "{dense}");
+            assert_eq!(row(&prev.report, &lexical), None, "{lexical}");
         }
         // The copy of the previous registry has its own row: four stores
         // and four siblings. A cold build has nothing to copy.
-        assert_eq!(row(&out.report, "ingest-registry"), (8, 8));
+        assert_eq!(row(&out.report, "ingest-registry"), Some((8, 8)));
         assert!(prev.report.stages().iter().all(|s| s.name != "ingest-registry"));
     }
 

@@ -380,6 +380,18 @@ mod tests {
     }
 
     #[test]
+    fn a_dense_evaluation_leaves_the_lexical_siblings_unbuilt() {
+        // The registry's `Debug` names each sibling's state without
+        // building it. A fresh pipeline, so no other test's read can build
+        // these siblings.
+        let output = Pipeline::run(&PipelineConfig::tiny(42));
+        Evaluator::new(&output, EvalConfig::default()).run();
+        let debug = format!("{:?}", output.indexes);
+        assert_eq!(debug.matches("lexical (bm25, unbuilt)").count(), 4, "{debug}");
+        assert!(!debug.contains("lexical (bm25, built)"), "{debug}");
+    }
+
+    #[test]
     fn eval_report_covers_runtime_stages() {
         // Evaluation runs on the pipeline's scheduler, so its stages must
         // appear on the same metrics surface as the pipeline's.
@@ -483,13 +495,16 @@ mod tests {
     fn every_context_fits_the_smallest_window() {
         // The evaluator assembles each context once for every card, which
         // is only sound while no card's window would drop a passage, under
-        // any retrieval mode.
-        let (output, run) = eval_run();
+        // any retrieval mode. Each evaluator classifies the exam through
+        // its output's hub, so a fresh pipeline keeps these three off the
+        // shared fixture's model ledger.
+        let output = Pipeline::run(&PipelineConfig::tiny(42));
+        let (_, run) = eval_run();
         let smallest = MODEL_CARDS.iter().map(|c| c.context_window).min().unwrap();
         let hybrid = QueryMode::Hybrid { fusion: Default::default(), rerank: false, depth: 0 };
         for retrieval in [QueryMode::Dense, QueryMode::Lexical, hybrid] {
             let evaluator =
-                Evaluator::new(output, EvalConfig { retrieval, ..EvalConfig::default() });
+                Evaluator::new(&output, EvalConfig { retrieval, ..EvalConfig::default() });
             let contexts = evaluator.synth_ctx.iter().chain(&evaluator.astro_ctx).flatten();
             let largest = contexts.map(|c| c.prompt_tokens).max().unwrap_or(0);
             let mode = retrieval.label();

@@ -13,22 +13,94 @@
 //! name (the pipeline uses `lex-chunks` / `lex-traces-<mode>`). Siblings
 //! ride the same serialised registry as a trailing lexical section.
 //!
+//! A sibling may be registered **unbuilt**
+//! ([`IndexRegistry::insert_lexical_unbuilt`]): it holds its `(id, text)`
+//! rows and an executor, and builds itself once, on its first read. Four
+//! calls read it: [`IndexRegistry::lexical`],
+//! [`IndexRegistry::expect_lexical`], [`IndexRegistry::expect_lexical_mut`]
+//! and [`IndexRegistry::to_bytes`]. Concurrent first reads wait on one
+//! build. [`IndexRegistry::lexical_names`], `Clone` and `Debug` build
+//! nothing; a clone of an unbuilt sibling builds on its own first read.
+//! The build is [`LexicalIndex::add_batch`] over the rows in order, so it
+//! is bit-identical to inserting the same rows eagerly.
+//!
 //! A registry holds decoded values only: [`IndexRegistry::from_bytes`]
 //! decodes every entry of both sections when it opens a blob and refuses
 //! the whole blob if any entry is corrupt, so no lookup ever meets bytes.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+use mcqa_runtime::Executor;
 
 use crate::codec::{put_u32, Reader};
 use crate::lexical::LexicalIndex;
 use crate::{decode_store, VectorStore};
 
 /// A registry of named vector stores plus their lexical siblings. A clone
-/// is a deep copy of every entry (see [`VectorStore::boxed_clone`]).
+/// is a deep copy of every entry (see [`VectorStore::boxed_clone`]); an
+/// unbuilt sibling's clone shares its rows.
 #[derive(Clone, Default)]
 pub struct IndexRegistry {
     stores: BTreeMap<String, Box<dyn VectorStore>>,
-    lexical: BTreeMap<String, LexicalIndex>,
+    lexical: BTreeMap<String, Sibling>,
+}
+
+/// A lexical sibling, built or waiting for its first read.
+struct Sibling {
+    index: OnceLock<LexicalIndex>,
+    /// An unbuilt sibling's rows; the build takes them.
+    rows: Mutex<Option<Arc<Rows>>>,
+}
+
+/// What an unbuilt sibling builds from: its `(id, text)` rows in insertion
+/// order, and the executor the build fans out on.
+struct Rows {
+    items: Vec<(u64, Box<str>)>,
+    exec: Executor,
+}
+
+impl Sibling {
+    fn built(index: LexicalIndex) -> Self {
+        Self { index: OnceLock::from(index), rows: Mutex::new(None) }
+    }
+
+    fn unbuilt(rows: Arc<Rows>) -> Self {
+        Self { index: OnceLock::new(), rows: Mutex::new(Some(rows)) }
+    }
+
+    /// The rows of a sibling not yet built. The lock is only ever held to
+    /// take or copy the handle, so a poisoned one still holds a valid value.
+    fn pending(&self) -> MutexGuard<'_, Option<Arc<Rows>>> {
+        self.rows.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The index, built now if it is not yet. A second first read waits
+    /// on the build in flight instead of starting its own.
+    fn get(&self) -> &LexicalIndex {
+        self.index.get_or_init(|| {
+            let rows = self.pending().take().expect("an unbuilt sibling holds its rows");
+            let mut index = LexicalIndex::new(Default::default());
+            index.add_batch(&rows.exec, &rows.items);
+            index
+        })
+    }
+
+    fn get_mut(&mut self) -> &mut LexicalIndex {
+        self.get();
+        self.index.get_mut().expect("built above")
+    }
+}
+
+impl Clone for Sibling {
+    fn clone(&self) -> Self {
+        let rows = self.pending().clone();
+        match rows {
+            Some(rows) => Self::unbuilt(rows),
+            // Built, or being built by another thread: `get` waits for it.
+            None => Self::built(self.get().clone()),
+        }
+    }
 }
 
 impl IndexRegistry {
@@ -102,29 +174,42 @@ impl IndexRegistry {
     /// dense source with [`IndexRegistry::lexical_sibling`]), replacing
     /// any existing one.
     pub fn insert_lexical(&mut self, name: &str, index: LexicalIndex) {
-        self.lexical.insert(name.to_string(), index);
+        self.lexical.insert(name.to_string(), Sibling::built(index));
     }
 
-    /// Borrow a lexical sibling by name. `None` when no sibling is
-    /// registered under `name`.
+    /// Register an unbuilt lexical sibling under `name`, replacing any
+    /// existing one: its first read indexes `rows` in order on `exec`,
+    /// as [`LexicalIndex::add_batch`] on a default index would now.
+    pub fn insert_lexical_unbuilt(
+        &mut self,
+        name: &str,
+        exec: &Executor,
+        rows: Vec<(u64, Box<str>)>,
+    ) {
+        let rows = Arc::new(Rows { items: rows, exec: exec.clone() });
+        self.lexical.insert(name.to_string(), Sibling::unbuilt(rows));
+    }
+
+    /// Borrow a lexical sibling by name, building it if it is unbuilt.
+    /// `None` when no sibling is registered under `name`.
     pub fn lexical(&self, name: &str) -> Option<&LexicalIndex> {
-        self.lexical.get(name)
+        self.lexical.get(name).map(Sibling::get)
     }
 
     /// Mutably borrow a lexical sibling that must exist — the
-    /// incremental-ingest path. Panics with the registered names when it
-    /// doesn't exist.
+    /// incremental-ingest path — building it if it is unbuilt. Panics with
+    /// the registered names when it doesn't exist.
     pub fn expect_lexical_mut(&mut self, name: &str) -> &mut LexicalIndex {
         assert!(
             self.lexical.contains_key(name),
             "lexical index '{name}' not registered (have: {:?})",
             self.lexical_names()
         );
-        self.lexical.get_mut(name).expect("checked above")
+        self.lexical.get_mut(name).expect("checked above").get_mut()
     }
 
-    /// Borrow a lexical sibling that must exist; panics with the
-    /// registered names when it doesn't.
+    /// Borrow a lexical sibling that must exist, building it if it is
+    /// unbuilt; panics with the registered names when it doesn't exist.
     pub fn expect_lexical(&self, name: &str) -> &LexicalIndex {
         self.lexical(name).unwrap_or_else(|| {
             panic!("lexical index '{name}' not registered (have: {:?})", self.lexical_names())
@@ -137,11 +222,12 @@ impl IndexRegistry {
     }
 
     /// Serialise every store (name-tagged, in name order), then the
-    /// lexical siblings as a trailing section in the same framing.
+    /// lexical siblings as a trailing section in the same framing,
+    /// building each unbuilt sibling first.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Self::MAGIC.to_vec();
         put_section(&mut out, &self.stores, |s| s.to_bytes());
-        put_section(&mut out, &self.lexical, LexicalIndex::to_bytes);
+        put_section(&mut out, &self.lexical, |s| s.get().to_bytes());
         out
     }
 
@@ -153,7 +239,7 @@ impl IndexRegistry {
         let mut r = Reader::new(bytes);
         r.expect_magic(Self::MAGIC)?;
         let stores = read_section(&mut r, decode_store)?;
-        let lexical = read_section(&mut r, LexicalIndex::from_bytes)?;
+        let lexical = read_section(&mut r, |b| LexicalIndex::from_bytes(b).map(Sibling::built))?;
         r.exhausted().then_some(Self { stores, lexical })
     }
 
@@ -207,8 +293,9 @@ impl std::fmt::Debug for IndexRegistry {
         for (name, s) in &self.stores {
             d.entry(&name, &format_args!("{} vectors (dim {})", s.len(), s.dim()));
         }
-        for name in self.lexical.keys() {
-            d.entry(&name, &format_args!("lexical (bm25)"));
+        for (name, s) in &self.lexical {
+            let state = if s.index.get().is_some() { "built" } else { "unbuilt" };
+            d.entry(&name, &format_args!("lexical (bm25, {state})"));
         }
         d.finish()
     }
@@ -221,7 +308,6 @@ mod tests {
     use crate::flat::FlatIndex;
     use crate::metric::Metric;
     use crate::spec::{build_store_from_vectors, IndexSpec};
-    use mcqa_runtime::Executor;
 
     fn items(n: usize, dim: usize) -> Vec<(u64, Vec<f32>)> {
         (0..n)
@@ -425,6 +511,108 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(IndexRegistry::from_bytes(&bytes[..cut]).is_none(), "cut at {cut}");
         }
+    }
+
+    /// `n` documents over a small vocabulary, enough for a build to fan
+    /// out over several `add_batch` runs.
+    fn lexical_rows(n: usize) -> Vec<(u64, Box<str>)> {
+        const WORDS: [&str; 9] = [
+            "radiation",
+            "tumour",
+            "hypoxia",
+            "apoptosis",
+            "kinase",
+            "dose",
+            "cell",
+            "repair",
+            "signal",
+        ];
+        (0..n)
+            .map(|i| {
+                let text: Vec<&str> = (0..1 + i % 7).map(|j| WORDS[(i * 5 + j * 3) % 9]).collect();
+                (i as u64 * 2 + 1, text.join(" ").into())
+            })
+            .collect()
+    }
+
+    /// The same rows registered eagerly and unbuilt, each on its own pool
+    /// so a test can count the jobs a build runs.
+    fn eager_and_unbuilt(n: usize) -> (IndexRegistry, IndexRegistry, Executor) {
+        let rows = lexical_rows(n);
+        let mut lex = LexicalIndex::new(Default::default());
+        lex.add_batch(&Executor::new(2), &rows);
+        let mut eager = IndexRegistry::new();
+        eager.insert_lexical("lex-chunks", lex);
+        let exec = Executor::new(2);
+        let mut lazy = IndexRegistry::new();
+        lazy.insert_lexical_unbuilt("lex-chunks", &exec, rows);
+        (eager, lazy, exec)
+    }
+
+    fn is_built(reg: &IndexRegistry) -> bool {
+        let debug = format!("{reg:?}");
+        assert!(debug.contains("unbuilt") != debug.contains("bm25, built"), "{debug}");
+        debug.contains("bm25, built")
+    }
+
+    #[test]
+    fn an_unbuilt_sibling_serialises_like_an_eager_one() {
+        let (eager, lazy, exec) = eager_and_unbuilt(300);
+        assert_eq!(lazy.lexical_names(), vec!["lex-chunks"]);
+        assert!(!is_built(&lazy), "naming and formatting build nothing");
+        assert_eq!(exec.stats().total_executed(), 0);
+        assert_eq!(lazy.to_bytes(), eager.to_bytes());
+        assert!(is_built(&lazy), "to_bytes builds it");
+        assert_eq!(lazy.lexical("lex-chunks"), eager.lexical("lex-chunks"));
+    }
+
+    #[test]
+    fn a_clone_of_an_unbuilt_sibling_builds_on_its_own() {
+        let (eager, lazy, _) = eager_and_unbuilt(300);
+        let copy = lazy.clone();
+        assert_eq!(copy.expect_lexical("lex-chunks"), eager.expect_lexical("lex-chunks"));
+        assert!(is_built(&copy));
+        assert!(!is_built(&lazy), "the original waits for its own first read");
+        assert_eq!(lazy.expect_lexical("lex-chunks"), eager.expect_lexical("lex-chunks"));
+        // A clone of a built sibling is a built copy.
+        assert!(is_built(&lazy.clone()));
+    }
+
+    #[test]
+    fn edits_on_an_unbuilt_sibling_match_edits_on_an_eager_one() {
+        let (mut eager, mut lazy, _) = eager_and_unbuilt(300);
+        let exec = Executor::global();
+        let fresh = [(1_001, "kinase repair signal"), (1_003, "dose dose tumour")];
+        for reg in [&mut eager, &mut lazy] {
+            let lex = reg.expect_lexical_mut("lex-chunks");
+            assert_eq!(lex.remove(&[1, 7, 99]), 3);
+            lex.add_batch(exec, &fresh);
+        }
+        assert_eq!(lazy.expect_lexical("lex-chunks"), eager.expect_lexical("lex-chunks"));
+        assert_eq!(lazy.to_bytes(), eager.to_bytes());
+    }
+
+    #[test]
+    fn concurrent_first_reads_share_one_build() {
+        // Ten `add_batch` runs on a two-worker pool: one build queues a
+        // fixed number of jobs, so two builds would queue twice as many.
+        let (_, reference, ref_exec) = eager_and_unbuilt(640);
+        reference.expect_lexical("lex-chunks");
+        let one_build = ref_exec.stats().total_executed();
+        assert!(one_build > 0);
+
+        let (eager, lazy, exec) = eager_and_unbuilt(640);
+        let barrier = std::sync::Barrier::new(2);
+        let reads = std::thread::scope(|s| {
+            let read = || {
+                barrier.wait();
+                lazy.expect_lexical("lex-chunks") as *const LexicalIndex as usize
+            };
+            [s.spawn(read), s.spawn(read)].map(|h| h.join().expect("reader"))
+        });
+        assert_eq!(reads[0], reads[1], "both readers see the one index");
+        assert_eq!(exec.stats().total_executed(), one_build, "one build, not two");
+        assert_eq!(lazy.expect_lexical("lex-chunks"), eager.expect_lexical("lex-chunks"));
     }
 
     #[test]

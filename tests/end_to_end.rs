@@ -29,19 +29,16 @@ fn pipeline_stage_census_matches_figure1() {
             "chunk",
             "ingest-chunks",
             "index-chunks",
-            "index-lex-chunks",
             "generate+judge",
             "traces",
             "embed-traces",
             "index-traces-detailed",
-            "index-lex-traces-detailed",
             "index-traces-focused",
-            "index-lex-traces-focused",
             "index-traces-efficient",
-            "index-lex-traces-efficient",
         ],
         "workflow stages must match the paper's Figure 1 (plus the ingest planner's scan and \
-         merge rows, a build row per vector DB and its lexical sibling)"
+         merge rows and a build row per vector DB; a cold build leaves the lexical siblings \
+         unbuilt)"
     );
     // Parsing is allowed (and expected) to lose a few corrupt documents,
     // but must recover the overwhelming majority.

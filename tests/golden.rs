@@ -5,14 +5,18 @@
 //! What each test pins:
 //! - `tiny_seed42_artifacts_are_byte_identical_to_the_pre_redesign_pipeline`:
 //!   at `tiny(42)`, the chunk, question and trace counts and the FNV-1a of
-//!   the serialised questions, traces and index registry. The registry
-//!   holds every chunk and trace vector and all four lexical siblings, so
-//!   a change that flips one bit of one stored embedding trips it even
-//!   when the question / trace JSON stays the same.
+//!   the serialised questions, traces and index registry. The registry's
+//!   bytes hold every chunk and trace vector and all four lexical
+//!   siblings (a cold build registers the siblings unbuilt, and `to_bytes`
+//!   builds them), so a change that flips one bit of one stored embedding
+//!   trips it even when the question / trace JSON stays the same.
 //! - `tiny_seed42_undamaged_corpus_is_pinned`: the same census and triple
 //!   with transit damage switched off (`corruption_rate = 0.0`).
 //! - `tiny_seed42_eval_tables_are_pinned`: the evaluation tables' FNV and
 //!   every model role's call and token tallies on `tiny(42)`.
+//! - `tiny_seed42_lexical_and_hybrid_tables_are_pinned`: the tables' FNV
+//!   on `tiny(42)` under lexical and hybrid retrieval, both pinned at
+//!   34560b7, where the pipeline still built every sibling eagerly.
 //! - `scale_002_seed42_eval_is_pinned`: at the benchmark's own
 //!   `at_scale(0.02, 42)`, the `[golden]` triple and Figure-1 census that
 //!   `repro fig1 --scale 0.02 --seed 42` prints, the tables' FNV, the
@@ -120,6 +124,26 @@ fn tiny_seed42_eval_tables_are_pinned() {
     // Quality scoring and grading: one grade per answer.
     let judge = out.models.ledger().role(distllm::llm::Role::Judge);
     assert_eq!((judge.calls, judge.tokens_in, judge.tokens_out), (30_984, 460_861, 228_575));
+}
+
+/// The tables under the two retrieval modes that read the lexical
+/// siblings: BM25 alone, and BM25 fused with the dense store as
+/// `repro --retrieval hybrid` builds it.
+#[test]
+fn tiny_seed42_lexical_and_hybrid_tables_are_pinned() {
+    let out = Pipeline::run(&PipelineConfig::tiny(42));
+    let hybrid = QueryMode::Hybrid { fusion: Default::default(), rerank: false, depth: 0 };
+    for (retrieval, want) in
+        [(QueryMode::Lexical, 0x1c65_aca5_4557_102e), (hybrid, 0x9d66_0733_5988_3e82)]
+    {
+        let run = Evaluator::new(&out, EvalConfig { retrieval, ..EvalConfig::default() }).run();
+        assert_eq!(
+            tables_hash(&run),
+            want,
+            "the {} evaluation tables are no longer byte-identical to the golden run",
+            retrieval.label()
+        );
+    }
 }
 
 /// The benchmark's own scale (`paper-repro` runs `at_scale(0.02, seed)`):
