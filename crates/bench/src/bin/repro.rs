@@ -87,8 +87,8 @@ fn main() {
             println!("Figure 1 — workflow overview (stage census)\n");
             print!("{}", output.report.render());
             // The model layer's cost goes under the table, not in it: its
-            // busy time is summed across workers and already inside the
-            // `generate+judge` and `traces` rows.
+            // calls run inside the `generate+judge` and `traces` rows, which
+            // time them.
             println!();
             for line in output.models.ledger().summary_lines() {
                 println!("{line}");

@@ -1,5 +1,6 @@
-//! `repro models`: the per-role call ledger — calls, batch sizes, token
-//! in/out estimates and backend busy time.
+//! `repro models`: the per-role call ledger — calls, batch sizes and token
+//! in/out estimates. The ledger counts, it does not time, so the census is
+//! a pure function of the run's configuration, whatever the worker count.
 
 use mcqa_core::PipelineOutput;
 use mcqa_llm::RoleStats;
@@ -22,19 +23,18 @@ pub fn model_census(output: &PipelineOutput) -> Vec<(&'static str, RoleStats)> {
 pub fn render_model_census(output: &PipelineOutput, rows: &[(&'static str, RoleStats)]) -> String {
     let mut out = format!(
         "Model-layer call ledger (backend sim):\n\n\
-         {:<12} {:>10} {:>8} {:>11} {:>12} {:>12} {:>10}\n",
-        "role", "calls", "batches", "mean-batch", "tokens-in", "tokens-out", "busy-secs"
+         {:<12} {:>10} {:>8} {:>11} {:>12} {:>12}\n",
+        "role", "calls", "batches", "mean-batch", "tokens-in", "tokens-out"
     );
     for (role, s) in rows {
         out.push_str(&format!(
-            "{:<12} {:>10} {:>8} {:>11.1} {:>12} {:>12} {:>10.3}\n",
+            "{:<12} {:>10} {:>8} {:>11.1} {:>12} {:>12}\n",
             role,
             s.calls,
             s.batches,
             s.mean_batch_size(),
             s.tokens_in,
-            s.tokens_out,
-            s.busy_secs
+            s.tokens_out
         ));
     }
     out.push('\n');

@@ -11,7 +11,7 @@
 //! `repro_rows.rs`'s `bench_output()`, whose evaluations run concurrently
 //! with that suite's other tests and would move these totals.
 
-use mcqa_bench::models::model_census;
+use mcqa_bench::models::{model_census, render_model_census};
 use mcqa_core::{Pipeline, PipelineConfig};
 use mcqa_eval::{EvalConfig, Evaluator};
 
@@ -34,4 +34,18 @@ fn tiny_seed42_model_census_is_pinned() {
         ("total", (62_915, 4, 14_856_525, 360_405)),
     ];
     assert_eq!(rows, expected);
+}
+
+#[test]
+fn the_rendered_census_is_the_same_at_one_and_three_workers() {
+    // `repro models` prints counts only, so its whole output is a function
+    // of the configuration: no byte may move with the worker count.
+    let render = |workers: usize| {
+        let out = Pipeline::run(&PipelineConfig { workers, ..PipelineConfig::tiny(42) });
+        Evaluator::new(&out, EvalConfig::default()).run();
+        render_model_census(&out, &model_census(&out))
+    };
+    let one = render(1);
+    assert!(one.contains("[models] backend=sim role=total calls=62915 "), "{one}");
+    assert_eq!(render(3), one);
 }

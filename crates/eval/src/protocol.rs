@@ -139,12 +139,12 @@ pub struct Evaluator<'a> {
     exec: Executor,
     /// The serving front door retrieval replays through: the same
     /// admission queue and micro-batching dispatcher online traffic uses,
-    /// over the pipeline's own registry, encoder and executor. Each
-    /// benchmark's retrieval is one replay over all four sources — one
-    /// admission unit, one dispatch, one reply — and both replays share
-    /// the service, so a stem is encoded once however many sources and
-    /// benchmarks ask for it. It is private to this evaluator, so a replay
-    /// never queues ahead of online traffic.
+    /// over the pipeline's own registry, encoder and executor. Both
+    /// benchmarks' retrieval is one replay over all four sources — one
+    /// admission unit, one dispatch, one reply — so each store is scanned
+    /// once and a stem is encoded once however many sources ask for it.
+    /// It is private to this evaluator, so a replay never queues ahead of
+    /// online traffic.
     service: QueryService,
     report: Mutex<RunReport>,
     /// Snapshot of the report right after construction: the one-time
@@ -158,16 +158,19 @@ impl<'a> Evaluator<'a> {
         let exec = output.executor.clone();
         let hub = &*output.models;
         let exam = AstroExam::generate(&output.ontology, hub, config.seed, &exec);
-        let synth_items: Vec<_> = output.items.iter().cloned().map(PreparedItem::new).collect();
-        let exam_items: Vec<_> = exam.items.iter().cloned().map(PreparedItem::new).collect();
+        // Both benchmarks' stems travel as one replay, synthetic then exam,
+        // so each store is scanned once; the items and their contexts are
+        // split back where the exam begins.
+        let mut synth_items: Vec<_> =
+            output.items.iter().chain(&exam.items).cloned().map(PreparedItem::new).collect();
         let service = retrieval_service(output);
-        let labels = HitLabels::new(output);
         let (k, mode) = (config.retrieval_k, config.retrieval);
-        let (synth_ctx, synth_m) = retrieve_contexts(&labels, &synth_items, k, mode, &service);
-        let (astro_ctx, astro_m) = retrieve_contexts(&labels, &exam_items, k, mode, &service);
+        let (mut synth_ctx, retrieved) =
+            retrieve_contexts(&HitLabels::new(output), &synth_items, k, mode, &service);
+        let exam_items = synth_items.split_off(output.items.len());
+        let astro_ctx = synth_ctx.split_off(output.items.len());
         let mut report = RunReport::new();
-        report.absorb(synth_m);
-        report.absorb(astro_m);
+        report.absorb(retrieved);
 
         // Measured usable-hit rates (the solver's h values).
         let nomath_mask: Vec<bool> = exam.items.iter().map(|i| !i.is_math).collect();
@@ -489,6 +492,40 @@ mod tests {
             tiny > llama31 * 2.0,
             "relative gains must anticorrelate with size: tiny {tiny:.2} vs llama3.1 {llama31:.2}"
         );
+    }
+
+    #[test]
+    fn one_replay_reads_what_two_replays_read() {
+        // `Evaluator::new` retrieves both benchmarks in one replay; two
+        // replays through one service, synthetic then exam, must read the
+        // same contexts and rates, in every retrieval mode. A fresh
+        // pipeline keeps these evaluators off the shared fixture's ledger.
+        let output = Pipeline::run(&PipelineConfig::tiny(42));
+        let labels = HitLabels::new(&output);
+        let hybrid = QueryMode::Hybrid { fusion: Default::default(), rerank: false, depth: 0 };
+        for retrieval in [QueryMode::Dense, QueryMode::Lexical, hybrid] {
+            let config = EvalConfig { retrieval, ..EvalConfig::default() };
+            let evaluator = Evaluator::new(&output, config.clone());
+            let service = retrieval_service(&output);
+            let replay = |items: &[PreparedItem]| {
+                retrieve_contexts(&labels, items, config.retrieval_k, retrieval, &service).0
+            };
+            let synth_ctx = replay(&evaluator.synth_items);
+            let astro_ctx = replay(&evaluator.exam_items);
+            let mode = retrieval.label();
+            assert_eq!(evaluator.synth_ctx, synth_ctx, "{mode}: synthetic contexts");
+            assert_eq!(evaluator.astro_ctx, astro_ctx, "{mode}: exam contexts");
+            let mask = Some(&evaluator.nomath_mask[..]);
+            let synth = Source::ALL.map(|s| hit_rate(&synth_ctx, s, None));
+            let astro = Source::ALL.map(|s| hit_rate(&astro_ctx, s, mask));
+            let rates = &evaluator.rates;
+            assert_eq!(rates.synth_chunk, synth[0], "{mode}: synthetic chunk rate");
+            assert_eq!(rates.synth_trace[..], synth[1..], "{mode}: synthetic trace rates");
+            assert_eq!(rates.astro_chunk, astro[0], "{mode}: exam chunk rate");
+            assert_eq!(rates.astro_trace[..], astro[1..], "{mode}: exam trace rates");
+            assert_eq!(evaluator.synth_items.len(), output.items.len());
+            assert_eq!(evaluator.exam_items.len(), evaluator.exam.items.len());
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The hub owns the simulator that plays every model role (the teacher,
 //! judge and classifier, seeded at construction, plus the ontology the
 //! teacher grounds questions in) and the per-role [`CallLedger`] — calls,
-//! batch sizes, token estimates and busy time — that every call is tallied
-//! in.
+//! batch sizes and token estimates — that every call is tallied in. The
+//! hub counts, it does not time: a call is the simulator's completion and
+//! a few counter adds, and the stage that runs it times the batch.
 //!
 //! Each call kind has its own typed entry point, which takes the fields the
 //! role reads plus the call's seed, returns the role's own output type and
@@ -19,7 +20,6 @@
 //! accounted.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use mcqa_ontology::Ontology;
 use mcqa_runtime::{run_stage, Executor};
@@ -116,13 +116,10 @@ impl ModelHub {
         self.serve(seed, &Answer { model, item, condition, context })
     }
 
-    /// Serve one call: time the simulator's completion and tally it in
-    /// the ledger.
+    /// Serve one call: the simulator's completion, tallied in the ledger.
     fn serve<C: Call>(&self, seed: u64, call: &C) -> C::Output {
-        let start = Instant::now();
         let (output, tokens_out) = call.complete(&self.sim, seed);
-        let busy = start.elapsed().as_nanos() as u64;
-        self.ledger.record_call(C::ROLE, call.tokens_in(), tokens_out, busy);
+        self.ledger.record_call(C::ROLE, call.tokens_in(), tokens_out);
         output
     }
 
@@ -217,9 +214,9 @@ mod tests {
         )
     }
 
-    /// A ledger row without its busy time, which is a clock reading.
-    fn counts(s: &RoleStats) -> (u64, u64, u64, u64, u64) {
-        (s.calls, s.batches, s.batched_calls, s.tokens_in, s.tokens_out)
+    /// A ledger row of `calls` calls in `batches` batches, all batched.
+    fn stats(calls: u64, batches: u64, tokens_in: u64, tokens_out: u64) -> RoleStats {
+        RoleStats { calls, batches, batched_calls: calls, tokens_in, tokens_out }
     }
 
     #[test]
@@ -297,13 +294,12 @@ mod tests {
         let serial: Vec<bool> = items.iter().map(|i| i.complete(simulator(), 42).0).collect();
         assert_eq!(batched, serial);
         let tokens_in: usize = items.iter().map(|i| i.tokens_in()).sum();
-        let first = hub.ledger().role(Role::Classifier);
-        assert_eq!(counts(&first), (20, 1, 20, tokens_in as u64, 3 * 20));
+        let tokens_in = tokens_in as u64;
+        assert_eq!(hub.ledger().role(Role::Classifier), stats(20, 1, tokens_in, 3 * 20));
 
         // A second batch of the same items is served and tallied afresh.
         assert_eq!(hub.math_flags(exec, 42, &items), batched);
-        let second = hub.ledger().role(Role::Classifier);
-        assert_eq!(counts(&second), (40, 2, 40, 2 * tokens_in as u64, 3 * 40));
+        assert_eq!(hub.ledger().role(Role::Classifier), stats(40, 2, 2 * tokens_in, 3 * 40));
     }
 
     #[test]
@@ -351,11 +347,10 @@ mod tests {
                 let exec = Executor::new(workers);
                 let hub = fresh_hub();
                 prop_assert_eq!(&hub.math_flags(&exec, 42, &items), &serial_flags, "workers {}", workers);
-                let batched = hub.ledger().role(Role::Classifier);
                 let submitted = u64::from(!items.is_empty());
                 prop_assert_eq!(
-                    counts(&batched),
-                    (serial.calls, submitted, serial.calls, serial.tokens_in, serial.tokens_out),
+                    hub.ledger().role(Role::Classifier),
+                    stats(serial.calls, submitted, serial.tokens_in, serial.tokens_out),
                     "workers {}", workers
                 );
             }

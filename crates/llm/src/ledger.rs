@@ -2,12 +2,14 @@
 //! layer.
 //!
 //! Every request through a [`crate::ModelHub`] is tallied here — per role:
-//! calls, batch submissions, token in/out estimates and cumulative backend
-//! busy time. Every call reaches the simulator, so every call pays its
-//! tokens. The ledger renders as greppable `[models] key=value` lines, which
-//! `repro models` and `repro fig1` print.
+//! calls, batch submissions and token in/out estimates. The ledger counts,
+//! it does not time: the stage rows that run model calls (`generate+judge`,
+//! `traces`, `eval-answer`) already time the same work. Every call reaches
+//! the simulator, so every call pays its tokens. The ledger renders as
+//! greppable `[models] key=value` lines, which `repro models` and
+//! `repro fig1` print.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// The model roles the paper's workflow employs: one ledger row each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,8 +50,10 @@ impl Role {
     }
 }
 
-/// A snapshot of one role's tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// A snapshot of one role's tallies. Every field is a count, so a
+/// snapshot is a function of the calls served, not of when or on which
+/// thread they ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoleStats {
     /// Requests served.
     pub calls: u64,
@@ -61,9 +65,6 @@ pub struct RoleStats {
     pub tokens_in: u64,
     /// Completion tokens received from the backend.
     pub tokens_out: u64,
-    /// Cumulative backend busy time in seconds (summed across workers, so
-    /// it can exceed wall-clock on a parallel stage).
-    pub busy_secs: f64,
 }
 
 impl RoleStats {
@@ -96,7 +97,6 @@ impl RoleStats {
         self.batched_calls += other.batched_calls;
         self.tokens_in += other.tokens_in;
         self.tokens_out += other.tokens_out;
-        self.busy_secs += other.busy_secs;
     }
 }
 
@@ -107,7 +107,6 @@ struct RoleCounters {
     batched_calls: AtomicU64,
     tokens_in: AtomicU64,
     tokens_out: AtomicU64,
-    busy_nanos: AtomicU64,
 }
 
 impl RoleCounters {
@@ -118,16 +117,38 @@ impl RoleCounters {
             batched_calls: self.batched_calls.load(Relaxed),
             tokens_in: self.tokens_in.load(Relaxed),
             tokens_out: self.tokens_out.load(Relaxed),
-            busy_secs: self.busy_nanos.load(Relaxed) as f64 / 1e9,
         }
     }
 }
 
-/// The ledger: one set of counters per [`Role`], safe to share across pool
-/// workers.
+/// How many counter shards a ledger holds. More recording threads than
+/// this share shards: a collision costs speed, never a count.
+const SHARDS: usize = 16;
+
+/// One shard: a full set of per-role counters on cache lines of its own,
+/// so threads on different shards never contend for a line.
+#[derive(Default)]
+#[repr(align(128))]
+struct Shard {
+    roles: [RoleCounters; Role::ALL.len()],
+}
+
+/// The calling thread's shard, picked once per thread: threads take shards
+/// round-robin in the order they first record, in any ledger.
+fn shard_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SHARD: usize = NEXT.fetch_add(1, Relaxed) % SHARDS;
+    }
+    SHARD.with(|shard| *shard)
+}
+
+/// The ledger: per-role counters, safe to share across pool workers. Each
+/// thread records into its own shard and a read sums the shards, so a
+/// call costs a few uncontended atomic adds.
 #[derive(Default)]
 pub struct CallLedger {
-    roles: [RoleCounters; Role::ALL.len()],
+    shards: [Shard; SHARDS],
 }
 
 impl CallLedger {
@@ -136,31 +157,33 @@ impl CallLedger {
         Self::default()
     }
 
+    /// `role`'s counters in the calling thread's shard.
+    fn counters(&self, role: Role) -> &RoleCounters {
+        &self.shards[shard_index()].roles[role.index()]
+    }
+
     /// Record one served request.
-    pub(crate) fn record_call(
-        &self,
-        role: Role,
-        tokens_in: usize,
-        tokens_out: usize,
-        busy_nanos: u64,
-    ) {
-        let c = &self.roles[role.index()];
+    pub(crate) fn record_call(&self, role: Role, tokens_in: usize, tokens_out: usize) {
+        let c = self.counters(role);
         c.calls.fetch_add(1, Relaxed);
         c.tokens_in.fetch_add(tokens_in as u64, Relaxed);
         c.tokens_out.fetch_add(tokens_out as u64, Relaxed);
-        c.busy_nanos.fetch_add(busy_nanos, Relaxed);
     }
 
     /// Record a batch submission containing `n` requests for `role`.
     pub(crate) fn record_batch(&self, role: Role, n: usize) {
-        let c = &self.roles[role.index()];
+        let c = self.counters(role);
         c.batches.fetch_add(1, Relaxed);
         c.batched_calls.fetch_add(n as u64, Relaxed);
     }
 
     /// Snapshot one role.
     pub fn role(&self, role: Role) -> RoleStats {
-        self.roles[role.index()].snapshot()
+        let mut stats = RoleStats::default();
+        for shard in &self.shards {
+            stats.merge(&shard.roles[role.index()].snapshot());
+        }
+        stats
     }
 
     /// Snapshot every role, in canonical order.
@@ -185,13 +208,12 @@ impl CallLedger {
         let line = |role: &str, s: &RoleStats| {
             format!(
                 "[models] backend=sim role={role} calls={} batches={} \
-                 mean_batch={:.1} tokens_in={} tokens_out={} busy_secs={:.3}",
+                 mean_batch={:.1} tokens_in={} tokens_out={}",
                 s.calls,
                 s.batches,
                 s.mean_batch_size(),
                 s.tokens_in,
                 s.tokens_out,
-                s.busy_secs,
             )
         };
         let mut out: Vec<String> = self
@@ -221,9 +243,9 @@ mod tests {
     #[test]
     fn tallies_per_role() {
         let ledger = CallLedger::new();
-        ledger.record_call(Role::Teacher, 100, 40, 1_000);
-        ledger.record_call(Role::Teacher, 100, 40, 0);
-        ledger.record_call(Role::Judge, 30, 10, 500);
+        ledger.record_call(Role::Teacher, 100, 40);
+        ledger.record_call(Role::Teacher, 100, 40);
+        ledger.record_call(Role::Judge, 30, 10);
         ledger.record_batch(Role::Teacher, 2);
 
         let t = ledger.role(Role::Teacher);
@@ -243,13 +265,13 @@ mod tests {
     #[test]
     fn summary_lines_are_greppable() {
         let ledger = CallLedger::new();
-        ledger.record_call(Role::Judge, 30, 10, 2_000_000);
+        ledger.record_call(Role::Judge, 30, 10);
         let lines = ledger.summary_lines();
         assert_eq!(lines.len(), 2, "active roles only, then the total");
         assert_eq!(
             lines[0],
             "[models] backend=sim role=judge calls=1 batches=0 mean_batch=0.0 tokens_in=30 \
-             tokens_out=10 busy_secs=0.002"
+             tokens_out=10"
         );
         assert!(lines[1].contains("role=total"));
     }
@@ -262,7 +284,7 @@ mod tests {
                 let ledger = &ledger;
                 s.spawn(move || {
                     for i in 0..250 {
-                        ledger.record_call(Role::Answerer, 10, 5 + i % 2, 100);
+                        ledger.record_call(Role::Answerer, 10, 5 + i % 2);
                     }
                 });
             }
@@ -271,6 +293,39 @@ mod tests {
         assert_eq!(a.calls, 1000);
         assert_eq!(a.tokens_in, 10_000);
         assert_eq!(a.tokens_out, 5_500);
-        assert!((a.busy_secs - 1e-4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn more_threads_than_shards_sum_to_the_serial_tallies() {
+        // Thread `t` records a tally of its own on every role; with more
+        // threads than shards, some threads share a shard, and the barrier
+        // starts them together, so sharing threads add to one line at
+        // once. The snapshot must still equal the same calls recorded on
+        // one thread.
+        let threads = 2 * SHARDS + 3;
+        let record = |ledger: &CallLedger, t: usize| {
+            for role in Role::ALL {
+                for i in 0..(t + 1) * (role.index() + 1) {
+                    ledger.record_call(role, t + i, i % 3);
+                }
+                ledger.record_batch(role, t + 1);
+            }
+        };
+        let serial = CallLedger::new();
+        (0..threads).for_each(|t| record(&serial, t));
+        let sharded = CallLedger::new();
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (sharded, start) = (&sharded, &start);
+                s.spawn(move || {
+                    start.wait();
+                    record(sharded, t);
+                });
+            }
+        });
+        assert_eq!(sharded.snapshot(), serial.snapshot());
+        assert_eq!(sharded.total(), serial.total());
+        assert_eq!(serial.role(Role::Teacher).batches, threads as u64);
     }
 }

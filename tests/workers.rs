@@ -1,13 +1,14 @@
 //! Determinism across worker counts, end to end: the same configuration at
 //! 1, 2, 3 and 4 workers yields byte-identical generation artifacts, index
-//! registry, evaluation tables, and the same again after one incremental
-//! round. Worker counts above the host's cores oversubscribe it, which is
-//! the point: batch boundaries and task interleavings move, and no byte
-//! may move with them.
+//! registry, evaluation tables and model-call ledger, and the same again
+//! after one incremental round. Worker counts above the host's cores
+//! oversubscribe it, which is the point: batch boundaries and task
+//! interleavings move, and no byte may move with them.
 
 use std::sync::Arc;
 
 use distllm::corpus::EditBatch;
+use distllm::llm::{Role, RoleStats};
 use distllm::prelude::*;
 use distllm::util::fnv1a;
 
@@ -18,6 +19,9 @@ struct Fingerprint {
     traces: u64,
     registry: u64,
     eval_tables: u64,
+    /// The whole ledger after the build and evaluation: counts only, so it
+    /// is a function of the calls served, not of the schedule.
+    ledger: Vec<(Role, RoleStats)>,
     round_chunks: u64,
     round_questions: u64,
     round_traces: u64,
@@ -33,6 +37,7 @@ fn fingerprint(workers: usize) -> Fingerprint {
     let config = PipelineConfig { workers, ..PipelineConfig::tiny(42) };
     let out = Pipeline::run(&config);
     let eval = Evaluator::new(&out, EvalConfig::default()).run();
+    let ledger = out.models.ledger().snapshot();
 
     let mut library = (*out.library).clone();
     library.apply_edits(&out.ontology, &EditBatch::synthetic(&library, 5, 3));
@@ -44,6 +49,7 @@ fn fingerprint(workers: usize) -> Fingerprint {
         traces: json_hash(serde_json::to_string(&out.traces)),
         registry: fnv1a(&out.indexes.to_bytes()),
         eval_tables: json_hash(serde_json::to_string(&eval.models)),
+        ledger,
         round_chunks: fnv1a(format!("{:?}", round.chunks).as_bytes()),
         round_questions: json_hash(serde_json::to_string(&round.questions)),
         round_traces: json_hash(serde_json::to_string(&round.traces)),
